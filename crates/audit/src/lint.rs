@@ -60,7 +60,7 @@ use std::path::{Path, PathBuf};
 
 /// Hard cap on `lint-allow.toml` entries: the waiver file documents
 /// deliberate exceptions, not a parallel policy.
-pub const MAX_WAIVERS: usize = 10;
+pub const MAX_WAIVERS: usize = 6;
 
 /// Architecture layers, bottom-up. A crate may only depend on workspace
 /// crates with a strictly lower layer; a workspace crate missing from this

@@ -14,14 +14,15 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use puffer_budget::Budget;
 use puffer_congest::{CongestionEstimator, EstimatorConfig};
 use puffer_db::design::{Design, Placement};
 use puffer_db::geom::Point;
-use puffer_dp::{refine, DetailedConfig};
+use puffer_dp::{refine_bounded, DetailedConfig};
 use puffer_fft::{dct2, dct3, Complex};
 use puffer_flute::Topology;
 use puffer_gen::{generate, GeneratorConfig};
-use puffer_legal::legalize;
+use puffer_legal::legalize_bounded;
 use puffer_pad::{extract_features, padding_round, FeatureConfig, PaddingState, PaddingStrategy};
 use puffer_place::{
     quadratic_placement, DensityModel, GlobalPlacer, PlacerConfig, QuadraticConfig,
@@ -131,14 +132,14 @@ fn congestion_benches() {
         },
     );
     bench("congestion", "estimate_full", 2, 20, || {
-        est.estimate(&design, &placement)
+        est.try_estimate(&design, &placement)
     });
     bench("congestion", "estimate_no_detour", 2, 20, || {
-        no_detour.estimate(&design, &placement)
+        no_detour.try_estimate(&design, &placement)
     });
 
     // Incremental re-estimation after a small perturbation: what a padding
-    // round actually pays once warm state exists. `estimate_incremental`
+    // round actually pays once warm state exists. `try_estimate_incremental`
     // on a fresh estimator is a full build, so warm it once outside the
     // timed loop, then alternate between two nearby placements so every
     // timed call sees real (small) dirt.
@@ -160,12 +161,13 @@ fn congestion_benches() {
         p
     };
     let mut inc = CongestionEstimator::new(&design, EstimatorConfig::default());
-    inc.estimate_incremental(&design, &placement);
+    inc.try_estimate_incremental(&design, &placement)
+        .expect("warm-up estimate");
     let mut flip = false;
     bench("congestion", "estimate_incremental", 2, 20, move || {
         flip = !flip;
         let p = if flip { &moved } else { &placement };
-        inc.estimate_incremental(&design, p)
+        inc.try_estimate_incremental(&design, p)
     });
 }
 
@@ -173,7 +175,7 @@ fn feature_benches() {
     let design = bench_design();
     let placement = snapshot(&design);
     let est = CongestionEstimator::new(&design, EstimatorConfig::default());
-    let map = est.estimate(&design, &placement);
+    let map = est.try_estimate(&design, &placement).expect("estimate");
     bench("padding", "extract_features", 2, 20, || {
         extract_features(&design, &placement, &map, &FeatureConfig::default())
     });
@@ -257,10 +259,10 @@ fn router_benches() {
         },
     );
     bench("router", "route_full", 1, 10, || {
-        router.route(&design, &placement)
+        router.try_route(&design, &placement)
     });
     bench("router", "route_pattern_only", 1, 10, || {
-        pattern_only.route(&design, &placement)
+        pattern_only.try_route(&design, &placement)
     });
 }
 
@@ -274,10 +276,10 @@ fn legalize_benches() {
         .map(|i| (i % 2) as u32)
         .collect();
     bench("legalize", "abacus_plain", 1, 10, || {
-        legalize(&design, &placement, &zeros).expect("legalize")
+        legalize_bounded(&design, &placement, &zeros, &Budget::unbounded()).expect("legalize")
     });
     bench("legalize", "abacus_padded", 1, 10, || {
-        legalize(&design, &placement, &padded).expect("legalize")
+        legalize_bounded(&design, &placement, &padded, &Budget::unbounded()).expect("legalize")
     });
 }
 
@@ -292,13 +294,16 @@ fn quadratic_benches() {
 fn dp_benches() {
     let design = bench_design();
     let zeros = vec![0u32; design.netlist().num_cells()];
-    let legal = legalize(&design, &snapshot(&design), &zeros).expect("legalize");
+    let legal = legalize_bounded(&design, &snapshot(&design), &zeros, &Budget::unbounded())
+        .expect("legalize");
     bench("detailed_place", "refine_3_passes", 1, 10, || {
-        refine(
+        refine_bounded(
             &design,
             &legal.placement,
             &zeros,
             &DetailedConfig::default(),
+            None,
+            &Budget::unbounded(),
         )
     });
 }
@@ -307,7 +312,7 @@ fn layer_benches() {
     let design = bench_design();
     let placement = snapshot(&design);
     let router = GlobalRouter::new(&design, RouterConfig::default());
-    let report = router.route(&design, &placement);
+    let report = router.try_route(&design, &placement).expect("route");
     bench("layers", "assign_layers", 1, 10, || {
         assign_layers(&design, &report.paths, &LayerConfig::default())
     });
@@ -417,7 +422,7 @@ fn par_benches() {
 }
 
 fn audit_benches() {
-    use puffer::{PufferConfig, PufferPlacer};
+    use puffer::{Job, PufferConfig};
     use puffer_audit::Validate;
     let design = bench_design();
     let mut config = PufferConfig::default();
@@ -428,11 +433,11 @@ fn audit_benches() {
     // stage boundaries skip straight past the hook, so having the audit
     // layer in the codebase costs nothing unless it is switched on.
     let flow_run = |validate: bool| {
-        let mut placer = PufferPlacer::new(config.clone());
+        let mut job = Job::new(config.clone());
         if validate {
-            placer = placer.with_observer(puffer_audit::flow_validator());
+            job = job.with_observer(puffer_audit::flow_validator());
         }
-        placer.place(&design).expect("place")
+        job.run(&design).expect("place")
     };
     bench("audit", "flow_validate_off", 1, 5, || flow_run(false));
     bench("audit", "flow_validate_on", 1, 5, || flow_run(true));

@@ -21,9 +21,12 @@
 #![forbid(unsafe_code)]
 
 use puffer::{
-    evaluate, ComparisonTable, EvalRow, PufferConfig, PufferPlacer, WsaConfig, WsaPlacer,
+    evaluate_bounded, ComparisonTable, EvalRow, Job, PufferConfig, WsaConfig, WsaPlacer,
 };
 use puffer_bench::{generate_logged, HarnessArgs};
+use puffer_budget::Budget;
+use puffer_route::RouterConfig;
+use puffer_trace::Trace;
 
 fn variants() -> Vec<(&'static str, PufferConfig)> {
     let base = PufferConfig::default();
@@ -71,7 +74,7 @@ fn main() {
             let d = &design;
             flows.push((
                 name,
-                Box::new(move || PufferPlacer::new(cfg.clone()).place(d)),
+                Box::new(move || Job::new(cfg.clone()).run(d)),
             ));
         }
         {
@@ -84,7 +87,14 @@ fn main() {
         for (name, run) in flows {
             eprintln!("[run] {} / {}", design.name(), name);
             let result = run().expect("variant failed");
-            let report = evaluate(&design, &result.placement);
+            let report = evaluate_bounded(
+                &design,
+                &result.placement,
+                &RouterConfig::default(),
+                &Budget::unbounded(),
+                &Trace::disabled(),
+            )
+            .expect("route evaluation failed");
             eprintln!(
                 "[run] {} / {}: HOF {:.2}% VOF {:.2}% WL {:.0} RT {:.1}s",
                 design.name(),

@@ -14,9 +14,10 @@
 
 #![forbid(unsafe_code)]
 
-use puffer::{evaluate_traced, PufferConfig, PufferPlacer};
+use puffer::{evaluate_bounded, Job, PufferConfig};
 use puffer_bench::par::{serial_transform2d, serial_wa_reference, time_min, THREADS};
 use puffer_bench::{generate_logged, HarnessArgs};
+use puffer_budget::Budget;
 use puffer_fft::{dct2, transform2d_threaded};
 use puffer_place::{wa_wirelength_grad_threaded, DensityModel};
 use puffer_route::RouterConfig;
@@ -145,14 +146,17 @@ fn congest_times(
     let mut flip = false;
     let full_s = time_min(1, 5, || {
         flip = !flip;
-        full.estimate(design, if flip { &moved } else { placement })
+        full.try_estimate(design, if flip { &moved } else { placement })
+            .expect("full estimate")
     });
     let mut inc = CongestionEstimator::new(design, cfg);
-    inc.estimate_incremental(design, placement); // warm the chunk state
+    inc.try_estimate_incremental(design, placement)
+        .expect("warm-up estimate"); // warm the chunk state
     let mut flip = false;
     let inc_s = time_min(1, 5, || {
         flip = !flip;
-        inc.estimate_incremental(design, if flip { &moved } else { placement })
+        inc.try_estimate_incremental(design, if flip { &moved } else { placement })
+            .expect("incremental estimate")
     });
     (full_s, inc_s)
 }
@@ -253,8 +257,8 @@ fn run_scale_gate(args: &HarnessArgs, out_dir: &std::path::Path) {
         let scale_class = puffer::ScaleClass::classify(design.netlist().num_cells());
         let mut cfg = PufferConfig::default();
         cfg.placer.max_iters = SCALE_GATE_GP_ITERS;
-        let result = PufferPlacer::new(cfg)
-            .place(&design)
+        let result = Job::new(cfg)
+            .run(&design)
             .unwrap_or_else(|e| panic!("scale gate flow failed on {}: {e}", design.name()));
         let peak = puffer_budget::mem::peak_rss_bytes()
             .expect("scale gate needs /proc/self/status (Linux)");
@@ -311,11 +315,18 @@ fn main() {
     for config in args.configs() {
         let design = generate_logged(&config);
         let trace = Trace::enabled();
-        let result = PufferPlacer::new(PufferConfig::default())
+        let result = Job::new(PufferConfig::default())
             .with_trace(trace.clone())
-            .place(&design)
+            .run(&design)
             .unwrap_or_else(|e| panic!("PUFFER failed on {}: {e}", design.name()));
-        let report = evaluate_traced(&design, &result.placement, &RouterConfig::default(), &trace);
+        let report = evaluate_bounded(
+            &design,
+            &result.placement,
+            &RouterConfig::default(),
+            &Budget::unbounded(),
+            &trace,
+        )
+        .unwrap_or_else(|e| panic!("routing failed on {}: {e}", design.name()));
 
         let spans = trace.span_stats();
         let total = |label: &str| {

@@ -14,10 +14,13 @@
 
 #![forbid(unsafe_code)]
 
-use puffer::{evaluate, strategy_space, tuned_strategy, PufferConfig, PufferPlacer};
+use puffer::{evaluate_bounded, strategy_space, tuned_strategy, Job, PufferConfig};
 use puffer_bench::{generate_logged, HarnessArgs};
-use puffer_explore::{explore_strategy, ExplorationConfig, StrategyConfig};
+use puffer_budget::Budget;
+use puffer_explore::{explore_strategy_traced, ExplorationConfig, StrategyConfig};
 use puffer_pad::PaddingStrategy;
+use puffer_route::RouterConfig;
+use puffer_trace::Trace;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -43,11 +46,18 @@ fn main() {
         // Reduced placement budget for tuning evaluations.
         cfg.placer.max_iters = 260;
         cfg.placer.stop_overflow = 0.09;
-        let result = match PufferPlacer::new(cfg).place(&design) {
-            Ok(r) => r,
-            Err(_) => return f64::INFINITY, // infeasible strategy
+        let Ok(result) = Job::new(cfg).run(&design) else {
+            return f64::INFINITY; // infeasible strategy
         };
-        let report = evaluate(&design, &result.placement);
+        let Ok(report) = evaluate_bounded(
+            &design,
+            &result.placement,
+            &RouterConfig::default(),
+            &Budget::unbounded(),
+            &Trace::disabled(),
+        ) else {
+            return f64::INFINITY;
+        };
         let score = report.hof_pct + report.vof_pct;
         let n = evals.fetch_add(1, Ordering::Relaxed) + 1;
         eprintln!("[eval {n}] HOF+VOF = {score:.3}");
@@ -68,8 +78,9 @@ fn main() {
         max_rounds: 1,
         parallel: false, // evaluations already use all cores via the router
     };
-    let outcome = explore_strategy(&space, &groups, objective, &strategy_cfg)
-        .expect("strategy exploration failed");
+    let outcome =
+        explore_strategy_traced(&space, &groups, objective, &strategy_cfg, &Trace::disabled())
+            .expect("strategy exploration failed");
 
     println!("\nStrategy exploration finished:");
     println!("  evaluations: {}", outcome.evals);
@@ -97,10 +108,15 @@ fn main() {
         strategy: tuned_strategy(&space, &outcome.best_observed),
         ..PufferConfig::default()
     };
-    let result = PufferPlacer::new(cfg)
-        .place(&design)
-        .expect("tuned flow failed");
-    let report = evaluate(&design, &result.placement);
+    let result = Job::new(cfg).run(&design).expect("tuned flow failed");
+    let report = evaluate_bounded(
+        &design,
+        &result.placement,
+        &RouterConfig::default(),
+        &Budget::unbounded(),
+        &Trace::disabled(),
+    )
+    .expect("route evaluation failed");
     println!(
         "\nTuned strategy at full budget on {}: HOF {:.2}% VOF {:.2}% WL {:.0}",
         design.name(),

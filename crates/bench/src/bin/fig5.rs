@@ -14,10 +14,13 @@
 #![forbid(unsafe_code)]
 
 use puffer::{
-    evaluate, PufferConfig, PufferPlacer, ReferenceConfig, ReferencePlacer, ReplaceConfig,
+    evaluate_bounded, Job, PufferConfig, ReferenceConfig, ReferencePlacer, ReplaceConfig,
     ReplacePlacer,
 };
 use puffer_bench::{generate_logged, FlowKind, HarnessArgs};
+use puffer_budget::Budget;
+use puffer_route::RouterConfig;
+use puffer_trace::Trace;
 
 fn main() {
     let mut args = HarnessArgs::parse(0.01);
@@ -37,11 +40,18 @@ fn main() {
                 FlowKind::ReplaceLike => {
                     ReplacePlacer::new(ReplaceConfig::default()).place(&design)
                 }
-                FlowKind::Puffer => PufferPlacer::new(PufferConfig::default()).place(&design),
+                FlowKind::Puffer => Job::new(PufferConfig::default()).run(&design),
             }
             .expect("flow failed")
             .placement;
-            let report = evaluate(&design, &placement);
+            let report = evaluate_bounded(
+                &design,
+                &placement,
+                &RouterConfig::default(),
+                &Budget::unbounded(),
+                &Trace::disabled(),
+            )
+            .expect("route evaluation failed");
             let tag = flow.name().to_lowercase().replace(['-', '_'], "");
             for (horizontal, suffix) in [(true, "h"), (false, "v")] {
                 let stem = format!("fig5_{}_{}_{}", design.name().to_lowercase(), tag, suffix);

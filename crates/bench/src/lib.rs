@@ -19,11 +19,14 @@
 #![forbid(unsafe_code)]
 
 use puffer::{
-    evaluate, EvalRow, PufferConfig, PufferPlacer, ReferenceConfig, ReferencePlacer, ReplaceConfig,
+    evaluate_bounded, EvalRow, Job, PufferConfig, ReferenceConfig, ReferencePlacer, ReplaceConfig,
     ReplacePlacer,
 };
+use puffer_budget::Budget;
 use puffer_db::design::Design;
 use puffer_gen::{generate, presets, GeneratorConfig};
+use puffer_route::RouterConfig;
+use puffer_trace::Trace;
 use std::path::PathBuf;
 
 /// Which of the three Table II flows to run.
@@ -175,10 +178,17 @@ pub fn run_flow(design: &Design, flow: FlowKind) -> EvalRow {
     let result = match flow {
         FlowKind::Reference => ReferencePlacer::new(ReferenceConfig::default()).place(design),
         FlowKind::ReplaceLike => ReplacePlacer::new(ReplaceConfig::default()).place(design),
-        FlowKind::Puffer => PufferPlacer::new(PufferConfig::default()).place(design),
+        FlowKind::Puffer => Job::new(PufferConfig::default()).run(design),
     }
     .unwrap_or_else(|e| panic!("{} failed on {}: {e}", flow.name(), design.name()));
-    let report = evaluate(design, &result.placement);
+    let report = evaluate_bounded(
+        design,
+        &result.placement,
+        &RouterConfig::default(),
+        &Budget::unbounded(),
+        &Trace::disabled(),
+    )
+    .expect("route evaluation failed");
     EvalRow {
         benchmark: design.name().to_string(),
         flow: flow.name().to_string(),

@@ -17,8 +17,8 @@
 #![forbid(unsafe_code)]
 
 use puffer::{
-    evaluate, evaluate_bounded, CheckpointPolicy, FlowCheckpoint, Job, PufferConfig, PufferPlacer,
-    ReferenceConfig, ReferencePlacer, ReplaceConfig, ReplacePlacer, ScaleClass,
+    evaluate_bounded, CheckpointPolicy, FlowCheckpoint, Job, PufferConfig, ReferenceConfig,
+    ReferencePlacer, ReplaceConfig, ReplacePlacer, ScaleClass,
 };
 use puffer_audit::{audit_metrics, audit_run, flow_validator, lint_workspace, LintConfig, Validate};
 use puffer_budget::fsx;
@@ -26,7 +26,7 @@ use puffer_budget::{
     Budget, CancelToken, ChaosPlan, DegradationLadder, FaultClass, LadderState, StallWatchdog,
 };
 use puffer_db::io::{read_design, read_placement, write_design, write_placement};
-use puffer_dp::{refine, refine_bounded, refine_with_congestion, DetailedConfig};
+use puffer_dp::{refine_bounded, DetailedConfig};
 use puffer_explore::{explore_params_bounded, ExplorationConfig};
 use puffer_gen::{generate, presets, GeneratorConfig};
 use puffer_legal::check_legal;
@@ -91,7 +91,6 @@ usage:
                 [--resume <run.pj>] [--threads <n>] [--validate]
                 [--metrics <run.jsonl>] [--trace-summary]
                 [--deadline <secs>] [--degrade <ladder>] [--watchdog <secs>]
-                [--incremental-congest | --no-incremental-congest]
                 [--scale-class auto|small|medium|huge]
   puffer eval   <design.pd> <placed.pl> [--maps <dir>] [--layers] [--validate]
                 [--threads <n>] [--metrics <run.jsonl>] [--trace-summary]
@@ -464,12 +463,7 @@ fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
             "watchdog",
             "scale-class",
         ],
-        &[
-            "trace-summary",
-            "validate",
-            "incremental-congest",
-            "no-incremental-congest",
-        ],
+        &["trace-summary", "validate"],
     )?;
     let [design_path] = flags.positional.as_slice() else {
         return Err(CliError::usage("place needs exactly one <design.pd>"));
@@ -499,18 +493,6 @@ fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
     if flow != "puffer" && flags.has("validate") {
         return Err(CliError::usage("--validate only applies to --flow puffer"));
     }
-    if flags.has("incremental-congest") && flags.has("no-incremental-congest") {
-        return Err(CliError::usage(
-            "--incremental-congest and --no-incremental-congest are mutually exclusive",
-        ));
-    }
-    if flow != "puffer"
-        && (flags.has("incremental-congest") || flags.has("no-incremental-congest"))
-    {
-        return Err(CliError::usage(
-            "--incremental-congest/--no-incremental-congest only apply to --flow puffer",
-        ));
-    }
     let BoundedFlags {
         budget,
         ladder,
@@ -538,12 +520,6 @@ fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
             if let Some(n) = threads {
                 cfg.placer.threads = n;
                 cfg.estimator.threads = n;
-            }
-            // Dirty-region congestion re-estimation is on by default and
-            // bit-identical to the full rebuild; --no-incremental-congest
-            // is the escape hatch that forces a full rebuild every round.
-            if flags.has("no-incremental-congest") {
-                cfg.estimator.incremental = false;
             }
             // `auto` (the default) classifies by cell count inside the
             // flow; a forced class overrides it for the whole run.
@@ -669,7 +645,8 @@ fn cmd_eval(args: &[String], out: &mut String) -> Result<(), CliError> {
         &router_cfg,
         &budget,
         trace.as_ref().unwrap_or(&Trace::disabled()),
-    );
+    )
+    .map_err(|e| CliError::run(format!("cannot evaluate {placement_path}: {e}")))?;
     finish_trace(&trace, &flags)?;
     if flags.has("validate") {
         design
@@ -826,32 +803,27 @@ fn cmd_refine(args: &[String], out: &mut String) -> Result<(), CliError> {
         max_passes: class.dp_passes(),
         ..DetailedConfig::default()
     };
-    let outcome = if let Some(b) = &budget {
-        let congestion = if flags.has("guard") {
-            Some(evaluate(&design, &placement).congestion)
-        } else {
-            None
-        };
-        refine_bounded(
+    let congestion = if flags.has("guard") {
+        let report = evaluate_bounded(
             &design,
             &placement,
-            &zeros,
-            &dp_config,
-            congestion.as_ref(),
-            b,
+            &RouterConfig::default(),
+            &Budget::unbounded(),
+            &Trace::disabled(),
         )
-    } else if flags.has("guard") {
-        let report = evaluate(&design, &placement);
-        refine_with_congestion(
-            &design,
-            &placement,
-            &zeros,
-            &dp_config,
-            &report.congestion,
-        )
+        .map_err(|e| CliError::run(format!("cannot evaluate {placement_path}: {e}")))?;
+        Some(report.congestion)
     } else {
-        refine(&design, &placement, &zeros, &dp_config)
-    }
+        None
+    };
+    let outcome = refine_bounded(
+        &design,
+        &placement,
+        &zeros,
+        &dp_config,
+        congestion.as_ref(),
+        &budget.unwrap_or_else(Budget::unbounded),
+    )
     .map_err(|e| CliError::run(format!("refinement failed: {e}")))?;
     let mut buf = Vec::new();
     write_placement(&outcome.placement, &mut buf)
@@ -903,14 +875,18 @@ fn cmd_explore(args: &[String], out: &mut String) -> Result<(), CliError> {
         cfg.strategy = puffer::tuned_strategy(&space, values);
         // Trials share the search budget, so a mid-trial expiry returns the
         // trial's best-so-far quickly instead of overrunning the deadline.
-        match PufferPlacer::new(cfg).with_budget(budget.clone()).place(&design) {
-            Ok(result) => {
-                let report = evaluate(&design, &result.placement);
-                report.hof_pct + report.vof_pct
-            }
-            // Non-finite objectives are counted as failed trials.
-            Err(_) => f64::NAN,
-        }
+        // Non-finite objectives are counted as failed trials.
+        let Ok(result) = Job::new(cfg).with_budget(budget.clone()).run(&design) else {
+            return f64::NAN;
+        };
+        evaluate_bounded(
+            &design,
+            &result.placement,
+            &RouterConfig::default(),
+            &Budget::unbounded(),
+            &Trace::disabled(),
+        )
+        .map_or(f64::NAN, |report| report.hof_pct + report.vof_pct)
     };
     let outcome = explore_params_bounded(
         &space,
@@ -1235,18 +1211,19 @@ fn run_chaos_case(
                 every: 10,
                 keep_history: false,
             };
-            let mut placer = PufferPlacer::new(flow_config())
+            let mut job = Job::new(flow_config())
                 .with_trace(trace.clone())
+                .with_checkpoints(policy)
                 .with_chaos(ChaosPlan {
                     class,
                     at,
                     magnitude,
                 });
             if class == FaultClass::SlowStage {
-                placer = placer.with_watchdog(StallWatchdog::new(Duration::from_millis(100)));
+                job = job.with_watchdog(StallWatchdog::new(Duration::from_millis(100)));
             }
-            let result = placer
-                .place_with_checkpoints(&design, &policy)
+            let result = job
+                .run(&design)
                 .map_err(|e| fail(format!("flow must degrade, not fail: {e}")))?;
             trace.write_summary();
             trace
@@ -1279,13 +1256,15 @@ fn run_chaos_case(
             // Fire strictly after the first committed checkpoint so there
             // is a prior journal to fall back to.
             let fire_at = at.max(4);
-            let err = PufferPlacer::new(flow_config())
+            let job = Job::new(flow_config()).with_checkpoints(policy);
+            let err = job
+                .clone()
                 .with_chaos(ChaosPlan {
                     class,
                     at: fire_at,
                     magnitude,
                 })
-                .place_with_checkpoints(&design, &policy);
+                .run(&design);
             let Err(e) = err else {
                 return Err(fail("injected journal failure did not surface".into()));
             };
@@ -1297,8 +1276,8 @@ fn run_chaos_case(
             checkpoint
                 .validate()
                 .map_err(|r| fail(format!("prior journal invalid: {r}")))?;
-            let resumed = PufferPlacer::new(flow_config())
-                .resume(&design, &journal)
+            let resumed = job
+                .run_or_resume(&design)
                 .map_err(|e| fail(format!("resume from prior journal failed: {e}")))?;
             check_legal(&design, &resumed.placement, &zeros)
                 .map_err(|e| fail(format!("resumed placement is not legal: {e}")))?;
@@ -1328,7 +1307,8 @@ fn run_chaos_case(
             };
             let skip = per_save + (at % 3) * per_save;
             fsx::fault::arm(class, skip);
-            let outcome = PufferPlacer::new(flow_config()).place_with_checkpoints(&design, &policy);
+            let job = Job::new(flow_config()).with_checkpoints(policy);
+            let outcome = job.run(&design);
             let fired = !fsx::fault::armed();
             fsx::fault::disarm();
             if !fired {
@@ -1345,8 +1325,8 @@ fn run_chaos_case(
             checkpoint
                 .validate()
                 .map_err(|r| fail(format!("prior journal invalid: {r}")))?;
-            let resumed = PufferPlacer::new(flow_config())
-                .resume(&design, &journal)
+            let resumed = job
+                .run_or_resume(&design)
                 .map_err(|e| fail(format!("resume from prior journal failed: {e}")))?;
             check_legal(&design, &resumed.placement, &zeros)
                 .map_err(|e| fail(format!("resumed placement is not legal: {e}")))?;
@@ -1365,9 +1345,9 @@ fn run_chaos_case(
             // Guarded fsyncs in this run: the sink directory fsync already
             // happened at creation; the next one is the flush itself.
             fsx::fault::arm(class, 0);
-            let result = PufferPlacer::new(flow_config())
+            let result = Job::new(flow_config())
                 .with_trace(trace.clone())
-                .place(&design);
+                .run(&design);
             let flushed = trace.flush();
             let fired = !fsx::fault::armed();
             fsx::fault::disarm();
@@ -1618,46 +1598,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_congest_flags_are_mutually_exclusive_and_puffer_only() {
-        let design_path = tmp("incflags.pd");
-        run(
-            &strs(&["gen", "--cells", "60", "--nets", "60", "-o", &design_path]),
-            &mut String::new(),
-        )
-        .unwrap();
-        let out_path = tmp("incflags.pl");
-        let err = run(
-            &strs(&[
-                "place",
-                &design_path,
-                "-o",
-                &out_path,
-                "--incremental-congest",
-                "--no-incremental-congest",
-            ]),
-            &mut String::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("mutually exclusive"));
-        let err = run(
-            &strs(&[
-                "place",
-                &design_path,
-                "-o",
-                &out_path,
-                "--flow",
-                "reference",
-                "--no-incremental-congest",
-            ]),
-            &mut String::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("--flow puffer"));
-    }
-
-    #[test]
     fn forced_small_scale_class_is_byte_identical_to_auto() {
         // Golden check for the strategy ladder: on a design that `auto`
         // already classifies as small, forcing `--scale-class small` must
@@ -1887,6 +1827,31 @@ mod tests {
     }
 
     #[test]
+    fn eval_rejects_a_non_finite_placement_naming_the_cell() {
+        let design_path = tmp("nonfinite.pd");
+        run(
+            &strs(&["gen", "--cells", "80", "-o", &design_path]),
+            &mut String::new(),
+        )
+        .unwrap();
+        let design = load_design(&design_path).unwrap();
+        // Unlisted cells default to the origin, so one line is a whole .pl.
+        for (index, line) in [(0u32, "place 0 nan 0\n"), (3, "place 3 1.5 inf\n")] {
+            let placed_path = tmp("nonfinite.pl");
+            std::fs::write(&placed_path, line).unwrap();
+            let err = run(
+                &strs(&["eval", &design_path, &placed_path]),
+                &mut String::new(),
+            )
+            .unwrap_err();
+            assert_eq!(err.code, 1, "{err}");
+            let name = &design.netlist().cell(puffer_db::CellId(index)).name;
+            assert!(err.message.contains(&format!("'{name}'")), "{err}");
+            assert_eq!(err.message.lines().count(), 1, "{err}");
+        }
+    }
+
+    #[test]
     fn unknown_flags_are_rejected() {
         let err = run(
             &strs(&["gen", "--cells", "100", "--wat", "3", "-o", &tmp("y.pd")]),
@@ -1995,7 +1960,7 @@ mod tests {
         assert!(out.contains("flow.done"), "{out}");
         assert!(out.contains("check OK"), "{out}");
 
-        // eval shares the trace plumbing via evaluate_traced.
+        // eval shares the trace plumbing via evaluate_bounded.
         let eval_metrics = tmp("metrics_eval.jsonl");
         run(
             &strs(&[

@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use puffer::{CheckpointPolicy, FlowCheckpoint, PufferConfig, PufferError, PufferPlacer};
+use puffer::{CheckpointPolicy, FlowCheckpoint, Job, PufferConfig, PufferError};
 use puffer_audit::Validate;
 use puffer_budget::{fsx, FaultClass};
 use puffer_db::design::Design;
@@ -69,7 +69,7 @@ fn enospc_during_checkpoint_save_keeps_prior_checkpoint_resumable_and_bit_identi
     let design = small_design(41);
 
     // Uninterrupted reference run: what a fault-free flow produces.
-    let reference = placement_bytes(&PufferPlacer::new(flow_config()).place(&design).unwrap());
+    let reference = placement_bytes(&Job::new(flow_config()).run(&design).unwrap());
 
     // Fault run: the second checkpoint save hits ENOSPC. Each save is one
     // atomic_write — one guarded data write plus one guarded commit
@@ -81,8 +81,9 @@ fn enospc_during_checkpoint_save_keeps_prior_checkpoint_resumable_and_bit_identi
         every: 2,
         keep_history: false,
     };
+    let job = Job::new(flow_config()).with_checkpoints(policy);
     fsx::fault::arm(FaultClass::DiskFull, 2);
-    let outcome = PufferPlacer::new(flow_config()).place_with_checkpoints(&design, &policy);
+    let outcome = job.run(&design);
     let fired = !fsx::fault::armed();
     fsx::fault::disarm();
     assert!(fired, "armed ENOSPC fault never fired");
@@ -110,8 +111,8 @@ fn enospc_during_checkpoint_save_keeps_prior_checkpoint_resumable_and_bit_identi
 
     // And it is resumable to the same placement the uninterrupted run
     // produced, byte for byte.
-    let resumed = PufferPlacer::new(flow_config())
-        .resume(&design, &journal)
+    let resumed = job
+        .run_or_resume(&design)
         .expect("resume from the prior checkpoint must succeed");
     assert_eq!(
         placement_bytes(&resumed),
@@ -131,9 +132,9 @@ fn fsync_failure_on_metrics_sink_surfaces_structured_trace_error() {
     // The sink's directory fsync already happened at creation; the next
     // guarded fsync is the flush barrier itself.
     fsx::fault::arm(FaultClass::FsyncFail, 0);
-    let result = PufferPlacer::new(flow_config())
+    let result = Job::new(flow_config())
         .with_trace(trace.clone())
-        .place(&design);
+        .run(&design);
     let flushed = trace.flush();
     let fired = !fsx::fault::armed();
     fsx::fault::disarm();

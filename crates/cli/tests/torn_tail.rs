@@ -10,7 +10,7 @@
 
 use std::path::{Path, PathBuf};
 
-use puffer::{CheckpointPolicy, FlowCheckpoint, PufferConfig, PufferPlacer};
+use puffer::{CheckpointPolicy, FlowCheckpoint, Job, PufferConfig};
 use puffer_audit::Validate;
 use puffer_budget::fsx;
 use puffer_explore::journal::ExplorationJournal;
@@ -66,15 +66,13 @@ fn checkpoint_recovery_drops_the_torn_tail_and_resumes() {
     let dir = tmp_dir("checkpoint");
     let design = small_design(51);
     let journal = dir.join("run.pj");
-    PufferPlacer::new(flow_config())
-        .place_with_checkpoints(
-            &design,
-            &CheckpointPolicy {
-                path: journal.clone(),
-                every: 5,
-                keep_history: true,
-            },
-        )
+    Job::new(flow_config())
+        .with_checkpoints(CheckpointPolicy {
+            path: journal.clone(),
+            every: 5,
+            keep_history: true,
+        })
+        .run(&design)
         .unwrap();
 
     let clean = FlowCheckpoint::recover(&journal).unwrap();
@@ -87,8 +85,9 @@ fn checkpoint_recovery_drops_the_torn_tail_and_resumes() {
     recovered.checkpoint.validate().unwrap();
 
     // The recovered checkpoint is live: the flow resumes from it.
-    PufferPlacer::new(flow_config())
-        .resume(&design, &journal)
+    Job::new(flow_config())
+        .with_checkpoints(CheckpointPolicy::new(&journal))
+        .run_or_resume(&design)
         .expect("resume over a torn journal tail must succeed");
 }
 
@@ -98,9 +97,9 @@ fn metrics_reader_drops_the_torn_tail_and_keeps_complete_records() {
     let design = small_design(52);
     let metrics = dir.join("run.jsonl");
     let trace = Trace::with_sink(&metrics).unwrap();
-    PufferPlacer::new(flow_config())
+    Job::new(flow_config())
         .with_trace(trace.clone())
-        .place(&design)
+        .run(&design)
         .unwrap();
     trace.write_summary();
     trace.flush().unwrap();

@@ -76,23 +76,12 @@ pub type DemandMaps = (Grid<f64>, Grid<f64>, Vec<SegmentRecord>);
 /// workers via `puffer-par` (`threads`; clamped to `1..=32`) with fixed
 /// chunking and an ordered merge, so the result is bit-identical for any
 /// thread count.
-pub fn build_demand(
-    design: &Design,
-    placement: &Placement,
-    template: &Grid<f64>,
-    pin_penalty: f64,
-    threads: usize,
-) -> (Grid<f64>, Grid<f64>, Vec<SegmentRecord>) {
-    try_build_demand(design, placement, template, pin_penalty, threads)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`build_demand`]: a panicking worker thread (e.g. a placement
-/// shorter than the netlist indexing out of bounds) is reported as
-/// [`CongestError::WorkerPanic`] instead of unwinding through `join()` —
-/// puffer-par drains every worker before reporting, since re-raising
-/// inside `thread::scope` aborts the process outright when more than one
-/// worker panics.
+///
+/// A panicking worker thread (e.g. a placement shorter than the netlist
+/// indexing out of bounds) is reported as [`CongestError::WorkerPanic`]
+/// instead of unwinding through `join()` — puffer-par drains every worker
+/// before reporting, since re-raising inside `thread::scope` aborts the
+/// process outright when more than one worker panics.
 ///
 /// # Errors
 ///
@@ -465,7 +454,7 @@ mod tests {
         p.set(a, Point::new(2.5, 2.5));
         p.set(b, Point::new(12.5, 2.5));
         let template: Grid<f64> = Grid::new(d.region(), 4, 4);
-        let (h, v, segs) = build_demand(&d, &p, &template, 0.25, 2);
+        let (h, v, segs) = try_build_demand(&d, &p, &template, 0.25, 2).unwrap();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].shape(), SegmentShape::HorizontalI);
         // 3 Gcells crossed horizontally (columns 0..=2 at 5-unit pitch) plus
@@ -511,13 +500,13 @@ mod tests {
         assert_eq!((bx, by), (1, 2));
         assert_eq!(offsets, vec![(0, 0), (1, 0)]);
         // The deposited segment endpoints agree with cell_of exactly.
-        let (_, _, segs) = build_demand(&d, &p, &template, 0.0, 1);
+        let (_, _, segs) = try_build_demand(&d, &p, &template, 0.0, 1).unwrap();
         assert_eq!(segs.len(), 1);
         assert_eq!((segs[0].ax, segs[0].ay), (1, 2));
         assert_eq!((segs[0].bx, segs[0].by), (2, 2));
         // And the pin-penalty pass (which calls cell_of independently) puts
         // its demand in the same Gcells as the fingerprint says.
-        let (h, _, _) = build_demand(&d, &p, &template, 1.0, 1);
+        let (h, _, _) = try_build_demand(&d, &p, &template, 1.0, 1).unwrap();
         assert!(*h.at(1, 2) >= 1.0 && *h.at(2, 2) >= 1.0);
     }
 
@@ -564,8 +553,8 @@ mod tests {
         .unwrap();
         let p = d.initial_placement();
         let template: Grid<f64> = Grid::new(d.region(), 12, 12);
-        let (h1, v1, s1) = build_demand(&d, &p, &template, 0.1, 1);
-        let (h8, v8, s8) = build_demand(&d, &p, &template, 0.1, 8);
+        let (h1, v1, s1) = try_build_demand(&d, &p, &template, 0.1, 1).unwrap();
+        let (h8, v8, s8) = try_build_demand(&d, &p, &template, 0.1, 8).unwrap();
         assert_eq!(s1, s8);
         for (a, b) in h1.as_slice().iter().zip(h8.as_slice()) {
             assert!((a - b).abs() < 1e-9);
@@ -611,7 +600,7 @@ mod tests {
         )
         .unwrap();
         let template: Grid<f64> = Grid::new(d.region(), 4, 4);
-        let (h, v, _) = build_demand(&d, &Placement::zeroed(1), &template, 0.0, 2);
+        let (h, v, _) = try_build_demand(&d, &Placement::zeroed(1), &template, 0.0, 2).unwrap();
         assert_eq!(h.sum() + v.sum(), 0.0);
     }
 }

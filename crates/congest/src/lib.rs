@@ -29,7 +29,7 @@
 //! let design = generate(&GeneratorConfig { num_cells: 500, num_nets: 600,
 //!     ..GeneratorConfig::default() })?;
 //! let est = CongestionEstimator::new(&design, EstimatorConfig::default());
-//! let map = est.estimate(&design, &design.initial_placement());
+//! let map = est.try_estimate(&design, &design.initial_placement())?;
 //! assert!(map.total_demand() > 0.0);
 //! # Ok(())
 //! # }
@@ -91,11 +91,6 @@ pub struct EstimatorConfig {
     pub expansion_strength: f64,
     /// Whether to run the detour-imitating expansion at all (ablation knob).
     pub expand_detours: bool,
-    /// Whether [`CongestionEstimator::estimate_incremental`] actually reuses
-    /// state between rounds. When `false` it behaves exactly like
-    /// [`CongestionEstimator::estimate`] (escape hatch; the result is
-    /// bit-identical either way).
-    pub incremental: bool,
     /// Worker threads for the per-net demand pass (result is identical for
     /// any thread count).
     pub threads: usize,
@@ -110,7 +105,6 @@ impl Default for EstimatorConfig {
             expansion_radius: 2,
             expansion_strength: 0.7,
             expand_detours: true,
-            incremental: true,
             threads: default_threads(),
         }
     }
@@ -125,7 +119,7 @@ pub struct CongestionEstimator {
     v_cap: Grid<f64>,
     trace: Trace,
     budget: Budget,
-    /// Carry-over for [`CongestionEstimator::estimate_incremental`]; `None`
+    /// Carry-over for [`CongestionEstimator::try_estimate_incremental`]; `None`
     /// until the first incremental round and after any geometry change.
     inc_state: Option<incremental::IncrementalState>,
 }
@@ -168,9 +162,9 @@ impl CongestionEstimator {
         self.inc_state = None;
     }
 
-    /// Attaches a telemetry handle: every [`CongestionEstimator::estimate`]
-    /// call emits one `congest.round` record (overflow ratios plus 8-bucket
-    /// congestion histograms).
+    /// Attaches a telemetry handle: every estimate emits one
+    /// `congest.round` record (overflow ratios plus 8-bucket congestion
+    /// histograms).
     pub fn set_trace(&mut self, trace: Trace) {
         self.trace = trace;
     }
@@ -193,21 +187,10 @@ impl CongestionEstimator {
     /// Estimates congestion for a placement snapshot: probabilistic demand,
     /// then (if enabled) detour-imitating expansion.
     ///
-    /// # Panics
-    ///
-    /// Panics when a demand worker panics (e.g. a placement shorter than
-    /// the netlist); use [`CongestionEstimator::try_estimate`] when the
-    /// placement comes from an untrusted source.
-    pub fn estimate(&self, design: &Design, placement: &Placement) -> CongestionMap {
-        self.try_estimate(design, placement)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`CongestionEstimator::estimate`].
-    ///
     /// # Errors
     ///
-    /// [`CongestError::WorkerPanic`] when a demand worker thread panics.
+    /// [`CongestError::WorkerPanic`] when a demand worker thread panics
+    /// (e.g. a placement shorter than the netlist).
     pub fn try_estimate(
         &self,
         design: &Design,
@@ -223,30 +206,13 @@ impl CongestionEstimator {
         Ok(self.finish(h_dmd, v_dmd, &segments))
     }
 
-    /// [`CongestionEstimator::estimate`] with dirty-region reuse: Gcell
+    /// [`CongestionEstimator::try_estimate`] with dirty-region reuse: Gcell
     /// demand is rebuilt only for the net chunks whose pins changed Gcells
     /// since the previous call, with RSMT decompositions served from a
     /// fingerprint-keyed cache. The result is **bit-identical** to
-    /// [`CongestionEstimator::estimate`] — the incremental path replaces
+    /// [`CongestionEstimator::try_estimate`] — the incremental path replaces
     /// whole chunk partials and merges them in the same order, never
-    /// subtracting demand. When `config.incremental` is `false`, falls back
-    /// to the stateless full build.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a demand worker panics; use
-    /// [`CongestionEstimator::try_estimate_incremental`] for untrusted
-    /// placements.
-    pub fn estimate_incremental(
-        &mut self,
-        design: &Design,
-        placement: &Placement,
-    ) -> CongestionMap {
-        self.try_estimate_incremental(design, placement)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`CongestionEstimator::estimate_incremental`].
+    /// subtracting demand.
     ///
     /// # Errors
     ///
@@ -257,9 +223,6 @@ impl CongestionEstimator {
         design: &Design,
         placement: &Placement,
     ) -> Result<CongestionMap, CongestError> {
-        if !self.config.incremental {
-            return self.try_estimate(design, placement);
-        }
         let result = incremental::try_build_demand_incremental(
             design,
             placement,
@@ -363,7 +326,7 @@ mod tests {
     fn estimator_produces_consistent_shapes() {
         let d = tiny_design();
         let est = CongestionEstimator::new(&d, EstimatorConfig::default());
-        let map = est.estimate(&d, &d.initial_placement());
+        let map = est.try_estimate(&d, &d.initial_placement()).unwrap();
         assert_eq!(map.h_demand().nx(), est.h_capacity().nx());
         assert_eq!(map.v_demand().ny(), est.v_capacity().ny());
         assert!(map.total_demand() > 0.0);
@@ -403,8 +366,8 @@ mod tests {
     fn clustered_placement_is_more_congested_than_spread() {
         let d = tiny_design();
         let est = CongestionEstimator::new(&d, EstimatorConfig::default());
-        let tight = est.estimate(&d, &clustered_placement(&d, 0.25));
-        let loose = est.estimate(&d, &clustered_placement(&d, 0.95));
+        let tight = est.try_estimate(&d, &clustered_placement(&d, 0.25)).unwrap();
+        let loose = est.try_estimate(&d, &clustered_placement(&d, 0.95)).unwrap();
         assert!(
             tight.overflow_ratio_h() + tight.overflow_ratio_v()
                 > loose.overflow_ratio_h() + loose.overflow_ratio_v(),
@@ -425,8 +388,8 @@ mod tests {
         let path = dir.join("rounds.jsonl");
         let trace = Trace::with_sink(&path).unwrap();
         est.set_trace(trace.clone());
-        est.estimate(&d, &d.initial_placement());
-        est.estimate(&d, &d.initial_placement());
+        est.try_estimate(&d, &d.initial_placement()).unwrap();
+        est.try_estimate(&d, &d.initial_placement()).unwrap();
         trace.flush().unwrap();
         let records = puffer_trace::read_jsonl(&path).unwrap();
         let rounds: Vec<_> = records
@@ -456,7 +419,7 @@ mod tests {
         assert!(est.h_capacity().ny() < ny, "{} < {ny}", est.h_capacity().ny());
         assert_eq!(est.config().gcell_rows, 6.0);
         // The coarser estimator still produces a usable map.
-        let map = est.estimate(&d, &d.initial_placement());
+        let map = est.try_estimate(&d, &d.initial_placement()).unwrap();
         assert!(map.total_demand() > 0.0);
     }
 
@@ -475,8 +438,8 @@ mod tests {
                 ..EstimatorConfig::default()
             },
         );
-        let a = bounded.estimate(&d, &p);
-        let b = without.estimate(&d, &p);
+        let a = bounded.try_estimate(&d, &p).unwrap();
+        let b = without.try_estimate(&d, &p).unwrap();
         assert_eq!(a.h_demand().as_slice(), b.h_demand().as_slice());
         assert_eq!(a.v_demand().as_slice(), b.v_demand().as_slice());
     }
@@ -510,27 +473,11 @@ mod tests {
         let full = CongestionEstimator::new(&d, EstimatorConfig::default());
         let mut p = d.initial_placement();
         for round in 0..6 {
-            let a = inc.estimate_incremental(&d, &p);
-            let b = full.estimate(&d, &p);
+            let a = inc.try_estimate_incremental(&d, &p).unwrap();
+            let b = full.try_estimate(&d, &p).unwrap();
             assert!(a.bitwise_eq(&b), "round {round} diverged");
             perturb(&d, &mut p, round);
         }
-    }
-
-    #[test]
-    fn incremental_flag_off_is_a_full_build() {
-        let d = tiny_design();
-        let mut est = CongestionEstimator::new(
-            &d,
-            EstimatorConfig {
-                incremental: false,
-                ..EstimatorConfig::default()
-            },
-        );
-        let p = d.initial_placement();
-        let a = est.estimate_incremental(&d, &p);
-        let b = est.estimate(&d, &p);
-        assert!(a.bitwise_eq(&b));
     }
 
     #[test]
@@ -538,11 +485,11 @@ mod tests {
         let d = tiny_design();
         let mut est = CongestionEstimator::new(&d, EstimatorConfig::default());
         let p = d.initial_placement();
-        est.estimate_incremental(&d, &p);
+        est.try_estimate_incremental(&d, &p).unwrap();
         est.coarsen(&d, 2.0);
         // The coarse-grid incremental result must match a coarse full build.
-        let a = est.estimate_incremental(&d, &p);
-        let b = est.estimate(&d, &p);
+        let a = est.try_estimate_incremental(&d, &p).unwrap();
+        let b = est.try_estimate(&d, &p).unwrap();
         assert!(a.bitwise_eq(&b));
     }
 
@@ -556,9 +503,9 @@ mod tests {
         let trace = Trace::with_sink(&path).unwrap();
         est.set_trace(trace.clone());
         let mut p = d.initial_placement();
-        est.estimate_incremental(&d, &p);
+        est.try_estimate_incremental(&d, &p).unwrap();
         perturb(&d, &mut p, 1);
-        est.estimate_incremental(&d, &p);
+        est.try_estimate_incremental(&d, &p).unwrap();
         trace.flush().unwrap();
         let records = puffer_trace::read_jsonl(&path).unwrap();
         let dirty: Vec<_> = records
@@ -597,7 +544,7 @@ mod tests {
             est.set_trace(trace.clone());
             let mut p = d.initial_placement();
             for round in 0..4 {
-                est.estimate_incremental(&d, &p);
+                est.try_estimate_incremental(&d, &p).unwrap();
                 perturb(&d, &mut p, round);
             }
             trace.flush().unwrap();
@@ -633,14 +580,14 @@ mod tests {
         let d = tiny_design();
         let mut est = CongestionEstimator::new(&d, EstimatorConfig::default());
         let p = d.initial_placement();
-        est.estimate_incremental(&d, &p);
+        est.try_estimate_incremental(&d, &p).unwrap();
         let short = Placement::zeroed(1);
         let err = est.try_estimate_incremental(&d, &short).unwrap_err();
         assert!(matches!(err, CongestError::WorkerPanic(_)), "{err}");
         // Recovery: the next good call rebuilds from scratch and matches a
         // full build.
-        let a = est.estimate_incremental(&d, &p);
-        let b = est.estimate(&d, &p);
+        let a = est.try_estimate_incremental(&d, &p).unwrap();
+        let b = est.try_estimate(&d, &p).unwrap();
         assert!(a.bitwise_eq(&b));
     }
 
@@ -656,8 +603,8 @@ mod tests {
             },
         );
         let p = clustered_placement(&d, 0.2);
-        let a = with.estimate(&d, &p);
-        let b = without.estimate(&d, &p);
+        let a = with.try_estimate(&d, &p).unwrap();
+        let b = without.try_estimate(&d, &p).unwrap();
         // The clustered placement is congested, so expansion must have moved
         // something.
         assert!(

@@ -12,15 +12,16 @@
 //!   multi-features, no recycling, no utilization schedule), and the
 //!   padding is **not** inherited by legalization.
 //!
-//! Both produce the same [`FlowResult`] as [`crate::PufferPlacer`], so the
+//! Both produce the same [`FlowResult`] as [`crate::Job`], so the
 //! Table II harness treats all three flows uniformly.
 
 use crate::flow::FlowResult;
 use crate::PufferError;
+use puffer_budget::Budget;
 use puffer_congest::{CongestionEstimator, EstimatorConfig};
 use puffer_db::design::Design;
 use puffer_db::hpwl::total_hpwl;
-use puffer_legal::{check_legal, legalize};
+use puffer_legal::{check_legal, legalize_bounded};
 use puffer_place::{GlobalPlacer, PlacerConfig};
 use puffer_route::{GlobalRouter, RouterConfig};
 use puffer_budget::clock::Stopwatch;
@@ -99,7 +100,9 @@ impl ReferencePlacer {
             {
                 // The expensive part: a full global route of the snapshot.
                 let snapshot = placer.placement().clone();
-                let report = router.route(design, &snapshot);
+                let report = router
+                    .try_route(design, &snapshot)
+                    .map_err(|e| PufferError::Congest(e.to_string()))?;
                 let map = &report.congestion;
                 for (id, cell) in netlist.iter_cells() {
                     if !cell.is_movable() {
@@ -132,7 +135,7 @@ impl ReferencePlacer {
         // density handling; inflation is dropped at legalization but the
         // spreading it caused persists.
         let zeros = vec![0u32; netlist.num_cells()];
-        let outcome = legalize(design, &global_placement, &zeros)
+        let outcome = legalize_bounded(design, &global_placement, &zeros, &Budget::unbounded())
             .map_err(|e| PufferError::Legalize(e.to_string()))?;
         check_legal(design, &outcome.placement, &zeros)
             .map_err(|e| PufferError::Legalize(e.to_string()))?;
@@ -234,7 +237,9 @@ impl ReplacePlacer {
                 && since >= self.config.inflate_every
             {
                 let snapshot = placer.placement().clone();
-                let map = estimator.estimate(design, &snapshot);
+                let map = estimator
+                    .try_estimate(design, &snapshot)
+                    .map_err(|e| PufferError::Congest(e.to_string()))?;
                 for (id, cell) in netlist.iter_cells() {
                     if !cell.is_movable() {
                         continue;
@@ -264,7 +269,7 @@ impl ReplacePlacer {
 
         // RePlAce legalizes without padding inheritance.
         let zeros = vec![0u32; netlist.num_cells()];
-        let outcome = legalize(design, &global_placement, &zeros)
+        let outcome = legalize_bounded(design, &global_placement, &zeros, &Budget::unbounded())
             .map_err(|e| PufferError::Legalize(e.to_string()))?;
         check_legal(design, &outcome.placement, &zeros)
             .map_err(|e| PufferError::Legalize(e.to_string()))?;
@@ -365,7 +370,9 @@ impl WsaPlacer {
                 && since >= self.config.allocate_every
             {
                 let snapshot = placer.placement().clone();
-                let map = estimator.estimate(design, &snapshot);
+                let map = estimator
+                    .try_estimate(design, &snapshot)
+                    .map_err(|e| PufferError::Congest(e.to_string()))?;
                 // Accumulate virtual charge where the estimator sees
                 // overflow; the charge map lives on the density bin grid,
                 // sampled from the Gcell-space congestion.
@@ -394,7 +401,7 @@ impl WsaPlacer {
         }
         let global_placement = placer.placement().clone();
         let zeros = vec![0u32; netlist.num_cells()];
-        let outcome = legalize(design, &global_placement, &zeros)
+        let outcome = legalize_bounded(design, &global_placement, &zeros, &Budget::unbounded())
             .map_err(|e| PufferError::Legalize(e.to_string()))?;
         check_legal(design, &outcome.placement, &zeros)
             .map_err(|e| PufferError::Legalize(e.to_string()))?;

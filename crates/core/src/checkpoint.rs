@@ -1,5 +1,5 @@
 //! On-disk flow checkpoints: a versioned plain-text journal that lets a
-//! killed `PufferPlacer::place` run continue where it stopped.
+//! killed `Job::run` continue where it stopped.
 //!
 //! The journal captures everything the flow mutates: the placer snapshot
 //! ([`puffer_place::PlacerSnapshot`] — placement, padding, λ, iteration

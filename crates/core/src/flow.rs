@@ -2,18 +2,18 @@
 //! routability optimization, then white-space-assisted legalization.
 
 use crate::checkpoint::{CheckpointPolicy, FlowCheckpoint, FlowStage};
+use crate::job::Job;
 use crate::scale::ScaleClass;
 use crate::PufferError;
 #[cfg(feature = "chaos")]
-use puffer_budget::{ChaosPlan, FaultClass};
-use puffer_budget::{Budget, DegradationLadder, DegradeStep, LadderState, StallAction, StallWatchdog};
+use puffer_budget::FaultClass;
+use puffer_budget::{Budget, DegradeStep, LadderState, StallAction};
 use puffer_congest::EstimatorConfig;
 use puffer_db::design::{Design, Placement};
 use puffer_db::hpwl::total_hpwl;
-use puffer_legal::{check_legal, discretize_padding, enforce_budget, legalize};
+use puffer_legal::{check_legal, discretize_padding, enforce_budget, legalize_bounded};
 use puffer_pad::{FeatureConfig, PaddingState, PaddingStrategy, RoutabilityOptimizer};
 use puffer_place::{GlobalPlacer, IterationStats, PlacerConfig};
-use puffer_trace::Trace;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -159,194 +159,16 @@ pub struct FlowResult {
     pub cancelled: bool,
 }
 
-/// The PUFFER placer: the paper's primary contribution, assembled.
-///
-/// ```
-/// use puffer::{PufferPlacer, PufferConfig};
-/// use puffer_gen::{generate, GeneratorConfig};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let design = generate(&GeneratorConfig {
-///     num_cells: 300, num_nets: 330, utilization: 0.6,
-///     ..GeneratorConfig::default()
-/// })?;
-/// let mut config = PufferConfig::default();
-/// config.placer.max_iters = 80;
-/// let result = PufferPlacer::new(config).place(&design)?;
-/// assert!(result.hpwl > 0.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct PufferPlacer {
-    config: PufferConfig,
-    trace: Trace,
-    observer: Option<StageObserver>,
-    budget: Budget,
-    ladder: Option<DegradationLadder>,
-    watchdog: Option<StallWatchdog>,
-    #[cfg(feature = "chaos")]
-    chaos: Option<ChaosPlan>,
-}
-
-impl PufferPlacer {
-    /// Creates the placer with a configuration.
-    pub fn new(config: PufferConfig) -> Self {
-        PufferPlacer {
-            config,
-            trace: Trace::disabled(),
-            observer: None,
-            budget: Budget::unbounded(),
-            ladder: None,
-            watchdog: None,
-            #[cfg(feature = "chaos")]
-            chaos: None,
-        }
-    }
-
-    /// Attaches a telemetry handle, returning `self` for chaining. The flow
-    /// stamps its stage boundaries as nested spans (`init`, `gp` with `pad`
-    /// rounds inside, `legal`), forwards the handle to the placer, padding
-    /// optimizer, and congestion estimator for their per-iteration records,
-    /// and emits a final `flow.done` record.
-    pub fn with_trace(mut self, trace: Trace) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Attaches a stage observer, returning `self` for chaining. The
-    /// observer runs at every [`StagePoint`]; an `Err` aborts the flow
-    /// with [`PufferError::Validate`]. Without an observer the boundary
-    /// reports are never built, so the unused hook costs nothing.
-    pub fn with_observer(mut self, observer: StageObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Attaches an execution budget, returning `self` for chaining. The
-    /// flow checks it cooperatively at every global-placement iteration
-    /// (the budget's clock starts at [`Budget::with_deadline`], not here);
-    /// when it expires the loop breaks as if converged — the best-so-far
-    /// snapshot is still legalized, so the flow exits cleanly within the
-    /// deadline plus one iteration's slack.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Attaches a graceful-degradation ladder, returning `self` for
-    /// chaining. As the budget's remaining fraction crosses each rung's
-    /// threshold the flow steps down fidelity in the declared order; each
-    /// engagement is recorded as a `flow.degrade` trace record and in the
-    /// checkpoint journal. Without a bounded budget the ladder never
-    /// engages.
-    pub fn with_ladder(mut self, ladder: DegradationLadder) -> Self {
-        self.ladder = Some(ladder);
-        self
-    }
-
-    /// Attaches a stall watchdog, returning `self` for chaining. The flow
-    /// feeds it the iteration counter at every loop boundary; if the
-    /// counter stops advancing for the watchdog's window, the flow
-    /// checkpoints (when journaling) and then either degrades to
-    /// best-so-far legalization ([`StallAction::Degrade`]) or aborts with
-    /// [`PufferError::Stalled`] ([`StallAction::Abort`]).
-    pub fn with_watchdog(mut self, watchdog: StallWatchdog) -> Self {
-        self.watchdog = Some(watchdog);
-        self
-    }
-
-    /// Arms one deterministic fault injection (chaos-harness use only).
-    #[cfg(feature = "chaos")]
-    pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
-        self.chaos = Some(plan);
-        self
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &PufferConfig {
-        &self.config
-    }
-
-    /// Runs the full flow on a design.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PufferError`] if global placement cannot start (no movable
-    /// cells / unplaced macros) or legalization runs out of capacity.
-    pub fn place(&self, design: &Design) -> Result<FlowResult, PufferError> {
-        self.run(design, None, None)
-    }
-
-    /// Runs the full flow, periodically journaling a [`FlowCheckpoint`]
-    /// per `policy` so a killed process can pick up with
-    /// [`PufferPlacer::resume`]. Checkpointing is pure observation: the
-    /// produced placement is identical to [`PufferPlacer::place`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`PufferPlacer::place`] returns, plus
-    /// [`PufferError::Journal`] when a checkpoint cannot be written.
-    pub fn place_with_checkpoints(
+impl Job {
+    /// The flow body behind [`Job::run`], [`Job::run_from`] and
+    /// [`Job::run_or_resume`]: fresh when `from` is `None`, warm-started
+    /// from the checkpoint otherwise; journals per the attached policy.
+    pub(crate) fn execute(
         &self,
         design: &Design,
-        policy: &CheckpointPolicy,
-    ) -> Result<FlowResult, PufferError> {
-        self.run(design, Some(policy), None)
-    }
-
-    /// Resumes a flow from the journal at `journal`, continuing to write
-    /// checkpoints to the same file. The configuration must match the one
-    /// that produced the journal; a resumed run then finishes with exactly
-    /// the placement the uninterrupted run would have produced.
-    ///
-    /// The journal is read leniently ([`FlowCheckpoint::recover`]): a torn
-    /// final record — a crash cut an append short — is dropped with a
-    /// `journal.recovered` trace record and the run resumes from the last
-    /// complete checkpoint instead of erroring.
-    ///
-    /// # Errors
-    ///
-    /// [`PufferError::Journal`] when the journal cannot be read or holds no
-    /// complete record, [`PufferError::Resume`] when it does not fit the
-    /// design, plus everything [`PufferPlacer::place`] returns.
-    pub fn resume(&self, design: &Design, journal: &Path) -> Result<FlowResult, PufferError> {
-        let recovered =
-            FlowCheckpoint::recover(journal).map_err(|e| PufferError::Journal(e.to_string()))?;
-        if recovered.dropped_torn_tail {
-            self.trace
-                .record("journal.recovered")
-                .str("path", &journal.to_string_lossy())
-                .int("records", recovered.records as i64)
-                .int("torn_tail_dropped", 1)
-                .write();
-        }
-        let policy = CheckpointPolicy::new(journal);
-        self.run(design, Some(&policy), Some(recovered.checkpoint))
-    }
-
-    /// Runs the flow warm-started from an in-memory checkpoint (no
-    /// journaling unless `policy` is given). This is also the hook for
-    /// injecting a known-good state before a risky continuation.
-    ///
-    /// # Errors
-    ///
-    /// [`PufferError::Resume`] when the checkpoint does not fit the
-    /// design, plus everything [`PufferPlacer::place`] returns.
-    pub fn place_from(
-        &self,
-        design: &Design,
-        checkpoint: FlowCheckpoint,
-        policy: Option<&CheckpointPolicy>,
-    ) -> Result<FlowResult, PufferError> {
-        self.run(design, policy, Some(checkpoint))
-    }
-
-    fn run(
-        &self,
-        design: &Design,
-        policy: Option<&CheckpointPolicy>,
         from: Option<FlowCheckpoint>,
     ) -> Result<FlowResult, PufferError> {
+        let policy = self.checkpoints.as_ref();
         let start = Stopwatch::start();
         let trace = &self.trace;
         let budget = &self.budget;
@@ -382,7 +204,7 @@ impl PufferPlacer {
             .write();
 
         // Bounded-execution state for this run. The ladder/watchdog handles
-        // on `self` are templates; each run works on its own copies.
+        // on the job are templates; each run works on its own copies.
         let mut ladder = self.ladder.clone().map(LadderState::new);
         let mut watchdog = self.watchdog.clone();
         let mut engaged: Vec<DegradeStep> = Vec::new();
@@ -511,7 +333,9 @@ impl PufferPlacer {
                         } else {
                             let _pad_span = trace.span("pad");
                             let snapshot = placer.placement().clone();
-                            optimizer.optimize(design, &snapshot);
+                            optimizer
+                                .optimize(design, &snapshot)
+                                .map_err(|e| PufferError::Congest(e.to_string()))?;
                             placer.set_padding(optimizer.padding().to_vec());
                             self.observe(
                                 StagePoint::PadRound,
@@ -710,14 +534,17 @@ impl PufferPlacer {
         } else {
             vec![0u32; design.netlist().num_cells()]
         };
-        let outcome = match legalize(design, &global_placement, &discrete) {
+        // The final legalization is never budget-bounded: an expired
+        // deadline must still end in a legal placement.
+        let unbounded = Budget::unbounded();
+        let outcome = match legalize_bounded(design, &global_placement, &discrete, &unbounded) {
             Ok(o) => o,
             Err(_) if self.config.inherit_padding => {
                 // Padding made the design unfittable; retry without padding
                 // rather than failing the flow (the budget cap normally
                 // prevents this).
                 let zeros = vec![0u32; design.netlist().num_cells()];
-                legalize(design, &global_placement, &zeros)
+                legalize_bounded(design, &global_placement, &zeros, &unbounded)
                     .map_err(|e| PufferError::Legalize(e.to_string()))?
             }
             Err(e) => return Err(PufferError::Legalize(e.to_string())),
@@ -848,6 +675,7 @@ struct BoundedRun<'a> {
 mod tests {
     use super::*;
     use puffer_gen::{generate, GeneratorConfig};
+    use puffer_trace::Trace;
 
     fn quick_config() -> PufferConfig {
         let mut c = PufferConfig::default();
@@ -873,13 +701,13 @@ mod tests {
     #[test]
     fn full_flow_produces_legal_placement() {
         let d = design();
-        let r = PufferPlacer::new(quick_config()).place(&d).unwrap();
+        let r = Job::new(quick_config()).run(&d).unwrap();
         assert!(r.gp_iterations > 0);
         assert!(r.hpwl > 0.0);
         assert!(r.runtime_s > 0.0);
         assert!(!r.cancelled, "unbounded run must not report cancellation");
         assert!(r.degradation.is_empty());
-        // Legality is already asserted inside place(); double-check.
+        // Legality is already asserted inside the flow; double-check.
         let zeros = vec![0u32; d.netlist().num_cells()];
         puffer_legal::check_legal(&d, &r.placement, &zeros).unwrap();
     }
@@ -887,7 +715,7 @@ mod tests {
     #[test]
     fn routability_optimizer_actually_runs() {
         let d = design();
-        let r = PufferPlacer::new(quick_config()).place(&d).unwrap();
+        let r = Job::new(quick_config()).run(&d).unwrap();
         assert!(
             r.pad_rounds > 0,
             "padding rounds should trigger on a congested design"
@@ -899,9 +727,9 @@ mod tests {
         let d = design();
         let path = tmp_dir("trace").join("metrics.jsonl");
         let trace = Trace::with_sink(&path).unwrap();
-        let r = PufferPlacer::new(quick_config())
+        let r = Job::new(quick_config())
             .with_trace(trace.clone())
-            .place(&d)
+            .run(&d)
             .unwrap();
         trace.flush().unwrap();
 
@@ -934,17 +762,17 @@ mod tests {
         assert!(done.num("runtime_s").unwrap() > 0.0);
 
         // Trace must not perturb the flow itself.
-        let plain = PufferPlacer::new(quick_config()).place(&d).unwrap();
+        let plain = Job::new(quick_config()).run(&d).unwrap();
         assert_eq!(plain.placement, r.placement);
     }
 
     #[test]
     fn padding_inheritance_toggle() {
         let d = design();
-        let with = PufferPlacer::new(quick_config()).place(&d).unwrap();
+        let with = Job::new(quick_config()).run(&d).unwrap();
         let mut cfg = quick_config();
         cfg.inherit_padding = false;
-        let without = PufferPlacer::new(cfg).place(&d).unwrap();
+        let without = Job::new(cfg).run(&d).unwrap();
         // Same global placement (same seed/config), different legalization.
         assert_eq!(with.gp_iterations, without.gp_iterations);
         assert!(with.placement != without.placement || with.hpwl == without.hpwl);
@@ -953,8 +781,8 @@ mod tests {
     #[test]
     fn flow_is_deterministic() {
         let d = design();
-        let a = PufferPlacer::new(quick_config()).place(&d).unwrap();
-        let b = PufferPlacer::new(quick_config()).place(&d).unwrap();
+        let a = Job::new(quick_config()).run(&d).unwrap();
+        let b = Job::new(quick_config()).run(&d).unwrap();
         assert_eq!(a.hpwl, b.hpwl);
         assert_eq!(a.placement, b.placement);
     }
@@ -965,17 +793,29 @@ mod tests {
         dir
     }
 
+    /// Resumes from `journal`, continuing to checkpoint into it — what a
+    /// restarted process does with the file a killed one left behind.
+    fn resume(
+        config: PufferConfig,
+        d: &Design,
+        journal: &Path,
+    ) -> Result<FlowResult, PufferError> {
+        Job::new(config)
+            .with_checkpoints(CheckpointPolicy::new(journal))
+            .run_or_resume(d)
+    }
+
     #[test]
     fn checkpointing_does_not_perturb_the_flow() {
         let d = design();
-        let placer = PufferPlacer::new(quick_config());
-        let plain = placer.place(&d).unwrap();
+        let job = Job::new(quick_config());
+        let plain = job.run(&d).unwrap();
         let policy = CheckpointPolicy {
             path: tmp_dir("noperturb").join("run.pj"),
             every: 30,
             keep_history: false,
         };
-        let journaled = placer.place_with_checkpoints(&d, &policy).unwrap();
+        let journaled = job.with_checkpoints(policy.clone()).run(&d).unwrap();
         assert_eq!(plain.placement, journaled.placement);
         assert_eq!(plain.hpwl, journaled.hpwl);
         assert!(policy.path.exists(), "final checkpoint should be on disk");
@@ -984,8 +824,7 @@ mod tests {
     #[test]
     fn kill_then_resume_reproduces_the_uninterrupted_run() {
         let d = design();
-        let placer = PufferPlacer::new(quick_config());
-        let uninterrupted = placer.place(&d).unwrap();
+        let uninterrupted = Job::new(quick_config()).run(&d).unwrap();
 
         // keep_history preserves each mid-loop journal, so any of them is
         // exactly what a kill right after that write would have left behind.
@@ -995,11 +834,14 @@ mod tests {
             every: 40,
             keep_history: true,
         };
-        placer.place_with_checkpoints(&d, &policy).unwrap();
+        Job::new(quick_config())
+            .with_checkpoints(policy)
+            .run(&d)
+            .unwrap();
         let mid = dir.join("run.pj.iter000040");
         assert!(mid.exists(), "mid-loop checkpoint missing");
 
-        let resumed = placer.resume(&d, &mid).unwrap();
+        let resumed = resume(quick_config(), &d, &mid).unwrap();
         assert_eq!(uninterrupted.placement, resumed.placement);
         assert_eq!(uninterrupted.global_placement, resumed.global_placement);
         assert_eq!(uninterrupted.hpwl, resumed.hpwl);
@@ -1010,11 +852,11 @@ mod tests {
     #[test]
     fn resume_from_completed_journal_skips_global_placement() {
         let d = design();
-        let placer = PufferPlacer::new(quick_config());
         let dir = tmp_dir("done");
         let policy = CheckpointPolicy::new(dir.join("run.pj"));
-        let full = placer.place_with_checkpoints(&d, &policy).unwrap();
-        let resumed = placer.resume(&d, &policy.path).unwrap();
+        let job = Job::new(quick_config()).with_checkpoints(policy);
+        let full = job.run(&d).unwrap();
+        let resumed = job.run_or_resume(&d).unwrap();
         assert_eq!(full.placement, resumed.placement);
         assert_eq!(full.gp_iterations, resumed.gp_iterations);
     }
@@ -1028,11 +870,11 @@ mod tests {
             ..GeneratorConfig::default()
         })
         .unwrap();
-        let placer = PufferPlacer::new(quick_config());
         let dir = tmp_dir("mismatch");
         let policy = CheckpointPolicy::new(dir.join("run.pj"));
-        placer.place_with_checkpoints(&d, &policy).unwrap();
-        let err = placer.resume(&other, &policy.path).unwrap_err();
+        let job = Job::new(quick_config()).with_checkpoints(policy);
+        job.run(&d).unwrap();
+        let err = job.run_or_resume(&other).unwrap_err();
         assert!(matches!(err, PufferError::Resume(_)), "{err}");
     }
 
@@ -1042,18 +884,18 @@ mod tests {
         // resume forced onto another band would continue the trajectory
         // under a differently-coarsened congestion grid, so it is refused.
         let d = design();
-        let placer = PufferPlacer::new(quick_config());
         let dir = tmp_dir("scale-mismatch");
         let policy = CheckpointPolicy::new(dir.join("run.pj"));
-        placer.place_with_checkpoints(&d, &policy).unwrap();
+        Job::new(quick_config())
+            .with_checkpoints(policy.clone())
+            .run(&d)
+            .unwrap();
         let text = std::fs::read_to_string(&policy.path).unwrap();
         assert!(text.contains("scale_class small"), "{text}");
         let checkpoint = FlowCheckpoint::parse(&text).unwrap();
         let mut huge_cfg = quick_config();
         huge_cfg.scale_class = Some(crate::scale::ScaleClass::Huge);
-        let err = PufferPlacer::new(huge_cfg)
-            .place_from(&d, checkpoint, None)
-            .unwrap_err();
+        let err = Job::new(huge_cfg).run_from(&d, checkpoint).unwrap_err();
         assert!(matches!(err, PufferError::Resume(_)), "{err}");
         assert!(err.to_string().contains("scale class"), "{err}");
     }
@@ -1062,9 +904,9 @@ mod tests {
     fn expired_deadline_yields_cancelled_best_so_far() {
         use std::time::Duration;
         let d = design();
-        let r = PufferPlacer::new(quick_config())
+        let r = Job::new(quick_config())
             .with_budget(puffer_budget::Budget::with_deadline(Duration::ZERO))
-            .place(&d)
+            .run(&d)
             .unwrap();
         assert!(r.cancelled, "expired budget must report cancellation");
         assert!(
@@ -1083,9 +925,9 @@ mod tests {
         let d = design();
         let token = puffer_budget::CancelToken::new();
         token.cancel();
-        let r = PufferPlacer::new(quick_config())
+        let r = Job::new(quick_config())
             .with_budget(puffer_budget::Budget::unbounded().with_token(token))
-            .place(&d)
+            .run(&d)
             .unwrap();
         assert!(r.cancelled);
         let zeros = vec![0u32; d.netlist().num_cells()];
@@ -1102,11 +944,12 @@ mod tests {
         let policy = CheckpointPolicy::new(dir.join("run.pj"));
         // An already-expired deadline drops fraction_remaining to 0, so
         // every rung engages on the first poll, in declared order.
-        let r = PufferPlacer::new(quick_config())
+        let r = Job::new(quick_config())
             .with_budget(puffer_budget::Budget::with_deadline(Duration::ZERO))
             .with_ladder(puffer_budget::DegradationLadder::default())
             .with_trace(trace.clone())
-            .place_with_checkpoints(&d, &policy)
+            .with_checkpoints(policy.clone())
+            .run(&d)
             .unwrap();
         trace.flush().unwrap();
         assert_eq!(r.degradation, puffer_budget::DegradeStep::ALL.to_vec());
@@ -1136,9 +979,9 @@ mod tests {
     #[test]
     fn unbounded_budget_never_engages_the_ladder() {
         let d = design();
-        let r = PufferPlacer::new(quick_config())
+        let r = Job::new(quick_config())
             .with_ladder(puffer_budget::DegradationLadder::default())
-            .place(&d)
+            .run(&d)
             .unwrap();
         assert!(r.degradation.is_empty());
         assert!(!r.cancelled);
@@ -1156,7 +999,7 @@ mod tests {
             let dir = tmp_dir("chaos-slow");
             let path = dir.join("metrics.jsonl");
             let trace = Trace::with_sink(&path).unwrap();
-            let r = PufferPlacer::new(quick_config())
+            let r = Job::new(quick_config())
                 .with_watchdog(
                     StallWatchdog::new(Duration::from_millis(50))
                         .with_action(StallAction::Degrade),
@@ -1167,7 +1010,7 @@ mod tests {
                     magnitude: 400,
                 })
                 .with_trace(trace.clone())
-                .place(&d)
+                .run(&d)
                 .unwrap();
             trace.flush().unwrap();
             assert!(r.cancelled, "watchdog demotion must mark cancellation");
@@ -1193,7 +1036,7 @@ mod tests {
             let d = design();
             let dir = tmp_dir("chaos-abort");
             let policy = CheckpointPolicy::new(dir.join("run.pj"));
-            let err = PufferPlacer::new(quick_config())
+            let err = Job::new(quick_config())
                 .with_watchdog(
                     StallWatchdog::new(Duration::from_millis(50)).with_action(StallAction::Abort),
                 )
@@ -1202,26 +1045,25 @@ mod tests {
                     at: 5,
                     magnitude: 400,
                 })
-                .place_with_checkpoints(&d, &policy)
+                .with_checkpoints(policy.clone())
+                .run(&d)
                 .unwrap_err();
             assert!(matches!(err, PufferError::Stalled(_)), "{err}");
             // Checkpoint-then-abort: the stalled state is resumable.
-            let resumed = PufferPlacer::new(quick_config())
-                .resume(&d, &policy.path)
-                .unwrap();
+            let resumed = resume(quick_config(), &d, &policy.path).unwrap();
             assert!(resumed.hpwl > 0.0);
         }
 
         #[test]
         fn nan_burst_is_recovered_by_the_sentinel() {
             let d = design();
-            let r = PufferPlacer::new(quick_config())
+            let r = Job::new(quick_config())
                 .with_chaos(ChaosPlan {
                     class: FaultClass::NanBurst,
                     at: 3,
                     magnitude: 25,
                 })
-                .place(&d)
+                .run(&d)
                 .unwrap();
             assert!(r.hpwl.is_finite());
             let zeros = vec![0u32; d.netlist().num_cells()];
@@ -1237,23 +1079,22 @@ mod tests {
                 every: 2,
                 keep_history: false,
             };
-            let err = PufferPlacer::new(quick_config())
+            let err = Job::new(quick_config())
                 .with_chaos(ChaosPlan {
                     class: FaultClass::JournalWrite,
                     at: 6,
                     magnitude: 1,
                 })
-                .place_with_checkpoints(&d, &policy)
+                .with_checkpoints(policy.clone())
+                .run(&d)
                 .unwrap_err();
             assert!(matches!(err, PufferError::Journal(_)), "{err}");
             // The injected half-record sits under the temp name; the last
             // committed journal is untouched, loads, and resumes.
             assert!(dir.join("run.pj.tmp").exists(), "half-record missing");
             FlowCheckpoint::load(&policy.path).unwrap();
-            let resumed = PufferPlacer::new(quick_config())
-                .resume(&d, &policy.path)
-                .unwrap();
-            let plain = PufferPlacer::new(quick_config()).place(&d).unwrap();
+            let resumed = resume(quick_config(), &d, &policy.path).unwrap();
+            let plain = Job::new(quick_config()).run(&d).unwrap();
             assert_eq!(resumed.placement, plain.placement);
         }
     }
@@ -1261,13 +1102,13 @@ mod tests {
     #[test]
     fn resume_from_missing_or_corrupt_journal_is_a_journal_error() {
         let d = design();
-        let placer = PufferPlacer::new(quick_config());
         let dir = tmp_dir("corrupt");
-        let missing = placer.resume(&d, &dir.join("nope.pj")).unwrap_err();
-        assert!(matches!(missing, PufferError::Journal(_)), "{missing}");
+        // Nothing to recover from a missing file (`run_or_resume` starts
+        // fresh there instead of asking).
+        assert!(FlowCheckpoint::recover(&dir.join("nope.pj")).is_err());
         let garbled = dir.join("garbled.pj");
         std::fs::write(&garbled, "puffer_checkpoint 1\ndesign oops\n").unwrap();
-        let err = placer.resume(&d, &garbled).unwrap_err();
+        let err = resume(quick_config(), &d, &garbled).unwrap_err();
         assert!(matches!(err, PufferError::Journal(_)), "{err}");
     }
 }

@@ -1,10 +1,11 @@
-//! A [`Job`]: one self-contained, `Send`-able unit of placement work.
+//! A [`Job`]: one self-contained, `Send`-able unit of placement work, and
+//! the only way to run the PUFFER flow (paper Fig. 2).
 //!
-//! The one-shot CLI (`puffer place`) and the `puffer serve` daemon used to
-//! assemble [`PufferPlacer`] + budget + trace + observer + checkpoint policy
-//! independently; a `Job` bundles that assembly into a value that can be
-//! built on one thread, shipped to a worker, and run there — the daemon's
-//! worker pool and the CLI now share this single code path.
+//! A `Job` bundles configuration + budget + trace + observer + checkpoint
+//! policy into a value that can be built on one thread, shipped to a
+//! worker, and run there — the one-shot CLI (`puffer place`), the `puffer
+//! serve` worker pool and every library caller share this single path. The
+//! flow body itself lives in [`crate::flow`].
 //!
 //! A job owns:
 //!
@@ -19,7 +20,7 @@
 //!   otherwise.
 
 use crate::checkpoint::{CheckpointPolicy, FlowCheckpoint};
-use crate::flow::{FlowResult, PufferConfig, PufferPlacer, StageObserver};
+use crate::flow::{FlowResult, PufferConfig, StageObserver};
 use crate::PufferError;
 #[cfg(feature = "chaos")]
 use puffer_budget::ChaosPlan;
@@ -28,17 +29,33 @@ use puffer_db::design::Design;
 use puffer_trace::Trace;
 
 /// A reusable, `Send`-able placement job (see the module docs).
+///
+/// ```
+/// use puffer::{Job, PufferConfig};
+/// use puffer_gen::{generate, GeneratorConfig};
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let design = generate(&GeneratorConfig {
+///     num_cells: 300, num_nets: 330, utilization: 0.6,
+///     ..GeneratorConfig::default()
+/// })?;
+/// let mut config = PufferConfig::default();
+/// config.placer.max_iters = 80;
+/// let result = Job::new(config).run(&design)?;
+/// assert!(result.hpwl > 0.0);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct Job {
-    config: PufferConfig,
-    budget: Budget,
-    trace: Trace,
-    observer: Option<StageObserver>,
-    ladder: Option<DegradationLadder>,
-    watchdog: Option<StallWatchdog>,
-    checkpoints: Option<CheckpointPolicy>,
+    pub(crate) config: PufferConfig,
+    pub(crate) budget: Budget,
+    pub(crate) trace: Trace,
+    pub(crate) observer: Option<StageObserver>,
+    pub(crate) ladder: Option<DegradationLadder>,
+    pub(crate) watchdog: Option<StallWatchdog>,
+    pub(crate) checkpoints: Option<CheckpointPolicy>,
     #[cfg(feature = "chaos")]
-    chaos: Option<ChaosPlan>,
+    pub(crate) chaos: Option<ChaosPlan>,
 }
 
 impl Job {
@@ -59,31 +76,53 @@ impl Job {
     }
 
     /// Attaches an execution budget (deadline and/or cancel token),
-    /// returning `self` for chaining.
+    /// returning `self` for chaining. The flow checks it cooperatively at
+    /// every global-placement iteration (the budget's clock starts at
+    /// [`Budget::with_deadline`], not here); when it expires the loop breaks
+    /// as if converged — the best-so-far snapshot is still legalized, so the
+    /// flow exits cleanly within the deadline plus one iteration's slack.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
     }
 
-    /// Attaches a telemetry sink, returning `self` for chaining.
+    /// Attaches a telemetry sink, returning `self` for chaining. The flow
+    /// stamps its stage boundaries as nested spans (`init`, `gp` with `pad`
+    /// rounds inside, `legal`), forwards the handle to the placer, padding
+    /// optimizer, and congestion estimator for their per-iteration records,
+    /// and emits a final `flow.done` record.
     pub fn with_trace(mut self, trace: Trace) -> Self {
         self.trace = trace;
         self
     }
 
-    /// Attaches a stage observer, returning `self` for chaining.
+    /// Attaches a stage observer, returning `self` for chaining. The
+    /// observer runs at every [`crate::StagePoint`]; an `Err` aborts the flow
+    /// with [`PufferError::Validate`]. Without an observer the boundary
+    /// reports are never built, so the unused hook costs nothing.
     pub fn with_observer(mut self, observer: StageObserver) -> Self {
         self.observer = Some(observer);
         self
     }
 
-    /// Attaches a degradation ladder, returning `self` for chaining.
+    /// Attaches a graceful-degradation ladder, returning `self` for
+    /// chaining. As the budget's remaining fraction crosses each rung's
+    /// threshold the flow steps down fidelity in the declared order; each
+    /// engagement is recorded as a `flow.degrade` trace record and in the
+    /// checkpoint journal. Without a bounded budget the ladder never
+    /// engages.
     pub fn with_ladder(mut self, ladder: DegradationLadder) -> Self {
         self.ladder = Some(ladder);
         self
     }
 
-    /// Attaches a stall watchdog, returning `self` for chaining.
+    /// Attaches a stall watchdog, returning `self` for chaining. The flow
+    /// feeds it the iteration counter at every loop boundary; if the
+    /// counter stops advancing for the watchdog's window, the flow
+    /// checkpoints (when journaling) and then either degrades to
+    /// best-so-far legalization ([`puffer_budget::StallAction::Degrade`])
+    /// or aborts with [`PufferError::Stalled`]
+    /// ([`puffer_budget::StallAction::Abort`]).
     pub fn with_watchdog(mut self, watchdog: StallWatchdog) -> Self {
         self.watchdog = Some(watchdog);
         self
@@ -121,43 +160,26 @@ impl Job {
         self.budget.token()
     }
 
-    /// Assembles the underlying placer from the job's parts.
-    fn placer(&self) -> PufferPlacer {
-        let mut placer = PufferPlacer::new(self.config.clone())
-            .with_trace(self.trace.clone())
-            .with_budget(self.budget.clone());
-        if let Some(observer) = &self.observer {
-            placer = placer.with_observer(observer.clone());
-        }
-        if let Some(ladder) = &self.ladder {
-            placer = placer.with_ladder(ladder.clone());
-        }
-        if let Some(watchdog) = &self.watchdog {
-            placer = placer.with_watchdog(watchdog.clone());
-        }
-        #[cfg(feature = "chaos")]
-        if let Some(plan) = self.chaos {
-            placer = placer.with_chaos(plan);
-        }
-        placer
-    }
-
     /// Runs the flow from scratch, journaling when a checkpoint policy is
-    /// attached. Any existing journal at the policy path is overwritten.
+    /// attached (pure observation: the placement is identical either way).
+    /// Any existing journal at the policy path is overwritten.
     ///
     /// # Errors
     ///
-    /// Everything [`PufferPlacer::place`] returns, plus
-    /// [`PufferError::Journal`] when a checkpoint cannot be written.
+    /// [`PufferError`] if global placement cannot start (no movable cells /
+    /// unplaced macros), a congestion round fails, legalization runs out of
+    /// capacity, an observer rejects a stage, the watchdog aborts, or a
+    /// checkpoint cannot be written.
     pub fn run(&self, design: &Design) -> Result<FlowResult, PufferError> {
-        match &self.checkpoints {
-            Some(policy) => self.placer().place_with_checkpoints(design, policy),
-            None => self.placer().place(design),
-        }
+        self.execute(design, None)
     }
 
     /// Runs the flow warm-started from an in-memory checkpoint, journaling
-    /// per the attached policy (if any).
+    /// per the attached policy (if any). The configuration must match the
+    /// one that produced the checkpoint; the run then finishes with exactly
+    /// the placement the uninterrupted run would have produced. This is also
+    /// the hook for injecting a known-good state before a risky
+    /// continuation.
     ///
     /// # Errors
     ///
@@ -168,8 +190,7 @@ impl Job {
         design: &Design,
         checkpoint: FlowCheckpoint,
     ) -> Result<FlowResult, PufferError> {
-        self.placer()
-            .place_from(design, checkpoint, self.checkpoints.as_ref())
+        self.execute(design, Some(checkpoint))
     }
 
     /// Crash recovery in one call: when a checkpoint policy is attached and
@@ -244,15 +265,6 @@ mod tests {
     fn job_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Job>();
-    }
-
-    #[test]
-    fn job_matches_the_direct_placer_path() {
-        let d = design();
-        let direct = PufferPlacer::new(quick_config()).place(&d).unwrap();
-        let via_job = Job::new(quick_config()).run(&d).unwrap();
-        assert_eq!(direct.placement, via_job.placement);
-        assert_eq!(direct.hpwl, via_job.hpwl);
     }
 
     #[test]

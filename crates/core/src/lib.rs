@@ -23,26 +23,35 @@
 //!
 //! This crate ties them together:
 //!
-//! * [`PufferPlacer`] — the full PUFFER flow;
+//! * [`Job`] — the full PUFFER flow, the one way to run it;
 //! * [`ReferencePlacer`] / [`ReplacePlacer`] — the two Table II baselines
 //!   (commercial-style router-in-the-loop inflation, and RePlAce-style
 //!   bulk inflation);
-//! * [`evaluate`]/[`ComparisonTable`] — routing-based evaluation and the
-//!   Table II report format;
+//! * [`evaluate_bounded`]/[`ComparisonTable`] — routing-based evaluation
+//!   and the Table II report format;
 //! * [`strategy_space`]/[`tuned_strategy`] — the glue between
 //!   [`puffer_pad::PaddingStrategy`] and the Bayesian exploration.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use puffer::{PufferPlacer, PufferConfig, evaluate};
+//! use puffer::{evaluate_bounded, Job, PufferConfig};
+//! use puffer_budget::Budget;
 //! use puffer_gen::{generate, presets};
+//! use puffer_route::RouterConfig;
+//! use puffer_trace::Trace;
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = generate(&presets::or1200(0.003)?)?; // tiny scale for docs
 //! let mut config = PufferConfig::default();
 //! config.placer.max_iters = 50;
-//! let result = PufferPlacer::new(config).place(&design)?;
-//! let report = evaluate(&design, &result.placement);
+//! let result = Job::new(config).run(&design)?;
+//! let report = evaluate_bounded(
+//!     &design,
+//!     &result.placement,
+//!     &RouterConfig::default(),
+//!     &Budget::unbounded(),
+//!     &Trace::disabled(),
+//! )?;
 //! println!("HOF {:.2}% VOF {:.2}% WL {:.0}", report.hof_pct, report.vof_pct,
 //!          report.wirelength);
 //! # Ok(())
@@ -62,17 +71,17 @@ pub use baselines::{
     ReferenceConfig, ReferencePlacer, ReplaceConfig, ReplacePlacer, WsaConfig, WsaPlacer,
 };
 pub use checkpoint::{CheckpointPolicy, FlowCheckpoint, FlowStage, JournalError, Recovered};
-pub use flow::{
-    FlowResult, PufferConfig, PufferPlacer, StageObserver, StagePoint, StageReport,
-};
+pub use flow::{FlowResult, PufferConfig, StageObserver, StagePoint, StageReport};
 pub use job::Job;
 pub use report::{ComparisonTable, EvalRow, FlowSummary};
 pub use scale::ScaleClass;
 
+use puffer_budget::Budget;
 use puffer_db::design::{Design, Placement};
 use puffer_explore::{ParamSpec, Space};
 use puffer_pad::PaddingStrategy;
-use puffer_route::{GlobalRouter, RouteReport, RouterConfig};
+use puffer_route::{GlobalRouter, RouteError, RouteReport, RouterConfig};
+use puffer_trace::Trace;
 use std::error::Error;
 use std::fmt;
 
@@ -81,6 +90,8 @@ use std::fmt;
 pub enum PufferError {
     /// Global placement could not run.
     Place(String),
+    /// A congestion-analysis round (estimator or in-the-loop router) failed.
+    Congest(String),
     /// Legalization failed.
     Legalize(String),
     /// A checkpoint journal could not be written or read.
@@ -97,6 +108,7 @@ impl fmt::Display for PufferError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PufferError::Place(m) => write!(f, "placement failed: {m}"),
+            PufferError::Congest(m) => write!(f, "congestion analysis failed: {m}"),
             PufferError::Legalize(m) => write!(f, "legalization failed: {m}"),
             PufferError::Journal(m) => write!(f, "checkpoint journal failed: {m}"),
             PufferError::Resume(m) => write!(f, "resume failed: {m}"),
@@ -108,54 +120,29 @@ impl fmt::Display for PufferError {
 
 impl Error for PufferError {}
 
-/// Routes a placement with the shared evaluator (default router settings)
-/// and returns the Table II quantities.
-pub fn evaluate(design: &Design, placement: &Placement) -> RouteReport {
-    evaluate_with(design, placement, &RouterConfig::default())
-}
-
-/// [`evaluate`] with explicit router settings (e.g. a `--threads`
-/// override from the CLI).
-pub fn evaluate_with(
-    design: &Design,
-    placement: &Placement,
-    config: &RouterConfig,
-) -> RouteReport {
-    GlobalRouter::new(design, config.clone()).route(design, placement)
-}
-
-/// [`evaluate_with`] under telemetry: routing runs inside a `route` span
-/// and emits one `route.done` record with the Table II quantities.
-pub fn evaluate_traced(
-    design: &Design,
-    placement: &Placement,
-    config: &RouterConfig,
-    trace: &puffer_trace::Trace,
-) -> RouteReport {
-    evaluate_bounded(
-        design,
-        placement,
-        config,
-        &puffer_budget::Budget::unbounded(),
-        trace,
-    )
-}
-
-/// [`evaluate_traced`] under a cooperative budget: the router checks it
-/// between rip-up rounds and rerouted nets, so an expiring deadline stops
-/// refinement early and the report describes the best routing so far.
+/// Routes a placement with the shared evaluator and returns the Table II
+/// quantities. Routing runs inside a `route` span and emits one
+/// `route.done` record; the router checks `budget` between rip-up rounds
+/// and rerouted nets, so an expiring deadline stops refinement early and
+/// the report describes the best routing so far.
+///
+/// # Errors
+///
+/// [`RouteError`] when the router refuses the input (a non-finite cell
+/// position, a placement of the wrong size, a zero-capacity grid) or a
+/// worker panics.
 pub fn evaluate_bounded(
     design: &Design,
     placement: &Placement,
     config: &RouterConfig,
-    budget: &puffer_budget::Budget,
-    trace: &puffer_trace::Trace,
-) -> RouteReport {
+    budget: &Budget,
+    trace: &Trace,
+) -> Result<RouteReport, RouteError> {
     let report = {
         let _route = trace.span("route");
         let mut router = GlobalRouter::new(design, config.clone());
         router.set_budget(budget.clone());
-        router.route(design, placement)
+        router.try_route(design, placement)?
     };
     trace
         .record("route.done")
@@ -165,7 +152,7 @@ pub fn evaluate_bounded(
         .int("overflow_gcells", report.overflow_gcells as i64)
         .int("rounds", report.rounds as i64)
         .write();
-    report
+    Ok(report)
 }
 
 /// The strategy-exploration space of §III-C as a [`puffer_explore::Space`]
@@ -279,7 +266,14 @@ mod tests {
             ..GeneratorConfig::default()
         })
         .unwrap();
-        let rep = evaluate(&d, &d.initial_placement());
+        let rep = evaluate_bounded(
+            &d,
+            &d.initial_placement(),
+            &RouterConfig::default(),
+            &Budget::unbounded(),
+            &Trace::disabled(),
+        )
+        .unwrap();
         assert!(rep.wirelength >= 0.0);
     }
 }

@@ -6,14 +6,12 @@
 //! so the framework can run on published netlists in addition to the
 //! synthetic Table I presets.
 //!
-//! Two front-ends drive one shared per-line parser, so they cannot drift:
-//!
-//! * [`parse_bookshelf`] takes whole files as `&str` — convenient for
-//!   tests and small designs already in memory.
-//! * [`parse_bookshelf_streaming`] pulls lines out of [`BufRead`] sources
-//!   through a single reused buffer, so peak memory is bounded by the
-//!   netlist being built, never by the size of the input files. This is
-//!   the path [`read_aux`] uses and the one million-cell benchmarks need.
+//! One loop reads every input: [`parse_bookshelf_streaming`] pulls lines
+//! out of [`BufRead`] sources through a single reused buffer, so peak
+//! memory is bounded by the netlist being built, never by the size of the
+//! input files. This is the path [`read_aux`] uses and the one million-cell
+//! benchmarks need; [`parse_bookshelf`] is the same call over in-memory
+//! `&str` contents — convenient for tests and small designs.
 //!
 //! Declared counts are enforced: `NumNodes`, `NumNets`, `NumPins`, and
 //! each net's `NetDegree` must match what the file actually defines, so a
@@ -49,9 +47,7 @@ use std::path::{Path, PathBuf};
 // Shared per-line parser state
 // ---------------------------------------------------------------------------
 
-/// Incremental `.nodes`/`.nets` parser: both front-ends feed it one
-/// content line at a time, so the slurping and streaming paths share every
-/// grammar and validation decision.
+/// Incremental `.nodes`/`.nets` parser, fed one content line at a time.
 struct BookshelfParser {
     nb: NetlistBuilder,
     by_name: BTreeMap<String, CellId>,
@@ -414,12 +410,11 @@ fn pl_line(
 // Front-ends
 // ---------------------------------------------------------------------------
 
-/// Parses a Bookshelf design from in-memory file contents.
+/// Parses a Bookshelf design from in-memory file contents:
+/// [`parse_bookshelf_streaming`] over the strings' bytes.
 ///
 /// `scl` may be empty, in which case a square region sized for ~70%
-/// utilization is synthesized. For on-disk inputs prefer
-/// [`parse_bookshelf_streaming`] (or [`read_aux`]), which never
-/// materializes the files.
+/// utilization is synthesized.
 ///
 /// # Errors
 ///
@@ -431,42 +426,19 @@ pub fn parse_bookshelf(
     pl: &str,
     scl: &str,
 ) -> Result<Design, DbError> {
-    let mut parser = BookshelfParser::new();
-    let mut last = 0;
-    for (lineno, line) in content_lines(nodes, "UCLA nodes") {
-        last = lineno;
-        parser.nodes_line(lineno, line)?;
-    }
-    parser.finish_nodes(last)?;
-    let mut last = 0;
-    for (lineno, line) in content_lines(nets, "UCLA nets") {
-        last = lineno;
-        parser.nets_line(lineno, line)?;
-    }
-    parser.finish_nets(last)?;
-    let mut scl_pass = SclPass::default();
-    for (_, line) in content_lines(scl, "UCLA scl") {
-        scl_pass.line(line);
-    }
-    let (by_name, netlist) = parser.build()?;
-    let (region, row_height, site_width) = scl_pass.finish(&netlist);
-    let mut design = make_design(name, netlist, region, row_height, site_width)?;
-    // Fixed nodes only; movable positions are a starting point.
-    let mut initial = design.initial_placement();
-    for (lineno, line) in content_lines(pl, "UCLA pl") {
-        pl_line(&mut design, &mut initial, &by_name, lineno, line)?;
-    }
-    // A partial or missing .pl leaves terminals unplaced; callers decide
-    // whether that matters via [`Design::check_macros_placed`].
-    Ok(design)
+    parse_bookshelf_streaming(
+        name,
+        nodes.as_bytes(),
+        nets.as_bytes(),
+        pl.as_bytes(),
+        scl.as_bytes(),
+    )
 }
 
 /// Parses a Bookshelf design by streaming each file line-by-line through a
 /// reused buffer: peak memory is the netlist under construction plus one
-/// line, regardless of file sizes.
-///
-/// Grammar and validation are byte-identical to [`parse_bookshelf`] — both
-/// front-ends drive the same per-line parser.
+/// line, regardless of file sizes. An empty `scl` synthesizes a square
+/// region sized for ~70% utilization.
 ///
 /// # Errors
 ///
@@ -511,11 +483,14 @@ where
     let (by_name, netlist) = parser.build()?;
     let (region, row_height, site_width) = scl_pass.finish(&netlist);
     let mut design = make_design(name, netlist, region, row_height, site_width)?;
+    // Fixed nodes only; movable positions are a starting point.
     let mut initial = design.initial_placement();
     let mut reader = LineReader::new(pl, ".pl");
     while let Some((lineno, line)) = reader.next_content("UCLA pl")? {
         pl_line(&mut design, &mut initial, &by_name, lineno, line)?;
     }
+    // A partial or missing .pl leaves terminals unplaced; callers decide
+    // whether that matters via [`Design::check_macros_placed`].
     Ok(design)
 }
 
@@ -602,21 +577,6 @@ pub fn write_pl(design: &Design, placement: &Placement) -> String {
         }
     }
     out
-}
-
-/// Iterates `(line_number, line)` over non-comment, non-header content.
-fn content_lines<'a>(
-    text: &'a str,
-    header: &'a str,
-) -> impl Iterator<Item = (usize, &'a str)> + 'a {
-    text.lines().enumerate().filter_map(move |(i, l)| {
-        let t = l.trim();
-        if t.is_empty() || t.starts_with('#') || t.starts_with(header) {
-            None
-        } else {
-            Some((i + 1, t))
-        }
-    })
 }
 
 fn parse_tok<T: std::str::FromStr>(
@@ -754,7 +714,18 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_slurp_on_the_fixture() {
+    fn mutilated_fixture_archives_to_the_clean_bytes() {
+        // CRLF endings, comments, blank lines and trailing blanks are all
+        // noise the reader must drop without a trace.
+        let mutilate = |text: &str| -> String {
+            let mut out = String::from("# leading comment\r\n\r\n");
+            for line in text.lines() {
+                out.push_str(line);
+                out.push_str(" \t \r\n# between records\r\n\n");
+            }
+            out.push_str("# no trailing newline");
+            out
+        };
         let tall_scl: String = (0..30)
             .map(|i| {
                 format!(
@@ -763,20 +734,20 @@ mod tests {
                 )
             })
             .collect();
-        let slurped = parse_bookshelf("mini", NODES, NETS, PL, &tall_scl).unwrap();
-        let streamed = parse_bookshelf_streaming(
+        let clean = parse_bookshelf("mini", NODES, NETS, PL, &tall_scl).unwrap();
+        let noisy = parse_bookshelf(
             "mini",
-            NODES.as_bytes(),
-            NETS.as_bytes(),
-            PL.as_bytes(),
-            tall_scl.as_bytes(),
+            &mutilate(NODES),
+            &mutilate(NETS),
+            &mutilate(PL),
+            &mutilate(&tall_scl),
         )
         .unwrap();
         let mut a = Vec::new();
         let mut b = Vec::new();
-        crate::io::write_design(&slurped, &mut a).unwrap();
-        crate::io::write_design(&streamed, &mut b).unwrap();
-        assert_eq!(a, b, "streaming parse must be bit-identical to slurping");
+        crate::io::write_design(&clean, &mut a).unwrap();
+        crate::io::write_design(&noisy, &mut b).unwrap();
+        assert_eq!(a, b, "mutilation must not leak into the parsed design");
     }
 
     #[test]
@@ -805,16 +776,6 @@ mod tests {
             }
             other => panic!("expected a parse error, got {other:?}"),
         }
-        // The streaming front-end agrees.
-        let err = parse_bookshelf_streaming(
-            "x",
-            NODES.as_bytes(),
-            truncated.as_bytes(),
-            &b""[..],
-            &b""[..],
-        )
-        .unwrap_err();
-        assert!(matches!(err, DbError::Parse { line: 5, .. }));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   place when that reduces HPWL;
 //! * **global swap** — pairs of equal-footprint cells exchange positions
 //!   when the swap reduces HPWL;
-//! * **routability guard** ([`refine_with_congestion`]) — moves into
-//!   Gcells that are more overflowed than the source are rejected, so
+//! * **routability guard** ([`refine_bounded`]'s `congestion` map) — moves
+//!   into Gcells more overflowed than the source are rejected, so
 //!   wirelength recovery never undoes the padding's congestion relief.
 //!
 //! All moves preserve legality by construction (footprints never change
@@ -22,17 +22,20 @@
 //! # Example
 //!
 //! ```
-//! use puffer_dp::{refine, DetailedConfig};
+//! use puffer_budget::Budget;
+//! use puffer_dp::{refine_bounded, DetailedConfig};
 //! use puffer_gen::{generate, GeneratorConfig};
-//! use puffer_legal::legalize;
+//! use puffer_legal::legalize_bounded;
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = generate(&GeneratorConfig {
 //!     num_cells: 200, num_nets: 220, utilization: 0.5,
 //!     ..GeneratorConfig::default()
 //! })?;
 //! let pad = vec![0u32; design.netlist().num_cells()];
-//! let legal = legalize(&design, &design.initial_placement(), &pad)?;
-//! let refined = refine(&design, &legal.placement, &pad, &DetailedConfig::default())?;
+//! let unbounded = Budget::unbounded();
+//! let legal = legalize_bounded(&design, &design.initial_placement(), &pad, &unbounded)?;
+//! let refined = refine_bounded(
+//!     &design, &legal.placement, &pad, &DetailedConfig::default(), None, &unbounded)?;
 //! assert!(refined.hpwl_after <= refined.hpwl_before);
 //! # Ok(())
 //! # }
@@ -88,67 +91,6 @@ pub struct DetailedOutcome {
     pub passes: usize,
 }
 
-/// Refines a legal placement without congestion awareness.
-///
-/// # Errors
-///
-/// Returns [`LegalizeError::BadInput`] on length mismatches and
-/// [`LegalizeError::Illegal`] when the input placement does not map onto
-/// the design's row segments.
-pub fn refine(
-    design: &Design,
-    placement: &Placement,
-    padding_sites: &[u32],
-    config: &DetailedConfig,
-) -> Result<DetailedOutcome, LegalizeError> {
-    refine_impl(design, placement, padding_sites, config, None, &Budget::unbounded())
-}
-
-/// [`refine_with_congestion`] (or [`refine`], with `congestion: None`)
-/// under an execution [`Budget`], checked between refinement passes.
-///
-/// Every pass leaves the placement legal and no worse than before, so an
-/// expiring deadline simply stops after the current pass and returns the
-/// best placement reached — never an error.
-///
-/// # Errors
-///
-/// Same as [`refine`].
-pub fn refine_bounded(
-    design: &Design,
-    placement: &Placement,
-    padding_sites: &[u32],
-    config: &DetailedConfig,
-    congestion: Option<&CongestionMap>,
-    budget: &Budget,
-) -> Result<DetailedOutcome, LegalizeError> {
-    refine_impl(design, placement, padding_sites, config, congestion, budget)
-}
-
-/// Refines a legal placement, rejecting moves that worsen the congestion
-/// balance: a cell may only move to a Gcell whose combined overflow is no
-/// larger than its current Gcell's.
-///
-/// # Errors
-///
-/// Same as [`refine`].
-pub fn refine_with_congestion(
-    design: &Design,
-    placement: &Placement,
-    padding_sites: &[u32],
-    config: &DetailedConfig,
-    congestion: &CongestionMap,
-) -> Result<DetailedOutcome, LegalizeError> {
-    refine_impl(
-        design,
-        placement,
-        padding_sites,
-        config,
-        Some(congestion),
-        &Budget::unbounded(),
-    )
-}
-
 /// The cells of one segment, in left-to-right order, with footprint data:
 /// `(cell, footprint_width, footprint_left)` sorted by `footprint_left`.
 #[derive(Debug, Clone, Default)]
@@ -156,7 +98,23 @@ struct SegmentCells {
     cells: Vec<(CellId, f64, f64)>,
 }
 
-fn refine_impl(
+/// Refines a legal placement under an execution [`Budget`], checked
+/// between refinement passes.
+///
+/// With a `congestion` map, moves that worsen the congestion balance are
+/// rejected: a cell may only move to a Gcell whose combined overflow is no
+/// larger than its current Gcell's. `None` refines on wirelength alone.
+///
+/// Every pass leaves the placement legal and no worse than before, so an
+/// expiring deadline simply stops after the current pass and returns the
+/// best placement reached — never an error.
+///
+/// # Errors
+///
+/// Returns [`LegalizeError::BadInput`] on length mismatches and
+/// [`LegalizeError::Illegal`] when the input placement does not map onto
+/// the design's row segments.
+pub fn refine_bounded(
     design: &Design,
     placement: &Placement,
     padding_sites: &[u32],
@@ -576,7 +534,7 @@ mod tests {
     use puffer_db::netlist::{CellKind, NetlistBuilder};
     use puffer_db::tech::Technology;
     use puffer_gen::{generate, GeneratorConfig};
-    use puffer_legal::{check_legal, legalize};
+    use puffer_legal::{check_legal, legalize_bounded};
 
     fn refined_design() -> (Design, Placement, Vec<u32>) {
         let d = generate(&GeneratorConfig {
@@ -590,14 +548,24 @@ mod tests {
         let pad: Vec<u32> = (0..d.netlist().num_cells())
             .map(|i| (i % 3) as u32)
             .collect();
-        let legal = legalize(&d, &d.initial_placement(), &pad).unwrap();
+        let legal =
+            legalize_bounded(&d, &d.initial_placement(), &pad, &Budget::unbounded()).unwrap();
         (d, legal.placement, pad)
+    }
+
+    /// Unguarded, unbounded refinement under the default configuration.
+    fn refine_default(
+        d: &Design,
+        p: &Placement,
+        pad: &[u32],
+    ) -> Result<DetailedOutcome, LegalizeError> {
+        refine_bounded(d, p, pad, &DetailedConfig::default(), None, &Budget::unbounded())
     }
 
     #[test]
     fn refinement_never_increases_hpwl_and_stays_legal() {
         let (d, legal, pad) = refined_design();
-        let out = refine(&d, &legal, &pad, &DetailedConfig::default()).unwrap();
+        let out = refine_default(&d, &legal, &pad).unwrap();
         assert!(out.hpwl_after <= out.hpwl_before + 1e-9);
         check_legal(&d, &out.placement, &pad).unwrap();
     }
@@ -605,7 +573,7 @@ mod tests {
     #[test]
     fn refinement_actually_improves_a_scrambled_placement() {
         let (d, legal, pad) = refined_design();
-        let out = refine(&d, &legal, &pad, &DetailedConfig::default()).unwrap();
+        let out = refine_default(&d, &legal, &pad).unwrap();
         // The initial legalization of a clustered start leaves plenty of
         // recoverable wirelength.
         assert!(out.moves > 0, "no moves accepted");
@@ -620,8 +588,8 @@ mod tests {
     #[test]
     fn refinement_is_deterministic() {
         let (d, legal, pad) = refined_design();
-        let a = refine(&d, &legal, &pad, &DetailedConfig::default()).unwrap();
-        let b = refine(&d, &legal, &pad, &DetailedConfig::default()).unwrap();
+        let a = refine_default(&d, &legal, &pad).unwrap();
+        let b = refine_default(&d, &legal, &pad).unwrap();
         assert_eq!(a.placement, b.placement);
         assert_eq!(a.moves, b.moves);
     }
@@ -661,7 +629,7 @@ mod tests {
         p.set(c1, Point::new(1.5, 0.5));
         p.set(c2, Point::new(2.5, 0.5));
         let pad = vec![0u32; 4];
-        let out = refine(&d, &p, &pad, &DetailedConfig::default()).unwrap();
+        let out = refine_default(&d, &p, &pad).unwrap();
         assert!(out.hpwl_after < out.hpwl_before, "reorder should help");
         // c2 should now sit between c0 and c1.
         let x0 = out.placement.pos(c0).x;
@@ -691,7 +659,7 @@ mod tests {
         let mut p = d.initial_placement();
         p.set(c0, Point::new(0.5, 0.5));
         let pad = vec![0u32; 2];
-        let out = refine(&d, &p, &pad, &DetailedConfig::default()).unwrap();
+        let out = refine_default(&d, &p, &pad).unwrap();
         assert_eq!(out.placement.pos(c0), p.pos(c0));
         assert_eq!(out.hpwl_after, out.hpwl_before);
     }
@@ -714,8 +682,15 @@ mod tests {
         let v_dmd: Grid<f64> = Grid::new(r, 8, 8);
         let map = CongestionMap::new(h_cap, v_cap, h_dmd, v_dmd);
 
-        let guarded =
-            refine_with_congestion(&d, &legal, &pad, &DetailedConfig::default(), &map).unwrap();
+        let guarded = refine_bounded(
+            &d,
+            &legal,
+            &pad,
+            &DetailedConfig::default(),
+            Some(&map),
+            &Budget::unbounded(),
+        )
+        .unwrap();
         check_legal(&d, &guarded.placement, &pad).unwrap();
         // No cell from the clean right half may have moved into the hot
         // left half.
@@ -735,7 +710,7 @@ mod tests {
     #[test]
     fn swaps_preserve_footprint_occupancy() {
         let (d, legal, pad) = refined_design();
-        let out = refine(&d, &legal, &pad, &DetailedConfig::default()).unwrap();
+        let out = refine_default(&d, &legal, &pad).unwrap();
         // Multiset of footprint left edges must be preserved per row.
         let site = d.tech().site_width;
         let lefts = |p: &Placement| -> Vec<(i64, i64)> {
@@ -775,7 +750,7 @@ mod tests {
     fn bad_padding_length_is_rejected() {
         let (d, legal, _) = refined_design();
         assert!(matches!(
-            refine(&d, &legal, &[0u32; 3], &DetailedConfig::default()),
+            refine_default(&d, &legal, &[0u32; 3]),
             Err(LegalizeError::BadInput(_))
         ));
     }

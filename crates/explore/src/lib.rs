@@ -18,16 +18,21 @@
 //! # Example
 //!
 //! ```
-//! use puffer_explore::{Domain, ParamSpec, Space, explore_params, ExplorationConfig};
+//! use puffer_budget::Budget;
+//! use puffer_explore::{Domain, ParamSpec, Space, explore_params_bounded, ExplorationConfig};
+//! use puffer_trace::Trace;
 //! let space = Space::new(vec![
 //!     ParamSpec::continuous("x", -5.0, 5.0),
 //!     ParamSpec::continuous("y", -5.0, 5.0),
 //! ]);
 //! // Minimise a shifted bowl.
-//! let outcome = explore_params(
+//! let outcome = explore_params_bounded(
 //!     &space,
 //!     |v| (v[0] - 1.0).powi(2) + (v[1] + 2.0).powi(2),
 //!     &ExplorationConfig { max_evals: 120, ..ExplorationConfig::default() },
+//!     &Trace::disabled(),
+//!     &Budget::unbounded(),
+//!     None,
 //! ).unwrap();
 //! assert!(outcome.best_value < 1.0);
 //! # let _ = Domain::Continuous { lo: 0.0, hi: 1.0 };
@@ -44,9 +49,8 @@ pub mod tpe;
 pub use error::ExploreError;
 pub use journal::ExplorationJournal;
 pub use smbo::{
-    explore_params, explore_params_bounded, explore_params_traced, explore_strategy,
-    explore_strategy_traced, ExplorationConfig, ExplorationOutcome, StrategyConfig,
-    StrategyOutcome, TrialOutcome, CAPPED_TRIALS_REMAINING,
+    explore_params_bounded, explore_strategy_traced, ExplorationConfig, ExplorationOutcome,
+    StrategyConfig, StrategyOutcome, TrialOutcome, CAPPED_TRIALS_REMAINING,
 };
 pub use space::{Domain, ParamSpec, Space};
 pub use tpe::{Tpe, TpeConfig};

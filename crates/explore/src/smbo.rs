@@ -49,7 +49,7 @@ impl TrialOutcome {
     }
 }
 
-/// Configuration for one [`explore_params`] run (Algorithm 2's `TC`/`EC`).
+/// Configuration for one [`explore_params_bounded`] run (Algorithm 2's `TC`/`EC`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplorationConfig {
     /// Evaluation budget `TC`.
@@ -85,7 +85,7 @@ impl Default for ExplorationConfig {
     }
 }
 
-/// Result of an [`explore_params`] run.
+/// Result of an [`explore_params_bounded`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplorationOutcome {
     /// Best assignment found.
@@ -184,49 +184,21 @@ impl Run {
     }
 }
 
-/// Algorithm 2: explore `space` with TPE, minimising `eval`, then narrow
-/// each parameter's range around the best observations.
-///
-/// Trials are panic-isolated (see the module docs): a panicking or
-/// NaN-returning objective degrades the search instead of aborting it.
-///
-/// # Errors
-///
-/// [`ExploreError::AllTrialsFailed`] when the failure budget is exhausted
-/// before any trial succeeds, and [`ExploreError::Journal`] when a
-/// configured journal cannot be used.
-pub fn explore_params(
-    space: &Space,
-    eval: impl FnMut(&[f64]) -> f64,
-    config: &ExplorationConfig,
-) -> Result<ExplorationOutcome, ExploreError> {
-    explore_params_traced(space, eval, config, &Trace::disabled())
-}
-
-/// [`explore_params`] with telemetry: every live trial (journal-replayed
-/// ones excluded) emits an `explore.trial` record — trial index, status,
-/// objective, and the full parameter vector — to `trace`.
-///
-/// # Errors
-///
-/// Same as [`explore_params`].
-pub fn explore_params_traced(
-    space: &Space,
-    eval: impl FnMut(&[f64]) -> f64,
-    config: &ExplorationConfig,
-    trace: &Trace,
-) -> Result<ExplorationOutcome, ExploreError> {
-    explore_params_bounded(space, eval, config, trace, &Budget::unbounded(), None)
-}
-
 /// When the [`DegradeStep::CapTrials`] rung of a degradation ladder
 /// engages, this many further evaluations are allowed before the run stops
 /// (enough for the TPE to bank its current suggestion, cheap enough to
 /// leave the rest of the deadline to downstream stages).
 pub const CAPPED_TRIALS_REMAINING: usize = 2;
 
-/// [`explore_params_traced`] under an execution [`Budget`] and (optionally)
-/// a graceful-degradation ladder.
+/// Algorithm 2: explore `space` with TPE, minimising `eval`, then narrow
+/// each parameter's range around the best observations — under telemetry,
+/// an execution [`Budget`] and (optionally) a graceful-degradation ladder.
+///
+/// Trials are panic-isolated (see the module docs): a panicking or
+/// NaN-returning objective degrades the search instead of aborting it.
+/// Every live trial (journal-replayed ones excluded) emits an
+/// `explore.trial` record — trial index, status, objective, and the full
+/// parameter vector — to `trace`.
 ///
 /// The budget is checked before every evaluation: an expired deadline or an
 /// external cancel ends the run as a clean early stop with the best
@@ -243,7 +215,9 @@ pub const CAPPED_TRIALS_REMAINING: usize = 2;
 ///
 /// # Errors
 ///
-/// Same as [`explore_params`].
+/// [`ExploreError::AllTrialsFailed`] when the failure budget is exhausted
+/// before any trial succeeds, and [`ExploreError::Journal`] when a
+/// configured journal cannot be used.
 pub fn explore_params_bounded(
     space: &Space,
     mut eval: impl FnMut(&[f64]) -> f64,
@@ -380,7 +354,7 @@ fn narrow_ranges(
     out
 }
 
-/// Configuration for [`explore_strategy`] (Algorithm 3).
+/// Configuration for [`explore_strategy_traced`] (Algorithm 3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrategyConfig {
     /// Budget for the initial global exploration.
@@ -412,7 +386,7 @@ impl Default for StrategyConfig {
     }
 }
 
-/// Result of [`explore_strategy`].
+/// Result of [`explore_strategy_traced`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrategyOutcome {
     /// The final configuration: midpoints of the converged ranges
@@ -441,9 +415,12 @@ pub struct StrategyOutcome {
 /// `Sync` because groups are explored on parallel threads (the paper notes
 /// this parallelism explicitly). Objective panics are contained per trial
 /// (see the module docs), so a crashing configuration costs one trial, not
-/// the exploration. When journaling is configured, the global phase uses
-/// [`ExplorationConfig::journal`] of `config.global` as-is and each group
-/// round appends `.r<round>.g<group>` to the one in `config.local`.
+/// the exploration. Every trial of the global phase and of every group
+/// round emits an `explore.trial` record to `trace` (clones of the handle
+/// share one sink, so parallel groups interleave safely). When journaling
+/// is configured, the global phase uses [`ExplorationConfig::journal`] of
+/// `config.global` as-is and each group round appends
+/// `.r<round>.g<group>` to the one in `config.local`.
 ///
 /// # Errors
 ///
@@ -452,22 +429,6 @@ pub struct StrategyOutcome {
 /// [`ExploreError::Journal`] for journal problems, and
 /// [`ExploreError::GroupPanicked`] if an exploration thread itself dies
 /// (a driver bug, not an objective failure).
-pub fn explore_strategy(
-    space: &Space,
-    groups: &[Vec<String>],
-    eval: impl Fn(&[f64]) -> f64 + Sync,
-    config: &StrategyConfig,
-) -> Result<StrategyOutcome, ExploreError> {
-    explore_strategy_traced(space, groups, eval, config, &Trace::disabled())
-}
-
-/// [`explore_strategy`] with telemetry: every trial of the global phase and
-/// of every group round emits an `explore.trial` record to `trace` (clones
-/// of the handle share one sink, so parallel groups interleave safely).
-///
-/// # Errors
-///
-/// Same as [`explore_strategy`].
 pub fn explore_strategy_traced(
     space: &Space,
     groups: &[Vec<String>],
@@ -476,7 +437,8 @@ pub fn explore_strategy_traced(
     trace: &Trace,
 ) -> Result<StrategyOutcome, ExploreError> {
     // Line 1–2: initial ranges + global exploration.
-    let global = explore_params_traced(space, &eval, &config.global, trace)?;
+    let global =
+        explore_params_bounded(space, &eval, &config.global, trace, &Budget::unbounded(), None)?;
     let mut ranges = global.narrowed;
     let mut best_observed = global.best;
     let mut best_value = global.best_value;
@@ -613,7 +575,7 @@ fn explore_group(
             .map(|&i| ranges.params()[i].clone())
             .collect(),
     );
-    let outcome = explore_params_traced(
+    let outcome = explore_params_bounded(
         &sub,
         |xs| {
             let mut full = base.to_vec();
@@ -624,6 +586,8 @@ fn explore_group(
         },
         config,
         trace,
+        &Budget::unbounded(),
+        None,
     )?;
     Ok((indices, outcome))
 }
@@ -644,7 +608,7 @@ mod tests {
 
     #[test]
     fn explore_params_finds_the_bowl_bottom() {
-        let outcome = explore_params(
+        let outcome = explore_params_bounded(
             &bowl(2),
             |v| v.iter().map(|x| (x - 2.0) * (x - 2.0)).sum(),
             &ExplorationConfig {
@@ -652,6 +616,9 @@ mod tests {
                 early_stop: 60,
                 ..Default::default()
             },
+            &Trace::disabled(),
+            &Budget::unbounded(),
+            None,
         )
         .unwrap();
         assert!(outcome.best_value < 2.0, "best {}", outcome.best_value);
@@ -664,7 +631,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trials.jsonl");
         let trace = Trace::with_sink(&path).unwrap();
-        let outcome = explore_params_traced(
+        let outcome = explore_params_bounded(
             &bowl(1),
             |v| {
                 if v[0] < 0.0 {
@@ -679,6 +646,8 @@ mod tests {
                 ..Default::default()
             },
             &trace,
+            &Budget::unbounded(),
+            None,
         )
         .unwrap();
         trace.flush().unwrap();
@@ -708,7 +677,7 @@ mod tests {
     #[test]
     fn early_stop_limits_evaluations() {
         // Constant objective: nothing ever improves after the first eval.
-        let outcome = explore_params(
+        let outcome = explore_params_bounded(
             &bowl(1),
             |_| 1.0,
             &ExplorationConfig {
@@ -716,6 +685,9 @@ mod tests {
                 early_stop: 12,
                 ..Default::default()
             },
+            &Trace::disabled(),
+            &Budget::unbounded(),
+            None,
         )
         .unwrap();
         assert!(outcome.stopped_early);
@@ -724,7 +696,7 @@ mod tests {
 
     #[test]
     fn ranges_narrow_around_the_optimum() {
-        let outcome = explore_params(
+        let outcome = explore_params_bounded(
             &bowl(1),
             |v| (v[0] - 4.0).abs(),
             &ExplorationConfig {
@@ -732,6 +704,9 @@ mod tests {
                 early_stop: 120,
                 ..Default::default()
             },
+            &Trace::disabled(),
+            &Budget::unbounded(),
+            None,
         )
         .unwrap();
         let d = outcome.narrowed.params()[0].domain;
@@ -754,11 +729,12 @@ mod tests {
             vec!["x2".to_string(), "x3".to_string()],
         ];
         let target = [1.0, -2.0, 3.0, -4.0];
-        let outcome = explore_strategy(
+        let outcome = explore_strategy_traced(
             &space,
             &groups,
             |v| v.iter().zip(&target).map(|(x, t)| (x - t) * (x - t)).sum(),
             &StrategyConfig::default(),
+            &Trace::disabled(),
         )
         .unwrap();
         assert!(outcome.best_value < 20.0, "best {}", outcome.best_value);
@@ -774,7 +750,7 @@ mod tests {
         let space = bowl(2);
         let groups = vec![vec!["x0".to_string()], vec!["x1".to_string()]];
         let count = AtomicUsize::new(0);
-        let outcome = explore_strategy(
+        let outcome = explore_strategy_traced(
             &space,
             &groups,
             |v| {
@@ -785,6 +761,7 @@ mod tests {
                 parallel: true,
                 ..Default::default()
             },
+            &Trace::disabled(),
         )
         .unwrap();
         assert_eq!(outcome.evals, count.load(Ordering::Relaxed));
@@ -794,7 +771,7 @@ mod tests {
     fn unknown_group_members_are_skipped() {
         let space = bowl(1);
         let groups = vec![vec!["x0".to_string(), "ghost".to_string()]];
-        let outcome = explore_strategy(
+        let outcome = explore_strategy_traced(
             &space,
             &groups,
             |v| v[0].abs(),
@@ -803,6 +780,7 @@ mod tests {
                 parallel: false,
                 ..Default::default()
             },
+            &Trace::disabled(),
         )
         .unwrap();
         assert_eq!(outcome.values.len(), 1);
@@ -821,7 +799,7 @@ mod tests {
         // A quarter of the domain panics; exploration must survive, count
         // the failures, and still find the bowl bottom outside the crater.
         let space = bowl(2);
-        let outcome = explore_params(
+        let outcome = explore_params_bounded(
             &space,
             |v| {
                 if v[0] > 5.0 && v[1] > 5.0 {
@@ -834,6 +812,9 @@ mod tests {
                 early_stop: 120,
                 ..Default::default()
             },
+            &Trace::disabled(),
+            &Budget::unbounded(),
+            None,
         )
         .unwrap();
         assert!(outcome.failed_trials > 0, "crater was never sampled");
@@ -845,7 +826,7 @@ mod tests {
     #[test]
     fn always_failing_objective_is_an_error() {
         let space = bowl(1);
-        let err = explore_params(
+        let err = explore_params_bounded(
             &space,
             |_: &[f64]| -> f64 { panic!("nothing ever works") },
             &ExplorationConfig {
@@ -853,6 +834,9 @@ mod tests {
                 max_consecutive_failures: 5,
                 ..Default::default()
             },
+            &Trace::disabled(),
+            &Budget::unbounded(),
+            None,
         )
         .unwrap_err();
         match err {
@@ -870,7 +854,7 @@ mod tests {
     #[test]
     fn non_finite_objective_counts_as_failure() {
         let space = bowl(1);
-        let outcome = explore_params(
+        let outcome = explore_params_bounded(
             &space,
             |v| if v[0] < 0.0 { f64::NAN } else { v[0] },
             &ExplorationConfig {
@@ -878,6 +862,9 @@ mod tests {
                 early_stop: 60,
                 ..Default::default()
             },
+            &Trace::disabled(),
+            &Budget::unbounded(),
+            None,
         )
         .unwrap();
         assert!(outcome.failed_trials > 0, "negative half never sampled");
@@ -890,7 +877,7 @@ mod tests {
         let evals = AtomicUsize::new(0);
         // First trial succeeds, everything after panics: the run should
         // stop at 1 success + max_consecutive_failures, not burn the budget.
-        let outcome = explore_params(
+        let outcome = explore_params_bounded(
             &space,
             |v| {
                 if evals.fetch_add(1, Ordering::Relaxed) == 0 {
@@ -905,6 +892,9 @@ mod tests {
                 max_consecutive_failures: 4,
                 ..Default::default()
             },
+            &Trace::disabled(),
+            &Budget::unbounded(),
+            None,
         )
         .unwrap();
         assert!(outcome.stopped_early);
@@ -997,13 +987,16 @@ mod tests {
         };
 
         let live = AtomicUsize::new(0);
-        let first = explore_params(
+        let first = explore_params_bounded(
             &space,
             |v| {
                 live.fetch_add(1, Ordering::Relaxed);
                 objective(v)
             },
             &config,
+            &Trace::disabled(),
+            &Budget::unbounded(),
+            None,
         )
         .unwrap();
         assert_eq!(live.load(Ordering::Relaxed), 40);
@@ -1012,13 +1005,16 @@ mod tests {
         // Same budget, same journal: every trial is replayed from disk and
         // the objective never runs again.
         let live2 = AtomicUsize::new(0);
-        let second = explore_params(
+        let second = explore_params_bounded(
             &space,
             |v| {
                 live2.fetch_add(1, Ordering::Relaxed);
                 objective(v)
             },
             &config,
+            &Trace::disabled(),
+            &Budget::unbounded(),
+            None,
         )
         .unwrap();
         assert_eq!(live2.load(Ordering::Relaxed), 0, "no evaluation repeated");
@@ -1028,7 +1024,7 @@ mod tests {
 
         // A larger budget resumes: 40 replayed + 20 live.
         let live3 = AtomicUsize::new(0);
-        let third = explore_params(
+        let third = explore_params_bounded(
             &space,
             |v| {
                 live3.fetch_add(1, Ordering::Relaxed);
@@ -1039,6 +1035,9 @@ mod tests {
                 early_stop: 60,
                 ..config.clone()
             },
+            &Trace::disabled(),
+            &Budget::unbounded(),
+            None,
         )
         .unwrap();
         assert_eq!(live3.load(Ordering::Relaxed), 20);
@@ -1050,7 +1049,7 @@ mod tests {
     fn strategy_exploration_survives_a_panicking_region() {
         let space = bowl(2);
         let groups = vec![vec!["x0".to_string()], vec!["x1".to_string()]];
-        let outcome = explore_strategy(
+        let outcome = explore_strategy_traced(
             &space,
             &groups,
             |v| {
@@ -1060,6 +1059,7 @@ mod tests {
                 v.iter().map(|x| x * x).sum()
             },
             &StrategyConfig::default(),
+            &Trace::disabled(),
         )
         .unwrap();
         assert!(outcome.best_value.is_finite());

@@ -51,36 +51,26 @@ pub struct LegalizeOutcome {
     pub max_displacement: f64,
 }
 
-/// Legalizes `global` with per-cell padding given in *sites*.
+/// Legalizes `global` with per-cell padding given in *sites*, under an
+/// execution [`Budget`](puffer_budget::Budget) checked every few hundred
+/// cell insertions.
 ///
 /// `padding_sites[i]` widens cell `i`'s footprint by that many placement
 /// sites (white space split evenly left/right). Pass all-zeros for plain
 /// legalization.
 ///
-/// # Errors
-///
-/// Returns [`LegalizeError::OutOfCapacity`] when some cell cannot fit into
-/// any row segment and [`LegalizeError::BadInput`] on length mismatches.
-pub fn legalize(
-    design: &Design,
-    global: &Placement,
-    padding_sites: &[u32],
-) -> Result<LegalizeOutcome, LegalizeError> {
-    legalize_bounded(design, global, padding_sites, &puffer_budget::Budget::unbounded())
-}
-
-/// [`legalize`] under an execution [`Budget`](puffer_budget::Budget),
-/// checked every few hundred cell insertions.
-///
 /// Legalization is all-or-nothing — a half-inserted placement is not
 /// legal — so on expiry this returns [`LegalizeError::Cancelled`] and the
 /// caller keeps its pre-legalization snapshot. Flows that must always end
-/// legal (e.g. the deadline-bounded place flow) call the unbounded
-/// [`legalize`] for their final pass instead.
+/// legal (e.g. the deadline-bounded place flow) pass
+/// [`Budget::unbounded`](puffer_budget::Budget::unbounded) for their final
+/// pass instead.
 ///
 /// # Errors
 ///
-/// The errors of [`legalize`], plus [`LegalizeError::Cancelled`].
+/// Returns [`LegalizeError::OutOfCapacity`] when some cell cannot fit into
+/// any row segment, [`LegalizeError::BadInput`] on length mismatches, and
+/// [`LegalizeError::Cancelled`] when the budget expires.
 pub fn legalize_bounded(
     design: &Design,
     global: &Placement,
@@ -349,6 +339,7 @@ fn collapse(state: &mut SegmentState, seg: Segment, site: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use puffer_budget::Budget;
     use puffer_db::geom::Rect;
     use puffer_db::netlist::{CellKind, NetlistBuilder};
     use puffer_db::tech::Technology;
@@ -381,7 +372,7 @@ mod tests {
         let mut g = Placement::zeroed(2);
         g.set(CellId(0), Point::new(5.0, 5.2));
         g.set(CellId(1), Point::new(5.0, 5.2));
-        let out = legalize(&d, &g, &no_pad(&d)).unwrap();
+        let out = legalize_bounded(&d, &g, &no_pad(&d), &Budget::unbounded()).unwrap();
         assert_legal(&d, &out.placement, &no_pad(&d));
         let a = out.placement.pos(CellId(0));
         let b = out.placement.pos(CellId(1));
@@ -396,7 +387,7 @@ mod tests {
         g.set(CellId(0), Point::new(1.5, 2.5));
         g.set(CellId(1), Point::new(4.5, 2.5));
         g.set(CellId(2), Point::new(8.5, 6.5));
-        let out = legalize(&d, &g, &no_pad(&d)).unwrap();
+        let out = legalize_bounded(&d, &g, &no_pad(&d), &Budget::unbounded()).unwrap();
         assert_legal(&d, &out.placement, &no_pad(&d));
         assert!(out.max_displacement < 0.5, "max {}", out.max_displacement);
     }
@@ -409,7 +400,7 @@ mod tests {
         g.set(CellId(1), Point::new(6.0, 3.0));
         // Cell 0 padded by 5 sites = 1.0 extra width.
         let pad = vec![5u32, 0];
-        let out = legalize(&d, &g, &pad).unwrap();
+        let out = legalize_bounded(&d, &g, &pad, &Budget::unbounded()).unwrap();
         assert_legal(&d, &out.placement, &pad);
         let a = out.placement.pos(CellId(0));
         let b = out.placement.pos(CellId(1));
@@ -441,7 +432,7 @@ mod tests {
             g.set(CellId(i), Point::new(8.0, 8.0)); // all inside the macro
         }
         let pad = vec![0u32; 9];
-        let out = legalize(&d, &g, &pad).unwrap();
+        let out = legalize_bounded(&d, &g, &pad, &Budget::unbounded()).unwrap();
         crate::check::check_legal(&d, &out.placement, &pad).unwrap();
     }
 
@@ -452,7 +443,7 @@ mod tests {
         for i in 0..30u32 {
             g.set(CellId(i), Point::new(6.0 + (i as f64) * 0.01, 6.0));
         }
-        let out = legalize(&d, &g, &no_pad(&d)).unwrap();
+        let out = legalize_bounded(&d, &g, &no_pad(&d), &Budget::unbounded()).unwrap();
         assert_legal(&d, &out.placement, &no_pad(&d));
     }
 
@@ -465,7 +456,7 @@ mod tests {
         }
         let token = puffer_budget::CancelToken::new();
         token.cancel();
-        let budget = puffer_budget::Budget::unbounded().with_token(token);
+        let budget = Budget::unbounded().with_token(token);
         let err = legalize_bounded(&d, &g, &no_pad(&d), &budget).unwrap_err();
         assert!(matches!(err, LegalizeError::Cancelled(_)), "{err}");
     }
@@ -475,7 +466,7 @@ mod tests {
         // Region 4x4 with 1 row of width 4; a cell of width 6 cannot fit.
         let d = design(1, 6.0, 4.0);
         let g = d.initial_placement();
-        match legalize(&d, &g, &no_pad(&d)) {
+        match legalize_bounded(&d, &g, &no_pad(&d), &Budget::unbounded()) {
             Err(LegalizeError::OutOfCapacity(_)) => {}
             other => panic!("expected OutOfCapacity, got {other:?}"),
         }
@@ -486,7 +477,7 @@ mod tests {
         let d = design(2, 1.0, 8.0);
         let g = d.initial_placement();
         assert!(matches!(
-            legalize(&d, &g, &[0u32]),
+            legalize_bounded(&d, &g, &[0u32], &Budget::unbounded()),
             Err(LegalizeError::BadInput(_))
         ));
     }
@@ -500,7 +491,7 @@ mod tests {
         for i in 0..3u32 {
             g.set(CellId(i), Point::new(5.0, 0.5));
         }
-        let out = legalize(&d, &g, &no_pad(&d)).unwrap();
+        let out = legalize_bounded(&d, &g, &no_pad(&d), &Budget::unbounded()).unwrap();
         assert_legal(&d, &out.placement, &no_pad(&d));
         let mut xs: Vec<f64> = (0..3u32).map(|i| out.placement.pos(CellId(i)).x).collect();
         xs.sort_by(f64::total_cmp);
@@ -521,7 +512,7 @@ mod tests {
         let mut g = Placement::zeroed(2);
         g.set(CellId(0), Point::new(4.1, 0.5));
         g.set(CellId(1), Point::new(4.1, 0.5));
-        let out = legalize(&d, &g, &no_pad(&d)).unwrap();
+        let out = legalize_bounded(&d, &g, &no_pad(&d), &Budget::unbounded()).unwrap();
         // The second cell's displacement must equal what the row-selection
         // trial predicted, i.e. both cells end up adjacent to the target.
         let a = out.placement.pos(CellId(0));
@@ -537,7 +528,7 @@ mod tests {
         for i in 0..10u32 {
             g.set(CellId(i), Point::new(8.0, 8.0));
         }
-        let out = legalize(&d, &g, &no_pad(&d)).unwrap();
+        let out = legalize_bounded(&d, &g, &no_pad(&d), &Budget::unbounded()).unwrap();
         assert!(out.avg_displacement <= out.max_displacement + 1e-12);
         assert!(out.avg_displacement > 0.0);
     }

@@ -13,7 +13,8 @@
 //! # Example
 //!
 //! ```
-//! use puffer_legal::{legalize, check_legal};
+//! use puffer_legal::{legalize_bounded, check_legal};
+//! use puffer_budget::Budget;
 //! use puffer_gen::{generate, GeneratorConfig};
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = generate(&GeneratorConfig {
@@ -21,7 +22,8 @@
 //!     ..GeneratorConfig::default()
 //! })?;
 //! let pad = vec![0u32; design.netlist().num_cells()];
-//! let out = legalize(&design, &design.initial_placement(), &pad)?;
+//! let out =
+//!     legalize_bounded(&design, &design.initial_placement(), &pad, &Budget::unbounded())?;
 //! check_legal(&design, &out.placement, &pad)?;
 //! # Ok(())
 //! # }
@@ -34,7 +36,7 @@ pub mod check;
 pub mod discrete;
 pub mod segments;
 
-pub use abacus::{legalize, legalize_bounded, LegalizeOutcome};
+pub use abacus::{legalize_bounded, LegalizeOutcome};
 pub use check::check_legal;
 pub use discrete::{discretize_padding, enforce_budget};
 pub use segments::{row_segments, RowSegment};
@@ -52,7 +54,7 @@ pub enum LegalizeError {
     /// A legality check failed (from [`check_legal`]).
     Illegal(String),
     /// The execution budget expired or was cancelled mid-legalization
-    /// (only from [`legalize_bounded`]). A partially legalized placement
+    /// (from [`legalize_bounded`]). A partially legalized placement
     /// is never returned — callers keep the pre-legalization snapshot.
     Cancelled(puffer_budget::Cancelled),
 }
@@ -73,6 +75,7 @@ impl Error for LegalizeError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use puffer_budget::Budget;
 
     #[test]
     fn error_display_variants() {
@@ -101,7 +104,7 @@ mod tests {
         let victim = d.netlist().movable_cells().next().unwrap();
         p.set(victim, Point::new(f64::NAN, 1.0));
         let pad = vec![0u32; d.netlist().num_cells()];
-        let err = legalize(&d, &p, &pad).unwrap_err();
+        let err = legalize_bounded(&d, &p, &pad, &Budget::unbounded()).unwrap_err();
         assert!(matches!(err, LegalizeError::BadInput(_)), "{err}");
         assert!(err.to_string().contains("non-finite"), "{err}");
     }
@@ -129,7 +132,8 @@ mod tests {
             d.tech().site_width,
             0.05,
         );
-        let out = legalize(&d, &d.initial_placement(), &discrete).unwrap();
+        let out =
+            legalize_bounded(&d, &d.initial_placement(), &discrete, &Budget::unbounded()).unwrap();
         check_legal(&d, &out.placement, &discrete).unwrap();
         assert!(out.max_displacement.is_finite());
     }

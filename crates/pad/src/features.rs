@@ -450,7 +450,7 @@ mod tests {
                 ),
             );
         }
-        let map = est.estimate(&d, &p);
+        let map = est.try_estimate(&d, &p).unwrap();
         let fm = extract_features(&d, &p, &map, &FeatureConfig::default());
         assert_eq!(fm.num_cells(), d.netlist().num_cells());
         // All features finite; at least one cell has nonzero pin density.
@@ -487,7 +487,7 @@ mod tests {
         for id in d.netlist().movable_cells() {
             p.set(id, Point::new(r.xl + 0.6, r.yl + 0.6));
         }
-        let map = est.estimate(&d, &p);
+        let map = est.try_estimate(&d, &p).unwrap();
         let fm = extract_features(&d, &p, &map, &FeatureConfig::default());
         let id = d.netlist().movable_cells().next().unwrap();
         assert!(

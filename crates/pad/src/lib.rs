@@ -26,7 +26,7 @@
 //! let mut opt = RoutabilityOptimizer::new(
 //!     &design, EstimatorConfig::default(), PaddingStrategy::default());
 //! let placement = design.initial_placement();
-//! let round = opt.optimize(&design, &placement);
+//! let round = opt.optimize(&design, &placement)?;
 //! assert_eq!(opt.padding().len(), design.netlist().num_cells());
 //! assert!(round.utilization <= round.target_utilization + 1e-9);
 //! # Ok(())
@@ -46,7 +46,7 @@ pub use padding::{
 pub use strategy::{PaddingStrategy, ParamRange};
 
 use puffer_db::cast;
-use puffer_congest::{CongestionEstimator, EstimatorConfig};
+use puffer_congest::{CongestError, CongestionEstimator, CongestionMap, EstimatorConfig};
 use puffer_db::design::{Design, Placement};
 use puffer_trace::Trace;
 
@@ -167,13 +167,20 @@ impl RoutabilityOptimizer {
     /// Runs one full round of Algorithm 1 against a placement snapshot and
     /// returns its statistics; the new padding is available via
     /// [`RoutabilityOptimizer::padding`].
-    pub fn optimize(&mut self, design: &Design, placement: &Placement) -> PaddingRound {
+    ///
+    /// # Errors
+    ///
+    /// [`CongestError`] when the congestion estimate fails (a demand worker
+    /// panicked); the padding state is untouched.
+    pub fn optimize(
+        &mut self,
+        design: &Design,
+        placement: &Placement,
+    ) -> Result<PaddingRound, CongestError> {
         // Incremental re-estimation: across rip-up rounds most cells do not
         // move, so the estimator reuses clean chunk partials and cached RSMT
-        // decompositions. Bit-identical to a full build by construction
-        // (and falls back to one when `EstimatorConfig::incremental` is
-        // off), so the flow's journals are unchanged either way.
-        let map = self.estimator.estimate_incremental(design, placement);
+        // decompositions. Bit-identical to a full build by construction.
+        let map = self.estimator.try_estimate_incremental(design, placement)?;
         let features = extract_features(design, placement, &map, &self.feature_config);
         let round = padding_round(
             design.netlist(),
@@ -194,7 +201,7 @@ impl RoutabilityOptimizer {
                 .num("scale", round.scale)
                 .write();
         }
-        round
+        Ok(round)
     }
 
     /// Coarsens the congestion-estimation grid by `factor` (see
@@ -213,12 +220,16 @@ impl RoutabilityOptimizer {
     }
 
     /// The most recent congestion map (recomputed; diagnostics only).
+    ///
+    /// # Errors
+    ///
+    /// [`CongestError`] when the congestion estimate fails.
     pub fn estimate_map(
         &self,
         design: &Design,
         placement: &Placement,
-    ) -> puffer_congest::CongestionMap {
-        self.estimator.estimate(design, placement)
+    ) -> Result<CongestionMap, CongestError> {
+        self.estimator.try_estimate(design, placement)
     }
 }
 
@@ -266,10 +277,10 @@ mod tests {
             PaddingStrategy::default(),
         );
         let p = clustered(&d);
-        let r1 = opt.optimize(&d, &p);
+        let r1 = opt.optimize(&d, &p).unwrap();
         assert!(r1.padded_cells > 0, "congested snapshot must pad something");
         assert!(r1.utilization <= r1.target_utilization + 1e-9);
-        let r2 = opt.optimize(&d, &p);
+        let r2 = opt.optimize(&d, &p).unwrap();
         assert_eq!(r2.round, 2);
         assert!(r2.target_utilization >= r1.target_utilization);
     }
@@ -287,8 +298,8 @@ mod tests {
         );
         let p = clustered(&d);
         assert!(opt.should_trigger(0.05));
-        opt.optimize(&d, &p);
-        opt.optimize(&d, &p);
+        opt.optimize(&d, &p).unwrap();
+        opt.optimize(&d, &p).unwrap();
         assert!(!opt.should_trigger(0.05), "round cap ξ reached");
     }
 
@@ -304,13 +315,13 @@ mod tests {
             )
         };
         let mut reference = fresh();
-        reference.optimize(&d, &p);
+        reference.optimize(&d, &p).unwrap();
         let saved = reference.state().clone();
-        reference.optimize(&d, &p);
+        reference.optimize(&d, &p).unwrap();
 
         let mut resumed = fresh();
         resumed.set_state(saved);
-        resumed.optimize(&d, &p);
+        resumed.optimize(&d, &p).unwrap();
         assert_eq!(reference.state(), resumed.state());
         assert_eq!(reference.padding(), resumed.padding());
     }
@@ -335,7 +346,7 @@ mod tests {
             puffer_congest::EstimatorConfig::default(),
             PaddingStrategy::default(),
         );
-        opt.optimize(&d, &clustered(&d));
+        opt.optimize(&d, &clustered(&d)).unwrap();
         for id in d.netlist().fixed_macros() {
             assert_eq!(opt.padding()[id.index()], 0.0);
         }

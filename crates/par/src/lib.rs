@@ -404,7 +404,15 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
             },
-            || "control result",
+            || {
+                // Hold the pool open until a worker has provably run: a
+                // control that returns at once can stop the pool before any
+                // worker is scheduled.
+                while done.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+                "control result"
+            },
             || stop.store(true, Ordering::Relaxed),
         );
         assert_eq!(out, Ok("control result"));

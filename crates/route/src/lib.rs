@@ -29,7 +29,7 @@
 //!     num_cells: 300, num_nets: 330, ..GeneratorConfig::default()
 //! })?;
 //! let router = GlobalRouter::new(&design, RouterConfig::default());
-//! let report = router.route(&design, &design.initial_placement());
+//! let report = router.try_route(&design, &design.initial_placement())?;
 //! assert!(report.wirelength >= 0.0);
 //! # Ok(())
 //! # }
@@ -182,18 +182,6 @@ impl GlobalRouter {
     }
 
     /// Routes a placement and reports HOF/VOF/WL.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the hostile inputs [`GlobalRouter::try_route`] rejects
-    /// with a [`RouteError`]; use that method when the placement comes
-    /// from an untrusted or possibly-diverged source.
-    pub fn route(&self, design: &Design, placement: &Placement) -> RouteReport {
-        self.try_route(design, placement)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`GlobalRouter::route`].
     ///
     /// # Errors
     ///
@@ -389,7 +377,7 @@ mod tests {
     fn router_reports_finite_metrics() {
         let d = design(0.2);
         let router = GlobalRouter::new(&d, RouterConfig::default());
-        let rep = router.route(&d, &spread_placement(&d, 0.9));
+        let rep = router.try_route(&d, &spread_placement(&d, 0.9)).unwrap();
         assert!(rep.hof_pct >= 0.0 && rep.hof_pct.is_finite());
         assert!(rep.vof_pct >= 0.0 && rep.vof_pct.is_finite());
         assert!(rep.wirelength > 0.0);
@@ -399,8 +387,8 @@ mod tests {
     fn clustered_placements_route_worse() {
         let d = design(0.5);
         let router = GlobalRouter::new(&d, RouterConfig::default());
-        let tight = router.route(&d, &spread_placement(&d, 0.25));
-        let loose = router.route(&d, &spread_placement(&d, 0.9));
+        let tight = router.try_route(&d, &spread_placement(&d, 0.25)).unwrap();
+        let loose = router.try_route(&d, &spread_placement(&d, 0.9)).unwrap();
         assert!(
             tight.hof_pct + tight.vof_pct > loose.hof_pct + loose.vof_pct,
             "tight ({}, {}) vs loose ({}, {})",
@@ -423,8 +411,8 @@ mod tests {
         );
         let with = GlobalRouter::new(&d, RouterConfig::default());
         let p = spread_placement(&d, 0.5);
-        let before = no_riprup.route(&d, &p);
-        let after = with.route(&d, &p);
+        let before = no_riprup.try_route(&d, &p).unwrap();
+        let after = with.try_route(&d, &p).unwrap();
         assert!(
             after.overflow_gcells <= before.overflow_gcells,
             "rip-up should not increase overflow ({} -> {})",
@@ -453,7 +441,7 @@ mod tests {
         for id in d.netlist().movable_cells() {
             p.set(id, target);
         }
-        let rep = router.route(&d, &p);
+        let rep = router.try_route(&d, &p).unwrap();
         // Fixed macros still exist, so only assert the collapsed point adds
         // nothing: every routed path endpoint pair must differ (zero-length
         // two-point nets are filtered at decomposition time).
@@ -471,8 +459,8 @@ mod tests {
         let d = design(0.3);
         let router = GlobalRouter::new(&d, RouterConfig::default());
         let p = spread_placement(&d, 0.6);
-        let a = router.route(&d, &p);
-        let b = router.route(&d, &p);
+        let a = router.try_route(&d, &p).unwrap();
+        let b = router.try_route(&d, &p).unwrap();
         assert_eq!(a.wirelength, b.wirelength);
         assert_eq!(a.hof_pct, b.hof_pct);
         assert_eq!(a.overflow_gcells, b.overflow_gcells);
@@ -482,7 +470,7 @@ mod tests {
     fn layer_assignment_consumes_route_paths() {
         let d = design(0.2);
         let router = GlobalRouter::new(&d, RouterConfig::default());
-        let rep = router.route(&d, &spread_placement(&d, 0.9));
+        let rep = router.try_route(&d, &spread_placement(&d, 0.9)).unwrap();
         assert!(!rep.paths.is_empty());
         let assignment =
             crate::layers::assign_layers(&d, &rep.paths, &crate::layers::LayerConfig::default());
@@ -582,7 +570,7 @@ mod tests {
         let token = puffer_budget::CancelToken::new();
         token.cancel();
         router.set_budget(Budget::unbounded().with_token(token));
-        let rep = router.route(&d, &p);
+        let rep = router.try_route(&d, &p).unwrap();
         assert_eq!(rep.rounds, 0, "cancelled budget must skip rip-up rounds");
         assert!(rep.wirelength > 0.0, "pattern pass still routes everything");
         assert!(rep.hof_pct.is_finite() && rep.vof_pct.is_finite());
@@ -598,7 +586,7 @@ mod tests {
     fn pass_criterion_matches_1_percent() {
         let d = design(0.0);
         let router = GlobalRouter::new(&d, RouterConfig::default());
-        let mut rep = router.route(&d, &spread_placement(&d, 0.9));
+        let mut rep = router.try_route(&d, &spread_placement(&d, 0.9)).unwrap();
         rep.hof_pct = 0.5;
         rep.vof_pct = 0.99;
         assert!(rep.passes());

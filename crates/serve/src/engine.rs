@@ -40,7 +40,7 @@ use puffer_budget::fsx;
 use puffer_budget::{Budget, CancelToken, ChaosPlan, FaultClass};
 use puffer_db::design::Design;
 use puffer_db::io::{read_design, read_placement, write_placement};
-use puffer_route::{RouteReport, RouterConfig};
+use puffer_route::{RouteError, RouteReport, RouterConfig};
 use puffer_trace::{parse_record, Trace};
 
 use crate::proto::{JobKind, JobSpec, JsonLine};
@@ -510,6 +510,7 @@ fn classify(err: PufferError) -> ExecError {
         PufferError::Journal(_) => ("journal", true),
         PufferError::Stalled(_) => ("stalled", true),
         PufferError::Place(_)
+        | PufferError::Congest(_)
         | PufferError::Legalize(_)
         | PufferError::Resume(_)
         | PufferError::Validate(_) => ("flow", false),
@@ -778,7 +779,17 @@ fn execute(
             if let Some(n) = spec.threads {
                 router.threads = n;
             }
-            let report = evaluate_bounded(&design, &placement, &router, &budget, &trace);
+            let report = evaluate_bounded(&design, &placement, &router, &budget, &trace)
+                .map_err(|e| match e {
+                    // A contained router-worker panic keeps the class (and
+                    // retry) `run_isolated` gives an uncontained one.
+                    RouteError::WorkerPanic(_) => ExecError {
+                        class: "panic",
+                        transient: true,
+                        message: e.to_string(),
+                    },
+                    _ => ExecError::spec(format!("placement {placement_path}: {e}")),
+                })?;
             surface_flush(shared, id, &trace);
             Ok(Attempt::Eval(Box::new(report)))
         }
@@ -1274,6 +1285,29 @@ mod tests {
             assert_eq!(rec.kind(), Some("serve.result"));
             assert_eq!(rec.str_field("kind"), Some("eval"));
             assert!(rec.num("wirelength").unwrap() > 0.0);
+
+            // A non-finite coordinate is the router's structured refusal —
+            // a spec error on the first attempt, not a caught worker panic.
+            let placed = fs::read_to_string(&out).unwrap();
+            let bad = dir.join("nan.pl");
+            fs::write(&bad, placed.replacen("place 0 ", "place 0 nan ", 1)).unwrap();
+            let spec = JobSpec {
+                kind: JobKind::Eval,
+                design: Some(design.to_string_lossy().into_owned()),
+                placement: Some(bad.to_string_lossy().into_owned()),
+                threads: Some(1),
+                ..JobSpec::default()
+            };
+            let (id, _) = h.submit(spec).unwrap();
+            let record = h.wait(id, Some(Duration::from_secs(60))).unwrap();
+            let rec = parse_record(&record).unwrap();
+            assert_eq!(rec.kind(), Some("serve.error"), "{record}");
+            assert_eq!(rec.str_field("class"), Some("spec"), "{record}");
+            assert_eq!(rec.num("attempts"), Some(1.0), "{record}");
+            assert!(
+                rec.str_field("message").unwrap().contains("non-finite"),
+                "{record}"
+            );
             h.drain();
         })
         .unwrap();

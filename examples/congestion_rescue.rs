@@ -11,8 +11,11 @@
 //! cargo run --release --example congestion_rescue
 //! ```
 
-use puffer::{evaluate, PufferConfig, PufferPlacer};
+use puffer::{evaluate_bounded, Job, PufferConfig};
+use puffer_budget::Budget;
 use puffer_gen::{generate, GeneratorConfig};
+use puffer_route::RouterConfig;
+use puffer_trace::Trace;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A deliberately nasty design: high utilization, strong hotspot.
@@ -32,15 +35,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         design.utilization()
     );
 
+    // Evaluation runs at default router settings, unbounded and untraced.
+    let (router, unbounded, untraced) =
+        (RouterConfig::default(), Budget::unbounded(), Trace::disabled());
+
     // --- wirelength-driven placement only (padding off) -------------------
     let mut plain_cfg = PufferConfig::default();
     plain_cfg.strategy.max_rounds = 0; // routability optimizer never fires
-    let plain = PufferPlacer::new(plain_cfg).place(&design)?;
-    let plain_report = evaluate(&design, &plain.placement);
+    let plain = Job::new(plain_cfg).run(&design)?;
+    let plain_report =
+        evaluate_bounded(&design, &plain.placement, &router, &unbounded, &untraced)?;
 
     // --- the full PUFFER flow ---------------------------------------------
-    let puffer = PufferPlacer::new(PufferConfig::default()).place(&design)?;
-    let puffer_report = evaluate(&design, &puffer.placement);
+    let puffer = Job::new(PufferConfig::default()).run(&design)?;
+    let puffer_report =
+        evaluate_bounded(&design, &puffer.placement, &router, &unbounded, &untraced)?;
 
     println!(
         "wirelength-driven : HOF {:>5.2}% VOF {:>5.2}% WL {:>9.0}  ({})",

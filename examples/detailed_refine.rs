@@ -9,9 +9,12 @@
 //! cargo run --release --example detailed_refine
 //! ```
 
-use puffer::{evaluate, PufferConfig, PufferPlacer};
-use puffer_dp::{refine, refine_with_congestion, DetailedConfig};
+use puffer::{evaluate_bounded, Job, PufferConfig};
+use puffer_budget::Budget;
+use puffer_dp::{refine_bounded, DetailedConfig};
 use puffer_gen::{generate, GeneratorConfig};
+use puffer_route::RouterConfig;
+use puffer_trace::Trace;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = generate(&GeneratorConfig {
@@ -23,8 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hotspot: 0.7,
         ..GeneratorConfig::default()
     })?;
-    let flow = PufferPlacer::new(PufferConfig::default()).place(&design)?;
-    let base = evaluate(&design, &flow.placement);
+    // Evaluation runs at default router settings, unbounded and untraced.
+    let (router, unbounded, untraced) =
+        (RouterConfig::default(), Budget::unbounded(), Trace::disabled());
+    let flow = Job::new(PufferConfig::default()).run(&design)?;
+    let base = evaluate_bounded(&design, &flow.placement, &router, &unbounded, &untraced)?;
     println!(
         "after PUFFER     : HPWL {:>9.0}  HOF {:>5.2}% VOF {:>5.2}%",
         flow.hpwl, base.hof_pct, base.vof_pct
@@ -35,21 +41,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // physical cells.
     let zeros = vec![0u32; design.netlist().num_cells()];
 
-    let plain = refine(&design, &flow.placement, &zeros, &DetailedConfig::default())?;
-    let plain_route = evaluate(&design, &plain.placement);
+    let dp = DetailedConfig::default();
+    let plain = refine_bounded(&design, &flow.placement, &zeros, &dp, None, &unbounded)?;
+    let plain_route = evaluate_bounded(&design, &plain.placement, &router, &unbounded, &untraced)?;
     println!(
         "+ detailed (plain): HPWL {:>9.0}  HOF {:>5.2}% VOF {:>5.2}%  ({} moves)",
         plain.hpwl_after, plain_route.hof_pct, plain_route.vof_pct, plain.moves
     );
 
-    let guarded = refine_with_congestion(
+    let guarded = refine_bounded(
         &design,
         &flow.placement,
         &zeros,
-        &DetailedConfig::default(),
-        &base.congestion,
+        &dp,
+        Some(&base.congestion),
+        &unbounded,
     )?;
-    let guarded_route = evaluate(&design, &guarded.placement);
+    let guarded_route =
+        evaluate_bounded(&design, &guarded.placement, &router, &unbounded, &untraced)?;
     println!(
         "+ detailed (guard): HPWL {:>9.0}  HOF {:>5.2}% VOF {:>5.2}%  ({} moves)",
         guarded.hpwl_after, guarded_route.hof_pct, guarded_route.vof_pct, guarded.moves

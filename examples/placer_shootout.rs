@@ -11,10 +11,13 @@
 //! `cargo run -p puffer-bench --bin table2`).
 
 use puffer::{
-    evaluate, ComparisonTable, EvalRow, PufferConfig, PufferPlacer, ReferenceConfig,
+    evaluate_bounded, ComparisonTable, EvalRow, Job, PufferConfig, ReferenceConfig,
     ReferencePlacer, ReplaceConfig, ReplacePlacer,
 };
+use puffer_budget::Budget;
 use puffer_gen::{generate, presets};
+use puffer_route::RouterConfig;
+use puffer_trace::Trace;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale: f64 = std::env::args()
@@ -32,8 +35,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut table = ComparisonTable::new();
-    let mut add = |flow: &str, result: puffer::FlowResult| {
-        let report = evaluate(&design, &result.placement);
+    let mut add = |flow: &str, result: puffer::FlowResult| -> Result<(), puffer_route::RouteError> {
+        let report = evaluate_bounded(
+            &design,
+            &result.placement,
+            &RouterConfig::default(),
+            &Budget::unbounded(),
+            &Trace::disabled(),
+        )?;
         println!(
             "{flow:<16}: HOF {:>5.2}% VOF {:>5.2}% WL {:>9.0} RT {:>6.1}s",
             report.hof_pct, report.vof_pct, report.wirelength, result.runtime_s
@@ -46,20 +55,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             wirelength: report.wirelength,
             runtime_s: result.runtime_s,
         });
+        Ok(())
     };
 
     add(
         "Commercial_Ref",
         ReferencePlacer::new(ReferenceConfig::default()).place(&design)?,
-    );
+    )?;
     add(
         "RePlAce-like",
         ReplacePlacer::new(ReplaceConfig::default()).place(&design)?,
-    );
-    add(
-        "PUFFER",
-        PufferPlacer::new(PufferConfig::default()).place(&design)?,
-    );
+    )?;
+    add("PUFFER", Job::new(PufferConfig::default()).run(&design)?)?;
 
     println!("\n{}", table.render("PUFFER"));
     Ok(())

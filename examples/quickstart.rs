@@ -5,9 +5,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use puffer::{evaluate, PufferConfig, PufferPlacer};
+use puffer::{evaluate_bounded, Job, PufferConfig};
+use puffer_budget::Budget;
 use puffer_db::hpwl::total_hpwl;
 use puffer_gen::{generate, GeneratorConfig};
+use puffer_route::RouterConfig;
+use puffer_trace::Trace;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A synthetic design: 3000 cells with a mild congestion hotspot.
@@ -33,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. The full PUFFER flow: electrostatic global placement with
     //    interleaved multi-feature cell padding, then white-space-assisted
     //    legalization.
-    let result = PufferPlacer::new(PufferConfig::default()).place(&design)?;
+    let result = Job::new(PufferConfig::default()).run(&design)?;
     println!(
         "placed in {:.1}s: {} GP iterations, {} padding rounds, final overflow {:.3}",
         result.runtime_s, result.gp_iterations, result.pad_rounds, result.final_overflow
@@ -44,7 +47,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. Judge routability with the global router (the paper's evaluator).
-    let report = evaluate(&design, &result.placement);
+    let report = evaluate_bounded(
+        &design,
+        &result.placement,
+        &RouterConfig::default(),
+        &Budget::unbounded(),
+        &Trace::disabled(),
+    )?;
     println!(
         "routed: HOF {:.2}% VOF {:.2}% WL {:.0} ({} overflowed Gcells, {} rip-up rounds)",
         report.hof_pct, report.vof_pct, report.wirelength, report.overflow_gcells, report.rounds

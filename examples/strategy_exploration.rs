@@ -12,9 +12,12 @@
 //! cargo run --release --example strategy_exploration
 //! ```
 
-use puffer::{evaluate, strategy_space, tuned_strategy, PufferConfig, PufferPlacer};
-use puffer_explore::{explore_params, ExplorationConfig};
+use puffer::{evaluate_bounded, strategy_space, tuned_strategy, Job, PufferConfig};
+use puffer_budget::Budget;
+use puffer_explore::{explore_params_bounded, ExplorationConfig};
 use puffer_gen::{generate, GeneratorConfig};
+use puffer_route::RouterConfig;
+use puffer_trace::Trace;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = generate(&GeneratorConfig {
@@ -34,6 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let space = strategy_space();
+    // Evaluation runs at default router settings, unbounded and untraced.
+    let (router, unbounded, untraced) =
+        (RouterConfig::default(), Budget::unbounded(), Trace::disabled());
 
     // Objective (paper §III-C): total overflow ratio of both directions,
     // evaluated by placement + global routing.
@@ -45,16 +51,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         cfg.placer.max_iters = 200; // reduced budget for tuning
         cfg.placer.stop_overflow = 0.10;
-        match PufferPlacer::new(cfg).place(&design) {
-            Ok(result) => {
-                let report = evaluate(&design, &result.placement);
-                report.hof_pct + report.vof_pct
-            }
-            Err(_) => f64::INFINITY,
-        }
+        let Ok(result) = Job::new(cfg).run(&design) else {
+            return f64::INFINITY;
+        };
+        evaluate_bounded(&design, &result.placement, &router, &unbounded, &untraced)
+            .map_or(f64::INFINITY, |report| report.hof_pct + report.vof_pct)
     };
 
-    let outcome = explore_params(
+    let outcome = explore_params_bounded(
         &space,
         |v| {
             evals += 1;
@@ -67,6 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             early_stop: 14,
             ..Default::default()
         },
+        &untraced,
+        &unbounded,
+        None,
     )
     .expect("exploration failed");
     println!(
@@ -75,14 +82,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Compare default vs tuned at the full placement budget.
-    let default_flow = PufferPlacer::new(PufferConfig::default()).place(&design)?;
-    let default_report = evaluate(&design, &default_flow.placement);
+    let default_flow = Job::new(PufferConfig::default()).run(&design)?;
+    let default_report =
+        evaluate_bounded(&design, &default_flow.placement, &router, &unbounded, &untraced)?;
     let tuned_cfg = PufferConfig {
         strategy: tuned_strategy(&space, &outcome.best),
         ..PufferConfig::default()
     };
-    let tuned_flow = PufferPlacer::new(tuned_cfg).place(&design)?;
-    let tuned_report = evaluate(&design, &tuned_flow.placement);
+    let tuned_flow = Job::new(tuned_cfg).run(&design)?;
+    let tuned_report =
+        evaluate_bounded(&design, &tuned_flow.placement, &router, &unbounded, &untraced)?;
 
     println!("\nat full placement budget:");
     println!(

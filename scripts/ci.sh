@@ -14,6 +14,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+# The repo benchmark's adapter (benchmark/src/layers.rs) compiles against
+# the library API from its own frozen workspace: an API change that breaks
+# it must fail here, not in the next benchmark run.
+echo "==> benchmark adapter (flowbench build + tests)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
@@ -77,17 +84,6 @@ echo "==> deterministic parallelism smoke (place --threads 1 vs 4)"
   --threads 4 --journal "$SMOKE_DIR/t4.pj"
 cmp "$SMOKE_DIR/t1.pj" "$SMOKE_DIR/t4.pj"
 cmp "$SMOKE_DIR/t1.pl" "$SMOKE_DIR/t4.pl"
-
-# Incremental-congestion smoke: the dirty-region estimator is bit-identical
-# to a full per-round rebuild, so disabling it must not change a single
-# byte of the checkpoint journal or the placement.
-echo "==> incremental congestion smoke (default vs --no-incremental-congest)"
-"$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/inc.pl" \
-  --incremental-congest --journal "$SMOKE_DIR/inc.pj"
-"$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/full.pl" \
-  --no-incremental-congest --journal "$SMOKE_DIR/full.pj"
-cmp "$SMOKE_DIR/inc.pj" "$SMOKE_DIR/full.pj"
-cmp "$SMOKE_DIR/inc.pl" "$SMOKE_DIR/full.pl"
 
 # Bounded-execution smoke: an expired deadline must still exit 0 with a
 # legal best-so-far placement, and the deterministic chaos harness must

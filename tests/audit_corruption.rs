@@ -6,7 +6,7 @@
 //! unvalidated constructor that exists exactly for this purpose; the
 //! file-level corruptions damage real artifacts written by the flow.
 
-use puffer::{CheckpointPolicy, PufferConfig, PufferPlacer};
+use puffer::{CheckpointPolicy, Job, PufferConfig};
 use puffer_audit::{
     audit_metrics, audit_run, PadAudit, PlacementAudit, PlacementStage, Validate,
 };
@@ -437,9 +437,10 @@ fn truncated_journal_fails_the_run_audit() {
     let journal = dir.join("run.pj");
     let metrics = dir.join("run.jsonl");
     let trace = puffer_trace::Trace::with_sink(&metrics).unwrap();
-    PufferPlacer::new(config)
+    Job::new(config)
         .with_trace(trace)
-        .place_with_checkpoints(&d, &CheckpointPolicy::new(journal.clone()))
+        .with_checkpoints(CheckpointPolicy::new(journal.clone()))
+        .run(&d)
         .expect("place");
 
     // The intact pair is consistent.

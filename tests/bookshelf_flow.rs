@@ -1,10 +1,13 @@
 //! Integration: a Bookshelf-imported design runs through the full flow.
 
-use puffer::{evaluate, PufferConfig, PufferPlacer};
+use puffer::{evaluate_bounded, Job, PufferConfig};
+use puffer_budget::Budget;
 use puffer_db::bookshelf::{parse_bookshelf, write_pl};
 use puffer_db::design::Design;
 use puffer_db::io::write_design;
 use puffer_gen::{generate, GeneratorConfig};
+use puffer_route::RouterConfig;
+use puffer_trace::Trace;
 
 /// Builds Bookshelf text for a generated design (round-trip fixture):
 /// nodes/nets from the netlist, rows matching the region, macros in .pl.
@@ -75,10 +78,17 @@ fn bookshelf_round_trip_preserves_structure_and_places() {
     let mut cfg = PufferConfig::default();
     cfg.placer.max_iters = 120;
     cfg.placer.stop_overflow = 0.15;
-    let flow = PufferPlacer::new(cfg).place(&imported).expect("place");
+    let flow = Job::new(cfg).run(&imported).expect("place");
     let zeros = vec![0u32; imported.netlist().num_cells()];
     puffer_legal::check_legal(&imported, &flow.placement, &zeros).expect("legal");
-    let report = evaluate(&imported, &flow.placement);
+    let report = evaluate_bounded(
+        &imported,
+        &flow.placement,
+        &RouterConfig::default(),
+        &Budget::unbounded(),
+        &Trace::disabled(),
+    )
+    .expect("route");
     assert!(report.wirelength > 0.0);
 
     // And it archives in the native format, too.

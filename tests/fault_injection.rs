@@ -7,17 +7,19 @@
 //! divergence recovery inside the full PUFFER flow.
 
 use puffer::{
-    CheckpointPolicy, FlowCheckpoint, FlowStage, PufferConfig, PufferError, PufferPlacer,
+    evaluate_bounded, CheckpointPolicy, FlowCheckpoint, FlowStage, Job, PufferConfig, PufferError,
 };
+use puffer_budget::Budget;
 use puffer_db::design::Design;
 use puffer_db::geom::Point;
 use puffer_db::DbError;
-use puffer_explore::{explore_params, ExplorationConfig, ExploreError, ParamSpec, Space};
+use puffer_explore::{explore_params_bounded, ExplorationConfig, ExploreError, ParamSpec, Space};
 use puffer_gen::{generate, GeneratorConfig};
 use puffer_legal::LegalizeError;
 use puffer_pad::PaddingState;
 use puffer_place::{GlobalPlacer, PlacerConfig};
 use puffer_route::{GlobalRouter, RouteError, RouterConfig};
+use puffer_trace::Trace;
 use std::path::PathBuf;
 
 fn quick_config() -> PufferConfig {
@@ -102,21 +104,19 @@ fn corrupt_bookshelf_nodes_are_parse_errors() {
 fn truncated_checkpoint_journal_is_a_resume_error() {
     let dir = tmp_dir("truncated-journal");
     let d = small_design();
-    let placer = PufferPlacer::new(quick_config());
     let journal = dir.join("run.pj");
-    placer
-        .place_with_checkpoints(&d, &CheckpointPolicy::new(journal.clone()))
-        .expect("checkpointed place");
+    let job = Job::new(quick_config()).with_checkpoints(CheckpointPolicy::new(&journal));
+    job.run(&d).expect("checkpointed place");
 
     // Cut the journal off before the `end` marker and try to resume.
     let text = std::fs::read_to_string(&journal).unwrap();
     std::fs::write(&journal, &text[..text.len() / 2]).unwrap();
-    let err = placer.resume(&d, &journal).unwrap_err();
+    let err = job.run_or_resume(&d).unwrap_err();
     assert!(matches!(err, PufferError::Journal(_)), "{err}");
 
     // Outright garbage fails the same way.
     std::fs::write(&journal, "definitely not a checkpoint").unwrap();
-    let err = placer.resume(&d, &journal).unwrap_err();
+    let err = job.run_or_resume(&d).unwrap_err();
     assert!(matches!(err, PufferError::Journal(_)), "{err}");
 }
 
@@ -125,9 +125,8 @@ fn checkpoint_for_a_different_design_is_a_resume_error() {
     let dir = tmp_dir("wrong-design");
     let d = small_design();
     let journal = dir.join("run.pj");
-    PufferPlacer::new(quick_config())
-        .place_with_checkpoints(&d, &CheckpointPolicy::new(journal.clone()))
-        .expect("checkpointed place");
+    let job = Job::new(quick_config()).with_checkpoints(CheckpointPolicy::new(&journal));
+    job.run(&d).expect("checkpointed place");
 
     let other = generate(&GeneratorConfig {
         num_cells: 90,
@@ -135,9 +134,7 @@ fn checkpoint_for_a_different_design_is_a_resume_error() {
         ..GeneratorConfig::default()
     })
     .unwrap();
-    let err = PufferPlacer::new(quick_config())
-        .resume(&other, &journal)
-        .unwrap_err();
+    let err = job.run_or_resume(&other).unwrap_err();
     assert!(matches!(err, PufferError::Resume(_)), "{err}");
 }
 
@@ -151,12 +148,28 @@ fn nan_coordinates_are_rejected_by_legalizer_and_router() {
     p.set(victim, Point::new(f64::NAN, f64::INFINITY));
 
     let pad = vec![0u32; d.netlist().num_cells()];
-    let err = puffer_legal::legalize(&d, &p, &pad).unwrap_err();
+    let err = puffer_legal::legalize_bounded(&d, &p, &pad, &Budget::unbounded()).unwrap_err();
     assert!(matches!(err, LegalizeError::BadInput(_)), "{err}");
 
     let router = GlobalRouter::new(&d, RouterConfig::default());
     let err = router.try_route(&d, &p).unwrap_err();
     assert!(matches!(err, RouteError::NonFinitePlacement { .. }), "{err}");
+
+    // The evaluator `puffer eval` and serve eval jobs call hands the same
+    // refusal back, naming the cell, instead of panicking on it.
+    let err = evaluate_bounded(
+        &d,
+        &p,
+        &RouterConfig::default(),
+        &Budget::unbounded(),
+        &Trace::disabled(),
+    )
+    .unwrap_err();
+    let name = &d.netlist().cell(victim).name;
+    assert!(
+        matches!(&err, RouteError::NonFinitePlacement { cell } if cell == name),
+        "{err}"
+    );
 }
 
 #[test]
@@ -189,8 +202,8 @@ fn nan_divergence_inside_the_flow_recovers_to_a_flow_result() {
         PaddingState::new(d.netlist().num_cells()),
     );
 
-    let result = PufferPlacer::new(config)
-        .place_from(&d, checkpoint, None)
+    let result = Job::new(config)
+        .run_from(&d, checkpoint)
         .expect("flow must recover, not die");
     assert!(result.hpwl.is_finite());
     for id in d.netlist().movable_cells() {
@@ -242,7 +255,7 @@ fn panicking_exploration_objective_is_contained() {
         ParamSpec::continuous("a", 0.0, 10.0),
         ParamSpec::continuous("b", 0.0, 10.0),
     ]);
-    let outcome = explore_params(
+    let outcome = explore_params_bounded(
         &space,
         |v| {
             if v[0] > 5.0 {
@@ -255,6 +268,9 @@ fn panicking_exploration_objective_is_contained() {
             early_stop: 80,
             ..Default::default()
         },
+        &Trace::disabled(),
+        &Budget::unbounded(),
+        None,
     )
     .expect("exploration must survive the crashing corner");
     assert!(outcome.failed_trials > 0, "crash corner never hit");
@@ -264,7 +280,7 @@ fn panicking_exploration_objective_is_contained() {
 #[test]
 fn hopeless_exploration_objective_is_a_typed_error() {
     let space = Space::new(vec![ParamSpec::continuous("a", 0.0, 1.0)]);
-    let err = explore_params(
+    let err = explore_params_bounded(
         &space,
         |_: &[f64]| -> f64 { panic!("always broken") },
         &ExplorationConfig {
@@ -272,6 +288,9 @@ fn hopeless_exploration_objective_is_a_typed_error() {
             max_consecutive_failures: 6,
             ..Default::default()
         },
+        &Trace::disabled(),
+        &Budget::unbounded(),
+        None,
     )
     .unwrap_err();
     assert!(matches!(err, ExploreError::AllTrialsFailed { .. }), "{err}");
@@ -282,19 +301,19 @@ fn hopeless_exploration_objective_is_a_typed_error() {
 #[test]
 fn cancel_mid_gp_yields_best_so_far_and_auditable_artifacts() {
     use puffer::{StageObserver, StagePoint};
-    use puffer_budget::{Budget, CancelToken};
+    use puffer_budget::CancelToken;
 
     let dir = tmp_dir("cancel-mid-gp");
     let d = small_design();
     let journal = dir.join("run.pj");
     let metrics = dir.join("run.jsonl");
-    let trace = puffer_trace::Trace::with_sink(&metrics).unwrap();
+    let trace = Trace::with_sink(&metrics).unwrap();
 
     // The observer trips the token once global placement is underway, so
     // the cancellation lands mid-GP at the next loop-boundary check.
     let token = CancelToken::new();
     let trip = token.clone();
-    let result = PufferPlacer::new(quick_config())
+    let result = Job::new(quick_config())
         .with_budget(Budget::unbounded().with_token(token))
         .with_trace(trace.clone())
         .with_observer(StageObserver::new(move |r| {
@@ -303,7 +322,8 @@ fn cancel_mid_gp_yields_best_so_far_and_auditable_artifacts() {
             }
             Ok(())
         }))
-        .place_with_checkpoints(&d, &CheckpointPolicy::new(journal.clone()))
+        .with_checkpoints(CheckpointPolicy::new(&journal))
+        .run(&d)
         .expect("cancellation must degrade, not fail");
     trace.write_summary();
     trace.flush().unwrap();
@@ -321,7 +341,7 @@ fn cancel_mid_gp_yields_best_so_far_and_auditable_artifacts() {
 
 #[test]
 fn cancel_mid_route_reports_the_routing_so_far() {
-    use puffer_budget::{Budget, CancelToken};
+    use puffer_budget::CancelToken;
 
     let d = small_design();
     let p = d.initial_placement();
@@ -330,16 +350,24 @@ fn cancel_mid_route_reports_the_routing_so_far() {
     // The router checks its budget between rip-up rounds and rerouted
     // nets: a cancelled token stops refinement but the initial-routing
     // report must still be complete and finite.
-    let report = puffer::evaluate_bounded(
+    let report = evaluate_bounded(
         &d,
         &p,
         &RouterConfig::default(),
         &Budget::unbounded().with_token(token),
-        &puffer_trace::Trace::disabled(),
-    );
+        &Trace::disabled(),
+    )
+    .expect("route");
     assert!(report.hof_pct.is_finite() && report.vof_pct.is_finite());
     assert!(report.wirelength.is_finite());
-    let unbounded = puffer::evaluate(&d, &p);
+    let unbounded = evaluate_bounded(
+        &d,
+        &p,
+        &RouterConfig::default(),
+        &Budget::unbounded(),
+        &Trace::disabled(),
+    )
+    .expect("route");
     assert!(
         report.rounds <= unbounded.rounds,
         "cancelled routing must not refine longer than the free run"
@@ -348,8 +376,7 @@ fn cancel_mid_route_reports_the_routing_so_far() {
 
 #[test]
 fn cancel_mid_smbo_keeps_the_best_completed_trial() {
-    use puffer_budget::{Budget, CancelToken};
-    use puffer_explore::explore_params_bounded;
+    use puffer_budget::CancelToken;
 
     let space = Space::new(vec![
         ParamSpec::continuous("a", 0.0, 10.0),
@@ -372,7 +399,7 @@ fn cancel_mid_smbo_keeps_the_best_completed_trial() {
             early_stop: 40,
             ..Default::default()
         },
-        &puffer_trace::Trace::disabled(),
+        &Trace::disabled(),
         &Budget::unbounded().with_token(token),
         None,
     )
@@ -390,9 +417,7 @@ fn killed_flow_resumed_from_journal_matches_uninterrupted_run() {
     let d = small_design();
     let config = quick_config();
 
-    let uninterrupted = PufferPlacer::new(config.clone())
-        .place(&d)
-        .expect("uninterrupted");
+    let uninterrupted = Job::new(config.clone()).run(&d).expect("uninterrupted");
 
     // keep_history preserves every periodic checkpoint: each file is
     // byte-for-byte what a kill right after that write would leave behind.
@@ -402,14 +427,16 @@ fn killed_flow_resumed_from_journal_matches_uninterrupted_run() {
         every: 30,
         keep_history: true,
     };
-    PufferPlacer::new(config.clone())
-        .place_with_checkpoints(&d, &policy)
+    Job::new(config.clone())
+        .with_checkpoints(policy)
+        .run(&d)
         .expect("journaled run");
 
     let kill_point = dir.join("run.pj.iter000030");
     assert!(kill_point.exists(), "periodic checkpoint missing");
-    let resumed = PufferPlacer::new(config)
-        .resume(&d, &kill_point)
+    let resumed = Job::new(config)
+        .with_checkpoints(CheckpointPolicy::new(&kill_point))
+        .run_or_resume(&d)
         .expect("resume");
 
     assert_eq!(resumed.placement, uninterrupted.placement);

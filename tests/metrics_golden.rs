@@ -122,7 +122,7 @@ fn metrics_run_is_schema_valid_and_consistent() {
 /// the flow must finish as a degraded (cancelled) run — not a hang.
 #[test]
 fn stalled_stage_emits_a_watchdog_stall_record() {
-    use puffer::{PufferConfig, PufferPlacer};
+    use puffer::{Job, PufferConfig};
     use puffer_budget::{ChaosPlan, FaultClass, StallWatchdog};
     use puffer_gen::{generate, GeneratorConfig};
     use std::time::Duration;
@@ -139,7 +139,7 @@ fn stalled_stage_emits_a_watchdog_stall_record() {
 
     let mut config = PufferConfig::default();
     config.placer.max_iters = 60;
-    let result = PufferPlacer::new(config)
+    let result = Job::new(config)
         .with_trace(trace.clone())
         .with_watchdog(StallWatchdog::new(Duration::from_millis(50)))
         .with_chaos(ChaosPlan {
@@ -147,7 +147,7 @@ fn stalled_stage_emits_a_watchdog_stall_record() {
             at: 5,
             magnitude: 400,
         })
-        .place(&design)
+        .run(&design)
         .expect("a tripped watchdog degrades; it must not fail the flow");
     trace.write_summary();
     trace.flush().unwrap();

@@ -1,11 +1,15 @@
 //! Integration: the qualitative claims of the paper's evaluation, checked
 //! on small instances (see EXPERIMENTS.md for the full-scale protocol).
 
-use puffer::{evaluate, PufferConfig, PufferPlacer};
+use puffer::{evaluate_bounded, Job, PufferConfig};
+use puffer_budget::Budget;
+use puffer_db::design::{Design, Placement};
 use puffer_gen::{generate, GeneratorConfig};
+use puffer_route::{RouteReport, RouterConfig};
+use puffer_trace::Trace;
 
 /// A congested benchmark small enough for a non-release test run.
-fn congested_design() -> puffer_db::design::Design {
+fn congested_design() -> Design {
     generate(&GeneratorConfig {
         name: "congested".into(),
         num_cells: 900,
@@ -22,6 +26,18 @@ fn congested_design() -> puffer_db::design::Design {
     .expect("generate")
 }
 
+/// The shared evaluator at its defaults: unbounded and untraced.
+fn route(design: &Design, placement: &Placement) -> RouteReport {
+    evaluate_bounded(
+        design,
+        placement,
+        &RouterConfig::default(),
+        &Budget::unbounded(),
+        &Trace::disabled(),
+    )
+    .expect("route")
+}
+
 fn flow_config(rounds: usize) -> PufferConfig {
     let mut c = PufferConfig::default();
     c.placer.max_iters = 280;
@@ -33,14 +49,14 @@ fn flow_config(rounds: usize) -> PufferConfig {
 #[test]
 fn padding_improves_routability_over_plain_placement() {
     let design = congested_design();
-    let plain = PufferPlacer::new(flow_config(0))
-        .place(&design)
+    let plain = Job::new(flow_config(0))
+        .run(&design)
         .expect("plain");
-    let padded = PufferPlacer::new(flow_config(6))
-        .place(&design)
+    let padded = Job::new(flow_config(6))
+        .run(&design)
         .expect("padded");
-    let plain_report = evaluate(&design, &plain.placement);
-    let padded_report = evaluate(&design, &padded.placement);
+    let plain_report = route(&design, &plain.placement);
+    let padded_report = route(&design, &padded.placement);
     let plain_of = plain_report.hof_pct + plain_report.vof_pct;
     let padded_of = padded_report.hof_pct + padded_report.vof_pct;
     assert!(
@@ -54,11 +70,11 @@ fn padding_costs_bounded_wirelength() {
     // The paper accepts ~4.5% extra wirelength for routability; allow a
     // loose 15% on the tiny instance.
     let design = congested_design();
-    let plain = PufferPlacer::new(flow_config(0))
-        .place(&design)
+    let plain = Job::new(flow_config(0))
+        .run(&design)
         .expect("plain");
-    let padded = PufferPlacer::new(flow_config(6))
-        .place(&design)
+    let padded = Job::new(flow_config(6))
+        .run(&design)
         .expect("padded");
     assert!(
         padded.hpwl <= plain.hpwl * 1.15,
@@ -75,12 +91,14 @@ fn router_and_estimator_agree_on_hotspot_location() {
     // feedback loop.
     use puffer_congest::{CongestionEstimator, EstimatorConfig};
     let design = congested_design();
-    let result = PufferPlacer::new(flow_config(0))
-        .place(&design)
+    let result = Job::new(flow_config(0))
+        .run(&design)
         .expect("place");
     let est = CongestionEstimator::new(&design, EstimatorConfig::default());
-    let est_map = est.estimate(&design, &result.placement);
-    let route_map = evaluate(&design, &result.placement).congestion;
+    let est_map = est
+        .try_estimate(&design, &result.placement)
+        .expect("estimate");
+    let route_map = route(&design, &result.placement).congestion;
 
     // Correlate the top-decile congested Gcells of both maps.
     let nx = est_map.nx().min(route_map.nx());
@@ -110,11 +128,11 @@ fn router_and_estimator_agree_on_hotspot_location() {
 #[test]
 fn evaluator_is_shared_and_deterministic_across_flows() {
     let design = congested_design();
-    let result = PufferPlacer::new(flow_config(3))
-        .place(&design)
+    let result = Job::new(flow_config(3))
+        .run(&design)
         .expect("place");
-    let a = evaluate(&design, &result.placement);
-    let b = evaluate(&design, &result.placement);
+    let a = route(&design, &result.placement);
+    let b = route(&design, &result.placement);
     assert_eq!(a.hof_pct, b.hof_pct);
     assert_eq!(a.wirelength, b.wirelength);
 }

@@ -7,7 +7,7 @@
 //! would hide reduction-order drift that breaks checkpoint/resume, golden
 //! metrics, and SMBO trajectory reproducibility.
 
-use puffer::{CheckpointPolicy, PufferConfig, PufferPlacer};
+use puffer::{CheckpointPolicy, Job, PufferConfig};
 use puffer_db::design::{Design, Placement};
 use puffer_db::geom::Point;
 use puffer_fft::{
@@ -146,8 +146,9 @@ fn full_place_run_writes_byte_identical_journal_for_1_and_4_threads() {
             every: 20,
             keep_history: false,
         };
-        let result = PufferPlacer::new(cfg)
-            .place_with_checkpoints(&d, &policy)
+        let result = Job::new(cfg)
+            .with_checkpoints(policy.clone())
+            .run(&d)
             .unwrap();
         let journal = std::fs::read(&policy.path).unwrap();
         let coords = (0..d.netlist().num_cells())

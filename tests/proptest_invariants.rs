@@ -8,7 +8,7 @@ use puffer_db::hpwl::total_hpwl;
 use puffer_db::netlist::{CellId, CellKind, NetlistBuilder};
 use puffer_db::tech::Technology;
 use puffer_flute::{mst_wirelength, Topology};
-use puffer_legal::{check_legal, discretize_padding, legalize};
+use puffer_legal::{check_legal, discretize_padding, legalize_bounded};
 use puffer_place::wa_wirelength_grad;
 use puffer_rng::check::{run_cases, vec_of};
 use puffer_rng::{prop_check, StdRng};
@@ -141,7 +141,8 @@ fn legalization_always_legal() {
             let pads: Vec<u32> = (0..seed_positions.len())
                 .map(|i| pad_pattern[i % pad_pattern.len()])
                 .collect();
-            let out = legalize(&d, &p, &pads).expect("ample capacity");
+            let out = legalize_bounded(&d, &p, &pads, &puffer_budget::Budget::unbounded())
+                .expect("ample capacity");
             prop_check!(
                 check_legal(&d, &out.placement, &pads).is_ok(),
                 "legalized placement is not legal"
@@ -446,8 +447,10 @@ fn incremental_congestion_matches_full_rebuild_every_round() {
                         }
                     }
                 }
-                let a = inc.estimate_incremental(&design, &placement);
-                let b = full.estimate(&design, &placement);
+                let a = inc
+                    .try_estimate_incremental(&design, &placement)
+                    .expect("incremental estimate");
+                let b = full.try_estimate(&design, &placement).expect("full estimate");
                 prop_check!(
                     a.bitwise_eq(&b),
                     "incremental map diverged from full rebuild at round {round}"
