@@ -713,7 +713,7 @@ mod tests {
         #[test]
         fn non_fs_classes_do_not_arm() {
             let _g = super::gate();
-            assert!(!fault::arm(FaultClass::WorkerPanic, 0));
+            assert!(!fault::arm(FaultClass::NanBurst, 0));
             assert!(!fault::armed());
         }
 

@@ -5,18 +5,15 @@
 //! checks a [`Budget`] at its loop boundary. An expired deadline or an
 //! external [`CancelToken`] then produces a clean best-so-far result (or a
 //! typed `Cancelled` error where no partial result exists) instead of a
-//! `kill -9`. On top of the raw budget sit three cooperating mechanisms:
+//! `kill -9`. On top of the raw budget sit two cooperating mechanisms:
 //!
 //! * [`DegradationLadder`] — a declared order in which the flow steps down
 //!   fidelity as the deadline nears (coarsen congestion estimation, freeze
 //!   padding updates, cap remaining SMBO trials, early-exit global
 //!   placement at the current overflow);
-//! * [`StallWatchdog`] — detects a stage whose progress counter stops
-//!   advancing within a configurable window, so the flow can
-//!   checkpoint-then-degrade (or abort) instead of spinning;
 //! * [`FaultClass`]/[`ChaosPlan`] — the deterministic fault-injection
-//!   vocabulary consumed by the `chaos` feature of the core flow and the
-//!   `puffer chaos` harness.
+//!   vocabulary consumed by the [`fsx`] fault hook, the `chaos` feature of
+//!   the core flow and the `puffer chaos` harness.
 //!
 //! The crate sits at layer 0 of the workspace (no dependencies), so every
 //! stage crate can consume it without violating the downward-only layering
@@ -483,118 +480,6 @@ impl LadderState {
             .iter()
             .any(|(s, _)| *s == step)
     }
-
-    /// Every engaged step so far, in engagement order.
-    pub fn engaged(&self) -> Vec<DegradeStep> {
-        self.ladder.steps[..self.engaged]
-            .iter()
-            .map(|(s, _)| *s)
-            .collect()
-    }
-
-    /// Force-engages a step out of schedule (e.g. the watchdog demoting a
-    /// stalled stage straight to [`DegradeStep::EarlyExitGp`]). Returns
-    /// `true` when the step was in the ladder and not yet engaged.
-    pub fn force(&mut self, step: DegradeStep) -> bool {
-        let Some(pos) = self.ladder.steps.iter().position(|(s, _)| *s == step) else {
-            return false;
-        };
-        if pos < self.engaged {
-            return false;
-        }
-        // Engage everything up to and including `step`, preserving order.
-        self.ladder.steps.swap(self.engaged, pos);
-        self.engaged += 1;
-        true
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stall watchdog
-// ---------------------------------------------------------------------------
-
-/// What the flow does when the watchdog trips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StallAction {
-    /// Checkpoint, then degrade: finish from the best state so far.
-    #[default]
-    Degrade,
-    /// Checkpoint, then abort with a stall error.
-    Abort,
-}
-
-/// A cooperative stall detector: the owning loop feeds it a monotone
-/// progress counter at every boundary; if the counter stops advancing for
-/// longer than the window, [`StallWatchdog::observe`] reports the stall.
-///
-/// Being cooperative (the workspace bans free-running monitor threads), it
-/// can only fire at a boundary the loop actually reaches — it catches
-/// non-advancing loops (a frozen stage spinning without progress, an
-/// injected slow-stage delay), not a single blocking call that never
-/// returns.
-#[derive(Debug, Clone)]
-pub struct StallWatchdog {
-    window: Duration,
-    action: StallAction,
-    last_progress: Option<u64>,
-    last_advance: Instant,
-    tripped: bool,
-}
-
-impl StallWatchdog {
-    /// A watchdog tripping after `window` without progress.
-    pub fn new(window: Duration) -> Self {
-        StallWatchdog {
-            window,
-            action: StallAction::default(),
-            last_progress: None,
-            last_advance: Instant::now(),
-            tripped: false,
-        }
-    }
-
-    /// Sets the on-trip action, returning `self` for chaining.
-    pub fn with_action(mut self, action: StallAction) -> Self {
-        self.action = action;
-        self
-    }
-
-    /// The configured window.
-    pub fn window(&self) -> Duration {
-        self.window
-    }
-
-    /// The configured on-trip action.
-    pub fn action(&self) -> StallAction {
-        self.action
-    }
-
-    /// Feeds the current progress counter. Returns `Some(stalled_for)` the
-    /// first time the counter has not advanced for longer than the window;
-    /// afterwards the watchdog stays tripped and reports `None` (the owner
-    /// is expected to act on the first report).
-    pub fn observe(&mut self, progress: u64) -> Option<Duration> {
-        if self.tripped {
-            return None;
-        }
-        let now = Instant::now();
-        if self.last_progress != Some(progress) {
-            self.last_progress = Some(progress);
-            self.last_advance = now;
-            return None;
-        }
-        let stalled = now.saturating_duration_since(self.last_advance);
-        if stalled >= self.window {
-            self.tripped = true;
-            return Some(stalled);
-        }
-        None
-    }
-
-    /// Whether the watchdog has tripped.
-    pub fn is_tripped(&self) -> bool {
-        self.tripped
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -604,14 +489,8 @@ impl StallWatchdog {
 /// The fault classes the chaos harness injects at instrumented points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
-    /// An SMBO objective (worker) panics mid-trial.
-    WorkerPanic,
     /// A burst of NaN coordinates poisons the placer trajectory.
     NanBurst,
-    /// A stage stops advancing for a stretch of wall-clock time.
-    SlowStage,
-    /// A checkpoint-journal write fails part-way through.
-    JournalWrite,
     /// The disk reports ENOSPC part-way through a durable write (either
     /// mid-data or at the commit rename).
     DiskFull,
@@ -629,20 +508,6 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// Every class, in the `seed % ALL.len()` dispatch order of
-    /// `puffer chaos`.
-    pub const ALL: [FaultClass; 9] = [
-        FaultClass::WorkerPanic,
-        FaultClass::NanBurst,
-        FaultClass::SlowStage,
-        FaultClass::JournalWrite,
-        FaultClass::DiskFull,
-        FaultClass::TornWrite,
-        FaultClass::FsyncFail,
-        FaultClass::RenameFail,
-        FaultClass::ShortRead,
-    ];
-
     /// The filesystem fault classes, injected by the [`fsx`] hook rather
     /// than the flow-level chaos plan.
     pub const FS: [FaultClass; 5] = [
@@ -653,33 +518,10 @@ impl FaultClass {
         FaultClass::ShortRead,
     ];
 
-    /// The flow-level fault classes (everything that is not filesystem).
-    pub const FLOW: [FaultClass; 4] = [
-        FaultClass::WorkerPanic,
-        FaultClass::NanBurst,
-        FaultClass::SlowStage,
-        FaultClass::JournalWrite,
-    ];
-
-    /// Whether this class is injected by the [`fsx`] filesystem hook.
-    pub fn is_fs(self) -> bool {
-        matches!(
-            self,
-            FaultClass::DiskFull
-                | FaultClass::TornWrite
-                | FaultClass::FsyncFail
-                | FaultClass::RenameFail
-                | FaultClass::ShortRead
-        )
-    }
-
     /// The CLI / trace spelling of the class.
     pub fn as_str(self) -> &'static str {
         match self {
-            FaultClass::WorkerPanic => "worker-panic",
             FaultClass::NanBurst => "nan-burst",
-            FaultClass::SlowStage => "slow-stage",
-            FaultClass::JournalWrite => "journal-write",
             FaultClass::DiskFull => "disk-full",
             FaultClass::TornWrite => "torn-write",
             FaultClass::FsyncFail => "fsync-fail",
@@ -696,16 +538,15 @@ impl fmt::Display for FaultClass {
 }
 
 /// One deterministic injection: fire `class` when the instrumented stage
-/// reaches iteration/trial/round `at`, with a class-specific `magnitude`
-/// (cells to poison, stall passes, …). Consumed by the `chaos` feature of
-/// the core flow.
+/// reaches iteration `at`, with a class-specific `magnitude` (cells to
+/// poison). Consumed by the `chaos` feature of the core flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// Which fault to inject.
     pub class: FaultClass,
     /// The loop index at which it fires.
     pub at: usize,
-    /// Class-specific intensity (poisoned cells, stall passes, …).
+    /// Class-specific intensity (poisoned cells).
     pub magnitude: usize,
 }
 
@@ -844,60 +685,13 @@ mod tests {
     }
 
     #[test]
-    fn ladder_force_engages_once() {
-        let mut state = LadderState::new(DegradationLadder::default());
-        assert!(state.force(DegradeStep::EarlyExitGp));
-        assert!(state.is_engaged(DegradeStep::EarlyExitGp));
-        assert!(!state.force(DegradeStep::EarlyExitGp), "already engaged");
-        assert!(!state.is_engaged(DegradeStep::FreezePadding));
-        let mut empty = LadderState::new(DegradationLadder::none());
-        assert!(!empty.force(DegradeStep::EarlyExitGp), "not in ladder");
-    }
-
-    #[test]
-    fn watchdog_trips_only_without_progress() {
-        let mut dog = StallWatchdog::new(Duration::from_millis(20));
-        assert!(dog.observe(1).is_none());
-        assert!(dog.observe(2).is_none(), "advancing counter never trips");
-        std::thread::sleep(Duration::from_millis(30));
-        let stalled = dog.observe(2).expect("stall past the window");
-        assert!(stalled >= Duration::from_millis(20));
-        assert!(dog.is_tripped());
-        assert!(dog.observe(2).is_none(), "reports once");
-    }
-
-    #[test]
-    fn watchdog_resets_on_progress() {
-        let mut dog = StallWatchdog::new(Duration::from_millis(30));
-        assert!(dog.observe(1).is_none());
-        std::thread::sleep(Duration::from_millis(15));
-        assert!(dog.observe(2).is_none());
-        std::thread::sleep(Duration::from_millis(15));
-        // 30ms elapsed overall but only 15ms since the last advance.
-        assert!(dog.observe(2).is_none());
-        assert!(!dog.is_tripped());
-    }
-
-    #[test]
     fn fault_classes_have_stable_names() {
-        let names: Vec<&str> = FaultClass::ALL.iter().map(|c| c.as_str()).collect();
+        assert_eq!(FaultClass::NanBurst.as_str(), "nan-burst");
+        let names: Vec<&str> = FaultClass::FS.iter().map(|c| c.as_str()).collect();
         assert_eq!(
             names,
-            [
-                "worker-panic",
-                "nan-burst",
-                "slow-stage",
-                "journal-write",
-                "disk-full",
-                "torn-write",
-                "fsync-fail",
-                "rename-fail",
-                "short-read"
-            ]
+            ["disk-full", "torn-write", "fsync-fail", "rename-fail", "short-read"]
         );
-        assert_eq!(FaultClass::FLOW.len() + FaultClass::FS.len(), FaultClass::ALL.len());
-        assert!(FaultClass::FS.iter().all(|c| c.is_fs()));
-        assert!(FaultClass::FLOW.iter().all(|c| !c.is_fs()));
     }
 
     #[test]

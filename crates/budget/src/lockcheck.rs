@@ -72,8 +72,6 @@ pub mod classes {
     pub static TRACE_COUNTERS: LockClass = LockClass::new("trace.counters", 41);
     /// The trace gauge table.
     pub static TRACE_GAUGES: LockClass = LockClass::new("trace.gauges", 42);
-    /// The trace heartbeat table.
-    pub static TRACE_HEARTBEATS: LockClass = LockClass::new("trace.heartbeats", 43);
     /// The trace JSONL sink.
     pub static TRACE_SINK: LockClass = LockClass::new("trace.sink", 44);
     /// The trace first-write-error slot.
@@ -252,7 +250,6 @@ mod tests {
             &classes::TRACE_SPANS,
             &classes::TRACE_COUNTERS,
             &classes::TRACE_GAUGES,
-            &classes::TRACE_HEARTBEATS,
             &classes::TRACE_SINK,
             &classes::TRACE_ERROR,
         ];

@@ -16,25 +16,22 @@
 
 #![forbid(unsafe_code)]
 
+mod chaos;
+
 use puffer::{
     evaluate_bounded, CheckpointPolicy, FlowCheckpoint, Job, PufferConfig, ReferenceConfig,
     ReferencePlacer, ReplaceConfig, ReplacePlacer, ScaleClass,
 };
 use puffer_audit::{audit_metrics, audit_run, flow_validator, lint_workspace, LintConfig, Validate};
 use puffer_budget::fsx;
-use puffer_budget::{
-    Budget, CancelToken, ChaosPlan, DegradationLadder, FaultClass, LadderState, StallWatchdog,
-};
+use puffer_budget::{Budget, CancelToken, DegradationLadder, LadderState};
 use puffer_db::io::{read_design, read_placement, write_design, write_placement};
 use puffer_dp::{refine_bounded, DetailedConfig};
 use puffer_explore::{explore_params_bounded, ExplorationConfig};
 use puffer_gen::{generate, presets, GeneratorConfig};
-use puffer_legal::check_legal;
-use puffer_rng::StdRng;
 use puffer_route::{assign_layers, LayerConfig, RouterConfig};
 use puffer_serve::{
-    run_chaos, serve_lines, serve_listener, Action, ChaosConfig, Engine, JsonLine, ServeConfig,
-    ServerOutcome,
+    serve_lines, serve_listener, Action, Engine, JsonLine, ServeConfig, ServerOutcome,
 };
 use puffer_trace::Trace;
 use std::fmt::Write as _;
@@ -90,8 +87,7 @@ usage:
                 [--max-iters <n>] [--journal <run.pj>] [--checkpoint-every <n>]
                 [--resume <run.pj>] [--threads <n>] [--validate]
                 [--metrics <run.jsonl>] [--trace-summary]
-                [--deadline <secs>] [--degrade <ladder>] [--watchdog <secs>]
-                [--scale-class auto|small|medium|huge]
+                [--deadline <secs>] [--degrade <ladder>]
   puffer eval   <design.pd> <placed.pl> [--maps <dir>] [--layers] [--validate]
                 [--threads <n>] [--metrics <run.jsonl>] [--trace-summary]
                 [--deadline <secs>]
@@ -99,15 +95,13 @@ usage:
                 [--deadline <secs>] [--degrade <ladder>] [--metrics <run.jsonl>]
   puffer trace  <run.jsonl> [--check]
   puffer refine <design.pd> <placed.pl> -o <refined.pl> [--guard]
-                [--deadline <secs>] [--scale-class auto|small|medium|huge]
+                [--deadline <secs>]
   puffer draw   <design.pd> <placed.pl> -o <out.svg> [--rows]
   puffer serve  (--listen <addr> | --stdin) --journal-dir <dir>
                 [--workers <n>] [--queue <n>] [--checkpoint-every <n>]
                 [--retries <n>] [--backoff-ms <n>]   (job daemon)
-  puffer serve  --chaos [--seeds <n>] [--cells <n>] [--max-iters <n>]
-                [--workers <n>]   (daemon fault-injection harness)
   puffer chaos  [--seeds <n>] [--cells <n>] [--max-iters <n>]
-                [--classes all|flow|fs]
+                [--classes all|flow|fs|serve]
                 (deterministic fault-injection harness)
   puffer lint   [--root <dir>] [--json]           (workspace policy check)
   puffer audit  design  <design.pd>
@@ -140,7 +134,7 @@ pub fn run(args: &[String], out: &mut String) -> Result<(), CliError> {
         "eval" => cmd_eval(rest, out),
         "explore" => cmd_explore(rest, out),
         "serve" => cmd_serve(rest, out),
-        "chaos" => cmd_chaos(rest, out),
+        "chaos" => chaos::cmd_chaos(rest, out),
         "trace" => cmd_trace(rest, out),
         "refine" => cmd_refine(rest, out),
         "draw" => cmd_draw(rest, out),
@@ -366,22 +360,8 @@ fn finish_trace(trace: &Option<Trace>, flags: &Flags) -> Result<(), CliError> {
 }
 
 /// Parses the bounded-execution flags shared by `place` and `explore`:
-/// `--deadline <secs>` (cooperative budget), `--degrade <ladder>` (fidelity
-/// step-down schedule; needs a deadline to engage against), and
-/// `--watchdog <secs>` (stall window).
-/// Parses `--scale-class auto|small|medium|huge`. `auto` (or an absent
-/// flag) returns `None`, which lets the flow classify the design by cell
-/// count.
-fn parse_scale_class(flags: &Flags) -> Result<Option<ScaleClass>, CliError> {
-    match flags.get("scale-class") {
-        None | Some("auto") => Ok(None),
-        Some(token) => token
-            .parse::<ScaleClass>()
-            .map(Some)
-            .map_err(CliError::usage),
-    }
-}
-
+/// `--deadline <secs>` (cooperative budget) and `--degrade <ladder>`
+/// (fidelity step-down schedule; needs a deadline to engage against).
 fn parse_bounded_flags(flags: &Flags) -> Result<BoundedFlags, CliError> {
     let deadline: Option<f64> = flags.get_parsed("deadline")?;
     if let Some(d) = deadline {
@@ -402,25 +382,13 @@ fn parse_bounded_flags(flags: &Flags) -> Result<BoundedFlags, CliError> {
             "--degrade needs --deadline (the ladder engages on remaining budget)",
         ));
     }
-    let window: Option<f64> = flags.get_parsed("watchdog")?;
-    if let Some(w) = window {
-        if !w.is_finite() || w <= 0.0 {
-            return Err(CliError::usage("--watchdog must be positive seconds"));
-        }
-    }
-    let watchdog = window.map(|w| StallWatchdog::new(Duration::from_secs_f64(w)));
-    Ok(BoundedFlags {
-        budget,
-        ladder,
-        watchdog,
-    })
+    Ok(BoundedFlags { budget, ladder })
 }
 
 /// The parsed bounded-execution flag set.
 struct BoundedFlags {
     budget: Option<Budget>,
     ladder: Option<DegradationLadder>,
-    watchdog: Option<StallWatchdog>,
 }
 
 /// One summary line for a run that stopped early under a budget.
@@ -460,8 +428,6 @@ fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
             "metrics",
             "deadline",
             "degrade",
-            "watchdog",
-            "scale-class",
         ],
         &["trace-summary", "validate"],
     )?;
@@ -493,20 +459,10 @@ fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
     if flow != "puffer" && flags.has("validate") {
         return Err(CliError::usage("--validate only applies to --flow puffer"));
     }
-    let BoundedFlags {
-        budget,
-        ladder,
-        watchdog,
-    } = parse_bounded_flags(&flags)?;
-    if flow != "puffer" && (budget.is_some() || watchdog.is_some()) {
+    let BoundedFlags { budget, ladder } = parse_bounded_flags(&flags)?;
+    if flow != "puffer" && budget.is_some() {
         return Err(CliError::usage(
-            "--deadline/--degrade/--watchdog only apply to --flow puffer",
-        ));
-    }
-    let scale_class = parse_scale_class(&flags)?;
-    if flow != "puffer" && scale_class.is_some() {
-        return Err(CliError::usage(
-            "--scale-class only applies to --flow puffer",
+            "--deadline/--degrade only apply to --flow puffer",
         ));
     }
     let trace = open_trace(&flags)?;
@@ -521,9 +477,6 @@ fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
                 cfg.placer.threads = n;
                 cfg.estimator.threads = n;
             }
-            // `auto` (the default) classifies by cell count inside the
-            // flow; a forced class overrides it for the whole run.
-            cfg.scale_class = scale_class;
             // SIGINT/SIGTERM cancel the flow cooperatively: the run
             // checkpoints (under --journal), legalizes the best-so-far
             // state, writes it, and exits cleanly — never dies mid-write.
@@ -539,9 +492,6 @@ fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
             }
             if let Some(l) = ladder {
                 job = job.with_ladder(l);
-            }
-            if let Some(w) = watchdog {
-                job = job.with_watchdog(w);
             }
             if let Some(from) = resume {
                 // Resume keeps journaling: to --journal when given, else
@@ -783,7 +733,7 @@ fn cmd_draw(args: &[String], out: &mut String) -> Result<(), CliError> {
 }
 
 fn cmd_refine(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["o", "deadline", "scale-class"], &["guard"])?;
+    let flags = Flags::parse(args, &["o", "deadline"], &["guard"])?;
     let [design_path, placement_path] = flags.positional.as_slice() else {
         return Err(CliError::usage("refine needs <design.pd> <placed.pl>"));
     };
@@ -796,8 +746,7 @@ fn cmd_refine(args: &[String], out: &mut String) -> Result<(), CliError> {
     let zeros = vec![0u32; design.netlist().num_cells()];
     // Size-aware windowing: huge designs refine with a narrow window and a
     // single pass so detailed placement stays linear-ish in cell count.
-    let class = parse_scale_class(&flags)?
-        .unwrap_or_else(|| ScaleClass::classify(design.netlist().num_cells()));
+    let class = ScaleClass::classify(design.netlist().num_cells());
     let dp_config = DetailedConfig {
         window: class.dp_window(),
         max_passes: class.dp_passes(),
@@ -916,15 +865,13 @@ fn cmd_explore(args: &[String], out: &mut String) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `puffer serve` — the long-running job daemon (and its chaos harness).
+/// `puffer serve` — the long-running job daemon.
 ///
-/// Daemon mode accepts newline-delimited JSON requests (`submit`, `cancel`,
+/// It accepts newline-delimited JSON requests (`submit`, `cancel`,
 /// `status`, `wait`, `ping`, `drain`, `shutdown`) over TCP (`--listen`) or
 /// stdin (`--stdin`), runs jobs on a bounded worker pool with per-job
 /// journals under `--journal-dir`, and re-enqueues interrupted jobs on the
-/// next start. SIGINT/SIGTERM drain gracefully. `--chaos` instead runs the
-/// seeded fault-injection harness over the same engine and asserts the
-/// three-legal-end-states contract.
+/// next start. SIGINT/SIGTERM drain gracefully.
 fn cmd_serve(args: &[String], out: &mut String) -> Result<(), CliError> {
     let flags = Flags::parse(
         args,
@@ -936,11 +883,8 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<(), CliError> {
             "checkpoint-every",
             "retries",
             "backoff-ms",
-            "seeds",
-            "cells",
-            "max-iters",
         ],
-        &["stdin", "chaos"],
+        &["stdin"],
     )?;
     if !flags.positional.is_empty() {
         return Err(CliError::usage("serve takes no positional arguments"));
@@ -949,58 +893,9 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<(), CliError> {
     if workers == 0 {
         return Err(CliError::usage("--workers must be at least 1"));
     }
-    if flags.has("chaos") {
-        if flags.get("listen").is_some() || flags.has("stdin") {
-            return Err(CliError::usage(
-                "--chaos runs in-process; --listen/--stdin do not apply",
-            ));
-        }
-        let seeds: u64 = flags.get_parsed("seeds")?.unwrap_or(8);
-        if seeds == 0 {
-            return Err(CliError::usage("--seeds must be at least 1"));
-        }
-        let mut cfg = ChaosConfig {
-            seeds,
-            cells: flags.get_parsed("cells")?.unwrap_or(200),
-            max_iters: flags.get_parsed("max-iters")?.unwrap_or(120),
-            workers,
-            ..ChaosConfig::default()
-        };
-        if let Some(dir) = flags.get("journal-dir") {
-            cfg.dir = dir.into();
-        }
-        let summary = run_chaos(&cfg, |line| {
-            out.push_str(line);
-            out.push('\n');
-        })
-        .map_err(CliError::run)?;
-        let _ = writeln!(
-            out,
-            "serve chaos OK: {} round(s) ({} worker-panic, {} journal-write, {} disconnect, \
-             {} kill-restart, {} disk-full, {} rename-restart), {} job(s) completed, \
-             {} structured error(s); every job ended in a legal end state",
-            summary.rounds,
-            summary.injections[0],
-            summary.injections[1],
-            summary.injections[2],
-            summary.injections[3],
-            summary.injections[4],
-            summary.injections[5],
-            summary.completed,
-            summary.failed
-        );
-        return Ok(());
-    }
-    for flag in ["seeds", "cells", "max-iters"] {
-        if flags.get(flag).is_some() {
-            return Err(CliError::usage(format!(
-                "--{flag} only applies to serve --chaos"
-            )));
-        }
-    }
     let journal_dir = flags
         .get("journal-dir")
-        .ok_or_else(|| CliError::usage("serve needs --journal-dir <dir> (or --chaos)"))?;
+        .ok_or_else(|| CliError::usage("serve needs --journal-dir <dir>"))?;
     let queue: usize = flags.get_parsed("queue")?.unwrap_or(16);
     if queue == 0 {
         return Err(CliError::usage("--queue must be at least 1"));
@@ -1078,375 +973,6 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<(), CliError> {
         );
     }
     Ok(())
-}
-
-/// `puffer chaos` — the deterministic fault-injection harness. Every seed
-/// deterministically picks a fault class (`seed % classes`), injection
-/// point, and magnitude, drives an instrumented flow, and asserts the
-/// bounded-execution contract: a valid degraded result, a resumable
-/// checkpoint, or a structured error — never a hang or a corrupt artifact.
-///
-/// `--classes` restricts the dispatch set: `flow` (worker-panic, nan-burst,
-/// slow-stage, journal-write), `fs` (the `fsx` filesystem faults:
-/// disk-full, torn-write, fsync-fail, rename-fail, short-read), or `all`
-/// (default).
-fn cmd_chaos(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["seeds", "cells", "max-iters", "classes"], &[])?;
-    if !flags.positional.is_empty() {
-        return Err(CliError::usage("chaos takes no positional arguments"));
-    }
-    let seeds: u64 = flags.get_parsed("seeds")?.unwrap_or(8);
-    if seeds == 0 {
-        return Err(CliError::usage("--seeds must be at least 1"));
-    }
-    let cells: usize = flags.get_parsed("cells")?.unwrap_or(250);
-    let max_iters: usize = flags.get_parsed("max-iters")?.unwrap_or(60);
-    let classes: &[FaultClass] = match flags.get("classes").unwrap_or("all") {
-        "all" => &FaultClass::ALL,
-        "flow" => &FaultClass::FLOW,
-        "fs" => &FaultClass::FS,
-        other => {
-            return Err(CliError::usage(format!(
-                "--classes must be all, flow, or fs (got '{other}')"
-            )))
-        }
-    };
-    let dir = std::env::temp_dir().join("puffer-chaos");
-    let mut exercised: Vec<&str> = Vec::new();
-    for seed in 0..seeds {
-        let class = classes[(seed % classes.len() as u64) as usize];
-        let mut rng = StdRng::seed_from_u64(0xC4A05 ^ seed);
-        let at: usize = rng.gen_range(2..10);
-        let magnitude: usize = rng.gen_range(5..30);
-        let verdict = run_chaos_case(seed, class, at, magnitude, cells, max_iters, &dir)?;
-        let _ = writeln!(out, "seed {seed:>2} {:<13} {verdict}", class.as_str());
-        if !exercised.contains(&class.as_str()) {
-            exercised.push(class.as_str());
-        }
-    }
-    let _ = writeln!(
-        out,
-        "chaos OK: {seeds} seed(s), {} fault class(es) exercised, every injection \
-         yielded a valid degraded result, a resumable checkpoint, or a structured error",
-        exercised.len()
-    );
-    Ok(())
-}
-
-/// Drives one chaos injection and verifies its contract; the `Ok` string
-/// describes what was checked, `Err` is a contract violation.
-fn run_chaos_case(
-    seed: u64,
-    class: FaultClass,
-    at: usize,
-    magnitude: usize,
-    cells: usize,
-    max_iters: usize,
-    dir: &Path,
-) -> Result<String, CliError> {
-    let case_dir = dir.join(format!("seed{seed}"));
-    std::fs::create_dir_all(&case_dir)
-        .map_err(|e| CliError::run(format!("cannot create {}: {e}", case_dir.display())))?;
-    let fail =
-        |m: String| CliError::run(format!("chaos seed {seed} ({}): {m}", class.as_str()));
-    let design = generate(&GeneratorConfig {
-        name: format!("chaos{seed}"),
-        num_cells: cells,
-        num_nets: cells + cells / 10,
-        utilization: 0.6,
-        hotspot: 0.5,
-        seed: 9000 + seed,
-        ..GeneratorConfig::default()
-    })
-    .map_err(|e| fail(format!("generation failed: {e}")))?;
-    let zeros = vec![0u32; design.netlist().num_cells()];
-    let flow_config = || {
-        let mut cfg = PufferConfig::default();
-        cfg.placer.max_iters = max_iters;
-        cfg
-    };
-
-    match class {
-        FaultClass::WorkerPanic => {
-            // One SMBO objective call panics; the run must isolate it as a
-            // failed trial and still return an outcome.
-            let space = puffer::strategy_space();
-            let config = ExplorationConfig {
-                max_evals: 6,
-                ..ExplorationConfig::default()
-            };
-            let panic_at = at % 5;
-            let mut trial = 0usize;
-            let outcome = explore_params_bounded(
-                &space,
-                |values| {
-                    let i = trial;
-                    trial += 1;
-                    // assert! (not the banned panic! token) fires only on
-                    // the injected trial.
-                    assert!(i != panic_at, "chaos: injected worker panic");
-                    values.iter().map(|v| (v - 1.0) * (v - 1.0)).sum::<f64>()
-                },
-                &config,
-                &Trace::disabled(),
-                &Budget::unbounded(),
-                None,
-            )
-            .map_err(|e| fail(format!("exploration died instead of isolating the panic: {e}")))?;
-            if outcome.failed_trials == 0 {
-                return Err(fail("panic was not recorded as a failed trial".into()));
-            }
-            Ok(format!(
-                "OK: panic isolated ({} trials, {} failed)",
-                outcome.evals, outcome.failed_trials
-            ))
-        }
-        FaultClass::NanBurst | FaultClass::SlowStage => {
-            let journal = case_dir.join("run.pj");
-            let metrics = case_dir.join("run.jsonl");
-            let trace = Trace::with_sink(&metrics)
-                .map_err(|e| fail(format!("cannot create metrics sink: {e}")))?;
-            let policy = CheckpointPolicy {
-                path: journal.clone(),
-                every: 10,
-                keep_history: false,
-            };
-            let mut job = Job::new(flow_config())
-                .with_trace(trace.clone())
-                .with_checkpoints(policy)
-                .with_chaos(ChaosPlan {
-                    class,
-                    at,
-                    magnitude,
-                });
-            if class == FaultClass::SlowStage {
-                job = job.with_watchdog(StallWatchdog::new(Duration::from_millis(100)));
-            }
-            let result = job
-                .run(&design)
-                .map_err(|e| fail(format!("flow must degrade, not fail: {e}")))?;
-            trace.write_summary();
-            trace
-                .flush()
-                .map_err(|e| fail(format!("metrics write failed: {e}")))?;
-            check_legal(&design, &result.placement, &zeros)
-                .map_err(|e| fail(format!("degraded placement is not legal: {e}")))?;
-            audit_run(&journal, &metrics)
-                .map_err(|r| fail(format!("journal/metrics inconsistent: {r}")))?;
-            match class {
-                FaultClass::SlowStage => {
-                    if !result.cancelled {
-                        return Err(fail("watchdog did not demote the stalled stage".into()));
-                    }
-                    Ok(format!(
-                        "OK: watchdog degraded at iteration {}, artifacts audit clean",
-                        result.gp_iterations
-                    ))
-                }
-                _ => Ok("OK: sentinel recovered the burst, artifacts audit clean".to_string()),
-            }
-        }
-        FaultClass::JournalWrite => {
-            let journal = case_dir.join("run.pj");
-            let policy = CheckpointPolicy {
-                path: journal.clone(),
-                every: 2,
-                keep_history: false,
-            };
-            // Fire strictly after the first committed checkpoint so there
-            // is a prior journal to fall back to.
-            let fire_at = at.max(4);
-            let job = Job::new(flow_config()).with_checkpoints(policy);
-            let err = job
-                .clone()
-                .with_chaos(ChaosPlan {
-                    class,
-                    at: fire_at,
-                    magnitude,
-                })
-                .run(&design);
-            let Err(e) = err else {
-                return Err(fail("injected journal failure did not surface".into()));
-            };
-            if !matches!(e, puffer::PufferError::Journal(_)) {
-                return Err(fail(format!("wrong error class: {e}")));
-            }
-            let checkpoint = FlowCheckpoint::load(&journal)
-                .map_err(|e| fail(format!("prior journal corrupted by half-write: {e}")))?;
-            checkpoint
-                .validate()
-                .map_err(|r| fail(format!("prior journal invalid: {r}")))?;
-            let resumed = job
-                .run_or_resume(&design)
-                .map_err(|e| fail(format!("resume from prior journal failed: {e}")))?;
-            check_legal(&design, &resumed.placement, &zeros)
-                .map_err(|e| fail(format!("resumed placement is not legal: {e}")))?;
-            Ok(format!(
-                "OK: half-write left prior journal valid, resume completed ({} iterations)",
-                resumed.gp_iterations
-            ))
-        }
-        FaultClass::DiskFull | FaultClass::TornWrite | FaultClass::RenameFail => {
-            // A filesystem fault strikes a checkpoint save mid-run. The
-            // fsx hook fires once at a seeded guarded operation; the save
-            // must surface a structured Journal error while the previously
-            // committed journal stays valid and resumable.
-            let journal = case_dir.join("run.pj");
-            let _ = std::fs::remove_file(&journal);
-            let policy = CheckpointPolicy {
-                path: journal.clone(),
-                every: 2,
-                keep_history: false,
-            };
-            // Each save is exactly one atomic_write: 1 data write, 2
-            // fsyncs (file + parent dir), 1 rename. Skip past the first
-            // committed save so there is a prior journal to fall back to.
-            let per_save = match class {
-                FaultClass::DiskFull => 2, // matches writes AND renames
-                _ => 1,
-            };
-            let skip = per_save + (at % 3) * per_save;
-            fsx::fault::arm(class, skip);
-            let job = Job::new(flow_config()).with_checkpoints(policy);
-            let outcome = job.run(&design);
-            let fired = !fsx::fault::armed();
-            fsx::fault::disarm();
-            if !fired {
-                return Err(fail("armed filesystem fault never fired".into()));
-            }
-            let Err(e) = outcome else {
-                return Err(fail("injected filesystem failure did not surface".into()));
-            };
-            if !matches!(e, puffer::PufferError::Journal(_)) {
-                return Err(fail(format!("wrong error class: {e}")));
-            }
-            let checkpoint = FlowCheckpoint::load(&journal)
-                .map_err(|e| fail(format!("prior journal corrupted by failed save: {e}")))?;
-            checkpoint
-                .validate()
-                .map_err(|r| fail(format!("prior journal invalid: {r}")))?;
-            let resumed = job
-                .run_or_resume(&design)
-                .map_err(|e| fail(format!("resume from prior journal failed: {e}")))?;
-            check_legal(&design, &resumed.placement, &zeros)
-                .map_err(|e| fail(format!("resumed placement is not legal: {e}")))?;
-            Ok(format!(
-                "OK: failed save left prior journal valid, resume completed ({} iterations)",
-                resumed.gp_iterations
-            ))
-        }
-        FaultClass::FsyncFail => {
-            // The metrics sink's final fsync fails. The flow result stands,
-            // and the failure must surface as a structured TraceError from
-            // flush — never a silently dropped record.
-            let metrics = case_dir.join("metrics.jsonl");
-            let trace = Trace::with_sink(&metrics)
-                .map_err(|e| fail(format!("cannot create metrics sink: {e}")))?;
-            // Guarded fsyncs in this run: the sink directory fsync already
-            // happened at creation; the next one is the flush itself.
-            fsx::fault::arm(class, 0);
-            let result = Job::new(flow_config())
-                .with_trace(trace.clone())
-                .run(&design);
-            let flushed = trace.flush();
-            let fired = !fsx::fault::armed();
-            fsx::fault::disarm();
-            if !fired {
-                return Err(fail("armed fsync fault never fired".into()));
-            }
-            let result = result.map_err(|e| fail(format!("flow failed under fsync fault: {e}")))?;
-            check_legal(&design, &result.placement, &zeros)
-                .map_err(|e| fail(format!("placement is not legal: {e}")))?;
-            let Err(te) = flushed else {
-                return Err(fail("fsync failure did not surface from flush".into()));
-            };
-            if !matches!(te, puffer_trace::TraceError::Io { .. }) {
-                return Err(fail(format!("wrong trace error shape: {te}")));
-            }
-            // The records themselves are intact: the sink wrote each line
-            // before the failed durability barrier.
-            let records = puffer_trace::read_jsonl(&metrics)
-                .map_err(|e| fail(format!("metrics unreadable after fsync fault: {e}")))?;
-            if records.is_empty() {
-                return Err(fail("metrics lost despite per-record writes".into()));
-            }
-            Ok(format!(
-                "OK: fsync failure surfaced as structured TraceError, {} records intact",
-                records.len()
-            ))
-        }
-        FaultClass::ShortRead => {
-            // A guarded read dies while the streaming Bookshelf parser is
-            // mid-way through the .nets file. The parser must surface a
-            // structured DbError carrying the file and line — never hand
-            // back a partial netlist.
-            let nl = design.netlist();
-            let mut nodes = String::from("UCLA nodes 1.0\n");
-            for (_, c) in nl.iter_cells() {
-                let tag = if c.is_movable() { "" } else { " terminal" };
-                let _ = writeln!(nodes, "{} {} {}{tag}", c.name, c.width, c.height);
-            }
-            let mut nets = String::from("UCLA nets 1.0\n");
-            for (id, net) in nl.iter_nets() {
-                let _ = writeln!(nets, "NetDegree : {} {}", nl.net_degree(id), net.name);
-                for &pid in nl.net_pins(id) {
-                    let pin = nl.pin(pid);
-                    let _ = writeln!(
-                        nets,
-                        " {} B : {} {}",
-                        nl.cell(pin.cell).name,
-                        pin.offset.x,
-                        pin.offset.y
-                    );
-                }
-            }
-            let nodes_path = case_dir.join("chaos.nodes");
-            let nets_path = case_dir.join("chaos.nets");
-            fsx::atomic_write(&nodes_path, nodes.as_bytes())
-                .map_err(|e| fail(format!("cannot write fixture: {e}")))?;
-            fsx::atomic_write(&nets_path, nets.as_bytes())
-                .map_err(|e| fail(format!("cannot write fixture: {e}")))?;
-            let parse = |guard_nets: bool| -> Result<_, puffer_db::DbError> {
-                use std::io::BufRead;
-                let nodes = std::io::BufReader::new(std::fs::File::open(&nodes_path)?);
-                let nets: Box<dyn BufRead> = if guard_nets {
-                    Box::new(fsx::open_read(&nets_path)?)
-                } else {
-                    Box::new(std::io::BufReader::new(std::fs::File::open(&nets_path)?))
-                };
-                puffer_db::bookshelf::parse_bookshelf_streaming(
-                    "chaos", nodes, nets, &b""[..], &b""[..],
-                )
-            };
-            // Control: the unfaulted streaming parse reproduces the design.
-            let control = parse(false)
-                .map_err(|e| fail(format!("control parse must succeed: {e}")))?;
-            if control.stats().nets != design.stats().nets {
-                return Err(fail("control parse lost nets".into()));
-            }
-            // The guarded .nets reader sees at least two read calls (data
-            // + EOF probe), so a skip of 0 or 1 always fires mid-parse.
-            fsx::fault::arm(class, at % 2);
-            let outcome = parse(true);
-            let fired = !fsx::fault::armed();
-            fsx::fault::disarm();
-            if !fired {
-                return Err(fail("armed short-read fault never fired".into()));
-            }
-            let Err(e) = outcome else {
-                return Err(fail(
-                    "truncated read produced a design instead of an error".into(),
-                ));
-            };
-            match e {
-                puffer_db::DbError::Read { ref file, line, .. } => Ok(format!(
-                    "OK: short read surfaced as structured DbError ({file} after line {line}), \
-                     no partial netlist",
-                )),
-                other => Err(fail(format!("wrong error class: {other}"))),
-            }
-        }
-    }
 }
 
 /// `puffer lint [--root <dir>] [--json]` — runs the workspace policy
@@ -1595,101 +1121,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("unknown preset"));
-    }
-
-    #[test]
-    fn forced_small_scale_class_is_byte_identical_to_auto() {
-        // Golden check for the strategy ladder: on a design that `auto`
-        // already classifies as small, forcing `--scale-class small` must
-        // not perturb the run at all — journal and placement byte-for-byte.
-        let design_path = tmp("scale_golden.pd");
-        run(
-            &strs(&[
-                "gen",
-                "--cells",
-                "120",
-                "--nets",
-                "130",
-                "--utilization",
-                "0.6",
-                "--seed",
-                "11",
-                "-o",
-                &design_path,
-            ]),
-            &mut String::new(),
-        )
-        .unwrap();
-        let place = |tag: &str, extra: &[&str]| -> (Vec<u8>, Vec<u8>) {
-            let out_path = tmp(&format!("scale_golden_{tag}.pl"));
-            let journal = tmp(&format!("scale_golden_{tag}.pj"));
-            let mut args = strs(&[
-                "place",
-                &design_path,
-                "-o",
-                &out_path,
-                "--max-iters",
-                "40",
-                "--journal",
-                &journal,
-            ]);
-            args.extend(strs(extra));
-            run(&args, &mut String::new()).unwrap();
-            (
-                std::fs::read(&out_path).unwrap(),
-                std::fs::read(&journal).unwrap(),
-            )
-        };
-        let (auto_pl, auto_pj) = place("auto", &[]);
-        let (forced_pl, forced_pj) = place("forced", &["--scale-class", "small"]);
-        assert_eq!(auto_pl, forced_pl, "placement bytes diverged");
-        assert_eq!(auto_pj, forced_pj, "journal bytes diverged");
-        let journal_text = String::from_utf8(auto_pj).unwrap();
-        assert!(
-            journal_text.contains("scale_class small"),
-            "journal should record the resolved class:\n{journal_text}"
-        );
-    }
-
-    #[test]
-    fn scale_class_flag_is_validated() {
-        let design_path = tmp("scaleflag.pd");
-        run(
-            &strs(&["gen", "--cells", "60", "--nets", "60", "-o", &design_path]),
-            &mut String::new(),
-        )
-        .unwrap();
-        let out_path = tmp("scaleflag.pl");
-        let err = run(
-            &strs(&[
-                "place",
-                &design_path,
-                "-o",
-                &out_path,
-                "--scale-class",
-                "gigantic",
-            ]),
-            &mut String::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("unknown scale class"));
-        let err = run(
-            &strs(&[
-                "place",
-                &design_path,
-                "-o",
-                &out_path,
-                "--flow",
-                "reference",
-                "--scale-class",
-                "small",
-            ]),
-            &mut String::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("--flow puffer"));
     }
 
     #[test]
@@ -2359,53 +1790,20 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code, 2);
         assert!(err.message.contains("exactly one"), "{}", err.message);
-        let err = run(
-            &strs(&["serve", "--journal-dir", "j", "--stdin", "--seeds", "3"]),
-            &mut String::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("--chaos"), "{}", err.message);
-        // Chaos mode validates its own knobs and excludes the transports.
-        let err = run(&strs(&["serve", "--chaos", "--seeds", "0"]), &mut String::new()).unwrap_err();
-        assert_eq!(err.code, 2);
-        let err = run(&strs(&["serve", "--chaos", "--stdin"]), &mut String::new()).unwrap_err();
-        assert_eq!(err.code, 2);
+        // The fault-injection harness lives under `puffer chaos` only.
+        for gone in [&["--chaos"][..], &["--seeds", "3"][..]] {
+            let mut args = strs(&["serve", "--journal-dir", "j", "--stdin"]);
+            args.extend(strs(gone));
+            let err = run(&args, &mut String::new()).unwrap_err();
+            assert_eq!(err.code, 2);
+            assert!(err.message.contains("unknown flag"), "{}", err.message);
+        }
         let err = run(
             &strs(&["serve", "--stdin", "--journal-dir", "j", "--workers", "0"]),
             &mut String::new(),
         )
         .unwrap_err();
         assert_eq!(err.code, 2);
-    }
-
-    #[test]
-    fn serve_chaos_covers_every_fault_class() {
-        let dir = std::env::temp_dir().join("puffer-cli-serve-chaos");
-        let mut out = String::new();
-        run(
-            &strs(&[
-                "serve",
-                "--chaos",
-                "--seeds",
-                "6",
-                "--cells",
-                "120",
-                "--max-iters",
-                "30",
-                "--journal-dir",
-                dir.to_str().unwrap(),
-            ]),
-            &mut out,
-        )
-        .unwrap();
-        assert!(out.contains("serve chaos OK"), "{out}");
-        assert!(out.contains("1 worker-panic"), "{out}");
-        assert!(out.contains("1 journal-write"), "{out}");
-        assert!(out.contains("1 disconnect"), "{out}");
-        assert!(out.contains("1 kill-restart"), "{out}");
-        assert!(out.contains("1 disk-full"), "{out}");
-        assert!(out.contains("1 rename-restart"), "{out}");
     }
 
     #[test]
@@ -2459,19 +1857,5 @@ mod tests {
             std::fs::read_to_string(&resumed_path).unwrap(),
             "resume over a torn tail diverged from the original"
         );
-    }
-
-    #[test]
-    fn chaos_harness_covers_every_fault_class() {
-        let mut out = String::new();
-        run(
-            &strs(&["chaos", "--seeds", "4", "--cells", "200", "--max-iters", "40"]),
-            &mut out,
-        )
-        .unwrap();
-        assert!(out.contains("chaos OK"), "{out}");
-        assert!(out.contains("4 fault class(es)"), "{out}");
-        let err = run(&strs(&["chaos", "--seeds", "0"]), &mut String::new()).unwrap_err();
-        assert_eq!(err.code, 2);
     }
 }

@@ -18,8 +18,8 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_puffer")
 }
 
-fn tmp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join("puffer-serve-daemon-test");
+fn tmp_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("puffer-serve-daemon-test").join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -123,7 +123,7 @@ impl Client {
 
 #[test]
 fn daemon_survives_kill_cancel_and_restart() {
-    let dir = tmp_dir();
+    let dir = tmp_dir("restart");
     let design = dir.join("design.pd");
     let reference = dir.join("reference.pl");
     let journal_dir = dir.join("journal");
@@ -203,4 +203,50 @@ fn daemon_survives_kill_cancel_and_restart() {
         !outs[JOBS - 1].exists(),
         "cancelled job must not write a placement"
     );
+}
+
+/// A `submit` carrying the harness-only `chaos` tag must be refused on both
+/// transports — never executed: no worker panic, the pool intact, no job
+/// admitted, a clean drain.
+#[test]
+fn fault_tags_on_the_wire_are_rejected_on_both_transports() {
+    const TAGGED: &str = r#"{"t":"submit","preset":"or1200","scale":0.003,"chaos":"panic"}"#;
+    let dir = tmp_dir("wire-chaos");
+
+    // TCP.
+    let (mut child, addr, _stdout) = start_daemon(&dir.join("tcp-journal"));
+    {
+        let mut client = Client::connect(&addr);
+        let response = client.request(TAGGED);
+        assert!(response.contains("serve.rejected"), "{response}");
+        assert!(response.contains("'chaos'"), "rejection must name the field: {response}");
+        let response = client.request("{\"t\":\"status\"}");
+        assert!(response.contains("\"count\":0"), "no job may be admitted: {response}");
+        assert!(response.contains("\"workers\":2"), "pool must be intact: {response}");
+        let response = client.request("{\"t\":\"drain\"}");
+        assert!(response.contains("serve.done"), "{response}");
+    }
+    assert!(child.wait().unwrap().success());
+
+    // stdin.
+    let mut child = Command::new(bin())
+        .args(["serve", "--stdin", "--workers", "2", "--journal-dir"])
+        .arg(dir.join("stdin-journal"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    writeln!(stdin, "{TAGGED}").unwrap();
+    writeln!(stdin, "{{\"t\":\"drain\"}}").unwrap();
+    drop(stdin);
+    let output = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "exit {}: {stderr}", output.status);
+    assert_eq!(stdout.matches("serve.rejected").count(), 1, "{stdout}");
+    assert!(stdout.contains("'chaos'"), "rejection must name the field: {stdout}");
+    assert!(!stdout.contains("serve.accepted"), "{stdout}");
+    assert!(!stderr.contains("panicked"), "a worker executed the tag: {stderr}");
 }

@@ -5,9 +5,7 @@ use crate::checkpoint::{CheckpointPolicy, FlowCheckpoint, FlowStage};
 use crate::job::Job;
 use crate::scale::ScaleClass;
 use crate::PufferError;
-#[cfg(feature = "chaos")]
-use puffer_budget::FaultClass;
-use puffer_budget::{Budget, DegradeStep, LadderState, StallAction};
+use puffer_budget::{Budget, DegradeStep, LadderState};
 use puffer_congest::EstimatorConfig;
 use puffer_db::design::{Design, Placement};
 use puffer_db::hpwl::total_hpwl;
@@ -15,7 +13,6 @@ use puffer_legal::{check_legal, discretize_padding, enforce_budget, legalize_bou
 use puffer_pad::{FeatureConfig, PaddingState, PaddingStrategy, RoutabilityOptimizer};
 use puffer_place::{GlobalPlacer, IterationStats, PlacerConfig};
 use std::fmt;
-use std::path::Path;
 use std::sync::Arc;
 use puffer_budget::clock::Stopwatch;
 
@@ -33,10 +30,6 @@ pub struct PufferConfig {
     /// Whether legalization inherits the discretized padding (§III-D);
     /// disabling this is the ablation of padding inheritance.
     pub inherit_padding: bool,
-    /// Size band the run operates in; `None` (the default `auto` policy)
-    /// classifies the design by cell count at flow start. The resolved
-    /// class is traced in `flow.init`, journaled, and checked on resume.
-    pub scale_class: Option<ScaleClass>,
 }
 
 impl Default for PufferConfig {
@@ -47,7 +40,6 @@ impl Default for PufferConfig {
             strategy: PaddingStrategy::default(),
             features: FeatureConfig::default(),
             inherit_padding: true,
-            scale_class: None,
         }
     }
 }
@@ -154,8 +146,7 @@ pub struct FlowResult {
     /// Degradation-ladder steps that engaged, in engagement order.
     pub degradation: Vec<DegradeStep>,
     /// Whether global placement stopped early (budget expired, external
-    /// cancel, early-exit rung, or watchdog demotion) rather than
-    /// converging. The placement is still the legalized best-so-far.
+    /// cancel, or early-exit rung) rather than converging. The placement is still the legalized best-so-far.
     pub cancelled: bool,
 }
 
@@ -182,14 +173,11 @@ impl Job {
         optimizer.set_trace(trace.clone());
         optimizer.set_budget(budget.clone());
 
-        // Size-aware strategy ladder (`auto` classifies by cell count).
-        // Coarsening happens here, before the first congestion round, so
-        // every round of the run — and the audit's histogram-conservation
-        // check — sees one consistent baseline grid.
-        let scale_class = self
-            .config
-            .scale_class
-            .unwrap_or_else(|| ScaleClass::classify(design.netlist().num_cells()));
+        // Size-aware strategy ladder, classified by cell count. Coarsening
+        // happens here, before the first congestion round, so every round
+        // of the run — and the audit's histogram-conservation check — sees
+        // one consistent baseline grid.
+        let scale_class = ScaleClass::classify(design.netlist().num_cells());
         if let Some(factor) = scale_class.congestion_coarsen_factor() {
             optimizer.coarsen_estimator(design, factor);
         }
@@ -203,10 +191,9 @@ impl Job {
             )
             .write();
 
-        // Bounded-execution state for this run. The ladder/watchdog handles
-        // on the job are templates; each run works on its own copies.
+        // Bounded-execution state for this run. The ladder on the job is a
+        // template; each run works on its own copy.
         let mut ladder = self.ladder.clone().map(LadderState::new);
-        let mut watchdog = self.watchdog.clone();
         let mut engaged: Vec<DegradeStep> = Vec::new();
         let mut frozen_padding = false;
         let mut early_exit = false;
@@ -215,18 +202,6 @@ impl Job {
         // final checkpoint must record it so a resumed run re-evaluates the
         // trigger at that iteration (see FlowCheckpoint::pending_round).
         let mut pending_round = false;
-        #[cfg(feature = "chaos")]
-        let journal_fault: Option<usize> = self
-            .chaos
-            .as_ref()
-            .filter(|p| p.class == FaultClass::JournalWrite)
-            .map(|p| p.at);
-        #[cfg(not(feature = "chaos"))]
-        let journal_fault: Option<usize> = None;
-        #[cfg(feature = "chaos")]
-        let mut nan_fired = false;
-        #[cfg(feature = "chaos")]
-        let mut slow_fired = false;
 
         // Either a fresh placer after its first step, or the journaled one.
         // `resumed_stage` remembers where the journal left off; `skip_round`
@@ -253,8 +228,7 @@ impl Job {
                     if recorded != scale_class {
                         return Err(PufferError::Resume(format!(
                             "checkpoint was written under scale class '{recorded}' \
-                             but this run resolves to '{scale_class}'; pass \
-                             --scale-class {recorded} to continue it"
+                             but this design classifies as '{scale_class}'"
                         )));
                     }
                 }
@@ -357,7 +331,6 @@ impl Job {
                                 &optimizer,
                                 &BoundedRun {
                                     degradation: &engaged,
-                                    journal_fault,
                                     pending_round,
                                     scale_class,
                                 },
@@ -366,92 +339,6 @@ impl Job {
                     }
                 }
                 skip_round = false;
-
-                // Stall watchdog: the iteration counter is the heartbeat.
-                // A pass that reaches this point with the same counter as
-                // the previous pass is not advancing; once that lasts a
-                // full window, act.
-                trace.heartbeat("gp", last.iter as u64);
-                let mut stalled = None;
-                if let Some(wd) = watchdog.as_mut() {
-                    stalled = wd.observe(last.iter as u64);
-                }
-                #[cfg(feature = "chaos")]
-                if let Some(plan) = &self.chaos {
-                    if plan.class == FaultClass::SlowStage
-                        && !slow_fired
-                        && last.iter >= plan.at
-                        && stalled.is_none()
-                    {
-                        slow_fired = true;
-                        trace
-                            .record("chaos.inject")
-                            .str("class", plan.class.as_str())
-                            .int("at", last.iter as i64)
-                            .int("magnitude", plan.magnitude as i64)
-                            .write();
-                        // Hold the stage without advancing the counter,
-                        // feeding the watchdog so the stall is observable;
-                        // bounded so an unwatched run cannot hang.
-                        let cap = std::time::Duration::from_millis(
-                            (25 * plan.magnitude.max(1) as u64).min(2_000),
-                        );
-                        let held = Stopwatch::start();
-                        while stalled.is_none() && held.elapsed() < cap && !budget.is_exhausted()
-                        {
-                            std::thread::sleep(std::time::Duration::from_millis(5));
-                            if let Some(wd) = watchdog.as_mut() {
-                                stalled = wd.observe(last.iter as u64);
-                            }
-                        }
-                    }
-                }
-                if let (Some(stalled_for), Some(wd)) = (stalled, watchdog.as_ref()) {
-                    trace
-                        .record("watchdog.stall")
-                        .str("stage", "gp")
-                        .num("stalled_s", stalled_for.as_secs_f64())
-                        .num("window_s", wd.window().as_secs_f64())
-                        .str(
-                            "action",
-                            match wd.action() {
-                                StallAction::Degrade => "degrade",
-                                StallAction::Abort => "abort",
-                            },
-                        )
-                        .int("iter", last.iter as i64)
-                        .write();
-                    if let Some(policy) = policy {
-                        self.write_checkpoint(
-                            design,
-                            policy,
-                            FlowStage::GlobalPlace,
-                            &placer,
-                            &optimizer,
-                            &BoundedRun {
-                                degradation: &engaged,
-                                journal_fault,
-                                pending_round,
-                                scale_class,
-                            },
-                        )?;
-                    }
-                    match wd.action() {
-                        StallAction::Degrade => {
-                            cancelled = true;
-                            break;
-                        }
-                        StallAction::Abort => {
-                            return Err(PufferError::Stalled(format!(
-                                "gp made no progress for {:.2}s (window {:.2}s) \
-                                 at iteration {}",
-                                stalled_for.as_secs_f64(),
-                                wd.window().as_secs_f64(),
-                                last.iter,
-                            )));
-                        }
-                    }
-                }
 
                 // Cooperative cancellation: an expired budget or the
                 // early-exit rung breaks as if converged; the best-so-far
@@ -467,8 +354,9 @@ impl Job {
                 }
                 #[cfg(feature = "chaos")]
                 if let Some(plan) = &self.chaos {
-                    if plan.class == FaultClass::NanBurst && !nan_fired && last.iter >= plan.at {
-                        nan_fired = true;
+                    // `iter` advances by exactly one per pass, so equality
+                    // fires the burst once.
+                    if plan.class == puffer_budget::FaultClass::NanBurst && last.iter == plan.at {
                         trace
                             .record("chaos.inject")
                             .str("class", plan.class.as_str())
@@ -502,7 +390,6 @@ impl Job {
                 &optimizer,
                 &BoundedRun {
                     degradation: &engaged,
-                    journal_fault,
                     pending_round,
                     scale_class,
                 },
@@ -625,11 +512,6 @@ impl Job {
         bounded: &BoundedRun<'_>,
     ) -> Result<(), PufferError> {
         let path = policy.file_for(stage, placer.iterations());
-        if let Some(at) = bounded.journal_fault {
-            if placer.iterations() >= at {
-                return self.inject_journal_fault(&path, placer.iterations());
-            }
-        }
         let checkpoint =
             FlowCheckpoint::capture(design, stage, placer.snapshot(), optimizer.state().clone())
                 .with_degradation(bounded.degradation.to_vec())
@@ -639,34 +521,11 @@ impl Job {
             .save(&path)
             .map_err(|e| PufferError::Journal(e.to_string()))
     }
-
-    /// Chaos-harness fault point: simulates a crash part-way through a
-    /// journal write. A half-record lands under the temp name and is never
-    /// renamed, exactly what an interrupted [`FlowCheckpoint::save`] leaves
-    /// behind — the previously committed journal (if any) stays valid.
-    fn inject_journal_fault(&self, path: &Path, iter: usize) -> Result<(), PufferError> {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("journal");
-        let tmp = path.with_file_name(format!("{name}.tmp"));
-        let _ = std::fs::write(&tmp, "puffer_checkpoint 1\ndesign 40");
-        self.trace
-            .record("chaos.inject")
-            .str("class", "journal-write")
-            .int("at", iter as i64)
-            .write();
-        Err(PufferError::Journal(format!(
-            "chaos: injected journal write failure at iteration {iter}"
-        )))
-    }
 }
 
-/// Per-run bounded-execution state a checkpoint write must record: the
-/// engaged degradation rungs, plus the armed journal fault (chaos only).
+/// Per-run bounded-execution state a checkpoint write must record.
 struct BoundedRun<'a> {
     degradation: &'a [DegradeStep],
-    journal_fault: Option<usize>,
     pending_round: bool,
     scale_class: ScaleClass,
 }
@@ -676,6 +535,7 @@ mod tests {
     use super::*;
     use puffer_gen::{generate, GeneratorConfig};
     use puffer_trace::Trace;
+    use std::path::Path;
 
     fn quick_config() -> PufferConfig {
         let mut c = PufferConfig::default();
@@ -880,9 +740,9 @@ mod tests {
 
     #[test]
     fn resume_rejects_a_mismatched_scale_class() {
-        // The journal records the band the writing run resolved to; a
-        // resume forced onto another band would continue the trajectory
-        // under a differently-coarsened congestion grid, so it is refused.
+        // The journal records the band the writing run classified into; a
+        // journal claiming another band would continue the trajectory under
+        // a differently-coarsened congestion grid, so it is refused.
         let d = design();
         let dir = tmp_dir("scale-mismatch");
         let policy = CheckpointPolicy::new(dir.join("run.pj"));
@@ -892,10 +752,11 @@ mod tests {
             .unwrap();
         let text = std::fs::read_to_string(&policy.path).unwrap();
         assert!(text.contains("scale_class small"), "{text}");
-        let checkpoint = FlowCheckpoint::parse(&text).unwrap();
-        let mut huge_cfg = quick_config();
-        huge_cfg.scale_class = Some(crate::scale::ScaleClass::Huge);
-        let err = Job::new(huge_cfg).run_from(&d, checkpoint).unwrap_err();
+        let rewritten = text.replace("scale_class small", "scale_class huge");
+        let checkpoint = FlowCheckpoint::parse(&rewritten).unwrap();
+        let err = Job::new(quick_config())
+            .run_from(&d, checkpoint)
+            .unwrap_err();
         assert!(matches!(err, PufferError::Resume(_)), "{err}");
         assert!(err.to_string().contains("scale class"), "{err}");
     }
@@ -990,69 +851,7 @@ mod tests {
     #[cfg(feature = "chaos")]
     mod chaos {
         use super::*;
-        use puffer_budget::{ChaosPlan, FaultClass, StallAction, StallWatchdog};
-        use std::time::Duration;
-
-        #[test]
-        fn slow_stage_trips_watchdog_and_degrades() {
-            let d = design();
-            let dir = tmp_dir("chaos-slow");
-            let path = dir.join("metrics.jsonl");
-            let trace = Trace::with_sink(&path).unwrap();
-            let r = Job::new(quick_config())
-                .with_watchdog(
-                    StallWatchdog::new(Duration::from_millis(50))
-                        .with_action(StallAction::Degrade),
-                )
-                .with_chaos(ChaosPlan {
-                    class: FaultClass::SlowStage,
-                    at: 5,
-                    magnitude: 400,
-                })
-                .with_trace(trace.clone())
-                .run(&d)
-                .unwrap();
-            trace.flush().unwrap();
-            assert!(r.cancelled, "watchdog demotion must mark cancellation");
-            let zeros = vec![0u32; d.netlist().num_cells()];
-            puffer_legal::check_legal(&d, &r.placement, &zeros).unwrap();
-
-            let records = puffer_trace::read_jsonl(&path).unwrap();
-            let stall = records
-                .iter()
-                .find(|rec| rec.kind() == Some("watchdog.stall"))
-                .expect("watchdog.stall record");
-            assert_eq!(stall.str_field("stage"), Some("gp"));
-            assert_eq!(stall.str_field("action"), Some("degrade"));
-            assert!(stall.num("stalled_s").unwrap() >= 0.05);
-            assert!(records
-                .iter()
-                .any(|rec| rec.kind() == Some("chaos.inject")
-                    && rec.str_field("class") == Some("slow-stage")));
-        }
-
-        #[test]
-        fn slow_stage_abort_checkpoints_then_errors() {
-            let d = design();
-            let dir = tmp_dir("chaos-abort");
-            let policy = CheckpointPolicy::new(dir.join("run.pj"));
-            let err = Job::new(quick_config())
-                .with_watchdog(
-                    StallWatchdog::new(Duration::from_millis(50)).with_action(StallAction::Abort),
-                )
-                .with_chaos(ChaosPlan {
-                    class: FaultClass::SlowStage,
-                    at: 5,
-                    magnitude: 400,
-                })
-                .with_checkpoints(policy.clone())
-                .run(&d)
-                .unwrap_err();
-            assert!(matches!(err, PufferError::Stalled(_)), "{err}");
-            // Checkpoint-then-abort: the stalled state is resumable.
-            let resumed = resume(quick_config(), &d, &policy.path).unwrap();
-            assert!(resumed.hpwl > 0.0);
-        }
+        use puffer_budget::{ChaosPlan, FaultClass};
 
         #[test]
         fn nan_burst_is_recovered_by_the_sentinel() {
@@ -1068,34 +867,6 @@ mod tests {
             assert!(r.hpwl.is_finite());
             let zeros = vec![0u32; d.netlist().num_cells()];
             puffer_legal::check_legal(&d, &r.placement, &zeros).unwrap();
-        }
-
-        #[test]
-        fn journal_write_failure_leaves_prior_journal_valid() {
-            let d = design();
-            let dir = tmp_dir("chaos-journal");
-            let policy = CheckpointPolicy {
-                path: dir.join("run.pj"),
-                every: 2,
-                keep_history: false,
-            };
-            let err = Job::new(quick_config())
-                .with_chaos(ChaosPlan {
-                    class: FaultClass::JournalWrite,
-                    at: 6,
-                    magnitude: 1,
-                })
-                .with_checkpoints(policy.clone())
-                .run(&d)
-                .unwrap_err();
-            assert!(matches!(err, PufferError::Journal(_)), "{err}");
-            // The injected half-record sits under the temp name; the last
-            // committed journal is untouched, loads, and resumes.
-            assert!(dir.join("run.pj.tmp").exists(), "half-record missing");
-            FlowCheckpoint::load(&policy.path).unwrap();
-            let resumed = resume(quick_config(), &d, &policy.path).unwrap();
-            let plain = Job::new(quick_config()).run(&d).unwrap();
-            assert_eq!(resumed.placement, plain.placement);
         }
     }
 

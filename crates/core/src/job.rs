@@ -13,7 +13,7 @@
 //! * its [`Budget`] — the deadline clock starts when the budget is built,
 //!   and the shared [`CancelToken`] is reachable via [`Job::cancel_token`]
 //!   so a supervisor can cancel a running job from another thread,
-//! * its [`Trace`] sink and optional [`StageObserver`], ladder, watchdog,
+//! * its [`Trace`] sink and optional [`StageObserver`] and ladder,
 //! * an optional [`CheckpointPolicy`]; with one attached,
 //!   [`Job::run_or_resume`] is crash recovery in a single call: resume from
 //!   the journal when one exists (tolerating a torn tail), start fresh
@@ -24,7 +24,7 @@ use crate::flow::{FlowResult, PufferConfig, StageObserver};
 use crate::PufferError;
 #[cfg(feature = "chaos")]
 use puffer_budget::ChaosPlan;
-use puffer_budget::{Budget, CancelToken, DegradationLadder, StallWatchdog};
+use puffer_budget::{Budget, CancelToken, DegradationLadder};
 use puffer_db::design::Design;
 use puffer_trace::Trace;
 
@@ -52,7 +52,6 @@ pub struct Job {
     pub(crate) trace: Trace,
     pub(crate) observer: Option<StageObserver>,
     pub(crate) ladder: Option<DegradationLadder>,
-    pub(crate) watchdog: Option<StallWatchdog>,
     pub(crate) checkpoints: Option<CheckpointPolicy>,
     #[cfg(feature = "chaos")]
     pub(crate) chaos: Option<ChaosPlan>,
@@ -68,7 +67,6 @@ impl Job {
             trace: Trace::disabled(),
             observer: None,
             ladder: None,
-            watchdog: None,
             checkpoints: None,
             #[cfg(feature = "chaos")]
             chaos: None,
@@ -116,18 +114,6 @@ impl Job {
         self
     }
 
-    /// Attaches a stall watchdog, returning `self` for chaining. The flow
-    /// feeds it the iteration counter at every loop boundary; if the
-    /// counter stops advancing for the watchdog's window, the flow
-    /// checkpoints (when journaling) and then either degrades to
-    /// best-so-far legalization ([`puffer_budget::StallAction::Degrade`])
-    /// or aborts with [`PufferError::Stalled`]
-    /// ([`puffer_budget::StallAction::Abort`]).
-    pub fn with_watchdog(mut self, watchdog: StallWatchdog) -> Self {
-        self.watchdog = Some(watchdog);
-        self
-    }
-
     /// Attaches a checkpoint policy, returning `self` for chaining. All run
     /// entry points then journal per the policy, and
     /// [`Job::run_or_resume`] resumes from its journal when one exists.
@@ -168,8 +154,8 @@ impl Job {
     ///
     /// [`PufferError`] if global placement cannot start (no movable cells /
     /// unplaced macros), a congestion round fails, legalization runs out of
-    /// capacity, an observer rejects a stage, the watchdog aborts, or a
-    /// checkpoint cannot be written.
+    /// capacity, an observer rejects a stage, or a checkpoint cannot be
+    /// written.
     pub fn run(&self, design: &Design) -> Result<FlowResult, PufferError> {
         self.execute(design, None)
     }

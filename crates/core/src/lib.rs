@@ -100,8 +100,6 @@ pub enum PufferError {
     Resume(String),
     /// A `--validate` stage observer rejected an intermediate state.
     Validate(String),
-    /// The stall watchdog tripped with [`puffer_budget::StallAction::Abort`].
-    Stalled(String),
 }
 
 impl fmt::Display for PufferError {
@@ -113,7 +111,6 @@ impl fmt::Display for PufferError {
             PufferError::Journal(m) => write!(f, "checkpoint journal failed: {m}"),
             PufferError::Resume(m) => write!(f, "resume failed: {m}"),
             PufferError::Validate(m) => write!(f, "validation failed: {m}"),
-            PufferError::Stalled(m) => write!(f, "flow stalled: {m}"),
         }
     }
 }

@@ -7,10 +7,9 @@
 //! [`ScaleClass`] by cell count and derives its strategy knobs from the
 //! class — full resolution for small designs, a coarsened Gcell grid plus
 //! a narrowed detailed-placement window for huge ones. The class is
-//! resolved once at flow start (`auto` unless the caller forces one),
-//! recorded in the `flow.init` trace record and the checkpoint journal,
-//! and verified on resume so a journal written under one strategy is never
-//! silently continued under another.
+//! worked out once at flow start, recorded in the `flow.init` trace record
+//! and the checkpoint journal, and verified on resume so a journal written
+//! under one strategy is never silently continued under another.
 
 use std::fmt;
 use std::str::FromStr;
@@ -39,7 +38,7 @@ impl ScaleClass {
     /// All classes, smallest band first.
     pub const ALL: [ScaleClass; 3] = [ScaleClass::Small, ScaleClass::Medium, ScaleClass::Huge];
 
-    /// Classifies a design by total cell count (the `auto` policy).
+    /// Classifies a design by total cell count.
     ///
     /// ```
     /// use puffer::ScaleClass;
@@ -87,7 +86,7 @@ impl ScaleClass {
         }
     }
 
-    /// Stable token used by the CLI flag, trace records, and the journal.
+    /// Stable token used by trace records and the journal.
     pub fn as_str(self) -> &'static str {
         match self {
             ScaleClass::Small => "small",

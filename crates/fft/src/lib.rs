@@ -7,8 +7,6 @@
 //! FFT dependency.
 //!
 //! * [`fft`]/[`ifft`] — in-place complex FFT for power-of-two lengths;
-//! * [`cosine_series`]/[`sine_series`] — the `Σ x[n]·cos(2πkn/N)` /
-//!   `Σ x[n]·sin(2πkn/N)` transforms appearing verbatim in Eq. (4)–(5);
 //! * [`dct2`]/[`dct3`] — classical DCT-II/III pairs (an independent
 //!   cross-check and available for Neumann-boundary variants);
 //! * [`transform2d`]/[`transform2d_mixed`] — separable application of 1-D
@@ -182,75 +180,6 @@ fn fft_dir(data: &mut [Complex], inverse: bool) {
         }
         len <<= 1;
     }
-}
-
-/// Cosine-series transform `C[k] = Σ_{n} x[n]·cos(2πkn/N)` for all `k`.
-///
-/// This is exactly the transform of paper Eq. (5) in one dimension; it
-/// equals `Re(FFT(x))` for real input.
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn cosine_series(x: &[f64]) -> Vec<f64> {
-    let mut buf: Vec<Complex> = x.iter().map(|&v| Complex::new(v, 0.0)).collect();
-    fft(&mut buf);
-    buf.into_iter().map(|c| c.re).collect()
-}
-
-/// Sine-series transform `S[k] = Σ_{n} x[n]·sin(2πkn/N)` for all `k`.
-///
-/// Equals `-Im(FFT(x))` for real input.
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn sine_series(x: &[f64]) -> Vec<f64> {
-    let mut buf: Vec<Complex> = x.iter().map(|&v| Complex::new(v, 0.0)).collect();
-    fft(&mut buf);
-    buf.into_iter().map(|c| -c.im).collect()
-}
-
-/// Inverse of the pair ([`cosine_series`], [`sine_series`]): reconstructs
-/// `x[n] = (1/N)·Σ_k (C[k]·cos(2πkn/N) + S[k]·sin(2πkn/N))`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or the length is not a power of two.
-pub fn inverse_series(cos_coef: &[f64], sin_coef: &[f64]) -> Vec<f64> {
-    assert_eq!(
-        cos_coef.len(),
-        sin_coef.len(),
-        "coefficient slices must match"
-    );
-    let mut buf: Vec<Complex> = cos_coef
-        .iter()
-        .zip(sin_coef)
-        .map(|(&c, &s)| Complex::new(c, -s))
-        .collect();
-    ifft(&mut buf);
-    buf.into_iter().map(|c| c.re).collect()
-}
-
-/// Synthesises `y[n] = Σ_k C[k]·cos(2πkn/N)` — the cosine-basis evaluation
-/// used by Eq. (4) (unnormalised inverse of the real-even series).
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn cosine_synthesis(coef: &[f64]) -> Vec<f64> {
-    // Σ C_k cos(θ) = Re( Σ C_k e^{-iθ} ) = Re(FFT(C)) for real C.
-    cosine_series(coef)
-}
-
-/// Synthesises `y[n] = Σ_k S[k]·sin(2πkn/N)`.
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn sine_synthesis(coef: &[f64]) -> Vec<f64> {
-    // Σ S_k sin(θ) = -Im( Σ S_k e^{-iθ} ) = sine_series(S) for real S.
-    sine_series(coef)
 }
 
 /// DCT-II: `X[k] = Σ_n x[n]·cos(π(2n+1)k/(2N))`, computed via a length-`N`
@@ -535,70 +464,6 @@ mod tests {
         assert_eq!(x[0], Complex::new(5.0, 0.0));
         let mut e: Vec<Complex> = vec![];
         fft(&mut e);
-    }
-
-    #[test]
-    fn cosine_series_matches_definition() {
-        let n = 8;
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 + 1.0).ln()).collect();
-        let got = cosine_series(&x);
-        for k in 0..n {
-            let expect: f64 = x
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| v * (2.0 * PI * (k * i) as f64 / n as f64).cos())
-                .sum();
-            assert!((got[k] - expect).abs() < 1e-9, "k={k}");
-        }
-    }
-
-    #[test]
-    fn sine_series_matches_definition() {
-        let n = 8;
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).sin()).collect();
-        let got = sine_series(&x);
-        for k in 0..n {
-            let expect: f64 = x
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| v * (2.0 * PI * (k * i) as f64 / n as f64).sin())
-                .sum();
-            assert!((got[k] - expect).abs() < 1e-9, "k={k}");
-        }
-    }
-
-    #[test]
-    fn series_round_trip() {
-        let n = 32;
-        let x: Vec<f64> = (0..n).map(|i| ((i * 13 % 9) as f64) - 4.0).collect();
-        let c = cosine_series(&x);
-        let s = sine_series(&x);
-        let back = inverse_series(&c, &s);
-        for (a, b) in back.iter().zip(&x) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn synthesis_matches_direct_sums() {
-        let n = 16;
-        let coef: Vec<f64> = (0..n).map(|k| ((k * 3 % 7) as f64) - 3.0).collect();
-        let cs = cosine_synthesis(&coef);
-        let ss = sine_synthesis(&coef);
-        for m in 0..n {
-            let ec: f64 = coef
-                .iter()
-                .enumerate()
-                .map(|(k, &c)| c * (2.0 * PI * (k * m) as f64 / n as f64).cos())
-                .sum();
-            let es: f64 = coef
-                .iter()
-                .enumerate()
-                .map(|(k, &c)| c * (2.0 * PI * (k * m) as f64 / n as f64).sin())
-                .sum();
-            assert!((cs[m] - ec).abs() < 1e-9, "cos m={m}");
-            assert!((ss[m] - es).abs() < 1e-9, "sin m={m}");
-        }
     }
 
     #[test]

@@ -1036,6 +1036,40 @@ mod tests {
     }
 
     #[test]
+    fn frozen_placer_still_advances_iter_so_run_terminates() {
+        // With no recovery budget the first divergence freezes the placer.
+        // A frozen step must still count as an iteration: that is what lets
+        // `run()` (and the flow's GP loop) terminate at `max_iters`.
+        let d = small_design();
+        let mut p = d.initial_placement();
+        for id in d.netlist().movable_cells().take(1) {
+            p.set(id, puffer_db::geom::Point::new(f64::NAN, f64::NAN));
+        }
+        let mut placer = GlobalPlacer::with_placement(
+            &d,
+            PlacerConfig {
+                max_iters: 25,
+                stop_overflow: 0.0,
+                max_recoveries: 0,
+                ..PlacerConfig::default()
+            },
+            p,
+        )
+        .unwrap();
+        let first = placer.step();
+        assert!(placer.is_frozen(), "one divergence past a zero budget must freeze");
+        assert_eq!(first.iter, 1);
+        let frozen_at = placer.placement().clone();
+        for expect in 2..=4 {
+            assert_eq!(placer.step().iter, expect, "frozen step must advance iter by one");
+        }
+        let last = placer.run();
+        assert_eq!(last.iter, 25, "run() must return at max_iters");
+        assert!(last.overflow.is_finite() && last.hpwl.is_finite());
+        assert_eq!(placer.placement(), &frozen_at, "frozen steps hold the solution");
+    }
+
+    #[test]
     fn snapshot_restore_continues_identically() {
         let d = small_design();
         let cfg = PlacerConfig {

@@ -1,31 +1,34 @@
-//! Seeded chaos harness for the serve engine (`puffer serve --chaos`).
+//! The serve rows of the `puffer chaos` scenario table.
 //!
-//! Each round injects one fault class, seeded and fully deterministic:
+//! Each row attacks a live engine with one seeded, fully deterministic
+//! fault (the dispatcher in `puffer-cli` picks the row and draws the
+//! [`Case`]; `puffer chaos --classes serve` runs exactly these):
 //!
-//! * `worker-panic` — a job panics its worker (once: retry must succeed
-//!   bit-identically; always: the job must fail with a structured error);
-//! * `journal-write` — a checkpoint write dies mid-write at a seeded
-//!   iteration; the retry must resume from the last good checkpoint;
-//! * `client-disconnect` — a TCP client drops its connection mid-line;
-//!   the daemon must keep serving and the next client's job must finish;
-//! * `kill-restart` — the engine shuts down mid-job (the in-process
+//! * `serve-worker-panic` — a job panics its worker (once: retry must
+//!   succeed bit-identically; always: the job must fail with a structured
+//!   error);
+//! * `serve-torn-write` / `serve-disk-full` — the durable I/O layer tears,
+//!   or refuses with ENOSPC, a seeded guarded write of the first attempt
+//!   (a checkpoint save or a journal record); the job must still end
+//!   `Done` with a bit-identical placement, via transient-retry from the
+//!   last good checkpoint or a surfaced flush warning;
+//! * `serve-client-disconnect` — a TCP client drops its connection
+//!   mid-line; the daemon must keep serving and the next client's job must
+//!   finish;
+//! * `serve-kill-restart` — the engine shuts down mid-job (the in-process
 //!   equivalent of `kill -9` right after a checkpoint fsync), the journal
 //!   tail is torn at a seeded byte, and a fresh engine over the same
 //!   directory must resume and finish bit-identically;
-//! * `disk-full` — the durable I/O layer injects ENOSPC on a seeded
-//!   guarded write of the first attempt (a checkpoint save or a journal
-//!   record); the job must still end `Done` with a bit-identical
-//!   placement, via transient-retry or a surfaced flush warning;
-//! * `rename-restart` — a checkpoint's commit rename fails (injected via
-//!   `fsx`), the engine is killed before the retry settles, and a restart
-//!   over the same directory must resume from the last good checkpoint
-//!   and finish bit-identically.
+//! * `serve-rename-restart` — a checkpoint's commit rename fails (injected
+//!   via `fsx`), the engine is killed before the retry settles, and a
+//!   restart over the same directory must resume from the last good
+//!   checkpoint and finish bit-identically.
 //!
-//! After every round the harness asserts the robustness invariants: every
-//! job sits in exactly one legal end state (completed result / resumable
-//! checkpoint / structured error), completed placements are bit-identical
-//! to an uninterrupted reference run, and the worker pool is intact (a
-//! panic may never cost a worker).
+//! Every row asserts the robustness invariants: every job sits in exactly
+//! one legal end state (completed result / resumable checkpoint /
+//! structured error), completed placements are bit-identical to an
+//! uninterrupted reference run, and the worker pool is intact (a panic may
+//! never cost a worker).
 
 use std::fs;
 use std::io::Write as IoWrite;
@@ -36,7 +39,7 @@ use std::time::Duration;
 
 use puffer::{Job, PufferConfig};
 use puffer_budget::fsx;
-use puffer_budget::CancelToken;
+use puffer_budget::{CancelToken, FaultClass};
 use puffer_db::io::{write_design, write_placement};
 use puffer_gen::{generate, GeneratorConfig};
 use puffer_rng::StdRng;
@@ -46,145 +49,85 @@ use crate::engine::{Engine, EngineHandle, JobState, ServeConfig};
 use crate::proto::JobSpec;
 use crate::server::serve_listener;
 
-/// Chaos-run settings.
+/// One seeded chaos case, as the `puffer chaos` dispatcher hands it to the
+/// row it picked.
 #[derive(Debug, Clone)]
-pub struct ChaosConfig {
-    /// Fault-injection rounds (each uses its index as the seed).
-    pub seeds: u64,
+pub struct Case {
+    /// The seed that picked this row.
+    pub seed: u64,
+    /// Seeded injection point (iteration, trial, or guarded-operation skip).
+    pub at: usize,
+    /// Seeded class-specific intensity.
+    pub magnitude: usize,
     /// Cells in the generated chaos design.
     pub cells: usize,
-    /// GP iteration cap for chaos jobs.
+    /// GP iteration cap for chaos flows.
     pub max_iters: usize,
-    /// Worker-pool size under test.
-    pub workers: usize,
-    /// Scratch directory (wiped per round).
+    /// Scratch directory, empty on entry.
     pub dir: PathBuf,
 }
 
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            seeds: 8,
-            cells: 200,
-            max_iters: 120,
-            workers: 2,
-            dir: std::env::temp_dir().join("puffer-serve-chaos"),
-        }
-    }
-}
+/// A scenario-table runner: `Ok` describes what was verified, `Err` is the
+/// violated invariant.
+pub type Runner = fn(&Case) -> Result<String, String>;
 
-/// What a chaos run observed.
-#[derive(Debug, Clone, Default)]
-pub struct ChaosSummary {
-    /// Rounds completed.
-    pub rounds: u64,
-    /// Injections per class: panic, journal-write, disconnect,
-    /// kill-restart, disk-full, rename-restart.
-    pub injections: [u64; 6],
-    /// Jobs that ended as completed results.
-    pub completed: u64,
-    /// Jobs that ended as structured errors.
-    pub failed: u64,
-}
-
-const FAULT_NAMES: [&str; 6] = [
-    "worker-panic",
-    "journal-write",
-    "client-disconnect",
-    "kill-restart",
-    "disk-full",
-    "rename-restart",
+/// The serve rows, in dispatch order.
+pub const ROWS: [(&str, Runner); 6] = [
+    ("serve-worker-panic", worker_panic),
+    ("serve-torn-write", |case| fs_fault(case, FaultClass::TornWrite)),
+    ("serve-client-disconnect", client_disconnect),
+    ("serve-kill-restart", kill_restart),
+    ("serve-disk-full", |case| fs_fault(case, FaultClass::DiskFull)),
+    ("serve-rename-restart", rename_restart),
 ];
 
 /// Generous bound for any single chaos wait; hitting it means a job got
 /// stuck, which the harness reports as a deadlock.
 const WAIT: Duration = Duration::from_secs(180);
 
-/// Runs the chaos harness; `log` receives one line per round.
-///
-/// # Errors
-///
-/// The first violated invariant, as a human-readable message naming the
-/// seed and fault class.
-pub fn run_chaos(cfg: &ChaosConfig, mut log: impl FnMut(&str)) -> Result<ChaosSummary, String> {
-    let mut summary = ChaosSummary::default();
-    for seed in 0..cfg.seeds {
-        let class = (seed % 6) as usize;
-        let round = RoundContext::prepare(cfg, seed)?;
-        let outcome = match class {
-            0 => round.worker_panic(),
-            1 => round.journal_write(),
-            2 => round.client_disconnect(),
-            3 => round.kill_restart(),
-            4 => round.disk_full(),
-            _ => round.rename_restart(),
-        };
-        let (completed, failed) =
-            outcome.map_err(|e| format!("seed {seed} [{}]: {e}", FAULT_NAMES[class]))?;
-        summary.rounds += 1;
-        summary.injections[class] += 1;
-        summary.completed += completed;
-        summary.failed += failed;
-        log(&format!(
-            "seed {seed:>3} [{:<17}] OK: {completed} completed, {failed} structured errors",
-            FAULT_NAMES[class]
-        ));
-    }
-    Ok(summary)
-}
-
 /// One round's scratch state: a seeded design on disk plus the reference
 /// placement bytes an uninterrupted run of the same job produces.
-struct RoundContext {
-    seed: u64,
-    dir: PathBuf,
+struct Round<'a> {
+    case: &'a Case,
     design_path: PathBuf,
     reference: Vec<u8>,
-    workers: usize,
-    max_iters: usize,
 }
 
-impl RoundContext {
-    fn prepare(cfg: &ChaosConfig, seed: u64) -> Result<Self, String> {
-        let dir = cfg.dir.join(format!("round-{seed}"));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
+impl<'a> Round<'a> {
+    fn prepare(case: &'a Case) -> Result<Self, String> {
         let design = generate(&GeneratorConfig {
-            num_cells: cfg.cells,
-            num_nets: cfg.cells + cfg.cells / 8,
+            num_cells: case.cells,
+            num_nets: case.cells + case.cells / 8,
             num_macros: 1,
             utilization: 0.6,
             hotspot: 0.4,
-            seed,
+            seed: case.seed,
             ..GeneratorConfig::default()
         })
         .map_err(|e| format!("generate: {e}"))?;
-        let design_path = dir.join("design.pd");
+        let design_path = case.dir.join("design.pd");
         let mut buf = Vec::new();
         write_design(&design, &mut buf).map_err(|e| format!("render design: {e}"))?;
         fsx::atomic_write(&design_path, &buf).map_err(|e| format!("write design: {e}"))?;
 
-        let reference_run = Job::new(flow_config(cfg.max_iters))
+        let reference_run = Job::new(flow_config(case.max_iters))
             .run(&design)
             .map_err(|e| format!("reference run: {e}"))?;
         let mut reference = Vec::new();
         write_placement(&reference_run.placement, &mut reference)
             .map_err(|e| format!("render reference: {e}"))?;
-        Ok(RoundContext {
-            seed,
-            dir,
+        Ok(Round {
+            case,
             design_path,
             reference,
-            workers: cfg.workers,
-            max_iters: cfg.max_iters,
         })
     }
 
-    fn serve_config(&self, tag: &str) -> ServeConfig {
+    fn serve_config(&self) -> ServeConfig {
         ServeConfig {
-            workers: self.workers,
+            workers: 2,
             queue_capacity: 8,
-            journal_dir: self.dir.join(tag),
+            journal_dir: self.case.dir.join("journal"),
             checkpoint_every: 3,
             max_attempts: 3,
             backoff: Duration::from_millis(5),
@@ -196,7 +139,7 @@ impl RoundContext {
         JobSpec {
             design: Some(self.design_path.to_string_lossy().into_owned()),
             out: out.map(|p| p.to_string_lossy().into_owned()),
-            max_iters: Some(self.max_iters),
+            max_iters: Some(self.case.max_iters),
             threads: Some(1),
             chaos,
             ..JobSpec::default()
@@ -210,234 +153,217 @@ impl RoundContext {
         }
         Ok(())
     }
+}
 
-    /// A panicked worker must survive (pool invariant), the once-panicking
-    /// job must retry to a bit-identical result, and the always-panicking
-    /// job must end as a structured error.
-    fn worker_panic(self) -> Result<(u64, u64), String> {
-        let out = self.dir.join("panic-once.pl");
-        Engine::run(self.serve_config("journal"), |h| -> Result<(), String> {
-            let (once, _) = h
-                .submit(self.spec(Some(&out), Some("panic-once".into())))
-                .map_err(|r| format!("submit: {}", r.detail))?;
-            let (always, _) = h
-                .submit(self.spec(None, Some("panic".into())))
-                .map_err(|r| format!("submit: {}", r.detail))?;
-            let record = wait_terminal(h, once)?;
-            expect_state(h, once, JobState::Done, &record)?;
-            let record = wait_terminal(h, always)?;
-            expect_state(h, always, JobState::Failed, &record)?;
-            if !record.contains("\"class\":\"panic\"") {
-                return Err(format!("structured error lacks panic class: {record}"));
-            }
-            verify_pool(h)?;
-            h.drain();
-            Ok(())
-        })
-        .map_err(|e| e.to_string())??;
-        self.check_reference(&out, "retry-after-panic")?;
-        Ok((1, 1))
-    }
-
-    /// A checkpoint write dies mid-write at a seeded iteration; the retry
-    /// resumes from the last good checkpoint and must land bit-identical.
-    fn journal_write(self) -> Result<(u64, u64), String> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let at = rng.gen_range(2..self.max_iters.max(8) / 2);
-        let out = self.dir.join("journal-write.pl");
-        Engine::run(self.serve_config("journal"), |h| -> Result<(), String> {
-            let (id, _) = h
-                .submit(self.spec(Some(&out), Some(format!("journal-write@{at}"))))
-                .map_err(|r| format!("submit: {}", r.detail))?;
-            let record = wait_terminal(h, id)?;
-            expect_state(h, id, JobState::Done, &record)?;
-            let attempts = h.status(id).map(|s| s.attempts).unwrap_or_default();
-            if attempts < 2 {
-                return Err(format!("journal fault at iter {at} never fired (attempts {attempts})"));
-            }
-            verify_pool(h)?;
-            h.drain();
-            Ok(())
-        })
-        .map_err(|e| e.to_string())??;
-        self.check_reference(&out, "resume-after-journal-fault")?;
-        Ok((1, 0))
-    }
-
-    /// A client connects, trickles half a request line, and vanishes; the
-    /// daemon must keep serving and the next client's job must finish.
-    fn client_disconnect(self) -> Result<(u64, u64), String> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let out = self.dir.join("disconnect.pl");
-        Engine::run(self.serve_config("journal"), |h| -> Result<(), String> {
-            let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
-            let addr = listener.local_addr().map_err(|e| e.to_string())?;
-            let signal = CancelToken::new();
-            let served = AtomicBool::new(false);
-            // One pool worker runs the daemon's accept loop; the control
-            // thread plays the clients.
-            puffer_par::run_pool(
-                1,
-                |_| {
-                    let _ = serve_listener(h, &listener, &signal);
-                    served.store(true, Ordering::SeqCst);
-                },
-                || -> Result<(), String> {
-                    // Client 1: half a submit line, then a hard drop.
-                    let submit = format!(
-                        "{{\"t\":\"submit\",\"design\":\"{}\"}}\n",
-                        self.design_path.to_string_lossy()
-                    );
-                    let cut = 1 + (rng.gen_range(1..submit.len() as u64 - 1) as usize);
-                    let mut torn = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-                    torn.write_all(&submit.as_bytes()[..cut])
-                        .map_err(|e| e.to_string())?;
-                    drop(torn); // disconnect mid-line
-
-                    // Client 2: a full session on a fresh connection.
-                    let spec = self.spec(Some(&out), None);
-                    let mut client = Client::connect(addr)?;
-                    let id = client.submit(&spec)?;
-                    let record = client.wait(id)?;
-                    if !record.contains("serve.result") {
-                        return Err(format!("job after disconnect did not complete: {record}"));
-                    }
-                    verify_pool(h)?;
-                    Ok(())
-                },
-                || signal.cancel(),
-            )
-            .map_err(|p| format!("chaos client panicked: {p}"))?
-        })
-        .map_err(|e| e.to_string())??;
-        self.check_reference(&out, "job-after-disconnect")?;
-        Ok((1, 0))
-    }
-
-    /// Shutdown mid-job (crash equivalent), tear the journal tail at a
-    /// seeded byte, restart over the same directory: the job must resume
-    /// and finish bit-identically.
-    fn kill_restart(self) -> Result<(u64, u64), String> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let out = self.dir.join("killed.pl");
-        let cfg = self.serve_config("journal");
-        let journal = cfg.journal_dir.join("job-1").join("run.pj");
-        Engine::run(cfg.clone(), |h| -> Result<(), String> {
-            let (id, _) = h
-                .submit(self.spec(Some(&out), None))
-                .map_err(|r| format!("submit: {}", r.detail))?;
-            // Kill as soon as the first checkpoint hits the disk.
-            let deadline = puffer_budget::clock::Deadline::after(WAIT);
-            while !journal.exists() {
-                if deadline.expired() {
-                    return Err("job never checkpointed".into());
-                }
-                if h.status(id).map(|s| s.state.terminal()).unwrap_or(false) {
-                    break; // tiny designs can finish first; still a legal end state
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            h.shutdown();
-            Ok(())
-        })
-        .map_err(|e| e.to_string())??;
-
-        let interrupted = !cfg.journal_dir.join("job-1").join("result.json").exists();
-        if interrupted && journal.exists() {
-            // Torn tail: append a prefix of the journal's own record, cut
-            // at a seeded byte — exactly what a crash mid-append leaves.
-            let text = fs::read_to_string(&journal).map_err(|e| e.to_string())?;
-            let cut = 1 + (rng.gen_range(0..text.len() as u64 - 1) as usize);
-            let mut f = fs::OpenOptions::new()
-                .append(true)
-                .open(&journal)
-                .map_err(|e| e.to_string())?;
-            f.write_all(&text.as_bytes()[..cut]).map_err(|e| e.to_string())?;
+/// A panicked worker must survive (pool invariant), the once-panicking
+/// job must retry to a bit-identical result, and the always-panicking
+/// job must end as a structured error.
+fn worker_panic(case: &Case) -> Result<String, String> {
+    let round = Round::prepare(case)?;
+    let out = case.dir.join("panic-once.pl");
+    Engine::run(round.serve_config(), |h| -> Result<(), String> {
+        let (once, _) = h
+            .submit(round.spec(Some(&out), Some("panic-once".into())))
+            .map_err(|r| format!("submit: {}", r.detail))?;
+        let (always, _) = h
+            .submit(round.spec(None, Some("panic".into())))
+            .map_err(|r| format!("submit: {}", r.detail))?;
+        let record = wait_terminal(h, once)?;
+        expect_state(h, once, JobState::Done, &record)?;
+        let record = wait_terminal(h, always)?;
+        expect_state(h, always, JobState::Failed, &record)?;
+        if !record.contains("\"class\":\"panic\"") {
+            return Err(format!("structured error lacks panic class: {record}"));
         }
+        verify_pool(h)?;
+        h.drain();
+        Ok(())
+    })
+    .map_err(|e| e.to_string())??;
+    round.check_reference(&out, "retry-after-panic")?;
+    Ok("OK: panic-once retried bit-identically, always-panic failed structured".into())
+}
 
-        Engine::run(cfg, |h| -> Result<(), String> {
-            let record = wait_terminal(h, 1)?;
-            expect_state(h, 1, JobState::Done, &record)?;
-            verify_pool(h)?;
-            h.drain();
-            Ok(())
-        })
-        .map_err(|e| e.to_string())??;
-        self.check_reference(&out, "resume-after-kill")?;
-        Ok((1, 0))
+/// An `fsx` write fault (`torn-write`: half the bytes land; `disk-full`:
+/// ENOSPC) strikes a seeded guarded write of the first attempt — a
+/// checkpoint save (the flow errors, classifies transient, and the retry
+/// resumes from the last good checkpoint) or a journal record (the flush
+/// surfaces a warning and the attempt completes). Either way the job must
+/// end `Done` with a bit-identical placement and the fault must have fired.
+fn fs_fault(case: &Case, class: FaultClass) -> Result<String, String> {
+    let round = Round::prepare(case)?;
+    // Guarded writes come thick mid-flow (one journal record per iteration,
+    // plus checkpoint saves), so a seeded skip below the iteration count
+    // always lands inside the run.
+    let skip = case.at;
+    let out = case.dir.join("fs-fault.pl");
+    let attempts = Engine::run(round.serve_config(), |h| -> Result<usize, String> {
+        let (id, _) = h
+            .submit(round.spec(Some(&out), Some(format!("{class}@{skip}"))))
+            .map_err(|r| format!("submit: {}", r.detail))?;
+        let record = wait_terminal(h, id)?;
+        expect_state(h, id, JobState::Done, &record)?;
+        if fsx::fault::armed() {
+            fsx::fault::disarm();
+            return Err(format!("{class} fault at write {skip} never fired"));
+        }
+        verify_pool(h)?;
+        h.drain();
+        Ok(h.status(id).map(|s| s.attempts).unwrap_or_default())
+    })
+    .map_err(|e| e.to_string())??;
+    round.check_reference(&out, "recover-after-write-fault")?;
+    Ok(format!(
+        "OK: fault fired at write {skip}, done bit-identically after {attempts} attempt(s)"
+    ))
+}
+
+/// A client connects, trickles half a request line, and vanishes; the
+/// daemon must keep serving and the next client's job must finish.
+fn client_disconnect(case: &Case) -> Result<String, String> {
+    let round = Round::prepare(case)?;
+    let mut rng = StdRng::seed_from_u64(case.seed);
+    let out = case.dir.join("disconnect.pl");
+    Engine::run(round.serve_config(), |h| -> Result<(), String> {
+        let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
+        let addr = listener.local_addr().map_err(|e| e.to_string())?;
+        let signal = CancelToken::new();
+        let served = AtomicBool::new(false);
+        // One pool worker runs the daemon's accept loop; the control
+        // thread plays the clients.
+        puffer_par::run_pool(
+            1,
+            |_| {
+                let _ = serve_listener(h, &listener, &signal);
+                served.store(true, Ordering::SeqCst);
+            },
+            || -> Result<(), String> {
+                // Client 1: half a submit line, then a hard drop.
+                let submit = format!(
+                    "{{\"t\":\"submit\",\"design\":\"{}\"}}\n",
+                    round.design_path.to_string_lossy()
+                );
+                let cut = 1 + (rng.gen_range(1..submit.len() as u64 - 1) as usize);
+                let mut torn = TcpStream::connect(addr).map_err(|e| e.to_string())?;
+                torn.write_all(&submit.as_bytes()[..cut])
+                    .map_err(|e| e.to_string())?;
+                drop(torn); // disconnect mid-line
+
+                // Client 2: a full session on a fresh connection.
+                let spec = round.spec(Some(&out), None);
+                let mut client = Client::connect(addr)?;
+                let id = client.submit(&spec)?;
+                let record = client.wait(id)?;
+                if !record.contains("serve.result") {
+                    return Err(format!("job after disconnect did not complete: {record}"));
+                }
+                verify_pool(h)?;
+                Ok(())
+            },
+            || signal.cancel(),
+        )
+        .map_err(|p| format!("chaos client panicked: {p}"))?
+    })
+    .map_err(|e| e.to_string())??;
+    round.check_reference(&out, "job-after-disconnect")?;
+    Ok("OK: daemon survived a mid-line disconnect, next client's job done".into())
+}
+
+/// Shutdown mid-job (crash equivalent), tear the journal tail at a
+/// seeded byte, restart over the same directory: the job must resume
+/// and finish bit-identically.
+fn kill_restart(case: &Case) -> Result<String, String> {
+    let round = Round::prepare(case)?;
+    let mut rng = StdRng::seed_from_u64(case.seed);
+    let out = case.dir.join("killed.pl");
+    let cfg = round.serve_config();
+    let journal = cfg.journal_dir.join("job-1").join("run.pj");
+    Engine::run(cfg.clone(), |h| -> Result<(), String> {
+        let (id, _) = h
+            .submit(round.spec(Some(&out), None))
+            .map_err(|r| format!("submit: {}", r.detail))?;
+        // Kill as soon as the first checkpoint hits the disk.
+        let deadline = puffer_budget::clock::Deadline::after(WAIT);
+        while !journal.exists() {
+            if deadline.expired() {
+                return Err("job never checkpointed".into());
+            }
+            if h.status(id).map(|s| s.state.terminal()).unwrap_or(false) {
+                break; // tiny designs can finish first; still a legal end state
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        h.shutdown();
+        Ok(())
+    })
+    .map_err(|e| e.to_string())??;
+
+    let interrupted = !cfg.journal_dir.join("job-1").join("result.json").exists();
+    if interrupted && journal.exists() {
+        // Torn tail: append a prefix of the journal's own record, cut
+        // at a seeded byte — exactly what a crash mid-append leaves.
+        let text = fs::read_to_string(&journal).map_err(|e| e.to_string())?;
+        let cut = 1 + (rng.gen_range(0..text.len() as u64 - 1) as usize);
+        let mut f = fs::OpenOptions::new()
+            .append(true)
+            .open(&journal)
+            .map_err(|e| e.to_string())?;
+        f.write_all(&text.as_bytes()[..cut]).map_err(|e| e.to_string())?;
     }
 
-    /// ENOSPC is injected on a seeded guarded write of the first attempt —
-    /// a checkpoint save (the flow errors, classifies transient, and the
-    /// retry resumes) or a journal record (the flush surfaces a warning
-    /// and the attempt completes). Either way the job must end `Done`
-    /// with a bit-identical placement and the fault must have fired.
-    fn disk_full(self) -> Result<(u64, u64), String> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        // Guarded writes come thick mid-flow (journal records, checkpoint
-        // saves), so a small seeded skip always lands inside the run.
-        let at = rng.gen_range(0..4) as usize;
-        let out = self.dir.join("disk-full.pl");
-        Engine::run(self.serve_config("journal"), |h| -> Result<(), String> {
-            let (id, _) = h
-                .submit(self.spec(Some(&out), Some(format!("disk-full@{at}"))))
-                .map_err(|r| format!("submit: {}", r.detail))?;
-            let record = wait_terminal(h, id)?;
-            expect_state(h, id, JobState::Done, &record)?;
-            if fsx::fault::armed() {
+    Engine::run(cfg, |h| -> Result<(), String> {
+        let record = wait_terminal(h, 1)?;
+        expect_state(h, 1, JobState::Done, &record)?;
+        verify_pool(h)?;
+        h.drain();
+        Ok(())
+    })
+    .map_err(|e| e.to_string())??;
+    round.check_reference(&out, "resume-after-kill")?;
+    Ok("OK: killed engine restarted over a torn journal tail, resumed bit-identically".into())
+}
+
+/// A checkpoint's commit rename fails (the first save succeeds, the
+/// second save's rename is injected to fail), the engine is killed as
+/// soon as the fault has fired, and a restart over the same directory
+/// must resume from the surviving checkpoint and finish
+/// bit-identically.
+fn rename_restart(case: &Case) -> Result<String, String> {
+    let round = Round::prepare(case)?;
+    let out = case.dir.join("rename-restart.pl");
+    let cfg = round.serve_config();
+    Engine::run(cfg.clone(), |h| -> Result<(), String> {
+        let (id, _) = h
+            .submit(round.spec(Some(&out), Some("rename-fail@1".into())))
+            .map_err(|r| format!("submit: {}", r.detail))?;
+        // Kill as soon as the rename fault has fired (attempt 1 has a
+        // good checkpoint from save 1 and a failed commit at save 2).
+        let deadline = puffer_budget::clock::Deadline::after(WAIT);
+        while fsx::fault::armed() {
+            if h.status(id).map(|s| s.state.terminal()).unwrap_or(false) {
+                break; // tiny designs can finish first; still a legal end state
+            }
+            if deadline.expired() {
                 fsx::fault::disarm();
-                return Err(format!("disk-full fault at write {at} never fired"));
+                return Err("rename fault never fired".into());
             }
-            verify_pool(h)?;
-            h.drain();
-            Ok(())
-        })
-        .map_err(|e| e.to_string())??;
-        self.check_reference(&out, "recover-after-disk-full")?;
-        Ok((1, 0))
-    }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        h.shutdown();
+        Ok(())
+    })
+    .map_err(|e| e.to_string())??;
 
-    /// A checkpoint's commit rename fails (the first save succeeds, the
-    /// second save's rename is injected to fail), the engine is killed as
-    /// soon as the fault has fired, and a restart over the same directory
-    /// must resume from the surviving checkpoint and finish
-    /// bit-identically.
-    fn rename_restart(self) -> Result<(u64, u64), String> {
-        let out = self.dir.join("rename-restart.pl");
-        let cfg = self.serve_config("journal");
-        Engine::run(cfg.clone(), |h| -> Result<(), String> {
-            let (id, _) = h
-                .submit(self.spec(Some(&out), Some("rename-fail@1".into())))
-                .map_err(|r| format!("submit: {}", r.detail))?;
-            // Kill as soon as the rename fault has fired (attempt 1 has a
-            // good checkpoint from save 1 and a failed commit at save 2).
-            let deadline = puffer_budget::clock::Deadline::after(WAIT);
-            while fsx::fault::armed() {
-                if h.status(id).map(|s| s.state.terminal()).unwrap_or(false) {
-                    break; // tiny designs can finish first; still a legal end state
-                }
-                if deadline.expired() {
-                    fsx::fault::disarm();
-                    return Err("rename fault never fired".into());
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            h.shutdown();
-            Ok(())
-        })
-        .map_err(|e| e.to_string())??;
-
-        Engine::run(cfg, |h| -> Result<(), String> {
-            let record = wait_terminal(h, 1)?;
-            expect_state(h, 1, JobState::Done, &record)?;
-            verify_pool(h)?;
-            h.drain();
-            Ok(())
-        })
-        .map_err(|e| e.to_string())??;
-        self.check_reference(&out, "restart-after-rename-fault")?;
-        Ok((1, 0))
-    }
+    Engine::run(cfg, |h| -> Result<(), String> {
+        let record = wait_terminal(h, 1)?;
+        expect_state(h, 1, JobState::Done, &record)?;
+        verify_pool(h)?;
+        h.drain();
+        Ok(())
+    })
+    .map_err(|e| e.to_string())??;
+    round.check_reference(&out, "restart-after-rename-fault")?;
+    Ok("OK: rename fault fired, killed engine restarted and resumed bit-identically".into())
 }
 
 fn flow_config(max_iters: usize) -> PufferConfig {
@@ -532,21 +458,25 @@ impl Client {
 mod tests {
     use super::*;
 
+    /// Runs every serve row once — the in-crate smoke `--features lockcheck`
+    /// drives the engine, queue and trace locks through.
     #[test]
-    fn six_seeds_cover_every_fault_class() {
-        let cfg = ChaosConfig {
-            seeds: 6,
-            cells: 160,
-            max_iters: 60,
-            workers: 2,
-            dir: std::env::temp_dir().join("puffer-serve-chaos-test"),
-        };
-        let mut lines = Vec::new();
-        let summary = run_chaos(&cfg, |l| lines.push(l.to_string())).unwrap();
-        assert_eq!(summary.rounds, 6);
-        assert_eq!(summary.injections, [1, 1, 1, 1, 1, 1]);
-        assert_eq!(summary.completed, 6);
-        assert_eq!(summary.failed, 1);
-        assert_eq!(lines.len(), 6, "{lines:?}");
+    fn every_serve_row_ends_in_a_legal_state() {
+        let base = std::env::temp_dir().join("puffer-serve-chaos-test");
+        for (seed, (name, run)) in ROWS.iter().enumerate() {
+            let dir = base.join(name);
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            let case = Case {
+                seed: seed as u64,
+                at: 2 + seed,
+                magnitude: 1,
+                cells: 160,
+                max_iters: 60,
+                dir,
+            };
+            let verdict = run(&case).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(verdict.starts_with("OK"), "{name}: {verdict}");
+        }
     }
 }

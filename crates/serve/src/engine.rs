@@ -21,7 +21,7 @@
 //!
 //! Fault handling per attempt: a worker panic is caught at the job
 //! boundary ([`puffer_par::run_isolated`]) and classified as transient,
-//! like journal-write and I/O failures; transient faults retry with
+//! like journal and I/O failures; transient faults retry with
 //! exponential backoff up to `max_attempts`, resuming from the last good
 //! checkpoint. Flow and spec errors are permanent and fail the job
 //! immediately with a structured record.
@@ -37,7 +37,7 @@ use std::time::Duration;
 
 use puffer::{evaluate_bounded, CheckpointPolicy, FlowResult, Job, PufferConfig, PufferError};
 use puffer_budget::fsx;
-use puffer_budget::{Budget, CancelToken, ChaosPlan, FaultClass};
+use puffer_budget::{Budget, CancelToken, FaultClass};
 use puffer_db::design::Design;
 use puffer_db::io::{read_design, read_placement, write_placement};
 use puffer_route::{RouteError, RouteReport, RouterConfig};
@@ -508,7 +508,6 @@ impl ExecError {
 fn classify(err: PufferError) -> ExecError {
     let (class, transient) = match &err {
         PufferError::Journal(_) => ("journal", true),
-        PufferError::Stalled(_) => ("stalled", true),
         PufferError::Place(_)
         | PufferError::Congest(_)
         | PufferError::Legalize(_)
@@ -670,56 +669,33 @@ fn load_design(spec: &JobSpec) -> Result<Design, ExecError> {
     Err(ExecError::spec("no design source".into()))
 }
 
-/// Chaos hooks: deterministic faults the chaos harness injects through
-/// the spec's `chaos` tag.
-fn arm_chaos(job: Job, tag: &str, attempt: usize) -> Result<Job, ExecError> {
+/// Chaos hooks: deterministic faults the in-process chaos harness injects
+/// through the spec's `chaos` tag (never settable over the wire).
+fn arm_chaos(tag: &str, attempt: usize) -> Result<(), ExecError> {
     match tag {
         // Panic on the first attempt only — retry must succeed.
         "panic-once" if attempt == 1 => {
             std::panic::panic_any("chaos: injected worker panic (once)".to_string())
         }
-        "panic-once" => Ok(job),
+        "panic-once" => Ok(()),
         // Panic every attempt — the job must fail with a structured error.
         "panic" => std::panic::panic_any("chaos: injected worker panic".to_string()),
+        // `<fsx fault class>@N`: the N-th matching guarded operation after
+        // this point fails (checkpoint saves and journal records are the
+        // guarded writers on this thread's flow). First attempt only: the
+        // retry resumes past the fault.
         t => {
-            if let Some(at) = t.strip_prefix("journal-write@") {
-                let at: usize = at
-                    .parse()
-                    .map_err(|_| ExecError::spec(format!("bad chaos tag '{t}'")))?;
-                // First attempt only: the retry resumes past the fault.
-                if attempt == 1 {
-                    return Ok(job.with_chaos(ChaosPlan {
-                        class: FaultClass::JournalWrite,
-                        at,
-                        magnitude: 1,
-                    }));
-                }
-                Ok(job)
-            } else if let Some(at) = t.strip_prefix("disk-full@") {
-                let at: usize = at
-                    .parse()
-                    .map_err(|_| ExecError::spec(format!("bad chaos tag '{t}'")))?;
-                // First attempt only: ENOSPC on the at-th guarded write
-                // after this point (checkpoint saves and journal records
-                // are the guarded writers on this thread's flow).
-                if attempt == 1 {
-                    fsx::fault::arm(FaultClass::DiskFull, at);
-                }
-                Ok(job)
-            } else if let Some(at) = t.strip_prefix("rename-fail@") {
-                let at: usize = at
-                    .parse()
-                    .map_err(|_| ExecError::spec(format!("bad chaos tag '{t}'")))?;
-                // First attempt only: the at-th atomic-write commit rename
-                // after this point fails (the first renames after arming
-                // are checkpoint saves).
-                if attempt == 1 {
-                    fsx::fault::arm(FaultClass::RenameFail, at);
-                }
-                Ok(job)
-            } else {
-                Err(ExecError::spec(format!("unknown chaos tag '{t}'")))
+            let (class, skip) = t
+                .split_once('@')
+                .and_then(|(name, skip)| {
+                    let class = FaultClass::FS.into_iter().find(|c| c.as_str() == name)?;
+                    Some((class, skip.parse::<usize>().ok()?))
+                })
+                .ok_or_else(|| ExecError::spec(format!("unknown chaos tag '{t}'")))?;
+            if attempt == 1 {
+                fsx::fault::arm(class, skip);
             }
+            Ok(())
         }
     }
 }
@@ -753,7 +729,7 @@ fn execute(
                 config.placer.threads = n;
                 config.estimator.threads = n;
             }
-            let mut job = Job::new(config)
+            let job = Job::new(config)
                 .with_budget(budget)
                 .with_trace(trace.clone())
                 .with_checkpoints(CheckpointPolicy {
@@ -762,7 +738,7 @@ fn execute(
                     keep_history: false,
                 });
             if let Some(tag) = &spec.chaos {
-                job = arm_chaos(job, tag, attempt)?;
+                arm_chaos(tag, attempt)?;
             }
             let result = job.run_or_resume(&design).map_err(classify)?;
             surface_flush(shared, id, &trace);

@@ -17,9 +17,9 @@
 //! * [`server`] — the transports: TCP (`puffer serve --listen`) and any
 //!   `BufRead`/`Write` pair (`puffer serve --stdin`).
 //!
-//! [`chaos`] is the in-process fault-injection harness behind
-//! `puffer serve --chaos`: seeded worker panics, journal-write faults,
-//! client disconnects, and kill/restart cycles, each verified against the
+//! [`chaos`] holds the serve rows of the `puffer chaos` scenario table:
+//! seeded worker panics, filesystem write faults, client disconnects, and
+//! kill/restart cycles against a live engine, each verified against the
 //! three-legal-end-states contract (completed result / resumable
 //! checkpoint replaying bit-identically / structured error).
 //!
@@ -36,7 +36,6 @@ pub mod proto;
 pub mod queue;
 pub mod server;
 
-pub use chaos::{run_chaos, ChaosConfig, ChaosSummary};
 pub use engine::{Engine, EngineHandle, JobState, Reject, ServeConfig, StatusView, WaitError};
 pub use proto::{parse_request, JobKind, JobSpec, JsonLine, Request, PROTO_VERSION};
 pub use queue::{BoundedQueue, Popped, PushError};

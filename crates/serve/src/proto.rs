@@ -25,7 +25,7 @@
 //! `serve.status`, `serve.jobs`, `serve.result`, `serve.error`,
 //! `serve.pong`, `serve.done`.
 
-use puffer_trace::{parse_record, ParsedRecord};
+use puffer_trace::{escape_into, parse_record, ParsedRecord};
 
 /// Protocol/schema version stamped into every serve record as `"v"`.
 pub const PROTO_VERSION: u32 = 2;
@@ -33,23 +33,6 @@ pub const PROTO_VERSION: u32 = 2;
 // ---------------------------------------------------------------------------
 // JSON line writer
 // ---------------------------------------------------------------------------
-
-/// Appends `s` JSON-escaped (quotes, backslashes, control characters).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Builder for one flat JSON record line carrying `"t"` and `"v"`.
 #[derive(Debug)]
@@ -62,14 +45,14 @@ impl JsonLine {
     pub fn new(kind: &str) -> Self {
         let mut buf = String::with_capacity(96);
         buf.push_str("{\"t\":\"");
-        escape_into(&mut buf, kind);
+        escape_into(kind, &mut buf);
         let _ = std::fmt::Write::write_fmt(&mut buf, format_args!("\",\"v\":{PROTO_VERSION}"));
         JsonLine { buf }
     }
 
     fn key(&mut self, k: &str) {
         self.buf.push_str(",\"");
-        escape_into(&mut self.buf, k);
+        escape_into(k, &mut self.buf);
         self.buf.push_str("\":");
     }
 
@@ -77,7 +60,7 @@ impl JsonLine {
     pub fn str(mut self, k: &str, v: &str) -> Self {
         self.key(k);
         self.buf.push('"');
-        escape_into(&mut self.buf, v);
+        escape_into(v, &mut self.buf);
         self.buf.push('"');
         self
     }
@@ -162,8 +145,10 @@ pub struct JobSpec {
     pub threads: Option<usize>,
     /// Per-attempt wall-clock deadline in seconds.
     pub deadline_s: Option<f64>,
-    /// Chaos injection tag (`panic-once`, `panic`, `journal-write@N`);
-    /// honored by the engine's fault hooks, used by the chaos harness.
+    /// Chaos injection tag (`panic-once`, `panic`, `<fsx fault class>@N`),
+    /// honored by the engine's fault hooks. Only the in-process chaos
+    /// harness (and the `spec.json` it journals) may carry one:
+    /// [`parse_request`] refuses the field on the wire.
     pub chaos: Option<String>,
 }
 
@@ -313,8 +298,8 @@ pub enum Request {
 ///
 /// # Errors
 ///
-/// A message for unparseable JSON, an unknown request kind, or a missing
-/// required field.
+/// A message for unparseable JSON, an unknown request kind, a missing
+/// required field, or a `submit` carrying the harness-only `chaos` field.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let rec = parse_record(line)?;
     let id_field = |key: &str| -> Result<u64, String> {
@@ -325,6 +310,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
     };
     match rec.kind() {
+        // Fault tags never come off the wire: the engine executes them, and
+        // the fsx ones arm a process-global hook shared by every job.
+        Some("submit") if rec.get("chaos").is_some() => {
+            Err("submit: spec field 'chaos' is not accepted over the wire".into())
+        }
         Some("submit") => Ok(Request::Submit(Box::new(JobSpec::from_record(&rec)?))),
         Some("cancel") => Ok(Request::Cancel { id: id_field("id")? }),
         Some("status") => Ok(Request::Status {
@@ -375,7 +365,7 @@ mod tests {
             max_iters: Some(120),
             threads: Some(2),
             deadline_s: Some(4.5),
-            chaos: Some("journal-write@6".to_string()),
+            chaos: Some("torn-write@6".to_string()),
             ..JobSpec::default()
         };
         spec.validate().unwrap();
@@ -432,6 +422,9 @@ mod tests {
             }
         );
         assert_eq!(parse_request(r#"{"t":"drain"}"#).unwrap(), Request::Drain);
+        // A fault tag is harness-only: refused on the wire, naming the field.
+        let err = parse_request(r#"{"t":"submit","design":"d.pd","chaos":"panic"}"#).unwrap_err();
+        assert!(err.contains("'chaos'"), "{err}");
         assert!(parse_request("not json").is_err());
         assert!(parse_request(r#"{"t":"frobnicate"}"#).is_err());
         assert!(parse_request(r#"{"t":"cancel"}"#).is_err(), "missing id");

@@ -57,8 +57,10 @@ impl JsonlSink {
     }
 }
 
-/// Appends `s` to `out` with JSON string escaping.
-pub(crate) fn escape_into(s: &str, out: &mut String) {
+/// Appends `s` to `out` with JSON string escaping (quotes, backslashes,
+/// control characters) — the one escaper every JSONL writer in the
+/// workspace shares.
+pub fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -38,8 +38,7 @@
 //! | `flow.done` | `puffer` (core) | `runtime_s`, `gp_iterations`, `pad_rounds`, `hpwl`, `overflow` |
 //! | `route.done` | `puffer` (core) | `hof_pct`, `vof_pct`, `wirelength`, `overflow_gcells`, `rounds` |
 //! | `flow.degrade` | `puffer` (core) | `step`, `fraction_remaining`, `iter` |
-//! | `watchdog.stall` | `puffer` (core) | `stage`, `stalled_s`, `window_s`, `action`, `iter` |
-//! | `chaos.inject` | `puffer` (core) / cli | `class`, `at`, `magnitude`, `seed` |
+//! | `chaos.inject` | `puffer` (core, `nan-burst` under the `chaos` feature) | `class`, `at`, `magnitude` |
 //! | `span` | [`Trace::write_summary`] | `label`, `count`, `total_s`, `mean_s`, `min_s`, `max_s` |
 //! | `counter` | [`Trace::write_summary`] | `name`, `value` |
 //! | `gauge` | [`Trace::write_summary`] | `name`, `value` |
@@ -76,7 +75,7 @@
 pub mod jsonl;
 pub mod span;
 
-pub use jsonl::{parse_record, read_jsonl, ParsedRecord, TraceError, Value};
+pub use jsonl::{escape_into, parse_record, read_jsonl, ParsedRecord, TraceError, Value};
 pub use span::{SpanGuard, SpanStats};
 
 use jsonl::JsonlSink;
@@ -93,18 +92,9 @@ struct Inner {
     spans: Mutex<SpanRegistry>,
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, f64>>,
-    heartbeats: Mutex<BTreeMap<String, Heartbeat>>,
     sink: Option<Mutex<JsonlSink>>,
     /// First sink write error, reported by [`Trace::flush`].
     error: Mutex<Option<std::io::Error>>,
-}
-
-/// Liveness record of one named stage: its latest progress counter and
-/// when that counter last advanced.
-#[derive(Debug, Clone, Copy)]
-struct Heartbeat {
-    progress: u64,
-    last_advance: Instant,
 }
 
 /// A cheaply cloneable telemetry handle.
@@ -132,7 +122,6 @@ impl Trace {
                 spans: Mutex::new(SpanRegistry::default()),
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
-                heartbeats: Mutex::new(BTreeMap::new()),
                 sink: None,
                 error: Mutex::new(None),
             })),
@@ -154,7 +143,6 @@ impl Trace {
                 spans: Mutex::new(SpanRegistry::default()),
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
-                heartbeats: Mutex::new(BTreeMap::new()),
                 sink: Some(Mutex::new(sink)),
                 error: Mutex::new(None),
             })),
@@ -205,55 +193,6 @@ impl Trace {
     pub fn gauge(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
             lock_ordered(&inner.gauges, &classes::TRACE_GAUGES).insert(name.to_string(), value);
-        }
-    }
-
-    /// Records liveness for a named stage. The heartbeat's timestamp is
-    /// refreshed only when `progress` differs from the last observed value,
-    /// so [`Trace::heartbeat_age`] measures time since the stage last made
-    /// *progress*, not time since it last phoned home. A stalled loop that
-    /// keeps heartbeating the same counter therefore still ages.
-    pub fn heartbeat(&self, name: &str, progress: u64) {
-        if let Some(inner) = &self.inner {
-            let mut beats = lock_ordered(&inner.heartbeats, &classes::TRACE_HEARTBEATS);
-            match beats.get_mut(name) {
-                Some(hb) if hb.progress == progress => {}
-                Some(hb) => {
-                    hb.progress = progress;
-                    hb.last_advance = Instant::now();
-                }
-                None => {
-                    beats.insert(
-                        name.to_string(),
-                        Heartbeat {
-                            progress,
-                            last_advance: Instant::now(),
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    /// Time since the named stage's heartbeat counter last advanced, or
-    /// `None` when the stage has never heartbeat (or the handle is
-    /// disabled).
-    pub fn heartbeat_age(&self, name: &str) -> Option<std::time::Duration> {
-        let inner = self.inner.as_ref()?;
-        lock_ordered(&inner.heartbeats, &classes::TRACE_HEARTBEATS)
-            .get(name)
-            .map(|hb| hb.last_advance.elapsed())
-    }
-
-    /// Snapshot of all heartbeats as `(stage, progress, age)`, sorted by
-    /// stage name.
-    pub fn heartbeats(&self) -> Vec<(String, u64, std::time::Duration)> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(inner) => lock_ordered(&inner.heartbeats, &classes::TRACE_HEARTBEATS)
-                .iter()
-                .map(|(k, hb)| (k.clone(), hb.progress, hb.last_advance.elapsed()))
-                .collect(),
         }
     }
 
@@ -552,31 +491,6 @@ mod tests {
         assert!(table.contains("gp"), "{table}");
         assert!(table.contains("steps"), "{table}");
         assert!(table.contains("stage"), "{table}");
-    }
-
-    #[test]
-    fn heartbeats_age_only_without_progress() {
-        let t = Trace::enabled();
-        assert!(t.heartbeat_age("gp").is_none());
-        t.heartbeat("gp", 1);
-        let a1 = t.heartbeat_age("gp").unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        t.heartbeat("gp", 1); // same counter: the heartbeat keeps aging
-        let a2 = t.heartbeat_age("gp").unwrap();
-        assert!(a2 >= a1);
-        assert!(a2 >= std::time::Duration::from_millis(4));
-        t.heartbeat("gp", 2); // progress: age resets
-        let a3 = t.heartbeat_age("gp").unwrap();
-        assert!(a3 < a2);
-        let beats = t.heartbeats();
-        assert_eq!(beats.len(), 1);
-        assert_eq!(beats[0].0, "gp");
-        assert_eq!(beats[0].1, 2);
-
-        let d = Trace::disabled();
-        d.heartbeat("gp", 1);
-        assert!(d.heartbeat_age("gp").is_none());
-        assert!(d.heartbeats().is_empty());
     }
 
     #[test]

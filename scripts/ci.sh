@@ -86,45 +86,49 @@ cmp "$SMOKE_DIR/t1.pj" "$SMOKE_DIR/t4.pj"
 cmp "$SMOKE_DIR/t1.pl" "$SMOKE_DIR/t4.pl"
 
 # Bounded-execution smoke: an expired deadline must still exit 0 with a
-# legal best-so-far placement, and the deterministic chaos harness must
-# survive one injection from every fault class.
-echo "==> bounded execution smoke (place --deadline + puffer chaos)"
+# legal best-so-far placement, and the flow rows of the chaos harness
+# (worker-panic, nan-burst) must each survive two seeded injections.
+echo "==> bounded execution smoke (place --deadline + puffer chaos --classes flow)"
 "$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/deadline.pl" \
   --deadline 0.001 --degrade default
-"$PUFFER" chaos --seeds 9
+"$PUFFER" chaos --classes flow --seeds 4
 
 # Durable I/O gates: the fsx unit suite with the fault hooks compiled in,
 # then 24 seeded filesystem-fault injections (disk-full, torn-write,
-# fsync-fail, rename-fail, short-read) through the flow-level chaos
-# harness. Every
-# injection must end in a legal end state: a valid result, a resumable
-# checkpoint that replays bit-identically, or a structured error.
+# fsync-fail, rename-fail, short-read) through the fs rows of the chaos
+# harness. Every injection must end in a legal end state: a valid result,
+# a resumable checkpoint that replays bit-identically, or a structured
+# error.
 echo "==> fsx chaos smoke (unit suite + puffer chaos --classes fs --seeds 24)"
 cargo test -q -p puffer-budget --features chaos fsx
 "$PUFFER" chaos --classes fs --seeds 24
 
 # Serve smoke: the daemon's stdin transport runs a submitted job to
-# completion on EOF-drain, journaling under --journal-dir.
+# completion on EOF-drain, journaling under --journal-dir, and refuses a
+# submit that carries the harness-only chaos tag.
 echo "==> serve smoke (puffer serve --stdin)"
 rm -rf "$SMOKE_DIR/serve-journal"
 printf '%s\n' \
   '{"t":"ping"}' \
   '{"t":"submit","preset":"or1200","scale":0.003,"out":"target/ci-smoke/serve.pl"}' \
   '{"t":"wait","id":1,"timeout_s":300}' \
+  '{"t":"submit","preset":"or1200","scale":0.003,"chaos":"panic"}' \
   '{"t":"drain"}' |
   "$PUFFER" serve --stdin --journal-dir "$SMOKE_DIR/serve-journal" \
     --workers 2 | tee "$SMOKE_DIR/serve-smoke.out"
 grep -q '"t":"serve.result"' "$SMOKE_DIR/serve-smoke.out"
+grep -q '"t":"serve.rejected"' "$SMOKE_DIR/serve-smoke.out"
 test -f "$SMOKE_DIR/serve.pl"
 
-# Serve chaos smoke: >= 20 seeded injections across all six fault classes
-# (worker panic, journal truncation, client disconnect, kill+restart,
-# injected ENOSPC, and kill+restart after an injected rename failure);
-# every job must land in a legal end state with the worker pool intact.
-# Together with the 24 flow-level filesystem injections above, this puts
-# >= 32 seeded filesystem faults through the durable I/O layer per run.
-echo "==> serve chaos smoke (puffer serve --chaos --seeds 24)"
-"$PUFFER" serve --chaos --seeds 24 --cells 160 --max-iters 60
+# Serve chaos smoke: 24 seeded injections across the six serve rows of the
+# chaos harness (worker panic, torn checkpoint/journal write, client
+# disconnect, kill+restart, injected ENOSPC, and kill+restart after an
+# injected rename failure); every job must land in a legal end state with
+# the worker pool intact. Together with the 24 fs-row injections above,
+# this puts >= 32 seeded filesystem faults through the durable I/O layer
+# per run.
+echo "==> serve chaos smoke (puffer chaos --classes serve --seeds 24)"
+"$PUFFER" chaos --classes serve --seeds 24 --cells 160 --max-iters 60
 
 # Lock-order sanitizer smoke: the runtime half of the lock-order gate. The
 # lockcheck cargo feature arms a thread-local held-lock stack that asserts

@@ -1,20 +1,8 @@
 //! Workspace umbrella crate for the PUFFER reproduction.
 //!
 //! This crate exists to host the runnable `examples/` and the cross-crate
-//! integration tests in `tests/`. The actual library surface lives in the
-//! [`puffer`] crate and its substrates; this crate simply re-exports them so
-//! examples can use one import root.
+//! integration tests in `tests/`. The library surface lives in the
+//! [`puffer`] crate and its substrates, which examples and tests import
+//! directly.
 
 #![forbid(unsafe_code)]
-
-pub use puffer;
-pub use puffer_congest as congest;
-pub use puffer_db as db;
-pub use puffer_explore as explore;
-pub use puffer_fft as fft;
-pub use puffer_flute as flute;
-pub use puffer_gen as gen;
-pub use puffer_legal as legal;
-pub use puffer_pad as pad;
-pub use puffer_place as place;
-pub use puffer_route as route;
