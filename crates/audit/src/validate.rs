@@ -667,6 +667,8 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
     summary.records = records.len();
     let mut congest_index = 0usize;
     let mut pending_coarsen = false;
+    let mut density_evals = None;
+    let mut transforms2d = None;
     for (i, r) in records.iter().enumerate() {
         let Some(kind) = r.kind() else {
             out.push(Violation {
@@ -714,6 +716,11 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
                 }
             }
             "pad.round" => summary.pad_rounds += 1,
+            "counter" => match r.str_field("name") {
+                Some("place.density_evals") => density_evals = r.num("value"),
+                Some("fft.transforms2d") => transforms2d = r.num("value"),
+                _ => {}
+            },
             "flow.degrade" if r.str_field("step") == Some("coarse-congestion") => {
                 pending_coarsen = true;
             }
@@ -852,6 +859,19 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
                     "flow.done claims {done} padding rounds but the file holds {} \
                      pad.round records",
                     summary.pad_rounds
+                ),
+            });
+        }
+    }
+    // A density evaluation is a gradient (3 transforms) or a statistics
+    // pass (2): the two counters bracket each other.
+    if let (Some(evals), Some(transforms)) = (density_evals, transforms2d) {
+        if !(2.0 * evals..=3.0 * evals).contains(&transforms) {
+            out.push(Violation {
+                check: "density-counters",
+                message: format!(
+                    "fft.transforms2d = {transforms} is not within 2x..3x of \
+                     place.density_evals = {evals}"
                 ),
             });
         }

@@ -19,13 +19,14 @@ use puffer_congest::{CongestionEstimator, EstimatorConfig};
 use puffer_db::design::{Design, Placement};
 use puffer_db::geom::Point;
 use puffer_dp::{refine_bounded, DetailedConfig};
-use puffer_fft::{dct2, dct3, Complex};
+use puffer_fft::{dct2, dct3, plan, transform2d_planned, Complex, Kind};
 use puffer_flute::Topology;
 use puffer_gen::{generate, GeneratorConfig};
 use puffer_legal::legalize_bounded;
 use puffer_pad::{extract_features, padding_round, FeatureConfig, PaddingState, PaddingStrategy};
 use puffer_place::{
-    quadratic_placement, DensityModel, GlobalPlacer, PlacerConfig, QuadraticConfig,
+    quadratic_placement, DensityModel, DensityWorkspace, GlobalPlacer, PlacerConfig,
+    QuadraticConfig,
 };
 use puffer_route::{assign_layers, GlobalRouter, LayerConfig, RouterConfig};
 
@@ -97,6 +98,14 @@ fn fft_benches() {
     let data: Vec<f64> = (0..256).map(|i| (i as f64 * 0.37).sin()).collect();
     bench("fft", "dct2_256", 10, 100, || dct2(black_box(&data)));
     bench("fft", "dct3_256", 10, 100, || dct3(black_box(&data)));
+    // What a row of the density solve costs: the shared plan applied in
+    // place, scratch reused.
+    let (plan, mut row, mut scratch) = (plan(256), data.clone(), Vec::new());
+    bench("fft", "dct2_256_in_place", 10, 100, || {
+        row.copy_from_slice(black_box(&data));
+        plan.apply(Kind::Dct2, &mut row, &mut scratch);
+        row[0]
+    });
     let cdata: Vec<Complex> = (0..1024)
         .map(|i| Complex::new((i as f64).sin(), 0.0))
         .collect();
@@ -194,6 +203,14 @@ fn density_benches() {
     let model = DensityModel::new(&design, 64, 64);
     bench("density", "evaluate_64x64", 2, 20, || {
         model.evaluate(design.netlist(), &placement, &widths, 1.0)
+    });
+    // The two calls a Nesterov step makes, on the workspace it keeps.
+    let mut ws = DensityWorkspace::new(&model, design.netlist().num_cells(), 1);
+    bench("density", "gradient_64x64", 2, 20, || {
+        ws.gradient(&model, design.netlist(), &placement, &widths)[0]
+    });
+    bench("density", "statistics_64x64", 2, 20, || {
+        ws.statistics(&model, design.netlist(), &placement, &widths, 1.0)
     });
 }
 
@@ -381,7 +398,6 @@ fn trace_benches() {
 
 fn par_benches() {
     use puffer_bench::par::{serial_transform2d, serial_wa_reference, THREADS};
-    use puffer_fft::transform2d_threaded;
     use puffer_place::wa_wirelength_grad_threaded;
 
     let design = bench_design();
@@ -399,24 +415,32 @@ fn par_benches() {
         });
     }
 
-    // Electrostatic density evaluation (scatter + Poisson + gather).
+    // Electrostatic density gradient (scatter + forward DCT + field
+    // syntheses + gather) on a persistent workspace.
     let widths: Vec<f64> = nl.cells().iter().map(|c| c.width).collect();
     let model = DensityModel::new(&design, 64, 64);
     for t in THREADS {
-        bench("par", &format!("density_eval_{t}t"), 2, 20, || {
-            model.evaluate_threaded(nl, &placement, &widths, 1.0, t)
+        let mut ws = DensityWorkspace::new(&model, nl.num_cells(), t);
+        bench("par", &format!("density_grad_{t}t"), 2, 20, || {
+            ws.gradient(&model, nl, &placement, &widths)[0]
         });
     }
 
-    // 2-D DCT on a Poisson-solver-sized grid.
+    // 2-D DCT on a Poisson-solver-sized grid: the allocating serial
+    // reference, then the planned in-place pass on reused buffers.
     let (nx, ny) = (256, 256);
     let data: Vec<f64> = (0..nx * ny).map(|i| (i as f64 * 0.13).sin()).collect();
     bench("par", "transform2d_serial_ref", 2, 20, || {
         serial_transform2d(&data, nx, ny, dct2)
     });
+    let mut grid = data.clone();
+    let mut transposed = vec![0.0; data.len()];
     for t in THREADS {
+        let mut lanes = vec![Vec::new(); t];
         bench("par", &format!("transform2d_{t}t"), 2, 20, || {
-            transform2d_threaded(&data, nx, ny, dct2, t)
+            grid.copy_from_slice(&data);
+            transform2d_planned(&mut grid, nx, ny, (Kind::Dct2, Kind::Dct2), &mut transposed, &mut lanes);
+            grid[0]
         });
     }
 }

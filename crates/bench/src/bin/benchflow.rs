@@ -18,8 +18,8 @@ use puffer::{evaluate_bounded, Job, PufferConfig};
 use puffer_bench::par::{serial_transform2d, serial_wa_reference, time_min, THREADS};
 use puffer_bench::{generate_logged, HarnessArgs};
 use puffer_budget::Budget;
-use puffer_fft::{dct2, transform2d_threaded};
-use puffer_place::{wa_wirelength_grad_threaded, DensityModel};
+use puffer_fft::{dct2, transform2d_planned, Kind};
+use puffer_place::{wa_wirelength_grad_threaded, DensityModel, DensityWorkspace};
 use puffer_route::RouterConfig;
 use puffer_trace::Trace;
 use std::fmt::Write as _;
@@ -80,17 +80,27 @@ fn par_times(
         by_threads: THREADS
             .map(|t| time_min(2, 9, || wa_wirelength_grad_threaded(nl, placement, 4.0, t))),
     };
+    // The paths the placer runs: a density gradient on a persistent
+    // workspace, and the planned in-place 2-D DCT on reused buffers.
     let density = ParTimes {
         serial_s: None,
         by_threads: THREADS.map(|t| {
-            time_min(2, 9, || {
-                model.evaluate_threaded(nl, placement, &widths, 1.0, t)
-            })
+            let mut ws = DensityWorkspace::new(&model, nl.num_cells(), t);
+            time_min(2, 9, || ws.gradient(&model, nl, placement, &widths)[0])
         }),
     };
     let transform = ParTimes {
         serial_s: Some(time_min(2, 9, || serial_transform2d(&data, nx, ny, dct2))),
-        by_threads: THREADS.map(|t| time_min(2, 9, || transform2d_threaded(&data, nx, ny, dct2, t))),
+        by_threads: THREADS.map(|t| {
+            let mut grid = data.clone();
+            let mut transposed = vec![0.0; data.len()];
+            let mut lanes = vec![Vec::new(); t];
+            time_min(2, 9, || {
+                grid.copy_from_slice(&data);
+                transform2d_planned(&mut grid, nx, ny, (Kind::Dct2, Kind::Dct2), &mut transposed, &mut lanes);
+                grid[0]
+            })
+        }),
     };
     [
         ("wa_grad", wa),

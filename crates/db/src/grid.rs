@@ -230,22 +230,25 @@ impl Grid<f64> {
     /// Splats `amount` uniformly over the part of `r` inside the region,
     /// area-weighted per overlapped cell. A rect with zero area deposits the
     /// whole `amount` into its containing cell.
-    pub fn splat(&mut self, r: &Rect, amount: f64) {
+    ///
+    /// Returns the inclusive cell window `(ix_lo, ix_hi, iy_lo, iy_hi)`
+    /// outside which nothing was written (`None` when nothing was written
+    /// at all), so a caller reusing a scratch grid can find — and clear —
+    /// what a batch of splats touched without scanning the whole grid.
+    pub fn splat(&mut self, r: &Rect, amount: f64) -> Option<(usize, usize, usize, usize)> {
         if amount == 0.0 {
-            return;
+            return None;
         }
         if r.area() <= 0.0 {
             let (ix, iy) = self.cell_of(r.center());
             *self.at_mut(ix, iy) += amount;
-            return;
+            return Some((ix, ix, iy, iy));
         }
-        let Some((ix_lo, ix_hi, iy_lo, iy_hi)) = self.cells_overlapping(r) else {
-            return;
-        };
+        let (ix_lo, ix_hi, iy_lo, iy_hi) = self.cells_overlapping(r)?;
         let clipped = r.intersection(&self.region);
         let total = clipped.area();
         if total <= 0.0 {
-            return;
+            return None;
         }
         // Separable overlap: a cell's overlap area is (x-extent overlap) ×
         // (y-extent overlap), so compute the y part once per row and only
@@ -268,6 +271,7 @@ impl Grid<f64> {
                 }
             }
         }
+        Some((ix_lo, ix_hi, iy_lo, iy_hi))
     }
 }
 
@@ -332,6 +336,21 @@ mod tests {
         assert!((*g.at(0, 0) - 0.5).abs() < 1e-9);
         // Cell (1,1) is fully covered: 8 * 4/16.
         assert!((*g.at(1, 1) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn splat_reports_the_window_it_wrote() {
+        let mut g = grid();
+        let wide = Rect::new(1.0, 1.0, 5.0, 3.0);
+        assert_eq!(g.splat(&wide, 8.0), Some((0, 2, 0, 1)));
+        let point = Rect::new(3.0, 3.0, 3.0, 3.0);
+        assert_eq!(g.splat(&point, 1.0), Some((1, 1, 1, 1)));
+        assert_eq!(g.splat(&wide, 0.0), None);
+        assert_eq!(g.splat(&Rect::new(20.0, 20.0, 21.0, 21.0), 1.0), None);
+        // Every non-zero cell lies inside the union of the reported windows.
+        for ((ix, iy), v) in g.iter() {
+            assert!(*v == 0.0 || (ix <= 2 && iy <= 1), "({ix},{iy}) = {v}");
+        }
     }
 
     #[test]

@@ -6,14 +6,20 @@
 //! crate provides on top of an iterative radix-2 complex FFT — no external
 //! FFT dependency.
 //!
+//! * [`Plan`] — everything about a length that does not depend on the
+//!   data (bit-reversal swaps, stage twiddles, DCT twiddles), built once per
+//!   length and shared process-wide through [`plan`]; its transforms run in
+//!   place on the caller's slice with reusable scratch, and every table
+//!   entry is computed the way an unplanned transform would compute it, so
+//!   results are bit-identical to the table-free formulation;
 //! * [`fft`]/[`ifft`] — in-place complex FFT for power-of-two lengths;
-//! * [`dct2`]/[`dct3`] — classical DCT-II/III pairs (an independent
-//!   cross-check and available for Neumann-boundary variants);
-//! * [`transform2d`]/[`transform2d_mixed`] — separable application of 1-D
-//!   transforms to rows and columns of a dense matrix, with
-//!   [`transform2d_threaded`]/[`transform2d_mixed_threaded`] variants that
-//!   chunk rows/columns across workers via `puffer-par` and are
-//!   bit-identical to the serial path for any thread count.
+//! * [`dct2`]/[`dct3`]/[`dst3_shifted`] — the real transforms of the
+//!   Poisson solver as allocating one-liners over the shared plan;
+//! * [`transform2d_in_place`] — the one separable 2-D pass (rows in place,
+//!   transpose, columns in place, transpose back) over `puffer-par`,
+//!   bit-identical for any worker count; [`transform2d_planned`] runs it
+//!   with planned transforms, and [`transform2d`]/[`transform2d_mixed`] and
+//!   their `_threaded` variants run it with arbitrary 1-D closures.
 //!
 //! # Example
 //!
@@ -32,6 +38,7 @@
 
 use std::f64::consts::PI;
 use std::ops::{Add, Mul, Neg, Sub};
+use std::sync::OnceLock;
 
 /// A complex number with `f64` components.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -121,7 +128,9 @@ impl Neg for Complex {
 /// Panics if the length is not a power of two (lengths 0 and 1 are allowed
 /// and are no-ops).
 pub fn fft(data: &mut [Complex]) {
-    fft_dir(data, false)
+    if !data.is_empty() {
+        plan(data.len()).fft(data);
+    }
 }
 
 /// In-place inverse FFT (includes the `1/N` normalisation).
@@ -130,56 +139,231 @@ pub fn fft(data: &mut [Complex]) {
 ///
 /// Panics if the length is not a power of two.
 pub fn ifft(data: &mut [Complex]) {
-    fft_dir(data, true);
-    let n = data.len();
-    if n > 0 {
-        let s = 1.0 / n as f64;
+    if !data.is_empty() {
+        plan(data.len()).ifft(data);
+    }
+}
+
+/// Which 1-D real transform a planned pass applies; see [`dct2`], [`dct3`]
+/// and [`dst3_shifted`] for the definitions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// DCT-II analysis.
+    Dct2,
+    /// DCT-III synthesis.
+    Dct3,
+    /// Shifted DST-III synthesis.
+    Dst3Shifted,
+}
+
+/// Everything about a length-`N` transform that does not depend on the
+/// data: the bit-reversal swaps, the butterfly twiddles of every stage in
+/// both directions, and the DCT-II/III twiddles.
+///
+/// Every table entry is produced by the arithmetic an unplanned transform
+/// would perform at that point — `w ← w·w_len` from `w = 1` within a stage,
+/// one [`Complex::from_angle`] per DCT twiddle — so planned results carry
+/// the same bits (pinned by `tests/transform_bits.rs`). What a plan removes
+/// is the `N + log₂N` `sin`/`cos` pairs and the scratch allocations per
+/// call: transforms run in place on the caller's slice, through a reusable
+/// complex scratch buffer.
+#[derive(Debug)]
+pub struct Plan {
+    n: usize,
+    /// Index pairs `(i, j)`, `i < j`, exchanged by the bit-reversal.
+    swaps: Vec<(usize, usize)>,
+    /// `e^{∓2πi·k/len}` for `k < len/2`, stages `len = 2, 4, …, N`
+    /// back-to-back (the stage with half-length `h` starts at `h − 1`).
+    forward: Vec<Complex>,
+    inverse: Vec<Complex>,
+    /// `e^{−iπk/2N}`: the DCT-II post-twiddles.
+    dct2_post: Vec<Complex>,
+    /// `e^{+iπk/2N}`: the DCT-III pre-twiddles.
+    dct3_pre: Vec<Complex>,
+}
+
+impl Plan {
+    /// Builds the tables for length `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a power of two.
+    pub fn new(n: usize) -> Self {
+        assert!(n.is_power_of_two(), "fft length {n} is not a power of two");
+        let mut swaps = Vec::new();
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                swaps.push((i, j));
+            }
+        }
+        let stage_twiddles = |sign: f64| {
+            let mut table = Vec::with_capacity(n - 1);
+            let mut len = 2;
+            while len <= n {
+                let wlen = Complex::from_angle(sign * 2.0 * PI / len as f64);
+                let mut w = Complex::new(1.0, 0.0);
+                for _ in 0..len / 2 {
+                    table.push(w);
+                    w = w * wlen;
+                }
+                len <<= 1;
+            }
+            table
+        };
+        let dct_twiddles = |sign: f64| {
+            (0..n)
+                .map(|k| Complex::from_angle(sign * PI * k as f64 / (2.0 * n as f64)))
+                .collect()
+        };
+        Plan {
+            n,
+            swaps,
+            forward: stage_twiddles(-1.0),
+            inverse: stage_twiddles(1.0),
+            dct2_post: dct_twiddles(-1.0),
+            dct3_pre: dct_twiddles(1.0),
+        }
+    }
+
+    /// In-place forward FFT; see [`fft`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` differs from the plan's length.
+    pub fn fft(&self, data: &mut [Complex]) {
+        self.butterflies(data, &self.forward);
+    }
+
+    /// In-place inverse FFT with the `1/N` normalisation; see [`ifft`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` differs from the plan's length.
+    pub fn ifft(&self, data: &mut [Complex]) {
+        self.butterflies(data, &self.inverse);
+        let s = 1.0 / self.n as f64;
         for v in data.iter_mut() {
             *v = v.scale(s);
         }
     }
-}
 
-fn fft_dir(data: &mut [Complex], inverse: bool) {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
-    assert!(n.is_power_of_two(), "fft length {n} is not a power of two");
-
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
+    fn butterflies(&self, data: &mut [Complex], twiddles: &[Complex]) {
+        assert_eq!(data.len(), self.n, "data length differs from the plan's");
+        for &(i, j) in &self.swaps {
             data.swap(i, j);
         }
+        let mut half = 1;
+        while half < self.n {
+            let stage = &twiddles[half - 1..2 * half - 1];
+            for block in data.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi).zip(stage) {
+                    let u = *a;
+                    let v = *b * w;
+                    *a = u + v;
+                    *b = u - v;
+                }
+            }
+            half <<= 1;
+        }
     }
 
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * PI / len as f64;
-        let wlen = Complex::from_angle(ang);
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex::new(1.0, 0.0);
-            for k in 0..len / 2 {
-                let u = data[i + k];
-                let v = data[i + k + len / 2] * w;
-                data[i + k] = u + v;
-                data[i + k + len / 2] = u - v;
-                w = w * wlen;
+    /// Applies the 1-D transform `kind` to `x` in place. `scratch` is
+    /// resized as needed and holds nothing between calls: keep one per
+    /// worker and reuse it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the plan's length.
+    pub fn apply(&self, kind: Kind, x: &mut [f64], scratch: &mut Vec<Complex>) {
+        assert_eq!(x.len(), self.n, "data length differs from the plan's");
+        scratch.resize(self.n, Complex::ZERO);
+        match kind {
+            Kind::Dct2 => self.dct2(x, scratch),
+            Kind::Dct3 => self.dct3(x, scratch),
+            Kind::Dst3Shifted => {
+                // sin(π(2n+1)k/(2N)) = (−1)ⁿ·cos(π(2n+1)(N−k)/(2N)): feed
+                // DCT-III the reversed coefficients x[N−k] with a zero in
+                // slot 0 (which cancels its X[0]/2 term), then flip the
+                // sign of the odd outputs.
+                x[0] = 0.0;
+                x[1..].reverse();
+                self.dct3(x, scratch);
+                for v in x.iter_mut().skip(1).step_by(2) {
+                    *v = -*v;
+                }
             }
-            i += len;
         }
-        len <<= 1;
     }
+
+    /// DCT-II through one length-`N` FFT of the even/odd reordered input:
+    /// `v[i] = x[2i]` in the first half, `v[N−1−i] = x[2i+1]` in the second.
+    fn dct2(&self, x: &mut [f64], v: &mut [Complex]) {
+        let n = self.n;
+        for i in 0..n.div_ceil(2) {
+            v[i] = Complex::new(x[2 * i], 0.0);
+        }
+        for i in 0..n / 2 {
+            v[n - 1 - i] = Complex::new(x[2 * i + 1], 0.0);
+        }
+        self.fft(v);
+        for ((out, &vk), &w) in x.iter_mut().zip(v.iter()).zip(&self.dct2_post) {
+            *out = (vk * w).re;
+        }
+    }
+
+    /// DCT-III by inverting the [`Plan::dct2`] pipeline: rebuild
+    /// `V[k] = e^{iπk/(2N)}·(x[k] − i·x[N−k])/2` (with `x[N] ≡ 0`), run the
+    /// unnormalised inverse FFT `Σ V_k e^{+2πikn/N}`, and undo the
+    /// even/odd reordering.
+    fn dct3(&self, x: &mut [f64], v: &mut [Complex]) {
+        let n = self.n;
+        if n == 1 {
+            x[0] /= 2.0;
+            return;
+        }
+        v[0] = Complex::new(x[0] / 2.0, 0.0);
+        for k in 1..n {
+            let z = Complex::new(x[k] / 2.0, -x[n - k] / 2.0);
+            v[k] = self.dct3_pre[k] * z;
+        }
+        self.butterflies(v, &self.inverse);
+        for i in 0..n.div_ceil(2) {
+            x[2 * i] = v[i].re;
+        }
+        for i in 0..n / 2 {
+            x[2 * i + 1] = v[n - 1 - i].re;
+        }
+    }
+}
+
+/// The process-wide plan for length `n`, built on first use and shared by
+/// every caller: the tables are immutable and depend on `n` alone.
+///
+/// # Panics
+///
+/// Panics if `n` is not a power of two.
+pub fn plan(n: usize) -> &'static Plan {
+    static PLANS: [OnceLock<Plan>; usize::BITS as usize] =
+        [const { OnceLock::new() }; usize::BITS as usize];
+    assert!(n.is_power_of_two(), "fft length {n} is not a power of two");
+    PLANS[n.trailing_zeros() as usize].get_or_init(|| Plan::new(n))
+}
+
+/// `kind` of a copy of `x` through the shared plan.
+fn planned(kind: Kind, x: &[f64]) -> Vec<f64> {
+    let mut out = x.to_vec();
+    if !out.is_empty() {
+        plan(out.len()).apply(kind, &mut out, &mut Vec::new());
+    }
+    out
 }
 
 /// DCT-II: `X[k] = Σ_n x[n]·cos(π(2n+1)k/(2N))`, computed via a length-`N`
@@ -189,25 +373,7 @@ fn fft_dir(data: &mut [Complex], inverse: bool) {
 ///
 /// Panics if the length is not a power of two.
 pub fn dct2(x: &[f64]) -> Vec<f64> {
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    // v[i] = x[2i] for the first half, v[N-1-i] = x[2i+1] for the second.
-    let mut v = vec![Complex::ZERO; n];
-    for i in 0..n.div_ceil(2) {
-        v[i] = Complex::new(x[2 * i], 0.0);
-    }
-    for i in 0..n / 2 {
-        v[n - 1 - i] = Complex::new(x[2 * i + 1], 0.0);
-    }
-    fft(&mut v);
-    (0..n)
-        .map(|k| {
-            let w = Complex::from_angle(-PI * k as f64 / (2.0 * n as f64));
-            (v[k] * w).re
-        })
-        .collect()
+    planned(Kind::Dct2, x)
 }
 
 /// DCT-III: `y[i] = X[0]/2 + Σ_{k≥1} X[k]·cos(π(2i+1)k/(2N))`.
@@ -220,33 +386,7 @@ pub fn dct2(x: &[f64]) -> Vec<f64> {
 ///
 /// Panics if the length is not a power of two.
 pub fn dct3(x: &[f64]) -> Vec<f64> {
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n == 1 {
-        return vec![x[0] / 2.0];
-    }
-    // Reconstruct V[k] = e^{iπk/(2N)} (x[k]/2 - i·x̃[k]/2) where x̃ is the
-    // odd-reflected partner; concretely V[k] = (x[k] - i·x[N-k]) · w / 2 with
-    // x[N] ≡ 0, so that Re(FFT^{-1}(V))·(reorder) gives the DCT-III.
-    let mut v = vec![Complex::ZERO; n];
-    v[0] = Complex::new(x[0] / 2.0, 0.0);
-    for k in 1..n {
-        let w = Complex::from_angle(PI * k as f64 / (2.0 * n as f64));
-        let z = Complex::new(x[k] / 2.0, -x[n - k] / 2.0);
-        v[k] = w * z;
-    }
-    let mut buf = v;
-    fft_dir(&mut buf, true); // unnormalised inverse: Σ V_k e^{+2πikn/N}
-    let mut out = vec![0.0; n];
-    for i in 0..n.div_ceil(2) {
-        out[2 * i] = buf[i].re;
-    }
-    for i in 0..n / 2 {
-        out[2 * i + 1] = buf[n - 1 - i].re;
-    }
-    out
+    planned(Kind::Dct3, x)
 }
 
 /// Shifted DST-III synthesis: `y[n] = Σ_{k=1}^{N−1} X[k]·sin(π(2n+1)k/(2N))`
@@ -261,25 +401,104 @@ pub fn dct3(x: &[f64]) -> Vec<f64> {
 ///
 /// Panics if the length is not a power of two.
 pub fn dst3_shifted(x: &[f64]) -> Vec<f64> {
-    let n = x.len();
-    if n == 0 {
-        return Vec::new();
+    planned(Kind::Dst3Shifted, x)
+}
+
+/// The one 2-D pass: applies `fx` to every row and then `fy` to every
+/// column of the dense row-major `nx × ny` matrix `data` (row length `nx`),
+/// in place.
+///
+/// Rows are transformed where they lie; the matrix is then transposed into
+/// `transposed` so that the columns are contiguous too, transformed there,
+/// and transposed back. Both passes run on up to `lanes.len()` workers
+/// through [`puffer_par::for_each_block`], each 1-D call receiving its
+/// worker's lane as scratch. A 1-D transform reads and writes its own line
+/// only and the transposes are pure data movement — there is no
+/// accumulation, so the output is bit-identical for any lane count.
+///
+/// # Panics
+///
+/// Panics if `data` or `transposed` is not `nx * ny` long, or `lanes` is
+/// empty.
+pub fn transform2d_in_place<S, FX, FY>(
+    data: &mut [f64],
+    nx: usize,
+    ny: usize,
+    transposed: &mut [f64],
+    lanes: &mut [S],
+    fx: FX,
+    fy: FY,
+) where
+    S: Send,
+    FX: Fn(&mut [f64], &mut S) + Sync,
+    FY: Fn(&mut [f64], &mut S) + Sync,
+{
+    assert_eq!(data.len(), nx * ny, "matrix shape mismatch");
+    assert_eq!(
+        transposed.len(),
+        nx * ny,
+        "transpose scratch shape mismatch"
+    );
+    if nx == 0 || ny == 0 {
+        return;
     }
-    if n == 1 {
-        return vec![0.0];
-    }
-    let mut rev = vec![0.0; n];
-    // rev[k] = x[N−k]; rev[0] = 0 cancels the X[0]/2 term inside dct3.
-    for k in 1..n {
-        rev[k] = x[n - k];
-    }
-    let mut out = dct3(&rev);
-    for (i, v) in out.iter_mut().enumerate() {
-        if i % 2 == 1 {
-            *v = -*v;
+    puffer_par::for_each_block(data, nx, lanes, |_, rows, lane| {
+        for row in rows.chunks_exact_mut(nx) {
+            fx(row, lane);
+        }
+    });
+    transpose(data, nx, transposed);
+    puffer_par::for_each_block(transposed, ny, lanes, |_, cols, lane| {
+        for col in cols.chunks_exact_mut(ny) {
+            fy(col, lane);
+        }
+    });
+    transpose(transposed, ny, data);
+}
+
+/// [`transform2d_in_place`] with the planned transforms `kx` along x and
+/// `ky` along y; each lane is one worker's complex scratch.
+///
+/// # Panics
+///
+/// Panics like [`transform2d_in_place`], or if `nx` or `ny` is not a power
+/// of two.
+pub fn transform2d_planned(
+    data: &mut [f64],
+    nx: usize,
+    ny: usize,
+    (kx, ky): (Kind, Kind),
+    transposed: &mut [f64],
+    lanes: &mut [Vec<Complex>],
+) {
+    let (px, py) = (plan(nx), plan(ny));
+    transform2d_in_place(
+        data,
+        nx,
+        ny,
+        transposed,
+        lanes,
+        |row, scratch| px.apply(kx, row, scratch),
+        |col, scratch| py.apply(ky, col, scratch),
+    );
+}
+
+/// Writes the transpose of the row-major `src` (row length `width`) into
+/// `dst` (row length `src.len() / width`), tile by tile so that both sides
+/// stay cache-resident.
+fn transpose(src: &[f64], width: usize, dst: &mut [f64]) {
+    const TILE: usize = 16;
+    let height = src.len() / width;
+    for y0 in (0..height).step_by(TILE) {
+        let y1 = (y0 + TILE).min(height);
+        for x0 in (0..width).step_by(TILE) {
+            for x in x0..(x0 + TILE).min(width) {
+                for y in y0..y1 {
+                    dst[x * height + y] = src[y * width + x];
+                }
+            }
         }
     }
-    out
 }
 
 /// Applies a 1-D transform to every row, then every column, of a dense
@@ -329,11 +548,9 @@ pub fn transform2d_threaded(
     transform2d_mixed_threaded(data, nx, ny, &f, &f, threads)
 }
 
-/// Parallel [`transform2d_mixed`]: rows, then columns, are processed in
-/// fixed index chunks (`puffer_par::chunk_ranges`) on up to `threads`
-/// workers. Each 1-D transform reads its own row/column and the results
-/// are written back to disjoint spans — there is no accumulation, so the
-/// output is bit-identical to the serial path for any thread count.
+/// Parallel [`transform2d_mixed`] for arbitrary allocating 1-D transforms:
+/// [`transform2d_in_place`] on a copy of `data`, on up to `threads`
+/// workers, and so bit-identical to the serial path for any thread count.
 ///
 /// # Panics
 ///
@@ -347,51 +564,25 @@ pub fn transform2d_mixed_threaded(
     threads: usize,
 ) -> Vec<f64> {
     assert_eq!(data.len(), nx * ny, "matrix shape mismatch");
-    if nx == 0 || ny == 0 {
-        return Vec::new();
-    }
-    // Rows pass: each chunk of rows yields its transformed rows
-    // back-to-back; concatenating in chunk order rebuilds the matrix.
-    let row_parts = puffer_par::map_chunks(ny, threads, |r| {
-        let mut part = Vec::with_capacity(r.len() * nx);
-        for iy in r {
-            let t = fx(&data[iy * nx..(iy + 1) * nx]);
-            assert_eq!(t.len(), nx, "x-transform changed row length");
-            part.extend_from_slice(&t);
-        }
-        part
-    });
-    let mut rows = Vec::with_capacity(nx * ny);
-    for part in row_parts {
-        rows.extend_from_slice(&part);
-    }
-    // Columns pass: per-chunk column scratch, transformed columns
-    // scattered back to disjoint output columns.
-    let rows_ref = &rows;
-    let col_parts = puffer_par::map_chunks(nx, threads, |r| {
-        let mut part = Vec::with_capacity(r.len() * ny);
-        let mut col = vec![0.0; ny];
-        for ix in r {
-            for (iy, c) in col.iter_mut().enumerate() {
-                *c = rows_ref[iy * nx + ix];
-            }
-            let t = fy(&col);
-            assert_eq!(t.len(), ny, "y-transform changed column length");
-            part.extend_from_slice(&t);
-        }
-        part
-    });
-    let mut out = vec![0.0; nx * ny];
-    let mut ix0 = 0;
-    for part in col_parts {
-        for (k, tcol) in part.chunks_exact(ny).enumerate() {
-            for (iy, v) in tcol.iter().enumerate() {
-                out[iy * nx + (ix0 + k)] = *v;
-            }
-        }
-        ix0 += part.len() / ny;
-    }
+    let mut out = data.to_vec();
+    let mut transposed = vec![0.0; out.len()];
+    let mut lanes = vec![(); puffer_par::clamp_threads(threads)];
+    transform2d_in_place(
+        &mut out,
+        nx,
+        ny,
+        &mut transposed,
+        &mut lanes,
+        |row, ()| overwrite(row, &fx, "x-transform changed row length"),
+        |col, ()| overwrite(col, &fy, "y-transform changed column length"),
+    );
     out
+}
+
+fn overwrite(line: &mut [f64], f: &impl Fn(&[f64]) -> Vec<f64>, complaint: &str) {
+    let transformed = f(line);
+    assert_eq!(transformed.len(), line.len(), "{complaint}");
+    line.copy_from_slice(&transformed);
 }
 
 #[cfg(test)]
@@ -466,44 +657,58 @@ mod tests {
         fft(&mut e);
     }
 
+    /// Every supported length: 1, 2, 4, …, 512.
+    fn lengths() -> impl Iterator<Item = usize> {
+        (0..10).map(|p| 1usize << p)
+    }
+
+    fn coefficients(n: usize, stride: usize) -> Vec<f64> {
+        (0..n).map(|k| ((k * stride % 11) as f64) - 4.5).collect()
+    }
+
+    /// `got` against `Σ_k coef[k]·basis(i, k)`, to a tolerance that scales
+    /// with the length of the sum.
+    fn assert_matches_sum(
+        what: &str,
+        got: &[f64],
+        coef: &[f64],
+        basis: impl Fn(usize, usize) -> f64,
+    ) {
+        let n = coef.len();
+        for i in 0..n {
+            let expect: f64 = (0..n).map(|k| coef[k] * basis(i, k)).sum();
+            assert!(
+                (got[i] - expect).abs() < 1e-10 * (n * n) as f64,
+                "{what} n={n} i={i}: {} vs {expect}",
+                got[i]
+            );
+        }
+    }
+
+    fn angle(i: usize, k: usize, n: usize) -> f64 {
+        PI * (2 * i + 1) as f64 * k as f64 / (2.0 * n as f64)
+    }
+
     #[test]
     fn dct2_matches_definition() {
-        let n = 8;
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 - 3.5) * 0.25).collect();
-        let got = dct2(&x);
-        for k in 0..n {
-            let expect: f64 = x
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| v * (PI * (2 * i + 1) as f64 * k as f64 / (2.0 * n as f64)).cos())
-                .sum();
-            assert!(
-                (got[k] - expect).abs() < 1e-9,
-                "k={k}: {} vs {}",
-                got[k],
-                expect
-            );
+        for n in lengths() {
+            let x = coefficients(n, 7);
+            // X[k] = Σ_i x[i]·cos(π(2i+1)k/2N): the sum runs over inputs.
+            assert_matches_sum("dct2", &dct2(&x), &x, |k, i| angle(i, k, n).cos());
         }
     }
 
     #[test]
     fn dct3_matches_definition() {
-        let n = 8;
-        let coef: Vec<f64> = (0..n).map(|k| ((k * 7 % 5) as f64) - 2.0).collect();
-        let got = dct3(&coef);
-        for i in 0..n {
-            let expect: f64 = coef[0] / 2.0
-                + (1..n)
-                    .map(|k| {
-                        coef[k] * (PI * (2 * i + 1) as f64 * k as f64 / (2.0 * n as f64)).cos()
-                    })
-                    .sum::<f64>();
-            assert!(
-                (got[i] - expect).abs() < 1e-8,
-                "i={i}: {} vs {}",
-                got[i],
-                expect
-            );
+        for n in lengths() {
+            let coef = coefficients(n, 3);
+            assert_matches_sum("dct3", &dct3(&coef), &coef, |i, k| {
+                if k == 0 {
+                    0.5
+                } else {
+                    angle(i, k, n).cos()
+                }
+            });
         }
     }
 
@@ -560,19 +765,53 @@ mod tests {
 
     #[test]
     fn dst3_shifted_matches_definition() {
-        let n = 8;
-        let coef: Vec<f64> = (0..n).map(|k| ((k * 5 % 11) as f64) - 4.0).collect();
-        let got = dst3_shifted(&coef);
-        for i in 0..n {
-            let expect: f64 = (1..n)
-                .map(|k| coef[k] * (PI * (2 * i + 1) as f64 * k as f64 / (2.0 * n as f64)).sin())
-                .sum();
-            assert!(
-                (got[i] - expect).abs() < 1e-8,
-                "i={i}: {} vs {}",
-                got[i],
-                expect
+        for n in lengths() {
+            let coef = coefficients(n, 5);
+            assert_matches_sum("dst3_shifted", &dst3_shifted(&coef), &coef, |i, k| {
+                angle(i, k, n).sin()
+            });
+        }
+    }
+
+    #[test]
+    fn plans_are_shared_and_reject_other_lengths() {
+        assert!(std::ptr::eq(plan(64), plan(64)));
+        let wrong = std::panic::catch_unwind(|| {
+            plan(64).apply(Kind::Dct2, &mut [0.0; 32], &mut Vec::new())
+        });
+        assert!(wrong.is_err());
+    }
+
+    #[test]
+    fn in_place_pass_handles_rectangles_and_any_lane_count() {
+        // 40 × 24 spans several transpose tiles with ragged edges.
+        let (nx, ny) = (40, 24);
+        let data: Vec<f64> = (0..nx * ny).map(|i| (i as f64 * 0.37).sin()).collect();
+        for lanes in [1usize, 2, 5] {
+            let mut got = data.clone();
+            let mut transposed = vec![0.0; got.len()];
+            let mut scratch = vec![0usize; lanes];
+            transform2d_in_place(
+                &mut got,
+                nx,
+                ny,
+                &mut transposed,
+                &mut scratch,
+                |row, calls| {
+                    *calls += 1;
+                    row.reverse();
+                },
+                |col, calls| {
+                    *calls += 1;
+                    col.iter_mut().for_each(|v| *v *= 2.0);
+                },
             );
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    assert_eq!(got[iy * nx + ix], 2.0 * data[iy * nx + (nx - 1 - ix)]);
+                }
+            }
+            assert_eq!(scratch.iter().sum::<usize>(), nx + ny, "lanes={lanes}");
         }
     }
 

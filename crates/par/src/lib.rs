@@ -25,9 +25,15 @@
 //! SMBO trajectories; ordered reduction costs one extra pass over the
 //! partial buffers and keeps them stable.
 //!
-//! Worker panics never unwind through `thread::scope` (which would abort
-//! the process if a second worker also panicked): every handle is joined
-//! first and the first panic message is reported as [`WorkerPanic`].
+//! In-place kernels with no reduction at all (row transforms, per-chunk
+//! scatter lists, gradient gathers) use [`try_for_each_block`], which lends
+//! each worker a disjoint part of one slice plus its own reusable scratch.
+//!
+//! Both primitives run their first span on the calling thread and spawn
+//! only the remaining workers. Worker panics never unwind through
+//! `thread::scope` (which would abort the process if a second worker also
+//! panicked): every handle is joined first and the first panic message is
+//! reported as [`WorkerPanic`].
 
 #![forbid(unsafe_code)]
 
@@ -81,15 +87,16 @@ pub fn chunk_ranges(n: usize) -> Vec<Range<usize>> {
 /// parallelism: each worker takes a contiguous span of the chunk list and
 /// evaluates `work` once per chunk, so the set of `work` calls and the
 /// order of the returned results are identical for every thread count.
-/// With one worker (or one chunk) everything runs inline on the calling
-/// thread — no spawn — but a panicking `work` still surfaces as `Err`,
-/// matching the threaded path.
+/// The first span runs on the calling thread and only `threads − 1`
+/// workers are spawned; with one worker (or one chunk) nothing is spawned
+/// at all. A panicking `work` surfaces as `Err` whichever thread ran it.
 ///
 /// # Errors
 ///
-/// [`WorkerPanic`] with the first observed panic message. All workers are
-/// joined before reporting, so a second panicking worker cannot abort the
-/// process by re-raising inside `thread::scope`.
+/// [`WorkerPanic`] with the first observed panic message. Every worker is
+/// joined before reporting — also when the panic is in the caller's own
+/// span — so a second panicking worker cannot abort the process by
+/// re-raising inside `thread::scope`.
 pub fn try_map_chunks<T, F>(n: usize, threads: usize, work: F) -> Result<Vec<T>, WorkerPanic>
 where
     T: Send,
@@ -98,28 +105,85 @@ where
     let ranges = chunk_ranges(n);
     let threads = clamp_threads(threads).min(ranges.len().max(1));
     let span_len = ranges.len().div_ceil(threads).max(1);
-    if threads <= 1 {
-        // Inline fast path. AssertUnwindSafe is sound here because a
-        // panicking chunk's partial results are dropped, never observed.
-        return catch_unwind(AssertUnwindSafe(|| {
-            ranges.into_iter().map(&work).collect::<Vec<T>>()
-        }))
-        .map_err(|payload| WorkerPanic(panic_message(&*payload)));
-    }
     let spans: Vec<&[Range<usize>]> = ranges.chunks(span_len).collect();
-    let joined = std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = spans
-            .into_iter()
-            .map(|span| {
-                scope.spawn(move || span.iter().map(|r| work(r.clone())).collect::<Vec<T>>())
-            })
-            .collect();
-        join_workers(handles)
-    });
-    match joined {
-        Ok(per_worker) => Ok(per_worker.into_iter().flatten().collect()),
-        Err(msg) => Err(WorkerPanic(msg)),
+    let per_worker = fork_join(spans, |span| {
+        span.iter().map(|r| work(r.clone())).collect::<Vec<T>>()
+    })?;
+    Ok(per_worker.into_iter().flatten().collect())
+}
+
+/// Runs `work` in place over `data`, viewed as consecutive blocks of
+/// `block_len` elements, with one entry of `lanes` (reusable per-worker
+/// scratch) lent to each worker.
+///
+/// The blocks are split into at most `lanes.len()` contiguous parts (clamped
+/// like a thread count); part `w` is handed to `work` as `(index of its
+/// first block, its blocks, &mut lanes[w])`. Part 0 runs on the calling
+/// thread. Nothing is reduced across blocks, so `work` must produce each
+/// block from that block alone (plus shared read-only state): then the
+/// result cannot depend on how many lanes there are, which is the
+/// bit-identity argument for every in-place kernel built on this (row
+/// transforms, per-chunk scatter lists, gradient gathers).
+///
+/// # Errors
+///
+/// [`WorkerPanic`] under the same join-everything-first contract as
+/// [`try_map_chunks`]; `data` is then partially written.
+///
+/// # Panics
+///
+/// If `block_len` is zero or does not divide `data.len()`, or `lanes` is
+/// empty.
+pub fn try_for_each_block<T, S, F>(
+    data: &mut [T],
+    block_len: usize,
+    lanes: &mut [S],
+    work: F,
+) -> Result<(), WorkerPanic>
+where
+    T: Send,
+    S: Send,
+    F: Fn(usize, &mut [T], &mut S) + Sync,
+{
+    assert!(block_len > 0, "block length must be positive");
+    assert_eq!(
+        data.len() % block_len,
+        0,
+        "data is not a whole number of blocks"
+    );
+    assert!(!lanes.is_empty(), "at least one lane is required");
+    let blocks = data.len() / block_len;
+    if blocks == 0 {
+        return Ok(());
+    }
+    let workers = clamp_threads(lanes.len()).min(blocks);
+    let per_worker = blocks.div_ceil(workers);
+    let mut jobs = Vec::with_capacity(workers);
+    let mut rest = data;
+    let mut first = 0;
+    for lane in lanes.iter_mut().take(workers) {
+        let take = per_worker.min(blocks - first);
+        if take == 0 {
+            break;
+        }
+        let (mine, tail) = rest.split_at_mut(take * block_len);
+        jobs.push((first, mine, lane));
+        rest = tail;
+        first += take;
+    }
+    fork_join(jobs, |(first, mine, lane)| work(first, mine, lane)).map(|_| ())
+}
+
+/// Infallible [`try_for_each_block`]: re-raises a worker panic on the
+/// calling thread, like [`map_chunks`].
+pub fn for_each_block<T, S, F>(data: &mut [T], block_len: usize, lanes: &mut [S], work: F)
+where
+    T: Send,
+    S: Send,
+    F: Fn(usize, &mut [T], &mut S) + Sync,
+{
+    if let Err(WorkerPanic(msg)) = try_for_each_block(data, block_len, lanes, work) {
+        std::panic::resume_unwind(Box::new(msg));
     }
 }
 
@@ -174,7 +238,7 @@ pub fn ordered_sum(parts: impl IntoIterator<Item = f64>) -> f64 {
 /// engine: a worker thread wraps each job body in `run_isolated`, so a
 /// panicking job fails *that job* with a structured error while the worker
 /// (and the pool) keeps running. `AssertUnwindSafe` is sound under the same
-/// argument as the inline path of [`try_map_chunks`]: a panicking closure's
+/// argument as the caller's own span in [`try_map_chunks`]: a panicking closure's
 /// partial results are dropped, never observed. Callers sharing mutexes
 /// with `f` must tolerate poison (e.g. `PoisonError::into_inner`).
 ///
@@ -236,33 +300,49 @@ where
     })
 }
 
-/// Joins every worker before reporting, converting panics to messages.
+/// The one fork-join: runs `run` once per job — job 0 on the calling
+/// thread, the others on scoped workers — and returns the results in job
+/// order.
 ///
-/// Draining all handles matters: re-panicking on the first `join()` (the
-/// old `expect` path) starts unwinding inside `thread::scope`, and if a
-/// second worker also panicked the scope's drop re-raises it mid-unwind,
-/// aborting the process. Here the first panic message is returned as an
-/// `Err` after every worker has stopped.
-fn join_workers<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Result<Vec<T>, String> {
-    let mut out = Vec::with_capacity(handles.len());
-    let mut first_panic: Option<String> = None;
-    for h in handles {
-        match h.join() {
-            Ok(v) => out.push(v),
-            Err(payload) => {
-                if first_panic.is_none() {
-                    // `&*payload`: reborrow the boxed payload itself — a
-                    // plain `&payload` would coerce the `Box` into the
-                    // `dyn Any` and every downcast would miss.
-                    first_panic = Some(panic_message(&*payload));
+/// Every worker is joined before anything is reported. Draining all
+/// handles matters: unwinding out of `thread::scope` on the first panic
+/// (the caller's own job included, hence the `catch_unwind`) would let the
+/// scope's drop re-raise a second worker's panic mid-unwind and abort the
+/// process. `AssertUnwindSafe` is sound because a panicking job's partial
+/// results are dropped, never observed.
+fn fork_join<J, R, F>(jobs: Vec<J>, run: F) -> Result<Vec<R>, WorkerPanic>
+where
+    J: Send,
+    R: Send,
+    F: Fn(J) -> R + Sync,
+{
+    let mut jobs = jobs.into_iter();
+    let Some(mine) = jobs.next() else {
+        return Ok(Vec::new());
+    };
+    let run = &run;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs.map(|job| scope.spawn(move || run(job))).collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        let mut first_panic: Option<String> = None;
+        let results = std::iter::once(catch_unwind(AssertUnwindSafe(|| run(mine))))
+            .chain(handles.into_iter().map(|h| h.join()));
+        for result in results {
+            match result {
+                Ok(v) => out.push(v),
+                // `&*payload`: reborrow the boxed payload itself — a plain
+                // `&payload` would coerce the `Box` into the `dyn Any` and
+                // every downcast would miss.
+                Err(payload) => {
+                    first_panic.get_or_insert_with(|| panic_message(&*payload));
                 }
             }
         }
-    }
-    match first_panic {
-        None => Ok(out),
-        Some(m) => Err(m),
-    }
+        match first_panic {
+            None => Ok(out),
+            Some(msg) => Err(WorkerPanic(msg)),
+        }
+    })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -325,10 +405,7 @@ mod tests {
                 merge_add(&mut bins, p);
             }
             let total = ordered_sum(partials.iter().map(|(_, t)| *t));
-            (
-                bins.iter().map(|v| v.to_bits()).collect(),
-                total.to_bits(),
-            )
+            (bins.iter().map(|v| v.to_bits()).collect(), total.to_bits())
         };
         let baseline = run(1);
         for t in [2usize, 3, 5, 8, 16, 32] {
@@ -364,6 +441,113 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.0.contains("inline chunk exploded"), "{err}");
+    }
+
+    #[test]
+    fn first_span_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = map_chunks(64, 2, |r| (r.start, std::thread::current().id()));
+        assert_eq!(
+            ran_on[0],
+            (0, caller),
+            "chunk 0 belongs to the caller's span"
+        );
+        let last = ran_on.last().unwrap();
+        assert_ne!(last.1, caller, "the second span runs on a spawned worker");
+    }
+
+    /// Which threads' spans panic in the contract tests below.
+    #[derive(Clone, Copy, Debug)]
+    enum Exploding {
+        CallerOnly,
+        WorkerOnly,
+        Both,
+    }
+
+    const WHO: [Exploding; 3] = [
+        Exploding::CallerOnly,
+        Exploding::WorkerOnly,
+        Exploding::Both,
+    ];
+
+    fn explode(who: Exploding, caller_span: bool) {
+        match (who, caller_span) {
+            (Exploding::CallerOnly | Exploding::Both, true) => panic!("caller span exploded"),
+            (Exploding::WorkerOnly | Exploding::Both, false) => panic!("worker span exploded"),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn map_chunks_joins_everything_before_reporting_any_panic() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for who in WHO {
+            // 64 items = 32 two-item chunks; at 4 threads the caller owns
+            // chunks 0..8 (items 0..16). Every span counts the chunks it
+            // survives: all of them must have finished by the time the
+            // error is returned.
+            let finished = AtomicUsize::new(0);
+            let err = try_map_chunks(64, 4, |r| {
+                if r.start == 0 {
+                    explode(who, true);
+                } else if r.start == 16 || r.start == 48 {
+                    explode(who, false);
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+            .unwrap_err();
+            assert!(err.0.contains("span exploded"), "{who:?}: {err}");
+            let expect = match who {
+                Exploding::CallerOnly => 32 - 8,
+                Exploding::WorkerOnly => 32 - 16,
+                Exploding::Both => 8,
+            };
+            assert_eq!(finished.load(Ordering::SeqCst), expect, "{who:?}");
+        }
+    }
+
+    #[test]
+    fn for_each_block_covers_every_block_once_with_its_own_lane() {
+        for lanes in [1usize, 2, 3, 5, 40] {
+            let mut data = vec![0u32; 7 * 3];
+            let mut scratch = vec![0usize; lanes];
+            for_each_block(&mut data, 3, &mut scratch, |first, blocks, lane| {
+                for (k, block) in blocks.chunks_exact_mut(3).enumerate() {
+                    for v in block {
+                        *v += (first + k) as u32 + 1;
+                    }
+                    *lane += 1;
+                }
+            });
+            let expect: Vec<u32> = (0..7u32).flat_map(|b| [b + 1; 3]).collect();
+            assert_eq!(data, expect, "lanes={lanes}");
+            assert_eq!(scratch.iter().sum::<usize>(), 7, "lanes={lanes}");
+            assert!(scratch[0] > 0, "lane 0 is the caller's and is never idle");
+        }
+        let mut empty: Vec<u32> = Vec::new();
+        for_each_block(&mut empty, 4, &mut [()], |_, _, _| {
+            unreachable!("no blocks")
+        });
+    }
+
+    #[test]
+    fn for_each_block_joins_everything_before_reporting_any_panic() {
+        for who in WHO {
+            let mut data = vec![0u8; 12];
+            let mut lanes = [(); 3];
+            let err = try_for_each_block(&mut data, 1, &mut lanes, |first, blocks, ()| {
+                if first == 0 {
+                    explode(who, true);
+                } else if first == 4 {
+                    explode(who, false);
+                }
+                blocks.fill(1);
+            })
+            .unwrap_err();
+            assert!(err.0.contains("span exploded"), "{who:?}: {err}");
+            // Part 2 (blocks 8..12) never panics: it must have completed.
+            assert_eq!(data[8..], [1; 4], "{who:?}");
+        }
     }
 
     #[test]

@@ -20,8 +20,9 @@ use puffer_db::design::{Design, Placement};
 use puffer_db::geom::Rect;
 use puffer_db::grid::Grid;
 use puffer_db::netlist::{CellId, Netlist};
-use puffer_fft::{dct2, dct3, dst3_shifted, transform2d_mixed_threaded, transform2d_threaded};
+use puffer_fft::{transform2d_planned, Complex, Kind};
 use std::f64::consts::PI;
+use std::ops::Range;
 
 /// Result of one density evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,9 +41,9 @@ pub struct DensityEval {
 /// The electrostatic density system for one design.
 ///
 /// Construction precomputes the fixed-macro charge map and per-bin free
-/// capacity; [`DensityModel::evaluate`] is then called once per optimizer
-/// iteration with the current movable positions and effective (padded)
-/// widths.
+/// capacity. The per-iteration work runs in a [`DensityWorkspace`], which
+/// the optimizer keeps across iterations; [`DensityModel::evaluate`] is the
+/// one-shot form over a temporary workspace.
 #[derive(Debug, Clone)]
 pub struct DensityModel {
     region: Rect,
@@ -158,13 +159,10 @@ impl DensityModel {
         self.evaluate_threaded(netlist, placement, eff_width, target_density, 1)
     }
 
-    /// Parallel [`DensityModel::evaluate`] over up to `threads` workers.
-    ///
-    /// The charge scatter runs over fixed cell-index chunks into per-chunk
-    /// partial grids merged in chunk order, the Poisson solve uses the
-    /// threaded 2-D transforms, and the gradient gather writes disjoint
-    /// per-chunk spans — so the result is **bit-identical** for any thread
-    /// count (the ordered-reduction contract of `puffer-par`).
+    /// Parallel [`DensityModel::evaluate`] over up to `threads` workers:
+    /// every phase of a [`DensityWorkspace`] once, over a temporary
+    /// workspace, and so **bit-identical** for any thread count (each phase
+    /// states its own argument).
     ///
     /// # Panics
     ///
@@ -177,213 +175,501 @@ impl DensityModel {
         target_density: f64,
         threads: usize,
     ) -> DensityEval {
-        assert_eq!(
-            eff_width.len(),
-            netlist.num_cells(),
-            "eff_width length mismatch"
-        );
-        let (mx, my) = (self.mx, self.my);
-        let (dx, dy) = (self.bin_w(), self.bin_h());
-        let n = netlist.num_cells();
-        let cells = netlist.cells();
-
-        // --- charge map (parallel scatter, ordered merge) ----------------
-        let partials = puffer_par::map_chunks(n, threads, |range| {
-            let mut part: Grid<f64> = Grid::new(self.region, mx, my);
-            let mut of_part = 0.0;
-            for i in range {
-                let cell = &cells[i];
-                if !cell.is_movable() {
-                    continue;
-                }
-                let q = eff_width[i] * cell.height;
-                let w_s = eff_width[i].max(dx);
-                let h_s = cell.height.max(dy);
-                let p = placement.pos(CellId(cast::idx_u32(i)));
-                if !p.x.is_finite() || !p.y.is_finite() {
-                    // A poisoned coordinate has no meaningful bin: count the
-                    // cell's full charge as overflow and leave the divergence
-                    // sentinel (which sees the NaN wirelength) to recover.
-                    of_part += q;
-                    continue;
-                }
-                let r = Rect::from_center(self.region.clamp_point(p), w_s, h_s);
-                part.splat(&r, q);
-            }
-            (part, of_part)
-        });
-        let mut movable_rho: Grid<f64> = Grid::new(self.region, mx, my);
-        let mut of_extra = 0.0;
-        for (part, of_part) in &partials {
-            puffer_par::merge_add(movable_rho.as_mut_slice(), part.as_slice());
-            of_extra += of_part;
-        }
-        drop(partials);
-        let mut rho = self.fixed_rho.clone();
-        for ((dst, extra), movable) in rho
-            .as_mut_slice()
-            .iter_mut()
-            .zip(self.extra_rho.as_slice())
-            .zip(movable_rho.as_slice())
-        {
-            *dst += extra + movable;
-        }
-
-        // --- overflow ---------------------------------------------------
-        let mut of = 0.0;
-        for iy in 0..my {
-            for ix in 0..mx {
-                let cap = target_density * *self.free_area.at(ix, iy);
-                of += (*movable_rho.at(ix, iy) - cap).max(0.0);
-            }
-        }
-        let overflow = if self.movable_area > 0.0 {
-            (of + of_extra) / self.movable_area
-        } else {
-            0.0
+        let cells = Cells {
+            netlist,
+            placement,
+            eff_width,
         };
-
-        // --- Poisson solve ----------------------------------------------
-        // Forward DCT-II of the charge map.
-        let a = transform2d_threaded(rho.as_slice(), mx, my, dct2, threads);
-        // Frequency scalings.
-        let wu: Vec<f64> = (0..mx).map(|u| PI * cast::idx_f64(u) / cast::idx_f64(mx)).collect();
-        let wv: Vec<f64> = (0..my).map(|v| PI * cast::idx_f64(v) / cast::idx_f64(my)).collect();
-        let mut psi_hat = vec![0.0; mx * my];
-        let mut ex_hat = vec![0.0; mx * my];
-        let mut ey_hat = vec![0.0; mx * my];
-        for v in 0..my {
-            for u in 0..mx {
-                if u == 0 && v == 0 {
-                    continue;
-                }
-                let w2 = wu[u] * wu[u] + wv[v] * wv[v];
-                let c = a[v * mx + u] / w2;
-                psi_hat[v * mx + u] = c;
-                ex_hat[v * mx + u] = c * wu[u];
-                ey_hat[v * mx + u] = c * wv[v];
-            }
-        }
-        // Orthogonal reconstruction: (2/Mx)(2/My) · DCT-III in each axis.
-        let norm = 4.0 / (cast::idx_f64(mx) * cast::idx_f64(my));
-        let mut psi = transform2d_threaded(&psi_hat, mx, my, dct3, threads);
-        for p in &mut psi {
-            *p *= norm;
-        }
-        // E = −∇ψ: differentiating the cosine basis gives the sine basis
-        // with an extra −ω factor; folding signs, E uses +ω·sin synthesis.
-        let mut ex = transform2d_mixed_threaded(&ex_hat, mx, my, dst3_shifted, dct3, threads);
-        for e in &mut ex {
-            *e *= norm / dx; // per-DBU field
-        }
-        let mut ey = transform2d_mixed_threaded(&ey_hat, mx, my, dct3, dst3_shifted, threads);
-        for e in &mut ey {
-            *e *= norm / dy;
-        }
-
-        // --- energy & gradient gather -----------------------------------
-        // Electrostatic energy ½·Σ ρψ: the ½ makes ∂D/∂x = q·∂ψ/∂x the
-        // exact derivative (each pair interaction is counted twice in Σρψ).
-        let energy = 0.5
-            * rho
-                .as_slice()
-                .iter()
-                .zip(&psi)
-                .map(|(r, p)| r * p)
-                .sum::<f64>();
-        let psi_grid = grid_from(self.region, mx, my, psi);
-        let ex_grid = grid_from(self.region, mx, my, ex);
-        let ey_grid = grid_from(self.region, mx, my, ey);
-
-        // Gradient gather: each chunk of cells produces its own span of
-        // gradients, written back to disjoint index ranges (no
-        // accumulation, so chunking cannot change bits).
-        let grad_parts = puffer_par::map_chunks(n, threads, |range| {
-            let mut part = Vec::with_capacity(range.len());
-            for i in range {
-                let cell = &cells[i];
-                if !cell.is_movable() {
-                    part.push((0.0, 0.0));
-                    continue;
-                }
-                let q = eff_width[i] * cell.height;
-                let w_s = eff_width[i].max(dx);
-                let h_s = cell.height.max(dy);
-                let p = placement.pos(CellId(cast::idx_u32(i)));
-                if !p.x.is_finite() || !p.y.is_finite() {
-                    // No meaningful field at a poisoned coordinate; report a
-                    // NaN gradient so the sentinel sees the divergence.
-                    part.push((f64::NAN, f64::NAN));
-                    continue;
-                }
-                let r = Rect::from_center(self.region.clamp_point(p), w_s, h_s);
-                let (_p_avg, ex_avg, ey_avg) = gather3(&psi_grid, &ex_grid, &ey_grid, &r);
-                // Force on a positive charge is qE; the energy gradient is −qE.
-                part.push((-q * ex_avg, -q * ey_avg));
-            }
-            part
-        });
-
-        let mut out = DensityEval {
+        let mut ws = DensityWorkspace::new(self, netlist.num_cells(), threads);
+        ws.charge(self, &cells);
+        let overflow = ws.overflow(self, target_density);
+        ws.solve(self);
+        let energy = ws.potential_energy(self);
+        ws.field_gradient(self, &cells);
+        let (grad_x, grad_y) = ws.grad.iter().copied().unzip();
+        DensityEval {
             energy,
-            grad_x: vec![0.0; n],
-            grad_y: vec![0.0; n],
+            grad_x,
+            grad_y,
             overflow,
-        };
-        let mut i = 0;
-        for part in grad_parts {
-            for (gx, gy) in part {
-                out.grad_x[i] = gx;
-                out.grad_y[i] = gy;
-                i += 1;
-            }
         }
-        out
     }
 
-    /// The movable-charge density map alone (diagnostics and tests).
+    /// The movable-charge density map alone (diagnostics and tests): the
+    /// very map [`DensityModel::evaluate`] solves on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `eff_width.len()` differs from the cell count.
     pub fn movable_density(
         &self,
         netlist: &Netlist,
         placement: &Placement,
         eff_width: &[f64],
     ) -> Grid<f64> {
-        let (dx, dy) = (self.bin_w(), self.bin_h());
-        let mut rho: Grid<f64> = Grid::new(self.region, self.mx, self.my);
-        for (id, cell) in netlist.iter_cells() {
-            if !cell.is_movable() {
-                continue;
-            }
-            let q = eff_width[id.index()] * cell.height;
-            let r = Rect::from_center(
-                self.region.clamp_point(placement.pos(id)),
-                eff_width[id.index()].max(dx),
-                cell.height.max(dy),
-            );
-            rho.splat(&r, q);
+        let mut ws = DensityWorkspace::new(self, netlist.num_cells(), 1);
+        ws.charge(
+            self,
+            &Cells {
+                netlist,
+                placement,
+                eff_width,
+            },
+        );
+        ws.movable
+    }
+
+    /// Where cell `i` sits in the charge system.
+    fn footprint(&self, cells: &Cells<'_>, i: usize) -> Footprint {
+        let cell = &cells.netlist.cells()[i];
+        if !cell.is_movable() {
+            return Footprint::Fixed;
         }
-        rho
+        let width = cells.eff_width[i];
+        let charge = width * cell.height;
+        let p = cells.placement.pos(CellId(cast::idx_u32(i)));
+        if !p.x.is_finite() || !p.y.is_finite() {
+            return Footprint::Poisoned { charge };
+        }
+        // Cells smaller than a bin are smoothed to bin size, charge kept.
+        let rect = Rect::from_center(
+            self.region.clamp_point(p),
+            width.max(self.bin_w()),
+            cell.height.max(self.bin_h()),
+        );
+        Footprint::Placed { rect, charge }
     }
 }
 
-fn grid_from(region: Rect, nx: usize, ny: usize, data: Vec<f64>) -> Grid<f64> {
-    let mut g: Grid<f64> = Grid::new(region, nx, ny);
-    g.as_mut_slice().copy_from_slice(&data);
-    g
+/// The inputs that change between evaluations.
+struct Cells<'a> {
+    netlist: &'a Netlist,
+    placement: &'a Placement,
+    eff_width: &'a [f64],
 }
 
-/// Area-weighted average of three co-located grids over `r`.
-fn gather3(a: &Grid<f64>, b: &Grid<f64>, c: &Grid<f64>, r: &Rect) -> (f64, f64, f64) {
+enum Footprint {
+    /// Not movable: part of the static charge map, no gradient.
+    Fixed,
+    /// A non-finite coordinate has no meaningful bin. The cell's whole
+    /// charge counts as overflow and its gradient is NaN, which leaves the
+    /// recovery to the divergence sentinel (it sees the NaN wirelength).
+    Poisoned { charge: f64 },
+    /// The smoothed rectangle the charge is spread over.
+    Placed { rect: Rect, charge: f64 },
+}
+
+/// What one chunk of cells deposits, as the ordered merge consumes it.
+#[derive(Debug, Clone, Default)]
+struct ChunkCharge {
+    /// `(bin, charge)` for every bin the chunk charged; empty for the
+    /// chunks whose owner merged them directly.
+    bins: Vec<(usize, f64)>,
+    /// Charge of the chunk's poisoned cells.
+    lost: f64,
+}
+
+/// One scatter worker's view: its dense scratch grid, and — for the worker
+/// that owns the head of the chunk list — the map itself.
+struct ScatterLane<'a> {
+    dense: &'a mut Grid<f64>,
+    direct: Option<&'a mut Grid<f64>>,
+}
+
+/// Every buffer the per-iteration density pipeline needs, allocated once
+/// and reused: four bin grids, one dense scratch grid and one FFT scratch
+/// per worker, the per-chunk charge lists and the per-cell gradient.
+///
+/// A `GlobalPlacer` keeps one for its lifetime and asks it only for what a
+/// call site consumes — [`DensityWorkspace::gradient`] (three 2-D
+/// transforms) or [`DensityWorkspace::statistics`] (two) — where a one-shot
+/// [`DensityModel::evaluate_threaded`] runs all four over fresh grids.
+/// Grids are shared between phases by lifetime: ψ and then E_x live in
+/// `field`, and E_y overwrites the movable-charge map once nothing reads
+/// the charge any more.
+#[derive(Debug)]
+pub struct DensityWorkspace {
+    /// Movable charge per bin after [`Self::charge`]; E_y after
+    /// [`Self::field_gradient`].
+    movable: Grid<f64>,
+    /// Total charge ρ, then its cosine spectrum `a_{u,v}`.
+    spectrum: Vec<f64>,
+    /// ψ after [`Self::potential_energy`]; E_x after [`Self::field_gradient`].
+    field: Grid<f64>,
+    transposed: Vec<f64>,
+    fft_lanes: Vec<Vec<Complex>>,
+    dense_lanes: Vec<Grid<f64>>,
+    /// The fixed chunks of the cell index space and what each deposited.
+    chunks: Vec<Range<usize>>,
+    chunk_charge: Vec<ChunkCharge>,
+    /// Charge of poisoned cells, summed in chunk order.
+    lost_charge: f64,
+    /// `(∂D/∂x, ∂D/∂y)` per cell, as of the last [`Self::gradient`].
+    grad: Vec<(f64, f64)>,
+    /// `ω_u = πu/M_x` and `ω_v = πv/M_y`.
+    wu: Vec<f64>,
+    wv: Vec<f64>,
+    transforms: u64,
+}
+
+impl DensityWorkspace {
+    /// Allocates the buffers for `model`'s bin grid, a netlist of
+    /// `num_cells` cells and up to `threads` workers.
+    pub fn new(model: &DensityModel, num_cells: usize, threads: usize) -> Self {
+        let (mx, my) = (model.mx, model.my);
+        let grid = || Grid::new(model.region, mx, my);
+        let threads = puffer_par::clamp_threads(threads);
+        let chunks = puffer_par::chunk_ranges(num_cells);
+        let omega = |m: usize| -> Vec<f64> {
+            (0..m)
+                .map(|k| PI * cast::idx_f64(k) / cast::idx_f64(m))
+                .collect()
+        };
+        DensityWorkspace {
+            movable: grid(),
+            spectrum: vec![0.0; mx * my],
+            field: grid(),
+            transposed: vec![0.0; mx * my],
+            fft_lanes: vec![Vec::new(); threads],
+            dense_lanes: (0..threads).map(|_| grid()).collect(),
+            chunk_charge: vec![ChunkCharge::default(); chunks.len()],
+            chunks,
+            lost_charge: 0.0,
+            grad: vec![(0.0, 0.0); num_cells],
+            wu: omega(mx),
+            wv: omega(my),
+            transforms: 0,
+        }
+    }
+
+    /// The density gradient `(∂D/∂x, ∂D/∂y)` per cell (zero for fixed
+    /// cells, NaN for poisoned ones): charge scatter, forward DCT and the
+    /// two field syntheses — no potential, no overflow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace was built for another grid or cell count, or
+    /// `eff_width.len()` differs from the cell count.
+    pub fn gradient(
+        &mut self,
+        model: &DensityModel,
+        netlist: &Netlist,
+        placement: &Placement,
+        eff_width: &[f64],
+    ) -> &[(f64, f64)] {
+        let cells = Cells {
+            netlist,
+            placement,
+            eff_width,
+        };
+        self.charge(model, &cells);
+        self.solve(model);
+        self.field_gradient(model, &cells);
+        &self.grad
+    }
+
+    /// The gradient as of the last [`DensityWorkspace::gradient`] call;
+    /// [`DensityWorkspace::statistics`] leaves it untouched.
+    pub fn last_gradient(&self) -> &[(f64, f64)] {
+        &self.grad
+    }
+
+    /// `(overflow, energy)` of a placement: charge scatter, forward DCT and
+    /// the potential synthesis — no field, no gather.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`DensityWorkspace::gradient`].
+    pub fn statistics(
+        &mut self,
+        model: &DensityModel,
+        netlist: &Netlist,
+        placement: &Placement,
+        eff_width: &[f64],
+        target_density: f64,
+    ) -> (f64, f64) {
+        let cells = Cells {
+            netlist,
+            placement,
+            eff_width,
+        };
+        self.charge(model, &cells);
+        let overflow = self.overflow(model, target_density);
+        self.solve(model);
+        (overflow, self.potential_energy(model))
+    }
+
+    /// The number of 2-D transforms run since the last call.
+    pub fn take_transforms(&mut self) -> u64 {
+        std::mem::take(&mut self.transforms)
+    }
+
+    /// Phase 1 — the movable-charge map.
+    ///
+    /// Cells are scattered in the fixed chunks of `puffer-par`, and the
+    /// map is the chunk partials added in chunk order — the ordered-merge
+    /// contract, so the bits cannot depend on the worker count. A partial
+    /// is not a grid of its own, though: a worker splats the chunk into its
+    /// one dense scratch grid (zero on entry), then drains the window the
+    /// splats touched into the chunk's sparse `(bin, charge)` list and
+    /// re-zeroes it. The merge therefore skips exactly the bins whose
+    /// partial is `+0.0`, and `acc + (+0.0)` is `acc` bit-for-bit unless
+    /// `acc` is `−0.0` — which the accumulator never is: it starts at
+    /// `+0.0`, and under round-to-nearest a sum is `−0.0` only when both
+    /// operands are. The worker that owns the head of the chunk list (the
+    /// calling thread) skips its lists too and drains straight into the
+    /// map: its chunks precede all others, so that *is* the merge order.
+    /// With one worker no list is ever filled.
+    fn charge(&mut self, model: &DensityModel, cells: &Cells<'_>) {
+        assert_eq!(
+            (self.movable.nx(), self.movable.ny()),
+            (model.mx, model.my),
+            "bin grid mismatch"
+        );
+        assert_eq!(
+            self.grad.len(),
+            cells.netlist.num_cells(),
+            "cell count mismatch"
+        );
+        assert_eq!(
+            cells.eff_width.len(),
+            self.grad.len(),
+            "eff_width length mismatch"
+        );
+        self.movable.fill(0.0);
+        let chunks = &self.chunks;
+        let mx = model.mx;
+        let mut direct = Some(&mut self.movable);
+        let mut lanes: Vec<ScatterLane<'_>> = self
+            .dense_lanes
+            .iter_mut()
+            .map(|dense| ScatterLane {
+                dense,
+                direct: direct.take(),
+            })
+            .collect();
+        puffer_par::for_each_block(
+            &mut self.chunk_charge,
+            1,
+            &mut lanes,
+            |first, outs, lane| {
+                for (out, range) in outs.iter_mut().zip(&chunks[first..]) {
+                    out.bins.clear();
+                    out.lost = 0.0;
+                    let mut window: Option<(usize, usize, usize, usize)> = None;
+                    for i in range.clone() {
+                        match model.footprint(cells, i) {
+                            Footprint::Fixed => {}
+                            Footprint::Poisoned { charge } => out.lost += charge,
+                            Footprint::Placed { rect, charge } => {
+                                if let Some(w) = lane.dense.splat(&rect, charge) {
+                                    window = Some(window.map_or(w, |u| {
+                                        (u.0.min(w.0), u.1.max(w.1), u.2.min(w.2), u.3.max(w.3))
+                                    }));
+                                }
+                            }
+                        }
+                    }
+                    let Some((ix_lo, ix_hi, iy_lo, iy_hi)) = window else {
+                        continue;
+                    };
+                    let dense = lane.dense.as_mut_slice();
+                    for iy in iy_lo..=iy_hi {
+                        let first_bin = iy * mx + ix_lo;
+                        let row = &mut dense[first_bin..=iy * mx + ix_hi];
+                        for (bin, slot) in (first_bin..).zip(row) {
+                            if slot.to_bits() == 0 {
+                                continue;
+                            }
+                            let v = std::mem::take(slot);
+                            match &mut lane.direct {
+                                Some(map) => map.as_mut_slice()[bin] += v,
+                                None => out.bins.push((bin, v)),
+                            }
+                        }
+                    }
+                }
+            },
+        );
+        drop(lanes);
+        let map = self.movable.as_mut_slice();
+        self.lost_charge = 0.0;
+        for part in &self.chunk_charge {
+            for &(bin, v) in &part.bins {
+                map[bin] += v;
+            }
+            self.lost_charge += part.lost;
+        }
+    }
+
+    /// Phase 2a — overflow of the movable charge over `target_density` of
+    /// each bin's free area, plus the charge of poisoned cells, relative to
+    /// the movable area. One serial sum in bin order.
+    fn overflow(&self, model: &DensityModel, target_density: f64) -> f64 {
+        let mut of = 0.0;
+        for (rho, free) in self
+            .movable
+            .as_slice()
+            .iter()
+            .zip(model.free_area.as_slice())
+        {
+            of += (rho - target_density * free).max(0.0);
+        }
+        if model.movable_area > 0.0 {
+            (of + self.lost_charge) / model.movable_area
+        } else {
+            0.0
+        }
+    }
+
+    /// Phase 2b — the cosine spectrum of the total charge
+    /// `ρ = fixed + (extra + movable)`: ρ is built straight into the
+    /// spectrum buffer and transformed in place.
+    fn solve(&mut self, model: &DensityModel) {
+        for (((rho, fixed), extra), movable) in self
+            .spectrum
+            .iter_mut()
+            .zip(model.fixed_rho.as_slice())
+            .zip(model.extra_rho.as_slice())
+            .zip(self.movable.as_slice())
+        {
+            *rho = fixed + (extra + movable);
+        }
+        let (mx, my) = (self.wu.len(), self.wv.len());
+        transform2d_planned(
+            &mut self.spectrum,
+            mx,
+            my,
+            (Kind::Dct2, Kind::Dct2),
+            &mut self.transposed,
+            &mut self.fft_lanes,
+        );
+        self.transforms += 1;
+    }
+
+    /// Synthesises `scale · Σ_{u,v} weight(a_{u,v}/(ω_u²+ω_v²), ω_u, ω_v)·basis`
+    /// into `out`, the basis given by `kinds`.
+    fn synthesise(
+        &mut self,
+        out: Output,
+        kinds: (Kind, Kind),
+        scale: f64,
+        weight: impl Fn(f64, f64, f64) -> f64,
+    ) {
+        let (mx, my) = (self.wu.len(), self.wv.len());
+        let out = match out {
+            Output::Field => self.field.as_mut_slice(),
+            Output::Movable => self.movable.as_mut_slice(),
+        };
+        for (v, (row, a_row)) in out
+            .chunks_exact_mut(mx)
+            .zip(self.spectrum.chunks_exact(mx))
+            .enumerate()
+        {
+            let wv = self.wv[v];
+            for (u, (o, a)) in row.iter_mut().zip(a_row).enumerate() {
+                let wu = self.wu[u];
+                *o = weight(a / (wu * wu + wv * wv), wu, wv);
+            }
+        }
+        out[0] = 0.0; // the DC term: ω = 0, and ψ is defined up to a constant
+        transform2d_planned(
+            out,
+            mx,
+            my,
+            kinds,
+            &mut self.transposed,
+            &mut self.fft_lanes,
+        );
+        self.transforms += 1;
+        for o in out.iter_mut() {
+            *o *= scale;
+        }
+    }
+
+    /// Orthogonal reconstruction: (2/Mx)(2/My) · DCT-III in each axis.
+    fn norm(&self) -> f64 {
+        4.0 / (cast::idx_f64(self.wu.len()) * cast::idx_f64(self.wv.len()))
+    }
+
+    /// Phase 3a — the potential ψ into `field`, and the electrostatic
+    /// energy ½·Σ ρψ: the ½ makes ∂D/∂x = q·∂ψ/∂x the exact derivative
+    /// (each pair interaction is counted twice in Σρψ). ρ is recomputed
+    /// from its three parts (the same expression [`Self::solve`] rounded),
+    /// which is what lets the spectrum overwrite it.
+    fn potential_energy(&mut self, model: &DensityModel) -> f64 {
+        self.synthesise(
+            Output::Field,
+            (Kind::Dct3, Kind::Dct3),
+            self.norm(),
+            |c, _, _| c,
+        );
+        0.5 * model
+            .fixed_rho
+            .as_slice()
+            .iter()
+            .zip(model.extra_rho.as_slice())
+            .zip(self.movable.as_slice())
+            .zip(self.field.as_slice())
+            .map(|(((fixed, extra), movable), psi)| (fixed + (extra + movable)) * psi)
+            .sum::<f64>()
+    }
+
+    /// Phase 3b — the field and the per-cell gradient.
+    ///
+    /// E = −∇ψ: differentiating the cosine basis gives the sine basis with
+    /// an extra −ω factor; folding signs, E uses +ω·sin synthesis, per DBU.
+    /// E_x replaces ψ in `field` and E_y replaces the movable charge, both
+    /// dead by now. The gather then averages the field over each cell's
+    /// smoothed rectangle; every cell writes its own slot of `grad` and
+    /// nothing is accumulated across cells, so chunking cannot change bits.
+    fn field_gradient(&mut self, model: &DensityModel, cells: &Cells<'_>) {
+        let norm = self.norm();
+        let sine_x = (Kind::Dst3Shifted, Kind::Dct3);
+        let sine_y = (Kind::Dct3, Kind::Dst3Shifted);
+        self.synthesise(Output::Field, sine_x, norm / model.bin_w(), |c, wu, _| {
+            c * wu
+        });
+        self.synthesise(Output::Movable, sine_y, norm / model.bin_h(), |c, _, wv| {
+            c * wv
+        });
+        let (ex, ey) = (&self.field, &self.movable);
+        let mut lanes = vec![(); self.fft_lanes.len()];
+        puffer_par::for_each_block(&mut self.grad, 1, &mut lanes, |first, out, ()| {
+            for (k, g) in out.iter_mut().enumerate() {
+                *g = match model.footprint(cells, first + k) {
+                    Footprint::Fixed => (0.0, 0.0),
+                    Footprint::Poisoned { .. } => (f64::NAN, f64::NAN),
+                    // Force on a positive charge is qE; the energy gradient is −qE.
+                    Footprint::Placed { rect, charge } => {
+                        let (ex_avg, ey_avg) = gather2(ex, ey, &rect);
+                        (-charge * ex_avg, -charge * ey_avg)
+                    }
+                };
+            }
+        });
+    }
+}
+
+/// Which grid a synthesis writes.
+#[derive(Clone, Copy)]
+enum Output {
+    Field,
+    Movable,
+}
+
+/// Area-weighted average of two co-located grids over `r`.
+fn gather2(a: &Grid<f64>, b: &Grid<f64>, r: &Rect) -> (f64, f64) {
     let Some((ix_lo, ix_hi, iy_lo, iy_hi)) = a.cells_overlapping(r) else {
-        return (0.0, 0.0, 0.0);
+        return (0.0, 0.0);
     };
     let clipped = r.intersection(&a.region());
     let total = clipped.area();
     if total <= 0.0 {
         let (ix, iy) = a.cell_of(r.center());
-        return (*a.at(ix, iy), *b.at(ix, iy), *c.at(ix, iy));
+        return (*a.at(ix, iy), *b.at(ix, iy));
     }
-    let (mut sa, mut sb, mut sc) = (0.0, 0.0, 0.0);
+    let (mut sa, mut sb) = (0.0, 0.0);
     for iy in iy_lo..=iy_hi {
         for ix in ix_lo..=ix_hi {
             let ov = clipped.intersection(&a.cell_rect(ix, iy)).area();
@@ -391,11 +677,10 @@ fn gather3(a: &Grid<f64>, b: &Grid<f64>, c: &Grid<f64>, r: &Rect) -> (f64, f64, 
                 let w = ov / total;
                 sa += w * a.at(ix, iy);
                 sb += w * b.at(ix, iy);
-                sc += w * c.at(ix, iy);
             }
         }
     }
-    (sa, sb, sc)
+    (sa, sb)
 }
 
 #[cfg(test)]
@@ -539,6 +824,132 @@ mod tests {
         p.set(CellId(1), Point::new(20.0, 20.0));
         let rho = m.movable_density(d.netlist(), &p, &widths(&d));
         assert!((rho.sum() - 8.0).abs() < 1e-9); // two 2x2 cells
+    }
+
+    #[test]
+    fn movable_density_skips_poisoned_cells() {
+        let d = design_two_cells();
+        let m = DensityModel::new(&d, 32, 32);
+        let mut p = Placement::zeroed(2);
+        p.set(CellId(0), Point::new(10.0, 10.0));
+        p.set(CellId(1), Point::new(f64::NAN, 20.0));
+        let rho = m.movable_density(d.netlist(), &p, &widths(&d));
+        assert!(
+            (rho.sum() - 4.0).abs() < 1e-9,
+            "only the finite cell deposits"
+        );
+        let e = m.evaluate(d.netlist(), &p, &widths(&d), 1.0);
+        assert!(e.grad_x[1].is_nan() && e.grad_x[0].is_finite());
+        assert!(
+            e.overflow >= 4.0 / 8.0,
+            "the poisoned cell's charge is all overflow"
+        );
+    }
+
+    /// The sparse-list merge of the multi-worker scatter, the direct merge
+    /// of the single worker and a plain serial splat-per-chunk reference
+    /// must agree bit for bit, and a workspace must come back clean: a
+    /// second scatter of the same cells gives the same map.
+    #[test]
+    fn charge_map_is_the_ordered_chunk_sum_for_every_worker_count() {
+        let d = puffer_gen::generate(&puffer_gen::GeneratorConfig {
+            num_cells: 700,
+            num_nets: 750,
+            num_macros: 2,
+            ..puffer_gen::GeneratorConfig::default()
+        })
+        .unwrap();
+        let nl = d.netlist();
+        let m = DensityModel::new(&d, 64, 64);
+        let w = widths(&d);
+        let region = d.region();
+        let mut p = d.initial_placement();
+        for (k, id) in nl.movable_cells().enumerate() {
+            // A deterministic spread with awkward fractions.
+            let fx = (k as f64 * 0.6180339887).fract();
+            let fy = (k as f64 * 0.7548776662).fract();
+            p.set(
+                id,
+                Point::new(
+                    region.xl + fx * region.width(),
+                    region.yl + fy * region.height(),
+                ),
+            );
+        }
+        let cells = Cells {
+            netlist: nl,
+            placement: &p,
+            eff_width: &w,
+        };
+        // Reference: one fresh grid per chunk, added whole in chunk order.
+        let mut expect: Grid<f64> = Grid::new(region, 64, 64);
+        for range in puffer_par::chunk_ranges(nl.num_cells()) {
+            let mut part: Grid<f64> = Grid::new(region, 64, 64);
+            for i in range {
+                if let Footprint::Placed { rect, charge } = m.footprint(&cells, i) {
+                    part.splat(&rect, charge);
+                }
+            }
+            puffer_par::merge_add(expect.as_mut_slice(), part.as_slice());
+        }
+        let bits =
+            |g: &Grid<f64>| -> Vec<u64> { g.as_slice().iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&m.movable_density(nl, &p, &w)), bits(&expect));
+        for threads in [1, 2, 3, 8] {
+            let mut ws = DensityWorkspace::new(&m, nl.num_cells(), threads);
+            for round in 0..2 {
+                ws.charge(&m, &cells);
+                assert_eq!(
+                    bits(&ws.movable),
+                    bits(&expect),
+                    "threads {threads}, round {round}"
+                );
+            }
+            assert!(ws
+                .dense_lanes
+                .iter()
+                .all(|g| g.as_slice().iter().all(|v| v.to_bits() == 0)));
+        }
+    }
+
+    #[test]
+    fn workspace_entry_points_agree_with_the_full_evaluation() {
+        let d = design_two_cells();
+        let m = DensityModel::new(&d, 32, 32);
+        let w = widths(&d);
+        let mut p = Placement::zeroed(2);
+        p.set(CellId(0), Point::new(14.0, 15.0));
+        p.set(CellId(1), Point::new(15.5, 17.0));
+        let full = m.evaluate(d.netlist(), &p, &w, 0.7);
+        let mut ws = DensityWorkspace::new(&m, 2, 2);
+        // In either order, and repeatedly: no phase leaves state behind
+        // that another depends on.
+        for _ in 0..2 {
+            let (overflow, energy) = ws.statistics(&m, d.netlist(), &p, &w, 0.7);
+            assert_eq!(overflow.to_bits(), full.overflow.to_bits());
+            assert_eq!(energy.to_bits(), full.energy.to_bits());
+            assert_eq!(ws.take_transforms(), 2);
+            let grad = ws.gradient(&m, d.netlist(), &p, &w).to_vec();
+            for (i, g) in grad.iter().enumerate() {
+                assert_eq!(g.0.to_bits(), full.grad_x[i].to_bits());
+                assert_eq!(g.1.to_bits(), full.grad_y[i].to_bits());
+            }
+            assert_eq!(ws.take_transforms(), 3);
+        }
+        ws.statistics(&m, d.netlist(), &p, &w, 0.7);
+        assert_eq!(
+            ws.last_gradient(),
+            &grad_of(&full)[..],
+            "statistics leave the gradient alone"
+        );
+    }
+
+    fn grad_of(e: &DensityEval) -> Vec<(f64, f64)> {
+        e.grad_x
+            .iter()
+            .copied()
+            .zip(e.grad_y.iter().copied())
+            .collect()
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! optimization, adjusting the per-cell *effective widths* between steps.
 
 use puffer_db::cast;
-use crate::density::DensityModel;
+use crate::density::{DensityModel, DensityWorkspace};
 use crate::nesterov::{NesterovOptimizer, NesterovState};
 use crate::sentinel::{Divergence, DivergenceSentinel};
 use crate::wirelength::wa_wirelength_grad_threaded;
@@ -117,6 +117,8 @@ pub struct GlobalPlacer<'a> {
     design: &'a Design,
     config: PlacerConfig,
     density: DensityModel,
+    /// The density pipeline's buffers and the memo of its last gradient.
+    dens: DensityState,
     placement: Placement,
     /// Physical width + padding per cell (the density system's view).
     eff_width: Vec<f64>,
@@ -144,6 +146,137 @@ pub struct GlobalPlacer<'a> {
     /// Telemetry handle (disabled by default); one `place.iter` record per
     /// step plus a `place.recoveries` counter. Not part of the snapshot.
     trace: Trace,
+}
+
+/// Everything a density evaluation writes, kept apart from the placer's
+/// read-only [`Inputs`] so that `step` can lend it to the gradient oracle
+/// while the projector borrows the rest.
+#[derive(Debug)]
+struct DensityState {
+    ws: DensityWorkspace,
+    /// The positions under evaluation; fixed cells sit where `placement`
+    /// has them.
+    scratch: Placement,
+    /// One-entry memo of the density gradient: unless empty, `memo_key` is
+    /// the flat position vector (compared bit for bit) at which
+    /// `ws.last_gradient()` was computed. The density gradient is a
+    /// function of the positions, the effective widths and the static
+    /// charge only — not of λ or γ — so it survives from the last
+    /// backtracking round of one step to the opening gradient of the next,
+    /// which asks for the same point. Whatever changes the other two inputs
+    /// (`set_padding`, `set_extra_charge`, `restore`) must call
+    /// [`DensityState::forget`]. The WA gradient has no such memo: γ is
+    /// re-annealed from the overflow after every step.
+    memo_key: Vec<f64>,
+    /// Test hook: behave as if the memo were forgotten before every
+    /// evaluation.
+    #[cfg(test)]
+    memo_disabled: bool,
+}
+
+impl DensityState {
+    fn forget(&mut self) {
+        self.memo_key.clear();
+    }
+
+    fn remembers(&self, flat: &[f64]) -> bool {
+        #[cfg(test)]
+        if self.memo_disabled {
+            return false;
+        }
+        // There is at least one movable cell, so `flat` is never empty.
+        self.memo_key.len() == flat.len()
+            && self.memo_key.iter().zip(flat).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+/// The read-only half of a gradient evaluation; see [`DensityState`].
+struct Inputs<'b> {
+    design: &'b Design,
+    density: &'b DensityModel,
+    eff_width: &'b [f64],
+    movable: &'b [CellId],
+    config: &'b PlacerConfig,
+    trace: &'b Trace,
+}
+
+impl Inputs<'_> {
+    /// Writes the flat position vector `flat` into `target`.
+    fn scatter(&self, flat: &[f64], target: &mut Placement) {
+        let n = self.movable.len();
+        for (i, &id) in self.movable.iter().enumerate() {
+            target.set(id, puffer_db::geom::Point::new(flat[i], flat[n + i]));
+        }
+    }
+
+    /// Counts one density evaluation and the 2-D transforms it ran.
+    fn count_evaluation(&self, st: &mut DensityState) {
+        self.trace.add("place.density_evals", 1);
+        self.trace.add("fft.transforms2d", st.ws.take_transforms());
+    }
+
+    /// Leaves the density gradient at `flat` (already scattered into
+    /// `st.scratch`) in `st.ws`: from the memo when `flat` is bit-for-bit
+    /// the point it was last computed at.
+    fn density_grad(&self, st: &mut DensityState, flat: &[f64]) {
+        if st.remembers(flat) {
+            self.trace.add("place.density_memo_hits", 1);
+            return;
+        }
+        st.ws
+            .gradient(self.density, self.design.netlist(), &st.scratch, self.eff_width);
+        self.count_evaluation(st);
+        st.memo_key.clear();
+        st.memo_key.extend_from_slice(flat);
+    }
+
+    /// `(overflow, energy)` of `placement`; leaves the gradient memo alone.
+    fn density_stats(&self, st: &mut DensityState, placement: &Placement) -> (f64, f64) {
+        let stats = st.ws.statistics(
+            self.density,
+            self.design.netlist(),
+            placement,
+            self.eff_width,
+            self.config.target_density,
+        );
+        self.count_evaluation(st);
+        stats
+    }
+
+    /// Combined gradient `∇W + λ·∇D` at `flat`.
+    fn combined_grad(&self, st: &mut DensityState, flat: &[f64], lambda: f64, gamma: f64) -> Vec<f64> {
+        self.scatter(flat, &mut st.scratch);
+        let wl = wa_wirelength_grad_threaded(
+            self.design.netlist(),
+            &st.scratch,
+            gamma,
+            self.config.threads,
+        );
+        self.density_grad(st, flat);
+        let de = st.ws.last_gradient();
+        let n = self.movable.len();
+        let mut g = vec![0.0; 2 * n];
+        for (i, &id) in self.movable.iter().enumerate() {
+            let c = id.index();
+            g[i] = wl.grad_x[c] + lambda * de[c].0;
+            g[n + i] = wl.grad_y[c] + lambda * de[c].1;
+        }
+        g
+    }
+
+    fn projector(&self) -> impl Fn(&mut [f64]) + '_ {
+        let n = self.movable.len();
+        let region = self.design.region();
+        move |flat: &mut [f64]| {
+            for (i, &id) in self.movable.iter().enumerate() {
+                let cell = self.design.netlist().cell(id);
+                let hw = (self.eff_width[id.index()] / 2.0).min(region.width() / 2.0);
+                let hh = (cell.height / 2.0).min(region.height() / 2.0);
+                flat[i] = flat[i].clamp(region.xl + hw, region.xh - hw);
+                flat[n + i] = flat[n + i].clamp(region.yl + hh, region.yh - hh);
+            }
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -187,16 +320,13 @@ impl<'a> GlobalPlacer<'a> {
     /// # Errors
     ///
     /// Returns [`PlaceError::NoMovableCells`] for a design without movable
-    /// cells and [`PlaceError::UnplacedMacro`] when a macro lacks a
-    /// location.
+    /// cells, [`PlaceError::UnplacedMacro`] when a macro lacks a location
+    /// and [`PlaceError::BadConfig`] for a [`PlacerConfig::bin_dim`] that is
+    /// neither `0` nor a power of two.
     pub fn new(design: &'a Design, config: PlacerConfig) -> Result<Self, PlaceError> {
         let mut placement = design.initial_placement();
         // Deterministic jitter to break symmetry.
-        let dim = if config.bin_dim == 0 {
-            DensityModel::auto_dim(design.netlist().num_cells())
-        } else {
-            config.bin_dim
-        };
+        let dim = bin_dim(design, &config)?;
         let bin_w = design.region().width() / cast::idx_f64(dim);
         let bin_h = design.region().height() / cast::idx_f64(dim);
         let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_add(config.seed);
@@ -244,12 +374,15 @@ impl<'a> GlobalPlacer<'a> {
         if movable.is_empty() {
             return Err(PlaceError::NoMovableCells);
         }
-        let dim = if config.bin_dim == 0 {
-            DensityModel::auto_dim(design.netlist().num_cells())
-        } else {
-            config.bin_dim
-        };
+        let dim = bin_dim(design, &config)?;
         let density = DensityModel::new(design, dim, dim);
+        let dens = DensityState {
+            ws: DensityWorkspace::new(&density, design.netlist().num_cells(), config.threads),
+            scratch: placement.clone(),
+            memo_key: Vec::new(),
+            #[cfg(test)]
+            memo_disabled: false,
+        };
         let eff_width: Vec<f64> = design.netlist().cells().iter().map(|c| c.width).collect();
         let padding = vec![0.0; eff_width.len()];
         let sentinel = DivergenceSentinel::new(config.divergence_window);
@@ -257,6 +390,7 @@ impl<'a> GlobalPlacer<'a> {
             design,
             config,
             density,
+            dens,
             placement,
             eff_width,
             padding,
@@ -401,6 +535,8 @@ impl<'a> GlobalPlacer<'a> {
             self.eff_width[i] = cell.width + snap.padding[i];
         }
         self.placement = snap.placement;
+        self.dens.scratch = self.placement.clone();
+        self.dens.forget(); // the widths changed under the memo
         self.padding = snap.padding;
         self.lambda = snap.lambda;
         self.iter = snap.iter;
@@ -437,6 +573,7 @@ impl<'a> GlobalPlacer<'a> {
             self.eff_width[i] = cell.width + padding[i];
         }
         self.padding = padding;
+        self.dens.forget(); // the widths changed under the memo
         self.opt = None; // momentum reset; next step re-seeds the optimizer
     }
 
@@ -455,6 +592,7 @@ impl<'a> GlobalPlacer<'a> {
             "extra charge must be finite"
         );
         self.density.set_extra_charge(extra);
+        self.dens.forget(); // the static charge changed under the memo
         self.opt = None;
     }
 
@@ -491,49 +629,19 @@ impl<'a> GlobalPlacer<'a> {
         v
     }
 
-    fn scatter(&self, flat: &[f64], target: &mut Placement) {
-        let n = self.movable.len();
-        for (i, &id) in self.movable.iter().enumerate() {
-            target.set(id, puffer_db::geom::Point::new(flat[i], flat[n + i]));
-        }
-    }
-
-    /// Combined gradient `∇W + λ·∇D` at `flat`, plus the current λ if it
-    /// still needs bootstrapping.
-    fn combined_grad(&self, flat: &[f64], lambda: f64, gamma: f64) -> Vec<f64> {
-        let mut scratch = self.placement.clone();
-        self.scatter(flat, &mut scratch);
-        let wl =
-            wa_wirelength_grad_threaded(self.design.netlist(), &scratch, gamma, self.config.threads);
-        let de = self.density.evaluate_threaded(
-            self.design.netlist(),
-            &scratch,
-            &self.eff_width,
-            self.config.target_density,
-            self.config.threads,
-        );
-        let n = self.movable.len();
-        let mut g = vec![0.0; 2 * n];
-        for (i, &id) in self.movable.iter().enumerate() {
-            let c = id.index();
-            g[i] = wl.grad_x[c] + lambda * de.grad_x[c];
-            g[n + i] = wl.grad_y[c] + lambda * de.grad_y[c];
-        }
-        g
-    }
-
-    fn projector(&self) -> impl Fn(&mut [f64]) + '_ {
-        let n = self.movable.len();
-        let region = self.design.region();
-        move |flat: &mut [f64]| {
-            for (i, &id) in self.movable.iter().enumerate() {
-                let cell = self.design.netlist().cell(id);
-                let hw = (self.eff_width[id.index()] / 2.0).min(region.width() / 2.0);
-                let hh = (cell.height / 2.0).min(region.height() / 2.0);
-                flat[i] = flat[i].clamp(region.xl + hw, region.xh - hw);
-                flat[n + i] = flat[n + i].clamp(region.yl + hh, region.yh - hh);
-            }
-        }
+    /// The placer as a density evaluation sees it: read-only inputs and the
+    /// current placement on one side, the density pipeline's state on the
+    /// other.
+    fn split(&mut self) -> (Inputs<'_>, &mut DensityState, &Placement) {
+        let inputs = Inputs {
+            design: self.design,
+            density: &self.density,
+            eff_width: &self.eff_width,
+            movable: &self.movable,
+            config: &self.config,
+            trace: &self.trace,
+        };
+        (inputs, &mut self.dens, &self.placement)
     }
 
     /// Bootstraps λ (wirelength/density gradient balance) and the Nesterov
@@ -544,33 +652,34 @@ impl<'a> GlobalPlacer<'a> {
             return;
         }
         let gamma = self.gamma();
+        let mut lambda = self.lambda;
         let mut flat = self.flat_state();
-        self.projector()(&mut flat);
-        let mut scratch = self.placement.clone();
-        self.scatter(&flat, &mut scratch);
-        let wl =
-            wa_wirelength_grad_threaded(self.design.netlist(), &scratch, gamma, self.config.threads);
-        let de = self.density.evaluate_threaded(
-            self.design.netlist(),
-            &scratch,
-            &self.eff_width,
-            self.config.target_density,
-            self.config.threads,
-        );
-        if self.lambda == 0.0 {
-            let sw: f64 = self
+        let (inputs, dens, _) = self.split();
+        inputs.projector()(&mut flat);
+        if lambda == 0.0 {
+            inputs.scatter(&flat, &mut dens.scratch);
+            let wl = wa_wirelength_grad_threaded(
+                inputs.design.netlist(),
+                &dens.scratch,
+                gamma,
+                inputs.config.threads,
+            );
+            inputs.density_grad(dens, &flat);
+            let de = dens.ws.last_gradient();
+            let sw: f64 = inputs
                 .movable
                 .iter()
                 .map(|&id| wl.grad_x[id.index()].abs() + wl.grad_y[id.index()].abs())
                 .sum();
-            let sd: f64 = self
+            let sd: f64 = inputs
                 .movable
                 .iter()
-                .map(|&id| de.grad_x[id.index()].abs() + de.grad_y[id.index()].abs())
+                .map(|&id| de[id.index()].0.abs() + de[id.index()].1.abs())
                 .sum();
-            self.lambda = if sd > 1e-12 { sw / sd } else { 1.0 };
+            lambda = if sd > 1e-12 { sw / sd } else { 1.0 };
         }
-        let g = self.combined_grad(&flat, self.lambda, gamma);
+        let g = inputs.combined_grad(dens, &flat, lambda, gamma);
+        self.lambda = lambda;
         let gmax = g.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         let bin = self.density.bin_w().min(self.density.bin_h());
         let alpha0 = if gmax > 1e-12 {
@@ -613,15 +722,14 @@ impl<'a> GlobalPlacer<'a> {
             self.emit_iter(&stats);
             return stats;
         };
-        {
-            let grad = |flat: &[f64]| self.combined_grad(flat, lambda, gamma);
-            let project = self.projector();
-            opt.step(grad, project);
-        }
-        let solution = opt.solution().to_vec();
+        let (inputs, dens, placement) = self.split();
+        opt.step(
+            |flat: &[f64]| inputs.combined_grad(dens, flat, lambda, gamma),
+            inputs.projector(),
+        );
+        let mut new_placement = placement.clone();
+        inputs.scatter(opt.solution(), &mut new_placement);
         self.opt = Some(opt);
-        let mut new_placement = self.placement.clone();
-        self.scatter(&solution, &mut new_placement);
         let prev_placement = std::mem::replace(&mut self.placement, new_placement);
         self.iter += 1;
         let new_lambda = self.lambda * self.config.lambda_growth;
@@ -632,19 +740,13 @@ impl<'a> GlobalPlacer<'a> {
             gamma,
             self.config.threads,
         );
-        let de = self.density.evaluate_threaded(
-            self.design.netlist(),
-            &self.placement,
-            &self.eff_width,
-            self.config.target_density,
-            self.config.threads,
-        );
+        let (overflow, energy) = self.density_stats();
         let stats = IterationStats {
             iter: self.iter,
-            overflow: de.overflow,
+            overflow,
             hpwl: total_hpwl(self.design.netlist(), &self.placement),
             wa: wl.value,
-            energy: de.energy,
+            energy,
             lambda: new_lambda,
         };
 
@@ -656,7 +758,7 @@ impl<'a> GlobalPlacer<'a> {
 
         // Healthy iterate: commit and remember it as the rollback target.
         self.lambda = new_lambda;
-        self.last_overflow = de.overflow;
+        self.last_overflow = overflow;
         self.last_good = Some(LastGood {
             placement: self.placement.clone(),
             stats,
@@ -691,7 +793,7 @@ impl<'a> GlobalPlacer<'a> {
     /// Statistics of the solution currently held (used by the frozen path
     /// and after a rollback, where the diverged iterate's numbers would be
     /// meaningless or non-finite).
-    fn healthy_stats(&self) -> IterationStats {
+    fn healthy_stats(&mut self) -> IterationStats {
         if let Some(lg) = &self.last_good {
             return lg.stats;
         }
@@ -702,21 +804,21 @@ impl<'a> GlobalPlacer<'a> {
             gamma,
             self.config.threads,
         );
-        let de = self.density.evaluate_threaded(
-            self.design.netlist(),
-            &self.placement,
-            &self.eff_width,
-            self.config.target_density,
-            self.config.threads,
-        );
+        let (overflow, energy) = self.density_stats();
         IterationStats {
             iter: self.iter,
-            overflow: de.overflow,
+            overflow,
             hpwl: total_hpwl(self.design.netlist(), &self.placement),
             wa: wl.value,
-            energy: de.energy,
+            energy,
             lambda: self.lambda,
         }
+    }
+
+    /// `(overflow, energy)` of the current placement.
+    fn density_stats(&mut self) -> (f64, f64) {
+        let (inputs, dens, placement) = self.split();
+        inputs.density_stats(dens, placement)
     }
 
     /// Discards the diverged iterate: rolls back to the last healthy
@@ -806,6 +908,17 @@ impl<'a> GlobalPlacer<'a> {
             last = self.step();
         }
         last
+    }
+}
+
+/// The bin-grid dimension `config` selects for `design`.
+fn bin_dim(design: &Design, config: &PlacerConfig) -> Result<usize, PlaceError> {
+    match config.bin_dim {
+        0 => Ok(DensityModel::auto_dim(design.netlist().num_cells())),
+        dim if dim.is_power_of_two() => Ok(dim),
+        dim => Err(PlaceError::BadConfig(format!(
+            "bin_dim {dim} is neither 0 (automatic) nor a power of two"
+        ))),
     }
 }
 
@@ -1133,6 +1246,241 @@ mod tests {
             placer.restore(snap2),
             Err(PlaceError::BadSnapshot(_))
         ));
+    }
+
+    #[test]
+    fn bad_bin_dim_is_an_error_not_a_panic() {
+        let d = small_design();
+        for bin_dim in [3, 48, 1000] {
+            let cfg = PlacerConfig {
+                bin_dim,
+                ..PlacerConfig::default()
+            };
+            let new = GlobalPlacer::new(&d, cfg.clone());
+            assert!(matches!(new, Err(PlaceError::BadConfig(_))), "new, bin_dim {bin_dim}");
+            let with = GlobalPlacer::with_placement(&d, cfg, d.initial_placement());
+            let Err(PlaceError::BadConfig(msg)) = with else {
+                panic!("with_placement accepted bin_dim {bin_dim}");
+            };
+            assert!(msg.contains(&bin_dim.to_string()), "{msg}");
+        }
+        let cfg = PlacerConfig {
+            bin_dim: 64,
+            ..PlacerConfig::default()
+        };
+        assert_eq!(GlobalPlacer::new(&d, cfg).unwrap().density_dims(), (64, 64));
+    }
+
+    fn counter(trace: &Trace, name: &str) -> u64 {
+        let counters = trace.counters();
+        counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+    }
+
+    #[test]
+    fn a_step_runs_five_transforms_when_the_first_round_is_accepted() {
+        let d = small_design();
+        let mut placer = GlobalPlacer::new(&d, PlacerConfig::default()).unwrap();
+        let trace = Trace::enabled();
+        placer.set_trace(trace.clone());
+        placer.step(); // bootstrap: one gradient for λ and α₀, reused twice
+        let read = || {
+            ["place.density_evals", "place.density_memo_hits", "fft.transforms2d"]
+                .map(|name| counter(&trace, name))
+        };
+        let mut before = read();
+        assert_eq!(before[1], 2, "the bootstrap gradient serves combined_grad and grad(v₀)");
+        let mut five = 0;
+        for _ in 0..20 {
+            placer.step();
+            let after = read();
+            let [evals, hits, transforms] = [0, 1, 2].map(|k| after[k] - before[k]);
+            // Opening gradient from the memo; then one gradient (3
+            // transforms) per backtracking round and one statistics
+            // evaluation (2 transforms).
+            assert_eq!(hits, 1);
+            assert!((2..=5).contains(&evals), "{evals} evaluations in one step");
+            assert_eq!(transforms, 3 * (evals - 1) + 2);
+            five += u32::from(transforms == 5);
+            before = after;
+        }
+        assert!(five >= 10, "only {five}/20 steps accepted their first round");
+    }
+
+    /// One move of the memo property test's scripts.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Steps(usize),
+        /// Pad every movable cell by a width drawn from the seed.
+        Pad(u64),
+        /// Inject a random extra-charge map.
+        Charge(u64),
+        Save,
+        /// Back to the last `Save` (a no-op before the first).
+        Restore,
+        /// NaN-poison a few cells and step: the sentinel must recover.
+        PoisonAndStep,
+    }
+
+    fn apply(placer: &mut GlobalPlacer<'_>, op: &Op, saved: &mut Option<PlacerSnapshot>) {
+        use puffer_rng::StdRng;
+        match op {
+            Op::Steps(n) => {
+                for _ in 0..*n {
+                    placer.step();
+                }
+            }
+            Op::Pad(seed) => {
+                let mut rng = StdRng::seed_from_u64(*seed);
+                let pad = placer
+                    .design
+                    .netlist()
+                    .cells()
+                    .iter()
+                    .map(|c| if c.is_movable() { rng.next_f64() * c.width } else { 0.0 })
+                    .collect();
+                placer.set_padding(pad);
+            }
+            Op::Charge(seed) => {
+                let mut rng = StdRng::seed_from_u64(*seed);
+                let (mx, my) = placer.density_dims();
+                let mut extra: puffer_db::grid::Grid<f64> =
+                    puffer_db::grid::Grid::new(placer.design.region(), mx, my);
+                for v in extra.as_mut_slice() {
+                    *v = rng.next_f64() * 3.0;
+                }
+                placer.set_extra_charge(extra);
+            }
+            Op::Save => *saved = Some(placer.snapshot()),
+            Op::Restore => {
+                if let Some(snap) = saved.clone() {
+                    placer.restore(snap).unwrap();
+                }
+            }
+            Op::PoisonAndStep => {
+                for &id in placer.movable.iter().take(3) {
+                    placer
+                        .placement
+                        .set(id, puffer_db::geom::Point::new(f64::NAN, f64::NAN));
+                }
+                placer.opt = None;
+                placer.step();
+            }
+        }
+    }
+
+    #[test]
+    fn memo_never_changes_a_trajectory() {
+        use puffer_rng::check::{run_cases, vec_of};
+        let d = small_design();
+        let cfg = PlacerConfig {
+            bin_dim: 32,
+            ..PlacerConfig::default()
+        };
+        run_cases(
+            6,
+            0x5EED_0E40,
+            |rng| {
+                let mut script = vec_of(rng, 3..7, |r| match r.gen_range(0..6u32) {
+                    0 => Op::Pad(r.next_u64()),
+                    1 => Op::Charge(r.next_u64()),
+                    2 => Op::Save,
+                    3 => Op::Restore,
+                    4 => Op::PoisonAndStep,
+                    _ => Op::Steps(r.gen_range(1..5usize)),
+                });
+                // Whatever was drawn, every invalidation site and a
+                // recovery are crossed with a live memo at least once.
+                script.extend([
+                    Op::Steps(3),
+                    Op::Save,
+                    Op::Pad(rng.next_u64()),
+                    Op::Steps(2),
+                    Op::Charge(rng.next_u64()),
+                    Op::Steps(2),
+                    Op::Restore,
+                    Op::Steps(2),
+                    Op::PoisonAndStep,
+                    Op::Steps(2),
+                ]);
+                script
+            },
+            |script| {
+                let mut memoised = GlobalPlacer::new(&d, cfg.clone()).unwrap();
+                let mut forgetful = GlobalPlacer::new(&d, cfg.clone()).unwrap();
+                forgetful.dens.memo_disabled = true;
+                let trace = Trace::enabled();
+                memoised.set_trace(trace.clone());
+                let (mut saved_m, mut saved_f) = (None, None);
+                for (k, op) in script.iter().enumerate() {
+                    apply(&mut memoised, op, &mut saved_m);
+                    apply(&mut forgetful, op, &mut saved_f);
+                    puffer_rng::prop_check!(
+                        memoised.snapshot() == forgetful.snapshot(),
+                        "snapshots differ after op {k} ({op:?})"
+                    );
+                }
+                puffer_rng::prop_check!(memoised.recoveries() >= 1, "no recovery happened");
+                let hits = counter(&trace, "place.density_memo_hits");
+                puffer_rng::prop_check!(hits >= 10, "memo hit only {hits} times");
+                Ok(())
+            },
+        );
+    }
+
+    /// Each of the three invalidation sites, crossed with a memo that a
+    /// stale hit would certainly use: the placer bootstraps at its start
+    /// point (the memo now holds that point), the site changes what the
+    /// density gradient depends on while leaving the point alone, and the
+    /// re-bootstrap must match a placer that never held a memo. Deleting
+    /// the `forget()` call of any one site fails its case.
+    #[test]
+    fn every_invalidation_site_forgets_the_memo() {
+        let d = small_design();
+        let cfg = PlacerConfig::default();
+        let pad: Vec<f64> = d
+            .netlist()
+            .cells()
+            .iter()
+            .map(|c| if c.is_movable() { 1.5 * c.width } else { 0.0 })
+            .collect();
+        let charge = |placer: &GlobalPlacer<'_>| {
+            let (mx, my) = placer.density_dims();
+            let mut extra: puffer_db::grid::Grid<f64> =
+                puffer_db::grid::Grid::new(d.region(), mx, my);
+            for (i, v) in extra.as_mut_slice().iter_mut().enumerate() {
+                *v = (i % 7) as f64;
+            }
+            extra
+        };
+        type Site<'s> = (&'s str, &'s dyn Fn(&mut GlobalPlacer<'_>));
+        let sites: [Site<'_>; 3] = [
+            ("set_padding", &|p| p.set_padding(pad.clone())),
+            ("set_extra_charge", &|p| {
+                let extra = charge(p);
+                p.set_extra_charge(extra);
+            }),
+            ("restore", &|p| {
+                let mut snap = p.snapshot();
+                snap.padding = pad.clone();
+                snap.opt = None;
+                p.restore(snap).unwrap();
+            }),
+        ];
+        for (name, site) in sites {
+            let mut warm = GlobalPlacer::new(&d, cfg.clone()).unwrap();
+            warm.ensure_optimizer();
+            assert!(!warm.dens.memo_key.is_empty(), "{name}: the bootstrap fills the memo");
+            site(&mut warm);
+            warm.ensure_optimizer();
+
+            let mut cold = GlobalPlacer::new(&d, cfg.clone()).unwrap();
+            cold.dens.memo_disabled = true;
+            cold.ensure_optimizer();
+            site(&mut cold);
+            cold.ensure_optimizer();
+
+            assert_eq!(warm.snapshot(), cold.snapshot(), "{name} left a stale memo behind");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod quadratic;
 pub mod sentinel;
 pub mod wirelength;
 
-pub use density::{DensityEval, DensityModel};
+pub use density::{DensityEval, DensityModel, DensityWorkspace};
 pub use engine::{GlobalPlacer, IterationStats, PlacerConfig, PlacerSnapshot};
 pub use nesterov::{NesterovOptimizer, NesterovState};
 pub use sentinel::{Divergence, DivergenceSentinel};
@@ -45,6 +45,8 @@ pub enum PlaceError {
     UnplacedMacro(String),
     /// A snapshot's shapes or values do not match the design being placed.
     BadSnapshot(String),
+    /// A [`PlacerConfig`] value the placer cannot run with.
+    BadConfig(String),
 }
 
 impl fmt::Display for PlaceError {
@@ -53,6 +55,7 @@ impl fmt::Display for PlaceError {
             PlaceError::NoMovableCells => write!(f, "design has no movable cells"),
             PlaceError::UnplacedMacro(msg) => write!(f, "unplaced macro: {msg}"),
             PlaceError::BadSnapshot(msg) => write!(f, "bad placer snapshot: {msg}"),
+            PlaceError::BadConfig(msg) => write!(f, "bad placer configuration: {msg}"),
         }
     }
 }

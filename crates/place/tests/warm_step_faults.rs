@@ -1,0 +1,54 @@
+//! Regression test for allocation churn in the Nesterov step: once warm, a
+//! step must not keep asking the kernel for grid-sized memory.
+//!
+//! Every fresh allocation of 128 KiB or more is an `mmap`, and its pages
+//! fault in one by one on first touch. Before the density pipeline kept a
+//! persistent workspace, one evaluation at 128² bins made ~45 of them —
+//! thousands of minor faults per step, a third of the run's CPU time in the
+//! kernel. The fault count is read from `/proc/self/stat`, so this needs no
+//! counting allocator; the file holds this one test so that nothing else
+//! runs in the process while it counts.
+#![cfg(target_os = "linux")]
+
+use puffer_gen::{generate, GeneratorConfig};
+use puffer_place::{GlobalPlacer, PlacerConfig};
+
+/// Minor faults of this process so far: field 10 of `/proc/self/stat`
+/// (counting from 1, the command in parentheses being field 2).
+fn minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap();
+    let after_command = &stat[stat.rfind(')').unwrap() + 1..];
+    after_command
+        .split_whitespace()
+        .nth(7)
+        .unwrap()
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn warm_steps_do_not_fault_in_fresh_grids() {
+    let design = generate(&GeneratorConfig {
+        num_cells: 1200,
+        num_nets: 1300,
+        num_macros: 2,
+        ..GeneratorConfig::default()
+    })
+    .unwrap();
+    let config = PlacerConfig {
+        bin_dim: 128,
+        threads: 1,
+        ..PlacerConfig::default()
+    };
+    let mut placer = GlobalPlacer::new(&design, config).unwrap();
+    for _ in 0..10 {
+        placer.step();
+    }
+    const STEPS: u64 = 50;
+    let before = minor_faults();
+    for _ in 0..STEPS {
+        placer.step();
+    }
+    let per_step = (minor_faults() - before) / STEPS;
+    assert!(per_step < 50, "{per_step} minor faults per warm step");
+}

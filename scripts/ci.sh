@@ -84,6 +84,20 @@ echo "==> deterministic parallelism smoke (place --threads 1 vs 4)"
   --threads 4 --journal "$SMOKE_DIR/t4.pj"
 cmp "$SMOKE_DIR/t1.pj" "$SMOKE_DIR/t4.pj"
 cmp "$SMOKE_DIR/t1.pl" "$SMOKE_DIR/t4.pl"
+# The same on a 128x128-bin grid (ct_top just past the 4096-cell auto_dim
+# step): the smoke above never leaves 32x32 bins, where one worker's
+# scatter scratch, the transposes and the sparse chunk lists are all
+# trivially small.
+echo "==> deterministic parallelism smoke, 128x128 bins (ct_top, --threads 1 vs 2 vs 4)"
+"$PUFFER" gen --preset ct_top --scale 0.0034 -o "$SMOKE_DIR/grid.pd"
+for t in 1 2 4; do
+  "$PUFFER" place "$SMOKE_DIR/grid.pd" -o "$SMOKE_DIR/grid-t$t.pl" \
+    --threads "$t" --journal "$SMOKE_DIR/grid-t$t.pj"
+done
+for t in 2 4; do
+  cmp "$SMOKE_DIR/grid-t1.pj" "$SMOKE_DIR/grid-t$t.pj"
+  cmp "$SMOKE_DIR/grid-t1.pl" "$SMOKE_DIR/grid-t$t.pl"
+done
 
 # Bounded-execution smoke: an expired deadline must still exit 0 with a
 # legal best-so-far placement, and the flow rows of the chaos harness

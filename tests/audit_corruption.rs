@@ -422,6 +422,33 @@ fn shrinking_iteration_stream_is_detected() {
     );
 }
 
+#[test]
+fn transform_count_outside_the_density_evaluations_is_detected() {
+    let dir = tmp_dir("density-counters");
+    let counters = |evals: u32, transforms: u32| {
+        [
+            format!(r#"{{"t":"counter","elapsed_s":0.1,"name":"place.density_evals","value":{evals}}}"#),
+            format!(r#"{{"t":"counter","elapsed_s":0.1,"name":"fft.transforms2d","value":{transforms}}}"#),
+        ]
+    };
+    // 450 evaluations of 2 or 3 transforms each cannot make 1800 (the
+    // four-per-evaluation shape) — nor fewer than 900.
+    for transforms in [1800, 899] {
+        let path = dir.join(format!("bad-{transforms}.jsonl"));
+        let lines = counters(450, transforms);
+        write_lines(&path, &[&lines[0], &lines[1]]);
+        let report = audit_metrics(&path).expect_err("impossible transform count must be caught");
+        assert!(
+            report.violations.iter().any(|v| v.check == "density-counters"),
+            "got: {report}"
+        );
+    }
+    let good = dir.join("good.jsonl");
+    let lines = counters(450, 1133);
+    write_lines(&good, &[&lines[0], &lines[1]]);
+    audit_metrics(&good).expect("233 gradients + 217 statistics = 1133 transforms pass");
+}
+
 // ---------------------------------------------------------------------------
 // Journal corruptions and cross-file consistency
 // ---------------------------------------------------------------------------

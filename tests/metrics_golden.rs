@@ -111,7 +111,27 @@ fn metrics_run_is_schema_valid_and_consistent() {
         .expect("gp/pad span");
     assert_eq!(pad_span.num("count"), Some(pad_rounds as f64));
 
-    // The CLI validator agrees.
+    // The density pipeline's exact counters. A first-round-accepted step
+    // is 5 transforms: 3 for the one new gradient (its opening gradient
+    // comes from the memo) and 2 for the statistics. The pinned values make
+    // any change to that shape visible; the bound keeps the old one — three
+    // full evaluations, 12 transforms a step — from coming back.
+    let counter = |name: &str| -> usize {
+        let r = of_kind("counter")
+            .into_iter()
+            .find(|r| r.str_field("name") == Some(name))
+            .unwrap_or_else(|| panic!("no {name} counter"));
+        r.num("value").unwrap() as usize
+    };
+    assert_eq!(gp_iterations, 200);
+    assert_eq!(counter("place.density_evals"), 439);
+    assert_eq!(counter("place.density_memo_hits"), 201);
+    assert_eq!(counter("fft.transforms2d"), 1117);
+    assert!(counter("fft.transforms2d") < 6 * gp_iterations);
+
+    // The CLI validator and the metrics audit agree.
     let out = run_cli(&["trace", metrics.to_str().unwrap(), "--check"]);
     assert!(out.contains("check OK"), "{out}");
+    let out = run_cli(&["audit", "metrics", metrics.to_str().unwrap()]);
+    assert!(out.contains("audit OK"), "{out}");
 }

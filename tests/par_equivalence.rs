@@ -15,7 +15,7 @@ use puffer_fft::{
     transform2d_threaded,
 };
 use puffer_gen::{generate, GeneratorConfig};
-use puffer_place::{wa_wirelength_grad_threaded, DensityModel};
+use puffer_place::{wa_wirelength_grad_threaded, DensityModel, GlobalPlacer, PlacerConfig};
 use puffer_rng::StdRng;
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
@@ -102,6 +102,46 @@ fn density_evaluation_is_bit_identical_across_thread_counts() {
         );
         assert_eq!(bits(&got.grad_x), bits(&base.grad_x), "threads {t}: grad_x");
         assert_eq!(bits(&got.grad_y), bits(&base.grad_y), "threads {t}: grad_y");
+    }
+}
+
+/// Past the 4096-cell step of `DensityModel::auto_dim`: 128² bins, where a
+/// grid no longer fits a worker's cache, every chunk of the scatter spans
+/// the whole die and the transposes cross many tiles — the regime the
+/// 32²-bin cases above never reach.
+#[test]
+fn placer_steps_on_a_128_bin_grid_are_bit_identical_across_thread_counts() {
+    let d = test_design(4200, 4400, 5);
+    let run = |threads: usize| {
+        let config = PlacerConfig {
+            threads,
+            ..PlacerConfig::default()
+        };
+        let mut placer = GlobalPlacer::new(&d, config).unwrap();
+        assert_eq!(placer.density_dims(), (128, 128));
+        let stats: Vec<_> = (0..4).map(|_| placer.step()).collect();
+        // A padding change mid-run re-seeds the optimizer (and must drop
+        // the density-gradient memo) identically everywhere.
+        let pad = d.netlist().cells().iter().map(|c| 0.25 * c.width).collect();
+        placer.set_padding(pad);
+        let last = placer.step();
+        let snapshot = placer.snapshot();
+        // `{:?}` of an f64 is its shortest round-trip form: equal text is
+        // equal bits (and it tells −0.0 from 0.0, which `==` does not).
+        (format!("{stats:?} {last:?} {snapshot:?}"), snapshot.placement)
+    };
+    let base = run(1);
+    let nl = d.netlist();
+    let widths: Vec<f64> = nl.cells().iter().map(|c| c.width).collect();
+    let model = DensityModel::new(&d, 128, 128);
+    let eval_base = model.evaluate_threaded(nl, &base.1, &widths, 1.0, 1);
+    for t in [2usize, 3, 8] {
+        assert!(run(t) == base, "threads {t}: placer trajectory differs");
+        let eval = model.evaluate_threaded(nl, &base.1, &widths, 1.0, t);
+        assert_eq!(eval.energy.to_bits(), eval_base.energy.to_bits(), "threads {t}: energy");
+        assert_eq!(eval.overflow.to_bits(), eval_base.overflow.to_bits(), "threads {t}: overflow");
+        assert_eq!(bits(&eval.grad_x), bits(&eval_base.grad_x), "threads {t}: grad_x");
+        assert_eq!(bits(&eval.grad_y), bits(&eval_base.grad_y), "threads {t}: grad_y");
     }
 }
 
