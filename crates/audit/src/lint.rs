@@ -9,10 +9,9 @@
 //!   `src/bin/` and `src/main.rs` are exempt; `#[cfg(test)]` blocks, doc
 //!   comments, and string literals are masked out before matching).
 //! * `no-bare-spawn` — `thread::spawn` is banned everywhere; scoped
-//!   threads (`thread::scope`) are sanctioned only in `par` (the
+//!   threads (`thread::scope`) are sanctioned only in `par`, the
 //!   deterministic fork-join layer every other parallel loop must go
-//!   through) and in the `route`/`congest` crates, whose panic-draining
-//!   workers predate it and now delegate to puffer-par.
+//!   through.
 //! * `forbid-unsafe` — every crate root (`src/lib.rs`, `src/main.rs`,
 //!   `src/bin/*.rs`) must declare `#![forbid(unsafe_code)]`.
 //! * `layering` — crate dependencies parsed from the workspace manifests
@@ -40,8 +39,8 @@
 //!   I/O layer exists to get right (tmp + fsync + rename + dir fsync, one
 //!   fsynced record per append); a raw call bypasses both the durability
 //!   contract and the `chaos` fault-injection hook, so filesystem faults
-//!   would silently skip it. Write through `fsx::atomic_write`,
-//!   `fsx::AppendSink`, or `fsx::append_record` instead.
+//!   would silently skip it. Write through `fsx::atomic_write` or
+//!   `fsx::AppendSink` instead.
 //! * `lock-order` — raw `Mutex::lock` calls outside `puffer-budget` are
 //!   findings (stdio handle locks excepted): classed mutexes are acquired
 //!   through `puffer_budget::lockcheck::lock_ordered`. On top of that,
@@ -60,7 +59,7 @@ use std::path::{Path, PathBuf};
 
 /// Hard cap on `lint-allow.toml` entries: the waiver file documents
 /// deliberate exceptions, not a parallel policy.
-pub const MAX_WAIVERS: usize = 5;
+pub const MAX_WAIVERS: usize = 4;
 
 /// Architecture layers, bottom-up. A crate may only depend on workspace
 /// crates with a strictly lower layer; a workspace crate missing from this
@@ -103,10 +102,9 @@ const LAYERS: &[(&str, u8)] = &[
 ];
 
 /// Crates whose `thread::scope` use is sanctioned: `par` is the
-/// deterministic fork-join layer itself, and the `route`/`congest`
-/// panic-draining pools (reviewed in PR 2) now delegate to it. Everything
-/// else must route parallel work through puffer-par or carry a waiver.
-const SCOPED_THREAD_CRATES: &[&str] = &["route", "congest", "par"];
+/// deterministic fork-join layer itself. Everything else must route
+/// parallel work through puffer-par or carry a waiver.
+const SCOPED_THREAD_CRATES: &[&str] = &["par"];
 
 const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!", "todo!(", "unimplemented!("];
 
@@ -454,7 +452,7 @@ fn scan_source(
                         message: format!(
                             "{token} outside puffer_budget::fsx bypasses the durable \
                              I/O layer (crash ordering + chaos fault injection) — use \
-                             fsx::atomic_write, fsx::AppendSink, or fsx::append_record"
+                             fsx::atomic_write or fsx::AppendSink"
                         ),
                     });
                 }

@@ -120,10 +120,10 @@ fn binary_roots_are_exempt_from_no_panic() {
 #[test]
 fn bare_thread_spawn_is_always_a_finding() {
     let fx = Fixture::new("spawn");
-    // Even in the sanctioned scoped-thread crates, bare spawn is banned.
+    // Even in the sanctioned scoped-thread crate, bare spawn is banned.
     fx.add_crate(
-        "route",
-        "puffer-route",
+        "par",
+        "puffer-par",
         &[],
         &format!("{FORBID}pub fn run() {{ std::thread::spawn(|| ()); }}\n"),
     );
@@ -132,17 +132,19 @@ fn bare_thread_spawn_is_always_a_finding() {
 }
 
 #[test]
-fn thread_scope_is_sanctioned_only_in_route_and_congest() {
+fn thread_scope_is_no_longer_sanctioned_in_route_and_congest() {
+    // Their panic-draining pools delegate to puffer-par now.
     let scope_src = format!("{FORBID}pub fn run() {{ std::thread::scope(|_| ()); }}\n");
-
-    let fx = Fixture::new("scope-ok");
-    fx.add_crate("congest", "puffer-congest", &[], &scope_src);
-    assert!(fx.lint().unwrap().findings.is_empty());
-
-    let fx = Fixture::new("scope-bad");
-    fx.add_crate("db", "puffer-db", &[], &scope_src);
-    let report = fx.lint().unwrap();
-    assert_eq!(rules_of(&report), vec!["no-bare-spawn"]);
+    for (dir, package) in [
+        ("congest", "puffer-congest"),
+        ("route", "puffer-route"),
+        ("db", "puffer-db"),
+    ] {
+        let fx = Fixture::new(&format!("scope-bad-{dir}"));
+        fx.add_crate(dir, package, &[], &scope_src);
+        let report = fx.lint().unwrap();
+        assert_eq!(rules_of(&report), vec!["no-bare-spawn"], "{dir}");
+    }
 }
 
 #[test]

@@ -202,7 +202,7 @@ fn density_benches() {
     let widths: Vec<f64> = design.netlist().cells().iter().map(|c| c.width).collect();
     let model = DensityModel::new(&design, 64, 64);
     bench("density", "evaluate_64x64", 2, 20, || {
-        model.evaluate(design.netlist(), &placement, &widths, 1.0)
+        model.evaluate_threaded(design.netlist(), &placement, &widths, 1.0, 1)
     });
     // The two calls a Nesterov step makes, on the workspace it keeps.
     let mut ws = DensityWorkspace::new(&model, design.netlist().num_cells(), 1);

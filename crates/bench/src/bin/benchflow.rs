@@ -32,7 +32,10 @@ const PAR_GATE_FACTOR: f64 = 1.10;
 /// Required single-thread speedup of a warm incremental congestion
 /// re-estimate over a from-scratch rebuild, enforced under
 /// `--congest-gate` (run at scale >= 0.5 so chunk reuse dominates).
-const CONGEST_GATE_FACTOR: f64 = 2.0;
+/// OR1200 at scale 0.5 measures 1.87–2.09x over back-to-back runs on the
+/// 2-core CI machine; the floor sits ~15% under the low end of that range
+/// to catch a lost reuse path (which reads ~1.0x), not noise.
+const CONGEST_GATE_FACTOR: f64 = 1.6;
 
 /// Peak-RSS ceiling for the `--scale-gate` million-cell placement smoke.
 /// The dominant terms are the netlist (struct-of-arrays pins plus CSR

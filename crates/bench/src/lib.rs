@@ -397,7 +397,7 @@ mod tests {
         let d = generate(&cfg).unwrap();
         let p = d.initial_placement();
         let (value, gx, gy) = par::serial_wa_reference(d.netlist(), &p, 4.0);
-        let lib = puffer_place::wa_wirelength_grad(d.netlist(), &p, 4.0);
+        let lib = puffer_place::wa_wirelength_grad_threaded(d.netlist(), &p, 4.0, 1);
         // Same math, different accumulation parenthesization (the library
         // merges per-chunk partials): compare numerically, not bitwise.
         assert!((value - lib.value).abs() <= 1e-9 * lib.value.abs().max(1.0));
@@ -412,7 +412,7 @@ mod tests {
         // serial reference is bit-identical to the library path.
         let data: Vec<f64> = (0..32 * 16).map(|i| (i as f64 * 0.31).sin()).collect();
         let serial = par::serial_transform2d(&data, 32, 16, puffer_fft::dct2);
-        let lib = puffer_fft::transform2d(&data, 32, 16, puffer_fft::dct2);
+        let lib = puffer_fft::transform2d_threaded(&data, 32, 16, puffer_fft::dct2, 1);
         assert_eq!(
             serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             lib.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

@@ -261,18 +261,6 @@ impl AppendSink {
     }
 }
 
-/// One-shot durable append: opens `path`, appends `record` as a single
-/// write, fsyncs, and closes. For low-rate journals (checkpoint appends)
-/// where keeping a handle open buys nothing.
-///
-/// # Errors
-///
-/// Any underlying I/O error (or injected fault).
-pub fn append_record(path: &Path, record: &[u8]) -> io::Result<()> {
-    let mut sink = AppendSink::append(path, FsyncPolicy::EveryRecord)?;
-    sink.write_record(record)
-}
-
 // ---------------------------------------------------------------------------
 // Torn-tail-tolerant journal reader
 // ---------------------------------------------------------------------------
@@ -418,8 +406,6 @@ pub mod fault {
     static CLASS: AtomicU32 = AtomicU32::new(0);
     /// Matching operations left to skip before firing.
     static SKIP: AtomicU32 = AtomicU32::new(0);
-    /// Total faults fired since arming was first used (for assertions).
-    static FIRED: AtomicU32 = AtomicU32::new(0);
 
     fn encode(class: FaultClass) -> Option<u32> {
         FaultClass::FS
@@ -464,11 +450,6 @@ pub mod fault {
         CLASS.load(Ordering::SeqCst) != 0
     }
 
-    /// How many faults have fired process-wide since startup.
-    pub fn fired_count() -> usize {
-        usize::try_from(FIRED.load(Ordering::SeqCst)).unwrap_or(usize::MAX)
-    }
-
     /// Which operations `class` intercepts.
     fn matches(class: FaultClass, op: Op) -> bool {
         match class {
@@ -500,7 +481,6 @@ pub mod fault {
             if CLASS.swap(0, Ordering::SeqCst) == 0 {
                 return None; // another thread already fired this arming
             }
-            FIRED.fetch_add(1, Ordering::SeqCst);
             return Some(class);
         }
         None
@@ -555,18 +535,6 @@ mod tests {
         let j = read_journal_tail_tolerant(&path, RecordShape::Line).unwrap();
         assert_eq!(j.records(), ["a", "b", "c"]);
         assert!(!j.dropped_torn_tail());
-    }
-
-    #[test]
-    fn append_record_is_one_shot() {
-        let _g = gate();
-        let dir = tmp_dir("oneshot");
-        let path = dir.join("j.log");
-        let _ = std::fs::remove_file(&path);
-        append_record(&path, b"first\n").unwrap();
-        append_record(&path, b"second\n").unwrap();
-        let j = read_journal_tail_tolerant(&path, RecordShape::Line).unwrap();
-        assert_eq!(j.records(), ["first", "second"]);
     }
 
     #[test]

@@ -13,18 +13,102 @@
 //!   padding is **not** inherited by legalization.
 //!
 //! Both produce the same [`FlowResult`] as [`crate::Job`], so the
-//! Table II harness treats all three flows uniformly.
+//! Table II harness treats all three flows uniformly — and both (with the
+//! optional [`WsaPlacer`]) run the one GP loop of [`run_flow`], differing
+//! only in the analysis they hand it.
 
 use crate::flow::FlowResult;
 use crate::PufferError;
+use puffer_budget::clock::Stopwatch;
 use puffer_budget::Budget;
-use puffer_congest::{CongestionEstimator, EstimatorConfig};
-use puffer_db::design::Design;
+use puffer_congest::{CongestionEstimator, CongestionMap, EstimatorConfig};
+use puffer_db::design::{Design, Placement};
+use puffer_db::grid::Grid;
 use puffer_db::hpwl::total_hpwl;
 use puffer_legal::{check_legal, legalize_bounded};
 use puffer_place::{GlobalPlacer, PlacerConfig};
 use puffer_route::{GlobalRouter, RouterConfig};
-use puffer_budget::clock::Stopwatch;
+
+/// The GP loop every comparison flow runs: step the engine to its stopping
+/// rule; whenever density overflow is under `below`, fewer than `max`
+/// analyses have run and `every` iterations have passed since the last one,
+/// hand the placer and a snapshot of its placement to `analyze` (which
+/// reports back through `set_padding`/`set_extra_charge`). The result is
+/// legalized with zero padding — none of these flows lets legalization
+/// inherit what the analysis added; only the spreading it caused persists.
+fn run_flow(
+    design: &Design,
+    config: &PlacerConfig,
+    (below, every, max): (f64, usize, usize),
+    mut analyze: impl FnMut(&mut GlobalPlacer<'_>, &Placement) -> Result<(), PufferError>,
+) -> Result<FlowResult, PufferError> {
+    let start = Stopwatch::start();
+    let mut placer =
+        GlobalPlacer::new(design, config.clone()).map_err(|e| PufferError::Place(e.to_string()))?;
+    let mut analyses = 0usize;
+    let mut since = 0usize;
+
+    let mut last = placer.step();
+    loop {
+        since += 1;
+        if last.overflow < below && analyses < max && since >= every {
+            let snapshot = placer.placement().clone();
+            analyze(&mut placer, &snapshot)?;
+            analyses += 1;
+            since = 0;
+        }
+        if last.iter >= config.max_iters || last.overflow <= config.stop_overflow {
+            break;
+        }
+        last = placer.step();
+    }
+    let global_placement = placer.placement().clone();
+
+    let netlist = design.netlist();
+    let zeros = vec![0u32; netlist.num_cells()];
+    let outcome = legalize_bounded(design, &global_placement, &zeros, &Budget::unbounded())
+        .map_err(|e| PufferError::Legalize(e.to_string()))?;
+    check_legal(design, &outcome.placement, &zeros)
+        .map_err(|e| PufferError::Legalize(e.to_string()))?;
+
+    Ok(FlowResult {
+        hpwl: total_hpwl(netlist, &outcome.placement),
+        placement: outcome.placement,
+        global_placement,
+        gp_iterations: placer.iterations(),
+        pad_rounds: analyses,
+        final_overflow: placer.overflow(),
+        runtime_s: start.elapsed_secs(),
+        avg_displacement: outcome.avg_displacement,
+        degradation: Vec::new(),
+        cancelled: false,
+    })
+}
+
+/// Uniform inflation from a congestion map: every movable cell whose own
+/// Gcell has a positive `score` grows by `gain · width · min(score, cap)`,
+/// up to `max_inflation · width` in total.
+fn inflate(
+    design: &Design,
+    snapshot: &Placement,
+    map: &CongestionMap,
+    inflation: &mut [f64],
+    (gain, cap, max_inflation): (f64, f64, f64),
+    score: impl Fn(usize, usize) -> f64,
+) {
+    for (id, cell) in design.netlist().iter_cells() {
+        if !cell.is_movable() {
+            continue;
+        }
+        let (ix, iy) = map.h_capacity().cell_of(snapshot.pos(id));
+        let s = score(ix, iy);
+        if s > 0.0 {
+            let idx = id.index();
+            inflation[idx] =
+                (inflation[idx] + gain * cell.width * s.min(cap)).min(max_inflation * cell.width);
+        }
+    }
+}
 
 /// Configuration of the commercial-style reference flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,75 +166,23 @@ impl ReferencePlacer {
     ///
     /// Returns [`PufferError`] under the same conditions as the PUFFER flow.
     pub fn place(&self, design: &Design) -> Result<FlowResult, PufferError> {
-        let start = Stopwatch::start();
-        let mut placer = GlobalPlacer::new(design, self.config.placer.clone())
-            .map_err(|e| PufferError::Place(e.to_string()))?;
-        let router = GlobalRouter::new(design, self.config.router.clone());
-        let netlist = design.netlist();
-        let mut inflation = vec![0.0f64; netlist.num_cells()];
-        let mut analyses = 0usize;
-        let mut since_analysis = 0usize;
-
-        let mut last = placer.step();
-        loop {
-            since_analysis += 1;
-            if last.overflow < self.config.analyze_below
-                && analyses < self.config.max_analyses
-                && since_analysis >= self.config.analyze_every
-            {
-                // The expensive part: a full global route of the snapshot.
-                let snapshot = placer.placement().clone();
-                let report = router
-                    .try_route(design, &snapshot)
-                    .map_err(|e| PufferError::Congest(e.to_string()))?;
-                let map = &report.congestion;
-                for (id, cell) in netlist.iter_cells() {
-                    if !cell.is_movable() {
-                        continue;
-                    }
-                    let (ix, iy) = map.h_capacity().cell_of(snapshot.pos(id));
-                    let over = map.overflow_h(ix, iy) / map.h_capacity().at(ix, iy).max(1.0)
-                        + map.overflow_v(ix, iy) / map.v_capacity().at(ix, iy).max(1.0);
-                    if over > 0.0 {
-                        let idx = id.index();
-                        inflation[idx] = (inflation[idx]
-                            + self.config.inflation_step * cell.width * over.min(1.0))
-                        .min(self.config.max_inflation * cell.width);
-                    }
-                }
-                placer.set_padding(inflation.clone());
-                analyses += 1;
-                since_analysis = 0;
-            }
-            if last.iter >= self.config.placer.max_iters
-                || last.overflow <= self.config.placer.stop_overflow
-            {
-                break;
-            }
-            last = placer.step();
-        }
-        let global_placement = placer.placement().clone();
-
-        // Commercial flows keep soft spacing via the legalizer's own
-        // density handling; inflation is dropped at legalization but the
-        // spreading it caused persists.
-        let zeros = vec![0u32; netlist.num_cells()];
-        let outcome = legalize_bounded(design, &global_placement, &zeros, &Budget::unbounded())
-            .map_err(|e| PufferError::Legalize(e.to_string()))?;
-        check_legal(design, &outcome.placement, &zeros)
-            .map_err(|e| PufferError::Legalize(e.to_string()))?;
-
-        Ok(FlowResult {
-            hpwl: total_hpwl(netlist, &outcome.placement),
-            placement: outcome.placement,
-            global_placement,
-            gp_iterations: placer.iterations(),
-            pad_rounds: analyses,
-            final_overflow: placer.overflow(),
-            runtime_s: start.elapsed_secs(),
-            avg_displacement: outcome.avg_displacement,
-            degradation: Vec::new(),
-            cancelled: false,
+        let c = &self.config;
+        let router = GlobalRouter::new(design, c.router.clone());
+        let mut inflation = vec![0.0f64; design.netlist().num_cells()];
+        let schedule = (c.analyze_below, c.analyze_every, c.max_analyses);
+        run_flow(design, &c.placer, schedule, |placer, snapshot| {
+            // The expensive part: a full global route of the snapshot.
+            let report = router
+                .try_route(design, snapshot)
+                .map_err(|e| PufferError::Congest(e.to_string()))?;
+            let map = &report.congestion;
+            let rule = (c.inflation_step, 1.0, c.max_inflation);
+            inflate(design, snapshot, map, &mut inflation, rule, |ix, iy| {
+                map.overflow_h(ix, iy) / map.h_capacity().at(ix, iy).max(1.0)
+                    + map.overflow_v(ix, iy) / map.v_capacity().at(ix, iy).max(1.0)
+            });
+            placer.set_padding(inflation.clone());
+            Ok(())
         })
     }
 }
@@ -220,71 +252,21 @@ impl ReplacePlacer {
     ///
     /// Returns [`PufferError`] under the same conditions as the PUFFER flow.
     pub fn place(&self, design: &Design) -> Result<FlowResult, PufferError> {
-        let start = Stopwatch::start();
-        let mut placer = GlobalPlacer::new(design, self.config.placer.clone())
-            .map_err(|e| PufferError::Place(e.to_string()))?;
-        let estimator = CongestionEstimator::new(design, self.config.estimator.clone());
-        let netlist = design.netlist();
-        let mut inflation = vec![0.0f64; netlist.num_cells()];
-        let mut passes = 0usize;
-        let mut since = 0usize;
-
-        let mut last = placer.step();
-        loop {
-            since += 1;
-            if last.overflow < self.config.inflate_below
-                && passes < self.config.max_inflations
-                && since >= self.config.inflate_every
-            {
-                let snapshot = placer.placement().clone();
-                let map = estimator
-                    .try_estimate(design, &snapshot)
-                    .map_err(|e| PufferError::Congest(e.to_string()))?;
-                for (id, cell) in netlist.iter_cells() {
-                    if !cell.is_movable() {
-                        continue;
-                    }
-                    // Local congestion only: the cell's own Gcell.
-                    let (ix, iy) = map.h_capacity().cell_of(snapshot.pos(id));
-                    let cg = map.cg(ix, iy).max(0.0);
-                    if cg > 0.0 {
-                        let idx = id.index();
-                        inflation[idx] = (inflation[idx]
-                            + self.config.inflation_gain * cell.width * cg.min(1.5))
-                        .min(self.config.max_inflation * cell.width);
-                    }
-                }
-                placer.set_padding(inflation.clone());
-                passes += 1;
-                since = 0;
-            }
-            if last.iter >= self.config.placer.max_iters
-                || last.overflow <= self.config.placer.stop_overflow
-            {
-                break;
-            }
-            last = placer.step();
-        }
-        let global_placement = placer.placement().clone();
-
-        // RePlAce legalizes without padding inheritance.
-        let zeros = vec![0u32; netlist.num_cells()];
-        let outcome = legalize_bounded(design, &global_placement, &zeros, &Budget::unbounded())
-            .map_err(|e| PufferError::Legalize(e.to_string()))?;
-        check_legal(design, &outcome.placement, &zeros)
-            .map_err(|e| PufferError::Legalize(e.to_string()))?;
-
-        Ok(FlowResult {
-            hpwl: total_hpwl(netlist, &outcome.placement),
-            placement: outcome.placement,
-            global_placement,
-            gp_iterations: placer.iterations(),
-            pad_rounds: passes,
-            final_overflow: placer.overflow(),
-            runtime_s: start.elapsed_secs(),
-            avg_displacement: outcome.avg_displacement,
-            degradation: Vec::new(),
-            cancelled: false,
+        let c = &self.config;
+        let estimator = CongestionEstimator::new(design, c.estimator.clone());
+        let mut inflation = vec![0.0f64; design.netlist().num_cells()];
+        let schedule = (c.inflate_below, c.inflate_every, c.max_inflations);
+        run_flow(design, &c.placer, schedule, |placer, snapshot| {
+            let map = estimator
+                .try_estimate(design, snapshot)
+                .map_err(|e| PufferError::Congest(e.to_string()))?;
+            // Local congestion only: the cell's own Gcell.
+            let rule = (c.inflation_gain, 1.5, c.max_inflation);
+            inflate(design, snapshot, &map, &mut inflation, rule, |ix, iy| {
+                map.cg(ix, iy)
+            });
+            placer.set_padding(inflation.clone());
+            Ok(())
         })
     }
 }
@@ -349,74 +331,33 @@ impl WsaPlacer {
     ///
     /// Returns [`PufferError`] under the same conditions as the PUFFER flow.
     pub fn place(&self, design: &Design) -> Result<FlowResult, PufferError> {
-        use puffer_db::grid::Grid;
-        let start = Stopwatch::start();
-        let mut placer = GlobalPlacer::new(design, self.config.placer.clone())
-            .map_err(|e| PufferError::Place(e.to_string()))?;
-        let estimator = CongestionEstimator::new(design, self.config.estimator.clone());
-        let netlist = design.netlist();
-        let (mx, my) = placer.density_dims();
+        let c = &self.config;
+        let estimator = CongestionEstimator::new(design, c.estimator.clone());
         let region = design.region();
-        let bin_area = region.area() / (mx as f64 * my as f64);
-        let mut charge: Grid<f64> = Grid::new(region, mx, my);
-        let mut passes = 0usize;
-        let mut since = 0usize;
-
-        let mut last = placer.step();
-        loop {
-            since += 1;
-            if last.overflow < self.config.allocate_below
-                && passes < self.config.max_allocations
-                && since >= self.config.allocate_every
-            {
-                let snapshot = placer.placement().clone();
-                let map = estimator
-                    .try_estimate(design, &snapshot)
-                    .map_err(|e| PufferError::Congest(e.to_string()))?;
-                // Accumulate virtual charge where the estimator sees
-                // overflow; the charge map lives on the density bin grid,
-                // sampled from the Gcell-space congestion.
-                for iy in 0..my {
-                    for ix in 0..mx {
-                        let bin_center = charge.cell_rect(ix, iy).center();
-                        let (gx, gy) = map.h_capacity().cell_of(bin_center);
-                        let cg = map.cg(gx, gy).max(0.0);
-                        if cg > 0.0 {
-                            let c = charge.at_mut(ix, iy);
-                            *c = (*c + self.config.charge_gain * cg * bin_area)
-                                .min(self.config.max_charge * bin_area);
-                        }
+        // Lives on the density bin grid, whose shape only the placer knows.
+        let mut charge: Option<Grid<f64>> = None;
+        let schedule = (c.allocate_below, c.allocate_every, c.max_allocations);
+        run_flow(design, &c.placer, schedule, |placer, snapshot| {
+            let map = estimator
+                .try_estimate(design, snapshot)
+                .map_err(|e| PufferError::Congest(e.to_string()))?;
+            let (mx, my) = placer.density_dims();
+            let bin_area = region.area() / (mx as f64 * my as f64);
+            let charge = charge.get_or_insert_with(|| Grid::new(region, mx, my));
+            // Accumulate virtual charge where the estimator sees overflow,
+            // sampled from the Gcell-space congestion at each bin center.
+            for iy in 0..my {
+                for ix in 0..mx {
+                    let (gx, gy) = map.h_capacity().cell_of(charge.cell_rect(ix, iy).center());
+                    let cg = map.cg(gx, gy);
+                    if cg > 0.0 {
+                        let q = charge.at_mut(ix, iy);
+                        *q = (*q + c.charge_gain * cg * bin_area).min(c.max_charge * bin_area);
                     }
                 }
-                placer.set_extra_charge(charge.clone());
-                passes += 1;
-                since = 0;
             }
-            if last.iter >= self.config.placer.max_iters
-                || last.overflow <= self.config.placer.stop_overflow
-            {
-                break;
-            }
-            last = placer.step();
-        }
-        let global_placement = placer.placement().clone();
-        let zeros = vec![0u32; netlist.num_cells()];
-        let outcome = legalize_bounded(design, &global_placement, &zeros, &Budget::unbounded())
-            .map_err(|e| PufferError::Legalize(e.to_string()))?;
-        check_legal(design, &outcome.placement, &zeros)
-            .map_err(|e| PufferError::Legalize(e.to_string()))?;
-
-        Ok(FlowResult {
-            hpwl: total_hpwl(netlist, &outcome.placement),
-            placement: outcome.placement,
-            global_placement,
-            gp_iterations: placer.iterations(),
-            pad_rounds: passes,
-            final_overflow: placer.overflow(),
-            runtime_s: start.elapsed_secs(),
-            avg_displacement: outcome.avg_displacement,
-            degradation: Vec::new(),
-            cancelled: false,
+            placer.set_extra_charge(charge.clone());
+            Ok(())
         })
     }
 }
@@ -444,16 +385,40 @@ mod tests {
         f(placer)
     }
 
-    #[test]
-    fn reference_flow_runs_and_is_legal() {
-        let d = design();
-        let cfg = quick(PlacerConfig::default(), |placer| ReferenceConfig {
-            placer,
+    fn reference_cfg(threads: usize) -> ReferenceConfig {
+        quick(PlacerConfig::default(), |placer| ReferenceConfig {
+            placer: PlacerConfig { threads, ..placer },
+            // Above the 50-iteration overflow, so the router-in-the-loop
+            // analysis fires and the pinned bits cover it.
+            analyze_below: 0.9,
             analyze_every: 10,
             max_analyses: 1,
             ..ReferenceConfig::default()
-        });
-        let r = ReferencePlacer::new(cfg).place(&d).unwrap();
+        })
+    }
+
+    fn replace_cfg(threads: usize) -> ReplaceConfig {
+        quick(PlacerConfig::default(), |placer| ReplaceConfig {
+            placer: PlacerConfig { threads, ..placer },
+            inflate_every: 8,
+            inflate_below: 0.9,
+            ..ReplaceConfig::default()
+        })
+    }
+
+    fn wsa_cfg(threads: usize) -> WsaConfig {
+        quick(PlacerConfig::default(), |placer| WsaConfig {
+            placer: PlacerConfig { threads, ..placer },
+            allocate_every: 8,
+            allocate_below: 0.9,
+            ..WsaConfig::default()
+        })
+    }
+
+    #[test]
+    fn reference_flow_runs_and_is_legal() {
+        let d = design();
+        let r = ReferencePlacer::new(reference_cfg(1)).place(&d).unwrap();
         let zeros = vec![0u32; d.netlist().num_cells()];
         puffer_legal::check_legal(&d, &r.placement, &zeros).unwrap();
         assert!(r.hpwl > 0.0);
@@ -462,13 +427,7 @@ mod tests {
     #[test]
     fn replace_flow_runs_and_inflates() {
         let d = design();
-        let cfg = quick(PlacerConfig::default(), |placer| ReplaceConfig {
-            placer,
-            inflate_every: 8,
-            inflate_below: 0.9,
-            ..ReplaceConfig::default()
-        });
-        let r = ReplacePlacer::new(cfg).place(&d).unwrap();
+        let r = ReplacePlacer::new(replace_cfg(1)).place(&d).unwrap();
         assert!(r.pad_rounds >= 1, "bulk inflation should fire");
         let zeros = vec![0u32; d.netlist().num_cells()];
         puffer_legal::check_legal(&d, &r.placement, &zeros).unwrap();
@@ -477,16 +436,44 @@ mod tests {
     #[test]
     fn wsa_flow_runs_allocates_and_is_legal() {
         let d = design();
-        let cfg = quick(PlacerConfig::default(), |placer| WsaConfig {
-            placer,
-            allocate_every: 8,
-            allocate_below: 0.9,
-            ..WsaConfig::default()
-        });
-        let r = WsaPlacer::new(cfg).place(&d).unwrap();
+        let r = WsaPlacer::new(wsa_cfg(1)).place(&d).unwrap();
         assert!(r.pad_rounds >= 1, "allocation passes should fire");
         let zeros = vec![0u32; d.netlist().num_cells()];
         puffer_legal::check_legal(&d, &r.placement, &zeros).unwrap();
+    }
+
+    /// One fixture line: the flow's name, an FNV-1a digest of the legal
+    /// placement's `.pl` bytes, and the two loop counters.
+    fn bits_line(name: &str, threads: usize, r: &FlowResult) -> String {
+        let mut pl = Vec::new();
+        puffer_db::io::write_placement(&r.placement, &mut pl).unwrap();
+        let digest = pl.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        format!(
+            "{name} threads={threads} pl={digest:016x} gp_iterations={} pad_rounds={}\n",
+            r.gp_iterations, r.pad_rounds
+        )
+    }
+
+    /// `tests/fixtures/baseline_bits.txt` was rendered by the three
+    /// hand-written loops this module shipped before the shared driver;
+    /// the driver must reproduce it bit for bit at every thread count.
+    #[test]
+    fn comparison_flows_reproduce_the_pinned_bits() {
+        let d = design();
+        let mut got = String::new();
+        for threads in [1, 2] {
+            let r = ReferencePlacer::new(reference_cfg(threads))
+                .place(&d)
+                .unwrap();
+            got.push_str(&bits_line("reference", threads, &r));
+            let r = ReplacePlacer::new(replace_cfg(threads)).place(&d).unwrap();
+            got.push_str(&bits_line("replace", threads, &r));
+            let r = WsaPlacer::new(wsa_cfg(threads)).place(&d).unwrap();
+            got.push_str(&bits_line("wsa", threads, &r));
+        }
+        assert_eq!(got, include_str!("../tests/fixtures/baseline_bits.txt"));
     }
 
     #[test]

@@ -317,22 +317,6 @@ impl FlowCheckpoint {
         fsx::atomic_write(path, self.render().as_bytes()).map_err(JournalError::Io)
     }
 
-    /// Appends this checkpoint as an additional record to a multi-record
-    /// journal at `path` (creating the file if absent), fsyncing afterwards
-    /// (see [`fsx::append_record`]).
-    ///
-    /// Unlike [`FlowCheckpoint::save`], an append is *not* atomic: a crash
-    /// mid-append leaves a torn final record. That is by design — the torn
-    /// tail is exactly what [`FlowCheckpoint::recover`] tolerates, and the
-    /// complete records before it stay intact without rewriting the file.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] when the filesystem refuses.
-    pub fn append(&self, path: &Path) -> Result<(), JournalError> {
-        fsx::append_record(path, self.render().as_bytes()).map_err(JournalError::Io)
-    }
-
     /// Reads a journal file.
     ///
     /// # Errors
@@ -755,9 +739,7 @@ mod tests {
         let first = checkpoint_after(&d, 1);
         let second = checkpoint_after(&d, 4);
         let path = tmp("append.pj");
-        let _ = std::fs::remove_file(&path);
-        first.append(&path).unwrap();
-        second.append(&path).unwrap();
+        std::fs::write(&path, first.render() + &second.render()).unwrap();
         let rec = FlowCheckpoint::recover(&path).unwrap();
         assert_eq!(rec.checkpoint, second, "latest record wins");
         assert_eq!(rec.records, 2);

@@ -134,11 +134,6 @@ impl Job {
         &self.config
     }
 
-    /// The checkpoint policy, when one is attached.
-    pub fn checkpoint_policy(&self) -> Option<&CheckpointPolicy> {
-        self.checkpoints.as_ref()
-    }
-
     /// A clone of the budget's shared cancel token: cancelling it stops
     /// this job cooperatively (checkpoint, legalize best-so-far, return)
     /// even while [`Job::run`] executes on another thread.

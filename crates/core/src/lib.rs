@@ -173,43 +173,6 @@ pub fn tuned_strategy(space: &Space, values: &[f64]) -> PaddingStrategy {
     s
 }
 
-/// The *extended* exploration space: the continuous strategy parameters of
-/// [`strategy_space`] plus the optional discrete strategies the paper's
-/// conclusion proposes adding — the CNN kernel radius (integer), the
-/// detour-expansion switch and radius, and the estimator's pin penalty.
-///
-/// This demonstrates the scheme on mixed continuous / integer / categorical
-/// domains ("also suitable for other black-box problems with optional
-/// strategies and configurable parameters", §III-C).
-pub fn extended_strategy_space() -> Space {
-    let mut params: Vec<ParamSpec> = PaddingStrategy::parameter_space()
-        .into_iter()
-        .map(|r| ParamSpec::continuous(r.name, r.lo, r.hi))
-        .collect();
-    params.push(ParamSpec::integer("kernel_radius", 1, 4));
-    params.push(ParamSpec::categorical("expand_detours", 2));
-    params.push(ParamSpec::integer("expansion_radius", 1, 4));
-    params.push(ParamSpec::continuous("pin_penalty", 0.0, 0.25));
-    Space::new(params)
-}
-
-/// Converts an assignment over [`extended_strategy_space`] into a full
-/// [`PufferConfig`]: strategy parameters go to the padding strategy,
-/// discrete strategy options go to the estimator / feature configs.
-pub fn tuned_config(space: &Space, values: &[f64]) -> PufferConfig {
-    let mut config = PufferConfig::default();
-    for (p, &v) in space.params().iter().zip(values) {
-        match p.name.as_str() {
-            "kernel_radius" => config.features.kernel_radius = v as usize,
-            "expand_detours" => config.estimator.expand_detours = v >= 0.5,
-            "expansion_radius" => config.estimator.expansion_radius = v as usize,
-            "pin_penalty" => config.estimator.pin_penalty = v,
-            name => config.strategy.apply(name, v),
-        }
-    }
-    config
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,25 +196,6 @@ mod tests {
         // Midpoint of alpha0's [0, 4] range.
         assert!((s.alpha[0] - 2.0).abs() < 1e-9);
         assert!(s.pu_low <= s.pu_high);
-    }
-
-    #[test]
-    fn extended_space_maps_discrete_strategies() {
-        let space = extended_strategy_space();
-        assert!(space.len() > strategy_space().len());
-        let mut values = space.midpoint();
-        let kr = space.index_of("kernel_radius").unwrap();
-        let ed = space.index_of("expand_detours").unwrap();
-        let er = space.index_of("expansion_radius").unwrap();
-        values[kr] = 4.0;
-        values[ed] = 0.0;
-        values[er] = 3.0;
-        let cfg = tuned_config(&space, &values);
-        assert_eq!(cfg.features.kernel_radius, 4);
-        assert!(!cfg.estimator.expand_detours);
-        assert_eq!(cfg.estimator.expansion_radius, 3);
-        // Continuous strategy parameters still flow through.
-        assert!((cfg.strategy.alpha[0] - 2.0).abs() < 1e-9);
     }
 
     #[test]

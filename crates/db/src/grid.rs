@@ -222,11 +222,6 @@ impl Grid<f64> {
         self.data.iter().sum()
     }
 
-    /// Maximum cell value (or `0.0` for an all-empty grid).
-    pub fn max_value(&self) -> f64 {
-        self.data.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Splats `amount` uniformly over the part of `r` inside the region,
     /// area-weighted per overlapped cell. A rect with zero area deposits the
     /// whole `amount` into its containing cell.

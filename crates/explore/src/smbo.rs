@@ -6,7 +6,7 @@
 //! The objective is an arbitrary user callback (often a full placement
 //! flow); a panic or a NaN inside one trial must not abort a long
 //! exploration. Every evaluation therefore runs under
-//! [`std::panic::catch_unwind`]; a failing trial becomes
+//! [`puffer_par::run_isolated`]; a failing trial becomes
 //! [`TrialOutcome::Failed`] and is observed by the TPE at a
 //! worse-than-worst penalty value, steering the sampler away from the
 //! failing region. A run of [`ExplorationConfig::max_consecutive_failures`]
@@ -19,10 +19,9 @@ use crate::journal::ExplorationJournal;
 use crate::space::Space;
 use crate::tpe::{Tpe, TpeConfig};
 use puffer_budget::{Budget, DegradeStep, LadderState};
+use puffer_par::{run_isolated, try_map_chunks, WorkerPanic};
 use puffer_trace::Trace;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::thread;
 
 /// Outcome of a single objective evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,11 +40,6 @@ impl TrialOutcome {
             TrialOutcome::Ok(y) => Some(*y),
             TrialOutcome::Failed(_) => None,
         }
-    }
-
-    /// Whether the trial failed.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, TrialOutcome::Failed(_))
     }
 }
 
@@ -104,20 +98,10 @@ pub struct ExplorationOutcome {
 
 /// Evaluates the objective at `x` with panics contained.
 fn run_trial(eval: &mut impl FnMut(&[f64]) -> f64, x: &[f64]) -> TrialOutcome {
-    match catch_unwind(AssertUnwindSafe(|| eval(x))) {
+    match run_isolated(|| eval(x)) {
         Ok(y) if y.is_finite() => TrialOutcome::Ok(y),
         Ok(y) => TrialOutcome::Failed(format!("objective returned {y}")),
-        Err(payload) => TrialOutcome::Failed(panic_message(payload.as_ref())),
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
+        Err(WorkerPanic(msg)) => TrialOutcome::Failed(msg),
     }
 }
 
@@ -450,50 +434,22 @@ pub fn explore_strategy_traced(
         rounds += 1;
         // Explore each group with the others fixed at range midpoints.
         let base = ranges.midpoint();
-        let configs: Vec<ExplorationConfig> = (0..groups.len())
-            .map(|g| group_config(&config.local, round, g))
-            .collect();
-        type GroupResult = Result<(Vec<usize>, ExplorationOutcome), ExploreError>;
-        let group_results: Vec<GroupResult> = if config.parallel {
-            thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .iter()
-                    .zip(&configs)
-                    .map(|(group, local_cfg)| {
-                        let ranges = &ranges;
-                        let base = &base;
-                        let eval = &eval;
-                        let trace = &*trace;
-                        scope.spawn(move || {
-                            explore_group(ranges, base, group, eval, local_cfg, trace)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|payload| {
-                            Err(ExploreError::GroupPanicked(panic_message(
-                                payload.as_ref(),
-                            )))
-                        })
-                    })
-                    .collect()
-            })
-        } else {
-            groups
-                .iter()
-                .zip(&configs)
-                .map(|(group, local_cfg)| {
-                    explore_group(&ranges, &base, group, &eval, local_cfg, trace)
+        let threads = if config.parallel { groups.len() } else { 1 };
+        let group_results = try_map_chunks(groups.len(), threads, |chunk| {
+            chunk
+                .map(|g| {
+                    let local = group_config(&config.local, round, g);
+                    run_isolated(|| explore_group(&ranges, &base, &groups[g], &eval, &local, trace))
+                        .unwrap_or_else(|WorkerPanic(msg)| Err(ExploreError::GroupPanicked(msg)))
                 })
-                .collect()
-        };
+                .collect::<Vec<_>>()
+        })
+        .map_err(|WorkerPanic(msg)| ExploreError::GroupPanicked(msg))?;
 
         let mut all_early = true;
         let mut first_err = None;
         let mut failed_groups = 0usize;
-        for result in group_results {
+        for result in group_results.into_iter().flatten() {
             let (indices, outcome) = match result {
                 Ok(r) => r,
                 Err(e) => {

@@ -18,8 +18,8 @@
 //! * [`transform2d_in_place`] — the one separable 2-D pass (rows in place,
 //!   transpose, columns in place, transpose back) over `puffer-par`,
 //!   bit-identical for any worker count; [`transform2d_planned`] runs it
-//!   with planned transforms, and [`transform2d`]/[`transform2d_mixed`] and
-//!   their `_threaded` variants run it with arbitrary 1-D closures.
+//!   with planned transforms, and [`transform2d_threaded`]/
+//!   [`transform2d_mixed_threaded`] run it with arbitrary 1-D closures.
 //!
 //! # Example
 //!
@@ -502,38 +502,8 @@ fn transpose(src: &[f64], width: usize, dst: &mut [f64]) {
 }
 
 /// Applies a 1-D transform to every row, then every column, of a dense
-/// row-major `nx × ny` matrix (row length `nx`).
-///
-/// # Panics
-///
-/// Panics if `data.len() != nx * ny` or the transform changes lengths.
-pub fn transform2d(
-    data: &[f64],
-    nx: usize,
-    ny: usize,
-    f: impl Fn(&[f64]) -> Vec<f64> + Sync,
-) -> Vec<f64> {
-    transform2d_mixed_threaded(data, nx, ny, &f, &f, 1)
-}
-
-/// Applies independent 1-D transforms along x (rows) and y (columns); used
-/// for the mixed sine/cosine field transforms of the electrostatic solver.
-///
-/// # Panics
-///
-/// Panics if `data.len() != nx * ny` or a transform changes lengths.
-pub fn transform2d_mixed(
-    data: &[f64],
-    nx: usize,
-    ny: usize,
-    fx: impl Fn(&[f64]) -> Vec<f64> + Sync,
-    fy: impl Fn(&[f64]) -> Vec<f64> + Sync,
-) -> Vec<f64> {
-    transform2d_mixed_threaded(data, nx, ny, fx, fy, 1)
-}
-
-/// Parallel [`transform2d`] over up to `threads` workers; bit-identical to
-/// the serial result for any thread count.
+/// row-major `nx × ny` matrix (row length `nx`) on up to `threads` workers;
+/// bit-identical for any thread count.
 ///
 /// # Panics
 ///
@@ -548,9 +518,10 @@ pub fn transform2d_threaded(
     transform2d_mixed_threaded(data, nx, ny, &f, &f, threads)
 }
 
-/// Parallel [`transform2d_mixed`] for arbitrary allocating 1-D transforms:
-/// [`transform2d_in_place`] on a copy of `data`, on up to `threads`
-/// workers, and so bit-identical to the serial path for any thread count.
+/// Applies independent allocating 1-D transforms along x (rows) and y
+/// (columns) — the mixed sine/cosine field transforms of the electrostatic
+/// solver: [`transform2d_in_place`] on a copy of `data`, on up to `threads`
+/// workers, and so bit-identical for any thread count.
 ///
 /// # Panics
 ///
@@ -725,9 +696,10 @@ mod tests {
     #[test]
     fn transform2d_is_separable() {
         let data: Vec<f64> = (0..32).map(|i| i as f64).collect();
-        let same = transform2d(&data, 8, 4, |row| row.to_vec());
+        let same = transform2d_threaded(&data, 8, 4, |row| row.to_vec(), 1);
         assert_eq!(same, data);
-        let quad = transform2d(&data, 8, 4, |row| row.iter().map(|v| 2.0 * v).collect());
+        let quad =
+            transform2d_threaded(&data, 8, 4, |row| row.iter().map(|v| 2.0 * v).collect(), 1);
         for (q, d) in quad.iter().zip(&data) {
             assert_eq!(*q, 4.0 * d);
         }
@@ -736,12 +708,13 @@ mod tests {
     #[test]
     fn transform2d_mixed_applies_each_axis_once() {
         let data: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let out = transform2d_mixed(
+        let out = transform2d_mixed_threaded(
             &data,
             4,
             3,
             |row| row.iter().map(|v| v + 1.0).collect(),
             |col| col.iter().map(|v| v * 10.0).collect(),
+            1,
         );
         for iy in 0..3 {
             for ix in 0..4 {

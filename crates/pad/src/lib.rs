@@ -46,7 +46,7 @@ pub use padding::{
 pub use strategy::{PaddingStrategy, ParamRange};
 
 use puffer_db::cast;
-use puffer_congest::{CongestError, CongestionEstimator, CongestionMap, EstimatorConfig};
+use puffer_congest::{CongestError, CongestionEstimator, EstimatorConfig};
 use puffer_db::design::{Design, Placement};
 use puffer_trace::Trace;
 
@@ -100,21 +100,6 @@ impl RoutabilityOptimizer {
     pub fn with_feature_config(mut self, feature_config: FeatureConfig) -> Self {
         self.feature_config = feature_config;
         self
-    }
-
-    /// The feature-extraction configuration.
-    pub fn feature_config(&self) -> &FeatureConfig {
-        &self.feature_config
-    }
-
-    /// The active strategy.
-    pub fn strategy(&self) -> &PaddingStrategy {
-        &self.strategy
-    }
-
-    /// Replaces the strategy (e.g. with an explored configuration).
-    pub fn set_strategy(&mut self, strategy: PaddingStrategy) {
-        self.strategy = strategy;
     }
 
     /// The padding history state.
@@ -217,19 +202,6 @@ impl RoutabilityOptimizer {
     /// flow deadline expires.
     pub fn set_budget(&mut self, budget: puffer_budget::Budget) {
         self.estimator.set_budget(budget);
-    }
-
-    /// The most recent congestion map (recomputed; diagnostics only).
-    ///
-    /// # Errors
-    ///
-    /// [`CongestError`] when the congestion estimate fails.
-    pub fn estimate_map(
-        &self,
-        design: &Design,
-        placement: &Placement,
-    ) -> Result<CongestionMap, CongestError> {
-        self.estimator.try_estimate(design, placement)
     }
 }
 

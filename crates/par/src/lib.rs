@@ -14,11 +14,11 @@
 //!    regardless of which worker computed it.
 //! 3. **Ordered reduction, no atomics.** Callers fold the per-chunk partial
 //!    buffers (or scalars) serially in chunk order, e.g. with
-//!    [`merge_add`] / [`ordered_sum`]. Since the fold order and the chunk
-//!    boundaries are both independent of the thread count, every f64
-//!    addition happens with exactly the same operands in exactly the same
-//!    parenthesization — the result is **bit-identical** for any
-//!    `--threads` value in `1..=32`.
+//!    [`merge_add`]. Since the fold order and the chunk boundaries are
+//!    both independent of the thread count, every f64 addition happens
+//!    with exactly the same operands in exactly the same parenthesization
+//!    — the result is **bit-identical** for any `--threads` value in
+//!    `1..=32`.
 //!
 //! Atomic f64 accumulation (compare-and-swap loops) would make the merge
 //! order depend on scheduling and break checkpoints, golden metrics, and
@@ -26,7 +26,7 @@
 //! partial buffers and keeps them stable.
 //!
 //! In-place kernels with no reduction at all (row transforms, per-chunk
-//! scatter lists, gradient gathers) use [`try_for_each_block`], which lends
+//! scatter lists, gradient gathers) use [`for_each_block`], which lends
 //! each worker a disjoint part of one slice plus its own reusable scratch.
 //!
 //! Both primitives run their first span on the calling thread and spawn
@@ -125,21 +125,13 @@ where
 /// bit-identity argument for every in-place kernel built on this (row
 /// transforms, per-chunk scatter lists, gradient gathers).
 ///
-/// # Errors
-///
-/// [`WorkerPanic`] under the same join-everything-first contract as
-/// [`try_map_chunks`]; `data` is then partially written.
-///
 /// # Panics
 ///
 /// If `block_len` is zero or does not divide `data.len()`, or `lanes` is
-/// empty.
-pub fn try_for_each_block<T, S, F>(
-    data: &mut [T],
-    block_len: usize,
-    lanes: &mut [S],
-    work: F,
-) -> Result<(), WorkerPanic>
+/// empty. A panicking `work` is re-raised on the calling thread, like
+/// [`map_chunks`], under the same join-everything-first contract as
+/// [`try_map_chunks`]; `data` is then partially written.
+pub fn for_each_block<T, S, F>(data: &mut [T], block_len: usize, lanes: &mut [S], work: F)
 where
     T: Send,
     S: Send,
@@ -154,7 +146,7 @@ where
     assert!(!lanes.is_empty(), "at least one lane is required");
     let blocks = data.len() / block_len;
     if blocks == 0 {
-        return Ok(());
+        return;
     }
     let workers = clamp_threads(lanes.len()).min(blocks);
     let per_worker = blocks.div_ceil(workers);
@@ -171,18 +163,7 @@ where
         rest = tail;
         first += take;
     }
-    fork_join(jobs, |(first, mine, lane)| work(first, mine, lane)).map(|_| ())
-}
-
-/// Infallible [`try_for_each_block`]: re-raises a worker panic on the
-/// calling thread, like [`map_chunks`].
-pub fn for_each_block<T, S, F>(data: &mut [T], block_len: usize, lanes: &mut [S], work: F)
-where
-    T: Send,
-    S: Send,
-    F: Fn(usize, &mut [T], &mut S) + Sync,
-{
-    if let Err(WorkerPanic(msg)) = try_for_each_block(data, block_len, lanes, work) {
+    if let Err(WorkerPanic(msg)) = fork_join(jobs, |(first, mine, lane)| work(first, mine, lane)) {
         std::panic::resume_unwind(Box::new(msg));
     }
 }
@@ -219,16 +200,6 @@ pub fn merge_add(out: &mut [f64], partial: &[f64]) {
     for (dst, src) in out.iter_mut().zip(partial) {
         *dst += *src;
     }
-}
-
-/// Left-fold sum in iteration order — the scalar counterpart of
-/// [`merge_add`] for per-chunk partial sums.
-pub fn ordered_sum(parts: impl IntoIterator<Item = f64>) -> f64 {
-    let mut acc = 0.0;
-    for v in parts {
-        acc += v;
-    }
-    acc
 }
 
 /// Runs `f` on the current thread with panic isolation: a panic becomes a
@@ -404,7 +375,7 @@ mod tests {
             for (p, _) in &partials {
                 merge_add(&mut bins, p);
             }
-            let total = ordered_sum(partials.iter().map(|(_, t)| *t));
+            let total = partials.iter().fold(0.0, |acc, (_, t)| acc + t);
             (bins.iter().map(|v| v.to_bits()).collect(), total.to_bits())
         };
         let baseline = run(1);
@@ -535,13 +506,15 @@ mod tests {
         for who in WHO {
             let mut data = vec![0u8; 12];
             let mut lanes = [(); 3];
-            let err = try_for_each_block(&mut data, 1, &mut lanes, |first, blocks, ()| {
-                if first == 0 {
-                    explode(who, true);
-                } else if first == 4 {
-                    explode(who, false);
-                }
-                blocks.fill(1);
+            let err = run_isolated(|| {
+                for_each_block(&mut data, 1, &mut lanes, |first, blocks, ()| {
+                    if first == 0 {
+                        explode(who, true);
+                    } else if first == 4 {
+                        explode(who, false);
+                    }
+                    blocks.fill(1);
+                })
             })
             .unwrap_err();
             assert!(err.0.contains("span exploded"), "{who:?}: {err}");

@@ -42,7 +42,7 @@ pub struct DensityEval {
 ///
 /// Construction precomputes the fixed-macro charge map and per-bin free
 /// capacity. The per-iteration work runs in a [`DensityWorkspace`], which
-/// the optimizer keeps across iterations; [`DensityModel::evaluate`] is the
+/// the optimizer keeps across iterations; [`DensityModel::evaluate_threaded`] is the
 /// one-shot form over a temporary workspace.
 #[derive(Debug, Clone)]
 pub struct DensityModel {
@@ -108,11 +108,6 @@ impl DensityModel {
         self.extra_rho = extra;
     }
 
-    /// The current extra static charge map.
-    pub fn extra_charge(&self) -> &Grid<f64> {
-        &self.extra_rho
-    }
-
     /// Picks a bin-grid dimension for a cell count: the smallest power of
     /// two ≥ √cells, clamped to `[32, 512]` (ePlace's usual operating range).
     pub fn auto_dim(num_cells: usize) -> usize {
@@ -140,29 +135,14 @@ impl DensityModel {
         self.region.height() / cast::idx_f64(self.my)
     }
 
-    /// Evaluates energy, gradient, and overflow for the given placement.
+    /// Evaluates energy, gradient, and overflow for the given placement
+    /// over up to `threads` workers: every phase of a [`DensityWorkspace`]
+    /// once, over a temporary workspace, and so **bit-identical** for any
+    /// thread count (each phase states its own argument).
     ///
     /// `eff_width[i]` is the effective (physical + padding) width of cell
     /// `i`; pass the raw widths when no padding is active. `target_density`
     /// scales per-bin free capacity for the overflow metric only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eff_width.len()` differs from the cell count.
-    pub fn evaluate(
-        &self,
-        netlist: &Netlist,
-        placement: &Placement,
-        eff_width: &[f64],
-        target_density: f64,
-    ) -> DensityEval {
-        self.evaluate_threaded(netlist, placement, eff_width, target_density, 1)
-    }
-
-    /// Parallel [`DensityModel::evaluate`] over up to `threads` workers:
-    /// every phase of a [`DensityWorkspace`] once, over a temporary
-    /// workspace, and so **bit-identical** for any thread count (each phase
-    /// states its own argument).
     ///
     /// # Panics
     ///
@@ -196,7 +176,7 @@ impl DensityModel {
     }
 
     /// The movable-charge density map alone (diagnostics and tests): the
-    /// very map [`DensityModel::evaluate`] solves on.
+    /// very map [`DensityModel::evaluate_threaded`] solves on.
     ///
     /// # Panics
     ///
@@ -722,7 +702,7 @@ mod tests {
         let mut p = Placement::zeroed(2);
         p.set(CellId(0), Point::new(16.0, 16.0));
         p.set(CellId(1), Point::new(17.0, 16.0)); // just right of cell 0
-        let e = m.evaluate(d.netlist(), &p, &widths(&d), 1.0);
+        let e = m.evaluate_threaded(d.netlist(), &p, &widths(&d), 1.0, 1);
         // Energy gradient pushes them apart: cell 0 left (negative x force
         // means gradient positive), cell 1 right.
         assert!(
@@ -743,8 +723,8 @@ mod tests {
         apart.set(CellId(0), Point::new(8.0, 8.0));
         apart.set(CellId(1), Point::new(24.0, 24.0));
         let w = widths(&d);
-        let e_tight = m.evaluate(d.netlist(), &tight, &w, 1.0);
-        let e_apart = m.evaluate(d.netlist(), &apart, &w, 1.0);
+        let e_tight = m.evaluate_threaded(d.netlist(), &tight, &w, 1.0, 1);
+        let e_apart = m.evaluate_threaded(d.netlist(), &apart, &w, 1.0, 1);
         assert!(e_apart.energy < e_tight.energy);
         assert!(e_apart.overflow <= e_tight.overflow);
     }
@@ -757,7 +737,7 @@ mod tests {
         let mut p = Placement::zeroed(2);
         p.set(CellId(0), Point::new(14.0, 15.0));
         p.set(CellId(1), Point::new(18.0, 17.0));
-        let e = m.evaluate(d.netlist(), &p, &w, 1.0);
+        let e = m.evaluate_threaded(d.netlist(), &p, &w, 1.0, 1);
         let h = 1e-4;
         for c in 0..2u32 {
             let pos = p.pos(CellId(c));
@@ -765,8 +745,8 @@ mod tests {
             pp.set(CellId(c), Point::new(pos.x + h, pos.y));
             let mut pm = p.clone();
             pm.set(CellId(c), Point::new(pos.x - h, pos.y));
-            let fd = (m.evaluate(d.netlist(), &pp, &w, 1.0).energy
-                - m.evaluate(d.netlist(), &pm, &w, 1.0).energy)
+            let fd = (m.evaluate_threaded(d.netlist(), &pp, &w, 1.0, 1).energy
+                - m.evaluate_threaded(d.netlist(), &pm, &w, 1.0, 1).energy)
                 / (2.0 * h);
             let an = e.grad_x[c as usize];
             // The field is piecewise-bilinear; allow a few % slack. The
@@ -795,7 +775,7 @@ mod tests {
         let mut p = d.initial_placement();
         p.set(CellId(0), Point::new(11.0, 16.0)); // just left of the macro
         let w = widths(&d);
-        let e = m.evaluate(d.netlist(), &p, &w, 1.0);
+        let e = m.evaluate_threaded(d.netlist(), &p, &w, 1.0, 1);
         // Push further left: positive x-gradient.
         assert!(e.grad_x[0] > 0.0, "gradient {:?}", e.grad_x[0]);
         // Macro itself gets no gradient.
@@ -809,8 +789,8 @@ mod tests {
         let mut p = Placement::zeroed(2);
         p.set(CellId(0), Point::new(16.0, 16.0));
         p.set(CellId(1), Point::new(16.5, 16.0));
-        let plain = m.evaluate(d.netlist(), &p, &widths(&d), 0.4);
-        let padded = m.evaluate(d.netlist(), &p, &[8.0, 8.0], 0.4);
+        let plain = m.evaluate_threaded(d.netlist(), &p, &widths(&d), 0.4, 1);
+        let padded = m.evaluate_threaded(d.netlist(), &p, &[8.0, 8.0], 0.4, 1);
         assert!(padded.overflow > plain.overflow);
         assert!(padded.energy > plain.energy);
     }
@@ -838,7 +818,7 @@ mod tests {
             (rho.sum() - 4.0).abs() < 1e-9,
             "only the finite cell deposits"
         );
-        let e = m.evaluate(d.netlist(), &p, &widths(&d), 1.0);
+        let e = m.evaluate_threaded(d.netlist(), &p, &widths(&d), 1.0, 1);
         assert!(e.grad_x[1].is_nan() && e.grad_x[0].is_finite());
         assert!(
             e.overflow >= 4.0 / 8.0,
@@ -920,7 +900,7 @@ mod tests {
         let mut p = Placement::zeroed(2);
         p.set(CellId(0), Point::new(14.0, 15.0));
         p.set(CellId(1), Point::new(15.5, 17.0));
-        let full = m.evaluate(d.netlist(), &p, &w, 0.7);
+        let full = m.evaluate_threaded(d.netlist(), &p, &w, 0.7, 1);
         let mut ws = DensityWorkspace::new(&m, 2, 2);
         // In either order, and repeatedly: no phase leaves state behind
         // that another depends on.
@@ -974,8 +954,8 @@ mod tests {
         let mut right = Placement::zeroed(2);
         right.set(CellId(0), Point::new(16.0, 16.0));
         right.set(CellId(1), Point::new(20.0, 16.0));
-        let gl = m.evaluate(d.netlist(), &left, &w, 1.0);
-        let gr = m.evaluate(d.netlist(), &right, &w, 1.0);
+        let gl = m.evaluate_threaded(d.netlist(), &left, &w, 1.0, 1);
+        let gr = m.evaluate_threaded(d.netlist(), &right, &w, 1.0, 1);
         // The energy gradient points toward the charge (moving closer
         // raises the energy); the descent direction −∇D pushes away.
         assert!(gl.grad_x[1] > 0.0, "left probe: energy grows to the right");
@@ -999,8 +979,8 @@ mod tests {
         let mut b = Placement::zeroed(2);
         b.set(CellId(0), Point::new(18.0, 20.0));
         b.set(CellId(1), Point::new(19.0, 20.0));
-        let ea = m.evaluate(d.netlist(), &a, &w, 1.0);
-        let eb = m.evaluate(d.netlist(), &b, &w, 1.0);
+        let ea = m.evaluate_threaded(d.netlist(), &a, &w, 1.0, 1);
+        let eb = m.evaluate_threaded(d.netlist(), &b, &w, 1.0, 1);
         // Same pair configuration far from walls: energies within a few %.
         assert!(
             (ea.energy - eb.energy).abs() < 0.08 * ea.energy.abs().max(1e-12),
@@ -1017,14 +997,14 @@ mod tests {
         let mut p = Placement::zeroed(2);
         p.set(CellId(0), Point::new(8.0, 8.0));
         p.set(CellId(1), Point::new(24.0, 24.0));
-        let e = m.evaluate(d.netlist(), &p, &widths(&d), 1.0);
+        let e = m.evaluate_threaded(d.netlist(), &p, &widths(&d), 1.0, 1);
         // Cells are 2x2 = 4 area over 1x1 bins: at target density 1.0 a
         // perfectly aligned cell fits, but smoothing spreads it; overflow
         // must at least be far below the clumped case.
         let mut q = Placement::zeroed(2);
         q.set(CellId(0), Point::new(16.0, 16.0));
         q.set(CellId(1), Point::new(16.0, 16.0));
-        let clumped = m.evaluate(d.netlist(), &q, &widths(&d), 1.0);
+        let clumped = m.evaluate_threaded(d.netlist(), &q, &widths(&d), 1.0, 1);
         assert!(e.overflow < clumped.overflow);
     }
 }

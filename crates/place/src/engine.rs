@@ -39,9 +39,6 @@ pub struct PlacerConfig {
     pub initial_noise: f64,
     /// RNG seed for the jitter.
     pub seed: u64,
-    /// Warm-start with a quadratic (B2B) solve before the electrostatic
-    /// engine takes over (see [`crate::quadratic`]).
-    pub quadratic_init: bool,
     /// Divergence recoveries allowed before the placer freezes at the last
     /// healthy solution (see [`GlobalPlacer::step`]).
     pub max_recoveries: usize,
@@ -68,7 +65,6 @@ impl Default for PlacerConfig {
             stop_overflow: 0.07,
             initial_noise: 2.0,
             seed: 1,
-            quadratic_init: false,
             max_recoveries: 8,
             recovery_backoff: 0.5,
             divergence_window: 16,
@@ -347,13 +343,6 @@ impl<'a> GlobalPlacer<'a> {
                 ),
             );
         }
-        if config.quadratic_init {
-            placement = crate::quadratic::quadratic_placement(
-                design,
-                &placement,
-                &crate::quadratic::QuadraticConfig::default(),
-            );
-        }
         Self::with_placement(design, config, placement)
     }
 
@@ -600,16 +589,6 @@ impl<'a> GlobalPlacer<'a> {
     /// extra-charge grids of the right shape.
     pub fn density_dims(&self) -> (usize, usize) {
         (self.density.mx(), self.density.my())
-    }
-
-    /// Total padding area currently applied to movable cells.
-    pub fn total_padding_area(&self) -> f64 {
-        self.design
-            .netlist()
-            .iter_cells()
-            .filter(|(_, c)| c.is_movable())
-            .map(|(id, c)| self.padding[id.index()] * c.height)
-            .sum()
     }
 
     fn gamma(&self) -> f64 {
@@ -1023,8 +1002,8 @@ mod tests {
         let dim = 64;
         let m = crate::density::DensityModel::new(&d, dim, dim);
         let widths: Vec<f64> = d.netlist().cells().iter().map(|c| c.width).collect();
-        let e_plain = m.evaluate(d.netlist(), plain.placement(), &widths, 0.6);
-        let e_padded = m.evaluate(d.netlist(), padded.placement(), &widths, 0.6);
+        let e_plain = m.evaluate_threaded(d.netlist(), plain.placement(), &widths, 0.6, 1);
+        let e_padded = m.evaluate_threaded(d.netlist(), padded.placement(), &widths, 0.6, 1);
         assert!(
             e_padded.overflow <= e_plain.overflow + 1e-9,
             "padded {} vs plain {}",

@@ -10,8 +10,8 @@
 //! * [`nesterov`] — Nesterov's accelerated gradient method with a
 //!   backtracked Lipschitz step size;
 //! * [`quadratic`] — the other engine family of §I: a bound-to-bound
-//!   quadratic model solved by preconditioned conjugate gradients, usable
-//!   as a warm start for the electrostatic engine;
+//!   quadratic model solved by preconditioned conjugate gradients (a
+//!   standalone kernel: [`GlobalPlacer::with_placement`] takes its output);
 //! * [`engine`] — the [`GlobalPlacer`] main loop, with per-cell *effective
 //!   widths* so a routability optimizer can pad cells between iterations.
 //!
@@ -31,7 +31,7 @@ pub use engine::{GlobalPlacer, IterationStats, PlacerConfig, PlacerSnapshot};
 pub use nesterov::{NesterovOptimizer, NesterovState};
 pub use sentinel::{Divergence, DivergenceSentinel};
 pub use quadratic::{quadratic_placement, QuadraticConfig};
-pub use wirelength::{wa_wirelength_grad, wa_wirelength_grad_threaded, WirelengthGrad};
+pub use wirelength::{wa_wirelength_grad_threaded, WirelengthGrad};
 
 use std::error::Error;
 use std::fmt;

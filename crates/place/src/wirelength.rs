@@ -27,19 +27,10 @@ pub struct WirelengthGrad {
 }
 
 /// Computes the WA wirelength and its gradient with smoothing parameter
-/// `gamma`.
+/// `gamma`, over up to `threads` workers.
 ///
 /// Gradients accumulate over pins onto the owning cells (pin offsets are
 /// rigid). Nets with fewer than two pins contribute nothing.
-///
-/// # Panics
-///
-/// Panics if `gamma` is not strictly positive.
-pub fn wa_wirelength_grad(netlist: &Netlist, placement: &Placement, gamma: f64) -> WirelengthGrad {
-    wa_wirelength_grad_threaded(netlist, placement, gamma, 1)
-}
-
-/// Parallel [`wa_wirelength_grad`] over up to `threads` workers.
 ///
 /// Nets are processed in fixed index chunks (`puffer_par::chunk_ranges`,
 /// boundaries independent of the thread count); each chunk records its
@@ -251,8 +242,8 @@ mod tests {
         let mut p = Placement::zeroed(2);
         p.set(CellId(1), Point::new(10.0, 7.0));
         let hp = total_hpwl(&nl, &p);
-        let loose = wa_wirelength_grad(&nl, &p, 5.0).value;
-        let tight = wa_wirelength_grad(&nl, &p, 0.05).value;
+        let loose = wa_wirelength_grad_threaded(&nl, &p, 5.0, 1).value;
+        let tight = wa_wirelength_grad_threaded(&nl, &p, 0.05, 1).value;
         assert!(tight <= hp + 1e-9, "WA underestimates HPWL");
         assert!((tight - hp).abs() < 0.1);
         assert!((loose - hp).abs() > (tight - hp).abs());
@@ -279,7 +270,7 @@ mod tests {
         p.set(ids[2], Point::new(2.0, 5.0));
         p.set(ids[3], Point::new(7.0, 2.0));
         let gamma = 1.0;
-        let g = wa_wirelength_grad(&nl, &p, gamma);
+        let g = wa_wirelength_grad_threaded(&nl, &p, gamma, 1);
         let h = 1e-6;
         for c in 0..4 {
             for axis in 0..2 {
@@ -293,8 +284,8 @@ mod tests {
                     pp.set(CellId(c), Point::new(pos.x, pos.y + h));
                     pm.set(CellId(c), Point::new(pos.x, pos.y - h));
                 }
-                let fd = (wa_wirelength_grad(&nl, &pp, gamma).value
-                    - wa_wirelength_grad(&nl, &pm, gamma).value)
+                let fd = (wa_wirelength_grad_threaded(&nl, &pp, gamma, 1).value
+                    - wa_wirelength_grad_threaded(&nl, &pm, gamma, 1).value)
                     / (2.0 * h);
                 let an = if axis == 0 {
                     g.grad_x[c as usize]
@@ -314,7 +305,7 @@ mod tests {
         let nl = pair_netlist();
         let mut p = Placement::zeroed(2);
         p.set(CellId(1), Point::new(10.0, 0.0));
-        let g = wa_wirelength_grad(&nl, &p, 1.0);
+        let g = wa_wirelength_grad_threaded(&nl, &p, 1.0, 1);
         // Moving cell 0 right reduces wirelength: negative gradient.
         assert!(g.grad_x[0] < 0.0);
         assert!(g.grad_x[1] > 0.0);
@@ -328,7 +319,7 @@ mod tests {
         let mut p = Placement::zeroed(2);
         p.set(CellId(0), Point::new(1e6, -1e6));
         p.set(CellId(1), Point::new(-1e6, 1e6));
-        let g = wa_wirelength_grad(&nl, &p, 0.01);
+        let g = wa_wirelength_grad_threaded(&nl, &p, 0.01, 1);
         assert!(g.value.is_finite());
         assert!(g.grad_x.iter().all(|v| v.is_finite()));
         assert!(g.grad_y.iter().all(|v| v.is_finite()));
@@ -341,7 +332,7 @@ mod tests {
         let n = nb.add_net("n");
         nb.connect(n, a, Point::ORIGIN).unwrap();
         let nl = nb.build().unwrap();
-        let g = wa_wirelength_grad(&nl, &Placement::zeroed(1), 1.0);
+        let g = wa_wirelength_grad_threaded(&nl, &Placement::zeroed(1), 1.0, 1);
         assert_eq!(g.value, 0.0);
         assert_eq!(g.grad_x[0], 0.0);
     }
@@ -363,7 +354,7 @@ mod tests {
         for (i, &c) in ids.iter().enumerate() {
             p.set(c, Point::new((i * i) as f64, (i * 3 % 5) as f64));
         }
-        let g = wa_wirelength_grad(&nl, &p, 0.7);
+        let g = wa_wirelength_grad_threaded(&nl, &p, 0.7, 1);
         assert!(g.grad_x.iter().sum::<f64>().abs() < 1e-9);
         assert!(g.grad_y.iter().sum::<f64>().abs() < 1e-9);
     }
@@ -380,8 +371,8 @@ mod tests {
         let nl1 = pair_netlist();
         let mut p = Placement::zeroed(2);
         p.set(CellId(1), Point::new(5.0, 5.0));
-        let g3 = wa_wirelength_grad(&nl3, &p, 1.0);
-        let g1 = wa_wirelength_grad(&nl1, &p, 1.0);
+        let g3 = wa_wirelength_grad_threaded(&nl3, &p, 1.0, 1);
+        let g1 = wa_wirelength_grad_threaded(&nl1, &p, 1.0, 1);
         assert!((g3.value - 3.0 * g1.value).abs() < 1e-9);
         assert!((g3.grad_x[0] - 3.0 * g1.grad_x[0]).abs() < 1e-9);
     }

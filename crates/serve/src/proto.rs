@@ -25,7 +25,7 @@
 //! `serve.status`, `serve.jobs`, `serve.result`, `serve.error`,
 //! `serve.pong`, `serve.done`.
 
-use puffer_trace::{escape_into, parse_record, ParsedRecord};
+use puffer_trace::{parse_record, Line, ParsedRecord};
 
 /// Protocol/schema version stamped into every serve record as `"v"`.
 pub const PROTO_VERSION: u32 = 2;
@@ -34,54 +34,31 @@ pub const PROTO_VERSION: u32 = 2;
 // JSON line writer
 // ---------------------------------------------------------------------------
 
-/// Builder for one flat JSON record line carrying `"t"` and `"v"`.
+/// Builder for one flat JSON record line carrying `"t"` and `"v"`: the
+/// trace schema's [`Line`] with the version stamped first.
 #[derive(Debug)]
-pub struct JsonLine {
-    buf: String,
-}
+pub struct JsonLine(Line);
 
 impl JsonLine {
     /// Starts a record of the given kind: `{"t":"<kind>","v":2`.
     pub fn new(kind: &str) -> Self {
-        let mut buf = String::with_capacity(96);
-        buf.push_str("{\"t\":\"");
-        escape_into(kind, &mut buf);
-        let _ = std::fmt::Write::write_fmt(&mut buf, format_args!("\",\"v\":{PROTO_VERSION}"));
-        JsonLine { buf }
-    }
-
-    fn key(&mut self, k: &str) {
-        self.buf.push_str(",\"");
-        escape_into(k, &mut self.buf);
-        self.buf.push_str("\":");
+        JsonLine(Line::new(kind).int("v", i64::from(PROTO_VERSION)))
     }
 
     /// Adds a string field.
-    pub fn str(mut self, k: &str, v: &str) -> Self {
-        self.key(k);
-        self.buf.push('"');
-        escape_into(v, &mut self.buf);
-        self.buf.push('"');
-        self
+    pub fn str(self, k: &str, v: &str) -> Self {
+        JsonLine(self.0.str(k, v))
     }
 
     /// Adds an integer field.
-    pub fn int(mut self, k: &str, v: i64) -> Self {
-        self.key(k);
-        let _ = std::fmt::Write::write_fmt(&mut self.buf, format_args!("{v}"));
-        self
+    pub fn int(self, k: &str, v: i64) -> Self {
+        JsonLine(self.0.int(k, v))
     }
 
     /// Adds a float field (`{:?}` round-trips f64 exactly; non-finite
     /// values encode as `null`, matching the trace writer).
-    pub fn num(mut self, k: &str, v: f64) -> Self {
-        self.key(k);
-        if v.is_finite() {
-            let _ = std::fmt::Write::write_fmt(&mut self.buf, format_args!("{v:?}"));
-        } else {
-            self.buf.push_str("null");
-        }
-        self
+    pub fn num(self, k: &str, v: f64) -> Self {
+        JsonLine(self.0.num_debug(k, v))
     }
 
     /// Adds a string field only when present.
@@ -93,9 +70,8 @@ impl JsonLine {
     }
 
     /// Closes the record (no trailing newline).
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
+    pub fn finish(self) -> String {
+        self.0.finish()
     }
 }
 
@@ -345,8 +321,13 @@ mod tests {
             .str("msg", "a \"quoted\"\nline\t\\")
             .int("n", -3)
             .num("x", 0.1 + 0.2)
+            .num("whole", 3.0)
             .num("bad", f64::NAN)
             .finish();
+        assert_eq!(
+            line,
+            r#"{"t":"serve.test","v":2,"msg":"a \"quoted\"\nline\t\\","n":-3,"x":0.30000000000000004,"whole":3.0,"bad":null}"#
+        );
         let rec = parse_record(&line).unwrap();
         assert_eq!(rec.kind(), Some("serve.test"));
         assert_eq!(rec.num("v"), Some(2.0));

@@ -13,7 +13,7 @@
 //! trailing line but treats any other malformed line as corruption.
 
 use puffer_budget::fsx;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 /// One-write-per-record append sink over [`fsx::AppendSink`].
@@ -76,20 +76,92 @@ pub fn escape_into(s: &str, out: &mut String) {
     }
 }
 
-/// Appends `,"key":<value>` to `line`; non-finite values become `null`.
-pub(crate) fn push_num(line: &mut String, key: &str, value: f64) {
-    line.push_str(",\"");
-    escape_into(key, line);
-    line.push_str("\":");
-    push_num_value(line, value);
+/// Builder for one flat JSON record line, `{"t":"<kind>",…}`: the one
+/// place that escapes keys and strings and spells non-finite numbers as
+/// `null`. [`crate::Record`] is this plus a sink; the serve protocol's
+/// `JsonLine` is this plus a leading `"v"` field.
+#[derive(Debug)]
+pub struct Line {
+    buf: String,
 }
 
-/// Appends a bare JSON number (or `null` when non-finite).
-pub(crate) fn push_num_value(line: &mut String, value: f64) {
-    if value.is_finite() {
-        line.push_str(&format!("{value}"));
-    } else {
-        line.push_str("null");
+impl Line {
+    /// Starts a record of the given kind: `{"t":"<kind>"`.
+    pub fn new(kind: &str) -> Self {
+        let mut buf = String::with_capacity(96);
+        buf.push_str("{\"t\":\"");
+        escape_into(kind, &mut buf);
+        buf.push('"');
+        Line { buf }
+    }
+
+    /// Appends `,"key":`; the value follows.
+    fn key(&mut self, key: &str) {
+        self.buf.push_str(",\"");
+        escape_into(key, &mut self.buf);
+        self.buf.push_str("\":");
+    }
+
+    /// Appends a bare number: `{:?}`-spelled (`1.0`, `1e21`) when `debug`,
+    /// else the shortest spelling (`1`); `null` when non-finite.
+    fn value(&mut self, value: f64, debug: bool) {
+        let _ = match (value.is_finite(), debug) {
+            (false, _) => self.buf.write_str("null"),
+            (true, false) => write!(self.buf, "{value}"),
+            (true, true) => write!(self.buf, "{value:?}"),
+        };
+    }
+
+    /// Adds a string field.
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        self.key(key);
+        self.buf.push('"');
+        escape_into(value, &mut self.buf);
+        self.buf.push('"');
+        self
+    }
+
+    /// Adds an integer field.
+    pub fn int(mut self, key: &str, value: i64) -> Self {
+        self.key(key);
+        let _ = write!(self.buf, "{value}");
+        self
+    }
+
+    /// Adds a numeric field in the shortest spelling that round-trips
+    /// (`1`, `0.25`); non-finite values become `null`.
+    pub fn num(mut self, key: &str, value: f64) -> Self {
+        self.key(key);
+        self.value(value, false);
+        self
+    }
+
+    /// [`Line::num`] spelled the way `{:?}` spells an `f64` (`1.0`): the
+    /// float format of the serve protocol.
+    pub fn num_debug(mut self, key: &str, value: f64) -> Self {
+        self.key(key);
+        self.value(value, true);
+        self
+    }
+
+    /// Adds an array-of-numbers field (non-finite entries become `null`).
+    pub fn nums(mut self, key: &str, values: &[f64]) -> Self {
+        self.key(key);
+        self.buf.push('[');
+        for (i, v) in values.iter().enumerate() {
+            if i > 0 {
+                self.buf.push(',');
+            }
+            self.value(*v, false);
+        }
+        self.buf.push(']');
+        self
+    }
+
+    /// Closes the record (no trailing newline).
+    pub fn finish(mut self) -> String {
+        self.buf.push('}');
+        self.buf
     }
 }
 
@@ -466,10 +538,12 @@ mod tests {
 
     #[test]
     fn nonfinite_numbers_become_null() {
-        let mut line = String::from("{\"t\":\"x\"");
-        push_num(&mut line, "a", f64::INFINITY);
-        push_num(&mut line, "b", 2.5);
-        line.push('}');
+        let line = Line::new("x")
+            .num("a", f64::INFINITY)
+            .num("b", 2.5)
+            .nums("c", &[1.0, f64::NAN])
+            .finish();
+        assert_eq!(line, r#"{"t":"x","a":null,"b":2.5,"c":[1,null]}"#);
         let r = parse_record(&line).unwrap();
         assert!(r.get("a").unwrap().is_null());
         assert_eq!(r.num("b"), Some(2.5));

@@ -75,7 +75,7 @@
 pub mod jsonl;
 pub mod span;
 
-pub use jsonl::{escape_into, parse_record, read_jsonl, ParsedRecord, TraceError, Value};
+pub use jsonl::{escape_into, parse_record, read_jsonl, Line, ParsedRecord, TraceError, Value};
 pub use span::{SpanGuard, SpanStats};
 
 use jsonl::JsonlSink;
@@ -203,13 +203,9 @@ impl Trace {
     pub fn record(&self, kind: &str) -> Record<'_> {
         match &self.inner {
             Some(inner) if inner.sink.is_some() => {
-                let mut line = String::with_capacity(96);
-                line.push_str("{\"t\":\"");
-                jsonl::escape_into(kind, &mut line);
-                line.push('"');
-                jsonl::push_num(&mut line, "elapsed_s", inner.start.elapsed().as_secs_f64());
+                let elapsed_s = inner.start.elapsed().as_secs_f64();
                 Record {
-                    dst: Some((inner, line)),
+                    dst: Some((inner, Line::new(kind).num("elapsed_s", elapsed_s))),
                 }
             }
             _ => Record { dst: None },
@@ -347,66 +343,43 @@ fn fmt_secs(s: f64) -> String {
 pub struct Record<'a> {
     /// The owning trace and the partially built JSON line; `None` when the
     /// trace is disabled or has no sink.
-    dst: Option<(&'a Inner, String)>,
+    dst: Option<(&'a Inner, Line)>,
 }
 
 impl Record<'_> {
-    /// Adds a numeric field (non-finite values become JSON `null`).
-    pub fn num(mut self, key: &str, value: f64) -> Self {
-        if let Some((_, line)) = &mut self.dst {
-            jsonl::push_num(line, key, value);
-        }
+    fn with(mut self, field: impl FnOnce(Line) -> Line) -> Self {
+        self.dst = self.dst.map(|(inner, line)| (inner, field(line)));
         self
+    }
+
+    /// Adds a numeric field (non-finite values become JSON `null`).
+    pub fn num(self, key: &str, value: f64) -> Self {
+        self.with(|line| line.num(key, value))
     }
 
     /// Adds an integer field.
-    pub fn int(mut self, key: &str, value: i64) -> Self {
-        if let Some((_, line)) = &mut self.dst {
-            line.push_str(",\"");
-            jsonl::escape_into(key, line);
-            line.push_str("\":");
-            line.push_str(&value.to_string());
-        }
-        self
+    pub fn int(self, key: &str, value: i64) -> Self {
+        self.with(|line| line.int(key, value))
     }
 
     /// Adds a string field.
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        if let Some((_, line)) = &mut self.dst {
-            line.push_str(",\"");
-            jsonl::escape_into(key, line);
-            line.push_str("\":\"");
-            jsonl::escape_into(value, line);
-            line.push('"');
-        }
-        self
+    pub fn str(self, key: &str, value: &str) -> Self {
+        self.with(|line| line.str(key, value))
     }
 
     /// Adds an array-of-numbers field (non-finite entries become `null`).
-    pub fn nums(mut self, key: &str, values: &[f64]) -> Self {
-        if let Some((_, line)) = &mut self.dst {
-            line.push_str(",\"");
-            jsonl::escape_into(key, line);
-            line.push_str("\":[");
-            for (i, v) in values.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                jsonl::push_num_value(line, *v);
-            }
-            line.push(']');
-        }
-        self
+    pub fn nums(self, key: &str, values: &[f64]) -> Self {
+        self.with(|line| line.nums(key, values))
     }
 
     /// Closes the record and appends it to the sink (one line, flushed).
     /// Write failures are stored on the trace and surfaced by
     /// [`Trace::flush`]; they never interrupt the instrumented flow.
     pub fn write(self) {
-        let Some((inner, mut line)) = self.dst else {
+        let Some((inner, line)) = self.dst else {
             return;
         };
-        line.push('}');
+        let line = line.finish();
         let Some(sink) = inner.sink.as_ref() else {
             return; // record() only hands out a dst when a sink exists
         };

@@ -86,7 +86,7 @@ fn global_placement_density_is_bounded() {
     // The legal placement's raw density must also be near target.
     let model = puffer_place::DensityModel::new(&design, 64, 64);
     let widths: Vec<f64> = design.netlist().cells().iter().map(|c| c.width).collect();
-    let eval = model.evaluate(design.netlist(), &result.placement, &widths, 1.0);
+    let eval = model.evaluate_threaded(design.netlist(), &result.placement, &widths, 1.0, 1);
     assert!(
         eval.overflow < 0.35,
         "legal density overflow {}",

@@ -10,10 +10,7 @@
 use puffer::{CheckpointPolicy, Job, PufferConfig};
 use puffer_db::design::{Design, Placement};
 use puffer_db::geom::Point;
-use puffer_fft::{
-    dct2, dct3, dst3_shifted, transform2d, transform2d_mixed, transform2d_mixed_threaded,
-    transform2d_threaded,
-};
+use puffer_fft::{dct2, dct3, dst3_shifted, transform2d_mixed_threaded, transform2d_threaded};
 use puffer_gen::{generate, GeneratorConfig};
 use puffer_place::{wa_wirelength_grad_threaded, DensityModel, GlobalPlacer, PlacerConfig};
 use puffer_rng::StdRng;
@@ -151,8 +148,8 @@ fn transforms_are_bit_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(42);
     let data: Vec<f64> = (0..nx * ny).map(|_| rng.next_f64() * 20.0 - 10.0).collect();
 
-    let serial_same = transform2d(&data, nx, ny, dct2);
-    let serial_mixed = transform2d_mixed(&data, nx, ny, dst3_shifted, dct3);
+    let serial_same = transform2d_threaded(&data, nx, ny, dct2, 1);
+    let serial_mixed = transform2d_mixed_threaded(&data, nx, ny, dst3_shifted, dct3, 1);
     for t in THREADS {
         assert_eq!(
             bits(&transform2d_threaded(&data, nx, ny, dct2, t)),

@@ -9,7 +9,7 @@ use puffer_db::netlist::{CellId, CellKind, NetlistBuilder};
 use puffer_db::tech::Technology;
 use puffer_flute::{mst_wirelength, Topology};
 use puffer_legal::{check_legal, discretize_padding, legalize_bounded};
-use puffer_place::wa_wirelength_grad;
+use puffer_place::wa_wirelength_grad_threaded;
 use puffer_rng::check::{run_cases, vec_of};
 use puffer_rng::{prop_check, StdRng};
 
@@ -96,8 +96,8 @@ fn wa_lower_bounds_hpwl() {
                 p.set(ids[i], *pt);
             }
             let hp = total_hpwl(&nl, &p);
-            let tight = wa_wirelength_grad(&nl, &p, 0.01).value;
-            let loose = wa_wirelength_grad(&nl, &p, 10.0).value;
+            let tight = wa_wirelength_grad_threaded(&nl, &p, 0.01, 1).value;
+            let loose = wa_wirelength_grad_threaded(&nl, &p, 10.0, 1).value;
             prop_check!(tight <= hp + 1e-6, "tight {tight} > hpwl {hp}");
             prop_check!(loose <= hp + 1e-6, "loose {loose} > hpwl {hp}");
             prop_check!(
@@ -220,7 +220,6 @@ fn congestion_monotone_in_demand() {
 /// serial path for any thread count.
 #[test]
 fn parallel_gradient_sums_to_zero_per_net() {
-    use puffer_place::wa_wirelength_grad_threaded;
     run_cases(
         32,
         0x1007,
