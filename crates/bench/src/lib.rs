@@ -65,19 +65,10 @@ pub struct HarnessArgs {
     pub designs: Option<Vec<String>>,
     /// Output directory for CSV/map artifacts.
     pub out_dir: PathBuf,
-    /// `benchflow` only: skip the flow and run just the single-thread
-    /// incremental-congestion gate on each design (other binaries accept
-    /// and ignore the flag).
-    pub congest_gate: bool,
-    /// `benchflow` only: million-cell smoke — place one Table I-sized
-    /// design under a bounded peak-RSS assertion (other binaries accept
-    /// and ignore the flag).
-    pub scale_gate: bool,
 }
 
 impl HarnessArgs {
-    /// Parses `--scale`, `--designs`, `--out`, `--congest-gate`, and
-    /// `--scale-gate` from `std::env::args`.
+    /// Parses `--scale`, `--designs`, and `--out` from `std::env::args`.
     ///
     /// # Panics
     ///
@@ -87,8 +78,6 @@ impl HarnessArgs {
             scale: default_scale,
             designs: None,
             out_dir: PathBuf::from("target/paper"),
-            congest_gate: false,
-            scale_gate: false,
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -111,16 +100,9 @@ impl HarnessArgs {
                 "--out" => {
                     args.out_dir = PathBuf::from(it.next().expect("--out needs a directory"));
                 }
-                "--congest-gate" => {
-                    args.congest_gate = true;
-                }
-                "--scale-gate" => {
-                    args.scale_gate = true;
-                }
                 "--help" | "-h" => {
                     eprintln!(
-                        "usage: [--scale <f>] [--designs a,b,...] [--out <dir>] [--congest-gate]\n\
-                         \x20      [--scale-gate]\n\
+                        "usage: [--scale <f>] [--designs a,b,...] [--out <dir>]\n\
                          designs: {}",
                         presets::all(1.0)
                             .expect("scale 1.0 is valid")
@@ -222,143 +204,6 @@ pub fn generate_logged(config: &GeneratorConfig) -> Design {
     design
 }
 
-/// Support for the deterministic-parallelism (`par`) bench group: serial
-/// reference kernels and a noise-robust timer.
-///
-/// The serial references are *unchunked* single-pass implementations of the
-/// kernels `puffer-par` parallelises. They exist only as performance
-/// baselines: the chunked 1-thread path pays for per-chunk partial buffers
-/// and the ordered merge even when no worker threads are spawned, and CI
-/// gates that this overhead stays under 10% (`benchflow`'s `par` section).
-pub mod par {
-    use puffer_db::design::Placement;
-    use puffer_db::netlist::Netlist;
-    use std::hint::black_box;
-    use puffer_budget::clock::Stopwatch;
-
-    /// Thread counts exercised by the bench group and `benchflow`.
-    pub const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-    /// Minimum per-iteration time of `f` over `iters` timed runs after
-    /// `warmup` untimed ones. The minimum — not the mean — is used because
-    /// the regression gate compares two code paths and must shrug off
-    /// scheduler noise.
-    pub fn time_min<T>(warmup: usize, iters: usize, mut f: impl FnMut() -> T) -> f64 {
-        for _ in 0..warmup {
-            black_box(f());
-        }
-        let mut min = f64::INFINITY;
-        for _ in 0..iters {
-            let t0 = Stopwatch::start();
-            black_box(f());
-            min = min.min(t0.elapsed_secs());
-        }
-        min
-    }
-
-    /// Unchunked single-pass WA wirelength gradient: the serial baseline
-    /// the chunked 1-thread `wa_wirelength_grad_threaded` path is gated
-    /// against. Same math as `puffer-place`, but one accumulation buffer
-    /// and no partial merge.
-    pub fn serial_wa_reference(
-        netlist: &Netlist,
-        placement: &Placement,
-        gamma: f64,
-    ) -> (f64, Vec<f64>, Vec<f64>) {
-        assert!(gamma > 0.0, "gamma must be positive");
-        let n = netlist.num_cells();
-        let mut value = 0.0;
-        let mut grad_x = vec![0.0; n];
-        let mut grad_y = vec![0.0; n];
-        let mut coords: Vec<f64> = Vec::with_capacity(16);
-        let mut exps_p: Vec<f64> = Vec::with_capacity(16);
-        let mut exps_m: Vec<f64> = Vec::with_capacity(16);
-        let mut grads: Vec<f64> = Vec::with_capacity(16);
-        let inv_gamma = 1.0 / gamma;
-        for (id, net) in netlist.iter_nets() {
-            let net_pins = netlist.net_pins(id);
-            if net_pins.len() < 2 || net.weight == 0.0 {
-                continue;
-            }
-            for axis in 0..2 {
-                coords.clear();
-                for &pid in net_pins {
-                    let p = placement.pin_pos(netlist, pid);
-                    coords.push(if axis == 0 { p.x } else { p.y });
-                }
-                let (max, min) = coords
-                    .iter()
-                    .fold((f64::NEG_INFINITY, f64::INFINITY), |(mx, mn), &x| {
-                        (mx.max(x), mn.min(x))
-                    });
-                exps_p.clear();
-                exps_m.clear();
-                let (mut sp, mut sxp, mut sm, mut sxm) = (0.0, 0.0, 0.0, 0.0);
-                for &x in &coords {
-                    let ep = ((x - max) * inv_gamma).exp();
-                    let em = ((min - x) * inv_gamma).exp();
-                    exps_p.push(ep);
-                    exps_m.push(em);
-                    sp += ep;
-                    sxp += x * ep;
-                    sm += em;
-                    sxm += x * em;
-                }
-                value += net.weight * (sxp / sp - sxm / sm);
-                let inv_sp2 = 1.0 / (sp * sp);
-                let inv_sm2 = 1.0 / (sm * sm);
-                let w = net.weight;
-                grads.clear();
-                for j in 0..coords.len() {
-                    let x = coords[j];
-                    let ep = exps_p[j];
-                    let em = exps_m[j];
-                    let dp =
-                        ((1.0 + x * inv_gamma) * ep * sp - ep * sxp * inv_gamma) * inv_sp2;
-                    let dm =
-                        ((1.0 - x * inv_gamma) * em * sm + em * sxm * inv_gamma) * inv_sm2;
-                    grads.push(w * (dp - dm));
-                }
-                for (j, &pid) in net_pins.iter().enumerate() {
-                    let cell = netlist.pin(pid).cell.index();
-                    if axis == 0 {
-                        grad_x[cell] += grads[j];
-                    } else {
-                        grad_y[cell] += grads[j];
-                    }
-                }
-            }
-        }
-        (value, grad_x, grad_y)
-    }
-
-    /// Unchunked 2-D separable transform (rows, then columns): the serial
-    /// baseline for `transform2d_threaded`.
-    pub fn serial_transform2d(
-        data: &[f64],
-        nx: usize,
-        ny: usize,
-        f: impl Fn(&[f64]) -> Vec<f64>,
-    ) -> Vec<f64> {
-        assert_eq!(data.len(), nx * ny, "matrix shape mismatch");
-        let mut rows = Vec::with_capacity(nx * ny);
-        for iy in 0..ny {
-            rows.extend_from_slice(&f(&data[iy * nx..(iy + 1) * nx]));
-        }
-        let mut out = vec![0.0; nx * ny];
-        let mut col = vec![0.0; ny];
-        for ix in 0..nx {
-            for (iy, c) in col.iter_mut().enumerate() {
-                *c = rows[iy * nx + ix];
-            }
-            for (iy, v) in f(&col).into_iter().enumerate() {
-                out[iy * nx + ix] = v;
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,46 +222,11 @@ mod tests {
             scale: 0.01,
             designs: Some(vec!["or1200".into(), "CT_TOP".into()]),
             out_dir: PathBuf::from("/tmp/x"),
-            congest_gate: false,
-            scale_gate: false,
         };
         let cfgs = args.configs();
         assert_eq!(cfgs.len(), 2);
         assert_eq!(cfgs[0].name, "OR1200");
         assert_eq!(cfgs[1].name, "CT_TOP");
-    }
-
-    #[test]
-    fn serial_references_match_the_library_kernels() {
-        let cfg = GeneratorConfig {
-            num_cells: 200,
-            num_nets: 230,
-            name: "ref".into(),
-            ..GeneratorConfig::default()
-        };
-        let d = generate(&cfg).unwrap();
-        let p = d.initial_placement();
-        let (value, gx, gy) = par::serial_wa_reference(d.netlist(), &p, 4.0);
-        let lib = puffer_place::wa_wirelength_grad_threaded(d.netlist(), &p, 4.0, 1);
-        // Same math, different accumulation parenthesization (the library
-        // merges per-chunk partials): compare numerically, not bitwise.
-        assert!((value - lib.value).abs() <= 1e-9 * lib.value.abs().max(1.0));
-        for (a, b) in gx.iter().zip(&lib.grad_x) {
-            assert!((a - b).abs() <= 1e-9, "{a} vs {b}");
-        }
-        for (a, b) in gy.iter().zip(&lib.grad_y) {
-            assert!((a - b).abs() <= 1e-9, "{a} vs {b}");
-        }
-
-        // Transforms write disjoint outputs — no accumulation — so the
-        // serial reference is bit-identical to the library path.
-        let data: Vec<f64> = (0..32 * 16).map(|i| (i as f64 * 0.31).sin()).collect();
-        let serial = par::serial_transform2d(&data, 32, 16, puffer_fft::dct2);
-        let lib = puffer_fft::transform2d_threaded(&data, 32, 16, puffer_fft::dct2, 1);
-        assert_eq!(
-            serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            lib.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

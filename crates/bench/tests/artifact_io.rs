@@ -19,7 +19,7 @@ fn bin_sources() -> Vec<(String, String)> {
     }
     sources.sort();
     assert!(
-        sources.len() >= 6,
+        sources.len() >= 5,
         "expected the full bench binary set, found {sources:?}"
     );
     sources

@@ -215,12 +215,13 @@ impl Budget {
         }
     }
 
-    /// A budget expiring `limit` from now.
+    /// A budget expiring `limit` from now. A `limit` past the end of the
+    /// monotonic clock's range can never expire, so it is unbounded.
     pub fn with_deadline(limit: Duration) -> Self {
         let started = Instant::now();
         Budget {
             started,
-            deadline: Some(started + limit),
+            deadline: started.checked_add(limit),
             total: Some(limit),
             token: CancelToken::new(),
         }
@@ -593,6 +594,14 @@ mod tests {
         assert_eq!(b.check(), Err(Cancelled::Deadline));
         assert!(b.is_exhausted());
         assert_eq!(b.fraction_remaining(), 0.0);
+    }
+
+    #[test]
+    fn deadline_past_the_clock_range_never_expires() {
+        // `Instant + Duration::MAX` overflows; the budget must not.
+        let b = Budget::with_deadline(Duration::MAX);
+        assert!(b.check().is_ok());
+        assert_eq!(b.fraction_remaining(), 1.0);
     }
 
     #[test]

@@ -363,13 +363,15 @@ fn finish_trace(trace: &Option<Trace>, flags: &Flags) -> Result<(), CliError> {
 /// `--deadline <secs>` (cooperative budget) and `--degrade <ladder>`
 /// (fidelity step-down schedule; needs a deadline to engage against).
 fn parse_bounded_flags(flags: &Flags) -> Result<BoundedFlags, CliError> {
-    let deadline: Option<f64> = flags.get_parsed("deadline")?;
-    if let Some(d) = deadline {
-        if !d.is_finite() || d <= 0.0 {
-            return Err(CliError::usage("--deadline must be positive seconds"));
-        }
-    }
-    let budget = deadline.map(|d| Budget::with_deadline(Duration::from_secs_f64(d)));
+    let budget = match flags.get_parsed::<f64>("deadline")? {
+        None => None,
+        // `try_from_secs_f64` refuses what a `Duration` cannot hold
+        // (negative, NaN, infinite, 1e300); zero it holds, so that is ours.
+        Some(d) => match Duration::try_from_secs_f64(d) {
+            Ok(limit) if !limit.is_zero() => Some(Budget::with_deadline(limit)),
+            _ => return Err(CliError::usage("--deadline must be positive seconds")),
+        },
+    };
     let ladder = match flags.get("degrade") {
         None => None,
         Some(spec) => Some(
@@ -1301,6 +1303,17 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("cannot parse"));
+        // Parseable but out of range: a runtime error naming the field
+        // (these two panicked inside the generator).
+        for utilization in ["0", "5"] {
+            let err = run(
+                &strs(&["gen", "--cells", "10", "--utilization", utilization, "-o", &tmp("z.pd")]),
+                &mut String::new(),
+            )
+            .unwrap_err();
+            assert_eq!(err.code, 1);
+            assert!(err.message.contains("utilization"), "{}", err.message);
+        }
     }
 
     #[test]
@@ -1711,6 +1724,14 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.code, 2);
+        // Finite and positive, but more seconds than a `Duration` holds.
+        let err = run(
+            &strs(&["place", &design_path, "-o", &out_pl, "--deadline", "1e300"]),
+            &mut String::new(),
+        )
+        .unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("--deadline"), "{}", err.message);
         let err = run(
             &strs(&[
                 "place",

@@ -121,6 +121,30 @@ impl Client {
     }
 }
 
+/// Pipes `lines` to `puffer serve --stdin` over a fresh journal directory,
+/// closes stdin, and returns the finished daemon's (stdout, stderr) after
+/// asserting a clean exit.
+fn stdin_daemon(journal_dir: &Path, lines: &[&str]) -> (String, String) {
+    let mut child = Command::new(bin())
+        .args(["serve", "--stdin", "--workers", "2", "--journal-dir"])
+        .arg(journal_dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    for line in lines {
+        writeln!(stdin, "{line}").unwrap();
+    }
+    drop(stdin);
+    let output = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    assert!(output.status.success(), "exit {}: {stderr}", output.status);
+    (stdout, stderr)
+}
+
 #[test]
 fn daemon_survives_kill_cancel_and_restart() {
     let dir = tmp_dir("restart");
@@ -229,24 +253,59 @@ fn fault_tags_on_the_wire_are_rejected_on_both_transports() {
     assert!(child.wait().unwrap().success());
 
     // stdin.
-    let mut child = Command::new(bin())
-        .args(["serve", "--stdin", "--workers", "2", "--journal-dir"])
-        .arg(dir.join("stdin-journal"))
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut stdin = child.stdin.take().unwrap();
-    writeln!(stdin, "{TAGGED}").unwrap();
-    writeln!(stdin, "{{\"t\":\"drain\"}}").unwrap();
-    drop(stdin);
-    let output = child.wait_with_output().unwrap();
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(output.status.success(), "exit {}: {stderr}", output.status);
+    let (stdout, stderr) =
+        stdin_daemon(&dir.join("stdin-journal"), &[TAGGED, "{\"t\":\"drain\"}"]);
     assert_eq!(stdout.matches("serve.rejected").count(), 1, "{stdout}");
     assert!(stdout.contains("'chaos'"), "rejection must name the field: {stdout}");
     assert!(!stdout.contains("serve.accepted"), "{stdout}");
     assert!(!stderr.contains("panicked"), "a worker executed the tag: {stderr}");
+}
+
+/// Seconds no `Duration` can hold (negative, or finite but too large) are
+/// refused where the line is parsed, on both transports: the `wait`s as
+/// `bad-request` naming `timeout_s`, the `submit` as `bad-spec` naming
+/// `deadline_s`. The daemon then still answers `ping` and finishes the job
+/// admitted before the bad lines.
+#[test]
+fn unrepresentable_seconds_are_rejected_and_the_daemon_lives_on_both_transports() {
+    const SUBMIT: &str =
+        r#"{"t":"submit","preset":"or1200","scale":0.003,"max_iters":40,"threads":1}"#;
+    const BAD: [(&str, &str); 3] = [
+        (r#"{"t":"wait","id":1,"timeout_s":-1}"#, "timeout_s"),
+        (r#"{"t":"wait","id":1,"timeout_s":1e300}"#, "timeout_s"),
+        (r#"{"t":"submit","preset":"or1200","scale":0.003,"deadline_s":1e300}"#, "deadline_s"),
+    ];
+    const WAIT: &str = r#"{"t":"wait","id":1,"timeout_s":240}"#;
+    let dir = tmp_dir("wire-seconds");
+
+    // TCP.
+    let (mut child, addr, _stdout) = start_daemon(&dir.join("tcp-journal"));
+    {
+        let mut client = Client::connect(&addr);
+        let response = client.request(SUBMIT);
+        assert!(response.contains("serve.accepted"), "{response}");
+        for (line, field) in BAD {
+            let response = client.request(line);
+            assert!(response.contains("serve.rejected"), "{line}: {response}");
+            assert!(response.contains(field), "rejection must name {field}: {response}");
+        }
+        let response = client.request("{\"t\":\"ping\"}");
+        assert!(response.contains("serve.pong"), "{response}");
+        let response = client.request(WAIT);
+        assert!(response.contains("\"state\":\"done\""), "{response}");
+        let response = client.request("{\"t\":\"drain\"}");
+        assert!(response.contains("serve.done"), "{response}");
+    }
+    assert!(child.wait().unwrap().success());
+
+    // stdin.
+    let [(bad_a, _), (bad_b, _), (bad_c, _)] = BAD;
+    let lines = [SUBMIT, bad_a, bad_b, bad_c, "{\"t\":\"ping\"}", WAIT, "{\"t\":\"drain\"}"];
+    let (stdout, stderr) = stdin_daemon(&dir.join("stdin-journal"), &lines);
+    assert_eq!(stdout.matches("serve.rejected").count(), BAD.len(), "{stdout}");
+    assert_eq!(stdout.matches("timeout_s").count(), 2, "{stdout}");
+    assert_eq!(stdout.matches("deadline_s").count(), 1, "{stdout}");
+    assert!(stdout.contains("serve.pong"), "{stdout}");
+    assert!(stdout.contains("\"state\":\"done\""), "{stdout}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -146,9 +146,30 @@ impl GeneratorConfig {
 ///
 /// # Errors
 ///
-/// Returns [`DbError`] if the configuration produces a degenerate floorplan
-/// (e.g. `utilization` ≥ 1 with macros that leave no free area).
+/// Returns [`DbError::Validate`] naming the field when `utilization`,
+/// `hotspot`, `locality`, `macro_fraction` or `avg_net_degree` is NaN or
+/// outside the range the floorplan arithmetic is defined on, and
+/// [`DbError`] if an in-range configuration still produces a degenerate
+/// floorplan (e.g. no cells, or a macro larger than the region).
 pub fn generate(config: &GeneratorConfig) -> Result<Design, DbError> {
+    // NaN is in no range, so `contains` rejects it along with the rest.
+    // 24 is `max_degree`, the clip of the net-degree tail below.
+    let c = config;
+    let ranges = [
+        ("utilization", c.utilization, c.utilization > 0.0 && c.utilization <= 1.0, "(0, 1]"),
+        ("hotspot", c.hotspot, (0.0..=1.0).contains(&c.hotspot), "[0, 1]"),
+        ("locality", c.locality, (0.0..=1.0).contains(&c.locality), "[0, 1]"),
+        ("macro_fraction", c.macro_fraction, (0.0..1.0).contains(&c.macro_fraction), "[0, 1)"),
+        ("avg_net_degree", c.avg_net_degree, (2.0..=24.0).contains(&c.avg_net_degree), "[2, 24]"),
+    ];
+    for (field, value, ok, range) in ranges {
+        if !ok {
+            return Err(DbError::Validate(format!(
+                "generator config: {field} must be in {range}, got {value}"
+            )));
+        }
+    }
+
     let mut rng = StdRng::seed_from_u64(config.seed);
     let tech = Technology::default();
 
@@ -174,7 +195,7 @@ pub fn generate(config: &GeneratorConfig) -> Result<Design, DbError> {
         };
         let w = sites as f64 * site;
         movable_area += w * row_h;
-        cell_ids.push(nb.add_cell(format!("c{i}"), w, row_h, CellKind::Movable));
+        cell_ids.push(nb.try_add_cell(format!("c{i}"), w, row_h, CellKind::Movable)?);
         cell_widths.push(w);
     }
 
@@ -196,7 +217,7 @@ pub fn generate(config: &GeneratorConfig) -> Result<Design, DbError> {
         let frac = config.macro_fraction * rng.gen_range(0.6..1.4);
         let mw = ((width * frac) / site).max(4.0).round() * site;
         let mh = ((height * frac) / row_h).max(4.0).round() * row_h;
-        macro_ids.push(nb.add_cell(format!("m{i}"), mw, mh, CellKind::FixedMacro));
+        macro_ids.push(nb.try_add_cell(format!("m{i}"), mw, mh, CellKind::FixedMacro)?);
     }
 
     // --- Clusters ----------------------------------------------------------
@@ -301,6 +322,15 @@ fn place_macros(
     let mut placed: Vec<Rect> = Vec::new();
     for &m in macro_ids {
         let cell = design.netlist().cell(m).clone();
+        // The centre is clamped into `region` shrunk by half the macro; an
+        // empty clamp interval (which `f64::clamp` panics on) is a macro
+        // the floorplan cannot hold.
+        if cell.width > region.width() || cell.height > region.height() {
+            return Err(DbError::Validate(format!(
+                "macro '{}' ({} x {}) does not fit the region {region}",
+                cell.name, cell.width, cell.height
+            )));
+        }
         let mut done = false;
         for attempt in 0..400 {
             // Bias towards the periphery like real floorplans, drifting to
@@ -484,6 +514,31 @@ mod tests {
             }
         }
         assert!(GeneratorConfig::default().scaled(0.5).is_ok());
+    }
+
+    #[test]
+    fn out_of_range_floats_are_structured_errors_naming_the_field() {
+        // Regression: `utilization: 0.0` panicked in `add_cell` (macro
+        // width `inf`), `5.0` in `f64::clamp` inside `place_macros`.
+        let d = GeneratorConfig::default;
+        let bad = [
+            ("utilization", GeneratorConfig { utilization: 0.0, ..d() }),
+            ("utilization", GeneratorConfig { utilization: 5.0, ..d() }),
+            ("utilization", GeneratorConfig { utilization: f64::NAN, ..d() }),
+            ("hotspot", GeneratorConfig { hotspot: -0.1, ..d() }),
+            ("locality", GeneratorConfig { locality: f64::NAN, ..d() }),
+            ("macro_fraction", GeneratorConfig { macro_fraction: 1.0, ..d() }),
+            ("avg_net_degree", GeneratorConfig { avg_net_degree: f64::INFINITY, ..d() }),
+        ];
+        for (field, cfg) in bad {
+            let err = generate(&cfg).unwrap_err();
+            assert!(matches!(err, DbError::Validate(_)), "{err}");
+            assert!(err.to_string().contains(field), "{field}: {err}");
+        }
+        // In range, but the minimum-size macros outgrow a 10-cell region.
+        let err = generate(&GeneratorConfig { num_cells: 10, num_nets: 11, utilization: 1.0, ..d() })
+            .unwrap_err();
+        assert!(err.to_string().contains("does not fit"), "{err}");
     }
 
     #[test]

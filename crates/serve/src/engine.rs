@@ -711,8 +711,8 @@ fn execute(
 ) -> Result<Attempt, ExecError> {
     let dir = shared.job_dir(id);
     let design = load_design(spec)?;
-    let budget = match spec.deadline_s {
-        Some(s) => Budget::with_deadline(Duration::from_secs_f64(s)),
+    let budget = match spec.deadline().map_err(ExecError::spec)? {
+        Some(limit) => Budget::with_deadline(limit),
         None => Budget::unbounded(),
     }
     .with_token(token.clone());

@@ -26,6 +26,7 @@
 //! `serve.pong`, `serve.done`.
 
 use puffer_trace::{parse_record, Line, ParsedRecord};
+use std::time::Duration;
 
 /// Protocol/schema version stamped into every serve record as `"v"`.
 pub const PROTO_VERSION: u32 = 2;
@@ -157,12 +158,25 @@ impl JobSpec {
                 return Err(format!("scale must be a positive number, got {s}"));
             }
         }
-        if let Some(d) = self.deadline_s {
-            if !(d.is_finite() && d > 0.0) {
-                return Err(format!("deadline_s must be a positive number, got {d}"));
-            }
+        self.deadline().map(|_| ())
+    }
+
+    /// `deadline_s` as the `Duration` the engine budgets an attempt with:
+    /// the one checked conversion, shared by [`JobSpec::validate`] and the
+    /// worker (a `spec.json` recovered from disk never passed `validate`).
+    ///
+    /// # Errors
+    ///
+    /// A message when `deadline_s` is not a positive number of seconds a
+    /// `Duration` can hold.
+    pub(crate) fn deadline(&self) -> Result<Option<Duration>, String> {
+        match self.deadline_s {
+            None => Ok(None),
+            Some(d) if d > 0.0 => Duration::try_from_secs_f64(d)
+                .map(Some)
+                .map_err(|e| format!("deadline_s {d:?}: {e}")),
+            Some(d) => Err(format!("deadline_s must be a positive number, got {d}")),
         }
-        Ok(())
     }
 
     /// Reads a spec out of a parsed record (a `submit` request or a
@@ -258,8 +272,8 @@ pub enum Request {
     Wait {
         /// Job id from `serve.accepted`.
         id: u64,
-        /// Give up after this many seconds (`None` blocks).
-        timeout_s: Option<f64>,
+        /// Give up after this long (`None` blocks); the wire's `timeout_s`.
+        timeout: Option<Duration>,
     },
     /// Liveness probe.
     Ping,
@@ -275,7 +289,8 @@ pub enum Request {
 /// # Errors
 ///
 /// A message for unparseable JSON, an unknown request kind, a missing
-/// required field, or a `submit` carrying the harness-only `chaos` field.
+/// required field, a `timeout_s` no `Duration` can hold, or a `submit`
+/// carrying the harness-only `chaos` field.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let rec = parse_record(line)?;
     let id_field = |key: &str| -> Result<u64, String> {
@@ -301,7 +316,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }),
         Some("wait") => Ok(Request::Wait {
             id: id_field("id")?,
-            timeout_s: rec.num("timeout_s"),
+            timeout: match rec.num("timeout_s") {
+                None => None,
+                Some(s) => Some(
+                    Duration::try_from_secs_f64(s)
+                        .map_err(|e| format!("wait: 'timeout_s' {s:?}: {e}"))?,
+                ),
+            },
         }),
         Some("ping") => Ok(Request::Ping),
         Some("drain") => Ok(Request::Drain),
@@ -375,6 +396,12 @@ mod tests {
             ..JobSpec::default()
         };
         assert!(bad_deadline.validate().is_err());
+        let unrepresentable = JobSpec {
+            deadline_s: Some(1e300),
+            ..bad_deadline
+        };
+        let err = unrepresentable.validate().unwrap_err();
+        assert!(err.contains("deadline_s"), "{err}");
     }
 
     #[test]
@@ -399,9 +426,16 @@ mod tests {
             parse_request(r#"{"t":"wait","id":1,"timeout_s":2.5}"#).unwrap(),
             Request::Wait {
                 id: 1,
-                timeout_s: Some(2.5)
+                timeout: Some(Duration::from_millis(2500))
             }
         );
+        // A timeout no `Duration` can hold is a bad request naming the
+        // field, not a panic in the control loop.
+        for bad in ["-1", "1e300"] {
+            let err = parse_request(&format!(r#"{{"t":"wait","id":1,"timeout_s":{bad}}}"#))
+                .unwrap_err();
+            assert!(err.contains("'timeout_s'"), "{err}");
+        }
         assert_eq!(parse_request(r#"{"t":"drain"}"#).unwrap(), Request::Drain);
         // A fault tag is harness-only: refused on the wire, naming the field.
         let err = parse_request(r#"{"t":"submit","design":"d.pd","chaos":"panic"}"#).unwrap_err();

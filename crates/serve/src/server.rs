@@ -140,8 +140,7 @@ pub fn handle_line(handle: &EngineHandle<'_>, line: &str, out: &mut String) -> A
             }
             Action::Continue
         }
-        Request::Wait { id, timeout_s } => {
-            let timeout = timeout_s.map(Duration::from_secs_f64);
+        Request::Wait { id, timeout } => {
             match handle.wait(id, timeout) {
                 Ok(record) => push(out, record),
                 Err(e) => push(

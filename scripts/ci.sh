@@ -154,27 +154,16 @@ echo "==> lockcheck sanitizer smoke (budget + serve chaos under --features lockc
 cargo test -q -p puffer-budget --features lockcheck lockcheck
 cargo test -q -p puffer-serve --features lockcheck chaos
 
-# Congestion perf gate: an incremental re-estimate after a localized
-# perturbation must be >= 1.6x faster than a full rebuild (measured
-# 1.87-2.09x), single-threaded, at scale 0.5 on OR1200. Writes
-# BENCH_OR1200.json (before/after pair).
-echo "==> congest gate (benchflow --congest-gate, scale 0.5)"
-target/release/benchflow --congest-gate --scale 0.5 --designs or1200 \
-  --out target/congest-gate
-
-# Flow benchmark artifacts (BENCH_<design>.json under target/bench).
-echo "==> scripts/bench.sh (BENCH_*.json artifacts)"
-scripts/bench.sh target/bench
-
-# Nightly-style scale regressions, opt-in via PUFFER_NIGHTLY=1: the
-# million-cell streaming-ingestion RSS test (cargo feature `expensive`)
-# and the benchflow scale gate, which places a 1M+ cell design (ct_top at
-# scale 1.0) under a bounded-RSS assertion and writes BENCH_CT_TOP.json.
+# Nightly-style scale regressions, opt-in via PUFFER_NIGHTLY=1 (cargo
+# feature `expensive`), each in its own test binary because peak RSS is a
+# per-process high-water mark: million-cell streaming ingestion, and a
+# short PUFFER flow on a 1M+ cell design (ct_top at scale 1.0) under a
+# bounded-RSS assertion.
 if [[ "${PUFFER_NIGHTLY:-0}" == "1" ]]; then
-  echo "==> nightly: million-cell scale regression (--features expensive)"
+  echo "==> nightly: million-cell ingestion (--features expensive)"
   cargo test --features expensive --test scale_regression -- --nocapture
-  echo "==> nightly: scale gate (benchflow --scale-gate)"
-  target/release/benchflow --scale-gate --out target/scale-gate
+  echo "==> nightly: million-cell placement (--release --features expensive)"
+  cargo test --release --features expensive --test scale_placement -- --nocapture
 fi
 
 echo "==> CI green"

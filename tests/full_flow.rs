@@ -1,8 +1,16 @@
 //! End-to-end integration: generator → PUFFER flow → legality → router.
+//! Every `FlowResult` produced here also goes through the independent
+//! oracles of `oracle/mod.rs`.
 
-use puffer::{evaluate_bounded, Job, PufferConfig, StageObserver, StagePoint};
+mod oracle;
+
+use puffer::{
+    evaluate_bounded, Job, PufferConfig, ReferenceConfig, ReferencePlacer, ReplaceConfig,
+    ReplacePlacer, StageObserver, StagePoint, WsaConfig, WsaPlacer,
+};
 use puffer_budget::Budget;
 use puffer_congest::CongestionEstimator;
+use puffer_db::geom::Point;
 use puffer_gen::{generate, presets, GeneratorConfig};
 use puffer_route::RouterConfig;
 use puffer_trace::Trace;
@@ -23,9 +31,8 @@ fn preset_benchmark_places_and_routes() {
     let result = Job::new(quick_config())
         .run(&design)
         .expect("place");
-    // Physical legality.
-    let zeros = vec![0u32; design.netlist().num_cells()];
-    puffer_legal::check_legal(&design, &result.placement, &zeros).expect("legal");
+    // Physical legality and the reported HPWL, by library and by oracle.
+    oracle::assert_flow_result(&design, &result);
     // Routable with finite metrics.
     let report = evaluate_bounded(
         &design,
@@ -53,6 +60,7 @@ fn flow_moves_cells_off_the_initial_cluster() {
     let result = Job::new(quick_config())
         .run(&design)
         .expect("place");
+    oracle::assert_flow_result(&design, &result);
     // Spreading must actually have happened.
     let moved = design
         .netlist()
@@ -78,6 +86,7 @@ fn global_placement_density_is_bounded() {
     let result = Job::new(quick_config())
         .run(&design)
         .expect("place");
+    oracle::assert_flow_result(&design, &result);
     assert!(
         result.final_overflow <= 0.16,
         "global placement did not converge: overflow {}",
@@ -111,8 +120,7 @@ fn padding_area_respects_legal_budget() {
     // Implicit: legalization succeeded with the 5% cap. The padded rows in
     // the legal placement must not overlap even with padding reapplied by
     // the checker if we reconstruct zero padding (physical check).
-    let zeros = vec![0u32; design.netlist().num_cells()];
-    puffer_legal::check_legal(&design, &result.placement, &zeros).expect("legal");
+    oracle::assert_flow_result(&design, &result);
     assert!(result.hpwl > 0.0);
 }
 
@@ -145,6 +153,7 @@ fn incremental_congestion_is_a_full_rebuild_on_the_flows_own_pad_rounds() {
         .with_observer(observer)
         .run(&design)
         .expect("place");
+    oracle::assert_flow_result(&design, &result);
     let rounds = std::mem::take(&mut *rounds.lock().expect("observer lock"));
     assert_eq!(rounds.len(), result.pad_rounds);
     assert!(rounds.len() >= 2, "need carried state: {} round(s)", rounds.len());
@@ -157,5 +166,90 @@ fn incremental_congestion_is_a_full_rebuild_on_the_flows_own_pad_rounds() {
             .expect("incremental estimate");
         let fresh = full.try_estimate(&design, placement).expect("full estimate");
         assert!(carried.bitwise_eq(&fresh), "round {round} diverged");
+    }
+}
+
+/// The comparison flows behind the one `baselines::run_flow` driver, at
+/// the configs `puffer place --flow reference|replace --max-iters N`
+/// builds (defaults, iteration cap only), plus the white-space-allocation
+/// ablation that shares the driver.
+#[test]
+fn comparison_flows_pass_the_independent_oracles() {
+    let design = generate(&GeneratorConfig {
+        num_cells: 300,
+        num_nets: 330,
+        num_macros: 2,
+        utilization: 0.6,
+        hotspot: 0.5,
+        ..GeneratorConfig::default()
+    })
+    .expect("generate");
+    const MAX_ITERS: usize = 120;
+    let mut reference = ReferenceConfig::default();
+    reference.placer.max_iters = MAX_ITERS;
+    let mut replace = ReplaceConfig::default();
+    replace.placer.max_iters = MAX_ITERS;
+    let mut wsa = WsaConfig::default();
+    wsa.placer.max_iters = MAX_ITERS;
+    for (flow, result) in [
+        ("reference", ReferencePlacer::new(reference).place(&design)),
+        ("replace", ReplacePlacer::new(replace).place(&design)),
+        ("wsa", WsaPlacer::new(wsa).place(&design)),
+    ] {
+        let result = result.unwrap_or_else(|e| panic!("{flow}: {e}"));
+        oracle::assert_flow_result(&design, &result);
+    }
+}
+
+/// The oracle is not vacuous: each way of breaking a legal placement is
+/// caught by it, and `check_legal` agrees on every one.
+#[test]
+fn oracle_and_check_legal_reject_the_same_broken_placements() {
+    let design = generate(&GeneratorConfig {
+        num_cells: 300,
+        num_nets: 330,
+        num_macros: 1,
+        utilization: 0.6,
+        ..GeneratorConfig::default()
+    })
+    .expect("generate");
+    let result = Job::new(quick_config()).run(&design).expect("place");
+    oracle::assert_flow_result(&design, &result);
+
+    let nl = design.netlist();
+    let mut movable = nl.movable_cells();
+    let (a, b) = (movable.next().expect("cell"), movable.next().expect("cell"));
+    let pos = |id| result.placement.pos(id);
+    let half_w = |id| nl.cell(id).width / 2.0;
+    let site = design.tech().site_width;
+    let row_h = design.tech().row_height;
+    // A legal-looking spot (on a row, on the site grid) under the macro,
+    // so only the macro rule can object.
+    let (_, macro_shape) = design.macro_shapes()[0];
+    let row = design
+        .rows()
+        .iter()
+        .find(|r| r.y >= macro_shape.yl && r.y + row_h <= macro_shape.yh)
+        .expect("a row under the macro");
+    let macro_mid = (macro_shape.xl + macro_shape.xh) / 2.0;
+    let left = row.x_min + ((macro_mid - row.x_min) / site).floor() * site;
+    let broken = [
+        // Left edges coincide, so `a` stays on the site grid.
+        ("overlap", Point::new(pos(b).x - half_w(b) + half_w(a), pos(b).y)),
+        ("site grid", Point::new(pos(a).x + site / 2.0, pos(a).y)),
+        ("no row", Point::new(pos(a).x, pos(a).y + row_h / 2.0)),
+        ("leaves the die", Point::new(design.region().xh + 10.0 * site, pos(a).y)),
+        ("macro", Point::new(left + half_w(a), row.y + row_h / 2.0)),
+    ];
+    let zeros = vec![0u32; nl.num_cells()];
+    for (rule, at) in broken {
+        let mut placement = result.placement.clone();
+        placement.set(a, at);
+        let err = oracle::brute_force_legal(&design, &placement).expect_err(rule);
+        assert!(err.contains(rule), "expected the '{rule}' rule, got: {err}");
+        assert!(
+            puffer_legal::check_legal(&design, &placement, &zeros).is_err(),
+            "check_legal missed: {rule}"
+        );
     }
 }
