@@ -6,12 +6,11 @@
 //! longer matches its histogram all corrupt results without failing any
 //! test. This crate makes both classes of defect loud:
 //!
-//! * [`lint`] — a zero-dependency, hand-rolled static-analysis driver that
-//!   scans `crates/*/src` and every `Cargo.toml` and enforces repo policy
-//!   (no panicking calls in library code, no unsanctioned threading,
-//!   `#![forbid(unsafe_code)]` in every crate root, crate layering).
-//!   Violations can be waived — with a justification — in the repo-root
-//!   `lint-allow.toml`. Exposed as `puffer lint`.
+//! * [`lint`] — the structural rules of the source policy that no compiler
+//!   lint expresses: crate layering from the manifests and
+//!   `#![forbid(unsafe_code)]` in every crate root. Exposed as
+//!   `puffer lint`. (The rules the toolchain can express are `clippy.toml`
+//!   plus `scripts/policy.sh`.)
 //! * [`lockgraph`] — the static lock-order analysis behind the `lock-order`
 //!   lint rule: it parses the rank table out of
 //!   `puffer_budget::lockcheck::classes`, extracts every classed-mutex

@@ -1,65 +1,29 @@
-//! The workspace lint driver behind `puffer lint`: a hand-rolled static
-//! analysis pass over `crates/*/src` and every `Cargo.toml`, with no
-//! dependency on rustc or external parsers.
+//! The structural half of the source policy, behind `puffer lint`: the
+//! three rules no compiler lint expresses, checked from the manifests and
+//! the source text with no dependency on rustc.
 //!
-//! Enforced policy:
-//!
-//! * `no-panic` — no `.unwrap()`, `.expect(`, `panic!`, `todo!`, or
-//!   `unimplemented!` in non-test *library* code (binary roots under
-//!   `src/bin/` and `src/main.rs` are exempt; `#[cfg(test)]` blocks, doc
-//!   comments, and string literals are masked out before matching).
-//! * `no-bare-spawn` — `thread::spawn` is banned everywhere; scoped
-//!   threads (`thread::scope`) are sanctioned only in `par`, the
-//!   deterministic fork-join layer every other parallel loop must go
-//!   through.
-//! * `forbid-unsafe` — every crate root (`src/lib.rs`, `src/main.rs`,
-//!   `src/bin/*.rs`) must declare `#![forbid(unsafe_code)]`.
 //! * `layering` — crate dependencies parsed from the workspace manifests
 //!   must respect the architecture layers (e.g. `db` depends on nothing,
 //!   only the assembly layers may depend on `core`), so erosion becomes a
 //!   build failure instead of a review comment.
-//! * `cast` — no bare numeric `as` casts in non-test library code of the
-//!   hot crates ([`HOT_CAST_CRATES`]). A line-based linter cannot type-infer
-//!   which casts cross the float/int boundary, so the rule bans them all
-//!   there; conversions go through the named, tested helpers in
-//!   `puffer_db::cast` (whose own source is the one sanctioned home of the
-//!   underlying `as` expressions) or a lossless `From`/`Into`.
-//! * `unordered-iter` — no `HashMap`/`HashSet` in non-test library code,
-//!   anywhere in the workspace. Their iteration order varies run to run and
-//!   has already produced nondeterministic telemetry; use `BTreeMap`/
-//!   `BTreeSet`, an index-keyed `Vec`, or sort before iterating.
-//! * `wallclock` — no `Instant::now`/`SystemTime::now` in non-test library
-//!   code outside `puffer-trace` and `puffer-budget`. Timing feeds back
-//!   into results only through those two crates' facades
-//!   (`puffer_budget::clock`, trace spans), keeping every other crate
-//!   reproducible by construction.
-//! * `raw-io` — no `File::create`, `fs::write(`, `fs::rename(`, or
-//!   `.sync_all(` in non-test library code outside `puffer_budget::fsx`.
-//!   Those primitives are exactly the ones whose crash-ordering the durable
-//!   I/O layer exists to get right (tmp + fsync + rename + dir fsync, one
-//!   fsynced record per append); a raw call bypasses both the durability
-//!   contract and the `chaos` fault-injection hook, so filesystem faults
-//!   would silently skip it. Write through `fsx::atomic_write` or
-//!   `fsx::AppendSink` instead.
-//! * `lock-order` — raw `Mutex::lock` calls outside `puffer-budget` are
-//!   findings (stdio handle locks excepted): classed mutexes are acquired
-//!   through `puffer_budget::lockcheck::lock_ordered`. On top of that,
-//!   [`crate::lockgraph`] builds a static lock-order graph from the
-//!   acquisition sites and per-crate call graphs and fails the run on a
-//!   cycle or an edge contradicting the declared ranks.
+//! * `forbid-unsafe` — every crate root (`src/lib.rs`, `src/main.rs`,
+//!   `src/bin/*.rs`) must declare `#![forbid(unsafe_code)]`; the one root
+//!   that hosts sanctioned `unsafe` ([`DENY_UNSAFE_ROOTS`]) declares `deny`.
+//! * `lock-order` — [`crate::lockgraph`] builds a static lock-order graph
+//!   from the `lock_ordered` acquisition sites and per-crate call graphs
+//!   and fails the run on a cycle or an edge contradicting the declared
+//!   ranks.
 //!
-//! Violations can be waived in the repo-root `lint-allow.toml`, each entry
-//! naming the rule, the file, and a justification; the waiver budget is
-//! capped at [`MAX_WAIVERS`] entries and stale waivers — including entries
-//! whose path no longer exists — are themselves findings.
+//! Everything the toolchain can express — no panics, `HashMap`s, clock
+//! reads, raw writes, raw `Mutex::lock`s or thread spawns in library code,
+//! no bare `as` in the hot crates — is `clippy.toml` plus
+//! `scripts/policy.sh`, with each exemption an in-source
+//! `#[expect(<lint>, reason = "..")]`; README "Static analysis" has the
+//! table.
 
 use crate::lockgraph;
 use std::fmt;
 use std::path::{Path, PathBuf};
-
-/// Hard cap on `lint-allow.toml` entries: the waiver file documents
-/// deliberate exceptions, not a parallel policy.
-pub const MAX_WAIVERS: usize = 4;
 
 /// Architecture layers, bottom-up. A crate may only depend on workspace
 /// crates with a strictly lower layer; a workspace crate missing from this
@@ -101,46 +65,15 @@ const LAYERS: &[(&str, u8)] = &[
     ("puffer-suite", 9),
 ];
 
-/// Crates whose `thread::scope` use is sanctioned: `par` is the
-/// deterministic fork-join layer itself. Everything else must route
-/// parallel work through puffer-par or carry a waiver.
-const SCOPED_THREAD_CRATES: &[&str] = &["par"];
-
-const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!", "todo!(", "unimplemented!("];
-
-/// Crates whose non-test library code may not contain bare numeric `as`
-/// casts (short names, without the `puffer-` prefix): the numeric hot path,
-/// where an anonymous rounding direction has already caused Gcell-boundary
-/// bugs. Conversions go through `puffer_db::cast` instead.
-pub const HOT_CAST_CRATES: &[&str] = &["db", "congest", "route", "place", "flute", "pad"];
-
-/// The one file allowed to contain the bare casts the helpers wrap.
-const CAST_EXEMPT_FILES: &[&str] = &["crates/db/src/cast.rs"];
-
-/// Crates allowed to read the wall clock: everything else must go through
-/// `puffer_budget::clock` or trace spans, so results never depend on time.
-const WALLCLOCK_CRATES: &[&str] = &["trace", "budget"];
-
-/// Raw filesystem-write primitives banned outside the durable I/O layer:
-/// each one is a crash-consistency or fault-injection bypass when called
-/// directly (see the `raw-io` rule in the module docs).
-const RAW_IO_TOKENS: &[&str] = &["File::create", "fs::write(", "fs::rename(", ".sync_all("];
-
-/// The one sanctioned home of the raw primitives the `raw-io` rule bans:
-/// the durable I/O layer that wraps them in the correct crash ordering.
-const RAW_IO_EXEMPT_FILES: &[&str] = &["crates/budget/src/fsx.rs"];
-
-/// Numeric primitive names that make an `as` cast a `cast` finding.
-const NUMERIC_TYPES: &[&str] = &[
-    "usize", "isize", "u8", "u16", "u32", "u64", "u128", "i8", "i16", "i32", "i64", "i128",
-    "f32", "f64",
-];
+/// Crate roots that declare `#![deny(unsafe_code)]` instead of `forbid`:
+/// puffer-budget's `signal` module binds `signal(2)` under the workspace's
+/// single `#[expect(unsafe_code)]`, which `forbid` would not let it state.
+const DENY_UNSAFE_ROOTS: &[&str] = &["crates/budget/src/lib.rs"];
 
 /// Configuration for a lint run.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
-    /// Workspace root: the directory holding `crates/` and
-    /// `lint-allow.toml`.
+    /// Workspace root: the directory holding `crates/`.
     pub root: PathBuf,
 }
 
@@ -154,8 +87,6 @@ pub enum LintError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// `lint-allow.toml` is malformed or over budget.
-    Waiver(String),
     /// The root does not look like the workspace.
     BadRoot(PathBuf),
 }
@@ -164,7 +95,6 @@ impl fmt::Display for LintError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LintError::Io { path, source } => write!(f, "cannot read {}: {source}", path.display()),
-            LintError::Waiver(m) => write!(f, "lint-allow.toml: {m}"),
             LintError::BadRoot(p) => {
                 write!(f, "{} does not contain a crates/ directory", p.display())
             }
@@ -177,8 +107,7 @@ impl std::error::Error for LintError {}
 /// One policy violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintFinding {
-    /// Which rule tripped (`no-panic`, `no-bare-spawn`, `forbid-unsafe`,
-    /// `layering`, or `waiver` for stale allow-entries).
+    /// Which rule tripped (`layering`, `forbid-unsafe`, or `lock-order`).
     pub rule: &'static str,
     /// Path relative to the workspace root, with forward slashes.
     pub path: String,
@@ -224,14 +153,12 @@ impl LintFinding {
 /// The outcome of a lint run.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Unwaived findings; the run fails when this is non-empty.
+    /// The findings; the run fails when this is non-empty.
     pub findings: Vec<LintFinding>,
-    /// Source files scanned.
+    /// Crate roots checked.
     pub files_scanned: usize,
     /// Crates scanned.
     pub crates_scanned: usize,
-    /// Findings suppressed by `lint-allow.toml` entries.
-    pub waived: usize,
 }
 
 impl LintReport {
@@ -249,22 +176,13 @@ impl LintReport {
     }
 }
 
-/// One `[[allow]]` entry from `lint-allow.toml`.
-#[derive(Debug, Default, Clone)]
-struct Waiver {
-    rule: String,
-    path: String,
-    reason: String,
-    line: usize,
-}
-
 /// Lints the workspace rooted at `config.root`.
 ///
 /// # Errors
 ///
-/// [`LintError`] when the root is not a workspace, a source file cannot be
-/// read, or the waiver file is malformed / over its entry budget.
-/// Policy violations are *not* errors — they come back in the report.
+/// [`LintError`] when the root is not a workspace or a file cannot be
+/// read. Policy violations are *not* errors — they come back in the
+/// report.
 pub fn lint_workspace(config: &LintConfig) -> Result<LintReport, LintError> {
     let root = &config.root;
     let crates_dir = root.join("crates");
@@ -272,7 +190,6 @@ pub fn lint_workspace(config: &LintConfig) -> Result<LintReport, LintError> {
         return Err(LintError::BadRoot(root.clone()));
     }
     let mut report = LintReport::default();
-    let mut findings = Vec::new();
 
     let mut crate_dirs: Vec<PathBuf> = read_dir_sorted(&crates_dir)?
         .into_iter()
@@ -286,11 +203,10 @@ pub fn lint_workspace(config: &LintConfig) -> Result<LintReport, LintError> {
     for dir in &crate_dirs {
         report.crates_scanned += 1;
         let manifest_path = dir.join("Cargo.toml");
-        let manifest = read_file(&manifest_path)?;
         let rel_manifest = rel_path(root, &manifest_path);
-        let (package, deps) = parse_manifest(&manifest);
+        let (package, deps) = parse_manifest(&read_file(&manifest_path)?);
         let Some(package) = package else {
-            findings.push(LintFinding {
+            report.findings.push(LintFinding {
                 rule: "layering",
                 path: rel_manifest,
                 line: 0,
@@ -298,13 +214,9 @@ pub fn lint_workspace(config: &LintConfig) -> Result<LintReport, LintError> {
             });
             continue;
         };
-        check_layering(&package, &deps, &rel_manifest, &mut findings);
+        check_layering(&package, &deps, &rel_manifest, &mut report.findings);
 
-        let crate_short = package.strip_prefix("puffer-").unwrap_or(&package);
         let src = dir.join("src");
-        if !src.is_dir() {
-            continue;
-        }
         let mut roots = vec![src.join("lib.rs"), src.join("main.rs")];
         let bin = src.join("bin");
         if bin.is_dir() {
@@ -314,30 +226,24 @@ pub fn lint_workspace(config: &LintConfig) -> Result<LintReport, LintError> {
                     .filter(|p| p.extension().is_some_and(|e| e == "rs")),
             );
         }
-        let crate_roots: Vec<PathBuf> = roots.into_iter().filter(|p| p.is_file()).collect();
-
-        for file in rust_files(&src)? {
+        for file in roots.into_iter().filter(|p| p.is_file()) {
             report.files_scanned += 1;
             let rel = rel_path(root, &file);
             let text = read_file(&file)?;
-            let is_binary_root = file
-                .parent()
-                .is_some_and(|p| p.file_name().is_some_and(|n| n == "bin"))
-                || file.file_name().is_some_and(|n| n == "main.rs");
-            if crate_roots.contains(&file) && !text.contains("#![forbid(unsafe_code)]") {
-                findings.push(LintFinding {
+            let declared = text.contains("#![forbid(unsafe_code)]")
+                || (DENY_UNSAFE_ROOTS.contains(&rel.as_str())
+                    && text.contains("#![deny(unsafe_code)]"));
+            if !declared {
+                report.findings.push(LintFinding {
                     rule: "forbid-unsafe",
-                    path: rel.clone(),
+                    path: rel,
                     line: 0,
                     message: "crate root lacks #![forbid(unsafe_code)]".to_string(),
                 });
             }
-            scan_source(&text, &rel, crate_short, !is_binary_root, &mut findings);
         }
     }
 
-    let waivers = load_waivers(&root.join("lint-allow.toml"))?;
-    apply_waivers(root, &waivers, findings, &mut report);
     lockgraph::check_lock_order(root, &mut report.findings)?;
     report
         .findings
@@ -346,178 +252,8 @@ pub fn lint_workspace(config: &LintConfig) -> Result<LintReport, LintError> {
 }
 
 // ---------------------------------------------------------------------------
-// Source scanning
+// Source masking (for the lock-order graph)
 // ---------------------------------------------------------------------------
-
-/// Scans one source file (already read) and appends findings. `library`
-/// selects whether the `no-panic` rule applies; threading rules always do.
-fn scan_source(
-    text: &str,
-    rel: &str,
-    crate_short: &str,
-    library: bool,
-    findings: &mut Vec<LintFinding>,
-) {
-    let masked = mask_tests(&strip_literals(text));
-    for (i, line) in masked.lines().enumerate() {
-        let line_no = i + 1;
-        if library {
-            for token in PANIC_TOKENS {
-                if line.contains(token) {
-                    findings.push(LintFinding {
-                        rule: "no-panic",
-                        path: rel.to_string(),
-                        line: line_no,
-                        message: format!("{token} in non-test library code"),
-                    });
-                }
-            }
-        }
-        if line.contains("thread::spawn(") {
-            findings.push(LintFinding {
-                rule: "no-bare-spawn",
-                path: rel.to_string(),
-                line: line_no,
-                message: "bare thread::spawn (unjoined threads outlive their work)".to_string(),
-            });
-        }
-        if line.contains("thread::scope(") && !SCOPED_THREAD_CRATES.contains(&crate_short) {
-            findings.push(LintFinding {
-                rule: "no-bare-spawn",
-                path: rel.to_string(),
-                line: line_no,
-                message: format!(
-                    "direct thread::scope outside the sanctioned crates ({}) — route the \
-                     work through puffer-par instead",
-                    SCOPED_THREAD_CRATES.join(", ")
-                ),
-            });
-        }
-        if library
-            && HOT_CAST_CRATES.contains(&crate_short)
-            && !CAST_EXEMPT_FILES.contains(&rel)
-        {
-            if let Some(ty) = bare_numeric_cast(line) {
-                findings.push(LintFinding {
-                    rule: "cast",
-                    path: rel.to_string(),
-                    line: line_no,
-                    message: format!(
-                        "bare `as {ty}` cast in a hot crate — name the conversion through \
-                         puffer_db::cast (or a lossless From/Into) so the rounding \
-                         direction is explicit and tested"
-                    ),
-                });
-            }
-        }
-        if library {
-            for ty in ["HashMap", "HashSet"] {
-                if contains_word(line, ty) {
-                    findings.push(LintFinding {
-                        rule: "unordered-iter",
-                        path: rel.to_string(),
-                        line: line_no,
-                        message: format!(
-                            "{ty} in non-test library code iterates in a random order — \
-                             use BTreeMap/BTreeSet, an index-keyed Vec, or sort before \
-                             iterating"
-                        ),
-                    });
-                }
-            }
-        }
-        if library && !WALLCLOCK_CRATES.contains(&crate_short) {
-            for token in ["Instant::now", "SystemTime::now"] {
-                if line.contains(token) {
-                    findings.push(LintFinding {
-                        rule: "wallclock",
-                        path: rel.to_string(),
-                        line: line_no,
-                        message: format!(
-                            "{token} outside puffer-trace/puffer-budget — go through \
-                             puffer_budget::clock (Stopwatch/Deadline) so results never \
-                             depend on wall-clock time"
-                        ),
-                    });
-                }
-            }
-        }
-        if library && !RAW_IO_EXEMPT_FILES.contains(&rel) {
-            for token in RAW_IO_TOKENS {
-                if line.contains(token) {
-                    findings.push(LintFinding {
-                        rule: "raw-io",
-                        path: rel.to_string(),
-                        line: line_no,
-                        message: format!(
-                            "{token} outside puffer_budget::fsx bypasses the durable \
-                             I/O layer (crash ordering + chaos fault injection) — use \
-                             fsx::atomic_write or fsx::AppendSink"
-                        ),
-                    });
-                }
-            }
-        }
-        if library
-            && crate_short != "budget"
-            && line.contains(".lock(")
-            && !line.contains("self.lock(")
-            && !["stdout", "stderr", "stdin"].iter().any(|h| line.contains(h))
-        {
-            findings.push(LintFinding {
-                rule: "lock-order",
-                path: rel.to_string(),
-                line: line_no,
-                message: "raw Mutex::lock — acquire classed mutexes through \
-                          puffer_budget::lockcheck::lock_ordered so the declared lock \
-                          order is checked"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// Returns the target type of the first bare numeric `as` cast on the
-/// (stripped) line, if any.
-fn bare_numeric_cast(line: &str) -> Option<&'static str> {
-    for (pos, _) in line.match_indices(" as ") {
-        let rest = &line[pos + 4..];
-        let rest = rest.trim_start();
-        for ty in NUMERIC_TYPES {
-            if let Some(after) = rest.strip_prefix(ty) {
-                let boundary = after
-                    .chars()
-                    .next()
-                    .is_none_or(|c| !c.is_alphanumeric() && c != '_');
-                if boundary {
-                    return Some(ty);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Whether `line` contains `word` with non-identifier characters (or the
-/// line edges) on both sides.
-fn contains_word(line: &str, word: &str) -> bool {
-    for (pos, _) in line.match_indices(word) {
-        let before_ok = pos == 0
-            || line[..pos]
-                .chars()
-                .next_back()
-                .is_some_and(|c| !c.is_alphanumeric() && c != '_');
-        let after = &line[pos + word.len()..];
-        let after_ok = after
-            .chars()
-            .next()
-            .is_none_or(|c| !c.is_alphanumeric() && c != '_');
-        if before_ok && after_ok {
-            return true;
-        }
-    }
-    false
-}
 
 /// Blanks comments and the contents of string/char literals, preserving
 /// line structure, so token matching never fires inside documentation or
@@ -787,133 +523,6 @@ fn check_layering(
 }
 
 // ---------------------------------------------------------------------------
-// Waivers
-// ---------------------------------------------------------------------------
-
-fn load_waivers(path: &Path) -> Result<Vec<Waiver>, LintError> {
-    if !path.is_file() {
-        return Ok(Vec::new());
-    }
-    let text = read_file(path)?;
-    let mut waivers: Vec<Waiver> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line == "[[allow]]" {
-            waivers.push(Waiver {
-                line: i + 1,
-                ..Waiver::default()
-            });
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(LintError::Waiver(format!("line {}: expected key = \"value\"", i + 1)));
-        };
-        let Some(entry) = waivers.last_mut() else {
-            return Err(LintError::Waiver(format!(
-                "line {}: key outside an [[allow]] entry",
-                i + 1
-            )));
-        };
-        let value = value.trim();
-        let Some(value) = value
-            .strip_prefix('"')
-            .and_then(|v| v.strip_suffix('"'))
-        else {
-            return Err(LintError::Waiver(format!(
-                "line {}: value must be a double-quoted string",
-                i + 1
-            )));
-        };
-        match key.trim() {
-            "rule" => entry.rule = value.to_string(),
-            "path" => entry.path = value.to_string(),
-            "reason" => entry.reason = value.to_string(),
-            other => {
-                return Err(LintError::Waiver(format!(
-                    "line {}: unknown key '{other}' (expected rule/path/reason)",
-                    i + 1
-                )))
-            }
-        }
-    }
-    if waivers.len() > MAX_WAIVERS {
-        return Err(LintError::Waiver(format!(
-            "{} entries exceed the budget of {MAX_WAIVERS}; fix violations instead of \
-             waiving them",
-            waivers.len()
-        )));
-    }
-    for w in &waivers {
-        if w.rule.is_empty() || w.path.is_empty() {
-            return Err(LintError::Waiver(format!(
-                "entry at line {}: rule and path are required",
-                w.line
-            )));
-        }
-        if w.reason.trim().len() < 10 {
-            return Err(LintError::Waiver(format!(
-                "entry at line {} ({} in {}): a justification of at least 10 characters \
-                 is required",
-                w.line, w.rule, w.path
-            )));
-        }
-    }
-    Ok(waivers)
-}
-
-/// Splits findings into waived and reported, and flags stale waivers —
-/// both entries whose rule no longer fires and entries whose waived path
-/// no longer exists at all.
-fn apply_waivers(
-    root: &Path,
-    waivers: &[Waiver],
-    findings: Vec<LintFinding>,
-    report: &mut LintReport,
-) {
-    let mut used = vec![false; waivers.len()];
-    for finding in findings {
-        let slot = waivers
-            .iter()
-            .position(|w| w.rule == finding.rule && w.path == finding.path);
-        match slot {
-            Some(i) => {
-                used[i] = true;
-                report.waived += 1;
-            }
-            None => report.findings.push(finding),
-        }
-    }
-    for (w, used) in waivers.iter().zip(used) {
-        if !root.join(&w.path).is_file() {
-            report.findings.push(LintFinding {
-                rule: "waiver",
-                path: w.path.clone(),
-                line: 0,
-                message: format!(
-                    "lint-allow.toml entry (line {}) waives rule '{}' in a file that \
-                     no longer exists — delete the waiver",
-                    w.line, w.rule
-                ),
-            });
-        } else if !used {
-            report.findings.push(LintFinding {
-                rule: "waiver",
-                path: w.path.clone(),
-                line: 0,
-                message: format!(
-                    "stale lint-allow.toml entry (line {}): rule '{}' no longer fires \
-                     in this file — delete the waiver",
-                    w.line, w.rule
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Filesystem helpers
 // ---------------------------------------------------------------------------
 
@@ -1006,7 +615,7 @@ fn also_live() { z.expect(\"msg\") }
         let hits: Vec<usize> = masked
             .lines()
             .enumerate()
-            .filter(|(_, l)| PANIC_TOKENS.iter().any(|t| l.contains(t)))
+            .filter(|(_, l)| l.contains(".unwrap()") || l.contains(".expect("))
             .map(|(i, _)| i + 1)
             .collect();
         assert_eq!(hits, vec![2, 7], "{masked}");

@@ -19,6 +19,10 @@
 //!   alternative strategy family of §I refs \[10\]–\[11\]).
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    reason = "harness binary: aborting with a message is its error path"
+)]
 
 use puffer::{
     evaluate_bounded, ComparisonTable, EvalRow, Job, PufferConfig, WsaConfig, WsaPlacer,

@@ -13,6 +13,10 @@
 //! local refinement with groups explored on parallel threads.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    reason = "harness binary: aborting with a message is its error path"
+)]
 
 use puffer::{evaluate_bounded, strategy_space, tuned_strategy, Job, PufferConfig};
 use puffer_bench::{generate_logged, HarnessArgs};

@@ -12,6 +12,10 @@
 //! red zones.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    reason = "harness binary: aborting with a message is its error path"
+)]
 
 use puffer::{
     evaluate_bounded, Job, PufferConfig, ReferenceConfig, ReferencePlacer, ReplaceConfig,

@@ -8,6 +8,10 @@
 //! format (`K` counts) and writes `table1.csv` to the output directory.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    reason = "harness binary: aborting with a message is its error path"
+)]
 
 use puffer_bench::{generate_logged, HarnessArgs};
 use puffer_db::stats::format_k;

@@ -13,6 +13,10 @@
 //! EXPERIMENTS.md).
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    reason = "harness binary: aborting with a message is its error path"
+)]
 
 use puffer::ComparisonTable;
 use puffer_bench::{generate_logged, run_flow, FlowKind, HarnessArgs};

@@ -17,6 +17,11 @@
 //! artifacts are reproducible run-to-run.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "benchmark harness CLI: aborting with a message on bad arguments or a failed flow is the intended behaviour"
+)]
 
 use puffer::{
     evaluate_bounded, EvalRow, Job, PufferConfig, ReferenceConfig, ReferencePlacer, ReplaceConfig,

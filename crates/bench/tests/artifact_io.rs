@@ -2,8 +2,8 @@
 //! binary must route the tables and figures it writes through
 //! `puffer_budget::fsx::atomic_write` — a bench run killed mid-write must
 //! never leave a half-written `table2.csv` that a later comparison step
-//! silently ingests. Binary roots sit outside the `raw-io` lint (it is a
-//! library-code rule), so this test is the gate for them.
+//! silently ingests. `scripts/policy.sh` bans the raw write primitives in
+//! the binaries; this test checks the positive half.
 
 use std::path::PathBuf;
 
@@ -23,20 +23,6 @@ fn bin_sources() -> Vec<(String, String)> {
         "expected the full bench binary set, found {sources:?}"
     );
     sources
-}
-
-#[test]
-fn bench_binaries_write_artifacts_through_the_durable_layer() {
-    for (name, text) in bin_sources() {
-        for raw in ["std::fs::write(", "fs::File::create(", "File::create("] {
-            assert!(
-                !text.contains(raw),
-                "{name} writes an artifact with {raw}; route it through \
-                 puffer_budget::fsx::atomic_write so a killed bench run \
-                 cannot leave a torn table/figure behind"
-            );
-        }
-    }
 }
 
 #[test]

@@ -1,17 +1,21 @@
 //! The workspace's wall-clock facade.
 //!
-//! `puffer lint`'s `wallclock` rule bans raw `Instant::now()` /
-//! `SystemTime::now()` from non-test library code outside `puffer-trace`
-//! and `puffer-budget`: ad-hoc clock reads are how nondeterminism leaks
-//! into code that is supposed to be bit-identical run-to-run. Code that
-//! legitimately measures durations (stage timing, idle detection) or
-//! bounds waits (backoff, condvar timeouts) goes through these two types
-//! instead, which keeps every clock read greppable and auditable.
+//! `clippy.toml` disallows raw `Instant::now()` / `SystemTime::now()` in
+//! non-test library code (`scripts/policy.sh`): ad-hoc clock reads are how
+//! nondeterminism leaks into code that is supposed to be bit-identical
+//! run-to-run. Code that legitimately measures durations (stage timing,
+//! idle detection) or bounds waits (backoff, condvar timeouts) goes through
+//! these two types instead, which keeps every clock read auditable.
 //!
 //! Neither type lets a caller observe an absolute timestamp: a
 //! [`Stopwatch`] yields only durations since its own start and a
 //! [`Deadline`] only the time left until its own expiry, so neither can be
 //! (mis)used to key results off wall-clock time.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the wall-clock facade itself: the clock reads everyone else is sent here for"
+)]
 
 use std::time::{Duration, Instant};
 

@@ -2,10 +2,10 @@
 //!
 //! Every byte PUFFER persists — checkpoint journals, metrics JSONL sinks,
 //! serve job specs/results, exploration journals, bench artifacts, CLI
-//! outputs — goes through this module, and `puffer lint` enforces it (the
-//! `raw-io` rule bans `File::create` / `fs::write` / `fs::rename` /
-//! `sync_all` in library code outside this file). Three primitives cover
-//! every write pattern in the workspace:
+//! outputs — goes through this module, and `scripts/policy.sh` enforces it
+//! (`clippy.toml` disallows `File::create` / `fs::write` / `fs::rename` /
+//! `sync_all` outside this file). Three primitives cover every write
+//! pattern in the workspace:
 //!
 //! * [`atomic_write`] — whole-file replace with the full crash discipline:
 //!   write to a temp sibling, `fsync` the data, `rename` over the target,
@@ -34,6 +34,11 @@
 //! deterministically at the N-th guarded operation of the matching kind
 //! and then disarms itself. Without the feature the hook compiles to
 //! nothing and every guarded call is a direct syscall.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the durable I/O layer itself: the raw primitives it wraps in the crash ordering"
+)]
 
 use std::fs::File;
 use std::io::{self, Read as _, Write as _};

@@ -23,7 +23,7 @@
 //! binding to `signal(2)` behind [`CancelToken::cancel_on_signal`].
 
 // `deny` rather than `forbid`: the `signal` module below carries the single
-// waived `#[allow(unsafe_code)]` in the workspace (see lint-allow.toml).
+// `#[expect(unsafe_code)]` in the workspace (`puffer lint` names this root).
 #![deny(unsafe_code)]
 
 pub mod clock;
@@ -44,12 +44,14 @@ use std::time::{Duration, Instant};
 /// Process-signal integration for [`CancelToken::cancel_on_signal`].
 ///
 /// The workspace is otherwise `forbid(unsafe_code)`; this module is the one
-/// sanctioned exception (waived in `lint-allow.toml`). It binds the C
-/// `signal(2)` entry point directly — the symbol links through std's libc
-/// dependency, so no crate dependency is added — because an async-signal-safe
-/// handler may do nothing more than set a flag, which is exactly what a
-/// relaxed atomic store is.
-#[allow(unsafe_code)]
+/// sanctioned exception. It binds the C `signal(2)` entry point directly —
+/// the symbol links through std's libc dependency, so no crate dependency is
+/// added — because an async-signal-safe handler may do nothing more than set
+/// a flag, which is exactly what a relaxed atomic store is.
+#[expect(
+    unsafe_code,
+    reason = "binds signal(2) so SIGINT/SIGTERM feed cooperative cancellation; the handler is one relaxed atomic store"
+)]
 mod signal {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -203,6 +205,10 @@ impl Default for Budget {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a deadline is a wall-clock reading; Budget is how every other crate gets one"
+)]
 impl Budget {
     /// A budget that never expires (checks always succeed unless the token
     /// is cancelled).

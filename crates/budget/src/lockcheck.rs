@@ -200,6 +200,10 @@ impl<T> DerefMut for Locked<'_, T> {
 /// guards plain data that a panicking holder cannot leave half-moved, and
 /// telemetry/serving must keep working after a panic-isolated worker dies.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one raw Mutex::lock every classed acquisition goes through"
+)]
 pub fn lock_ordered<'a, T>(m: &'a Mutex<T>, class: &'static LockClass) -> Locked<'a, T> {
     let token = Token::acquire(class);
     let guard = m.lock().unwrap_or_else(PoisonError::into_inner);

@@ -94,8 +94,8 @@ impl Client {
     }
 
     /// Sends one request line and reads one response line.
-    fn request(&mut self, line: &str) -> String {
-        self.stream.write_all(line.as_bytes()).unwrap();
+    fn request(&mut self, line: impl AsRef<[u8]>) -> String {
+        self.stream.write_all(line.as_ref()).unwrap();
         self.stream.write_all(b"\n").unwrap();
         let mut response = String::new();
         let mut byte = [0u8; 1];
@@ -124,7 +124,7 @@ impl Client {
 /// Pipes `lines` to `puffer serve --stdin` over a fresh journal directory,
 /// closes stdin, and returns the finished daemon's (stdout, stderr) after
 /// asserting a clean exit.
-fn stdin_daemon(journal_dir: &Path, lines: &[&str]) -> (String, String) {
+fn stdin_daemon(journal_dir: &Path, lines: &[&[u8]]) -> (String, String) {
     let mut child = Command::new(bin())
         .args(["serve", "--stdin", "--workers", "2", "--journal-dir"])
         .arg(journal_dir)
@@ -135,7 +135,8 @@ fn stdin_daemon(journal_dir: &Path, lines: &[&str]) -> (String, String) {
         .unwrap();
     let mut stdin = child.stdin.take().unwrap();
     for line in lines {
-        writeln!(stdin, "{line}").unwrap();
+        stdin.write_all(line).unwrap();
+        stdin.write_all(b"\n").unwrap();
     }
     drop(stdin);
     let output = child.wait_with_output().unwrap();
@@ -172,7 +173,7 @@ fn daemon_survives_kill_cancel_and_restart() {
         for out in &outs {
             client.submit(&design, out);
         }
-        let response = client.request(&format!("{{\"t\":\"cancel\",\"id\":{JOBS}}}"));
+        let response = client.request(format!("{{\"t\":\"cancel\",\"id\":{JOBS}}}"));
         assert!(
             response.contains("\"state\":\"cancelled\""),
             "job {JOBS} should still be queued when cancelled: {response}"
@@ -196,11 +197,11 @@ fn daemon_survives_kill_cancel_and_restart() {
     {
         let mut client = Client::connect(&addr);
         for id in 1..JOBS {
-            let response = client.request(&format!("{{\"t\":\"wait\",\"id\":{id},\"timeout_s\":240}}"));
+            let response = client.request(format!("{{\"t\":\"wait\",\"id\":{id},\"timeout_s\":240}}"));
             assert!(response.contains("serve.result"), "job {id}: {response}");
             assert!(response.contains("\"state\":\"done\""), "job {id}: {response}");
         }
-        let response = client.request(&format!("{{\"t\":\"status\",\"id\":{JOBS}}}"));
+        let response = client.request(format!("{{\"t\":\"status\",\"id\":{JOBS}}}"));
         assert!(
             response.contains("\"state\":\"cancelled\""),
             "cancellation must survive the restart: {response}"
@@ -254,7 +255,7 @@ fn fault_tags_on_the_wire_are_rejected_on_both_transports() {
 
     // stdin.
     let (stdout, stderr) =
-        stdin_daemon(&dir.join("stdin-journal"), &[TAGGED, "{\"t\":\"drain\"}"]);
+        stdin_daemon(&dir.join("stdin-journal"), &[TAGGED.as_bytes(), b"{\"t\":\"drain\"}"]);
     assert_eq!(stdout.matches("serve.rejected").count(), 1, "{stdout}");
     assert!(stdout.contains("'chaos'"), "rejection must name the field: {stdout}");
     assert!(!stdout.contains("serve.accepted"), "{stdout}");
@@ -264,8 +265,9 @@ fn fault_tags_on_the_wire_are_rejected_on_both_transports() {
 /// Seconds no `Duration` can hold (negative, or finite but too large) are
 /// refused where the line is parsed, on both transports: the `wait`s as
 /// `bad-request` naming `timeout_s`, the `submit` as `bad-spec` naming
-/// `deadline_s`. The daemon then still answers `ping` and finishes the job
-/// admitted before the bad lines.
+/// `deadline_s`. So is a line that is not UTF-8 (`bad-request`): both
+/// transports read bytes. The daemon then still answers `ping` and
+/// finishes the job admitted before the bad lines.
 #[test]
 fn unrepresentable_seconds_are_rejected_and_the_daemon_lives_on_both_transports() {
     const SUBMIT: &str =
@@ -275,6 +277,7 @@ fn unrepresentable_seconds_are_rejected_and_the_daemon_lives_on_both_transports(
         (r#"{"t":"wait","id":1,"timeout_s":1e300}"#, "timeout_s"),
         (r#"{"t":"submit","preset":"or1200","scale":0.003,"deadline_s":1e300}"#, "deadline_s"),
     ];
+    const NOT_UTF8: &[u8] = b"{\"t\":\"ping\"}\xFF";
     const WAIT: &str = r#"{"t":"wait","id":1,"timeout_s":240}"#;
     let dir = tmp_dir("wire-seconds");
 
@@ -289,6 +292,8 @@ fn unrepresentable_seconds_are_rejected_and_the_daemon_lives_on_both_transports(
             assert!(response.contains("serve.rejected"), "{line}: {response}");
             assert!(response.contains(field), "rejection must name {field}: {response}");
         }
+        let response = client.request(NOT_UTF8);
+        assert!(response.contains("bad-request"), "{response}");
         let response = client.request("{\"t\":\"ping\"}");
         assert!(response.contains("serve.pong"), "{response}");
         let response = client.request(WAIT);
@@ -299,10 +304,11 @@ fn unrepresentable_seconds_are_rejected_and_the_daemon_lives_on_both_transports(
     assert!(child.wait().unwrap().success());
 
     // stdin.
-    let [(bad_a, _), (bad_b, _), (bad_c, _)] = BAD;
-    let lines = [SUBMIT, bad_a, bad_b, bad_c, "{\"t\":\"ping\"}", WAIT, "{\"t\":\"drain\"}"];
+    let mut lines = vec![SUBMIT.as_bytes()];
+    lines.extend(BAD.iter().map(|(line, _)| line.as_bytes()));
+    lines.extend([NOT_UTF8, b"{\"t\":\"ping\"}", WAIT.as_bytes(), b"{\"t\":\"drain\"}"]);
     let (stdout, stderr) = stdin_daemon(&dir.join("stdin-journal"), &lines);
-    assert_eq!(stdout.matches("serve.rejected").count(), BAD.len(), "{stdout}");
+    assert_eq!(stdout.matches("serve.rejected").count(), BAD.len() + 1, "{stdout}");
     assert_eq!(stdout.matches("timeout_s").count(), 2, "{stdout}");
     assert_eq!(stdout.matches("deadline_s").count(), 1, "{stdout}");
     assert!(stdout.contains("serve.pong"), "{stdout}");

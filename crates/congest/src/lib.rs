@@ -36,6 +36,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod capacity;
 pub mod demand;

@@ -186,7 +186,7 @@ impl CongestionMap {
                     .round()
                     .clamp(0.0, cast::idx_f64(RAMP.len() - 1));
         let level = cast::trunc_idx(level);
-                out.push(RAMP[level] as char);
+                out.push(char::from(RAMP[level]));
             }
             out.push('\n');
         }

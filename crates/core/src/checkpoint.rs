@@ -391,6 +391,13 @@ impl FlowCheckpoint {
             )));
         }
         let (num_cells, design_name) = p.line_count_rest("design")?;
+        // The count sizes five vectors below: bound it by what the text can
+        // hold (a `cell` line is at least 16 bytes) before allocating.
+        if num_cells > text.len() / 16 {
+            return Err(p.err(format!(
+                "design line claims {num_cells} cells, more than the record can hold"
+            )));
+        }
         let stage_token = p.line_rest("stage")?;
         let stage = FlowStage::from_token(stage_token.trim())
             .ok_or_else(|| p.err(format!("unknown stage '{stage_token}'")))?;
@@ -798,6 +805,17 @@ mod tests {
         let bumped = text.replacen("puffer_checkpoint 1", "puffer_checkpoint 99", 1);
         let err = FlowCheckpoint::parse(&bumped).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    #[test]
+    fn a_cell_count_the_record_cannot_hold_is_rejected_before_allocating() {
+        let d = design();
+        let text = checkpoint_after(&d, 1).render();
+        let n = d.netlist().num_cells();
+        // 2^32 cells would size five vectors at 32 GiB apiece.
+        let inflated = text.replacen(&format!("design {n} "), "design 4294967296 ", 1);
+        let err = FlowCheckpoint::parse(&inflated).unwrap_err();
+        assert!(err.to_string().contains("more than the record can hold"), "{err}");
     }
 
     #[test]

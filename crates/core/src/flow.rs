@@ -252,7 +252,9 @@ impl Job {
                     .map_err(|e| PufferError::Resume(e.to_string()))?;
                 placer.set_trace(trace.clone());
                 let resume_skip_round = !checkpoint.pending_round;
-                optimizer.set_state(checkpoint.pad);
+                optimizer
+                    .set_state(checkpoint.pad)
+                    .map_err(PufferError::Resume)?;
                 (placer, last, resume_skip_round, done)
             }
         };

@@ -310,11 +310,16 @@ impl SclPass {
 
     /// Resolves `(region, row_height, site_width)`; with no usable rows, a
     /// square region sized for ~70% utilization is synthesized.
-    fn finish(self, netlist: &Netlist) -> (Rect, f64, f64) {
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Validate`] when the rows do not span a region (a NaN or
+    /// negative height, site width or site count).
+    fn finish(self, netlist: &Netlist) -> Result<(Rect, f64, f64), DbError> {
         if self.rows.is_empty() {
             let area: f64 = netlist.movable_area().max(1.0) / 0.7;
             let side = area.sqrt().ceil();
-            return (Rect::new(0.0, 0.0, side, side), 1.0, 0.2);
+            return Ok((Rect::new(0.0, 0.0, side, side), 1.0, 0.2));
         }
         let row_h = self.rows[0].1;
         let site_w = self.first_site_width.unwrap_or(1.0);
@@ -330,7 +335,13 @@ impl SclPass {
             .iter()
             .map(|r| r.0 + r.1)
             .fold(f64::NEG_INFINITY, f64::max);
-        (Rect::new(xl, yl, xh, yh), row_h, site_w)
+        // `Rect::new` debug-asserts its corner order.
+        if !(xl < xh && yl < yh) {
+            return Err(DbError::Validate(format!(
+                ".scl rows span no region: x {xl}..{xh}, y {yl}..{yh}"
+            )));
+        }
+        Ok((Rect::new(xl, yl, xh, yh), row_h, site_w))
     }
 }
 
@@ -481,7 +492,7 @@ where
     }
 
     let (by_name, netlist) = parser.build()?;
-    let (region, row_height, site_width) = scl_pass.finish(&netlist);
+    let (region, row_height, site_width) = scl_pass.finish(&netlist)?;
     let mut design = make_design(name, netlist, region, row_height, site_width)?;
     // Fixed nodes only; movable positions are a starting point.
     let mut initial = design.initial_placement();
@@ -506,8 +517,8 @@ pub type AuxOpener<'a> = dyn FnMut(&Path) -> std::io::Result<Box<dyn BufRead>> +
 ///
 /// Returns [`DbError`] on I/O failures or malformed content.
 pub fn read_aux(path: impl AsRef<Path>) -> Result<Design, DbError> {
-    read_aux_with(path, &mut |p: &Path| {
-        Ok(Box::new(std::io::BufReader::new(std::fs::File::open(p)?)) as Box<dyn BufRead>)
+    read_aux_with(path, &mut |p: &Path| -> std::io::Result<Box<dyn BufRead>> {
+        Ok(Box::new(std::io::BufReader::new(std::fs::File::open(p)?)))
     })
 }
 

@@ -2,11 +2,12 @@
 //! in the hot crates.
 //!
 //! PR 7 fixed real Gcell-boundary bugs caused by anonymous `as` casts whose
-//! rounding direction nobody had spelled out. `puffer lint`'s `cast` rule
-//! now bans bare float↔int (and width-changing int↔int) `as` casts from
-//! non-test library code in the hot crates (`db`, `congest`, `route`,
-//! `place`, `flute`, `pad`); call sites go through these helpers instead,
-//! so every conversion names its rounding direction and carries a test.
+//! rounding direction nobody had spelled out. The hot crates (`db`,
+//! `congest`, `route`, `place`, `flute`, `pad`) now deny
+//! `clippy::as_conversions` at their roots for non-test code
+//! (`scripts/policy.sh` runs it); call sites go through these helpers
+//! instead, so every conversion names its rounding direction and carries a
+//! test.
 //!
 //! Every helper is a transparent wrapper around the exact `as` expression
 //! its name describes — migrating a call site from `x as usize` to
@@ -19,6 +20,11 @@
 //! The int→float helpers additionally `debug_assert!` that the conversion
 //! is exact (representable in an `f64` mantissa), so a million-cell-scale
 //! overflow surfaces in debug runs instead of silently rounding ids.
+
+#![expect(
+    clippy::as_conversions,
+    reason = "the sanctioned home of the bare casts the named helpers wrap"
+)]
 
 /// `f64 → usize` by truncation toward zero (plain `as` semantics:
 /// saturating, NaN → 0). Use when the value is already integral or the

@@ -11,6 +11,11 @@ use crate::netlist::{CellId, CellKind, Netlist};
 use crate::stats::DesignStats;
 use crate::tech::Technology;
 
+/// Most rows a design may have. The row table is allocated from the region
+/// and row height a file states, so the count is bounded before the
+/// allocation; the largest preset (CT_TOP at scale 1.0) has a few thousand.
+const MAX_ROWS: usize = 1 << 20;
+
 /// A standard-cell row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Row {
@@ -54,22 +59,34 @@ impl Design {
     ///
     /// # Errors
     ///
-    /// Returns [`DbError::Validate`] when the region is degenerate or not
-    /// tall enough for a single row.
+    /// Returns [`DbError::Validate`] when the region is degenerate, not tall
+    /// enough for a single row, or taller than 2^20 rows, or when the row
+    /// height or site width is not positive.
     pub fn new(
         name: impl Into<String>,
         netlist: Netlist,
         tech: Technology,
         region: Rect,
     ) -> Result<Self, DbError> {
-        if region.width() <= 0.0 || region.height() <= 0.0 {
+        // Written so that a NaN anywhere fails the check.
+        if !(region.width() > 0.0 && region.height() > 0.0) {
             return Err(DbError::Validate("placement region is degenerate".into()));
+        }
+        if !(tech.row_height > 0.0 && tech.site_width > 0.0) {
+            return Err(DbError::Validate(
+                "row height and site width must be positive".into(),
+            ));
         }
         let n_rows = cast::floor_idx(region.height() / tech.row_height);
         if n_rows == 0 {
             return Err(DbError::Validate(
                 "placement region shorter than one row".into(),
             ));
+        }
+        if n_rows > MAX_ROWS {
+            return Err(DbError::Validate(format!(
+                "placement region holds {n_rows} rows; the limit is {MAX_ROWS}"
+            )));
         }
         let rows = (0..n_rows)
             .map(|i| Row {
@@ -127,6 +144,12 @@ impl Design {
         let c = self.netlist.cell(cell);
         if c.kind != CellKind::FixedMacro {
             return Err(DbError::BadId(format!("{cell} is movable, not a macro")));
+        }
+        if !(center.x.is_finite() && center.y.is_finite()) {
+            return Err(DbError::Validate(format!(
+                "macro '{}' at {center} is not at a finite location",
+                c.name
+            )));
         }
         let shape = Rect::from_center(center, c.width, c.height);
         let within = shape.xl >= self.region.xl - 1e-9

@@ -47,6 +47,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod bookshelf;
 pub mod cast;

@@ -399,6 +399,10 @@ impl NetlistBuilder {
     /// Panics if `width` or `height` is not strictly positive or not
     /// finite. Use [`NetlistBuilder::try_add_cell`] when the dimensions come
     /// from untrusted input (e.g. a parsed file).
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking convenience over the fallible try_add_cell"
+    )]
     pub fn add_cell(
         &mut self,
         name: impl Into<String>,
@@ -463,6 +467,10 @@ impl NetlistBuilder {
     ///
     /// Panics if `weight` is negative or not finite. Use
     /// [`NetlistBuilder::try_add_weighted_net`] for untrusted input.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking convenience over the fallible try_add_weighted_net"
+    )]
     pub fn add_weighted_net(&mut self, name: impl Into<String>, weight: f64) -> NetId {
         self.try_add_weighted_net(name, weight)
             .unwrap_or_else(|e| panic!("{e}"))

@@ -274,7 +274,7 @@ fn overflow_at(map: &CongestionMap, p: Point) -> f64 {
     map.overflow_h(ix, iy) + map.overflow_v(ix, iy)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one refinement pass over the shared window state")]
 fn reorder_segment(
     design: &Design,
     placement: &mut Placement,
@@ -379,7 +379,7 @@ fn permute(perm: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one refinement pass over the shared window state")]
 fn global_swaps(
     design: &Design,
     placement: &mut Placement,

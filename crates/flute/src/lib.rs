@@ -27,6 +27,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 use puffer_db::design::Placement;
 use puffer_db::geom::Point;
@@ -238,7 +239,7 @@ impl Topology {
                 adj[e.a].push(ei);
                 adj[e.b].push(ei);
             }
-            #[allow(clippy::needless_range_loop)] // adjacency is index-coupled
+            #[allow(clippy::needless_range_loop, reason = "adjacency is index-coupled")]
             for u in 0..self.nodes.len() {
                 if adj[u].len() < 2 {
                     continue;

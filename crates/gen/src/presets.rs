@@ -13,7 +13,7 @@
 
 use crate::{GenError, GeneratorConfig};
 
-#[allow(clippy::too_many_arguments)] // mirrors the Table I columns
+#[allow(clippy::too_many_arguments, reason = "mirrors the Table I columns")]
 fn base(
     name: &str,
     macros: usize,

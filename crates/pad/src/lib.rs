@@ -34,6 +34,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod features;
 pub mod padding;
@@ -111,31 +112,36 @@ impl RoutabilityOptimizer {
     /// flow. The optimizer continues exactly as if it had produced the
     /// state itself (same rounds executed, same accumulated padding).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the state's vectors do not match the design's cell count
-    /// or contain negative/non-finite padding — callers restoring from
-    /// external data must validate first (the flow layer does).
-    pub fn set_state(&mut self, state: PaddingState) {
-        assert_eq!(
-            state.pad.len(),
-            self.state.pad.len(),
-            "padding state cell count mismatch"
-        );
-        assert_eq!(
-            state.pad_count.len(),
-            self.state.pad_count.len(),
-            "pad_count cell count mismatch"
-        );
-        assert!(
-            state.pad.iter().all(|p| p.is_finite() && *p >= 0.0),
-            "padding must be finite and non-negative"
-        );
-        assert!(
-            !state.last_utilization.is_nan(),
-            "last_utilization must not be NaN (infinity marks a fresh state)"
-        );
+    /// A message naming the offending field (and cell index) when the
+    /// state's vectors do not match the design's cell count, a padding is
+    /// negative or non-finite, or the utilization is NaN — the state may
+    /// come from a journal on disk. The optimizer is untouched.
+    pub fn set_state(&mut self, state: PaddingState) -> Result<(), String> {
+        let n = self.state.pad.len();
+        if state.pad.len() != n || state.pad_count.len() != n {
+            return Err(format!(
+                "padding state has {}/{} entries, design has {n} cells",
+                state.pad.len(),
+                state.pad_count.len()
+            ));
+        }
+        if let Some((i, p)) = state
+            .pad
+            .iter()
+            .enumerate()
+            .find(|(_, p)| !(p.is_finite() && **p >= 0.0))
+        {
+            return Err(format!(
+                "cell {i}: optimizer padding {p:?} must be finite and non-negative"
+            ));
+        }
+        if state.last_utilization.is_nan() {
+            return Err("pad_util must not be NaN (infinity marks a fresh state)".into());
+        }
         self.state = state;
+        Ok(())
     }
 
     /// Current cumulative per-cell padding.
@@ -292,14 +298,14 @@ mod tests {
         reference.optimize(&d, &p).unwrap();
 
         let mut resumed = fresh();
-        resumed.set_state(saved);
+        resumed.set_state(saved).unwrap();
         resumed.optimize(&d, &p).unwrap();
         assert_eq!(reference.state(), resumed.state());
         assert_eq!(reference.padding(), resumed.padding());
     }
 
     #[test]
-    #[should_panic(expected = "cell count mismatch")]
+    #[should_panic(expected = "padding state has 3/3 entries")]
     fn set_state_rejects_wrong_cell_count() {
         let d = design();
         let mut opt = RoutabilityOptimizer::new(
@@ -307,7 +313,29 @@ mod tests {
             puffer_congest::EstimatorConfig::default(),
             PaddingStrategy::default(),
         );
-        opt.set_state(PaddingState::new(3));
+        opt.set_state(PaddingState::new(3)).unwrap();
+    }
+
+    #[test]
+    fn set_state_names_the_scribbled_field() {
+        let d = design();
+        let n = d.netlist().num_cells();
+        let mut opt = RoutabilityOptimizer::new(
+            &d,
+            puffer_congest::EstimatorConfig::default(),
+            PaddingStrategy::default(),
+        );
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut state = PaddingState::new(n);
+            state.pad[2] = bad;
+            let err = opt.set_state(state).unwrap_err();
+            assert!(err.starts_with("cell 2: optimizer padding"), "{err}");
+        }
+        let mut state = PaddingState::new(n);
+        state.last_utilization = f64::NAN;
+        let err = opt.set_state(state).unwrap_err();
+        assert!(err.contains("pad_util"), "{err}");
+        assert_eq!(opt.state(), &PaddingState::new(n), "a rejected state changes nothing");
     }
 
     #[test]

@@ -245,6 +245,10 @@ pub fn run_isolated<T>(f: impl FnOnce() -> T) -> Result<T, WorkerPanic> {
 ///
 /// [`WorkerPanic`] when `control` itself panicked; workers are still
 /// stopped and joined first, so the pool never leaks.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "puffer-par is the fork-join layer: its scoped threads are the workspace's only spawns"
+)]
 pub fn run_pool<T, W, C, S>(workers: usize, work: W, control: C, stop: S) -> Result<T, WorkerPanic>
 where
     W: Fn(usize) + Sync,
@@ -281,6 +285,10 @@ where
 /// scope's drop re-raise a second worker's panic mid-unwind and abort the
 /// process. `AssertUnwindSafe` is sound because a panicking job's partial
 /// results are dropped, never observed.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "puffer-par is the fork-join layer: its scoped threads are the workspace's only spawns"
+)]
 fn fork_join<J, R, F>(jobs: Vec<J>, run: F) -> Result<Vec<R>, WorkerPanic>
 where
     J: Send,

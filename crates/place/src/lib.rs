@@ -18,6 +18,7 @@
 //! See [`GlobalPlacer`] for a runnable example.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod density;
 pub mod engine;

@@ -26,6 +26,10 @@ use std::fmt::Debug;
 /// Panics on the first failing case, reporting the case index, the
 /// per-case seed (rerun with `run_cases(1, that_seed, ...)` to reproduce),
 /// the input, and the property's message.
+#[expect(
+    clippy::panic,
+    reason = "a property-test harness: its contract is to panic with the reproducing seed"
+)]
 pub fn run_cases<T: Debug>(
     cases: usize,
     seed: u64,

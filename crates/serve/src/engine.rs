@@ -671,6 +671,10 @@ fn load_design(spec: &JobSpec) -> Result<Design, ExecError> {
 
 /// Chaos hooks: deterministic faults the in-process chaos harness injects
 /// through the spec's `chaos` tag (never settable over the wire).
+#[expect(
+    clippy::panic,
+    reason = "the `serve-worker-panic` chaos row needs a real unwind for the pool to isolate"
+)]
 fn arm_chaos(tag: &str, attempt: usize) -> Result<(), ExecError> {
     match tag {
         // Panic on the first attempt only — retry must succeed.
@@ -1238,6 +1242,47 @@ mod tests {
         let mut want = Vec::new();
         write_placement(&reference.placement, &mut want).unwrap();
         assert_eq!(resumed, want, "resumed placement must be bit-identical");
+    }
+
+    #[test]
+    fn a_scribbled_run_journal_fails_the_recovered_job_once_without_a_panic() {
+        let dir = tmp_dir("scribbled");
+        let (design, _) = small_design_file(&dir);
+        let mut one_worker = cfg(&dir);
+        one_worker.workers = 1;
+        one_worker.checkpoint_every = 5;
+        let mut journal = PathBuf::new();
+        Engine::run(one_worker.clone(), |h| {
+            let (id, _) = h.submit(quick_spec(&design, None)).unwrap();
+            journal = h.journal_dir().join(format!("job-{id}")).join("run.pj");
+            let deadline = Deadline::after(Duration::from_secs(60));
+            while !journal.exists() && !deadline.expired() {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            assert!(journal.exists(), "job never checkpointed");
+            h.shutdown();
+        })
+        .unwrap();
+
+        // Still a well-formed journal, but the optimizer's utilization is NaN.
+        let text = fs::read_to_string(&journal).unwrap();
+        let scribbled: Vec<&str> = text
+            .lines()
+            .map(|l| if l.starts_with("pad_util ") { "pad_util NaN" } else { l })
+            .collect();
+        fs::write(&journal, scribbled.join("\n") + "\n").unwrap();
+
+        Engine::run(one_worker, |h| {
+            let record = h.wait(1, Some(Duration::from_secs(60))).unwrap();
+            let rec = parse_record(&record).unwrap();
+            assert_eq!(rec.kind(), Some("serve.error"), "{record}");
+            assert_eq!(rec.str_field("class"), Some("flow"), "{record}");
+            assert_eq!(rec.num("attempts"), Some(1.0), "{record}");
+            assert!(record.contains("pad_util must not be NaN"), "{record}");
+            assert_eq!(h.live_workers(), h.workers());
+            h.drain();
+        })
+        .unwrap();
     }
 
     #[test]

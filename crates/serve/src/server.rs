@@ -187,15 +187,24 @@ fn wind_down(handle: &EngineHandle<'_>, action: Action) {
 ///
 /// # Errors
 ///
-/// I/O errors writing responses.
+/// I/O errors reading requests or writing responses. Bytes that are not
+/// UTF-8 are neither: the line is answered `bad-request`.
 pub fn serve_lines(
     handle: &EngineHandle<'_>,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> std::io::Result<Action> {
+    let mut line = String::new();
     let mut out = String::new();
-    for line in reader.lines() {
-        let line = line?;
+    loop {
+        line.clear();
+        match read_line_tolerant(&mut reader, &mut line) {
+            LineRead::Line => {}
+            // An unterminated last line is still a request.
+            LineRead::Eof if !line.is_empty() => {}
+            LineRead::Eof => break,
+            LineRead::Lost(e) => return Err(e),
+        }
         out.clear();
         let action = handle_line(handle, &line, &mut out);
         writer.write_all(out.as_bytes())?;
@@ -277,13 +286,9 @@ fn serve_connection(handle: &EngineHandle<'_>, stream: TcpStream) -> Action {
     let mut out = String::new();
     loop {
         line.clear();
-        // read_line may return WouldBlock/TimedOut with a partial line
-        // already buffered in `line`… except BufRead::read_line gives no
-        // way to keep the partial read across calls, so accumulate
-        // manually byte-runs via fill_buf.
         match read_line_tolerant(&mut reader, &mut line) {
             LineRead::Line => {}
-            LineRead::Eof | LineRead::ConnectionLost => return Action::Continue,
+            LineRead::Eof | LineRead::Lost(_) => return Action::Continue,
         }
         out.clear();
         let action = handle_line(handle, &line, &mut out);
@@ -297,9 +302,12 @@ fn serve_connection(handle: &EngineHandle<'_>, stream: TcpStream) -> Action {
 }
 
 enum LineRead {
+    /// A complete `\n`-terminated line.
     Line,
+    /// End of input; `line` holds whatever unterminated tail preceded it.
     Eof,
-    ConnectionLost,
+    /// A hard read error, or [`IDLE_LIMIT`] of silence.
+    Lost(std::io::Error),
 }
 
 /// How long a connection may sit idle (or hold a line half-sent) before
@@ -307,36 +315,42 @@ enum LineRead {
 /// not wedge the single-connection serving loop.
 const IDLE_LIMIT: Duration = Duration::from_secs(10);
 
-/// Reads one `\n`-terminated line, preserving partial data across read
-/// timeouts (a slow client trickling bytes is fine) and treating any hard
-/// error — or [`IDLE_LIMIT`] of silence — as a lost connection.
-fn read_line_tolerant(reader: &mut BufReader<TcpStream>, line: &mut String) -> LineRead {
+/// The one line reader behind both transports. Reads bytes up to `\n` and
+/// appends them to `line` lossily — a byte that is not UTF-8 becomes
+/// U+FFFD and the request parser rejects the line, instead of the read
+/// failing the transport. Partial data survives read timeouts (a slow
+/// client trickling bytes is fine); a hard error, or [`IDLE_LIMIT`] of
+/// silence on a socket with a read timeout, loses the connection.
+fn read_line_tolerant(reader: &mut impl BufRead, line: &mut String) -> LineRead {
     let idle_since = puffer_budget::clock::Stopwatch::start();
-    loop {
+    let mut bytes = Vec::new();
+    let end = loop {
         let buf = match reader.fill_buf() {
             Ok(b) => b,
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if idle_since.elapsed() > IDLE_LIMIT {
-                    return LineRead::ConnectionLost;
+                    break LineRead::Lost(e);
                 }
                 continue;
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return LineRead::ConnectionLost,
+            Err(e) => break LineRead::Lost(e),
         };
         if buf.is_empty() {
-            return LineRead::Eof;
+            break LineRead::Eof;
         }
         let (used, done) = match buf.iter().position(|b| *b == b'\n') {
             Some(pos) => (pos + 1, true),
             None => (buf.len(), false),
         };
-        line.push_str(&String::from_utf8_lossy(&buf[..used]));
+        bytes.extend_from_slice(&buf[..used]);
         reader.consume(used);
         if done {
-            return LineRead::Line;
+            break LineRead::Line;
         }
-    }
+    };
+    line.push_str(&String::from_utf8_lossy(&bytes));
+    end
 }
 
 #[cfg(test)]

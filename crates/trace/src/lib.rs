@@ -115,6 +115,10 @@ impl Trace {
 
     /// An in-memory handle: spans, counters, and gauges accumulate, but
     /// [`Trace::record`] goes nowhere (no sink).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a trace's timestamps are offsets from this one clock read"
+    )]
     pub fn enabled() -> Self {
         Trace {
             inner: Some(Arc::new(Inner {
@@ -135,6 +139,10 @@ impl Trace {
     /// # Errors
     ///
     /// Returns the underlying I/O error when the file cannot be created.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a trace's timestamps are offsets from this one clock read"
+    )]
     pub fn with_sink(path: impl AsRef<Path>) -> Result<Self, std::io::Error> {
         let sink = JsonlSink::create(path.as_ref())?;
         Ok(Trace {

@@ -90,6 +90,10 @@ impl SpanGuard {
         SpanGuard { state: None }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a span is a wall-clock measurement; spans are how other crates time a stage"
+    )]
     pub(crate) fn open(inner: Arc<Inner>, depth: usize) -> Self {
         SpanGuard {
             state: Some((inner, depth, Instant::now())),

@@ -120,6 +120,49 @@ fn truncated_checkpoint_journal_is_a_resume_error() {
     assert!(matches!(err, PufferError::Journal(_)), "{err}");
 }
 
+/// Rewrites whitespace-separated field `field` of the first journal line
+/// starting with `prefix`.
+fn scribble(journal: &str, prefix: &str, field: usize, value: &str) -> String {
+    let mut done = false;
+    let lines: Vec<String> = journal
+        .lines()
+        .map(|line| {
+            if done || !line.starts_with(prefix) {
+                return line.to_string();
+            }
+            done = true;
+            let mut fields: Vec<&str> = line.split(' ').collect();
+            fields[field] = value;
+            fields.join(" ")
+        })
+        .collect();
+    assert!(done, "no '{prefix}' line in the journal");
+    lines.join("\n") + "\n"
+}
+
+#[test]
+fn scribbled_checkpoint_padding_is_a_resume_error() {
+    let dir = tmp_dir("scribbled-journal");
+    let d = small_design();
+    let journal = dir.join("run.pj");
+    let job = Job::new(quick_config()).with_checkpoints(CheckpointPolicy::new(&journal));
+    job.run(&d).expect("checkpointed place");
+    let text = std::fs::read_to_string(&journal).unwrap();
+
+    // `cell <i> <x> <y> <placer pad> <optimizer pad> <count>`: the
+    // optimizer's padding is only checked when the flow hands it over.
+    for bad in ["NaN", "inf", "-1.0"] {
+        std::fs::write(&journal, scribble(&text, "cell 7 ", 5, bad)).unwrap();
+        let err = job.run_or_resume(&d).unwrap_err();
+        assert!(matches!(err, PufferError::Resume(_)), "{bad}: {err}");
+        assert!(err.to_string().contains("cell 7: optimizer padding"), "{bad}: {err}");
+    }
+    std::fs::write(&journal, scribble(&text, "pad_util ", 1, "NaN")).unwrap();
+    let err = job.run_or_resume(&d).unwrap_err();
+    assert!(matches!(err, PufferError::Resume(_)), "{err}");
+    assert!(err.to_string().contains("pad_util"), "{err}");
+}
+
 #[test]
 fn checkpoint_for_a_different_design_is_a_resume_error() {
     let dir = tmp_dir("wrong-design");
