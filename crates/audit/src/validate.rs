@@ -643,8 +643,8 @@ fn hist_sum(record: &ParsedRecord, field: &str, index: usize, out: &mut Vec<Viol
 /// Audits a metrics JSONL file: every record parses and carries a kind and
 /// timestamp, per-iteration quantities are finite, the congestion
 /// histograms of every round bucket exactly the same number of Gcells in
-/// both directions, and the `flow.done` totals agree with the per-record
-/// streams.
+/// both directions, the `flow.done` totals agree with the per-record
+/// streams, and the density and WA kernels' exact counters are possible.
 ///
 /// # Errors
 ///
@@ -669,6 +669,10 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
     let mut pending_coarsen = false;
     let mut density_evals = None;
     let mut transforms2d = None;
+    let mut wa_grad_evals = None;
+    let mut wa_value_evals = None;
+    let mut wa_exp_calls = None;
+    let mut wa_exp_terms = None;
     for (i, r) in records.iter().enumerate() {
         let Some(kind) = r.kind() else {
             out.push(Violation {
@@ -719,6 +723,10 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
             "counter" => match r.str_field("name") {
                 Some("place.density_evals") => density_evals = r.num("value"),
                 Some("fft.transforms2d") => transforms2d = r.num("value"),
+                Some("place.wa_grad_evals") => wa_grad_evals = r.num("value"),
+                Some("place.wa_value_evals") => wa_value_evals = r.num("value"),
+                Some("place.wa_exp_calls") => wa_exp_calls = r.num("value"),
+                Some("place.wa_exp_terms") => wa_exp_terms = r.num("value"),
                 _ => {}
             },
             "flow.degrade" if r.str_field("step") == Some("coarse-congestion") => {
@@ -872,6 +880,35 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
                 message: format!(
                     "fft.transforms2d = {transforms} is not within 2x..3x of \
                      place.density_evals = {evals}"
+                ),
+            });
+        }
+    }
+    // The WA kernel never calls `exp` more often than Eq. (2) names it, and
+    // every evaluation names the same 4-per-active-pin terms.
+    if let (Some(grads), Some(values), Some(calls), Some(terms)) =
+        (wa_grad_evals, wa_value_evals, wa_exp_calls, wa_exp_terms)
+    {
+        let evals = grads + values;
+        if calls > terms {
+            out.push(Violation {
+                check: "wa-counters",
+                message: format!(
+                    "place.wa_exp_calls = {calls} exceeds place.wa_exp_terms = {terms}"
+                ),
+            });
+        }
+        let whole_pins = if evals == 0.0 {
+            terms == 0.0
+        } else {
+            terms % (4.0 * evals) == 0.0
+        };
+        if !whole_pins {
+            out.push(Violation {
+                check: "wa-counters",
+                message: format!(
+                    "place.wa_exp_terms = {terms} is not a whole number of pins (4 terms each) \
+                     per evaluation ({grads} gradient + {values} value-only)"
                 ),
             });
         }

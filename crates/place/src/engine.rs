@@ -11,7 +11,7 @@ use puffer_db::cast;
 use crate::density::{DensityModel, DensityWorkspace};
 use crate::nesterov::{NesterovOptimizer, NesterovState};
 use crate::sentinel::{Divergence, DivergenceSentinel};
-use crate::wirelength::wa_wirelength_grad_threaded;
+use crate::wirelength::WaWorkspace;
 use crate::PlaceError;
 use puffer_db::design::{Design, Placement};
 use puffer_db::hpwl::total_hpwl;
@@ -115,6 +115,8 @@ pub struct GlobalPlacer<'a> {
     density: DensityModel,
     /// The density pipeline's buffers and the memo of its last gradient.
     dens: DensityState,
+    /// The WA kernel's buffers and its last gradient.
+    wa: WaWorkspace,
     placement: Placement,
     /// Physical width + padding per cell (the density system's view).
     eff_width: Vec<f64>,
@@ -239,23 +241,48 @@ impl Inputs<'_> {
         stats
     }
 
+    /// Counts the WA evaluations since the last call and their
+    /// exponentials (Eq. (2)'s terms, and the `exp` calls made for them).
+    fn count_wa(&self, wa: &mut WaWorkspace) {
+        let counts = wa.take_counts();
+        self.trace.add("place.wa_grad_evals", counts.grad_evals);
+        self.trace.add("place.wa_value_evals", counts.value_evals);
+        self.trace.add("place.wa_exp_calls", counts.exp_calls);
+        self.trace.add("place.wa_exp_terms", counts.exp_terms);
+    }
+
+    /// Leaves the WA gradient of `placement` in `wa`.
+    fn wa_grad(&self, wa: &mut WaWorkspace, placement: &Placement, gamma: f64) {
+        wa.gradient(self.design.netlist(), placement, gamma);
+        self.count_wa(wa);
+    }
+
+    /// The WA wirelength of `placement`; leaves the gradient in `wa` alone.
+    fn wa_value(&self, wa: &mut WaWorkspace, placement: &Placement, gamma: f64) -> f64 {
+        let value = wa.value(self.design.netlist(), placement, gamma);
+        self.count_wa(wa);
+        value
+    }
+
     /// Combined gradient `∇W + λ·∇D` at `flat`.
-    fn combined_grad(&self, st: &mut DensityState, flat: &[f64], lambda: f64, gamma: f64) -> Vec<f64> {
+    fn combined_grad(
+        &self,
+        st: &mut DensityState,
+        wa: &mut WaWorkspace,
+        flat: &[f64],
+        lambda: f64,
+        gamma: f64,
+    ) -> Vec<f64> {
         self.scatter(flat, &mut st.scratch);
-        let wl = wa_wirelength_grad_threaded(
-            self.design.netlist(),
-            &st.scratch,
-            gamma,
-            self.config.threads,
-        );
+        self.wa_grad(wa, &st.scratch, gamma);
         self.density_grad(st, flat);
         let de = st.ws.last_gradient();
         let n = self.movable.len();
         let mut g = vec![0.0; 2 * n];
         for (i, &id) in self.movable.iter().enumerate() {
             let c = id.index();
-            g[i] = wl.grad_x[c] + lambda * de[c].0;
-            g[n + i] = wl.grad_y[c] + lambda * de[c].1;
+            g[i] = wa.grad_x()[c] + lambda * de[c].0;
+            g[n + i] = wa.grad_y()[c] + lambda * de[c].1;
         }
         g
     }
@@ -318,7 +345,8 @@ impl<'a> GlobalPlacer<'a> {
     /// Returns [`PlaceError::NoMovableCells`] for a design without movable
     /// cells, [`PlaceError::UnplacedMacro`] when a macro lacks a location
     /// and [`PlaceError::BadConfig`] for a [`PlacerConfig::bin_dim`] that is
-    /// neither `0` nor a power of two.
+    /// neither `0` nor a power of two or a [`PlacerConfig::gamma_factor`]
+    /// that is not positive and finite.
     pub fn new(design: &'a Design, config: PlacerConfig) -> Result<Self, PlaceError> {
         let mut placement = design.initial_placement();
         // Deterministic jitter to break symmetry.
@@ -364,6 +392,14 @@ impl<'a> GlobalPlacer<'a> {
             return Err(PlaceError::NoMovableCells);
         }
         let dim = bin_dim(design, &config)?;
+        // γ is `gamma_factor` times positive finite numbers: checked here,
+        // it is positive wherever the WA kernel divides by it.
+        if !(config.gamma_factor > 0.0 && config.gamma_factor.is_finite()) {
+            return Err(PlaceError::BadConfig(format!(
+                "gamma_factor {} is not positive and finite",
+                config.gamma_factor
+            )));
+        }
         let density = DensityModel::new(design, dim, dim);
         let dens = DensityState {
             ws: DensityWorkspace::new(&density, design.netlist().num_cells(), config.threads),
@@ -375,11 +411,13 @@ impl<'a> GlobalPlacer<'a> {
         let eff_width: Vec<f64> = design.netlist().cells().iter().map(|c| c.width).collect();
         let padding = vec![0.0; eff_width.len()];
         let sentinel = DivergenceSentinel::new(config.divergence_window);
+        let wa = WaWorkspace::new(config.threads);
         Ok(GlobalPlacer {
             design,
             config,
             density,
             dens,
+            wa,
             placement,
             eff_width,
             padding,
@@ -608,10 +646,10 @@ impl<'a> GlobalPlacer<'a> {
         v
     }
 
-    /// The placer as a density evaluation sees it: read-only inputs and the
-    /// current placement on one side, the density pipeline's state on the
-    /// other.
-    fn split(&mut self) -> (Inputs<'_>, &mut DensityState, &Placement) {
+    /// The placer as a gradient evaluation sees it: read-only inputs and the
+    /// current placement on one side, the density pipeline's state and the
+    /// WA workspace on the other.
+    fn split(&mut self) -> (Inputs<'_>, &mut DensityState, &mut WaWorkspace, &Placement) {
         let inputs = Inputs {
             design: self.design,
             density: &self.density,
@@ -620,7 +658,7 @@ impl<'a> GlobalPlacer<'a> {
             config: &self.config,
             trace: &self.trace,
         };
-        (inputs, &mut self.dens, &self.placement)
+        (inputs, &mut self.dens, &mut self.wa, &self.placement)
     }
 
     /// Bootstraps λ (wirelength/density gradient balance) and the Nesterov
@@ -633,22 +671,17 @@ impl<'a> GlobalPlacer<'a> {
         let gamma = self.gamma();
         let mut lambda = self.lambda;
         let mut flat = self.flat_state();
-        let (inputs, dens, _) = self.split();
+        let (inputs, dens, wa, _) = self.split();
         inputs.projector()(&mut flat);
         if lambda == 0.0 {
             inputs.scatter(&flat, &mut dens.scratch);
-            let wl = wa_wirelength_grad_threaded(
-                inputs.design.netlist(),
-                &dens.scratch,
-                gamma,
-                inputs.config.threads,
-            );
+            inputs.wa_grad(wa, &dens.scratch, gamma);
             inputs.density_grad(dens, &flat);
             let de = dens.ws.last_gradient();
             let sw: f64 = inputs
                 .movable
                 .iter()
-                .map(|&id| wl.grad_x[id.index()].abs() + wl.grad_y[id.index()].abs())
+                .map(|&id| wa.grad_x()[id.index()].abs() + wa.grad_y()[id.index()].abs())
                 .sum();
             let sd: f64 = inputs
                 .movable
@@ -657,7 +690,7 @@ impl<'a> GlobalPlacer<'a> {
                 .sum();
             lambda = if sd > 1e-12 { sw / sd } else { 1.0 };
         }
-        let g = inputs.combined_grad(dens, &flat, lambda, gamma);
+        let g = inputs.combined_grad(dens, wa, &flat, lambda, gamma);
         self.lambda = lambda;
         let gmax = g.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         let bin = self.density.bin_w().min(self.density.bin_h());
@@ -701,9 +734,9 @@ impl<'a> GlobalPlacer<'a> {
             self.emit_iter(&stats);
             return stats;
         };
-        let (inputs, dens, placement) = self.split();
+        let (inputs, dens, wa, placement) = self.split();
         opt.step(
-            |flat: &[f64]| inputs.combined_grad(dens, flat, lambda, gamma),
+            |flat: &[f64]| inputs.combined_grad(dens, wa, flat, lambda, gamma),
             inputs.projector(),
         );
         let mut new_placement = placement.clone();
@@ -713,18 +746,13 @@ impl<'a> GlobalPlacer<'a> {
         self.iter += 1;
         let new_lambda = self.lambda * self.config.lambda_growth;
 
-        let wl = wa_wirelength_grad_threaded(
-            self.design.netlist(),
-            &self.placement,
-            gamma,
-            self.config.threads,
-        );
+        let wa = self.wa_value(gamma);
         let (overflow, energy) = self.density_stats();
         let stats = IterationStats {
             iter: self.iter,
             overflow,
             hpwl: total_hpwl(self.design.netlist(), &self.placement),
-            wa: wl.value,
+            wa,
             energy,
             lambda: new_lambda,
         };
@@ -776,19 +804,13 @@ impl<'a> GlobalPlacer<'a> {
         if let Some(lg) = &self.last_good {
             return lg.stats;
         }
-        let gamma = self.gamma();
-        let wl = wa_wirelength_grad_threaded(
-            self.design.netlist(),
-            &self.placement,
-            gamma,
-            self.config.threads,
-        );
+        let wa = self.wa_value(self.gamma());
         let (overflow, energy) = self.density_stats();
         IterationStats {
             iter: self.iter,
             overflow,
             hpwl: total_hpwl(self.design.netlist(), &self.placement),
-            wa: wl.value,
+            wa,
             energy,
             lambda: self.lambda,
         }
@@ -796,8 +818,15 @@ impl<'a> GlobalPlacer<'a> {
 
     /// `(overflow, energy)` of the current placement.
     fn density_stats(&mut self) -> (f64, f64) {
-        let (inputs, dens, placement) = self.split();
+        let (inputs, dens, _, placement) = self.split();
         inputs.density_stats(dens, placement)
+    }
+
+    /// The WA wirelength of the current placement: the value-only form, as
+    /// the statistics read nothing else.
+    fn wa_value(&mut self, gamma: f64) -> f64 {
+        let (inputs, _, wa, placement) = self.split();
+        inputs.wa_value(wa, placement, gamma)
     }
 
     /// Discards the diverged iterate: rolls back to the last healthy
@@ -1250,6 +1279,29 @@ mod tests {
         assert_eq!(GlobalPlacer::new(&d, cfg).unwrap().density_dims(), (64, 64));
     }
 
+    #[test]
+    fn bad_gamma_factor_is_an_error_not_a_panic() {
+        let d = small_design();
+        for gamma_factor in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            let cfg = PlacerConfig {
+                gamma_factor,
+                ..PlacerConfig::default()
+            };
+            let new = GlobalPlacer::new(&d, cfg.clone());
+            assert!(matches!(new, Err(PlaceError::BadConfig(_))), "new, {gamma_factor}");
+            let with = GlobalPlacer::with_placement(&d, cfg, d.initial_placement());
+            let Err(PlaceError::BadConfig(msg)) = with else {
+                panic!("with_placement accepted gamma_factor {gamma_factor}");
+            };
+            assert!(msg.contains("gamma_factor"), "{msg}");
+        }
+        let cfg = PlacerConfig {
+            gamma_factor: 0.01,
+            ..PlacerConfig::default()
+        };
+        assert!(GlobalPlacer::new(&d, cfg).unwrap().step().wa.is_finite());
+    }
+
     fn counter(trace: &Trace, name: &str) -> u64 {
         let counters = trace.counters();
         counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
@@ -1283,6 +1335,53 @@ mod tests {
             before = after;
         }
         assert!(five >= 10, "only {five}/20 steps accepted their first round");
+    }
+
+    #[test]
+    fn a_step_runs_two_wa_gradients_and_one_value_when_the_first_round_is_accepted() {
+        let d = small_design();
+        let mut placer = GlobalPlacer::new(&d, PlacerConfig::default()).unwrap();
+        let trace = Trace::enabled();
+        placer.set_trace(trace.clone());
+        placer.step();
+        let read = || {
+            [
+                "place.wa_grad_evals",
+                "place.wa_value_evals",
+                "place.wa_exp_calls",
+                "place.wa_exp_terms",
+                "place.density_evals",
+            ]
+            .map(|name| counter(&trace, name))
+        };
+        let mut before = read();
+        // WA keeps no memo, so the first step evaluates its start point
+        // three times — to balance λ, for α₀ inside `combined_grad`, as the
+        // opening gradient — before its backtracking rounds.
+        assert!(before[0] >= 4, "{} gradients in the first step", before[0]);
+        assert_eq!(before[1], 1);
+        let nl = d.netlist();
+        let active_pins: u64 = nl
+            .iter_nets()
+            .filter(|(id, net)| nl.net_degree(*id) >= 2 && net.weight != 0.0)
+            .map(|(id, _)| nl.net_degree(id) as u64)
+            .sum();
+        let mut first_round = 0;
+        for _ in 0..20 {
+            placer.step();
+            let after = read();
+            let [grads, values, calls, terms, density] = [0, 1, 2, 3, 4].map(|k| after[k] - before[k]);
+            // The opening gradient (no memo: γ moved), one per backtracking
+            // round, and the value-only statistics. The density pipeline
+            // runs the same rounds, its opening gradient from the memo.
+            assert_eq!(values, 1);
+            assert_eq!(grads, density, "{grads} WA gradients, {density} density evaluations");
+            assert_eq!(terms, 4 * active_pins * (grads + values));
+            assert!(calls < terms, "{calls} exp calls for {terms} terms");
+            first_round += u32::from(grads == 2);
+            before = after;
+        }
+        assert!(first_round >= 10, "only {first_round}/20 steps accepted their first round");
     }
 
     /// One move of the memo property test's scripts.

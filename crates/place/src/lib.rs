@@ -32,7 +32,7 @@ pub use engine::{GlobalPlacer, IterationStats, PlacerConfig, PlacerSnapshot};
 pub use nesterov::{NesterovOptimizer, NesterovState};
 pub use sentinel::{Divergence, DivergenceSentinel};
 pub use quadratic::{quadratic_placement, QuadraticConfig};
-pub use wirelength::{wa_wirelength_grad_threaded, WirelengthGrad};
+pub use wirelength::{wa_wirelength_grad_threaded, WaCounts, WaWorkspace, WirelengthGrad};
 
 use std::error::Error;
 use std::fmt;

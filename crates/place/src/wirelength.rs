@@ -8,12 +8,38 @@
 //! W(e)   = WA⁺ − WA⁻           (per axis; total is x-part + y-part)
 //! ```
 //!
-//! Exponents are shifted by the per-net max/min for numerical stability.
+//! Exponents are shifted by the per-net max/min for numerical stability:
+//! `eⱼ⁺ = exp((xⱼ − max)·γ⁻¹)` and `eⱼ⁻ = exp((min − xⱼ)·γ⁻¹)`.
 //! `γ` controls accuracy: as `γ → 0`, WA → HPWL from below.
+//!
+//! # The elision rule
+//!
+//! Eq. (2) names four exponentials per pin, and `exp` is where the kernel's
+//! time goes. Two families of them have an answer that is known before
+//! `exp` is called, and the kernel ([`WaWorkspace`]) does not call it there:
+//!
+//! * an argument that is `±0.0` gives exactly `1.0` — the max pin's `e⁺`,
+//!   the min pin's `e⁻`, every pin tied with them, and every pin of a net
+//!   whose pins coincide (`exp(±0) = 1` is exact in IEEE 754 and in every
+//!   libm);
+//! * an argument whose bits equal those of `(min − max)·γ⁻¹` — which the
+//!   min pin's `e⁺` and the max pin's `e⁻` are by construction, the same
+//!   expression over the same operands — has the value of that one call,
+//!   made once per net and axis.
+//!
+//! A net of degree `d` with distinct coordinates therefore costs `2d − 3`
+//! calls per axis instead of `2d`. Both are memoisation of a pure function:
+//! same bits in, same bits out, so **every output bit is the one the
+//! un-elided sum produces**, NaN and ±∞ pins included (they match neither
+//! test, or match it with the argument `exp` would have been given anyway).
+//! The un-elided arithmetic lives on as the oracle of
+//! `tests/proptest_invariants.rs`, and `tests/wa_bits.rs` pins the bits the
+//! pre-elision kernel produced.
 
 use puffer_db::cast;
 use puffer_db::design::Placement;
-use puffer_db::netlist::{NetId, Netlist};
+use puffer_db::netlist::{NetId, Netlist, Pin, PinId};
+use std::ops::Range;
 
 /// WA wirelength evaluation result: value and per-cell gradient.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,23 +53,9 @@ pub struct WirelengthGrad {
 }
 
 /// Computes the WA wirelength and its gradient with smoothing parameter
-/// `gamma`, over up to `threads` workers.
-///
-/// Gradients accumulate over pins onto the owning cells (pin offsets are
-/// rigid). Nets with fewer than two pins contribute nothing.
-///
-/// Nets are processed in fixed index chunks (`puffer_par::chunk_ranges`,
-/// boundaries independent of the thread count); each chunk records its
-/// per-pin gradient contributions sparsely in net order, and the chunks
-/// are applied to the output in chunk order. Every f64 addition therefore
-/// happens with the same operands in the same order for any `threads`
-/// value, so the result is **bit-identical** across thread counts.
-///
-/// With a single worker the sparse contributions would be applied in
-/// exactly (chunk, net, pin) order, which is a plain serial accumulation —
-/// so the 1-thread path skips the contribution buffers and writes straight
-/// into the output, staying within a few percent of an unchunked loop
-/// while remaining bit-identical to the multi-worker path.
+/// `gamma`, over up to `threads` workers: [`WaWorkspace::gradient`] on a
+/// workspace built for this one call. A caller that evaluates repeatedly
+/// keeps a [`WaWorkspace`] instead.
 ///
 /// # Panics
 ///
@@ -55,168 +67,408 @@ pub fn wa_wirelength_grad_threaded(
     threads: usize,
 ) -> WirelengthGrad {
     assert!(gamma > 0.0, "gamma must be positive");
-    let n = netlist.num_cells();
-    let mut out = WirelengthGrad {
-        value: 0.0,
-        grad_x: vec![0.0; n],
-        grad_y: vec![0.0; n],
-    };
+    let mut ws = WaWorkspace::new(threads);
+    let value = ws.gradient(netlist, placement, gamma);
+    WirelengthGrad {
+        value,
+        grad_x: ws.grad_x,
+        grad_y: ws.grad_y,
+    }
+}
 
-    if puffer_par::clamp_threads(threads) == 1 {
-        // Single worker: accumulate directly. The per-chunk value
-        // grouping is kept so the total matches the merged path exactly.
-        let mut scratch = NetScratch::default();
-        for range in puffer_par::chunk_ranges(netlist.num_nets()) {
-            let mut value = 0.0;
-            for i in range {
-                let id = NetId(cast::idx_u32(i));
-                value += net_wa_grad(netlist, placement, gamma, id, &mut scratch, &mut |axis,
-                                                                                       cell,
-                                                                                       g| {
-                    if axis == 0 {
-                        out.grad_x[cell] += g;
-                    } else {
-                        out.grad_y[cell] += g;
-                    }
-                });
+/// Exact operation counts of a [`WaWorkspace`]; see
+/// [`WaWorkspace::take_counts`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WaCounts {
+    /// [`WaWorkspace::gradient`] calls.
+    pub grad_evals: u64,
+    /// [`WaWorkspace::value`] calls.
+    pub value_evals: u64,
+    /// `exp` invocations actually made, each net-axis's shared span term
+    /// included.
+    pub exp_calls: u64,
+    /// The exponentials Eq. (2) names: four per pin of every net that
+    /// contributes (degree ≥ 2, non-zero weight), per evaluation.
+    pub exp_terms: u64,
+}
+
+/// The WA kernel with every buffer it needs, allocated on first use and
+/// reused: one pin buffer per worker, the per-cell gradient, and the
+/// per-chunk gradient lists of the workers that cannot accumulate in place.
+///
+/// A `GlobalPlacer` keeps one for its lifetime and asks it for what a call
+/// site consumes: [`WaWorkspace::gradient`], or [`WaWorkspace::value`] where
+/// only the total is read. The workspace adapts to whatever netlist it is
+/// handed; nothing of an earlier evaluation survives into the next.
+///
+/// # Determinism
+///
+/// Nets are processed in the fixed index chunks of
+/// `puffer_par::chunk_ranges` (boundaries independent of the thread count).
+/// A chunk's value is summed in net order and the total in chunk order; a
+/// cell's gradient is the sum of its pins' contributions in (chunk, net,
+/// pin) order. One kernel computes a net; two sinks take its per-pin
+/// gradients. The worker that owns the head of the chunk list — the calling
+/// thread; with one worker, the only one — adds them straight into the
+/// output: its chunks precede all others, so that *is* the merge order.
+/// Every other worker appends the values alone (16 B per pin, no cell
+/// index) to its chunk's list, and the lists are applied in chunk order
+/// afterwards, re-walking the chunk's nets for the cell indices. Every
+/// `f64` addition thus happens with the same operands in the same order
+/// for any worker count: the result is **bit-identical** across thread
+/// counts.
+#[derive(Debug)]
+pub struct WaWorkspace {
+    lanes: Vec<PinBuf>,
+    /// The fixed chunks of the net index space and what each produced.
+    chunks: Vec<Range<usize>>,
+    parts: Vec<ChunkPart>,
+    grad_x: Vec<f64>,
+    grad_y: Vec<f64>,
+    counts: WaCounts,
+}
+
+/// One worker's view of one net: pin coordinates and owning cells, the
+/// shifted exponentials of the axis in hand and the finished per-pin
+/// gradients, each in its own contiguous array so the arithmetic loops
+/// vectorise. Grown to the largest degree met; only `[..degree]` of the
+/// current net is ever read.
+#[derive(Debug, Default)]
+struct PinBuf {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    cell: Vec<usize>,
+    exp_p: Vec<f64>,
+    exp_m: Vec<f64>,
+    grad_x: Vec<f64>,
+    grad_y: Vec<f64>,
+}
+
+impl PinBuf {
+    fn fit(&mut self, degree: usize) {
+        if self.x.len() < degree {
+            for v in [
+                &mut self.x,
+                &mut self.y,
+                &mut self.exp_p,
+                &mut self.exp_m,
+                &mut self.grad_x,
+                &mut self.grad_y,
+            ] {
+                v.resize(degree, 0.0);
             }
-            out.value += value;
+            self.cell.resize(degree, 0);
         }
-        return out;
+    }
+}
+
+/// What one chunk of nets produced, as the ordered merge consumes it.
+#[derive(Debug, Default)]
+struct ChunkPart {
+    value: f64,
+    /// Per-pin gradient values of the chunk's contributing nets in (net,
+    /// pin) order; empty for value-only evaluations and for the chunks
+    /// whose owner accumulated directly.
+    grad_x: Vec<f64>,
+    grad_y: Vec<f64>,
+    exp_calls: u64,
+    exp_terms: u64,
+}
+
+/// Where a worker's per-pin gradients go.
+enum Sink<'a> {
+    /// Nowhere: the evaluation is value-only.
+    Discard,
+    /// Straight into the per-cell output `(∂W/∂x, ∂W/∂y)`.
+    Accumulate(&'a mut [f64], &'a mut [f64]),
+    /// Onto the chunk's list.
+    List,
+}
+
+struct Lane<'a> {
+    buf: &'a mut PinBuf,
+    sink: Sink<'a>,
+}
+
+/// The read-only half of an evaluation.
+struct Nets<'a> {
+    netlist: &'a Netlist,
+    pins: &'a [Pin],
+    xs: &'a [f64],
+    ys: &'a [f64],
+    inv_gamma: f64,
+}
+
+impl WaWorkspace {
+    /// An empty workspace for up to `threads` workers.
+    pub fn new(threads: usize) -> Self {
+        let threads = puffer_par::clamp_threads(threads);
+        WaWorkspace {
+            lanes: (0..threads).map(|_| PinBuf::default()).collect(),
+            chunks: Vec::new(),
+            parts: Vec::new(),
+            grad_x: Vec::new(),
+            grad_y: Vec::new(),
+            counts: WaCounts::default(),
+        }
     }
 
-    let partials = puffer_par::map_chunks(netlist.num_nets(), threads, |range| {
+    /// The WA wirelength of `placement` at a positive `gamma`; leaves its
+    /// gradient in [`WaWorkspace::grad_x`] / [`WaWorkspace::grad_y`].
+    ///
+    /// Gradients accumulate over pins onto the owning cells (pin offsets are
+    /// rigid). Nets with fewer than two pins or zero weight contribute
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `placement` has fewer cells than `netlist`.
+    pub fn gradient(&mut self, netlist: &Netlist, placement: &Placement, gamma: f64) -> f64 {
+        self.counts.grad_evals += 1;
+        self.evaluate(netlist, placement, gamma, true)
+    }
+
+    /// The value [`WaWorkspace::gradient`] returns, bit for bit, without
+    /// the gradient: no per-pin derivative is computed and the last
+    /// gradient stays where it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`WaWorkspace::gradient`].
+    pub fn value(&mut self, netlist: &Netlist, placement: &Placement, gamma: f64) -> f64 {
+        self.counts.value_evals += 1;
+        self.evaluate(netlist, placement, gamma, false)
+    }
+
+    /// ∂W/∂x per cell (indexed by `CellId::index`), as of the last
+    /// [`WaWorkspace::gradient`] call.
+    pub fn grad_x(&self) -> &[f64] {
+        &self.grad_x
+    }
+
+    /// ∂W/∂y per cell; see [`WaWorkspace::grad_x`].
+    pub fn grad_y(&self) -> &[f64] {
+        &self.grad_y
+    }
+
+    /// The operation counts since the last call.
+    pub fn take_counts(&mut self) -> WaCounts {
+        std::mem::take(&mut self.counts)
+    }
+
+    fn evaluate(
+        &mut self,
+        netlist: &Netlist,
+        placement: &Placement,
+        gamma: f64,
+        want_grad: bool,
+    ) -> f64 {
+        debug_assert!(gamma > 0.0, "gamma must be positive");
+        let num_nets = netlist.num_nets();
+        if self.chunks.last().map_or(0, |r| r.end) != num_nets {
+            self.chunks = puffer_par::chunk_ranges(num_nets);
+            self.parts
+                .resize_with(self.chunks.len(), ChunkPart::default);
+        }
+        let mut head = None;
+        if want_grad {
+            for grad in [&mut self.grad_x, &mut self.grad_y] {
+                grad.clear();
+                grad.resize(netlist.num_cells(), 0.0);
+            }
+            head = Some((&mut self.grad_x[..], &mut self.grad_y[..]));
+        }
+        let mut lanes: Vec<Lane<'_>> = self
+            .lanes
+            .iter_mut()
+            .map(|buf| Lane {
+                buf,
+                sink: match head.take() {
+                    Some((gx, gy)) => Sink::Accumulate(gx, gy),
+                    None if want_grad => Sink::List,
+                    None => Sink::Discard,
+                },
+            })
+            .collect();
+        let nets = Nets {
+            netlist,
+            pins: netlist.pins(),
+            xs: placement.xs(),
+            ys: placement.ys(),
+            inv_gamma: 1.0 / gamma,
+        };
+        let chunks = &self.chunks;
+        puffer_par::for_each_block(&mut self.parts, 1, &mut lanes, |first, parts, lane| {
+            for (part, range) in parts.iter_mut().zip(&chunks[first..]) {
+                nets.chunk(range.clone(), part, lane);
+            }
+        });
+        drop(lanes);
+
         let mut value = 0.0;
-        // Sparse per-pin contributions (cell index, gradient), in net
-        // order. Sized upfront: one entry per pin per axis.
-        let pins: usize = range
-            .clone()
-            .map(|i| netlist.net_degree(NetId(cast::idx_u32(i))))
-            .sum();
-        let mut contrib_x: Vec<(usize, f64)> = Vec::with_capacity(pins);
-        let mut contrib_y: Vec<(usize, f64)> = Vec::with_capacity(pins);
-        let mut scratch = NetScratch::default();
-        for i in range {
-            let id = NetId(cast::idx_u32(i));
-            value += net_wa_grad(netlist, placement, gamma, id, &mut scratch, &mut |axis,
-                                                                                   cell,
-                                                                                   g| {
-                if axis == 0 {
-                    contrib_x.push((cell, g));
-                } else {
-                    contrib_y.push((cell, g));
+        for (part, range) in self.parts.iter().zip(&self.chunks) {
+            value += part.value;
+            self.counts.exp_calls += part.exp_calls;
+            self.counts.exp_terms += part.exp_terms;
+            if part.grad_x.is_empty() {
+                continue;
+            }
+            let cells = range
+                .clone()
+                .filter_map(|net| nets.contributing(net))
+                .flat_map(|(ids, _)| ids)
+                .map(|id| nets.pins[id.index()].cell.index());
+            for ((cell, gx), gy) in cells.zip(&part.grad_x).zip(&part.grad_y) {
+                self.grad_x[cell] += gx;
+                self.grad_y[cell] += gy;
+            }
+        }
+        value
+    }
+}
+
+impl Nets<'_> {
+    /// The pins and weight of net `net` if it contributes: nets below
+    /// degree 2 or with zero weight do not.
+    #[inline]
+    fn contributing(&self, net: usize) -> Option<(&[PinId], f64)> {
+        let ids = self.netlist.net_pins(NetId(cast::idx_u32(net)));
+        let weight = self.netlist.nets()[net].weight;
+        (ids.len() >= 2 && weight != 0.0).then_some((ids, weight))
+    }
+
+    /// Evaluates the nets of one chunk into `part`, their per-pin gradients
+    /// into the lane's sink.
+    fn chunk(&self, range: Range<usize>, part: &mut ChunkPart, lane: &mut Lane<'_>) {
+        part.grad_x.clear();
+        part.grad_y.clear();
+        let want_grad = !matches!(lane.sink, Sink::Discard);
+        let buf = &mut *lane.buf;
+        let mut value = 0.0;
+        let mut exp_calls = 0;
+        let mut exp_terms = 0;
+        for net in range {
+            let Some((ids, weight)) = self.contributing(net) else {
+                continue;
+            };
+            let d = ids.len();
+            buf.fit(d);
+            // The one gather: both coordinates and the owning cell of every
+            // pin, `Placement::pin_pos` inlined.
+            for (((x, y), cell), id) in buf.x[..d]
+                .iter_mut()
+                .zip(&mut buf.y[..d])
+                .zip(&mut buf.cell[..d])
+                .zip(ids)
+            {
+                let pin = &self.pins[id.index()];
+                *cell = pin.cell.index();
+                *x = self.xs[*cell] + pin.offset.x;
+                *y = self.ys[*cell] + pin.offset.y;
+            }
+            exp_terms += 4 * cast::idx_u64(d);
+            let mut net_value = 0.0;
+            for (coords, grads) in [(&buf.x, &mut buf.grad_x), (&buf.y, &mut buf.grad_y)] {
+                let wa = self.axis(
+                    &coords[..d],
+                    &mut buf.exp_p[..d],
+                    &mut buf.exp_m[..d],
+                    want_grad.then_some((&mut grads[..d], weight)),
+                    &mut exp_calls,
+                );
+                net_value += weight * wa;
+            }
+            value += net_value;
+            match &mut lane.sink {
+                Sink::Discard => {}
+                Sink::Accumulate(out_x, out_y) => {
+                    for ((&cell, gx), gy) in buf.cell[..d].iter().zip(&buf.grad_x).zip(&buf.grad_y)
+                    {
+                        out_x[cell] += gx;
+                        out_y[cell] += gy;
+                    }
                 }
-            });
+                Sink::List => {
+                    part.grad_x.extend_from_slice(&buf.grad_x[..d]);
+                    part.grad_y.extend_from_slice(&buf.grad_y[..d]);
+                }
+            }
         }
-        (value, contrib_x, contrib_y)
-    });
-
-    for (value, cx, cy) in &partials {
-        out.value += value;
-        for &(cell, g) in cx {
-            out.grad_x[cell] += g;
-        }
-        for &(cell, g) in cy {
-            out.grad_y[cell] += g;
-        }
+        part.value = value;
+        part.exp_calls = exp_calls;
+        part.exp_terms = exp_terms;
     }
-    out
-}
 
-/// Per-net scratch buffers reused across nets (SoA layout: coordinates,
-/// shifted exponentials, and finished gradients each live in their own
-/// contiguous array so the arithmetic loops vectorize).
-#[derive(Default)]
-struct NetScratch {
-    coords: Vec<f64>,
-    exps_p: Vec<f64>,
-    exps_m: Vec<f64>,
-    grads: Vec<f64>,
-}
-
-/// One net's weighted WA wirelength (both axes); per-pin gradient
-/// contributions are handed to `emit(axis, cell_index, g)` in pin order,
-/// axis 0 (x) first. Nets below degree 2 or with zero weight contribute
-/// nothing.
-#[inline]
-fn net_wa_grad(
-    netlist: &Netlist,
-    placement: &Placement,
-    gamma: f64,
-    net: NetId,
-    scratch: &mut NetScratch,
-    emit: &mut impl FnMut(usize, usize, f64),
-) -> f64 {
-    let pins = netlist.net_pins(net);
-    let weight = netlist.net(net).weight;
-    if pins.len() < 2 || weight == 0.0 {
-        return 0.0;
-    }
-    let NetScratch {
-        coords,
-        exps_p,
-        exps_m,
-        grads,
-    } = scratch;
-    let inv_gamma = 1.0 / gamma;
-    let mut value = 0.0;
-    for axis in 0..2 {
-        coords.clear();
-        for &pid in pins {
-            let p = placement.pin_pos(netlist, pid);
-            coords.push(if axis == 0 { p.x } else { p.y });
-        }
+    /// One net's `WA⁺ − WA⁻` along one axis (unweighted); with `grads`,
+    /// also `weight · ∂(WA⁺ − WA⁻)/∂xⱼ` per pin. `exp_p`/`exp_m` are scratch
+    /// of the net's degree.
+    #[inline]
+    fn axis(
+        &self,
+        coords: &[f64],
+        exp_p: &mut [f64],
+        exp_m: &mut [f64],
+        grads: Option<(&mut [f64], f64)>,
+        exp_calls: &mut u64,
+    ) -> f64 {
+        let inv_gamma = self.inv_gamma;
         let (max, min) = coords
             .iter()
             .fold((f64::NEG_INFINITY, f64::INFINITY), |(mx, mn), &x| {
                 (mx.max(x), mn.min(x))
             });
 
-        // Stable exponentials. The `exp` calls stay scalar (no vector libm),
-        // but the SoA pushes keep the sums in a dependence-free form.
-        exps_p.clear();
-        exps_m.clear();
+        // The elision rule of the module docs: `exp` is called for the span
+        // once, and then only for arguments that are neither ±0 nor the
+        // span's.
+        let span = (min - max) * inv_gamma;
+        let span_exp = if span == 0.0 {
+            1.0
+        } else {
+            *exp_calls += 1;
+            span.exp()
+        };
+        let mut exp = |arg: f64| {
+            if arg == 0.0 {
+                1.0
+            } else if arg.to_bits() == span.to_bits() {
+                span_exp
+            } else {
+                *exp_calls += 1;
+                arg.exp()
+            }
+        };
+
         let mut sp = 0.0; // Σ e⁺
         let mut sxp = 0.0; // Σ x e⁺
         let mut sm = 0.0; // Σ e⁻
         let mut sxm = 0.0; // Σ x e⁻
-        for &x in coords.iter() {
-            let ep = ((x - max) * inv_gamma).exp();
-            let em = ((min - x) * inv_gamma).exp();
-            exps_p.push(ep);
-            exps_m.push(em);
-            sp += ep;
-            sxp += x * ep;
-            sm += em;
-            sxm += x * em;
+        for ((&x, ep), em) in coords.iter().zip(exp_p.iter_mut()).zip(exp_m.iter_mut()) {
+            *ep = exp((x - max) * inv_gamma);
+            *em = exp((min - x) * inv_gamma);
+            sp += *ep;
+            sxp += x * *ep;
+            sm += *em;
+            sxm += x * *em;
         }
-        let wa = sxp / sp - sxm / sm;
-        value += weight * wa;
 
-        // Gradient: ∂WA⁺/∂xⱼ = ((1 + xⱼ/γ)·eⱼ⁺·S⁺ − eⱼ⁺·SX⁺/γ) / S⁺²
-        //           ∂WA⁻/∂xⱼ = ((1 − xⱼ/γ)·eⱼ⁻·S⁻ + eⱼ⁻·SX⁻/γ) / S⁻²
-        //
-        // Phase 1 writes the per-pin gradients into an SoA scratch array:
-        // pure arithmetic over contiguous f64 slices with the reciprocals
-        // hoisted out of the loop, which LLVM autovectorizes. Phase 2 does
-        // the (gather-indexed) emit separately.
-        let inv_sp2 = 1.0 / (sp * sp);
-        let inv_sm2 = 1.0 / (sm * sm);
-        let w = weight;
-        grads.clear();
-        for j in 0..coords.len() {
-            let x = coords[j];
-            let ep = exps_p[j];
-            let em = exps_m[j];
-            let dp = ((1.0 + x * inv_gamma) * ep * sp - ep * sxp * inv_gamma) * inv_sp2;
-            let dm = ((1.0 - x * inv_gamma) * em * sm + em * sxm * inv_gamma) * inv_sm2;
-            grads.push(w * (dp - dm));
+        if let Some((grads, w)) = grads {
+            // ∂WA⁺/∂xⱼ = ((1 + xⱼ/γ)·eⱼ⁺·S⁺ − eⱼ⁺·SX⁺/γ) / S⁺²
+            // ∂WA⁻/∂xⱼ = ((1 − xⱼ/γ)·eⱼ⁻·S⁻ + eⱼ⁻·SX⁻/γ) / S⁻²
+            //
+            // Pure arithmetic over contiguous slices with the reciprocals
+            // hoisted out of the loop, which LLVM autovectorises; the
+            // cell-indexed scatter is the sink's.
+            let inv_sp2 = 1.0 / (sp * sp);
+            let inv_sm2 = 1.0 / (sm * sm);
+            for (((g, &x), &ep), &em) in grads.iter_mut().zip(coords).zip(&*exp_p).zip(&*exp_m) {
+                let dp = ((1.0 + x * inv_gamma) * ep * sp - ep * sxp * inv_gamma) * inv_sp2;
+                let dm = ((1.0 - x * inv_gamma) * em * sm + em * sxm * inv_gamma) * inv_sm2;
+                *g = w * (dp - dm);
+            }
         }
-        for (j, &pid) in pins.iter().enumerate() {
-            emit(axis, netlist.pin(pid).cell.index(), grads[j]);
-        }
+        sxp / sp - sxm / sm
     }
-    value
 }
 
 #[cfg(test)]
@@ -323,6 +575,101 @@ mod tests {
         assert!(g.value.is_finite());
         assert!(g.grad_x.iter().all(|v| v.is_finite()));
         assert!(g.grad_y.iter().all(|v| v.is_finite()));
+    }
+
+    /// One net over its own cells at `xs` (all on the line y = 2x).
+    fn line_net(xs: &[f64]) -> (Netlist, Placement) {
+        let mut nb = NetlistBuilder::new();
+        let n = nb.add_net("n");
+        let mut p = Placement::zeroed(xs.len());
+        for (i, &x) in xs.iter().enumerate() {
+            let c = nb.add_cell(format!("c{i}"), 1.0, 1.0, CellKind::Movable);
+            nb.connect(n, c, Point::ORIGIN).unwrap();
+            p.set(c, Point::new(x, 2.0 * x));
+        }
+        (nb.build().unwrap(), p)
+    }
+
+    #[test]
+    fn exp_is_called_only_where_the_answer_is_not_known() {
+        let counts = |xs: &[f64]| {
+            let (nl, p) = line_net(xs);
+            let mut ws = WaWorkspace::new(1);
+            let value = ws.value(&nl, &p, 1.5);
+            assert_eq!(ws.gradient(&nl, &p, 1.5).to_bits(), value.to_bits());
+            let c = ws.take_counts();
+            assert_eq!((c.value_evals, c.grad_evals), (1, 1));
+            assert_eq!(ws.take_counts(), WaCounts::default(), "taking resets");
+            // Both forms, both axes.
+            (c.exp_calls / 4, c.exp_terms / 4)
+        };
+        // Distinct coordinates: the span once, then every pin that is
+        // neither the max nor the min twice — 2d − 3 of 2d.
+        assert_eq!(counts(&[3.0, -1.0, 4.0, 1.5, 9.0]), (7, 10));
+        assert_eq!(counts(&[0.0, 8.0]), (1, 4));
+        // Ties share the extreme pins' answers; coincident pins need none.
+        assert_eq!(counts(&[8.0, 0.0, 8.0, 0.0]), (1, 8));
+        assert_eq!(counts(&[5.0, 5.0, 5.0]), (0, 6));
+        // A net that contributes nothing names no exponential either.
+        assert_eq!(counts(&[7.0]), (0, 0));
+    }
+
+    /// Address and capacity of every buffer the workspace owns.
+    fn buffers(ws: &WaWorkspace) -> Vec<(usize, usize)> {
+        let f64s = |v: &Vec<f64>| (v.as_ptr() as usize, v.capacity());
+        let mut all = vec![f64s(&ws.grad_x), f64s(&ws.grad_y)];
+        all.push((ws.chunks.as_ptr() as usize, ws.chunks.capacity()));
+        for b in &ws.lanes {
+            all.extend([&b.x, &b.y, &b.exp_p, &b.exp_m, &b.grad_x, &b.grad_y].map(f64s));
+            all.push((b.cell.as_ptr() as usize, b.cell.capacity()));
+        }
+        for part in &ws.parts {
+            all.extend([f64s(&part.grad_x), f64s(&part.grad_y)]);
+        }
+        all
+    }
+
+    /// What `warm_step_faults.rs` cannot see at test sizes: once warm, an
+    /// evaluation in either form at any worker count keeps every buffer
+    /// where it is — the per-chunk lists of the list sink included.
+    #[test]
+    fn a_warm_evaluation_reallocates_nothing() {
+        let d = puffer_gen::generate(&puffer_gen::GeneratorConfig {
+            num_cells: 300,
+            num_nets: 330,
+            ..puffer_gen::GeneratorConfig::default()
+        })
+        .unwrap();
+        let nl = d.netlist();
+        let mut p = d.initial_placement();
+        for threads in [1, 2, 3] {
+            let mut ws = WaWorkspace::new(threads);
+            ws.gradient(nl, &p, 1.0);
+            let warm = buffers(&ws);
+            let listed: usize = ws.parts.iter().map(|part| part.grad_x.len()).sum();
+            assert_eq!(
+                listed > 0,
+                threads > 1,
+                "only the head worker accumulates in place"
+            );
+            for (i, id) in nl.movable_cells().enumerate() {
+                p.set(id, Point::new((i % 17) as f64, (i % 5) as f64));
+            }
+            ws.value(nl, &p, 0.3);
+            ws.gradient(nl, &p, 0.3);
+            assert_eq!(buffers(&ws), warm, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn the_value_form_leaves_the_last_gradient_alone() {
+        let (nl, p) = line_net(&[0.0, 2.0, 7.0]);
+        let mut ws = WaWorkspace::new(2);
+        ws.gradient(&nl, &p, 1.0);
+        let before = (ws.grad_x().to_vec(), ws.grad_y().to_vec());
+        let (_, moved) = line_net(&[1.0, 2.0, 3.0]);
+        ws.value(&nl, &moved, 0.25);
+        assert_eq!((ws.grad_x().to_vec(), ws.grad_y().to_vec()), before);
     }
 
     #[test]

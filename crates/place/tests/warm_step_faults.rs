@@ -8,6 +8,12 @@
 //! kernel. The fault count is read from `/proc/self/stat`, so this needs no
 //! counting allocator; the file holds this one test so that nothing else
 //! runs in the process while it counts.
+//!
+//! The two-worker case covers what only exists with more than one worker:
+//! the density pipeline's sparse chunk lists and the WA kernel's per-chunk
+//! gradient lists, all persistent. (At this size neither would reach the
+//! `mmap` threshold even if rebuilt per call — `wirelength.rs` pins the WA
+//! buffers' addresses directly — so this case guards the grids.)
 #![cfg(target_os = "linux")]
 
 use puffer_gen::{generate, GeneratorConfig};
@@ -35,20 +41,22 @@ fn warm_steps_do_not_fault_in_fresh_grids() {
         ..GeneratorConfig::default()
     })
     .unwrap();
-    let config = PlacerConfig {
-        bin_dim: 128,
-        threads: 1,
-        ..PlacerConfig::default()
-    };
-    let mut placer = GlobalPlacer::new(&design, config).unwrap();
-    for _ in 0..10 {
-        placer.step();
+    for threads in [1, 2] {
+        let config = PlacerConfig {
+            bin_dim: 128,
+            threads,
+            ..PlacerConfig::default()
+        };
+        let mut placer = GlobalPlacer::new(&design, config).unwrap();
+        for _ in 0..10 {
+            placer.step();
+        }
+        const STEPS: u64 = 50;
+        let before = minor_faults();
+        for _ in 0..STEPS {
+            placer.step();
+        }
+        let per_step = (minor_faults() - before) / STEPS;
+        assert!(per_step < 50, "threads {threads}: {per_step} minor faults per warm step");
     }
-    const STEPS: u64 = 50;
-    let before = minor_faults();
-    for _ in 0..STEPS {
-        placer.step();
-    }
-    let per_step = (minor_faults() - before) / STEPS;
-    assert!(per_step < 50, "{per_step} minor faults per warm step");
 }

@@ -64,13 +64,18 @@ echo "==> validated flow smoke (place --validate + puffer audit)"
 # Deterministic-parallelism smoke: --threads must not change results. The
 # checkpoint journals and placements of a 1-thread and a 4-thread run are
 # byte-identical (the puffer-par kernels are bit-identical by design).
+# The `wa` of each place.iter record comes from the WA kernel's value-only
+# form, whose result reaches no journal: the records are compared too, minus
+# their timestamps.
+iter_records() { grep '"t":"place.iter"' "$1" | sed -E 's/"elapsed_s":[^,}]*,?//'; }
 echo "==> deterministic parallelism smoke (place --threads 1 vs 4)"
 "$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/t1.pl" \
-  --threads 1 --journal "$SMOKE_DIR/t1.pj"
+  --threads 1 --journal "$SMOKE_DIR/t1.pj" --metrics "$SMOKE_DIR/t1.jsonl"
 "$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/t4.pl" \
-  --threads 4 --journal "$SMOKE_DIR/t4.pj"
+  --threads 4 --journal "$SMOKE_DIR/t4.pj" --metrics "$SMOKE_DIR/t4.jsonl"
 cmp "$SMOKE_DIR/t1.pj" "$SMOKE_DIR/t4.pj"
 cmp "$SMOKE_DIR/t1.pl" "$SMOKE_DIR/t4.pl"
+cmp <(iter_records "$SMOKE_DIR/t1.jsonl") <(iter_records "$SMOKE_DIR/t4.jsonl")
 # The same on a 128x128-bin grid (ct_top just past the 4096-cell auto_dim
 # step): the smoke above never leaves 32x32 bins, where one worker's
 # scatter scratch, the transposes and the sparse chunk lists are all
@@ -79,11 +84,12 @@ echo "==> deterministic parallelism smoke, 128x128 bins (ct_top, --threads 1 vs 
 "$PUFFER" gen --preset ct_top --scale 0.0034 -o "$SMOKE_DIR/grid.pd"
 for t in 1 2 4; do
   "$PUFFER" place "$SMOKE_DIR/grid.pd" -o "$SMOKE_DIR/grid-t$t.pl" \
-    --threads "$t" --journal "$SMOKE_DIR/grid-t$t.pj"
+    --threads "$t" --journal "$SMOKE_DIR/grid-t$t.pj" --metrics "$SMOKE_DIR/grid-t$t.jsonl"
 done
 for t in 2 4; do
   cmp "$SMOKE_DIR/grid-t1.pj" "$SMOKE_DIR/grid-t$t.pj"
   cmp "$SMOKE_DIR/grid-t1.pl" "$SMOKE_DIR/grid-t$t.pl"
+  cmp <(iter_records "$SMOKE_DIR/grid-t1.jsonl") <(iter_records "$SMOKE_DIR/grid-t$t.jsonl")
 done
 
 # Bounded-execution smoke: an expired deadline must still exit 0 with a

@@ -449,6 +449,42 @@ fn transform_count_outside_the_density_evaluations_is_detected() {
     audit_metrics(&good).expect("233 gradients + 217 statistics = 1133 transforms pass");
 }
 
+#[test]
+fn impossible_wa_counters_are_detected() {
+    let dir = tmp_dir("wa-counters");
+    let audit = |name: &str, [grads, values, calls, terms]: [u64; 4]| {
+        let lines = [
+            ("place.wa_grad_evals", grads),
+            ("place.wa_value_evals", values),
+            ("place.wa_exp_calls", calls),
+            ("place.wa_exp_terms", terms),
+        ]
+        .map(|(counter, value)| {
+            format!(r#"{{"t":"counter","elapsed_s":0.1,"name":"{counter}","value":{value}}}"#)
+        });
+        let path = dir.join(name);
+        write_lines(&path, &[&lines[0], &lines[1], &lines[2], &lines[3]]);
+        audit_metrics(&path)
+    };
+    // 440 gradients + 200 value-only evaluations of 2151 pins, 41 % elided.
+    let terms = 4 * 2151 * 640;
+    audit("good.jsonl", [440, 200, 3_240_960, terms]).expect("the golden run's shape passes");
+    for (name, bad) in [
+        // More calls than Eq. (2) has exponentials.
+        ("calls.jsonl", [440, 200, terms + 1, terms]),
+        // A term count no whole number of pins per evaluation makes.
+        ("terms.jsonl", [440, 200, 3_240_960, terms + 4]),
+        ("evals.jsonl", [440, 201, 3_240_960, terms]),
+        ("none.jsonl", [0, 0, 0, 8]),
+    ] {
+        let report = audit(name, bad).expect_err("impossible WA counters must be caught");
+        assert!(
+            report.violations.iter().any(|v| v.check == "wa-counters"),
+            "{name}: {report}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Journal corruptions and cross-file consistency
 // ---------------------------------------------------------------------------

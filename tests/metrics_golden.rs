@@ -129,6 +129,23 @@ fn metrics_run_is_schema_valid_and_consistent() {
     assert_eq!(counter("fft.transforms2d"), 1117);
     assert!(counter("fft.transforms2d") < 6 * gp_iterations);
 
+    // The WA kernel's exact counters. Every density gradient request — from
+    // the memo or not — has a WA gradient beside it, and every step reads
+    // one value-only evaluation (no recovery fired here). `terms` is what
+    // Eq. (2) names, 4 exponentials per pin of a contributing net per
+    // evaluation; `calls` is what the kernel ran. The pinned values make any
+    // change to the elision visible; the bound keeps un-elided evaluation
+    // (calls = terms) from coming back.
+    assert_eq!(counter("place.wa_grad_evals"), 440);
+    assert_eq!(
+        counter("place.wa_grad_evals"),
+        counter("place.density_evals") - gp_iterations + counter("place.density_memo_hits")
+    );
+    assert_eq!(counter("place.wa_value_evals"), gp_iterations);
+    assert_eq!(counter("place.wa_exp_terms"), 5_506_560);
+    assert_eq!(counter("place.wa_exp_calls"), 3_240_960);
+    assert!(10 * counter("place.wa_exp_calls") <= 6 * counter("place.wa_exp_terms"));
+
     // The CLI validator and the metrics audit agree.
     let out = run_cli(&["trace", metrics.to_str().unwrap(), "--check"]);
     assert!(out.contains("check OK"), "{out}");

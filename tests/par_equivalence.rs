@@ -12,7 +12,9 @@ use puffer_db::design::{Design, Placement};
 use puffer_db::geom::Point;
 use puffer_fft::{dct2, dct3, dst3_shifted, transform2d_mixed_threaded, transform2d_threaded};
 use puffer_gen::{generate, GeneratorConfig};
-use puffer_place::{wa_wirelength_grad_threaded, DensityModel, GlobalPlacer, PlacerConfig};
+use puffer_place::{
+    wa_wirelength_grad_threaded, DensityModel, GlobalPlacer, PlacerConfig, WaWorkspace,
+};
 use puffer_rng::StdRng;
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
@@ -73,6 +75,38 @@ fn wirelength_gradient_is_bit_identical_across_thread_counts() {
                 bits(&base.grad_y),
                 "seed {seed} threads {t}: grad_y differs"
             );
+        }
+    }
+
+    // A workspace that has already evaluated something else — another γ, a
+    // larger design, the other form — must answer as a fresh one does:
+    // every list, scratch array and gradient slot it holds is stale.
+    let large = test_design(600, 700, 1);
+    let large_p = jittered_placement(&large, 0xABCC);
+    // Fewer cells, fewer nets, other chunk boundaries.
+    let small = test_design(150, 90, 7);
+    let small_p = jittered_placement(&small, 0x51);
+    let evaluations = [
+        (&large, &large_p, 4.0),
+        (&large, &large_p, 0.25),
+        (&small, &small_p, 0.25),
+        (&large, &large_p, 4.0),
+    ];
+    for t in THREADS {
+        let mut ws = WaWorkspace::new(t);
+        for (k, (d, p, gamma)) in evaluations.into_iter().enumerate() {
+            let what = format!("threads {t}, evaluation {k}");
+            let fresh = wa_wirelength_grad_threaded(d.netlist(), p, gamma, 1);
+            let value = ws.gradient(d.netlist(), p, gamma);
+            assert_eq!(value.to_bits(), fresh.value.to_bits(), "{what}: value");
+            assert_eq!(bits(ws.grad_x()), bits(&fresh.grad_x), "{what}: grad_x");
+            assert_eq!(bits(ws.grad_y()), bits(&fresh.grad_y), "{what}: grad_y");
+            // The value-only form agrees, and neither reads nor writes the
+            // gradient it sits beside.
+            let value = ws.value(d.netlist(), p, gamma * 0.5);
+            let fresh_half = wa_wirelength_grad_threaded(d.netlist(), p, gamma * 0.5, 1);
+            assert_eq!(value.to_bits(), fresh_half.value.to_bits(), "{what}: value-only");
+            assert_eq!(bits(ws.grad_x()), bits(&fresh.grad_x), "{what}: grad_x after value");
         }
     }
 }

@@ -5,11 +5,11 @@ use puffer_db::design::{Design, Placement};
 use puffer_db::geom::{Point, Rect};
 use puffer_db::grid::Grid;
 use puffer_db::hpwl::total_hpwl;
-use puffer_db::netlist::{CellId, CellKind, NetlistBuilder};
+use puffer_db::netlist::{CellId, CellKind, Netlist, NetlistBuilder};
 use puffer_db::tech::Technology;
 use puffer_flute::{mst_wirelength, Topology};
 use puffer_legal::{check_legal, discretize_padding, legalize_bounded};
-use puffer_place::wa_wirelength_grad_threaded;
+use puffer_place::{wa_wirelength_grad_threaded, WaWorkspace, WirelengthGrad};
 use puffer_rng::check::{run_cases, vec_of};
 use puffer_rng::{prop_check, StdRng};
 
@@ -280,6 +280,143 @@ fn parallel_gradient_sums_to_zero_per_net() {
                 prop_check!(sx.abs() <= 1e-9 * scale, "x-sum {sx} not ~0");
                 prop_check!(sy.abs() <= 1e-9 * scale, "y-sum {sy} not ~0");
             }
+            Ok(())
+        },
+    );
+}
+
+/// Eq. (2) as written: `exp` is called for every pin, sign and axis, pins
+/// are read through `Placement::pin_pos`, and the sums are grouped the way
+/// the kernel documents — a net's axes, a chunk's nets, the chunks. This is
+/// the arithmetic the eliding kernel must reproduce; it lives here so that
+/// the un-elided form stays in the tree.
+fn wa_oracle(netlist: &Netlist, placement: &Placement, gamma: f64) -> WirelengthGrad {
+    let n = netlist.num_cells();
+    let mut out = WirelengthGrad {
+        value: 0.0,
+        grad_x: vec![0.0; n],
+        grad_y: vec![0.0; n],
+    };
+    let inv_gamma = 1.0 / gamma;
+    for chunk in puffer_par::chunk_ranges(netlist.num_nets()) {
+        let mut chunk_value = 0.0;
+        for (id, net) in netlist.iter_nets().skip(chunk.start).take(chunk.len()) {
+            let pins = netlist.net_pins(id);
+            if pins.len() < 2 || net.weight == 0.0 {
+                continue;
+            }
+            let mut net_value = 0.0;
+            for axis in 0..2 {
+                let coords: Vec<f64> = pins
+                    .iter()
+                    .map(|&pid| {
+                        let p = placement.pin_pos(netlist, pid);
+                        [p.x, p.y][axis]
+                    })
+                    .collect();
+                let max = coords.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
+                let min = coords.iter().fold(f64::INFINITY, |m, &x| m.min(x));
+                let exp_p: Vec<f64> = coords.iter().map(|x| ((x - max) * inv_gamma).exp()).collect();
+                let exp_m: Vec<f64> = coords.iter().map(|x| ((min - x) * inv_gamma).exp()).collect();
+                let (mut sp, mut sxp, mut sm, mut sxm) = (0.0, 0.0, 0.0, 0.0);
+                for ((&x, &ep), &em) in coords.iter().zip(&exp_p).zip(&exp_m) {
+                    sp += ep;
+                    sxp += x * ep;
+                    sm += em;
+                    sxm += x * em;
+                }
+                net_value += net.weight * (sxp / sp - sxm / sm);
+                let inv_sp2 = 1.0 / (sp * sp);
+                let inv_sm2 = 1.0 / (sm * sm);
+                for (((&pid, &x), &ep), &em) in pins.iter().zip(&coords).zip(&exp_p).zip(&exp_m) {
+                    let dp = ((1.0 + x * inv_gamma) * ep * sp - ep * sxp * inv_gamma) * inv_sp2;
+                    let dm = ((1.0 - x * inv_gamma) * em * sm + em * sxm * inv_gamma) * inv_sm2;
+                    let grad = if axis == 0 { &mut out.grad_x } else { &mut out.grad_y };
+                    grad[netlist.pin(pid).cell.index()] += net.weight * (dp - dm);
+                }
+            }
+            chunk_value += net_value;
+        }
+        out.value += chunk_value;
+    }
+    out
+}
+
+/// The eliding kernel, in both forms and at any thread count, is the
+/// un-elided Eq. (2) bit for bit — on netlists with shared cells, pin
+/// offsets, degree-1 and zero-weight nets, and coordinates drawn from a
+/// small lattice so that ties, coincident pins and ±0 arguments are common.
+#[test]
+fn wa_kernel_matches_the_unelided_oracle_bit_for_bit() {
+    #[derive(Debug)]
+    struct Case {
+        cells: Vec<Point>,
+        /// `(weight, [(cell, offset)])` per net.
+        nets: Vec<(f64, Vec<(usize, Point)>)>,
+        gamma: f64,
+        threads: usize,
+    }
+    run_cases(
+        96,
+        0x1018,
+        |rng| {
+            let lattice = rng.gen_bool(0.5);
+            let coord = |r: &mut StdRng| {
+                if lattice {
+                    f64::from(r.gen_range(0..4u32)) * 2.5 - 2.5
+                } else {
+                    r.gen_range(-50.0..50.0)
+                }
+            };
+            let cells = vec_of(rng, 2..40, |r| Point::new(coord(r), coord(r)));
+            let num_cells = cells.len();
+            let nets = vec_of(rng, 1..60, |r| {
+                let weight = [0.0, 1.0, 1.0, 2.5][r.gen_range(0..4usize)];
+                let pins = vec_of(r, 1..9, |r| {
+                    let offset = if r.gen_bool(0.5) {
+                        Point::ORIGIN
+                    } else {
+                        Point::new(f64::from(r.gen_range(0..3u32)) * 0.5 - 0.5, r.gen_range(-0.5..0.5))
+                    };
+                    (r.gen_range(0..num_cells), offset)
+                });
+                (weight, pins)
+            });
+            Case {
+                cells,
+                nets,
+                gamma: [0.01, 0.3, 1.0, 8.0][rng.gen_range(0..4usize)] * rng.gen_range(0.5..2.0),
+                threads: rng.gen_range(1..6usize),
+            }
+        },
+        |case| {
+            let mut nb = NetlistBuilder::new();
+            let ids: Vec<_> = (0..case.cells.len())
+                .map(|i| nb.add_cell(format!("c{i}"), 1.0, 1.0, CellKind::Movable))
+                .collect();
+            for (i, (weight, pins)) in case.nets.iter().enumerate() {
+                let net = nb.add_weighted_net(format!("n{i}"), *weight);
+                for &(cell, offset) in pins {
+                    nb.connect(net, ids[cell], offset).unwrap();
+                }
+            }
+            let nl = nb.build().unwrap();
+            let mut p = Placement::zeroed(nl.num_cells());
+            for (&id, &at) in ids.iter().zip(&case.cells) {
+                p.set(id, at);
+            }
+            let want = wa_oracle(&nl, &p, case.gamma);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+            let mut ws = WaWorkspace::new(case.threads);
+            let value = ws.value(&nl, &p, case.gamma);
+            prop_check!(value.to_bits() == want.value.to_bits(), "value-only {value} vs oracle {}", want.value);
+            let value = ws.gradient(&nl, &p, case.gamma);
+            prop_check!(value.to_bits() == want.value.to_bits(), "gradient-form value {value} vs oracle {}", want.value);
+            prop_check!(bits(ws.grad_x()) == bits(&want.grad_x), "grad_x differs from the oracle");
+            prop_check!(bits(ws.grad_y()) == bits(&want.grad_y), "grad_y differs from the oracle");
+            let counts = ws.take_counts();
+            prop_check!(counts.exp_calls <= counts.exp_terms, "{counts:?}");
             Ok(())
         },
     );
