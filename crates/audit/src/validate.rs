@@ -644,7 +644,8 @@ fn hist_sum(record: &ParsedRecord, field: &str, index: usize, out: &mut Vec<Viol
 /// timestamp, per-iteration quantities are finite, the congestion
 /// histograms of every round bucket exactly the same number of Gcells in
 /// both directions, the `flow.done` totals agree with the per-record
-/// streams, and the density and WA kernels' exact counters are possible.
+/// streams, and the exact counters of the density and WA kernels and of
+/// the router's maze search are possible.
 ///
 /// # Errors
 ///
@@ -831,6 +832,36 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
                             "congest.dirty record {i} reuse must be a fraction in [0, 1]"
                         ),
                     });
+                }
+            }
+            "route.done" => {
+                // The router's search counters: a segment is rerouted at
+                // most once per round, and a search pops only what it (or
+                // its source push) put on the heap. Files written before
+                // the counters existed carry none and pass.
+                if let (Some(reroutes), Some(segments), Some(rounds)) =
+                    (r.num("reroutes"), r.num("segments"), r.num("rounds"))
+                {
+                    if reroutes > segments * rounds {
+                        out.push(Violation {
+                            check: "route-counters",
+                            message: format!(
+                                "route.done record {i}: reroutes = {reroutes} exceeds \
+                                 segments = {segments} x rounds = {rounds}"
+                            ),
+                        });
+                    }
+                }
+                if let (Some(pops), Some(pushes)) = (r.num("maze_pops"), r.num("maze_pushes")) {
+                    if pops > pushes {
+                        out.push(Violation {
+                            check: "route-counters",
+                            message: format!(
+                                "route.done record {i}: maze_pops = {pops} exceeds \
+                                 maze_pushes = {pushes}"
+                            ),
+                        });
+                    }
                 }
             }
             "flow.done" => {

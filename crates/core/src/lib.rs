@@ -77,6 +77,7 @@ pub use report::{ComparisonTable, EvalRow, FlowSummary};
 pub use scale::ScaleClass;
 
 use puffer_budget::Budget;
+use puffer_db::cast;
 use puffer_db::design::{Design, Placement};
 use puffer_explore::{ParamSpec, Space};
 use puffer_pad::PaddingStrategy;
@@ -148,6 +149,10 @@ pub fn evaluate_bounded(
         .num("wirelength", report.wirelength)
         .int("overflow_gcells", report.overflow_gcells as i64)
         .int("rounds", report.rounds as i64)
+        .int("segments", cast::u64_i64(report.segments))
+        .int("reroutes", cast::u64_i64(report.reroutes))
+        .int("maze_pops", cast::u64_i64(report.maze_pops))
+        .int("maze_pushes", cast::u64_i64(report.maze_pushes))
         .write();
     Ok(report)
 }

@@ -1,5 +1,26 @@
 //! The routing grid: per-Gcell capacity, usage, and negotiated-congestion
 //! cost bookkeeping (PathFinder-style).
+//!
+//! # The step table
+//!
+//! Path search prices a move between adjacent Gcells as the mean of
+//! [`RoutingGrid::cost`]`(.., 0.5)` at its two ends, tens of millions of
+//! times per routed design, while usage changes at a dozen Gcells per
+//! reroute. The grid therefore keeps that value per Gcell and direction
+//! ([`RoutingGrid::step_costs`]) under one invariant:
+//!
+//! > `step_costs(d)[iy * nx + ix]` **is** `cost(ix, iy, d, 0.5)`, bit for
+//! > bit, at every Gcell, whenever the grid can be observed.
+//!
+//! Every entry is written by calling `cost` — there is no second formula
+//! to drift — and everything `cost` reads is private to this module:
+//! usage changes only through [`RoutingGrid::charge`] (which refreshes the
+//! one entry it touches), history only through
+//! [`RoutingGrid::update_history`] and capacity only in
+//! [`RoutingGrid::new`] (which refresh every entry), and the two penalty
+//! weights are constants of `new`. A reader of the table thus gets the
+//! `f64` a call to `cost` would have returned, so a search that reads it
+//! relaxes, pushes and pops exactly as one that calls `cost`.
 
 use puffer_congest::CongestionMap;
 use puffer_db::grid::Grid;
@@ -27,10 +48,14 @@ pub struct RoutingGrid {
     v_use: Grid<f64>,
     h_hist: Grid<f64>,
     v_hist: Grid<f64>,
+    /// `cost(ix, iy, Dir::H, 0.5)` per Gcell (the module's step table).
+    h_step: Vec<f64>,
+    /// `cost(ix, iy, Dir::V, 0.5)` per Gcell.
+    v_step: Vec<f64>,
     /// Present-congestion penalty weight.
-    pub present_weight: f64,
+    present_weight: f64,
     /// History penalty weight.
-    pub history_weight: f64,
+    history_weight: f64,
     /// Cost of a bend (direction change), modelling a via.
     pub bend_cost: f64,
 }
@@ -39,17 +64,21 @@ impl RoutingGrid {
     /// Builds the grid from capacity maps.
     pub fn new(h_cap: Grid<f64>, v_cap: Grid<f64>) -> Self {
         let zero = h_cap.map(|_| 0.0);
-        RoutingGrid {
+        let mut grid = RoutingGrid {
             h_use: zero.clone(),
             v_use: zero.clone(),
             h_hist: zero.clone(),
             v_hist: zero,
+            h_step: vec![0.0; h_cap.len()],
+            v_step: vec![0.0; h_cap.len()],
             h_cap,
             v_cap,
             present_weight: 4.0,
             history_weight: 1.0,
             bend_cost: 0.8,
-        }
+        };
+        grid.refresh_steps();
+        grid
     }
 
     /// Grid width in Gcells.
@@ -111,6 +140,7 @@ impl RoutingGrid {
         };
         let v = g.at_mut(ix, iy);
         *v = (*v + amount).max(0.0);
+        self.refresh_step(ix, iy, d);
     }
 
     /// Overuse (tracks beyond capacity) at a Gcell in a direction.
@@ -125,6 +155,34 @@ impl RoutingGrid {
         let over = (usage + inc - cap).max(0.0) / cap.max(1.0);
         let hist = *self.hist_of(d).at(ix, iy);
         1.0 + self.present_weight * over + self.history_weight * hist * over.clamp(0.1, 1.0)
+    }
+
+    /// `cost(ix, iy, d, 0.5)` of every Gcell, row-major (`iy * nx + ix`):
+    /// what one end of a unit move in direction `d` costs. Maintained by
+    /// this module; see the module docs for why it never goes stale.
+    pub fn step_costs(&self, d: Dir) -> &[f64] {
+        match d {
+            Dir::H => &self.h_step,
+            Dir::V => &self.v_step,
+        }
+    }
+
+    fn refresh_step(&mut self, ix: usize, iy: usize, d: Dir) {
+        let step = self.cost(ix, iy, d, 0.5);
+        let node = self.h_cap.idx(ix, iy);
+        match d {
+            Dir::H => self.h_step[node] = step,
+            Dir::V => self.v_step[node] = step,
+        }
+    }
+
+    fn refresh_steps(&mut self) {
+        for iy in 0..self.ny() {
+            for ix in 0..self.nx() {
+                self.refresh_step(ix, iy, Dir::H);
+                self.refresh_step(ix, iy, Dir::V);
+            }
+        }
     }
 
     /// End-of-round history update: every overused Gcell accumulates
@@ -142,6 +200,7 @@ impl RoutingGrid {
                 }
             }
         }
+        self.refresh_steps();
     }
 
     /// Number of Gcells overused in either direction.

@@ -9,12 +9,14 @@
 //!   ([`puffer_flute`]);
 //! * pattern routing (best of L/Z candidates) for the initial solution;
 //! * PathFinder-style negotiated-congestion rip-up-and-reroute with A*
-//!   maze routing for overflowed segments ([`path::maze_route`]);
+//!   maze routing for overflowed segments ([`path::MazeScratch::route`]:
+//!   one search state per `try_route` call, so a reroute costs what it
+//!   explores);
 //! * a [`RouteReport`] with the Table II quantities — HOF(%), VOF(%),
 //!   routed wirelength — plus Fig. 5-style congestion maps;
 //! * [`GlobalRouter::try_route`], which rejects hostile inputs (NaN
-//!   coordinates, zero-capacity grids) with a typed [`RouteError`]
-//!   instead of routing garbage.
+//!   coordinates, zero-capacity grids, an impossible [`RouterConfig`])
+//!   with a typed [`RouteError`] instead of routing garbage.
 //!
 //! All three placement flows in the reproduction are judged by this same
 //! router, mirroring the paper's use of one common evaluator.
@@ -66,7 +68,8 @@ pub enum RouteError {
     /// The routing grid has no capacity in one direction (e.g. blockages
     /// or derates consumed everything): overflow ratios are meaningless.
     ZeroCapacity(String),
-    /// The placement's coordinate vectors do not match the design.
+    /// The placement's coordinate vectors do not match the design, or the
+    /// [`RouterConfig`] holds a value no routing grid can be built from.
     BadInput(String),
     /// A worker thread panicked; the payload message is preserved. The
     /// panic is contained here instead of unwinding through `join()` —
@@ -135,6 +138,15 @@ pub struct RouteReport {
     /// The final 2-D path of every routed two-point net (input to
     /// [`assign_layers`]).
     pub paths: Vec<path::Path>,
+    /// Two-point segments routed (`paths.len()`).
+    pub segments: u64,
+    /// Maze searches run by rip-up-and-reroute, over all rounds.
+    pub reroutes: u64,
+    /// Heap pops over all maze searches (stale entries included).
+    pub maze_pops: u64,
+    /// Heap pushes over all maze searches, each search's source push
+    /// included — so `maze_pops <= maze_pushes`.
+    pub maze_pushes: u64,
 }
 
 impl RouteReport {
@@ -187,14 +199,31 @@ impl GlobalRouter {
     /// # Errors
     ///
     /// [`RouteError::BadInput`] when the placement's size disagrees with
-    /// the design, [`RouteError::NonFinitePlacement`] when any cell
-    /// position is NaN/infinite, and [`RouteError::ZeroCapacity`] when a
-    /// direction has no routing capacity at all.
+    /// the design or the configuration is impossible (`power_derate`
+    /// outside `[0, 1]`, `gcell_rows` not a positive number),
+    /// [`RouteError::NonFinitePlacement`] when any cell position is
+    /// NaN/infinite, and [`RouteError::ZeroCapacity`] when a direction's
+    /// total routing capacity is not a positive number.
     pub fn try_route(
         &self,
         design: &Design,
         placement: &Placement,
     ) -> Result<RouteReport, RouteError> {
+        let RouterConfig {
+            gcell_rows,
+            power_derate,
+            ..
+        } = self.config;
+        if !(0.0..=1.0).contains(&power_derate) {
+            return Err(RouteError::BadInput(format!(
+                "power_derate {power_derate} is not a fraction in [0, 1]"
+            )));
+        }
+        if !(gcell_rows.is_finite() && gcell_rows > 0.0) {
+            return Err(RouteError::BadInput(format!(
+                "gcell_rows {gcell_rows} is not a positive number"
+            )));
+        }
         let netlist_check = design.netlist();
         if placement.len() != netlist_check.num_cells() {
             return Err(RouteError::BadInput(format!(
@@ -211,11 +240,11 @@ impl GlobalRouter {
                 });
             }
         }
-        if self.base.total_capacity(Dir::H) <= 0.0 {
-            return Err(RouteError::ZeroCapacity("horizontal".into()));
-        }
-        if self.base.total_capacity(Dir::V) <= 0.0 {
-            return Err(RouteError::ZeroCapacity("vertical".into()));
+        for (d, name) in [(Dir::H, "horizontal"), (Dir::V, "vertical")] {
+            let total = self.base.total_capacity(d);
+            if !(total.is_finite() && total > 0.0) {
+                return Err(RouteError::ZeroCapacity(name.into()));
+            }
         }
 
         let mut grid = self.base.clone();
@@ -283,6 +312,7 @@ impl GlobalRouter {
         // the grid and `paths` mutually consistent — so the report below is
         // simply the best routing found so far.
         let mut rounds = 0;
+        let mut scratch = path::MazeScratch::new();
         'ripup: for _ in 0..self.config.max_rounds {
             if grid.overflow_gcells() == 0 || self.budget.is_exhausted() {
                 break;
@@ -296,7 +326,7 @@ impl GlobalRouter {
                 }
                 let (a, b) = endpoints[i];
                 path::apply_path(&mut grid, &paths[i], -1.0);
-                let p = path::maze_route(&grid, a, b);
+                let p = scratch.route(&grid, a, b);
                 path::apply_path(&mut grid, &p, 1.0);
                 paths[i] = p;
                 rerouted += 1;
@@ -328,7 +358,11 @@ impl GlobalRouter {
             overflow_gcells: grid.overflow_gcells(),
             rounds,
             congestion: grid.to_congestion_map(),
+            segments: cast::idx_u64(paths.len()),
             paths,
+            reroutes: scratch.searches(),
+            maze_pops: scratch.pops(),
+            maze_pushes: scratch.pushes(),
         })
     }
 }
@@ -529,6 +563,69 @@ mod tests {
         let err = router
             .try_route(&d, &d.initial_placement())
             .unwrap_err();
+        assert!(matches!(err, RouteError::ZeroCapacity(_)), "{err}");
+    }
+
+    #[test]
+    fn try_route_rejects_non_finite_capacity() {
+        use puffer_db::geom::Rect;
+        let d = design(0.2);
+        let r = Rect::new(0.0, 0.0, 8.0, 8.0);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut v_cap = puffer_db::grid::Grid::filled(r, 4, 4, 2.0);
+            *v_cap.at_mut(1, 2) = bad;
+            let router = GlobalRouter {
+                config: RouterConfig::default(),
+                base: RoutingGrid::new(puffer_db::grid::Grid::filled(r, 4, 4, 2.0), v_cap),
+                budget: Budget::unbounded(),
+            };
+            let err = router.try_route(&d, &d.initial_placement()).unwrap_err();
+            assert!(matches!(err, RouteError::ZeroCapacity(_)), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn try_route_rejects_impossible_configs() {
+        let d = design(0.2);
+        let p = spread_placement(&d, 0.9);
+        let route = |config: RouterConfig| GlobalRouter::new(&d, config).try_route(&d, &p);
+        let base = RouterConfig::default;
+        // NaN capacity used to slip past `total <= 0.0` and route as `Ok`
+        // with HOF = VOF = 1.5e11 %; -3.0 quadrupled capacity and passed.
+        for power_derate in [f64::NAN, f64::INFINITY, -3.0, -1e-9, 1.000_001] {
+            let err = route(RouterConfig {
+                power_derate,
+                ..base()
+            })
+            .unwrap_err();
+            assert!(
+                matches!(err, RouteError::BadInput(_)),
+                "power_derate {power_derate}: {err}"
+            );
+        }
+        for gcell_rows in [f64::NAN, f64::INFINITY, 0.0, -2.0] {
+            let err = route(RouterConfig {
+                gcell_rows,
+                ..base()
+            })
+            .unwrap_err();
+            assert!(
+                matches!(err, RouteError::BadInput(_)),
+                "gcell_rows {gcell_rows}: {err}"
+            );
+        }
+        // The ends of the range stay legal: no derate routes, a full one
+        // leaves nothing to route on.
+        route(RouterConfig {
+            power_derate: 0.0,
+            ..base()
+        })
+        .unwrap();
+        let err = route(RouterConfig {
+            power_derate: 1.0,
+            ..base()
+        })
+        .unwrap_err();
         assert!(matches!(err, RouteError::ZeroCapacity(_)), "{err}");
     }
 

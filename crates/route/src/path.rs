@@ -1,5 +1,26 @@
 //! Path search: pattern routing (L/Z) and A* maze routing on the Gcell
 //! grid with negotiated-congestion costs.
+//!
+//! # The epoch-stamped search state
+//!
+//! A rip-up round runs thousands of searches that each touch a few dozen
+//! Gcells of a grid holding thousands. [`MazeScratch`] therefore outlives
+//! the search: its `dist`/`parent` arrays are allocated once per grid size
+//! and never cleared. Instead every search runs in a new *epoch* and
+//!
+//! > `dist[node]` reads as `[∞, ∞]` unless `stamp[node] == epoch`;
+//!
+//! the first relaxation to reach a node in an epoch writes the stamp and
+//! resets the pair. Every comparison a search makes is thus against
+//! exactly what a freshly `∞`-filled array would hold, so it pushes and
+//! pops the same entries in the same order — and `BinaryHeap`'s order,
+//! tie order among equal `f` included, is a function of that sequence
+//! alone (the heap is emptied, not rebuilt, between searches). Same paths,
+//! same usage, same report, at the cost of what the search explores. The
+//! arrays are rebuilt only when the grid's Gcell count changes or the
+//! `u32` epoch would wrap. Step costs come from the table
+//! [`RoutingGrid::step_costs`] maintains, which holds the very `f64`s
+//! `RoutingGrid::cost(.., 0.5)` returns.
 
 use puffer_db::cast;
 use crate::grid::{Dir, RoutingGrid};
@@ -12,12 +33,14 @@ pub type Path = Vec<(usize, usize)>;
 /// Cost of traversing `path` under the grid's current state (as if the
 /// path were about to be added).
 pub fn path_cost(grid: &RoutingGrid, path: &Path) -> f64 {
+    let nx = grid.nx();
     let mut cost = 0.0;
     let mut prev_dir: Option<Dir> = None;
     for w in path.windows(2) {
         let (a, b) = (w[0], w[1]);
         let d = if a.1 == b.1 { Dir::H } else { Dir::V };
-        cost += 0.5 * (grid.cost(a.0, a.1, d, 0.5) + grid.cost(b.0, b.1, d, 0.5));
+        let step = grid.step_costs(d);
+        cost += 0.5 * (step[a.1 * nx + a.0] + step[b.1 * nx + b.0]);
         if let Some(p) = prev_dir {
             if p != d {
                 cost += grid.bend_cost;
@@ -155,81 +178,162 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// A* maze route from `a` to `b` with congestion-aware costs. Always finds
-/// a path (the grid is fully connected); the admissible heuristic is the
-/// Manhattan distance at base cost.
-pub fn maze_route(grid: &RoutingGrid, a: (usize, usize), b: (usize, usize)) -> Path {
-    if a == b {
-        return vec![a];
+/// The A* search state, kept across calls so that a search pays for the
+/// nodes it touches and not for the grid (see the module docs).
+#[derive(Default)]
+pub struct MazeScratch {
+    /// Best known cost per (node, incoming direction) state, so bends
+    /// price correctly. Meaningful only where `stamp[node] == epoch`.
+    dist: Vec<[f64; 2]>,
+    /// `parent[node][dir - 1]` is (parent node, parent's incoming dir);
+    /// written together with the `dist` entry it belongs to.
+    parent: Vec<[(usize, u8); 2]>,
+    /// The epoch in which `dist[node]` was last reset; 0 = never.
+    stamp: Vec<u32>,
+    /// The running search's number, ≥ 1 once a search has started.
+    epoch: u32,
+    heap: BinaryHeap<HeapEntry>,
+    searches: u64,
+    pops: u64,
+    pushes: u64,
+}
+
+impl MazeScratch {
+    /// An empty scratch; it sizes itself to the first grid it searches.
+    pub fn new() -> Self {
+        Self::default()
     }
-    let (nx, ny) = (grid.nx(), grid.ny());
-    let idx = |x: usize, y: usize| y * nx + x;
-    // Per (node, incoming-direction) state so bends price correctly.
-    // `parent[node][dir-1]` stores (parent node, parent's incoming dir).
-    let mut dist = vec![[f64::INFINITY; 2]; nx * ny];
-    let mut parent: Vec<[(usize, u8); 2]> = vec![[(usize::MAX, 0); 2]; nx * ny];
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry {
-        f: 0.0,
-        g: 0.0,
-        node: idx(a.0, a.1),
-        dir: 0,
-    });
 
-    let h = |x: usize, y: usize| -> f64 { cast::idx_f64(x.abs_diff(b.0) + y.abs_diff(b.1)) };
-
-    let target = idx(b.0, b.1);
-    while let Some(HeapEntry { g, node, dir, .. }) = heap.pop() {
-        if dir != 0 && g > dist[node][usize::from(dir - 1)] + 1e-12 {
-            continue;
+    /// A scratch whose next search runs in epoch `epoch + 1` (or wraps):
+    /// lets tests cross the `u32` wrap without four billion searches.
+    #[doc(hidden)]
+    pub fn starting_at_epoch(epoch: u32) -> Self {
+        MazeScratch {
+            epoch,
+            ..Self::default()
         }
-        if node == target {
-            // Reconstruct by walking (node, dir) pairs back to the source.
-            let mut path = Vec::new();
-            let mut cur = node;
-            let mut cur_dir = dir;
-            loop {
-                path.push((cur % nx, cur / nx));
-                if cur_dir == 0 {
-                    break;
-                }
-                let (p, pdir) = parent[cur][usize::from(cur_dir - 1)];
-                debug_assert_ne!(p, usize::MAX, "parent chain broken");
-                cur = p;
-                cur_dir = pdir;
+    }
+
+    /// Searches run so far (`a == b` needs none and is not counted).
+    pub fn searches(&self) -> u64 {
+        self.searches
+    }
+
+    /// Heap pops over every search so far, stale entries included.
+    pub fn pops(&self) -> u64 {
+        self.pops
+    }
+
+    /// Heap pushes over every search so far, each search's source included.
+    pub fn pushes(&self) -> u64 {
+        self.pushes
+    }
+
+    /// Opens a new epoch over a grid of `cells` Gcells: every `dist` entry
+    /// reads as `[∞, ∞]` again without being written.
+    fn begin(&mut self, cells: usize) {
+        if self.stamp.len() != cells || self.epoch == u32::MAX {
+            self.stamp.clear();
+            self.stamp.resize(cells, 0);
+            self.dist.resize(cells, [f64::INFINITY; 2]);
+            self.parent.resize(cells, [(0, 0); 2]);
+            if self.epoch == u32::MAX {
+                self.epoch = 0;
             }
-            path.reverse();
-            debug_assert_eq!(path.first(), Some(&a));
-            return path;
         }
-        let (x, y) = (node % nx, node / nx);
-        for (dx, dy, nd) in [(-1i64, 0i64, 1u8), (1, 0, 1), (0, -1, 2), (0, 1, 2)] {
-            let (tx, ty) = (cast::idx_i64(x) + dx, cast::idx_i64(y) + dy);
-            if tx < 0 || ty < 0 || tx >= cast::idx_i64(nx) || ty >= cast::idx_i64(ny) {
+        self.epoch += 1;
+        self.heap.clear();
+        self.searches += 1;
+    }
+
+    fn push(&mut self, entry: HeapEntry) {
+        self.pushes += 1;
+        self.heap.push(entry);
+    }
+
+    /// A* maze route from `a` to `b` with congestion-aware costs. Always
+    /// finds a path (the grid is fully connected); the admissible heuristic
+    /// is the Manhattan distance at base cost.
+    pub fn route(&mut self, grid: &RoutingGrid, a: (usize, usize), b: (usize, usize)) -> Path {
+        if a == b {
+            return vec![a];
+        }
+        let (nx, ny) = (grid.nx(), grid.ny());
+        let idx = |x: usize, y: usize| y * nx + x;
+        let steps = [grid.step_costs(Dir::H), grid.step_costs(Dir::V)];
+        self.begin(nx * ny);
+        self.push(HeapEntry {
+            f: 0.0,
+            g: 0.0,
+            node: idx(a.0, a.1),
+            dir: 0,
+        });
+
+        let h = |x: usize, y: usize| -> f64 { cast::idx_f64(x.abs_diff(b.0) + y.abs_diff(b.1)) };
+
+        let target = idx(b.0, b.1);
+        while let Some(HeapEntry { g, node, dir, .. }) = self.heap.pop() {
+            self.pops += 1;
+            // A popped (node, dir != 0) state was relaxed in this epoch, so
+            // its stamp is current and `dist` holds this search's value.
+            if dir != 0 && g > self.dist[node][usize::from(dir - 1)] + 1e-12 {
                 continue;
             }
-            let (tx, ty) = (cast::i64_idx(tx), cast::i64_idx(ty));
-            let d = if nd == 1 { Dir::H } else { Dir::V };
-            let mut step = 0.5 * (grid.cost(x, y, d, 0.5) + grid.cost(tx, ty, d, 0.5));
-            if dir != 0 && dir != nd {
-                step += grid.bend_cost;
+            if node == target {
+                // Reconstruct by walking (node, dir) pairs back to the source.
+                let mut path = Vec::new();
+                let mut cur = node;
+                let mut cur_dir = dir;
+                loop {
+                    path.push((cur % nx, cur / nx));
+                    if cur_dir == 0 {
+                        break;
+                    }
+                    (cur, cur_dir) = self.parent[cur][usize::from(cur_dir - 1)];
+                }
+                path.reverse();
+                debug_assert_eq!(path.first(), Some(&a));
+                return path;
             }
-            let ng = g + step;
-            let tnode = idx(tx, ty);
-            if ng + 1e-12 < dist[tnode][usize::from(nd - 1)] {
-                dist[tnode][usize::from(nd - 1)] = ng;
-                parent[tnode][usize::from(nd - 1)] = (node, dir);
-                heap.push(HeapEntry {
-                    f: ng + h(tx, ty),
-                    g: ng,
-                    node: tnode,
-                    dir: nd,
-                });
+            let (x, y) = (node % nx, node / nx);
+            for (dx, dy, nd) in [(-1i64, 0i64, 1u8), (1, 0, 1), (0, -1, 2), (0, 1, 2)] {
+                let (tx, ty) = (cast::idx_i64(x) + dx, cast::idx_i64(y) + dy);
+                if tx < 0 || ty < 0 || tx >= cast::idx_i64(nx) || ty >= cast::idx_i64(ny) {
+                    continue;
+                }
+                let (tx, ty) = (cast::i64_idx(tx), cast::i64_idx(ty));
+                let tnode = idx(tx, ty);
+                let lane = usize::from(nd - 1);
+                let mut step = 0.5 * (steps[lane][node] + steps[lane][tnode]);
+                if dir != 0 && dir != nd {
+                    step += grid.bend_cost;
+                }
+                let ng = g + step;
+                if self.stamp[tnode] != self.epoch {
+                    self.stamp[tnode] = self.epoch;
+                    self.dist[tnode] = [f64::INFINITY; 2];
+                }
+                if ng + 1e-12 < self.dist[tnode][lane] {
+                    self.dist[tnode][lane] = ng;
+                    self.parent[tnode][lane] = (node, dir);
+                    self.push(HeapEntry {
+                        f: ng + h(tx, ty),
+                        g: ng,
+                        node: tnode,
+                        dir: nd,
+                    });
+                }
             }
         }
+        // Unreachable on a connected grid, but fall back to a pattern route.
+        pattern_route(grid, a, b, 4)
     }
-    // Unreachable on a connected grid, but fall back to a pattern route.
-    pattern_route(grid, a, b, 4)
+}
+
+/// [`MazeScratch::route`] on a scratch of its own: one search, nothing
+/// kept. A caller with many searches to run keeps a [`MazeScratch`].
+pub fn maze_route(grid: &RoutingGrid, a: (usize, usize), b: (usize, usize)) -> Path {
+    MazeScratch::new().route(grid, a, b)
 }
 
 #[cfg(test)]
@@ -241,6 +345,16 @@ mod tests {
     fn grid(cap: f64) -> RoutingGrid {
         let r = Rect::new(0.0, 0.0, 10.0, 10.0);
         RoutingGrid::new(Grid::filled(r, 10, 10, cap), Grid::filled(r, 10, 10, cap))
+    }
+
+    /// A congested wall on column 5, rows 0..8 (gap at row 9).
+    fn walled() -> RoutingGrid {
+        let mut g = grid(1.0);
+        for y in 0..9 {
+            g.charge(5, y, Dir::H, 50.0);
+            g.charge(5, y, Dir::V, 50.0);
+        }
+        g
     }
 
     fn is_connected(path: &Path) -> bool {
@@ -340,12 +454,7 @@ mod tests {
 
     #[test]
     fn maze_route_detours_around_congestion() {
-        let mut g = grid(1.0);
-        // Build a congested wall on column 5, rows 0..8 (gap at 9).
-        for y in 0..9 {
-            g.charge(5, y, Dir::H, 50.0);
-            g.charge(5, y, Dir::V, 50.0);
-        }
+        let g = walled();
         let p = maze_route(&g, (2, 2), (8, 2));
         assert!(is_connected(&p));
         assert_eq!(p.last(), Some(&(8, 2)));
@@ -356,6 +465,26 @@ mod tests {
             p.iter().any(|&(_, y)| y > 6),
             "expected a detour towards the gap, got {p:?}"
         );
+    }
+
+    #[test]
+    fn epoch_wrap_forgets_the_stamps_of_the_first_epochs() {
+        // The scratch's first search leaves stamp 1 on everything it
+        // reached, with distances from (8, 2). After the wrap epoch 1 comes
+        // round again, for a search *towards* (8, 2): were the old stamps
+        // believed, nothing near the target could be relaxed and the search
+        // would fall through to a pattern route across the wall.
+        let g = walled();
+        let mut scratch = MazeScratch::new();
+        assert_eq!(
+            scratch.route(&g, (8, 2), (2, 2)),
+            maze_route(&g, (8, 2), (2, 2))
+        );
+        scratch.epoch = u32::MAX;
+        let back = scratch.route(&g, (2, 2), (8, 2));
+        assert_eq!(scratch.epoch, 1);
+        assert_eq!(back, maze_route(&g, (2, 2), (8, 2)));
+        assert!(back.contains(&(5, 9)), "through the gap: {back:?}");
     }
 
     #[test]

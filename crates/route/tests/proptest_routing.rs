@@ -5,21 +5,29 @@ use puffer_db::geom::Rect;
 use puffer_db::grid::Grid;
 use puffer_rng::check::{run_cases, vec_of};
 use puffer_rng::{prop_check, StdRng};
-use puffer_route::path::{apply_path, maze_route, path_cost, pattern_route};
-use puffer_route::RoutingGrid;
+use puffer_route::path::{apply_path, maze_route, path_cost, pattern_route, MazeScratch};
+use puffer_route::{Dir, RoutingGrid};
+
+/// An empty `nx` x `ny` grid of two tracks per Gcell and direction.
+fn uniform_grid(nx: usize, ny: usize) -> RoutingGrid {
+    let r = Rect::new(0.0, 0.0, nx as f64, ny as f64);
+    RoutingGrid::new(Grid::filled(r, nx, ny, 2.0), Grid::filled(r, nx, ny, 2.0))
+}
 
 fn grid_with_noise(seed_usage: &[(usize, usize, f64, bool)]) -> RoutingGrid {
-    let r = Rect::new(0.0, 0.0, 12.0, 12.0);
-    let mut g = RoutingGrid::new(Grid::filled(r, 12, 12, 2.0), Grid::filled(r, 12, 12, 2.0));
+    let mut g = uniform_grid(12, 12);
     for &(x, y, amount, horizontal) in seed_usage {
-        let d = if horizontal {
-            puffer_route::Dir::H
-        } else {
-            puffer_route::Dir::V
-        };
-        g.charge(x % 12, y % 12, d, amount);
+        g.charge(x % 12, y % 12, dir(horizontal), amount);
     }
     g
+}
+
+fn dir(horizontal: bool) -> Dir {
+    if horizontal {
+        Dir::H
+    } else {
+        Dir::V
+    }
 }
 
 fn is_connected(p: &[(usize, usize)]) -> bool {
@@ -135,6 +143,136 @@ fn apply_refund_is_lossless() {
                 prop_check!((a - b).abs() < 1e-9, "v demand drifted: {a} vs {b}");
             }
             Ok(())
+        },
+    );
+}
+
+/// Grid shapes for the scratch-reuse property: two share a Gcell count but
+/// not a width (no rebuild, another `nx`), one is a single column.
+const SHAPES: [(usize, usize); 4] = [(12, 12), (5, 9), (9, 5), (1, 7)];
+
+/// One step of a scratch's life: which grid, usage charged on it first
+/// (coordinates taken modulo its shape), then the endpoints to route.
+type Search = (
+    usize,
+    Vec<(usize, usize, f64, bool)>,
+    (usize, usize),
+    (usize, usize),
+);
+
+/// One `MazeScratch`, whatever it searched before — other grid sizes, other
+/// usage, an epoch counter about to wrap — returns the path a fresh
+/// scratch returns.
+#[test]
+fn a_reused_scratch_routes_like_a_fresh_one() {
+    run_cases(
+        32,
+        0x3004,
+        |rng| {
+            let before_wrap = rng.gen_range(0..6usize);
+            let searches: Vec<Search> = vec_of(rng, 8..24, |r| {
+                let (a, b) = endpoints(r);
+                (r.gen_range(0..SHAPES.len()), usage(r, 6, 12.0), a, b)
+            });
+            (before_wrap, searches)
+        },
+        |(before_wrap, searches)| {
+            let mut grids: Vec<RoutingGrid> = SHAPES
+                .iter()
+                .map(|&(nx, ny)| uniform_grid(nx, ny))
+                .collect();
+            // Fewer searches away from `u32::MAX` than the case runs.
+            let mut scratch = MazeScratch::starting_at_epoch(u32::MAX - *before_wrap as u32);
+            for (i, (shape, charges, a, b)) in searches.iter().enumerate() {
+                let (nx, ny) = SHAPES[*shape];
+                let g = &mut grids[*shape];
+                for &(x, y, amount, horizontal) in charges {
+                    g.charge(x % nx, y % ny, dir(horizontal), amount);
+                }
+                if i % 5 == 4 {
+                    g.update_history();
+                }
+                let (a, b) = ((a.0 % nx, a.1 % ny), (b.0 % nx, b.1 % ny));
+                let reused = scratch.route(g, a, b);
+                let fresh = maze_route(g, a, b);
+                prop_check!(
+                    reused == fresh,
+                    "search {i} on {nx}x{ny}: reused scratch {reused:?}, fresh {fresh:?}"
+                );
+                apply_path(g, &reused, 1.0);
+            }
+            prop_check!(scratch.pops() <= scratch.pushes());
+            Ok(())
+        },
+    );
+}
+
+/// The maintained step table is `cost(.., 0.5)` bit for bit at every Gcell
+/// after any sequence of charges (refunds below zero included) and history
+/// updates, on uneven capacities — and a clone carries it.
+#[test]
+fn the_step_table_is_cost_at_half_a_track() {
+    fn check(g: &RoutingGrid, when: &str) -> Result<(), String> {
+        for d in [Dir::H, Dir::V] {
+            let table = g.step_costs(d);
+            prop_check!(table.len() == g.nx() * g.ny());
+            for iy in 0..g.ny() {
+                for ix in 0..g.nx() {
+                    let (kept, fresh) = (table[iy * g.nx() + ix], g.cost(ix, iy, d, 0.5));
+                    prop_check!(
+                        kept.to_bits() == fresh.to_bits(),
+                        "{when}: step {kept} vs cost {fresh} at ({ix}, {iy}) {d:?}"
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+    run_cases(
+        48,
+        0x3005,
+        |rng| {
+            let caps = vec_of(rng, 63..64, |r| {
+                // Blocked, fractional and roomy Gcells.
+                [0.0, 0.5, 1.0, 2.75, 40.0][r.gen_range(0..5usize)]
+            });
+            // `None` is a history update; amounts go either way.
+            let ops = vec_of(rng, 1..40, |r| {
+                r.gen_bool(0.85).then(|| {
+                    (
+                        r.gen_range(0..9usize),
+                        r.gen_range(0..7usize),
+                        r.gen_range(-6.0..9.0),
+                        r.gen_bool(0.5),
+                    )
+                })
+            });
+            (caps, ops)
+        },
+        |(caps, ops)| {
+            let r = Rect::new(0.0, 0.0, 9.0, 7.0);
+            let (mut h_cap, mut v_cap) = (Grid::filled(r, 9, 7, 0.0), Grid::filled(r, 9, 7, 0.0));
+            h_cap.as_mut_slice().copy_from_slice(caps);
+            v_cap
+                .as_mut_slice()
+                .iter_mut()
+                .zip(caps.iter().rev())
+                .for_each(|(v, c)| *v = *c);
+            let mut g = RoutingGrid::new(h_cap, v_cap);
+            check(&g, "new")?;
+            for (i, op) in ops.iter().enumerate() {
+                match *op {
+                    Some((x, y, amount, horizontal)) => g.charge(x, y, dir(horizontal), amount),
+                    None => g.update_history(),
+                }
+                check(&g, &format!("after op {i} ({op:?})"))?;
+            }
+            // `try_route` works on a clone of the router's base grid.
+            let mut copy = g.clone();
+            check(&copy, "clone")?;
+            copy.charge(3, 3, Dir::H, 5.0);
+            check(&copy, "clone, charged")?;
+            check(&g, "original, after its clone was charged")
         },
     );
 }

@@ -92,6 +92,29 @@ for t in 2 4; do
   cmp <(iter_records "$SMOKE_DIR/grid-t1.jsonl") <(iter_records "$SMOKE_DIR/grid-t$t.jsonl")
 done
 
+# The same for the evaluator: `eval` decomposes nets on --threads workers
+# and then routes on one, so its report, its congestion maps and the
+# search's exact counters must not know the thread count. MEDIA_SUBSYS at
+# 0.004 is the smallest preset scale where all 12 rip-up rounds fire.
+route_record() { grep '"t":"route.done"' "$1" | sed -E 's/"elapsed_s":[^,}]*,?//'; }
+echo "==> deterministic evaluation smoke (media_subsys, eval --threads 1 vs 2 vs 4)"
+"$PUFFER" gen --preset media_subsys --scale 0.004 -o "$SMOKE_DIR/route.pd"
+"$PUFFER" place "$SMOKE_DIR/route.pd" -o "$SMOKE_DIR/route.pl"
+for t in 1 2 4; do
+  mkdir -p "$SMOKE_DIR/maps-t$t"
+  "$PUFFER" eval "$SMOKE_DIR/route.pd" "$SMOKE_DIR/route.pl" --threads "$t" --layers \
+    --maps "$SMOKE_DIR/maps-t$t" --metrics "$SMOKE_DIR/route-t$t.jsonl" |
+    grep -v '^wrote congestion maps to ' > "$SMOKE_DIR/route-t$t.out"
+done
+route_record "$SMOKE_DIR/route-t1.jsonl" | grep -q '"rounds":12,'
+for t in 2 4; do
+  cmp "$SMOKE_DIR/route-t1.out" "$SMOKE_DIR/route-t$t.out"
+  cmp <(route_record "$SMOKE_DIR/route-t1.jsonl") <(route_record "$SMOKE_DIR/route-t$t.jsonl")
+  for f in congestion_h.csv congestion_h.pgm congestion_v.csv congestion_v.pgm; do
+    cmp "$SMOKE_DIR/maps-t1/$f" "$SMOKE_DIR/maps-t$t/$f"
+  done
+done
+
 # Bounded-execution smoke: an expired deadline must still exit 0 with a
 # legal best-so-far placement, and the flow rows of the chaos harness
 # (worker-panic, nan-burst) must each survive two seeded injections.

@@ -485,6 +485,42 @@ fn impossible_wa_counters_are_detected() {
     }
 }
 
+#[test]
+fn impossible_route_counters_are_detected() {
+    let dir = tmp_dir("route-counters");
+    let audit = |name: &str, [segments, rounds, reroutes, pops, pushes]: [u64; 5]| {
+        let line = format!(
+            r#"{{"t":"route.done","elapsed_s":0.4,"hof_pct":1.85,"vof_pct":0.84,"wirelength":302912.9,"overflow_gcells":163,"rounds":{rounds},"segments":{segments},"reroutes":{reroutes},"maze_pops":{pops},"maze_pushes":{pushes}}}"#
+        );
+        let path = dir.join(name);
+        write_lines(&path, &[&line]);
+        audit_metrics(&path)
+    };
+    // MEDIA_SUBSYS as the repo benchmark routes it.
+    audit("good.jsonl", [34_386, 12, 194_670, 3_785_454, 6_571_062]).expect("a real run passes");
+    audit("clean.jsonl", [34_386, 0, 0, 0, 0]).expect("no overflow, no search");
+    for (name, bad) in [
+        // More searches than one per segment per round.
+        ("reroutes.jsonl", [34_386, 12, 34_386 * 12 + 1, 3_785_454, 6_571_062]),
+        ("no-rounds.jsonl", [34_386, 0, 1, 0, 1]),
+        // More pops than the heap ever held.
+        ("pops.jsonl", [34_386, 12, 194_670, 6_571_063, 6_571_062]),
+    ] {
+        let report = audit(name, bad).expect_err("impossible route counters must be caught");
+        assert!(
+            report.violations.iter().any(|v| v.check == "route-counters"),
+            "{name}: {report}"
+        );
+    }
+    // A file from before the counters existed carries none and passes.
+    let old = dir.join("old.jsonl");
+    write_lines(
+        &old,
+        &[r#"{"t":"route.done","elapsed_s":0.4,"hof_pct":1.85,"vof_pct":0.84,"wirelength":302912.9,"overflow_gcells":163,"rounds":12}"#],
+    );
+    audit_metrics(&old).expect("pre-counter route.done records pass");
+}
+
 // ---------------------------------------------------------------------------
 // Journal corruptions and cross-file consistency
 // ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 //! Integration: a Bookshelf-imported design runs through the full flow.
 
+mod oracle;
+
 use puffer::{evaluate_bounded, Job, PufferConfig};
 use puffer_budget::Budget;
 use puffer_db::bookshelf::{parse_bookshelf, write_pl};
@@ -89,6 +91,7 @@ fn bookshelf_round_trip_preserves_structure_and_places() {
         &Trace::disabled(),
     )
     .expect("route");
+    oracle::assert_route_report(&imported, &report);
     assert!(report.wirelength > 0.0);
 
     // And it archives in the native format, too.

@@ -42,6 +42,7 @@ fn preset_benchmark_places_and_routes() {
         &Trace::disabled(),
     )
     .expect("route");
+    oracle::assert_route_report(&design, &report);
     assert!(report.hof_pct.is_finite() && report.vof_pct.is_finite());
     assert!(report.wirelength > 0.0);
 }
@@ -198,6 +199,17 @@ fn comparison_flows_pass_the_independent_oracles() {
     ] {
         let result = result.unwrap_or_else(|e| panic!("{flow}: {e}"));
         oracle::assert_flow_result(&design, &result);
+        // The router that judges the flows (and that `reference` runs
+        // inside its loop) answers to its own oracle on each result.
+        let report = evaluate_bounded(
+            &design,
+            &result.placement,
+            &RouterConfig::default(),
+            &Budget::unbounded(),
+            &Trace::disabled(),
+        )
+        .unwrap_or_else(|e| panic!("{flow}: {e}"));
+        oracle::assert_route_report(&design, &report);
     }
 }
 

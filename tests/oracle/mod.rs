@@ -4,10 +4,17 @@
 //! with `puffer_legal` or `puffer_db::hpwl`, walk the data a different
 //! way (pins → nets instead of the CSR net → pins; a 2-D overlap sweep
 //! instead of per-row neighbours), and must agree with both.
+//!
+//! For a routing result, [`assert_route_report`] rebuilds usage from the
+//! reported paths alone and recomputes every Table II quantity from it,
+//! sharing no code with `puffer_route`.
+
+#![allow(dead_code, reason = "each test crate that mounts this module uses its own subset")]
 
 use puffer::FlowResult;
 use puffer_db::design::{Design, Placement};
 use puffer_db::netlist::CellId;
+use puffer_route::RouteReport;
 
 /// Geometric slack, the same 1e-6 dbu `check_legal` allows: legal
 /// coordinates are sums of site widths, not exact integers.
@@ -128,4 +135,74 @@ pub fn assert_flow_result(design: &Design, result: &FlowResult) {
         "FlowResult::hpwl {} vs naive {naive} (tolerance {tolerance})",
         result.hpwl
     );
+}
+
+/// Asserts a routing report against its own paths: every path is
+/// non-empty, inside the grid and 4-connected; usage rebuilt from the
+/// paths (half a track at each end of every step) **equals** the report's
+/// demand grids; and wirelength, overflowed-Gcell count, HOF and VOF
+/// recomputed from that usage and the capacity grids are the report's.
+///
+/// Usage is compared with `==`: every charge and refund the router made
+/// was a multiple of one half, and sums of those are exact in `f64`, so
+/// the final usage is a pure function of the final paths. The three
+/// floating-point totals are sums taken in another order than the
+/// router's (per-Gcell totals instead of per-step increments), so they
+/// get `n * EPSILON` relative.
+pub fn assert_route_report(design: &Design, report: &RouteReport) {
+    let map = &report.congestion;
+    let (nx, ny) = (map.nx(), map.ny());
+    let mut h_use = vec![0.0f64; nx * ny];
+    let mut v_use = vec![0.0f64; nx * ny];
+    for (i, path) in report.paths.iter().enumerate() {
+        assert!(!path.is_empty(), "path {i} is empty");
+        for &(x, y) in path {
+            assert!(x < nx && y < ny, "path {i} leaves the {nx}x{ny} grid at ({x}, {y})");
+        }
+        for step in path.windows(2) {
+            let ((ax, ay), (bx, by)) = (step[0], step[1]);
+            let usage = match (ax.abs_diff(bx), ay.abs_diff(by)) {
+                (1, 0) => &mut h_use,
+                (0, 1) => &mut v_use,
+                _ => panic!("path {i} jumps from ({ax}, {ay}) to ({bx}, {by})"),
+            };
+            usage[ay * nx + ax] += 0.5;
+            usage[by * nx + bx] += 0.5;
+        }
+    }
+    assert_eq!(h_use, map.h_demand().as_slice(), "horizontal usage vs paths");
+    assert_eq!(v_use, map.v_demand().as_slice(), "vertical usage vs paths");
+
+    let (h_cap, v_cap) = (map.h_capacity().as_slice(), map.v_capacity().as_slice());
+    let over = |usage: &[f64], cap: &[f64]| -> f64 {
+        usage.iter().zip(cap).map(|(u, c)| (u - c).max(0.0)).sum()
+    };
+    let overflowed = (0..nx * ny)
+        .filter(|&g| h_use[g] - h_cap[g] > 1e-9 || v_use[g] - v_cap[g] > 1e-9)
+        .count();
+    assert_eq!(overflowed, report.overflow_gcells, "overflowed Gcells");
+
+    let close = |what: &str, ours: f64, theirs: f64, terms: usize| {
+        let tolerance = terms as f64 * f64::EPSILON * ours.abs();
+        assert!(
+            (ours - theirs).abs() <= tolerance,
+            "{what}: report {theirs} vs oracle {ours} (tolerance {tolerance})"
+        );
+    };
+    // A step adds one track-Gcell in its direction, so total usage counts
+    // the steps; the die is cut into nx x ny equal Gcells.
+    let region = design.region();
+    let steps = report.paths.iter().map(|p| p.len() - 1).sum::<usize>();
+    let wirelength = h_use.iter().sum::<f64>() * (region.width() / nx as f64)
+        + v_use.iter().sum::<f64>() * (region.height() / ny as f64);
+    close("wirelength", wirelength, report.wirelength, steps.max(1));
+    let hof = 100.0 * over(&h_use, h_cap) / h_cap.iter().sum::<f64>();
+    let vof = 100.0 * over(&v_use, v_cap) / v_cap.iter().sum::<f64>();
+    close("hof_pct", hof, report.hof_pct, 2 * nx * ny);
+    close("vof_pct", vof, report.vof_pct, 2 * nx * ny);
+
+    // What the search counters can and cannot say.
+    assert_eq!(report.segments, report.paths.len() as u64);
+    assert!(report.reroutes <= report.segments * report.rounds as u64);
+    assert!(report.maze_pops <= report.maze_pushes);
 }

@@ -1,6 +1,8 @@
 //! Integration: the qualitative claims of the paper's evaluation, checked
 //! on small instances (see EXPERIMENTS.md for the full-scale protocol).
 
+mod oracle;
+
 use puffer::{evaluate_bounded, Job, PufferConfig};
 use puffer_budget::Budget;
 use puffer_db::design::{Design, Placement};
@@ -26,16 +28,19 @@ fn congested_design() -> Design {
     .expect("generate")
 }
 
-/// The shared evaluator at its defaults: unbounded and untraced.
+/// The shared evaluator at its defaults: unbounded and untraced; every
+/// report is held to the independent routing oracle.
 fn route(design: &Design, placement: &Placement) -> RouteReport {
-    evaluate_bounded(
+    let report = evaluate_bounded(
         design,
         placement,
         &RouterConfig::default(),
         &Budget::unbounded(),
         &Trace::disabled(),
     )
-    .expect("route")
+    .expect("route");
+    oracle::assert_route_report(design, &report);
+    report
 }
 
 fn flow_config(rounds: usize) -> PufferConfig {
