@@ -11,12 +11,6 @@
 //!   `#![forbid(unsafe_code)]` in every crate root. Exposed as
 //!   `puffer lint`. (The rules the toolchain can express are `clippy.toml`
 //!   plus `scripts/policy.sh`.)
-//! * [`lockgraph`] — the static lock-order analysis behind the `lock-order`
-//!   lint rule: it parses the rank table out of
-//!   `puffer_budget::lockcheck::classes`, extracts every classed-mutex
-//!   acquisition site over a per-crate call graph, and reports edges that
-//!   contradict the declared ranks (or cycles in the acquired-while-held
-//!   graph) — each one a latent deadlock.
 //! * [`validate`] — the [`Validate`] trait plus deep invariant checkers
 //!   for designs/netlists, placements, congestion maps, padding state,
 //!   checkpoint journals, and metrics JSONL files, including cross-file
@@ -27,7 +21,6 @@
 #![forbid(unsafe_code)]
 
 pub mod lint;
-pub mod lockgraph;
 pub mod validate;
 
 pub use lint::{lint_workspace, LintConfig, LintError, LintFinding, LintReport};

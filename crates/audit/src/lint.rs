@@ -1,6 +1,6 @@
 //! The structural half of the source policy, behind `puffer lint`: the
-//! three rules no compiler lint expresses, checked from the manifests and
-//! the source text with no dependency on rustc.
+//! two rules no compiler lint expresses, checked from the manifests and
+//! the crate roots with no dependency on rustc.
 //!
 //! * `layering` — crate dependencies parsed from the workspace manifests
 //!   must respect the architecture layers (e.g. `db` depends on nothing,
@@ -9,10 +9,6 @@
 //! * `forbid-unsafe` — every crate root (`src/lib.rs`, `src/main.rs`,
 //!   `src/bin/*.rs`) must declare `#![forbid(unsafe_code)]`; the one root
 //!   that hosts sanctioned `unsafe` ([`DENY_UNSAFE_ROOTS`]) declares `deny`.
-//! * `lock-order` — [`crate::lockgraph`] builds a static lock-order graph
-//!   from the `lock_ordered` acquisition sites and per-crate call graphs
-//!   and fails the run on a cycle or an edge contradicting the declared
-//!   ranks.
 //!
 //! Everything the toolchain can express — no panics, `HashMap`s, clock
 //! reads, raw writes, raw `Mutex::lock`s or thread spawns in library code,
@@ -21,7 +17,6 @@
 //! `#[expect(<lint>, reason = "..")]`; README "Static analysis" has the
 //! table.
 
-use crate::lockgraph;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -33,8 +28,8 @@ const LAYERS: &[(&str, u8)] = &[
     ("puffer-budget", 0),
     ("puffer-rng", 0),
     ("puffer-db", 0),
-    // Telemetry sits one layer up: its mutexes are classed through the
-    // budget crate's lockcheck registry.
+    // Telemetry sits one layer up: its mutexes are locked through the
+    // budget crate's `lock_leaf`.
     ("puffer-trace", 1),
     // Deterministic fork-join over the budget substrate.
     ("puffer-par", 1),
@@ -107,7 +102,7 @@ impl std::error::Error for LintError {}
 /// One policy violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintFinding {
-    /// Which rule tripped (`layering`, `forbid-unsafe`, or `lock-order`).
+    /// Which rule tripped (`layering` or `forbid-unsafe`).
     pub rule: &'static str,
     /// Path relative to the workspace root, with forward slashes.
     pub path: String,
@@ -244,195 +239,10 @@ pub fn lint_workspace(config: &LintConfig) -> Result<LintReport, LintError> {
         }
     }
 
-    lockgraph::check_lock_order(root, &mut report.findings)?;
     report
         .findings
         .sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     Ok(report)
-}
-
-// ---------------------------------------------------------------------------
-// Source masking (for the lock-order graph)
-// ---------------------------------------------------------------------------
-
-/// Blanks comments and the contents of string/char literals, preserving
-/// line structure, so token matching never fires inside documentation or
-/// data. Handles nested block comments, escapes, raw strings with any
-/// number of `#`s, and distinguishes char literals from lifetimes.
-pub(crate) fn strip_literals(text: &str) -> String {
-    let chars: Vec<char> = text.chars().collect();
-    let mut out = String::with_capacity(text.len());
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            '/' if chars.get(i + 1) == Some(&'/') => {
-                // Line comment (incl. doc comments): blank to end of line.
-                while i < chars.len() && chars[i] != '\n' {
-                    out.push(' ');
-                    i += 1;
-                }
-            }
-            '/' if chars.get(i + 1) == Some(&'*') => {
-                let mut depth = 1;
-                out.push_str("  ");
-                i += 2;
-                while i < chars.len() && depth > 0 {
-                    if chars[i] == '/' && chars.get(i + 1) == Some(&'*') {
-                        depth += 1;
-                        out.push_str("  ");
-                        i += 2;
-                    } else if chars[i] == '*' && chars.get(i + 1) == Some(&'/') {
-                        depth -= 1;
-                        out.push_str("  ");
-                        i += 2;
-                    } else {
-                        out.push(if chars[i] == '\n' { '\n' } else { ' ' });
-                        i += 1;
-                    }
-                }
-            }
-            'r' | 'b' if starts_raw_string(&chars, i) => {
-                // r"...", r#"..."#, br##"..."## — find the opening quote,
-                // count hashes, blank until the matching close.
-                let mut j = i;
-                while chars[j] != '"' {
-                    out.push(chars[j]);
-                    j += 1;
-                }
-                let hashes = chars[i..j].iter().filter(|&&c| c == '#').count();
-                out.push('"');
-                j += 1;
-                loop {
-                    if j >= chars.len() {
-                        break;
-                    }
-                    if chars[j] == '"' && closes_raw(&chars, j, hashes) {
-                        out.push('"');
-                        for _ in 0..hashes {
-                            out.push('#');
-                        }
-                        j += 1 + hashes;
-                        break;
-                    }
-                    out.push(if chars[j] == '\n' { '\n' } else { ' ' });
-                    j += 1;
-                }
-                i = j;
-            }
-            '"' => {
-                out.push('"');
-                i += 1;
-                while i < chars.len() && chars[i] != '"' {
-                    if chars[i] == '\\' {
-                        out.push(' ');
-                        i += 1;
-                        if i < chars.len() {
-                            out.push(if chars[i] == '\n' { '\n' } else { ' ' });
-                            i += 1;
-                        }
-                    } else {
-                        out.push(if chars[i] == '\n' { '\n' } else { ' ' });
-                        i += 1;
-                    }
-                }
-                if i < chars.len() {
-                    out.push('"');
-                    i += 1;
-                }
-            }
-            '\'' => {
-                // Char literal or lifetime. 'x' / '\n' / '\'' are literals;
-                // 'ident (no closing quote right after) is a lifetime.
-                if chars.get(i + 1) == Some(&'\\') {
-                    out.push('\'');
-                    i += 2; // consume the backslash
-                    out.push(' ');
-                    while i < chars.len() && chars[i] != '\'' {
-                        out.push(' ');
-                        i += 1;
-                    }
-                    if i < chars.len() {
-                        out.push('\'');
-                        i += 1;
-                    }
-                } else if chars.get(i + 2) == Some(&'\'') {
-                    out.push('\'');
-                    out.push(' ');
-                    out.push('\'');
-                    i += 3;
-                } else {
-                    out.push('\'');
-                    i += 1;
-                }
-            }
-            _ => {
-                out.push(c);
-                i += 1;
-            }
-        }
-    }
-    out
-}
-
-fn starts_raw_string(chars: &[char], i: usize) -> bool {
-    // r" r#" b" (byte strings share the handler) br" — scan forward over
-    // [br]+#* and require a quote.
-    let mut j = i;
-    while j < chars.len() && (chars[j] == 'r' || chars[j] == 'b') && j - i < 2 {
-        j += 1;
-    }
-    if j == i {
-        return false;
-    }
-    while j < chars.len() && chars[j] == '#' {
-        j += 1;
-    }
-    chars.get(j) == Some(&'"')
-}
-
-fn closes_raw(chars: &[char], at: usize, hashes: usize) -> bool {
-    (1..=hashes).all(|k| chars.get(at + k) == Some(&'#'))
-}
-
-/// Blanks every `#[cfg(test)]`-guarded block in already-stripped source,
-/// preserving line structure. Tracks brace depth character-wise; the
-/// attribute arms a skip that engages at the next `{` (a `;` first, e.g. a
-/// guarded `use`, disarms it and blanks just that item's line).
-pub(crate) fn mask_tests(stripped: &str) -> String {
-    let mut out = String::with_capacity(stripped.len());
-    let mut depth: i64 = 0;
-    let mut armed = false;
-    let mut skip_target: Option<i64> = None;
-    for line in stripped.lines() {
-        if skip_target.is_none() && line.contains("#[cfg(test)]") {
-            armed = true;
-        }
-        for c in line.chars() {
-            match c {
-                '{' => {
-                    if armed && skip_target.is_none() {
-                        skip_target = Some(depth);
-                        armed = false;
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth -= 1;
-                    if skip_target.is_some_and(|t| depth <= t) {
-                        skip_target = None;
-                        out.push(' ');
-                        continue;
-                    }
-                }
-                ';' if armed && skip_target.is_none() => armed = false,
-                _ => {}
-            }
-            out.push(if skip_target.is_some() { ' ' } else { c });
-        }
-        out.push('\n');
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -526,14 +336,14 @@ fn check_layering(
 // Filesystem helpers
 // ---------------------------------------------------------------------------
 
-pub(crate) fn read_file(path: &Path) -> Result<String, LintError> {
+fn read_file(path: &Path) -> Result<String, LintError> {
     std::fs::read_to_string(path).map_err(|source| LintError::Io {
         path: path.to_path_buf(),
         source,
     })
 }
 
-pub(crate) fn read_dir_sorted(dir: &Path) -> Result<Vec<PathBuf>, LintError> {
+fn read_dir_sorted(dir: &Path) -> Result<Vec<PathBuf>, LintError> {
     let entries = std::fs::read_dir(dir).map_err(|source| LintError::Io {
         path: dir.to_path_buf(),
         source,
@@ -550,24 +360,7 @@ pub(crate) fn read_dir_sorted(dir: &Path) -> Result<Vec<PathBuf>, LintError> {
     Ok(out)
 }
 
-/// All `.rs` files under `dir`, recursively, sorted for stable output.
-pub(crate) fn rust_files(dir: &Path) -> Result<Vec<PathBuf>, LintError> {
-    let mut out = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        for p in read_dir_sorted(&d)? {
-            if p.is_dir() {
-                stack.push(p);
-            } else if p.extension().is_some_and(|e| e == "rs") {
-                out.push(p);
-            }
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-pub(crate) fn rel_path(root: &Path, path: &Path) -> String {
+fn rel_path(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
         .to_string_lossy()
@@ -577,60 +370,6 @@ pub(crate) fn rel_path(root: &Path, path: &Path) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stripper_blanks_comments_strings_and_doc_examples() {
-        let src = r###"
-/// Doc example: x.unwrap() never trips.
-// neither does this panic!("x")
-fn f() {
-    let s = "panic!(\"inside a string\")";
-    let r = r#"thread::spawn( in a raw string "quoted" "#;
-    let c = '"';
-    let l: &'static str = s;
-    g(s, r, c, l)
-}
-"###;
-        let stripped = strip_literals(src);
-        assert!(!stripped.contains("unwrap"), "{stripped}");
-        assert!(!stripped.contains("panic!"), "{stripped}");
-        assert!(!stripped.contains("thread::spawn"), "{stripped}");
-        // Code outside literals survives.
-        assert!(stripped.contains("fn f()"));
-        assert!(stripped.contains("&'static str"));
-        assert_eq!(stripped.lines().count(), src.lines().count());
-    }
-
-    #[test]
-    fn test_blocks_are_masked() {
-        let src = "
-fn live() { x.unwrap() }
-#[cfg(test)]
-mod tests {
-    fn t() { y.unwrap(); panic!(\"boom\") }
-}
-fn also_live() { z.expect(\"msg\") }
-";
-        let masked = mask_tests(&strip_literals(src));
-        let hits: Vec<usize> = masked
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| l.contains(".unwrap()") || l.contains(".expect("))
-            .map(|(i, _)| i + 1)
-            .collect();
-        assert_eq!(hits, vec![2, 7], "{masked}");
-    }
-
-    #[test]
-    fn cfg_test_on_a_single_item_does_not_swallow_the_file() {
-        let src = "
-#[cfg(test)]
-use std::fmt;
-fn live() { x.unwrap() }
-";
-        let masked = mask_tests(&strip_literals(src));
-        assert!(masked.contains(".unwrap()"), "{masked}");
-    }
 
     #[test]
     fn manifest_parser_reads_name_and_dependencies_only() {

@@ -641,7 +641,8 @@ fn hist_sum(record: &ParsedRecord, field: &str, index: usize, out: &mut Vec<Viol
 }
 
 /// Audits a metrics JSONL file: every record parses and carries a kind and
-/// timestamp, per-iteration quantities are finite, the congestion
+/// a timestamp no earlier than the record before it, per-iteration
+/// quantities are finite, the congestion
 /// histograms of every round bucket exactly the same number of Gcells in
 /// both directions, the `flow.done` totals agree with the per-record
 /// streams, and the exact counters of the density and WA kernels and of
@@ -666,6 +667,7 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
         }
     };
     summary.records = records.len();
+    let mut last_stamp = 0.0f64;
     let mut congest_index = 0usize;
     let mut pending_coarsen = false;
     let mut density_evals = None;
@@ -682,11 +684,24 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
             });
             continue;
         };
-        if r.num("elapsed_s").is_none_or(|t| !t.is_finite() || t < 0.0) {
-            out.push(Violation {
+        match r.num("elapsed_s") {
+            Some(t) if t.is_finite() && t >= 0.0 => {
+                // The sink stamps each record under its write lock.
+                if t < last_stamp {
+                    out.push(Violation {
+                        check: "record-timestamp",
+                        message: format!(
+                            "{kind} record {i}: elapsed_s = {t} is earlier than the \
+                             record before it ({last_stamp})"
+                        ),
+                    });
+                }
+                last_stamp = t;
+            }
+            _ => out.push(Violation {
                 check: "record-timestamp",
                 message: format!("{kind} record {i} lacks a finite elapsed_s timestamp"),
-            });
+            }),
         }
         match kind {
             "place.iter" => {

@@ -1,4 +1,4 @@
-//! Fixtures for both halves of the source policy. `puffer lint`'s three
+//! Fixtures for both halves of the source policy. `puffer lint`'s two
 //! structural rules each trip on a minimal throwaway workspace and stay
 //! quiet on the clean variant. `scripts/policy.sh` — the toolchain half —
 //! must pass the real workspace and fail the committed negative fixture
@@ -36,13 +36,6 @@ impl Fixture {
         }
         std::fs::write(c.join("Cargo.toml"), manifest).unwrap();
         std::fs::write(c.join("src/lib.rs"), lib).unwrap();
-        self
-    }
-
-    fn write(&self, rel: &str, content: &str) -> &Fixture {
-        let path = self.root.join(rel);
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(path, content).unwrap();
         self
     }
 
@@ -146,69 +139,6 @@ fn the_real_workspace_passes_its_own_lint() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-/// The rank registry a lock-order fixture workspace needs: the analysis
-/// parses it from `crates/budget/src/lockcheck.rs`, exactly like the real
-/// workspace.
-const FIXTURE_RANKS: &str = "\
-    use super::LockClass;\n\
-    pub mod classes {\n\
-        pub static SERVE_QUEUE: LockClass = LockClass::new(\"serve.queue\", 10);\n\
-        pub static SERVE_JOBS: LockClass = LockClass::new(\"serve.jobs\", 20);\n\
-    }\n";
-
-fn lock_order_fixture(name: &str, body: &str) -> Fixture {
-    let fx = Fixture::new(name);
-    fx.add_crate(
-        "budget",
-        "puffer-budget",
-        &[],
-        &format!("{FORBID}pub mod lockcheck;\n"),
-    );
-    fx.write("crates/budget/src/lockcheck.rs", FIXTURE_RANKS);
-    fx.add_crate(
-        "serve",
-        "puffer-serve",
-        &["puffer-budget"],
-        &format!("{FORBID}use puffer_budget::lockcheck::{{classes, lock_ordered}};\n{body}"),
-    );
-    fx
-}
-
-#[test]
-fn inverted_lock_acquisition_contradicts_the_declared_order() {
-    let fx = lock_order_fixture(
-        "lock-inverted",
-        "pub fn inverted(a: &Mutex<u32>, b: &Mutex<u32>) -> u32 {\n\
-             let hi = lock_ordered(b, &classes::SERVE_JOBS);\n\
-             let lo = lock_ordered(a, &classes::SERVE_QUEUE);\n\
-             *hi + *lo\n\
-         }\n",
-    );
-    let report = fx.lint().unwrap();
-    assert_eq!(rules_of(&report), vec!["lock-order"]);
-    assert!(
-        report.findings[0]
-            .message
-            .contains("'serve.queue' (rank 10) while 'serve.jobs' (rank 20)"),
-        "{}",
-        report.findings[0].message
-    );
-}
-
-#[test]
-fn in_order_lock_acquisition_passes() {
-    let fx = lock_order_fixture(
-        "lock-ordered",
-        "pub fn ordered(a: &Mutex<u32>, b: &Mutex<u32>) -> u32 {\n\
-             let lo = lock_ordered(a, &classes::SERVE_QUEUE);\n\
-             let hi = lock_ordered(b, &classes::SERVE_JOBS);\n\
-             *lo + *hi\n\
-         }\n",
-    );
-    let report = fx.lint().unwrap();
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 
 #[test]
@@ -395,7 +325,7 @@ fn raw_write_primitives_in_library_code_are_raw_io_findings() {
 
 #[test]
 fn raw_mutex_lock_is_a_lock_order_finding() {
-    assert_fixture_names(&["`std::sync::Mutex::lock`", "lockcheck::lock_ordered"]);
+    assert_fixture_names(&["`std::sync::Mutex::lock`", "lockcheck::lock_leaf"]);
 }
 
 #[test]

@@ -1,183 +1,86 @@
-//! Lock-order discipline: declared lock classes, an ordered-acquisition
-//! wrapper, and a `lockcheck`-feature runtime sanitizer.
+//! The leaf-lock rule: no thread acquires a mutex while holding another.
 //!
-//! Every `Mutex` in non-test library code belongs to a [`LockClass`]
-//! declared in [`classes`], and is acquired through [`lock_ordered`] (or
-//! re-wrapped with [`Locked::from_guard`] after a condvar wait). The
-//! classes carry a global **rank**: a thread may only acquire a class
-//! whose rank is strictly greater than every class it already holds, so
-//! the "acquired while held" relation is a sub-relation of `<` on ranks —
-//! acyclic by construction, which rules out lock-order-inversion
-//! deadlocks across the serve engine, the admission queue, the RSMT
-//! caches, and the trace registry.
+//! Every `Mutex` in non-test library code is acquired through
+//! [`lock_leaf`] (or re-wrapped with [`Locked::from_guard`] after a
+//! condvar wait). A thread that holds at most one lock cannot take part in
+//! a lock-order inversion, so there is no order to declare or to check:
+//! the serve queue, the job table, the per-chunk RSMT caches and the trace
+//! registries are each locked, used, and released before the next one.
 //!
-//! Enforcement is layered:
-//!
-//! * **statically** — `puffer lint` extracts every acquisition site,
-//!   builds the lock-order graph over a per-crate call graph, and fails on
-//!   a cycle or on an edge that contradicts the declared ranks (it parses
-//!   the rank table straight out of this file, so there is exactly one
-//!   copy of the order);
-//! * **at runtime** — with the `lockcheck` cargo feature, a thread-local
-//!   held-lock stack asserts the rank discipline on every acquisition,
-//!   catching orders the static pass cannot see (callbacks, trait objects,
-//!   cross-crate call chains). Without the feature every check compiles
-//!   to nothing and [`Token`] is a zero-sized no-op.
-//!
-//! The sanitizer *asserts* (aborting the offending test or chaos run) —
-//! a lock-order inversion is a latent deadlock, never a recoverable
-//! condition.
+//! Under `cfg(debug_assertions)` a thread-local remembers where the held
+//! acquisition was made, and a second one panics naming both sites — so
+//! every debug-profile test of every crate asserts the rule. Release
+//! builds compile the bookkeeping to nothing.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// A named lock class with its global acquisition rank. Instances are the
-/// `static`s in [`classes`]; call sites never construct ad-hoc classes.
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Where this thread made the acquisition it currently holds.
+    static HELD: std::cell::Cell<Option<&'static std::panic::Location<'static>>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// RAII record of this thread's one held acquisition; zero-sized and free
+/// without `debug_assertions`.
 #[derive(Debug)]
-pub struct LockClass {
-    /// Stable dotted name, e.g. `"serve.jobs"` — what the static analyzer
-    /// and the sanitizer's failure message report.
-    pub name: &'static str,
-    /// Global acquisition rank: higher ranks must be acquired strictly
-    /// after (inside) lower ranks, never the other way around.
-    pub rank: u16,
-}
+struct Held;
 
-impl LockClass {
-    /// Declares a class; used only by [`classes`].
-    #[must_use]
-    pub const fn new(name: &'static str, rank: u16) -> Self {
-        LockClass { name, rank }
-    }
-}
-
-/// The declared global lock order, lowest (outermost) rank first.
-///
-/// `puffer lint` parses this module's source to build its rank table, so
-/// the declaration below is the single source of truth for both the
-/// static lock-order analysis and the runtime sanitizer. Keep one class
-/// per `pub static` line, in rank order.
-pub mod classes {
-    use super::LockClass;
-
-    /// The serve admission queue's state (`BoundedQueue::state`).
-    pub static SERVE_QUEUE: LockClass = LockClass::new("serve.queue", 10);
-    /// The serve engine's job table (`Shared::jobs`).
-    pub static SERVE_JOBS: LockClass = LockClass::new("serve.jobs", 20);
-    /// The per-chunk RSMT decomposition caches in `puffer-congest`.
-    pub static CONGEST_RSMT: LockClass = LockClass::new("congest.rsmt", 30);
-    /// The trace span registry.
-    pub static TRACE_SPANS: LockClass = LockClass::new("trace.spans", 40);
-    /// The trace counter table.
-    pub static TRACE_COUNTERS: LockClass = LockClass::new("trace.counters", 41);
-    /// The trace gauge table.
-    pub static TRACE_GAUGES: LockClass = LockClass::new("trace.gauges", 42);
-    /// The trace JSONL sink.
-    pub static TRACE_SINK: LockClass = LockClass::new("trace.sink", 44);
-    /// The trace first-write-error slot.
-    pub static TRACE_ERROR: LockClass = LockClass::new("trace.error", 45);
-}
-
-#[cfg(feature = "lockcheck")]
-mod held {
-    use std::cell::RefCell;
-
-    thread_local! {
-        /// Classes this thread currently holds, in acquisition order. The
-        /// rank discipline keeps it strictly increasing, so checking the
-        /// top suffices.
-        pub(super) static HELD: RefCell<Vec<(&'static str, u16)>> =
-            const { RefCell::new(Vec::new()) };
-    }
-}
-
-/// RAII record of one acquisition on this thread's held-lock stack.
-///
-/// With the `lockcheck` feature, creating a token asserts the rank
-/// discipline and pushes the class; dropping it pops. Without the feature
-/// it is zero-sized and free.
-#[derive(Debug)]
-pub struct Token {
-    #[cfg(feature = "lockcheck")]
-    class: &'static LockClass,
-}
-
-impl Token {
-    /// Records (and, under `lockcheck`, validates) an acquisition of
-    /// `class` on the current thread.
-    ///
-    /// # Panics
-    ///
-    /// With the `lockcheck` feature, when the thread already holds a class
-    /// of equal or higher rank — a lock-order inversion.
-    #[must_use]
-    pub fn acquire(class: &'static LockClass) -> Token {
-        #[cfg(feature = "lockcheck")]
-        held::HELD.with(|h| {
-            let mut held = h.borrow_mut();
-            if let Some(&(top_name, top_rank)) = held.last() {
+impl Held {
+    #[track_caller]
+    fn enter() -> Held {
+        #[cfg(debug_assertions)]
+        {
+            let here = std::panic::Location::caller();
+            HELD.with(|held| {
+                let first = held.get();
                 assert!(
-                    top_rank < class.rank,
-                    "lock-order violation: acquiring '{}' (rank {}) while holding '{}' \
-                     (rank {}) — acquisitions must follow the declared order in \
-                     puffer_budget::lockcheck::classes",
-                    class.name,
-                    class.rank,
-                    top_name,
-                    top_rank,
+                    first.is_none(),
+                    "leaf-lock violation: {here} acquires a mutex while this thread still holds \
+                     the one acquired at {} — no thread may hold two \
+                     (puffer_budget::lockcheck)",
+                    first.unwrap_or(here),
                 );
-            }
-            held.push((class.name, class.rank));
-        });
-        #[cfg(not(feature = "lockcheck"))]
-        let _ = class;
-        Token {
-            #[cfg(feature = "lockcheck")]
-            class,
+                held.set(Some(here));
+            });
         }
+        Held
     }
 }
 
-#[cfg(feature = "lockcheck")]
-impl Drop for Token {
+#[cfg(debug_assertions)]
+impl Drop for Held {
     fn drop(&mut self) {
-        held::HELD.with(|h| {
-            let mut held = h.borrow_mut();
-            // Guards usually drop LIFO, but paired destructuring can
-            // release out of order; remove the last record of this class.
-            if let Some(pos) = held.iter().rposition(|&(name, _)| name == self.class.name) {
-                held.remove(pos);
-            }
-        });
+        HELD.with(|held| held.set(None));
     }
 }
 
-/// A `MutexGuard` tagged with its lock class. Dereferences to the data;
-/// releases the class record when dropped.
+/// A `MutexGuard` that counts as this thread's one held lock.
+/// Dereferences to the data; releases the record when dropped.
 #[derive(Debug)]
 pub struct Locked<'a, T> {
     guard: MutexGuard<'a, T>,
-    token: Token,
+    held: Held,
 }
 
 impl<'a, T> Locked<'a, T> {
-    /// Splits off the raw guard (e.g. to hand to `Condvar::wait_timeout`,
-    /// which releases the mutex); the class record is popped, mirroring
-    /// the release. Re-wrap the reacquired guard with
-    /// [`Locked::from_guard`].
+    /// Splits off the raw guard to hand to `Condvar::wait_timeout`, which
+    /// releases the mutex; the held record is released with it. Re-wrap
+    /// the reacquired guard with [`Locked::from_guard`].
     pub fn into_guard(self) -> MutexGuard<'a, T> {
-        // `token` drops here, popping the class record.
-        let Locked { guard, token: _token } = self;
+        let Locked { guard, held: _released } = self;
         guard
     }
 
-    /// Tags a raw guard (re)acquired out-of-band — the return path from a
-    /// condvar wait. Performs the same rank check as [`lock_ordered`].
+    /// Wraps a raw guard reacquired by a condvar wait, with the same check
+    /// as [`lock_leaf`].
     #[must_use]
-    pub fn from_guard(guard: MutexGuard<'a, T>, class: &'static LockClass) -> Locked<'a, T> {
+    #[track_caller]
+    pub fn from_guard(guard: MutexGuard<'a, T>) -> Locked<'a, T> {
         Locked {
             guard,
-            token: Token::acquire(class),
+            held: Held::enter(),
         }
     }
 }
@@ -195,100 +98,127 @@ impl<T> DerefMut for Locked<'_, T> {
     }
 }
 
-/// Acquires `m` under `class`: the one sanctioned way to lock a classed
-/// mutex. Recovers poisoned guards — every classed mutex in the workspace
-/// guards plain data that a panicking holder cannot leave half-moved, and
-/// telemetry/serving must keep working after a panic-isolated worker dies.
+/// Acquires `m`: the one sanctioned way to lock a mutex. Recovers poisoned
+/// guards — every mutex in the workspace guards plain data that a
+/// panicking holder cannot leave half-moved, and telemetry/serving must
+/// keep working after a panic-isolated worker dies.
+///
+/// # Panics
+///
+/// In debug builds, when this thread already holds a [`Locked`] guard.
 #[must_use]
+#[track_caller]
 #[expect(
     clippy::disallowed_methods,
-    reason = "the one raw Mutex::lock every classed acquisition goes through"
+    reason = "the one raw Mutex::lock every acquisition goes through"
 )]
-pub fn lock_ordered<'a, T>(m: &'a Mutex<T>, class: &'static LockClass) -> Locked<'a, T> {
-    let token = Token::acquire(class);
+pub fn lock_leaf<T>(m: &Mutex<T>) -> Locked<'_, T> {
+    // Checked before blocking, so re-locking the same mutex is reported
+    // instead of deadlocking.
+    let held = Held::enter();
     let guard = m.lock().unwrap_or_else(PoisonError::into_inner);
-    Locked { guard, token }
+    Locked { guard, held }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+    use std::sync::Condvar;
+    use std::time::Duration;
 
     #[test]
-    fn lock_ordered_derefs_to_the_data() {
+    fn lock_leaf_derefs_to_the_data() {
         let m = Mutex::new(7u32);
         {
-            let mut g = lock_ordered(&m, &classes::SERVE_JOBS);
+            let mut g = lock_leaf(&m);
             *g += 1;
         }
-        assert_eq!(*lock_ordered(&m, &classes::SERVE_JOBS), 8);
+        assert_eq!(*lock_leaf(&m), 8);
     }
 
     #[test]
-    fn in_order_nesting_is_accepted() {
+    fn release_then_reacquire_is_clean() {
         let a = Mutex::new(());
         let b = Mutex::new(());
-        let _qa = lock_ordered(&a, &classes::SERVE_QUEUE);
-        let _qb = lock_ordered(&b, &classes::SERVE_JOBS);
-        // Dropping in reverse order unwinds the held stack cleanly.
+        drop(lock_leaf(&a));
+        drop(lock_leaf(&b));
+        {
+            let _scoped = lock_leaf(&a);
+        }
+        let _again = lock_leaf(&a);
     }
 
     #[test]
-    fn into_guard_releases_the_class_record() {
-        let m = Mutex::new(());
-        let g = lock_ordered(&m, &classes::TRACE_SINK);
-        let raw = g.into_guard();
-        // The class record is popped: acquiring a *lower* rank now is fine
-        // even under the sanitizer, exactly as after a condvar release.
-        let n = Mutex::new(());
-        let _low = lock_ordered(&n, &classes::SERVE_QUEUE);
-        drop(raw);
+    fn into_guard_releases_the_record_and_from_guard_rearms_it() {
+        let m = Mutex::new(0u32);
+        let cv = Condvar::new();
+        let other = Mutex::new(());
+        let raw = lock_leaf(&m).into_guard();
+        // Released: exactly as during a condvar wait, another lock is fine.
+        drop(lock_leaf(&other));
+        let (raw, _) = cv
+            .wait_timeout(raw, Duration::from_millis(1))
+            .unwrap_or_else(PoisonError::into_inner);
+        let rearmed = Locked::from_guard(raw);
+        #[cfg(debug_assertions)]
+        {
+            let nested = std::panic::catch_unwind(|| drop(lock_leaf(&other)));
+            assert!(nested.is_err(), "from_guard must re-arm the held record");
+        }
+        drop(rearmed);
+        drop(lock_leaf(&other));
     }
 
     #[test]
-    fn classes_are_strictly_ranked() {
-        let ranks = [
-            &classes::SERVE_QUEUE,
-            &classes::SERVE_JOBS,
-            &classes::CONGEST_RSMT,
-            &classes::TRACE_SPANS,
-            &classes::TRACE_COUNTERS,
-            &classes::TRACE_GAUGES,
-            &classes::TRACE_SINK,
-            &classes::TRACE_ERROR,
-        ];
-        for pair in ranks.windows(2) {
-            assert!(pair[0].rank < pair[1].rank, "{} vs {}", pair[0].name, pair[1].name);
+    fn poisoned_mutex_is_recovered() {
+        let m = Mutex::new(3u32);
+        let poisoner = std::panic::catch_unwind(|| {
+            let _g = lock_leaf(&m);
+            panic!("poison the mutex");
+        });
+        assert!(poisoner.is_err());
+        assert!(m.is_poisoned());
+        // The unwound guard released the held record along with the mutex.
+        assert_eq!(*lock_leaf(&m), 3);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn nested_acquisition_panics_naming_both_sites() {
+        let a = Mutex::new(());
+        let b = Mutex::new(());
+        let first_line = line!() + 1;
+        let _outer = lock_leaf(&a);
+        let second_line = line!() + 1;
+        let nested = std::panic::catch_unwind(|| drop(lock_leaf(&b)));
+        let payload = nested.expect_err("a second acquisition must panic");
+        let message = payload.downcast_ref::<String>().expect("a formatted message");
+        assert!(message.contains("leaf-lock violation"), "{message}");
+        for line in [first_line, second_line] {
+            let site = format!("{}:{line}:", file!());
+            assert!(message.contains(&site), "{site} not in: {message}");
         }
     }
 
-    #[cfg(feature = "lockcheck")]
+    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "lock-order violation")]
-    fn inverted_acquisition_trips_the_sanitizer() {
-        let a = Mutex::new(());
-        let b = Mutex::new(());
-        // trace.sink (rank 44) then serve.jobs (rank 20): inverted.
-        let _hi = lock_ordered(&a, &classes::TRACE_SINK);
-        let _lo = lock_ordered(&b, &classes::SERVE_JOBS);
+    #[should_panic(expected = "leaf-lock violation")]
+    fn relocking_the_held_mutex_panics_instead_of_deadlocking() {
+        let m = Mutex::new(());
+        let _outer = lock_leaf(&m);
+        let _inner = lock_leaf(&m);
     }
 
-    #[cfg(feature = "lockcheck")]
+    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "lock-order violation")]
-    fn same_class_reentry_trips_the_sanitizer() {
-        let a = Mutex::new(());
-        let b = Mutex::new(());
-        let _one = lock_ordered(&a, &classes::SERVE_JOBS);
-        let _two = lock_ordered(&b, &classes::SERVE_JOBS);
-    }
-
-    #[cfg(feature = "lockcheck")]
-    #[test]
-    fn release_then_reacquire_lower_is_clean() {
-        let hi = Mutex::new(());
-        let lo = Mutex::new(());
-        drop(lock_ordered(&hi, &classes::TRACE_ERROR));
-        let _q = lock_ordered(&lo, &classes::SERVE_QUEUE);
+    #[should_panic(expected = "leaf-lock violation")]
+    fn a_second_per_chunk_cache_guard_panics() {
+        // The shape of puffer-congest's RSMT caches: one mutex per chunk,
+        // all of one kind. Same-kind re-entry is nesting like any other.
+        let caches: Vec<Mutex<BTreeMap<u64, u32>>> =
+            (0..2).map(|_| Mutex::new(BTreeMap::new())).collect();
+        let _chunk0 = lock_leaf(&caches[0]);
+        let _chunk1 = lock_leaf(&caches[1]);
     }
 }

@@ -103,7 +103,7 @@ usage:
   puffer chaos  [--seeds <n>] [--cells <n>] [--max-iters <n>]
                 [--classes all|flow|fs|serve]
                 (deterministic fault-injection harness)
-  puffer lint   [--root <dir>] [--json]           (workspace policy check)
+  puffer lint   [--root <dir>] [--json]           (crate layering + forbid(unsafe_code))
   puffer audit  design  <design.pd>
   puffer audit  journal <run.pj> [<design.pd>]
   puffer audit  metrics <run.jsonl>
@@ -344,7 +344,7 @@ fn open_trace(flags: &Flags) -> Result<Option<Trace>, CliError> {
     }
 }
 
-/// Finishes a traced run: emits the span/counter/gauge summary records to
+/// Finishes a traced run: emits the span/counter summary records to
 /// the sink, surfaces any deferred sink write error, and prints the
 /// per-stage timing table to stderr under `--trace-summary`.
 fn finish_trace(trace: &Option<Trace>, flags: &Flags) -> Result<(), CliError> {

@@ -26,7 +26,7 @@ use puffer_db::cast;
 use puffer_db::design::{Design, Placement};
 use puffer_db::grid::Grid;
 use puffer_db::netlist::PinId;
-use puffer_budget::lockcheck::{classes, lock_ordered};
+use puffer_budget::lockcheck::lock_leaf;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -167,7 +167,7 @@ impl Clone for IncrementalState {
             caches: self
                 .caches
                 .iter()
-                .map(|m| Mutex::new(lock_ordered(m, &classes::CONGEST_RSMT).clone()))
+                .map(|m| Mutex::new(lock_leaf(m).clone()))
                 .collect(),
         }
     }
@@ -296,7 +296,7 @@ pub(crate) fn try_build_demand_incremental(
             .position(|r| r.start == range.start && r.end == range.end);
         match chunk {
             Some(c) if chunk_dirty[c] => {
-                let mut cache = lock_ordered(&caches[c], &classes::CONGEST_RSMT);
+                let mut cache = lock_leaf(&caches[c]);
                 let replay = prev_ref.map(|p| (&p.partials[c], &net_dirty[range.clone()]));
                 Some(demand::build_chunk_partial(
                     netlist,

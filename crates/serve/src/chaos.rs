@@ -458,8 +458,8 @@ impl Client {
 mod tests {
     use super::*;
 
-    /// Runs every serve row once — the in-crate smoke `--features lockcheck`
-    /// drives the engine, queue and trace locks through.
+    /// Runs every serve row once — the in-crate smoke that drives the
+    /// engine, queue and trace locks under the debug-build leaf-lock check.
     #[test]
     fn every_serve_row_ends_in_a_legal_state() {
         let base = std::env::temp_dir().join("puffer-serve-chaos-test");

@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use puffer_budget::clock::Deadline;
-use puffer_budget::lockcheck::{classes, lock_ordered, Locked};
+use puffer_budget::lockcheck::{lock_leaf, Locked};
 use std::time::Duration;
 
 use puffer::{evaluate_bounded, CheckpointPolicy, FlowResult, Job, PufferConfig, PufferError};
@@ -224,7 +224,7 @@ impl Shared {
     // Job entries are plain data; a panic between lock and unlock cannot
     // leave them half-updated, so recovering a poisoned guard is sound.
     fn jobs(&self) -> Locked<'_, BTreeMap<u64, JobEntry>> {
-        lock_ordered(&self.jobs, &classes::SERVE_JOBS)
+        lock_leaf(&self.jobs)
     }
 
     fn job_dir(&self, id: u64) -> PathBuf {
@@ -957,14 +957,14 @@ impl EngineHandle<'_> {
                 }
                 None => Duration::from_millis(200),
             };
-            // The condvar wait releases the mutex, so the class record is
+            // The condvar wait releases the mutex, so the held record is
             // split off for the wait and re-attached on wake-up.
             let (guard, _) = self
                 .shared
                 .terminal_cv
                 .wait_timeout(jobs.into_guard(), step)
                 .unwrap_or_else(PoisonError::into_inner);
-            jobs = Locked::from_guard(guard, &classes::SERVE_JOBS);
+            jobs = Locked::from_guard(guard);
         }
     }
 
@@ -979,7 +979,7 @@ impl EngineHandle<'_> {
                 .terminal_cv
                 .wait_timeout(jobs.into_guard(), Duration::from_millis(200))
                 .unwrap_or_else(PoisonError::into_inner);
-            jobs = Locked::from_guard(guard, &classes::SERVE_JOBS);
+            jobs = Locked::from_guard(guard);
         }
     }
 

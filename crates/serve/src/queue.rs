@@ -7,7 +7,7 @@
 //! with a timeout so worker loops can interleave shutdown checks.
 
 use puffer_budget::clock::Deadline;
-use puffer_budget::lockcheck::{classes, lock_ordered, Locked};
+use puffer_budget::lockcheck::{lock_leaf, Locked};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
@@ -72,9 +72,9 @@ impl<T> BoundedQueue<T> {
 
     // A worker panicking between lock and unlock poisons the mutex; the
     // queue state is a VecDeque whose operations never leave it half-moved,
-    // so recovering the guard is sound (lock_ordered does exactly that).
+    // so recovering the guard is sound (lock_leaf does exactly that).
     fn lock(&self) -> Locked<'_, State<T>> {
-        lock_ordered(&self.state, &classes::SERVE_QUEUE)
+        lock_leaf(&self.state)
     }
 
     /// Admits `item` without blocking, returning the new queue length.
@@ -128,13 +128,13 @@ impl<T> BoundedQueue<T> {
             if deadline.expired() {
                 return Popped::Empty;
             }
-            // The condvar wait releases the mutex; split off the class
+            // The condvar wait releases the mutex; split off the held
             // record for the wait and re-attach it on wake-up.
             let (guard, _) = self
                 .cv
                 .wait_timeout(s.into_guard(), deadline.remaining())
                 .unwrap_or_else(PoisonError::into_inner);
-            s = Locked::from_guard(guard, &classes::SERVE_QUEUE);
+            s = Locked::from_guard(guard);
         }
     }
 

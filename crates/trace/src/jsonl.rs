@@ -26,6 +26,8 @@ use std::path::{Path, PathBuf};
 pub(crate) struct JsonlSink {
     sink: fsx::AppendSink,
     path: PathBuf,
+    /// First write error since the last clean [`JsonlSink::flush`].
+    error: Option<std::io::Error>,
 }
 
 impl JsonlSink {
@@ -34,6 +36,7 @@ impl JsonlSink {
         Ok(JsonlSink {
             sink: fsx::AppendSink::create(path, fsx::FsyncPolicy::OnSync)?,
             path: path.to_path_buf(),
+            error: None,
         })
     }
 
@@ -43,17 +46,23 @@ impl JsonlSink {
     }
 
     /// Appends `line` plus a newline in a single write, so previously
-    /// written records survive any later crash.
-    pub(crate) fn write_line(&mut self, line: &str) -> std::io::Result<()> {
+    /// written records survive any later crash. A failure never reaches
+    /// the caller: the first one is kept for [`JsonlSink::flush`].
+    pub(crate) fn write_line(&mut self, line: &str) {
         let mut record = Vec::with_capacity(line.len() + 1);
         record.extend_from_slice(line.as_bytes());
         record.push(b'\n');
-        self.sink.write_record(&record)
+        if let Err(e) = self.sink.write_record(&record) {
+            self.error.get_or_insert(e);
+        }
     }
 
-    /// Forces the sink's records to stable storage (`fsync`).
+    /// Forces the sink's records to stable storage (`fsync`), then reports
+    /// (and clears) the first write error kept by
+    /// [`JsonlSink::write_line`].
     pub(crate) fn flush(&mut self) -> std::io::Result<()> {
-        self.sink.sync()
+        self.sink.sync()?;
+        self.error.take().map_or(Ok(()), Err)
     }
 }
 
@@ -83,6 +92,8 @@ pub fn escape_into(s: &str, out: &mut String) {
 #[derive(Debug)]
 pub struct Line {
     buf: String,
+    /// Byte length of the `{"t":"<kind>"` prefix.
+    kind_end: usize,
 }
 
 impl Line {
@@ -92,7 +103,8 @@ impl Line {
         buf.push_str("{\"t\":\"");
         escape_into(kind, &mut buf);
         buf.push('"');
-        Line { buf }
+        let kind_end = buf.len();
+        Line { buf, kind_end }
     }
 
     /// Appends `,"key":`; the value follows.
@@ -162,6 +174,16 @@ impl Line {
     pub fn finish(mut self) -> String {
         self.buf.push('}');
         self.buf
+    }
+
+    /// [`Line::finish`] with `"elapsed_s"` spliced in as the first field
+    /// after the kind, so [`crate::Record::write`] can read the clock as
+    /// late as the write itself.
+    pub(crate) fn finish_stamped(mut self, elapsed_s: f64) -> String {
+        let fields = self.buf.split_off(self.kind_end);
+        self = self.num("elapsed_s", elapsed_s);
+        self.buf.push_str(&fields);
+        self.finish()
     }
 }
 

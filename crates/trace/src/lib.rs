@@ -1,4 +1,4 @@
-//! Flow observability for PUFFER: span timers, counters/gauges, and a
+//! Flow observability for PUFFER: span timers, counters, and a
 //! per-iteration telemetry sink.
 //!
 //! The strategy exploration of the paper (§II-E) tunes the whole flow from
@@ -14,8 +14,7 @@
 //!   records the elapsed time under the span's *path* (`"gp/pad/congest"`),
 //!   and per-path statistics (count/total/min/max/mean) accumulate in the
 //!   handle; see [`Trace::span`] and [`Trace::span_stats`].
-//! * counters and gauges — monotonic [`Trace::add`] and last-value
-//!   [`Trace::gauge`] metrics by name.
+//! * counters — monotonic [`Trace::add`] metrics by name.
 //! * the JSONL sink — [`Trace::with_sink`] appends one JSON object per
 //!   [`Trace::record`] to a file, one line per record, flushed at line
 //!   granularity so a crash can lose at most the line being written (the
@@ -41,7 +40,6 @@
 //! | `chaos.inject` | `puffer` (core, `nan-burst` under the `chaos` feature) | `class`, `at`, `magnitude` |
 //! | `span` | [`Trace::write_summary`] | `label`, `count`, `total_s`, `mean_s`, `min_s`, `max_s` |
 //! | `counter` | [`Trace::write_summary`] | `name`, `value` |
-//! | `gauge` | [`Trace::write_summary`] | `name`, `value` |
 //!
 //! ## Schema versions
 //!
@@ -79,7 +77,7 @@ pub use jsonl::{escape_into, parse_record, read_jsonl, Line, ParsedRecord, Trace
 pub use span::{SpanGuard, SpanStats};
 
 use jsonl::JsonlSink;
-use puffer_budget::lockcheck::{classes, lock_ordered};
+use puffer_budget::lockcheck::lock_leaf;
 use span::SpanRegistry;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -91,10 +89,7 @@ struct Inner {
     start: Instant,
     spans: Mutex<SpanRegistry>,
     counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, f64>>,
     sink: Option<Mutex<JsonlSink>>,
-    /// First sink write error, reported by [`Trace::flush`].
-    error: Mutex<Option<std::io::Error>>,
 }
 
 /// A cheaply cloneable telemetry handle.
@@ -113,7 +108,7 @@ impl Trace {
         Trace { inner: None }
     }
 
-    /// An in-memory handle: spans, counters, and gauges accumulate, but
+    /// An in-memory handle: spans and counters accumulate, but
     /// [`Trace::record`] goes nowhere (no sink).
     #[expect(
         clippy::disallowed_methods,
@@ -125,9 +120,7 @@ impl Trace {
                 start: Instant::now(),
                 spans: Mutex::new(SpanRegistry::default()),
                 counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
                 sink: None,
-                error: Mutex::new(None),
             })),
         }
     }
@@ -150,9 +143,7 @@ impl Trace {
                 start: Instant::now(),
                 spans: Mutex::new(SpanRegistry::default()),
                 counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
                 sink: Some(Mutex::new(sink)),
-                error: Mutex::new(None),
             })),
         })
     }
@@ -174,20 +165,20 @@ impl Trace {
         match &self.inner {
             None => SpanGuard::noop(),
             Some(inner) => {
-                let depth = lock_ordered(&inner.spans, &classes::TRACE_SPANS).open(label);
+                let depth = lock_leaf(&inner.spans).open(label);
                 SpanGuard::open(Arc::clone(inner), depth)
             }
         }
     }
 
     pub(crate) fn close_span(inner: &Arc<Inner>, depth: usize, elapsed: f64) {
-        lock_ordered(&inner.spans, &classes::TRACE_SPANS).close(depth, elapsed);
+        lock_leaf(&inner.spans).close(depth, elapsed);
     }
 
     /// Adds `delta` to the named monotonic counter.
     pub fn add(&self, counter: &str, delta: u64) {
         if let Some(inner) = &self.inner {
-            let mut counters = lock_ordered(&inner.counters, &classes::TRACE_COUNTERS);
+            let mut counters = lock_leaf(&inner.counters);
             match counters.get_mut(counter) {
                 Some(v) => *v += delta,
                 None => {
@@ -197,25 +188,15 @@ impl Trace {
         }
     }
 
-    /// Sets the named gauge to its latest value.
-    pub fn gauge(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            lock_ordered(&inner.gauges, &classes::TRACE_GAUGES).insert(name.to_string(), value);
-        }
-    }
-
     /// Starts a telemetry record of the given kind. Fields are added with
     /// the builder methods and the record is appended to the sink by
     /// [`Record::write`]. With no sink (or a disabled handle) the builder
     /// is a no-op that never allocates.
     pub fn record(&self, kind: &str) -> Record<'_> {
         match &self.inner {
-            Some(inner) if inner.sink.is_some() => {
-                let elapsed_s = inner.start.elapsed().as_secs_f64();
-                Record {
-                    dst: Some((inner, Line::new(kind).num("elapsed_s", elapsed_s))),
-                }
-            }
+            Some(inner) if inner.sink.is_some() => Record {
+                dst: Some((inner, Line::new(kind))),
+            },
             _ => Record { dst: None },
         }
     }
@@ -224,7 +205,7 @@ impl Trace {
     pub fn span_stats(&self) -> Vec<(String, SpanStats)> {
         match &self.inner {
             None => Vec::new(),
-            Some(inner) => lock_ordered(&inner.spans, &classes::TRACE_SPANS).stats(),
+            Some(inner) => lock_leaf(&inner.spans).stats(),
         }
     }
 
@@ -232,18 +213,7 @@ impl Trace {
     pub fn counters(&self) -> Vec<(String, u64)> {
         match &self.inner {
             None => Vec::new(),
-            Some(inner) => lock_ordered(&inner.counters, &classes::TRACE_COUNTERS)
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-        }
-    }
-
-    /// Snapshot of all gauges, sorted by name.
-    pub fn gauges(&self) -> Vec<(String, f64)> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(inner) => lock_ordered(&inner.gauges, &classes::TRACE_GAUGES)
+            Some(inner) => lock_leaf(&inner.counters)
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))
                 .collect(),
@@ -275,9 +245,9 @@ impl Trace {
         out
     }
 
-    /// Writes one `span` record per span path, one `counter` record per
-    /// counter, and one `gauge` record per gauge to the sink, so the JSONL
-    /// file is self-contained. Call once, at the end of a run.
+    /// Writes one `span` record per span path and one `counter` record per
+    /// counter to the sink, so the JSONL file is self-contained. Call once,
+    /// at the end of a run.
     pub fn write_summary(&self) {
         for (path, s) in self.span_stats() {
             self.record("span")
@@ -294,9 +264,6 @@ impl Trace {
                 .str("name", &name)
                 .int("value", v as i64)
                 .write();
-        }
-        for (name, v) in self.gauges() {
-            self.record("gauge").str("name", &name).num("value", v).write();
         }
     }
 
@@ -316,17 +283,11 @@ impl Trace {
         let Some(sink) = &inner.sink else {
             return Ok(());
         };
-        let mut guard = lock_ordered(sink, &classes::TRACE_SINK);
-        let path = guard.path().to_path_buf();
-        let synced = guard.flush();
-        drop(guard);
-        if let Err(source) = synced {
-            return Err(TraceError::Io { path, source });
-        }
-        match lock_ordered(&inner.error, &classes::TRACE_ERROR).take() {
-            Some(source) => Err(TraceError::Io { path, source }),
-            None => Ok(()),
-        }
+        let mut sink = lock_leaf(sink);
+        sink.flush().map_err(|source| TraceError::Io {
+            path: sink.path().to_path_buf(),
+            source,
+        })
     }
 }
 
@@ -380,23 +341,22 @@ impl Record<'_> {
         self.with(|line| line.nums(key, values))
     }
 
-    /// Closes the record and appends it to the sink (one line, flushed).
-    /// Write failures are stored on the trace and surfaced by
+    /// Closes the record, stamps it with `elapsed_s` (first field after the
+    /// kind) and appends it to the sink (one line, flushed).
+    /// Write failures are stored on the sink and surfaced by
     /// [`Trace::flush`]; they never interrupt the instrumented flow.
     pub fn write(self) {
         let Some((inner, line)) = self.dst else {
             return;
         };
-        let line = line.finish();
         let Some(sink) = inner.sink.as_ref() else {
             return; // record() only hands out a dst when a sink exists
         };
-        if let Err(e) = lock_ordered(sink, &classes::TRACE_SINK).write_line(&line) {
-            let mut slot = lock_ordered(&inner.error, &classes::TRACE_ERROR);
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        }
+        let mut sink = lock_leaf(sink);
+        // The clock is read under the sink lock, so `elapsed_s` never
+        // decreases in file order however many threads write.
+        let elapsed_s = inner.start.elapsed().as_secs_f64();
+        sink.write_line(&line.finish_stamped(elapsed_s));
     }
 }
 
@@ -411,12 +371,10 @@ mod tests {
         {
             let _s = t.span("x");
             t.add("c", 3);
-            t.gauge("g", 1.0);
             t.record("k").num("a", 1.0).int("b", 2).str("c", "d").write();
         }
         assert!(t.span_stats().is_empty());
         assert!(t.counters().is_empty());
-        assert!(t.gauges().is_empty());
         t.flush().unwrap();
     }
 
@@ -451,14 +409,11 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges() {
+    fn counters_accumulate() {
         let t = Trace::enabled();
         t.add("recoveries", 1);
         t.add("recoveries", 2);
-        t.gauge("overflow", 0.5);
-        t.gauge("overflow", 0.25);
         assert_eq!(t.counters(), vec![("recoveries".to_string(), 3)]);
-        assert_eq!(t.gauges(), vec![("overflow".to_string(), 0.25)]);
     }
 
     #[test]
@@ -503,12 +458,11 @@ mod tests {
             let _s = t.span("gp");
         }
         t.add("steps", 1);
-        t.gauge("overflow", 0.5);
         t.write_summary();
         t.flush().unwrap();
 
         let records = read_jsonl(&path).unwrap();
-        assert!(records.len() >= 4, "{}", records.len());
+        assert!(records.len() >= 3, "{}", records.len());
         let first = &records[0];
         assert_eq!(first.kind(), Some("place.iter"));
         assert_eq!(first.num("iter"), Some(3.0));
@@ -523,7 +477,59 @@ mod tests {
         let kinds: Vec<&str> = records.iter().filter_map(|r| r.kind()).collect();
         assert!(kinds.contains(&"span"));
         assert!(kinds.contains(&"counter"));
-        assert!(kinds.contains(&"gauge"));
+    }
+
+    #[test]
+    fn a_record_is_stamped_when_written_not_when_started() {
+        let path = tmp("stamp-order.jsonl");
+        let t = Trace::with_sink(&path).unwrap();
+        let started_first = t.record("slow").int("n", 1);
+        t.record("quick").write();
+        started_first.write();
+        t.flush().unwrap();
+
+        let records = read_jsonl(&path).unwrap();
+        let kinds: Vec<&str> = records.iter().filter_map(|r| r.kind()).collect();
+        assert_eq!(kinds, ["quick", "slow"]);
+        assert!(records[0].num("elapsed_s") <= records[1].num("elapsed_s"));
+        // The stamp still sits right after the kind.
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.lines().all(|l| l.starts_with("{\"t\":\"") && l.contains("\",\"elapsed_s\":")));
+        assert!(text.lines().nth(1).unwrap().ends_with(",\"n\":1}"), "{text}");
+    }
+
+    #[test]
+    fn parallel_writers_land_whole_lines_with_nondecreasing_stamps() {
+        let path = tmp("parallel.jsonl");
+        let t = Trace::with_sink(&path).unwrap();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for writer in 0..4 {
+                let (t, start) = (t.clone(), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for seq in 0..200 {
+                        t.record("w").int("writer", writer).int("seq", seq).write();
+                    }
+                });
+            }
+        });
+        t.flush().unwrap();
+
+        let records = read_jsonl(&path).unwrap(); // every line parses
+        assert_eq!(records.len(), 4 * 200);
+        let stamps: Vec<f64> = records.iter().filter_map(|r| r.num("elapsed_s")).collect();
+        assert_eq!(stamps.len(), records.len());
+        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "stamps out of file order");
+        // Each writer's own records kept their order.
+        for writer in 0..4 {
+            let seqs: Vec<f64> = records
+                .iter()
+                .filter(|r| r.num("writer") == Some(f64::from(writer)))
+                .filter_map(|r| r.num("seq"))
+                .collect();
+            assert_eq!(seqs, (0..200).map(f64::from).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -29,13 +29,13 @@ cargo clippy --workspace --all-targets -- -D warnings \
 # The source policy, in two halves. policy.sh: what the toolchain can
 # check — panic-free library code, threads only through puffer-par, no
 # HashMap/HashSet, no wall-clock reads outside puffer-trace/puffer-budget,
-# writes only through fsx, classed mutexes only through lock_ordered, no
-# bare `as` in the hot crates; exemptions are in-source #[expect]s with a
-# reason. puffer lint: the three structural rules no compiler lint
-# expresses — downward-only crate layering, #![forbid(unsafe_code)] in
-# every crate root, and a statically acyclic lock-order graph checked
-# against the ranks declared in puffer_budget::lockcheck::classes (--json
-# emits the findings as JSONL for tooling).
+# writes only through fsx, mutexes only through lock_leaf (whose
+# debug-build assertion — no thread holds two locks — is armed in every
+# test of the suite above), no bare `as` in the hot crates; exemptions are
+# in-source #[expect]s with a reason. puffer lint: the two structural
+# rules no compiler lint expresses — downward-only crate layering and
+# #![forbid(unsafe_code)] in every crate root (--json emits the findings
+# as JSONL for tooling).
 echo "==> scripts/policy.sh"
 scripts/policy.sh
 echo "==> puffer lint"
@@ -159,16 +159,6 @@ test -f "$SMOKE_DIR/serve.pl"
 # per run.
 echo "==> serve chaos smoke (puffer chaos --classes serve --seeds 24)"
 "$PUFFER" chaos --classes serve --seeds 24 --cells 160 --max-iters 60
-
-# Lock-order sanitizer smoke: the runtime half of the lock-order gate. The
-# lockcheck cargo feature arms a thread-local held-lock stack that asserts
-# the declared rank order on every classed acquisition; the budget tests
-# prove the sanitizer trips on inversions, and the serve chaos test drives
-# the engine/queue/trace locks under real worker, cancel, and restart
-# interleavings with it armed.
-echo "==> lockcheck sanitizer smoke (budget + serve chaos under --features lockcheck)"
-cargo test -q -p puffer-budget --features lockcheck lockcheck
-cargo test -q -p puffer-serve --features lockcheck chaos
 
 # Nightly-style scale regressions, opt-in via PUFFER_NIGHTLY=1 (cargo
 # feature `expensive`), each in its own test binary because peak RSS is a

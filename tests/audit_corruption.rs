@@ -405,6 +405,40 @@ fn grid_shrink_is_allowed_only_after_a_recorded_coarsening() {
 }
 
 #[test]
+fn timestamp_running_backwards_is_detected() {
+    let dir = tmp_dir("stamps");
+    let records = [
+        r#"{"t":"place.iter","elapsed_s":0.1,"iter":1,"hpwl":10.0,"overflow":0.5,"lambda":1e-4}"#,
+        r#"{"t":"place.iter","elapsed_s":0.2,"iter":2,"hpwl":9.0,"overflow":0.4,"lambda":2e-4}"#,
+        r#"{"t":"place.iter","elapsed_s":0.2,"iter":3,"hpwl":8.0,"overflow":0.3,"lambda":3e-4}"#,
+    ];
+    let good = dir.join("good.jsonl");
+    write_lines(&good, &records);
+    audit_metrics(&good).expect("equal stamps are still in order");
+
+    // Two writers racing the way `Trace::record` let them before the clock
+    // moved under the sink lock: the later stamp lands first.
+    let bad = dir.join("bad.jsonl");
+    write_lines(
+        &bad,
+        &[
+            &records[0].replace(r#""elapsed_s":0.1"#, r#""elapsed_s":0.15"#),
+            &records[1].replace(r#""elapsed_s":0.2"#, r#""elapsed_s":0.149"#),
+            records[2],
+        ],
+    );
+    let report = audit_metrics(&bad).expect_err("a stamp earlier than its predecessor");
+    let hits: Vec<&str> = report
+        .violations
+        .iter()
+        .filter(|v| v.check == "record-timestamp")
+        .map(|v| v.message.as_str())
+        .collect();
+    assert_eq!(hits.len(), 1, "got: {report}");
+    assert!(hits[0].contains("record 1") && hits[0].contains("0.149"), "got: {report}");
+}
+
+#[test]
 fn shrinking_iteration_stream_is_detected() {
     let dir = tmp_dir("iter-stream");
     let path = dir.join("bad.jsonl");
