@@ -918,13 +918,13 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
         }
     }
     // A density evaluation is a gradient (3 transforms) or a statistics
-    // pass (2): the two counters bracket each other.
+    // pass (none): transforms come in threes, at most three an evaluation.
     if let (Some(evals), Some(transforms)) = (density_evals, transforms2d) {
-        if !(2.0 * evals..=3.0 * evals).contains(&transforms) {
+        if transforms % 3.0 != 0.0 || transforms > 3.0 * evals {
             out.push(Violation {
                 check: "density-counters",
                 message: format!(
-                    "fft.transforms2d = {transforms} is not within 2x..3x of \
+                    "fft.transforms2d = {transforms} is not a multiple of 3 at most 3x \
                      place.density_evals = {evals}"
                 ),
             });

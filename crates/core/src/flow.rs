@@ -244,7 +244,6 @@ impl Job {
                     overflow: checkpoint.placer.last_overflow,
                     hpwl: 0.0,
                     wa: 0.0,
-                    energy: 0.0,
                     lambda: checkpoint.placer.lambda,
                 };
                 placer

@@ -3,6 +3,15 @@
 //! Both the density bins of the electrostatic placer (paper Eq. (3)) and the
 //! Gcell maps of the congestion estimator (paper §II-C) are uniform grids
 //! over the same region; [`Grid`] is the shared representation.
+//!
+//! Spreading a rectangle over the cells it covers ([`Grid::splat`]) and
+//! averaging a grid over a rectangle are the same walk read two ways, and
+//! the density partials and gradients built on them feed the placer's
+//! bit-identity gates. So the overlap arithmetic exists once —
+//! [`Overlap::for_each`] — and its invariant is: **a cell's overlap area is
+//! `ox · oy`, from the operand values `Rect::intersection(..).area()` of
+//! the clipped rectangle and the cell's rectangle would use, in that
+//! order.**
 
 use crate::cast;
 use crate::geom::{Point, Rect};
@@ -194,6 +203,26 @@ impl<T> Grid<T> {
         Some((ix_lo, ix_hi.max(ix_lo), iy_lo, iy_hi.max(iy_lo)))
     }
 
+    /// The walk over the cells `r` overlaps; `None` when `r` does not
+    /// overlap the region at all.
+    pub fn overlap(&self, r: &Rect) -> Option<Overlap> {
+        let (ix_lo, ix_hi, iy_lo, iy_hi) = self.cells_overlapping(r)?;
+        let clipped = r.intersection(&self.region);
+        Some(Overlap {
+            clipped,
+            total: clipped.area(),
+            ix_lo,
+            ix_hi,
+            iy_lo,
+            iy_hi,
+            xl: self.region.xl,
+            yl: self.region.yl,
+            dx: self.dx,
+            dy: self.dy,
+            nx: self.nx,
+        })
+    }
+
     /// Iterator over `((ix, iy), &T)` in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = ((usize, usize), &T)> {
         let nx = self.nx;
@@ -216,6 +245,63 @@ impl<T> Grid<T> {
     }
 }
 
+/// The cells of one grid that one rectangle overlaps ([`Grid::overlap`]):
+/// the only copy of the overlap arithmetic in the workspace. It borrows
+/// nothing, so a visitor is free to write the grid it came from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Overlap {
+    /// The rectangle clipped to the region, and its area.
+    clipped: Rect,
+    total: f64,
+    ix_lo: usize,
+    ix_hi: usize,
+    iy_lo: usize,
+    iy_hi: usize,
+    /// The grid's geometry.
+    xl: f64,
+    yl: f64,
+    dx: f64,
+    dy: f64,
+    nx: usize,
+}
+
+impl Overlap {
+    /// Area of the rectangle inside the region — what the overlap areas
+    /// add up to. Zero for a degenerate rectangle, which overlaps no cell.
+    pub fn total(&self) -> f64 {
+        self.total
+    }
+
+    /// Calls `visit(flat index, overlap area)` for every cell the rectangle
+    /// overlaps with positive area, row by row.
+    ///
+    /// Separable: a cell's overlap area is (x-extent overlap) × (y-extent
+    /// overlap), so the y part is computed once per row and only the x
+    /// part per cell — the same min/max/multiply operand values the
+    /// per-cell `Rect::intersection(..).area()` produces (the result is
+    /// bit-identical), at half the arithmetic and without materializing a
+    /// `Rect` per cell.
+    #[inline]
+    pub fn for_each(&self, mut visit: impl FnMut(usize, f64)) {
+        let clipped = &self.clipped;
+        for iy in self.iy_lo..=self.iy_hi {
+            let cyl = self.yl + cast::idx_f64(iy) * self.dy;
+            let oyl = clipped.yl.max(cyl);
+            let oy = clipped.yh.min(cyl + self.dy).max(oyl) - oyl;
+            let row = iy * self.nx;
+            for ix in self.ix_lo..=self.ix_hi {
+                let cxl = self.xl + cast::idx_f64(ix) * self.dx;
+                let oxl = clipped.xl.max(cxl);
+                let ox = clipped.xh.min(cxl + self.dx).max(oxl) - oxl;
+                let ov = ox * oy;
+                if ov > 0.0 {
+                    visit(row + ix, ov);
+                }
+            }
+        }
+    }
+}
+
 impl Grid<f64> {
     /// Sum of all cell values.
     pub fn sum(&self) -> f64 {
@@ -225,48 +311,54 @@ impl Grid<f64> {
     /// Splats `amount` uniformly over the part of `r` inside the region,
     /// area-weighted per overlapped cell. A rect with zero area deposits the
     /// whole `amount` into its containing cell.
+    pub fn splat(&mut self, r: &Rect, amount: f64) {
+        self.deposit(r, amount, |_| {});
+    }
+
+    /// [`Grid::splat`], pushing onto `touched` the flat index of every cell
+    /// the deposit moved off `+0.0` (the bit pattern, so a cell that turned
+    /// `−0.0` or NaN counts and one whose addend rounded to zero does not).
     ///
-    /// Returns the inclusive cell window `(ix_lo, ix_hi, iy_lo, iy_hi)`
-    /// outside which nothing was written (`None` when nothing was written
-    /// at all), so a caller reusing a scratch grid can find — and clear —
-    /// what a batch of splats touched without scanning the whole grid.
-    pub fn splat(&mut self, r: &Rect, amount: f64) -> Option<(usize, usize, usize, usize)> {
+    /// For a caller reusing a scratch grid that is `+0.0` between batches:
+    /// after a batch of these over one list, every cell that is not `+0.0`
+    /// is on the list — more than once if it came back to `+0.0` in
+    /// between — so the batch can be found, and cleared, at the cost of
+    /// what it wrote instead of a scan of the grid.
+    pub fn splat_touched(&mut self, r: &Rect, amount: f64, touched: &mut Vec<usize>) {
+        self.deposit(r, amount, |cell| touched.push(cell));
+    }
+
+    /// The one deposit behind both splats; `left_zero` hears of every cell
+    /// moved off `+0.0`.
+    #[inline]
+    fn deposit(&mut self, r: &Rect, amount: f64, mut left_zero: impl FnMut(usize)) {
+        /// Adds `v` to `slot`; whether that moved it off `+0.0`.
+        #[inline]
+        fn bump(slot: &mut f64, v: f64) -> bool {
+            let was_zero = slot.to_bits() == 0;
+            *slot += v;
+            was_zero && slot.to_bits() != 0
+        }
         if amount == 0.0 {
-            return None;
+            return;
         }
         if r.area() <= 0.0 {
             let (ix, iy) = self.cell_of(r.center());
-            *self.at_mut(ix, iy) += amount;
-            return Some((ix, ix, iy, iy));
-        }
-        let (ix_lo, ix_hi, iy_lo, iy_hi) = self.cells_overlapping(r)?;
-        let clipped = r.intersection(&self.region);
-        let total = clipped.area();
-        if total <= 0.0 {
-            return None;
-        }
-        // Separable overlap: a cell's overlap area is (x-extent overlap) ×
-        // (y-extent overlap), so compute the y part once per row and only
-        // the x part per cell — the same min/max/multiply operand values
-        // the old per-cell `Rect::intersection(..).area()` produced (the
-        // result is bit-identical), at half the arithmetic and without
-        // materializing a Rect per cell.
-        for iy in iy_lo..=iy_hi {
-            let cyl = self.region.yl + cast::idx_f64(iy) * self.dy;
-            let oyl = clipped.yl.max(cyl);
-            let oy = clipped.yh.min(cyl + self.dy).max(oyl) - oyl;
-            let row = iy * self.nx;
-            for ix in ix_lo..=ix_hi {
-                let cxl = self.region.xl + cast::idx_f64(ix) * self.dx;
-                let oxl = clipped.xl.max(cxl);
-                let ox = clipped.xh.min(cxl + self.dx).max(oxl) - oxl;
-                let ov = ox * oy;
-                if ov > 0.0 {
-                    self.data[row + ix] += amount * ov / total;
-                }
+            let cell = self.idx(ix, iy);
+            if bump(&mut self.data[cell], amount) {
+                left_zero(cell);
             }
+            return;
         }
-        Some((ix_lo, ix_hi, iy_lo, iy_hi))
+        let Some(overlap) = self.overlap(r) else {
+            return;
+        };
+        let total = overlap.total();
+        overlap.for_each(|cell, ov| {
+            if bump(&mut self.data[cell], amount * ov / total) {
+                left_zero(cell);
+            }
+        });
     }
 }
 
@@ -333,19 +425,86 @@ mod tests {
         assert!((*g.at(1, 1) - 2.0).abs() < 1e-9);
     }
 
+    /// The cells of `g` that are not `+0.0`, by bit pattern.
+    fn off_zero(g: &Grid<f64>) -> Vec<usize> {
+        let cells = g.as_slice().iter().enumerate();
+        cells.filter(|(_, v)| v.to_bits() != 0).map(|(i, _)| i).collect()
+    }
+
+    fn sorted_set(mut cells: Vec<usize>) -> Vec<usize> {
+        cells.sort_unstable();
+        cells.dedup();
+        cells
+    }
+
     #[test]
-    fn splat_reports_the_window_it_wrote() {
+    fn splat_touched_lists_exactly_the_cells_moved_off_zero() {
         let mut g = grid();
+        let mut touched = Vec::new();
         let wide = Rect::new(1.0, 1.0, 5.0, 3.0);
-        assert_eq!(g.splat(&wide, 8.0), Some((0, 2, 0, 1)));
-        let point = Rect::new(3.0, 3.0, 3.0, 3.0);
-        assert_eq!(g.splat(&point, 1.0), Some((1, 1, 1, 1)));
-        assert_eq!(g.splat(&wide, 0.0), None);
-        assert_eq!(g.splat(&Rect::new(20.0, 20.0, 21.0, 21.0), 1.0), None);
-        // Every non-zero cell lies inside the union of the reported windows.
-        for ((ix, iy), v) in g.iter() {
-            assert!(*v == 0.0 || (ix <= 2 && iy <= 1), "({ix},{iy}) = {v}");
+        g.splat_touched(&wide, 8.0, &mut touched);
+        assert_eq!(touched, vec![0, 1, 2, 5, 6, 7], "row by row");
+        // A second deposit into cells already off zero lists only new ones.
+        g.splat_touched(&Rect::new(3.0, 1.0, 7.0, 2.0), 1.0, &mut touched);
+        assert_eq!(touched[6..], [3]);
+        // The point splat of a zero-area rect, here clamped into the grid.
+        g.splat_touched(&Rect::new(30.0, 3.0, 30.0, 3.0), 1.0, &mut touched);
+        assert_eq!(touched[7..], [g.idx(4, 1)]);
+        // Clipped: only the part inside the region is walked.
+        g.splat_touched(&Rect::new(-4.0, 7.0, 1.0, 12.0), 2.0, &mut touched);
+        assert_eq!(touched[8..], [g.idx(0, 3), g.idx(0, 4)]);
+        // Nothing to deposit, nowhere to deposit it.
+        let before = touched.len();
+        g.splat_touched(&wide, 0.0, &mut touched);
+        g.splat_touched(&wide, -0.0, &mut touched);
+        g.splat_touched(&Rect::new(20.0, 20.0, 21.0, 21.0), 1.0, &mut touched);
+        assert_eq!(touched.len(), before);
+        assert_eq!(sorted_set(touched), off_zero(&g));
+    }
+
+    #[test]
+    fn splat_touched_goes_by_the_bit_pattern() {
+        let mut g = grid();
+        let mut touched = Vec::new();
+        let cell = Rect::new(2.0, 2.0, 4.0, 4.0);
+        // An addend that rounds to zero leaves the cell at +0.0: unlisted.
+        let half = Rect::new(2.0, 2.0, 8.0, 4.0);
+        g.splat_touched(&half, 5e-324, &mut touched);
+        assert!(touched.is_empty() && off_zero(&g).is_empty());
+        // NaN and ∞ are off zero like any other value.
+        g.splat_touched(&cell, f64::NAN, &mut touched);
+        g.splat_touched(&Rect::new(6.0, 6.0, 8.0, 8.0), f64::INFINITY, &mut touched);
+        assert_eq!(touched, vec![g.idx(1, 1), g.idx(3, 3)]);
+        // A cell that came back to +0.0 is listed again when it leaves again,
+        // so the list over-reports but never misses.
+        let other = Rect::new(4.0, 0.0, 6.0, 2.0);
+        g.splat_touched(&other, 3.0, &mut touched);
+        g.splat_touched(&other, -3.0, &mut touched);
+        assert_eq!(g.as_slice()[g.idx(2, 0)].to_bits(), 0);
+        g.splat_touched(&other, 1.5, &mut touched);
+        assert_eq!(touched[2..], [g.idx(2, 0), g.idx(2, 0)]);
+        assert_eq!(sorted_set(touched), off_zero(&g));
+    }
+
+    /// The record is what `splat` would have written: same grid, bit for bit.
+    #[test]
+    fn splat_and_splat_touched_write_the_same_bits() {
+        let (mut plain, mut recorded) = (grid(), grid());
+        let mut touched = Vec::new();
+        let rects = [
+            (Rect::new(0.7, 1.3, 6.9, 8.05), 3.7),
+            (Rect::new(-2.5, 4.4, 3.3, 20.0), 0.013),
+            (Rect::new(5.0, 5.0, 5.0, 5.0), 2.0),
+            (Rect::new(1.1, 1.1, 1.2, 9.9), -0.4),
+        ];
+        for (r, amount) in rects {
+            plain.splat(&r, amount);
+            recorded.splat_touched(&r, amount, &mut touched);
         }
+        for (a, b) in plain.as_slice().iter().zip(recorded.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(sorted_set(touched), off_zero(&plain));
     }
 
     #[test]
@@ -381,6 +540,41 @@ mod tests {
         for (a, b) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// The twin for the gather: the walk's overlap areas and their total
+    /// are the per-cell `intersection().area()` values, bit for bit, over
+    /// the same cells — for a rect inside the region and one clipped by it.
+    #[test]
+    fn overlap_walk_matches_per_cell_intersection_bitwise() {
+        let g = grid();
+        for r in [
+            Rect::new(0.7, 1.3, 6.9, 8.05),
+            Rect::new(-3.1, 7.7, 2.0, 13.0),
+            Rect::new(4.0, 4.0, 6.0, 6.0),
+        ] {
+            let overlap = g.overlap(&r).unwrap();
+            let mut fast = Vec::new();
+            overlap.for_each(|cell, ov| fast.push((cell, ov.to_bits())));
+            let (ix_lo, ix_hi, iy_lo, iy_hi) = g.cells_overlapping(&r).unwrap();
+            let clipped = r.intersection(&g.region());
+            let mut slow = Vec::new();
+            for iy in iy_lo..=iy_hi {
+                for ix in ix_lo..=ix_hi {
+                    let ov = clipped.intersection(&g.cell_rect(ix, iy)).area();
+                    if ov > 0.0 {
+                        slow.push((g.idx(ix, iy), ov.to_bits()));
+                    }
+                }
+            }
+            assert_eq!(fast, slow, "{r}");
+            assert_eq!(overlap.total().to_bits(), clipped.area().to_bits());
+        }
+        assert_eq!(g.overlap(&Rect::new(20.0, 20.0, 21.0, 21.0)), None);
+        // A degenerate rect inside the region overlaps no cell.
+        let line = g.overlap(&Rect::new(3.0, 1.0, 3.0, 5.0)).unwrap();
+        assert_eq!(line.total(), 0.0);
+        line.for_each(|cell, _| panic!("visited {cell}"));
     }
 
     #[test]

@@ -249,20 +249,30 @@ struct ChunkCharge {
     lost: f64,
 }
 
-/// One scatter worker's view: its dense scratch grid, and — for the worker
-/// that owns the head of the chunk list — the map itself.
+/// One scatter worker's scratch, kept across evaluations: a dense grid that
+/// is `+0.0` everywhere between chunks, and the bins the chunk in hand has
+/// moved off `+0.0`.
+#[derive(Debug)]
+struct ScatterScratch {
+    dense: Grid<f64>,
+    touched: Vec<usize>,
+}
+
+/// One scatter worker's view: its scratch, and — for the worker that owns
+/// the head of the chunk list — the map itself.
 struct ScatterLane<'a> {
-    dense: &'a mut Grid<f64>,
+    scratch: &'a mut ScatterScratch,
     direct: Option<&'a mut Grid<f64>>,
 }
 
 /// Every buffer the per-iteration density pipeline needs, allocated once
-/// and reused: four bin grids, one dense scratch grid and one FFT scratch
-/// per worker, the per-chunk charge lists and the per-cell gradient.
+/// and reused: four bin grids, one scatter scratch and one FFT scratch per
+/// worker, the per-chunk charge lists and the per-cell gradient.
 ///
 /// A `GlobalPlacer` keeps one for its lifetime and asks it only for what a
 /// call site consumes — [`DensityWorkspace::gradient`] (three 2-D
-/// transforms) or [`DensityWorkspace::statistics`] (two) — where a one-shot
+/// transforms) or [`DensityWorkspace::statistics`] (none: the overflow is
+/// read off the charge map) — where a one-shot
 /// [`DensityModel::evaluate_threaded`] runs all four over fresh grids.
 /// Grids are shared between phases by lifetime: ψ and then E_x live in
 /// `field`, and E_y overwrites the movable-charge map once nothing reads
@@ -278,7 +288,7 @@ pub struct DensityWorkspace {
     field: Grid<f64>,
     transposed: Vec<f64>,
     fft_lanes: Vec<Vec<Complex>>,
-    dense_lanes: Vec<Grid<f64>>,
+    scatter_lanes: Vec<ScatterScratch>,
     /// The fixed chunks of the cell index space and what each deposited.
     chunks: Vec<Range<usize>>,
     chunk_charge: Vec<ChunkCharge>,
@@ -311,7 +321,12 @@ impl DensityWorkspace {
             field: grid(),
             transposed: vec![0.0; mx * my],
             fft_lanes: vec![Vec::new(); threads],
-            dense_lanes: (0..threads).map(|_| grid()).collect(),
+            scatter_lanes: (0..threads)
+                .map(|_| ScatterScratch {
+                    dense: grid(),
+                    touched: Vec::new(),
+                })
+                .collect(),
             chunk_charge: vec![ChunkCharge::default(); chunks.len()],
             chunks,
             lost_charge: 0.0,
@@ -354,8 +369,11 @@ impl DensityWorkspace {
         &self.grad
     }
 
-    /// `(overflow, energy)` of a placement: charge scatter, forward DCT and
-    /// the potential synthesis — no field, no gather.
+    /// The density overflow of a placement — all a Nesterov step reads of
+    /// the density system besides its gradient: charge scatter and one sum
+    /// over the bins, no transform. Non-finite exactly when the charge map
+    /// or a cell's charge is (see [`Self::overflow`]), which is how the
+    /// divergence sentinel sees a poisoned map without a Poisson solve.
     ///
     /// # Panics
     ///
@@ -367,16 +385,14 @@ impl DensityWorkspace {
         placement: &Placement,
         eff_width: &[f64],
         target_density: f64,
-    ) -> (f64, f64) {
+    ) -> f64 {
         let cells = Cells {
             netlist,
             placement,
             eff_width,
         };
         self.charge(model, &cells);
-        let overflow = self.overflow(model, target_density);
-        self.solve(model);
-        (overflow, self.potential_energy(model))
+        self.overflow(model, target_density)
     }
 
     /// The number of 2-D transforms run since the last call.
@@ -390,16 +406,23 @@ impl DensityWorkspace {
     /// map is the chunk partials added in chunk order — the ordered-merge
     /// contract, so the bits cannot depend on the worker count. A partial
     /// is not a grid of its own, though: a worker splats the chunk into its
-    /// one dense scratch grid (zero on entry), then drains the window the
-    /// splats touched into the chunk's sparse `(bin, charge)` list and
-    /// re-zeroes it. The merge therefore skips exactly the bins whose
-    /// partial is `+0.0`, and `acc + (+0.0)` is `acc` bit-for-bit unless
-    /// `acc` is `−0.0` — which the accumulator never is: it starts at
-    /// `+0.0`, and under round-to-nearest a sum is `−0.0` only when both
-    /// operands are. The worker that owns the head of the chunk list (the
-    /// calling thread) skips its lists too and drains straight into the
-    /// map: its chunks precede all others, so that *is* the merge order.
-    /// With one worker no list is ever filled.
+    /// one dense scratch grid (`+0.0` on entry), which records every bin a
+    /// splat moves off `+0.0`, then drains exactly those bins into the
+    /// chunk's sparse `(bin, charge)` list, re-zeroing each — a chunk costs
+    /// the bins it touched, not the window that contains them (its cells
+    /// are spread over the die, so that window is the die). The merge
+    /// therefore skips exactly the bins whose partial is `+0.0`, and
+    /// `acc + (+0.0)` is `acc` bit-for-bit unless `acc` is `−0.0` — which
+    /// the accumulator never is: it starts at `+0.0`, and under
+    /// round-to-nearest a sum is `−0.0` only when both operands are. A bin
+    /// listed twice reads `+0.0` the second time and is skipped like any
+    /// other, so a `−0.0` or NaN partial is still carried over. Each bin of
+    /// the map receives at most one addend per chunk, so the order bins are
+    /// visited in within a chunk — touch order now, row order once — is
+    /// not an order of any sum. The worker that owns the head of the chunk
+    /// list (the calling thread) skips its lists too and drains straight
+    /// into the map: its chunks precede all others, so that *is* the merge
+    /// order. With one worker no list is ever filled.
     fn charge(&mut self, model: &DensityModel, cells: &Cells<'_>) {
         assert_eq!(
             (self.movable.nx(), self.movable.ny()),
@@ -418,13 +441,12 @@ impl DensityWorkspace {
         );
         self.movable.fill(0.0);
         let chunks = &self.chunks;
-        let mx = model.mx;
         let mut direct = Some(&mut self.movable);
         let mut lanes: Vec<ScatterLane<'_>> = self
-            .dense_lanes
+            .scatter_lanes
             .iter_mut()
-            .map(|dense| ScatterLane {
-                dense,
+            .map(|scratch| ScatterLane {
+                scratch,
                 direct: direct.take(),
             })
             .collect();
@@ -433,39 +455,30 @@ impl DensityWorkspace {
             1,
             &mut lanes,
             |first, outs, lane| {
+                let ScatterScratch { dense, touched } = &mut *lane.scratch;
                 for (out, range) in outs.iter_mut().zip(&chunks[first..]) {
                     out.bins.clear();
                     out.lost = 0.0;
-                    let mut window: Option<(usize, usize, usize, usize)> = None;
+                    touched.clear();
                     for i in range.clone() {
                         match model.footprint(cells, i) {
                             Footprint::Fixed => {}
                             Footprint::Poisoned { charge } => out.lost += charge,
                             Footprint::Placed { rect, charge } => {
-                                if let Some(w) = lane.dense.splat(&rect, charge) {
-                                    window = Some(window.map_or(w, |u| {
-                                        (u.0.min(w.0), u.1.max(w.1), u.2.min(w.2), u.3.max(w.3))
-                                    }));
-                                }
+                                dense.splat_touched(&rect, charge, touched);
                             }
                         }
                     }
-                    let Some((ix_lo, ix_hi, iy_lo, iy_hi)) = window else {
-                        continue;
-                    };
-                    let dense = lane.dense.as_mut_slice();
-                    for iy in iy_lo..=iy_hi {
-                        let first_bin = iy * mx + ix_lo;
-                        let row = &mut dense[first_bin..=iy * mx + ix_hi];
-                        for (bin, slot) in (first_bin..).zip(row) {
-                            if slot.to_bits() == 0 {
-                                continue;
-                            }
-                            let v = std::mem::take(slot);
-                            match &mut lane.direct {
-                                Some(map) => map.as_mut_slice()[bin] += v,
-                                None => out.bins.push((bin, v)),
-                            }
+                    let dense = dense.as_mut_slice();
+                    for &bin in touched.iter() {
+                        let slot = &mut dense[bin];
+                        if slot.to_bits() == 0 {
+                            continue;
+                        }
+                        let v = std::mem::take(slot);
+                        match &mut lane.direct {
+                            Some(map) => map.as_mut_slice()[bin] += v,
+                            None => out.bins.push((bin, v)),
                         }
                     }
                 }
@@ -485,6 +498,12 @@ impl DensityWorkspace {
     /// Phase 2a — overflow of the movable charge over `target_density` of
     /// each bin's free area, plus the charge of poisoned cells, relative to
     /// the movable area. One serial sum in bin order.
+    ///
+    /// A NaN bin makes the sum NaN and a `+∞` bin makes it infinite:
+    /// `f64::max(NaN, 0.0)` is `0.0`, which would let a poisoned map read
+    /// as *less* overflow, so the clamp is written as a comparison NaN
+    /// fails. For every other excess it is the same addend (`−0.0` clamps
+    /// to `+0.0` either way).
     fn overflow(&self, model: &DensityModel, target_density: f64) -> f64 {
         let mut of = 0.0;
         for (rho, free) in self
@@ -493,7 +512,8 @@ impl DensityWorkspace {
             .iter()
             .zip(model.free_area.as_slice())
         {
-            of += (rho - target_density * free).max(0.0);
+            let over = rho - target_density * free;
+            of += if over <= 0.0 { 0.0 } else { over };
         }
         if model.movable_area > 0.0 {
             (of + self.lost_charge) / model.movable_area
@@ -638,28 +658,24 @@ enum Output {
     Movable,
 }
 
-/// Area-weighted average of two co-located grids over `r`.
+/// Area-weighted average of two co-located grids over `r`: the overlap walk
+/// [`Grid::splat`] deposits through, read the other way.
 fn gather2(a: &Grid<f64>, b: &Grid<f64>, r: &Rect) -> (f64, f64) {
-    let Some((ix_lo, ix_hi, iy_lo, iy_hi)) = a.cells_overlapping(r) else {
+    let Some(overlap) = a.overlap(r) else {
         return (0.0, 0.0);
     };
-    let clipped = r.intersection(&a.region());
-    let total = clipped.area();
+    let total = overlap.total();
     if total <= 0.0 {
         let (ix, iy) = a.cell_of(r.center());
         return (*a.at(ix, iy), *b.at(ix, iy));
     }
+    let (a, b) = (a.as_slice(), b.as_slice());
     let (mut sa, mut sb) = (0.0, 0.0);
-    for iy in iy_lo..=iy_hi {
-        for ix in ix_lo..=ix_hi {
-            let ov = clipped.intersection(&a.cell_rect(ix, iy)).area();
-            if ov > 0.0 {
-                let w = ov / total;
-                sa += w * a.at(ix, iy);
-                sb += w * b.at(ix, iy);
-            }
-        }
-    }
+    overlap.for_each(|bin, ov| {
+        let w = ov / total;
+        sa += w * a[bin];
+        sb += w * b[bin];
+    });
     (sa, sb)
 }
 
@@ -826,6 +842,44 @@ mod tests {
         );
     }
 
+    /// `f64::max` drops a NaN operand, so a clamp written with it would let
+    /// a poisoned bin read as zero overflow; the sentinel relies on it
+    /// reading as non-finite.
+    #[test]
+    fn a_non_finite_charge_bin_makes_the_overflow_non_finite() {
+        let d = design_two_cells();
+        let m = DensityModel::new(&d, 32, 32);
+        let mut p = Placement::zeroed(2);
+        p.set(CellId(0), Point::new(10.0, 10.0));
+        p.set(CellId(1), Point::new(20.0, 20.0));
+        let w = widths(&d);
+        let mut ws = DensityWorkspace::new(&m, 2, 1);
+        let healthy = ws.statistics(&m, d.netlist(), &p, &w, 0.4);
+        assert!(healthy.is_finite() && healthy > 0.0);
+        for bin in [0, 500, 1023] {
+            for (poison, nan) in [(f64::NAN, true), (f64::INFINITY, false)] {
+                let was = std::mem::replace(&mut ws.movable.as_mut_slice()[bin], poison);
+                let of = ws.overflow(&m, 0.4);
+                assert!(
+                    if nan { of.is_nan() } else { of == f64::INFINITY },
+                    "bin {bin} = {poison}: overflow {of}"
+                );
+                ws.movable.as_mut_slice()[bin] = was;
+            }
+        }
+        assert_eq!(ws.overflow(&m, 0.4).to_bits(), healthy.to_bits());
+        // The same through the front door: a cell whose charge is NaN or
+        // infinite sits at a finite position, so it is splatted, not lost.
+        for (width, nan) in [(f64::NAN, true), (f64::INFINITY, false)] {
+            let of = ws.statistics(&m, d.netlist(), &p, &[width, 2.0], 0.4);
+            assert!(if nan { of.is_nan() } else { of == f64::INFINITY }, "{of}");
+            assert_eq!(ws.take_transforms(), 0);
+        }
+        // And the workspace comes back clean: the NaN bins were drained.
+        let again = ws.statistics(&m, d.netlist(), &p, &w, 0.4);
+        assert_eq!(again.to_bits(), healthy.to_bits());
+    }
+
     /// The sparse-list merge of the multi-worker scatter, the direct merge
     /// of the single worker and a plain serial splat-per-chunk reference
     /// must agree bit for bit, and a workspace must come back clean: a
@@ -886,9 +940,9 @@ mod tests {
                 );
             }
             assert!(ws
-                .dense_lanes
+                .scatter_lanes
                 .iter()
-                .all(|g| g.as_slice().iter().all(|v| v.to_bits() == 0)));
+                .all(|l| l.dense.as_slice().iter().all(|v| v.to_bits() == 0)));
         }
     }
 
@@ -905,10 +959,9 @@ mod tests {
         // In either order, and repeatedly: no phase leaves state behind
         // that another depends on.
         for _ in 0..2 {
-            let (overflow, energy) = ws.statistics(&m, d.netlist(), &p, &w, 0.7);
+            let overflow = ws.statistics(&m, d.netlist(), &p, &w, 0.7);
             assert_eq!(overflow.to_bits(), full.overflow.to_bits());
-            assert_eq!(energy.to_bits(), full.energy.to_bits());
-            assert_eq!(ws.take_transforms(), 2);
+            assert_eq!(ws.take_transforms(), 0);
             let grad = ws.gradient(&m, d.netlist(), &p, &w).to_vec();
             for (i, g) in grad.iter().enumerate() {
                 assert_eq!(g.0.to_bits(), full.grad_x[i].to_bits());

@@ -67,7 +67,6 @@ impl DivergenceSentinel {
         let finite = stats.overflow.is_finite()
             && stats.hpwl.is_finite()
             && stats.wa.is_finite()
-            && stats.energy.is_finite()
             && stats.lambda.is_finite();
         if !finite {
             self.reset_window();
@@ -150,7 +149,6 @@ mod tests {
             overflow,
             hpwl,
             wa: hpwl,
-            energy: 1.0,
             lambda: 1.0,
         }
     }

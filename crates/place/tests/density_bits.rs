@@ -195,7 +195,7 @@ fn render(case: &Case, slot: &mut Option<DensityWorkspace>, threads: usize) -> S
     let ws =
         slot.get_or_insert_with(|| DensityWorkspace::new(&model, netlist.num_cells(), threads));
     let mut out = density_line(case, &model);
-    let (overflow, _) = ws.statistics(
+    let overflow = ws.statistics(
         &model,
         netlist,
         &case.placement,

@@ -79,17 +79,23 @@ cmp <(iter_records "$SMOKE_DIR/t1.jsonl") <(iter_records "$SMOKE_DIR/t4.jsonl")
 # The same on a 128x128-bin grid (ct_top just past the 4096-cell auto_dim
 # step): the smoke above never leaves 32x32 bins, where one worker's
 # scatter scratch, the transposes and the sparse chunk lists are all
-# trivially small.
+# trivially small. The exact work counters (density evaluations, 2-D
+# transforms, WA exponentials) must not know the thread count either, and
+# the metrics audit's counter rules run on this grid too — one where a
+# scatter chunk's cells span the die.
+counter_records() { grep '"t":"counter"' "$1" | sed -E 's/"elapsed_s":[^,}]*,?//'; }
 echo "==> deterministic parallelism smoke, 128x128 bins (ct_top, --threads 1 vs 2 vs 4)"
 "$PUFFER" gen --preset ct_top --scale 0.0034 -o "$SMOKE_DIR/grid.pd"
 for t in 1 2 4; do
   "$PUFFER" place "$SMOKE_DIR/grid.pd" -o "$SMOKE_DIR/grid-t$t.pl" \
     --threads "$t" --journal "$SMOKE_DIR/grid-t$t.pj" --metrics "$SMOKE_DIR/grid-t$t.jsonl"
 done
+"$PUFFER" audit metrics "$SMOKE_DIR/grid-t1.jsonl"
 for t in 2 4; do
   cmp "$SMOKE_DIR/grid-t1.pj" "$SMOKE_DIR/grid-t$t.pj"
   cmp "$SMOKE_DIR/grid-t1.pl" "$SMOKE_DIR/grid-t$t.pl"
   cmp <(iter_records "$SMOKE_DIR/grid-t1.jsonl") <(iter_records "$SMOKE_DIR/grid-t$t.jsonl")
+  cmp <(counter_records "$SMOKE_DIR/grid-t1.jsonl") <(counter_records "$SMOKE_DIR/grid-t$t.jsonl")
 done
 
 # The same for the evaluator: `eval` decomposes nets on --threads workers

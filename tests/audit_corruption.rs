@@ -465,9 +465,9 @@ fn transform_count_outside_the_density_evaluations_is_detected() {
             format!(r#"{{"t":"counter","elapsed_s":0.1,"name":"fft.transforms2d","value":{transforms}}}"#),
         ]
     };
-    // 450 evaluations of 2 or 3 transforms each cannot make 1800 (the
-    // four-per-evaluation shape) — nor fewer than 900.
-    for transforms in [1800, 899] {
+    // Only gradients transform, three times each: 700 is no whole number
+    // of gradients, and 1353 is more gradients than the 450 evaluations.
+    for transforms in [700, 1353] {
         let path = dir.join(format!("bad-{transforms}.jsonl"));
         let lines = counters(450, transforms);
         write_lines(&path, &[&lines[0], &lines[1]]);
@@ -478,9 +478,9 @@ fn transform_count_outside_the_density_evaluations_is_detected() {
         );
     }
     let good = dir.join("good.jsonl");
-    let lines = counters(450, 1133);
+    let lines = counters(450, 699);
     write_lines(&good, &[&lines[0], &lines[1]]);
-    audit_metrics(&good).expect("233 gradients + 217 statistics = 1133 transforms pass");
+    audit_metrics(&good).expect("233 gradients + 217 statistics = 699 transforms pass");
 }
 
 #[test]

@@ -112,10 +112,13 @@ fn metrics_run_is_schema_valid_and_consistent() {
     assert_eq!(pad_span.num("count"), Some(pad_rounds as f64));
 
     // The density pipeline's exact counters. A first-round-accepted step
-    // is 5 transforms: 3 for the one new gradient (its opening gradient
-    // comes from the memo) and 2 for the statistics. The pinned values make
-    // any change to that shape visible; the bound keeps the old one — three
-    // full evaluations, 12 transforms a step — from coming back.
+    // is 3 transforms: the one new gradient's (its opening gradient comes
+    // from the memo; the statistics pass reads the overflow off the charge
+    // map and transforms nothing), so every evaluation that is not one of
+    // the 200 statistics passes is a gradient. The pinned values make any
+    // change to that shape visible; the bound keeps the old ones — three
+    // full evaluations, 12 transforms a step, or a Poisson solve for the
+    // statistics, 5 — from coming back.
     let counter = |name: &str| -> usize {
         let r = of_kind("counter")
             .into_iter()
@@ -126,8 +129,12 @@ fn metrics_run_is_schema_valid_and_consistent() {
     assert_eq!(gp_iterations, 200);
     assert_eq!(counter("place.density_evals"), 439);
     assert_eq!(counter("place.density_memo_hits"), 201);
-    assert_eq!(counter("fft.transforms2d"), 1117);
-    assert!(counter("fft.transforms2d") < 6 * gp_iterations);
+    assert_eq!(
+        counter("fft.transforms2d"),
+        3 * (counter("place.density_evals") - gp_iterations)
+    );
+    assert_eq!(counter("fft.transforms2d"), 717);
+    assert!(counter("fft.transforms2d") < 4 * gp_iterations);
 
     // The WA kernel's exact counters. Every density gradient request — from
     // the memo or not — has a WA gradient beside it, and every step reads
