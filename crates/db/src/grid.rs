@@ -207,10 +207,8 @@ impl<T> Grid<T> {
     /// overlap the region at all.
     pub fn overlap(&self, r: &Rect) -> Option<Overlap> {
         let (ix_lo, ix_hi, iy_lo, iy_hi) = self.cells_overlapping(r)?;
-        let clipped = r.intersection(&self.region);
         Some(Overlap {
-            clipped,
-            total: clipped.area(),
+            clipped: r.intersection(&self.region),
             ix_lo,
             ix_hi,
             iy_lo,
@@ -250,9 +248,8 @@ impl<T> Grid<T> {
 /// nothing, so a visitor is free to write the grid it came from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Overlap {
-    /// The rectangle clipped to the region, and its area.
+    /// The rectangle clipped to the region.
     clipped: Rect,
-    total: f64,
     ix_lo: usize,
     ix_hi: usize,
     iy_lo: usize,
@@ -269,7 +266,7 @@ impl Overlap {
     /// Area of the rectangle inside the region — what the overlap areas
     /// add up to. Zero for a degenerate rectangle, which overlaps no cell.
     pub fn total(&self) -> f64 {
-        self.total
+        self.clipped.area()
     }
 
     /// Calls `visit(flat index, overlap area)` for every cell the rectangle
@@ -278,9 +275,8 @@ impl Overlap {
     /// Separable: a cell's overlap area is (x-extent overlap) × (y-extent
     /// overlap), so the y part is computed once per row and only the x
     /// part per cell — the same min/max/multiply operand values the
-    /// per-cell `Rect::intersection(..).area()` produces (the result is
-    /// bit-identical), at half the arithmetic and without materializing a
-    /// `Rect` per cell.
+    /// per-cell `Rect::intersection(..).area()` produces, so the result is
+    /// bit-identical to it.
     #[inline]
     pub fn for_each(&self, mut visit: impl FnMut(usize, f64)) {
         let clipped = &self.clipped;

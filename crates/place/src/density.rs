@@ -14,6 +14,17 @@
 //! Fixed macros contribute a static charge map computed once. Cells smaller
 //! than a bin are smoothed to bin size with their charge preserved, the
 //! standard ePlace local smoothing.
+//!
+//! Two invariants carry the pipeline's bits and its safety net:
+//!
+//! * **The charge map is the chunk partials added in chunk order, and each
+//!   bin takes at most one addend per chunk.** How a chunk's bins are found
+//!   (a list of the bins its splats touched) and in what order they are
+//!   visited is therefore free; see [`DensityWorkspace`]'s scatter phase.
+//! * **The overflow is non-finite whenever a charge bin is.** A Nesterov
+//!   step reads nothing else of the density system besides the gradient, so
+//!   the overflow is what shows the divergence sentinel a poisoned map;
+//!   its sum is written to let NaN through.
 
 use puffer_db::cast;
 use puffer_db::design::{Design, Placement};
@@ -418,8 +429,8 @@ impl DensityWorkspace {
     /// listed twice reads `+0.0` the second time and is skipped like any
     /// other, so a `−0.0` or NaN partial is still carried over. Each bin of
     /// the map receives at most one addend per chunk, so the order bins are
-    /// visited in within a chunk — touch order now, row order once — is
-    /// not an order of any sum. The worker that owns the head of the chunk
+    /// visited in within a chunk (the order they were touched in) is not
+    /// the order of any sum. The worker that owns the head of the chunk
     /// list (the calling thread) skips its lists too and drains straight
     /// into the map: its chunks precede all others, so that *is* the merge
     /// order. With one worker no list is ever filled.
@@ -502,8 +513,9 @@ impl DensityWorkspace {
     /// A NaN bin makes the sum NaN and a `+∞` bin makes it infinite:
     /// `f64::max(NaN, 0.0)` is `0.0`, which would let a poisoned map read
     /// as *less* overflow, so the clamp is written as a comparison NaN
-    /// fails. For every other excess it is the same addend (`−0.0` clamps
-    /// to `+0.0` either way).
+    /// fails. Every other excess leaves the same bits in the sum: the
+    /// addend is the same but for a `−0.0` excess, whose zero of either
+    /// sign adds nothing to an accumulator that is never `−0.0`.
     fn overflow(&self, model: &DensityModel, target_density: f64) -> f64 {
         let mut of = 0.0;
         for (rho, free) in self
