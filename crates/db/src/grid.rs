@@ -424,7 +424,10 @@ mod tests {
     /// The cells of `g` that are not `+0.0`, by bit pattern.
     fn off_zero(g: &Grid<f64>) -> Vec<usize> {
         let cells = g.as_slice().iter().enumerate();
-        cells.filter(|(_, v)| v.to_bits() != 0).map(|(i, _)| i).collect()
+        cells
+            .filter(|(_, v)| v.to_bits() != 0)
+            .map(|(i, _)| i)
+            .collect()
     }
 
     fn sorted_set(mut cells: Vec<usize>) -> Vec<usize> {

@@ -868,23 +868,23 @@ mod tests {
         let mut ws = DensityWorkspace::new(&m, 2, 1);
         let healthy = ws.statistics(&m, d.netlist(), &p, &w, 0.4);
         assert!(healthy.is_finite() && healthy > 0.0);
+        // NaN stays NaN, and `+∞` is the only infinity a sum of non-negative
+        // addends can reach.
+        let poisoned = |of: f64, poison: f64| of.is_nan() == poison.is_nan() && !of.is_finite();
         for bin in [0, 500, 1023] {
-            for (poison, nan) in [(f64::NAN, true), (f64::INFINITY, false)] {
+            for poison in [f64::NAN, f64::INFINITY] {
                 let was = std::mem::replace(&mut ws.movable.as_mut_slice()[bin], poison);
                 let of = ws.overflow(&m, 0.4);
-                assert!(
-                    if nan { of.is_nan() } else { of == f64::INFINITY },
-                    "bin {bin} = {poison}: overflow {of}"
-                );
+                assert!(poisoned(of, poison), "bin {bin} = {poison}: overflow {of}");
                 ws.movable.as_mut_slice()[bin] = was;
             }
         }
         assert_eq!(ws.overflow(&m, 0.4).to_bits(), healthy.to_bits());
         // The same through the front door: a cell whose charge is NaN or
         // infinite sits at a finite position, so it is splatted, not lost.
-        for (width, nan) in [(f64::NAN, true), (f64::INFINITY, false)] {
+        for width in [f64::NAN, f64::INFINITY] {
             let of = ws.statistics(&m, d.netlist(), &p, &[width, 2.0], 0.4);
-            assert!(if nan { of.is_nan() } else { of == f64::INFINITY }, "{of}");
+            assert!(poisoned(of, width), "width {width}: overflow {of}");
             assert_eq!(ws.take_transforms(), 0);
         }
         // And the workspace comes back clean: the NaN bins were drained.
@@ -951,10 +951,8 @@ mod tests {
                     "threads {threads}, round {round}"
                 );
             }
-            assert!(ws
-                .scatter_lanes
-                .iter()
-                .all(|l| l.dense.as_slice().iter().all(|v| v.to_bits() == 0)));
+            let clean = |l: &ScatterScratch| l.dense.as_slice().iter().all(|v| v.to_bits() == 0);
+            assert!(ws.scatter_lanes.iter().all(clean));
         }
     }
 

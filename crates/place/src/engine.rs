@@ -1147,7 +1147,7 @@ mod tests {
             assert_eq!(placer.last_divergence(), Some(Divergence::NonFinite));
             assert_eq!(placer.recoveries(), 1);
             assert!(stats.overflow.is_finite() && stats.hpwl.is_finite());
-            assert_eq!(placer.placement(), &healthy, "rolled back to the last good iterate");
+            assert_eq!(placer.placement(), &healthy, "rolled back");
         }
     }
 

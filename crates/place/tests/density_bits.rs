@@ -278,7 +278,8 @@ fn the_fixture_covers_its_cases() {
     let at = |name: &str| zoo_x[ZOO.iter().position(|c| c.0 == name).unwrap()];
     assert_eq!(at("poisoned"), "nan");
     // A chargeless cell's gradient is −0 · E: a zero of either sign.
-    assert!(at("zero_width").trim_start_matches('8').chars().all(|c| c == '0'));
+    let zero_width = at("zero_width").trim_start_matches('8');
+    assert!(zero_width.chars().all(|c| c == '0'));
     assert_eq!(zoo_x[ZOO.len()], "0000000000000000", "the macro");
     // The poisoned cell's charge is all overflow, so the zoo overflows.
     let overflow = FIXTURE
