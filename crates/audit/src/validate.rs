@@ -794,61 +794,6 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
                 }
                 congest_index += 1;
             }
-            "congest.dirty" => {
-                // Dirty-region bookkeeping from the incremental estimator:
-                // counts are non-negative integers, dirty subsets never
-                // exceed their universe, every dirty net is rebuilt, and
-                // the reuse rate is a proper fraction.
-                let mut count = |field: &str| -> Option<f64> {
-                    match r.num(field) {
-                        Some(v) if v.is_finite() && v >= 0.0 && v.fract() == 0.0 => Some(v),
-                        other => {
-                            out.push(Violation {
-                                check: "dirty-tracking",
-                                message: format!(
-                                    "congest.dirty record {i} {field} = {other:?} \
-                                     (must be a non-negative integer)"
-                                ),
-                            });
-                            None
-                        }
-                    }
-                };
-                let nets = count("nets");
-                let nets_dirty = count("nets_dirty");
-                let nets_rebuilt = count("nets_rebuilt");
-                let chunks = count("chunks");
-                let chunks_dirty = count("chunks_dirty");
-                count("gcells_dirty");
-                count("rsmt_hits");
-                count("rsmt_misses");
-                for (name, sub, sup_name, sup) in [
-                    ("nets_dirty", nets_dirty, "nets", nets),
-                    ("nets_rebuilt", nets_rebuilt, "nets", nets),
-                    ("nets_dirty", nets_dirty, "nets_rebuilt", nets_rebuilt),
-                    ("chunks_dirty", chunks_dirty, "chunks", chunks),
-                ] {
-                    if let (Some(a), Some(b)) = (sub, sup) {
-                        if a > b {
-                            out.push(Violation {
-                                check: "dirty-tracking",
-                                message: format!(
-                                    "congest.dirty record {i}: {name} = {a} exceeds \
-                                     {sup_name} = {b}"
-                                ),
-                            });
-                        }
-                    }
-                }
-                if r.num("reuse").is_none_or(|v| !(0.0..=1.0).contains(&v)) {
-                    out.push(Violation {
-                        check: "dirty-tracking",
-                        message: format!(
-                            "congest.dirty record {i} reuse must be a fraction in [0, 1]"
-                        ),
-                    });
-                }
-            }
             "route.done" => {
                 // The router's search counters: a segment is rerouted at
                 // most once per round, and a search pops only what it (or

@@ -4,8 +4,8 @@
 //! [`lock_leaf`] (or re-wrapped with [`Locked::from_guard`] after a
 //! condvar wait). A thread that holds at most one lock cannot take part in
 //! a lock-order inversion, so there is no order to declare or to check:
-//! the serve queue, the job table, the per-chunk RSMT caches and the trace
-//! registries are each locked, used, and released before the next one.
+//! the serve queue, the job table and the trace registries are each
+//! locked, used, and released before the next one.
 //!
 //! Under `cfg(debug_assertions)` a thread-local remembers where the held
 //! acquisition was made, and a second one panics naming both sites — so
@@ -214,8 +214,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "leaf-lock violation")]
     fn a_second_per_chunk_cache_guard_panics() {
-        // The shape of puffer-congest's RSMT caches: one mutex per chunk,
-        // all of one kind. Same-kind re-entry is nesting like any other.
+        // One mutex per chunk, all of one kind (a shape any per-chunk
+        // cache would take): same-kind re-entry is nesting like any other.
         let caches: Vec<Mutex<BTreeMap<u64, u32>>> =
             (0..2).map(|_| Mutex::new(BTreeMap::new())).collect();
         let _chunk0 = lock_leaf(&caches[0]);

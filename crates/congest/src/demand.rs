@@ -6,15 +6,14 @@
 //! of the two possible L routes uniformly over their bounding box. A pin
 //! penalty adds demand for local nets whose pins land in one Gcell.
 //!
-//! Pin positions are **quantized to Gcell coordinates before** the RSMT is
-//! built (not after, per topology node): the decomposition is then a pure
-//! function of the net's pin-Gcell multiset. This is what makes the
-//! incremental estimator ([`crate::incremental`]) sound — a net none of
-//! whose pins crossed a Gcell boundary has a bit-identical decomposition —
-//! and what makes fingerprint-keyed RSMT caching exact. It also removes a
-//! boundary-rounding divergence the continuous construction had: a Steiner
-//! median of unquantized pin positions could land on the far side of a
-//! Gcell edge even when no pin's Gcell changed.
+//! [`decompose_net`] is the workspace's one net decomposition: the global
+//! router (`puffer_route`) routes the segments it returns, so the estimate
+//! and the router's work list start from the same two-point nets. Pins are
+//! quantized to Gcells **before** the RSMT is built, which makes a net's
+//! segments a function of its set of pin Gcells — the same in any pin
+//! order — and keeps two pins that share a Gcell from producing a segment
+//! out of sub-Gcell coordinate noise (a Steiner median of unquantized
+//! positions can land across a Gcell edge no pin crossed).
 
 use puffer_db::cast;
 use crate::CongestError;
@@ -102,16 +101,25 @@ pub fn try_build_demand(
     // puffer-par: fixed net-index chunks, one demand-grid partial per
     // chunk, merged in chunk order (so the result is bit-identical for
     // any thread count).
-    let ranges = puffer_par::chunk_ranges(netlist.num_nets());
     let partials = puffer_par::try_map_chunks(netlist.num_nets(), threads, |range| {
-        build_chunk_partial(netlist, placement, template, range, None, None)
+        let mut h: Grid<f64> = Grid::new(template.region(), template.nx(), template.ny());
+        let mut v = h.clone();
+        let mut segs = Vec::new();
+        for i in range {
+            let first = segs.len();
+            let net = NetId(cast::idx_u32(i));
+            decompose_net(netlist, placement, template, net, &mut segs);
+            for rec in &segs[first..] {
+                deposit(&mut h, &mut v, rec);
+            }
+        }
+        (h, v, segs)
     })
     .map_err(|e| CongestError::WorkerPanic(e.0))?;
-    debug_assert_eq!(partials.len(), ranges.len());
-    for part in partials {
-        puffer_par::merge_add(h_dmd.as_mut_slice(), part.h.as_slice());
-        puffer_par::merge_add(v_dmd.as_mut_slice(), part.v.as_slice());
-        segments.extend(part.segs);
+    for (h, v, segs) in partials {
+        puffer_par::merge_add(h_dmd.as_mut_slice(), h.as_slice());
+        puffer_par::merge_add(v_dmd.as_mut_slice(), v.as_slice());
+        segments.extend(segs);
     }
 
     add_pin_penalty(&mut h_dmd, &mut v_dmd, netlist, placement, pin_penalty);
@@ -119,172 +127,43 @@ pub fn try_build_demand(
     Ok((h_dmd, v_dmd, segments))
 }
 
-/// One chunk's demand partial: the per-chunk grids and segment records the
-/// ordered merge consumes. The incremental estimator caches these verbatim
-/// — replacing a whole chunk partial (never subtracting individual nets)
-/// is what keeps the merged result bit-identical to a from-scratch build.
-#[derive(Debug, Clone)]
-pub(crate) struct ChunkPartial {
-    pub(crate) h: Grid<f64>,
-    pub(crate) v: Grid<f64>,
-    pub(crate) segs: Vec<SegmentRecord>,
-    /// Per-net end offsets into `segs`, one entry per net in the chunk's
-    /// range (in net-index order): net `j`'s records are
-    /// `segs[net_ends[j-1]..net_ends[j]]`. This is what lets a rebuild
-    /// *replay* a clean net's deposits verbatim instead of re-deriving
-    /// them.
-    pub(crate) net_ends: Vec<u32>,
-    /// RSMT cache hits while building this partial (0 without a cache).
-    pub(crate) rsmt_hits: u64,
-    /// RSMT cache misses while building this partial.
-    pub(crate) rsmt_misses: u64,
-}
-
-/// Builds the demand partial for the nets in `range` (a `puffer_par` chunk),
-/// in net-index order. With a cache, per-net decompositions are served from
-/// the fingerprint-keyed LRU; the cache stores exactly what
-/// [`decompose_offsets`] returns, so a hit and a miss deposit identical
-/// segments.
-///
-/// With `prev` — the chunk's previous-round partial plus a per-net dirty
-/// slice (indexed by `i - range.start`, `true` = pins changed Gcells) — a
-/// clean net's absolute segment records are replayed from the previous
-/// partial instead of being re-derived: same values deposited in the same
-/// order, so the partial is bit-identical to a from-scratch build, but the
-/// quantize/sort/fingerprint/FLUTE work is skipped for every unmoved net.
-pub(crate) fn build_chunk_partial(
+/// Appends the RSMT decomposition of `net` to `out`, in absolute Gcells of
+/// `gcells`: each pin is quantized to its Gcell, and
+/// [`Topology::from_gcells`] builds the tree over those integer
+/// coordinates, so every endpoint (Steiner points included) is a Gcell.
+/// A net whose pins share one Gcell appends nothing.
+pub fn decompose_net(
     netlist: &Netlist,
     placement: &Placement,
-    template: &Grid<f64>,
-    range: std::ops::Range<usize>,
-    mut cache: Option<&mut crate::incremental::RsmtCache>,
-    prev: Option<(&ChunkPartial, &[bool])>,
-) -> ChunkPartial {
-    let mut part = ChunkPartial {
-        h: Grid::new(template.region(), template.nx(), template.ny()),
-        v: Grid::new(template.region(), template.nx(), template.ny()),
-        segs: Vec::new(),
-        net_ends: Vec::with_capacity(range.len()),
-        rsmt_hits: 0,
-        rsmt_misses: 0,
-    };
-    let mut offsets: Vec<(u32, u32)> = Vec::with_capacity(16);
-    for i in range.clone() {
-        let local = i - range.start;
-        if let Some((prev_part, dirty)) = prev {
-            if !dirty[local] {
-                // Clean net: replay last round's records verbatim.
-                let lo = if local == 0 {
-                    0
-                } else {
-                    cast::u32_idx(prev_part.net_ends[local - 1])
-                };
-                let hi = cast::u32_idx(prev_part.net_ends[local]);
-                for rec in &prev_part.segs[lo..hi] {
-                    deposit(&mut part.h, &mut part.v, rec);
-                }
-                part.segs.extend_from_slice(&prev_part.segs[lo..hi]);
-                part.net_ends.push(cast::idx_u32(part.segs.len()));
-                continue;
-            }
-        }
-        let net_id = NetId(cast::idx_u32(i));
-        if netlist.net_degree(net_id) < 2 {
-            part.net_ends.push(cast::idx_u32(part.segs.len()));
-            continue;
-        }
-        let Some((base_x, base_y)) = net_offsets(netlist, placement, template, net_id, &mut offsets)
-        else {
-            part.net_ends.push(cast::idx_u32(part.segs.len()));
-            continue;
-        };
-        let mut emit = |rec: &SegmentRecord| {
-            let abs = SegmentRecord {
-                ax: rec.ax + base_x,
-                ay: rec.ay + base_y,
-                bx: rec.bx + base_x,
-                by: rec.by + base_y,
-                a_steiner: rec.a_steiner,
-                b_steiner: rec.b_steiner,
-            };
-            deposit(&mut part.h, &mut part.v, &abs);
-            part.segs.push(abs);
-        };
-        match cache.as_deref_mut() {
-            Some(cache) => {
-                let (recs, hit) = cache.get_or_build(&offsets);
-                if hit {
-                    part.rsmt_hits += 1;
-                } else {
-                    part.rsmt_misses += 1;
-                }
-                for rec in recs.iter() {
-                    emit(rec);
-                }
-            }
-            None => {
-                for rec in decompose_offsets(&offsets) {
-                    emit(&rec);
-                }
-            }
-        }
-        part.net_ends.push(cast::idx_u32(part.segs.len()));
-    }
-    part
-}
-
-/// Quantizes a net's pins to Gcells and rewrites `offsets` as the net's
-/// **fingerprint**: pin Gcells relative to the net bounding-box minimum,
-/// sorted and deduplicated. Returns the bbox minimum (the translation that
-/// maps offsets back to absolute Gcells), or `None` for a pinless net.
-pub(crate) fn net_offsets(
-    netlist: &Netlist,
-    placement: &Placement,
-    template: &Grid<f64>,
-    net_id: NetId,
-    offsets: &mut Vec<(u32, u32)>,
-) -> Option<(usize, usize)> {
-    offsets.clear();
-    for &pid in netlist.net_pins(net_id) {
-        let (ix, iy) = template.cell_of(placement.pin_pos(netlist, pid));
-        offsets.push((cast::idx_u32(ix), cast::idx_u32(iy)));
-    }
-    let base_x = offsets.iter().map(|c| c.0).min()?;
-    let base_y = offsets.iter().map(|c| c.1).min()?;
-    for c in offsets.iter_mut() {
-        c.0 -= base_x;
-        c.1 -= base_y;
-    }
-    offsets.sort_unstable();
-    offsets.dedup();
-    Some((cast::u32_idx(base_x), cast::u32_idx(base_y)))
-}
-
-/// Canonical RSMT decomposition of a fingerprint, as segment records in
-/// offset space. Built from the sorted, deduplicated offsets (see
-/// [`Topology::from_gcells`]), so any pin order of the same Gcell multiset
-/// yields the identical record list — the soundness condition for caching.
-pub(crate) fn decompose_offsets(offsets: &[(u32, u32)]) -> Vec<SegmentRecord> {
-    let topo = Topology::from_gcells(offsets);
-    topo.segments()
+    gcells: &Grid<f64>,
+    net: NetId,
+    out: &mut Vec<SegmentRecord>,
+) {
+    let pins: Vec<(u32, u32)> = netlist
+        .net_pins(net)
         .iter()
-        .map(|seg| {
-            let na = topo.nodes()[seg.a];
-            let nb = topo.nodes()[seg.b];
-            SegmentRecord {
-                ax: cast::trunc_idx(na.pos.x),
-                ay: cast::trunc_idx(na.pos.y),
-                bx: cast::trunc_idx(nb.pos.x),
-                by: cast::trunc_idx(nb.pos.y),
-                a_steiner: na.kind.is_steiner(),
-                b_steiner: nb.kind.is_steiner(),
-            }
+        .map(|&pid| {
+            let (ix, iy) = gcells.cell_of(placement.pin_pos(netlist, pid));
+            (cast::idx_u32(ix), cast::idx_u32(iy))
         })
-        .collect()
+        .collect();
+    let topo = Topology::from_gcells(&pins);
+    let nodes = topo.nodes();
+    out.extend(topo.segments().iter().map(|seg| {
+        let (a, b) = (nodes[seg.a], nodes[seg.b]);
+        SegmentRecord {
+            ax: cast::trunc_idx(a.pos.x),
+            ay: cast::trunc_idx(a.pos.y),
+            bx: cast::trunc_idx(b.pos.x),
+            by: cast::trunc_idx(b.pos.y),
+            a_steiner: a.kind.is_steiner(),
+            b_steiner: b.kind.is_steiner(),
+        }
+    }));
 }
 
 /// Pin penalty: local-net demand at every pin's Gcell, in pin-index order.
-pub(crate) fn add_pin_penalty(
+fn add_pin_penalty(
     h_dmd: &mut Grid<f64>,
     v_dmd: &mut Grid<f64>,
     netlist: &Netlist,
@@ -303,7 +182,7 @@ pub(crate) fn add_pin_penalty(
 }
 
 /// Deposits one segment's probabilistic demand into the grids.
-pub(crate) fn deposit(h_dmd: &mut Grid<f64>, v_dmd: &mut Grid<f64>, rec: &SegmentRecord) {
+fn deposit(h_dmd: &mut Grid<f64>, v_dmd: &mut Grid<f64>, rec: &SegmentRecord) {
     let (x0, x1) = (rec.ax.min(rec.bx), rec.ax.max(rec.bx));
     let (y0, y1) = (rec.ay.min(rec.by), rec.ay.max(rec.by));
     // Row-slice inner loops: the per-cell adds (values and order per grid
@@ -464,11 +343,10 @@ mod tests {
     }
 
     /// Regression: cells sitting exactly on a Gcell edge must bin
-    /// identically in every path. `Grid::cell_of` bins an on-edge point up
-    /// into the next cell (clamped at the boundary); because pins are
-    /// quantized **before** the RSMT is built, the full build, the
-    /// incremental rebuild, and the fingerprint all see the same bin — there
-    /// is no second rounding site left to disagree.
+    /// identically in the decomposition and the pin-penalty pass.
+    /// `Grid::cell_of` bins an on-edge point up into the next cell (clamped
+    /// at the boundary); because pins are quantized **before** the RSMT is
+    /// built, there is no second rounding site left to disagree.
     #[test]
     fn on_edge_pins_bin_identically_in_fingerprint_and_deposit() {
         use puffer_db::netlist::{CellKind, NetlistBuilder};
@@ -491,55 +369,19 @@ mod tests {
         let mut p = Placement::zeroed(2);
         p.set(a, Point::new(5.0, 10.0));
         p.set(b, Point::new(10.0, 10.0));
-        let netlist = d.netlist();
-        let mut offsets = Vec::new();
-        let (bx, by) =
-            net_offsets(netlist, &p, &template, NetId(0), &mut offsets).unwrap();
         // cell_of bins the on-edge coordinate up: x=5 → column 1, x=10 →
         // column 2, y=10 → row 2.
-        assert_eq!((bx, by), (1, 2));
-        assert_eq!(offsets, vec![(0, 0), (1, 0)]);
-        // The deposited segment endpoints agree with cell_of exactly.
-        let (_, _, segs) = try_build_demand(&d, &p, &template, 0.0, 1).unwrap();
+        let mut segs = Vec::new();
+        decompose_net(d.netlist(), &p, &template, n, &mut segs);
         assert_eq!(segs.len(), 1);
         assert_eq!((segs[0].ax, segs[0].ay), (1, 2));
         assert_eq!((segs[0].bx, segs[0].by), (2, 2));
-        // And the pin-penalty pass (which calls cell_of independently) puts
-        // its demand in the same Gcells as the fingerprint says.
-        let (h, _, _) = try_build_demand(&d, &p, &template, 1.0, 1).unwrap();
+        // The demand build records the same segment, and the pin-penalty
+        // pass (which calls cell_of independently) puts its demand in the
+        // same Gcells.
+        let (h, _, built) = try_build_demand(&d, &p, &template, 1.0, 1).unwrap();
+        assert_eq!(built, segs);
         assert!(*h.at(1, 2) >= 1.0 && *h.at(2, 2) >= 1.0);
-    }
-
-    /// Regression guard for the f64 accumulation-order drift an
-    /// subtract-then-re-add incremental scheme would exhibit: `(a + b) - b`
-    /// is not `a` in floating point, so an incremental path that subtracted
-    /// stale demand would drift from the full build. The shipped scheme
-    /// replaces whole chunk partials and re-merges in chunk order instead —
-    /// this test documents the failure mode and pins the invariant the
-    /// equivalence tests rely on.
-    #[test]
-    fn subtract_then_re_add_drifts_but_chunk_replacement_does_not() {
-        // The drift itself: catastrophic cancellation.
-        let a = 0.1_f64;
-        let b = 1.0e16_f64;
-        assert_ne!(((a + b) - b).to_bits(), a.to_bits());
-        // Chunk replacement: re-merging the same partials in the same order
-        // reproduces the sum bit-for-bit.
-        let partials = [vec![0.1, 0.2], vec![1.0e16, -1.0], vec![0.3, 0.7]];
-        let merge = |parts: &[Vec<f64>]| {
-            let mut acc = vec![0.0_f64; 2];
-            for p in parts {
-                puffer_par::merge_add(&mut acc, p);
-            }
-            acc
-        };
-        let first = merge(&partials);
-        // "Rebuild" chunk 1 (identical content, as for a clean chunk) and
-        // re-merge from scratch.
-        let second = merge(&[partials[0].clone(), partials[1].clone(), partials[2].clone()]);
-        for (x, y) in first.iter().zip(&second) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]
@@ -564,6 +406,8 @@ mod tests {
         }
     }
 
+    /// The estimator's whole error contract: it keeps no state between
+    /// calls, so a failed build leaves nothing behind for the next one.
     #[test]
     fn panicking_workers_become_an_error_not_an_abort() {
         use puffer_gen::{generate, GeneratorConfig};

@@ -18,7 +18,9 @@
 //!    endpoints, which adds none) (§III-A.3).
 //!
 //! The result is a [`CongestionMap`] exposing the paper's overflow (Eq. (7))
-//! and congestion (Eq. (9)–(11)) quantities.
+//! and congestion (Eq. (9)–(11)) quantities. An estimate is one stateless
+//! pass over the placement: nothing carries from one padding round to the
+//! next but the capacity maps.
 //!
 //! # Example
 //!
@@ -41,12 +43,10 @@
 pub mod capacity;
 pub mod demand;
 pub mod detour;
-pub mod incremental;
 pub mod map;
 
 pub use capacity::build_capacity;
 pub use demand::try_build_demand;
-pub use incremental::DirtyStats;
 pub use map::CongestionMap;
 
 use puffer_budget::Budget;
@@ -120,9 +120,6 @@ pub struct CongestionEstimator {
     v_cap: Grid<f64>,
     trace: Trace,
     budget: Budget,
-    /// Carry-over for [`CongestionEstimator::try_estimate_incremental`]; `None`
-    /// until the first incremental round and after any geometry change.
-    inc_state: Option<incremental::IncrementalState>,
 }
 
 impl CongestionEstimator {
@@ -136,7 +133,6 @@ impl CongestionEstimator {
             v_cap,
             trace: Trace::disabled(),
             budget: Budget::unbounded(),
-            inc_state: None,
         }
     }
 
@@ -158,9 +154,6 @@ impl CongestionEstimator {
         let (h_cap, v_cap) = capacity::build_capacity(design, &self.config);
         self.h_cap = h_cap;
         self.v_cap = v_cap;
-        // The grid geometry changed: cached per-chunk partials and pin
-        // Gcells are meaningless on the new grid.
-        self.inc_state = None;
     }
 
     /// Attaches a telemetry handle: every estimate emits one
@@ -204,70 +197,9 @@ impl CongestionEstimator {
             self.config.pin_penalty,
             clamp_threads(self.config.threads),
         )?;
-        Ok(self.finish(h_dmd, v_dmd, &segments))
-    }
-
-    /// [`CongestionEstimator::try_estimate`] with dirty-region reuse: Gcell
-    /// demand is rebuilt only for the net chunks whose pins changed Gcells
-    /// since the previous call, with RSMT decompositions served from a
-    /// fingerprint-keyed cache. The result is **bit-identical** to
-    /// [`CongestionEstimator::try_estimate`] — the incremental path replaces
-    /// whole chunk partials and merges them in the same order, never
-    /// subtracting demand.
-    ///
-    /// # Errors
-    ///
-    /// [`CongestError::WorkerPanic`] when a demand worker thread panics; the
-    /// carry-over state is dropped so the next call does a full rebuild.
-    pub fn try_estimate_incremental(
-        &mut self,
-        design: &Design,
-        placement: &Placement,
-    ) -> Result<CongestionMap, CongestError> {
-        let result = incremental::try_build_demand_incremental(
-            design,
-            placement,
-            &self.h_cap,
-            self.config.pin_penalty,
-            clamp_threads(self.config.threads),
-            &mut self.inc_state,
-        );
-        let ((h_dmd, v_dmd, segments), stats) = match result {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.inc_state = None;
-                return Err(e);
-            }
-        };
-        if self.trace.is_enabled() {
-            self.trace
-                .record("congest.dirty")
-                .int("nets", cast::idx_i64(stats.nets))
-                .int("nets_dirty", cast::idx_i64(stats.nets_dirty))
-                .int("nets_rebuilt", cast::idx_i64(stats.nets_rebuilt))
-                .int("chunks", cast::idx_i64(stats.chunks))
-                .int("chunks_dirty", cast::idx_i64(stats.chunks_dirty))
-                .int("gcells_dirty", cast::idx_i64(stats.gcells_dirty))
-                .int("rsmt_hits", cast::u64_i64(stats.rsmt_hits))
-                .int("rsmt_misses", cast::u64_i64(stats.rsmt_misses))
-                .num("reuse", stats.reuse_rate())
-                .write();
-        }
-        Ok(self.finish(h_dmd, v_dmd, &segments))
-    }
-
-    /// Shared tail of every estimate: wrap demand in a [`CongestionMap`],
-    /// run detour expansion (budget permitting), and emit the
-    /// `congest.round` record.
-    fn finish(
-        &self,
-        h_dmd: Grid<f64>,
-        v_dmd: Grid<f64>,
-        segments: &[demand::SegmentRecord],
-    ) -> CongestionMap {
         let mut map = CongestionMap::new(self.h_cap.clone(), self.v_cap.clone(), h_dmd, v_dmd);
         if self.config.expand_detours && !self.budget.is_exhausted() {
-            detour::expand(&mut map, segments, &self.config);
+            detour::expand(&mut map, &segments, &self.config);
         }
         if self.trace.is_enabled() {
             self.trace.add("congest.rounds", 1);
@@ -285,7 +217,22 @@ impl CongestionEstimator {
                 .nums("v_hist", &congestion_histogram(&map, false))
                 .write();
         }
-        map
+        Ok(map)
+    }
+
+    /// [`CongestionEstimator::try_estimate`], kept for its one caller, the
+    /// repo benchmark's frozen adapter (`benchmark/src/layers.rs`).
+    ///
+    /// # Errors
+    ///
+    /// As [`CongestionEstimator::try_estimate`].
+    #[doc(hidden)]
+    pub fn try_estimate_incremental(
+        &self,
+        design: &Design,
+        placement: &Placement,
+    ) -> Result<CongestionMap, CongestError> {
+        self.try_estimate(design, placement)
     }
 }
 
@@ -410,6 +357,9 @@ mod tests {
         assert_eq!(trace.counters(), vec![("congest.rounds".to_string(), 2)]);
     }
 
+    /// The first rung of the degradation ladder: `coarsen` rebuilds the
+    /// capacity maps — the only state an estimate reads besides its
+    /// inputs — and the next estimate runs on the coarser grid.
     #[test]
     fn coarsen_shrinks_the_grid() {
         let d = tiny_design();
@@ -443,153 +393,6 @@ mod tests {
         let b = without.try_estimate(&d, &p).unwrap();
         assert_eq!(a.h_demand().as_slice(), b.h_demand().as_slice());
         assert_eq!(a.v_demand().as_slice(), b.v_demand().as_slice());
-    }
-
-    /// Moves a deterministic fraction of cells by small deltas, crossing
-    /// some Gcell boundaries but leaving most nets untouched.
-    fn perturb(d: &puffer_db::design::Design, p: &mut Placement, round: u64) {
-        use puffer_rng::StdRng;
-        let mut rng = StdRng::seed_from_u64(0xD1A7 ^ round);
-        let r = d.region();
-        for id in d.netlist().movable_cells() {
-            if rng.gen_range(0.0..1.0) < 0.07 {
-                let cur = p.pos(id);
-                let dx = rng.gen_range(-8.0..8.0);
-                let dy = rng.gen_range(-8.0..8.0);
-                p.set(
-                    id,
-                    puffer_db::geom::Point::new(
-                        (cur.x + dx).clamp(r.xl, r.xh),
-                        (cur.y + dy).clamp(r.yl, r.yh),
-                    ),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_is_bit_identical_to_full_every_round() {
-        let d = tiny_design();
-        let mut inc = CongestionEstimator::new(&d, EstimatorConfig::default());
-        let full = CongestionEstimator::new(&d, EstimatorConfig::default());
-        let mut p = d.initial_placement();
-        for round in 0..6 {
-            let a = inc.try_estimate_incremental(&d, &p).unwrap();
-            let b = full.try_estimate(&d, &p).unwrap();
-            assert!(a.bitwise_eq(&b), "round {round} diverged");
-            perturb(&d, &mut p, round);
-        }
-    }
-
-    #[test]
-    fn coarsen_invalidates_incremental_state() {
-        let d = tiny_design();
-        let mut est = CongestionEstimator::new(&d, EstimatorConfig::default());
-        let p = d.initial_placement();
-        est.try_estimate_incremental(&d, &p).unwrap();
-        est.coarsen(&d, 2.0);
-        // The coarse-grid incremental result must match a coarse full build.
-        let a = est.try_estimate_incremental(&d, &p).unwrap();
-        let b = est.try_estimate(&d, &p).unwrap();
-        assert!(a.bitwise_eq(&b));
-    }
-
-    #[test]
-    fn incremental_emits_dirty_records_with_reuse() {
-        let d = tiny_design();
-        let mut est = CongestionEstimator::new(&d, EstimatorConfig::default());
-        let dir = std::env::temp_dir().join("puffer-congest-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("dirty.jsonl");
-        let trace = Trace::with_sink(&path).unwrap();
-        est.set_trace(trace.clone());
-        let mut p = d.initial_placement();
-        est.try_estimate_incremental(&d, &p).unwrap();
-        perturb(&d, &mut p, 1);
-        est.try_estimate_incremental(&d, &p).unwrap();
-        trace.flush().unwrap();
-        let records = puffer_trace::read_jsonl(&path).unwrap();
-        let dirty: Vec<_> = records
-            .iter()
-            .filter(|r| r.kind() == Some("congest.dirty"))
-            .collect();
-        assert_eq!(dirty.len(), 2);
-        // First round: everything dirty, no reuse.
-        assert_eq!(dirty[0].num("reuse").unwrap(), 0.0);
-        assert_eq!(
-            dirty[0].num("nets_rebuilt").unwrap(),
-            dirty[0].num("nets").unwrap()
-        );
-        // Second round: a 7% perturbation leaves some chunks clean and the
-        // RSMT cache warm.
-        assert!(dirty[1].num("rsmt_hits").unwrap() > 0.0);
-        assert!(
-            dirty[1].num("nets_dirty").unwrap() <= dirty[1].num("nets_rebuilt").unwrap(),
-            "dirty nets are a subset of rebuilt nets"
-        );
-    }
-
-    #[test]
-    fn dirty_records_are_byte_identical_run_to_run() {
-        // Determinism regression for the RSMT cache: eviction/demotion are
-        // ordered-map operations, so hit/miss counters — and therefore the
-        // whole congest.dirty record stream — must reproduce exactly. A
-        // HashMap-backed cache segment would let iteration order leak into
-        // the counters and break this byte-compare.
-        let d = tiny_design();
-        let dir = std::env::temp_dir().join("puffer-congest-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let run = |path: &std::path::Path| {
-            let mut est = CongestionEstimator::new(&d, EstimatorConfig::default());
-            let trace = Trace::with_sink(path).unwrap();
-            est.set_trace(trace.clone());
-            let mut p = d.initial_placement();
-            for round in 0..4 {
-                est.try_estimate_incremental(&d, &p).unwrap();
-                perturb(&d, &mut p, round);
-            }
-            trace.flush().unwrap();
-        };
-        let (a, b) = (dir.join("dirty-a.jsonl"), dir.join("dirty-b.jsonl"));
-        run(&a);
-        run(&b);
-        // `elapsed_s` is measured wall-clock time — the only field allowed
-        // to differ between runs. Everything else must match byte for byte.
-        let mask_elapsed = |l: &str| -> String {
-            let start = l.find("\"elapsed_s\":").expect("record has elapsed_s");
-            let rest = &l[start..];
-            let end = start + rest.find(',').expect("elapsed_s is not last");
-            format!("{}{}", &l[..start], &l[end..])
-        };
-        let dirty_lines = |p: &std::path::Path| -> Vec<String> {
-            std::fs::read_to_string(p)
-                .unwrap()
-                .lines()
-                .filter(|l| l.contains("\"congest.dirty\""))
-                .map(mask_elapsed)
-                .collect()
-        };
-        let (la, lb) = (dirty_lines(&a), dirty_lines(&b));
-        assert_eq!(la.len(), 4);
-        assert_eq!(la, lb, "congest.dirty records must be byte-identical");
-        // The comparison is only meaningful if the cache actually worked.
-        assert!(la[1].contains("\"rsmt_hits\""));
-    }
-
-    #[test]
-    fn incremental_worker_panic_resets_state() {
-        let d = tiny_design();
-        let mut est = CongestionEstimator::new(&d, EstimatorConfig::default());
-        let p = d.initial_placement();
-        est.try_estimate_incremental(&d, &p).unwrap();
-        let short = Placement::zeroed(1);
-        let err = est.try_estimate_incremental(&d, &short).unwrap_err();
-        assert!(matches!(err, CongestError::WorkerPanic(_)), "{err}");
-        // Recovery: the next good call rebuilds from scratch and matches a
-        // full build.
-        let a = est.try_estimate_incremental(&d, &p).unwrap();
-        let b = est.try_estimate(&d, &p).unwrap();
-        assert!(a.bitwise_eq(&b));
     }
 
     #[test]

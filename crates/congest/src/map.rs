@@ -137,25 +137,6 @@ impl CongestionMap {
         of / total_cap
     }
 
-    /// True when `other` holds bit-for-bit identical grids (every capacity
-    /// and demand value compared with `to_bits`, so `-0.0 != 0.0` and NaNs
-    /// compare by payload). This is the equality the incremental-vs-full
-    /// equivalence gates assert — stricter than `==` on f64.
-    pub fn bitwise_eq(&self, other: &CongestionMap) -> bool {
-        fn bits_eq(a: &Grid<f64>, b: &Grid<f64>) -> bool {
-            a.nx() == b.nx()
-                && a.ny() == b.ny()
-                && a.as_slice()
-                    .iter()
-                    .zip(b.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits())
-        }
-        bits_eq(&self.h_cap, &other.h_cap)
-            && bits_eq(&self.v_cap, &other.v_cap)
-            && bits_eq(&self.h_dmd, &other.h_dmd)
-            && bits_eq(&self.v_dmd, &other.v_dmd)
-    }
-
     /// Sum of demand in both directions (sanity metric).
     pub fn total_demand(&self) -> f64 {
         self.h_dmd.sum() + self.v_dmd.sum()
@@ -289,23 +270,10 @@ mod tests {
         assert_eq!(m.congested_cells(), 4);
     }
 
-    #[test]
-    fn bitwise_eq_distinguishes_payloads_equality_misses() {
-        let m = map_with(12.0, 10.0, 5.0, 10.0);
-        assert!(m.bitwise_eq(&m.clone()));
-        let other = map_with(12.0, 10.0, 5.0 + 1e-12, 10.0);
-        assert!(!m.bitwise_eq(&other));
-        // -0.0 == 0.0 under PartialEq but not under bitwise_eq.
-        let zero = map_with(0.0, 10.0, 5.0, 10.0);
-        let negzero = map_with(-0.0, 10.0, 5.0, 10.0);
-        assert_eq!(zero.h_demand().as_slice(), negzero.h_demand().as_slice());
-        assert!(!zero.bitwise_eq(&negzero));
-    }
-
     /// Regression: the slice-based overflow ratio must accumulate in the
     /// same row-major order as the old per-index walk, so the result is
-    /// bit-identical (the incremental equivalence gate compares trace
-    /// records that embed these ratios).
+    /// bit-identical (`congest.round` records and the `congest_bits`
+    /// fixture embed these ratios).
     #[test]
     fn overflow_ratio_matches_indexed_walk_bitwise() {
         let r = Rect::new(0.0, 0.0, 8.0, 6.0);

@@ -16,6 +16,14 @@ use crate::tech::Technology;
 /// allocation; the largest preset (CT_TOP at scale 1.0) has a few thousand.
 const MAX_ROWS: usize = 1 << 20;
 
+/// Largest region area, in square row heights (2^26 ≈ 67 M; CT_TOP at
+/// scale 1.0 needs ≈ 1.4 M). It bounds the grids sized by the region: a
+/// Gcell is at least one row height on a side, so the congestion
+/// estimator's and router's capacity, demand and usage maps hold at most
+/// this many Gcells each; and since a region is at least one row tall, its
+/// width is at most this many row heights.
+const MAX_AREA_ROWS2: f64 = 67_108_864.0;
+
 /// A standard-cell row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Row {
@@ -60,8 +68,9 @@ impl Design {
     /// # Errors
     ///
     /// Returns [`DbError::Validate`] when the region is degenerate, not tall
-    /// enough for a single row, or taller than 2^20 rows, or when the row
-    /// height or site width is not positive.
+    /// enough for a single row, taller than 2^20 rows or larger than 2^26
+    /// square row heights, or when the row height or site width is not
+    /// positive.
     pub fn new(
         name: impl Into<String>,
         netlist: Netlist,
@@ -86,6 +95,13 @@ impl Design {
         if n_rows > MAX_ROWS {
             return Err(DbError::Validate(format!(
                 "placement region holds {n_rows} rows; the limit is {MAX_ROWS}"
+            )));
+        }
+        let area_rows2 = region.area() / (tech.row_height * tech.row_height);
+        if area_rows2 > MAX_AREA_ROWS2 {
+            return Err(DbError::Validate(format!(
+                "placement region {region} spans {area_rows2:e} square row heights; \
+                 the limit is {MAX_AREA_ROWS2}"
             )));
         }
         let rows = (0..n_rows)
@@ -429,6 +445,20 @@ mod tests {
         // must not affect the movable-only displacement metric.
         b.set(CellId(1), Point::new(0.0, 0.0));
         assert_eq!(a.max_displacement(&b, d.netlist()), 75.0);
+    }
+
+    #[test]
+    fn region_area_is_bounded_in_square_rows() {
+        let design = |w: f64, h: f64| {
+            let nl = NetlistBuilder::new().build().unwrap();
+            Design::new("x", nl, Technology::default(), Rect::new(0.0, 0.0, w, h))
+        };
+        // Unit rows: 2^24 x 4 is the bound exactly.
+        assert!(design(16_777_216.0, 4.0).is_ok());
+        assert!(design(67_108_863.0, 1.0).is_ok());
+        let err = design(16_777_216.25, 4.0).unwrap_err().to_string();
+        assert!(err.contains("[0, 16777216.25] x [0, 4]"), "{err}");
+        assert!(design(f64::INFINITY, 1.0).is_err());
     }
 
     #[test]

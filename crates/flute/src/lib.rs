@@ -107,11 +107,11 @@ impl Topology {
     /// The input cells are sorted and deduplicated before construction, so
     /// any permutation (or duplication) of the same Gcell multiset yields a
     /// bit-identical topology — node order, Steiner points and edge list
-    /// included. This is what makes fingerprint-keyed RSMT caching sound:
-    /// two nets whose pins occupy the same set of Gcells (in any pin order)
-    /// share one decomposition. Degenerate nets are canonical too: a net
-    /// whose pins all share one Gcell collapses to a single node with no
-    /// segments.
+    /// included. This is what makes the congestion estimate and the global
+    /// route (both decompose through `puffer_congest::demand::decompose_net`)
+    /// independent of the order a net lists its pins in. Degenerate nets are
+    /// canonical too: a net whose pins all share one Gcell collapses to a
+    /// single node with no segments.
     ///
     /// All coordinates are integers, so every median/MST computation is
     /// exact in `f64` and translation by an integer offset is lossless.
@@ -556,9 +556,9 @@ mod tests {
 
     #[test]
     fn gcells_all_in_one_cell_collapse_to_a_point() {
-        // Zero-extent fingerprint: every pin shares one Gcell. The canonical
-        // topology is a single node with no segments — a cache entry for
-        // this shape must never deposit demand.
+        // Every pin shares one Gcell. The canonical topology is a single
+        // node with no segments — such a net deposits no demand and gives
+        // the router nothing to route.
         let t = Topology::from_gcells(&[(3, 7), (3, 7), (3, 7), (3, 7)]);
         assert_eq!(t.segments().len(), 0);
         assert_eq!(t.num_terminals(), 1);
@@ -579,8 +579,8 @@ mod tests {
     #[test]
     fn gcells_topology_is_pin_order_invariant() {
         // The same Gcell multiset in any pin order yields a bit-identical
-        // topology (node order included) — the soundness condition for
-        // fingerprint-keyed RSMT cache hits.
+        // topology (node order included) — what the estimator's and the
+        // router's pin-order invariance rests on.
         use puffer_rng::StdRng;
         let mut rng = StdRng::seed_from_u64(11);
         for trial in 0..25 {
@@ -606,8 +606,9 @@ mod tests {
     #[test]
     fn gcells_translation_is_exact() {
         // Integer translation of the input must translate every node
-        // exactly — the property the offset-keyed cache relies on when it
-        // maps a cached decomposition back to absolute Gcells.
+        // exactly: decomposing a net on absolute Gcells gives the segments
+        // its bounding-box-relative Gcells gave, shifted — so no offset
+        // form is needed.
         let base = [(1u32, 2u32), (5, 2), (3, 6), (1, 6)];
         let t0 = Topology::from_gcells(&base);
         let shifted: Vec<(u32, u32)> = base.iter().map(|&(x, y)| (x + 100, y + 200)).collect();

@@ -204,6 +204,28 @@ mod tests {
         assert_eq!(tiny.avg_net_degree, full.avg_net_degree);
     }
 
+    /// Every preset's region at scale 1.0 is a legal `Design` region. The
+    /// region grows with the cell count, so a 0.1 % sample's region is
+    /// scaled to twice the full-scale area (the macro share grows with the
+    /// scale too); CT_TOP keeps the 32x headroom the bound was sized for.
+    #[test]
+    fn full_scale_regions_fit_the_design_area_bound() {
+        use puffer_db::design::Design;
+        use puffer_db::geom::Rect;
+        use puffer_db::netlist::NetlistBuilder;
+        const SAMPLE: f64 = 0.001;
+        for config in all(SAMPLE).unwrap() {
+            let design = crate::generate(&config).unwrap();
+            let r = design.region();
+            let margin = if config.name == "CT_TOP" { 32.0 } else { 2.0 };
+            let grow = (margin / SAMPLE).sqrt();
+            let full = Rect::new(0.0, 0.0, r.width() * grow, r.height() * grow);
+            let empty = NetlistBuilder::new().build().unwrap();
+            Design::new(&config.name, empty, design.tech().clone(), full)
+                .unwrap_or_else(|e| panic!("{}: {e}", config.name));
+        }
+    }
+
     #[test]
     fn seeds_are_distinct() {
         let seeds: Vec<u64> = all(1.0).unwrap().iter().map(|c| c.seed).collect();

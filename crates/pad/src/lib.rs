@@ -168,10 +168,7 @@ impl RoutabilityOptimizer {
         design: &Design,
         placement: &Placement,
     ) -> Result<PaddingRound, CongestError> {
-        // Incremental re-estimation: across rip-up rounds most cells do not
-        // move, so the estimator reuses clean chunk partials and cached RSMT
-        // decompositions. Bit-identical to a full build by construction.
-        let map = self.estimator.try_estimate_incremental(design, placement)?;
+        let map = self.estimator.try_estimate(design, placement)?;
         let features = extract_features(design, placement, &map, &self.feature_config);
         let round = padding_round(
             design.netlist(),

@@ -118,7 +118,8 @@ impl RoutingGrid {
         }
     }
 
-    fn cap_of(&self, d: Dir) -> &Grid<f64> {
+    /// Capacity map of direction `d` (both share the Gcell geometry).
+    pub(crate) fn cap_of(&self, d: Dir) -> &Grid<f64> {
         match d {
             Dir::H => &self.h_cap,
             Dir::V => &self.v_cap,

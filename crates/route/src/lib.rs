@@ -6,7 +6,8 @@
 //!
 //! * blockage-aware capacity (shared with [`puffer_congest`], Eq. (8));
 //! * FLUTE-style RSMT decomposition of every net into two-point nets
-//!   ([`puffer_flute`]);
+//!   ([`puffer_flute`]) — the estimator's own quantize-first decomposition,
+//!   [`puffer_congest::demand::decompose_net`];
 //! * pattern routing (best of L/Z candidates) for the initial solution;
 //! * PathFinder-style negotiated-congestion rip-up-and-reroute with A*
 //!   maze routing for overflowed segments ([`path::MazeScratch::route`]:
@@ -52,9 +53,9 @@ use puffer_budget::Budget;
 /// Shared worker-thread defaults (hoisted to `puffer-budget` so the router
 /// and the congestion estimator clamp identically).
 pub use puffer_budget::{clamp_threads, default_threads};
+use puffer_congest::demand::decompose_net;
 use puffer_congest::{build_capacity, CongestionMap, EstimatorConfig};
 use puffer_db::design::{Design, Placement};
-use puffer_flute::Topology;
 
 /// Errors produced by [`GlobalRouter::try_route`]: hostile inputs the
 /// router refuses to route rather than producing garbage.
@@ -253,42 +254,21 @@ impl GlobalRouter {
         // --- decompose all nets into two-point segments (parallel) -------
         // Chunking, thread clamping, and panic draining all go through
         // puffer-par: fixed net-index chunks, one endpoint list per chunk,
-        // concatenated in chunk order.
-        //
-        // Pins are quantized to router Gcells BEFORE the RSMT is built (the
-        // same quantize-first scheme as `puffer_congest::demand`): the tree
-        // is then a pure function of the pin-Gcell multiset, Steiner medians
-        // land on exact integer coordinates, and two pins that share a Gcell
-        // can never produce a spurious cross-Gcell segment from sub-Gcell
-        // coordinate noise.
+        // concatenated in chunk order. The decomposition is the estimator's
+        // (`puffer_congest::demand::decompose_net`, quantize-first on the
+        // router's Gcells); Gcell-local segments need no route.
         let net_ids: Vec<_> = netlist.iter_nets().map(|(id, _)| id).collect();
         type Endpoints = Vec<((usize, usize), (usize, usize))>;
-        let gridref = &grid;
+        let gcells = self.base.cap_of(Dir::H);
         let parts = puffer_par::try_map_chunks(net_ids.len(), self.config.threads, |range| {
-            let mut out: Endpoints = Vec::new();
-            let mut cells: Vec<(u32, u32)> = Vec::new();
+            let mut segs = Vec::new();
             for i in range {
-                let net_id = net_ids[i];
-                if netlist.net_degree(net_id) < 2 {
-                    continue;
-                }
-                cells.clear();
-                for &pid in netlist.net_pins(net_id) {
-                    let (ix, iy) = gridref.cell_of(placement.pin_pos(netlist, pid));
-                    cells.push((cast::idx_u32(ix), cast::idx_u32(iy)));
-                }
-                let topo = Topology::from_gcells(&cells);
-                for seg in topo.segments() {
-                    let na = &topo.nodes()[seg.a];
-                    let nb = &topo.nodes()[seg.b];
-                    let a = (cast::trunc_idx(na.pos.x), cast::trunc_idx(na.pos.y));
-                    let b = (cast::trunc_idx(nb.pos.x), cast::trunc_idx(nb.pos.y));
-                    if a != b {
-                        out.push((a, b));
-                    }
-                }
+                decompose_net(netlist, placement, gcells, net_ids[i], &mut segs);
             }
-            out
+            segs.iter()
+                .map(|s| ((s.ax, s.ay), (s.bx, s.by)))
+                .filter(|(a, b)| a != b)
+                .collect::<Endpoints>()
         })
         .map_err(|e| RouteError::WorkerPanic(e.0))?;
         let mut endpoints: Endpoints = Vec::new();

@@ -66,8 +66,11 @@ echo "==> validated flow smoke (place --validate + puffer audit)"
 # byte-identical (the puffer-par kernels are bit-identical by design).
 # The `wa` of each place.iter record comes from the WA kernel's value-only
 # form, whose result reaches no journal: the records are compared too, minus
-# their timestamps.
+# their timestamps. So are the congestion estimator's own outputs, the
+# congest.round records of every padding round, which otherwise are checked
+# only through the placement they steer.
 iter_records() { grep '"t":"place.iter"' "$1" | sed -E 's/"elapsed_s":[^,}]*,?//'; }
+congest_records() { grep '"t":"congest.round"' "$1" | sed -E 's/"elapsed_s":[^,}]*,?//'; }
 echo "==> deterministic parallelism smoke (place --threads 1 vs 4)"
 "$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/t1.pl" \
   --threads 1 --journal "$SMOKE_DIR/t1.pj" --metrics "$SMOKE_DIR/t1.jsonl"
@@ -76,6 +79,7 @@ echo "==> deterministic parallelism smoke (place --threads 1 vs 4)"
 cmp "$SMOKE_DIR/t1.pj" "$SMOKE_DIR/t4.pj"
 cmp "$SMOKE_DIR/t1.pl" "$SMOKE_DIR/t4.pl"
 cmp <(iter_records "$SMOKE_DIR/t1.jsonl") <(iter_records "$SMOKE_DIR/t4.jsonl")
+cmp <(congest_records "$SMOKE_DIR/t1.jsonl") <(congest_records "$SMOKE_DIR/t4.jsonl")
 # The same on a 128x128-bin grid (ct_top just past the 4096-cell auto_dim
 # step): the smoke above never leaves 32x32 bins, where one worker's
 # scatter scratch, the transposes and the sparse chunk lists are all
@@ -95,6 +99,7 @@ for t in 2 4; do
   cmp "$SMOKE_DIR/grid-t1.pj" "$SMOKE_DIR/grid-t$t.pj"
   cmp "$SMOKE_DIR/grid-t1.pl" "$SMOKE_DIR/grid-t$t.pl"
   cmp <(iter_records "$SMOKE_DIR/grid-t1.jsonl") <(iter_records "$SMOKE_DIR/grid-t$t.jsonl")
+  cmp <(congest_records "$SMOKE_DIR/grid-t1.jsonl") <(congest_records "$SMOKE_DIR/grid-t$t.jsonl")
   cmp <(counter_records "$SMOKE_DIR/grid-t1.jsonl") <(counter_records "$SMOKE_DIR/grid-t$t.jsonl")
 done
 

@@ -299,56 +299,6 @@ fn mismatched_histogram_is_detected() {
 }
 
 #[test]
-fn inconsistent_dirty_tracking_is_detected() {
-    let dir = tmp_dir("dirty-tracking");
-    // nets_dirty exceeding nets is impossible bookkeeping; so is a reuse
-    // rate outside [0, 1] or a fractional count.
-    let bad = dir.join("bad.jsonl");
-    write_lines(
-        &bad,
-        &[
-            r#"{"t":"congest.dirty","elapsed_s":0.1,"nets":100,"nets_dirty":120,"nets_rebuilt":130,"chunks":8,"chunks_dirty":9,"gcells_dirty":4,"rsmt_hits":10,"rsmt_misses":2.5,"reuse":1.7}"#,
-        ],
-    );
-    let report = audit_metrics(&bad).expect_err("impossible dirty counts must be caught");
-    let dirty: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.check == "dirty-tracking")
-        .collect();
-    assert!(
-        dirty.len() >= 4,
-        "expected nets_dirty>nets, chunks_dirty>chunks, fractional \
-         rsmt_misses, and reuse out of range; got: {report}"
-    );
-
-    // A dirty net that was never rebuilt breaks incrementality.
-    let unrebuilt = dir.join("unrebuilt.jsonl");
-    write_lines(
-        &unrebuilt,
-        &[
-            r#"{"t":"congest.dirty","elapsed_s":0.1,"nets":100,"nets_dirty":40,"nets_rebuilt":30,"chunks":8,"chunks_dirty":3,"gcells_dirty":4,"rsmt_hits":10,"rsmt_misses":2,"reuse":0.7}"#,
-        ],
-    );
-    let report =
-        audit_metrics(&unrebuilt).expect_err("dirty nets not rebuilt must be caught");
-    assert!(
-        report.violations.iter().any(|v| v.check == "dirty-tracking"),
-        "got: {report}"
-    );
-
-    // Well-formed bookkeeping passes.
-    let good = dir.join("good.jsonl");
-    write_lines(
-        &good,
-        &[
-            r#"{"t":"congest.dirty","elapsed_s":0.1,"nets":100,"nets_dirty":20,"nets_rebuilt":30,"chunks":8,"chunks_dirty":3,"gcells_dirty":4,"rsmt_hits":10,"rsmt_misses":2,"reuse":0.7}"#,
-        ],
-    );
-    audit_metrics(&good).expect("consistent dirty tracking passes");
-}
-
-#[test]
 fn grid_shrink_is_allowed_only_after_a_recorded_coarsening() {
     let dir = tmp_dir("histogram-coarsen");
     // An unexplained Gcell-count change across rounds is corruption...

@@ -6,15 +6,13 @@ mod oracle;
 
 use puffer::{
     evaluate_bounded, Job, PufferConfig, ReferenceConfig, ReferencePlacer, ReplaceConfig,
-    ReplacePlacer, StageObserver, StagePoint, WsaConfig, WsaPlacer,
+    ReplacePlacer, WsaConfig, WsaPlacer,
 };
 use puffer_budget::Budget;
-use puffer_congest::CongestionEstimator;
 use puffer_db::geom::Point;
 use puffer_gen::{generate, presets, GeneratorConfig};
 use puffer_route::RouterConfig;
 use puffer_trace::Trace;
-use std::sync::{Arc, Mutex};
 
 fn quick_config() -> PufferConfig {
     let mut c = PufferConfig::default();
@@ -123,51 +121,6 @@ fn padding_area_respects_legal_budget() {
     // the checker if we reconstruct zero padding (physical check).
     oracle::assert_flow_result(&design, &result);
     assert!(result.hpwl > 0.0);
-}
-
-#[test]
-fn incremental_congestion_is_a_full_rebuild_on_the_flows_own_pad_rounds() {
-    // Real dirt, not a synthetic nudge: the placements the flow itself
-    // handed its estimator, in order. Walking the dirty-region estimator
-    // over them must reproduce a fresh full build bit for bit every round —
-    // which is why the flow's journals cannot depend on the reuse.
-    let design = generate(&GeneratorConfig {
-        num_cells: 500,
-        num_nets: 560,
-        num_macros: 2,
-        utilization: 0.6,
-        hotspot: 0.5,
-        ..GeneratorConfig::default()
-    })
-    .expect("generate");
-    let config = quick_config();
-    let rounds = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&rounds);
-    let observer = StageObserver::new(move |report| {
-        if report.point == StagePoint::PadRound {
-            let mut rounds = sink.lock().map_err(|e| e.to_string())?;
-            rounds.push(report.placement.clone());
-        }
-        Ok(())
-    });
-    let result = Job::new(config.clone())
-        .with_observer(observer)
-        .run(&design)
-        .expect("place");
-    oracle::assert_flow_result(&design, &result);
-    let rounds = std::mem::take(&mut *rounds.lock().expect("observer lock"));
-    assert_eq!(rounds.len(), result.pad_rounds);
-    assert!(rounds.len() >= 2, "need carried state: {} round(s)", rounds.len());
-
-    let mut incremental = CongestionEstimator::new(&design, config.estimator.clone());
-    let full = CongestionEstimator::new(&design, config.estimator);
-    for (round, placement) in rounds.iter().enumerate() {
-        let carried = incremental
-            .try_estimate_incremental(&design, placement)
-            .expect("incremental estimate");
-        let fresh = full.try_estimate(&design, placement).expect("full estimate");
-        assert!(carried.bitwise_eq(&fresh), "round {round} diverged");
-    }
 }
 
 /// The comparison flows behind the one `baselines::run_flow` driver, at

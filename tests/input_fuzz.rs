@@ -215,9 +215,14 @@ fn use_design(design: &Design) {
 fn native_design_text() {
     let mut input = Vec::new();
     write_design(&tiny_design(), &mut input).unwrap();
-    // Found by this harness: values the `tech`/`Rect` constructors assert
-    // on, and a region tall enough for 2^32 rows (a 100 GiB row table).
+    // A 1e13 x 3 region `stats` accepted and `place` aborted on (its
+    // congestion grid), then, found by this harness: values the
+    // `tech`/`Rect` constructors assert on, and a region tall enough for
+    // 2^32 rows (a 100 GiB row table).
     let fixtures = vec![
+        b"design wide\ntech 1 0.2\nregion 0 0 1e13 3\ncell a 1 1 movable\n\
+          cell b 1 1 movable\nnet n 1\npin 0 0 0 0\npin 1 0 0 0\n"
+            .to_vec(),
         scribble(&input, "tech ", 1, "-1"),
         scribble(&input, "layer ", 4, "nan"),
         scribble(&input, "region ", 3, "-1"),

@@ -528,27 +528,77 @@ fn transform_round_trip_error_matches_serial_exactly() {
     );
 }
 
-/// Incremental congestion re-estimation (dirty-region tracking + RSMT
-/// cache) is bit-identical to a from-scratch rebuild after every round of
-/// random cell moves, and every map it produces passes the audit
-/// checkers — histogram conservation included.
+/// The same design with every net's pins connected in a permuted order.
+/// Cell ids, net ids, macros and names are unchanged; only pin ids (and so
+/// the order `net_pins` lists a net's pins in) move.
+fn with_permuted_pins(design: &Design, rng: &mut StdRng) -> Design {
+    let nl = design.netlist();
+    let mut nb = NetlistBuilder::new();
+    for c in nl.cells() {
+        nb.add_cell(c.name.clone(), c.width, c.height, c.kind);
+    }
+    for (id, net) in nl.iter_nets() {
+        let twin = nb.add_weighted_net(net.name.clone(), net.weight);
+        let mut pins: Vec<_> = nl.net_pins(id).iter().map(|&p| *nl.pin(p)).collect();
+        rng.shuffle(&mut pins);
+        for pin in pins {
+            nb.connect(twin, pin.cell, pin.offset).unwrap();
+        }
+    }
+    let mut twin = Design::new(
+        design.name(),
+        nb.build().unwrap(),
+        design.tech().clone(),
+        design.region(),
+    )
+    .unwrap();
+    for id in nl.fixed_macros() {
+        let at = design.fixed_position(id).unwrap();
+        twin.place_macro(id, at).unwrap();
+    }
+    twin
+}
+
+/// Pin order is not an input of the congestion estimate or of the global
+/// route: both decompose a net through the one quantize-first RSMT
+/// (`puffer_congest::demand::decompose_net`), which sorts the pins' Gcells
+/// before building the tree. A design whose nets list their pins in a
+/// permuted order gives bit-identical capacity and demand grids and the
+/// same segment list at every thread count, maps that pass the audit
+/// checkers, and the same routed paths, WL, HOF and VOF. (The full flow is
+/// not claimed: the WA wirelength sums over pins in pin order.)
 #[test]
-fn incremental_congestion_matches_full_rebuild_every_round() {
+fn pin_order_moves_no_estimate_or_route_bit() {
     use puffer_audit::Validate;
-    use puffer_congest::{CongestionEstimator, EstimatorConfig};
+    use puffer_congest::demand::try_build_demand;
+    use puffer_congest::{CongestionEstimator, CongestionMap, EstimatorConfig};
     use puffer_gen::{generate, GeneratorConfig};
+    use puffer_route::{GlobalRouter, RouteReport, RouterConfig};
+    fn bits(map: &CongestionMap) -> Vec<u64> {
+        let grids = [
+            map.h_capacity(),
+            map.v_capacity(),
+            map.h_demand(),
+            map.v_demand(),
+        ];
+        grids
+            .iter()
+            .flat_map(|g| g.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+    fn report(r: &RouteReport) -> [u64; 3] {
+        [r.wirelength, r.hof_pct, r.vof_pct].map(f64::to_bits)
+    }
     run_cases(
-        6,
+        4,
         0x100A,
         |rng| {
             (
                 rng.gen_range(0u64..1u64 << 48), // design seed
-                rng.gen_range(0u64..1u64 << 48), // move seed
-                rng.gen_range(1..5usize),        // threads
-                rng.gen_range(3..6usize),        // rounds
+                rng.gen_range(0u64..1u64 << 48), // placement + permutation seed
             )
         },
-        |&(design_seed, move_seed, threads, rounds)| {
+        |&(design_seed, seed)| {
             let design = generate(&GeneratorConfig {
                 num_cells: 180,
                 num_nets: 200,
@@ -558,43 +608,59 @@ fn incremental_congestion_matches_full_rebuild_every_round() {
                 ..GeneratorConfig::default()
             })
             .unwrap();
-            let cfg = EstimatorConfig {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let twin = with_permuted_pins(&design, &mut rng);
+            // Cells spread over the middle 60 % of the die: nets span
+            // Gcells and the maps overflow somewhere.
+            let region = design.region();
+            let c = region.center();
+            let mut placement = design.initial_placement();
+            for id in design.netlist().movable_cells() {
+                let x = c.x + (rng.next_f64() - 0.5) * 0.6 * region.width();
+                let y = c.y + (rng.next_f64() - 0.5) * 0.6 * region.height();
+                placement.set(id, Point::new(x, y));
+            }
+            let est_config = |threads| EstimatorConfig {
                 threads,
                 ..EstimatorConfig::default()
             };
-            let mut inc = CongestionEstimator::new(&design, cfg.clone());
-            let full = CongestionEstimator::new(&design, cfg);
-            let region = design.region();
-            let movable: Vec<_> = design.netlist().movable_cells().collect();
-            let mut placement = design.initial_placement();
-            let mut rng = StdRng::seed_from_u64(move_seed);
-            for round in 0..rounds {
-                if round > 0 {
-                    // Move a random ~10% subset; the rest stays put so the
-                    // incremental path has clean chunks to reuse.
-                    for &id in &movable {
-                        if rng.gen_range(0.0..1.0) < 0.1 {
-                            let p = placement.pos(id);
-                            let x = (p.x + rng.gen_range(-12.0..12.0))
-                                .clamp(region.xl, region.xh);
-                            let y = (p.y + rng.gen_range(-12.0..12.0))
-                                .clamp(region.yl, region.yh);
-                            placement.set(id, Point::new(x, y));
-                        }
-                    }
-                }
-                let a = inc
-                    .try_estimate_incremental(&design, &placement)
-                    .expect("incremental estimate");
-                let b = full.try_estimate(&design, &placement).expect("full estimate");
+            let reference = CongestionEstimator::new(&design, est_config(1));
+            let map = reference.try_estimate(&design, &placement).unwrap();
+            let (_, _, segs) =
+                try_build_demand(&design, &placement, reference.h_capacity(), 0.0, 1).unwrap();
+            prop_check!(!segs.is_empty());
+            let route_config = |threads| RouterConfig {
+                threads,
+                ..RouterConfig::default()
+            };
+            let route = GlobalRouter::new(&design, route_config(1))
+                .try_route(&design, &placement)
+                .unwrap();
+            for threads in 1..=4 {
+                let est = CongestionEstimator::new(&twin, est_config(threads));
+                let twin_map = est.try_estimate(&twin, &placement).unwrap();
                 prop_check!(
-                    a.bitwise_eq(&b),
-                    "incremental map diverged from full rebuild at round {round}"
+                    bits(&twin_map) == bits(&map),
+                    "permuted pins moved an estimate bit at {threads} threads"
+                );
+                let (_, _, twin_segs) =
+                    try_build_demand(&twin, &placement, est.h_capacity(), 0.0, threads).unwrap();
+                prop_check!(twin_segs == segs, "segments differ at {threads} threads");
+                prop_check!(
+                    twin_map.validate().is_ok(),
+                    "map fails audit checks: {:?}",
+                    twin_map.validate().err()
+                );
+                let twin_route = GlobalRouter::new(&twin, route_config(threads))
+                    .try_route(&twin, &placement)
+                    .unwrap();
+                prop_check!(
+                    twin_route.paths == route.paths,
+                    "paths at {threads} threads"
                 );
                 prop_check!(
-                    a.validate().is_ok(),
-                    "map fails audit checks at round {round}: {:?}",
-                    a.validate().err()
+                    report(&twin_route) == report(&route),
+                    "route report at {threads} threads"
                 );
             }
             Ok(())
