@@ -673,6 +673,7 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
     let mut density_evals = None;
     let mut transforms2d = None;
     let mut wa_grad_evals = None;
+    // Written only by placers that still evaluated a value-only WA form.
     let mut wa_value_evals = None;
     let mut wa_exp_calls = None;
     let mut wa_exp_terms = None;
@@ -876,10 +877,10 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
         }
     }
     // The WA kernel never calls `exp` more often than Eq. (2) names it, and
-    // every evaluation names the same 4-per-active-pin terms.
-    if let (Some(grads), Some(values), Some(calls), Some(terms)) =
-        (wa_grad_evals, wa_value_evals, wa_exp_calls, wa_exp_terms)
-    {
+    // every evaluation names the same 4-per-active-pin terms. An older file's
+    // value-only evaluations name them too.
+    if let (Some(grads), Some(calls), Some(terms)) = (wa_grad_evals, wa_exp_calls, wa_exp_terms) {
+        let values = wa_value_evals.unwrap_or(0.0);
         let evals = grads + values;
         if calls > terms {
             out.push(Violation {
@@ -899,7 +900,7 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
                 check: "wa-counters",
                 message: format!(
                     "place.wa_exp_terms = {terms} is not a whole number of pins (4 terms each) \
-                     per evaluation ({grads} gradient + {values} value-only)"
+                     per evaluation ({evals} evaluations)"
                 ),
             });
         }

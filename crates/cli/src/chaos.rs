@@ -201,12 +201,21 @@ fn nan_burst(case: &Case) -> Result<String, String> {
     trace
         .flush()
         .map_err(|e| format!("metrics write failed: {e}"))?;
-    if !trace.counters().iter().any(|(name, n)| name == "place.recoveries" && *n > 0) {
-        return Err("the sentinel never recovered the injected burst".into());
+    // The burst lands right before the step to iteration `at + 1`.
+    let records = puffer_trace::read_jsonl(&metrics)
+        .map_err(|e| format!("metrics unreadable: {e}"))?;
+    let burst = (case.at + 1) as f64;
+    let reason = records
+        .iter()
+        .filter(|r| r.kind() == Some("place.recover") && r.num("iter") == Some(burst))
+        .find_map(|r| r.str_field("reason"))
+        .ok_or("the sentinel never recovered the injected burst")?;
+    if reason != "non-finite objective" {
+        return Err(format!("the burst was recovered as '{reason}', not as non-finite"));
     }
     check_placement(&design, &result)?;
     audit_run(&journal, &metrics).map_err(|r| format!("journal/metrics inconsistent: {r}"))?;
-    Ok("OK: sentinel recovered the burst, artifacts audit clean".to_string())
+    Ok(format!("OK: sentinel recovered the burst ({reason}), artifacts audit clean"))
 }
 
 /// A filesystem fault strikes a checkpoint save mid-run. The `fsx` hook

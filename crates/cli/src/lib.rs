@@ -654,10 +654,16 @@ fn cmd_eval(args: &[String], out: &mut String) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Every span path a PUFFER `place` run emits: the first three always, the
+/// padding rounds' when one fires, and the checkpoint writes' under
+/// `--journal` (in the loop, and the final one).
+const STAGE_SPANS: [&str; 6] = ["init", "gp", "legal", "gp/pad", "gp/journal", "journal"];
+
 /// `puffer trace <run.jsonl>` — validates a telemetry file and prints the
 /// record inventory. With `--check` it additionally requires the stage
-/// spans and per-iteration records a complete `place --metrics` run emits
-/// (this is what the CI metrics smoke step calls).
+/// spans and per-iteration records a complete `place --metrics` run emits,
+/// and no span outside [`STAGE_SPANS`] (this is what the CI metrics smoke
+/// step calls).
 fn cmd_trace(args: &[String], out: &mut String) -> Result<(), CliError> {
     let flags = Flags::parse(args, &[], &["check"])?;
     let [path] = flags.positional.as_slice() else {
@@ -695,12 +701,15 @@ fn cmd_trace(args: &[String], out: &mut String) -> Result<(), CliError> {
             .filter(|r| r.kind() == Some("span"))
             .filter_map(|r| r.str_field("label"))
             .collect();
-        for stage in ["init", "gp", "legal"] {
-            if !span_labels.contains(&stage) {
+        for stage in &STAGE_SPANS[..3] {
+            if !span_labels.contains(stage) {
                 return Err(CliError::run(format!(
                     "{path}: missing stage span '{stage}'"
                 )));
             }
+        }
+        if let Some(label) = span_labels.iter().find(|l| !STAGE_SPANS.contains(l)) {
+            return Err(CliError::run(format!("{path}: unknown stage span '{label}'")));
         }
         for kind in ["place.iter", "flow.done"] {
             if !kinds.iter().any(|(k, _)| k == kind) {
@@ -1417,6 +1426,14 @@ mod tests {
         assert!(out.contains("place.iter"), "{out}");
         assert!(out.contains("flow.done"), "{out}");
         assert!(out.contains("check OK"), "{out}");
+
+        // A span no place run emits fails the check.
+        let renamed = tmp("metrics_unknown_span.jsonl");
+        let mut text = std::fs::read_to_string(&metrics_path).unwrap();
+        text.push_str("{\"t\":\"span\",\"elapsed_s\":9.0,\"label\":\"gp/journaling\",\"count\":1}\n");
+        std::fs::write(&renamed, text).unwrap();
+        let err = run(&strs(&["trace", &renamed, "--check"]), &mut String::new()).unwrap_err();
+        assert!(err.message.contains("unknown stage span 'gp/journaling'"), "{}", err.message);
 
         // eval shares the trace plumbing via evaluate_bounded.
         let eval_metrics = tmp("metrics_eval.jsonl");

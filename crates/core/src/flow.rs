@@ -243,7 +243,6 @@ impl Job {
                     iter: checkpoint.placer.iter,
                     overflow: checkpoint.placer.last_overflow,
                     hpwl: 0.0,
-                    wa: 0.0,
                     lambda: checkpoint.placer.lambda,
                 };
                 placer
@@ -512,6 +511,8 @@ impl Job {
         optimizer: &RoutabilityOptimizer,
         bounded: &BoundedRun<'_>,
     ) -> Result<(), PufferError> {
+        // `gp/journal` inside the loop, `journal` for the final write.
+        let _journal_span = self.trace.span("journal");
         let path = policy.file_for(stage, placer.iterations());
         let checkpoint =
             FlowCheckpoint::capture(design, stage, placer.snapshot(), optimizer.state().clone())

@@ -82,8 +82,6 @@ pub struct IterationStats {
     pub overflow: f64,
     /// Exact HPWL of the current solution.
     pub hpwl: f64,
-    /// Smoothed WA wirelength.
-    pub wa: f64,
     /// Current density penalty factor λ.
     pub lambda: f64,
 }
@@ -140,7 +138,8 @@ pub struct GlobalPlacer<'a> {
     /// Reason of the most recent recovery, if any.
     last_divergence: Option<Divergence>,
     /// Telemetry handle (disabled by default); one `place.iter` record per
-    /// step plus a `place.recoveries` counter. Not part of the snapshot.
+    /// step, and a `place.recover` record and a `place.recoveries` count per
+    /// recovery. Not part of the snapshot.
     trace: Trace,
 }
 
@@ -239,27 +238,15 @@ impl Inputs<'_> {
         overflow
     }
 
-    /// Counts the WA evaluations since the last call and their
-    /// exponentials (Eq. (2)'s terms, and the `exp` calls made for them).
-    fn count_wa(&self, wa: &mut WaWorkspace) {
-        let counts = wa.take_counts();
-        self.trace.add("place.wa_grad_evals", counts.grad_evals);
-        self.trace.add("place.wa_value_evals", counts.value_evals);
-        self.trace.add("place.wa_exp_calls", counts.exp_calls);
-        self.trace.add("place.wa_exp_terms", counts.exp_terms);
-    }
-
-    /// Leaves the WA gradient of `placement` in `wa`.
+    /// Leaves the WA gradient of `placement` in `wa`, and counts the
+    /// evaluation and its exponentials (Eq. (2)'s terms, and the `exp`
+    /// calls made for them).
     fn wa_grad(&self, wa: &mut WaWorkspace, placement: &Placement, gamma: f64) {
         wa.gradient(self.design.netlist(), placement, gamma);
-        self.count_wa(wa);
-    }
-
-    /// The WA wirelength of `placement`; leaves the gradient in `wa` alone.
-    fn wa_value(&self, wa: &mut WaWorkspace, placement: &Placement, gamma: f64) -> f64 {
-        let value = wa.value(self.design.netlist(), placement, gamma);
-        self.count_wa(wa);
-        value
+        let counts = wa.take_counts();
+        self.trace.add("place.wa_grad_evals", counts.grad_evals);
+        self.trace.add("place.wa_exp_calls", counts.exp_calls);
+        self.trace.add("place.wa_exp_terms", counts.exp_terms);
     }
 
     /// Combined gradient `∇W + λ·∇D` at `flat`.
@@ -435,9 +422,9 @@ impl<'a> GlobalPlacer<'a> {
     }
 
     /// Attaches a telemetry handle: every [`GlobalPlacer::step`] emits one
-    /// `place.iter` record (HPWL, WA wirelength, overflow, γ, λ, step
-    /// length) and divergence recoveries bump the `place.recoveries`
-    /// counter. The handle is not captured by snapshots.
+    /// `place.iter` record (HPWL, overflow, γ, λ, step length), and every
+    /// divergence recovery a `place.recover` record (iteration, reason) and
+    /// a `place.recoveries` count. The handle is not captured by snapshots.
     pub fn set_trace(&mut self, trace: Trace) {
         self.trace = trace;
     }
@@ -704,11 +691,12 @@ impl<'a> GlobalPlacer<'a> {
 
     /// Performs one Nesterov iteration and returns the updated statistics.
     ///
-    /// A divergence sentinel watches every iterate for NaN/infinite
-    /// objectives, exploding wirelength, and overflow limit cycles. When it
-    /// fires, the iterate is discarded: the placer rolls back to the last
-    /// healthy solution, resets the optimizer momentum, and shrinks its
-    /// bootstrap step size by [`PlacerConfig::recovery_backoff`]. After
+    /// A divergence sentinel watches every iterate for non-finite
+    /// coordinates or statistics, exploding wirelength, and overflow limit
+    /// cycles. When it fires, the iterate is discarded: the placer rolls
+    /// back to the last healthy solution, resets the optimizer momentum,
+    /// and shrinks its bootstrap step size by
+    /// [`PlacerConfig::recovery_backoff`]. After
     /// [`PlacerConfig::max_recoveries`] recoveries the placer freezes — it
     /// holds the last healthy solution and further steps are no-ops — so a
     /// flow always completes with a finite placement instead of asserting.
@@ -739,22 +727,21 @@ impl<'a> GlobalPlacer<'a> {
         );
         let mut new_placement = placement.clone();
         inputs.scatter(opt.solution(), &mut new_placement);
-        self.opt = Some(opt);
         let prev_placement = std::mem::replace(&mut self.placement, new_placement);
         self.iter += 1;
         let new_lambda = self.lambda * self.config.lambda_growth;
 
-        let wa = self.wa_value(gamma);
         let overflow = self.density_overflow();
         let stats = IterationStats {
             iter: self.iter,
             overflow,
             hpwl: total_hpwl(self.design.netlist(), &self.placement),
-            wa,
             lambda: new_lambda,
         };
+        let verdict = self.sentinel.check(&stats, opt.solution());
+        self.opt = Some(opt);
 
-        if let Some(reason) = self.sentinel.check(&stats) {
+        if let Some(reason) = verdict {
             let stats = self.recover(reason, prev_placement);
             self.emit_iter(&stats);
             return stats;
@@ -782,7 +769,6 @@ impl<'a> GlobalPlacer<'a> {
             .record("place.iter")
             .int("iter", cast::idx_i64(stats.iter))
             .num("hpwl", stats.hpwl)
-            .num("wa", stats.wa)
             .num("overflow", stats.overflow)
             .num("gamma", self.gamma())
             .num("lambda", stats.lambda)
@@ -801,13 +787,11 @@ impl<'a> GlobalPlacer<'a> {
         if let Some(lg) = &self.last_good {
             return lg.stats;
         }
-        let wa = self.wa_value(self.gamma());
         let overflow = self.density_overflow();
         IterationStats {
             iter: self.iter,
             overflow,
             hpwl: total_hpwl(self.design.netlist(), &self.placement),
-            wa,
             lambda: self.lambda,
         }
     }
@@ -818,13 +802,6 @@ impl<'a> GlobalPlacer<'a> {
         inputs.density_overflow(dens, placement)
     }
 
-    /// The WA wirelength of the current placement: the value-only form, as
-    /// the statistics read nothing else.
-    fn wa_value(&mut self, gamma: f64) -> f64 {
-        let (inputs, _, wa, placement) = self.split();
-        inputs.wa_value(wa, placement, gamma)
-    }
-
     /// Discards the diverged iterate: rolls back to the last healthy
     /// solution (or sanitizes the current one if no healthy iterate exists
     /// yet), resets momentum, and backs off the step size. Exhausting the
@@ -832,6 +809,13 @@ impl<'a> GlobalPlacer<'a> {
     fn recover(&mut self, reason: Divergence, prev_placement: Placement) -> IterationStats {
         self.recoveries += 1;
         self.trace.add("place.recoveries", 1);
+        if self.trace.is_enabled() {
+            self.trace
+                .record("place.recover")
+                .int("iter", cast::idx_i64(self.iter))
+                .str("reason", &reason.to_string())
+                .write();
+        }
         self.last_divergence = Some(reason);
         self.step_scale = (self.step_scale * self.config.recovery_backoff).max(1e-9);
         self.opt = None; // momentum reset; the next step re-bootstraps
@@ -1123,8 +1107,9 @@ mod tests {
     }
 
     /// A charge map that goes non-finite under a finite placement: the
-    /// wirelength terms see nothing, so the overflow alone must carry it
-    /// to the sentinel (no Poisson solve runs on the statistics pass).
+    /// coordinates and the HPWL see nothing, so the overflow alone must
+    /// carry it to the sentinel (no Poisson solve runs on the statistics
+    /// pass).
     #[test]
     fn non_finite_charge_map_recovers_as_non_finite() {
         let d = small_design();
@@ -1139,8 +1124,6 @@ mod tests {
             let cell = placer.movable[3].index();
             placer.eff_width[cell] = poison;
             assert!(!placer.density_overflow().is_finite());
-            let gamma = placer.gamma();
-            assert!(placer.wa_value(gamma).is_finite());
             assert!(total_hpwl(d.netlist(), placer.placement()).is_finite());
 
             let stats = placer.step();
@@ -1149,6 +1132,57 @@ mod tests {
             assert!(stats.overflow.is_finite() && stats.hpwl.is_finite());
             assert_eq!(placer.placement(), &healthy, "rolled back");
         }
+    }
+
+    /// A NaN coordinate that neither statistic sees: the cell's one net
+    /// runs to a macro pin, so no net goes all-NaN after the step (which
+    /// the HPWL would see) and the density grid drops the NaN rectangle.
+    /// Only the sentinel's own coordinate check catches it.
+    #[test]
+    fn a_nan_coordinate_under_finite_statistics_recovers_as_non_finite() {
+        use puffer_db::geom::{Point, Rect};
+        use puffer_db::netlist::{CellKind, NetlistBuilder};
+        use puffer_db::tech::Technology;
+        let mut nb = NetlistBuilder::new();
+        let block = nb.add_cell("block", 6.0, 6.0, CellKind::FixedMacro);
+        let cells: Vec<CellId> = (0..60)
+            .map(|i| nb.add_cell(format!("c{i}"), 1.0, 1.0, CellKind::Movable))
+            .collect();
+        for (i, pair) in cells.windows(2).enumerate() {
+            let net = nb.add_net(format!("n{i}"));
+            nb.connect(net, pair[0], Point::ORIGIN).unwrap();
+            nb.connect(net, pair[1], Point::ORIGIN).unwrap();
+        }
+        let victim = nb.add_cell("victim", 1.0, 1.0, CellKind::Movable);
+        let tie = nb.add_net("tie");
+        nb.connect(tie, victim, Point::ORIGIN).unwrap();
+        nb.connect(tie, block, Point::new(1.0, 1.0)).unwrap();
+        let mut d = Design::new(
+            "tie",
+            nb.build().unwrap(),
+            Technology::default(),
+            Rect::new(0.0, 0.0, 40.0, 40.0),
+        )
+        .unwrap();
+        d.place_macro(block, Point::new(30.0, 30.0)).unwrap();
+
+        let mut placer = GlobalPlacer::new(&d, PlacerConfig::default()).unwrap();
+        for _ in 0..5 {
+            placer.step();
+        }
+        assert_eq!(placer.recoveries(), 0);
+        let healthy = placer.placement().clone();
+        let y = healthy.pos(victim).y;
+        placer.placement.set(victim, Point::new(f64::NAN, y));
+        placer.opt = None; // the next step starts from the poisoned point
+        assert!(total_hpwl(d.netlist(), placer.placement()).is_finite());
+        assert!(placer.density_overflow().is_finite());
+
+        let stats = placer.step();
+        assert_eq!(placer.last_divergence(), Some(Divergence::NonFinite));
+        assert_eq!(placer.recoveries(), 1);
+        assert!(stats.overflow.is_finite() && stats.hpwl.is_finite());
+        assert_eq!(placer.placement(), &healthy, "rolled back");
     }
 
     #[test]
@@ -1324,7 +1358,7 @@ mod tests {
             gamma_factor: 0.01,
             ..PlacerConfig::default()
         };
-        assert!(GlobalPlacer::new(&d, cfg).unwrap().step().wa.is_finite());
+        assert!(GlobalPlacer::new(&d, cfg).unwrap().step().hpwl.is_finite());
     }
 
     fn counter(trace: &Trace, name: &str) -> u64 {
@@ -1364,7 +1398,7 @@ mod tests {
     }
 
     #[test]
-    fn a_step_runs_two_wa_gradients_and_one_value_when_the_first_round_is_accepted() {
+    fn a_step_runs_two_wa_gradients_when_the_first_round_is_accepted() {
         let d = small_design();
         let mut placer = GlobalPlacer::new(&d, PlacerConfig::default()).unwrap();
         let trace = Trace::enabled();
@@ -1373,7 +1407,6 @@ mod tests {
         let read = || {
             [
                 "place.wa_grad_evals",
-                "place.wa_value_evals",
                 "place.wa_exp_calls",
                 "place.wa_exp_terms",
                 "place.density_evals",
@@ -1385,7 +1418,6 @@ mod tests {
         // three times — to balance λ, for α₀ inside `combined_grad`, as the
         // opening gradient — before its backtracking rounds.
         assert!(before[0] >= 4, "{} gradients in the first step", before[0]);
-        assert_eq!(before[1], 1);
         let nl = d.netlist();
         let active_pins: u64 = nl
             .iter_nets()
@@ -1396,13 +1428,13 @@ mod tests {
         for _ in 0..20 {
             placer.step();
             let after = read();
-            let [grads, values, calls, terms, density] = [0, 1, 2, 3, 4].map(|k| after[k] - before[k]);
-            // The opening gradient (no memo: γ moved), one per backtracking
-            // round, and the value-only statistics. The density pipeline
-            // runs the same rounds, its opening gradient from the memo.
-            assert_eq!(values, 1);
+            let [grads, calls, terms, density] = [0, 1, 2, 3].map(|k| after[k] - before[k]);
+            // The opening gradient (no memo: γ moved) and one per
+            // backtracking round; the statistics evaluate no WA. The density
+            // pipeline runs the same rounds, its opening gradient from the
+            // memo, and the statistics.
             assert_eq!(grads, density, "{grads} WA gradients, {density} density evaluations");
-            assert_eq!(terms, 4 * active_pins * (grads + values));
+            assert_eq!(terms, 4 * active_pins * grads);
             assert!(calls < terms, "{calls} exp calls for {terms} terms");
             first_round += u32::from(grads == 2);
             before = after;

@@ -1,14 +1,14 @@
 //! Divergence detection for the global placement loop.
 //!
 //! Numerical optimization over hundreds of thousands of coordinates can go
-//! wrong in ways that are cheap to detect and expensive to ignore: a NaN or
-//! infinity anywhere in the objective poisons every later iterate, a step
+//! wrong in ways that are cheap to detect and expensive to ignore: a NaN
+//! coordinate poisons every later iterate through the gradients, a step
 //! size past the Lipschitz bound makes the wirelength explode, and an
 //! overly aggressive momentum schedule can lock the overflow into a limit
-//! cycle. The [`DivergenceSentinel`] watches the per-iteration statistics
-//! for all three signatures; the engine responds by rolling back to the
-//! last healthy state and shrinking its step size instead of panicking (see
-//! [`crate::GlobalPlacer::step`]).
+//! cycle. The [`DivergenceSentinel`] watches each iterate's coordinates and
+//! statistics for all three signatures; the engine responds by rolling back
+//! to the last healthy state and shrinking its step size instead of
+//! panicking (see [`crate::GlobalPlacer::step`]).
 
 use puffer_db::cast;
 use crate::engine::IterationStats;
@@ -17,8 +17,8 @@ use std::collections::VecDeque;
 /// Why the sentinel flagged an iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Divergence {
-    /// A NaN or infinity in the statistics (objective, overflow, or a
-    /// coordinate that poisoned them).
+    /// A NaN or ±∞ movable coordinate, or a non-finite overflow, HPWL or
+    /// λ; see [`DivergenceSentinel::check`].
     NonFinite,
     /// The wirelength exploded relative to the healthiest iterate seen.
     Exploding,
@@ -61,12 +61,20 @@ impl DivergenceSentinel {
         }
     }
 
-    /// Examines one iteration's statistics; `Some(reason)` means the engine
-    /// should recover rather than commit this iterate.
-    pub fn check(&mut self, stats: &IterationStats) -> Option<Divergence> {
-        let finite = stats.overflow.is_finite()
+    /// Examines one iterate — its movable coordinates `coords` and its
+    /// statistics; `Some(reason)` means the engine should recover rather
+    /// than commit it.
+    ///
+    /// [`Divergence::NonFinite`] is flagged by exactly these inputs: a NaN
+    /// or ±∞ in `coords`, or a non-finite `overflow`, `hpwl` or `lambda`.
+    /// The coordinates are checked themselves because neither statistic
+    /// sees a NaN cell: the HPWL's `min`/`max` skip a NaN pin (only a net
+    /// whose pins are all NaN goes non-finite), and the density grid drops
+    /// a NaN rectangle.
+    pub fn check(&mut self, stats: &IterationStats, coords: &[f64]) -> Option<Divergence> {
+        let finite = coords.iter().all(|c| c.is_finite())
+            && stats.overflow.is_finite()
             && stats.hpwl.is_finite()
-            && stats.wa.is_finite()
             && stats.lambda.is_finite();
         if !finite {
             self.reset_window();
@@ -143,12 +151,14 @@ impl DivergenceSentinel {
 mod tests {
     use super::*;
 
+    /// The movable coordinates of a healthy iterate.
+    const COORDS: [f64; 4] = [1.0, 2.0, 3.0, 4.0];
+
     fn stats(overflow: f64, hpwl: f64) -> IterationStats {
         IterationStats {
             iter: 1,
             overflow,
             hpwl,
-            wa: hpwl,
             lambda: 1.0,
         }
     }
@@ -158,7 +168,7 @@ mod tests {
         let mut s = DivergenceSentinel::new(8);
         for i in 0..100 {
             let of = 1.0 / (1.0 + i as f64 * 0.1);
-            assert_eq!(s.check(&stats(of, 1000.0 + i as f64)), None, "iter {i}");
+            assert_eq!(s.check(&stats(of, 1000.0 + i as f64), &COORDS), None, "iter {i}");
         }
     }
 
@@ -168,7 +178,7 @@ mod tests {
         let mut s = DivergenceSentinel::new(8);
         for i in 0..100 {
             let of = 0.08 + 0.002 * ((i % 2) as f64);
-            assert_eq!(s.check(&stats(of, 1000.0)), None, "iter {i}");
+            assert_eq!(s.check(&stats(of, 1000.0), &COORDS), None, "iter {i}");
         }
     }
 
@@ -176,20 +186,38 @@ mod tests {
     fn nan_and_infinity_are_flagged() {
         let mut s = DivergenceSentinel::new(8);
         assert_eq!(
-            s.check(&stats(f64::NAN, 1000.0)),
+            s.check(&stats(f64::NAN, 1000.0), &COORDS),
             Some(Divergence::NonFinite)
         );
         assert_eq!(
-            s.check(&stats(0.5, f64::INFINITY)),
+            s.check(&stats(0.5, f64::INFINITY), &COORDS),
             Some(Divergence::NonFinite)
         );
     }
 
     #[test]
+    fn a_non_finite_coordinate_is_flagged_under_finite_statistics() {
+        let mut s = DivergenceSentinel::new(8);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut coords = COORDS;
+            coords[2] = bad;
+            assert_eq!(
+                s.check(&stats(0.5, 1000.0), &coords),
+                Some(Divergence::NonFinite),
+                "{bad}"
+            );
+        }
+        let mut lambda = stats(0.5, 1000.0);
+        lambda.lambda = f64::NAN;
+        assert_eq!(s.check(&lambda, &COORDS), Some(Divergence::NonFinite));
+        assert_eq!(s.check(&stats(0.5, 1000.0), &COORDS), None);
+    }
+
+    #[test]
     fn hpwl_explosion_is_flagged() {
         let mut s = DivergenceSentinel::new(8);
-        assert_eq!(s.check(&stats(0.5, 1000.0)), None);
-        assert_eq!(s.check(&stats(0.5, 1e9)), Some(Divergence::Exploding));
+        assert_eq!(s.check(&stats(0.5, 1000.0), &COORDS), None);
+        assert_eq!(s.check(&stats(0.5, 1e9), &COORDS), Some(Divergence::Exploding));
     }
 
     #[test]
@@ -198,7 +226,7 @@ mod tests {
         let mut flagged = false;
         for i in 0..40 {
             let of = if i % 2 == 0 { 0.9 } else { 0.4 };
-            if s.check(&stats(of, 1000.0)).is_some() {
+            if s.check(&stats(of, 1000.0), &COORDS).is_some() {
                 flagged = true;
                 break;
             }
@@ -211,14 +239,14 @@ mod tests {
         let mut s = DivergenceSentinel::new(4);
         for i in 0..20 {
             let of = if i % 2 == 0 { 0.9 } else { 0.4 };
-            if s.check(&stats(of, 1000.0)).is_some() {
+            if s.check(&stats(of, 1000.0), &COORDS).is_some() {
                 break;
             }
         }
         // Immediately after a trigger the window is empty again, so a few
         // healthy iterations cannot re-trigger from stale samples.
         for i in 0..3 {
-            assert_eq!(s.check(&stats(0.5 - 0.1 * i as f64, 1000.0)), None);
+            assert_eq!(s.check(&stats(0.5 - 0.1 * i as f64, 1000.0), &COORDS), None);
         }
     }
 
@@ -227,7 +255,7 @@ mod tests {
         let mut s = DivergenceSentinel::new(0);
         for i in 0..64 {
             let of = if i % 2 == 0 { 0.9 } else { 0.4 };
-            assert_eq!(s.check(&stats(of, 1000.0)), None);
+            assert_eq!(s.check(&stats(of, 1000.0), &COORDS), None);
         }
     }
 }

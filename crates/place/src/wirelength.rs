@@ -82,8 +82,6 @@ pub fn wa_wirelength_grad_threaded(
 pub struct WaCounts {
     /// [`WaWorkspace::gradient`] calls.
     pub grad_evals: u64,
-    /// [`WaWorkspace::value`] calls.
-    pub value_evals: u64,
     /// `exp` invocations actually made, each net-axis's shared span term
     /// included.
     pub exp_calls: u64,
@@ -96,10 +94,9 @@ pub struct WaCounts {
 /// reused: one pin buffer per worker, the per-cell gradient, and the
 /// per-chunk gradient lists of the workers that cannot accumulate in place.
 ///
-/// A `GlobalPlacer` keeps one for its lifetime and asks it for what a call
-/// site consumes: [`WaWorkspace::gradient`], or [`WaWorkspace::value`] where
-/// only the total is read. The workspace adapts to whatever netlist it is
-/// handed; nothing of an earlier evaluation survives into the next.
+/// A `GlobalPlacer` keeps one for its lifetime. The workspace adapts to
+/// whatever netlist it is handed; nothing of an earlier evaluation survives
+/// into the next.
 ///
 /// # Determinism
 ///
@@ -167,8 +164,7 @@ impl PinBuf {
 struct ChunkPart {
     value: f64,
     /// Per-pin gradient values of the chunk's contributing nets in (net,
-    /// pin) order; empty for value-only evaluations and for the chunks
-    /// whose owner accumulated directly.
+    /// pin) order; empty for the chunks whose owner accumulated directly.
     grad_x: Vec<f64>,
     grad_y: Vec<f64>,
     exp_calls: u64,
@@ -177,8 +173,6 @@ struct ChunkPart {
 
 /// Where a worker's per-pin gradients go.
 enum Sink<'a> {
-    /// Nowhere: the evaluation is value-only.
-    Discard,
     /// Straight into the per-cell output `(∂W/∂x, ∂W/∂y)`.
     Accumulate(&'a mut [f64], &'a mut [f64]),
     /// Onto the chunk's list.
@@ -224,60 +218,19 @@ impl WaWorkspace {
     ///
     /// Panics if `placement` has fewer cells than `netlist`.
     pub fn gradient(&mut self, netlist: &Netlist, placement: &Placement, gamma: f64) -> f64 {
-        self.counts.grad_evals += 1;
-        self.evaluate(netlist, placement, gamma, true)
-    }
-
-    /// The value [`WaWorkspace::gradient`] returns, bit for bit, without
-    /// the gradient: no per-pin derivative is computed and the last
-    /// gradient stays where it is.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`WaWorkspace::gradient`].
-    pub fn value(&mut self, netlist: &Netlist, placement: &Placement, gamma: f64) -> f64 {
-        self.counts.value_evals += 1;
-        self.evaluate(netlist, placement, gamma, false)
-    }
-
-    /// ∂W/∂x per cell (indexed by `CellId::index`), as of the last
-    /// [`WaWorkspace::gradient`] call.
-    pub fn grad_x(&self) -> &[f64] {
-        &self.grad_x
-    }
-
-    /// ∂W/∂y per cell; see [`WaWorkspace::grad_x`].
-    pub fn grad_y(&self) -> &[f64] {
-        &self.grad_y
-    }
-
-    /// The operation counts since the last call.
-    pub fn take_counts(&mut self) -> WaCounts {
-        std::mem::take(&mut self.counts)
-    }
-
-    fn evaluate(
-        &mut self,
-        netlist: &Netlist,
-        placement: &Placement,
-        gamma: f64,
-        want_grad: bool,
-    ) -> f64 {
         debug_assert!(gamma > 0.0, "gamma must be positive");
+        self.counts.grad_evals += 1;
         let num_nets = netlist.num_nets();
         if self.chunks.last().map_or(0, |r| r.end) != num_nets {
             self.chunks = puffer_par::chunk_ranges(num_nets);
             self.parts
                 .resize_with(self.chunks.len(), ChunkPart::default);
         }
-        let mut head = None;
-        if want_grad {
-            for grad in [&mut self.grad_x, &mut self.grad_y] {
-                grad.clear();
-                grad.resize(netlist.num_cells(), 0.0);
-            }
-            head = Some((&mut self.grad_x[..], &mut self.grad_y[..]));
+        for grad in [&mut self.grad_x, &mut self.grad_y] {
+            grad.clear();
+            grad.resize(netlist.num_cells(), 0.0);
         }
+        let mut head = Some((&mut self.grad_x[..], &mut self.grad_y[..]));
         let mut lanes: Vec<Lane<'_>> = self
             .lanes
             .iter_mut()
@@ -285,8 +238,7 @@ impl WaWorkspace {
                 buf,
                 sink: match head.take() {
                     Some((gx, gy)) => Sink::Accumulate(gx, gy),
-                    None if want_grad => Sink::List,
-                    None => Sink::Discard,
+                    None => Sink::List,
                 },
             })
             .collect();
@@ -325,6 +277,22 @@ impl WaWorkspace {
         }
         value
     }
+
+    /// ∂W/∂x per cell (indexed by `CellId::index`), as of the last
+    /// [`WaWorkspace::gradient`] call.
+    pub fn grad_x(&self) -> &[f64] {
+        &self.grad_x
+    }
+
+    /// ∂W/∂y per cell; see [`WaWorkspace::grad_x`].
+    pub fn grad_y(&self) -> &[f64] {
+        &self.grad_y
+    }
+
+    /// The operation counts since the last call.
+    pub fn take_counts(&mut self) -> WaCounts {
+        std::mem::take(&mut self.counts)
+    }
 }
 
 impl Nets<'_> {
@@ -342,7 +310,6 @@ impl Nets<'_> {
     fn chunk(&self, range: Range<usize>, part: &mut ChunkPart, lane: &mut Lane<'_>) {
         part.grad_x.clear();
         part.grad_y.clear();
-        let want_grad = !matches!(lane.sink, Sink::Discard);
         let buf = &mut *lane.buf;
         let mut value = 0.0;
         let mut exp_calls = 0;
@@ -373,14 +340,14 @@ impl Nets<'_> {
                     &coords[..d],
                     &mut buf.exp_p[..d],
                     &mut buf.exp_m[..d],
-                    want_grad.then_some((&mut grads[..d], weight)),
+                    &mut grads[..d],
+                    weight,
                     &mut exp_calls,
                 );
                 net_value += weight * wa;
             }
             value += net_value;
             match &mut lane.sink {
-                Sink::Discard => {}
                 Sink::Accumulate(out_x, out_y) => {
                     for ((&cell, gx), gy) in buf.cell[..d].iter().zip(&buf.grad_x).zip(&buf.grad_y)
                     {
@@ -399,16 +366,17 @@ impl Nets<'_> {
         part.exp_terms = exp_terms;
     }
 
-    /// One net's `WA⁺ − WA⁻` along one axis (unweighted); with `grads`,
-    /// also `weight · ∂(WA⁺ − WA⁻)/∂xⱼ` per pin. `exp_p`/`exp_m` are scratch
-    /// of the net's degree.
+    /// One net's `WA⁺ − WA⁻` along one axis (unweighted), and
+    /// `weight · ∂(WA⁺ − WA⁻)/∂xⱼ` per pin into `grads`. `exp_p`/`exp_m`
+    /// are scratch of the net's degree.
     #[inline]
     fn axis(
         &self,
         coords: &[f64],
         exp_p: &mut [f64],
         exp_m: &mut [f64],
-        grads: Option<(&mut [f64], f64)>,
+        grads: &mut [f64],
+        w: f64,
         exp_calls: &mut u64,
     ) -> f64 {
         let inv_gamma = self.inv_gamma;
@@ -452,20 +420,18 @@ impl Nets<'_> {
             sxm += x * *em;
         }
 
-        if let Some((grads, w)) = grads {
-            // ∂WA⁺/∂xⱼ = ((1 + xⱼ/γ)·eⱼ⁺·S⁺ − eⱼ⁺·SX⁺/γ) / S⁺²
-            // ∂WA⁻/∂xⱼ = ((1 − xⱼ/γ)·eⱼ⁻·S⁻ + eⱼ⁻·SX⁻/γ) / S⁻²
-            //
-            // Pure arithmetic over contiguous slices with the reciprocals
-            // hoisted out of the loop, which LLVM autovectorises; the
-            // cell-indexed scatter is the sink's.
-            let inv_sp2 = 1.0 / (sp * sp);
-            let inv_sm2 = 1.0 / (sm * sm);
-            for (((g, &x), &ep), &em) in grads.iter_mut().zip(coords).zip(&*exp_p).zip(&*exp_m) {
-                let dp = ((1.0 + x * inv_gamma) * ep * sp - ep * sxp * inv_gamma) * inv_sp2;
-                let dm = ((1.0 - x * inv_gamma) * em * sm + em * sxm * inv_gamma) * inv_sm2;
-                *g = w * (dp - dm);
-            }
+        // ∂WA⁺/∂xⱼ = ((1 + xⱼ/γ)·eⱼ⁺·S⁺ − eⱼ⁺·SX⁺/γ) / S⁺²
+        // ∂WA⁻/∂xⱼ = ((1 − xⱼ/γ)·eⱼ⁻·S⁻ + eⱼ⁻·SX⁻/γ) / S⁻²
+        //
+        // Pure arithmetic over contiguous slices with the reciprocals
+        // hoisted out of the loop, which LLVM autovectorises; the
+        // cell-indexed scatter is the sink's.
+        let inv_sp2 = 1.0 / (sp * sp);
+        let inv_sm2 = 1.0 / (sm * sm);
+        for (((g, &x), &ep), &em) in grads.iter_mut().zip(coords).zip(&*exp_p).zip(&*exp_m) {
+            let dp = ((1.0 + x * inv_gamma) * ep * sp - ep * sxp * inv_gamma) * inv_sp2;
+            let dm = ((1.0 - x * inv_gamma) * em * sm + em * sxm * inv_gamma) * inv_sm2;
+            *g = w * (dp - dm);
         }
         sxp / sp - sxm / sm
     }
@@ -595,13 +561,12 @@ mod tests {
         let counts = |xs: &[f64]| {
             let (nl, p) = line_net(xs);
             let mut ws = WaWorkspace::new(1);
-            let value = ws.value(&nl, &p, 1.5);
-            assert_eq!(ws.gradient(&nl, &p, 1.5).to_bits(), value.to_bits());
+            ws.gradient(&nl, &p, 1.5);
             let c = ws.take_counts();
-            assert_eq!((c.value_evals, c.grad_evals), (1, 1));
+            assert_eq!(c.grad_evals, 1);
             assert_eq!(ws.take_counts(), WaCounts::default(), "taking resets");
-            // Both forms, both axes.
-            (c.exp_calls / 4, c.exp_terms / 4)
+            // Both axes.
+            (c.exp_calls / 2, c.exp_terms / 2)
         };
         // Distinct coordinates: the span once, then every pin that is
         // neither the max nor the min twice — 2d − 3 of 2d.
@@ -630,8 +595,8 @@ mod tests {
     }
 
     /// What `warm_step_faults.rs` cannot see at test sizes: once warm, an
-    /// evaluation in either form at any worker count keeps every buffer
-    /// where it is — the per-chunk lists of the list sink included.
+    /// evaluation at any worker count keeps every buffer where it is — the
+    /// per-chunk lists of the list sink included.
     #[test]
     fn a_warm_evaluation_reallocates_nothing() {
         let d = puffer_gen::generate(&puffer_gen::GeneratorConfig {
@@ -655,21 +620,9 @@ mod tests {
             for (i, id) in nl.movable_cells().enumerate() {
                 p.set(id, Point::new((i % 17) as f64, (i % 5) as f64));
             }
-            ws.value(nl, &p, 0.3);
             ws.gradient(nl, &p, 0.3);
             assert_eq!(buffers(&ws), warm, "threads {threads}");
         }
-    }
-
-    #[test]
-    fn the_value_form_leaves_the_last_gradient_alone() {
-        let (nl, p) = line_net(&[0.0, 2.0, 7.0]);
-        let mut ws = WaWorkspace::new(2);
-        ws.gradient(&nl, &p, 1.0);
-        let before = (ws.grad_x().to_vec(), ws.grad_y().to_vec());
-        let (_, moved) = line_net(&[1.0, 2.0, 3.0]);
-        ws.value(&nl, &moved, 0.25);
-        assert_eq!((ws.grad_x().to_vec(), ws.grad_y().to_vec()), before);
     }
 
     #[test]

@@ -203,7 +203,7 @@ fn designs() -> [(&'static str, (Netlist, Placement)); 3] {
 }
 
 /// The fixture text as `eval` computes it.
-fn render(eval: impl Fn(&Netlist, &Placement, f64) -> WirelengthGrad) -> String {
+fn render(mut eval: impl FnMut(&Netlist, &Placement, f64) -> WirelengthGrad) -> String {
     let mut out = String::new();
     for (name, (netlist, placement)) in &designs() {
         for gamma in GAMMAS {
@@ -250,24 +250,18 @@ fn the_gradient_form_reproduces_the_fixture_at_every_thread_count() {
     }
 }
 
-/// The value-only form has no gradient to pin, so it is held to the
-/// gradient form's `value` — on one workspace, whatever it evaluated before.
+/// One workspace across every design and γ, as a placer keeps it: each
+/// evaluation runs over whatever the one before left in its buffers.
 #[test]
-fn the_value_only_form_returns_the_gradient_forms_value() {
-    let designs = designs();
+fn a_reused_workspace_reproduces_the_fixture() {
     for threads in [1, 2, 3, 4] {
         let mut ws = WaWorkspace::new(threads);
-        for (name, (netlist, placement)) in &designs {
-            for gamma in GAMMAS {
-                let value = ws.value(netlist, placement, gamma);
-                let full = ws.gradient(netlist, placement, gamma);
-                assert_eq!(
-                    hex(value),
-                    hex(full),
-                    "{name}, gamma {gamma}, threads {threads}"
-                );
-            }
-        }
+        let got = render(|nl, p, gamma| WirelengthGrad {
+            value: ws.gradient(nl, p, gamma),
+            grad_x: ws.grad_x().to_vec(),
+            grad_y: ws.grad_y().to_vec(),
+        });
+        assert_matches_fixture(&format!("reused, threads {threads}"), &got);
     }
 }
 

@@ -29,7 +29,8 @@
 //!
 //! | kind | emitted by | fields |
 //! |---|---|---|
-//! | `place.iter` | `puffer-place` | `iter`, `hpwl`, `wa`, `overflow`, `gamma`, `lambda`, `alpha`, `recoveries` |
+//! | `place.iter` | `puffer-place` | `iter`, `hpwl`, `overflow`, `gamma`, `lambda`, `alpha`, `recoveries` |
+//! | `place.recover` | `puffer-place` | `iter`, `reason` |
 //! | `congest.round` | `puffer-congest` | `overflow_h`, `overflow_v`, `demand`, `capacity`, `congested`, `h_hist`, `v_hist` |
 //! | `pad.round` | `puffer-pad` | `round`, `utilization`, `target_utilization`, `padded_cells`, `recycled_cells`, `scale` |
 //! | `explore.trial` | `puffer-explore` | `trial`, `status`, `objective`, `params` |

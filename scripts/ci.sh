@@ -64,8 +64,8 @@ echo "==> validated flow smoke (place --validate + puffer audit)"
 # Deterministic-parallelism smoke: --threads must not change results. The
 # checkpoint journals and placements of a 1-thread and a 4-thread run are
 # byte-identical (the puffer-par kernels are bit-identical by design).
-# The `wa` of each place.iter record comes from the WA kernel's value-only
-# form, whose result reaches no journal: the records are compared too, minus
+# The place.iter records carry the step's statistics and step size, of which
+# the journal keeps only the latest: the records are compared too, minus
 # their timestamps. So are the congestion estimator's own outputs, the
 # congest.round records of every padding round, which otherwise are checked
 # only through the placement they steer.
@@ -128,11 +128,15 @@ done
 
 # Bounded-execution smoke: an expired deadline must still exit 0 with a
 # legal best-so-far placement, and the flow rows of the chaos harness
-# (worker-panic, nan-burst) must each survive two seeded injections.
+# (worker-panic, nan-burst) must each survive two seeded injections. The
+# nan-burst rows must report the burst's recovery as non-finite, the verdict
+# the sentinel reaches by checking the iterate's coordinates.
 echo "==> bounded execution smoke (place --deadline + puffer chaos --classes flow)"
 "$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/deadline.pl" \
   --deadline 0.001 --degrade default
-"$PUFFER" chaos --classes flow --seeds 4
+"$PUFFER" chaos --classes flow --seeds 4 > "$SMOKE_DIR/chaos-flow.out"
+cat "$SMOKE_DIR/chaos-flow.out"
+test "$(grep -c 'nan-burst .*(non-finite objective)' "$SMOKE_DIR/chaos-flow.out")" -eq 2
 
 # Durable I/O gates: the fsx unit suite with the fault hooks compiled in,
 # then 24 seeded filesystem-fault injections (disk-full, torn-write,

@@ -436,32 +436,37 @@ fn transform_count_outside_the_density_evaluations_is_detected() {
 #[test]
 fn impossible_wa_counters_are_detected() {
     let dir = tmp_dir("wa-counters");
-    let audit = |name: &str, [grads, values, calls, terms]: [u64; 4]| {
-        let lines = [
-            ("place.wa_grad_evals", grads),
-            ("place.wa_value_evals", values),
-            ("place.wa_exp_calls", calls),
-            ("place.wa_exp_terms", terms),
-        ]
-        .map(|(counter, value)| {
-            format!(r#"{{"t":"counter","elapsed_s":0.1,"name":"{counter}","value":{value}}}"#)
-        });
+    let audit = |name: &str, counters: &[(&str, u64)]| {
+        let lines: Vec<String> = counters
+            .iter()
+            .map(|(counter, value)| {
+                format!(r#"{{"t":"counter","elapsed_s":0.1,"name":"place.wa_{counter}","value":{value}}}"#)
+            })
+            .collect();
         let path = dir.join(name);
-        write_lines(&path, &[&lines[0], &lines[1], &lines[2], &lines[3]]);
+        write_lines(&path, &lines.iter().map(String::as_str).collect::<Vec<_>>());
         audit_metrics(&path)
     };
-    // 440 gradients + 200 value-only evaluations of 2151 pins, 41 % elided.
-    let terms = 4 * 2151 * 640;
-    audit("good.jsonl", [440, 200, 3_240_960, terms]).expect("the golden run's shape passes");
+    let shape = |grads, calls, terms| [("grad_evals", grads), ("exp_calls", calls), ("exp_terms", terms)];
+    // 440 gradients of 2151 pins, 41 % elided.
+    let terms = 4 * 2151 * 440;
+    audit("good.jsonl", &shape(440, 2_228_160, terms)).expect("the golden run's shape passes");
+    // A file from when every step added a value-only evaluation: 200 more
+    // evaluations name their terms too.
+    let old_terms = 4 * 2151 * 640;
+    let old = [&shape(440, 3_240_960, old_terms)[..], &[("value_evals", 200)]].concat();
+    audit("old.jsonl", &old).expect("a file with value-only evaluations passes");
     for (name, bad) in [
         // More calls than Eq. (2) has exponentials.
-        ("calls.jsonl", [440, 200, terms + 1, terms]),
+        ("calls.jsonl", shape(440, terms + 1, terms)),
         // A term count no whole number of pins per evaluation makes.
-        ("terms.jsonl", [440, 200, 3_240_960, terms + 4]),
-        ("evals.jsonl", [440, 201, 3_240_960, terms]),
-        ("none.jsonl", [0, 0, 0, 8]),
+        ("terms.jsonl", shape(440, 2_228_160, terms + 4)),
+        ("evals.jsonl", shape(441, 2_228_160, terms)),
+        ("none.jsonl", shape(0, 0, 8)),
+        // The old file's terms without the evaluations that named them.
+        ("unnamed.jsonl", shape(440, 3_240_960, old_terms)),
     ] {
-        let report = audit(name, bad).expect_err("impossible WA counters must be caught");
+        let report = audit(name, &bad).expect_err("impossible WA counters must be caught");
         assert!(
             report.violations.iter().any(|v| v.check == "wa-counters"),
             "{name}: {report}"

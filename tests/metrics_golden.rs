@@ -1,8 +1,9 @@
 //! Golden test for the telemetry pipeline: a `place --metrics` run on a
 //! tiny preset must produce schema-valid JSONL whose contents are
 //! consistent with the flow result — one `place.iter` record per GP
-//! iteration, the full stage-span set, and top-level stage times that
-//! sum to (within tolerance) the reported runtime.
+//! iteration, the full stage-span set (checkpoint writes included), and
+//! top-level stage times that sum to (within tolerance) the reported
+//! runtime.
 
 use puffer_trace::{read_jsonl, ParsedRecord};
 use std::path::PathBuf;
@@ -25,6 +26,7 @@ fn metrics_run_is_schema_valid_and_consistent() {
     let design = tmp("golden.pd");
     let placed = tmp("golden.pl");
     let metrics = tmp("golden.jsonl");
+    let journal = tmp("golden.pj");
     run_cli(&[
         "gen",
         "--preset",
@@ -41,6 +43,10 @@ fn metrics_run_is_schema_valid_and_consistent() {
         placed.to_str().unwrap(),
         "--metrics",
         metrics.to_str().unwrap(),
+        "--journal",
+        journal.to_str().unwrap(),
+        "--checkpoint-every",
+        "10",
     ]);
 
     let records = read_jsonl(&metrics).expect("metrics must parse as JSONL");
@@ -87,7 +93,7 @@ fn metrics_run_is_schema_valid_and_consistent() {
     // only top-level labels — no '/' — are summed.)
     let spans = of_kind("span");
     let label = |r: &ParsedRecord| r.str_field("label").unwrap().to_string();
-    for stage in ["init", "gp", "legal", "gp/pad"] {
+    for stage in ["init", "gp", "legal", "gp/pad", "gp/journal", "journal"] {
         assert!(
             spans.iter().any(|r| label(r) == stage),
             "missing span record for stage {stage:?}"
@@ -110,6 +116,14 @@ fn metrics_run_is_schema_valid_and_consistent() {
         .find(|r| label(r) == "gp/pad")
         .expect("gp/pad span");
     assert_eq!(pad_span.num("count"), Some(pad_rounds as f64));
+
+    // One checkpoint write every 10 iterations inside the loop, one after.
+    let count = |stage: &str| {
+        let r = spans.iter().find(|r| label(r) == stage).unwrap();
+        r.num("count").unwrap() as usize
+    };
+    assert_eq!(count("gp/journal"), gp_iterations / 10);
+    assert_eq!(count("journal"), 1);
 
     // The density pipeline's exact counters. A first-round-accepted step
     // is 3 transforms: the one new gradient's (its opening gradient comes
@@ -137,20 +151,23 @@ fn metrics_run_is_schema_valid_and_consistent() {
     assert!(counter("fft.transforms2d") < 4 * gp_iterations);
 
     // The WA kernel's exact counters. Every density gradient request — from
-    // the memo or not — has a WA gradient beside it, and every step reads
-    // one value-only evaluation (no recovery fired here). `terms` is what
-    // Eq. (2) names, 4 exponentials per pin of a contributing net per
-    // evaluation; `calls` is what the kernel ran. The pinned values make any
-    // change to the elision visible; the bound keeps un-elided evaluation
-    // (calls = terms) from coming back.
+    // the memo or not — has a WA gradient beside it, and the statistics
+    // pass evaluates no WA. `terms` is what Eq. (2) names, 4 exponentials
+    // per pin of a contributing net per evaluation; `calls` is what the
+    // kernel ran. Both were pinned when every step also made one value-only
+    // evaluation, at 440 + 200 evaluations: 5_506_560 terms (4 × 2151 pins
+    // each) and 3_240_960 calls. Terms per evaluation are constant, and so
+    // are calls on this design (5_064 each), so both scale by 440 / 640:
+    // 3_785_760 and 2_228_160. The pinned values make any change to the
+    // elision or the evaluation count visible; the bound keeps un-elided
+    // evaluation (calls = terms) from coming back.
     assert_eq!(counter("place.wa_grad_evals"), 440);
     assert_eq!(
         counter("place.wa_grad_evals"),
         counter("place.density_evals") - gp_iterations + counter("place.density_memo_hits")
     );
-    assert_eq!(counter("place.wa_value_evals"), gp_iterations);
-    assert_eq!(counter("place.wa_exp_terms"), 5_506_560);
-    assert_eq!(counter("place.wa_exp_calls"), 3_240_960);
+    assert_eq!(counter("place.wa_exp_terms"), 3_785_760);
+    assert_eq!(counter("place.wa_exp_calls"), 2_228_160);
     assert!(10 * counter("place.wa_exp_calls") <= 6 * counter("place.wa_exp_terms"));
 
     // The CLI validator and the metrics audit agree.
