@@ -106,29 +106,19 @@ pub struct LintFinding {
     pub rule: &'static str,
     /// Path relative to the workspace root, with forward slashes.
     pub path: String,
-    /// 1-based line, or 0 for whole-file findings.
-    pub line: usize,
     /// What was found.
     pub message: String,
 }
 
 impl fmt::Display for LintFinding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "{}: [{}] {}", self.path, self.rule, self.message)
-        } else {
-            write!(
-                f,
-                "{}:{}: [{}] {}",
-                self.path, self.line, self.rule, self.message
-            )
-        }
+        write!(f, "{}: [{}] {}", self.path, self.rule, self.message)
     }
 }
 
 impl LintFinding {
     /// The finding as one flat JSON object (no trailing newline), for
-    /// `puffer lint --json`: `{"rule":…,"path":…,"line":…,"message":…}`.
+    /// `puffer lint --json`: `{"rule":…,"path":…,"message":…}`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
@@ -136,9 +126,7 @@ impl LintFinding {
         puffer_trace::escape_into(self.rule, &mut out);
         out.push_str("\",\"path\":\"");
         puffer_trace::escape_into(&self.path, &mut out);
-        out.push_str("\",\"line\":");
-        out.push_str(&self.line.to_string());
-        out.push_str(",\"message\":\"");
+        out.push_str("\",\"message\":\"");
         puffer_trace::escape_into(&self.message, &mut out);
         out.push_str("\"}");
         out
@@ -204,8 +192,7 @@ pub fn lint_workspace(config: &LintConfig) -> Result<LintReport, LintError> {
             report.findings.push(LintFinding {
                 rule: "layering",
                 path: rel_manifest,
-                line: 0,
-                message: "manifest has no [package] name".to_string(),
+                    message: "manifest has no [package] name".to_string(),
             });
             continue;
         };
@@ -232,8 +219,7 @@ pub fn lint_workspace(config: &LintConfig) -> Result<LintReport, LintError> {
                 report.findings.push(LintFinding {
                     rule: "forbid-unsafe",
                     path: rel,
-                    line: 0,
-                    message: "crate root lacks #![forbid(unsafe_code)]".to_string(),
+                            message: "crate root lacks #![forbid(unsafe_code)]".to_string(),
                 });
             }
         }
@@ -241,7 +227,7 @@ pub fn lint_workspace(config: &LintConfig) -> Result<LintReport, LintError> {
 
     report
         .findings
-        .sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
+        .sort_by(|a, b| a.path.cmp(&b.path));
     Ok(report)
 }
 
@@ -299,7 +285,6 @@ fn check_layering(
         findings.push(LintFinding {
             rule: "layering",
             path: rel_manifest.to_string(),
-            line: 0,
             message: format!(
                 "crate '{package}' is not in the architecture layer table; add it to \
                  LAYERS in puffer-audit"
@@ -315,14 +300,12 @@ fn check_layering(
             None => findings.push(LintFinding {
                 rule: "layering",
                 path: rel_manifest.to_string(),
-                line: 0,
-                message: format!("dependency '{dep}' is not in the architecture layer table"),
+                    message: format!("dependency '{dep}' is not in the architecture layer table"),
             }),
             Some(dep_layer) if dep_layer >= layer => findings.push(LintFinding {
                 rule: "layering",
                 path: rel_manifest.to_string(),
-                line: 0,
-                message: format!(
+                    message: format!(
                     "'{package}' (layer {layer}) may not depend on '{dep}' (layer \
                      {dep_layer}); dependencies must point strictly downward"
                 ),

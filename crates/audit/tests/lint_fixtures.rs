@@ -71,7 +71,7 @@ fn missing_forbid_unsafe_is_a_finding() {
     fx.add_crate("db", "puffer-db", &[], "pub fn ok() {}\n");
     let report = fx.lint().unwrap();
     assert_eq!(rules_of(&report), vec!["forbid-unsafe"]);
-    assert_eq!(report.findings[0].line, 0);
+    assert_eq!(report.findings[0].path, "crates/db/src/lib.rs");
 }
 
 #[test]
@@ -156,7 +156,9 @@ fn json_lines_emits_one_flat_object_per_finding() {
     assert_eq!(lines.len(), 1);
     assert!(lines[0].starts_with("{\"rule\":\"forbid-unsafe\""), "{json}");
     assert!(lines[0].contains("\"path\":\"crates/db/src/lib.rs\""), "{json}");
-    assert!(lines[0].contains("\"line\":0"), "{json}");
+    // The schema is {"rule","path","message"}: findings are whole-file.
+    assert!(!lines[0].contains("\"line\""), "{json}");
+    assert!(lines[0].contains("\"message\":\""), "{json}");
     assert!(lines[0].ends_with('}'), "{json}");
     assert!(json.ends_with('\n'), "json_lines output must be newline-terminated");
 }

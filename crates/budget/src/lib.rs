@@ -7,10 +7,11 @@
 //! typed `Cancelled` error where no partial result exists) instead of a
 //! `kill -9`. On top of the raw budget sit two cooperating mechanisms:
 //!
-//! * [`DegradationLadder`] — a declared order in which the flow steps down
-//!   fidelity as the deadline nears (coarsen congestion estimation, freeze
-//!   padding updates, cap remaining SMBO trials, early-exit global
-//!   placement at the current overflow);
+//! * the degradation ladder — the constant order ([`DegradeStep::ALL`]) in
+//!   which every loop polling a bounded budget steps down fidelity as the
+//!   deadline nears (coarsen congestion estimation at 50 % of the budget
+//!   left, freeze padding updates at 35 %, cap remaining SMBO trials at
+//!   20 %, early-exit global placement at 8 %), tracked by [`LadderState`];
 //! * [`FaultClass`]/[`ChaosPlan`] — the deterministic fault-injection
 //!   vocabulary consumed by the [`fsx`] fault hook, the `chaos` feature of
 //!   the core flow and the `puffer chaos` harness.
@@ -280,7 +281,7 @@ impl Budget {
     }
 
     /// Fraction of the budget still available in `[0, 1]`; `1.0` for an
-    /// unbounded budget. This is what the [`DegradationLadder`] thresholds
+    /// unbounded budget. This is what the [`DegradeStep::default_threshold`]s
     /// are compared against.
     pub fn fraction_remaining(&self) -> f64 {
         match (self.remaining(), self.total) {
@@ -317,7 +318,7 @@ pub enum DegradeStep {
 }
 
 impl DegradeStep {
-    /// Every step, in the default ladder order.
+    /// Every step, in ladder order.
     pub const ALL: [DegradeStep; 4] = [
         DegradeStep::CoarseCongestion,
         DegradeStep::FreezePadding,
@@ -335,7 +336,7 @@ impl DegradeStep {
         }
     }
 
-    /// The default fraction-remaining threshold at which the step engages.
+    /// The fraction-remaining threshold at which the step engages.
     /// Ordered: cheaper fidelity losses engage earlier.
     pub fn default_threshold(self) -> f64 {
         match self {
@@ -344,12 +345,6 @@ impl DegradeStep {
             DegradeStep::CapTrials => 0.20,
             DegradeStep::EarlyExitGp => 0.08,
         }
-    }
-}
-
-impl fmt::Display for DegradeStep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -367,125 +362,47 @@ impl FromStr for DegradeStep {
     }
 }
 
-/// A declared, ordered fidelity-reduction schedule: each step engages once
-/// the [`Budget::fraction_remaining`] drops to its threshold. Thresholds
-/// must be non-increasing so the declared order is also the engagement
-/// order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradationLadder {
-    steps: Vec<(DegradeStep, f64)>,
-}
-
-impl Default for DegradationLadder {
-    fn default() -> Self {
-        DegradationLadder {
-            steps: DegradeStep::ALL
-                .into_iter()
-                .map(|s| (s, s.default_threshold()))
-                .collect(),
-        }
-    }
-}
-
-impl DegradationLadder {
-    /// An empty ladder: never degrade, only hard-cancel at the deadline.
-    pub fn none() -> Self {
-        DegradationLadder { steps: Vec::new() }
-    }
-
-    /// The declared `(step, threshold)` schedule.
-    pub fn steps(&self) -> &[(DegradeStep, f64)] {
-        &self.steps
-    }
-
-    /// Parses a CLI ladder spec: a comma-separated list of step names, each
-    /// optionally carrying an explicit threshold as `name@fraction`
-    /// (e.g. `coarse-congestion,freeze-padding@0.3,early-exit-gp`).
-    /// `default` yields [`DegradationLadder::default`], `none` an empty
-    /// ladder.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the unknown step, a malformed/out-of-range
-    /// threshold, or an order whose thresholds increase (which would engage
-    /// steps out of the declared order).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        match spec.trim() {
-            "default" | "" => return Ok(DegradationLadder::default()),
-            "none" => return Ok(DegradationLadder::none()),
-            _ => {}
-        }
-        let mut steps = Vec::new();
-        let mut prev = f64::INFINITY;
-        for part in spec.split(',') {
-            let part = part.trim();
-            let (name, threshold) = match part.split_once('@') {
-                Some((name, frac)) => {
-                    let t: f64 = frac
-                        .parse()
-                        .map_err(|_| format!("bad threshold '{frac}' in '{part}'"))?;
-                    if !(0.0..=1.0).contains(&t) {
-                        return Err(format!("threshold {t} in '{part}' must be in [0, 1]"));
-                    }
-                    (name, Some(t))
-                }
-                None => (part, None),
-            };
-            let step: DegradeStep = name.parse()?;
-            let threshold = threshold.unwrap_or_else(|| step.default_threshold().min(prev));
-            if threshold > prev {
-                return Err(format!(
-                    "ladder thresholds must be non-increasing: {step} engages at \
-                     {threshold} after a step at {prev}"
-                ));
-            }
-            if steps.iter().any(|(s, _)| *s == step) {
-                return Err(format!("duplicate ladder step '{step}'"));
-            }
-            prev = threshold;
-            steps.push((step, threshold));
-        }
-        Ok(DegradationLadder { steps })
-    }
-}
-
-/// Engagement state of a [`DegradationLadder`] over one run.
-#[derive(Debug, Clone)]
+/// Engagement state of the degradation ladder over one run: the rungs of
+/// [`DegradeStep::ALL`] engaged so far, in engagement order.
+#[derive(Debug, Clone, Default)]
 pub struct LadderState {
-    ladder: DegradationLadder,
-    engaged: usize,
+    engaged: Vec<DegradeStep>,
 }
 
 impl LadderState {
-    /// Fresh state: nothing engaged yet.
-    pub fn new(ladder: DegradationLadder) -> Self {
-        LadderState { ladder, engaged: 0 }
+    /// A state past `steps` (a resumed run's journaled rungs): they count as
+    /// engaged and never engage again.
+    pub fn resumed(steps: &[DegradeStep]) -> Self {
+        LadderState {
+            engaged: steps.to_vec(),
+        }
     }
 
-    /// Engages every step whose threshold the budget has crossed and
-    /// returns the newly engaged ones, in ladder order. Steps engage at
-    /// most once; an unbounded budget never engages anything.
+    /// Engages every rung whose [`DegradeStep::default_threshold`] the
+    /// budget's remaining fraction has dropped to and returns the newly
+    /// engaged ones, in ladder order. Rungs engage at most once; an
+    /// unbounded budget never engages anything.
     pub fn poll(&mut self, budget: &Budget) -> Vec<DegradeStep> {
         if !budget.is_bounded() {
             return Vec::new();
         }
         let frac = budget.fraction_remaining();
-        let mut fresh = Vec::new();
-        while let Some(&(step, threshold)) = self.ladder.steps.get(self.engaged) {
-            if frac > threshold {
-                break;
-            }
-            self.engaged += 1;
-            fresh.push(step);
-        }
+        let fresh: Vec<DegradeStep> = DegradeStep::ALL
+            .into_iter()
+            .filter(|s| frac <= s.default_threshold() && !self.engaged.contains(s))
+            .collect();
+        self.engaged.extend(&fresh);
         fresh
     }
 
     /// Whether `step` has engaged.
     pub fn is_engaged(&self, step: DegradeStep) -> bool {
-        self.ladder.steps[..self.engaged]
-            .iter()
-            .any(|(s, _)| *s == step)
+        self.engaged.contains(&step)
+    }
+
+    /// The rungs engaged so far, in engagement order.
+    pub fn engaged(&self) -> &[DegradeStep] {
+        &self.engaged
     }
 }
 
@@ -656,47 +573,24 @@ mod tests {
     }
 
     #[test]
-    fn ladder_parses_specs() {
-        assert_eq!(
-            DegradationLadder::parse("default").unwrap(),
-            DegradationLadder::default()
-        );
-        assert!(DegradationLadder::parse("none").unwrap().steps().is_empty());
-        let l = DegradationLadder::parse("freeze-padding@0.4,early-exit-gp@0.1").unwrap();
-        assert_eq!(
-            l.steps(),
-            &[
-                (DegradeStep::FreezePadding, 0.4),
-                (DegradeStep::EarlyExitGp, 0.1)
-            ]
-        );
-        assert!(DegradationLadder::parse("nope").is_err());
-        assert!(DegradationLadder::parse("freeze-padding@2.0").is_err());
-        assert!(DegradationLadder::parse("freeze-padding,freeze-padding").is_err());
-        // Increasing thresholds violate the declared order.
-        assert!(DegradationLadder::parse("early-exit-gp@0.1,freeze-padding@0.4").is_err());
-    }
-
-    #[test]
-    fn ladder_defaults_respect_declared_order() {
-        // A step listed after a tighter one inherits the tighter threshold
-        // rather than erroring (its default would be higher).
-        let l = DegradationLadder::parse("early-exit-gp@0.1,cap-trials").unwrap();
-        assert_eq!(l.steps()[1], (DegradeStep::CapTrials, 0.1));
-    }
-
-    #[test]
     fn ladder_state_engages_in_order() {
-        let mut state = LadderState::new(DegradationLadder::default());
+        let mut state = LadderState::default();
         assert!(state.poll(&Budget::unbounded()).is_empty());
+        // A fresh hour-long deadline engages nothing yet.
+        assert!(state.poll(&Budget::with_deadline(Duration::from_secs(3600))).is_empty());
         // An already-expired budget engages the whole ladder at once.
         let expired = Budget::with_deadline(Duration::ZERO);
         let fresh = state.poll(&expired);
         assert_eq!(fresh, DegradeStep::ALL.to_vec());
         assert!(state.poll(&expired).is_empty(), "steps engage once");
-        for step in DegradeStep::ALL {
-            assert!(state.is_engaged(step));
-        }
+        assert_eq!(state.engaged(), DegradeStep::ALL);
+        // A resumed state never re-engages its journaled rungs, even out
+        // of ladder order.
+        let mut resumed = LadderState::resumed(&[DegradeStep::FreezePadding]);
+        assert_eq!(
+            resumed.poll(&expired),
+            [DegradeStep::CoarseCongestion, DegradeStep::CapTrials, DegradeStep::EarlyExitGp]
+        );
     }
 
     #[test]

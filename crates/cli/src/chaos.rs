@@ -56,24 +56,17 @@ fn pick(rows: &[Row], seed: u64) -> Row {
     rows[(seed % rows.len() as u64) as usize]
 }
 
-pub(super) fn cmd_chaos(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["seeds", "cells", "max-iters", "classes"], &[])?;
-    if !flags.positional.is_empty() {
-        return Err(CliError::usage("chaos takes no positional arguments"));
-    }
-    let seeds: u64 = flags.get_parsed("seeds")?.unwrap_or(8);
-    if seeds == 0 {
-        return Err(CliError::usage("--seeds must be at least 1"));
-    }
-    let cells: usize = flags.get_parsed("cells")?.unwrap_or(250);
-    let max_iters: usize = flags.get_parsed("max-iters")?.unwrap_or(60);
+pub(super) fn cmd_chaos(flags: &Flags, out: &mut String) -> Result<(), CliError> {
+    let seeds: u64 = flags.value("seeds")?;
+    let cells: usize = flags.value("cells")?;
+    let max_iters: usize = flags.value("max-iters")?;
     if max_iters < 10 {
         return Err(CliError::usage(
             "--max-iters must be at least 10 (injection points are drawn from 2..10)",
         ));
     }
-    let classes = flags.get("classes").unwrap_or("all");
-    let rows = select(classes);
+    let classes: String = flags.value("classes")?;
+    let rows = select(&classes);
     if rows.is_empty() {
         return Err(CliError::usage(format!(
             "--classes must be all, flow, fs, or serve (got '{classes}')"
@@ -162,7 +155,6 @@ fn worker_panic(case: &Case) -> Result<String, String> {
         &config,
         &Trace::disabled(),
         &Budget::unbounded(),
-        None,
     )
     .map_err(|e| format!("exploration died instead of isolating the panic: {e}"))?;
     if outcome.failed_trials == 0 {
@@ -405,8 +397,8 @@ mod tests {
             &["--max-iters", "5"][..],
             &["extra"][..],
         ] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            let err = cmd_chaos(&args, &mut String::new()).unwrap_err();
+            let args: Vec<String> = ["chaos"].iter().chain(bad).map(|s| s.to_string()).collect();
+            let err = crate::run(&args, &mut String::new()).unwrap_err();
             assert_eq!(err.code, 2, "{bad:?}: {}", err.message);
         }
     }

@@ -1,15 +1,11 @@
 //! Implementation of the `puffer` command-line tool.
 //!
 //! The binary wires the workspace crates into a file-based flow over the
-//! [`puffer_db::io`] text format:
-//!
-//! ```text
-//! puffer gen     --preset media_subsys --scale 0.01 -o design.pd
-//! puffer stats   design.pd
-//! puffer place   design.pd -o placed.pl [--flow puffer|reference|replace]
-//! puffer eval    design.pd placed.pl [--maps out_dir]
-//! puffer refine  design.pd placed.pl -o refined.pl [--guard]
-//! ```
+//! [`puffer_db::io`] text format. [`COMMANDS`] is the one declaration of
+//! every subcommand: its positional arguments and its flags with their
+//! help lines, defaults and rules. The parser checks arguments against a
+//! command's row, and `puffer help` and `puffer <cmd> --help` are rendered
+//! from the same rows.
 //!
 //! All logic lives in this library so it can be unit-tested; `main.rs` only
 //! forwards `std::env::args` and sets the exit code.
@@ -24,7 +20,7 @@ use puffer::{
 };
 use puffer_audit::{audit_metrics, audit_run, flow_validator, lint_workspace, LintConfig, Validate};
 use puffer_budget::fsx;
-use puffer_budget::{Budget, CancelToken, DegradationLadder, LadderState};
+use puffer_budget::{Budget, CancelToken};
 use puffer_db::io::{read_design, read_placement, write_design, write_placement};
 use puffer_dp::{refine_bounded, DetailedConfig};
 use puffer_explore::{explore_params_bounded, ExplorationConfig};
@@ -73,47 +69,228 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
-puffer — routability-driven placement (PUFFER, DAC 2023 reproduction)
+/// What the parser enforces for one flag beyond its name and arity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    /// Optional.
+    Free,
+    /// Must be given.
+    Required,
+    /// A count: an integer of at least 1.
+    Count,
+    /// Refused unless the command runs `--flow puffer`.
+    PufferOnly,
+}
 
-usage:
-  puffer gen    --preset <name> [--scale <f>] -o <design.pd>
-  puffer gen    --cells <n> [--nets <n>] [--macros <n>] [--hotspot <f>]
-                [--utilization <f>] [--seed <n>] -o <design.pd>
-  puffer convert <design.aux> -o <design.pd>      (Bookshelf import)
-  puffer stats  <design.pd>
-  puffer place  <design.pd> -o <placed.pl> [--flow puffer|reference|replace]
-                [--max-iters <n>] [--journal <run.pj>] [--checkpoint-every <n>]
-                [--resume <run.pj>] [--threads <n>] [--validate]
-                [--metrics <run.jsonl>] [--trace-summary]
-                [--deadline <secs>] [--degrade <ladder>]
-  puffer eval   <design.pd> <placed.pl> [--maps <dir>] [--layers] [--validate]
-                [--threads <n>] [--metrics <run.jsonl>] [--trace-summary]
-                [--deadline <secs>]
-  puffer explore <design.pd> [--trials <n>] [--max-iters <n>]
-                [--deadline <secs>] [--degrade <ladder>] [--metrics <run.jsonl>]
-  puffer trace  <run.jsonl> [--check]
-  puffer refine <design.pd> <placed.pl> -o <refined.pl> [--guard]
-                [--deadline <secs>]
-  puffer draw   <design.pd> <placed.pl> -o <out.svg> [--rows]
-  puffer serve  (--listen <addr> | --stdin) --journal-dir <dir>
-                [--workers <n>] [--queue <n>] [--checkpoint-every <n>]
-                [--retries <n>] [--backoff-ms <n>]   (job daemon)
-  puffer chaos  [--seeds <n>] [--cells <n>] [--max-iters <n>]
-                [--classes all|flow|fs|serve]
-                (deterministic fault-injection harness)
-  puffer lint   [--root <dir>] [--json]           (crate layering + forbid(unsafe_code))
-  puffer audit  design  <design.pd>
-  puffer audit  journal <run.pj> [<design.pd>]
-  puffer audit  metrics <run.jsonl>
-  puffer audit  run     <run.pj> <run.jsonl>      (cross-file consistency)
+/// One flag of a [`Command`] row.
+struct Flag {
+    /// `o` is spelled `-o`, every other name `--<name>`.
+    name: &'static str,
+    /// The value's metavar; empty for a switch.
+    value: &'static str,
+    help: &'static str,
+    /// The value the command body reads when the flag is absent.
+    default: Option<&'static str>,
+    rule: Rule,
+}
 
-presets: or1200 asic_entity bit_coin media_subsys media_pg_modify
-         a53_adb_wrap ct_scan ct_top e31_ecoreplex openc910
-ladders: default | none | <step>[@<fraction>][,<step>...] with steps
-         coarse-congestion freeze-padding cap-trials early-exit-gp
-";
+const fn flag(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        value,
+        help,
+        default: None,
+        rule: Rule::Free,
+    }
+}
+
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    flag(name, "", help)
+}
+
+impl Flag {
+    const fn or(mut self, default: &'static str) -> Flag {
+        self.default = Some(default);
+        self
+    }
+
+    const fn rule(mut self, rule: Rule) -> Flag {
+        self.rule = rule;
+        self
+    }
+
+    fn spelled(&self) -> String {
+        if self.name.len() == 1 {
+            format!("-{}", self.name)
+        } else {
+            format!("--{}", self.name)
+        }
+    }
+}
+
+/// The signature of every command body.
+type Body = fn(&Flags, &mut String) -> Result<(), CliError>;
+
+/// One subcommand: the single declaration its parser and help come from.
+struct Command {
+    name: &'static str,
+    /// Positional metavars; a `[bracketed]` one is optional.
+    args: &'static [&'static str],
+    run: Body,
+    about: &'static str,
+    flags: &'static [Flag],
+}
+
+const fn command(
+    name: &'static str,
+    args: &'static [&'static str],
+    run: Body,
+    about: &'static str,
+) -> Command {
+    Command {
+        name,
+        args,
+        run,
+        about,
+        flags: &[],
+    }
+}
+
+/// Every `puffer` subcommand, in help order.
+const COMMANDS: &[Command] = &[
+    command("gen", &[], cmd_gen, "generate a synthetic design from a preset, or from --cells")
+        .flags(&[
+            flag("preset", "<name>", "Table I preset (see presets below)"),
+            flag("scale", "<f>", "preset scale").or("0.01"),
+            flag("cells", "<n>", "movable cells, without --preset"),
+            flag("nets", "<n>", "nets (default: cells + cells/10)"),
+            flag("macros", "<n>", "fixed macros"),
+            flag("hotspot", "<f>", "congestion hotspot strength"),
+            flag("utilization", "<f>", "target utilization"),
+            flag("seed", "<n>", "generator seed"),
+            flag("o", "<design.pd>", "output design").rule(Rule::Required),
+        ]),
+    command("convert", &["<design.aux>"], cmd_convert, "import a Bookshelf design")
+        .flags(&[flag("o", "<design.pd>", "output design").rule(Rule::Required)]),
+    command("stats", &["<design.pd>"], cmd_stats, "print design statistics"),
+    command("place", &["<design.pd>"], cmd_place, "place with the PUFFER flow or a baseline")
+        .flags(&[
+            flag("o", "<placed.pl>", "output placement").rule(Rule::Required),
+            flag("flow", "<name>", "puffer, reference or replace").or("puffer"),
+            flag("max-iters", "<n>", "global-placement iteration cap"),
+            flag("threads", "<n>", "worker threads").rule(Rule::Count),
+            flag("journal", "<run.pj>", "write checkpoints here").rule(Rule::PufferOnly),
+            flag("checkpoint-every", "<n>", "GP iterations between checkpoints").or("25"),
+            flag("resume", "<run.pj>", "resume from this journal").rule(Rule::PufferOnly),
+            switch("validate", "check invariants at every stage").rule(Rule::PufferOnly),
+            flag("metrics", "<run.jsonl>", "write telemetry as JSONL").rule(Rule::PufferOnly),
+            switch("trace-summary", "stage timings to stderr").rule(Rule::PufferOnly),
+            flag("deadline", "<secs>", "stop early, degrading as it nears").rule(Rule::PufferOnly),
+        ]),
+    command("eval", &["<design.pd>", "<placed.pl>"], cmd_eval, "route a placement: overflow, WL")
+        .flags(&[
+            flag("maps", "<dir>", "write congestion maps (CSV + PGM)"),
+            switch("layers", "print per-layer usage"),
+            switch("validate", "check design and congestion-map invariants"),
+            flag("threads", "<n>", "worker threads").rule(Rule::Count),
+            flag("metrics", "<run.jsonl>", "write telemetry as JSONL"),
+            switch("trace-summary", "stage timings to stderr"),
+            flag("deadline", "<secs>", "bound the rip-up rounds"),
+        ]),
+    command("explore", &["<design.pd>"], cmd_explore, "SMBO padding-strategy exploration")
+        .flags(&[
+            flag("trials", "<n>", "trials").or("12").rule(Rule::Count),
+            flag("max-iters", "<n>", "GP iterations per trial").or("60"),
+            flag("deadline", "<secs>", "bound the search, degrading as it nears"),
+            flag("metrics", "<run.jsonl>", "write telemetry as JSONL"),
+            switch("trace-summary", "stage timings to stderr"),
+        ]),
+    command("trace", &["<run.jsonl>"], cmd_trace, "check a telemetry file, count its records")
+        .flags(&[switch("check", "require a complete place run's spans and records")]),
+    command("refine", &["<design.pd>", "<placed.pl>"], cmd_refine, "detailed placement")
+        .flags(&[
+            flag("o", "<refined.pl>", "output placement").rule(Rule::Required),
+            switch("guard", "refuse moves into congested Gcells"),
+            flag("deadline", "<secs>", "bound the refinement passes"),
+        ]),
+    command("draw", &["<design.pd>", "<placed.pl>"], cmd_draw, "render a placement as SVG")
+        .flags(&[
+            flag("o", "<out.svg>", "output picture").rule(Rule::Required),
+            switch("rows", "draw the placement rows"),
+        ]),
+    command("serve", &[], cmd_serve, "job daemon (one of --listen or --stdin)").flags(&[
+        flag("listen", "<addr>", "serve newline-delimited JSON over TCP"),
+        switch("stdin", "serve over stdin/stdout; EOF drains"),
+        flag("journal-dir", "<dir>", "per-job journals").rule(Rule::Required),
+        flag("workers", "<n>", "worker threads").or("2").rule(Rule::Count),
+        flag("queue", "<n>", "admission-queue capacity").or("16").rule(Rule::Count),
+        flag("checkpoint-every", "<n>", "GP iterations per checkpoint").or("10").rule(Rule::Count),
+    ]),
+    command("chaos", &[], chaos::cmd_chaos, "deterministic fault-injection harness").flags(&[
+        flag("seeds", "<n>", "seeds, one scenario each").or("8").rule(Rule::Count),
+        flag("cells", "<n>", "cells of each generated design").or("250"),
+        flag("max-iters", "<n>", "GP iterations per flow, at least 10").or("60"),
+        flag("classes", "<group>", "all, flow, fs or serve").or("all"),
+    ]),
+    command("lint", &[], cmd_lint, "crate layering + forbid(unsafe_code)").flags(&[
+        flag("root", "<dir>", "workspace root").or("."),
+        switch("json", "findings as JSONL, no summary line"),
+    ]),
+    command(
+        "audit",
+        &["design|journal|metrics|run", "<file>", "[<file>]"],
+        cmd_audit,
+        "check an artifact: design <design.pd> | journal <run.pj> [<design.pd>] | \
+         metrics <run.jsonl> | run <run.pj> <run.jsonl>",
+    ),
+];
+
+impl Command {
+    const fn flags(mut self, flags: &'static [Flag]) -> Command {
+        self.flags = flags;
+        self
+    }
+
+    fn flag(&self, name: &str) -> Option<&'static Flag> {
+        self.flags.iter().find(|f| f.name == name)
+    }
+
+    /// This command's section of the help text.
+    fn help(&self) -> String {
+        let usage = [&[self.name], self.args].concat().join(" ");
+        let mut out = format!("  puffer {usage}\n      {}\n", self.about);
+        for f in self.flags {
+            let left = format!("{} {}", f.spelled(), f.value);
+            let note = match (f.rule, f.default) {
+                (Rule::Required, _) => " (required)".to_string(),
+                (Rule::PufferOnly, _) => " (--flow puffer only)".to_string(),
+                (Rule::Count, Some(d)) => format!(" (at least 1, default {d})"),
+                (Rule::Count, None) => " (at least 1)".to_string(),
+                (Rule::Free, Some(d)) => format!(" (default {d})"),
+                (Rule::Free, None) => String::new(),
+            };
+            let _ = writeln!(out, "        {left:<26} {}{note}", f.help);
+        }
+        out
+    }
+}
+
+/// The full help text: every command's section, then the preset names.
+fn help() -> String {
+    let mut out = String::from(
+        "puffer — routability-driven placement (PUFFER, DAC 2023 reproduction)\n\n\
+         usage: puffer <command> [args] [flags]   (puffer <command> --help: one command)\n\n",
+    );
+    for cmd in COMMANDS {
+        out.push_str(&cmd.help());
+    }
+    out.push_str("\npresets:");
+    for preset in presets::all(1.0).unwrap_or_default() {
+        let _ = write!(out, " {}", preset.name.to_lowercase());
+    }
+    out.push('\n');
+    out
+}
 
 /// Runs the CLI on the given arguments (without the program name).
 /// Output lines are pushed to `out` so tests can capture them.
@@ -122,78 +299,89 @@ ladders: default | none | <step>[@<fraction>][,<step>...] with steps
 ///
 /// Returns [`CliError`] with a usage (2) or runtime (1) exit code.
 pub fn run(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let Some(command) = args.first() else {
-        return Err(CliError::usage(USAGE));
+    let Some(name) = args.first() else {
+        return Err(CliError::usage(help()));
+    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        out.push_str(&help());
+        return Ok(());
+    }
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        return Err(CliError::usage(format!("unknown command '{name}'\n\n{}", help())));
     };
     let rest = &args[1..];
-    match command.as_str() {
-        "gen" => cmd_gen(rest, out),
-        "convert" => cmd_convert(rest, out),
-        "stats" => cmd_stats(rest, out),
-        "place" => cmd_place(rest, out),
-        "eval" => cmd_eval(rest, out),
-        "explore" => cmd_explore(rest, out),
-        "serve" => cmd_serve(rest, out),
-        "chaos" => chaos::cmd_chaos(rest, out),
-        "trace" => cmd_trace(rest, out),
-        "refine" => cmd_refine(rest, out),
-        "draw" => cmd_draw(rest, out),
-        "lint" => cmd_lint(rest, out),
-        "audit" => cmd_audit(rest, out),
-        "--help" | "-h" | "help" => {
-            out.push_str(USAGE);
-            Ok(())
-        }
-        other => Err(CliError::usage(format!(
-            "unknown command '{other}'\n\n{USAGE}"
-        ))),
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        out.push_str(&cmd.help());
+        return Ok(());
     }
+    (cmd.run)(&Flags::parse(rest, cmd)?, out)
 }
 
-/// A tiny flag parser: `--key value` pairs plus positional arguments.
+/// A command's arguments, checked against its [`Command`] row.
 struct Flags {
+    cmd: &'static Command,
     positional: Vec<String>,
-    options: Vec<(String, String)>,
-    switches: Vec<String>,
+    /// Given flags in order, a switch with an empty value.
+    given: Vec<(&'static str, String)>,
 }
 
 impl Flags {
-    fn parse(
-        args: &[String],
-        value_flags: &[&str],
-        switch_flags: &[&str],
-    ) -> Result<Self, CliError> {
-        let mut f = Flags {
-            positional: Vec::new(),
-            options: Vec::new(),
-            switches: Vec::new(),
-        };
+    fn parse(args: &[String], cmd: &'static Command) -> Result<Self, CliError> {
+        let (mut positional, mut given) = (Vec::new(), Vec::new());
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) {
-                if switch_flags.contains(&name) {
-                    f.switches.push(name.to_string());
-                } else if value_flags.contains(&name) {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::usage(format!("--{name} needs a value")))?;
-                    f.options.push((name.to_string(), v.clone()));
-                } else {
-                    return Err(CliError::usage(format!("unknown flag '{a}'\n\n{USAGE}")));
+            let Some(name) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) else {
+                positional.push(a.clone());
+                continue;
+            };
+            let Some(flag) = cmd.flag(name) else {
+                return Err(CliError::usage(format!("unknown flag '{a}'\n\n{}", cmd.help())));
+            };
+            let value = match flag.value {
+                "" => String::new(),
+                _ => it
+                    .next()
+                    .ok_or_else(|| CliError::usage(format!("{} needs a value", flag.spelled())))?
+                    .clone(),
+            };
+            given.push((flag.name, value));
+        }
+        let required = cmd.args.iter().filter(|a| !a.starts_with('[')).count();
+        if !(required..=cmd.args.len()).contains(&positional.len()) {
+            let message = format!("wrong number of arguments\n\n{}", cmd.help());
+            return Err(CliError::usage(message));
+        }
+        let f = Flags {
+            cmd,
+            positional,
+            given,
+        };
+        let puffer_flow = f.get("flow").is_none_or(|flow| flow == "puffer");
+        for flag in cmd.flags {
+            let (name, given) = (flag.spelled(), f.has(flag.name));
+            let problem = match flag.rule {
+                Rule::Required if !given => format!("{} needs {name} {}", cmd.name, flag.value),
+                Rule::Count if f.get_parsed::<u64>(flag.name)? == Some(0) => {
+                    format!("{name} must be at least 1")
                 }
-            } else {
-                f.positional.push(a.clone());
-            }
+                Rule::PufferOnly if given && !puffer_flow => {
+                    format!("{name} only applies to --flow puffer")
+                }
+                _ => continue,
+            };
+            return Err(CliError::usage(problem));
         }
         Ok(f)
     }
 
+    /// The flag's last given value, else its row's default.
     fn get(&self, name: &str) -> Option<&str> {
-        self.options
+        self.given
             .iter()
             .rev()
-            .find(|(k, _)| k == name)
+            .find(|(k, _)| *k == name)
             .map(|(_, v)| v.as_str())
+            .or_else(|| self.cmd.flag(name).and_then(|f| f.default))
     }
 
     fn get_parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
@@ -206,8 +394,14 @@ impl Flags {
         }
     }
 
+    /// The value of a required or defaulted flag.
+    fn value<T: std::str::FromStr>(&self, name: &str) -> Result<T, CliError> {
+        self.get_parsed(name)?
+            .ok_or_else(|| CliError::usage(format!("--{name} needs a value")))
+    }
+
     fn has(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
+        self.given.iter().any(|(k, _)| *k == name)
     }
 }
 
@@ -221,23 +415,8 @@ fn load_placement(path: &str, num_cells: usize) -> Result<puffer_db::design::Pla
     read_placement(file, num_cells).map_err(|e| CliError::run(format!("cannot parse {path}: {e}")))
 }
 
-fn cmd_gen(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(
-        args,
-        &[
-            "preset",
-            "scale",
-            "cells",
-            "nets",
-            "macros",
-            "hotspot",
-            "utilization",
-            "seed",
-            "o",
-        ],
-        &[],
-    )?;
-    let scale: f64 = flags.get_parsed("scale")?.unwrap_or(0.01);
+fn cmd_gen(flags: &Flags, out: &mut String) -> Result<(), CliError> {
+    let scale: f64 = flags.value("scale")?;
     let config: GeneratorConfig = if let Some(name) = flags.get("preset") {
         presets::by_name(name, scale)
             .map_err(|e| CliError::usage(e.to_string()))?
@@ -246,33 +425,23 @@ fn cmd_gen(args: &[String], out: &mut String) -> Result<(), CliError> {
         let cells: usize = flags
             .get_parsed("cells")?
             .ok_or_else(|| CliError::usage("gen needs --preset or --cells"))?;
-        let mut c = GeneratorConfig {
+        let d = GeneratorConfig::default();
+        GeneratorConfig {
             name: "custom".into(),
             num_cells: cells,
             num_nets: flags.get_parsed("nets")?.unwrap_or(cells + cells / 10),
-            ..GeneratorConfig::default()
-        };
-        if let Some(m) = flags.get_parsed("macros")? {
-            c.num_macros = m;
+            num_macros: flags.get_parsed("macros")?.unwrap_or(d.num_macros),
+            hotspot: flags.get_parsed("hotspot")?.unwrap_or(d.hotspot),
+            utilization: flags.get_parsed("utilization")?.unwrap_or(d.utilization),
+            seed: flags.get_parsed("seed")?.unwrap_or(d.seed),
+            ..d
         }
-        if let Some(h) = flags.get_parsed("hotspot")? {
-            c.hotspot = h;
-        }
-        if let Some(u) = flags.get_parsed("utilization")? {
-            c.utilization = u;
-        }
-        if let Some(s) = flags.get_parsed("seed")? {
-            c.seed = s;
-        }
-        c
     };
-    let output = flags
-        .get("o")
-        .ok_or_else(|| CliError::usage("gen needs -o <design.pd>"))?;
+    let output: String = flags.value("o")?;
     let design = generate(&config).map_err(|e| CliError::run(format!("generation failed: {e}")))?;
     let mut buf = Vec::new();
     write_design(&design, &mut buf).map_err(|e| CliError::run(format!("write failed: {e}")))?;
-    fsx::atomic_write(Path::new(output), &buf)
+    fsx::atomic_write(Path::new(&output), &buf)
         .map_err(|e| CliError::run(format!("cannot write {output}: {e}")))?;
     let s = design.stats();
     let _ = writeln!(
@@ -283,14 +452,9 @@ fn cmd_gen(args: &[String], out: &mut String) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_convert(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["o"], &[])?;
-    let [aux_path] = flags.positional.as_slice() else {
-        return Err(CliError::usage("convert needs exactly one <design.aux>"));
-    };
-    let output = flags
-        .get("o")
-        .ok_or_else(|| CliError::usage("convert needs -o <design.pd>"))?;
+fn cmd_convert(flags: &Flags, out: &mut String) -> Result<(), CliError> {
+    let aux_path = &flags.positional[0];
+    let output: String = flags.value("o")?;
     // Stream the Bookshelf files through the fsx read hook, so chaos runs
     // exercise the same ingestion path the CLI uses in production.
     let design = puffer_db::bookshelf::read_aux_with(aux_path, &mut |p: &Path| {
@@ -302,7 +466,7 @@ fn cmd_convert(args: &[String], out: &mut String) -> Result<(), CliError> {
         .map_err(|e| CliError::run(format!("{aux_path}: {e} (is the .pl complete?)")))?;
     let mut buf = Vec::new();
     write_design(&design, &mut buf).map_err(|e| CliError::run(format!("write failed: {e}")))?;
-    fsx::atomic_write(Path::new(output), &buf)
+    fsx::atomic_write(Path::new(&output), &buf)
         .map_err(|e| CliError::run(format!("cannot write {output}: {e}")))?;
     let s = design.stats();
     let _ = writeln!(
@@ -313,12 +477,8 @@ fn cmd_convert(args: &[String], out: &mut String) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_stats(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &[], &[])?;
-    let [path] = flags.positional.as_slice() else {
-        return Err(CliError::usage("stats needs exactly one <design.pd>"));
-    };
-    let design = load_design(path)?;
+fn cmd_stats(flags: &Flags, out: &mut String) -> Result<(), CliError> {
+    let design = load_design(&flags.positional[0])?;
     let s = design.stats();
     let _ = writeln!(out, "design    : {}", design.name());
     let _ = writeln!(out, "region    : {}", design.region());
@@ -359,38 +519,18 @@ fn finish_trace(trace: &Option<Trace>, flags: &Flags) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses the bounded-execution flags shared by `place` and `explore`:
-/// `--deadline <secs>` (cooperative budget) and `--degrade <ladder>`
-/// (fidelity step-down schedule; needs a deadline to engage against).
-fn parse_bounded_flags(flags: &Flags) -> Result<BoundedFlags, CliError> {
-    let budget = match flags.get_parsed::<f64>("deadline")? {
-        None => None,
+/// The budget `--deadline <secs>` asks for: bounded, so a degrading one
+/// (see [`puffer_budget::LadderState`]), or unbounded without the flag.
+fn deadline_budget(flags: &Flags) -> Result<Budget, CliError> {
+    match flags.get_parsed::<f64>("deadline")? {
+        None => Ok(Budget::unbounded()),
         // `try_from_secs_f64` refuses what a `Duration` cannot hold
         // (negative, NaN, infinite, 1e300); zero it holds, so that is ours.
         Some(d) => match Duration::try_from_secs_f64(d) {
-            Ok(limit) if !limit.is_zero() => Some(Budget::with_deadline(limit)),
-            _ => return Err(CliError::usage("--deadline must be positive seconds")),
+            Ok(limit) if !limit.is_zero() => Ok(Budget::with_deadline(limit)),
+            _ => Err(CliError::usage("--deadline must be positive seconds")),
         },
-    };
-    let ladder = match flags.get("degrade") {
-        None => None,
-        Some(spec) => Some(
-            DegradationLadder::parse(spec)
-                .map_err(|e| CliError::usage(format!("--degrade: {e}")))?,
-        ),
-    };
-    if ladder.is_some() && budget.is_none() {
-        return Err(CliError::usage(
-            "--degrade needs --deadline (the ladder engages on remaining budget)",
-        ));
     }
-    Ok(BoundedFlags { budget, ladder })
-}
-
-/// The parsed bounded-execution flag set.
-struct BoundedFlags {
-    budget: Option<Budget>,
-    ladder: Option<DegradationLadder>,
 }
 
 /// One summary line for a run that stopped early under a budget.
@@ -398,16 +538,8 @@ fn degradation_note(out: &mut String, result: &puffer::FlowResult) {
     if !result.cancelled {
         return;
     }
-    let steps = if result.degradation.is_empty() {
-        "none".to_string()
-    } else {
-        result
-            .degradation
-            .iter()
-            .map(|s| s.as_str())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
+    let steps: Vec<&str> = result.degradation.iter().map(|s| s.as_str()).collect();
+    let steps = if steps.is_empty() { "none".to_string() } else { steps.join(",") };
     let _ = writeln!(
         out,
         "deadline: stopped early at iteration {} (degradation: {steps}); \
@@ -416,65 +548,19 @@ fn degradation_note(out: &mut String, result: &puffer::FlowResult) {
     );
 }
 
-fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(
-        args,
-        &[
-            "o",
-            "flow",
-            "max-iters",
-            "journal",
-            "checkpoint-every",
-            "resume",
-            "threads",
-            "metrics",
-            "deadline",
-            "degrade",
-        ],
-        &["trace-summary", "validate"],
-    )?;
-    let [design_path] = flags.positional.as_slice() else {
-        return Err(CliError::usage("place needs exactly one <design.pd>"));
-    };
-    let output = flags
-        .get("o")
-        .ok_or_else(|| CliError::usage("place needs -o <placed.pl>"))?;
+fn cmd_place(flags: &Flags, out: &mut String) -> Result<(), CliError> {
+    let output: String = flags.value("o")?;
     let max_iters: Option<usize> = flags.get_parsed("max-iters")?;
     let threads: Option<usize> = flags.get_parsed("threads")?;
-    if threads == Some(0) {
-        return Err(CliError::usage("--threads must be at least 1"));
-    }
-    let flow = flags.get("flow").unwrap_or("puffer");
-    let journal = flags.get("journal");
-    let every: usize = flags.get_parsed("checkpoint-every")?.unwrap_or(25);
+    let every: usize = flags.value("checkpoint-every")?;
     let resume = flags.get("resume");
-    if flow != "puffer" && (journal.is_some() || resume.is_some()) {
-        return Err(CliError::usage(
-            "--journal/--resume only apply to --flow puffer",
-        ));
-    }
-    if flow != "puffer" && (flags.get("metrics").is_some() || flags.has("trace-summary")) {
-        return Err(CliError::usage(
-            "--metrics/--trace-summary only apply to --flow puffer",
-        ));
-    }
-    if flow != "puffer" && flags.has("validate") {
-        return Err(CliError::usage("--validate only applies to --flow puffer"));
-    }
-    let BoundedFlags { budget, ladder } = parse_bounded_flags(&flags)?;
-    if flow != "puffer" && budget.is_some() {
-        return Err(CliError::usage(
-            "--deadline/--degrade only apply to --flow puffer",
-        ));
-    }
-    let trace = open_trace(&flags)?;
-    let design = load_design(design_path)?;
-    let result = match flow {
+    let budget = deadline_budget(flags)?;
+    let trace = open_trace(flags)?;
+    let design = load_design(&flags.positional[0])?;
+    let result = match flags.get("flow").unwrap_or_default() {
         "puffer" => {
             let mut cfg = PufferConfig::default();
-            if let Some(n) = max_iters {
-                cfg.placer.max_iters = n;
-            }
+            cfg.placer.max_iters = max_iters.unwrap_or(cfg.placer.max_iters);
             if let Some(n) = threads {
                 cfg.placer.threads = n;
                 cfg.estimator.threads = n;
@@ -482,9 +568,7 @@ fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
             // SIGINT/SIGTERM cancel the flow cooperatively: the run
             // checkpoints (under --journal), legalizes the best-so-far
             // state, writes it, and exits cleanly — never dies mid-write.
-            let budget = budget
-                .unwrap_or_else(Budget::unbounded)
-                .with_token(CancelToken::cancel_on_signal());
+            let budget = budget.with_token(CancelToken::cancel_on_signal());
             let mut job = Job::new(cfg).with_budget(budget);
             if let Some(t) = &trace {
                 job = job.with_trace(t.clone());
@@ -492,18 +576,18 @@ fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
             if flags.has("validate") {
                 job = job.with_observer(flow_validator());
             }
-            if let Some(l) = ladder {
-                job = job.with_ladder(l);
-            }
-            if let Some(from) = resume {
-                // Resume keeps journaling: to --journal when given, else
-                // back to the journal it resumed from. A torn final record
-                // (crash mid-append) is dropped with a warning.
-                let policy = CheckpointPolicy {
-                    path: journal.unwrap_or(from).into(),
+            // Resume keeps journaling: to --journal when given, else back
+            // to the journal it resumed from.
+            if let Some(path) = flags.get("journal").or(resume) {
+                job = job.with_checkpoints(CheckpointPolicy {
+                    path: path.into(),
                     every,
                     keep_history: false,
-                };
+                });
+            }
+            if let Some(from) = resume {
+                // A torn final record (crash mid-append) is dropped with a
+                // warning.
                 let recovered = FlowCheckpoint::recover(Path::new(from))
                     .map_err(|e| CliError::run(format!("cannot resume from {from}: {e}")))?;
                 if recovered.dropped_torn_tail {
@@ -512,24 +596,14 @@ fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
                          resuming from the last complete checkpoint"
                     );
                 }
-                job.with_checkpoints(policy)
-                    .run_from(&design, recovered.checkpoint)
-            } else if let Some(path) = journal {
-                let policy = CheckpointPolicy {
-                    path: path.into(),
-                    every,
-                    keep_history: false,
-                };
-                job.with_checkpoints(policy).run(&design)
+                job.run_from(&design, recovered.checkpoint)
             } else {
                 job.run(&design)
             }
         }
         "reference" => {
             let mut cfg = ReferenceConfig::default();
-            if let Some(n) = max_iters {
-                cfg.placer.max_iters = n;
-            }
+            cfg.placer.max_iters = max_iters.unwrap_or(cfg.placer.max_iters);
             if let Some(n) = threads {
                 cfg.placer.threads = n;
                 cfg.router.threads = n;
@@ -538,9 +612,7 @@ fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
         }
         "replace" => {
             let mut cfg = ReplaceConfig::default();
-            if let Some(n) = max_iters {
-                cfg.placer.max_iters = n;
-            }
+            cfg.placer.max_iters = max_iters.unwrap_or(cfg.placer.max_iters);
             if let Some(n) = threads {
                 cfg.placer.threads = n;
                 cfg.estimator.threads = n;
@@ -550,11 +622,11 @@ fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
         other => return Err(CliError::usage(format!("unknown flow '{other}'"))),
     }
     .map_err(|e| CliError::run(format!("placement failed: {e}")))?;
-    finish_trace(&trace, &flags)?;
+    finish_trace(&trace, flags)?;
     let mut buf = Vec::new();
     write_placement(&result.placement, &mut buf)
         .map_err(|e| CliError::run(format!("write failed: {e}")))?;
-    fsx::atomic_write(Path::new(output), &buf)
+    fsx::atomic_write(Path::new(&output), &buf)
         .map_err(|e| CliError::run(format!("cannot write {output}: {e}")))?;
     let _ = writeln!(
         out,
@@ -565,32 +637,16 @@ fn cmd_place(args: &[String], out: &mut String) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_eval(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(
-        args,
-        &["maps", "threads", "metrics", "deadline"],
-        &["layers", "trace-summary", "validate"],
-    )?;
-    let [design_path, placement_path] = flags.positional.as_slice() else {
-        return Err(CliError::usage("eval needs <design.pd> <placed.pl>"));
-    };
-    let threads: Option<usize> = flags.get_parsed("threads")?;
-    if threads == Some(0) {
-        return Err(CliError::usage("--threads must be at least 1"));
-    }
+fn cmd_eval(flags: &Flags, out: &mut String) -> Result<(), CliError> {
+    let (design_path, placement_path) = (&flags.positional[0], &flags.positional[1]);
     // SIGINT/SIGTERM stop refinement cooperatively between rip-up rounds;
     // the report then describes the best routing so far.
-    let budget = parse_bounded_flags(&flags)?
-        .budget
-        .unwrap_or_else(Budget::unbounded)
-        .with_token(CancelToken::cancel_on_signal());
+    let budget = deadline_budget(flags)?.with_token(CancelToken::cancel_on_signal());
     let design = load_design(design_path)?;
     let placement = load_placement(placement_path, design.netlist().num_cells())?;
     let mut router_cfg = RouterConfig::default();
-    if let Some(n) = threads {
-        router_cfg.threads = n;
-    }
-    let trace = open_trace(&flags)?;
+    router_cfg.threads = flags.get_parsed("threads")?.unwrap_or(router_cfg.threads);
+    let trace = open_trace(flags)?;
     let report = evaluate_bounded(
         &design,
         &placement,
@@ -599,7 +655,7 @@ fn cmd_eval(args: &[String], out: &mut String) -> Result<(), CliError> {
         trace.as_ref().unwrap_or(&Trace::disabled()),
     )
     .map_err(|e| CliError::run(format!("cannot evaluate {placement_path}: {e}")))?;
-    finish_trace(&trace, &flags)?;
+    finish_trace(&trace, flags)?;
     if flags.has("validate") {
         design
             .validate()
@@ -664,11 +720,8 @@ const STAGE_SPANS: [&str; 6] = ["init", "gp", "legal", "gp/pad", "gp/journal", "
 /// spans and per-iteration records a complete `place --metrics` run emits,
 /// and no span outside [`STAGE_SPANS`] (this is what the CI metrics smoke
 /// step calls).
-fn cmd_trace(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &[], &["check"])?;
-    let [path] = flags.positional.as_slice() else {
-        return Err(CliError::usage("trace needs exactly one <run.jsonl>"));
-    };
+fn cmd_trace(flags: &Flags, out: &mut String) -> Result<(), CliError> {
+    let path = &flags.positional[0];
     let records = puffer_trace::read_jsonl(Path::new(path))
         .map_err(|e| CliError::run(format!("invalid metrics file {path}: {e}")))?;
     if records.is_empty() {
@@ -721,12 +774,9 @@ fn cmd_trace(args: &[String], out: &mut String) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_draw(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["o"], &["rows"])?;
-    let [design_path, placement_path] = flags.positional.as_slice() else {
-        return Err(CliError::usage("draw needs <design.pd> <placed.pl>"));
-    };
-    let output = flags.get("o").ok_or_else(|| CliError::usage("draw needs -o <out.svg>"))?;
+fn cmd_draw(flags: &Flags, out: &mut String) -> Result<(), CliError> {
+    let (design_path, placement_path) = (&flags.positional[0], &flags.positional[1]);
+    let output: String = flags.value("o")?;
     let design = load_design(design_path)?;
     let placement = load_placement(placement_path, design.netlist().num_cells())?;
     let svg = puffer_db::svg::render_svg(
@@ -737,21 +787,16 @@ fn cmd_draw(args: &[String], out: &mut String) -> Result<(), CliError> {
             ..puffer_db::svg::SvgOptions::default()
         },
     );
-    fsx::atomic_write(Path::new(output), svg.as_bytes())
+    fsx::atomic_write(Path::new(&output), svg.as_bytes())
         .map_err(|e| CliError::run(format!("write failed: {e}")))?;
     let _ = writeln!(out, "wrote {output}");
     Ok(())
 }
 
-fn cmd_refine(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["o", "deadline"], &["guard"])?;
-    let [design_path, placement_path] = flags.positional.as_slice() else {
-        return Err(CliError::usage("refine needs <design.pd> <placed.pl>"));
-    };
-    let output = flags
-        .get("o")
-        .ok_or_else(|| CliError::usage("refine needs -o <refined.pl>"))?;
-    let budget = parse_bounded_flags(&flags)?.budget;
+fn cmd_refine(flags: &Flags, out: &mut String) -> Result<(), CliError> {
+    let (design_path, placement_path) = (&flags.positional[0], &flags.positional[1]);
+    let output: String = flags.value("o")?;
+    let budget = deadline_budget(flags)?;
     let design = load_design(design_path)?;
     let placement = load_placement(placement_path, design.netlist().num_cells())?;
     let zeros = vec![0u32; design.netlist().num_cells()];
@@ -782,13 +827,13 @@ fn cmd_refine(args: &[String], out: &mut String) -> Result<(), CliError> {
         &zeros,
         &dp_config,
         congestion.as_ref(),
-        &budget.unwrap_or_else(Budget::unbounded),
+        &budget,
     )
     .map_err(|e| CliError::run(format!("refinement failed: {e}")))?;
     let mut buf = Vec::new();
     write_placement(&outcome.placement, &mut buf)
         .map_err(|e| CliError::run(format!("write failed: {e}")))?;
-    fsx::atomic_write(Path::new(output), &buf)
+    fsx::atomic_write(Path::new(&output), &buf)
         .map_err(|e| CliError::run(format!("cannot write {output}: {e}")))?;
     let _ = writeln!(
         out,
@@ -801,29 +846,14 @@ fn cmd_refine(args: &[String], out: &mut String) -> Result<(), CliError> {
 /// `puffer explore <design.pd>` — SMBO strategy exploration (§III-C) over
 /// the padding-parameter space. Each trial runs a short PUFFER flow with
 /// the candidate strategy and scores it by routed overflow; `--deadline`
-/// bounds the whole search cooperatively and `--degrade cap-trials@<f>`
-/// caps the remaining trials as the deadline nears.
-fn cmd_explore(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(
-        args,
-        &["trials", "max-iters", "deadline", "degrade", "metrics"],
-        &["trace-summary"],
-    )?;
-    let [design_path] = flags.positional.as_slice() else {
-        return Err(CliError::usage("explore needs exactly one <design.pd>"));
-    };
-    let trials: usize = flags.get_parsed("trials")?.unwrap_or(12);
-    if trials == 0 {
-        return Err(CliError::usage("--trials must be at least 1"));
-    }
-    let max_iters: usize = flags.get_parsed("max-iters")?.unwrap_or(60);
-    let bounded = parse_bounded_flags(&flags)?;
-    let ladder = bounded.ladder;
-    let budget = bounded.budget;
-    let budget = budget.unwrap_or_else(Budget::unbounded);
-    let mut ladder_state = ladder.map(LadderState::new);
-    let design = load_design(design_path)?;
-    let trace = open_trace(&flags)?;
+/// bounds the whole search cooperatively, and the degradation ladder caps
+/// the remaining trials as it nears.
+fn cmd_explore(flags: &Flags, out: &mut String) -> Result<(), CliError> {
+    let trials: usize = flags.value("trials")?;
+    let max_iters: usize = flags.value("max-iters")?;
+    let budget = deadline_budget(flags)?;
+    let design = load_design(&flags.positional[0])?;
+    let trace = open_trace(flags)?;
     let space = puffer::strategy_space();
     let config = ExplorationConfig {
         max_evals: trials,
@@ -854,21 +884,16 @@ fn cmd_explore(args: &[String], out: &mut String) -> Result<(), CliError> {
         &config,
         trace.as_ref().unwrap_or(&Trace::disabled()),
         &budget,
-        ladder_state.as_mut(),
     )
     .map_err(|e| CliError::run(format!("exploration failed: {e}")))?;
-    finish_trace(&trace, &flags)?;
+    finish_trace(&trace, flags)?;
     let _ = writeln!(
         out,
         "explore: best overflow score {:.4} after {} trial(s) ({} failed{})",
         outcome.best_value,
         outcome.evals,
         outcome.failed_trials,
-        if outcome.stopped_early {
-            ", stopped early"
-        } else {
-            ""
-        }
+        if outcome.stopped_early { ", stopped early" } else { "" }
     );
     // The strategy the best trial ran with — `PaddingStrategy::apply`
     // clamps `pu_high` up to `pu_low` — so these values reproduce the score.
@@ -898,45 +923,7 @@ fn cmd_explore(args: &[String], out: &mut String) -> Result<(), CliError> {
 /// stdin (`--stdin`), runs jobs on a bounded worker pool with per-job
 /// journals under `--journal-dir`, and re-enqueues interrupted jobs on the
 /// next start. SIGINT/SIGTERM drain gracefully.
-fn cmd_serve(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(
-        args,
-        &[
-            "listen",
-            "journal-dir",
-            "workers",
-            "queue",
-            "checkpoint-every",
-            "retries",
-            "backoff-ms",
-        ],
-        &["stdin"],
-    )?;
-    if !flags.positional.is_empty() {
-        return Err(CliError::usage("serve takes no positional arguments"));
-    }
-    let workers: usize = flags.get_parsed("workers")?.unwrap_or(2);
-    if workers == 0 {
-        return Err(CliError::usage("--workers must be at least 1"));
-    }
-    let journal_dir = flags
-        .get("journal-dir")
-        .ok_or_else(|| CliError::usage("serve needs --journal-dir <dir>"))?;
-    let queue: usize = flags.get_parsed("queue")?.unwrap_or(16);
-    if queue == 0 {
-        return Err(CliError::usage("--queue must be at least 1"));
-    }
-    let every: usize = flags.get_parsed("checkpoint-every")?.unwrap_or(10);
-    if every == 0 {
-        return Err(CliError::usage("--checkpoint-every must be at least 1"));
-    }
-    let retries: usize = flags.get_parsed("retries")?.unwrap_or(3);
-    if retries == 0 {
-        return Err(CliError::usage(
-            "--retries must be at least 1 (the first attempt counts)",
-        ));
-    }
-    let backoff_ms: u64 = flags.get_parsed("backoff-ms")?.unwrap_or(50);
+fn cmd_serve(flags: &Flags, out: &mut String) -> Result<(), CliError> {
     let listen = flags.get("listen");
     if listen.is_some() == flags.has("stdin") {
         return Err(CliError::usage(
@@ -944,15 +931,13 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<(), CliError> {
         ));
     }
     let cfg = ServeConfig {
-        workers,
-        queue_capacity: queue,
-        journal_dir: journal_dir.into(),
-        checkpoint_every: every,
-        max_attempts: retries,
-        backoff: Duration::from_millis(backoff_ms),
-        trace: Trace::disabled(),
+        workers: flags.value("workers")?,
+        queue_capacity: flags.value("queue")?,
+        journal_dir: flags.value::<String>("journal-dir")?.into(),
+        checkpoint_every: flags.value("checkpoint-every")?,
+        ..ServeConfig::default()
     };
-    if let Some(addr) = listen {
+    let summary = if let Some(addr) = listen {
         let listener = std::net::TcpListener::bind(addr)
             .map_err(|e| CliError::run(format!("cannot listen on {addr}: {e}")))?;
         let local = listener
@@ -961,43 +946,37 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<(), CliError> {
         // SIGINT/SIGTERM drain the daemon: stop admitting, finish every
         // accepted job, exit.
         let signal = CancelToken::cancel_on_signal();
-        // Announce readiness on stdout *now*, before blocking in the accept
-        // loop — clients (and the integration test) parse this line to learn
-        // the bound port under `--listen 127.0.0.1:0`.
-        let ready = JsonLine::new("serve.ready")
-            .str("addr", &local.to_string())
-            .int("workers", workers as i64)
-            .int("queue", queue as i64)
-            .finish();
-        println!("{ready}");
-        let _ = std::io::stdout().flush();
-        let outcome = Engine::run(cfg, |h| serve_listener(h, &listener, &signal))
-            .map_err(|e| CliError::run(format!("serve failed: {e}")))?
-            .map_err(|e| CliError::run(format!("serve transport failed: {e}")))?;
-        let _ = writeln!(
-            out,
-            "serve: {}",
-            match outcome {
-                ServerOutcome::Drained => "drained (all accepted jobs completed)",
-                ServerOutcome::Shutdown => "shutdown (interrupted jobs are resumable)",
-                ServerOutcome::Signalled => "signalled, drained (all accepted jobs completed)",
-            }
-        );
+        let outcome = Engine::run(cfg, |h| {
+            // Announce readiness on stdout *now*, before blocking in the
+            // accept loop — clients (and the integration test) parse this
+            // line to learn the bound port under `--listen 127.0.0.1:0`.
+            let ready = JsonLine::new("serve.ready")
+                .str("addr", &local.to_string())
+                .int("workers", h.workers() as i64)
+                .int("queue", h.capacity() as i64)
+                .finish();
+            println!("{ready}");
+            let _ = std::io::stdout().flush();
+            serve_listener(h, &listener, &signal)
+        })
+        .map_err(|e| CliError::run(format!("serve failed: {e}")))?
+        .map_err(|e| CliError::run(format!("serve transport failed: {e}")))?;
+        match outcome {
+            ServerOutcome::Drained => "drained (all accepted jobs completed)",
+            ServerOutcome::Shutdown => "shutdown (interrupted jobs are resumable)",
+            ServerOutcome::Signalled => "signalled, drained (all accepted jobs completed)",
+        }
     } else {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
+        let (stdin, stdout) = (std::io::stdin(), std::io::stdout());
         let action = Engine::run(cfg, |h| serve_lines(h, stdin.lock(), stdout.lock()))
             .map_err(|e| CliError::run(format!("serve failed: {e}")))?
             .map_err(|e| CliError::run(format!("serve transport failed: {e}")))?;
-        let _ = writeln!(
-            out,
-            "serve: {}",
-            match action {
-                Action::Shutdown => "shutdown (interrupted jobs are resumable)",
-                _ => "drained (all accepted jobs completed)",
-            }
-        );
-    }
+        match action {
+            Action::Shutdown => "shutdown (interrupted jobs are resumable)",
+            _ => "drained (all accepted jobs completed)",
+        }
+    };
+    let _ = writeln!(out, "serve: {summary}");
     Ok(())
 }
 
@@ -1006,14 +985,9 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<(), CliError> {
 /// This is the CI gate beside `scripts/policy.sh`. With `--json` the
 /// findings come out as JSONL (one flat object per line) and the human
 /// summary line is suppressed, for tooling that consumes the gate.
-fn cmd_lint(args: &[String], out: &mut String) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["root"], &["json"])?;
-    if !flags.positional.is_empty() {
-        return Err(CliError::usage("lint takes no positional arguments"));
-    }
-    let root = flags.get("root").unwrap_or(".");
+fn cmd_lint(flags: &Flags, out: &mut String) -> Result<(), CliError> {
     let report = lint_workspace(&LintConfig {
-        root: Path::new(root).to_path_buf(),
+        root: flags.value::<String>("root")?.into(),
     })
     .map_err(|e| CliError::run(format!("lint failed: {e}")))?;
     if flags.has("json") {
@@ -1042,10 +1016,7 @@ fn cmd_lint(args: &[String], out: &mut String) -> Result<(), CliError> {
 
 /// `puffer audit <design|journal|metrics|run> <files..>` — deep invariant
 /// verification of on-disk artifacts (see [`puffer_audit::validate`]).
-fn cmd_audit(args: &[String], out: &mut String) -> Result<(), CliError> {
-    const AUDIT_USAGE: &str = "audit needs: design <design.pd> | journal <run.pj> \
-                               [<design.pd>] | metrics <run.jsonl> | run <run.pj> <run.jsonl>";
-    let flags = Flags::parse(args, &[], &[])?;
+fn cmd_audit(flags: &Flags, out: &mut String) -> Result<(), CliError> {
     let positional: Vec<&str> = flags.positional.iter().map(String::as_str).collect();
     match positional.as_slice() {
         ["design", path] => {
@@ -1107,7 +1078,7 @@ fn cmd_audit(args: &[String], out: &mut String) -> Result<(), CliError> {
             );
             Ok(())
         }
-        _ => Err(CliError::usage(AUDIT_USAGE)),
+        _ => Err(CliError::usage(flags.cmd.help())),
     }
 }
 
@@ -1134,6 +1105,87 @@ mod tests {
         assert_eq!(err.code, 2);
         let err = run(&[], &mut String::new()).unwrap_err();
         assert_eq!(err.code, 2);
+    }
+
+    /// `cmd`'s section of the full help text.
+    fn help_section(cmd: &str) -> String {
+        let mut out = String::new();
+        run(&strs(&["help"]), &mut out).unwrap();
+        let start = out.find(&format!("  puffer {cmd}")).unwrap();
+        let rest = &out[start + 1..];
+        rest[..rest.find("  puffer ").unwrap_or(rest.len())].to_string()
+    }
+
+    #[test]
+    fn explore_help_lists_trace_summary() {
+        let mut out = String::new();
+        run(&strs(&["explore", "--help"]), &mut out).unwrap();
+        assert!(out.contains("--trace-summary"), "{out}");
+        assert!(help_section("explore").contains("--trace-summary"));
+    }
+
+    #[test]
+    fn every_command_help_names_each_of_its_rows() {
+        for cmd in COMMANDS {
+            let mut out = String::new();
+            run(&strs(&[cmd.name, "--help"]), &mut out)
+                .unwrap_or_else(|e| panic!("{} --help: {e}", cmd.name));
+            assert_eq!(out, cmd.help());
+            assert!(help_section(cmd.name).contains(cmd.about), "{}", cmd.name);
+            for arg in cmd.args {
+                assert!(out.contains(arg), "{} --help misses {arg}: {out}", cmd.name);
+            }
+            for flag in cmd.flags {
+                let row = format!("{} {}", flag.spelled(), flag.value);
+                assert!(out.contains(&row), "{} --help misses {row}: {out}", cmd.name);
+                assert!(out.contains(flag.help), "{} --help misses {row}'s help", cmd.name);
+            }
+        }
+    }
+
+    /// The words of every `<program> <cmd> …` line in `text` (continuation
+    /// lines joined), cut at a comment, pipe or redirect. With `fenced`,
+    /// only lines inside fenced code blocks count.
+    fn invocations(text: &str, program: &str, fenced: bool) -> Vec<Vec<String>> {
+        let joined = text.replace("\\\n", " ");
+        let mut in_fence = false;
+        let mut found = Vec::new();
+        for line in joined.lines() {
+            if line.trim_start().starts_with("```") {
+                in_fence = !in_fence;
+                continue;
+            }
+            let mut words = line.split_whitespace();
+            if (fenced && !in_fence) || words.next() != Some(program) {
+                continue;
+            }
+            let words = words.take_while(|w| !["#", "|", ">", "2>&1"].contains(w));
+            found.push(words.map(str::to_string).collect());
+        }
+        found
+    }
+
+    #[test]
+    fn readme_and_ci_name_only_declared_flags() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+        let ci = std::fs::read_to_string(root.join("scripts/ci.sh")).unwrap();
+        let mut lines = invocations(&readme, "puffer", true);
+        let from_readme = lines.len();
+        lines.extend(invocations(&ci, "\"$PUFFER\"", false));
+        assert!(from_readme > 20 && lines.len() > from_readme + 10, "{lines:?}");
+        for words in &lines {
+            let cmd = COMMANDS
+                .iter()
+                .find(|c| Some(c.name) == words.first().map(String::as_str))
+                .unwrap_or_else(|| panic!("unknown command in {words:?}"));
+            for word in words {
+                let Some(name) = word.strip_prefix("--").or_else(|| word.strip_prefix('-')) else {
+                    continue;
+                };
+                assert!(cmd.flag(name).is_some(), "{words:?}: {word} is no row of {}", cmd.name);
+            }
+        }
     }
 
     #[test]
@@ -1736,7 +1788,7 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 1, "{out}");
         assert!(lines[0].starts_with("{\"rule\":\"forbid-unsafe\""), "{out}");
-        assert!(lines[0].contains("\"line\":0"), "{out}");
+        assert!(!lines[0].contains("\"line\""), "{out}");
         assert!(!out.contains("lint:"), "summary line must be suppressed: {out}");
     }
 
@@ -1750,23 +1802,19 @@ mod tests {
         )
         .unwrap();
         // A microscopic deadline expires on the first budget check: the run
-        // must still exit 0 with a legalized best-so-far placement.
+        // must still exit 0 with a legalized best-so-far placement, and the
+        // deadline alone arms every rung of the ladder.
         let mut out = String::new();
         run(
-            &strs(&[
-                "place",
-                &design_path,
-                "-o",
-                &placed_path,
-                "--deadline",
-                "0.000001",
-                "--degrade",
-                "default",
-            ]),
+            &strs(&["place", &design_path, "-o", &placed_path, "--deadline", "0.000001"]),
             &mut out,
         )
         .unwrap();
         assert!(out.contains("stopped early"), "{out}");
+        assert!(
+            out.contains("degradation: coarse-congestion,freeze-padding,cap-trials,early-exit-gp"),
+            "{out}"
+        );
         assert!(std::path::Path::new(&placed_path).exists());
     }
 
@@ -1793,29 +1841,14 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code, 2);
         assert!(err.message.contains("--deadline"), "{}", err.message);
-        let err = run(
-            &strs(&[
-                "place",
-                &design_path,
-                "-o",
-                &out_pl,
-                "--deadline",
-                "5",
-                "--degrade",
-                "bogus-step",
-            ]),
-            &mut String::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("--degrade"), "{}", err.message);
-        // The ladder is meaningless without a deadline to measure against.
-        let err = run(
-            &strs(&["place", &design_path, "-o", &out_pl, "--degrade", "default"]),
-            &mut String::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 2);
+        // The ladder is a constant a deadline arms, not a flag.
+        for cmd in [&["place", &design_path, "-o", &out_pl][..], &["explore", &design_path]] {
+            let mut args = strs(cmd);
+            args.extend(strs(&["--deadline", "5", "--degrade", "default"]));
+            let err = run(&args, &mut String::new()).unwrap_err();
+            assert_eq!(err.code, 2);
+            assert!(err.message.contains("unknown flag '--degrade'"), "{}", err.message);
+        }
         // Bounded execution is a property of the PUFFER flow.
         let err = run(
             &strs(&[
@@ -1898,8 +1931,14 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code, 2);
         assert!(err.message.contains("exactly one"), "{}", err.message);
-        // The fault-injection harness lives under `puffer chaos` only.
-        for gone in [&["--chaos"][..], &["--seeds", "3"][..]] {
+        // The fault-injection harness lives under `puffer chaos` only, and
+        // the retry schedule is ServeConfig's default, not a flag.
+        for gone in [
+            &["--chaos"][..],
+            &["--seeds", "3"][..],
+            &["--retries", "5"][..],
+            &["--backoff-ms", "10"][..],
+        ] {
             let mut args = strs(&["serve", "--journal-dir", "j", "--stdin"]);
             args.extend(strs(gone));
             let err = run(&args, &mut String::new()).unwrap_err();

@@ -143,7 +143,8 @@ pub struct FlowResult {
     pub runtime_s: f64,
     /// Average legalization displacement.
     pub avg_displacement: f64,
-    /// Degradation-ladder steps that engaged, in engagement order.
+    /// Degradation-ladder steps that engaged, in engagement order (a resumed
+    /// run's list starts with the rungs its journal recorded).
     pub degradation: Vec<DegradeStep>,
     /// Whether global placement stopped early (budget expired, external
     /// cancel, or early-exit rung) rather than converging. The placement is still the legalized best-so-far.
@@ -191,12 +192,9 @@ impl Job {
             )
             .write();
 
-        // Bounded-execution state for this run. The ladder on the job is a
-        // template; each run works on its own copy.
-        let mut ladder = self.ladder.clone().map(LadderState::new);
-        let mut engaged: Vec<DegradeStep> = Vec::new();
-        let mut frozen_padding = false;
-        let mut early_exit = false;
+        // Bounded-execution state for this run: the rungs a bounded budget
+        // has engaged so far (a resumed run starts past the journaled ones).
+        let mut ladder = LadderState::default();
         let mut cancelled = false;
         // Set when a cancellation suppressed a pass's padding round: the
         // final checkpoint must record it so a resumed run re-evaluates the
@@ -253,6 +251,13 @@ impl Job {
                 optimizer
                     .set_state(checkpoint.pad)
                     .map_err(PufferError::Resume)?;
+                // Re-apply the journaled rungs so the resumed run keeps the
+                // fidelity of the run that wrote the journal. Freezing and
+                // early exit follow from the ladder state itself.
+                if checkpoint.degradation.contains(&DegradeStep::CoarseCongestion) {
+                    optimizer.coarsen_estimator(design, 2.0);
+                }
+                ladder = LadderState::resumed(&checkpoint.degradation);
                 (placer, last, resume_skip_round, done)
             }
         };
@@ -273,30 +278,23 @@ impl Job {
                 // Graceful degradation: engage every rung whose threshold
                 // the budget has crossed since the last pass, in ladder
                 // order. Each engagement is applied once, journaled, and
-                // traced.
-                if let Some(state) = ladder.as_mut() {
-                    for step in state.poll(budget) {
-                        match step {
-                            DegradeStep::CoarseCongestion => {
-                                optimizer.coarsen_estimator(design, 2.0);
-                            }
-                            DegradeStep::FreezePadding => frozen_padding = true,
-                            // SMBO-only rung; recorded so the journal still
-                            // reflects the declared ladder position.
-                            DegradeStep::CapTrials => {}
-                            DegradeStep::EarlyExitGp => early_exit = true,
-                        }
-                        trace
-                            .record("flow.degrade")
-                            .str("step", step.as_str())
-                            .num("fraction_remaining", budget.fraction_remaining())
-                            .int("iter", last.iter as i64)
-                            .write();
-                        engaged.push(step);
+                // traced. `cap-trials` is SMBO's rung; the flow records it
+                // so the journal reflects the ladder position.
+                for step in ladder.poll(budget) {
+                    if step == DegradeStep::CoarseCongestion {
+                        optimizer.coarsen_estimator(design, 2.0);
                     }
+                    trace
+                        .record("flow.degrade")
+                        .str("step", step.as_str())
+                        .num("fraction_remaining", budget.fraction_remaining())
+                        .int("iter", last.iter as i64)
+                        .write();
                 }
                 if !skip_round {
-                    if !frozen_padding && optimizer.should_trigger(last.overflow) {
+                    if !ladder.is_engaged(DegradeStep::FreezePadding)
+                        && optimizer.should_trigger(last.overflow)
+                    {
                         // An exhausted budget skips the (expensive) pad
                         // round: the loop is about to break to legalization.
                         // The suppression is journaled so a resumed run
@@ -330,7 +328,7 @@ impl Job {
                                 &placer,
                                 &optimizer,
                                 &BoundedRun {
-                                    degradation: &engaged,
+                                    degradation: ladder.engaged(),
                                     pending_round,
                                     scale_class,
                                 },
@@ -343,7 +341,7 @@ impl Job {
                 // Cooperative cancellation: an expired budget or the
                 // early-exit rung breaks as if converged; the best-so-far
                 // snapshot proceeds to (unbounded) legalization.
-                if budget.is_exhausted() || early_exit {
+                if budget.is_exhausted() || ladder.is_engaged(DegradeStep::EarlyExitGp) {
                     cancelled = true;
                     break;
                 }
@@ -389,7 +387,7 @@ impl Job {
                 &placer,
                 &optimizer,
                 &BoundedRun {
-                    degradation: &engaged,
+                    degradation: ladder.engaged(),
                     pending_round,
                     scale_class,
                 },
@@ -459,7 +457,7 @@ impl Job {
             final_overflow: placer.overflow(),
             runtime_s: start.elapsed_secs(),
             avg_displacement: outcome.avg_displacement,
-            degradation: engaged,
+            degradation: ladder.engaged().to_vec(),
             cancelled,
         };
         trace
@@ -806,10 +804,9 @@ mod tests {
         let trace = Trace::with_sink(&path).unwrap();
         let policy = CheckpointPolicy::new(dir.join("run.pj"));
         // An already-expired deadline drops fraction_remaining to 0, so
-        // every rung engages on the first poll, in declared order.
+        // every rung engages on the first poll, in ladder order.
         let r = Job::new(quick_config())
             .with_budget(puffer_budget::Budget::with_deadline(Duration::ZERO))
-            .with_ladder(puffer_budget::DegradationLadder::default())
             .with_trace(trace.clone())
             .with_checkpoints(policy.clone())
             .run(&d)
@@ -842,10 +839,7 @@ mod tests {
     #[test]
     fn unbounded_budget_never_engages_the_ladder() {
         let d = design();
-        let r = Job::new(quick_config())
-            .with_ladder(puffer_budget::DegradationLadder::default())
-            .run(&d)
-            .unwrap();
+        let r = Job::new(quick_config()).run(&d).unwrap();
         assert!(r.degradation.is_empty());
         assert!(!r.cancelled);
     }

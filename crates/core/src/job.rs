@@ -12,8 +12,10 @@
 //! * its [`PufferConfig`] (placer/estimator/strategy/features),
 //! * its [`Budget`] — the deadline clock starts when the budget is built,
 //!   and the shared [`CancelToken`] is reachable via [`Job::cancel_token`]
-//!   so a supervisor can cancel a running job from another thread,
-//! * its [`Trace`] sink and optional [`StageObserver`] and ladder,
+//!   so a supervisor can cancel a running job from another thread; a
+//!   bounded budget also arms the degradation ladder (the rungs of
+//!   [`puffer_budget::DegradeStep::ALL`] at their fixed thresholds),
+//! * its [`Trace`] sink and optional [`StageObserver`],
 //! * an optional [`CheckpointPolicy`]; with one attached,
 //!   [`Job::run_or_resume`] is crash recovery in a single call: resume from
 //!   the journal when one exists (tolerating a torn tail), start fresh
@@ -24,7 +26,7 @@ use crate::flow::{FlowResult, PufferConfig, StageObserver};
 use crate::PufferError;
 #[cfg(feature = "chaos")]
 use puffer_budget::ChaosPlan;
-use puffer_budget::{Budget, CancelToken, DegradationLadder};
+use puffer_budget::{Budget, CancelToken};
 use puffer_db::design::Design;
 use puffer_trace::Trace;
 
@@ -51,7 +53,6 @@ pub struct Job {
     pub(crate) budget: Budget,
     pub(crate) trace: Trace,
     pub(crate) observer: Option<StageObserver>,
-    pub(crate) ladder: Option<DegradationLadder>,
     pub(crate) checkpoints: Option<CheckpointPolicy>,
     #[cfg(feature = "chaos")]
     pub(crate) chaos: Option<ChaosPlan>,
@@ -66,7 +67,6 @@ impl Job {
             budget: Budget::unbounded(),
             trace: Trace::disabled(),
             observer: None,
-            ladder: None,
             checkpoints: None,
             #[cfg(feature = "chaos")]
             chaos: None,
@@ -79,6 +79,11 @@ impl Job {
     /// [`Budget::with_deadline`], not here); when it expires the loop breaks
     /// as if converged — the best-so-far snapshot is still legalized, so the
     /// flow exits cleanly within the deadline plus one iteration's slack.
+    /// A deadline also arms the degradation ladder: as the budget's
+    /// remaining fraction crosses each rung's threshold the flow steps down
+    /// fidelity in [`puffer_budget::DegradeStep::ALL`] order; each
+    /// engagement is recorded as a `flow.degrade` trace record and in the
+    /// checkpoint journal.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
         self
@@ -103,17 +108,6 @@ impl Job {
         self
     }
 
-    /// Attaches a graceful-degradation ladder, returning `self` for
-    /// chaining. As the budget's remaining fraction crosses each rung's
-    /// threshold the flow steps down fidelity in the declared order; each
-    /// engagement is recorded as a `flow.degrade` trace record and in the
-    /// checkpoint journal. Without a bounded budget the ladder never
-    /// engages.
-    pub fn with_ladder(mut self, ladder: DegradationLadder) -> Self {
-        self.ladder = Some(ladder);
-        self
-    }
-
     /// Attaches a checkpoint policy, returning `self` for chaining. All run
     /// entry points then journal per the policy, and
     /// [`Job::run_or_resume`] resumes from its journal when one exists.
@@ -127,11 +121,6 @@ impl Job {
     pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = Some(plan);
         self
-    }
-
-    /// The flow configuration.
-    pub fn config(&self) -> &PufferConfig {
-        &self.config
     }
 
     /// A clone of the budget's shared cancel token: cancelling it stops

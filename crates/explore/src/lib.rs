@@ -32,7 +32,6 @@
 //!     &ExplorationConfig { max_evals: 120, ..ExplorationConfig::default() },
 //!     &Trace::disabled(),
 //!     &Budget::unbounded(),
-//!     None,
 //! ).unwrap();
 //! assert!(outcome.best_value < 1.0);
 //! # let _ = Domain::Continuous { lo: 0.0, hi: 1.0 };

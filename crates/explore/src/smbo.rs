@@ -168,15 +168,15 @@ impl Run {
     }
 }
 
-/// When the [`DegradeStep::CapTrials`] rung of a degradation ladder
+/// When the [`DegradeStep::CapTrials`] rung of the degradation ladder
 /// engages, this many further evaluations are allowed before the run stops
 /// (enough for the TPE to bank its current suggestion, cheap enough to
 /// leave the rest of the deadline to downstream stages).
 pub const CAPPED_TRIALS_REMAINING: usize = 2;
 
 /// Algorithm 2: explore `space` with TPE, minimising `eval`, then narrow
-/// each parameter's range around the best observations — under telemetry,
-/// an execution [`Budget`] and (optionally) a graceful-degradation ladder.
+/// each parameter's range around the best observations — under telemetry
+/// and an execution [`Budget`].
 ///
 /// Trials are panic-isolated (see the module docs): a panicking or
 /// NaN-returning objective degrades the search instead of aborting it.
@@ -190,12 +190,11 @@ pub const CAPPED_TRIALS_REMAINING: usize = 2;
 /// (unless nothing ever succeeded *and* failures occurred, which keeps
 /// [`ExploreError::AllTrialsFailed`] semantics intact).
 ///
-/// The ladder is polled once per trial; only its [`DegradeStep::CapTrials`]
-/// rung applies here — on engagement the remaining evaluation budget is
-/// capped at [`CAPPED_TRIALS_REMAINING`] and a `flow.degrade` record is
-/// emitted. The other rungs belong to the placement flow and are ignored,
-/// so pass a ladder containing just the `cap-trials` rung when driving
-/// exploration standalone.
+/// A bounded budget arms the degradation ladder, polled once per trial;
+/// only its [`DegradeStep::CapTrials`] rung applies here — once 20 % of the
+/// budget remains, the remaining evaluation budget is capped at
+/// [`CAPPED_TRIALS_REMAINING`] and a `flow.degrade` record is emitted. The
+/// other rungs belong to the placement flow and are ignored.
 ///
 /// # Errors
 ///
@@ -208,9 +207,9 @@ pub fn explore_params_bounded(
     config: &ExplorationConfig,
     trace: &Trace,
     budget: &Budget,
-    mut ladder: Option<&mut LadderState>,
 ) -> Result<ExplorationOutcome, ExploreError> {
     let mut run = Run::new(space, config);
+    let mut ladder = LadderState::default();
     let mut stopped_early = false;
     let mut max_evals = config.max_evals;
 
@@ -230,18 +229,14 @@ pub fn explore_params_bounded(
             stopped_early = true;
             break;
         }
-        if let Some(ladder) = ladder.as_deref_mut() {
-            for step in ladder.poll(budget) {
-                if step == DegradeStep::CapTrials {
-                    max_evals = max_evals.min(run.evals + CAPPED_TRIALS_REMAINING);
-                    trace
-                        .record("flow.degrade")
-                        .str("step", step.as_str())
-                        .num("fraction_remaining", budget.fraction_remaining())
-                        .int("iter", run.evals as i64)
-                        .write();
-                }
-            }
+        if ladder.poll(budget).contains(&DegradeStep::CapTrials) {
+            max_evals = max_evals.min(run.evals + CAPPED_TRIALS_REMAINING);
+            trace
+                .record("flow.degrade")
+                .str("step", DegradeStep::CapTrials.as_str())
+                .num("fraction_remaining", budget.fraction_remaining())
+                .int("iter", run.evals as i64)
+                .write();
         }
         if run.since_improvement >= config.early_stop {
             stopped_early = true;
@@ -422,7 +417,7 @@ pub fn explore_strategy_traced(
 ) -> Result<StrategyOutcome, ExploreError> {
     // Line 1–2: initial ranges + global exploration.
     let global =
-        explore_params_bounded(space, &eval, &config.global, trace, &Budget::unbounded(), None)?;
+        explore_params_bounded(space, &eval, &config.global, trace, &Budget::unbounded())?;
     let mut ranges = global.narrowed;
     let mut best_observed = global.best;
     let mut best_value = global.best_value;
@@ -543,7 +538,6 @@ fn explore_group(
         config,
         trace,
         &Budget::unbounded(),
-        None,
     )?;
     Ok((indices, outcome))
 }
@@ -574,7 +568,6 @@ mod tests {
             },
             &Trace::disabled(),
             &Budget::unbounded(),
-            None,
         )
         .unwrap();
         assert!(outcome.best_value < 2.0, "best {}", outcome.best_value);
@@ -603,7 +596,6 @@ mod tests {
             },
             &trace,
             &Budget::unbounded(),
-            None,
         )
         .unwrap();
         trace.flush().unwrap();
@@ -643,7 +635,6 @@ mod tests {
             },
             &Trace::disabled(),
             &Budget::unbounded(),
-            None,
         )
         .unwrap();
         assert!(outcome.stopped_early);
@@ -662,7 +653,6 @@ mod tests {
             },
             &Trace::disabled(),
             &Budget::unbounded(),
-            None,
         )
         .unwrap();
         let d = outcome.narrowed.params()[0].domain;
@@ -770,7 +760,6 @@ mod tests {
             },
             &Trace::disabled(),
             &Budget::unbounded(),
-            None,
         )
         .unwrap();
         assert!(outcome.failed_trials > 0, "crater was never sampled");
@@ -792,7 +781,6 @@ mod tests {
             },
             &Trace::disabled(),
             &Budget::unbounded(),
-            None,
         )
         .unwrap_err();
         match err {
@@ -820,7 +808,6 @@ mod tests {
             },
             &Trace::disabled(),
             &Budget::unbounded(),
-            None,
         )
         .unwrap();
         assert!(outcome.failed_trials > 0, "negative half never sampled");
@@ -850,7 +837,6 @@ mod tests {
             },
             &Trace::disabled(),
             &Budget::unbounded(),
-            None,
         )
         .unwrap();
         assert!(outcome.stopped_early);
@@ -879,7 +865,6 @@ mod tests {
             },
             &Trace::disabled(),
             &Budget::unbounded().with_token(token.clone()),
-            None,
         )
         .unwrap();
         assert!(outcome.stopped_early, "cancel must read as an early stop");
@@ -889,21 +874,22 @@ mod tests {
 
     #[test]
     fn cap_trials_rung_caps_remaining_evaluations() {
-        use puffer_budget::DegradationLadder;
         let space = bowl(1);
-        // The first trial burns 15% of a 200 ms deadline, dropping the
-        // remaining fraction below the rung's 0.9 threshold: the next poll
-        // engages cap-trials and the run stops after exactly
-        // CAPPED_TRIALS_REMAINING further (instant) evaluations — long
-        // before the deadline itself would have.
-        let ladder = DegradationLadder::parse("cap-trials@0.9").unwrap();
-        let mut state = LadderState::new(ladder);
+        // The first trial runs until 18 % of a one-second deadline remains,
+        // below the rung's 0.20 threshold: the next poll engages cap-trials
+        // and the run stops after exactly CAPPED_TRIALS_REMAINING further
+        // (instant) evaluations — long before the deadline itself would.
+        let budget = Budget::with_deadline(std::time::Duration::from_secs(1));
         let evals = AtomicUsize::new(0);
+        let path = tmp("cap_trials.jsonl");
+        let trace = Trace::with_sink(&path).unwrap();
         let outcome = explore_params_bounded(
             &space,
             |v| {
                 if evals.fetch_add(1, Ordering::Relaxed) == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(30));
+                    while budget.fraction_remaining() > 0.18 {
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                    }
                 }
                 v[0] * v[0]
             },
@@ -912,12 +898,18 @@ mod tests {
                 early_stop: 500,
                 ..Default::default()
             },
-            &Trace::disabled(),
-            &Budget::with_deadline(std::time::Duration::from_millis(200)),
-            Some(&mut state),
+            &trace,
+            &budget,
         )
         .unwrap();
-        assert!(state.is_engaged(DegradeStep::CapTrials));
+        trace.flush().unwrap();
+        let records = puffer_trace::read_jsonl(&path).unwrap();
+        let rungs: Vec<&str> = records
+            .iter()
+            .filter(|r| r.kind() == Some("flow.degrade"))
+            .filter_map(|r| r.str_field("step"))
+            .collect();
+        assert_eq!(rungs, ["cap-trials"]);
         assert_eq!(
             outcome.evals,
             1 + CAPPED_TRIALS_REMAINING,
@@ -952,7 +944,6 @@ mod tests {
             &config,
             &Trace::disabled(),
             &Budget::unbounded(),
-            None,
         )
         .unwrap();
         assert_eq!(live.load(Ordering::Relaxed), 40);
@@ -970,7 +961,6 @@ mod tests {
             &config,
             &Trace::disabled(),
             &Budget::unbounded(),
-            None,
         )
         .unwrap();
         assert_eq!(live2.load(Ordering::Relaxed), 0, "no evaluation repeated");
@@ -993,7 +983,6 @@ mod tests {
             },
             &Trace::disabled(),
             &Budget::unbounded(),
-            None,
         )
         .unwrap();
         assert_eq!(live3.load(Ordering::Relaxed), 20);

@@ -53,7 +53,8 @@ use crate::queue::{BoundedQueue, Popped, PushError};
 /// Engine settings.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads in the pool.
+    /// Worker threads in the pool (clamped into
+    /// `1..=`[`puffer_budget::MAX_WORKER_THREADS`] when the engine starts).
     pub workers: usize,
     /// Admission-queue capacity; a full queue rejects submissions with an
     /// explicit reason instead of buffering unboundedly.
@@ -339,11 +340,14 @@ impl Engine {
     /// [`EngineError::Io`] when the journal directory cannot be prepared,
     /// [`EngineError::ControlPanic`] when `control` itself panics.
     pub fn run<T>(
-        cfg: ServeConfig,
+        mut cfg: ServeConfig,
         control: impl FnOnce(&EngineHandle<'_>) -> T,
     ) -> Result<T, EngineError> {
         fs::create_dir_all(&cfg.journal_dir).map_err(|e| EngineError::Io(e.to_string()))?;
-        let workers = cfg.workers.max(1);
+        // The pool runs at most MAX_WORKER_THREADS workers; clamp once so
+        // every report of the pool size names the pool that runs.
+        cfg.workers = puffer_budget::clamp_threads(cfg.workers);
+        let workers = cfg.workers;
         let shared = Shared {
             queue: BoundedQueue::new(cfg.queue_capacity),
             jobs: Mutex::new(BTreeMap::new()),
@@ -1016,9 +1020,10 @@ impl EngineHandle<'_> {
         self.shared.live_workers.load(Ordering::SeqCst)
     }
 
-    /// Configured pool size.
+    /// Pool size: the configured worker count clamped into
+    /// `1..=`[`puffer_budget::MAX_WORKER_THREADS`].
     pub fn workers(&self) -> usize {
-        self.shared.cfg.workers.max(1)
+        self.shared.cfg.workers
     }
 
     /// The journal directory this engine persists jobs under.

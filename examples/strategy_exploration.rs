@@ -73,7 +73,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         &untraced,
         &unbounded,
-        None,
     )
     .expect("exploration failed");
     println!(

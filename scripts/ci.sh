@@ -127,13 +127,18 @@ for t in 2 4; do
 done
 
 # Bounded-execution smoke: an expired deadline must still exit 0 with a
-# legal best-so-far placement, and the flow rows of the chaos harness
-# (worker-panic, nan-burst) must each survive two seeded injections. The
-# nan-burst rows must report the burst's recovery as non-finite, the verdict
-# the sentinel reaches by checking the iterate's coordinates.
+# legal best-so-far placement, having engaged all four rungs of the
+# degradation ladder (a deadline alone arms it), and the flow rows of the
+# chaos harness (worker-panic, nan-burst) must each survive two seeded
+# injections. The nan-burst rows must report the burst's recovery as
+# non-finite, the verdict the sentinel reaches by checking the iterate's
+# coordinates.
 echo "==> bounded execution smoke (place --deadline + puffer chaos --classes flow)"
 "$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/deadline.pl" \
-  --deadline 0.001 --degrade default
+  --deadline 0.001 > "$SMOKE_DIR/deadline.out"
+cat "$SMOKE_DIR/deadline.out"
+grep -q 'degradation: coarse-congestion,freeze-padding,cap-trials,early-exit-gp' \
+  "$SMOKE_DIR/deadline.out"
 "$PUFFER" chaos --classes flow --seeds 4 > "$SMOKE_DIR/chaos-flow.out"
 cat "$SMOKE_DIR/chaos-flow.out"
 test "$(grep -c 'nan-burst .*(non-finite objective)' "$SMOKE_DIR/chaos-flow.out")" -eq 2

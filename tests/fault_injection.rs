@@ -313,7 +313,6 @@ fn panicking_exploration_objective_is_contained() {
         },
         &Trace::disabled(),
         &Budget::unbounded(),
-        None,
     )
     .expect("exploration must survive the crashing corner");
     assert!(outcome.failed_trials > 0, "crash corner never hit");
@@ -333,7 +332,6 @@ fn hopeless_exploration_objective_is_a_typed_error() {
         },
         &Trace::disabled(),
         &Budget::unbounded(),
-        None,
     )
     .unwrap_err();
     assert!(matches!(err, ExploreError::AllTrialsFailed { .. }), "{err}");
@@ -444,7 +442,6 @@ fn cancel_mid_smbo_keeps_the_best_completed_trial() {
         },
         &Trace::disabled(),
         &Budget::unbounded().with_token(token),
-        None,
     )
     .expect("cancellation must return the best-so-far, not an error");
     assert!(outcome.evals <= 3, "search must stop at the cancellation");

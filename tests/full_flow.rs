@@ -5,10 +5,11 @@
 mod oracle;
 
 use puffer::{
-    evaluate_bounded, Job, PufferConfig, ReferenceConfig, ReferencePlacer, ReplaceConfig,
-    ReplacePlacer, WsaConfig, WsaPlacer,
+    evaluate_bounded, CheckpointPolicy, FlowCheckpoint, Job, PufferConfig, ReferenceConfig,
+    ReferencePlacer, ReplaceConfig, ReplacePlacer, WsaConfig, WsaPlacer,
 };
-use puffer_budget::Budget;
+use puffer_budget::{Budget, DegradeStep};
+use puffer_congest::CongestionEstimator;
 use puffer_db::geom::Point;
 use puffer_gen::{generate, presets, GeneratorConfig};
 use puffer_route::RouterConfig;
@@ -217,4 +218,76 @@ fn oracle_and_check_legal_reject_the_same_broken_placements() {
             "check_legal missed: {rule}"
         );
     }
+}
+
+/// A resumed run re-applies the rungs its journal recorded, even under an
+/// unbounded budget that never engages a rung itself: a journaled
+/// `coarse-congestion` keeps every later padding round on the coarsened
+/// grid, is neither engaged nor traced again, and rides into the result
+/// and the next journal, which audits clean against the run's metrics.
+#[test]
+fn resume_reapplies_a_journaled_coarse_congestion_rung() {
+    let design = generate(&GeneratorConfig {
+        num_cells: 400,
+        num_nets: 450,
+        num_macros: 2,
+        utilization: 0.6,
+        hotspot: 0.5,
+        ..GeneratorConfig::default()
+    })
+    .expect("generate");
+    let dir = std::env::temp_dir().join("puffer-full-flow").join("resume-rungs");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let history = CheckpointPolicy {
+        path: dir.join("run.pj"),
+        every: 10,
+        keep_history: true,
+    };
+    Job::new(quick_config())
+        .with_checkpoints(history)
+        .run(&design)
+        .expect("place");
+    let checkpoint = FlowCheckpoint::load(&dir.join("run.pj.iter000010"))
+        .expect("mid-loop journal")
+        .with_degradation(vec![DegradeStep::CoarseCongestion]);
+
+    let metrics = dir.join("resumed.jsonl");
+    let journal = dir.join("resumed.pj");
+    let trace = Trace::with_sink(&metrics).unwrap();
+    let r = Job::new(quick_config())
+        .with_trace(trace.clone())
+        .with_checkpoints(CheckpointPolicy::new(&journal))
+        .run_from(&design, checkpoint)
+        .expect("resume");
+    trace.write_summary();
+    trace.flush().unwrap();
+    assert_eq!(r.degradation, [DegradeStep::CoarseCongestion]);
+    assert!(!r.cancelled);
+
+    let mut estimator = CongestionEstimator::new(&design, quick_config().estimator);
+    let fine = estimator.h_capacity().len();
+    estimator.coarsen(&design, 2.0);
+    let coarse = estimator.h_capacity().len() as f64;
+    assert!(coarse < fine as f64);
+    let records = puffer_trace::read_jsonl(&metrics).unwrap();
+    let gcells: Vec<f64> = records
+        .iter()
+        .filter(|rec| rec.kind() == Some("congest.round"))
+        .map(|rec| match rec.get("h_hist") {
+            Some(puffer_trace::Value::Arr(h)) => h.iter().flatten().sum(),
+            other => panic!("congest.round without h_hist: {other:?}"),
+        })
+        .collect();
+    assert!(!gcells.is_empty(), "no padding round fired after the resume point");
+    assert!(gcells.iter().all(|&g| g == coarse), "{gcells:?} vs {coarse} coarsened Gcells");
+    assert!(
+        records.iter().all(|rec| rec.kind() != Some("flow.degrade")),
+        "a journaled rung engaged again"
+    );
+    assert_eq!(
+        FlowCheckpoint::load(&journal).unwrap().degradation,
+        [DegradeStep::CoarseCongestion]
+    );
+    puffer_audit::audit_run(&journal, &metrics).expect("resumed run audits clean");
 }
