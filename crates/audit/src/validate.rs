@@ -320,7 +320,7 @@ impl Validate for CongestionMap {
         }
         // Histogram conservation: bucketing every Gcell's congestion must
         // account for exactly nx * ny cells in each direction — the same
-        // invariant `audit metrics` enforces on the emitted h_hist/v_hist.
+        // invariant `audit_metrics` enforces on the emitted h_hist/v_hist.
         let gcells = self.nx() * self.ny();
         for (name, horizontal) in [("h", true), ("v", false)] {
             let mut hist = [0usize; 8];
@@ -594,7 +594,7 @@ impl Validate for FlowCheckpoint {
 // Metrics JSONL
 // ---------------------------------------------------------------------------
 
-/// What `audit metrics` extracted from a telemetry file, for cross-file
+/// What [`audit_metrics`] extracted from a telemetry file, for cross-file
 /// checks and CLI reporting.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSummary {

@@ -16,10 +16,13 @@
 //!   record and a configurable [`FsyncPolicy`]. A crash can lose (at most)
 //!   the record being written; previously flushed records are never
 //!   corrupted by a later failure.
-//! * [`read_journal_tail_tolerant`] — the single torn-final-record reader
-//!   shared by every journal consumer. A record left incomplete by a crash
-//!   is dropped (and reported via [`Journal::dropped_torn_tail`]); anything
-//!   before it is returned verbatim.
+//! * [`read_journal_tail_tolerant`] — the single torn-final-line reader
+//!   shared by every [`AppendSink`] log (metrics JSONL, exploration
+//!   journal, serve `run.jsonl`). A line left unterminated by a crash is
+//!   dropped (and reported via [`Journal::dropped_torn_tail`]); every line
+//!   before it is returned verbatim. Whole-file artifacts such as the
+//!   checkpoint journal need no such reader: [`atomic_write`] never leaves
+//!   one half-written.
 //!
 //! Together they guarantee the end-state invariant the chaos harness
 //! asserts: after any crash, a reader finds either a complete artifact, a
@@ -170,11 +173,7 @@ fn fsync_parent_dir(path: &Path) -> io::Result<()> {
 /// Any underlying I/O error (or injected fault); the previous file, if
 /// any, is still intact.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("artifact");
-    let tmp = path.with_file_name(format!("{name}.tmp"));
+    let tmp = tmp_sibling(path);
     let mut file = File::create(&tmp)?;
     guarded_write(&mut file, bytes)?;
     guarded_fsync(&file)?;
@@ -270,19 +269,6 @@ impl AppendSink {
 // Torn-tail-tolerant journal reader
 // ---------------------------------------------------------------------------
 
-/// How a journal file delimits its records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordShape {
-    /// One record per `\n`-terminated line. An unterminated final line is
-    /// the torn tail.
-    Line,
-    /// Multi-line records, each closed by a line consisting of exactly the
-    /// marker (e.g. `"end"`). Lines after the last marker are the torn
-    /// tail. Each returned record keeps its internal newlines and the
-    /// marker line.
-    EndMarker(&'static str),
-}
-
 /// A journal decoded by [`read_journal_tail_tolerant`]: the complete
 /// records, and whether a crash-torn tail was dropped to get them.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -292,52 +278,28 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Decodes `text` under the given record shape. Infallible: a torn
-    /// tail is dropped and flagged, never an error — whether "no complete
-    /// record" is acceptable is the caller's policy.
-    pub fn from_text(text: &str, shape: RecordShape) -> Journal {
-        match shape {
-            RecordShape::Line => {
-                let mut records = Vec::new();
-                let mut torn = false;
-                for chunk in text.split_inclusive('\n') {
-                    match chunk.strip_suffix('\n') {
-                        Some(line) => records.push(line.to_string()),
-                        None => torn = true, // unterminated final line
-                    }
-                }
-                Journal {
-                    records,
-                    dropped_torn_tail: torn,
-                }
+    /// Decodes `text`, one record per `\n`-terminated line. Infallible: an
+    /// unterminated final line is the torn tail, dropped and flagged,
+    /// never an error — whether "no complete record" is acceptable is the
+    /// caller's policy.
+    pub fn from_text(text: &str) -> Journal {
+        let mut records = Vec::new();
+        let mut torn = false;
+        for chunk in text.split_inclusive('\n') {
+            match chunk.strip_suffix('\n') {
+                Some(line) => records.push(line.to_string()),
+                None => torn = true,
             }
-            RecordShape::EndMarker(marker) => {
-                let mut records = Vec::new();
-                let mut chunk_start = 0;
-                let mut cursor = 0;
-                for chunk in text.split_inclusive('\n') {
-                    cursor += chunk.len();
-                    if chunk.strip_suffix('\n') == Some(marker) {
-                        records.push(text[chunk_start..cursor].to_string());
-                        chunk_start = cursor;
-                    }
-                }
-                Journal {
-                    records,
-                    dropped_torn_tail: chunk_start < text.len(),
-                }
-            }
+        }
+        Journal {
+            records,
+            dropped_torn_tail: torn,
         }
     }
 
     /// The complete records, in file order.
     pub fn records(&self) -> &[String] {
         &self.records
-    }
-
-    /// The last complete record, if any.
-    pub fn last(&self) -> Option<&str> {
-        self.records.last().map(String::as_str)
     }
 
     /// The number of complete records.
@@ -358,21 +320,21 @@ impl Journal {
 }
 
 /// Reads `path` and decodes it with the workspace's single torn-tail
-/// recovery rule: every complete record is returned, an incomplete final
-/// record (the unsynced tail a crash can leave) is dropped and flagged.
+/// recovery rule: every complete line is returned, an unterminated final
+/// line (the unsynced tail a crash can leave) is dropped and flagged.
 ///
-/// This is the only sanctioned way to read a PUFFER journal back — the
-/// checkpoint journal, the metrics JSONL validator, the exploration
-/// journal, and the serve `run.jsonl` recovery all decode through it, so
-/// "what survives a crash" has exactly one definition.
+/// This is the only sanctioned way to read an append-only PUFFER log back
+/// — the metrics JSONL validator, the exploration journal, and the serve
+/// `run.jsonl` recovery all decode through it, so "what survives a crash"
+/// has exactly one definition.
 ///
 /// # Errors
 ///
 /// The underlying read error, or `InvalidData` when the file is not UTF-8.
-pub fn read_journal_tail_tolerant(path: &Path, shape: RecordShape) -> io::Result<Journal> {
+pub fn read_journal_tail_tolerant(path: &Path) -> io::Result<Journal> {
     let mut text = String::new();
     File::open(path)?.read_to_string(&mut text)?;
-    Ok(Journal::from_text(&text, shape))
+    Ok(Journal::from_text(&text))
 }
 
 /// Returns the path of the temp sibling [`atomic_write`] uses for `path` —
@@ -537,50 +499,27 @@ mod tests {
         let mut sink = AppendSink::append(&path, FsyncPolicy::EveryRecord).unwrap();
         sink.write_record(b"c\n").unwrap();
         drop(sink);
-        let j = read_journal_tail_tolerant(&path, RecordShape::Line).unwrap();
+        let j = read_journal_tail_tolerant(&path).unwrap();
         assert_eq!(j.records(), ["a", "b", "c"]);
         assert!(!j.dropped_torn_tail());
     }
 
     #[test]
     fn line_journal_drops_unterminated_tail() {
-        let j = Journal::from_text("a\nb\ncut-off", RecordShape::Line);
+        let j = Journal::from_text("a\nb\ncut-off");
         assert_eq!(j.records(), ["a", "b"]);
         assert!(j.dropped_torn_tail());
-        assert_eq!(j.last(), Some("b"));
         assert_eq!(j.len(), 2);
     }
 
     #[test]
     fn line_journal_on_clean_file_keeps_everything() {
-        let j = Journal::from_text("a\nb\n", RecordShape::Line);
+        let j = Journal::from_text("a\nb\n");
         assert_eq!(j.records(), ["a", "b"]);
         assert!(!j.dropped_torn_tail());
-        let empty = Journal::from_text("", RecordShape::Line);
+        let empty = Journal::from_text("");
         assert!(empty.is_empty());
         assert!(!empty.dropped_torn_tail());
-    }
-
-    #[test]
-    fn end_marker_journal_splits_on_marker_lines() {
-        let text = "header 1\nx 3\nend\nheader 2\ny 4\nend\n";
-        let j = Journal::from_text(text, RecordShape::EndMarker("end"));
-        assert_eq!(j.len(), 2);
-        assert_eq!(j.records()[0], "header 1\nx 3\nend\n");
-        assert_eq!(j.last(), Some("header 2\ny 4\nend\n"));
-        assert!(!j.dropped_torn_tail());
-    }
-
-    #[test]
-    fn end_marker_journal_drops_torn_record() {
-        let text = "header 1\nend\nheader 2\ntruncat";
-        let j = Journal::from_text(text, RecordShape::EndMarker("end"));
-        assert_eq!(j.records(), ["header 1\nend\n"]);
-        assert!(j.dropped_torn_tail());
-        // A marker line without its newline is itself torn.
-        let torn_marker = Journal::from_text("a\nend", RecordShape::EndMarker("end"));
-        assert!(torn_marker.is_empty());
-        assert!(torn_marker.dropped_torn_tail());
     }
 
     #[test]
@@ -589,11 +528,10 @@ mod tests {
         let dir = tmp_dir("reader");
         let path = dir.join("t.log");
         std::fs::write(&path, "x\ny\nto").unwrap();
-        let j = read_journal_tail_tolerant(&path, RecordShape::Line).unwrap();
+        let j = read_journal_tail_tolerant(&path).unwrap();
         assert_eq!(j.records(), ["x", "y"]);
         assert!(j.dropped_torn_tail());
-        assert!(read_journal_tail_tolerant(dir.join("absent.log").as_path(), RecordShape::Line)
-            .is_err());
+        assert!(read_journal_tail_tolerant(dir.join("absent.log").as_path()).is_err());
     }
 
     #[cfg(feature = "chaos")]
@@ -631,7 +569,7 @@ mod tests {
             let err = sink.write_record(b"doomed-record\n").unwrap_err();
             assert!(err.to_string().contains("torn write"), "{err}");
             drop(sink);
-            let j = read_journal_tail_tolerant(&path, RecordShape::Line).unwrap();
+            let j = read_journal_tail_tolerant(&path).unwrap();
             assert_eq!(j.records(), ["whole-record"]);
             assert!(j.dropped_torn_tail());
             fault::disarm();
@@ -678,7 +616,7 @@ mod tests {
             assert!(sink.write_record(b"c\n").is_err());
             assert!(!fault::armed());
             drop(sink);
-            let j = read_journal_tail_tolerant(&path, RecordShape::Line).unwrap();
+            let j = read_journal_tail_tolerant(&path).unwrap();
             assert_eq!(j.records(), ["a", "b"]);
             fault::disarm();
         }

@@ -238,10 +238,10 @@ const COMMANDS: &[Command] = &[
     ]),
     command(
         "audit",
-        &["design|journal|metrics|run", "<file>", "[<file>]"],
+        &["design|journal|run", "<file>", "[<file>]"],
         cmd_audit,
         "check an artifact: design <design.pd> | journal <run.pj> [<design.pd>] | \
-         metrics <run.jsonl> | run <run.pj> <run.jsonl>",
+         run <run.pj> <run.jsonl> (a metrics file alone: puffer trace)",
     ),
 ];
 
@@ -586,17 +586,9 @@ fn cmd_place(flags: &Flags, out: &mut String) -> Result<(), CliError> {
                 });
             }
             if let Some(from) = resume {
-                // A torn final record (crash mid-append) is dropped with a
-                // warning.
-                let recovered = FlowCheckpoint::recover(Path::new(from))
+                let checkpoint = FlowCheckpoint::load(Path::new(from))
                     .map_err(|e| CliError::run(format!("cannot resume from {from}: {e}")))?;
-                if recovered.dropped_torn_tail {
-                    eprintln!(
-                        "warning: {from}: dropped a torn final record (crash mid-write); \
-                         resuming from the last complete checkpoint"
-                    );
-                }
-                job.run_from(&design, recovered.checkpoint)
+                job.run_from(&design, checkpoint)
             } else {
                 job.run(&design)
             }
@@ -715,33 +707,25 @@ fn cmd_eval(flags: &Flags, out: &mut String) -> Result<(), CliError> {
 /// `--journal` (in the loop, and the final one).
 const STAGE_SPANS: [&str; 6] = ["init", "gp", "legal", "gp/pad", "gp/journal", "journal"];
 
-/// `puffer trace <run.jsonl>` — validates a telemetry file and prints the
-/// record inventory. With `--check` it additionally requires the stage
-/// spans and per-iteration records a complete `place --metrics` run emits,
-/// and no span outside [`STAGE_SPANS`] (this is what the CI metrics smoke
-/// step calls).
+/// `puffer trace <run.jsonl>` — audits a telemetry file
+/// ([`audit_metrics`]) and prints the record inventory. With `--check` it
+/// additionally requires the stage spans and per-iteration records a
+/// complete `place --metrics` run emits, and no span outside
+/// [`STAGE_SPANS`] (this is what the CI metrics smoke step calls).
 fn cmd_trace(flags: &Flags, out: &mut String) -> Result<(), CliError> {
     let path = &flags.positional[0];
+    audit_metrics(Path::new(path)).map_err(|report| CliError::run(format!("invalid {report}")))?;
     let records = puffer_trace::read_jsonl(Path::new(path))
         .map_err(|e| CliError::run(format!("invalid metrics file {path}: {e}")))?;
     if records.is_empty() {
         return Err(CliError::run(format!("{path}: no telemetry records")));
     }
-    let mut kinds: Vec<(String, usize)> = Vec::new();
-    for r in &records {
-        let Some(kind) = r.kind() else {
-            return Err(CliError::run(format!(
-                "{path}: record without a \"t\" kind field"
-            )));
-        };
-        if r.num("elapsed_s").is_none() {
-            return Err(CliError::run(format!(
-                "{path}: {kind} record missing the elapsed_s timestamp"
-            )));
-        }
-        match kinds.iter_mut().find(|(k, _)| k == kind) {
+    // The audit guarantees every record a kind.
+    let mut kinds: Vec<(&str, usize)> = Vec::new();
+    for kind in records.iter().filter_map(|r| r.kind()) {
+        match kinds.iter_mut().find(|(k, _)| *k == kind) {
             Some((_, n)) => *n += 1,
-            None => kinds.push((kind.to_string(), 1)),
+            None => kinds.push((kind, 1)),
         }
     }
     for (k, n) in &kinds {
@@ -765,7 +749,7 @@ fn cmd_trace(flags: &Flags, out: &mut String) -> Result<(), CliError> {
             return Err(CliError::run(format!("{path}: unknown stage span '{label}'")));
         }
         for kind in ["place.iter", "flow.done"] {
-            if !kinds.iter().any(|(k, _)| k == kind) {
+            if !kinds.iter().any(|(k, _)| *k == kind) {
                 return Err(CliError::run(format!("{path}: missing {kind} records")));
             }
         }
@@ -1014,7 +998,7 @@ fn cmd_lint(flags: &Flags, out: &mut String) -> Result<(), CliError> {
     }
 }
 
-/// `puffer audit <design|journal|metrics|run> <files..>` — deep invariant
+/// `puffer audit <design|journal|run> <files..>` — deep invariant
 /// verification of on-disk artifacts (see [`puffer_audit::validate`]).
 fn cmd_audit(flags: &Flags, out: &mut String) -> Result<(), CliError> {
     let positional: Vec<&str> = flags.positional.iter().map(String::as_str).collect();
@@ -1049,22 +1033,6 @@ fn cmd_audit(flags: &Flags, out: &mut String) -> Result<(), CliError> {
                 out,
                 "audit OK: checkpoint of '{}' at iteration {} ({} cells)",
                 checkpoint.design_name, checkpoint.placer.iter, checkpoint.num_cells
-            );
-            Ok(())
-        }
-        ["metrics", path] => {
-            let summary =
-                audit_metrics(Path::new(path)).map_err(|r| CliError::run(r.to_string()))?;
-            let _ = writeln!(
-                out,
-                "audit OK: {} records ({} GP iterations, {} pad rounds{})",
-                summary.records,
-                summary.last_iter.unwrap_or(0),
-                summary.pad_rounds,
-                match summary.gcells {
-                    Some(g) => format!(", {g} Gcells"),
-                    None => String::new(),
-                }
             );
             Ok(())
         }
@@ -1729,19 +1697,34 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        run(&strs(&["audit", "metrics", &metrics_path]), &mut out).unwrap();
         run(
             &strs(&["audit", "run", &journal_path, &metrics_path]),
             &mut out,
         )
         .unwrap();
-        assert_eq!(out.matches("audit OK").count(), 4, "{out}");
+        assert_eq!(out.matches("audit OK").count(), 3, "{out}");
+        // A metrics file alone is `puffer trace`'s to check.
+        run(&strs(&["trace", &metrics_path]), &mut out).unwrap();
+        let err = run(
+            &strs(&["audit", "metrics", &metrics_path]),
+            &mut String::new(),
+        )
+        .unwrap_err();
+        assert_eq!(err.code, 2);
 
-        // Corrupt the metrics file; the audit must fail with exit code 1.
-        std::fs::write(&metrics_path, "{\"t\":\"place.iter\",\"elapsed_s\":0.1,\"iter\":0}\n")
-            .unwrap();
-        let err = run(&strs(&["audit", "metrics", &metrics_path]), &mut String::new()).unwrap_err();
+        // Corrupt the metrics file; the check must fail with exit code 1.
+        std::fs::write(
+            &metrics_path,
+            "{\"t\":\"place.iter\",\"elapsed_s\":0.1,\"iter\":0}\n",
+        )
+        .unwrap();
+        let err = run(&strs(&["trace", &metrics_path]), &mut String::new()).unwrap_err();
         assert_eq!(err.code, 1);
+        assert!(
+            err.message.contains("place.iter record 0 has invalid iter"),
+            "{}",
+            err.message
+        );
 
         let err = run(&strs(&["audit", "bogus"]), &mut String::new()).unwrap_err();
         assert_eq!(err.code, 2);
@@ -1954,11 +1937,10 @@ mod tests {
     }
 
     #[test]
-    fn place_resume_tolerates_a_torn_journal_tail() {
-        let design_path = tmp("torn.pd");
-        let placed_path = tmp("torn.pl");
-        let resumed_path = tmp("torn_resumed.pl");
-        let journal_path = tmp("torn.pj");
+    fn place_resume_rejects_a_journal_with_a_second_record() {
+        let design_path = tmp("two_records.pd");
+        let placed_path = tmp("two_records.pl");
+        let journal_path = tmp("two_records.pj");
         run(
             &strs(&["gen", "--cells", "200", "-o", &design_path]),
             &mut String::new(),
@@ -1971,38 +1953,37 @@ mod tests {
                 "-o",
                 &placed_path,
                 "--max-iters",
-                "80",
+                "40",
                 "--journal",
                 &journal_path,
-                "--checkpoint-every",
-                "20",
             ]),
             &mut String::new(),
         )
         .unwrap();
-        // A crash mid-append: a complete record followed by half a record.
+        // No writer appends to a checkpoint journal: a second record is a
+        // file this build never wrote, refused at the line after `end`.
         let text = std::fs::read_to_string(&journal_path).unwrap();
-        let mut torn = text.clone();
-        torn.push_str(&text[..text.len() / 3]);
-        std::fs::write(&journal_path, &torn).unwrap();
-        run(
+        std::fs::write(&journal_path, text.repeat(2)).unwrap();
+        let err = run(
             &strs(&[
                 "place",
                 &design_path,
                 "-o",
-                &resumed_path,
-                "--max-iters",
-                "80",
+                &placed_path,
                 "--resume",
                 &journal_path,
             ]),
             &mut String::new(),
         )
-        .unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&placed_path).unwrap(),
-            std::fs::read_to_string(&resumed_path).unwrap(),
-            "resume over a torn tail diverged from the original"
+        .unwrap_err();
+        assert_eq!(err.code, 1, "{}", err.message);
+        let line = text.lines().count() + 1;
+        assert!(
+            err.message.contains(&format!(
+                "journal parse error at line {line}: 'puffer_checkpoint' after 'end'"
+            )),
+            "{}",
+            err.message
         );
     }
 }

@@ -29,9 +29,12 @@
 //! end
 //! ```
 //!
-//! Writes are atomic (temp file + fsync + rename), so a crash mid-write —
-//! or even right after the rename — leaves a complete journal on disk, and
-//! the trailing `end` marker detects files truncated by a crash mid-copy.
+//! A journal file is exactly one record. Writes are atomic (temp file +
+//! fsync + rename), so a crash mid-write — or even right after the rename
+//! — leaves the complete previous or the complete new record on disk, and
+//! [`FlowCheckpoint::load`] is the only reader. The trailing `end` marker
+//! detects a file truncated by a crash mid-copy; any text after it (a
+//! second record, stray bytes) is a parse error, never silently ignored.
 
 use crate::scale::ScaleClass;
 use puffer_budget::{fsx, DegradeStep};
@@ -328,54 +331,6 @@ impl FlowCheckpoint {
         Self::parse(&text)
     }
 
-    /// Reads a journal file, tolerating a torn (partially written) final
-    /// record: the journal is split into records at `end` markers, every
-    /// complete record is parsed strictly, the latest one wins, and any
-    /// trailing bytes after the last `end` are dropped and reported via
-    /// [`Recovered::dropped_torn_tail`] so callers can warn.
-    ///
-    /// This is the resume-side contract for both journal shapes: a
-    /// [`FlowCheckpoint::save`] journal is one complete record (recovery is
-    /// then identical to [`FlowCheckpoint::load`]), while an
-    /// [`FlowCheckpoint::append`] journal may end in a record a crash cut
-    /// short. Corruption *inside* a complete record is still an error —
-    /// only truncation at the tail is forgiven.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] when the file cannot be read,
-    /// [`JournalError::Parse`] when a complete record is malformed or when
-    /// not a single complete record exists (nothing to resume from).
-    pub fn recover(path: &Path) -> Result<Recovered, JournalError> {
-        let text = std::fs::read_to_string(path).map_err(JournalError::Io)?;
-        Self::recover_text(&text)
-    }
-
-    /// [`FlowCheckpoint::recover`] over in-memory journal text.
-    ///
-    /// # Errors
-    ///
-    /// See [`FlowCheckpoint::recover`].
-    pub fn recover_text(text: &str) -> Result<Recovered, JournalError> {
-        // The shared torn-tail rule: anything after the last complete
-        // record — even a lone "end" missing its newline — is dropped.
-        let journal = fsx::Journal::from_text(text, fsx::RecordShape::EndMarker("end"));
-        let Some(last) = journal.last() else {
-            return Err(JournalError::Parse {
-                line: 0,
-                message: "no complete checkpoint record (journal truncated before its first \
-                          'end' marker)"
-                    .into(),
-            });
-        };
-        let checkpoint = Self::parse(last)?;
-        Ok(Recovered {
-            checkpoint,
-            records: journal.len(),
-            dropped_torn_tail: journal.dropped_torn_tail(),
-        })
-    }
-
     /// Parses journal text (see the module docs for the format).
     ///
     /// # Errors
@@ -500,6 +455,15 @@ impl FlowCheckpoint {
         if !end.trim().is_empty() {
             return Err(p.err("trailing text after 'end'".into()));
         }
+        for line in p.lines.by_ref() {
+            p.line_no += 1;
+            if let Some(tag) = line.split_whitespace().next() {
+                return Err(JournalError::Parse {
+                    line: p.line_no,
+                    message: format!("'{tag}' after 'end' (a journal holds exactly one record)"),
+                });
+            }
+        }
 
         Ok(FlowCheckpoint {
             design_name,
@@ -526,18 +490,6 @@ impl FlowCheckpoint {
             scale_class,
         })
     }
-}
-
-/// The outcome of a lenient journal read ([`FlowCheckpoint::recover`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Recovered {
-    /// The latest complete checkpoint in the journal.
-    pub checkpoint: FlowCheckpoint,
-    /// How many complete records the journal held.
-    pub records: usize,
-    /// Whether bytes after the last complete record were dropped (a torn
-    /// write from a crash mid-append). Callers should surface a warning.
-    pub dropped_torn_tail: bool,
 }
 
 /// Line-by-line journal reader tracking the current line number so every
@@ -741,61 +693,27 @@ mod tests {
     }
 
     #[test]
-    fn append_accumulates_records_and_recover_returns_the_latest() {
-        let d = design();
-        let first = checkpoint_after(&d, 1);
-        let second = checkpoint_after(&d, 4);
-        let path = tmp("append.pj");
-        std::fs::write(&path, first.render() + &second.render()).unwrap();
-        let rec = FlowCheckpoint::recover(&path).unwrap();
-        assert_eq!(rec.checkpoint, second, "latest record wins");
-        assert_eq!(rec.records, 2);
-        assert!(!rec.dropped_torn_tail);
-        // A save() journal (single atomic record) recovers identically.
-        let single = tmp("single.pj");
-        first.save(&single).unwrap();
-        let rec = FlowCheckpoint::recover(&single).unwrap();
-        assert_eq!((rec.checkpoint, rec.records), (first, 1));
-    }
-
-    #[test]
-    fn recover_drops_a_torn_tail_at_every_byte_boundary() {
-        // Regression test for torn appends: a journal holding one complete
-        // record plus the last record truncated at EVERY byte boundary must
-        // always recover to the complete record, flagging the drop —
-        // except at the exact end, where the tail is complete and wins.
-        let d = design();
-        let keep = checkpoint_after(&d, 2);
-        let tail = checkpoint_after(&d, 5).render();
-        let base = keep.render();
-        for cut in 0..=tail.len() {
-            let mut text = base.clone();
-            text.push_str(&tail[..cut]);
-            let rec = FlowCheckpoint::recover_text(&text)
-                .unwrap_or_else(|e| panic!("cut at byte {cut}/{}: {e}", tail.len()));
-            if cut == tail.len() {
-                assert!(!rec.dropped_torn_tail, "full tail is a complete record");
-                assert_eq!(rec.records, 2);
-            } else {
-                assert_eq!(rec.checkpoint, keep, "cut at byte {cut}");
-                assert_eq!(rec.dropped_torn_tail, cut != 0, "cut at byte {cut}");
-            }
-        }
-    }
-
-    #[test]
-    fn recover_without_a_complete_record_is_an_error() {
+    fn text_after_the_end_marker_is_a_parse_error_naming_its_line() {
         let d = design();
         let text = checkpoint_after(&d, 2).render();
-        // Truncation before the first 'end' leaves nothing to resume from.
-        let err = FlowCheckpoint::recover_text(&text[..text.len() / 2]).unwrap_err();
-        assert!(matches!(err, JournalError::Parse { .. }), "{err}");
-        assert!(err.to_string().contains("no complete checkpoint"), "{err}");
-        // Corruption inside a complete record is still rejected: recovery
-        // forgives truncation, never garbage that parses as a record shape.
-        let garbled = text.replacen("lambda", "lambada", 1);
-        let err = FlowCheckpoint::recover_text(&garbled).unwrap_err();
-        assert!(matches!(err, JournalError::Parse { .. }), "{err}");
+        let end_line = text.lines().count();
+        // A second record and a stray line are both rejected at the first
+        // line after `end`; blank lines there are harmless.
+        for (tail, tag) in [
+            (text.clone(), "puffer_checkpoint"),
+            ("x\n".to_string(), "x"),
+        ] {
+            let err = FlowCheckpoint::parse(&format!("{text}{tail}")).unwrap_err();
+            match &err {
+                JournalError::Parse { line, message } => {
+                    assert_eq!(*line, end_line + 1, "{err}");
+                    assert!(message.contains(&format!("'{tag}' after 'end'")), "{err}");
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+        let blank = FlowCheckpoint::parse(&format!("{text}\n  \n")).unwrap();
+        assert_eq!(blank.render(), text);
     }
 
     #[test]

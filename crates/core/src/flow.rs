@@ -872,7 +872,7 @@ mod tests {
         let dir = tmp_dir("corrupt");
         // Nothing to recover from a missing file (`run_or_resume` starts
         // fresh there instead of asking).
-        assert!(FlowCheckpoint::recover(&dir.join("nope.pj")).is_err());
+        assert!(FlowCheckpoint::load(&dir.join("nope.pj")).is_err());
         let garbled = dir.join("garbled.pj");
         std::fs::write(&garbled, "puffer_checkpoint 1\ndesign oops\n").unwrap();
         let err = resume(quick_config(), &d, &garbled).unwrap_err();

@@ -164,9 +164,10 @@ impl Job {
     }
 
     /// Crash recovery in one call: when a checkpoint policy is attached and
-    /// its journal already exists, resume from the latest complete record
-    /// in it (a torn tail from a crash mid-write is dropped with a
-    /// `journal.recovered` trace record); otherwise run from scratch.
+    /// its journal already exists, resume from it via
+    /// [`FlowCheckpoint::load`]; otherwise run from scratch. The journal is
+    /// written atomically, so a crash leaves the previous complete record
+    /// (and at most a stray temp sibling, which is never read).
     ///
     /// This is what the serve daemon calls for every attempt of a job —
     /// attempt 1 starts fresh, and any retry or post-restart re-run picks
@@ -175,7 +176,7 @@ impl Job {
     /// # Errors
     ///
     /// Everything [`Job::run`] returns, plus [`PufferError::Journal`] when
-    /// an existing journal holds no complete record.
+    /// an existing journal is not exactly one complete record.
     pub fn run_or_resume(&self, design: &Design) -> Result<FlowResult, PufferError> {
         let Some(policy) = &self.checkpoints else {
             return self.run(design);
@@ -183,17 +184,9 @@ impl Job {
         if !policy.path.exists() {
             return self.run(design);
         }
-        let recovered =
-            FlowCheckpoint::recover(&policy.path).map_err(|e| PufferError::Journal(e.to_string()))?;
-        if recovered.dropped_torn_tail {
-            self.trace
-                .record("journal.recovered")
-                .str("path", &policy.path.to_string_lossy())
-                .int("records", recovered.records as i64)
-                .int("torn_tail_dropped", 1)
-                .write();
-        }
-        self.run_from(design, recovered.checkpoint)
+        let checkpoint =
+            FlowCheckpoint::load(&policy.path).map_err(|e| PufferError::Journal(e.to_string()))?;
+        self.run_from(design, checkpoint)
     }
 }
 
@@ -268,9 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn run_or_resume_tolerates_a_torn_journal_tail() {
+    fn run_or_resume_ignores_a_stray_tmp_sibling() {
         let d = design();
-        let dir = tmp_dir("torn");
+        let dir = tmp_dir("stray-tmp");
         let uninterrupted = Job::new(quick_config()).run(&d).unwrap();
         let policy = CheckpointPolicy {
             path: dir.join("run.pj"),
@@ -282,16 +275,21 @@ mod tests {
             .run(&d)
             .unwrap();
         let mid = dir.join("run.pj.iter000030");
-        // A crash mid-append: a complete record followed by half a record.
+        // A kill mid-save: the next record's temp file holds a prefix of
+        // it, and the rename that would have replaced the journal never
+        // ran.
         let text = std::fs::read_to_string(&mid).unwrap();
-        let mut torn = text.clone();
-        torn.push_str(&text[..text.len() / 3]);
-        std::fs::write(&mid, &torn).unwrap();
+        std::fs::write(
+            puffer_budget::fsx::tmp_sibling(&mid),
+            &text[..text.len() / 3],
+        )
+        .unwrap();
         let resumed = Job::new(quick_config())
             .with_checkpoints(CheckpointPolicy::new(&mid))
             .run_or_resume(&d)
             .unwrap();
         assert_eq!(resumed.placement, uninterrupted.placement);
+        assert_eq!(resumed.hpwl, uninterrupted.hpwl);
     }
 
     #[test]

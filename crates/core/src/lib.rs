@@ -70,7 +70,7 @@ pub mod scale;
 pub use baselines::{
     ReferenceConfig, ReferencePlacer, ReplaceConfig, ReplacePlacer, WsaConfig, WsaPlacer,
 };
-pub use checkpoint::{CheckpointPolicy, FlowCheckpoint, FlowStage, JournalError, Recovered};
+pub use checkpoint::{CheckpointPolicy, FlowCheckpoint, FlowStage, JournalError};
 pub use flow::{FlowResult, PufferConfig, StageObserver, StagePoint, StageReport};
 pub use job::Job;
 pub use report::{ComparisonTable, EvalRow, FlowSummary};

@@ -107,7 +107,7 @@ impl ExplorationJournal {
 fn load(path: &Path, dim: usize) -> Result<Vec<RecordedTrial>, ExploreError> {
     // The shared torn-tail rule (fsx): a final line a kill cut short is
     // dropped before validation; everything else must parse.
-    let journal = fsx::read_journal_tail_tolerant(path, fsx::RecordShape::Line)
+    let journal = fsx::read_journal_tail_tolerant(path)
         .map_err(|e| ExploreError::Journal(format!("cannot read {}: {e}", path.display())))?;
     let mut lines = journal.records().iter().map(String::as_str).enumerate();
     let (_, header) = lines

@@ -16,9 +16,11 @@
 //!   mid-line; the daemon must keep serving and the next client's job must
 //!   finish;
 //! * `serve-kill-restart` — the engine shuts down mid-job (the in-process
-//!   equivalent of `kill -9` right after a checkpoint fsync), the journal
-//!   tail is torn at a seeded byte, and a fresh engine over the same
-//!   directory must resume and finish bit-identically;
+//!   equivalent of `kill -9` right after a checkpoint fsync), the job's
+//!   append-only `run.jsonl` is torn at a seeded byte and a stray temp
+//!   sibling of `run.pj` holds a prefix of a checkpoint, and a
+//!   fresh engine over the same directory must resume and finish
+//!   bit-identically;
 //! * `serve-rename-restart` — a checkpoint's commit rename fails (injected
 //!   via `fsx`), the engine is killed before the retry settles, and a
 //!   restart over the same directory must resume from the last good
@@ -269,15 +271,17 @@ fn client_disconnect(case: &Case) -> Result<String, String> {
     Ok("OK: daemon survived a mid-line disconnect, next client's job done".into())
 }
 
-/// Shutdown mid-job (crash equivalent), tear the journal tail at a
-/// seeded byte, restart over the same directory: the job must resume
-/// and finish bit-identically.
+/// Shutdown mid-job (crash equivalent), leave what a kill can leave — a
+/// torn `run.jsonl` tail and a half-written checkpoint temp file — and
+/// restart over the same directory: the job must resume and finish
+/// bit-identically.
 fn kill_restart(case: &Case) -> Result<String, String> {
     let round = Round::prepare(case)?;
     let mut rng = StdRng::seed_from_u64(case.seed);
     let out = case.dir.join("killed.pl");
     let cfg = round.serve_config();
-    let journal = cfg.journal_dir.join("job-1").join("run.pj");
+    let job_dir = cfg.journal_dir.join("job-1");
+    let journal = job_dir.join("run.pj");
     Engine::run(cfg.clone(), |h| -> Result<(), String> {
         let (id, _) = h
             .submit(round.spec(Some(&out), None))
@@ -298,17 +302,30 @@ fn kill_restart(case: &Case) -> Result<String, String> {
     })
     .map_err(|e| e.to_string())??;
 
-    let interrupted = !cfg.journal_dir.join("job-1").join("result.json").exists();
-    if interrupted && journal.exists() {
-        // Torn tail: append a prefix of the journal's own record, cut
-        // at a seeded byte — exactly what a crash mid-append leaves.
+    let interrupted = !job_dir.join("result.json").exists() && journal.exists();
+    if interrupted {
+        // A save killed before its rename: the temp sibling holds a
+        // prefix of the checkpoint, cut at a seeded byte.
         let text = fs::read_to_string(&journal).map_err(|e| e.to_string())?;
         let cut = 1 + (rng.gen_range(0..text.len() as u64 - 1) as usize);
-        let mut f = fs::OpenOptions::new()
-            .append(true)
-            .open(&journal)
+        fs::OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .write(true)
+            .open(fsx::tmp_sibling(&journal))
+            .and_then(|mut f| f.write_all(&text.as_bytes()[..cut]))
             .map_err(|e| e.to_string())?;
-        f.write_all(&text.as_bytes()[..cut]).map_err(|e| e.to_string())?;
+        // The telemetry log is append-only and synced lazily: a kill can
+        // cut it at any byte.
+        let run_log = job_dir.join("run.jsonl");
+        let len = fs::metadata(&run_log).map_err(|e| e.to_string())?.len();
+        if len > 1 {
+            fs::OpenOptions::new()
+                .write(true)
+                .open(&run_log)
+                .and_then(|f| f.set_len(1 + rng.gen_range(0..len - 1)))
+                .map_err(|e| e.to_string())?;
+        }
     }
 
     Engine::run(cfg, |h| -> Result<(), String> {
@@ -320,7 +337,13 @@ fn kill_restart(case: &Case) -> Result<String, String> {
     })
     .map_err(|e| e.to_string())??;
     round.check_reference(&out, "resume-after-kill")?;
-    Ok("OK: killed engine restarted over a torn journal tail, resumed bit-identically".into())
+    Ok(if interrupted {
+        "OK: killed engine restarted over a torn run log and a stray checkpoint temp file, \
+         resumed bit-identically"
+    } else {
+        "OK: the job finished before the kill, restart kept its result"
+    }
+    .into())
 }
 
 /// A checkpoint's commit rename fails (the first save succeeds, the

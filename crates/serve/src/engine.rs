@@ -422,9 +422,7 @@ fn recover_scan(shared: &Shared) -> std::io::Result<()> {
                 // crash signature). Decode it with the shared torn-tail rule
                 // so recovery reports what survived; a torn tail never
                 // blocks the re-run, which truncates run.jsonl anyway.
-                if let Ok(run) =
-                    fsx::read_journal_tail_tolerant(&dir.join("run.jsonl"), fsx::RecordShape::Line)
-                {
+                if let Ok(run) = fsx::read_journal_tail_tolerant(&dir.join("run.jsonl")) {
                     shared
                         .cfg
                         .trace

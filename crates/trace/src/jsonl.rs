@@ -485,12 +485,10 @@ pub fn read_jsonl(path: impl AsRef<Path>) -> Result<Vec<ParsedRecord>, TraceErro
     let path = path.as_ref();
     // The shared torn-tail rule (fsx): a final line without its newline is
     // the crash-truncated tail and is dropped before validation.
-    let journal = fsx::read_journal_tail_tolerant(path, fsx::RecordShape::Line).map_err(
-        |source| TraceError::Io {
-            path: path.to_path_buf(),
-            source,
-        },
-    )?;
+    let journal = fsx::read_journal_tail_tolerant(path).map_err(|source| TraceError::Io {
+        path: path.to_path_buf(),
+        source,
+    })?;
     let mut records = Vec::with_capacity(journal.len());
     for (idx, line) in journal.records().iter().enumerate() {
         if line.trim().is_empty() {

@@ -94,7 +94,7 @@ for t in 1 2 4; do
   "$PUFFER" place "$SMOKE_DIR/grid.pd" -o "$SMOKE_DIR/grid-t$t.pl" \
     --threads "$t" --journal "$SMOKE_DIR/grid-t$t.pj" --metrics "$SMOKE_DIR/grid-t$t.jsonl"
 done
-"$PUFFER" audit metrics "$SMOKE_DIR/grid-t1.jsonl"
+"$PUFFER" trace "$SMOKE_DIR/grid-t1.jsonl"
 for t in 2 4; do
   cmp "$SMOKE_DIR/grid-t1.pj" "$SMOKE_DIR/grid-t$t.pj"
   cmp "$SMOKE_DIR/grid-t1.pl" "$SMOKE_DIR/grid-t$t.pl"
@@ -102,6 +102,22 @@ for t in 2 4; do
   cmp <(congest_records "$SMOKE_DIR/grid-t1.jsonl") <(congest_records "$SMOKE_DIR/grid-t$t.jsonl")
   cmp <(counter_records "$SMOKE_DIR/grid-t1.jsonl") <(counter_records "$SMOKE_DIR/grid-t$t.jsonl")
 done
+
+# Resume smoke: a checkpoint journal is exactly one record (every save is
+# an atomic whole-file replace). Two records back to back are a file no
+# writer produces, and `place --resume` must refuse it with exit 1, naming
+# the first line after `end`.
+echo "==> resume smoke (a two-record journal is refused)"
+cat "$SMOKE_DIR/grid-t1.pj" "$SMOKE_DIR/grid-t1.pj" > "$SMOKE_DIR/twice.pj"
+after_end=$(( $(wc -l < "$SMOKE_DIR/grid-t1.pj") + 1 ))
+status=0
+"$PUFFER" place "$SMOKE_DIR/grid.pd" -o "$SMOKE_DIR/twice.pl" \
+  --resume "$SMOKE_DIR/twice.pj" 2> "$SMOKE_DIR/twice.err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "line $after_end: 'puffer_checkpoint' after 'end'" "$SMOKE_DIR/twice.err"; then
+  echo "resume smoke: wanted exit 1 naming line $after_end, got exit $status:"
+  cat "$SMOKE_DIR/twice.err"
+  exit 1
+fi
 
 # The same for the evaluator: `eval` decomposes nets on --threads workers
 # and then routes on one, so its report, its congestion maps and the

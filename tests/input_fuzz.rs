@@ -325,10 +325,10 @@ fn checkpoint_journal() {
     let scratch = dir.join("case.pj");
     fuzz("journal", 0x70, &input, fixtures, |bytes| {
         std::fs::write(&scratch, bytes).unwrap();
-        if let Ok(recovered) = FlowCheckpoint::recover(&scratch) {
+        if let Ok(checkpoint) = FlowCheckpoint::load(&scratch) {
             let _ = Job::new(tiny_config(13))
                 .with_budget(short_budget())
-                .run_from(&design, recovered.checkpoint);
+                .run_from(&design, checkpoint);
         }
     });
 }
