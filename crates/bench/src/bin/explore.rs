@@ -72,12 +72,10 @@ fn main() {
         global: ExplorationConfig {
             max_evals: 24,
             early_stop: 12,
-            ..Default::default()
         },
         local: ExplorationConfig {
             max_evals: 8,
             early_stop: 4,
-            ..Default::default()
         },
         max_rounds: 1,
         parallel: false, // evaluations already use all cores via the router

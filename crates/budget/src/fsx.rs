@@ -1,8 +1,8 @@
 //! Durable filesystem I/O for the whole workspace.
 //!
 //! Every byte PUFFER persists — checkpoint journals, metrics JSONL sinks,
-//! serve job specs/results, exploration journals, bench artifacts, CLI
-//! outputs — goes through this module, and `scripts/policy.sh` enforces it
+//! serve job specs/results, bench artifacts, CLI outputs — goes through
+//! this module, and `scripts/policy.sh` enforces it
 //! (`clippy.toml` disallows `File::create` / `fs::write` / `fs::rename` /
 //! `sync_all` outside this file). Three primitives cover every write
 //! pattern in the workspace:
@@ -13,12 +13,13 @@
 //!   reader never observes a half-written file: it sees the old bytes or
 //!   the new bytes, nothing in between.
 //! * [`AppendSink`] — append-only record log with one `write(2)` call per
-//!   record and a configurable [`FsyncPolicy`]. A crash can lose (at most)
-//!   the record being written; previously flushed records are never
-//!   corrupted by a later failure.
+//!   record and an `fsync` only on [`AppendSink::sync`]. A killed process
+//!   can tear (at most) the record being written, a power loss can also
+//!   drop the records since the last sync; previously synced records are
+//!   never corrupted by a later failure.
 //! * [`read_journal_tail_tolerant`] — the single torn-final-line reader
-//!   shared by every [`AppendSink`] log (metrics JSONL, exploration
-//!   journal, serve `run.jsonl`). A line left unterminated by a crash is
+//!   shared by every [`AppendSink`] log (metrics JSONL, serve
+//!   `run.jsonl`). A line left unterminated by a crash is
 //!   dropped (and reported via [`Journal::dropped_torn_tail`]); every line
 //!   before it is returned verbatim. Whole-file artifacts such as the
 //!   checkpoint journal need no such reader: [`atomic_write`] never leaves
@@ -186,31 +187,19 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 // AppendSink
 // ---------------------------------------------------------------------------
 
-/// When an [`AppendSink`] pushes its records to stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// `fsync` after every record: a completed [`AppendSink::write_record`]
-    /// call survives a crash. Right for checkpoint journals and anything a
-    /// resume depends on.
-    EveryRecord,
-    /// `fsync` only on [`AppendSink::sync`]: records are pushed to the OS
-    /// (one `write(2)` per record) but durability is batched. Right for
-    /// telemetry, where losing the tail is acceptable and per-record
-    /// `fsync` would dominate the run.
-    OnSync,
-}
-
 /// An append-only record log with the one-write-per-record discipline.
 ///
 /// Each [`AppendSink::write_record`] issues a single `write(2)` of the
 /// whole record (callers include the terminator — a trailing `\n` for line
 /// records), so a crash interleaves at record granularity: the file is
 /// always a sequence of complete records plus at most one torn tail, which
-/// [`read_journal_tail_tolerant`] drops on recovery.
+/// [`read_journal_tail_tolerant`] drops on recovery. Records reach the OS
+/// one `write(2)` each; durability is batched at [`AppendSink::sync`], so
+/// the writer (telemetry, where losing the tail is acceptable) never pays
+/// a per-record `fsync`.
 #[derive(Debug)]
 pub struct AppendSink {
     file: File,
-    policy: FsyncPolicy,
 }
 
 impl AppendSink {
@@ -220,39 +209,20 @@ impl AppendSink {
     /// # Errors
     ///
     /// Any underlying I/O error creating the file.
-    pub fn create(path: &Path, policy: FsyncPolicy) -> io::Result<Self> {
+    pub fn create(path: &Path) -> io::Result<Self> {
         let file = File::create(path)?;
         fsync_parent_dir(path)?;
-        Ok(AppendSink { file, policy })
+        Ok(AppendSink { file })
     }
 
-    /// Opens `path` for appending, creating it if absent.
-    ///
-    /// # Errors
-    ///
-    /// Any underlying I/O error opening the file.
-    pub fn append(path: &Path, policy: FsyncPolicy) -> io::Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        fsync_parent_dir(path)?;
-        Ok(AppendSink { file, policy })
-    }
-
-    /// Appends one complete record (terminator included) in a single write,
-    /// then applies the fsync policy.
+    /// Appends one complete record (terminator included) in a single write.
     ///
     /// # Errors
     ///
     /// Any underlying I/O error (or injected fault). On error the file
     /// holds its previous records plus at most a torn tail.
     pub fn write_record(&mut self, record: &[u8]) -> io::Result<()> {
-        guarded_write(&mut self.file, record)?;
-        match self.policy {
-            FsyncPolicy::EveryRecord => guarded_fsync(&self.file),
-            FsyncPolicy::OnSync => Ok(()),
-        }
+        guarded_write(&mut self.file, record)
     }
 
     /// Forces everything written so far to stable storage.
@@ -324,9 +294,9 @@ impl Journal {
 /// line (the unsynced tail a crash can leave) is dropped and flagged.
 ///
 /// This is the only sanctioned way to read an append-only PUFFER log back
-/// — the metrics JSONL validator, the exploration journal, and the serve
-/// `run.jsonl` recovery all decode through it, so "what survives a crash"
-/// has exactly one definition.
+/// — the metrics JSONL validator and the serve `run.jsonl` recovery both
+/// decode through it, so "what survives a crash" has exactly one
+/// definition.
 ///
 /// # Errors
 ///
@@ -491,16 +461,13 @@ mod tests {
         let _g = gate();
         let dir = tmp_dir("sink");
         let path = dir.join("log.jsonl");
-        let mut sink = AppendSink::create(&path, FsyncPolicy::OnSync).unwrap();
+        let mut sink = AppendSink::create(&path).unwrap();
         sink.write_record(b"a\n").unwrap();
         sink.write_record(b"b\n").unwrap();
         sink.sync().unwrap();
         drop(sink);
-        let mut sink = AppendSink::append(&path, FsyncPolicy::EveryRecord).unwrap();
-        sink.write_record(b"c\n").unwrap();
-        drop(sink);
         let j = read_journal_tail_tolerant(&path).unwrap();
-        assert_eq!(j.records(), ["a", "b", "c"]);
+        assert_eq!(j.records(), ["a", "b"]);
         assert!(!j.dropped_torn_tail());
     }
 
@@ -563,7 +530,7 @@ mod tests {
             let _g = super::gate();
             let dir = tmp_dir("torn");
             let path = dir.join("log.jsonl");
-            let mut sink = AppendSink::create(&path, FsyncPolicy::OnSync).unwrap();
+            let mut sink = AppendSink::create(&path).unwrap();
             sink.write_record(b"whole-record\n").unwrap();
             assert!(fault::arm(FaultClass::TornWrite, 0));
             let err = sink.write_record(b"doomed-record\n").unwrap_err();
@@ -594,7 +561,7 @@ mod tests {
             let _g = super::gate();
             let dir = tmp_dir("fsync");
             let path = dir.join("log.jsonl");
-            let mut sink = AppendSink::create(&path, FsyncPolicy::OnSync).unwrap();
+            let mut sink = AppendSink::create(&path).unwrap();
             sink.write_record(b"r\n").unwrap();
             assert!(fault::arm(FaultClass::FsyncFail, 0));
             let err = sink.sync().unwrap_err();
@@ -607,11 +574,13 @@ mod tests {
             let _g = super::gate();
             let dir = tmp_dir("skip");
             let path = dir.join("log.jsonl");
-            let mut sink = AppendSink::create(&path, FsyncPolicy::EveryRecord).unwrap();
+            let mut sink = AppendSink::create(&path).unwrap();
             // Skip 2 writes; the interleaved fsyncs must not consume it.
             assert!(fault::arm(FaultClass::TornWrite, 2));
             sink.write_record(b"a\n").unwrap();
+            sink.sync().unwrap();
             sink.write_record(b"b\n").unwrap();
+            sink.sync().unwrap();
             assert!(fault::armed());
             assert!(sink.write_record(b"c\n").is_err());
             assert!(!fault::armed());

@@ -76,20 +76,6 @@ pub fn round_u8(x: f64) -> u8 {
     x.round() as u8
 }
 
-/// `f64 → i64` by truncation toward zero (saturating, NaN → 0).
-#[inline]
-#[must_use]
-pub fn trunc_i64(x: f64) -> i64 {
-    x as i64
-}
-
-/// `f64 → f32` narrowing (nearest-even, overflow → ±∞).
-#[inline]
-#[must_use]
-pub fn f64_f32(x: f64) -> f32 {
-    x as f32
-}
-
 /// `usize → f64`, exact for values up to 2⁵³ (debug-asserted). Indices,
 /// counts, and grid dimensions all satisfy this by orders of magnitude.
 #[inline]
@@ -105,14 +91,6 @@ pub fn idx_f64(x: usize) -> f64 {
 #[must_use]
 pub fn u64_f64(x: u64) -> f64 {
     debug_assert!(x <= (1u64 << f64::MANTISSA_DIGITS), "u64→f64 would round: {x}");
-    x as f64
-}
-
-/// `i64 → f64`, exact for magnitudes up to 2⁵³ (debug-asserted).
-#[inline]
-#[must_use]
-pub fn i64_f64(x: i64) -> f64 {
-    debug_assert!(x.unsigned_abs() <= (1u64 << f64::MANTISSA_DIGITS), "i64→f64 would round: {x}");
     x as f64
 }
 
@@ -189,15 +167,12 @@ mod tests {
         assert_eq!(round_u8(254.6), 255);
         assert_eq!(round_u8(300.0), 255);
         assert_eq!(trunc_u8(-3.0), 0);
-        assert_eq!(trunc_i64(-3.7), -3);
-        assert_eq!(f64_f32(1.5), 1.5f32);
     }
 
     #[test]
     fn int_to_float_is_exact_for_ids() {
         assert_eq!(idx_f64(1 << 24), 16_777_216.0);
         assert_eq!(u64_f64(12345), 12345.0);
-        assert_eq!(i64_f64(-12345), -12345.0);
     }
 
     #[test]
@@ -220,8 +195,6 @@ mod tests {
             assert_eq!(round_idx(x), x.round() as usize);
             assert_eq!(trunc_u8(x), x as u8);
             assert_eq!(round_u8(x), x.round() as u8);
-            assert_eq!(trunc_i64(x), x as i64);
-            assert_eq!(f64_f32(x).to_bits(), (x as f32).to_bits());
         }
         for n in [0usize, 1, 4095, 1 << 20] {
             assert_eq!(idx_f64(n).to_bits(), (n as f64).to_bits());

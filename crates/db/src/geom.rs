@@ -35,11 +35,6 @@ impl Point {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 
-    /// Euclidean distance to `other`.
-    pub fn l2_distance(self, other: Point) -> f64 {
-        ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
-    }
-
     /// Component-wise sum.
     pub fn offset(self, dx: f64, dy: f64) -> Point {
         Point::new(self.x + dx, self.y + dy)
@@ -152,26 +147,6 @@ impl Rect {
         Rect { xl, yl, xh, yh }
     }
 
-    /// The smallest rectangle containing both rectangles.
-    pub fn union(&self, other: &Rect) -> Rect {
-        Rect {
-            xl: self.xl.min(other.xl),
-            yl: self.yl.min(other.yl),
-            xh: self.xh.max(other.xh),
-            yh: self.yh.max(other.yh),
-        }
-    }
-
-    /// Horizontal overlap length with `other` (zero when disjoint in x).
-    pub fn overlap_x(&self, other: &Rect) -> f64 {
-        (self.xh.min(other.xh) - self.xl.max(other.xl)).max(0.0)
-    }
-
-    /// Vertical overlap length with `other` (zero when disjoint in y).
-    pub fn overlap_y(&self, other: &Rect) -> f64 {
-        (self.yh.min(other.yh) - self.yl.max(other.yl)).max(0.0)
-    }
-
     /// Expands every side by `margin` (shrinks for negative margins, clamped
     /// so the rectangle never inverts).
     pub fn expanded(&self, margin: f64) -> Rect {
@@ -203,7 +178,6 @@ mod tests {
         let a = Point::new(1.0, 2.0);
         let b = Point::new(4.0, 6.0);
         assert_eq!(a.l1_distance(b), 7.0);
-        assert!((a.l2_distance(b) - 5.0).abs() < 1e-12);
         assert_eq!(a.l1_distance(a), 0.0);
     }
 
@@ -245,13 +219,10 @@ mod tests {
         assert!(a.overlaps(&b));
         let i = a.intersection(&b);
         assert_eq!(i, Rect::new(5.0, 5.0, 10.0, 10.0));
-        assert_eq!(a.overlap_x(&b), 5.0);
-        assert_eq!(a.overlap_y(&b), 5.0);
 
         let c = Rect::new(20.0, 20.0, 30.0, 30.0);
         assert!(!a.overlaps(&c));
         assert_eq!(a.intersection(&c).area(), 0.0);
-        assert_eq!(a.overlap_x(&c), 0.0);
     }
 
     #[test]
@@ -260,14 +231,6 @@ mod tests {
         let b = Rect::new(5.0, 0.0, 10.0, 5.0);
         assert!(!a.overlaps(&b));
         assert_eq!(a.intersection(&b).area(), 0.0);
-    }
-
-    #[test]
-    fn rect_union_covers_both() {
-        let a = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let b = Rect::new(5.0, -2.0, 6.0, 0.5);
-        let u = a.union(&b);
-        assert_eq!(u, Rect::new(0.0, -2.0, 6.0, 1.0));
     }
 
     #[test]

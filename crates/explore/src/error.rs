@@ -14,8 +14,6 @@ pub enum ExploreError {
         /// Message of the most recent failure.
         last_failure: String,
     },
-    /// A trial journal could not be written, read, or replayed.
-    Journal(String),
     /// A group-exploration thread died outside the panic-isolated
     /// objective — a bug in the exploration driver itself.
     GroupPanicked(String),
@@ -31,7 +29,6 @@ impl fmt::Display for ExploreError {
                 f,
                 "all {attempted} exploration trials failed (last: {last_failure})"
             ),
-            ExploreError::Journal(m) => write!(f, "exploration journal failed: {m}"),
             ExploreError::GroupPanicked(m) => {
                 write!(f, "group exploration thread panicked: {m}")
             }

@@ -40,16 +40,15 @@
 #![forbid(unsafe_code)]
 
 pub mod error;
-pub mod journal;
 pub mod smbo;
 pub mod space;
 pub mod tpe;
 
 pub use error::ExploreError;
-pub use journal::ExplorationJournal;
 pub use smbo::{
     explore_params_bounded, explore_strategy_traced, ExplorationConfig, ExplorationOutcome,
     StrategyConfig, StrategyOutcome, TrialOutcome, CAPPED_TRIALS_REMAINING,
+    MAX_CONSECUTIVE_FAILURES,
 };
 pub use space::{Domain, ParamSpec, Space};
 pub use tpe::{Tpe, TpeConfig};

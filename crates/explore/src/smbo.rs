@@ -9,19 +9,15 @@
 //! [`puffer_par::run_isolated`]; a failing trial becomes
 //! [`TrialOutcome::Failed`] and is observed by the TPE at a
 //! worse-than-worst penalty value, steering the sampler away from the
-//! failing region. A run of [`ExplorationConfig::max_consecutive_failures`]
-//! failures ends the exploration (an error if nothing ever succeeded).
-//! With [`ExplorationConfig::journal`] set, every trial is appended to an
-//! [`crate::journal::ExplorationJournal`] and replayed on restart.
+//! failing region. A run of [`MAX_CONSECUTIVE_FAILURES`] failures ends the
+//! exploration (an error if nothing ever succeeded).
 
 use crate::error::ExploreError;
-use crate::journal::ExplorationJournal;
 use crate::space::Space;
 use crate::tpe::{Tpe, TpeConfig};
 use puffer_budget::{Budget, DegradeStep, LadderState};
 use puffer_par::{run_isolated, try_map_chunks, WorkerPanic};
 use puffer_trace::Trace;
-use std::path::PathBuf;
 
 /// Outcome of a single objective evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,19 +47,6 @@ pub struct ExplorationConfig {
     /// Early-stop patience `EC`: stop after this many evaluations without
     /// improvement.
     pub early_stop: usize,
-    /// TPE settings.
-    pub tpe: TpeConfig,
-    /// Margin by which updated ranges are expanded around the good set
-    /// (Algorithm 2 line 14).
-    pub range_margin: f64,
-    /// Give up after this many failed trials in a row: stop early when
-    /// something already succeeded, error out when nothing ever has.
-    pub max_consecutive_failures: usize,
-    /// Append every trial to this journal file; when the file already
-    /// exists its trials are replayed into the model (counting against
-    /// `max_evals`) before any new evaluation runs — delete the file for a
-    /// fresh start.
-    pub journal: Option<PathBuf>,
 }
 
 impl Default for ExplorationConfig {
@@ -71,13 +54,17 @@ impl Default for ExplorationConfig {
         ExplorationConfig {
             max_evals: 80,
             early_stop: 25,
-            tpe: TpeConfig::default(),
-            range_margin: 0.10,
-            max_consecutive_failures: 8,
-            journal: None,
         }
     }
 }
+
+/// Give up after this many failed trials in a row: stop early when
+/// something already succeeded, error out when nothing ever has.
+pub const MAX_CONSECUTIVE_FAILURES: usize = 8;
+
+/// Margin, as a fraction of a parameter's range, by which updated ranges
+/// are expanded around the good set (Algorithm 2 line 14).
+const RANGE_MARGIN: f64 = 0.10;
 
 /// Result of an [`explore_params_bounded`] run.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,7 +77,7 @@ pub struct ExplorationOutcome {
     pub stopped_early: bool,
     /// The updated (narrowed) parameter ranges.
     pub narrowed: Space,
-    /// Number of evaluations spent (including failed and replayed trials).
+    /// Number of evaluations spent (including failed trials).
     pub evals: usize,
     /// How many of them failed (panic or non-finite objective).
     pub failed_trials: usize,
@@ -105,8 +92,7 @@ fn run_trial(eval: &mut impl FnMut(&[f64]) -> f64, x: &[f64]) -> TrialOutcome {
     }
 }
 
-/// Mutable bookkeeping of one Algorithm 2 run; shared between live trials
-/// and journal replay so both count identically.
+/// Mutable bookkeeping of one Algorithm 2 run.
 struct Run {
     tpe: Tpe,
     best: Option<(Vec<f64>, f64)>,
@@ -119,9 +105,9 @@ struct Run {
 }
 
 impl Run {
-    fn new(space: &Space, config: &ExplorationConfig) -> Self {
+    fn new(space: &Space) -> Self {
         Run {
-            tpe: Tpe::new(space.clone(), config.tpe.clone()),
+            tpe: Tpe::new(space.clone(), TpeConfig::default()),
             best: None,
             worst: None,
             since_improvement: 0,
@@ -180,9 +166,8 @@ pub const CAPPED_TRIALS_REMAINING: usize = 2;
 ///
 /// Trials are panic-isolated (see the module docs): a panicking or
 /// NaN-returning objective degrades the search instead of aborting it.
-/// Every live trial (journal-replayed ones excluded) emits an
-/// `explore.trial` record — trial index, status, objective, and the full
-/// parameter vector — to `trace`.
+/// Every trial emits an `explore.trial` record — trial index, status,
+/// objective, and the full parameter vector — to `trace`.
 ///
 /// The budget is checked before every evaluation: an expired deadline or an
 /// external cancel ends the run as a clean early stop with the best
@@ -199,8 +184,7 @@ pub const CAPPED_TRIALS_REMAINING: usize = 2;
 /// # Errors
 ///
 /// [`ExploreError::AllTrialsFailed`] when the failure budget is exhausted
-/// before any trial succeeds, and [`ExploreError::Journal`] when a
-/// configured journal cannot be used.
+/// before any trial succeeds.
 pub fn explore_params_bounded(
     space: &Space,
     mut eval: impl FnMut(&[f64]) -> f64,
@@ -208,21 +192,10 @@ pub fn explore_params_bounded(
     trace: &Trace,
     budget: &Budget,
 ) -> Result<ExplorationOutcome, ExploreError> {
-    let mut run = Run::new(space, config);
+    let mut run = Run::new(space);
     let mut ladder = LadderState::default();
     let mut stopped_early = false;
     let mut max_evals = config.max_evals;
-
-    let mut journal = match &config.journal {
-        Some(path) => {
-            let (journal, prior) = ExplorationJournal::open(path, space.params().len())?;
-            for (x, outcome) in prior {
-                run.observe(x, outcome);
-            }
-            Some(journal)
-        }
-        None => None,
-    };
 
     while run.evals < max_evals {
         if budget.is_exhausted() {
@@ -242,7 +215,7 @@ pub fn explore_params_bounded(
             stopped_early = true;
             break;
         }
-        if run.consecutive_failures >= config.max_consecutive_failures {
+        if run.consecutive_failures >= MAX_CONSECUTIVE_FAILURES {
             if run.best.is_none() {
                 return Err(ExploreError::AllTrialsFailed {
                     attempted: run.evals,
@@ -254,9 +227,6 @@ pub fn explore_params_bounded(
         }
         let x = run.tpe.suggest();
         let outcome = run_trial(&mut eval, &x);
-        if let Some(journal) = &mut journal {
-            journal.record(&x, &outcome)?;
-        }
         if trace.is_enabled() {
             trace.add("explore.trials", 1);
             let record = trace
@@ -282,7 +252,7 @@ pub fn explore_params_bounded(
         });
     }
 
-    let narrowed = narrow_ranges(space, run.tpe.observations(), config);
+    let narrowed = narrow_ranges(space, run.tpe.observations());
     let (best, best_value) = run
         .best
         .unwrap_or_else(|| (space.midpoint(), f64::INFINITY));
@@ -298,11 +268,7 @@ pub fn explore_params_bounded(
 
 /// `updateParamRange` of Algorithm 2: shrink each continuous/integer range
 /// to the hull of the best-quartile observations plus a margin.
-fn narrow_ranges(
-    space: &Space,
-    observations: &[(Vec<f64>, f64)],
-    config: &ExplorationConfig,
-) -> Space {
+fn narrow_ranges(space: &Space, observations: &[(Vec<f64>, f64)]) -> Space {
     if observations.len() < 4 {
         return space.clone();
     }
@@ -323,7 +289,7 @@ fn narrow_ranges(
             .iter()
             .map(|&i| observations[i].0[d])
             .fold(f64::NEG_INFINITY, f64::max);
-        let margin = (p.domain.hi() - p.domain.lo()) * config.range_margin;
+        let margin = (p.domain.hi() - p.domain.lo()) * RANGE_MARGIN;
         let lo = (lo_obs - margin).max(p.domain.lo());
         let hi = (hi_obs + margin).min(p.domain.hi());
         if hi > lo {
@@ -352,12 +318,10 @@ impl Default for StrategyConfig {
             global: ExplorationConfig {
                 max_evals: 60,
                 early_stop: 20,
-                ..Default::default()
             },
             local: ExplorationConfig {
                 max_evals: 30,
                 early_stop: 10,
-                ..Default::default()
             },
             max_rounds: 3,
             parallel: true,
@@ -396,16 +360,14 @@ pub struct StrategyOutcome {
 /// (see the module docs), so a crashing configuration costs one trial, not
 /// the exploration. Every trial of the global phase and of every group
 /// round emits an `explore.trial` record to `trace` (clones of the handle
-/// share one sink, so parallel groups interleave safely). When journaling
-/// is configured, the global phase uses [`ExplorationConfig::journal`] of
-/// `config.global` as-is and each group round appends
-/// `.r<round>.g<group>` to the one in `config.local`.
+/// share one sink, so parallel groups interleave safely). The global phase
+/// runs with `config.global`'s budgets, every group round with
+/// `config.local`'s.
 ///
 /// # Errors
 ///
 /// [`ExploreError::AllTrialsFailed`] when the global phase (or every group
-/// of a round) exhausts its failure budget without a single success,
-/// [`ExploreError::Journal`] for journal problems, and
+/// of a round) exhausts its failure budget without a single success, and
 /// [`ExploreError::GroupPanicked`] if an exploration thread itself dies
 /// (a driver bug, not an objective failure).
 pub fn explore_strategy_traced(
@@ -425,7 +387,7 @@ pub fn explore_strategy_traced(
     let mut failed_trials = global.failed_trials;
 
     let mut rounds = 0usize;
-    for round in 0..config.max_rounds {
+    for _ in 0..config.max_rounds {
         rounds += 1;
         // Explore each group with the others fixed at range midpoints.
         let base = ranges.midpoint();
@@ -433,9 +395,10 @@ pub fn explore_strategy_traced(
         let group_results = try_map_chunks(groups.len(), threads, |chunk| {
             chunk
                 .map(|g| {
-                    let local = group_config(&config.local, round, g);
-                    run_isolated(|| explore_group(&ranges, &base, &groups[g], &eval, &local, trace))
-                        .unwrap_or_else(|WorkerPanic(msg)| Err(ExploreError::GroupPanicked(msg)))
+                    run_isolated(|| {
+                        explore_group(&ranges, &base, &groups[g], &eval, &config.local, trace)
+                    })
+                    .unwrap_or_else(|WorkerPanic(msg)| Err(ExploreError::GroupPanicked(msg)))
                 })
                 .collect::<Vec<_>>()
         })
@@ -495,20 +458,6 @@ pub fn explore_strategy_traced(
     })
 }
 
-/// The local config for one group in one round, with a per-group journal
-/// path derived from the shared one so parallel groups never collide.
-fn group_config(base: &ExplorationConfig, round: usize, group: usize) -> ExplorationConfig {
-    let mut config = base.clone();
-    if let Some(path) = &base.journal {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "exploration".to_string());
-        config.journal = Some(path.with_file_name(format!("{name}.r{round}.g{group}")));
-    }
-    config
-}
-
 /// Runs Algorithm 2 on one group's sub-space, evaluating full assignments
 /// with non-group parameters fixed at `base`.
 fn explore_group(
@@ -564,7 +513,6 @@ mod tests {
             &ExplorationConfig {
                 max_evals: 150,
                 early_stop: 60,
-                ..Default::default()
             },
             &Trace::disabled(),
             &Budget::unbounded(),
@@ -592,7 +540,6 @@ mod tests {
             &ExplorationConfig {
                 max_evals: 30,
                 early_stop: 30,
-                ..Default::default()
             },
             &trace,
             &Budget::unbounded(),
@@ -631,7 +578,6 @@ mod tests {
             &ExplorationConfig {
                 max_evals: 500,
                 early_stop: 12,
-                ..Default::default()
             },
             &Trace::disabled(),
             &Budget::unbounded(),
@@ -649,7 +595,6 @@ mod tests {
             &ExplorationConfig {
                 max_evals: 120,
                 early_stop: 120,
-                ..Default::default()
             },
             &Trace::disabled(),
             &Budget::unbounded(),
@@ -756,7 +701,6 @@ mod tests {
             &ExplorationConfig {
                 max_evals: 120,
                 early_stop: 120,
-                ..Default::default()
             },
             &Trace::disabled(),
             &Budget::unbounded(),
@@ -776,7 +720,6 @@ mod tests {
             |_: &[f64]| -> f64 { panic!("nothing ever works") },
             &ExplorationConfig {
                 max_evals: 50,
-                max_consecutive_failures: 5,
                 ..Default::default()
             },
             &Trace::disabled(),
@@ -788,7 +731,10 @@ mod tests {
                 attempted,
                 last_failure,
             } => {
-                assert_eq!(attempted, 5, "failure budget bounds the attempts");
+                assert_eq!(
+                    attempted, MAX_CONSECUTIVE_FAILURES,
+                    "failure budget bounds the attempts"
+                );
                 assert!(last_failure.contains("nothing ever works"));
             }
             other => panic!("expected AllTrialsFailed, got {other}"),
@@ -804,7 +750,6 @@ mod tests {
             &ExplorationConfig {
                 max_evals: 60,
                 early_stop: 60,
-                ..Default::default()
             },
             &Trace::disabled(),
             &Budget::unbounded(),
@@ -819,7 +764,7 @@ mod tests {
         let space = bowl(1);
         let evals = AtomicUsize::new(0);
         // First trial succeeds, everything after panics: the run should
-        // stop at 1 success + max_consecutive_failures, not burn the budget.
+        // stop at 1 success + MAX_CONSECUTIVE_FAILURES, not burn the budget.
         let outcome = explore_params_bounded(
             &space,
             |v| {
@@ -832,16 +777,14 @@ mod tests {
             &ExplorationConfig {
                 max_evals: 200,
                 early_stop: 200,
-                max_consecutive_failures: 4,
-                ..Default::default()
             },
             &Trace::disabled(),
             &Budget::unbounded(),
         )
         .unwrap();
         assert!(outcome.stopped_early);
-        assert_eq!(outcome.evals, 5);
-        assert_eq!(outcome.failed_trials, 4);
+        assert_eq!(outcome.evals, 1 + MAX_CONSECUTIVE_FAILURES);
+        assert_eq!(outcome.failed_trials, MAX_CONSECUTIVE_FAILURES);
         assert!(outcome.best_value.is_finite());
     }
 
@@ -861,7 +804,6 @@ mod tests {
             &ExplorationConfig {
                 max_evals: 200,
                 early_stop: 200,
-                ..Default::default()
             },
             &Trace::disabled(),
             &Budget::unbounded().with_token(token.clone()),
@@ -896,7 +838,6 @@ mod tests {
             &ExplorationConfig {
                 max_evals: 500,
                 early_stop: 500,
-                ..Default::default()
             },
             &trace,
             &budget,
@@ -918,79 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_replay_skips_completed_trials() {
-        let path = tmp("resume.ej");
-        let space = bowl(2);
-        let objective = |v: &[f64]| -> f64 {
-            if v[0] > 8.0 {
-                panic!("edge crash");
-            }
-            v.iter().map(|x| x * x).sum()
-        };
-        let config = ExplorationConfig {
-            max_evals: 40,
-            early_stop: 40,
-            journal: Some(path.clone()),
-            ..Default::default()
-        };
-
-        let live = AtomicUsize::new(0);
-        let first = explore_params_bounded(
-            &space,
-            |v| {
-                live.fetch_add(1, Ordering::Relaxed);
-                objective(v)
-            },
-            &config,
-            &Trace::disabled(),
-            &Budget::unbounded(),
-        )
-        .unwrap();
-        assert_eq!(live.load(Ordering::Relaxed), 40);
-        assert_eq!(first.evals, 40);
-
-        // Same budget, same journal: every trial is replayed from disk and
-        // the objective never runs again.
-        let live2 = AtomicUsize::new(0);
-        let second = explore_params_bounded(
-            &space,
-            |v| {
-                live2.fetch_add(1, Ordering::Relaxed);
-                objective(v)
-            },
-            &config,
-            &Trace::disabled(),
-            &Budget::unbounded(),
-        )
-        .unwrap();
-        assert_eq!(live2.load(Ordering::Relaxed), 0, "no evaluation repeated");
-        assert_eq!(second.evals, 40);
-        assert_eq!(second.failed_trials, first.failed_trials);
-        assert_eq!(second.best_value, first.best_value);
-
-        // A larger budget resumes: 40 replayed + 20 live.
-        let live3 = AtomicUsize::new(0);
-        let third = explore_params_bounded(
-            &space,
-            |v| {
-                live3.fetch_add(1, Ordering::Relaxed);
-                objective(v)
-            },
-            &ExplorationConfig {
-                max_evals: 60,
-                early_stop: 60,
-                ..config.clone()
-            },
-            &Trace::disabled(),
-            &Budget::unbounded(),
-        )
-        .unwrap();
-        assert_eq!(live3.load(Ordering::Relaxed), 20);
-        assert_eq!(third.evals, 60);
-        assert!(third.best_value <= first.best_value);
-    }
-
-    #[test]
     fn strategy_exploration_survives_a_panicking_region() {
         let space = bowl(2);
         let groups = vec![vec!["x0".to_string()], vec!["x1".to_string()]];
@@ -1009,23 +877,5 @@ mod tests {
         .unwrap();
         assert!(outcome.best_value.is_finite());
         assert!(outcome.best_value < 20.0, "best {}", outcome.best_value);
-    }
-
-    #[test]
-    fn strategy_group_journals_get_distinct_paths() {
-        let base = ExplorationConfig {
-            journal: Some(std::path::PathBuf::from("/tmp/run.ej")),
-            ..Default::default()
-        };
-        let a = group_config(&base, 0, 0).journal.unwrap();
-        let b = group_config(&base, 0, 1).journal.unwrap();
-        let c = group_config(&base, 1, 0).journal.unwrap();
-        assert_eq!(a, std::path::PathBuf::from("/tmp/run.ej.r0.g0"));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert!(group_config(&base, 2, 3).journal.is_some());
-        assert!(group_config(&ExplorationConfig::default(), 0, 0)
-            .journal
-            .is_none());
     }
 }

@@ -66,14 +66,6 @@ impl Complex {
         }
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Magnitude.
     pub fn abs(self) -> f64 {
         self.re.hypot(self.im)
@@ -582,7 +574,6 @@ mod tests {
         assert_eq!(a - b, Complex::new(-2.0, 3.0));
         assert_eq!(a * b, Complex::new(5.0, 5.0));
         assert_eq!(-a, Complex::new(-1.0, -2.0));
-        assert_eq!(a.conj(), Complex::new(1.0, -2.0));
         assert!((Complex::new(3.0, 4.0).abs() - 5.0).abs() < 1e-12);
     }
 

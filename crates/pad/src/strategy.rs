@@ -145,15 +145,6 @@ impl PaddingStrategy {
             _ => {}
         }
     }
-
-    /// Builds a strategy from `(name, value)` pairs on top of the defaults.
-    pub fn from_values<'a>(values: impl IntoIterator<Item = (&'a str, f64)>) -> Self {
-        let mut s = PaddingStrategy::default();
-        for (name, value) in values {
-            s.apply(name, value);
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -199,13 +190,5 @@ mod tests {
         s.apply("pu_low", 0.09);
         s.apply("pu_high", 0.01);
         assert!(s.pu_high >= s.pu_low);
-    }
-
-    #[test]
-    fn from_values_builds_on_defaults() {
-        let s = PaddingStrategy::from_values([("beta", 1.5), ("alpha0", 2.0)]);
-        assert_eq!(s.beta, 1.5);
-        assert_eq!(s.alpha[0], 2.0);
-        assert_eq!(s.zeta, PaddingStrategy::default().zeta);
     }
 }

@@ -38,16 +38,6 @@ pub struct LayerAssignment {
     pub vias: usize,
 }
 
-impl LayerAssignment {
-    /// Worst per-layer overflow ratio.
-    pub fn max_overflow_ratio(&self) -> f64 {
-        self.layers
-            .iter()
-            .map(|l| l.overflow_ratio)
-            .fold(0.0, f64::max)
-    }
-}
-
 /// Configuration for layer assignment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerConfig {
@@ -345,6 +335,5 @@ mod tests {
         let m8 = a.layers.iter().find(|l| l.name == "M8").unwrap();
         assert!(m2.capacity.sum() > m8.capacity.sum());
         assert_eq!(a.vias, 0);
-        assert_eq!(a.max_overflow_ratio(), 0.0);
     }
 }

@@ -18,10 +18,10 @@ use std::path::{Path, PathBuf};
 
 /// One-write-per-record append sink over [`fsx::AppendSink`].
 ///
-/// The fsync policy is [`fsx::FsyncPolicy::OnSync`]: every record is pushed
-/// to the OS as one write (so a crash loses at most the line in flight) and
-/// durability is settled by [`JsonlSink::flush`] — telemetry does not pay a
-/// per-record `fsync`.
+/// Every record is pushed to the OS as one write (so a crash loses at most
+/// the line in flight) and durability is settled by [`JsonlSink::flush`]
+/// through [`fsx::AppendSink::sync`] — telemetry does not pay a per-record
+/// `fsync`.
 #[derive(Debug)]
 pub(crate) struct JsonlSink {
     sink: fsx::AppendSink,
@@ -34,7 +34,7 @@ impl JsonlSink {
     /// Creates (truncating) the sink file.
     pub(crate) fn create(path: &Path) -> std::io::Result<Self> {
         Ok(JsonlSink {
-            sink: fsx::AppendSink::create(path, fsx::FsyncPolicy::OnSync)?,
+            sink: fsx::AppendSink::create(path)?,
             path: path.to_path_buf(),
             error: None,
         })

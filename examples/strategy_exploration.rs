@@ -69,7 +69,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &ExplorationConfig {
             max_evals: 14,
             early_stop: 14,
-            ..Default::default()
         },
         &untraced,
         &unbounded,

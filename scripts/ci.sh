@@ -52,6 +52,20 @@ PUFFER=target/release/puffer
   --metrics "$SMOKE_DIR/smoke.jsonl" --trace-summary
 "$PUFFER" trace "$SMOKE_DIR/smoke.jsonl" --check
 
+# Exploration smoke: `puffer explore` scores each SMBO trial with a short
+# PUFFER flow. The metrics file must pass `puffer trace` and hold exactly
+# one explore.trial record per trial, and the search must write nothing
+# else into the smoke directory.
+echo "==> exploration smoke (puffer explore --metrics + puffer trace)"
+rm -f "$SMOKE_DIR/explore.jsonl"
+before=$(LC_ALL=C ls "$SMOKE_DIR")
+"$PUFFER" explore "$SMOKE_DIR/smoke.pd" --trials 2 --max-iters 20 \
+  --metrics "$SMOKE_DIR/explore.jsonl"
+explore_trace=$("$PUFFER" trace "$SMOKE_DIR/explore.jsonl")
+echo "$explore_trace"
+grep -Eq '^explore\.trial +2$' <<< "$explore_trace"
+test "$(LC_ALL=C ls "$SMOKE_DIR")" = "$(printf '%s\nexplore.jsonl\n' "$before" | LC_ALL=C sort)"
+
 # Validated-flow smoke: the stage-boundary invariant checkers must accept
 # a full PUFFER run, and the artifact audits must accept its outputs.
 echo "==> validated flow smoke (place --validate + puffer audit)"

@@ -13,7 +13,10 @@ use puffer_budget::Budget;
 use puffer_db::design::Design;
 use puffer_db::geom::Point;
 use puffer_db::DbError;
-use puffer_explore::{explore_params_bounded, ExplorationConfig, ExploreError, ParamSpec, Space};
+use puffer_explore::{
+    explore_params_bounded, ExplorationConfig, ExploreError, ParamSpec, Space,
+    MAX_CONSECUTIVE_FAILURES,
+};
 use puffer_gen::{generate, GeneratorConfig};
 use puffer_legal::LegalizeError;
 use puffer_pad::PaddingState;
@@ -309,7 +312,6 @@ fn panicking_exploration_objective_is_contained() {
         &ExplorationConfig {
             max_evals: 80,
             early_stop: 80,
-            ..Default::default()
         },
         &Trace::disabled(),
         &Budget::unbounded(),
@@ -327,14 +329,19 @@ fn hopeless_exploration_objective_is_a_typed_error() {
         |_: &[f64]| -> f64 { panic!("always broken") },
         &ExplorationConfig {
             max_evals: 30,
-            max_consecutive_failures: 6,
             ..Default::default()
         },
         &Trace::disabled(),
         &Budget::unbounded(),
     )
     .unwrap_err();
-    assert!(matches!(err, ExploreError::AllTrialsFailed { .. }), "{err}");
+    assert!(
+        matches!(
+            err,
+            ExploreError::AllTrialsFailed { attempted, .. } if attempted == MAX_CONSECUTIVE_FAILURES
+        ),
+        "{err}"
+    );
 }
 
 // --- deadline cancellation at every stage -----------------------------------
@@ -438,7 +445,6 @@ fn cancel_mid_smbo_keeps_the_best_completed_trial() {
         &ExplorationConfig {
             max_evals: 40,
             early_stop: 40,
-            ..Default::default()
         },
         &Trace::disabled(),
         &Budget::unbounded().with_token(token),
