@@ -25,7 +25,7 @@ use puffer_db::io::{read_design, read_placement, write_design, write_placement};
 use puffer_dp::{refine_bounded, DetailedConfig};
 use puffer_explore::{explore_params_bounded, ExplorationConfig};
 use puffer_gen::{generate, presets, GeneratorConfig};
-use puffer_route::{assign_layers, LayerConfig, RouterConfig};
+use puffer_route::{assign_layers, RouterConfig};
 use puffer_serve::{
     serve_lines, serve_listener, Action, Engine, JsonLine, ServeConfig, ServerOutcome,
 };
@@ -668,7 +668,7 @@ fn cmd_eval(flags: &Flags, out: &mut String) -> Result<(), CliError> {
         if report.passes() { "PASS" } else { "FAIL" }
     );
     if flags.has("layers") {
-        let assignment = assign_layers(&design, &report.paths, &LayerConfig::default());
+        let assignment = assign_layers(&design, &report.paths, report.congestion.h_capacity());
         let _ = writeln!(out, "layer assignment ({} vias):", assignment.vias);
         for l in &assignment.layers {
             let _ = writeln!(
@@ -790,7 +790,6 @@ fn cmd_refine(flags: &Flags, out: &mut String) -> Result<(), CliError> {
     let dp_config = DetailedConfig {
         window: class.dp_window(),
         max_passes: class.dp_passes(),
-        ..DetailedConfig::default()
     };
     let congestion = if flags.has("guard") {
         let report = evaluate_bounded(

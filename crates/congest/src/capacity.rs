@@ -5,37 +5,51 @@
 //! number of horizontal tracks all horizontal layers provide across its
 //! height, minus the tracks blocked by macros overlapping the Gcell, minus a
 //! uniform power-grid derate.
+//!
+//! The Gcell geometry is declared here once: [`GCELL_ROWS`] and
+//! [`POWER_DERATE`] are what the estimator, the global router and its layer
+//! assignment all build on, so the map a placer reads and the map the
+//! router judges it by share their Gcells by construction.
 
 use puffer_db::cast;
-use crate::EstimatorConfig;
 use puffer_db::design::Design;
+use puffer_db::geom::Rect;
 use puffer_db::grid::Grid;
 use puffer_db::tech::PreferredDirection;
 
-/// Builds the `(horizontal, vertical)` capacity maps for a design.
+/// Gcell edge length in multiples of the row height (square Gcells).
+pub const GCELL_ROWS: f64 = 3.0;
+
+/// Fraction of every Gcell's capacity reserved for the power grid.
+pub const POWER_DERATE: f64 = 0.12;
+
+/// Builds the `(horizontal, vertical)` capacity maps for a design on
+/// Gcells `edge_rows` row heights wide ([`GCELL_ROWS`] unless the
+/// estimator was coarsened).
 ///
 /// Macros are assumed to block every routing layer except the topmost layer
 /// in each direction (the standard over-the-macro routing assumption), so a
 /// Gcell fully covered by a macro keeps only its top-layer tracks.
-pub fn build_capacity(design: &Design, config: &EstimatorConfig) -> (Grid<f64>, Grid<f64>) {
+pub fn build_capacity(design: &Design, edge_rows: f64) -> (Grid<f64>, Grid<f64>) {
     let tech = design.tech();
     let region = design.region();
-    let gsize = (config.gcell_rows * tech.row_height).max(tech.row_height);
+    let gsize = (edge_rows * tech.row_height).max(tech.row_height);
     let nx = cast::trunc_idx((region.width() / gsize).ceil().max(1.0));
     let ny = cast::trunc_idx((region.height() / gsize).ceil().max(1.0));
 
-    let mut h_cap: Grid<f64> = Grid::new(region, nx, ny);
-    let mut v_cap: Grid<f64> = Grid::new(region, nx, ny);
-    let dy = h_cap.dy();
-    let dx = h_cap.dx();
+    // The Gcell geometry alone (`()` cells hold no data), walked below
+    // while both capacity maps are written.
+    let gcells: Grid<()> = Grid::new(region, nx, ny);
+    let dy = gcells.dy();
+    let dx = gcells.dx();
 
     // Basic capacity: horizontal tracks stack across the Gcell height,
     // vertical tracks across its width.
-    let keep = 1.0 - config.power_derate;
+    let keep = 1.0 - POWER_DERATE;
     let h_basic = tech.basic_capacity(PreferredDirection::Horizontal, dy) * keep;
     let v_basic = tech.basic_capacity(PreferredDirection::Vertical, dx) * keep;
-    h_cap.fill(h_basic);
-    v_cap.fill(v_basic);
+    let mut h_cap = Grid::filled(region, nx, ny, h_basic);
+    let mut v_cap = Grid::filled(region, nx, ny, v_basic);
 
     // Blocked capacity: per overlapping macro, subtract the tracks of all
     // but the top routing layer in each direction, prorated by overlap.
@@ -52,32 +66,45 @@ pub fn build_capacity(design: &Design, config: &EstimatorConfig) -> (Grid<f64>, 
         .map(|l| 1.0 / l.pitch())
         .sum();
 
+    for_each_macro_overlap(design, &gcells, |ix, iy, ov, cell| {
+        // OL_H(b, g): the vertical extent of the overlap scaled by its
+        // horizontal coverage — i.e. the blocked horizontal track length.
+        let h_fraction = ov.width() / cell.width();
+        let v_fraction = ov.height() / cell.height();
+        let h_loss = ov.height() * h_blocked_per_len * h_fraction;
+        let v_loss = ov.width() * v_blocked_per_len * v_fraction;
+        let hc = h_cap.at_mut(ix, iy);
+        *hc = (*hc - h_loss).max(0.0);
+        let vc = v_cap.at_mut(ix, iy);
+        *vc = (*vc - v_loss).max(0.0);
+    });
+    (h_cap, v_cap)
+}
+
+/// Calls `visit(ix, iy, overlap, gcell)` for every Gcell of `gcells` that a
+/// macro overlaps with positive area: macro by macro in design order, each
+/// macro's Gcells row by row. The one macro-blockage walk of Eq. (8), shared
+/// by [`build_capacity`] and the router's per-layer capacity.
+pub fn for_each_macro_overlap<T>(
+    design: &Design,
+    gcells: &Grid<T>,
+    mut visit: impl FnMut(usize, usize, &Rect, &Rect),
+) {
     for (_, shape) in design.macro_shapes() {
-        let Some((ix_lo, ix_hi, iy_lo, iy_hi)) = h_cap.cells_overlapping(&shape) else {
+        let Some((ix_lo, ix_hi, iy_lo, iy_hi)) = gcells.cells_overlapping(&shape) else {
             continue;
         };
         for iy in iy_lo..=iy_hi {
             for ix in ix_lo..=ix_hi {
-                let cell = h_cap.cell_rect(ix, iy);
+                let cell = gcells.cell_rect(ix, iy);
                 let ov = shape.intersection(&cell);
                 if ov.area() <= 0.0 {
                     continue;
                 }
-                // OL_H(b, g): the vertical extent of the overlap scaled by
-                // its horizontal coverage — i.e. the blocked horizontal
-                // track length.
-                let h_fraction = ov.width() / cell.width();
-                let v_fraction = ov.height() / cell.height();
-                let h_loss = ov.height() * h_blocked_per_len * h_fraction;
-                let v_loss = ov.width() * v_blocked_per_len * v_fraction;
-                let hc = h_cap.at_mut(ix, iy);
-                *hc = (*hc - h_loss).max(0.0);
-                let vc = v_cap.at_mut(ix, iy);
-                *vc = (*vc - v_loss).max(0.0);
+                visit(ix, iy, &ov, &cell);
             }
         }
     }
-    (h_cap, v_cap)
 }
 
 #[cfg(test)]
@@ -109,8 +136,7 @@ mod tests {
     #[test]
     fn uniform_capacity_without_blockages() {
         let d = empty_design(30.0, 30.0);
-        let cfg = EstimatorConfig::default();
-        let (h, v) = build_capacity(&d, &cfg);
+        let (h, v) = build_capacity(&d, GCELL_ROWS);
         let h0 = *h.at(0, 0);
         assert!(h0 > 0.0);
         assert!(h.as_slice().iter().all(|&c| (c - h0).abs() < 1e-9));
@@ -121,28 +147,19 @@ mod tests {
     #[test]
     fn capacity_scales_with_derate() {
         let d = empty_design(30.0, 30.0);
-        let base = build_capacity(
-            &d,
-            &EstimatorConfig {
-                power_derate: 0.0,
-                ..Default::default()
-            },
-        );
-        let derated = build_capacity(
-            &d,
-            &EstimatorConfig {
-                power_derate: 0.5,
-                ..Default::default()
-            },
-        );
-        assert!((derated.0.at(0, 0) / base.0.at(0, 0) - 0.5).abs() < 1e-9);
+        let (h, v) = build_capacity(&d, GCELL_ROWS);
+        let tech = d.tech();
+        let keep = 1.0 - POWER_DERATE;
+        let h_tracks = tech.basic_capacity(PreferredDirection::Horizontal, h.dy());
+        let v_tracks = tech.basic_capacity(PreferredDirection::Vertical, v.dx());
+        assert!((h.at(0, 0) / h_tracks - keep).abs() < 1e-9);
+        assert!((v.at(0, 0) / v_tracks - keep).abs() < 1e-9);
     }
 
     #[test]
     fn macro_reduces_capacity_under_it() {
         let d = design_with_macro();
-        let cfg = EstimatorConfig::default();
-        let (h, v) = build_capacity(&d, &cfg);
+        let (h, v) = build_capacity(&d, GCELL_ROWS);
         let (cx, cy) = h.cell_of(Point::new(24.0, 24.0));
         let (ex, ey) = h.cell_of(Point::new(3.0, 3.0));
         assert!(*h.at(cx, cy) < *h.at(ex, ey));
@@ -155,8 +172,7 @@ mod tests {
     #[test]
     fn partial_overlap_blocks_proportionally() {
         let d = design_with_macro();
-        let cfg = EstimatorConfig::default();
-        let (h, _) = build_capacity(&d, &cfg);
+        let (h, _) = build_capacity(&d, GCELL_ROWS);
         // A Gcell only partially covered by the macro loses less.
         let (cx, cy) = h.cell_of(Point::new(24.0, 24.0));
         let (px, py) = h.cell_of(Point::new(18.5, 24.0)); // macro edge at 18
@@ -178,7 +194,7 @@ mod tests {
         )
         .unwrap();
         d.place_macro(m, Point::new(15.0, 15.0)).unwrap();
-        let (h, v) = build_capacity(&d, &EstimatorConfig::default());
+        let (h, v) = build_capacity(&d, GCELL_ROWS);
         assert!(h.as_slice().iter().all(|&c| c >= 0.0));
         assert!(v.as_slice().iter().all(|&c| c >= 0.0));
     }

@@ -15,27 +15,30 @@
 use puffer_db::cast;
 use crate::demand::{SegmentRecord, SegmentShape};
 use crate::map::CongestionMap;
-use crate::EstimatorConfig;
 
-/// Expands congested I-shaped segments in `map` according to `config`.
+/// How many neighbouring rows/columns an expansion may use.
+const EXPANSION_RADIUS: usize = 2;
+
+/// Fraction of a congested segment's own contribution (one track) that an
+/// expansion moves.
+const EXPANSION_STRENGTH: f64 = 0.7;
+
+/// Expands congested I-shaped segments in `map`.
 ///
 /// The pass is deterministic and single-sweep: segments are inspected in
 /// their recorded order against the evolving demand map, matching the
 /// incremental behaviour of the paper's estimator.
-pub fn expand(map: &mut CongestionMap, segments: &[SegmentRecord], config: &EstimatorConfig) {
-    if config.expansion_radius == 0 || config.expansion_strength <= 0.0 {
-        return;
-    }
+pub fn expand(map: &mut CongestionMap, segments: &[SegmentRecord]) {
     for rec in segments {
         match rec.shape() {
-            SegmentShape::HorizontalI => expand_horizontal(map, rec, config),
-            SegmentShape::VerticalI => expand_vertical(map, rec, config),
+            SegmentShape::HorizontalI => expand_horizontal(map, rec),
+            SegmentShape::VerticalI => expand_vertical(map, rec),
             _ => {}
         }
     }
 }
 
-fn expand_horizontal(map: &mut CongestionMap, rec: &SegmentRecord, config: &EstimatorConfig) {
+fn expand_horizontal(map: &mut CongestionMap, rec: &SegmentRecord) {
     let (x0, x1) = (rec.ax.min(rec.bx), rec.ax.max(rec.bx));
     let y = rec.ay;
     let ny = map.ny();
@@ -45,13 +48,9 @@ fn expand_horizontal(map: &mut CongestionMap, rec: &SegmentRecord, config: &Esti
     if worst <= 0.0 {
         return;
     }
-    // Move at most the segment's own contribution (1 track), scaled by the
-    // configured strength.
-    let movable = config.expansion_strength.min(1.0);
-
     // Candidate rows by |offset|, nearest first; weight by available slack.
     let mut candidates: Vec<(usize, f64)> = Vec::new();
-    for k in 1..=config.expansion_radius {
+    for k in 1..=EXPANSION_RADIUS {
         for dir in [-1i64, 1i64] {
             let yy = cast::idx_i64(y) + dir * cast::idx_i64(k);
             if yy < 0 || yy >= cast::idx_i64(ny) {
@@ -74,7 +73,7 @@ fn expand_horizontal(map: &mut CongestionMap, rec: &SegmentRecord, config: &Esti
     let span = cast::idx_f64(x1 - x0 + 1);
     for (yy, slack) in candidates {
         // Share of the moved demand this row absorbs, capped by its slack.
-        let share = movable * (slack / total_slack);
+        let share = EXPANSION_STRENGTH * (slack / total_slack);
         let absorbed = share.min(slack / span.max(1.0));
         if absorbed <= 0.0 {
             continue;
@@ -100,7 +99,7 @@ fn expand_horizontal(map: &mut CongestionMap, rec: &SegmentRecord, config: &Esti
     }
 }
 
-fn expand_vertical(map: &mut CongestionMap, rec: &SegmentRecord, config: &EstimatorConfig) {
+fn expand_vertical(map: &mut CongestionMap, rec: &SegmentRecord) {
     let (y0, y1) = (rec.ay.min(rec.by), rec.ay.max(rec.by));
     let x = rec.ax;
     let nx = map.nx();
@@ -109,10 +108,8 @@ fn expand_vertical(map: &mut CongestionMap, rec: &SegmentRecord, config: &Estima
     if worst <= 0.0 {
         return;
     }
-    let movable = config.expansion_strength.min(1.0);
-
     let mut candidates: Vec<(usize, f64)> = Vec::new();
-    for k in 1..=config.expansion_radius {
+    for k in 1..=EXPANSION_RADIUS {
         for dir in [-1i64, 1i64] {
             let xx = cast::idx_i64(x) + dir * cast::idx_i64(k);
             if xx < 0 || xx >= cast::idx_i64(nx) {
@@ -134,7 +131,7 @@ fn expand_vertical(map: &mut CongestionMap, rec: &SegmentRecord, config: &Estima
 
     let span = cast::idx_f64(y1 - y0 + 1);
     for (xx, slack) in candidates {
-        let share = movable * (slack / total_slack);
+        let share = EXPANSION_STRENGTH * (slack / total_slack);
         let absorbed = share.min(slack / span.max(1.0));
         if absorbed <= 0.0 {
             continue;
@@ -192,7 +189,7 @@ mod tests {
     fn expansion_moves_demand_to_neighbours() {
         let mut m = congested_map();
         let before_row4: f64 = (1..=5).map(|x| *m.h_demand().at(x, 4)).sum();
-        expand(&mut m, &[seg(false, false)], &EstimatorConfig::default());
+        expand(&mut m, &[seg(false, false)]);
         let after_row4: f64 = (1..=5).map(|x| *m.h_demand().at(x, 4)).sum();
         assert!(after_row4 < before_row4);
         let neighbours: f64 = (1..=5)
@@ -205,7 +202,7 @@ mod tests {
     fn horizontal_expansion_conserves_h_mass_for_pin_endpoints() {
         let mut m = congested_map();
         let before = m.h_demand().sum();
-        expand(&mut m, &[seg(false, false)], &EstimatorConfig::default());
+        expand(&mut m, &[seg(false, false)]);
         assert!((m.h_demand().sum() - before).abs() < 1e-9);
         // Pin endpoints: no perpendicular demand added.
         assert_eq!(m.v_demand().sum(), 0.0);
@@ -214,7 +211,7 @@ mod tests {
     #[test]
     fn steiner_endpoints_add_detour_demand() {
         let mut m = congested_map();
-        expand(&mut m, &[seg(true, false)], &EstimatorConfig::default());
+        expand(&mut m, &[seg(true, false)]);
         // Detour legs appear in the vertical map at the Steiner end column.
         assert!(m.v_demand().sum() > 0.0);
         let col1: f64 = (0..8).map(|y| *m.v_demand().at(1, y)).sum();
@@ -233,22 +230,7 @@ mod tests {
             Grid::filled(r, 8, 8, 1.0),
         );
         let before = m.clone();
-        expand(&mut m, &[seg(true, true)], &EstimatorConfig::default());
-        assert_eq!(m, before);
-    }
-
-    #[test]
-    fn zero_radius_disables_expansion() {
-        let mut m = congested_map();
-        let before = m.clone();
-        expand(
-            &mut m,
-            &[seg(true, true)],
-            &EstimatorConfig {
-                expansion_radius: 0,
-                ..EstimatorConfig::default()
-            },
-        );
+        expand(&mut m, &[seg(true, true)]);
         assert_eq!(m, before);
     }
 
@@ -271,7 +253,7 @@ mod tests {
             a_steiner: false,
             b_steiner: true,
         };
-        expand(&mut m, &[rec], &EstimatorConfig::default());
+        expand(&mut m, &[rec]);
         let col3: f64 = (2..=6).map(|y| *m.v_demand().at(3, y)).sum();
         assert!(col3 < 25.0);
         // Steiner endpoint b at row 6 gains horizontal connection demand.

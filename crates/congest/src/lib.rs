@@ -45,7 +45,7 @@ pub mod demand;
 pub mod detour;
 pub mod map;
 
-pub use capacity::build_capacity;
+pub use capacity::{build_capacity, GCELL_ROWS, POWER_DERATE};
 pub use demand::try_build_demand;
 pub use map::CongestionMap;
 
@@ -77,19 +77,14 @@ impl std::fmt::Display for CongestError {
 impl std::error::Error for CongestError {}
 
 /// Configuration of the congestion estimator.
+///
+/// The Gcell geometry is not configured here: it is [`GCELL_ROWS`] and
+/// [`POWER_DERATE`] in [`capacity`], shared with the global router.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorConfig {
-    /// Gcell edge length in multiples of the row height (square Gcells).
-    pub gcell_rows: f64,
     /// Demand added per pin to the pin's Gcell in each direction,
     /// capturing local nets whose pins share a Gcell (§III-A.2).
     pub pin_penalty: f64,
-    /// Fraction of every Gcell's capacity reserved for the power grid.
-    pub power_derate: f64,
-    /// How many neighbouring rows/columns the detour expansion may use.
-    pub expansion_radius: usize,
-    /// Fraction of a congested segment's overflow that expansion moves.
-    pub expansion_strength: f64,
     /// Whether to run the detour-imitating expansion at all (ablation knob).
     pub expand_detours: bool,
     /// Worker threads for the per-net demand pass (result is identical for
@@ -100,11 +95,7 @@ pub struct EstimatorConfig {
 impl Default for EstimatorConfig {
     fn default() -> Self {
         EstimatorConfig {
-            gcell_rows: 3.0,
             pin_penalty: 0.08,
-            power_derate: 0.12,
-            expansion_radius: 2,
-            expansion_strength: 0.7,
             expand_detours: true,
             threads: default_threads(),
         }
@@ -116,6 +107,9 @@ impl Default for EstimatorConfig {
 #[derive(Debug, Clone)]
 pub struct CongestionEstimator {
     config: EstimatorConfig,
+    /// Gcell edge in row heights: [`GCELL_ROWS`], scaled by
+    /// [`CongestionEstimator::coarsen`].
+    edge_rows: f64,
     h_cap: Grid<f64>,
     v_cap: Grid<f64>,
     trace: Trace,
@@ -126,9 +120,10 @@ impl CongestionEstimator {
     /// Builds the estimator (and its blockage-aware capacity maps) for a
     /// design.
     pub fn new(design: &Design, config: EstimatorConfig) -> Self {
-        let (h_cap, v_cap) = capacity::build_capacity(design, &config);
+        let (h_cap, v_cap) = capacity::build_capacity(design, GCELL_ROWS);
         CongestionEstimator {
             config,
+            edge_rows: GCELL_ROWS,
             h_cap,
             v_cap,
             trace: Trace::disabled(),
@@ -150,8 +145,8 @@ impl CongestionEstimator {
     /// map resolution for time.
     pub fn coarsen(&mut self, design: &Design, factor: f64) {
         assert!(factor.is_finite() && factor >= 1.0, "bad coarsen factor {factor}");
-        self.config.gcell_rows *= factor;
-        let (h_cap, v_cap) = capacity::build_capacity(design, &self.config);
+        self.edge_rows *= factor;
+        let (h_cap, v_cap) = capacity::build_capacity(design, self.edge_rows);
         self.h_cap = h_cap;
         self.v_cap = v_cap;
     }
@@ -199,7 +194,7 @@ impl CongestionEstimator {
         )?;
         let mut map = CongestionMap::new(self.h_cap.clone(), self.v_cap.clone(), h_dmd, v_dmd);
         if self.config.expand_detours && !self.budget.is_exhausted() {
-            detour::expand(&mut map, &segments, &self.config);
+            detour::expand(&mut map, &segments);
         }
         if self.trace.is_enabled() {
             self.trace.add("congest.rounds", 1);
@@ -368,7 +363,11 @@ mod tests {
         est.coarsen(&d, 2.0);
         assert!(est.h_capacity().nx() < nx, "{} < {nx}", est.h_capacity().nx());
         assert!(est.h_capacity().ny() < ny, "{} < {ny}", est.h_capacity().ny());
-        assert_eq!(est.config().gcell_rows, 6.0);
+        // The Gcell edge doubled: 2 · GCELL_ROWS row heights.
+        let edge = 2.0 * GCELL_ROWS * d.tech().row_height;
+        let region = d.region();
+        assert_eq!(est.h_capacity().nx(), (region.width() / edge).ceil() as usize);
+        assert_eq!(est.h_capacity().ny(), (region.height() / edge).ceil() as usize);
         // The coarser estimator still produces a usable map.
         let map = est.try_estimate(&d, &d.initial_placement()).unwrap();
         assert!(map.total_demand() > 0.0);

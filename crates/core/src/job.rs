@@ -11,10 +11,10 @@
 //!
 //! * its [`PufferConfig`] (placer/estimator/strategy/features),
 //! * its [`Budget`] — the deadline clock starts when the budget is built,
-//!   and the shared [`CancelToken`] is reachable via [`Job::cancel_token`]
-//!   so a supervisor can cancel a running job from another thread; a
-//!   bounded budget also arms the degradation ladder (the rungs of
-//!   [`puffer_budget::DegradeStep::ALL`] at their fixed thresholds),
+//!   and cancelling the budget's [`puffer_budget::CancelToken`] stops a
+//!   running job from another thread; a bounded budget also arms the
+//!   degradation ladder (the rungs of [`puffer_budget::DegradeStep::ALL`]
+//!   at their fixed thresholds),
 //! * its [`Trace`] sink and optional [`StageObserver`],
 //! * an optional [`CheckpointPolicy`]; with one attached,
 //!   [`Job::run_or_resume`] is crash recovery in a single call: resume from
@@ -26,7 +26,7 @@ use crate::flow::{FlowResult, PufferConfig, StageObserver};
 use crate::PufferError;
 #[cfg(feature = "chaos")]
 use puffer_budget::ChaosPlan;
-use puffer_budget::{Budget, CancelToken};
+use puffer_budget::Budget;
 use puffer_db::design::Design;
 use puffer_trace::Trace;
 
@@ -121,13 +121,6 @@ impl Job {
     pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = Some(plan);
         self
-    }
-
-    /// A clone of the budget's shared cancel token: cancelling it stops
-    /// this job cooperatively (checkpoint, legalize best-so-far, return)
-    /// even while [`Job::run`] executes on another thread.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.budget.token()
     }
 
     /// Runs the flow from scratch, journaling when a checkpoint policy is
@@ -298,8 +291,8 @@ mod tests {
         let mut cfg = quick_config();
         cfg.placer.max_iters = 100_000;
         cfg.placer.stop_overflow = 0.0;
-        let job = Job::new(cfg);
-        let token = job.cancel_token();
+        let token = puffer_budget::CancelToken::new();
+        let job = Job::new(cfg).with_budget(Budget::unbounded().with_token(token.clone()));
         token.cancel();
         let r = job.run(&d).unwrap();
         assert!(r.cancelled, "pre-cancelled token must stop the run");

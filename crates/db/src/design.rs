@@ -320,11 +320,6 @@ impl Placement {
         &self.y
     }
 
-    /// Mutable coordinate slices `(xs, ys)`.
-    pub fn coords_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        (&mut self.x, &mut self.y)
-    }
-
     /// Absolute location of a pin under this placement.
     pub fn pin_pos(&self, netlist: &Netlist, pin: crate::netlist::PinId) -> Point {
         let p = netlist.pin(pin);
@@ -430,9 +425,9 @@ mod tests {
         assert_eq!(p.pos(CellId(1)), Point::new(3.0, 4.0));
         assert_eq!(p.xs(), &[0.0, 3.0]);
         assert_eq!(p.len(), 2);
-        let (xs, _) = p.coords_mut();
-        xs[0] = 9.0;
-        assert_eq!(p.pos(CellId(0)).x, 9.0);
+        p.set(CellId(0), Point::new(9.0, 5.0));
+        assert_eq!(p.xs(), &[9.0, 3.0]);
+        assert_eq!(p.ys(), &[5.0, 4.0]);
     }
 
     #[test]

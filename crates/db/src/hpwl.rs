@@ -117,14 +117,9 @@ mod tests {
         let (nl, p) = netlist_three();
         let base = total_hpwl(&nl, &p);
         let mut q = p.clone();
-        {
-            let (xs, ys) = q.coords_mut();
-            for v in xs.iter_mut() {
-                *v += 123.0;
-            }
-            for v in ys.iter_mut() {
-                *v -= 45.0;
-            }
+        for (id, _) in nl.iter_cells() {
+            let at = q.pos(id);
+            q.set(id, Point::new(at.x + 123.0, at.y - 45.0));
         }
         assert!((total_hpwl(&nl, &q) - base).abs() < 1e-9);
     }

@@ -51,6 +51,12 @@ use puffer_db::hpwl::{net_hpwl, total_hpwl};
 use puffer_db::netlist::{CellId, NetId};
 use puffer_legal::{row_segments, LegalizeError};
 
+/// Candidate search radius for global swap, in row heights.
+const SWAP_RADIUS: f64 = 6.0;
+
+/// Minimum HPWL gain (absolute) for a move to be accepted.
+const MIN_GAIN: f64 = 1e-9;
+
 /// Configuration of the detailed placer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetailedConfig {
@@ -59,10 +65,6 @@ pub struct DetailedConfig {
     /// Local-reordering window size (2 or 3; larger windows explode
     /// combinatorially for negligible gain).
     pub window: usize,
-    /// Candidate search radius for global swap, in row heights.
-    pub swap_radius: f64,
-    /// Minimum HPWL gain (absolute) for a move to be accepted.
-    pub min_gain: f64,
 }
 
 impl Default for DetailedConfig {
@@ -70,8 +72,6 @@ impl Default for DetailedConfig {
         DetailedConfig {
             max_passes: 3,
             window: 3,
-            swap_radius: 6.0,
-            min_gain: 1e-9,
         }
     }
 }
@@ -212,7 +212,6 @@ pub fn refine_bounded(
             &mut seg_cells,
             padding_sites,
             site,
-            config,
             congestion,
             &mut moves,
         );
@@ -332,7 +331,7 @@ fn reorder_segment(
             if ok {
                 let after = local_hpwl(design, placement, &nets);
                 let gain = before - after;
-                if gain > config.min_gain && best.as_ref().is_none_or(|(_, g)| gain > *g) {
+                if gain > MIN_GAIN && best.as_ref().is_none_or(|(_, g)| gain > *g) {
                     best = Some((order.to_vec(), gain));
                 }
             }
@@ -379,14 +378,12 @@ fn permute(perm: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
     }
 }
 
-#[allow(clippy::too_many_arguments, reason = "one refinement pass over the shared window state")]
 fn global_swaps(
     design: &Design,
     placement: &mut Placement,
     seg_cells: &mut [SegmentCells],
     padding_sites: &[u32],
     site: f64,
-    config: &DetailedConfig,
     congestion: Option<&CongestionMap>,
     moves: &mut usize,
 ) -> bool {
@@ -405,7 +402,7 @@ fn global_swaps(
 
     // Spatial bucket grid over cell positions so candidate search is local
     // instead of O(n) per cell. Bucket size = swap radius.
-    let radius = config.swap_radius * design.tech().row_height;
+    let radius = SWAP_RADIUS * design.tech().row_height;
     let region = design.region();
     let bx = ((region.width() / radius.max(1e-9)).ceil() as usize).clamp(1, 512);
     let by = ((region.height() / radius.max(1e-9)).ceil() as usize).clamp(1, 512);
@@ -488,7 +485,7 @@ fn global_swaps(
         placement.set(a, new_a);
         placement.set(b, new_b);
         let after = local_hpwl(design, placement, &nets);
-        if before - after > config.min_gain {
+        if before - after > MIN_GAIN {
             // Commit: exchange bookkeeping entries.
             let (sa, slot_a) = locator[a.index()];
             let (sb, slot_b) = locator[b.index()];

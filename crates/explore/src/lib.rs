@@ -51,4 +51,4 @@ pub use smbo::{
     MAX_CONSECUTIVE_FAILURES,
 };
 pub use space::{Domain, ParamSpec, Space};
-pub use tpe::{Tpe, TpeConfig};
+pub use tpe::Tpe;

@@ -14,7 +14,7 @@
 
 use crate::error::ExploreError;
 use crate::space::Space;
-use crate::tpe::{Tpe, TpeConfig};
+use crate::tpe::Tpe;
 use puffer_budget::{Budget, DegradeStep, LadderState};
 use puffer_par::{run_isolated, try_map_chunks, WorkerPanic};
 use puffer_trace::Trace;
@@ -66,6 +66,9 @@ pub const MAX_CONSECUTIVE_FAILURES: usize = 8;
 /// are expanded around the good set (Algorithm 2 line 14).
 const RANGE_MARGIN: f64 = 0.10;
 
+/// Seed of the TPE sampler of every exploration run.
+const TPE_SEED: u64 = 7;
+
 /// Result of an [`explore_params_bounded`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplorationOutcome {
@@ -107,7 +110,7 @@ struct Run {
 impl Run {
     fn new(space: &Space) -> Self {
         Run {
-            tpe: Tpe::new(space.clone(), TpeConfig::default()),
+            tpe: Tpe::new(space.clone(), TPE_SEED),
             best: None,
             worst: None,
             since_improvement: 0,

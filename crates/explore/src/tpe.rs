@@ -9,46 +9,29 @@
 use crate::space::{Domain, Space};
 use puffer_rng::StdRng;
 
-/// TPE configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TpeConfig {
-    /// Fraction of observations treated as "good" (`γ`).
-    pub gamma: f64,
-    /// Random suggestions before the model kicks in.
-    pub n_startup: usize,
-    /// Candidates drawn from `l(x)` per suggestion.
-    pub n_candidates: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Fraction of observations treated as "good" (`γ`).
+const GAMMA: f64 = 0.25;
 
-impl Default for TpeConfig {
-    fn default() -> Self {
-        TpeConfig {
-            gamma: 0.25,
-            n_startup: 10,
-            n_candidates: 24,
-            seed: 7,
-        }
-    }
-}
+/// Random suggestions before the model kicks in.
+const N_STARTUP: usize = 10;
+
+/// Candidates drawn from `l(x)` per suggestion.
+const N_CANDIDATES: usize = 24;
 
 /// A TPE sampler over a fixed [`Space`].
 #[derive(Debug, Clone)]
 pub struct Tpe {
     space: Space,
-    config: TpeConfig,
     observations: Vec<(Vec<f64>, f64)>,
     rng: StdRng,
 }
 
 impl Tpe {
-    /// Creates a sampler.
-    pub fn new(space: Space, config: TpeConfig) -> Self {
-        let rng = StdRng::seed_from_u64(config.seed);
+    /// Creates a sampler whose draws follow from `seed`.
+    pub fn new(space: Space, seed: u64) -> Self {
+        let rng = StdRng::seed_from_u64(seed);
         Tpe {
             space,
-            config,
             observations: Vec::new(),
             rng,
         }
@@ -76,13 +59,13 @@ impl Tpe {
 
     /// Suggests the next assignment to evaluate (`getParam` of Alg. 2).
     pub fn suggest(&mut self) -> Vec<f64> {
-        if self.observations.len() < self.config.n_startup || self.space.is_empty() {
+        if self.observations.len() < N_STARTUP || self.space.is_empty() {
             return self.random_assignment();
         }
         // Split at the γ quantile (at least one observation on each side).
         let mut order: Vec<usize> = (0..self.observations.len()).collect();
         order.sort_by(|&a, &b| self.observations[a].1.total_cmp(&self.observations[b].1));
-        let n_good = ((self.observations.len() as f64 * self.config.gamma).ceil() as usize)
+        let n_good = ((self.observations.len() as f64 * GAMMA).ceil() as usize)
             .clamp(1, self.observations.len() - 1);
         let good: Vec<Vec<f64>> = order[..n_good]
             .iter()
@@ -98,7 +81,7 @@ impl Tpe {
         let first = self.draw_from(&good);
         let first_score = self.log_ratio(&first, &good, &bad);
         let mut best: (Vec<f64>, f64) = (first, first_score);
-        for _ in 1..self.config.n_candidates.max(1) {
+        for _ in 1..N_CANDIDATES {
             let cand = self.draw_from(&good);
             let score = self.log_ratio(&cand, &good, &bad);
             if score > best.1 {
@@ -214,7 +197,7 @@ mod tests {
 
     #[test]
     fn startup_phase_is_random_and_in_bounds() {
-        let mut tpe = Tpe::new(space1d(), TpeConfig::default());
+        let mut tpe = Tpe::new(space1d(), 7);
         for _ in 0..20 {
             let s = tpe.suggest();
             assert!(s[0] >= 0.0 && s[0] <= 10.0);
@@ -224,13 +207,7 @@ mod tests {
     #[test]
     fn suggestions_concentrate_near_optimum() {
         // f(x) = (x-3)^2; after observations TPE should propose near 3.
-        let mut tpe = Tpe::new(
-            space1d(),
-            TpeConfig {
-                seed: 3,
-                ..TpeConfig::default()
-            },
-        );
+        let mut tpe = Tpe::new(space1d(), 3);
         for _ in 0..60 {
             let x = tpe.suggest();
             let y = (x[0] - 3.0) * (x[0] - 3.0);
@@ -255,13 +232,7 @@ mod tests {
     #[test]
     fn categorical_learns_the_good_choice() {
         let space = Space::new(vec![ParamSpec::categorical("k", 4)]);
-        let mut tpe = Tpe::new(
-            space,
-            TpeConfig {
-                seed: 5,
-                ..TpeConfig::default()
-            },
-        );
+        let mut tpe = Tpe::new(space, 5);
         for _ in 0..60 {
             let x = tpe.suggest();
             let y = if x[0] as usize == 2 { 0.0 } else { 1.0 };
@@ -282,7 +253,7 @@ mod tests {
     #[test]
     fn integer_suggestions_are_integral() {
         let space = Space::new(vec![ParamSpec::integer("n", 1, 6)]);
-        let mut tpe = Tpe::new(space, TpeConfig::default());
+        let mut tpe = Tpe::new(space, 7);
         for _ in 0..30 {
             let x = tpe.suggest();
             assert_eq!(x[0], x[0].round());
@@ -294,13 +265,7 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let run = || {
-            let mut tpe = Tpe::new(
-                space1d(),
-                TpeConfig {
-                    seed: 11,
-                    ..TpeConfig::default()
-                },
-            );
+            let mut tpe = Tpe::new(space1d(), 11);
             let mut xs = Vec::new();
             for _ in 0..15 {
                 let x = tpe.suggest();
@@ -315,7 +280,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn observe_checks_length() {
-        let mut tpe = Tpe::new(space1d(), TpeConfig::default());
+        let mut tpe = Tpe::new(space1d(), 7);
         tpe.observe(vec![1.0, 2.0], 0.0);
     }
 }

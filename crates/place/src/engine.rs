@@ -18,12 +18,27 @@ use puffer_db::hpwl::total_hpwl;
 use puffer_db::netlist::CellId;
 use puffer_trace::Trace;
 
+/// Initial-placement jitter around the region center, in bin widths.
+const INITIAL_NOISE: f64 = 2.0;
+
+/// Seed of the initial-placement jitter.
+const JITTER_SEED: u64 = 1;
+
+/// Divergence recoveries allowed before the placer freezes at the last
+/// healthy solution (see [`GlobalPlacer::step`]).
+const MAX_RECOVERIES: usize = 8;
+
+/// Step-size multiplier applied on every divergence recovery.
+const RECOVERY_BACKOFF: f64 = 0.5;
+
+/// Oscillation-detection window of the divergence sentinel, in iterations.
+const DIVERGENCE_WINDOW: usize = 16;
+
 /// Configuration of the global placer.
+///
+/// The bin grid is always [`DensityModel::auto_dim`] of the cell count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacerConfig {
-    /// Bin grid dimension (power of two); `0` selects
-    /// [`DensityModel::auto_dim`].
-    pub bin_dim: usize,
     /// Target placement density for the overflow metric.
     pub target_density: f64,
     /// WA smoothing parameter in bin widths (γ of Eq. (2)); the effective γ
@@ -35,18 +50,6 @@ pub struct PlacerConfig {
     pub max_iters: usize,
     /// Overflow threshold at which [`GlobalPlacer::run`] stops.
     pub stop_overflow: f64,
-    /// Initial-placement jitter around the region center, in bin widths.
-    pub initial_noise: f64,
-    /// RNG seed for the jitter.
-    pub seed: u64,
-    /// Divergence recoveries allowed before the placer freezes at the last
-    /// healthy solution (see [`GlobalPlacer::step`]).
-    pub max_recoveries: usize,
-    /// Step-size multiplier applied on every divergence recovery.
-    pub recovery_backoff: f64,
-    /// Oscillation-detection window of the divergence sentinel; `0`
-    /// disables the oscillation check (NaN/explosion checks stay on).
-    pub divergence_window: usize,
     /// Worker threads for the wirelength/density/transform kernels
     /// (clamped to `1..=32`). Results are bit-identical for every value —
     /// the deterministic fork-join contract of `puffer-par` — so this only
@@ -57,17 +60,11 @@ pub struct PlacerConfig {
 impl Default for PlacerConfig {
     fn default() -> Self {
         PlacerConfig {
-            bin_dim: 0,
             target_density: 1.0,
             gamma_factor: 0.5,
             lambda_growth: 1.04,
             max_iters: 800,
             stop_overflow: 0.07,
-            initial_noise: 2.0,
-            seed: 1,
-            max_recoveries: 8,
-            recovery_backoff: 0.5,
-            divergence_window: 16,
             threads: 1,
         }
     }
@@ -329,16 +326,15 @@ impl<'a> GlobalPlacer<'a> {
     ///
     /// Returns [`PlaceError::NoMovableCells`] for a design without movable
     /// cells, [`PlaceError::UnplacedMacro`] when a macro lacks a location
-    /// and [`PlaceError::BadConfig`] for a [`PlacerConfig::bin_dim`] that is
-    /// neither `0` nor a power of two or a [`PlacerConfig::gamma_factor`]
+    /// and [`PlaceError::BadConfig`] for a [`PlacerConfig::gamma_factor`]
     /// that is not positive and finite.
     pub fn new(design: &'a Design, config: PlacerConfig) -> Result<Self, PlaceError> {
         let mut placement = design.initial_placement();
         // Deterministic jitter to break symmetry.
-        let dim = bin_dim(design, &config)?;
+        let dim = DensityModel::auto_dim(design.netlist().num_cells());
         let bin_w = design.region().width() / cast::idx_f64(dim);
         let bin_h = design.region().height() / cast::idx_f64(dim);
-        let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_add(config.seed);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_add(JITTER_SEED);
         let mut next_unit = || {
             // xorshift64*; cheap, deterministic, good enough for jitter.
             state ^= state >> 12;
@@ -351,8 +347,8 @@ impl<'a> GlobalPlacer<'a> {
             placement.set(
                 id,
                 puffer_db::geom::Point::new(
-                    p.x + next_unit() * config.initial_noise * bin_w,
-                    p.y + next_unit() * config.initial_noise * bin_h,
+                    p.x + next_unit() * INITIAL_NOISE * bin_w,
+                    p.y + next_unit() * INITIAL_NOISE * bin_h,
                 ),
             );
         }
@@ -376,7 +372,7 @@ impl<'a> GlobalPlacer<'a> {
         if movable.is_empty() {
             return Err(PlaceError::NoMovableCells);
         }
-        let dim = bin_dim(design, &config)?;
+        let dim = DensityModel::auto_dim(design.netlist().num_cells());
         // γ is `gamma_factor` times positive finite numbers: checked here,
         // it is positive wherever the WA kernel divides by it.
         if !(config.gamma_factor > 0.0 && config.gamma_factor.is_finite()) {
@@ -395,7 +391,7 @@ impl<'a> GlobalPlacer<'a> {
         };
         let eff_width: Vec<f64> = design.netlist().cells().iter().map(|c| c.width).collect();
         let padding = vec![0.0; eff_width.len()];
-        let sentinel = DivergenceSentinel::new(config.divergence_window);
+        let sentinel = DivergenceSentinel::new(DIVERGENCE_WINDOW);
         let wa = WaWorkspace::new(config.threads);
         Ok(GlobalPlacer {
             design,
@@ -559,7 +555,7 @@ impl<'a> GlobalPlacer<'a> {
         self.frozen = false;
         self.last_good = None;
         self.last_divergence = None;
-        self.sentinel = DivergenceSentinel::new(self.config.divergence_window);
+        self.sentinel = DivergenceSentinel::new(DIVERGENCE_WINDOW);
         Ok(())
     }
 
@@ -695,11 +691,10 @@ impl<'a> GlobalPlacer<'a> {
     /// coordinates or statistics, exploding wirelength, and overflow limit
     /// cycles. When it fires, the iterate is discarded: the placer rolls
     /// back to the last healthy solution, resets the optimizer momentum,
-    /// and shrinks its bootstrap step size by
-    /// [`PlacerConfig::recovery_backoff`]. After
-    /// [`PlacerConfig::max_recoveries`] recoveries the placer freezes — it
-    /// holds the last healthy solution and further steps are no-ops — so a
-    /// flow always completes with a finite placement instead of asserting.
+    /// and shrinks its bootstrap step size by `RECOVERY_BACKOFF` (½). Past
+    /// `MAX_RECOVERIES` (8) recoveries the placer freezes — it holds the
+    /// last healthy solution and further steps are no-ops — so a flow
+    /// always completes with a finite placement instead of asserting.
     pub fn step(&mut self) -> IterationStats {
         if self.frozen {
             self.iter += 1;
@@ -817,7 +812,7 @@ impl<'a> GlobalPlacer<'a> {
                 .write();
         }
         self.last_divergence = Some(reason);
-        self.step_scale = (self.step_scale * self.config.recovery_backoff).max(1e-9);
+        self.step_scale = (self.step_scale * RECOVERY_BACKOFF).max(1e-9);
         self.opt = None; // momentum reset; the next step re-bootstraps
         self.sentinel.reset_window();
 
@@ -837,7 +832,7 @@ impl<'a> GlobalPlacer<'a> {
                 self.last_overflow = 1.0;
             }
         }
-        if self.recoveries > self.config.max_recoveries {
+        if self.recoveries > MAX_RECOVERIES {
             self.frozen = true;
         }
         let mut stats = self.healthy_stats();
@@ -896,17 +891,6 @@ impl<'a> GlobalPlacer<'a> {
             last = self.step();
         }
         last
-    }
-}
-
-/// The bin-grid dimension `config` selects for `design`.
-fn bin_dim(design: &Design, config: &PlacerConfig) -> Result<usize, PlaceError> {
-    match config.bin_dim {
-        0 => Ok(DensityModel::auto_dim(design.netlist().num_cells())),
-        dim if dim.is_power_of_two() => Ok(dim),
-        dim => Err(PlaceError::BadConfig(format!(
-            "bin_dim {dim} is neither 0 (automatic) nor a power of two"
-        ))),
     }
 }
 
@@ -1185,6 +1169,16 @@ mod tests {
         assert_eq!(placer.placement(), &healthy, "rolled back");
     }
 
+    /// Poisons one movable cell with NaN and drops the momentum, so the
+    /// next step starts from the poison and diverges.
+    fn poison(placer: &mut GlobalPlacer<'_>) {
+        let id = placer.movable[0];
+        placer
+            .placement
+            .set(id, puffer_db::geom::Point::new(f64::NAN, f64::NAN));
+        placer.opt = None;
+    }
+
     #[test]
     fn recovery_budget_freezes_placer() {
         // An adversarial sentinel scenario: every step diverges because the
@@ -1199,26 +1193,28 @@ mod tests {
             &d,
             PlacerConfig {
                 max_iters: 400,
-                max_recoveries: 2,
                 ..PlacerConfig::default()
             },
             p,
         )
         .unwrap();
-        // The first recovery sanitizes, so subsequent steps are healthy;
-        // freeze only happens with repeated divergence. Simulate it by
-        // shrinking the budget to zero recoveries left.
+        // The first recovery sanitizes, so subsequent steps would be
+        // healthy; re-poisoning makes MAX_RECOVERIES + 1 divergences in all.
         let s1 = placer.step();
         assert!(s1.overflow.is_finite());
         assert!(placer.recoveries() >= 1);
+        for _ in 0..MAX_RECOVERIES {
+            poison(&mut placer);
+            placer.step();
+        }
         let last = placer.run();
         assert!(last.overflow.is_finite() && last.hpwl.is_finite());
     }
 
     #[test]
     fn frozen_placer_still_advances_iter_so_run_terminates() {
-        // With no recovery budget the first divergence freezes the placer.
-        // A frozen step must still count as an iteration: that is what lets
+        // The divergence past the recovery budget freezes the placer. A
+        // frozen step must still count as an iteration: that is what lets
         // `run()` (and the flow's GP loop) terminate at `max_iters`.
         let d = small_design();
         let mut p = d.initial_placement();
@@ -1230,17 +1226,20 @@ mod tests {
             PlacerConfig {
                 max_iters: 25,
                 stop_overflow: 0.0,
-                max_recoveries: 0,
                 ..PlacerConfig::default()
             },
             p,
         )
         .unwrap();
-        let first = placer.step();
-        assert!(placer.is_frozen(), "one divergence past a zero budget must freeze");
-        assert_eq!(first.iter, 1);
+        let mut freezing = placer.step();
+        for _ in 0..MAX_RECOVERIES {
+            poison(&mut placer);
+            freezing = placer.step();
+        }
+        assert!(placer.is_frozen(), "one divergence past the budget must freeze");
+        assert_eq!(freezing.iter, MAX_RECOVERIES + 1);
         let frozen_at = placer.placement().clone();
-        for expect in 2..=4 {
+        for expect in MAX_RECOVERIES + 2..=MAX_RECOVERIES + 4 {
             assert_eq!(placer.step().iter, expect, "frozen step must advance iter by one");
         }
         let last = placer.run();
@@ -1313,29 +1312,6 @@ mod tests {
             placer.restore(snap2),
             Err(PlaceError::BadSnapshot(_))
         ));
-    }
-
-    #[test]
-    fn bad_bin_dim_is_an_error_not_a_panic() {
-        let d = small_design();
-        for bin_dim in [3, 48, 1000] {
-            let cfg = PlacerConfig {
-                bin_dim,
-                ..PlacerConfig::default()
-            };
-            let new = GlobalPlacer::new(&d, cfg.clone());
-            assert!(matches!(new, Err(PlaceError::BadConfig(_))), "new, bin_dim {bin_dim}");
-            let with = GlobalPlacer::with_placement(&d, cfg, d.initial_placement());
-            let Err(PlaceError::BadConfig(msg)) = with else {
-                panic!("with_placement accepted bin_dim {bin_dim}");
-            };
-            assert!(msg.contains(&bin_dim.to_string()), "{msg}");
-        }
-        let cfg = PlacerConfig {
-            bin_dim: 64,
-            ..PlacerConfig::default()
-        };
-        assert_eq!(GlobalPlacer::new(&d, cfg).unwrap().density_dims(), (64, 64));
     }
 
     #[test]
@@ -1508,10 +1484,7 @@ mod tests {
     fn memo_never_changes_a_trajectory() {
         use puffer_rng::check::{run_cases, vec_of};
         let d = small_design();
-        let cfg = PlacerConfig {
-            bin_dim: 32,
-            ..PlacerConfig::default()
-        };
+        let cfg = PlacerConfig::default();
         run_cases(
             6,
             0x5EED_0E40,

@@ -34,20 +34,21 @@ fn minor_faults() -> u64 {
 
 #[test]
 fn warm_steps_do_not_fault_in_fresh_grids() {
+    // More than 64² cells, so the automatic bin grid is 128².
     let design = generate(&GeneratorConfig {
-        num_cells: 1200,
-        num_nets: 1300,
+        num_cells: 4200,
+        num_nets: 4600,
         num_macros: 2,
         ..GeneratorConfig::default()
     })
     .unwrap();
     for threads in [1, 2] {
         let config = PlacerConfig {
-            bin_dim: 128,
             threads,
             ..PlacerConfig::default()
         };
         let mut placer = GlobalPlacer::new(&design, config).unwrap();
+        assert_eq!(placer.density_dims(), (128, 128));
         for _ in 0..10 {
             placer.step();
         }

@@ -7,9 +7,14 @@
 //! two-phase approach (2-D route, then congestion-aware greedy layer
 //! assignment, long runs first), turning [`crate::RouteReport`] paths into
 //! per-layer usage maps and a via count.
+//!
+//! The layers share the 2-D router's Gcells, which
+//! [`puffer_congest::capacity`] declares once: [`assign_layers`] takes the
+//! Gcell grid of the routing its paths came from, and its per-layer
+//! capacity is Eq. (8) with that module's power-grid derate.
 
-use puffer_db::cast;
 use crate::path::Path;
+use puffer_congest::capacity::{for_each_macro_overlap, POWER_DERATE};
 use puffer_db::design::Design;
 use puffer_db::grid::Grid;
 use puffer_db::tech::PreferredDirection;
@@ -38,40 +43,18 @@ pub struct LayerAssignment {
     pub vias: usize,
 }
 
-/// Configuration for layer assignment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerConfig {
-    /// Power-grid derate applied to every layer's capacity (kept equal to
-    /// the 2-D router's derate for consistency with Eq. (8)).
-    pub power_derate: f64,
-    /// Gcell edge length in row heights (must match the 2-D router).
-    pub gcell_rows: f64,
-}
-
-impl Default for LayerConfig {
-    fn default() -> Self {
-        LayerConfig {
-            power_derate: 0.12,
-            gcell_rows: 3.0,
-        }
-    }
-}
-
 /// Assigns every straight run of the given 2-D paths to a metal layer.
 ///
 /// Runs are processed longest-first (long wires go to the fastest-filling
 /// upper layers only when lower layers overflow); each run goes to the
 /// direction-matching layer that minimizes the added overflow, ties broken
 /// towards the lowest layer. Vias are counted per direction change plus
-/// one per path endpoint (pin access).
-pub fn assign_layers(design: &Design, paths: &[Path], config: &LayerConfig) -> LayerAssignment {
+/// one per path endpoint (pin access). `gcells` is the Gcell grid the paths
+/// were routed on, e.g. [`crate::RouteReport::congestion`]'s capacity map.
+pub fn assign_layers(design: &Design, paths: &[Path], gcells: &Grid<f64>) -> LayerAssignment {
     let tech = design.tech();
-    let region = design.region();
-    let gsize = (config.gcell_rows * tech.row_height).max(tech.row_height);
-    let nx = cast::trunc_idx((region.width() / gsize).ceil().max(1.0));
-    let ny = cast::trunc_idx((region.height() / gsize).ceil().max(1.0));
-    let template: Grid<f64> = Grid::new(region, nx, ny);
-    let (dx, dy) = (template.dx(), template.dy());
+    let (region, nx, ny) = (gcells.region(), gcells.nx(), gcells.ny());
+    let (dx, dy) = (gcells.dx(), gcells.dy());
 
     // Per-layer capacity (Eq. (8) per layer): macros block every layer
     // except the topmost of each direction.
@@ -91,30 +74,19 @@ pub fn assign_layers(design: &Design, paths: &[Path], config: &LayerConfig) -> L
             } else {
                 dx
             };
-            let basic = l.tracks_over(extent) * (1.0 - config.power_derate);
+            let basic = l.tracks_over(extent) * (1.0 - POWER_DERATE);
             let mut capacity = Grid::filled(region, nx, ny, basic);
             let is_top = Some(i) == top_h || Some(i) == top_v;
             if !is_top {
-                for (_, shape) in design.macro_shapes() {
-                    if let Some((ix_lo, ix_hi, iy_lo, iy_hi)) = capacity.cells_overlapping(&shape) {
-                        for iy in iy_lo..=iy_hi {
-                            for ix in ix_lo..=ix_hi {
-                                let cell = capacity.cell_rect(ix, iy);
-                                let ov = shape.intersection(&cell);
-                                if ov.area() <= 0.0 {
-                                    continue;
-                                }
-                                let loss = if l.direction == PreferredDirection::Horizontal {
-                                    ov.height() / l.pitch() * (ov.width() / cell.width())
-                                } else {
-                                    ov.width() / l.pitch() * (ov.height() / cell.height())
-                                };
-                                let c = capacity.at_mut(ix, iy);
-                                *c = (*c - loss).max(0.0);
-                            }
-                        }
-                    }
-                }
+                for_each_macro_overlap(design, gcells, |ix, iy, ov, cell| {
+                    let loss = if l.direction == PreferredDirection::Horizontal {
+                        ov.height() / l.pitch() * (ov.width() / cell.width())
+                    } else {
+                        ov.width() / l.pitch() * (ov.height() / cell.height())
+                    };
+                    let c = capacity.at_mut(ix, iy);
+                    *c = (*c - loss).max(0.0);
+                });
             }
             LayerReport {
                 name: l.name.clone(),
@@ -237,6 +209,7 @@ fn run_dir(a: (usize, usize), b: (usize, usize)) -> PreferredDirection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use puffer_congest::{build_capacity, GCELL_ROWS};
     use puffer_db::design::Design;
     use puffer_db::geom::Rect;
     use puffer_db::netlist::NetlistBuilder;
@@ -252,6 +225,11 @@ mod tests {
         .unwrap()
     }
 
+    /// Lays `paths` onto the layers of `d`'s router Gcells.
+    fn assign(d: &Design, paths: &[Path]) -> LayerAssignment {
+        assign_layers(d, paths, &build_capacity(d, GCELL_ROWS).0)
+    }
+
     #[test]
     fn runs_go_to_matching_direction_layers() {
         let d = empty_design();
@@ -260,7 +238,7 @@ mod tests {
             vec![(0, 0), (1, 0), (2, 0), (3, 0)],
             vec![(5, 0), (5, 1), (5, 2)],
         ];
-        let a = assign_layers(&d, &paths, &LayerConfig::default());
+        let a = assign(&d, &paths);
         for l in &a.layers {
             let used = l.usage.sum();
             if used > 0.0 {
@@ -284,10 +262,10 @@ mod tests {
         let d = empty_design();
         // L-shaped path: 2 endpoint vias + 1 bend via.
         let paths = vec![vec![(0, 0), (1, 0), (1, 1)]];
-        let a = assign_layers(&d, &paths, &LayerConfig::default());
+        let a = assign(&d, &paths);
         assert_eq!(a.vias, 3);
         // Straight path: endpoints only.
-        let a2 = assign_layers(&d, &[vec![(0, 0), (1, 0)]], &LayerConfig::default());
+        let a2 = assign(&d, &[vec![(0, 0), (1, 0)]]);
         assert_eq!(a2.vias, 2);
     }
 
@@ -299,7 +277,7 @@ mod tests {
         let paths: Vec<_> = (0..400)
             .map(|_| vec![(0usize, 0usize), (1, 0), (2, 0)])
             .collect();
-        let a = assign_layers(&d, &paths, &LayerConfig::default());
+        let a = assign(&d, &paths);
         let used_h = a
             .layers
             .iter()
@@ -317,8 +295,8 @@ mod tests {
         let paths: Vec<_> = (0..50)
             .map(|i| vec![(i % 5, 0), (i % 5, 1), (i % 5 + 1, 1)])
             .collect();
-        let a = assign_layers(&d, &paths, &LayerConfig::default());
-        let b = assign_layers(&d, &paths, &LayerConfig::default());
+        let a = assign(&d, &paths);
+        let b = assign(&d, &paths);
         assert_eq!(a.vias, b.vias);
         for (x, y) in a.layers.iter().zip(&b.layers) {
             assert_eq!(x.usage.as_slice(), y.usage.as_slice());
@@ -328,7 +306,7 @@ mod tests {
     #[test]
     fn per_layer_capacity_is_positive_and_scaled_by_pitch() {
         let d = empty_design();
-        let a = assign_layers(&d, &[], &LayerConfig::default());
+        let a = assign(&d, &[]);
         assert_eq!(a.layers.len(), d.tech().layers.len() - 1);
         // Finer-pitch layers offer more tracks.
         let m2 = a.layers.iter().find(|l| l.name == "M2").unwrap();

@@ -16,7 +16,7 @@
 //! * a [`RouteReport`] with the Table II quantities — HOF(%), VOF(%),
 //!   routed wirelength — plus Fig. 5-style congestion maps;
 //! * [`GlobalRouter::try_route`], which rejects hostile inputs (NaN
-//!   coordinates, zero-capacity grids, an impossible [`RouterConfig`])
+//!   coordinates, zero-capacity grids, a placement of another design)
 //!   with a typed [`RouteError`] instead of routing garbage.
 //!
 //! All three placement flows in the reproduction are judged by this same
@@ -46,7 +46,7 @@ pub mod layers;
 pub mod path;
 
 pub use grid::{Dir, RoutingGrid};
-pub use layers::{assign_layers, LayerAssignment, LayerConfig, LayerReport};
+pub use layers::{assign_layers, LayerAssignment, LayerReport};
 
 use puffer_db::cast;
 use puffer_budget::Budget;
@@ -54,7 +54,7 @@ use puffer_budget::Budget;
 /// and the congestion estimator clamp identically).
 pub use puffer_budget::{clamp_threads, default_threads};
 use puffer_congest::demand::decompose_net;
-use puffer_congest::{build_capacity, CongestionMap, EstimatorConfig};
+use puffer_congest::{build_capacity, CongestionMap, GCELL_ROWS};
 use puffer_db::design::{Design, Placement};
 
 /// Errors produced by [`GlobalRouter::try_route`]: hostile inputs the
@@ -66,11 +66,11 @@ pub enum RouteError {
         /// Name of the first offending cell.
         cell: String,
     },
-    /// The routing grid has no capacity in one direction (e.g. blockages
-    /// or derates consumed everything): overflow ratios are meaningless.
+    /// The routing grid has no capacity in one direction (e.g. a
+    /// technology with no routing layer in it): overflow ratios are
+    /// meaningless.
     ZeroCapacity(String),
-    /// The placement's coordinate vectors do not match the design, or the
-    /// [`RouterConfig`] holds a value no routing grid can be built from.
+    /// The placement's coordinate vectors do not match the design.
     BadInput(String),
     /// A worker thread panicked; the payload message is preserved. The
     /// panic is contained here instead of unwinding through `join()` —
@@ -94,17 +94,17 @@ impl std::fmt::Display for RouteError {
 
 impl std::error::Error for RouteError {}
 
+/// Z-pattern bend samples per direction for pattern routing.
+const MAX_BENDS: usize = 6;
+
 /// Router configuration.
+///
+/// The router's Gcells are the estimator's: [`GCELL_ROWS`] and
+/// [`puffer_congest::POWER_DERATE`] in [`puffer_congest::capacity`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
-    /// Gcell edge length in row heights (shared with the estimator).
-    pub gcell_rows: f64,
-    /// Power-grid capacity derate (shared with the estimator).
-    pub power_derate: f64,
     /// Maximum rip-up-and-reroute rounds after the initial pattern pass.
     pub max_rounds: usize,
-    /// Z-pattern bend samples for pattern routing.
-    pub max_bends: usize,
     /// Worker threads for topology construction.
     pub threads: usize,
 }
@@ -112,10 +112,7 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            gcell_rows: 3.0,
-            power_derate: 0.12,
             max_rounds: 12,
-            max_bends: 6,
             threads: default_threads(),
         }
     }
@@ -168,12 +165,7 @@ pub struct GlobalRouter {
 impl GlobalRouter {
     /// Builds the router (and its capacity maps) for a design.
     pub fn new(design: &Design, config: RouterConfig) -> Self {
-        let est = EstimatorConfig {
-            gcell_rows: config.gcell_rows,
-            power_derate: config.power_derate,
-            ..EstimatorConfig::default()
-        };
-        let (h_cap, v_cap) = build_capacity(design, &est);
+        let (h_cap, v_cap) = build_capacity(design, GCELL_ROWS);
         GlobalRouter {
             config,
             base: RoutingGrid::new(h_cap, v_cap),
@@ -200,9 +192,7 @@ impl GlobalRouter {
     /// # Errors
     ///
     /// [`RouteError::BadInput`] when the placement's size disagrees with
-    /// the design or the configuration is impossible (`power_derate`
-    /// outside `[0, 1]`, `gcell_rows` not a positive number),
-    /// [`RouteError::NonFinitePlacement`] when any cell position is
+    /// the design, [`RouteError::NonFinitePlacement`] when any cell position is
     /// NaN/infinite, and [`RouteError::ZeroCapacity`] when a direction's
     /// total routing capacity is not a positive number.
     pub fn try_route(
@@ -210,21 +200,6 @@ impl GlobalRouter {
         design: &Design,
         placement: &Placement,
     ) -> Result<RouteReport, RouteError> {
-        let RouterConfig {
-            gcell_rows,
-            power_derate,
-            ..
-        } = self.config;
-        if !(0.0..=1.0).contains(&power_derate) {
-            return Err(RouteError::BadInput(format!(
-                "power_derate {power_derate} is not a fraction in [0, 1]"
-            )));
-        }
-        if !(gcell_rows.is_finite() && gcell_rows > 0.0) {
-            return Err(RouteError::BadInput(format!(
-                "gcell_rows {gcell_rows} is not a positive number"
-            )));
-        }
         let netlist_check = design.netlist();
         if placement.len() != netlist_check.num_cells() {
             return Err(RouteError::BadInput(format!(
@@ -281,7 +256,7 @@ impl GlobalRouter {
         // --- initial pattern pass ----------------------------------------
         let mut paths: Vec<path::Path> = Vec::with_capacity(endpoints.len());
         for &(a, b) in &endpoints {
-            let p = path::pattern_route(&grid, a, b, self.config.max_bends);
+            let p = path::pattern_route(&grid, a, b, MAX_BENDS);
             path::apply_path(&mut grid, &p, 1.0);
             paths.push(p);
         }
@@ -487,8 +462,7 @@ mod tests {
         let router = GlobalRouter::new(&d, RouterConfig::default());
         let rep = router.try_route(&d, &spread_placement(&d, 0.9)).unwrap();
         assert!(!rep.paths.is_empty());
-        let assignment =
-            crate::layers::assign_layers(&d, &rep.paths, &crate::layers::LayerConfig::default());
+        let assignment = assign_layers(&d, &rep.paths, rep.congestion.h_capacity());
         assert!(assignment.vias > 0);
         // All 2-D usage mass lands on some layer.
         let layered: f64 = assignment.layers.iter().map(|l| l.usage.sum()).sum();
@@ -562,51 +536,6 @@ mod tests {
             let err = router.try_route(&d, &d.initial_placement()).unwrap_err();
             assert!(matches!(err, RouteError::ZeroCapacity(_)), "{bad}: {err}");
         }
-    }
-
-    #[test]
-    fn try_route_rejects_impossible_configs() {
-        let d = design(0.2);
-        let p = spread_placement(&d, 0.9);
-        let route = |config: RouterConfig| GlobalRouter::new(&d, config).try_route(&d, &p);
-        let base = RouterConfig::default;
-        // NaN capacity used to slip past `total <= 0.0` and route as `Ok`
-        // with HOF = VOF = 1.5e11 %; -3.0 quadrupled capacity and passed.
-        for power_derate in [f64::NAN, f64::INFINITY, -3.0, -1e-9, 1.000_001] {
-            let err = route(RouterConfig {
-                power_derate,
-                ..base()
-            })
-            .unwrap_err();
-            assert!(
-                matches!(err, RouteError::BadInput(_)),
-                "power_derate {power_derate}: {err}"
-            );
-        }
-        for gcell_rows in [f64::NAN, f64::INFINITY, 0.0, -2.0] {
-            let err = route(RouterConfig {
-                gcell_rows,
-                ..base()
-            })
-            .unwrap_err();
-            assert!(
-                matches!(err, RouteError::BadInput(_)),
-                "gcell_rows {gcell_rows}: {err}"
-            );
-        }
-        // The ends of the range stay legal: no derate routes, a full one
-        // leaves nothing to route on.
-        route(RouterConfig {
-            power_derate: 0.0,
-            ..base()
-        })
-        .unwrap();
-        let err = route(RouterConfig {
-            power_derate: 1.0,
-            ..base()
-        })
-        .unwrap_err();
-        assert!(matches!(err, RouteError::ZeroCapacity(_)), "{err}");
     }
 
     #[test]

@@ -90,13 +90,13 @@ fn straight(path: &mut Path, from: (usize, usize), to: (usize, usize)) {
     }
 }
 
-/// Builds the two L-shaped and up to `2·max_bends` Z-shaped candidate
+/// Builds the two L-shaped and up to `2·bends` Z-shaped candidate
 /// paths and returns the cheapest under the grid's current cost.
 pub fn pattern_route(
     grid: &RoutingGrid,
     a: (usize, usize),
     b: (usize, usize),
-    max_bends: usize,
+    bends: usize,
 ) -> Path {
     if a == b {
         return vec![a];
@@ -116,7 +116,7 @@ pub fn pattern_route(
         }
         // Z with a vertical middle leg at column cx.
         let (xl, xh) = (a.0.min(b.0), a.0.max(b.0));
-        for cx in sample(xl, xh, max_bends) {
+        for cx in sample(xl, xh, bends) {
             let mut p = vec![a];
             straight(&mut p, a, (cx, a.1));
             straight(&mut p, (cx, a.1), (cx, b.1));
@@ -125,7 +125,7 @@ pub fn pattern_route(
         }
         // Z with a horizontal middle leg at row cy.
         let (yl, yh) = (a.1.min(b.1), a.1.max(b.1));
-        for cy in sample(yl, yh, max_bends) {
+        for cy in sample(yl, yh, bends) {
             let mut p = vec![a];
             straight(&mut p, a, (a.0, cy));
             straight(&mut p, (a.0, cy), (b.0, cy));

@@ -131,7 +131,6 @@ impl<'a> Round<'a> {
             queue_capacity: 8,
             journal_dir: self.case.dir.join("journal"),
             checkpoint_every: 3,
-            max_attempts: 3,
             backoff: Duration::from_millis(5),
             trace: Trace::disabled(),
         }

@@ -22,7 +22,7 @@
 //! Fault handling per attempt: a worker panic is caught at the job
 //! boundary ([`puffer_par::run_isolated`]) and classified as transient,
 //! like journal and I/O failures; transient faults retry with
-//! exponential backoff up to `max_attempts`, resuming from the last good
+//! exponential backoff up to `MAX_ATTEMPTS` (3), resuming from the last good
 //! checkpoint. Flow and spec errors are permanent and fail the job
 //! immediately with a structured record.
 
@@ -50,6 +50,9 @@ use crate::queue::{BoundedQueue, Popped, PushError};
 // Configuration
 // ---------------------------------------------------------------------------
 
+/// Attempts per job before a transient fault becomes a permanent failure.
+const MAX_ATTEMPTS: usize = 3;
+
 /// Engine settings.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -63,9 +66,6 @@ pub struct ServeConfig {
     pub journal_dir: PathBuf,
     /// Checkpoint cadence (GP iterations) for place jobs.
     pub checkpoint_every: usize,
-    /// Attempts per job before a transient fault becomes a permanent
-    /// failure.
-    pub max_attempts: usize,
     /// Base backoff delay; attempt `n` retries after `backoff * 2^(n-1)`.
     pub backoff: Duration,
     /// Engine telemetry sink.
@@ -79,7 +79,6 @@ impl Default for ServeConfig {
             queue_capacity: 16,
             journal_dir: PathBuf::from("puffer-serve"),
             checkpoint_every: 10,
-            max_attempts: 3,
             backoff: Duration::from_millis(50),
             trace: Trace::disabled(),
         }
@@ -632,7 +631,7 @@ fn retry_or_fail(shared: &Shared, id: u64, token: &CancelToken, err: ExecError) 
             None => return false,
         }
     };
-    if !err.transient || attempts >= shared.cfg.max_attempts {
+    if !err.transient || attempts >= MAX_ATTEMPTS {
         let record = error_record(id, err.class, attempts, &err.message);
         shared.finalize(id, JobState::Failed, record);
         return false;
@@ -1075,7 +1074,6 @@ mod tests {
             queue_capacity: 4,
             journal_dir: dir.join("journal"),
             checkpoint_every: 10,
-            max_attempts: 3,
             backoff: Duration::from_millis(5),
             trace: Trace::disabled(),
         }

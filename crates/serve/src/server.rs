@@ -372,7 +372,6 @@ mod tests {
             queue_capacity: 4,
             journal_dir: tmp_dir(name).join("journal"),
             checkpoint_every: 10,
-            max_attempts: 2,
             backoff: std::time::Duration::from_millis(5),
             ..ServeConfig::default()
         }

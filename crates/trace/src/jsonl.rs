@@ -242,13 +242,6 @@ pub enum Value {
     Arr(Vec<Option<f64>>),
 }
 
-impl Value {
-    /// Whether this value is JSON `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-}
-
 /// One parsed JSONL record: an ordered list of `(key, value)` fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedRecord {
@@ -520,7 +513,7 @@ mod tests {
         assert_eq!(r.kind(), Some("place.iter"));
         assert_eq!(r.num("iter"), Some(3.0));
         assert_eq!(r.num("hpwl"), Some(125.0));
-        assert!(r.get("bad").unwrap().is_null());
+        assert!(matches!(r.get("bad"), Some(Value::Null)));
         assert_eq!(r.str_field("note"), Some("a\"b\n"));
         assert_eq!(
             r.get("hist"),
@@ -565,7 +558,7 @@ mod tests {
             .finish();
         assert_eq!(line, r#"{"t":"x","a":null,"b":2.5,"c":[1,null]}"#);
         let r = parse_record(&line).unwrap();
-        assert!(r.get("a").unwrap().is_null());
+        assert!(matches!(r.get("a"), Some(Value::Null)));
         assert_eq!(r.num("b"), Some(2.5));
     }
 

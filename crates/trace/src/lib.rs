@@ -468,7 +468,7 @@ mod tests {
         assert_eq!(first.kind(), Some("place.iter"));
         assert_eq!(first.num("iter"), Some(3.0));
         assert_eq!(first.num("hpwl"), Some(123.25));
-        assert!(first.get("bad").unwrap().is_null());
+        assert!(matches!(first.get("bad"), Some(Value::Null)));
         assert_eq!(first.str_field("note"), Some("a \"quoted\" stage\n"));
         assert_eq!(
             first.get("hist"),

@@ -75,6 +75,18 @@ echo "==> validated flow smoke (place --validate + puffer audit)"
 "$PUFFER" audit run "$SMOKE_DIR/val.pj" "$SMOKE_DIR/val.jsonl"
 "$PUFFER" eval "$SMOKE_DIR/smoke.pd" "$SMOKE_DIR/val.pl" --validate
 
+# Refine smoke: detailed placement is the middle stage of the benchmark's
+# place -> refine -> eval chain. Its output must be byte-stable from run to
+# run, the congestion-guarded variant must run too, and the evaluator must
+# accept both results.
+echo "==> refine smoke (puffer refine twice + --guard, eval both)"
+"$PUFFER" refine "$SMOKE_DIR/smoke.pd" "$SMOKE_DIR/smoke.pl" -o "$SMOKE_DIR/refine-a.pl"
+"$PUFFER" refine "$SMOKE_DIR/smoke.pd" "$SMOKE_DIR/smoke.pl" -o "$SMOKE_DIR/refine-b.pl"
+cmp "$SMOKE_DIR/refine-a.pl" "$SMOKE_DIR/refine-b.pl"
+"$PUFFER" refine "$SMOKE_DIR/smoke.pd" "$SMOKE_DIR/smoke.pl" -o "$SMOKE_DIR/refine-guard.pl" --guard
+"$PUFFER" eval "$SMOKE_DIR/smoke.pd" "$SMOKE_DIR/refine-a.pl"
+"$PUFFER" eval "$SMOKE_DIR/smoke.pd" "$SMOKE_DIR/refine-guard.pl"
+
 # Deterministic-parallelism smoke: --threads must not change results. The
 # checkpoint journals and placements of a 1-thread and a 4-thread run are
 # byte-identical (the puffer-par kernels are bit-identical by design).

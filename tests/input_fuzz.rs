@@ -380,7 +380,6 @@ fn serve_request_lines() {
             workers: 1,
             queue_capacity: 4,
             journal_dir: journal_dir.clone(),
-            max_attempts: 1,
             ..ServeConfig::default()
         };
         let served = Engine::run(config, |h| serve_lines(h, Cursor::new(bytes), Vec::new()));
