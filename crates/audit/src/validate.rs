@@ -795,11 +795,31 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
                 }
                 congest_index += 1;
             }
+            "flow.init" => {
+                // The lanes each GP kernel was given: a worker count, so a
+                // whole number in 1..=MAX_WORKER_THREADS. Files written
+                // before the fields existed carry none and pass.
+                for field in ["lanes_wa", "lanes_scatter", "lanes_transform", "lanes_gather"] {
+                    if let Some(lanes) = r.num(field) {
+                        let max = puffer_par::MAX_WORKER_THREADS as f64;
+                        if !(1.0..=max).contains(&lanes) || lanes.fract() != 0.0 {
+                            out.push(Violation {
+                                check: "flow-init",
+                                message: format!(
+                                    "flow.init record {i}: {field} = {lanes} is not a \
+                                     lane count in 1..={max}"
+                                ),
+                            });
+                        }
+                    }
+                }
+            }
             "route.done" => {
                 // The router's search counters: a segment is rerouted at
-                // most once per round, and a search pops only what it (or
-                // its source push) put on the heap. Files written before
-                // the counters existed carry none and pass.
+                // most once per round, only a reroute can keep its old
+                // path, and a search pops only what it (or its source push)
+                // put on the heap. Files written before the counters
+                // existed carry none and pass.
                 if let (Some(reroutes), Some(segments), Some(rounds)) =
                     (r.num("reroutes"), r.num("segments"), r.num("rounds"))
                 {
@@ -809,6 +829,17 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
                             message: format!(
                                 "route.done record {i}: reroutes = {reroutes} exceeds \
                                  segments = {segments} x rounds = {rounds}"
+                            ),
+                        });
+                    }
+                }
+                if let (Some(kept), Some(reroutes)) = (r.num("reroutes_kept"), r.num("reroutes")) {
+                    if kept > reroutes {
+                        out.push(Violation {
+                            check: "route-counters",
+                            message: format!(
+                                "route.done record {i}: reroutes_kept = {kept} exceeds \
+                                 reroutes = {reroutes}"
                             ),
                         });
                     }

@@ -64,6 +64,13 @@ impl SegmentRecord {
     }
 }
 
+/// Nets one lane of [`try_build_demand`] must have to pay for its spawn:
+/// the estimator gives the demand pass one lane per this many nets.
+/// `examples/lane_calibration.rs` (EXPERIMENTS.md, "Lane calibration")
+/// measured two lanes winning 21–36 % from 4.3 K nets up but 7–19 % at
+/// 1.3 K; the second lane starts between the two, at 2.4 K.
+pub(crate) const DEMAND_NETS_PER_LANE: usize = 1_200;
+
 /// Horizontal demand grid, vertical demand grid, and the routed segment
 /// records they were accumulated from.
 pub type DemandMaps = (Grid<f64>, Grid<f64>, Vec<SegmentRecord>);
@@ -71,8 +78,8 @@ pub type DemandMaps = (Grid<f64>, Grid<f64>, Vec<SegmentRecord>);
 /// Builds `(h_demand, v_demand, segments)` for a placement snapshot.
 ///
 /// `template` supplies the Gcell geometry (any capacity map works); demand
-/// grids share its region and resolution. Nets are processed on parallel
-/// workers via `puffer-par` (`threads`; clamped to `1..=32`) with fixed
+/// grids share its region and resolution. Nets are processed on exactly
+/// `threads` workers via `puffer-par` (clamped to `1..=32`) with fixed
 /// chunking and an ordered merge, so the result is bit-identical for any
 /// thread count.
 ///

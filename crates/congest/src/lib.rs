@@ -87,8 +87,9 @@ pub struct EstimatorConfig {
     pub pin_penalty: f64,
     /// Whether to run the detour-imitating expansion at all (ablation knob).
     pub expand_detours: bool,
-    /// Worker threads for the per-net demand pass (result is identical for
-    /// any thread count).
+    /// Upper bound on the worker threads of the per-net demand pass: the
+    /// estimator runs it on one lane per `DEMAND_NETS_PER_LANE` nets, at
+    /// most this many. The result is identical for any value.
     pub threads: usize,
 }
 
@@ -107,6 +108,8 @@ impl Default for EstimatorConfig {
 #[derive(Debug, Clone)]
 pub struct CongestionEstimator {
     config: EstimatorConfig,
+    /// Lanes of the demand pass, sized by the design's nets.
+    lanes: usize,
     /// Gcell edge in row heights: [`GCELL_ROWS`], scaled by
     /// [`CongestionEstimator::coarsen`].
     edge_rows: f64,
@@ -121,7 +124,9 @@ impl CongestionEstimator {
     /// design.
     pub fn new(design: &Design, config: EstimatorConfig) -> Self {
         let (h_cap, v_cap) = capacity::build_capacity(design, GCELL_ROWS);
+        let nets = design.netlist().num_nets();
         CongestionEstimator {
+            lanes: puffer_par::lanes(config.threads, nets, demand::DEMAND_NETS_PER_LANE),
             config,
             edge_rows: GCELL_ROWS,
             h_cap,
@@ -190,7 +195,7 @@ impl CongestionEstimator {
             placement,
             &self.h_cap,
             self.config.pin_penalty,
-            clamp_threads(self.config.threads),
+            self.lanes,
         )?;
         let mut map = CongestionMap::new(self.h_cap.clone(), self.v_cap.clone(), h_dmd, v_dmd);
         if self.config.expand_detours && !self.budget.is_exhausted() {

@@ -11,7 +11,7 @@ use puffer_db::design::{Design, Placement};
 use puffer_db::hpwl::total_hpwl;
 use puffer_legal::{check_legal, discretize_padding, enforce_budget, legalize_bounded};
 use puffer_pad::{FeatureConfig, PaddingState, PaddingStrategy, RoutabilityOptimizer};
-use puffer_place::{GlobalPlacer, IterationStats, PlacerConfig};
+use puffer_place::{GlobalPlacer, GpLanes, IterationStats, PlacerConfig};
 use std::fmt;
 use std::sync::Arc;
 use puffer_budget::clock::Stopwatch;
@@ -182,6 +182,9 @@ impl Job {
         if let Some(factor) = scale_class.congestion_coarsen_factor() {
             optimizer.coarsen_estimator(design, factor);
         }
+        // The lanes every GP kernel is given: the placer sizes its
+        // workspaces by the same rule.
+        let lanes = GpLanes::for_design(design, self.config.placer.threads);
         trace
             .record("flow.init")
             .str("scale_class", scale_class.as_str())
@@ -190,6 +193,10 @@ impl Job {
                 "congest_coarsen",
                 scale_class.congestion_coarsen_factor().unwrap_or(1.0),
             )
+            .int("lanes_wa", lanes.wa as i64)
+            .int("lanes_scatter", lanes.scatter as i64)
+            .int("lanes_transform", lanes.transform as i64)
+            .int("lanes_gather", lanes.gather as i64)
             .write();
 
         // Bounded-execution state for this run: the rungs a bounded budget

@@ -151,6 +151,7 @@ pub fn evaluate_bounded(
         .int("rounds", report.rounds as i64)
         .int("segments", cast::u64_i64(report.segments))
         .int("reroutes", cast::u64_i64(report.reroutes))
+        .int("reroutes_kept", cast::u64_i64(report.reroutes_kept))
         .int("maze_pops", cast::u64_i64(report.maze_pops))
         .int("maze_pushes", cast::u64_i64(report.maze_pushes))
         .write();

@@ -29,6 +29,13 @@
 //! scatter lists, gradient gathers) use [`for_each_block`], which lends
 //! each worker a disjoint part of one slice plus its own reusable scratch.
 //!
+//! How many workers a job gets is one decision, [`lanes`]: a caller asks
+//! it once per design with its `--threads` value, the job's size and the
+//! work one lane must have to pay for its spawn, and hands the answer to
+//! the primitives below, which then run on exactly that many lanes. A job
+//! below two lanes' worth runs on the calling thread and spawns nothing.
+//! Since chunk boundaries ignore the lane count, the rule moves no bit.
+//!
 //! Both primitives run their first span on the calling thread and spawn
 //! only the remaining workers. Worker panics never unwind through
 //! `thread::scope` (which would abort the process if a second worker also
@@ -56,6 +63,18 @@ impl std::fmt::Display for WorkerPanic {
 }
 
 impl std::error::Error for WorkerPanic {}
+
+/// The lanes a job of `items` work items is worth: one per
+/// `items_per_lane` items, at least one and at most `threads` (clamped to
+/// `1..=`[`MAX_WORKER_THREADS`]).
+///
+/// `threads` is therefore an upper bound. A job smaller than two lanes'
+/// worth gets one lane, and the primitives spawn nothing for it.
+/// `items_per_lane` is the kernel's own calibrated constant; `0` is read
+/// as `1`.
+pub fn lanes(threads: usize, items: usize, items_per_lane: usize) -> usize {
+    clamp_threads(threads).min((items / items_per_lane.max(1)).max(1))
+}
 
 /// Splits `0..n` into contiguous index ranges with boundaries that depend
 /// only on `n`.
@@ -433,6 +452,44 @@ mod tests {
         );
         let last = ran_on.last().unwrap();
         assert_ne!(last.1, caller, "the second span runs on a spawned worker");
+    }
+
+    #[test]
+    fn a_job_gets_one_lane_per_lanes_worth_of_items() {
+        let caller = std::thread::current().id();
+        let ran_on = |n: usize, lanes: usize| -> Vec<std::thread::ThreadId> {
+            let mut ids = map_chunks(n, lanes, |_| std::thread::current().id());
+            ids.dedup();
+            ids
+        };
+        // Below two lanes' worth: every chunk on the caller, whatever the
+        // thread count.
+        for threads in [1usize, 2, 4, 32] {
+            for n in [0usize, 1, 999, 1999] {
+                let lanes = lanes(threads, n, 1000);
+                assert_eq!(lanes, 1, "threads {threads}, {n} items");
+                assert!(
+                    ran_on(n, lanes).iter().all(|&id| id == caller),
+                    "threads {threads}, {n} items left the caller"
+                );
+            }
+        }
+        // Above it: one lane per lane's worth, up to the thread count and
+        // the chunk count; each lane is its own thread.
+        assert_eq!(lanes(4, 2000, 1000), 2);
+        assert_eq!(lanes(4, 3999, 1000), 3);
+        for (threads, n) in [(2usize, 64_000usize), (4, 64_000), (8, 3), (usize::MAX, 64_000)] {
+            let lanes = lanes(threads, n, 1);
+            let chunks = chunk_ranges(n).len();
+            assert_eq!(lanes, clamp_threads(threads).min(n), "threads {threads}, {n} items");
+            let ids = ran_on(n, lanes);
+            assert_eq!(ids.len(), clamp_threads(threads).min(chunks), "threads {threads}");
+            assert_eq!(ids[0], caller, "lane 0 is the caller's");
+            let distinct: std::collections::BTreeSet<String> =
+                ids.iter().map(|id| format!("{id:?}")).collect();
+            assert_eq!(distinct.len(), ids.len(), "threads {threads}: a lane ran twice");
+        }
+        assert_eq!(lanes(2, 5, 0), 2, "0 items per lane reads as 1");
     }
 
     /// Which threads' spans panic in the contract tests below.

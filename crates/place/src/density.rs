@@ -31,9 +31,28 @@ use puffer_db::design::{Design, Placement};
 use puffer_db::geom::Rect;
 use puffer_db::grid::Grid;
 use puffer_db::netlist::{CellId, Netlist};
+use crate::GpLanes;
 use puffer_fft::{transform2d_planned, Complex, Kind};
 use std::f64::consts::PI;
 use std::ops::Range;
+
+/// Cells one lane of the charge scatter ([`DensityWorkspace`]'s phase 1)
+/// must have to pay for its spawn. `examples/lane_calibration.rs`
+/// (EXPERIMENTS.md, "Lane calibration"): two lanes won 13–37 % from 25 K
+/// cells up, −2 to +17 % at 12.7 K; the second lane starts at 18 K.
+pub(crate) const SCATTER_CELLS_PER_LANE: usize = 9_000;
+
+/// Bins one lane of a 2-D transform must have to pay for its spawn. Same
+/// calibration: two lanes lost 28–83 % at 128² bins; at 256² they won
+/// 17–25 % in five runs and 9.7 % in a sixth, so the second lane starts at
+/// 512².
+pub(crate) const TRANSFORM_BINS_PER_LANE: usize = 65_536;
+
+/// Cells one lane of the field gather must have to pay for its spawn. Same
+/// calibration, against the gather's own time: two lanes won 21–62 % from
+/// 12.7 K cells up but −5 to +6 % at 4.3 K; the second lane starts at
+/// 7.4 K.
+pub(crate) const GATHER_CELLS_PER_LANE: usize = 3_700;
 
 /// Result of one density evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -277,8 +296,9 @@ struct ScatterLane<'a> {
 }
 
 /// Every buffer the per-iteration density pipeline needs, allocated once
-/// and reused: four bin grids, one scatter scratch and one FFT scratch per
-/// worker, the per-chunk charge lists and the per-cell gradient.
+/// and reused: four bin grids, one scatter scratch per scatter lane and one
+/// FFT scratch per transform lane, the per-chunk charge lists and the
+/// per-cell gradient.
 ///
 /// A `GlobalPlacer` keeps one for its lifetime and asks it only for what a
 /// call site consumes — [`DensityWorkspace::gradient`] (three 2-D
@@ -300,6 +320,7 @@ pub struct DensityWorkspace {
     transposed: Vec<f64>,
     fft_lanes: Vec<Vec<Complex>>,
     scatter_lanes: Vec<ScatterScratch>,
+    gather_lanes: usize,
     /// The fixed chunks of the cell index space and what each deposited.
     chunks: Vec<Range<usize>>,
     chunk_charge: Vec<ChunkCharge>,
@@ -315,11 +336,20 @@ pub struct DensityWorkspace {
 
 impl DensityWorkspace {
     /// Allocates the buffers for `model`'s bin grid, a netlist of
-    /// `num_cells` cells and up to `threads` workers.
+    /// `num_cells` cells and `threads` lanes for every phase (clamped to
+    /// `1..=32`).
     pub fn new(model: &DensityModel, num_cells: usize, threads: usize) -> Self {
+        Self::with_lanes(model, num_cells, GpLanes::uniform(threads))
+    }
+
+    /// [`DensityWorkspace::new`] with each phase on its own lane count:
+    /// `lanes.scatter`, `lanes.transform` and `lanes.gather` (each clamped
+    /// to `1..=32`; `lanes.wa` is not read). Scratch is allocated only for
+    /// the lanes that run.
+    pub fn with_lanes(model: &DensityModel, num_cells: usize, lanes: GpLanes) -> Self {
         let (mx, my) = (model.mx, model.my);
         let grid = || Grid::new(model.region, mx, my);
-        let threads = puffer_par::clamp_threads(threads);
+        let clamp = puffer_par::clamp_threads;
         let chunks = puffer_par::chunk_ranges(num_cells);
         let omega = |m: usize| -> Vec<f64> {
             (0..m)
@@ -331,13 +361,14 @@ impl DensityWorkspace {
             spectrum: vec![0.0; mx * my],
             field: grid(),
             transposed: vec![0.0; mx * my],
-            fft_lanes: vec![Vec::new(); threads],
-            scatter_lanes: (0..threads)
+            fft_lanes: vec![Vec::new(); clamp(lanes.transform)],
+            scatter_lanes: (0..clamp(lanes.scatter))
                 .map(|_| ScatterScratch {
                     dense: grid(),
                     touched: Vec::new(),
                 })
                 .collect(),
+            gather_lanes: clamp(lanes.gather),
             chunk_charge: vec![ChunkCharge::default(); chunks.len()],
             chunks,
             lost_charge: 0.0,
@@ -646,7 +677,7 @@ impl DensityWorkspace {
             c * wv
         });
         let (ex, ey) = (&self.field, &self.movable);
-        let mut lanes = vec![(); self.fft_lanes.len()];
+        let mut lanes = vec![(); self.gather_lanes];
         puffer_par::for_each_block(&mut self.grad, 1, &mut lanes, |first, out, ()| {
             for (k, g) in out.iter_mut().enumerate() {
                 *g = match model.footprint(cells, first + k) {

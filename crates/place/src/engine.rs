@@ -8,10 +8,13 @@
 //! optimization, adjusting the per-cell *effective widths* between steps.
 
 use puffer_db::cast;
-use crate::density::{DensityModel, DensityWorkspace};
+use crate::density::{
+    DensityModel, DensityWorkspace, GATHER_CELLS_PER_LANE, SCATTER_CELLS_PER_LANE,
+    TRANSFORM_BINS_PER_LANE,
+};
 use crate::nesterov::{NesterovOptimizer, NesterovState};
 use crate::sentinel::{Divergence, DivergenceSentinel};
-use crate::wirelength::WaWorkspace;
+use crate::wirelength::{WaWorkspace, WA_PINS_PER_LANE};
 use crate::PlaceError;
 use puffer_db::design::{Design, Placement};
 use puffer_db::hpwl::total_hpwl;
@@ -50,8 +53,10 @@ pub struct PlacerConfig {
     pub max_iters: usize,
     /// Overflow threshold at which [`GlobalPlacer::run`] stops.
     pub stop_overflow: f64,
-    /// Worker threads for the wirelength/density/transform kernels
-    /// (clamped to `1..=32`). Results are bit-identical for every value —
+    /// Upper bound on the worker threads of the wirelength/density/transform
+    /// kernels (clamped to `1..=32`): each kernel runs on
+    /// [`GpLanes::for_design`] of it, so a design too small to pay for a
+    /// second lane runs on one. Results are bit-identical for every value —
     /// the deterministic fork-join contract of `puffer-par` — so this only
     /// trades wall-clock time, never reproducibility.
     pub threads: usize,
@@ -66,6 +71,53 @@ impl Default for PlacerConfig {
             max_iters: 800,
             stop_overflow: 0.07,
             threads: 1,
+        }
+    }
+}
+
+/// The lanes each global-placement kernel runs on.
+///
+/// A [`GlobalPlacer`] asks [`GpLanes::for_design`] once, at construction;
+/// the kernel workspaces then run on exactly these lanes. `puffer-par`
+/// chunk boundaries ignore the lane count, so no output bit depends on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GpLanes {
+    /// The WA gradient, sized by pins.
+    pub wa: usize,
+    /// The density charge scatter, sized by cells.
+    pub scatter: usize,
+    /// Each 2-D transform of the Poisson solve, sized by bins.
+    pub transform: usize,
+    /// The density field gather, sized by cells.
+    pub gather: usize,
+}
+
+impl GpLanes {
+    /// Every kernel on `threads` lanes (clamped to `1..=32`), whatever the
+    /// design's size.
+    pub fn uniform(threads: usize) -> Self {
+        let t = puffer_par::clamp_threads(threads);
+        GpLanes {
+            wa: t,
+            scatter: t,
+            transform: t,
+            gather: t,
+        }
+    }
+
+    /// [`puffer_par::lanes`] of `threads` for each kernel of `design`, on
+    /// the [`DensityModel::auto_dim`] bin grid the placer builds: what a
+    /// [`GlobalPlacer`] at [`PlacerConfig::threads`] `= threads` runs on.
+    pub fn for_design(design: &Design, threads: usize) -> Self {
+        let netlist = design.netlist();
+        let cells = netlist.num_cells();
+        let dim = DensityModel::auto_dim(cells);
+        let lanes = |items, per_lane| puffer_par::lanes(threads, items, per_lane);
+        GpLanes {
+            wa: lanes(netlist.num_pins(), WA_PINS_PER_LANE),
+            scatter: lanes(cells, SCATTER_CELLS_PER_LANE),
+            transform: lanes(dim * dim, TRANSFORM_BINS_PER_LANE),
+            gather: lanes(cells, GATHER_CELLS_PER_LANE),
         }
     }
 }
@@ -382,8 +434,9 @@ impl<'a> GlobalPlacer<'a> {
             )));
         }
         let density = DensityModel::new(design, dim, dim);
+        let lanes = GpLanes::for_design(design, config.threads);
         let dens = DensityState {
-            ws: DensityWorkspace::new(&density, design.netlist().num_cells(), config.threads),
+            ws: DensityWorkspace::with_lanes(&density, design.netlist().num_cells(), lanes),
             scratch: placement.clone(),
             memo_key: Vec::new(),
             #[cfg(test)]
@@ -392,7 +445,7 @@ impl<'a> GlobalPlacer<'a> {
         let eff_width: Vec<f64> = design.netlist().cells().iter().map(|c| c.width).collect();
         let padding = vec![0.0; eff_width.len()];
         let sentinel = DivergenceSentinel::new(DIVERGENCE_WINDOW);
-        let wa = WaWorkspace::new(config.threads);
+        let wa = WaWorkspace::new(lanes.wa);
         Ok(GlobalPlacer {
             design,
             config,

@@ -28,7 +28,7 @@ pub mod sentinel;
 pub mod wirelength;
 
 pub use density::{DensityEval, DensityModel, DensityWorkspace};
-pub use engine::{GlobalPlacer, IterationStats, PlacerConfig, PlacerSnapshot};
+pub use engine::{GlobalPlacer, GpLanes, IterationStats, PlacerConfig, PlacerSnapshot};
 pub use nesterov::{NesterovOptimizer, NesterovState};
 pub use sentinel::{Divergence, DivergenceSentinel};
 pub use quadratic::{quadratic_placement, QuadraticConfig};

@@ -41,7 +41,7 @@ impl std::fmt::Display for Divergence {
 pub struct DivergenceSentinel {
     /// Recent overflow values (cleared after every recovery).
     window: VecDeque<f64>,
-    /// Window length for the oscillation check; `0` disables it.
+    /// Window length for the oscillation check.
     capacity: usize,
     /// Smallest finite HPWL observed.
     best_hpwl: f64,
@@ -50,9 +50,13 @@ pub struct DivergenceSentinel {
 }
 
 impl DivergenceSentinel {
-    /// Creates a sentinel with the given oscillation window (`0` disables
-    /// the oscillation check).
+    /// Creates a sentinel with the given oscillation window.
+    ///
+    /// # Panics
+    ///
+    /// If `window` is zero.
     pub fn new(window: usize) -> Self {
+        assert!(window > 0, "the oscillation window must be positive");
         DivergenceSentinel {
             window: VecDeque::with_capacity(window),
             capacity: window,
@@ -86,15 +90,13 @@ impl DivergenceSentinel {
         }
         self.best_hpwl = self.best_hpwl.min(stats.hpwl);
 
-        if self.capacity > 0 {
-            if self.window.len() == self.capacity {
-                self.window.pop_front();
-            }
-            self.window.push_back(stats.overflow);
-            if self.window.len() == self.capacity && self.is_oscillating() {
-                self.reset_window();
-                return Some(Divergence::Oscillating);
-            }
+        if self.window.len() == self.capacity {
+            self.window.pop_front();
+        }
+        self.window.push_back(stats.overflow);
+        if self.window.len() == self.capacity && self.is_oscillating() {
+            self.reset_window();
+            return Some(Divergence::Oscillating);
         }
         None
     }
@@ -247,15 +249,6 @@ mod tests {
         // healthy iterations cannot re-trigger from stale samples.
         for i in 0..3 {
             assert_eq!(s.check(&stats(0.5 - 0.1 * i as f64, 1000.0), &COORDS), None);
-        }
-    }
-
-    #[test]
-    fn zero_window_disables_oscillation_check() {
-        let mut s = DivergenceSentinel::new(0);
-        for i in 0..64 {
-            let of = if i % 2 == 0 { 0.9 } else { 0.4 };
-            assert_eq!(s.check(&stats(of, 1000.0), &COORDS), None);
         }
     }
 }

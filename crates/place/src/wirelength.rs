@@ -41,6 +41,13 @@ use puffer_db::design::Placement;
 use puffer_db::netlist::{NetId, Netlist, Pin, PinId};
 use std::ops::Range;
 
+/// Pins one lane of [`WaWorkspace::gradient`] must have to pay for its
+/// spawn: [`crate::GpLanes::for_design`] gives the kernel one lane per this
+/// many pins. `examples/lane_calibration.rs` (EXPERIMENTS.md, "Lane
+/// calibration") measured two lanes winning 16–33 % from 40 K pins up but
+/// 7–18 % at 13.6 K; the second lane starts between the two, at 24 K.
+pub(crate) const WA_PINS_PER_LANE: usize = 12_000;
+
 /// WA wirelength evaluation result: value and per-cell gradient.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WirelengthGrad {

@@ -97,6 +97,16 @@ impl std::error::Error for RouteError {}
 /// Z-pattern bend samples per direction for pattern routing.
 const MAX_BENDS: usize = 6;
 
+/// Nets one lane of [`decompose`] must have to pay for its spawn: the
+/// router gives the decomposition one lane per this many nets.
+/// `examples/lane_calibration.rs` (EXPERIMENTS.md, "Lane calibration")
+/// measured two lanes winning 25–42 % from 4.3 K nets up but 6–13 % at
+/// 1.3 K; the second lane starts between the two, at 2.4 K.
+const DECOMPOSE_NETS_PER_LANE: usize = 1_200;
+
+/// The two end Gcells `(x, y)` of one two-point segment.
+pub type Segment = ((usize, usize), (usize, usize));
+
 /// Router configuration.
 ///
 /// The router's Gcells are the estimator's: [`GCELL_ROWS`] and
@@ -105,7 +115,9 @@ const MAX_BENDS: usize = 6;
 pub struct RouterConfig {
     /// Maximum rip-up-and-reroute rounds after the initial pattern pass.
     pub max_rounds: usize,
-    /// Worker threads for topology construction.
+    /// Upper bound on the worker threads of topology construction: the
+    /// router decomposes on one lane per `DECOMPOSE_NETS_PER_LANE` nets,
+    /// at most this many. The report is the same for every value.
     pub threads: usize,
 }
 
@@ -140,6 +152,9 @@ pub struct RouteReport {
     pub segments: u64,
     /// Maze searches run by rip-up-and-reroute, over all rounds.
     pub reroutes: u64,
+    /// Reroutes whose maze result is the very path they ripped up
+    /// (`reroutes_kept <= reroutes`).
+    pub reroutes_kept: u64,
     /// Heap pops over all maze searches (stale entries included).
     pub maze_pops: u64,
     /// Heap pushes over all maze searches, each search's source push
@@ -158,6 +173,8 @@ impl RouteReport {
 #[derive(Debug, Clone)]
 pub struct GlobalRouter {
     config: RouterConfig,
+    /// Lanes of the net decomposition, sized by the design's nets.
+    lanes: usize,
     base: RoutingGrid,
     budget: Budget,
 }
@@ -166,7 +183,9 @@ impl GlobalRouter {
     /// Builds the router (and its capacity maps) for a design.
     pub fn new(design: &Design, config: RouterConfig) -> Self {
         let (h_cap, v_cap) = build_capacity(design, GCELL_ROWS);
+        let nets = design.netlist().num_nets();
         GlobalRouter {
+            lanes: puffer_par::lanes(config.threads, nets, DECOMPOSE_NETS_PER_LANE),
             config,
             base: RoutingGrid::new(h_cap, v_cap),
             budget: Budget::unbounded(),
@@ -226,30 +245,7 @@ impl GlobalRouter {
         let mut grid = self.base.clone();
         let netlist = design.netlist();
 
-        // --- decompose all nets into two-point segments (parallel) -------
-        // Chunking, thread clamping, and panic draining all go through
-        // puffer-par: fixed net-index chunks, one endpoint list per chunk,
-        // concatenated in chunk order. The decomposition is the estimator's
-        // (`puffer_congest::demand::decompose_net`, quantize-first on the
-        // router's Gcells); Gcell-local segments need no route.
-        let net_ids: Vec<_> = netlist.iter_nets().map(|(id, _)| id).collect();
-        type Endpoints = Vec<((usize, usize), (usize, usize))>;
-        let gcells = self.base.cap_of(Dir::H);
-        let parts = puffer_par::try_map_chunks(net_ids.len(), self.config.threads, |range| {
-            let mut segs = Vec::new();
-            for i in range {
-                decompose_net(netlist, placement, gcells, net_ids[i], &mut segs);
-            }
-            segs.iter()
-                .map(|s| ((s.ax, s.ay), (s.bx, s.by)))
-                .filter(|(a, b)| a != b)
-                .collect::<Endpoints>()
-        })
-        .map_err(|e| RouteError::WorkerPanic(e.0))?;
-        let mut endpoints: Endpoints = Vec::new();
-        for r in parts {
-            endpoints.extend(r);
-        }
+        let mut endpoints = decompose(netlist, placement, self.base.cap_of(Dir::H), self.lanes)?;
         // Short segments first: they have the least routing freedom.
         endpoints.sort_by_key(|&(a, b)| (a.0.abs_diff(b.0) + a.1.abs_diff(b.1), a, b));
 
@@ -267,6 +263,7 @@ impl GlobalRouter {
         // the grid and `paths` mutually consistent — so the report below is
         // simply the best routing found so far.
         let mut rounds = 0;
+        let mut kept = 0u64;
         let mut scratch = path::MazeScratch::new();
         'ripup: for _ in 0..self.config.max_rounds {
             if grid.overflow_gcells() == 0 || self.budget.is_exhausted() {
@@ -283,6 +280,7 @@ impl GlobalRouter {
                 path::apply_path(&mut grid, &paths[i], -1.0);
                 let p = scratch.route(&grid, a, b);
                 path::apply_path(&mut grid, &p, 1.0);
+                kept += u64::from(p == paths[i]);
                 paths[i] = p;
                 rerouted += 1;
                 if rerouted.is_multiple_of(256) && self.budget.is_exhausted() {
@@ -316,10 +314,45 @@ impl GlobalRouter {
             segments: cast::idx_u64(paths.len()),
             paths,
             reroutes: scratch.searches(),
+            reroutes_kept: kept,
             maze_pops: scratch.pops(),
             maze_pushes: scratch.pushes(),
         })
     }
+}
+
+/// Decomposes every net of `netlist` into the two-point segments the
+/// router routes, on exactly `lanes` workers (clamped to `1..=32`): the
+/// estimator's quantize-first RSMT decomposition
+/// ([`puffer_congest::demand::decompose_net`]) on the Gcells of `gcells`,
+/// minus the segments that stay inside one Gcell, in net order.
+///
+/// Chunking, lane clamping and panic draining go through `puffer-par`:
+/// fixed net-index chunks, one segment list per chunk, concatenated in
+/// chunk order — the same list for every lane count.
+///
+/// # Errors
+///
+/// [`RouteError::WorkerPanic`] with the first worker's panic message.
+pub fn decompose(
+    netlist: &puffer_db::netlist::Netlist,
+    placement: &Placement,
+    gcells: &puffer_db::grid::Grid<f64>,
+    lanes: usize,
+) -> Result<Vec<Segment>, RouteError> {
+    let net_ids: Vec<_> = netlist.iter_nets().map(|(id, _)| id).collect();
+    let parts = puffer_par::try_map_chunks(net_ids.len(), lanes, |range| {
+        let mut segs = Vec::new();
+        for i in range {
+            decompose_net(netlist, placement, gcells, net_ids[i], &mut segs);
+        }
+        segs.iter()
+            .map(|s| ((s.ax, s.ay), (s.bx, s.by)))
+            .filter(|(a, b)| a != b)
+            .collect::<Vec<Segment>>()
+    })
+    .map_err(|e| RouteError::WorkerPanic(e.0))?;
+    Ok(parts.concat())
 }
 
 #[cfg(test)]
@@ -508,6 +541,7 @@ mod tests {
         let r = Rect::new(0.0, 0.0, 8.0, 8.0);
         let router = GlobalRouter {
             config: RouterConfig::default(),
+            lanes: 1,
             base: RoutingGrid::new(
                 puffer_db::grid::Grid::filled(r, 4, 4, 0.0),
                 puffer_db::grid::Grid::filled(r, 4, 4, 2.0),
@@ -530,6 +564,7 @@ mod tests {
             *v_cap.at_mut(1, 2) = bad;
             let router = GlobalRouter {
                 config: RouterConfig::default(),
+                lanes: 1,
                 base: RoutingGrid::new(puffer_db::grid::Grid::filled(r, 4, 4, 2.0), v_cap),
                 budget: Budget::unbounded(),
             };

@@ -28,6 +28,10 @@ const FIXTURE: &str = include_str!("fixtures/route_bits.txt");
 /// `segments`, `reroutes`, `maze_pops`, `maze_pushes`.
 const GEN_COUNTERS: [u64; 4] = [2_279, 27_038, 326_068, 658_893];
 
+/// How many of the `gen` design's reroutes returned the path they ripped
+/// up (`RouteReport::reroutes_kept`).
+const GEN_KEPT: u64 = 26_567;
+
 struct Fnv(u64);
 
 impl Fnv {
@@ -288,6 +292,7 @@ fn the_search_counters_are_pinned() {
             GEN_COUNTERS,
             "threads {threads}"
         );
+        assert_eq!(r.reroutes_kept, GEN_KEPT, "threads {threads}");
         assert_eq!(r.segments, r.paths.len() as u64);
     }
 }

@@ -129,6 +129,26 @@ for t in 2 4; do
   cmp <(counter_records "$SMOKE_DIR/grid-t1.jsonl") <(counter_records "$SMOKE_DIR/grid-t$t.jsonl")
 done
 
+# The GP kernels of the smokes above run below two lanes' worth of work:
+# --threads is an upper bound, so their 2- and 4-thread placements never
+# leave the calling thread. This one places the smallest calibrated CT_TOP
+# scale at which GP kernels get two lanes (the WA gradient at 40 K pins
+# and the gather at 12.7 K cells; flow.init states the lanes each kernel
+# was given), capped at 30 iterations, and compares it with a 1-thread
+# run. The grep fails if a per-lane constant ever drifts above this design.
+echo "==> multi-lane smoke (ct_top --scale 0.01, place --threads 1 vs 2)"
+"$PUFFER" gen --preset ct_top --scale 0.01 -o "$SMOKE_DIR/lanes.pd"
+for t in 1 2; do
+  "$PUFFER" place "$SMOKE_DIR/lanes.pd" -o "$SMOKE_DIR/lanes-t$t.pl" --max-iters 30 \
+    --threads "$t" --journal "$SMOKE_DIR/lanes-t$t.pj" --metrics "$SMOKE_DIR/lanes-t$t.jsonl"
+done
+grep '"t":"flow.init"' "$SMOKE_DIR/lanes-t2.jsonl" | grep -qE '"lanes_[a-z]+":([2-9]|[1-9][0-9])'
+cmp "$SMOKE_DIR/lanes-t1.pj" "$SMOKE_DIR/lanes-t2.pj"
+cmp "$SMOKE_DIR/lanes-t1.pl" "$SMOKE_DIR/lanes-t2.pl"
+cmp <(iter_records "$SMOKE_DIR/lanes-t1.jsonl") <(iter_records "$SMOKE_DIR/lanes-t2.jsonl")
+cmp <(counter_records "$SMOKE_DIR/lanes-t1.jsonl") <(counter_records "$SMOKE_DIR/lanes-t2.jsonl")
+"$PUFFER" trace "$SMOKE_DIR/lanes-t2.jsonl"
+
 # Resume smoke: a checkpoint journal is exactly one record (every save is
 # an atomic whole-file replace). Two records back to back are a file no
 # writer produces, and `place --resume` must refuse it with exit 1, naming

@@ -477,23 +477,26 @@ fn impossible_wa_counters_are_detected() {
 #[test]
 fn impossible_route_counters_are_detected() {
     let dir = tmp_dir("route-counters");
-    let audit = |name: &str, [segments, rounds, reroutes, pops, pushes]: [u64; 5]| {
+    let audit = |name: &str, [segments, rounds, reroutes, kept, pops, pushes]: [u64; 6]| {
         let line = format!(
-            r#"{{"t":"route.done","elapsed_s":0.4,"hof_pct":1.85,"vof_pct":0.84,"wirelength":302912.9,"overflow_gcells":163,"rounds":{rounds},"segments":{segments},"reroutes":{reroutes},"maze_pops":{pops},"maze_pushes":{pushes}}}"#
+            r#"{{"t":"route.done","elapsed_s":0.4,"hof_pct":1.85,"vof_pct":0.84,"wirelength":302912.9,"overflow_gcells":163,"rounds":{rounds},"segments":{segments},"reroutes":{reroutes},"reroutes_kept":{kept},"maze_pops":{pops},"maze_pushes":{pushes}}}"#
         );
         let path = dir.join(name);
         write_lines(&path, &[&line]);
         audit_metrics(&path)
     };
     // MEDIA_SUBSYS as the repo benchmark routes it.
-    audit("good.jsonl", [34_386, 12, 194_670, 3_785_454, 6_571_062]).expect("a real run passes");
-    audit("clean.jsonl", [34_386, 0, 0, 0, 0]).expect("no overflow, no search");
+    audit("good.jsonl", [34_386, 12, 194_670, 192_251, 3_785_454, 6_571_062])
+        .expect("a real run passes");
+    audit("clean.jsonl", [34_386, 0, 0, 0, 0, 0]).expect("no overflow, no search");
     for (name, bad) in [
         // More searches than one per segment per round.
-        ("reroutes.jsonl", [34_386, 12, 34_386 * 12 + 1, 3_785_454, 6_571_062]),
-        ("no-rounds.jsonl", [34_386, 0, 1, 0, 1]),
+        ("reroutes.jsonl", [34_386, 12, 34_386 * 12 + 1, 0, 3_785_454, 6_571_062]),
+        ("no-rounds.jsonl", [34_386, 0, 1, 0, 0, 1]),
+        // More kept paths than searches.
+        ("kept.jsonl", [34_386, 12, 194_670, 194_671, 3_785_454, 6_571_062]),
         // More pops than the heap ever held.
-        ("pops.jsonl", [34_386, 12, 194_670, 6_571_063, 6_571_062]),
+        ("pops.jsonl", [34_386, 12, 194_670, 0, 6_571_063, 6_571_062]),
     ] {
         let report = audit(name, bad).expect_err("impossible route counters must be caught");
         assert!(
@@ -508,6 +511,27 @@ fn impossible_route_counters_are_detected() {
         &[r#"{"t":"route.done","elapsed_s":0.4,"hof_pct":1.85,"vof_pct":0.84,"wirelength":302912.9,"overflow_gcells":163,"rounds":12}"#],
     );
     audit_metrics(&old).expect("pre-counter route.done records pass");
+}
+
+#[test]
+fn impossible_lane_counts_are_detected() {
+    let dir = tmp_dir("lane-counts");
+    let audit = |name: &str, wa: &str| {
+        let line = format!(
+            r#"{{"t":"flow.init","elapsed_s":0.01,"scale_class":"small","cells":12703,"congest_coarsen":1,"lanes_wa":{wa},"lanes_scatter":1,"lanes_transform":1,"lanes_gather":2}}"#
+        );
+        let path = dir.join(name);
+        write_lines(&path, &[&line]);
+        audit_metrics(&path)
+    };
+    audit("good.jsonl", "2").expect("a real run passes");
+    for (name, bad) in [("zero.jsonl", "0"), ("half.jsonl", "1.5"), ("many.jsonl", "33")] {
+        let report = audit(name, bad).expect_err("an impossible lane count must be caught");
+        assert!(
+            report.violations.iter().any(|v| v.check == "flow-init"),
+            "{name}: {report}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

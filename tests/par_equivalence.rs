@@ -13,7 +13,7 @@ use puffer_db::geom::Point;
 use puffer_fft::{dct2, dct3, dst3_shifted, transform2d_mixed_threaded, transform2d_threaded};
 use puffer_gen::{generate, GeneratorConfig};
 use puffer_place::{
-    wa_wirelength_grad_threaded, DensityModel, GlobalPlacer, PlacerConfig, WaWorkspace,
+    wa_wirelength_grad_threaded, DensityModel, GlobalPlacer, GpLanes, PlacerConfig, WaWorkspace,
 };
 use puffer_rng::StdRng;
 
@@ -199,6 +199,19 @@ fn full_place_run_writes_byte_identical_journal_for_1_and_4_threads() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
+    // The lanes each GP kernel was given, as the run's `flow.init` record
+    // states them.
+    let lanes_of = |metrics: &std::path::Path| -> Vec<(String, f64)> {
+        let records = puffer_trace::read_jsonl(metrics).unwrap();
+        let init = records
+            .iter()
+            .find(|r| r.kind() == Some("flow.init"))
+            .expect("a flow.init record");
+        ["lanes_wa", "lanes_scatter", "lanes_transform", "lanes_gather"]
+            .into_iter()
+            .map(|f| (f.to_string(), init.num(f).expect(f)))
+            .collect()
+    };
     let run = |threads: usize| -> (Vec<u8>, Vec<(f64, f64)>) {
         let mut cfg = PufferConfig::default();
         cfg.placer.max_iters = 60;
@@ -211,10 +224,20 @@ fn full_place_run_writes_byte_identical_journal_for_1_and_4_threads() {
             every: 20,
             keep_history: false,
         };
+        let metrics = dir.join(format!("run-t{threads}.jsonl"));
+        let trace = puffer_trace::Trace::with_sink(&metrics).unwrap();
         let result = Job::new(cfg)
             .with_checkpoints(policy.clone())
+            .with_trace(trace)
             .run(&d)
             .unwrap();
+        // 300 cells are below every kernel's one lane's worth: `--threads`
+        // is an upper bound, and this run never leaves the calling thread.
+        let lanes = GpLanes::for_design(&d, threads);
+        assert_eq!(lanes, GpLanes::uniform(1), "threads {threads}");
+        for (field, got) in lanes_of(&metrics) {
+            assert_eq!(got, 1.0, "threads {threads}: {field}");
+        }
         let journal = std::fs::read(&policy.path).unwrap();
         let coords = (0..d.netlist().num_cells())
             .map(|i| {
