@@ -817,9 +817,10 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
             "route.done" => {
                 // The router's search counters: a segment is rerouted at
                 // most once per round, only a reroute can keep its old
-                // path, and a search pops only what it (or its source push)
-                // put on the heap. Files written before the counters
-                // existed carry none and pass.
+                // path, only a kept reroute can skip its search, and a
+                // search pops only what it (or its source push) put on the
+                // heap. Files written before the counters existed carry
+                // none and pass.
                 if let (Some(reroutes), Some(segments), Some(rounds)) =
                     (r.num("reroutes"), r.num("segments"), r.num("rounds"))
                 {
@@ -840,6 +841,19 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
                             message: format!(
                                 "route.done record {i}: reroutes_kept = {kept} exceeds \
                                  reroutes = {reroutes}"
+                            ),
+                        });
+                    }
+                }
+                if let (Some(reused), Some(kept)) =
+                    (r.num("reroutes_reused"), r.num("reroutes_kept"))
+                {
+                    if reused > kept {
+                        out.push(Violation {
+                            check: "route-counters",
+                            message: format!(
+                                "route.done record {i}: reroutes_reused = {reused} exceeds \
+                                 reroutes_kept = {kept}"
                             ),
                         });
                     }

@@ -152,6 +152,7 @@ pub fn evaluate_bounded(
         .int("segments", cast::u64_i64(report.segments))
         .int("reroutes", cast::u64_i64(report.reroutes))
         .int("reroutes_kept", cast::u64_i64(report.reroutes_kept))
+        .int("reroutes_reused", cast::u64_i64(report.reroutes_reused))
         .int("maze_pops", cast::u64_i64(report.maze_pops))
         .int("maze_pushes", cast::u64_i64(report.maze_pushes))
         .write();

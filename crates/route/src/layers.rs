@@ -13,7 +13,7 @@
 //! Gcell grid of the routing its paths came from, and its per-layer
 //! capacity is Eq. (8) with that module's power-grid derate.
 
-use crate::path::Path;
+use crate::path::{moves, PathRef, Paths};
 use puffer_congest::capacity::{for_each_macro_overlap, POWER_DERATE};
 use puffer_db::design::Design;
 use puffer_db::grid::Grid;
@@ -51,9 +51,10 @@ pub struct LayerAssignment {
 /// towards the lowest layer. Vias are counted per direction change plus
 /// one per path endpoint (pin access). `gcells` is the Gcell grid the paths
 /// were routed on, e.g. [`crate::RouteReport::congestion`]'s capacity map.
-pub fn assign_layers(design: &Design, paths: &[Path], gcells: &Grid<f64>) -> LayerAssignment {
+pub fn assign_layers(design: &Design, paths: &Paths, gcells: &Grid<f64>) -> LayerAssignment {
     let tech = design.tech();
     let (region, nx, ny) = (gcells.region(), gcells.nx(), gcells.ny());
+    debug_assert_eq!(paths.nx(), nx, "paths routed on another grid");
     let (dx, dy) = (gcells.dx(), gcells.dy());
 
     // Per-layer capacity (Eq. (8) per layer): macros block every layer
@@ -99,24 +100,24 @@ pub fn assign_layers(design: &Design, paths: &[Path], gcells: &Grid<f64>) -> Lay
         .collect();
 
     // Decompose paths into straight runs.
-    struct Run {
-        cells: Vec<(usize, usize)>,
+    struct Run<'a> {
+        cells: PathRef<'a>,
         dir: PreferredDirection,
     }
     let mut runs: Vec<Run> = Vec::new();
     let mut vias = 0usize;
-    for path in paths {
+    for path in paths.iter() {
         if path.len() < 2 {
             continue;
         }
         vias += 2; // pin access at both endpoints
         let mut start = 0usize;
-        let mut cur_dir = run_dir(path[0], path[1]);
+        let mut cur_dir = run_dir(path.cell(0), path.cell(1));
         for k in 1..path.len() {
-            let d = run_dir(path[k - 1], path[k]);
+            let d = run_dir(path.cell(k - 1), path.cell(k));
             if d != cur_dir {
                 runs.push(Run {
-                    cells: path[start..k].to_vec(),
+                    cells: path.slice(start..k),
                     dir: cur_dir,
                 });
                 vias += 1;
@@ -125,16 +126,17 @@ pub fn assign_layers(design: &Design, paths: &[Path], gcells: &Grid<f64>) -> Lay
             }
         }
         runs.push(Run {
-            cells: path[start..].to_vec(),
+            cells: path.slice(start..path.len()),
             dir: cur_dir,
         });
     }
-    // Longest runs first; deterministic tie-break on coordinates.
+    // Longest runs first; deterministic tie-break on the cells compared
+    // as (x, y).
     runs.sort_by(|a, b| {
         b.cells
             .len()
             .cmp(&a.cells.len())
-            .then_with(|| a.cells.cmp(&b.cells))
+            .then_with(|| a.cells.cells().cmp(b.cells.cells()))
     });
 
     // Greedy assignment.
@@ -164,8 +166,8 @@ pub fn assign_layers(design: &Design, paths: &[Path], gcells: &Grid<f64>) -> Lay
         for &li in candidates {
             let r = &reports[li];
             let mut cost = 0.0;
-            for w in run.cells.windows(2) {
-                for &(x, y) in &[w[0], w[1]] {
+            for (a, b, _) in moves(run.cells.cells()) {
+                for (x, y) in [a, b] {
                     let after = r.usage.at(x, y) + 0.5;
                     cost += (after - r.capacity.at(x, y)).max(0.0);
                 }
@@ -176,8 +178,8 @@ pub fn assign_layers(design: &Design, paths: &[Path], gcells: &Grid<f64>) -> Lay
             }
         }
         let r = &mut reports[best];
-        for w in run.cells.windows(2) {
-            for &(x, y) in &[w[0], w[1]] {
+        for (a, b, _) in moves(run.cells.cells()) {
+            for (x, y) in [a, b] {
                 *r.usage.at_mut(x, y) += 0.5;
             }
         }
@@ -209,6 +211,7 @@ fn run_dir(a: (usize, usize), b: (usize, usize)) -> PreferredDirection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::Path;
     use puffer_congest::{build_capacity, GCELL_ROWS};
     use puffer_db::design::Design;
     use puffer_db::geom::Rect;
@@ -227,7 +230,12 @@ mod tests {
 
     /// Lays `paths` onto the layers of `d`'s router Gcells.
     fn assign(d: &Design, paths: &[Path]) -> LayerAssignment {
-        assign_layers(d, paths, &build_capacity(d, GCELL_ROWS).0)
+        let gcells = build_capacity(d, GCELL_ROWS).0;
+        let mut arena = Paths::new(gcells.nx());
+        for p in paths {
+            arena.push(p);
+        }
+        assign_layers(d, &arena, &gcells)
     }
 
     #[test]

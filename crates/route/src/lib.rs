@@ -13,6 +13,8 @@
 //!   maze routing for overflowed segments ([`path::MazeScratch::route`]:
 //!   one search state per `try_route` call, so a reroute costs what it
 //!   explores);
+//! * every path in one arena of row-major Gcell indices ([`path::Paths`],
+//!   the type of [`RouteReport::paths`]);
 //! * a [`RouteReport`] with the Table II quantities — HOF(%), VOF(%),
 //!   routed wirelength — plus Fig. 5-style congestion maps;
 //! * [`GlobalRouter::try_route`], which rejects hostile inputs (NaN
@@ -21,6 +23,27 @@
 //!
 //! All three placement flows in the reproduction are judged by this same
 //! router, mirroring the paper's use of one common evaluator.
+//!
+//! # Reroutes that need no search
+//!
+//! Within a round, suppose a reroute kept its path, and the next
+//! overflowing segment has the same endpoints and the same path. Then
+//! that segment is kept too, with no rip-up and no search
+//! ([`RouteReport::reroutes_reused`]). This moves no bit:
+//!
+//! * The kept reroute charged −½ and then +½ on the same Gcells. Usage is
+//!   always a multiple of ½ and far below 2⁵³, so both sums are exact. The
+//!   clamp at 0 never fires, because the path's own usage is still there.
+//!   So every usage, and every step cost `charge` recomputes from it,
+//!   comes back bit for bit.
+//! * The segments between the two do not overflow and only read the grid;
+//!   history changes only between rounds.
+//! * [`path::MazeScratch`] carries nothing a search can observe from one
+//!   search to the next.
+//!
+//! The skipped search would thus read the grid the previous one read,
+//! between the same endpoints, and return the same path. The budget check
+//! still counts every reroute, so cancellation points do not move.
 //!
 //! # Example
 //!
@@ -104,8 +127,9 @@ const MAX_BENDS: usize = 6;
 /// 1.3 K; the second lane starts between the two, at 2.4 K.
 const DECOMPOSE_NETS_PER_LANE: usize = 1_200;
 
-/// The two end Gcells `(x, y)` of one two-point segment.
-pub type Segment = ((usize, usize), (usize, usize));
+/// The two end Gcells of one two-point segment, as row-major indices
+/// (`y·nx + x`, see [`path::node`]).
+pub type Segment = (u32, u32);
 
 /// Router configuration.
 ///
@@ -145,20 +169,26 @@ pub struct RouteReport {
     pub rounds: usize,
     /// Final usage/capacity maps (for Fig. 5 congestion maps).
     pub congestion: CongestionMap,
-    /// The final 2-D path of every routed two-point net (input to
-    /// [`assign_layers`]).
-    pub paths: Vec<path::Path>,
+    /// The final 2-D path of every routed two-point net, in routing order
+    /// (input to [`assign_layers`]).
+    pub paths: path::Paths,
     /// Two-point segments routed (`paths.len()`).
     pub segments: u64,
-    /// Maze searches run by rip-up-and-reroute, over all rounds.
+    /// Overflowing segments ripped up by rip-up-and-reroute, over all
+    /// rounds: each one is either searched again or, for
+    /// `reroutes_reused`, kept on the previous reroute's answer.
     pub reroutes: u64,
-    /// Reroutes whose maze result is the very path they ripped up
+    /// Reroutes that ended on the very path they ripped up
     /// (`reroutes_kept <= reroutes`).
     pub reroutes_kept: u64,
-    /// Heap pops over all maze searches (stale entries included).
+    /// Kept reroutes that ran no search, because the round's previous
+    /// reroute had just kept the same path between the same endpoints
+    /// (`reroutes_reused <= reroutes_kept`).
+    pub reroutes_reused: u64,
+    /// Heap pops over the maze searches that ran (stale entries included).
     pub maze_pops: u64,
-    /// Heap pushes over all maze searches, each search's source push
-    /// included — so `maze_pops <= maze_pushes`.
+    /// Heap pushes over the maze searches that ran, each search's source
+    /// push included — so `maze_pops <= maze_pushes`.
     pub maze_pushes: u64,
 }
 
@@ -177,6 +207,10 @@ pub struct GlobalRouter {
     lanes: usize,
     base: RoutingGrid,
     budget: Budget,
+    /// Test hook: search every reroute, even one the previous reroute has
+    /// already answered.
+    #[cfg(test)]
+    reuse_disabled: bool,
 }
 
 impl GlobalRouter {
@@ -189,6 +223,8 @@ impl GlobalRouter {
             config,
             base: RoutingGrid::new(h_cap, v_cap),
             budget: Budget::unbounded(),
+            #[cfg(test)]
+            reuse_disabled: false,
         }
     }
 
@@ -243,27 +279,43 @@ impl GlobalRouter {
         }
 
         let mut grid = self.base.clone();
-        let netlist = design.netlist();
+        let nx = grid.nx();
+        let cell = |node| path::cell(nx, node);
 
-        let mut endpoints = decompose(netlist, placement, self.base.cap_of(Dir::H), self.lanes)?;
-        // Short segments first: they have the least routing freedom.
-        endpoints.sort_by_key(|&(a, b)| (a.0.abs_diff(b.0) + a.1.abs_diff(b.1), a, b));
+        let mut segments = decompose(
+            design.netlist(),
+            placement,
+            self.base.cap_of(Dir::H),
+            self.lanes,
+        )?;
+        // Short segments first: they have the least routing freedom. The
+        // key compares cells as (x, y), which row-major indices do not.
+        // Equal keys are equal segments, so no order among them shows.
+        segments.sort_unstable_by_key(|&(a, b)| {
+            let (a, b) = (cell(a), cell(b));
+            (manhattan(a, b), a, b)
+        });
 
         // --- initial pattern pass ----------------------------------------
-        let mut paths: Vec<path::Path> = Vec::with_capacity(endpoints.len());
-        for &(a, b) in &endpoints {
-            let p = path::pattern_route(&grid, a, b, MAX_BENDS);
-            path::apply_path(&mut grid, &p, 1.0);
-            paths.push(p);
+        // L and Z routes are monotone: Manhattan length + 1 cells each.
+        let cells = segments
+            .iter()
+            .map(|&(a, b)| manhattan(cell(a), cell(b)) + 1)
+            .sum();
+        let mut paths = path::Paths::with_capacity(nx, segments.len(), cells);
+        for &(a, b) in &segments {
+            let p = path::pattern_route(&grid, cell(a), cell(b), MAX_BENDS);
+            path::apply_path(&mut grid, p.iter().copied(), 1.0);
+            paths.push(&p);
         }
 
         // --- negotiated rip-up-and-reroute --------------------------------
-        // Cancellation points: between rounds and every 256 maze routes
-        // within a round. Stopping mid-round is safe — each reroute leaves
-        // the grid and `paths` mutually consistent — so the report below is
+        // Cancellation points: between rounds and every 256 reroutes within
+        // a round. Stopping mid-round is safe — each reroute leaves the
+        // grid and `paths` mutually consistent — so the report below is
         // simply the best routing found so far.
         let mut rounds = 0;
-        let mut kept = 0u64;
+        let (mut reroutes, mut kept, mut reused) = (0u64, 0u64, 0u64);
         let mut scratch = path::MazeScratch::new();
         'ripup: for _ in 0..self.config.max_rounds {
             if grid.overflow_gcells() == 0 || self.budget.is_exhausted() {
@@ -272,16 +324,32 @@ impl GlobalRouter {
             rounds += 1;
             grid.update_history();
             let mut rerouted = 0usize;
+            // The round's previous reroute, if it kept its path: it left
+            // the grid bit for bit as it found it (crate docs).
+            let mut last_kept: Option<usize> = None;
             for i in 0..paths.len() {
-                if !path::path_overflows(&grid, &paths[i]) {
+                if !path::path_overflows(&grid, paths.get(i).cells()) {
                     continue;
                 }
-                let (a, b) = endpoints[i];
-                path::apply_path(&mut grid, &paths[i], -1.0);
-                let p = scratch.route(&grid, a, b);
-                path::apply_path(&mut grid, &p, 1.0);
-                kept += u64::from(p == paths[i]);
-                paths[i] = p;
+                let answered = last_kept
+                    .is_some_and(|j| segments[j] == segments[i] && paths.get(j) == paths.get(i));
+                let keeps = if answered && self.reuse_enabled() {
+                    reused += 1;
+                    true
+                } else {
+                    let (a, b) = segments[i];
+                    path::apply_path(&mut grid, paths.get(i).cells(), -1.0);
+                    let p = scratch.route(&grid, cell(a), cell(b));
+                    path::apply_path(&mut grid, p.iter().copied(), 1.0);
+                    let keeps = paths.get(i) == p[..];
+                    if !keeps {
+                        paths.set(i, &p);
+                    }
+                    keeps
+                };
+                kept += u64::from(keeps);
+                last_kept = keeps.then_some(i);
+                reroutes += 1;
                 rerouted += 1;
                 if rerouted.is_multiple_of(256) && self.budget.is_exhausted() {
                     break 'ripup;
@@ -295,12 +363,11 @@ impl GlobalRouter {
         // --- report -------------------------------------------------------
         let (hof, vof) = grid.overflow_ratios();
         let mut wirelength = 0.0;
-        for p in &paths {
-            for w in p.windows(2) {
-                wirelength += if w[0].1 == w[1].1 {
-                    grid.dx()
-                } else {
-                    grid.dy()
+        for p in paths.iter() {
+            for (_, _, d) in path::moves(p.cells()) {
+                wirelength += match d {
+                    Dir::H => grid.dx(),
+                    Dir::V => grid.dy(),
                 };
             }
         }
@@ -313,23 +380,41 @@ impl GlobalRouter {
             congestion: grid.to_congestion_map(),
             segments: cast::idx_u64(paths.len()),
             paths,
-            reroutes: scratch.searches(),
+            reroutes,
             reroutes_kept: kept,
+            reroutes_reused: reused,
             maze_pops: scratch.pops(),
             maze_pushes: scratch.pushes(),
         })
     }
+
+    /// Whether rip-up may keep a segment on the previous reroute's answer
+    /// instead of searching (always, outside this crate's tests).
+    fn reuse_enabled(&self) -> bool {
+        #[cfg(test)]
+        if self.reuse_disabled {
+            return false;
+        }
+        true
+    }
+}
+
+fn manhattan(a: (usize, usize), b: (usize, usize)) -> usize {
+    a.0.abs_diff(b.0) + a.1.abs_diff(b.1)
 }
 
 /// Decomposes every net of `netlist` into the two-point segments the
 /// router routes, on exactly `lanes` workers (clamped to `1..=32`): the
 /// estimator's quantize-first RSMT decomposition
 /// ([`puffer_congest::demand::decompose_net`]) on the Gcells of `gcells`,
-/// minus the segments that stay inside one Gcell, in net order.
+/// minus the segments that stay inside one Gcell, in net order. Each
+/// segment is a pair of row-major Gcell indices (`y·nx + x`).
 ///
 /// Chunking, lane clamping and panic draining go through `puffer-par`:
-/// fixed net-index chunks, one segment list per chunk, concatenated in
-/// chunk order — the same list for every lane count.
+/// fixed net-index chunks, one segment list per chunk, appended in chunk
+/// order to one exactly reserved list — the same list for every lane
+/// count. Each chunk's list is freed as soon as it is appended, so the
+/// segments are never held twice over.
 ///
 /// # Errors
 ///
@@ -340,19 +425,28 @@ pub fn decompose(
     gcells: &puffer_db::grid::Grid<f64>,
     lanes: usize,
 ) -> Result<Vec<Segment>, RouteError> {
+    let nx = gcells.nx();
     let net_ids: Vec<_> = netlist.iter_nets().map(|(id, _)| id).collect();
     let parts = puffer_par::try_map_chunks(net_ids.len(), lanes, |range| {
-        let mut segs = Vec::new();
+        let (mut part, mut net_segments) = (Vec::new(), Vec::new());
         for i in range {
-            decompose_net(netlist, placement, gcells, net_ids[i], &mut segs);
+            net_segments.clear();
+            decompose_net(netlist, placement, gcells, net_ids[i], &mut net_segments);
+            part.extend(
+                net_segments
+                    .iter()
+                    .map(|s| (path::node(nx, (s.ax, s.ay)), path::node(nx, (s.bx, s.by))))
+                    .filter(|(a, b)| a != b),
+            );
         }
-        segs.iter()
-            .map(|s| ((s.ax, s.ay), (s.bx, s.by)))
-            .filter(|(a, b)| a != b)
-            .collect::<Vec<Segment>>()
+        part
     })
     .map_err(|e| RouteError::WorkerPanic(e.0))?;
-    Ok(parts.concat())
+    let mut segments = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        segments.extend_from_slice(&part);
+    }
+    Ok(segments)
 }
 
 #[cfg(test)]
@@ -468,9 +562,9 @@ mod tests {
         // Fixed macros still exist, so only assert the collapsed point adds
         // nothing: every routed path endpoint pair must differ (zero-length
         // two-point nets are filtered at decomposition time).
-        for path in &rep.paths {
+        for path in rep.paths.iter() {
             assert!(
-                path.len() > 1 && path.first() != path.last(),
+                path.len() > 1 && path.cell(0) != path.cell(path.len() - 1),
                 "degenerate same-Gcell segment leaked into routing"
             );
         }
@@ -504,6 +598,163 @@ mod tests {
             (layered - flat).abs() < 1e-6,
             "layered {layered} vs flat {flat}"
         );
+    }
+
+    /// The bits a report is judged by: paths, demand, HOF/VOF/WL and the
+    /// counters the skip rule must not move.
+    fn same_routing(a: &RouteReport, b: &RouteReport) -> Result<(), String> {
+        let bits = |r: &RouteReport| {
+            let demand = |g: &puffer_db::grid::Grid<f64>| {
+                g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            (
+                demand(r.congestion.h_demand()),
+                demand(r.congestion.v_demand()),
+                [r.hof_pct, r.vof_pct, r.wirelength].map(f64::to_bits),
+                [r.segments, r.reroutes, r.reroutes_kept],
+                (r.rounds, r.overflow_gcells),
+            )
+        };
+        puffer_rng::prop_check!(a.paths == b.paths, "paths differ");
+        puffer_rng::prop_check!(bits(a) == bits(b), "report bits or counters differ");
+        Ok(())
+    }
+
+    /// A die of `sites` pin sites and `nets` two-pin nets, each joining two
+    /// random sites through cells of their own: with many nets per pair
+    /// of sites, rip-up meets long runs of equal segments, on equal and on
+    /// different paths.
+    fn bundles(rng: &mut puffer_rng::StdRng, sites: usize, nets: usize) -> (Design, Placement) {
+        use puffer_db::geom::Rect;
+        use puffer_db::netlist::{CellKind, NetlistBuilder};
+        let region = Rect::new(0.0, 0.0, 60.0, 60.0);
+        let sites: Vec<Point> = (0..sites)
+            .map(|_| Point::new(rng.gen_range(2.0..58.0), rng.gen_range(2.0..58.0)))
+            .collect();
+        let mut nb = NetlistBuilder::new();
+        let mut at = Vec::new();
+        for n in 0..nets {
+            let net = nb.add_net(format!("n{n}"));
+            let a = rng.gen_range(0..sites.len());
+            let b = (a + rng.gen_range(1..sites.len())) % sites.len();
+            for site in [a, b] {
+                let cell = nb.add_cell(format!("c{}", at.len()), 1.0, 1.0, CellKind::Movable);
+                nb.connect(net, cell, Point::ORIGIN).unwrap();
+                at.push(sites[site]);
+            }
+        }
+        let d = Design::new(
+            "bundles",
+            nb.build().unwrap(),
+            puffer_db::tech::Technology::default(),
+            region,
+        )
+        .unwrap();
+        let mut p = d.initial_placement();
+        for (id, &pos) in d.netlist().movable_cells().zip(&at) {
+            p.set(id, pos);
+        }
+        (d, p)
+    }
+
+    #[test]
+    fn reusing_a_kept_reroute_moves_no_bit() {
+        let mut fired = 0;
+        puffer_rng::check::run_cases(
+            8,
+            0x5EED_0033,
+            |rng| {
+                if rng.gen_bool(0.5) {
+                    let sites = rng.gen_range(2..6usize);
+                    let nets = rng.gen_range(150..400usize);
+                    return bundles(rng, sites, nets);
+                }
+                let cells = rng.gen_range(250..450usize);
+                let d = generate(&GeneratorConfig {
+                    num_cells: cells,
+                    num_nets: cells + cells / 8,
+                    num_macros: rng.gen_range(0..3usize),
+                    hotspot: rng.gen_range(0.3..0.7),
+                    seed: rng.next_u64(),
+                    ..GeneratorConfig::default()
+                })
+                .unwrap();
+                let p = spread_placement(&d, rng.gen_range(0.3..0.6));
+                (d, p)
+            },
+            |(d, p)| {
+                for threads in [1, 2] {
+                    let config = RouterConfig {
+                        threads,
+                        ..RouterConfig::default()
+                    };
+                    let reusing = GlobalRouter::new(d, config.clone());
+                    let mut searching = GlobalRouter::new(d, config);
+                    searching.reuse_disabled = true;
+                    let on = reusing.try_route(d, p).map_err(|e| e.to_string())?;
+                    let off = searching.try_route(d, p).map_err(|e| e.to_string())?;
+                    same_routing(&on, &off)?;
+                    puffer_rng::prop_check!(off.reroutes_reused == 0, "the hook skipped");
+                    puffer_rng::prop_check!(on.reroutes_reused <= on.reroutes_kept);
+                    if on.reroutes_reused > 0 {
+                        fired += 1;
+                        puffer_rng::prop_check!(
+                            on.maze_pops < off.maze_pops && on.maze_pushes < off.maze_pushes,
+                            "{} reused reroutes saved no heap traffic",
+                            on.reroutes_reused
+                        );
+                    } else {
+                        puffer_rng::prop_check!(
+                            (on.maze_pops, on.maze_pushes) == (off.maze_pops, off.maze_pushes)
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
+        assert!(fired > 0, "no case reused a reroute");
+    }
+
+    /// Two nets along a row of one track: both overflow in every round,
+    /// the second is kept on the first one's answer, and a bend costs so
+    /// much that history needs rounds to push the first net off the row.
+    /// Once it does, the answer of the round before must not keep it.
+    #[test]
+    fn a_kept_answer_does_not_outlive_its_round() {
+        use puffer_db::geom::Rect;
+        use puffer_db::netlist::{CellKind, NetlistBuilder};
+        let mut nb = NetlistBuilder::new();
+        for n in 0..2 {
+            let net = nb.add_net(format!("n{n}"));
+            for k in 0..2 {
+                let cell = nb.add_cell(format!("c{n}_{k}"), 0.5, 0.5, CellKind::Movable);
+                nb.connect(net, cell, Point::ORIGIN).unwrap();
+            }
+        }
+        let region = Rect::new(0.0, 0.0, 8.0, 3.0);
+        let d = Design::new("row", nb.build().unwrap(), Default::default(), region).unwrap();
+        let mut p = d.initial_placement();
+        for (k, id) in d.netlist().movable_cells().enumerate() {
+            p.set(id, Point::new(if k % 2 == 0 { 0.5 } else { 7.5 }, 1.5));
+        }
+        let mut h_cap = puffer_db::grid::Grid::filled(region, 8, 3, 10.0);
+        for x in 0..8 {
+            *h_cap.at_mut(x, 1) = 1.0;
+        }
+        let mut base = RoutingGrid::new(h_cap, puffer_db::grid::Grid::filled(region, 8, 3, 10.0));
+        base.bend_cost = 10.0;
+        let router = |reuse_disabled| GlobalRouter {
+            config: RouterConfig::default(),
+            lanes: 1,
+            base: base.clone(),
+            budget: Budget::unbounded(),
+            reuse_disabled,
+        };
+        let on = router(false).try_route(&d, &p).unwrap();
+        let off = router(true).try_route(&d, &p).unwrap();
+        same_routing(&on, &off).unwrap();
+        assert!(on.reroutes_reused > 0, "nothing reused");
+        assert!(on.reroutes > on.reroutes_kept, "no path moved");
     }
 
     #[test]
@@ -547,6 +798,7 @@ mod tests {
                 puffer_db::grid::Grid::filled(r, 4, 4, 2.0),
             ),
             budget: Budget::unbounded(),
+            reuse_disabled: false,
         };
         let err = router
             .try_route(&d, &d.initial_placement())
@@ -567,6 +819,7 @@ mod tests {
                 lanes: 1,
                 base: RoutingGrid::new(puffer_db::grid::Grid::filled(r, 4, 4, 2.0), v_cap),
                 budget: Budget::unbounded(),
+                reuse_disabled: false,
             };
             let err = router.try_route(&d, &d.initial_placement()).unwrap_err();
             assert!(matches!(err, RouteError::ZeroCapacity(_)), "{bad}: {err}");

@@ -1,5 +1,26 @@
-//! Path search: pattern routing (L/Z) and A* maze routing on the Gcell
-//! grid with negotiated-congestion costs.
+//! Path search and path storage: pattern routing (L/Z) and A* maze routing
+//! on the Gcell grid with negotiated-congestion costs, and [`Paths`], the
+//! one arena every routed path lives in.
+//!
+//! # The path arena
+//!
+//! A search returns a transient [`Path`] of `(x, y)` cells. What the
+//! router keeps is a [`Paths`]: every path's row-major Gcell indices
+//! (`y·nx + x`, as `u32`) in one `Vec`, and a `(start, len)` span per path.
+//! One allocation holds all of them instead of one heap block per path,
+//! at a quarter of the bytes per cell. Its invariants:
+//!
+//! * path `i`'s cells are `cells[start..start + len]` of span `i`, and no
+//!   two spans overlap;
+//! * the cells no span covers (*dead* cells) never outnumber the live
+//!   ones: [`Paths::set`] overwrites a span in place when the new path
+//!   fits and appends it otherwise, and compacts the arena, in path
+//!   order, as soon as the dead cells would outnumber the live ones;
+//! * equality ([`PartialEq`]) compares the paths, never the layout, so
+//!   two routings that agree path by path are equal however their
+//!   arenas were filled.
+//!
+//! Readers get a path as a [`PathRef`], which hands out `(x, y)` cells.
 //!
 //! # The epoch-stamped search state
 //!
@@ -26,9 +47,228 @@ use puffer_db::cast;
 use crate::grid::{Dir, RoutingGrid};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// A routed path: the Gcell sequence from source to target (inclusive).
 pub type Path = Vec<(usize, usize)>;
+
+/// The row-major index (`y·nx + x`) of Gcell `(x, y)` on a grid `nx` wide.
+pub fn node(nx: usize, (x, y): (usize, usize)) -> u32 {
+    cast::idx_u32(y * nx + x)
+}
+
+/// The Gcell `(x, y)` of row-major index `node` on a grid `nx` wide.
+pub fn cell(nx: usize, node: u32) -> (usize, usize) {
+    let node = cast::u32_idx(node);
+    (node % nx, node / nx)
+}
+
+/// Every routed path of one routing, in one arena of row-major Gcell
+/// indices (see the module docs for its invariants).
+#[derive(Debug, Clone)]
+pub struct Paths {
+    /// Width of the grid the indices are row-major on.
+    nx: usize,
+    /// The arena: every path's Gcell indices, one span per path.
+    cells: Vec<u32>,
+    /// `(start, len)` of path `i` in `cells`.
+    spans: Vec<(u32, u32)>,
+    /// Cells of `cells` that no span covers.
+    dead: usize,
+}
+
+impl Paths {
+    /// No paths, on a grid `nx` Gcells wide.
+    pub fn new(nx: usize) -> Self {
+        Self::with_capacity(nx, 0, 0)
+    }
+
+    /// No paths, with room for `paths` paths of `cells` Gcells in all.
+    pub(crate) fn with_capacity(nx: usize, paths: usize, cells: usize) -> Self {
+        Paths {
+            nx,
+            cells: Vec::with_capacity(cells),
+            spans: Vec::with_capacity(paths),
+            dead: 0,
+        }
+    }
+
+    /// Width of the grid the paths run on.
+    pub fn nx(&self) -> usize {
+        self.nx
+    }
+
+    /// Number of paths.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether there is no path.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Path `i`.
+    ///
+    /// # Panics
+    ///
+    /// If `i >= self.len()`.
+    pub fn get(&self, i: usize) -> PathRef<'_> {
+        let (start, len) = self.spans[i];
+        let start = cast::u32_idx(start);
+        PathRef {
+            nodes: &self.cells[start..start + cast::u32_idx(len)],
+            nx: self.nx,
+        }
+    }
+
+    /// Every path, in order.
+    pub fn iter(&self) -> impl Iterator<Item = PathRef<'_>> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Appends `path` as the last path.
+    pub fn push(&mut self, path: &[(usize, usize)]) {
+        let start = cast::idx_u32(self.cells.len());
+        self.spans.push((start, cast::idx_u32(path.len())));
+        self.append(path);
+    }
+
+    /// Replaces path `i` by `path`: in place when it fits in the old
+    /// span, at the end of the arena otherwise; then compacts the arena if
+    /// its dead cells outnumber the live ones.
+    ///
+    /// # Panics
+    ///
+    /// If `i >= self.len()`.
+    pub fn set(&mut self, i: usize, path: &[(usize, usize)]) {
+        let (start, len) = self.spans[i];
+        let (start, len) = (cast::u32_idx(start), cast::u32_idx(len));
+        if path.len() <= len {
+            let nx = self.nx;
+            for (slot, &c) in self.cells[start..].iter_mut().zip(path) {
+                *slot = node(nx, c);
+            }
+            self.dead += len - path.len();
+        } else {
+            self.dead += len;
+            self.spans[i].0 = cast::idx_u32(self.cells.len());
+            self.append(path);
+        }
+        self.spans[i].1 = cast::idx_u32(path.len());
+        if self.dead > self.live_cells() {
+            self.compact();
+        }
+    }
+
+    /// Cells some path covers.
+    pub fn live_cells(&self) -> usize {
+        self.cells.len() - self.dead
+    }
+
+    /// Cells of the arena no path covers (never more than
+    /// [`Paths::live_cells`]).
+    pub fn dead_cells(&self) -> usize {
+        self.dead
+    }
+
+    fn append(&mut self, path: &[(usize, usize)]) {
+        let nx = self.nx;
+        self.cells.extend(path.iter().map(|&c| node(nx, c)));
+    }
+
+    /// Rewrites the arena with the live cells only, path by path.
+    fn compact(&mut self) {
+        let mut cells = Vec::with_capacity(self.live_cells());
+        for span in &mut self.spans {
+            let start = cast::u32_idx(span.0);
+            let end = start + cast::u32_idx(span.1);
+            span.0 = cast::idx_u32(cells.len());
+            cells.extend_from_slice(&self.cells[start..end]);
+        }
+        self.cells = cells;
+        self.dead = 0;
+    }
+}
+
+impl PartialEq for Paths {
+    /// Path by path; the arenas' layouts may differ.
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+/// One path of a [`Paths`]: its Gcells, source to target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathRef<'a> {
+    nodes: &'a [u32],
+    nx: usize,
+}
+
+impl<'a> PathRef<'a> {
+    /// Number of Gcells.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Whether the path has no Gcell.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// The row-major Gcell indices (`y·nx + x`).
+    pub fn nodes(&self) -> &'a [u32] {
+        self.nodes
+    }
+
+    /// Gcell `k` as `(x, y)`.
+    ///
+    /// # Panics
+    ///
+    /// If `k >= self.len()`.
+    pub fn cell(&self, k: usize) -> (usize, usize) {
+        cell(self.nx, self.nodes[k])
+    }
+
+    /// The Gcells as `(x, y)`, source to target.
+    pub fn cells(&self) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let nx = self.nx;
+        self.nodes.iter().map(move |&n| cell(nx, n))
+    }
+
+    /// The Gcells `range` of this path.
+    ///
+    /// # Panics
+    ///
+    /// If `range` is out of bounds.
+    pub(crate) fn slice(&self, range: Range<usize>) -> PathRef<'a> {
+        PathRef {
+            nodes: &self.nodes[range],
+            nx: self.nx,
+        }
+    }
+}
+
+impl PartialEq<[(usize, usize)]> for PathRef<'_> {
+    fn eq(&self, path: &[(usize, usize)]) -> bool {
+        self.len() == path.len() && self.cells().eq(path.iter().copied())
+    }
+}
+
+/// The unit moves of a path given as its cells: `(from, to, direction)`.
+pub(crate) fn moves(
+    cells: impl IntoIterator<Item = (usize, usize)>,
+) -> impl Iterator<Item = ((usize, usize), (usize, usize), Dir)> {
+    cells
+        .into_iter()
+        .scan(None, |prev, b| {
+            Some(prev.replace(b).map(|a| {
+                let d = if a.1 == b.1 { Dir::H } else { Dir::V };
+                (a, b, d)
+            }))
+        })
+        .flatten()
+}
 
 /// Cost of traversing `path` under the grid's current state (as if the
 /// path were about to be added).
@@ -36,9 +276,7 @@ pub fn path_cost(grid: &RoutingGrid, path: &Path) -> f64 {
     let nx = grid.nx();
     let mut cost = 0.0;
     let mut prev_dir: Option<Dir> = None;
-    for w in path.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        let d = if a.1 == b.1 { Dir::H } else { Dir::V };
+    for (a, b, d) in moves(path.iter().copied()) {
         let step = grid.step_costs(d);
         cost += 0.5 * (step[a.1 * nx + a.0] + step[b.1 * nx + b.0]);
         if let Some(p) = prev_dir {
@@ -51,26 +289,26 @@ pub fn path_cost(grid: &RoutingGrid, path: &Path) -> f64 {
     cost
 }
 
-/// Charges (`sign = +1`) or refunds (`sign = -1`) a path's usage.
-pub fn apply_path(grid: &mut RoutingGrid, path: &Path, sign: f64) {
-    for w in path.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        let d = if a.1 == b.1 { Dir::H } else { Dir::V };
+/// Charges (`sign = +1`) or refunds (`sign = -1`) the usage of the path
+/// whose cells are `cells`.
+pub fn apply_path(
+    grid: &mut RoutingGrid,
+    cells: impl IntoIterator<Item = (usize, usize)>,
+    sign: f64,
+) {
+    for (a, b, d) in moves(cells) {
         grid.charge(a.0, a.1, d, 0.5 * sign);
         grid.charge(b.0, b.1, d, 0.5 * sign);
     }
 }
 
-/// Whether any Gcell along the path is overused.
-pub fn path_overflows(grid: &RoutingGrid, path: &Path) -> bool {
-    for w in path.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        let d = if a.1 == b.1 { Dir::H } else { Dir::V };
-        if grid.overuse(a.0, a.1, d) > 1e-9 || grid.overuse(b.0, b.1, d) > 1e-9 {
-            return true;
-        }
-    }
-    false
+/// Whether any Gcell along the path whose cells are `cells` is overused.
+pub fn path_overflows(
+    grid: &RoutingGrid,
+    cells: impl IntoIterator<Item = (usize, usize)>,
+) -> bool {
+    moves(cells)
+        .any(|(a, b, d)| grid.overuse(a.0, a.1, d) > 1e-9 || grid.overuse(b.0, b.1, d) > 1e-9)
 }
 
 fn straight(path: &mut Path, from: (usize, usize), to: (usize, usize)) {
@@ -193,7 +431,6 @@ pub struct MazeScratch {
     /// The running search's number, ≥ 1 once a search has started.
     epoch: u32,
     heap: BinaryHeap<HeapEntry>,
-    searches: u64,
     pops: u64,
     pushes: u64,
 }
@@ -212,11 +449,6 @@ impl MazeScratch {
             epoch,
             ..Self::default()
         }
-    }
-
-    /// Searches run so far (`a == b` needs none and is not counted).
-    pub fn searches(&self) -> u64 {
-        self.searches
     }
 
     /// Heap pops over every search so far, stale entries included.
@@ -243,7 +475,6 @@ impl MazeScratch {
         }
         self.epoch += 1;
         self.heap.clear();
-        self.searches += 1;
     }
 
     fn push(&mut self, entry: HeapEntry) {
@@ -436,9 +667,9 @@ mod tests {
     fn apply_and_refund_are_inverse() {
         let mut g = grid(2.0);
         let p = pattern_route(&g, (0, 0), (4, 4), 2);
-        apply_path(&mut g, &p, 1.0);
+        apply_path(&mut g, p.iter().copied(), 1.0);
         assert!(g.to_congestion_map().total_demand() > 0.0);
-        apply_path(&mut g, &p, -1.0);
+        apply_path(&mut g, p.iter().copied(), -1.0);
         assert_eq!(g.to_congestion_map().total_demand(), 0.0);
     }
 
@@ -491,13 +722,56 @@ mod tests {
     fn path_overflow_detection() {
         let mut g = grid(1.0);
         let p = pattern_route(&g, (0, 0), (5, 0), 0);
-        apply_path(&mut g, &p, 1.0);
-        assert!(!path_overflows(&g, &p));
+        apply_path(&mut g, p.iter().copied(), 1.0);
+        assert!(!path_overflows(&g, p.iter().copied()));
         // Route three more times over the same row: capacity 1 exceeded.
         for _ in 0..3 {
-            apply_path(&mut g, &p, 1.0);
+            apply_path(&mut g, p.iter().copied(), 1.0);
         }
-        assert!(path_overflows(&g, &p));
+        assert!(path_overflows(&g, p.iter().copied()));
+    }
+
+    /// The cells of every path of `paths`.
+    fn cells_of(paths: &Paths) -> Vec<Path> {
+        paths.iter().map(|p| p.cells().collect()).collect()
+    }
+
+    #[test]
+    fn the_arena_overwrites_appends_and_compacts() {
+        let row = |x0: usize, n: usize, y: usize| (x0..x0 + n).map(|x| (x, y)).collect::<Path>();
+        let mut paths = Paths::with_capacity(10, 3, 12);
+        for p in [row(0, 4, 0), row(2, 4, 5), row(1, 4, 9)] {
+            paths.push(&p);
+        }
+        assert_eq!(paths.get(1).nodes(), &[52, 53, 54, 55]);
+        assert_eq!(paths.get(2).cell(3), (4, 9));
+        // Shorter: overwritten in place, its tail dead.
+        paths.set(1, &row(3, 2, 5));
+        assert_eq!((paths.live_cells(), paths.dead_cells()), (10, 2));
+        // Longer: appended, its whole old span dead.
+        paths.set(0, &row(0, 6, 1));
+        assert_eq!((paths.live_cells(), paths.dead_cells()), (12, 6));
+        assert_eq!(cells_of(&paths), [row(0, 6, 1), row(3, 2, 5), row(1, 4, 9)]);
+        paths.set(2, &row(0, 8, 7));
+        assert_eq!((paths.live_cells(), paths.dead_cells()), (16, 10));
+        // Dead would outnumber live: compacted, path order kept.
+        paths.set(2, &row(0, 9, 8));
+        assert_eq!((paths.live_cells(), paths.dead_cells()), (17, 0));
+        assert_eq!(cells_of(&paths), [row(0, 6, 1), row(3, 2, 5), row(0, 9, 8)]);
+        assert_eq!(paths.get(0).nodes(), &[10, 11, 12, 13, 14, 15]);
+        assert_eq!(paths.get(2).nodes()[0], 80);
+
+        // Equality is by path, not by layout.
+        let mut fresh = Paths::new(10);
+        for p in cells_of(&paths) {
+            fresh.push(&p);
+        }
+        paths.set(1, &row(3, 2, 5));
+        assert!(fresh == paths);
+        paths.set(1, &row(4, 2, 5));
+        assert!(fresh != paths);
+        assert!(paths.get(1) == row(4, 2, 5)[..]);
+        assert!(paths.get(1) != row(3, 2, 5)[..]);
     }
 
     #[test]

@@ -123,8 +123,8 @@ fn apply_refund_is_lossless() {
             let mut g = grid_with_noise(usage);
             let before = g.to_congestion_map();
             let p = maze_route(&g, (*ax, *ay), (*bx, *by));
-            apply_path(&mut g, &p, 1.0);
-            apply_path(&mut g, &p, -1.0);
+            apply_path(&mut g, p.iter().copied(), 1.0);
+            apply_path(&mut g, p.iter().copied(), -1.0);
             let after = g.to_congestion_map();
             for (a, b) in before
                 .h_demand()
@@ -199,7 +199,7 @@ fn a_reused_scratch_routes_like_a_fresh_one() {
                     reused == fresh,
                     "search {i} on {nx}x{ny}: reused scratch {reused:?}, fresh {fresh:?}"
                 );
-                apply_path(g, &reused, 1.0);
+                apply_path(g, reused.iter().copied(), 1.0);
             }
             prop_check!(scratch.pops() <= scratch.pushes());
             Ok(())

@@ -36,7 +36,7 @@
 //! | `explore.trial` | `puffer-explore` | `trial`, `status`, `objective`, `params` |
 //! | `flow.init` | `puffer` (core) | `scale_class`, `cells`, `congest_coarsen`, `lanes_wa`, `lanes_scatter`, `lanes_transform`, `lanes_gather` |
 //! | `flow.done` | `puffer` (core) | `runtime_s`, `gp_iterations`, `pad_rounds`, `hpwl`, `overflow` |
-//! | `route.done` | `puffer` (core) | `hof_pct`, `vof_pct`, `wirelength`, `overflow_gcells`, `rounds`, `segments`, `reroutes`, `reroutes_kept`, `maze_pops`, `maze_pushes` |
+//! | `route.done` | `puffer` (core) | `hof_pct`, `vof_pct`, `wirelength`, `overflow_gcells`, `rounds`, `segments`, `reroutes`, `reroutes_kept`, `reroutes_reused`, `maze_pops`, `maze_pushes` |
 //! | `flow.degrade` | `puffer` (core) | `step`, `fraction_remaining`, `iter` |
 //! | `chaos.inject` | `puffer` (core, `nan-burst` under the `chaos` feature) | `class`, `at`, `magnitude` |
 //! | `span` | [`Trace::write_summary`] | `label`, `count`, `total_s`, `mean_s`, `min_s`, `max_s` |

@@ -168,7 +168,8 @@ fi
 # The same for the evaluator: `eval` decomposes nets on --threads workers
 # and then routes on one, so its report, its congestion maps and the
 # search's exact counters must not know the thread count. MEDIA_SUBSYS at
-# 0.004 is the smallest preset scale where all 12 rip-up rounds fire.
+# 0.004 is the smallest preset scale where all 12 rip-up rounds fire, and
+# some reroute there must skip its search on the previous one's answer.
 route_record() { grep '"t":"route.done"' "$1" | sed -E 's/"elapsed_s":[^,}]*,?//'; }
 echo "==> deterministic evaluation smoke (media_subsys, eval --threads 1 vs 2 vs 4)"
 "$PUFFER" gen --preset media_subsys --scale 0.004 -o "$SMOKE_DIR/route.pd"
@@ -180,6 +181,7 @@ for t in 1 2 4; do
     grep -v '^wrote congestion maps to ' > "$SMOKE_DIR/route-t$t.out"
 done
 route_record "$SMOKE_DIR/route-t1.jsonl" | grep -q '"rounds":12,'
+route_record "$SMOKE_DIR/route-t1.jsonl" | grep -Eq '"reroutes_reused":[1-9]'
 for t in 2 4; do
   cmp "$SMOKE_DIR/route-t1.out" "$SMOKE_DIR/route-t$t.out"
   cmp <(route_record "$SMOKE_DIR/route-t1.jsonl") <(route_record "$SMOKE_DIR/route-t$t.jsonl")

@@ -477,26 +477,28 @@ fn impossible_wa_counters_are_detected() {
 #[test]
 fn impossible_route_counters_are_detected() {
     let dir = tmp_dir("route-counters");
-    let audit = |name: &str, [segments, rounds, reroutes, kept, pops, pushes]: [u64; 6]| {
+    let audit = |name: &str, [segments, rounds, reroutes, kept, reused, pops, pushes]: [u64; 7]| {
         let line = format!(
-            r#"{{"t":"route.done","elapsed_s":0.4,"hof_pct":1.85,"vof_pct":0.84,"wirelength":302912.9,"overflow_gcells":163,"rounds":{rounds},"segments":{segments},"reroutes":{reroutes},"reroutes_kept":{kept},"maze_pops":{pops},"maze_pushes":{pushes}}}"#
+            r#"{{"t":"route.done","elapsed_s":0.4,"hof_pct":1.85,"vof_pct":0.84,"wirelength":302912.9,"overflow_gcells":163,"rounds":{rounds},"segments":{segments},"reroutes":{reroutes},"reroutes_kept":{kept},"reroutes_reused":{reused},"maze_pops":{pops},"maze_pushes":{pushes}}}"#
         );
         let path = dir.join(name);
         write_lines(&path, &[&line]);
         audit_metrics(&path)
     };
     // MEDIA_SUBSYS as the repo benchmark routes it.
-    audit("good.jsonl", [34_386, 12, 194_670, 192_251, 3_785_454, 6_571_062])
-        .expect("a real run passes");
-    audit("clean.jsonl", [34_386, 0, 0, 0, 0, 0]).expect("no overflow, no search");
+    let real = [34_386, 12, 194_670, 192_251, 147_090, 3_236_660, 5_332_652];
+    audit("good.jsonl", real).expect("a real run passes");
+    audit("clean.jsonl", [34_386, 0, 0, 0, 0, 0, 0]).expect("no overflow, no search");
     for (name, bad) in [
-        // More searches than one per segment per round.
-        ("reroutes.jsonl", [34_386, 12, 34_386 * 12 + 1, 0, 3_785_454, 6_571_062]),
-        ("no-rounds.jsonl", [34_386, 0, 1, 0, 0, 1]),
-        // More kept paths than searches.
-        ("kept.jsonl", [34_386, 12, 194_670, 194_671, 3_785_454, 6_571_062]),
+        // More reroutes than one per segment per round.
+        ("reroutes.jsonl", [34_386, 12, 34_386 * 12 + 1, 0, 0, 3_236_660, 5_332_652]),
+        ("no-rounds.jsonl", [34_386, 0, 1, 0, 0, 0, 1]),
+        // More kept paths than reroutes.
+        ("kept.jsonl", [34_386, 12, 194_670, 194_671, 147_090, 3_236_660, 5_332_652]),
+        // More skipped searches than kept paths.
+        ("reused.jsonl", [34_386, 12, 194_670, 192_251, 192_252, 3_236_660, 5_332_652]),
         // More pops than the heap ever held.
-        ("pops.jsonl", [34_386, 12, 194_670, 0, 6_571_063, 6_571_062]),
+        ("pops.jsonl", [34_386, 12, 194_670, 0, 0, 5_332_653, 5_332_652]),
     ] {
         let report = audit(name, bad).expect_err("impossible route counters must be caught");
         assert!(

@@ -138,10 +138,11 @@ pub fn assert_flow_result(design: &Design, result: &FlowResult) {
 }
 
 /// Asserts a routing report against its own paths: every path is
-/// non-empty, inside the grid and 4-connected; usage rebuilt from the
-/// paths (half a track at each end of every step) **equals** the report's
-/// demand grids; and wirelength, overflowed-Gcell count, HOF and VOF
-/// recomputed from that usage and the capacity grids are the report's.
+/// non-empty, its row-major Gcell indices are inside the grid, and it is
+/// 4-connected; usage rebuilt from the paths (half a track at each end of
+/// every step) **equals** the report's demand grids; and wirelength,
+/// overflowed-Gcell count, HOF and VOF recomputed from that usage and the
+/// capacity grids are the report's.
 ///
 /// Usage is compared with `==`: every charge and refund the router made
 /// was a multiple of one half, and sums of those are exact in `f64`, so
@@ -154,12 +155,16 @@ pub fn assert_route_report(design: &Design, report: &RouteReport) {
     let (nx, ny) = (map.nx(), map.ny());
     let mut h_use = vec![0.0f64; nx * ny];
     let mut v_use = vec![0.0f64; nx * ny];
+    assert_eq!(report.paths.nx(), nx, "paths are row-major on the map's grid");
     for (i, path) in report.paths.iter().enumerate() {
         assert!(!path.is_empty(), "path {i} is empty");
-        for &(x, y) in path {
-            assert!(x < nx && y < ny, "path {i} leaves the {nx}x{ny} grid at ({x}, {y})");
+        for &node in path.nodes() {
+            assert!((node as usize) < nx * ny, "path {i} leaves the {nx}x{ny} grid at {node}");
         }
-        for step in path.windows(2) {
+        // Row-major Gcell indices, decoded here rather than by the router.
+        let cells: Vec<(usize, usize)> =
+            path.nodes().iter().map(|&n| (n as usize % nx, n as usize / nx)).collect();
+        for step in cells.windows(2) {
             let ((ax, ay), (bx, by)) = (step[0], step[1]);
             let usage = match (ax.abs_diff(bx), ay.abs_diff(by)) {
                 (1, 0) => &mut h_use,
@@ -204,5 +209,7 @@ pub fn assert_route_report(design: &Design, report: &RouteReport) {
     // What the search counters can and cannot say.
     assert_eq!(report.segments, report.paths.len() as u64);
     assert!(report.reroutes <= report.segments * report.rounds as u64);
+    assert!(report.reroutes_kept <= report.reroutes);
+    assert!(report.reroutes_reused <= report.reroutes_kept);
     assert!(report.maze_pops <= report.maze_pushes);
 }
