@@ -179,15 +179,31 @@ fn daemon_survives_kill_cancel_and_restart() {
         "--max-iters", "120", "--threads", "1",
     ]);
     let reference_bytes = std::fs::read(&reference).unwrap();
+    let design_bytes = std::fs::read(&design).unwrap();
+
+    // Jobs 1 and 2 read their design from named pipes, so each of the two
+    // workers that takes one blocks opening it until this test writes the
+    // design in: jobs 3 and 4 stay queued however fast a job runs.
+    let held: Vec<PathBuf> = (1..=2).map(|i| dir.join(format!("held{i}.pd"))).collect();
+    for pipe in &held {
+        let status = Command::new("mkfifo").arg(pipe).status().unwrap();
+        assert!(status.success(), "mkfifo {}", pipe.display());
+    }
+    // A held pipe gives way to a plain copy of the design once its job has
+    // read it, which is what the restarted daemon reads.
+    let release = |pipe: &Path| {
+        std::fs::remove_file(pipe).unwrap();
+        std::fs::write(pipe, &design_bytes).unwrap();
+    };
 
     // First daemon: submit more jobs than workers, cancel the last one
-    // (still queued behind the 2-worker pool), kill the process mid-job.
+    // (queued behind the two held jobs), kill the process mid-job.
     let (mut child, addr, _stdout) = start_daemon(&journal_dir);
     let outs: Vec<PathBuf> = (1..=JOBS).map(|i| dir.join(format!("job{i}.pl"))).collect();
     {
         let mut client = Client::connect(&addr);
-        for out in &outs {
-            client.submit(&design, out);
+        for (i, out) in outs.iter().enumerate() {
+            client.submit(held.get(i).unwrap_or(&design), out);
         }
         let response = client.request(format!("{{\"t\":\"cancel\",\"id\":{JOBS}}}"));
         assert!(
@@ -195,6 +211,11 @@ fn daemon_survives_kill_cancel_and_restart() {
             "job {JOBS} should still be queued when cancelled: {response}"
         );
     }
+
+    // Let job 1 read its design (the write waits for the worker to open
+    // the pipe); job 2 stays held, so it is still to run at the kill.
+    std::fs::write(&held[0], &design_bytes).unwrap();
+    release(&held[0]);
 
     // Kill once job 1 has journaled a checkpoint (SIGKILL: the daemon gets
     // no chance to write a final checkpoint or clean anything up).
@@ -206,6 +227,7 @@ fn daemon_survives_kill_cancel_and_restart() {
     }
     child.kill().unwrap();
     child.wait().unwrap();
+    release(&held[1]);
 
     // Second daemon over the same journal directory: the recovery scan must
     // re-enqueue the interrupted jobs and leave the cancelled one alone.

@@ -15,11 +15,15 @@
 //! * [`fft`]/[`ifft`] — in-place complex FFT for power-of-two lengths;
 //! * [`dct2`]/[`dct3`]/[`dst3_shifted`] — the real transforms of the
 //!   Poisson solver as allocating one-liners over the shared plan;
-//! * [`transform2d_in_place`] — the one separable 2-D pass (rows in place,
-//!   transpose, columns in place, transpose back) over `puffer-par`,
-//!   bit-identical for any worker count; [`transform2d_planned`] runs it
-//!   with planned transforms, and [`transform2d_threaded`]/
-//!   [`transform2d_mixed_threaded`] run it with arbitrary 1-D closures.
+//! * [`transform2d_in_place`] — the separable 2-D pass with arbitrary 1-D
+//!   closures (rows in place, transpose, columns in place, transpose back)
+//!   over `puffer-par`, bit-identical for any worker count;
+//!   [`transform2d_threaded`]/[`transform2d_mixed_threaded`] run it with
+//!   allocating transforms;
+//! * [`transform2d_planned`] — the pass the density solver runs: planned
+//!   rows in place, then each column plan run across whole rows at once,
+//!   with no transpose, bit-identical to [`transform2d_in_place`] over the
+//!   same planned transforms.
 //!
 //! # Example
 //!
@@ -164,6 +168,9 @@ pub struct Plan {
     n: usize,
     /// Index pairs `(i, j)`, `i < j`, exchanged by the bit-reversal.
     swaps: Vec<(usize, usize)>,
+    /// Where the DCT-II input element at each FFT position comes from:
+    /// the even/odd reordering followed by the bit-reversal.
+    dct2_source: Vec<usize>,
     /// `e^{∓2πi·k/len}` for `k < len/2`, stages `len = 2, 4, …, N`
     /// back-to-back (the stage with half-length `h` starts at `h − 1`).
     forward: Vec<Complex>,
@@ -195,6 +202,20 @@ impl Plan {
                 swaps.push((i, j));
             }
         }
+        let mut reversed: Vec<usize> = (0..n).collect();
+        for &(i, j) in &swaps {
+            reversed.swap(i, j);
+        }
+        let dct2_source = reversed
+            .into_iter()
+            .map(|q| {
+                if q < n.div_ceil(2) {
+                    2 * q
+                } else {
+                    2 * (n - 1 - q) + 1
+                }
+            })
+            .collect();
         let stage_twiddles = |sign: f64| {
             let mut table = Vec::with_capacity(n - 1);
             let mut len = 2;
@@ -217,6 +238,7 @@ impl Plan {
         Plan {
             n,
             swaps,
+            dct2_source,
             forward: stage_twiddles(-1.0),
             inverse: stage_twiddles(1.0),
             dct2_post: dct_twiddles(-1.0),
@@ -334,6 +356,146 @@ impl Plan {
             x[2 * i + 1] = v[n - 1 - i].re;
         }
     }
+
+    /// [`Plan::apply`] down every column of a band of rows at once: `x`
+    /// holds the plan's `N` rows of the band (row `k` is element `k` of
+    /// every column), `other` `N` rows of scratch of the same width.
+    ///
+    /// Each step of the 1-D transform — reordering, butterfly, twiddle —
+    /// becomes the same step on whole rows, element by element, so every
+    /// column sees exactly the operations [`Plan::apply`] would perform on
+    /// it, in the same order, and gets the same bits. The complex working
+    /// array is split over the two planes: real parts in one, imaginary
+    /// parts in the other.
+    fn apply_rows(&self, kind: Kind, x: &mut [&mut [f64]], other: &mut [&mut [f64]]) {
+        assert_eq!(x.len(), self.n, "row count differs from the plan's");
+        assert_eq!(
+            other.len(),
+            self.n,
+            "scratch row count differs from the plan's"
+        );
+        match kind {
+            Kind::Dct2 => self.dct2_rows(x, other),
+            Kind::Dct3 => self.dct3_rows(x, other, false),
+            Kind::Dst3Shifted => self.dct3_rows(x, other, true),
+        }
+    }
+
+    /// [`Plan::dct2`] on rows: the reordered, bit-reversed input goes to
+    /// `re`, `x` becomes the (zero) imaginary plane, and the output is
+    /// written back into `x`.
+    fn dct2_rows(&self, x: &mut [&mut [f64]], re: &mut [&mut [f64]]) {
+        for (row, &src) in re.iter_mut().zip(&self.dct2_source) {
+            row.copy_from_slice(x[src]);
+        }
+        for row in x.iter_mut() {
+            row.fill(0.0);
+        }
+        self.butterfly_rows(re, x, &self.forward);
+        for ((out, re), &w) in x.iter_mut().zip(re.iter()).zip(&self.dct2_post) {
+            for (o, &r) in out.iter_mut().zip(re.iter()) {
+                *o = (Complex::new(r, *o) * w).re;
+            }
+        }
+    }
+
+    /// [`Plan::dct3`] on rows — or, with `sine`, the [`Kind::Dst3Shifted`]
+    /// arm of [`Plan::apply`], whose zeroed and reversed input is read in
+    /// place and whose odd outputs are negated as they are written. The
+    /// pre-twiddled input goes to `re` (real parts) and `x` (imaginary
+    /// parts); the output is read from `re` back into `x`.
+    fn dct3_rows(&self, x: &mut [&mut [f64]], re: &mut [&mut [f64]], sine: bool) {
+        let n = self.n;
+        if n == 1 {
+            let scale = |v: &mut f64| *v = if sine { 0.0 } else { *v / 2.0 };
+            x[0].iter_mut().for_each(scale);
+            return;
+        }
+        // V[0] = (x[0]/2, 0), with the sine transform's x[0] zeroed.
+        for (r, i) in re[0].iter_mut().zip(x[0].iter_mut()) {
+            let x0 = if sine { 0.0 } else { *i };
+            (*r, *i) = (x0 / 2.0, 0.0);
+        }
+        // V[k] and V[N−k] read the same two inputs x[k] and x[N−k] (the
+        // sine transform reads them swapped: its input is reversed).
+        for k in 1..=n / 2 {
+            let (pk, pn) = (self.dct3_pre[k], self.dct3_pre[n - k]);
+            if 2 * k == n {
+                for (r, i) in re[k].iter_mut().zip(x[k].iter_mut()) {
+                    let v = pk * Complex::new(*i / 2.0, -*i / 2.0);
+                    (*r, *i) = (v.re, v.im);
+                }
+                continue;
+            }
+            let (xk, xn) = pair(x, k, n - k);
+            let (rk, rn) = pair(re, k, n - k);
+            let rows = xk
+                .iter_mut()
+                .zip(xn.iter_mut())
+                .zip(rk.iter_mut().zip(rn.iter_mut()));
+            for ((ik, in_), (rk, rn)) in rows {
+                let (a, b) = if sine { (*in_, *ik) } else { (*ik, *in_) };
+                let vk = pk * Complex::new(a / 2.0, -b / 2.0);
+                let vn = pn * Complex::new(b / 2.0, -a / 2.0);
+                (*rk, *ik, *rn, *in_) = (vk.re, vk.im, vn.re, vn.im);
+            }
+        }
+        // The bit-reversal moves rows, not values: swap the row handles of
+        // both planes, and swap the imaginary ones back afterwards so that
+        // `x` addresses its own rows again for the output.
+        for &(i, j) in &self.swaps {
+            re.swap(i, j);
+            x.swap(i, j);
+        }
+        self.butterfly_rows(re, x, &self.inverse);
+        for &(i, j) in &self.swaps {
+            x.swap(i, j);
+        }
+        for (k, out) in x.iter_mut().enumerate() {
+            let (src, negate) = if k % 2 == 0 {
+                (k / 2, false)
+            } else {
+                (n - 1 - k / 2, sine)
+            };
+            for (o, &r) in out.iter_mut().zip(re[src].iter()) {
+                *o = if negate { -r } else { r };
+            }
+        }
+    }
+
+    /// The butterfly stages of [`Plan::butterflies`], without its swaps, on
+    /// rows: element `e` of every row of `re` and `im` is one column's
+    /// complex working array.
+    fn butterfly_rows(&self, re: &mut [&mut [f64]], im: &mut [&mut [f64]], twiddles: &[Complex]) {
+        let mut half = 1;
+        while half < self.n {
+            let stage = &twiddles[half - 1..2 * half - 1];
+            for block in (0..self.n).step_by(2 * half) {
+                for (j, &w) in stage.iter().enumerate() {
+                    let (a, b) = (block + j, block + j + half);
+                    let (ar, br) = pair(re, a, b);
+                    let (ai, bi) = pair(im, a, b);
+                    let rows = ar
+                        .iter_mut()
+                        .zip(ai.iter_mut())
+                        .zip(br.iter_mut().zip(bi.iter_mut()));
+                    for ((ar, ai), (br, bi)) in rows {
+                        let u = Complex::new(*ar, *ai);
+                        let v = Complex::new(*br, *bi) * w;
+                        let (sum, diff) = (u + v, u - v);
+                        (*ar, *ai, *br, *bi) = (sum.re, sum.im, diff.re, diff.im);
+                    }
+                }
+            }
+            half <<= 1;
+        }
+    }
+}
+
+/// Rows `i < j` of `rows`, both writable.
+fn pair<'a>(rows: &'a mut [&mut [f64]], i: usize, j: usize) -> (&'a mut [f64], &'a mut [f64]) {
+    let (lo, hi) = rows.split_at_mut(j);
+    (&mut *lo[i], &mut *hi[0])
 }
 
 /// The process-wide plan for length `n`, built on first use and shared by
@@ -448,31 +610,64 @@ pub fn transform2d_in_place<S, FX, FY>(
     transpose(transposed, ny, data);
 }
 
-/// [`transform2d_in_place`] with the planned transforms `kx` along x and
-/// `ky` along y; each lane is one worker's complex scratch.
+/// The planned 2-D pass: the transform `kx` along every row, then `ky`
+/// along every column, of the dense row-major `nx × ny` matrix `data`, in
+/// place — the bits of [`transform2d_in_place`] with the same 1-D
+/// transforms.
+///
+/// Rows are transformed where they lie, one [`Plan::apply`] each, on up to
+/// `lanes.len()` workers (each lane is one worker's complex scratch). The
+/// columns are not transposed: the column plan runs across whole rows, each
+/// of its steps an element-wise operation on contiguous rows, with `other`
+/// as the second plane of its complex working array. The lanes split the
+/// columns into bands, one band each; a column's values depend on that
+/// column alone, so the output is bit-identical for any lane count.
 ///
 /// # Panics
 ///
-/// Panics like [`transform2d_in_place`], or if `nx` or `ny` is not a power
-/// of two.
+/// Panics if `data` or `other` is not `nx * ny` long, `lanes` is empty, or
+/// `nx` or `ny` is not a power of two.
 pub fn transform2d_planned(
     data: &mut [f64],
     nx: usize,
     ny: usize,
     (kx, ky): (Kind, Kind),
-    transposed: &mut [f64],
+    other: &mut [f64],
     lanes: &mut [Vec<Complex>],
 ) {
+    assert_eq!(data.len(), nx * ny, "matrix shape mismatch");
+    assert_eq!(other.len(), nx * ny, "second plane shape mismatch");
+    if nx == 0 || ny == 0 {
+        return;
+    }
     let (px, py) = (plan(nx), plan(ny));
-    transform2d_in_place(
-        data,
-        nx,
-        ny,
-        transposed,
-        lanes,
-        |row, scratch| px.apply(kx, row, scratch),
-        |col, scratch| py.apply(ky, col, scratch),
-    );
+    puffer_par::for_each_block(data, nx, lanes, |_, rows, scratch| {
+        for row in rows.chunks_exact_mut(nx) {
+            px.apply(kx, row, scratch);
+        }
+    });
+    let width = nx.div_ceil(puffer_par::clamp_threads(lanes.len()).min(nx));
+    let mut bands: Vec<Band<'_>> = (0..nx.div_ceil(width)).map(|_| Band::default()).collect();
+    for (row, other_row) in data.chunks_exact_mut(nx).zip(other.chunks_exact_mut(nx)) {
+        let segments = row.chunks_mut(width).zip(other_row.chunks_mut(width));
+        for (band, (x, o)) in bands.iter_mut().zip(segments) {
+            band.x.push(x);
+            band.other.push(o);
+        }
+    }
+    puffer_par::for_each_block(&mut bands, 1, lanes, |_, bands, _| {
+        for band in bands {
+            py.apply_rows(ky, &mut band.x, &mut band.other);
+        }
+    });
+}
+
+/// One lane's columns of the planned pass: the same span of every row, of
+/// the data and of the second plane.
+#[derive(Default)]
+struct Band<'a> {
+    x: Vec<&'a mut [f64]>,
+    other: Vec<&'a mut [f64]>,
 }
 
 /// Writes the transpose of the row-major `src` (row length `width`) into
@@ -776,6 +971,41 @@ mod tests {
                 }
             }
             assert_eq!(scratch.iter().sum::<usize>(), nx + ny, "lanes={lanes}");
+        }
+    }
+
+    /// The planned pass against the transposing one over the same 1-D
+    /// transforms, bit for bit, down to one-element and two-element lines
+    /// and more lanes than columns.
+    #[test]
+    fn planned_pass_matches_the_transposing_pass_on_small_shapes() {
+        type Free = fn(&[f64]) -> Vec<f64>;
+        let kinds: [(Kind, Free); 3] = [
+            (Kind::Dct2, dct2),
+            (Kind::Dct3, dct3),
+            (Kind::Dst3Shifted, dst3_shifted),
+        ];
+        for (nx, ny) in [(1, 1), (1, 8), (8, 1), (2, 4), (4, 2), (16, 2), (2, 16)] {
+            let data: Vec<f64> = (0..nx * ny)
+                .map(|i| (i as f64 * 0.61).sin() - 0.3)
+                .collect();
+            for (kx, fx) in kinds {
+                for (ky, fy) in kinds {
+                    let expect = transform2d_mixed_threaded(&data, nx, ny, fx, fy, 1);
+                    for lanes in [1, 2, 5] {
+                        let mut got = data.clone();
+                        let mut other = vec![0.0; got.len()];
+                        let mut scratch = vec![Vec::new(); lanes];
+                        transform2d_planned(&mut got, nx, ny, (kx, ky), &mut other, &mut scratch);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&expect),
+                            "{nx}x{ny} {kx:?}*{ky:?} lanes {lanes}"
+                        );
+                    }
+                }
+            }
         }
     }
 

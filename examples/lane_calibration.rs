@@ -75,7 +75,7 @@ struct Bench<'a> {
     gamma: f64,
     gcells: Grid<f64>,
     rho: Vec<f64>,
-    transposed: Vec<f64>,
+    plane: Vec<f64>,
     wa: [WaWorkspace; 2],
     stats: [DensityWorkspace; 2],
     grads: [DensityWorkspace; 2],
@@ -112,7 +112,7 @@ impl<'a> Bench<'a> {
             gamma: 5.0 * model.bin_w().min(model.bin_h()),
             gcells: build_capacity(design, GCELL_ROWS).0,
             rho: vec![0.0; dim * dim],
-            transposed: vec![0.0; dim * dim],
+            plane: vec![0.0; dim * dim],
             wa: [WaWorkspace::new(1), WaWorkspace::new(2)],
             stats: [
                 DensityWorkspace::new(&model, cells, 1),
@@ -165,7 +165,7 @@ impl<'a> Bench<'a> {
                     dim,
                     dim,
                     (Kind::Dct2, Kind::Dct2),
-                    &mut self.transposed,
+                    &mut self.plane,
                     &mut self.fft[k],
                 );
             }

@@ -131,18 +131,22 @@ done
 
 # The GP kernels of the smokes above run below two lanes' worth of work:
 # --threads is an upper bound, so their 2- and 4-thread placements never
-# leave the calling thread. This one places the smallest calibrated CT_TOP
-# scale at which GP kernels get two lanes (the WA gradient at 40 K pins
-# and the gather at 12.7 K cells; flow.init states the lanes each kernel
-# was given), capped at 30 iterations, and compares it with a 1-thread
-# run. The grep fails if a per-lane constant ever drifts above this design.
-echo "==> multi-lane smoke (ct_top --scale 0.01, place --threads 1 vs 2)"
-"$PUFFER" gen --preset ct_top --scale 0.01 -o "$SMOKE_DIR/lanes.pd"
+# leave the calling thread. This one places a CT_TOP scale at which the
+# WA gradient, the charge scatter and the field gather all get two lanes
+# (19 K cells; flow.init states the lanes each kernel was given), so the
+# walks the scatter lanes record are read by gather lanes that split the
+# cells another way. It is capped at 30 iterations and compared with a
+# 1-thread run. The grep fails if a per-lane constant ever drifts above
+# this design.
+echo "==> multi-lane smoke (ct_top --scale 0.015, place --threads 1 vs 2)"
+"$PUFFER" gen --preset ct_top --scale 0.015 -o "$SMOKE_DIR/lanes.pd"
 for t in 1 2; do
   "$PUFFER" place "$SMOKE_DIR/lanes.pd" -o "$SMOKE_DIR/lanes-t$t.pl" --max-iters 30 \
     --threads "$t" --journal "$SMOKE_DIR/lanes-t$t.pj" --metrics "$SMOKE_DIR/lanes-t$t.jsonl"
 done
-grep '"t":"flow.init"' "$SMOKE_DIR/lanes-t2.jsonl" | grep -qE '"lanes_[a-z]+":([2-9]|[1-9][0-9])'
+lanes_init=$(grep '"t":"flow.init"' "$SMOKE_DIR/lanes-t2.jsonl")
+grep -qE '"lanes_scatter":2[,}]' <<< "$lanes_init"
+grep -qE '"lanes_gather":2[,}]' <<< "$lanes_init"
 cmp "$SMOKE_DIR/lanes-t1.pj" "$SMOKE_DIR/lanes-t2.pj"
 cmp "$SMOKE_DIR/lanes-t1.pl" "$SMOKE_DIR/lanes-t2.pl"
 cmp <(iter_records "$SMOKE_DIR/lanes-t1.jsonl") <(iter_records "$SMOKE_DIR/lanes-t2.jsonl")
