@@ -15,16 +15,15 @@
 //! than a bin are smoothed to bin size with their charge preserved, the
 //! standard ePlace local smoothing.
 //!
-//! Two invariants carry the pipeline's bits and its safety net:
+//! Three invariants carry the pipeline's bits and its safety net:
 //!
 //! * **The charge map is the chunk partials added in chunk order, and each
 //!   bin takes at most one addend per chunk.** How a chunk's bins are found
 //!   (a list of the bins its splats touched) and in what order they are
 //!   visited is therefore free; see [`DensityWorkspace`]'s scatter phase.
 //! * **A cell's bins are found once per evaluation.** The scatter writes
-//!   down each cell's overlap walk ([`puffer_db::grid::Walk`]) and the
-//!   gather replays it: the same bins, the same overlap areas, the same
-//!   order of addition as walking the grid again.
+//!   down every placed cell's overlap walk ([`puffer_db::grid::Walk`]) and
+//!   the gather replays it: the gather walks no grid itself.
 //! * **The overflow is non-finite whenever a charge bin is.** A Nesterov
 //!   step reads nothing else of the density system besides the gradient, so
 //!   the overflow is what shows the divergence sentinel a poisoned map;
@@ -291,8 +290,8 @@ struct ChunkCharge {
     /// Charge of the chunk's poisoned cells.
     lost: f64,
     /// One walk per cell of the chunk, in cell order: the one its charge
-    /// was splatted through, or the default walk for a cell that recorded
-    /// none (see [`DensityWorkspace::field_gradient`]).
+    /// was splatted through, or the default walk for a fixed or poisoned
+    /// cell.
     walks: Vec<Walk>,
     /// The walks' operands, back to back in the same order.
     operands: Vec<f64>,
@@ -318,9 +317,9 @@ struct ScatterLane<'a> {
 /// and reused: four bin grids, one scatter scratch per scatter lane and one
 /// FFT scratch per transform lane, the per-chunk charge lists, the
 /// per-cell walk records and the per-cell gradient. A walk record is a
-/// 16-byte header plus one `f64` per column and per row the cell covers —
-/// 48 bytes for a cell over 2 × 2 bins — and the operand lists keep their
-/// capacity from one evaluation to the next.
+/// 24-byte header plus one `f64` per column and per row the cell covers —
+/// 56 bytes for a cell over 2 × 2 bins, with no cap on the span — and the
+/// operand lists keep their capacity from one evaluation to the next.
 ///
 /// A `GlobalPlacer` keeps one for its lifetime and asks it only for what a
 /// call site consumes — [`DensityWorkspace::gradient`] (three 2-D
@@ -471,20 +470,6 @@ impl DensityWorkspace {
         std::mem::take(&mut self.transforms)
     }
 
-    /// Whether the last scatter wrote down cell `i`'s walk, so that a
-    /// gather replays it instead of walking the grid again. It does not
-    /// for fixed, poisoned and chargeless cells, nor for a rectangle
-    /// spanning more than [`Walk::MAX_SPAN`] bins either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not a cell of the workspace's netlist.
-    pub fn walk_recorded(&self, i: usize) -> bool {
-        assert!(i < self.grad.len(), "cell {i} out of range");
-        let mut walks = walks_from(&self.chunks, &self.chunk_charge, i);
-        walks.next().is_some_and(|(walk, _)| !walk.is_empty())
-    }
-
     /// Phase 1 — the movable-charge map.
     ///
     /// Cells are scattered in the fixed chunks of `puffer-par`, and the
@@ -510,7 +495,10 @@ impl DensityWorkspace {
     /// order. With one worker no list is ever filled.
     ///
     /// Each splat also writes down the walk it deposits through, into the
-    /// chunk's walk list, for [`Self::field_gradient`].
+    /// chunk's walk list, for [`Self::field_gradient`]. Every placed cell
+    /// records one, a chargeless one too: its footprint is at least a bin
+    /// on each side around a centre inside the region, so its overlap has
+    /// area.
     fn charge(&mut self, model: &DensityModel, cells: &Cells<'_>) {
         assert_eq!(
             (self.movable.nx(), self.movable.ny()),
@@ -710,10 +698,9 @@ impl DensityWorkspace {
     /// smoothed rectangle; every cell writes its own slot of `grad` and
     /// nothing is accumulated across cells, so chunking cannot change bits.
     ///
-    /// A cell whose walk [`Self::charge`] recorded (from these same `cells`)
-    /// replays it: the bins, overlap areas and total of the walk the grid
-    /// would take, so the sums see the same operands in the same order. A
-    /// cell without one takes its footprint and walks the grid as before.
+    /// Each placed cell replays the walk [`Self::charge`] recorded for it
+    /// (from these same `cells`): the bins, overlap areas and total its
+    /// charge was spread by. Only fixed and poisoned cells have no walk.
     fn field_gradient(&mut self, model: &DensityModel, cells: &Cells<'_>) {
         let norm = self.norm();
         let sine_x = (Kind::Dst3Shifted, Kind::Dct3);
@@ -724,28 +711,34 @@ impl DensityWorkspace {
         self.synthesise(Output::Movable, sine_y, norm / model.bin_h(), |c, _, wv| {
             c * wv
         });
-        let (ex, ey) = (&self.field, &self.movable);
+        let nx = self.field.nx();
+        let (ex, ey) = (self.field.as_slice(), self.movable.as_slice());
         let (chunks, parts) = (&self.chunks, &self.chunk_charge);
         let mut lanes = vec![(); self.gather_lanes];
         puffer_par::for_each_block(&mut self.grad, 1, &mut lanes, |first, out, ()| {
             let walks = walks_from(chunks, parts, first);
             for ((i, g), (walk, operands)) in (first..).zip(out.iter_mut()).zip(walks) {
+                if walk.is_empty() {
+                    // Fixed (no gradient) or poisoned (see `Footprint`).
+                    let movable = cells.netlist.cells()[i].is_movable();
+                    *g = if movable {
+                        (f64::NAN, f64::NAN)
+                    } else {
+                        (0.0, 0.0)
+                    };
+                    continue;
+                }
+                // The area-weighted field over the walk.
+                let total = walk.total();
+                let (mut ex_avg, mut ey_avg) = (0.0, 0.0);
+                walk.for_each(operands, nx, |bin, ov| {
+                    let w = ov / total;
+                    ex_avg += w * ex[bin];
+                    ey_avg += w * ey[bin];
+                });
                 // Force on a positive charge is qE; the energy gradient is −qE.
-                *g = if walk.is_empty() {
-                    match model.footprint(cells, i) {
-                        Footprint::Fixed => (0.0, 0.0),
-                        Footprint::Poisoned { .. } => (f64::NAN, f64::NAN),
-                        Footprint::Placed { rect, charge } => {
-                            let (ex_avg, ey_avg) = gather2(ex, ey, &rect);
-                            (-charge * ex_avg, -charge * ey_avg)
-                        }
-                    }
-                } else {
-                    let mut avg = Average::new(ex, ey, walk.total());
-                    walk.for_each(operands, ex.nx(), |bin, ov| avg.add(bin, ov));
-                    let charge = cells.charge(i);
-                    (-charge * avg.a, -charge * avg.b)
-                };
+                let charge = cells.charge(i);
+                *g = (-charge * ex_avg, -charge * ey_avg);
             }
         });
     }
@@ -783,49 +776,6 @@ fn walks_from<'a>(
 enum Output {
     Field,
     Movable,
-}
-
-/// Area-weighted average of two co-located grids over `r`: the overlap walk
-/// [`Grid::splat`] deposits through, read the other way.
-fn gather2(a: &Grid<f64>, b: &Grid<f64>, r: &Rect) -> (f64, f64) {
-    let Some(overlap) = a.overlap(r) else {
-        return (0.0, 0.0);
-    };
-    let total = overlap.total();
-    if total <= 0.0 {
-        let (ix, iy) = a.cell_of(r.center());
-        return (*a.at(ix, iy), *b.at(ix, iy));
-    }
-    let mut avg = Average::new(a, b, total);
-    overlap.for_each(|bin, ov| avg.add(bin, ov));
-    (avg.a, avg.b)
-}
-
-/// The running area-weighted averages of two co-located grids over a walk
-/// of area `total`, whether walked live or replayed.
-struct Average<'a> {
-    grids: (&'a [f64], &'a [f64]),
-    total: f64,
-    a: f64,
-    b: f64,
-}
-
-impl<'a> Average<'a> {
-    fn new(a: &'a Grid<f64>, b: &'a Grid<f64>, total: f64) -> Self {
-        Average {
-            grids: (a.as_slice(), b.as_slice()),
-            total,
-            a: 0.0,
-            b: 0.0,
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, bin: usize, ov: f64) {
-        let w = ov / self.total;
-        self.a += w * self.grids.0[bin];
-        self.b += w * self.grids.1[bin];
-    }
 }
 
 #[cfg(test)]
@@ -1091,6 +1041,53 @@ mod tests {
             let clean = |l: &ScatterScratch| l.dense.as_slice().iter().all(|v| v.to_bits() == 0);
             assert!(ws.scatter_lanes.iter().all(clean));
         }
+    }
+
+    /// A placed footprint is at least a bin on each side around a centre
+    /// inside the region, so its overlap has area and the scatter writes
+    /// its walk down whatever the width — none, negative, NaN, infinite or
+    /// a million bins — and wherever the centre is clamped to. Only a
+    /// non-finite coordinate is poisoned, and a poisoned cell has no walk.
+    #[test]
+    fn every_placed_footprint_records_its_walk() {
+        let d = design_two_cells();
+        let m = DensityModel::new(&d, 16, 16);
+        let widths = [0.0, -3.0, f64::NAN, f64::INFINITY, 1e6 * m.bin_w(), 2.0];
+        // The corners and edges of [0, 32]², directly or clamped onto.
+        let finite = [-0.0, 0.0, 16.0, 32.0, -7.0, 45.0];
+        let coords = finite
+            .into_iter()
+            .chain([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        let mut ws = DensityWorkspace::new(&m, 2, 1);
+        let mut p = Placement::zeroed(2);
+        p.set(CellId(1), Point::new(8.0, 8.0));
+        let mut placed_cases = 0;
+        for width in widths {
+            let eff_width = [width, 2.0];
+            for x in coords.clone() {
+                for y in coords.clone() {
+                    p.set(CellId(0), Point::new(x, y));
+                    let cells = Cells {
+                        netlist: d.netlist(),
+                        placement: &p,
+                        eff_width: &eff_width,
+                    };
+                    let placed = match m.footprint(&cells, 0) {
+                        Footprint::Placed { .. } => true,
+                        Footprint::Poisoned { .. } => false,
+                        Footprint::Fixed => unreachable!("a movable cell"),
+                    };
+                    assert_eq!(placed, x.is_finite() && y.is_finite(), "({x}, {y})");
+                    ws.charge(&m, &cells);
+                    let (walk, _) = walks_from(&ws.chunks, &ws.chunk_charge, 0).next().unwrap();
+                    let what = format!("width {width} at ({x}, {y})");
+                    assert_eq!(walk.is_empty(), !placed, "{what}");
+                    assert!(!placed || walk.total() > 0.0, "{what}");
+                    placed_cases += usize::from(placed);
+                }
+            }
+        }
+        assert_eq!(placed_cases, widths.len() * finite.len() * finite.len());
     }
 
     #[test]
