@@ -31,13 +31,13 @@
 //!
 //! # Fault injection
 //!
-//! With the `chaos` cargo feature, the [`fault`] module arms one seeded
-//! filesystem fault ([`FaultClass::DiskFull`], [`FaultClass::TornWrite`],
-//! [`FaultClass::FsyncFail`], [`FaultClass::RenameFail`], or — on the
-//! read side, via [`GuardedReader`] — [`FaultClass::ShortRead`]) that fires
+//! The [`fault`] module arms one seeded filesystem fault
+//! ([`FaultClass::DiskFull`], [`FaultClass::TornWrite`],
+//! [`FaultClass::FsyncFail`], [`FaultClass::RenameFail`], or — on the read
+//! side, via [`GuardedReader`] — [`FaultClass::ShortRead`]) that fires
 //! deterministically at the N-th guarded operation of the matching kind
-//! and then disarms itself. Without the feature the hook compiles to
-//! nothing and every guarded call is a direct syscall.
+//! and then disarms itself. Unarmed, the hook costs one atomic load per
+//! guarded call.
 
 #![expect(
     clippy::disallowed_methods,
@@ -48,7 +48,6 @@ use std::fs::File;
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
-#[cfg(feature = "chaos")]
 use crate::FaultClass;
 
 // ---------------------------------------------------------------------------
@@ -59,7 +58,6 @@ use crate::FaultClass;
 /// any byte lands, `TornWrite` lands half the bytes and then reports the
 /// simulated crash.
 fn guarded_write(file: &mut File, bytes: &[u8]) -> io::Result<()> {
-    #[cfg(feature = "chaos")]
     if let Some(class) = fault::fire(fault::Op::Write) {
         return match class {
             FaultClass::TornWrite => {
@@ -78,7 +76,6 @@ fn guarded_write(file: &mut File, bytes: &[u8]) -> io::Result<()> {
 
 /// `fsync(2)` through the fault hook (`FsyncFail`).
 fn guarded_fsync(file: &File) -> io::Result<()> {
-    #[cfg(feature = "chaos")]
     if fault::fire(fault::Op::Fsync).is_some() {
         return Err(io::Error::other("chaos: fsync failed"));
     }
@@ -88,7 +85,6 @@ fn guarded_fsync(file: &File) -> io::Result<()> {
 /// `rename(2)` through the fault hook (`RenameFail`, and `DiskFull` at the
 /// commit point).
 fn guarded_rename(from: &Path, to: &Path) -> io::Result<()> {
-    #[cfg(feature = "chaos")]
     if let Some(class) = fault::fire(fault::Op::Rename) {
         // Leave the temp file behind, exactly like a real failed rename.
         return match class {
@@ -103,7 +99,7 @@ fn guarded_rename(from: &Path, to: &Path) -> io::Result<()> {
 
 /// A reader whose every `read(2)` goes through the fault hook, so chaos
 /// tests can make a stream end early mid-parse ([`FaultClass::ShortRead`]).
-/// Without the `chaos` feature it is a zero-cost passthrough.
+/// Unarmed, it is a passthrough.
 pub struct GuardedReader<R> {
     inner: R,
 }
@@ -116,7 +112,6 @@ impl<R: io::Read> GuardedReader<R> {
 
 impl<R: io::Read> io::Read for GuardedReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        #[cfg(feature = "chaos")]
         if fault::fire(fault::Op::Read).is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -319,13 +314,12 @@ pub fn tmp_sibling(path: &Path) -> PathBuf {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection (chaos feature)
+// Fault injection
 // ---------------------------------------------------------------------------
 
 /// The deterministic filesystem fault hook. One fault is armed at a time,
 /// process-wide; it fires at the N-th guarded operation of its kind and
 /// disarms itself, so a seeded chaos case injects exactly one failure.
-#[cfg(feature = "chaos")]
 pub mod fault {
     use crate::FaultClass;
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -428,8 +422,8 @@ pub mod fault {
 mod tests {
     use super::*;
 
-    /// The fault hook is process-global, so under the `chaos` feature every
-    /// test doing guarded I/O must serialize against the armed-fault tests.
+    /// The fault hook is process-global, so every test doing guarded I/O
+    /// must serialize against the armed-fault tests.
     fn gate() -> std::sync::MutexGuard<'static, ()> {
         use std::sync::{Mutex, OnceLock};
         static GATE: OnceLock<Mutex<()>> = OnceLock::new();
@@ -501,7 +495,6 @@ mod tests {
         assert!(read_journal_tail_tolerant(dir.join("absent.log").as_path()).is_err());
     }
 
-    #[cfg(feature = "chaos")]
     mod chaos {
         use super::super::*;
         use crate::FaultClass;

@@ -13,8 +13,8 @@
 //!   left, freeze padding updates at 35 %, cap remaining SMBO trials at
 //!   20 %, early-exit global placement at 8 %), tracked by [`LadderState`];
 //! * [`FaultClass`]/[`ChaosPlan`] — the deterministic fault-injection
-//!   vocabulary consumed by the [`fsx`] fault hook, the `chaos` feature of
-//!   the core flow and the `puffer chaos` harness.
+//!   vocabulary consumed by the [`fsx`] fault hook, the core flow's
+//!   [`ChaosPlan`] hook and the `puffer chaos` harness.
 //!
 //! The crate sits at layer 0 of the workspace (no dependencies), so every
 //! stage crate can consume it without violating the downward-only layering
@@ -463,7 +463,7 @@ impl fmt::Display for FaultClass {
 
 /// One deterministic injection: fire `class` when the instrumented stage
 /// reaches iteration `at`, with a class-specific `magnitude` (cells to
-/// poison). Consumed by the `chaos` feature of the core flow.
+/// poison). Consumed by the core flow (`Job::with_chaos`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosPlan {
     /// Which fault to inject.

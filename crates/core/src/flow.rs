@@ -357,7 +357,6 @@ impl Job {
                 {
                     break;
                 }
-                #[cfg(feature = "chaos")]
                 if let Some(plan) = &self.chaos {
                     // `iter` advances by exactly one per pass, so equality
                     // fires the burst once.
@@ -851,7 +850,6 @@ mod tests {
         assert!(!r.cancelled);
     }
 
-    #[cfg(feature = "chaos")]
     mod chaos {
         use super::*;
         use puffer_budget::{ChaosPlan, FaultClass};

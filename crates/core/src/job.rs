@@ -24,9 +24,7 @@
 use crate::checkpoint::{CheckpointPolicy, FlowCheckpoint};
 use crate::flow::{FlowResult, PufferConfig, StageObserver};
 use crate::PufferError;
-#[cfg(feature = "chaos")]
-use puffer_budget::ChaosPlan;
-use puffer_budget::Budget;
+use puffer_budget::{Budget, ChaosPlan};
 use puffer_db::design::Design;
 use puffer_trace::Trace;
 
@@ -54,7 +52,6 @@ pub struct Job {
     pub(crate) trace: Trace,
     pub(crate) observer: Option<StageObserver>,
     pub(crate) checkpoints: Option<CheckpointPolicy>,
-    #[cfg(feature = "chaos")]
     pub(crate) chaos: Option<ChaosPlan>,
 }
 
@@ -68,7 +65,6 @@ impl Job {
             trace: Trace::disabled(),
             observer: None,
             checkpoints: None,
-            #[cfg(feature = "chaos")]
             chaos: None,
         }
     }
@@ -117,7 +113,6 @@ impl Job {
     }
 
     /// Arms one deterministic fault injection (chaos-harness use only).
-    #[cfg(feature = "chaos")]
     pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = Some(plan);
         self

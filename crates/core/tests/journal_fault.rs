@@ -5,8 +5,6 @@
 //! lives in its own binary so no concurrently running test's guarded write
 //! can consume (or be hit by) the armed fault.
 
-#![cfg(feature = "chaos")]
-
 use puffer::{CheckpointPolicy, FlowCheckpoint, Job, PufferConfig, PufferError};
 use puffer_budget::{fsx, FaultClass};
 use puffer_gen::{generate, GeneratorConfig};

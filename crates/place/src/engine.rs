@@ -915,9 +915,8 @@ impl<'a> GlobalPlacer<'a> {
     /// Chaos-harness fault point: poisons the first `count` movable cells
     /// with NaN coordinates and discards the optimizer momentum, so the
     /// next [`GlobalPlacer::step`] re-bootstraps from the poisoned state
-    /// and the divergence sentinel must catch the burst. Test/injection
-    /// use only — gated behind the `chaos` feature.
-    #[cfg(feature = "chaos")]
+    /// and the divergence sentinel must catch the burst. Injection use
+    /// only: nothing calls it unless a chaos plan is armed.
     pub fn chaos_poison_nan(&mut self, count: usize) {
         for &id in self.movable.iter().take(count.max(1)) {
             self.placement

@@ -218,7 +218,7 @@ test "$(grep -c 'nan-burst .*(non-finite objective)' "$SMOKE_DIR/chaos-flow.out"
 # a resumable checkpoint that replays bit-identically, or a structured
 # error.
 echo "==> fsx chaos smoke (unit suite + puffer chaos --classes fs --seeds 24)"
-cargo test -q -p puffer-budget --features chaos fsx
+cargo test -q -p puffer-budget fsx
 "$PUFFER" chaos --classes fs --seeds 24
 
 # Serve smoke: the daemon's stdin transport runs a submitted job to
