@@ -71,6 +71,10 @@ impl SegmentRecord {
 /// 1.3 K; the second lane starts between the two, at 2.4 K.
 pub(crate) const DEMAND_NETS_PER_LANE: usize = 1_200;
 
+/// Demand the estimator adds per pin to the pin's Gcell in each direction,
+/// capturing local nets whose pins share a Gcell (§III-A.2).
+pub const PIN_PENALTY: f64 = 0.08;
+
 /// Horizontal demand grid, vertical demand grid, and the routed segment
 /// records they were accumulated from.
 pub type DemandMaps = (Grid<f64>, Grid<f64>, Vec<SegmentRecord>);
@@ -170,6 +174,7 @@ pub fn decompose_net(
 }
 
 /// Pin penalty: local-net demand at every pin's Gcell, in pin-index order.
+/// The estimator passes [`PIN_PENALTY`].
 fn add_pin_penalty(
     h_dmd: &mut Grid<f64>,
     v_dmd: &mut Grid<f64>,

@@ -46,7 +46,7 @@ pub mod detour;
 pub mod map;
 
 pub use capacity::{build_capacity, GCELL_ROWS, POWER_DERATE};
-pub use demand::try_build_demand;
+pub use demand::{try_build_demand, PIN_PENALTY};
 pub use map::CongestionMap;
 
 use puffer_budget::Budget;
@@ -79,12 +79,10 @@ impl std::error::Error for CongestError {}
 /// Configuration of the congestion estimator.
 ///
 /// The Gcell geometry is not configured here: it is [`GCELL_ROWS`] and
-/// [`POWER_DERATE`] in [`capacity`], shared with the global router.
+/// [`POWER_DERATE`] in [`capacity`], shared with the global router. Nor is
+/// the local-net demand: that is [`PIN_PENALTY`] in [`demand`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorConfig {
-    /// Demand added per pin to the pin's Gcell in each direction,
-    /// capturing local nets whose pins share a Gcell (§III-A.2).
-    pub pin_penalty: f64,
     /// Whether to run the detour-imitating expansion at all (ablation knob).
     pub expand_detours: bool,
     /// Upper bound on the worker threads of the per-net demand pass: the
@@ -96,7 +94,6 @@ pub struct EstimatorConfig {
 impl Default for EstimatorConfig {
     fn default() -> Self {
         EstimatorConfig {
-            pin_penalty: 0.08,
             expand_detours: true,
             threads: default_threads(),
         }
@@ -194,7 +191,7 @@ impl CongestionEstimator {
             design,
             placement,
             &self.h_cap,
-            self.config.pin_penalty,
+            PIN_PENALTY,
             self.lanes,
         )?;
         let mut map = CongestionMap::new(self.h_cap.clone(), self.v_cap.clone(), h_dmd, v_dmd);

@@ -17,7 +17,7 @@
 
 use puffer_budget::{Budget, CancelToken};
 use puffer_congest::demand::{try_build_demand, SegmentRecord};
-use puffer_congest::{CongestionEstimator, CongestionMap, EstimatorConfig};
+use puffer_congest::{CongestionEstimator, CongestionMap, EstimatorConfig, PIN_PENALTY};
 use puffer_db::design::{Design, Placement};
 use puffer_db::geom::{Point, Rect};
 use puffer_db::netlist::{CellKind, NetlistBuilder};
@@ -114,7 +114,6 @@ fn estimator(design: &Design, threads: usize, expand_detours: bool) -> Congestio
         EstimatorConfig {
             threads,
             expand_detours,
-            ..EstimatorConfig::default()
         },
     )
 }
@@ -131,7 +130,7 @@ fn line(
         design,
         placement,
         est.h_capacity(),
-        config.pin_penalty,
+        PIN_PENALTY,
         config.threads,
     )
     .unwrap();

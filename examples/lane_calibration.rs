@@ -36,7 +36,7 @@
 //! ```
 
 use puffer_budget::clock::Stopwatch;
-use puffer_congest::{build_capacity, try_build_demand, GCELL_ROWS};
+use puffer_congest::{build_capacity, try_build_demand, GCELL_ROWS, PIN_PENALTY};
 use puffer_db::design::{Design, Placement};
 use puffer_db::geom::Point;
 use puffer_db::grid::Grid;
@@ -173,7 +173,7 @@ impl<'a> Bench<'a> {
                 self.grads[k].gradient(m, nl, p, w);
             }
             4 => {
-                try_build_demand(self.design, p, &self.gcells, 0.08, lanes).ok();
+                try_build_demand(self.design, p, &self.gcells, PIN_PENALTY, lanes).ok();
             }
             _ => {
                 puffer_route::decompose(nl, p, &self.gcells, lanes).ok();
