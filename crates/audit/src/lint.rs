@@ -192,7 +192,7 @@ pub fn lint_workspace(config: &LintConfig) -> Result<LintReport, LintError> {
             report.findings.push(LintFinding {
                 rule: "layering",
                 path: rel_manifest,
-                    message: "manifest has no [package] name".to_string(),
+                message: "manifest has no [package] name".to_string(),
             });
             continue;
         };
@@ -219,15 +219,13 @@ pub fn lint_workspace(config: &LintConfig) -> Result<LintReport, LintError> {
                 report.findings.push(LintFinding {
                     rule: "forbid-unsafe",
                     path: rel,
-                            message: "crate root lacks #![forbid(unsafe_code)]".to_string(),
+                    message: "crate root lacks #![forbid(unsafe_code)]".to_string(),
                 });
             }
         }
     }
 
-    report
-        .findings
-        .sort_by(|a, b| a.path.cmp(&b.path));
+    report.findings.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(report)
 }
 
@@ -300,12 +298,12 @@ fn check_layering(
             None => findings.push(LintFinding {
                 rule: "layering",
                 path: rel_manifest.to_string(),
-                    message: format!("dependency '{dep}' is not in the architecture layer table"),
+                message: format!("dependency '{dep}' is not in the architecture layer table"),
             }),
             Some(dep_layer) if dep_layer >= layer => findings.push(LintFinding {
                 rule: "layering",
                 path: rel_manifest.to_string(),
-                    message: format!(
+                message: format!(
                     "'{package}' (layer {layer}) may not depend on '{dep}' (layer \
                      {dep_layer}); dependencies must point strictly downward"
                 ),
@@ -393,7 +391,9 @@ puffer-gen.workspace = true
             &mut findings,
         );
         assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("not in the architecture layer table"));
+        assert!(findings[0]
+            .message
+            .contains("not in the architecture layer table"));
 
         findings.clear();
         check_layering(

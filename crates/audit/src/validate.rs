@@ -613,7 +613,12 @@ pub struct MetricsSummary {
     pub done_pad_rounds: Option<usize>,
 }
 
-fn hist_sum(record: &ParsedRecord, field: &str, index: usize, out: &mut Vec<Violation>) -> Option<f64> {
+fn hist_sum(
+    record: &ParsedRecord,
+    field: &str,
+    index: usize,
+    out: &mut Vec<Violation>,
+) -> Option<f64> {
     let Some(Value::Arr(items)) = record.get(field) else {
         out.push(Violation {
             check: "histogram-conservation",
@@ -799,7 +804,12 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
                 // The lanes each GP kernel was given: a worker count, so a
                 // whole number in 1..=MAX_WORKER_THREADS. Files written
                 // before the fields existed carry none and pass.
-                for field in ["lanes_wa", "lanes_scatter", "lanes_transform", "lanes_gather"] {
+                for field in [
+                    "lanes_wa",
+                    "lanes_scatter",
+                    "lanes_transform",
+                    "lanes_gather",
+                ] {
                     if let Some(lanes) = r.num(field) {
                         let max = puffer_par::MAX_WORKER_THREADS as f64;
                         if !(1.0..=max).contains(&lanes) || lanes.fract() != 0.0 {

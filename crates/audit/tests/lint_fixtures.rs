@@ -154,13 +154,22 @@ fn json_lines_emits_one_flat_object_per_finding() {
     let json = report.json_lines();
     let lines: Vec<&str> = json.lines().collect();
     assert_eq!(lines.len(), 1);
-    assert!(lines[0].starts_with("{\"rule\":\"forbid-unsafe\""), "{json}");
-    assert!(lines[0].contains("\"path\":\"crates/db/src/lib.rs\""), "{json}");
+    assert!(
+        lines[0].starts_with("{\"rule\":\"forbid-unsafe\""),
+        "{json}"
+    );
+    assert!(
+        lines[0].contains("\"path\":\"crates/db/src/lib.rs\""),
+        "{json}"
+    );
     // The schema is {"rule","path","message"}: findings are whole-file.
     assert!(!lines[0].contains("\"line\""), "{json}");
     assert!(lines[0].contains("\"message\":\""), "{json}");
     assert!(lines[0].ends_with('}'), "{json}");
-    assert!(json.ends_with('\n'), "json_lines output must be newline-terminated");
+    assert!(
+        json.ends_with('\n'),
+        "json_lines output must be newline-terminated"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -194,7 +203,10 @@ fn fixture_findings() -> Option<&'static str> {
     static OUT: OnceLock<Option<String>> = OnceLock::new();
     OUT.get_or_init(|| {
         let (passed, out) = policy_sh(Some("crates/audit/tests/fixtures/policy_violations"))?;
-        assert!(!passed, "policy.sh must fail on the negative fixture:\n{out}");
+        assert!(
+            !passed,
+            "policy.sh must fail on the negative fixture:\n{out}"
+        );
         Some(out)
     })
     .as_deref()
@@ -204,7 +216,9 @@ fn fixture_findings() -> Option<&'static str> {
 /// `-D clippy::unwrap-used`), a disallowed path, or a `clippy.toml` reason.
 #[track_caller]
 fn assert_fixture_names(needles: &[&str]) {
-    let Some(out) = fixture_findings() else { return };
+    let Some(out) = fixture_findings() else {
+        return;
+    };
     for needle in needles {
         assert!(
             out.contains(needle),
@@ -215,8 +229,13 @@ fn assert_fixture_names(needles: &[&str]) {
 
 #[test]
 fn the_real_workspace_passes_the_toolchain_policy() {
-    let Some((passed, out)) = policy_sh(None) else { return };
-    assert!(passed, "scripts/policy.sh must pass on the repository:\n{out}");
+    let Some((passed, out)) = policy_sh(None) else {
+        return;
+    };
+    assert!(
+        passed,
+        "scripts/policy.sh must pass on the repository:\n{out}"
+    );
 }
 
 #[test]
@@ -234,8 +253,14 @@ fn unwrap_in_library_code_is_a_no_panic_finding() {
 /// repeats each of these violations where no finding is due.
 #[track_caller]
 fn assert_fixture_reports(finding: &str, times: usize) {
-    let Some(out) = fixture_findings() else { return };
-    assert_eq!(out.matches(finding).count(), times, "`{finding}` in:\n{out}");
+    let Some(out) = fixture_findings() else {
+        return;
+    };
+    assert_eq!(
+        out.matches(finding).count(),
+        times,
+        "`{finding}` in:\n{out}"
+    );
 }
 
 #[test]
@@ -281,12 +306,18 @@ fn casts_in_tests_the_helper_module_and_cold_crates_are_exempt() {
 
 #[test]
 fn bare_thread_spawn_is_always_a_finding() {
-    assert_fixture_names(&["`std::thread::spawn`", "unjoined threads outlive their work"]);
+    assert_fixture_names(&[
+        "`std::thread::spawn`",
+        "unjoined threads outlive their work",
+    ]);
 }
 
 #[test]
 fn thread_scope_elsewhere_recommends_puffer_par() {
-    assert_fixture_names(&["`std::thread::scope`", "puffer-par is the one deterministic"]);
+    assert_fixture_names(&[
+        "`std::thread::scope`",
+        "puffer-par is the one deterministic",
+    ]);
 }
 
 #[test]

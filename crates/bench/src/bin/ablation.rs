@@ -24,9 +24,7 @@
     reason = "harness binary: aborting with a message is its error path"
 )]
 
-use puffer::{
-    evaluate_bounded, ComparisonTable, EvalRow, Job, PufferConfig, WsaConfig, WsaPlacer,
-};
+use puffer::{evaluate_bounded, ComparisonTable, EvalRow, Job, PufferConfig, WsaConfig, WsaPlacer};
 use puffer_bench::{generate_logged, HarnessArgs};
 use puffer_budget::Budget;
 use puffer_route::RouterConfig;
@@ -76,10 +74,7 @@ fn main() {
         let mut flows: Vec<(&str, FlowRunner)> = Vec::new();
         for (name, cfg) in variants() {
             let d = &design;
-            flows.push((
-                name,
-                Box::new(move || Job::new(cfg.clone()).run(d)),
-            ));
+            flows.push((name, Box::new(move || Job::new(cfg.clone()).run(d))));
         }
         {
             let d = &design;

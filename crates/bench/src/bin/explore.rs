@@ -80,9 +80,14 @@ fn main() {
         max_rounds: 1,
         parallel: false, // evaluations already use all cores via the router
     };
-    let outcome =
-        explore_strategy_traced(&space, &groups, objective, &strategy_cfg, &Trace::disabled())
-            .expect("strategy exploration failed");
+    let outcome = explore_strategy_traced(
+        &space,
+        &groups,
+        objective,
+        &strategy_cfg,
+        &Trace::disabled(),
+    )
+    .expect("strategy exploration failed");
 
     println!("\nStrategy exploration finished:");
     println!("  evaluations: {}", outcome.evals);

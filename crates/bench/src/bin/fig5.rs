@@ -60,8 +60,11 @@ fn main() {
             for (horizontal, suffix) in [(true, "h"), (false, "v")] {
                 let stem = format!("fig5_{}_{}_{}", design.name().to_lowercase(), tag, suffix);
                 let csv_path = out_dir.join(format!("{stem}.csv"));
-                puffer_budget::fsx::atomic_write(&csv_path, report.congestion.to_csv(horizontal).as_bytes())
-                    .expect("write congestion csv");
+                puffer_budget::fsx::atomic_write(
+                    &csv_path,
+                    report.congestion.to_csv(horizontal).as_bytes(),
+                )
+                .expect("write congestion csv");
                 let pgm_path = out_dir.join(format!("{stem}.pgm"));
                 puffer_budget::fsx::atomic_write(&pgm_path, &report.congestion.to_pgm(horizontal))
                     .expect("write congestion pgm");

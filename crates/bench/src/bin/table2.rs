@@ -46,7 +46,8 @@ fn main() {
     println!("{}", table.render(FlowKind::Puffer.name()));
 
     let csv_path = out_dir.join("table2.csv");
-    puffer_budget::fsx::atomic_write(&csv_path, table.to_csv().as_bytes()).expect("write table2.csv");
+    puffer_budget::fsx::atomic_write(&csv_path, table.to_csv().as_bytes())
+        .expect("write table2.csv");
     eprintln!("wrote {}", csv_path.display());
 
     // Headline claims, PUFFER vs each baseline.

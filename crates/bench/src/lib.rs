@@ -132,8 +132,7 @@ impl HarnessArgs {
     /// Panics if a requested design name is unknown.
     pub fn configs(&self) -> Vec<GeneratorConfig> {
         match &self.designs {
-            None => presets::all(self.scale)
-                .unwrap_or_else(|e| panic!("invalid --scale: {e}")),
+            None => presets::all(self.scale).unwrap_or_else(|e| panic!("invalid --scale: {e}")),
             Some(names) => names
                 .iter()
                 .map(|n| {

@@ -357,7 +357,10 @@ impl FromStr for DegradeStep {
             .find(|step| step.as_str() == s)
             .ok_or_else(|| {
                 let known: Vec<&str> = DegradeStep::ALL.iter().map(|s| s.as_str()).collect();
-                format!("unknown degradation step '{s}' (known: {})", known.join(", "))
+                format!(
+                    "unknown degradation step '{s}' (known: {})",
+                    known.join(", ")
+                )
             })
     }
 }
@@ -577,7 +580,9 @@ mod tests {
         let mut state = LadderState::default();
         assert!(state.poll(&Budget::unbounded()).is_empty());
         // A fresh hour-long deadline engages nothing yet.
-        assert!(state.poll(&Budget::with_deadline(Duration::from_secs(3600))).is_empty());
+        assert!(state
+            .poll(&Budget::with_deadline(Duration::from_secs(3600)))
+            .is_empty());
         // An already-expired budget engages the whole ladder at once.
         let expired = Budget::with_deadline(Duration::ZERO);
         let fresh = state.poll(&expired);
@@ -589,7 +594,11 @@ mod tests {
         let mut resumed = LadderState::resumed(&[DegradeStep::FreezePadding]);
         assert_eq!(
             resumed.poll(&expired),
-            [DegradeStep::CoarseCongestion, DegradeStep::CapTrials, DegradeStep::EarlyExitGp]
+            [
+                DegradeStep::CoarseCongestion,
+                DegradeStep::CapTrials,
+                DegradeStep::EarlyExitGp
+            ]
         );
     }
 
@@ -599,7 +608,13 @@ mod tests {
         let names: Vec<&str> = FaultClass::FS.iter().map(|c| c.as_str()).collect();
         assert_eq!(
             names,
-            ["disk-full", "torn-write", "fsync-fail", "rename-fail", "short-read"]
+            [
+                "disk-full",
+                "torn-write",
+                "fsync-fail",
+                "rename-fail",
+                "short-read"
+            ]
         );
     }
 

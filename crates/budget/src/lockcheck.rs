@@ -69,7 +69,10 @@ impl<'a, T> Locked<'a, T> {
     /// releases the mutex; the held record is released with it. Re-wrap
     /// the reacquired guard with [`Locked::from_guard`].
     pub fn into_guard(self) -> MutexGuard<'a, T> {
-        let Locked { guard, held: _released } = self;
+        let Locked {
+            guard,
+            held: _released,
+        } = self;
         guard
     }
 
@@ -193,7 +196,9 @@ mod tests {
         let second_line = line!() + 1;
         let nested = std::panic::catch_unwind(|| drop(lock_leaf(&b)));
         let payload = nested.expect_err("a second acquisition must panic");
-        let message = payload.downcast_ref::<String>().expect("a formatted message");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
         assert!(message.contains("leaf-lock violation"), "{message}");
         for line in [first_line, second_line] {
             let site = format!("{}:{line}:", file!());

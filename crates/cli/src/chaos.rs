@@ -33,12 +33,18 @@ fn table() -> Vec<Row> {
         ("worker-panic", "flow", worker_panic),
         ("nan-burst", "flow", nan_burst),
         ("disk-full", "fs", |c| failed_save(c, FaultClass::DiskFull)),
-        ("torn-write", "fs", |c| failed_save(c, FaultClass::TornWrite)),
+        ("torn-write", "fs", |c| {
+            failed_save(c, FaultClass::TornWrite)
+        }),
         ("fsync-fail", "fs", fsync_fail),
-        ("rename-fail", "fs", |c| failed_save(c, FaultClass::RenameFail)),
+        ("rename-fail", "fs", |c| {
+            failed_save(c, FaultClass::RenameFail)
+        }),
         ("short-read", "fs", short_read),
     ];
-    let serve = SERVE_ROWS.into_iter().map(|(name, run)| (name, "serve", run));
+    let serve = SERVE_ROWS
+        .into_iter()
+        .map(|(name, run)| (name, "serve", run));
     own.into_iter().chain(serve).collect()
 }
 
@@ -194,8 +200,8 @@ fn nan_burst(case: &Case) -> Result<String, String> {
         .flush()
         .map_err(|e| format!("metrics write failed: {e}"))?;
     // The burst lands right before the step to iteration `at + 1`.
-    let records = puffer_trace::read_jsonl(&metrics)
-        .map_err(|e| format!("metrics unreadable: {e}"))?;
+    let records =
+        puffer_trace::read_jsonl(&metrics).map_err(|e| format!("metrics unreadable: {e}"))?;
     let burst = (case.at + 1) as f64;
     let reason = records
         .iter()
@@ -203,11 +209,15 @@ fn nan_burst(case: &Case) -> Result<String, String> {
         .find_map(|r| r.str_field("reason"))
         .ok_or("the sentinel never recovered the injected burst")?;
     if reason != "non-finite objective" {
-        return Err(format!("the burst was recovered as '{reason}', not as non-finite"));
+        return Err(format!(
+            "the burst was recovered as '{reason}', not as non-finite"
+        ));
     }
     check_placement(&design, &result)?;
     audit_run(&journal, &metrics).map_err(|r| format!("journal/metrics inconsistent: {r}"))?;
-    Ok(format!("OK: sentinel recovered the burst ({reason}), artifacts audit clean"))
+    Ok(format!(
+        "OK: sentinel recovered the burst ({reason}), artifacts audit clean"
+    ))
 }
 
 /// A filesystem fault strikes a checkpoint save mid-run. The `fsx` hook

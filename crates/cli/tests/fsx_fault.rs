@@ -29,7 +29,9 @@ fn gate() -> MutexGuard<'static, ()> {
 }
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("puffer-fsx-fault-test").join(name);
+    let dir = std::env::temp_dir()
+        .join("puffer-fsx-fault-test")
+        .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -102,7 +104,9 @@ fn enospc_during_checkpoint_save_keeps_prior_checkpoint_resumable_and_bit_identi
     // failed replacement (its tmp sibling never reached the target).
     let on_disk = std::fs::read_to_string(&journal).unwrap();
     let checkpoint = FlowCheckpoint::load(&journal).expect("prior checkpoint must load");
-    checkpoint.validate().expect("prior checkpoint must validate");
+    checkpoint
+        .validate()
+        .expect("prior checkpoint must validate");
     assert_eq!(
         on_disk,
         checkpoint.render(),
@@ -160,5 +164,8 @@ fn fsync_failure_on_metrics_sink_surfaces_structured_trace_error() {
     // Every record was written (one write per record) before the failed
     // durability barrier: nothing was silently dropped.
     let records = read_jsonl(&metrics).expect("metrics must stay readable");
-    assert!(!records.is_empty(), "metrics lost despite per-record writes");
+    assert!(
+        !records.is_empty(),
+        "metrics lost despite per-record writes"
+    );
 }

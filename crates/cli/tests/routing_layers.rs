@@ -28,7 +28,10 @@ fn refused(args: &[&str], message: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "puffer {args:?}: {stderr}");
     assert_eq!(stderr.lines().count(), 1, "puffer {args:?}: {stderr}");
-    assert!(stderr.trim_end().ends_with(message), "puffer {args:?}: {stderr}");
+    assert!(
+        stderr.trim_end().ends_with(message),
+        "puffer {args:?}: {stderr}"
+    );
 }
 
 #[test]
@@ -48,12 +51,19 @@ fn a_direction_without_routing_layers_is_refused_by_place_and_eval() {
     std::fs::write(&pl, placement).unwrap();
     // The default stack is M1 H, then M2..M8 alternating V/H.
     for (dropped, direction) in [
-        (&["M2", "M3", "M4", "M5", "M6", "M7", "M8"][..], "horizontal"),
+        (
+            &["M2", "M3", "M4", "M5", "M6", "M7", "M8"][..],
+            "horizontal",
+        ),
         (&["M2", "M4", "M6", "M8"][..], "vertical"),
     ] {
         let kept: String = text
             .lines()
-            .filter(|l| !dropped.iter().any(|m| l.starts_with(&format!("layer {m} "))))
+            .filter(|l| {
+                !dropped
+                    .iter()
+                    .any(|m| l.starts_with(&format!("layer {m} ")))
+            })
             .map(|l| format!("{l}\n"))
             .collect();
         let pd = path(&dir, &format!("no-{direction}.pd"));

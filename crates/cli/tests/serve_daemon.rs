@@ -19,7 +19,9 @@ fn bin() -> &'static str {
 }
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("puffer-serve-daemon-test").join(name);
+    let dir = std::env::temp_dir()
+        .join("puffer-serve-daemon-test")
+        .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -66,7 +68,10 @@ fn start_daemon_with(
     let mut reader = BufReader::new(stdout);
     let mut ready = String::new();
     reader.read_line(&mut ready).unwrap();
-    assert!(ready.contains("serve.ready"), "unexpected first line: {ready}");
+    assert!(
+        ready.contains("serve.ready"),
+        "unexpected first line: {ready}"
+    );
     let addr = field(&ready, "addr").expect("serve.ready without addr");
     (child, addr, reader, ready)
 }
@@ -82,7 +87,9 @@ fn field(record: &str, name: &str) -> Option<String> {
 /// The `workers` count a `serve.ready` or `serve.jobs` record reports.
 fn workers(record: &str) -> Option<u64> {
     let start = record.find("\"workers\":")? + "\"workers\":".len();
-    let digits = record[start..].split(|c: char| !c.is_ascii_digit()).next()?;
+    let digits = record[start..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()?;
     digits.parse().ok()
 }
 
@@ -171,12 +178,27 @@ fn daemon_survives_kill_cancel_and_restart() {
 
     // One-shot reference: the trajectory every daemon job must reproduce.
     puffer(&[
-        "gen", "--cells", "220", "--nets", "250", "--macros", "1",
-        "--utilization", "0.6", "-o", design.to_str().unwrap(),
+        "gen",
+        "--cells",
+        "220",
+        "--nets",
+        "250",
+        "--macros",
+        "1",
+        "--utilization",
+        "0.6",
+        "-o",
+        design.to_str().unwrap(),
     ]);
     puffer(&[
-        "place", design.to_str().unwrap(), "-o", reference.to_str().unwrap(),
-        "--max-iters", "120", "--threads", "1",
+        "place",
+        design.to_str().unwrap(),
+        "-o",
+        reference.to_str().unwrap(),
+        "--max-iters",
+        "120",
+        "--threads",
+        "1",
     ]);
     let reference_bytes = std::fs::read(&reference).unwrap();
     let design_bytes = std::fs::read(&design).unwrap();
@@ -235,9 +257,13 @@ fn daemon_survives_kill_cancel_and_restart() {
     {
         let mut client = Client::connect(&addr);
         for id in 1..JOBS {
-            let response = client.request(format!("{{\"t\":\"wait\",\"id\":{id},\"timeout_s\":240}}"));
+            let response =
+                client.request(format!("{{\"t\":\"wait\",\"id\":{id},\"timeout_s\":240}}"));
             assert!(response.contains("serve.result"), "job {id}: {response}");
-            assert!(response.contains("\"state\":\"done\""), "job {id}: {response}");
+            assert!(
+                response.contains("\"state\":\"done\""),
+                "job {id}: {response}"
+            );
         }
         let response = client.request(format!("{{\"t\":\"status\",\"id\":{JOBS}}}"));
         assert!(
@@ -253,8 +279,8 @@ fn daemon_survives_kill_cancel_and_restart() {
     // Interrupted jobs resumed to placements byte-identical to the
     // uninterrupted reference; the cancelled job never wrote one.
     for out in outs.iter().take(JOBS - 1) {
-        let bytes = std::fs::read(out)
-            .unwrap_or_else(|e| panic!("missing output {}: {e}", out.display()));
+        let bytes =
+            std::fs::read(out).unwrap_or_else(|e| panic!("missing output {}: {e}", out.display()));
         assert_eq!(
             bytes,
             reference_bytes,
@@ -282,22 +308,39 @@ fn fault_tags_on_the_wire_are_rejected_on_both_transports() {
         let mut client = Client::connect(&addr);
         let response = client.request(TAGGED);
         assert!(response.contains("serve.rejected"), "{response}");
-        assert!(response.contains("'chaos'"), "rejection must name the field: {response}");
+        assert!(
+            response.contains("'chaos'"),
+            "rejection must name the field: {response}"
+        );
         let response = client.request("{\"t\":\"status\"}");
-        assert!(response.contains("\"count\":0"), "no job may be admitted: {response}");
-        assert!(response.contains("\"workers\":2"), "pool must be intact: {response}");
+        assert!(
+            response.contains("\"count\":0"),
+            "no job may be admitted: {response}"
+        );
+        assert!(
+            response.contains("\"workers\":2"),
+            "pool must be intact: {response}"
+        );
         let response = client.request("{\"t\":\"drain\"}");
         assert!(response.contains("serve.done"), "{response}");
     }
     assert!(child.wait().unwrap().success());
 
     // stdin.
-    let (stdout, stderr) =
-        stdin_daemon(&dir.join("stdin-journal"), &[TAGGED.as_bytes(), b"{\"t\":\"drain\"}"]);
+    let (stdout, stderr) = stdin_daemon(
+        &dir.join("stdin-journal"),
+        &[TAGGED.as_bytes(), b"{\"t\":\"drain\"}"],
+    );
     assert_eq!(stdout.matches("serve.rejected").count(), 1, "{stdout}");
-    assert!(stdout.contains("'chaos'"), "rejection must name the field: {stdout}");
+    assert!(
+        stdout.contains("'chaos'"),
+        "rejection must name the field: {stdout}"
+    );
     assert!(!stdout.contains("serve.accepted"), "{stdout}");
-    assert!(!stderr.contains("panicked"), "a worker executed the tag: {stderr}");
+    assert!(
+        !stderr.contains("panicked"),
+        "a worker executed the tag: {stderr}"
+    );
 }
 
 /// Seconds no `Duration` can hold (negative, or finite but too large) are
@@ -313,7 +356,10 @@ fn unrepresentable_seconds_are_rejected_and_the_daemon_lives_on_both_transports(
     const BAD: [(&str, &str); 3] = [
         (r#"{"t":"wait","id":1,"timeout_s":-1}"#, "timeout_s"),
         (r#"{"t":"wait","id":1,"timeout_s":1e300}"#, "timeout_s"),
-        (r#"{"t":"submit","preset":"or1200","scale":0.003,"deadline_s":1e300}"#, "deadline_s"),
+        (
+            r#"{"t":"submit","preset":"or1200","scale":0.003,"deadline_s":1e300}"#,
+            "deadline_s",
+        ),
     ];
     const NOT_UTF8: &[u8] = b"{\"t\":\"ping\"}\xFF";
     const WAIT: &str = r#"{"t":"wait","id":1,"timeout_s":240}"#;
@@ -328,7 +374,10 @@ fn unrepresentable_seconds_are_rejected_and_the_daemon_lives_on_both_transports(
         for (line, field) in BAD {
             let response = client.request(line);
             assert!(response.contains("serve.rejected"), "{line}: {response}");
-            assert!(response.contains(field), "rejection must name {field}: {response}");
+            assert!(
+                response.contains(field),
+                "rejection must name {field}: {response}"
+            );
         }
         let response = client.request(NOT_UTF8);
         assert!(response.contains("bad-request"), "{response}");
@@ -344,9 +393,18 @@ fn unrepresentable_seconds_are_rejected_and_the_daemon_lives_on_both_transports(
     // stdin.
     let mut lines = vec![SUBMIT.as_bytes()];
     lines.extend(BAD.iter().map(|(line, _)| line.as_bytes()));
-    lines.extend([NOT_UTF8, b"{\"t\":\"ping\"}", WAIT.as_bytes(), b"{\"t\":\"drain\"}"]);
+    lines.extend([
+        NOT_UTF8,
+        b"{\"t\":\"ping\"}",
+        WAIT.as_bytes(),
+        b"{\"t\":\"drain\"}",
+    ]);
     let (stdout, stderr) = stdin_daemon(&dir.join("stdin-journal"), &lines);
-    assert_eq!(stdout.matches("serve.rejected").count(), BAD.len() + 1, "{stdout}");
+    assert_eq!(
+        stdout.matches("serve.rejected").count(),
+        BAD.len() + 1,
+        "{stdout}"
+    );
     assert_eq!(stdout.matches("timeout_s").count(), 2, "{stdout}");
     assert_eq!(stdout.matches("deadline_s").count(), 1, "{stdout}");
     assert!(stdout.contains("serve.pong"), "{stdout}");

@@ -16,7 +16,9 @@ use puffer_gen::{generate, GeneratorConfig};
 use puffer_trace::{read_jsonl, Trace};
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("puffer-torn-tail-test").join(name);
+    let dir = std::env::temp_dir()
+        .join("puffer-torn-tail-test")
+        .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir

@@ -15,8 +15,8 @@
 //! out of sub-Gcell coordinate noise (a Steiner median of unquantized
 //! positions can land across a Gcell edge no pin crossed).
 
-use puffer_db::cast;
 use crate::CongestError;
+use puffer_db::cast;
 use puffer_db::design::{Design, Placement};
 use puffer_db::grid::Grid;
 use puffer_db::netlist::{NetId, Netlist};

@@ -12,9 +12,9 @@
 //! * if the endpoint is a **pin**, the owning cell can simply move with the
 //!   expansion, so no extra demand is added — imitating cell spreading.
 
-use puffer_db::cast;
 use crate::demand::{SegmentRecord, SegmentShape};
 use crate::map::CongestionMap;
+use puffer_db::cast;
 
 /// How many neighbouring rows/columns an expansion may use.
 const EXPANSION_RADIUS: usize = 2;

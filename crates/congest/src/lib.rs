@@ -146,7 +146,10 @@ impl CongestionEstimator {
     /// expansion cost scale with the Gcell count, so a coarser grid trades
     /// map resolution for time.
     pub fn coarsen(&mut self, design: &Design, factor: f64) {
-        assert!(factor.is_finite() && factor >= 1.0, "bad coarsen factor {factor}");
+        assert!(
+            factor.is_finite() && factor >= 1.0,
+            "bad coarsen factor {factor}"
+        );
         self.edge_rows *= factor;
         let (h_cap, v_cap) = capacity::build_capacity(design, self.edge_rows);
         self.h_cap = h_cap;
@@ -187,13 +190,8 @@ impl CongestionEstimator {
         design: &Design,
         placement: &Placement,
     ) -> Result<CongestionMap, CongestError> {
-        let (h_dmd, v_dmd, segments) = demand::try_build_demand(
-            design,
-            placement,
-            &self.h_cap,
-            PIN_PENALTY,
-            self.lanes,
-        )?;
+        let (h_dmd, v_dmd, segments) =
+            demand::try_build_demand(design, placement, &self.h_cap, PIN_PENALTY, self.lanes)?;
         let mut map = CongestionMap::new(self.h_cap.clone(), self.v_cap.clone(), h_dmd, v_dmd);
         if self.config.expand_detours && !self.budget.is_exhausted() {
             detour::expand(&mut map, &segments);
@@ -205,10 +203,7 @@ impl CongestionEstimator {
                 .num("overflow_h", map.overflow_ratio_h())
                 .num("overflow_v", map.overflow_ratio_v())
                 .num("demand", map.total_demand())
-                .num(
-                    "capacity",
-                    map.h_capacity().sum() + map.v_capacity().sum(),
-                )
+                .num("capacity", map.h_capacity().sum() + map.v_capacity().sum())
                 .int("congested", cast::idx_i64(map.congested_cells()))
                 .nums("h_hist", &congestion_histogram(&map, true))
                 .nums("v_hist", &congestion_histogram(&map, false))
@@ -311,8 +306,12 @@ mod tests {
     fn clustered_placement_is_more_congested_than_spread() {
         let d = tiny_design();
         let est = CongestionEstimator::new(&d, EstimatorConfig::default());
-        let tight = est.try_estimate(&d, &clustered_placement(&d, 0.25)).unwrap();
-        let loose = est.try_estimate(&d, &clustered_placement(&d, 0.95)).unwrap();
+        let tight = est
+            .try_estimate(&d, &clustered_placement(&d, 0.25))
+            .unwrap();
+        let loose = est
+            .try_estimate(&d, &clustered_placement(&d, 0.95))
+            .unwrap();
         assert!(
             tight.overflow_ratio_h() + tight.overflow_ratio_v()
                 > loose.overflow_ratio_h() + loose.overflow_ratio_v(),
@@ -350,7 +349,10 @@ mod tests {
         };
         assert_eq!(hist.len(), 8);
         let total: f64 = hist.iter().map(|b| b.unwrap_or(0.0)).sum();
-        assert_eq!(total as usize, est.h_capacity().nx() * est.h_capacity().ny());
+        assert_eq!(
+            total as usize,
+            est.h_capacity().nx() * est.h_capacity().ny()
+        );
         assert_eq!(trace.counters(), vec![("congest.rounds".to_string(), 2)]);
     }
 
@@ -363,13 +365,27 @@ mod tests {
         let mut est = CongestionEstimator::new(&d, EstimatorConfig::default());
         let (nx, ny) = (est.h_capacity().nx(), est.h_capacity().ny());
         est.coarsen(&d, 2.0);
-        assert!(est.h_capacity().nx() < nx, "{} < {nx}", est.h_capacity().nx());
-        assert!(est.h_capacity().ny() < ny, "{} < {ny}", est.h_capacity().ny());
+        assert!(
+            est.h_capacity().nx() < nx,
+            "{} < {nx}",
+            est.h_capacity().nx()
+        );
+        assert!(
+            est.h_capacity().ny() < ny,
+            "{} < {ny}",
+            est.h_capacity().ny()
+        );
         // The Gcell edge doubled: 2 · GCELL_ROWS row heights.
         let edge = 2.0 * GCELL_ROWS * d.tech().row_height;
         let region = d.region();
-        assert_eq!(est.h_capacity().nx(), (region.width() / edge).ceil() as usize);
-        assert_eq!(est.h_capacity().ny(), (region.height() / edge).ceil() as usize);
+        assert_eq!(
+            est.h_capacity().nx(),
+            (region.width() / edge).ceil() as usize
+        );
+        assert_eq!(
+            est.h_capacity().ny(),
+            (region.height() / edge).ceil() as usize
+        );
         // The coarser estimator still produces a usable map.
         let map = est.try_estimate(&d, &d.initial_placement()).unwrap();
         assert!(map.total_demand() > 0.0);

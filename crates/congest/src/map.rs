@@ -166,7 +166,7 @@ impl CongestionMap {
                 let level = ((u / 2.0) * cast::idx_f64(RAMP.len() - 1))
                     .round()
                     .clamp(0.0, cast::idx_f64(RAMP.len() - 1));
-        let level = cast::trunc_idx(level);
+                let level = cast::trunc_idx(level);
                 out.push(char::from(RAMP[level]));
             }
             out.push('\n');
@@ -291,7 +291,10 @@ mod tests {
             .flat_map(|iy| (0..4).map(move |ix| (ix, iy)))
             .map(|(ix, iy)| m.overflow_h(ix, iy))
             .sum();
-        assert_eq!((indexed / total_cap).to_bits(), m.overflow_ratio_h().to_bits());
+        assert_eq!(
+            (indexed / total_cap).to_bits(),
+            m.overflow_ratio_h().to_bits()
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::checkpoint::{CheckpointPolicy, FlowCheckpoint, FlowStage};
 use crate::job::Job;
 use crate::scale::ScaleClass;
 use crate::PufferError;
+use puffer_budget::clock::Stopwatch;
 use puffer_budget::{Budget, DegradeStep, LadderState};
 use puffer_congest::EstimatorConfig;
 use puffer_db::design::{Design, Placement};
@@ -14,7 +15,6 @@ use puffer_pad::{FeatureConfig, PaddingState, PaddingStrategy, RoutabilityOptimi
 use puffer_place::{GlobalPlacer, GpLanes, IterationStats, PlacerConfig};
 use std::fmt;
 use std::sync::Arc;
-use puffer_budget::clock::Stopwatch;
 
 /// Configuration of the PUFFER flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -261,7 +261,10 @@ impl Job {
                 // Re-apply the journaled rungs so the resumed run keeps the
                 // fidelity of the run that wrote the journal. Freezing and
                 // early exit follow from the ladder state itself.
-                if checkpoint.degradation.contains(&DegradeStep::CoarseCongestion) {
+                if checkpoint
+                    .degradation
+                    .contains(&DegradeStep::CoarseCongestion)
+                {
                     optimizer.coarsen_estimator(design, 2.0);
                 }
                 ladder = LadderState::resumed(&checkpoint.degradation);
@@ -661,11 +664,7 @@ mod tests {
 
     /// Resumes from `journal`, continuing to checkpoint into it — what a
     /// restarted process does with the file a killed one left behind.
-    fn resume(
-        config: PufferConfig,
-        d: &Design,
-        journal: &Path,
-    ) -> Result<FlowResult, PufferError> {
+    fn resume(config: PufferConfig, d: &Design, journal: &Path) -> Result<FlowResult, PufferError> {
         Job::new(config)
             .with_checkpoints(CheckpointPolicy::new(journal))
             .run_or_resume(d)
@@ -839,7 +838,10 @@ mod tests {
 
         // The final journal carries the engaged ladder position.
         let checkpoint = FlowCheckpoint::load(&policy.path).unwrap();
-        assert_eq!(checkpoint.degradation, puffer_budget::DegradeStep::ALL.to_vec());
+        assert_eq!(
+            checkpoint.degradation,
+            puffer_budget::DegradeStep::ALL.to_vec()
+        );
     }
 
     #[test]

@@ -26,7 +26,9 @@ fn journal_write_failure_leaves_prior_journal_valid() {
     config.strategy.tau = 0.30;
     config.strategy.max_rounds = 3;
 
-    let dir = std::env::temp_dir().join("puffer-flow-tests").join("chaos-journal");
+    let dir = std::env::temp_dir()
+        .join("puffer-flow-tests")
+        .join("chaos-journal");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let policy = CheckpointPolicy {
@@ -50,7 +52,10 @@ fn journal_write_failure_leaves_prior_journal_valid() {
     // journal is untouched, loads, and resumes.
     let torn = std::fs::read(fsx::tmp_sibling(&policy.path)).expect("half-record missing");
     let whole = std::fs::read(&policy.path).unwrap();
-    assert!(!torn.is_empty() && torn.len() < whole.len(), "not a half-record");
+    assert!(
+        !torn.is_empty() && torn.len() < whole.len(),
+        "not a half-record"
+    );
     FlowCheckpoint::load(&policy.path).unwrap();
     let resumed = job.run_or_resume(&d).unwrap();
     let plain = Job::new(config).run(&d).unwrap();

@@ -540,14 +540,14 @@ pub fn read_aux_with(path: impl AsRef<Path>, open: &mut AuxOpener<'_>) -> Result
     let mut pl: Option<PathBuf> = None;
     let mut scl: Option<PathBuf> = None;
     for tok in aux.split_whitespace() {
-        let target: &mut Option<PathBuf> =
-            match Path::new(tok).extension().and_then(|e| e.to_str()) {
-                Some("nodes") => &mut nodes,
-                Some("nets") => &mut nets,
-                Some("pl") => &mut pl,
-                Some("scl") => &mut scl,
-                _ => continue,
-            };
+        let target: &mut Option<PathBuf> = match Path::new(tok).extension().and_then(|e| e.to_str())
+        {
+            Some("nodes") => &mut nodes,
+            Some("nets") => &mut nets,
+            Some("pl") => &mut pl,
+            Some("scl") => &mut scl,
+            _ => continue,
+        };
         *target = Some(dir.join(tok));
     }
     let (Some(nodes), Some(nets)) = (nodes, nets) else {
@@ -765,9 +765,14 @@ mod tests {
     fn streaming_handles_crlf_line_endings() {
         let nodes = NODES.replace('\n', "\r\n");
         let nets = NETS.replace('\n', "\r\n");
-        let d =
-            parse_bookshelf_streaming("crlf", nodes.as_bytes(), nets.as_bytes(), &b""[..], &b""[..])
-                .unwrap();
+        let d = parse_bookshelf_streaming(
+            "crlf",
+            nodes.as_bytes(),
+            nets.as_bytes(),
+            &b""[..],
+            &b""[..],
+        )
+        .unwrap();
         assert_eq!(d.stats().nets, 2);
         assert_eq!(d.netlist().num_pins(), 4);
     }
@@ -824,8 +829,8 @@ mod tests {
             }
         }
         let nets = std::io::BufReader::new(Flaky { sent: false });
-        let err = parse_bookshelf_streaming("x", NODES.as_bytes(), nets, &b""[..], &b""[..])
-            .unwrap_err();
+        let err =
+            parse_bookshelf_streaming("x", NODES.as_bytes(), nets, &b""[..], &b""[..]).unwrap_err();
         match err {
             DbError::Read { ref file, line, .. } => {
                 assert_eq!(file, ".nets");

@@ -81,7 +81,10 @@ pub fn round_u8(x: f64) -> u8 {
 #[inline]
 #[must_use]
 pub fn idx_f64(x: usize) -> f64 {
-    debug_assert!(x <= (1usize << f64::MANTISSA_DIGITS), "usize→f64 would round: {x}");
+    debug_assert!(
+        x <= (1usize << f64::MANTISSA_DIGITS),
+        "usize→f64 would round: {x}"
+    );
     x as f64
 }
 
@@ -90,7 +93,10 @@ pub fn idx_f64(x: usize) -> f64 {
 #[inline]
 #[must_use]
 pub fn u64_f64(x: u64) -> f64 {
-    debug_assert!(x <= (1u64 << f64::MANTISSA_DIGITS), "u64→f64 would round: {x}");
+    debug_assert!(
+        x <= (1u64 << f64::MANTISSA_DIGITS),
+        "u64→f64 would round: {x}"
+    );
     x as f64
 }
 

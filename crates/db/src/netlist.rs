@@ -557,8 +557,7 @@ impl NetlistBuilder {
         // old per-entity `Vec<PinId>` lists carried.
         let (cell_pin_starts, cell_pin_ids) =
             csr_by(&self.pins, self.cells.len(), |p| p.cell.index());
-        let (net_pin_starts, net_pin_ids) =
-            csr_by(&self.pins, self.nets.len(), |p| p.net.index());
+        let (net_pin_starts, net_pin_ids) = csr_by(&self.pins, self.nets.len(), |p| p.net.index());
         Ok(Netlist {
             cells: self.cells,
             nets: self.nets,

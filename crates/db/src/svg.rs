@@ -24,7 +24,11 @@ pub struct SvgOptions {
 
 impl Default for SvgOptions {
     fn default() -> Self {
-        SvgOptions { width_px: 800.0, cell_values: None, draw_rows: false }
+        SvgOptions {
+            width_px: 800.0,
+            cell_values: None,
+            draw_rows: false,
+        }
     }
 }
 
@@ -169,7 +173,10 @@ mod tests {
         let with = render_svg(
             &d,
             &d.initial_placement(),
-            &SvgOptions { draw_rows: true, ..SvgOptions::default() },
+            &SvgOptions {
+                draw_rows: true,
+                ..SvgOptions::default()
+            },
         );
         let without = render_svg(&d, &d.initial_placement(), &SvgOptions::default());
         assert!(with.matches("<line").count() >= d.rows().len());

@@ -273,7 +273,10 @@ fn overflow_at(map: &CongestionMap, p: Point) -> f64 {
     map.overflow_h(ix, iy) + map.overflow_v(ix, iy)
 }
 
-#[allow(clippy::too_many_arguments, reason = "one refinement pass over the shared window state")]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one refinement pass over the shared window state"
+)]
 fn reorder_segment(
     design: &Design,
     placement: &mut Placement,
@@ -556,7 +559,14 @@ mod tests {
         p: &Placement,
         pad: &[u32],
     ) -> Result<DetailedOutcome, LegalizeError> {
-        refine_bounded(d, p, pad, &DetailedConfig::default(), None, &Budget::unbounded())
+        refine_bounded(
+            d,
+            p,
+            pad,
+            &DetailedConfig::default(),
+            None,
+            &Budget::unbounded(),
+        )
     }
 
     #[test]
@@ -735,8 +745,8 @@ mod tests {
         let token = puffer_budget::CancelToken::new();
         token.cancel();
         let budget = Budget::unbounded().with_token(token);
-        let out = refine_bounded(&d, &legal, &pad, &DetailedConfig::default(), None, &budget)
-            .unwrap();
+        let out =
+            refine_bounded(&d, &legal, &pad, &DetailedConfig::default(), None, &budget).unwrap();
         assert_eq!(out.passes, 0, "no pass may start after cancellation");
         assert_eq!(out.placement, legal);
         assert_eq!(out.hpwl_after, out.hpwl_before);

@@ -381,8 +381,7 @@ pub fn explore_strategy_traced(
     trace: &Trace,
 ) -> Result<StrategyOutcome, ExploreError> {
     // Line 1–2: initial ranges + global exploration.
-    let global =
-        explore_params_bounded(space, &eval, &config.global, trace, &Budget::unbounded())?;
+    let global = explore_params_bounded(space, &eval, &config.global, trace, &Budget::unbounded())?;
     let mut ranges = global.narrowed;
     let mut best_observed = global.best;
     let mut best_value = global.best_value;

@@ -196,7 +196,10 @@ fn the_explorer_reproduces_the_fixture() {
 /// strategy runs agree past their label.
 #[test]
 fn the_fixture_covers_its_cases() {
-    let trials: Vec<&str> = FIXTURE.lines().filter(|l| l.starts_with("trial ")).collect();
+    let trials: Vec<&str> = FIXTURE
+        .lines()
+        .filter(|l| l.starts_with("trial "))
+        .collect();
     assert!(trials.len() > 10, "only {} trials", trials.len());
     assert!(trials.iter().any(|l| l.ends_with(" y nan")));
     assert!(trials.iter().any(|l| l.ends_with(" y panic")));

@@ -586,7 +586,12 @@ mod tests {
         for trial in 0..25 {
             let n = rng.gen_range(2..12);
             let cells: Vec<(u32, u32)> = (0..n)
-                .map(|_| (rng.gen_range(0..20u64) as u32, rng.gen_range(0..20u64) as u32))
+                .map(|_| {
+                    (
+                        rng.gen_range(0..20u64) as u32,
+                        rng.gen_range(0..20u64) as u32,
+                    )
+                })
                 .collect();
             let reference = Topology::from_gcells(&cells);
             let mut shuffled = cells.clone();

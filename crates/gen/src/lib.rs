@@ -156,11 +156,36 @@ pub fn generate(config: &GeneratorConfig) -> Result<Design, DbError> {
     // 24 is `max_degree`, the clip of the net-degree tail below.
     let c = config;
     let ranges = [
-        ("utilization", c.utilization, c.utilization > 0.0 && c.utilization <= 1.0, "(0, 1]"),
-        ("hotspot", c.hotspot, (0.0..=1.0).contains(&c.hotspot), "[0, 1]"),
-        ("locality", c.locality, (0.0..=1.0).contains(&c.locality), "[0, 1]"),
-        ("macro_fraction", c.macro_fraction, (0.0..1.0).contains(&c.macro_fraction), "[0, 1)"),
-        ("avg_net_degree", c.avg_net_degree, (2.0..=24.0).contains(&c.avg_net_degree), "[2, 24]"),
+        (
+            "utilization",
+            c.utilization,
+            c.utilization > 0.0 && c.utilization <= 1.0,
+            "(0, 1]",
+        ),
+        (
+            "hotspot",
+            c.hotspot,
+            (0.0..=1.0).contains(&c.hotspot),
+            "[0, 1]",
+        ),
+        (
+            "locality",
+            c.locality,
+            (0.0..=1.0).contains(&c.locality),
+            "[0, 1]",
+        ),
+        (
+            "macro_fraction",
+            c.macro_fraction,
+            (0.0..1.0).contains(&c.macro_fraction),
+            "[0, 1)",
+        ),
+        (
+            "avg_net_degree",
+            c.avg_net_degree,
+            (2.0..=24.0).contains(&c.avg_net_degree),
+            "[2, 24]",
+        ),
     ];
     for (field, value, ok, range) in ranges {
         if !ok {
@@ -522,13 +547,55 @@ mod tests {
         // width `inf`), `5.0` in `f64::clamp` inside `place_macros`.
         let d = GeneratorConfig::default;
         let bad = [
-            ("utilization", GeneratorConfig { utilization: 0.0, ..d() }),
-            ("utilization", GeneratorConfig { utilization: 5.0, ..d() }),
-            ("utilization", GeneratorConfig { utilization: f64::NAN, ..d() }),
-            ("hotspot", GeneratorConfig { hotspot: -0.1, ..d() }),
-            ("locality", GeneratorConfig { locality: f64::NAN, ..d() }),
-            ("macro_fraction", GeneratorConfig { macro_fraction: 1.0, ..d() }),
-            ("avg_net_degree", GeneratorConfig { avg_net_degree: f64::INFINITY, ..d() }),
+            (
+                "utilization",
+                GeneratorConfig {
+                    utilization: 0.0,
+                    ..d()
+                },
+            ),
+            (
+                "utilization",
+                GeneratorConfig {
+                    utilization: 5.0,
+                    ..d()
+                },
+            ),
+            (
+                "utilization",
+                GeneratorConfig {
+                    utilization: f64::NAN,
+                    ..d()
+                },
+            ),
+            (
+                "hotspot",
+                GeneratorConfig {
+                    hotspot: -0.1,
+                    ..d()
+                },
+            ),
+            (
+                "locality",
+                GeneratorConfig {
+                    locality: f64::NAN,
+                    ..d()
+                },
+            ),
+            (
+                "macro_fraction",
+                GeneratorConfig {
+                    macro_fraction: 1.0,
+                    ..d()
+                },
+            ),
+            (
+                "avg_net_degree",
+                GeneratorConfig {
+                    avg_net_degree: f64::INFINITY,
+                    ..d()
+                },
+            ),
         ];
         for (field, cfg) in bad {
             let err = generate(&cfg).unwrap_err();
@@ -536,8 +603,13 @@ mod tests {
             assert!(err.to_string().contains(field), "{field}: {err}");
         }
         // In range, but the minimum-size macros outgrow a 10-cell region.
-        let err = generate(&GeneratorConfig { num_cells: 10, num_nets: 11, utilization: 1.0, ..d() })
-            .unwrap_err();
+        let err = generate(&GeneratorConfig {
+            num_cells: 10,
+            num_nets: 11,
+            utilization: 1.0,
+            ..d()
+        })
+        .unwrap_err();
         assert!(err.to_string().contains("does not fit"), "{err}");
     }
 

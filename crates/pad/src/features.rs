@@ -13,8 +13,8 @@
 //!   maximum congestion along the route — information aggregated over the
 //!   routing topology graph rather than Euclidean space.
 
-use puffer_db::cast;
 use puffer_congest::CongestionMap;
+use puffer_db::cast;
 use puffer_db::design::{Design, Placement};
 use puffer_db::grid::Grid;
 use puffer_db::netlist::CellId;

@@ -46,8 +46,8 @@ pub use padding::{
 };
 pub use strategy::{PaddingStrategy, ParamRange};
 
-use puffer_db::cast;
 use puffer_congest::{CongestError, CongestionEstimator, EstimatorConfig};
+use puffer_db::cast;
 use puffer_db::design::{Design, Placement};
 use puffer_trace::Trace;
 
@@ -178,7 +178,8 @@ impl RoutabilityOptimizer {
             self.available_area,
         );
         if self.trace.is_enabled() {
-            self.trace.add("pad.recycled_cells", cast::idx_u64(round.recycled_cells));
+            self.trace
+                .add("pad.recycled_cells", cast::idx_u64(round.recycled_cells));
             self.trace
                 .record("pad.round")
                 .int("round", cast::idx_i64(round.round))
@@ -332,7 +333,11 @@ mod tests {
         state.last_utilization = f64::NAN;
         let err = opt.set_state(state).unwrap_err();
         assert!(err.contains("pad_util"), "{err}");
-        assert_eq!(opt.state(), &PaddingState::new(n), "a rejected state changes nothing");
+        assert_eq!(
+            opt.state(),
+            &PaddingState::new(n),
+            "a rejected state changes nothing"
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Multi-feature cell padding with recycling and utilization control
 //! (paper §III-B.2–3, Algorithm 1).
 
-use puffer_db::cast;
 use crate::features::{FeatureMatrix, NUM_FEATURES};
 use crate::strategy::PaddingStrategy;
+use puffer_db::cast;
 use puffer_db::netlist::Netlist;
 
 /// Mutable padding bookkeeping carried across routability-optimizer rounds.
@@ -106,7 +106,8 @@ pub fn padding_round(
             padded += 1;
         } else if state.pad[idx] > 0.0 {
             // Recycle Eq. (15): r_i(c) = (i − pt(c)) / (i + ζ).
-            let r = (cast::idx_f64(i) - f64::from(state.pad_count[idx])) / (cast::idx_f64(i) + strategy.zeta);
+            let r = (cast::idx_f64(i) - f64::from(state.pad_count[idx]))
+                / (cast::idx_f64(i) + strategy.zeta);
             if r > 0.0 {
                 state.pad[idx] *= 1.0 - r.min(1.0);
                 recycled += 1;

@@ -98,10 +98,7 @@ fn per_cell_padding_bounds() {
             }
             for (i, &p) in state.pad.iter().enumerate() {
                 prop_check!(p >= 0.0, "cell {i} negative padding {p}");
-                prop_check!(
-                    p <= s.max_pad_widths * 1.0 + 1e-9,
-                    "cell {i} over cap: {p}"
-                );
+                prop_check!(p <= s.max_pad_widths * 1.0 + 1e-9, "cell {i} over cap: {p}");
             }
             Ok(())
         },
@@ -129,7 +126,13 @@ fn recycling_is_monotone_decreasing() {
             );
             let mut last = state.pad[0];
             for _ in 0..6 {
-                padding_round(&nl, &features(&nl, &[-1.0, initial_cg]), &s, &mut state, 1e9);
+                padding_round(
+                    &nl,
+                    &features(&nl, &[-1.0, initial_cg]),
+                    &s,
+                    &mut state,
+                    1e9,
+                );
                 prop_check!(
                     state.pad[0] <= last + 1e-12,
                     "padding grew: {} then {}",

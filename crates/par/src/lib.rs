@@ -478,16 +478,33 @@ mod tests {
         // the chunk count; each lane is its own thread.
         assert_eq!(lanes(4, 2000, 1000), 2);
         assert_eq!(lanes(4, 3999, 1000), 3);
-        for (threads, n) in [(2usize, 64_000usize), (4, 64_000), (8, 3), (usize::MAX, 64_000)] {
+        for (threads, n) in [
+            (2usize, 64_000usize),
+            (4, 64_000),
+            (8, 3),
+            (usize::MAX, 64_000),
+        ] {
             let lanes = lanes(threads, n, 1);
             let chunks = chunk_ranges(n).len();
-            assert_eq!(lanes, clamp_threads(threads).min(n), "threads {threads}, {n} items");
+            assert_eq!(
+                lanes,
+                clamp_threads(threads).min(n),
+                "threads {threads}, {n} items"
+            );
             let ids = ran_on(n, lanes);
-            assert_eq!(ids.len(), clamp_threads(threads).min(chunks), "threads {threads}");
+            assert_eq!(
+                ids.len(),
+                clamp_threads(threads).min(chunks),
+                "threads {threads}"
+            );
             assert_eq!(ids[0], caller, "lane 0 is the caller's");
             let distinct: std::collections::BTreeSet<String> =
                 ids.iter().map(|id| format!("{id:?}")).collect();
-            assert_eq!(distinct.len(), ids.len(), "threads {threads}: a lane ran twice");
+            assert_eq!(
+                distinct.len(),
+                ids.len(),
+                "threads {threads}: a lane ran twice"
+            );
         }
         assert_eq!(lanes(2, 5, 0), 2, "0 items per lane reads as 1");
     }

@@ -29,12 +29,12 @@
 //!   the overflow is what shows the divergence sentinel a poisoned map;
 //!   its sum is written to let NaN through.
 
+use crate::GpLanes;
 use puffer_db::cast;
 use puffer_db::design::{Design, Placement};
 use puffer_db::geom::Rect;
 use puffer_db::grid::{Grid, Walk};
 use puffer_db::netlist::{CellId, Netlist};
-use crate::GpLanes;
 use puffer_fft::{transform2d_planned, Complex, Kind};
 use std::f64::consts::PI;
 use std::ops::Range;

@@ -7,7 +7,6 @@
 //! routability optimizer (PUFFER's cell padding) can interleave with the
 //! optimization, adjusting the per-cell *effective widths* between steps.
 
-use puffer_db::cast;
 use crate::density::{
     DensityModel, DensityWorkspace, GATHER_CELLS_PER_LANE, SCATTER_CELLS_PER_LANE,
     TRANSFORM_BINS_PER_LANE,
@@ -16,6 +15,7 @@ use crate::nesterov::{NesterovOptimizer, NesterovState};
 use crate::sentinel::{Divergence, DivergenceSentinel};
 use crate::wirelength::{WaWorkspace, WA_PINS_PER_LANE};
 use crate::PlaceError;
+use puffer_db::cast;
 use puffer_db::design::{Design, Placement};
 use puffer_db::hpwl::total_hpwl;
 use puffer_db::netlist::CellId;
@@ -230,7 +230,11 @@ impl DensityState {
         }
         // There is at least one movable cell, so `flat` is never empty.
         self.memo_key.len() == flat.len()
-            && self.memo_key.iter().zip(flat).all(|(a, b)| a.to_bits() == b.to_bits())
+            && self
+                .memo_key
+                .iter()
+                .zip(flat)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 }
 
@@ -267,8 +271,12 @@ impl Inputs<'_> {
             self.trace.add("place.density_memo_hits", 1);
             return;
         }
-        st.ws
-            .gradient(self.density, self.design.netlist(), &st.scratch, self.eff_width);
+        st.ws.gradient(
+            self.density,
+            self.design.netlist(),
+            &st.scratch,
+            self.eff_width,
+        );
         self.count_evaluation(st);
         st.memo_key.clear();
         st.memo_key.extend_from_slice(flat);
@@ -392,7 +400,9 @@ impl<'a> GlobalPlacer<'a> {
             state ^= state >> 12;
             state ^= state << 25;
             state ^= state >> 27;
-            cast::u64_f64(state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) / cast::u64_f64(1u64 << 53) - 0.5
+            cast::u64_f64(state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11)
+                / cast::u64_f64(1u64 << 53)
+                - 0.5
         };
         for id in design.netlist().movable_cells() {
             let p = placement.pos(id);
@@ -1288,16 +1298,27 @@ mod tests {
             poison(&mut placer);
             freezing = placer.step();
         }
-        assert!(placer.is_frozen(), "one divergence past the budget must freeze");
+        assert!(
+            placer.is_frozen(),
+            "one divergence past the budget must freeze"
+        );
         assert_eq!(freezing.iter, MAX_RECOVERIES + 1);
         let frozen_at = placer.placement().clone();
         for expect in MAX_RECOVERIES + 2..=MAX_RECOVERIES + 4 {
-            assert_eq!(placer.step().iter, expect, "frozen step must advance iter by one");
+            assert_eq!(
+                placer.step().iter,
+                expect,
+                "frozen step must advance iter by one"
+            );
         }
         let last = placer.run();
         assert_eq!(last.iter, 25, "run() must return at max_iters");
         assert!(last.overflow.is_finite() && last.hpwl.is_finite());
-        assert_eq!(placer.placement(), &frozen_at, "frozen steps hold the solution");
+        assert_eq!(
+            placer.placement(),
+            &frozen_at,
+            "frozen steps hold the solution"
+        );
     }
 
     #[test]
@@ -1375,7 +1396,10 @@ mod tests {
                 ..PlacerConfig::default()
             };
             let new = GlobalPlacer::new(&d, cfg.clone());
-            assert!(matches!(new, Err(PlaceError::BadConfig(_))), "new, {gamma_factor}");
+            assert!(
+                matches!(new, Err(PlaceError::BadConfig(_))),
+                "new, {gamma_factor}"
+            );
             let with = GlobalPlacer::with_placement(&d, cfg, d.initial_placement());
             let Err(PlaceError::BadConfig(msg)) = with else {
                 panic!("with_placement accepted gamma_factor {gamma_factor}");
@@ -1391,7 +1415,10 @@ mod tests {
 
     fn counter(trace: &Trace, name: &str) -> u64 {
         let counters = trace.counters();
-        counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+        counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
     }
 
     #[test]
@@ -1402,11 +1429,18 @@ mod tests {
         placer.set_trace(trace.clone());
         placer.step(); // bootstrap: one gradient for λ and α₀, reused twice
         let read = || {
-            ["place.density_evals", "place.density_memo_hits", "fft.transforms2d"]
-                .map(|name| counter(&trace, name))
+            [
+                "place.density_evals",
+                "place.density_memo_hits",
+                "fft.transforms2d",
+            ]
+            .map(|name| counter(&trace, name))
         };
         let mut before = read();
-        assert_eq!(before[1], 2, "the bootstrap gradient serves combined_grad and grad(v₀)");
+        assert_eq!(
+            before[1], 2,
+            "the bootstrap gradient serves combined_grad and grad(v₀)"
+        );
         let mut three = 0;
         for _ in 0..20 {
             placer.step();
@@ -1422,7 +1456,10 @@ mod tests {
             three += u32::from(transforms == 3);
             before = after;
         }
-        assert!(three >= 10, "only {three}/20 steps accepted their first round");
+        assert!(
+            three >= 10,
+            "only {three}/20 steps accepted their first round"
+        );
     }
 
     #[test]
@@ -1461,13 +1498,19 @@ mod tests {
             // backtracking round; the statistics evaluate no WA. The density
             // pipeline runs the same rounds, its opening gradient from the
             // memo, and the statistics.
-            assert_eq!(grads, density, "{grads} WA gradients, {density} density evaluations");
+            assert_eq!(
+                grads, density,
+                "{grads} WA gradients, {density} density evaluations"
+            );
             assert_eq!(terms, 4 * active_pins * grads);
             assert!(calls < terms, "{calls} exp calls for {terms} terms");
             first_round += u32::from(grads == 2);
             before = after;
         }
-        assert!(first_round >= 10, "only {first_round}/20 steps accepted their first round");
+        assert!(
+            first_round >= 10,
+            "only {first_round}/20 steps accepted their first round"
+        );
     }
 
     /// One move of the memo property test's scripts.
@@ -1500,7 +1543,13 @@ mod tests {
                     .netlist()
                     .cells()
                     .iter()
-                    .map(|c| if c.is_movable() { rng.next_f64() * c.width } else { 0.0 })
+                    .map(|c| {
+                        if c.is_movable() {
+                            rng.next_f64() * c.width
+                        } else {
+                            0.0
+                        }
+                    })
                     .collect();
                 placer.set_padding(pad);
             }
@@ -1630,7 +1679,10 @@ mod tests {
         for (name, site) in sites {
             let mut warm = GlobalPlacer::new(&d, cfg.clone()).unwrap();
             warm.ensure_optimizer();
-            assert!(!warm.dens.memo_key.is_empty(), "{name}: the bootstrap fills the memo");
+            assert!(
+                !warm.dens.memo_key.is_empty(),
+                "{name}: the bootstrap fills the memo"
+            );
             site(&mut warm);
             warm.ensure_optimizer();
 
@@ -1640,7 +1692,11 @@ mod tests {
             site(&mut cold);
             cold.ensure_optimizer();
 
-            assert_eq!(warm.snapshot(), cold.snapshot(), "{name} left a stale memo behind");
+            assert_eq!(
+                warm.snapshot(),
+                cold.snapshot(),
+                "{name} left a stale memo behind"
+            );
         }
     }
 

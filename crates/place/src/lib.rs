@@ -30,8 +30,8 @@ pub mod wirelength;
 pub use density::{DensityEval, DensityModel, DensityWorkspace};
 pub use engine::{GlobalPlacer, GpLanes, IterationStats, PlacerConfig, PlacerSnapshot};
 pub use nesterov::{NesterovOptimizer, NesterovState};
-pub use sentinel::{Divergence, DivergenceSentinel};
 pub use quadratic::{quadratic_placement, QuadraticConfig};
+pub use sentinel::{Divergence, DivergenceSentinel};
 pub use wirelength::{wa_wirelength_grad_threaded, WaCounts, WaWorkspace, WirelengthGrad};
 
 use std::error::Error;

@@ -10,8 +10,8 @@
 //! to the last healthy state and shrinking its step size instead of
 //! panicking (see [`crate::GlobalPlacer::step`]).
 
-use puffer_db::cast;
 use crate::engine::IterationStats;
+use puffer_db::cast;
 use std::collections::VecDeque;
 
 /// Why the sentinel flagged an iteration.
@@ -170,7 +170,11 @@ mod tests {
         let mut s = DivergenceSentinel::new(8);
         for i in 0..100 {
             let of = 1.0 / (1.0 + i as f64 * 0.1);
-            assert_eq!(s.check(&stats(of, 1000.0 + i as f64), &COORDS), None, "iter {i}");
+            assert_eq!(
+                s.check(&stats(of, 1000.0 + i as f64), &COORDS),
+                None,
+                "iter {i}"
+            );
         }
     }
 
@@ -219,7 +223,10 @@ mod tests {
     fn hpwl_explosion_is_flagged() {
         let mut s = DivergenceSentinel::new(8);
         assert_eq!(s.check(&stats(0.5, 1000.0), &COORDS), None);
-        assert_eq!(s.check(&stats(0.5, 1e9), &COORDS), Some(Divergence::Exploding));
+        assert_eq!(
+            s.check(&stats(0.5, 1e9), &COORDS),
+            Some(Divergence::Exploding)
+        );
     }
 
     #[test]

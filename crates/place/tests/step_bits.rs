@@ -89,7 +89,13 @@ fn trajectory(design: &Design, threads: usize) -> String {
         .cells()
         .iter()
         .enumerate()
-        .map(|(i, c)| if c.is_movable() { 0.25 * c.width * (i % 4) as f64 } else { 0.0 })
+        .map(|(i, c)| {
+            if c.is_movable() {
+                0.25 * c.width * (i % 4) as f64
+            } else {
+                0.0
+            }
+        })
         .collect();
     placer.set_padding(pad);
     let (mx, my) = placer.density_dims();
@@ -165,7 +171,11 @@ fn the_fixture_covers_its_cases() {
         .lines()
         .filter_map(|l| l.split(" place ").nth(1))
         .collect();
-    assert!(digests.len() > 50, "only {} distinct placements", digests.len());
+    assert!(
+        digests.len() > 50,
+        "only {} distinct placements",
+        digests.len()
+    );
     let recovery = FIXTURE.lines().last().unwrap();
     assert!(
         recovery.starts_with("recovery divergence \"non-finite objective\" recoveries 1 "),

@@ -58,6 +58,9 @@ fn warm_steps_do_not_fault_in_fresh_grids() {
             placer.step();
         }
         let per_step = (minor_faults() - before) / STEPS;
-        assert!(per_step < 50, "threads {threads}: {per_step} minor faults per warm step");
+        assert!(
+            per_step < 50,
+            "threads {threads}: {per_step} minor faults per warm step"
+        );
     }
 }

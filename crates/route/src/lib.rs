@@ -71,13 +71,13 @@ pub mod path;
 pub use grid::{Dir, RoutingGrid};
 pub use layers::{assign_layers, LayerAssignment, LayerReport};
 
-use puffer_db::cast;
 use puffer_budget::Budget;
 /// Shared worker-thread defaults (hoisted to `puffer-budget` so the router
 /// and the congestion estimator clamp identically).
 pub use puffer_budget::{clamp_threads, default_threads};
 use puffer_congest::demand::decompose_net;
 use puffer_congest::{build_capacity, CongestionMap, GCELL_ROWS};
+use puffer_db::cast;
 use puffer_db::design::{Design, Placement};
 
 /// Errors produced by [`GlobalRouter::try_route`]: hostile inputs the
@@ -550,10 +550,7 @@ mod tests {
         let r = d.region();
         let router = GlobalRouter::new(&d, RouterConfig::default());
         // Collapse every movable cell to one point well inside a Gcell.
-        let target = Point::new(
-            r.xl + 0.37 * r.width(),
-            r.yl + 0.41 * r.height(),
-        );
+        let target = Point::new(r.xl + 0.37 * r.width(), r.yl + 0.41 * r.height());
         let mut p = d.initial_placement();
         for id in d.netlist().movable_cells() {
             p.set(id, target);
@@ -781,7 +778,9 @@ mod tests {
         })
         .unwrap();
         let router = GlobalRouter::new(&d, RouterConfig::default());
-        let err = router.try_route(&d, &other.initial_placement()).unwrap_err();
+        let err = router
+            .try_route(&d, &other.initial_placement())
+            .unwrap_err();
         assert!(matches!(err, RouteError::BadInput(_)), "{err}");
     }
 
@@ -800,9 +799,7 @@ mod tests {
             budget: Budget::unbounded(),
             reuse_disabled: false,
         };
-        let err = router
-            .try_route(&d, &d.initial_placement())
-            .unwrap_err();
+        let err = router.try_route(&d, &d.initial_placement()).unwrap_err();
         assert!(matches!(err, RouteError::ZeroCapacity(_)), "{err}");
     }
 

@@ -43,8 +43,8 @@
 //! [`RoutingGrid::step_costs`] maintains, which holds the very `f64`s
 //! `RoutingGrid::cost(.., 0.5)` returns.
 
-use puffer_db::cast;
 use crate::grid::{Dir, RoutingGrid};
+use puffer_db::cast;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -303,10 +303,7 @@ pub fn apply_path(
 }
 
 /// Whether any Gcell along the path whose cells are `cells` is overused.
-pub fn path_overflows(
-    grid: &RoutingGrid,
-    cells: impl IntoIterator<Item = (usize, usize)>,
-) -> bool {
+pub fn path_overflows(grid: &RoutingGrid, cells: impl IntoIterator<Item = (usize, usize)>) -> bool {
     moves(cells)
         .any(|(a, b, d)| grid.overuse(a.0, a.1, d) > 1e-9 || grid.overuse(b.0, b.1, d) > 1e-9)
 }

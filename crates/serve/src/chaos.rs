@@ -76,10 +76,14 @@ pub type Runner = fn(&Case) -> Result<String, String>;
 /// The serve rows, in dispatch order.
 pub const ROWS: [(&str, Runner); 6] = [
     ("serve-worker-panic", worker_panic),
-    ("serve-torn-write", |case| fs_fault(case, FaultClass::TornWrite)),
+    ("serve-torn-write", |case| {
+        fs_fault(case, FaultClass::TornWrite)
+    }),
     ("serve-client-disconnect", client_disconnect),
     ("serve-kill-restart", kill_restart),
-    ("serve-disk-full", |case| fs_fault(case, FaultClass::DiskFull)),
+    ("serve-disk-full", |case| {
+        fs_fault(case, FaultClass::DiskFull)
+    }),
     ("serve-rename-restart", rename_restart),
 ];
 
@@ -150,7 +154,9 @@ impl<'a> Round<'a> {
     fn check_reference(&self, out: &Path, what: &str) -> Result<(), String> {
         let bytes = fs::read(out).map_err(|e| format!("{what}: read {}: {e}", out.display()))?;
         if bytes != self.reference {
-            return Err(format!("{what}: placement differs from uninterrupted reference"));
+            return Err(format!(
+                "{what}: placement differs from uninterrupted reference"
+            ));
         }
         Ok(())
     }
@@ -413,7 +419,9 @@ fn expect_state(
         .map(|s| s.state)
         .ok_or_else(|| format!("job {id} unknown"))?;
     if got != want {
-        return Err(format!("job {id}: state {got:?}, wanted {want:?} ({record})"));
+        return Err(format!(
+            "job {id}: state {got:?}, wanted {want:?} ({record})"
+        ));
     }
     Ok(())
 }
@@ -445,9 +453,8 @@ impl Client {
         self.stream
             .write_all(line.as_bytes())
             .map_err(|e| e.to_string())?;
-        let mut reader = std::io::BufReader::new(
-            self.stream.try_clone().map_err(|e| e.to_string())?,
-        );
+        let mut reader =
+            std::io::BufReader::new(self.stream.try_clone().map_err(|e| e.to_string())?);
         let mut response = String::new();
         reader.read_line(&mut response).map_err(|e| e.to_string())?;
         Ok(response)
@@ -456,7 +463,9 @@ impl Client {
     fn submit(&mut self, spec: &JobSpec) -> Result<u64, String> {
         // A spec record doubles as a submit request: same fields, `t` is
         // remapped.
-        let line = spec.render().replacen("\"t\":\"job.spec\"", "\"t\":\"submit\"", 1);
+        let line = spec
+            .render()
+            .replacen("\"t\":\"job.spec\"", "\"t\":\"submit\"", 1);
         let response = self.request(&(line + "\n"))?;
         let rec = puffer_trace::parse_record(response.trim())
             .map_err(|e| format!("bad accept response: {e}"))?;

@@ -195,7 +195,9 @@ impl JobSpec {
             match rec.num(key) {
                 None => Ok(None),
                 Some(v) if v >= 0.0 && v.fract() == 0.0 => Ok(Some(v as usize)),
-                Some(v) => Err(format!("field '{key}' must be a non-negative integer, got {v}")),
+                Some(v) => Err(format!(
+                    "field '{key}' must be a non-negative integer, got {v}"
+                )),
             }
         };
         Ok(JobSpec {
@@ -307,7 +309,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             Err("submit: spec field 'chaos' is not accepted over the wire".into())
         }
         Some("submit") => Ok(Request::Submit(Box::new(JobSpec::from_record(&rec)?))),
-        Some("cancel") => Ok(Request::Cancel { id: id_field("id")? }),
+        Some("cancel") => Ok(Request::Cancel {
+            id: id_field("id")?,
+        }),
         Some("status") => Ok(Request::Status {
             id: match rec.num("id") {
                 None => None,
@@ -432,8 +436,8 @@ mod tests {
         // A timeout no `Duration` can hold is a bad request naming the
         // field, not a panic in the control loop.
         for bad in ["-1", "1e300"] {
-            let err = parse_request(&format!(r#"{{"t":"wait","id":1,"timeout_s":{bad}}}"#))
-                .unwrap_err();
+            let err =
+                parse_request(&format!(r#"{{"t":"wait","id":1,"timeout_s":{bad}}}"#)).unwrap_err();
             assert!(err.contains("'timeout_s'"), "{err}");
         }
         assert_eq!(parse_request(r#"{"t":"drain"}"#).unwrap(), Request::Drain);

@@ -196,7 +196,10 @@ mod tests {
     #[test]
     fn pop_times_out_then_sees_items() {
         let q = BoundedQueue::new(4);
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), Popped::<u64>::Empty);
+        assert_eq!(
+            q.pop_timeout(Duration::from_millis(5)),
+            Popped::<u64>::Empty
+        );
         q.try_push(7u64).unwrap();
         assert_eq!(q.pop_timeout(Duration::ZERO), Popped::Item(7));
     }

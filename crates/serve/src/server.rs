@@ -158,7 +158,10 @@ pub fn handle_line(handle: &EngineHandle<'_>, line: &str, out: &mut String) -> A
             Action::Continue
         }
         Request::Drain => {
-            push(out, JsonLine::new("serve.done").str("mode", "drain").finish());
+            push(
+                out,
+                JsonLine::new("serve.done").str("mode", "drain").finish(),
+            );
             Action::Drain
         }
         Request::Shutdown => {
@@ -244,18 +247,16 @@ pub fn serve_listener(
     listener.set_nonblocking(true)?;
     loop {
         match listener.accept() {
-            Ok((stream, _addr)) => {
-                match serve_connection(handle, stream) {
-                    Action::Continue => {}
-                    a @ (Action::Drain | Action::Shutdown) => {
-                        wind_down(handle, a);
-                        return Ok(match a {
-                            Action::Shutdown => ServerOutcome::Shutdown,
-                            _ => ServerOutcome::Drained,
-                        });
-                    }
+            Ok((stream, _addr)) => match serve_connection(handle, stream) {
+                Action::Continue => {}
+                a @ (Action::Drain | Action::Shutdown) => {
+                    wind_down(handle, a);
+                    return Ok(match a {
+                        Action::Shutdown => ServerOutcome::Shutdown,
+                        _ => ServerOutcome::Drained,
+                    });
                 }
-            }
+            },
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 if signal.is_cancelled() {
                     wind_down(handle, Action::Drain);
@@ -274,7 +275,10 @@ pub fn serve_listener(
 fn serve_connection(handle: &EngineHandle<'_>, stream: TcpStream) -> Action {
     // A finite read timeout lets blocking `wait` requests coexist with
     // clients that keep the connection open silently.
-    if stream.set_read_timeout(Some(Duration::from_millis(200))).is_err() {
+    if stream
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .is_err()
+    {
         return Action::Continue;
     }
     let mut writer = match stream.try_clone() {
@@ -445,7 +449,10 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(kinds, vec!["rejected", "rejected", "rejected", "rejected", "pong"]);
+        assert_eq!(
+            kinds,
+            vec!["rejected", "rejected", "rejected", "rejected", "pong"]
+        );
     }
 
     #[test]

@@ -359,9 +359,7 @@ impl Parser<'_> {
                 self.parse_literal("null")?;
                 Ok(Value::Null)
             }
-            Some((_, c)) if *c == '-' || c.is_ascii_digit() => {
-                Ok(Value::Num(self.parse_number()?))
-            }
+            Some((_, c)) if *c == '-' || c.is_ascii_digit() => Ok(Value::Num(self.parse_number()?)),
             Some((i, c)) => Err(format!("unexpected value at byte {i}: '{c}'")),
             None => Err("expected a value, found end of line".to_string()),
         }

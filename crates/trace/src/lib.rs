@@ -372,7 +372,11 @@ mod tests {
         {
             let _s = t.span("x");
             t.add("c", 3);
-            t.record("k").num("a", 1.0).int("b", 2).str("c", "d").write();
+            t.record("k")
+                .num("a", 1.0)
+                .int("b", 2)
+                .str("c", "d")
+                .write();
         }
         assert!(t.span_stats().is_empty());
         assert!(t.counters().is_empty());
@@ -495,8 +499,13 @@ mod tests {
         assert!(records[0].num("elapsed_s") <= records[1].num("elapsed_s"));
         // The stamp still sits right after the kind.
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.lines().all(|l| l.starts_with("{\"t\":\"") && l.contains("\",\"elapsed_s\":")));
-        assert!(text.lines().nth(1).unwrap().ends_with(",\"n\":1}"), "{text}");
+        assert!(text
+            .lines()
+            .all(|l| l.starts_with("{\"t\":\"") && l.contains("\",\"elapsed_s\":")));
+        assert!(
+            text.lines().nth(1).unwrap().ends_with(",\"n\":1}"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -521,7 +530,10 @@ mod tests {
         assert_eq!(records.len(), 4 * 200);
         let stamps: Vec<f64> = records.iter().filter_map(|r| r.num("elapsed_s")).collect();
         assert_eq!(stamps.len(), records.len());
-        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "stamps out of file order");
+        assert!(
+            stamps.windows(2).all(|w| w[0] <= w[1]),
+            "stamps out of file order"
+        );
         // Each writer's own records kept their order.
         for writer in 0..4 {
             let seqs: Vec<f64> = records

@@ -70,7 +70,10 @@ impl SpanRegistry {
         }
         let path = self.stack[..=depth].join("/");
         self.stack.truncate(depth);
-        self.stats.entry(path).or_insert_with(SpanStats::new).observe(elapsed);
+        self.stats
+            .entry(path)
+            .or_insert_with(SpanStats::new)
+            .observe(elapsed);
     }
 
     pub(crate) fn stats(&self) -> Vec<(String, SpanStats)> {

@@ -36,15 +36,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Evaluation runs at default router settings, unbounded and untraced.
-    let (router, unbounded, untraced) =
-        (RouterConfig::default(), Budget::unbounded(), Trace::disabled());
+    let (router, unbounded, untraced) = (
+        RouterConfig::default(),
+        Budget::unbounded(),
+        Trace::disabled(),
+    );
 
     // --- wirelength-driven placement only (padding off) -------------------
     let mut plain_cfg = PufferConfig::default();
     plain_cfg.strategy.max_rounds = 0; // routability optimizer never fires
     let plain = Job::new(plain_cfg).run(&design)?;
-    let plain_report =
-        evaluate_bounded(&design, &plain.placement, &router, &unbounded, &untraced)?;
+    let plain_report = evaluate_bounded(&design, &plain.placement, &router, &unbounded, &untraced)?;
 
     // --- the full PUFFER flow ---------------------------------------------
     let puffer = Job::new(PufferConfig::default()).run(&design)?;

@@ -27,8 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..GeneratorConfig::default()
     })?;
     // Evaluation runs at default router settings, unbounded and untraced.
-    let (router, unbounded, untraced) =
-        (RouterConfig::default(), Budget::unbounded(), Trace::disabled());
+    let (router, unbounded, untraced) = (
+        RouterConfig::default(),
+        Budget::unbounded(),
+        Trace::disabled(),
+    );
     let flow = Job::new(PufferConfig::default()).run(&design)?;
     let base = evaluate_bounded(&design, &flow.placement, &router, &unbounded, &untraced)?;
     println!(

@@ -96,7 +96,10 @@ impl<'a> Bench<'a> {
         placer.run();
         let placement = placer.placement().clone();
         let nl = design.netlist();
-        let home = nl.movable_cells().map(|id| (id, placement.pos(id))).collect();
+        let home = nl
+            .movable_cells()
+            .map(|id| (id, placement.pos(id)))
+            .collect();
         let cells = nl.num_cells();
         let dim = DensityModel::auto_dim(cells);
         let model = DensityModel::new(design, dim, dim);

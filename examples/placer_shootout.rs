@@ -24,9 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .nth(1)
         .map(|s| s.parse().expect("scale must be a number"))
         .unwrap_or(0.01);
-    let design = generate(
-        &presets::by_name("media_subsys", scale)?.expect("preset exists"),
-    )?;
+    let design = generate(&presets::by_name("media_subsys", scale)?.expect("preset exists"))?;
     println!(
         "benchmark {} at scale {scale}: {} cells, {} nets\n",
         design.name(),
@@ -35,28 +33,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut table = ComparisonTable::new();
-    let mut add = |flow: &str, result: puffer::FlowResult| -> Result<(), puffer_route::RouteError> {
-        let report = evaluate_bounded(
-            &design,
-            &result.placement,
-            &RouterConfig::default(),
-            &Budget::unbounded(),
-            &Trace::disabled(),
-        )?;
-        println!(
-            "{flow:<16}: HOF {:>5.2}% VOF {:>5.2}% WL {:>9.0} RT {:>6.1}s",
-            report.hof_pct, report.vof_pct, report.wirelength, result.runtime_s
-        );
-        table.push(EvalRow {
-            benchmark: design.name().to_string(),
-            flow: flow.to_string(),
-            hof_pct: report.hof_pct,
-            vof_pct: report.vof_pct,
-            wirelength: report.wirelength,
-            runtime_s: result.runtime_s,
-        });
-        Ok(())
-    };
+    let mut add =
+        |flow: &str, result: puffer::FlowResult| -> Result<(), puffer_route::RouteError> {
+            let report = evaluate_bounded(
+                &design,
+                &result.placement,
+                &RouterConfig::default(),
+                &Budget::unbounded(),
+                &Trace::disabled(),
+            )?;
+            println!(
+                "{flow:<16}: HOF {:>5.2}% VOF {:>5.2}% WL {:>9.0} RT {:>6.1}s",
+                report.hof_pct, report.vof_pct, report.wirelength, result.runtime_s
+            );
+            table.push(EvalRow {
+                benchmark: design.name().to_string(),
+                flow: flow.to_string(),
+                hof_pct: report.hof_pct,
+                vof_pct: report.vof_pct,
+                wirelength: report.wirelength,
+                runtime_s: result.runtime_s,
+            });
+            Ok(())
+        };
 
     add(
         "Commercial_Ref",

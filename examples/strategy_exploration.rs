@@ -38,8 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let space = strategy_space();
     // Evaluation runs at default router settings, unbounded and untraced.
-    let (router, unbounded, untraced) =
-        (RouterConfig::default(), Budget::unbounded(), Trace::disabled());
+    let (router, unbounded, untraced) = (
+        RouterConfig::default(),
+        Budget::unbounded(),
+        Trace::disabled(),
+    );
 
     // Objective (paper §III-C): total overflow ratio of both directions,
     // evaluated by placement + global routing.
@@ -81,15 +84,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Compare default vs tuned at the full placement budget.
     let default_flow = Job::new(PufferConfig::default()).run(&design)?;
-    let default_report =
-        evaluate_bounded(&design, &default_flow.placement, &router, &unbounded, &untraced)?;
+    let default_report = evaluate_bounded(
+        &design,
+        &default_flow.placement,
+        &router,
+        &unbounded,
+        &untraced,
+    )?;
     let tuned_cfg = PufferConfig {
         strategy: tuned_strategy(&space, &outcome.best),
         ..PufferConfig::default()
     };
     let tuned_flow = Job::new(tuned_cfg).run(&design)?;
-    let tuned_report =
-        evaluate_bounded(&design, &tuned_flow.placement, &router, &unbounded, &untraced)?;
+    let tuned_report = evaluate_bounded(
+        &design,
+        &tuned_flow.placement,
+        &router,
+        &unbounded,
+        &untraced,
+    )?;
 
     println!("\nat full placement budget:");
     println!(

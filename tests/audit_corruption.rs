@@ -7,9 +7,7 @@
 //! file-level corruptions damage real artifacts written by the flow.
 
 use puffer::{CheckpointPolicy, Job, PufferConfig};
-use puffer_audit::{
-    audit_metrics, audit_run, PadAudit, PlacementAudit, PlacementStage, Validate,
-};
+use puffer_audit::{audit_metrics, audit_run, PadAudit, PlacementAudit, PlacementStage, Validate};
 use puffer_db::design::Design;
 use puffer_db::geom::{Point, Rect};
 use puffer_db::netlist::{Cell, CellKind, Net, Netlist, Pin, PinId};
@@ -19,7 +17,9 @@ use puffer_pad::{PaddingState, PaddingStrategy};
 use std::path::PathBuf;
 
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("puffer-audit-corruption").join(name);
+    let dir = std::env::temp_dir()
+        .join("puffer-audit-corruption")
+        .join(name);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -55,7 +55,13 @@ fn assert_caught<V: Validate>(subject: &V, check: &str) {
 /// Membership lists (which pins each cell/net claims) are returned
 /// separately because the struct-of-arrays netlist stores them in CSR
 /// form, not inside `Cell`/`Net`.
-type RawNetlist = (Vec<Cell>, Vec<Net>, Vec<Pin>, Vec<Vec<PinId>>, Vec<Vec<PinId>>);
+type RawNetlist = (
+    Vec<Cell>,
+    Vec<Net>,
+    Vec<Pin>,
+    Vec<Vec<PinId>>,
+    Vec<Vec<PinId>>,
+);
 
 fn raw_two_cell_netlist() -> RawNetlist {
     let cells = vec![
@@ -106,7 +112,9 @@ fn design_of(netlist: Netlist) -> Design {
 #[test]
 fn pristine_raw_netlist_passes() {
     let (cells, nets, pins, cell_pins, net_pins) = raw_two_cell_netlist();
-    let d = design_of(Netlist::from_raw_parts(cells, nets, pins, cell_pins, net_pins));
+    let d = design_of(Netlist::from_raw_parts(
+        cells, nets, pins, cell_pins, net_pins,
+    ));
     d.validate().expect("uncorrupted design must validate");
 }
 
@@ -120,7 +128,9 @@ fn dangling_pin_is_detected() {
         net: puffer_db::netlist::NetId(0),
         offset: Point::ORIGIN,
     });
-    let d = design_of(Netlist::from_raw_parts(cells, nets, pins, cell_pins, net_pins));
+    let d = design_of(Netlist::from_raw_parts(
+        cells, nets, pins, cell_pins, net_pins,
+    ));
     assert_caught(&d, "dangling-pin");
 }
 
@@ -130,7 +140,9 @@ fn degenerate_weighted_net_is_detected() {
     // Drop the net's second pin: weight 1 but degree 1 can never
     // contribute wirelength.
     net_pins[0].truncate(1);
-    let d = design_of(Netlist::from_raw_parts(cells, nets, pins, cell_pins, net_pins));
+    let d = design_of(Netlist::from_raw_parts(
+        cells, nets, pins, cell_pins, net_pins,
+    ));
     assert_caught(&d, "degenerate-net");
 }
 
@@ -138,7 +150,9 @@ fn degenerate_weighted_net_is_detected() {
 fn pin_outside_cell_bounds_is_detected() {
     let (cells, nets, mut pins, cell_pins, net_pins) = raw_two_cell_netlist();
     pins[0].offset = Point::new(5.0, 0.0); // half-width is 1.0
-    let d = design_of(Netlist::from_raw_parts(cells, nets, pins, cell_pins, net_pins));
+    let d = design_of(Netlist::from_raw_parts(
+        cells, nets, pins, cell_pins, net_pins,
+    ));
     assert_caught(&d, "pin-outside-cell");
 }
 
@@ -146,13 +160,17 @@ fn pin_outside_cell_bounds_is_detected() {
 fn zero_area_cell_is_detected() {
     let (mut cells, nets, pins, cell_pins, net_pins) = raw_two_cell_netlist();
     cells[1].width = 0.0;
-    let d = design_of(Netlist::from_raw_parts(cells, nets, pins, cell_pins, net_pins));
+    let d = design_of(Netlist::from_raw_parts(
+        cells, nets, pins, cell_pins, net_pins,
+    ));
     assert_caught(&d, "zero-area-cell");
 }
 
 #[test]
 fn generated_design_passes_the_audit() {
-    small_design().validate().expect("generator output is valid");
+    small_design()
+        .validate()
+        .expect("generator output is valid");
 }
 
 // ---------------------------------------------------------------------------
@@ -385,7 +403,10 @@ fn timestamp_running_backwards_is_detected() {
         .map(|v| v.message.as_str())
         .collect();
     assert_eq!(hits.len(), 1, "got: {report}");
-    assert!(hits[0].contains("record 1") && hits[0].contains("0.149"), "got: {report}");
+    assert!(
+        hits[0].contains("record 1") && hits[0].contains("0.149"),
+        "got: {report}"
+    );
 }
 
 #[test]
@@ -411,8 +432,12 @@ fn transform_count_outside_the_density_evaluations_is_detected() {
     let dir = tmp_dir("density-counters");
     let counters = |evals: u32, transforms: u32| {
         [
-            format!(r#"{{"t":"counter","elapsed_s":0.1,"name":"place.density_evals","value":{evals}}}"#),
-            format!(r#"{{"t":"counter","elapsed_s":0.1,"name":"fft.transforms2d","value":{transforms}}}"#),
+            format!(
+                r#"{{"t":"counter","elapsed_s":0.1,"name":"place.density_evals","value":{evals}}}"#
+            ),
+            format!(
+                r#"{{"t":"counter","elapsed_s":0.1,"name":"fft.transforms2d","value":{transforms}}}"#
+            ),
         ]
     };
     // Only gradients transform, three times each: 700 is no whole number
@@ -423,7 +448,10 @@ fn transform_count_outside_the_density_evaluations_is_detected() {
         write_lines(&path, &[&lines[0], &lines[1]]);
         let report = audit_metrics(&path).expect_err("impossible transform count must be caught");
         assert!(
-            report.violations.iter().any(|v| v.check == "density-counters"),
+            report
+                .violations
+                .iter()
+                .any(|v| v.check == "density-counters"),
             "got: {report}"
         );
     }
@@ -447,14 +475,24 @@ fn impossible_wa_counters_are_detected() {
         write_lines(&path, &lines.iter().map(String::as_str).collect::<Vec<_>>());
         audit_metrics(&path)
     };
-    let shape = |grads, calls, terms| [("grad_evals", grads), ("exp_calls", calls), ("exp_terms", terms)];
+    let shape = |grads, calls, terms| {
+        [
+            ("grad_evals", grads),
+            ("exp_calls", calls),
+            ("exp_terms", terms),
+        ]
+    };
     // 440 gradients of 2151 pins, 41 % elided.
     let terms = 4 * 2151 * 440;
     audit("good.jsonl", &shape(440, 2_228_160, terms)).expect("the golden run's shape passes");
     // A file from when every step added a value-only evaluation: 200 more
     // evaluations name their terms too.
     let old_terms = 4 * 2151 * 640;
-    let old = [&shape(440, 3_240_960, old_terms)[..], &[("value_evals", 200)]].concat();
+    let old = [
+        &shape(440, 3_240_960, old_terms)[..],
+        &[("value_evals", 200)],
+    ]
+    .concat();
     audit("old.jsonl", &old).expect("a file with value-only evaluations passes");
     for (name, bad) in [
         // More calls than Eq. (2) has exponentials.
@@ -491,18 +529,33 @@ fn impossible_route_counters_are_detected() {
     audit("clean.jsonl", [34_386, 0, 0, 0, 0, 0, 0]).expect("no overflow, no search");
     for (name, bad) in [
         // More reroutes than one per segment per round.
-        ("reroutes.jsonl", [34_386, 12, 34_386 * 12 + 1, 0, 0, 3_236_660, 5_332_652]),
+        (
+            "reroutes.jsonl",
+            [34_386, 12, 34_386 * 12 + 1, 0, 0, 3_236_660, 5_332_652],
+        ),
         ("no-rounds.jsonl", [34_386, 0, 1, 0, 0, 0, 1]),
         // More kept paths than reroutes.
-        ("kept.jsonl", [34_386, 12, 194_670, 194_671, 147_090, 3_236_660, 5_332_652]),
+        (
+            "kept.jsonl",
+            [34_386, 12, 194_670, 194_671, 147_090, 3_236_660, 5_332_652],
+        ),
         // More skipped searches than kept paths.
-        ("reused.jsonl", [34_386, 12, 194_670, 192_251, 192_252, 3_236_660, 5_332_652]),
+        (
+            "reused.jsonl",
+            [34_386, 12, 194_670, 192_251, 192_252, 3_236_660, 5_332_652],
+        ),
         // More pops than the heap ever held.
-        ("pops.jsonl", [34_386, 12, 194_670, 0, 0, 5_332_653, 5_332_652]),
+        (
+            "pops.jsonl",
+            [34_386, 12, 194_670, 0, 0, 5_332_653, 5_332_652],
+        ),
     ] {
         let report = audit(name, bad).expect_err("impossible route counters must be caught");
         assert!(
-            report.violations.iter().any(|v| v.check == "route-counters"),
+            report
+                .violations
+                .iter()
+                .any(|v| v.check == "route-counters"),
             "{name}: {report}"
         );
     }
@@ -510,7 +563,9 @@ fn impossible_route_counters_are_detected() {
     let old = dir.join("old.jsonl");
     write_lines(
         &old,
-        &[r#"{"t":"route.done","elapsed_s":0.4,"hof_pct":1.85,"vof_pct":0.84,"wirelength":302912.9,"overflow_gcells":163,"rounds":12}"#],
+        &[
+            r#"{"t":"route.done","elapsed_s":0.4,"hof_pct":1.85,"vof_pct":0.84,"wirelength":302912.9,"overflow_gcells":163,"rounds":12}"#,
+        ],
     );
     audit_metrics(&old).expect("pre-counter route.done records pass");
 }
@@ -527,7 +582,11 @@ fn impossible_lane_counts_are_detected() {
         audit_metrics(&path)
     };
     audit("good.jsonl", "2").expect("a real run passes");
-    for (name, bad) in [("zero.jsonl", "0"), ("half.jsonl", "1.5"), ("many.jsonl", "33")] {
+    for (name, bad) in [
+        ("zero.jsonl", "0"),
+        ("half.jsonl", "1.5"),
+        ("many.jsonl", "33"),
+    ] {
         let report = audit(name, bad).expect_err("an impossible lane count must be caught");
         assert!(
             report.violations.iter().any(|v| v.check == "flow-init"),

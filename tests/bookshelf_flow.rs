@@ -68,10 +68,15 @@ fn bookshelf_round_trip_preserves_structure_and_places() {
     .expect("generate");
     let (nodes, nets, pl, scl) = to_bookshelf(&original);
     let imported = parse_bookshelf("roundtrip", &nodes, &nets, &pl, &scl).expect("parse");
-    imported.check_macros_placed().expect("macros placed via .pl");
+    imported
+        .check_macros_placed()
+        .expect("macros placed via .pl");
 
     // Same structural statistics.
-    assert_eq!(imported.stats().movable_cells, original.stats().movable_cells);
+    assert_eq!(
+        imported.stats().movable_cells,
+        original.stats().movable_cells
+    );
     assert_eq!(imported.stats().nets, original.stats().nets);
     assert_eq!(imported.stats().movable_pins, original.stats().movable_pins);
     assert_eq!(imported.stats().macros, original.stats().macros);

@@ -27,9 +27,7 @@ fn quick_config() -> PufferConfig {
 #[test]
 fn preset_benchmark_places_and_routes() {
     let design = generate(&presets::or1200(0.002).expect("preset")).expect("generate");
-    let result = Job::new(quick_config())
-        .run(&design)
-        .expect("place");
+    let result = Job::new(quick_config()).run(&design).expect("place");
     // Physical legality and the reported HPWL, by library and by oracle.
     oracle::assert_flow_result(&design, &result);
     // Routable with finite metrics.
@@ -57,9 +55,7 @@ fn flow_moves_cells_off_the_initial_cluster() {
     })
     .expect("generate");
     let initial = design.initial_placement();
-    let result = Job::new(quick_config())
-        .run(&design)
-        .expect("place");
+    let result = Job::new(quick_config()).run(&design).expect("place");
     oracle::assert_flow_result(&design, &result);
     // Spreading must actually have happened.
     let moved = design
@@ -83,9 +79,7 @@ fn global_placement_density_is_bounded() {
         ..GeneratorConfig::default()
     })
     .expect("generate");
-    let result = Job::new(quick_config())
-        .run(&design)
-        .expect("place");
+    let result = Job::new(quick_config()).run(&design).expect("place");
     oracle::assert_flow_result(&design, &result);
     assert!(
         result.final_overflow <= 0.16,
@@ -201,10 +195,16 @@ fn oracle_and_check_legal_reject_the_same_broken_placements() {
     let left = row.x_min + ((macro_mid - row.x_min) / site).floor() * site;
     let broken = [
         // Left edges coincide, so `a` stays on the site grid.
-        ("overlap", Point::new(pos(b).x - half_w(b) + half_w(a), pos(b).y)),
+        (
+            "overlap",
+            Point::new(pos(b).x - half_w(b) + half_w(a), pos(b).y),
+        ),
         ("site grid", Point::new(pos(a).x + site / 2.0, pos(a).y)),
         ("no row", Point::new(pos(a).x, pos(a).y + row_h / 2.0)),
-        ("leaves the die", Point::new(design.region().xh + 10.0 * site, pos(a).y)),
+        (
+            "leaves the die",
+            Point::new(design.region().xh + 10.0 * site, pos(a).y),
+        ),
         ("macro", Point::new(left + half_w(a), row.y + row_h / 2.0)),
     ];
     let zeros = vec![0u32; nl.num_cells()];
@@ -236,7 +236,9 @@ fn resume_reapplies_a_journaled_coarse_congestion_rung() {
         ..GeneratorConfig::default()
     })
     .expect("generate");
-    let dir = std::env::temp_dir().join("puffer-full-flow").join("resume-rungs");
+    let dir = std::env::temp_dir()
+        .join("puffer-full-flow")
+        .join("resume-rungs");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let history = CheckpointPolicy {
@@ -279,8 +281,14 @@ fn resume_reapplies_a_journaled_coarse_congestion_rung() {
             other => panic!("congest.round without h_hist: {other:?}"),
         })
         .collect();
-    assert!(!gcells.is_empty(), "no padding round fired after the resume point");
-    assert!(gcells.iter().all(|&g| g == coarse), "{gcells:?} vs {coarse} coarsened Gcells");
+    assert!(
+        !gcells.is_empty(),
+        "no padding round fired after the resume point"
+    );
+    assert!(
+        gcells.iter().all(|&g| g == coarse),
+        "{gcells:?} vs {coarse} coarsened Gcells"
+    );
     assert!(
         records.iter().all(|rec| rec.kind() != Some("flow.degrade")),
         "a journaled rung engaged again"

@@ -9,7 +9,10 @@
 //! reported paths alone and recomputes every Table II quantity from it,
 //! sharing no code with `puffer_route`.
 
-#![allow(dead_code, reason = "each test crate that mounts this module uses its own subset")]
+#![allow(
+    dead_code,
+    reason = "each test crate that mounts this module uses its own subset"
+)]
 
 use puffer::FlowResult;
 use puffer_db::design::{Design, Placement};
@@ -22,7 +25,12 @@ const EPS: f64 = 1e-6;
 
 /// `[xl, xh] x [yl, yh]` of a cell from its centre and size.
 fn rect(center: (f64, f64), w: f64, h: f64) -> [f64; 4] {
-    [center.0 - w / 2.0, center.0 + w / 2.0, center.1 - h / 2.0, center.1 + h / 2.0]
+    [
+        center.0 - w / 2.0,
+        center.0 + w / 2.0,
+        center.1 - h / 2.0,
+        center.1 + h / 2.0,
+    ]
 }
 
 /// Whether two rectangles share interior area (touching edges do not).
@@ -55,23 +63,35 @@ pub fn brute_force_legal(design: &Design, placement: &Placement) -> Result<(), S
         if r.iter().any(|v| !v.is_finite()) {
             return Err(format!("cell '{}' has a non-finite coordinate", c.name));
         }
-        if r[0] < region.xl - EPS || r[1] > region.xh + EPS || r[2] < region.yl - EPS
+        if r[0] < region.xl - EPS
+            || r[1] > region.xh + EPS
+            || r[2] < region.yl - EPS
             || r[3] > region.yh + EPS
         {
             return Err(format!("cell '{}' leaves the die: {r:?}", c.name));
         }
         let Some(row) = design.rows().iter().find(|row| (row.y - r[2]).abs() <= EPS) else {
-            return Err(format!("cell '{}' sits on no row (bottom {})", c.name, r[2]));
+            return Err(format!(
+                "cell '{}' sits on no row (bottom {})",
+                c.name, r[2]
+            ));
         };
         if r[0] < row.x_min - EPS || r[1] > row.x_max + EPS {
             return Err(format!("cell '{}' overhangs its row: {r:?}", c.name));
         }
         let sites = (r[0] - row.x_min) / site;
         if (sites - sites.round()).abs() > 1e-5 {
-            return Err(format!("cell '{}' is off the site grid (left {})", c.name, r[0]));
+            return Err(format!(
+                "cell '{}' is off the site grid (left {})",
+                c.name, r[0]
+            ));
         }
         if let Some((m, _)) = macros.iter().find(|(_, m)| overlap(&r, m)) {
-            return Err(format!("cell '{}' overlaps macro '{}'", c.name, nl.cell(*m).name));
+            return Err(format!(
+                "cell '{}' overlaps macro '{}'",
+                c.name,
+                nl.cell(*m).name
+            ));
         }
         cells.push((id, r));
     }
@@ -99,7 +119,18 @@ pub fn naive_hpwl(design: &Design, placement: &Placement) -> f64 {
     let nl = design.netlist();
     let (xs, ys) = (placement.xs(), placement.ys());
     // Per net: [xl, xh, yl, yh] and the pin count.
-    let mut boxes = vec![([f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY], 0usize); nl.num_nets()];
+    let mut boxes = vec![
+        (
+            [
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::INFINITY,
+                f64::NEG_INFINITY
+            ],
+            0usize
+        );
+        nl.num_nets()
+    ];
     for pin in nl.pins() {
         let x = xs[pin.cell.index()] + pin.offset.x;
         let y = ys[pin.cell.index()] + pin.offset.y;
@@ -155,15 +186,25 @@ pub fn assert_route_report(design: &Design, report: &RouteReport) {
     let (nx, ny) = (map.nx(), map.ny());
     let mut h_use = vec![0.0f64; nx * ny];
     let mut v_use = vec![0.0f64; nx * ny];
-    assert_eq!(report.paths.nx(), nx, "paths are row-major on the map's grid");
+    assert_eq!(
+        report.paths.nx(),
+        nx,
+        "paths are row-major on the map's grid"
+    );
     for (i, path) in report.paths.iter().enumerate() {
         assert!(!path.is_empty(), "path {i} is empty");
         for &node in path.nodes() {
-            assert!((node as usize) < nx * ny, "path {i} leaves the {nx}x{ny} grid at {node}");
+            assert!(
+                (node as usize) < nx * ny,
+                "path {i} leaves the {nx}x{ny} grid at {node}"
+            );
         }
         // Row-major Gcell indices, decoded here rather than by the router.
-        let cells: Vec<(usize, usize)> =
-            path.nodes().iter().map(|&n| (n as usize % nx, n as usize / nx)).collect();
+        let cells: Vec<(usize, usize)> = path
+            .nodes()
+            .iter()
+            .map(|&n| (n as usize % nx, n as usize / nx))
+            .collect();
         for step in cells.windows(2) {
             let ((ax, ay), (bx, by)) = (step[0], step[1]);
             let usage = match (ax.abs_diff(bx), ay.abs_diff(by)) {
@@ -175,7 +216,11 @@ pub fn assert_route_report(design: &Design, report: &RouteReport) {
             usage[by * nx + bx] += 0.5;
         }
     }
-    assert_eq!(h_use, map.h_demand().as_slice(), "horizontal usage vs paths");
+    assert_eq!(
+        h_use,
+        map.h_demand().as_slice(),
+        "horizontal usage vs paths"
+    );
     assert_eq!(v_use, map.v_demand().as_slice(), "vertical usage vs paths");
 
     let (h_cap, v_cap) = (map.h_capacity().as_slice(), map.v_capacity().as_slice());

@@ -54,12 +54,8 @@ fn flow_config(rounds: usize) -> PufferConfig {
 #[test]
 fn padding_improves_routability_over_plain_placement() {
     let design = congested_design();
-    let plain = Job::new(flow_config(0))
-        .run(&design)
-        .expect("plain");
-    let padded = Job::new(flow_config(6))
-        .run(&design)
-        .expect("padded");
+    let plain = Job::new(flow_config(0)).run(&design).expect("plain");
+    let padded = Job::new(flow_config(6)).run(&design).expect("padded");
     let plain_report = route(&design, &plain.placement);
     let padded_report = route(&design, &padded.placement);
     let plain_of = plain_report.hof_pct + plain_report.vof_pct;
@@ -75,12 +71,8 @@ fn padding_costs_bounded_wirelength() {
     // The paper accepts ~4.5% extra wirelength for routability; allow a
     // loose 15% on the tiny instance.
     let design = congested_design();
-    let plain = Job::new(flow_config(0))
-        .run(&design)
-        .expect("plain");
-    let padded = Job::new(flow_config(6))
-        .run(&design)
-        .expect("padded");
+    let plain = Job::new(flow_config(0)).run(&design).expect("plain");
+    let padded = Job::new(flow_config(6)).run(&design).expect("padded");
     assert!(
         padded.hpwl <= plain.hpwl * 1.15,
         "padding wirelength cost too high: {} vs {}",
@@ -96,9 +88,7 @@ fn router_and_estimator_agree_on_hotspot_location() {
     // feedback loop.
     use puffer_congest::{CongestionEstimator, EstimatorConfig};
     let design = congested_design();
-    let result = Job::new(flow_config(0))
-        .run(&design)
-        .expect("place");
+    let result = Job::new(flow_config(0)).run(&design).expect("place");
     let est = CongestionEstimator::new(&design, EstimatorConfig::default());
     let est_map = est
         .try_estimate(&design, &result.placement)
@@ -133,9 +123,7 @@ fn router_and_estimator_agree_on_hotspot_location() {
 #[test]
 fn evaluator_is_shared_and_deterministic_across_flows() {
     let design = congested_design();
-    let result = Job::new(flow_config(3))
-        .run(&design)
-        .expect("place");
+    let result = Job::new(flow_config(3)).run(&design).expect("place");
     let a = route(&design, &result.placement);
     let b = route(&design, &result.placement);
     assert_eq!(a.hof_pct, b.hof_pct);

@@ -153,7 +153,10 @@ fn placer_steps_on_a_128_bin_grid_are_bit_identical_across_thread_counts() {
         let snapshot = placer.snapshot();
         // `{:?}` of an f64 is its shortest round-trip form: equal text is
         // equal bits (and it tells −0.0 from 0.0, which `==` does not).
-        (format!("{stats:?} {last:?} {snapshot:?}"), snapshot.placement)
+        (
+            format!("{stats:?} {last:?} {snapshot:?}"),
+            snapshot.placement,
+        )
     };
     let base = run(1);
     let nl = d.netlist();
@@ -163,10 +166,26 @@ fn placer_steps_on_a_128_bin_grid_are_bit_identical_across_thread_counts() {
     for t in [2usize, 3, 8] {
         assert!(run(t) == base, "threads {t}: placer trajectory differs");
         let eval = model.evaluate_threaded(nl, &base.1, &widths, 1.0, t);
-        assert_eq!(eval.energy.to_bits(), eval_base.energy.to_bits(), "threads {t}: energy");
-        assert_eq!(eval.overflow.to_bits(), eval_base.overflow.to_bits(), "threads {t}: overflow");
-        assert_eq!(bits(&eval.grad_x), bits(&eval_base.grad_x), "threads {t}: grad_x");
-        assert_eq!(bits(&eval.grad_y), bits(&eval_base.grad_y), "threads {t}: grad_y");
+        assert_eq!(
+            eval.energy.to_bits(),
+            eval_base.energy.to_bits(),
+            "threads {t}: energy"
+        );
+        assert_eq!(
+            eval.overflow.to_bits(),
+            eval_base.overflow.to_bits(),
+            "threads {t}: overflow"
+        );
+        assert_eq!(
+            bits(&eval.grad_x),
+            bits(&eval_base.grad_x),
+            "threads {t}: grad_x"
+        );
+        assert_eq!(
+            bits(&eval.grad_y),
+            bits(&eval_base.grad_y),
+            "threads {t}: grad_y"
+        );
     }
 }
 
@@ -185,7 +204,14 @@ fn transforms_are_bit_identical_across_thread_counts() {
             "threads {t}: transform2d"
         );
         assert_eq!(
-            bits(&transform2d_mixed_threaded(&data, nx, ny, dst3_shifted, dct3, t)),
+            bits(&transform2d_mixed_threaded(
+                &data,
+                nx,
+                ny,
+                dst3_shifted,
+                dct3,
+                t
+            )),
             bits(&serial_mixed),
             "threads {t}: transform2d_mixed"
         );
@@ -207,10 +233,15 @@ fn full_place_run_writes_byte_identical_journal_for_1_and_4_threads() {
             .iter()
             .find(|r| r.kind() == Some("flow.init"))
             .expect("a flow.init record");
-        ["lanes_wa", "lanes_scatter", "lanes_transform", "lanes_gather"]
-            .into_iter()
-            .map(|f| (f.to_string(), init.num(f).expect(f)))
-            .collect()
+        [
+            "lanes_wa",
+            "lanes_scatter",
+            "lanes_transform",
+            "lanes_gather",
+        ]
+        .into_iter()
+        .map(|f| (f.to_string(), init.num(f).expect(f)))
+        .collect()
     };
     let run = |threads: usize| -> (Vec<u8>, Vec<(f64, f64)>) {
         let mut cfg = PufferConfig::default();
@@ -241,9 +272,7 @@ fn full_place_run_writes_byte_identical_journal_for_1_and_4_threads() {
         let journal = std::fs::read(&policy.path).unwrap();
         let coords = (0..d.netlist().num_cells())
             .map(|i| {
-                let p = result
-                    .placement
-                    .pos(puffer_db::netlist::CellId(i as u32));
+                let p = result.placement.pos(puffer_db::netlist::CellId(i as u32));
                 (p.x, p.y)
             })
             .collect();

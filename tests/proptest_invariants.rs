@@ -77,7 +77,10 @@ fn wa_lower_bounds_hpwl() {
             let mut pts = arb_points(rng, 8);
             // The property needs at least two pins.
             if pts.len() < 2 {
-                pts.push(Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)));
+                pts.push(Point::new(
+                    rng.gen_range(0.0..100.0),
+                    rng.gen_range(0.0..100.0),
+                ));
             }
             pts
         },
@@ -316,8 +319,14 @@ fn wa_oracle(netlist: &Netlist, placement: &Placement, gamma: f64) -> Wirelength
                     .collect();
                 let max = coords.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
                 let min = coords.iter().fold(f64::INFINITY, |m, &x| m.min(x));
-                let exp_p: Vec<f64> = coords.iter().map(|x| ((x - max) * inv_gamma).exp()).collect();
-                let exp_m: Vec<f64> = coords.iter().map(|x| ((min - x) * inv_gamma).exp()).collect();
+                let exp_p: Vec<f64> = coords
+                    .iter()
+                    .map(|x| ((x - max) * inv_gamma).exp())
+                    .collect();
+                let exp_m: Vec<f64> = coords
+                    .iter()
+                    .map(|x| ((min - x) * inv_gamma).exp())
+                    .collect();
                 let (mut sp, mut sxp, mut sm, mut sxm) = (0.0, 0.0, 0.0, 0.0);
                 for ((&x, &ep), &em) in coords.iter().zip(&exp_p).zip(&exp_m) {
                     sp += ep;
@@ -331,7 +340,11 @@ fn wa_oracle(netlist: &Netlist, placement: &Placement, gamma: f64) -> Wirelength
                 for (((&pid, &x), &ep), &em) in pins.iter().zip(&coords).zip(&exp_p).zip(&exp_m) {
                     let dp = ((1.0 + x * inv_gamma) * ep * sp - ep * sxp * inv_gamma) * inv_sp2;
                     let dm = ((1.0 - x * inv_gamma) * em * sm + em * sxm * inv_gamma) * inv_sm2;
-                    let grad = if axis == 0 { &mut out.grad_x } else { &mut out.grad_y };
+                    let grad = if axis == 0 {
+                        &mut out.grad_x
+                    } else {
+                        &mut out.grad_y
+                    };
                     grad[netlist.pin(pid).cell.index()] += net.weight * (dp - dm);
                 }
             }
@@ -376,7 +389,10 @@ fn wa_kernel_matches_the_unelided_oracle_bit_for_bit() {
                     let offset = if r.gen_bool(0.5) {
                         Point::ORIGIN
                     } else {
-                        Point::new(f64::from(r.gen_range(0..3u32)) * 0.5 - 0.5, r.gen_range(-0.5..0.5))
+                        Point::new(
+                            f64::from(r.gen_range(0..3u32)) * 0.5 - 0.5,
+                            r.gen_range(-0.5..0.5),
+                        )
                     };
                     (r.gen_range(0..num_cells), offset)
                 });
@@ -410,9 +426,19 @@ fn wa_kernel_matches_the_unelided_oracle_bit_for_bit() {
 
             let mut ws = WaWorkspace::new(case.threads);
             let value = ws.gradient(&nl, &p, case.gamma);
-            prop_check!(value.to_bits() == want.value.to_bits(), "value {value} vs oracle {}", want.value);
-            prop_check!(bits(ws.grad_x()) == bits(&want.grad_x), "grad_x differs from the oracle");
-            prop_check!(bits(ws.grad_y()) == bits(&want.grad_y), "grad_y differs from the oracle");
+            prop_check!(
+                value.to_bits() == want.value.to_bits(),
+                "value {value} vs oracle {}",
+                want.value
+            );
+            prop_check!(
+                bits(ws.grad_x()) == bits(&want.grad_x),
+                "grad_x differs from the oracle"
+            );
+            prop_check!(
+                bits(ws.grad_y()) == bits(&want.grad_y),
+                "grad_y differs from the oracle"
+            );
             let counts = ws.take_counts();
             prop_check!(counts.exp_calls <= counts.exp_terms, "{counts:?}");
             Ok(())

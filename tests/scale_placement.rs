@@ -36,7 +36,10 @@ fn million_cell_placement_stays_under_the_rss_ceiling() {
     // smoke measures memory scaling rather than pathological padding.
     let design = generate(&presets::ct_top(1.0).expect("scale 1.0 is valid")).expect("generate");
     let cells = design.stats().movable_cells;
-    assert!(cells >= MIN_CELLS, "CT_TOP at scale 1.0 has only {cells} movable cells");
+    assert!(
+        cells >= MIN_CELLS,
+        "CT_TOP at scale 1.0 has only {cells} movable cells"
+    );
     let scale_class = ScaleClass::classify(design.netlist().num_cells());
 
     let mut cfg = PufferConfig::default();

@@ -84,10 +84,7 @@ fn million_cell_streaming_ingestion_stays_under_the_rss_ceiling() {
     assert_eq!(nl.num_nets(), CELLS);
     assert_eq!(nl.num_pins(), 3 * CELLS);
     // Spot-check one net's membership against the generating maps.
-    let (id, _) = nl
-        .iter_nets()
-        .nth(17)
-        .expect("net 17 exists");
+    let (id, _) = nl.iter_nets().nth(17).expect("net 17 exists");
     let pins: Vec<usize> = nl
         .net_pins(id)
         .iter()
