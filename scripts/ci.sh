@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
-# Full CI gate: offline build, the whole test suite, clippy -D warnings,
-# the source policy (scripts/policy.sh + puffer lint), then the end-to-end
-# smokes. Needs cargo clippy.
+# Full CI gate: rustfmt, offline build, the whole test suite, clippy -D
+# warnings, the source policy (scripts/policy.sh + puffer lint), then the
+# end-to-end smokes. Needs cargo fmt and cargo clippy.
 #
 # Usage: scripts/ci.sh            (from the repo root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# The workspace is rustfmt-clean, so a change formats only its own lines.
+# (benchmark/ is a workspace of its own and is not checked here.)
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace

@@ -17,7 +17,10 @@
 //! that panics is written to the temp dir and reported with its seed, so it
 //! can be committed as a fixture.
 
-use puffer::{evaluate_bounded, CheckpointPolicy, FlowCheckpoint, Job, PufferConfig};
+use puffer::{
+    evaluate_bounded, CheckpointPolicy, FlowCheckpoint, Job, JournalError, PufferConfig,
+    PufferError,
+};
 use puffer_audit::Validate;
 use puffer_budget::Budget;
 use puffer_db::bookshelf::parse_bookshelf_streaming;
@@ -313,15 +316,37 @@ fn checkpoint_journal() {
     let input = std::fs::read(dir.join("run.pj.iter000010")).unwrap();
 
     // The inputs that crashed `puffer place --resume` (exit 101) before
-    // `RoutabilityOptimizer::set_state` became fallible.
-    let fixtures = vec![
+    // `RoutabilityOptimizer::set_state` became fallible: NaN, +inf and -1
+    // as an optimizer padding, NaN as its utilization. Journals write a
+    // float as the hex digits of its bits, so these reach `set_state`;
+    // their decimal spellings stop at the parser.
+    let past_the_parser = vec![
+        scribble(&input, "cell 0 ", 5, "7ff8000000000000"),
+        scribble(&input, "cell 0 ", 5, "7ff0000000000000"),
+        scribble(&input, "cell 0 ", 5, "bff0000000000000"),
+        scribble(&input, "pad_util ", 1, "7ff8000000000000"),
+    ];
+    let decimal = vec![
         scribble(&input, "cell 0 ", 5, "NaN"),
         scribble(&input, "cell 0 ", 5, "inf"),
         scribble(&input, "cell 0 ", 5, "-1"),
         scribble(&input, "pad_util ", 1, "NaN"),
-        // Found by this harness: a cell count that sized 32 GiB of vectors.
-        scribble(&input, "design ", 1, "4294967296"),
     ];
+    for bytes in &past_the_parser {
+        let checkpoint = FlowCheckpoint::parse(std::str::from_utf8(bytes).unwrap()).unwrap();
+        let err = Job::new(tiny_config(13))
+            .run_from(&design, checkpoint)
+            .unwrap_err();
+        assert!(matches!(err, PufferError::Resume(_)), "{err}");
+    }
+    for bytes in &decimal {
+        let err = FlowCheckpoint::parse(std::str::from_utf8(bytes).unwrap()).unwrap_err();
+        assert!(matches!(err, JournalError::Parse { .. }), "{err}");
+    }
+    let mut fixtures = past_the_parser;
+    fixtures.extend(decimal);
+    // Found by this harness: a cell count that sized 32 GiB of vectors.
+    fixtures.push(scribble(&input, "design ", 1, "4294967296"));
     let scratch = dir.join("case.pj");
     fuzz("journal", 0x70, &input, fixtures, |bytes| {
         std::fs::write(&scratch, bytes).unwrap();
