@@ -24,11 +24,8 @@
     reason = "harness binary: aborting with a message is its error path"
 )]
 
-use puffer::{evaluate_bounded, ComparisonTable, EvalRow, Job, PufferConfig, WsaConfig, WsaPlacer};
-use puffer_bench::{generate_logged, HarnessArgs};
-use puffer_budget::Budget;
-use puffer_route::RouterConfig;
-use puffer_trace::Trace;
+use puffer::{Baseline, ComparisonTable, EvalRow, Job, PufferConfig};
+use puffer_bench::{evaluate, generate_logged, run_flow, FlowKind, HarnessArgs};
 
 fn variants() -> Vec<(&'static str, PufferConfig)> {
     let base = PufferConfig::default();
@@ -70,48 +67,20 @@ fn main() {
     let mut table = ComparisonTable::new();
     for config in args.configs() {
         let design = generate_logged(&config);
-        type FlowRunner<'a> = Box<dyn Fn() -> Result<puffer::FlowResult, puffer::PufferError> + 'a>;
-        let mut flows: Vec<(&str, FlowRunner)> = Vec::new();
-        for (name, cfg) in variants() {
-            let d = &design;
-            flows.push((name, Box::new(move || Job::new(cfg.clone()).run(d))));
-        }
-        {
-            let d = &design;
-            flows.push((
-                "wsa",
-                Box::new(move || WsaPlacer::new(WsaConfig::default()).place(d)),
-            ));
-        }
-        for (name, run) in flows {
-            eprintln!("[run] {} / {}", design.name(), name);
-            let result = run().expect("variant failed");
-            let report = evaluate_bounded(
-                &design,
-                &result.placement,
-                &RouterConfig::default(),
-                &Budget::unbounded(),
-                &Trace::disabled(),
-            )
-            .expect("route evaluation failed");
+        let mut push = |row: EvalRow| {
             eprintln!(
                 "[run] {} / {}: HOF {:.2}% VOF {:.2}% WL {:.0} RT {:.1}s",
-                design.name(),
-                name,
-                report.hof_pct,
-                report.vof_pct,
-                report.wirelength,
-                result.runtime_s
+                row.benchmark, row.flow, row.hof_pct, row.vof_pct, row.wirelength, row.runtime_s
             );
-            table.push(EvalRow {
-                benchmark: design.name().to_string(),
-                flow: name.to_string(),
-                hof_pct: report.hof_pct,
-                vof_pct: report.vof_pct,
-                wirelength: report.wirelength,
-                runtime_s: result.runtime_s,
-            });
+            table.push(row);
+        };
+        for (name, cfg) in variants() {
+            eprintln!("[run] {} / {}", design.name(), name);
+            let result = Job::new(cfg).run(&design).expect("variant failed");
+            push(evaluate(&design, name, &result).0);
         }
+        eprintln!("[run] {} / {}", design.name(), Baseline::Wsa.label());
+        push(run_flow(&design, FlowKind::Baseline(Baseline::Wsa)).0);
     }
 
     println!(

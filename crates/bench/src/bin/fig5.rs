@@ -17,14 +17,7 @@
     reason = "harness binary: aborting with a message is its error path"
 )]
 
-use puffer::{
-    evaluate_bounded, Job, PufferConfig, ReferenceConfig, ReferencePlacer, ReplaceConfig,
-    ReplacePlacer,
-};
-use puffer_bench::{generate_logged, FlowKind, HarnessArgs};
-use puffer_budget::Budget;
-use puffer_route::RouterConfig;
-use puffer_trace::Trace;
+use puffer_bench::{generate_logged, run_flow, FlowKind, HarnessArgs};
 
 fn main() {
     let mut args = HarnessArgs::parse(0.01);
@@ -37,25 +30,7 @@ fn main() {
         let design = generate_logged(&config);
         for flow in FlowKind::all() {
             eprintln!("[run] {} / {}", design.name(), flow.name());
-            let placement = match flow {
-                FlowKind::Reference => {
-                    ReferencePlacer::new(ReferenceConfig::default()).place(&design)
-                }
-                FlowKind::ReplaceLike => {
-                    ReplacePlacer::new(ReplaceConfig::default()).place(&design)
-                }
-                FlowKind::Puffer => Job::new(PufferConfig::default()).run(&design),
-            }
-            .expect("flow failed")
-            .placement;
-            let report = evaluate_bounded(
-                &design,
-                &placement,
-                &RouterConfig::default(),
-                &Budget::unbounded(),
-                &Trace::disabled(),
-            )
-            .expect("route evaluation failed");
+            let (_, report) = run_flow(&design, flow);
             let tag = flow.name().to_lowercase().replace(['-', '_'], "");
             for (horizontal, suffix) in [(true, "h"), (false, "v")] {
                 let stem = format!("fig5_{}_{}_{}", design.name().to_lowercase(), tag, suffix);

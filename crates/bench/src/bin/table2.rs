@@ -18,7 +18,7 @@
     reason = "harness binary: aborting with a message is its error path"
 )]
 
-use puffer::ComparisonTable;
+use puffer::{Baseline, ComparisonTable};
 use puffer_bench::{generate_logged, run_flow, FlowKind, HarnessArgs};
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
         let design = generate_logged(&config);
         for flow in FlowKind::all() {
             eprintln!("[run] {} / {}", design.name(), flow.name());
-            let row = run_flow(&design, flow);
+            let (row, _) = run_flow(&design, flow);
             eprintln!(
                 "[run] {} / {}: HOF {:.2}% VOF {:.2}% WL {:.0} RT {:.1}s",
                 row.benchmark, row.flow, row.hof_pct, row.vof_pct, row.wirelength, row.runtime_s
@@ -53,8 +53,8 @@ fn main() {
     // Headline claims, PUFFER vs each baseline.
     if let (Some(puffer), Some(reference), Some(replace)) = (
         table.summarize(FlowKind::Puffer.name(), FlowKind::Puffer.name()),
-        table.summarize(FlowKind::Reference.name(), FlowKind::Puffer.name()),
-        table.summarize(FlowKind::ReplaceLike.name(), FlowKind::Puffer.name()),
+        table.summarize(Baseline::Reference.label(), FlowKind::Puffer.name()),
+        table.summarize(Baseline::Replace.label(), FlowKind::Puffer.name()),
     ) {
         println!("Headline (paper: 2.7x / 1.4x speedups, best average HOF+VOF):");
         println!(

@@ -23,24 +23,19 @@
     reason = "benchmark harness CLI: aborting with a message on bad arguments or a failed flow is the intended behaviour"
 )]
 
-use puffer::{
-    evaluate_bounded, EvalRow, Job, PufferConfig, ReferenceConfig, ReferencePlacer, ReplaceConfig,
-    ReplacePlacer,
-};
+use puffer::{evaluate_bounded, Baseline, EvalRow, FlowResult, Job, PufferConfig};
 use puffer_budget::Budget;
 use puffer_db::design::Design;
 use puffer_gen::{generate, presets, GeneratorConfig};
-use puffer_route::RouterConfig;
+use puffer_route::{RouteReport, RouterConfig};
 use puffer_trace::Trace;
 use std::path::PathBuf;
 
 /// Which of the three Table II flows to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowKind {
-    /// The commercial stand-in (router-in-the-loop inflation).
-    Reference,
-    /// The RePlAce-style baseline (bulk local inflation).
-    ReplaceLike,
+    /// A comparison flow.
+    Baseline(Baseline),
     /// PUFFER itself.
     Puffer,
 }
@@ -48,14 +43,14 @@ pub enum FlowKind {
 impl FlowKind {
     /// All flows in the paper's column order.
     pub fn all() -> [FlowKind; 3] {
-        [FlowKind::Reference, FlowKind::ReplaceLike, FlowKind::Puffer]
+        let [reference, replace] = Baseline::TABLE2.map(FlowKind::Baseline);
+        [reference, replace, FlowKind::Puffer]
     }
 
     /// The display name used in reports.
     pub fn name(self) -> &'static str {
         match self {
-            FlowKind::Reference => "Commercial_Ref",
-            FlowKind::ReplaceLike => "RePlAce-like",
+            FlowKind::Baseline(baseline) => baseline.label(),
             FlowKind::Puffer => "PUFFER",
         }
     }
@@ -155,18 +150,29 @@ impl HarnessArgs {
     }
 }
 
-/// Runs one flow on one design and evaluates it with the shared router.
+/// Runs one flow on one design at its defaults and evaluates it with the
+/// shared router.
 ///
 /// # Panics
 ///
-/// Panics if the flow fails (harness binaries treat that as fatal).
-pub fn run_flow(design: &Design, flow: FlowKind) -> EvalRow {
+/// Panics if the flow or its evaluation fails (harness binaries treat that
+/// as fatal).
+pub fn run_flow(design: &Design, flow: FlowKind) -> (EvalRow, RouteReport) {
     let result = match flow {
-        FlowKind::Reference => ReferencePlacer::new(ReferenceConfig::default()).place(design),
-        FlowKind::ReplaceLike => ReplacePlacer::new(ReplaceConfig::default()).place(design),
+        FlowKind::Baseline(baseline) => baseline.place(design, None, None),
         FlowKind::Puffer => Job::new(PufferConfig::default()).run(design),
     }
     .unwrap_or_else(|e| panic!("{} failed on {}: {e}", flow.name(), design.name()));
+    evaluate(design, flow.name(), &result)
+}
+
+/// Routes a flow's placement with the shared router: the flow's Table II
+/// row (named `flow`) and the router's report.
+///
+/// # Panics
+///
+/// Panics if the evaluation fails.
+pub fn evaluate(design: &Design, flow: &str, result: &FlowResult) -> (EvalRow, RouteReport) {
     let report = evaluate_bounded(
         design,
         &result.placement,
@@ -175,14 +181,15 @@ pub fn run_flow(design: &Design, flow: FlowKind) -> EvalRow {
         &Trace::disabled(),
     )
     .expect("route evaluation failed");
-    EvalRow {
+    let row = EvalRow {
         benchmark: design.name().to_string(),
-        flow: flow.name().to_string(),
+        flow: flow.to_string(),
         hof_pct: report.hof_pct,
         vof_pct: report.vof_pct,
         wirelength: report.wirelength,
         runtime_s: result.runtime_s,
-    }
+    };
+    (row, report)
 }
 
 /// Generates a design from a config, logging progress to stderr.
@@ -215,7 +222,8 @@ mod tests {
     #[test]
     fn flow_names_are_stable() {
         assert_eq!(FlowKind::Puffer.name(), "PUFFER");
-        assert_eq!(FlowKind::all().len(), 3);
+        let names = FlowKind::all().map(FlowKind::name);
+        assert_eq!(names, ["Commercial_Ref", "RePlAce-like", "PUFFER"]);
         // PUFFER is last: the paper normalizes WL/RT against it.
         assert_eq!(FlowKind::all()[2], FlowKind::Puffer);
     }
@@ -244,7 +252,7 @@ mod tests {
             ..GeneratorConfig::default()
         };
         let d = generate(&cfg).unwrap();
-        let row = run_flow(&d, FlowKind::Puffer);
+        let (row, _) = run_flow(&d, FlowKind::Puffer);
         assert_eq!(row.benchmark, "tiny");
         assert_eq!(row.flow, "PUFFER");
         assert!(row.wirelength > 0.0);

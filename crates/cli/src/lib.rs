@@ -15,8 +15,7 @@
 mod chaos;
 
 use puffer::{
-    evaluate_bounded, CheckpointPolicy, FlowCheckpoint, Job, PufferConfig, ReferenceConfig,
-    ReferencePlacer, ReplaceConfig, ReplacePlacer, ScaleClass,
+    evaluate_bounded, Baseline, CheckpointPolicy, FlowCheckpoint, Job, PufferConfig, ScaleClass,
 };
 use puffer_audit::{
     audit_metrics, audit_run, flow_validator, lint_workspace, LintConfig, Validate,
@@ -447,7 +446,8 @@ impl Flags {
             positional,
             given,
         };
-        let puffer_flow = f.get("flow").is_none_or(|flow| flow == "puffer");
+        // An unknown --flow is the command's to reject, by its name.
+        let baseline = f.get("flow").and_then(Baseline::from_name).is_some();
         for flag in cmd.flags {
             let (name, given) = (flag.spelled(), f.has(flag.name));
             let problem = match flag.rule {
@@ -455,7 +455,7 @@ impl Flags {
                 Rule::Count if f.get_parsed::<u64>(flag.name)? == Some(0) => {
                     format!("{name} must be at least 1")
                 }
-                Rule::PufferOnly if given && !puffer_flow => {
+                Rule::PufferOnly if given && baseline => {
                     format!("{name} only applies to --flow puffer")
                 }
                 _ => continue,
@@ -644,6 +644,14 @@ fn degradation_note(out: &mut String, result: &puffer::FlowResult) {
 }
 
 fn cmd_place(flags: &Flags, out: &mut String) -> Result<(), CliError> {
+    // A usage error, so checked before anything is read: `None` is PUFFER.
+    let baseline = match flags.get("flow").unwrap_or_default() {
+        "puffer" => None,
+        name => Some(
+            Baseline::from_name(name)
+                .ok_or_else(|| CliError::usage(format!("unknown flow '{name}'")))?,
+        ),
+    };
     let output: String = flags.value("o")?;
     let max_iters: Option<usize> = flags.get_parsed("max-iters")?;
     let threads: Option<usize> = flags.get_parsed("threads")?;
@@ -652,8 +660,9 @@ fn cmd_place(flags: &Flags, out: &mut String) -> Result<(), CliError> {
     let budget = deadline_budget(flags)?;
     let trace = open_trace(flags)?;
     let design = load_design(&flags.positional[0])?;
-    let result = match flags.get("flow").unwrap_or_default() {
-        "puffer" => {
+    let result = match baseline {
+        Some(baseline) => baseline.place(&design, max_iters, threads),
+        None => {
             let mut cfg = PufferConfig::default();
             cfg.placer.max_iters = max_iters.unwrap_or(cfg.placer.max_iters);
             if let Some(n) = threads {
@@ -688,25 +697,6 @@ fn cmd_place(flags: &Flags, out: &mut String) -> Result<(), CliError> {
                 job.run(&design)
             }
         }
-        "reference" => {
-            let mut cfg = ReferenceConfig::default();
-            cfg.placer.max_iters = max_iters.unwrap_or(cfg.placer.max_iters);
-            if let Some(n) = threads {
-                cfg.placer.threads = n;
-                cfg.router.threads = n;
-            }
-            ReferencePlacer::new(cfg).place(&design)
-        }
-        "replace" => {
-            let mut cfg = ReplaceConfig::default();
-            cfg.placer.max_iters = max_iters.unwrap_or(cfg.placer.max_iters);
-            if let Some(n) = threads {
-                cfg.placer.threads = n;
-                cfg.estimator.threads = n;
-            }
-            ReplacePlacer::new(cfg).place(&design)
-        }
-        other => return Err(CliError::usage(format!("unknown flow '{other}'"))),
     }
     .map_err(|e| CliError::run(format!("placement failed: {e}")))?;
     finish_trace(&trace, flags)?;
@@ -1764,7 +1754,41 @@ mod tests {
             &mut String::new(),
         )
         .unwrap_err();
+        assert_eq!(err.code, 2);
         assert!(err.message.contains("unknown flow"));
+        // The flow is checked before the design is read: a missing design
+        // is still a usage error, not a failed run.
+        let err = run(
+            &strs(&[
+                "place",
+                &tmp("no-such-design.pd"),
+                "-o",
+                &tmp("flow.pl"),
+                "--flow",
+                "magic",
+            ]),
+            &mut String::new(),
+        )
+        .unwrap_err();
+        assert_eq!(err.code, 2, "{}", err.message);
+        assert!(err.message.contains("unknown flow"), "{}", err.message);
+        // ... and before the flags that only a PUFFER run takes.
+        let err = run(
+            &strs(&[
+                "place",
+                &design_path,
+                "-o",
+                &tmp("flow.pl"),
+                "--flow",
+                "magic",
+                "--journal",
+                &tmp("flow.pj"),
+            ]),
+            &mut String::new(),
+        )
+        .unwrap_err();
+        assert_eq!(err.code, 2, "{}", err.message);
+        assert!(err.message.contains("unknown flow"), "{}", err.message);
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //! This crate ties them together:
 //!
 //! * [`Job`] — the full PUFFER flow, the one way to run it;
-//! * [`ReferencePlacer`] / [`ReplacePlacer`] — the two Table II baselines
-//!   (commercial-style router-in-the-loop inflation, and RePlAce-style
-//!   bulk inflation);
+//! * [`Baseline`] — the comparison flows, the one way to run them: the two
+//!   Table II baselines (commercial-style router-in-the-loop inflation, and
+//!   RePlAce-style bulk inflation) and the ablation's white-space
+//!   allocation;
 //! * [`evaluate_bounded`]/[`ComparisonTable`] — routing-based evaluation
 //!   and the Table II report format;
 //! * [`strategy_space`]/[`tuned_strategy`] — the glue between
@@ -67,9 +68,7 @@ pub mod job;
 pub mod report;
 pub mod scale;
 
-pub use baselines::{
-    ReferenceConfig, ReferencePlacer, ReplaceConfig, ReplacePlacer, WsaConfig, WsaPlacer,
-};
+pub use baselines::Baseline;
 pub use checkpoint::{CheckpointPolicy, FlowCheckpoint, FlowStage, JournalError};
 pub use flow::{FlowResult, PufferConfig, StageObserver, StagePoint, StageReport};
 pub use job::Job;

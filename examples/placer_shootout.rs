@@ -10,10 +10,7 @@
 //! ~12K cells for MEDIA_SUBSYS; the full Table II harness lives in
 //! `cargo run -p puffer-bench --bin table2`).
 
-use puffer::{
-    evaluate_bounded, ComparisonTable, EvalRow, Job, PufferConfig, ReferenceConfig,
-    ReferencePlacer, ReplaceConfig, ReplacePlacer,
-};
+use puffer::{evaluate_bounded, Baseline, ComparisonTable, EvalRow, Job, PufferConfig};
 use puffer_budget::Budget;
 use puffer_gen::{generate, presets};
 use puffer_route::RouterConfig;
@@ -57,14 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Ok(())
         };
 
-    add(
-        "Commercial_Ref",
-        ReferencePlacer::new(ReferenceConfig::default()).place(&design)?,
-    )?;
-    add(
-        "RePlAce-like",
-        ReplacePlacer::new(ReplaceConfig::default()).place(&design)?,
-    )?;
+    for baseline in Baseline::TABLE2 {
+        add(baseline.label(), baseline.place(&design, None, None)?)?;
+    }
     add("PUFFER", Job::new(PufferConfig::default()).run(&design)?)?;
 
     println!("\n{}", table.render("PUFFER"));

@@ -92,6 +92,20 @@ cmp "$SMOKE_DIR/refine-a.pl" "$SMOKE_DIR/refine-b.pl"
 "$PUFFER" eval "$SMOKE_DIR/smoke.pd" "$SMOKE_DIR/refine-a.pl"
 "$PUFFER" eval "$SMOKE_DIR/smoke.pd" "$SMOKE_DIR/refine-guard.pl"
 
+# Baseline smoke: the CLI's comparison-flow arm (`Baseline::place`). Each
+# Table II baseline places the smoke design at --threads 1 and 2, which
+# bound the placer's lanes and the in-the-loop router's or estimator's:
+# the two placements must be byte-identical, and the evaluator must accept
+# them.
+echo "==> baseline smoke (place --flow reference|replace --threads 1 vs 2, eval)"
+for flow in reference replace; do
+  for t in 1 2; do
+    "$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/$flow-t$t.pl" --flow "$flow" --threads "$t"
+  done
+  cmp "$SMOKE_DIR/$flow-t1.pl" "$SMOKE_DIR/$flow-t2.pl"
+  "$PUFFER" eval "$SMOKE_DIR/smoke.pd" "$SMOKE_DIR/$flow-t1.pl"
+done
+
 # Deterministic-parallelism smoke: --threads must not change results. The
 # checkpoint journals and placements of a 1-thread and a 4-thread run are
 # byte-identical (the puffer-par kernels are bit-identical by design).

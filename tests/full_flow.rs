@@ -4,10 +4,7 @@
 
 mod oracle;
 
-use puffer::{
-    evaluate_bounded, CheckpointPolicy, FlowCheckpoint, Job, PufferConfig, ReferenceConfig,
-    ReferencePlacer, ReplaceConfig, ReplacePlacer, WsaConfig, WsaPlacer,
-};
+use puffer::{evaluate_bounded, Baseline, CheckpointPolicy, FlowCheckpoint, Job, PufferConfig};
 use puffer_budget::{Budget, DegradeStep};
 use puffer_congest::CongestionEstimator;
 use puffer_db::geom::Point;
@@ -118,10 +115,9 @@ fn padding_area_respects_legal_budget() {
     assert!(result.hpwl > 0.0);
 }
 
-/// The comparison flows behind the one `baselines::run_flow` driver, at
-/// the configs `puffer place --flow reference|replace --max-iters N`
-/// builds (defaults, iteration cap only), plus the white-space-allocation
-/// ablation that shares the driver.
+/// The comparison flows behind the one `baselines::run_flow` driver, as
+/// `puffer place --flow reference|replace --max-iters N` runs them, plus
+/// the white-space-allocation ablation that shares the driver.
 #[test]
 fn comparison_flows_pass_the_independent_oracles() {
     let design = generate(&GeneratorConfig {
@@ -134,18 +130,11 @@ fn comparison_flows_pass_the_independent_oracles() {
     })
     .expect("generate");
     const MAX_ITERS: usize = 120;
-    let mut reference = ReferenceConfig::default();
-    reference.placer.max_iters = MAX_ITERS;
-    let mut replace = ReplaceConfig::default();
-    replace.placer.max_iters = MAX_ITERS;
-    let mut wsa = WsaConfig::default();
-    wsa.placer.max_iters = MAX_ITERS;
-    for (flow, result) in [
-        ("reference", ReferencePlacer::new(reference).place(&design)),
-        ("replace", ReplacePlacer::new(replace).place(&design)),
-        ("wsa", WsaPlacer::new(wsa).place(&design)),
-    ] {
-        let result = result.unwrap_or_else(|e| panic!("{flow}: {e}"));
+    for flow in [Baseline::Reference, Baseline::Replace, Baseline::Wsa] {
+        let name = flow.name();
+        let result = flow
+            .place(&design, Some(MAX_ITERS), None)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         oracle::assert_flow_result(&design, &result);
         // The router that judges the flows (and that `reference` runs
         // inside its loop) answers to its own oracle on each result.
@@ -156,7 +145,7 @@ fn comparison_flows_pass_the_independent_oracles() {
             &Budget::unbounded(),
             &Trace::disabled(),
         )
-        .unwrap_or_else(|e| panic!("{flow}: {e}"));
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
         oracle::assert_route_report(&design, &report);
     }
 }
