@@ -24,8 +24,8 @@
     reason = "harness binary: aborting with a message is its error path"
 )]
 
-use puffer::{Baseline, ComparisonTable, EvalRow, Job, PufferConfig};
-use puffer_bench::{evaluate, generate_logged, run_flow, FlowKind, HarnessArgs};
+use puffer::{Baseline, ComparisonTable, EvalRow, Flow, Job, PufferConfig};
+use puffer_bench::{evaluate, generate_logged, run_flow, HarnessArgs};
 
 fn variants() -> Vec<(&'static str, PufferConfig)> {
     let base = PufferConfig::default();
@@ -79,8 +79,9 @@ fn main() {
             let result = Job::new(cfg).run(&design).expect("variant failed");
             push(evaluate(&design, name, &result).0);
         }
-        eprintln!("[run] {} / {}", design.name(), Baseline::Wsa.label());
-        push(run_flow(&design, FlowKind::Baseline(Baseline::Wsa)).0);
+        let wsa = Flow::Baseline(Baseline::Wsa);
+        eprintln!("[run] {} / {}", design.name(), wsa.label());
+        push(run_flow(&design, wsa).0);
     }
 
     println!(

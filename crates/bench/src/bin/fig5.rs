@@ -17,7 +17,8 @@
     reason = "harness binary: aborting with a message is its error path"
 )]
 
-use puffer_bench::{generate_logged, run_flow, FlowKind, HarnessArgs};
+use puffer::Flow;
+use puffer_bench::{generate_logged, run_flow, HarnessArgs};
 
 fn main() {
     let mut args = HarnessArgs::parse(0.01);
@@ -28,10 +29,10 @@ fn main() {
 
     for config in args.configs() {
         let design = generate_logged(&config);
-        for flow in FlowKind::all() {
-            eprintln!("[run] {} / {}", design.name(), flow.name());
+        for flow in Flow::TABLE2 {
+            eprintln!("[run] {} / {}", design.name(), flow.label());
             let (_, report) = run_flow(&design, flow);
-            let tag = flow.name().to_lowercase().replace(['-', '_'], "");
+            let tag = flow.label().to_lowercase().replace(['-', '_'], "");
             for (horizontal, suffix) in [(true, "h"), (false, "v")] {
                 let stem = format!("fig5_{}_{}_{}", design.name().to_lowercase(), tag, suffix);
                 let csv_path = out_dir.join(format!("{stem}.csv"));
@@ -48,7 +49,7 @@ fn main() {
             println!(
                 "\n=== {} / {} — HOF {:.2}% VOF {:.2}% ===",
                 design.name(),
-                flow.name(),
+                flow.label(),
                 report.hof_pct,
                 report.vof_pct
             );

@@ -18,8 +18,8 @@
     reason = "harness binary: aborting with a message is its error path"
 )]
 
-use puffer::{Baseline, ComparisonTable};
-use puffer_bench::{generate_logged, run_flow, FlowKind, HarnessArgs};
+use puffer::{ComparisonTable, Flow};
+use puffer_bench::{generate_logged, run_flow, HarnessArgs};
 
 fn main() {
     let args = HarnessArgs::parse(0.01);
@@ -28,8 +28,8 @@ fn main() {
     let mut table = ComparisonTable::new();
     for config in args.configs() {
         let design = generate_logged(&config);
-        for flow in FlowKind::all() {
-            eprintln!("[run] {} / {}", design.name(), flow.name());
+        for flow in Flow::TABLE2 {
+            eprintln!("[run] {} / {}", design.name(), flow.label());
             let (row, _) = run_flow(&design, flow);
             eprintln!(
                 "[run] {} / {}: HOF {:.2}% VOF {:.2}% WL {:.0} RT {:.1}s",
@@ -43,7 +43,7 @@ fn main() {
         "\nTable II — comparison on the benchmark suite (scale {}):\n",
         args.scale
     );
-    println!("{}", table.render(FlowKind::Puffer.name()));
+    println!("{}", table.render(Flow::Puffer.label()));
 
     let csv_path = out_dir.join("table2.csv");
     puffer_budget::fsx::atomic_write(&csv_path, table.to_csv().as_bytes())
@@ -51,11 +51,8 @@ fn main() {
     eprintln!("wrote {}", csv_path.display());
 
     // Headline claims, PUFFER vs each baseline.
-    if let (Some(puffer), Some(reference), Some(replace)) = (
-        table.summarize(FlowKind::Puffer.name(), FlowKind::Puffer.name()),
-        table.summarize(Baseline::Reference.label(), FlowKind::Puffer.name()),
-        table.summarize(Baseline::Replace.label(), FlowKind::Puffer.name()),
-    ) {
+    let [reference, replace, puffer] = Flow::TABLE2.map(|f| table.summarize(f.label(), "PUFFER"));
+    if let (Some(puffer), Some(reference), Some(replace)) = (puffer, reference, replace) {
         println!("Headline (paper: 2.7x / 1.4x speedups, best average HOF+VOF):");
         println!(
             "  speedup vs {:<15}: {:.2}x   (their avg HOF {:.3}, VOF {:.3})",

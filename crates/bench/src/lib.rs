@@ -23,38 +23,13 @@
     reason = "benchmark harness CLI: aborting with a message on bad arguments or a failed flow is the intended behaviour"
 )]
 
-use puffer::{evaluate_bounded, Baseline, EvalRow, FlowResult, Job, PufferConfig};
+use puffer::{evaluate_bounded, EvalRow, Flow, FlowResult};
 use puffer_budget::Budget;
 use puffer_db::design::Design;
 use puffer_gen::{generate, presets, GeneratorConfig};
 use puffer_route::{RouteReport, RouterConfig};
 use puffer_trace::Trace;
 use std::path::PathBuf;
-
-/// Which of the three Table II flows to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowKind {
-    /// A comparison flow.
-    Baseline(Baseline),
-    /// PUFFER itself.
-    Puffer,
-}
-
-impl FlowKind {
-    /// All flows in the paper's column order.
-    pub fn all() -> [FlowKind; 3] {
-        let [reference, replace] = Baseline::TABLE2.map(FlowKind::Baseline);
-        [reference, replace, FlowKind::Puffer]
-    }
-
-    /// The display name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlowKind::Baseline(baseline) => baseline.label(),
-            FlowKind::Puffer => "PUFFER",
-        }
-    }
-}
 
 /// Command-line arguments shared by all harness binaries.
 #[derive(Debug, Clone)]
@@ -157,13 +132,12 @@ impl HarnessArgs {
 ///
 /// Panics if the flow or its evaluation fails (harness binaries treat that
 /// as fatal).
-pub fn run_flow(design: &Design, flow: FlowKind) -> (EvalRow, RouteReport) {
-    let result = match flow {
-        FlowKind::Baseline(baseline) => baseline.place(design, None, None),
-        FlowKind::Puffer => Job::new(PufferConfig::default()).run(design),
-    }
-    .unwrap_or_else(|e| panic!("{} failed on {}: {e}", flow.name(), design.name()));
-    evaluate(design, flow.name(), &result)
+pub fn run_flow(design: &Design, flow: Flow) -> (EvalRow, RouteReport) {
+    let result = flow
+        .job(None, None)
+        .run(design)
+        .unwrap_or_else(|e| panic!("{} failed on {}: {e}", flow.label(), design.name()));
+    evaluate(design, flow.label(), &result)
 }
 
 /// Routes a flow's placement with the shared router: the flow's Table II
@@ -221,11 +195,11 @@ mod tests {
 
     #[test]
     fn flow_names_are_stable() {
-        assert_eq!(FlowKind::Puffer.name(), "PUFFER");
-        let names = FlowKind::all().map(FlowKind::name);
+        assert_eq!(Flow::Puffer.label(), "PUFFER");
+        let names = Flow::TABLE2.map(Flow::label);
         assert_eq!(names, ["Commercial_Ref", "RePlAce-like", "PUFFER"]);
         // PUFFER is last: the paper normalizes WL/RT against it.
-        assert_eq!(FlowKind::all()[2], FlowKind::Puffer);
+        assert_eq!(Flow::TABLE2[2], Flow::Puffer);
     }
 
     #[test]
@@ -252,7 +226,7 @@ mod tests {
             ..GeneratorConfig::default()
         };
         let d = generate(&cfg).unwrap();
-        let (row, _) = run_flow(&d, FlowKind::Puffer);
+        let (row, _) = run_flow(&d, Flow::Puffer);
         assert_eq!(row.benchmark, "tiny");
         assert_eq!(row.flow, "PUFFER");
         assert!(row.wirelength > 0.0);

@@ -11,7 +11,7 @@
 //! artifact.
 
 use super::{CliError, Flags};
-use puffer::{CheckpointPolicy, FlowCheckpoint, Job, PufferConfig};
+use puffer::{CheckpointPolicy, Flow, FlowCheckpoint};
 use puffer_audit::{audit_run, Validate};
 use puffer_budget::{fsx, Budget, ChaosPlan, FaultClass};
 use puffer_db::design::Design;
@@ -119,12 +119,6 @@ fn chaos_design(case: &Case) -> Result<Design, String> {
     .map_err(|e| format!("generation failed: {e}"))
 }
 
-fn flow_config(case: &Case) -> PufferConfig {
-    let mut cfg = PufferConfig::default();
-    cfg.placer.max_iters = case.max_iters;
-    cfg
-}
-
 /// Disarms the `fsx` hook, reporting whether the armed fault had fired.
 fn disarm_fired() -> bool {
     let fired = !fsx::fault::armed();
@@ -185,7 +179,8 @@ fn nan_burst(case: &Case) -> Result<String, String> {
         every: 10,
         keep_history: false,
     };
-    let result = Job::new(flow_config(case))
+    let result = Flow::Puffer
+        .job(Some(case.max_iters), None)
         .with_trace(trace.clone())
         .with_checkpoints(policy)
         .with_chaos(ChaosPlan {
@@ -241,7 +236,9 @@ fn failed_save(case: &Case, class: FaultClass) -> Result<String, String> {
     };
     let skip = per_save + (case.at % 3) * per_save;
     fsx::fault::arm(class, skip);
-    let job = Job::new(flow_config(case)).with_checkpoints(policy);
+    let job = Flow::Puffer
+        .job(Some(case.max_iters), None)
+        .with_checkpoints(policy);
     let outcome = job.run(&design);
     if !disarm_fired() {
         return Err("armed filesystem fault never fired".into());
@@ -278,7 +275,8 @@ fn fsync_fail(case: &Case) -> Result<String, String> {
     // Guarded fsyncs in this run: the sink directory fsync already happened
     // at creation; the next one is the flush itself.
     fsx::fault::arm(FaultClass::FsyncFail, 0);
-    let result = Job::new(flow_config(case))
+    let result = Flow::Puffer
+        .job(Some(case.max_iters), None)
         .with_trace(trace.clone())
         .run(&design);
     let flushed = trace.flush();

@@ -15,7 +15,7 @@
 mod chaos;
 
 use puffer::{
-    evaluate_bounded, Baseline, CheckpointPolicy, FlowCheckpoint, Job, PufferConfig, ScaleClass,
+    evaluate_bounded, CheckpointPolicy, Flow, FlowCheckpoint, Job, PufferConfig, ScaleClass,
 };
 use puffer_audit::{
     audit_metrics, audit_run, flow_validator, lint_workspace, LintConfig, Validate,
@@ -79,7 +79,7 @@ enum Rule {
     Required,
     /// A count: an integer of at least 1.
     Count,
-    /// Refused unless the command runs `--flow puffer`.
+    /// Refused unless the command runs `--flow puffer` (journal flags).
     PufferOnly,
 }
 
@@ -208,10 +208,10 @@ const COMMANDS: &[Command] = &[
         )
         .or("25"),
         flag("resume", "<run.pj>", "resume from this journal").rule(Rule::PufferOnly),
-        switch("validate", "check invariants at every stage").rule(Rule::PufferOnly),
-        flag("metrics", "<run.jsonl>", "write telemetry as JSONL").rule(Rule::PufferOnly),
-        switch("trace-summary", "stage timings to stderr").rule(Rule::PufferOnly),
-        flag("deadline", "<secs>", "stop early, degrading as it nears").rule(Rule::PufferOnly),
+        switch("validate", "check invariants at every stage"),
+        flag("metrics", "<run.jsonl>", "write telemetry as JSONL"),
+        switch("trace-summary", "stage timings to stderr"),
+        flag("deadline", "<secs>", "stop early, degrading as it nears"),
     ]),
     command(
         "eval",
@@ -447,7 +447,10 @@ impl Flags {
             given,
         };
         // An unknown --flow is the command's to reject, by its name.
-        let baseline = f.get("flow").and_then(Baseline::from_name).is_some();
+        let baseline = matches!(
+            f.get("flow").and_then(Flow::from_name),
+            Some(Flow::Baseline(_))
+        );
         for flag in cmd.flags {
             let (name, given) = (flag.spelled(), f.has(flag.name));
             let problem = match flag.rule {
@@ -644,59 +647,43 @@ fn degradation_note(out: &mut String, result: &puffer::FlowResult) {
 }
 
 fn cmd_place(flags: &Flags, out: &mut String) -> Result<(), CliError> {
-    // A usage error, so checked before anything is read: `None` is PUFFER.
-    let baseline = match flags.get("flow").unwrap_or_default() {
-        "puffer" => None,
-        name => Some(
-            Baseline::from_name(name)
-                .ok_or_else(|| CliError::usage(format!("unknown flow '{name}'")))?,
-        ),
-    };
+    // A usage error, so checked before anything is read.
+    let name = flags.get("flow").unwrap_or_default();
+    let flow =
+        Flow::from_name(name).ok_or_else(|| CliError::usage(format!("unknown flow '{name}'")))?;
     let output: String = flags.value("o")?;
     let max_iters: Option<usize> = flags.get_parsed("max-iters")?;
     let threads: Option<usize> = flags.get_parsed("threads")?;
     let every: usize = flags.value("checkpoint-every")?;
     let resume = flags.get("resume");
-    let budget = deadline_budget(flags)?;
+    // SIGINT/SIGTERM cancel the flow cooperatively: the run checkpoints
+    // (under --journal), legalizes the best-so-far state, writes it, and
+    // exits cleanly — never dies mid-write.
+    let budget = deadline_budget(flags)?.with_token(CancelToken::cancel_on_signal());
     let trace = open_trace(flags)?;
     let design = load_design(&flags.positional[0])?;
-    let result = match baseline {
-        Some(baseline) => baseline.place(&design, max_iters, threads),
-        None => {
-            let mut cfg = PufferConfig::default();
-            cfg.placer.max_iters = max_iters.unwrap_or(cfg.placer.max_iters);
-            if let Some(n) = threads {
-                cfg.placer.threads = n;
-                cfg.estimator.threads = n;
-            }
-            // SIGINT/SIGTERM cancel the flow cooperatively: the run
-            // checkpoints (under --journal), legalizes the best-so-far
-            // state, writes it, and exits cleanly — never dies mid-write.
-            let budget = budget.with_token(CancelToken::cancel_on_signal());
-            let mut job = Job::new(cfg).with_budget(budget);
-            if let Some(t) = &trace {
-                job = job.with_trace(t.clone());
-            }
-            if flags.has("validate") {
-                job = job.with_observer(flow_validator());
-            }
-            // Resume keeps journaling: to --journal when given, else back
-            // to the journal it resumed from.
-            if let Some(path) = flags.get("journal").or(resume) {
-                job = job.with_checkpoints(CheckpointPolicy {
-                    path: path.into(),
-                    every,
-                    keep_history: false,
-                });
-            }
-            if let Some(from) = resume {
-                let checkpoint = FlowCheckpoint::load(Path::new(from))
-                    .map_err(|e| CliError::run(format!("cannot resume from {from}: {e}")))?;
-                job.run_from(&design, checkpoint)
-            } else {
-                job.run(&design)
-            }
-        }
+    let mut job = flow.job(max_iters, threads).with_budget(budget);
+    if let Some(t) = &trace {
+        job = job.with_trace(t.clone());
+    }
+    if flags.has("validate") {
+        job = job.with_observer(flow_validator());
+    }
+    // Resume keeps journaling: to --journal when given, else back to the
+    // journal it resumed from.
+    if let Some(path) = flags.get("journal").or(resume) {
+        job = job.with_checkpoints(CheckpointPolicy {
+            path: path.into(),
+            every,
+            keep_history: false,
+        });
+    }
+    let result = if let Some(from) = resume {
+        let checkpoint = FlowCheckpoint::load(Path::new(from))
+            .map_err(|e| CliError::run(format!("cannot resume from {from}: {e}")))?;
+        job.run_from(&design, checkpoint)
+    } else {
+        job.run(&design)
     }
     .map_err(|e| CliError::run(format!("placement failed: {e}")))?;
     finish_trace(&trace, flags)?;
@@ -1621,23 +1608,33 @@ mod tests {
     }
 
     #[test]
-    fn metrics_flags_require_puffer_flow() {
-        let err = run(
+    fn metrics_flags_apply_to_baseline_flows() {
+        let design_path = tmp("baseline_metrics.pd");
+        let metrics_path = tmp("baseline_metrics.jsonl");
+        run(
+            &strs(&["gen", "--cells", "200", "-o", &design_path]),
+            &mut String::new(),
+        )
+        .unwrap();
+        run(
             &strs(&[
                 "place",
-                "x.pd",
+                &design_path,
                 "-o",
-                "y.pl",
+                &tmp("baseline_metrics.pl"),
                 "--flow",
-                "replace",
+                "reference",
+                "--max-iters",
+                "120",
                 "--metrics",
-                "m.jsonl",
+                &metrics_path,
             ]),
             &mut String::new(),
         )
-        .unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("--flow puffer"), "{}", err.message);
+        .unwrap();
+        let mut out = String::new();
+        run(&strs(&["trace", &metrics_path, "--check"]), &mut out).unwrap();
+        assert!(out.contains("check OK"), "{out}");
     }
 
     #[test]
@@ -1814,23 +1811,6 @@ mod tests {
             &mut out,
         )
         .expect("a validated flow on a healthy design must pass");
-
-        // --validate is an observer of the PUFFER flow only.
-        let err = run(
-            &strs(&[
-                "place",
-                &design_path,
-                "-o",
-                &placed_path,
-                "--flow",
-                "replace",
-                "--validate",
-            ]),
-            &mut String::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("--validate"), "{}", err.message);
 
         let mut out = String::new();
         run(
@@ -2029,22 +2009,6 @@ mod tests {
                 err.message
             );
         }
-        // Bounded execution is a property of the PUFFER flow.
-        let err = run(
-            &strs(&[
-                "place",
-                &design_path,
-                "-o",
-                &out_pl,
-                "--flow",
-                "reference",
-                "--deadline",
-                "5",
-            ]),
-            &mut String::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 2);
     }
 
     #[test]

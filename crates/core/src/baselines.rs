@@ -1,5 +1,5 @@
-//! The comparison flows, rebuilt on the shared engine: the two Table II
-//! baselines and the white-space-allocation strategy of the ablation.
+//! The comparison flows' analyses: the two Table II baselines and the
+//! white-space-allocation strategy of the ablation.
 //!
 //! * [`Baseline::Reference`] — the stand-in for the commercial placer
 //!   (`Commercial_Inn`): a high-effort router-in-the-loop flow. It calls
@@ -18,26 +18,19 @@
 //!   into congested bins of the electrostatic system, so the placer itself
 //!   allocates white space there.
 //!
-//! [`Baseline::place`] is the one way to run them. Each produces the same
-//! [`FlowResult`] as [`crate::Job`], so the Table II harness treats all
-//! three flows uniformly, and each runs the one GP loop of `run_flow`,
-//! differing only in the analysis it hands that loop. Every schedule and
-//! inflation value is a constant; a caller sets only the iteration cap and
-//! the thread count.
+//! [`crate::Flow::job`] runs each in the one GP loop of [`crate::Job`],
+//! its [`Analysis`] in PUFFER's pad-round slot, and legalizes it with zero
+//! padding: only the spreading the analysis caused persists. Every schedule
+//! and inflation value is a constant.
 
-use crate::flow::FlowResult;
-use crate::PufferError;
-use puffer_budget::clock::Stopwatch;
-use puffer_budget::{default_threads, Budget};
+use crate::{Job, PufferError};
 use puffer_congest::{CongestionEstimator, CongestionMap, EstimatorConfig};
 use puffer_db::design::{Design, Placement};
 use puffer_db::grid::Grid;
-use puffer_db::hpwl::total_hpwl;
-use puffer_legal::{check_legal, legalize_bounded};
 use puffer_place::{GlobalPlacer, PlacerConfig};
 use puffer_route::{GlobalRouter, RouterConfig};
 
-/// A comparison flow.
+/// A comparison flow, named by [`crate::Flow`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Baseline {
     /// The commercial stand-in: router-in-the-loop inflation.
@@ -49,59 +42,9 @@ pub enum Baseline {
 }
 
 impl Baseline {
-    /// The Table II baselines, in the paper's column order.
-    pub const TABLE2: [Baseline; 2] = [Baseline::Reference, Baseline::Replace];
-
-    /// The flow's name on the command line (`puffer place --flow <name>`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Baseline::Reference => "reference",
-            Baseline::Replace => "replace",
-            Baseline::Wsa => "wsa",
-        }
-    }
-
-    /// The flow's column in Table II (`wsa`'s in the ablation).
-    pub fn label(self) -> &'static str {
-        match self {
-            Baseline::Reference => "Commercial_Ref",
-            Baseline::Replace => "RePlAce-like",
-            Baseline::Wsa => "wsa",
-        }
-    }
-
-    /// The Table II baseline `puffer place --flow` calls `name`.
-    pub fn from_name(name: &str) -> Option<Baseline> {
-        Baseline::TABLE2.into_iter().find(|b| b.name() == name)
-    }
-
-    /// Runs the flow on `design`, at most `max_iters` GP iterations (the
-    /// flow's own cap when `None`). `threads` bounds the lanes of the
-    /// placer and of the in-the-loop router or estimator alike; when
-    /// `None`, the placer runs on one and the analysis on
-    /// [`default_threads`]. No output bit depends on either.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PufferError`] under the same conditions as the PUFFER flow.
-    pub fn place(
-        self,
-        design: &Design,
-        max_iters: Option<usize>,
-        threads: Option<usize>,
-    ) -> Result<FlowResult, PufferError> {
-        let mut placer = self.placer(threads.unwrap_or(1));
-        placer.max_iters = max_iters.unwrap_or(placer.max_iters);
-        let threads = threads.unwrap_or_else(default_threads);
-        self.run(design, &placer, self.schedule(), threads)
-    }
-
-    /// The flow's GP settings at its own iteration cap.
-    fn placer(self, threads: usize) -> PlacerConfig {
-        let base = PlacerConfig {
-            threads,
-            ..PlacerConfig::default()
-        };
+    /// The flow's GP settings at its own iteration cap, on one lane.
+    pub(crate) fn placer(self) -> PlacerConfig {
+        let base = PlacerConfig::default();
         match self {
             Baseline::Reference => PlacerConfig {
                 max_iters: REFERENCE_MAX_ITERS,
@@ -119,106 +62,6 @@ impl Baseline {
             },
         }
     }
-
-    /// The flow's `(below, every, max)` analysis schedule of [`run_flow`].
-    fn schedule(self) -> (f64, usize, usize) {
-        match self {
-            Baseline::Reference => REFERENCE_SCHEDULE,
-            Baseline::Replace => REPLACE_SCHEDULE,
-            Baseline::Wsa => WSA_SCHEDULE,
-        }
-    }
-
-    /// Runs the flow's analysis, on `threads` lanes, inside [`run_flow`].
-    fn run(
-        self,
-        design: &Design,
-        placer: &PlacerConfig,
-        schedule: (f64, usize, usize),
-        threads: usize,
-    ) -> Result<FlowResult, PufferError> {
-        let estimator = |expand_detours| {
-            CongestionEstimator::new(
-                design,
-                EstimatorConfig {
-                    expand_detours,
-                    threads,
-                },
-            )
-        };
-        let cells = design.netlist().num_cells();
-        match self {
-            Baseline::Reference => {
-                let router = GlobalRouter::new(
-                    design,
-                    RouterConfig {
-                        threads,
-                        ..RouterConfig::default()
-                    },
-                );
-                let mut pad = vec![0.0f64; cells];
-                run_flow(design, placer, schedule, |placer, snapshot| {
-                    // The expensive part: a full global route of the snapshot.
-                    let report = router
-                        .try_route(design, snapshot)
-                        .map_err(|e| PufferError::Congest(e.to_string()))?;
-                    let map = &report.congestion;
-                    let score = |ix, iy| {
-                        map.overflow_h(ix, iy) / map.h_capacity().at(ix, iy).max(1.0)
-                            + map.overflow_v(ix, iy) / map.v_capacity().at(ix, iy).max(1.0)
-                    };
-                    inflate(design, snapshot, map, &mut pad, REFERENCE_INFLATION, score);
-                    placer.set_padding(pad.clone());
-                    Ok(())
-                })
-            }
-            Baseline::Replace => {
-                // RePlAce's simpler model: no detour imitation.
-                let estimator = estimator(false);
-                let mut pad = vec![0.0f64; cells];
-                run_flow(design, placer, schedule, |placer, snapshot| {
-                    let map = estimator
-                        .try_estimate(design, snapshot)
-                        .map_err(|e| PufferError::Congest(e.to_string()))?;
-                    // Local congestion only: the cell's own Gcell.
-                    let score = |ix, iy| map.cg(ix, iy);
-                    inflate(design, snapshot, &map, &mut pad, REPLACE_INFLATION, score);
-                    placer.set_padding(pad.clone());
-                    Ok(())
-                })
-            }
-            Baseline::Wsa => {
-                let estimator = estimator(true);
-                let region = design.region();
-                // Lives on the density bin grid, whose shape only the placer knows.
-                let mut charge: Option<Grid<f64>> = None;
-                run_flow(design, placer, schedule, |placer, snapshot| {
-                    let map = estimator
-                        .try_estimate(design, snapshot)
-                        .map_err(|e| PufferError::Congest(e.to_string()))?;
-                    let (mx, my) = placer.density_dims();
-                    let bin_area = region.area() / (mx as f64 * my as f64);
-                    let charge = charge.get_or_insert_with(|| Grid::new(region, mx, my));
-                    // Accumulate virtual charge where the estimator sees overflow,
-                    // sampled from the Gcell-space congestion at each bin center.
-                    for iy in 0..my {
-                        for ix in 0..mx {
-                            let (gx, gy) =
-                                map.h_capacity().cell_of(charge.cell_rect(ix, iy).center());
-                            let cg = map.cg(gx, gy);
-                            if cg > 0.0 {
-                                let q = charge.at_mut(ix, iy);
-                                *q = (*q + WSA_CHARGE_GAIN * cg * bin_area)
-                                    .min(WSA_MAX_CHARGE * bin_area);
-                            }
-                        }
-                    }
-                    placer.set_extra_charge(charge.clone());
-                    Ok(())
-                })
-            }
-        }
-    }
 }
 
 // GP effort. The commercial stand-in spends the most iterations and stops
@@ -231,12 +74,14 @@ const REPLACE_MAX_ITERS: usize = 900;
 const REPLACE_LAMBDA_GROWTH: f64 = 1.025;
 const WSA_MAX_ITERS: usize = 800;
 
-// Analysis schedules `(below, every, max)` of `run_flow`: analysis starts
-// under density overflow `below`, runs every `every` iterations, at most
-// `max` times (router calls, bulk inflations or allocation passes).
-const REFERENCE_SCHEDULE: (f64, usize, usize) = (0.45, 25, 5);
-const REPLACE_SCHEDULE: (f64, usize, usize) = (0.25, 30, 3);
-const WSA_SCHEDULE: (f64, usize, usize) = (0.30, 30, 3);
+/// An analysis schedule `(below, every, max)`: analysis starts under
+/// density overflow `below`, runs every `every` GP iterations, at most
+/// `max` times (router calls, bulk inflations or allocation passes).
+pub(crate) type Schedule = (f64, usize, usize);
+
+const REFERENCE_SCHEDULE: Schedule = (0.45, 25, 5);
+const REPLACE_SCHEDULE: Schedule = (0.25, 30, 3);
+const WSA_SCHEDULE: Schedule = (0.30, 30, 3);
 
 // Inflation rules `(gain, cap, max_inflation)` of `inflate`.
 const REFERENCE_INFLATION: (f64, f64, f64) = (0.6, 1.0, 3.0);
@@ -248,60 +93,137 @@ const REPLACE_INFLATION: (f64, f64, f64) = (1.0, 1.5, 2.5);
 const WSA_CHARGE_GAIN: f64 = 0.5;
 const WSA_MAX_CHARGE: f64 = 0.6;
 
-/// The GP loop every comparison flow runs: step the engine to its stopping
-/// rule; whenever density overflow is under `below`, fewer than `max`
-/// analyses have run and `every` iterations have passed since the last one,
-/// hand the placer and a snapshot of its placement to `analyze` (which
-/// reports back through `set_padding`/`set_extra_charge`). The result is
-/// legalized with zero padding — none of these flows lets legalization
-/// inherit what the analysis added; only the spreading it caused persists.
-fn run_flow(
-    design: &Design,
-    config: &PlacerConfig,
-    (below, every, max): (f64, usize, usize),
-    mut analyze: impl FnMut(&mut GlobalPlacer<'_>, &Placement) -> Result<(), PufferError>,
-) -> Result<FlowResult, PufferError> {
-    let start = Stopwatch::start();
-    let mut placer =
-        GlobalPlacer::new(design, config.clone()).map_err(|e| PufferError::Place(e.to_string()))?;
-    let mut analyses = 0usize;
-    let mut since = 0usize;
+/// A baseline's schedule, counters and analysis state in the GP loop.
+#[derive(Debug)]
+pub(crate) struct Analysis {
+    schedule: Schedule,
+    /// GP loop passes since the last analysis.
+    since: usize,
+    /// Analyses run so far.
+    pub(crate) analyses: usize,
+    kind: Kind,
+}
 
-    let mut last = placer.step();
-    loop {
-        since += 1;
-        if last.overflow < below && analyses < max && since >= every {
-            let snapshot = placer.placement().clone();
-            analyze(&mut placer, &snapshot)?;
-            analyses += 1;
-            since = 0;
+/// What each baseline analyzes with, and what it accumulates.
+#[derive(Debug)]
+enum Kind {
+    /// A full global route of the snapshot; per-cell inflation.
+    Router(Box<GlobalRouter>, Vec<f64>),
+    /// A detour-free local estimate; per-cell inflation.
+    Estimate(CongestionEstimator, Vec<f64>),
+    /// A full estimate; virtual charge on the placer's density bin grid.
+    Charge(CongestionEstimator, Option<Grid<f64>>),
+}
+
+impl Analysis {
+    /// The analysis of `baseline` on `design`, on `job`'s estimator lanes,
+    /// budget and trace.
+    pub(crate) fn new(baseline: Baseline, design: &Design, job: &Job) -> Self {
+        let (threads, budget, trace) = (job.config.estimator.threads, &job.budget, &job.trace);
+        let estimator = |expand_detours| {
+            let mut estimator = CongestionEstimator::new(
+                design,
+                EstimatorConfig {
+                    expand_detours,
+                    threads,
+                },
+            );
+            estimator.set_budget(budget.clone());
+            estimator.set_trace(trace.clone());
+            estimator
+        };
+        let pad = || vec![0.0; design.netlist().num_cells()];
+        let (schedule, kind) = match baseline {
+            Baseline::Reference => {
+                let config = RouterConfig {
+                    threads,
+                    ..RouterConfig::default()
+                };
+                let mut router = Box::new(GlobalRouter::new(design, config));
+                router.set_budget(budget.clone());
+                (REFERENCE_SCHEDULE, Kind::Router(router, pad()))
+            }
+            // RePlAce's simpler model: no detour imitation.
+            Baseline::Replace => (REPLACE_SCHEDULE, Kind::Estimate(estimator(false), pad())),
+            Baseline::Wsa => (WSA_SCHEDULE, Kind::Charge(estimator(true), None)),
+        };
+        #[cfg(test)]
+        let schedule = job.schedule.unwrap_or(schedule);
+        Analysis {
+            schedule,
+            since: 0,
+            analyses: 0,
+            kind,
         }
-        if last.iter >= config.max_iters || last.overflow <= config.stop_overflow {
-            break;
-        }
-        last = placer.step();
     }
-    let global_placement = placer.placement().clone();
 
-    let netlist = design.netlist();
-    let zeros = vec![0u32; netlist.num_cells()];
-    let outcome = legalize_bounded(design, &global_placement, &zeros, &Budget::unbounded())
-        .map_err(|e| PufferError::Legalize(e.to_string()))?;
-    check_legal(design, &outcome.placement, &zeros)
-        .map_err(|e| PufferError::Legalize(e.to_string()))?;
+    /// Counts one GP loop pass; the analysis runs in it when overflow is
+    /// under `below`, `every` passes after the last of fewer than `max`.
+    pub(crate) fn due(&mut self, overflow: f64) -> bool {
+        let (below, every, max) = self.schedule;
+        self.since += 1;
+        overflow < below && self.analyses < max && self.since >= every
+    }
 
-    Ok(FlowResult {
-        hpwl: total_hpwl(netlist, &outcome.placement),
-        placement: outcome.placement,
-        global_placement,
-        gp_iterations: placer.iterations(),
-        pad_rounds: analyses,
-        final_overflow: placer.overflow(),
-        runtime_s: start.elapsed_secs(),
-        avg_displacement: outcome.avg_displacement,
-        degradation: Vec::new(),
-        cancelled: false,
-    })
+    /// Analyzes `snapshot`, steering the placer by padding or charge.
+    pub(crate) fn run(
+        &mut self,
+        design: &Design,
+        placer: &mut GlobalPlacer<'_>,
+        snapshot: &Placement,
+    ) -> Result<(), PufferError> {
+        match &mut self.kind {
+            Kind::Router(router, pad) => {
+                // The expensive part: a full global route of the snapshot.
+                let map = router
+                    .try_route(design, snapshot)
+                    .map_err(|e| PufferError::Congest(e.to_string()))?
+                    .congestion;
+                let score = |ix, iy| {
+                    map.overflow_h(ix, iy) / map.h_capacity().at(ix, iy).max(1.0)
+                        + map.overflow_v(ix, iy) / map.v_capacity().at(ix, iy).max(1.0)
+                };
+                inflate(design, snapshot, &map, pad, REFERENCE_INFLATION, score);
+                placer.set_padding(pad.clone());
+            }
+            Kind::Estimate(estimator, pad) => {
+                let map = estimator
+                    .try_estimate(design, snapshot)
+                    .map_err(|e| PufferError::Congest(e.to_string()))?;
+                // Local congestion only: the cell's own Gcell.
+                inflate(design, snapshot, &map, pad, REPLACE_INFLATION, |ix, iy| {
+                    map.cg(ix, iy)
+                });
+                placer.set_padding(pad.clone());
+            }
+            Kind::Charge(estimator, charge) => {
+                let map = estimator
+                    .try_estimate(design, snapshot)
+                    .map_err(|e| PufferError::Congest(e.to_string()))?;
+                let region = design.region();
+                let (mx, my) = placer.density_dims();
+                let bin_area = region.area() / (mx as f64 * my as f64);
+                let charge = charge.get_or_insert_with(|| Grid::new(region, mx, my));
+                // Accumulate virtual charge where the estimator sees overflow,
+                // sampled from the Gcell-space congestion at each bin center.
+                for iy in 0..my {
+                    for ix in 0..mx {
+                        let (gx, gy) = map.h_capacity().cell_of(charge.cell_rect(ix, iy).center());
+                        let cg = map.cg(gx, gy);
+                        if cg > 0.0 {
+                            let q = charge.at_mut(ix, iy);
+                            *q = (*q + WSA_CHARGE_GAIN * cg * bin_area)
+                                .min(WSA_MAX_CHARGE * bin_area);
+                        }
+                    }
+                }
+                placer.set_extra_charge(charge.clone());
+            }
+        }
+        self.analyses += 1;
+        self.since = 0;
+        Ok(())
+    }
 }
 
 /// Uniform inflation from a congestion map: every movable cell whose own
@@ -332,6 +254,7 @@ fn inflate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Flow, FlowResult};
     use puffer_gen::{generate, GeneratorConfig};
 
     fn design() -> Design {
@@ -360,11 +283,13 @@ mod tests {
     /// those 50 iterations (above their overflow), so the pinned bits
     /// cover the router-in-the-loop, bulk-inflation and allocation paths.
     fn run_quick(flow: Baseline, d: &Design, threads: usize) -> FlowResult {
-        let schedule = match flow {
+        let mut job = Flow::Baseline(flow).job(None, Some(threads));
+        job.config.placer = quick(threads);
+        job.schedule = Some(match flow {
             Baseline::Reference => (0.9, 10, 1),
             Baseline::Replace | Baseline::Wsa => (0.9, 8, 3),
-        };
-        flow.run(d, &quick(threads), schedule, threads).unwrap()
+        });
+        job.run(d).unwrap()
     }
 
     #[test]
@@ -420,8 +345,8 @@ mod tests {
 
     /// The short-schedule lines of `tests/fixtures/baseline_bits.txt` were
     /// rendered by the three hand-written loops this module shipped before
-    /// the shared driver; the driver must reproduce them bit for bit at
-    /// every thread count.
+    /// the shared driver; the GP loop of `Job` must reproduce them bit for
+    /// bit at every thread count.
     #[test]
     fn comparison_flows_reproduce_the_pinned_bits() {
         let d = design();
@@ -429,7 +354,7 @@ mod tests {
         for threads in [1, 2] {
             for flow in [Baseline::Reference, Baseline::Replace, Baseline::Wsa] {
                 let r = run_quick(flow, &d, threads);
-                got.push_str(&bits_line(flow.name(), threads, &r));
+                got.push_str(&bits_line(Flow::Baseline(flow).name(), threads, &r));
             }
         }
         assert_eq!(got, pinned(false));
@@ -444,8 +369,11 @@ mod tests {
         let mut got = String::new();
         for threads in [1, 2] {
             for flow in [Baseline::Reference, Baseline::Replace, Baseline::Wsa] {
-                let r = flow.place(&d, None, Some(threads)).unwrap();
-                let name = format!("{}@default", flow.name());
+                let r = Flow::Baseline(flow)
+                    .job(None, Some(threads))
+                    .run(&d)
+                    .unwrap();
+                let name = format!("{}@default", Flow::Baseline(flow).name());
                 got.push_str(&bits_line(&name, threads, &r));
             }
         }
@@ -456,21 +384,21 @@ mod tests {
     fn default_efforts_are_ordered() {
         // The reference flow must be the most expensive one (the
         // commercial stand-in is the slowest flow in Table II).
-        let reference = Baseline::Reference.placer(1);
+        let reference = Baseline::Reference.placer();
         assert!(reference.max_iters > PlacerConfig::default().max_iters);
         assert!(reference.stop_overflow <= PlacerConfig::default().stop_overflow);
         assert!(
-            Baseline::Reference.schedule().2 >= 1,
+            REFERENCE_SCHEDULE.2 >= 1,
             "router-in-the-loop is its defining cost"
         );
     }
 
     #[test]
     fn only_the_table2_baselines_have_cli_names() {
-        for flow in Baseline::TABLE2 {
-            assert_eq!(Baseline::from_name(flow.name()), Some(flow));
+        for flow in Flow::TABLE2 {
+            assert_eq!(Flow::from_name(flow.name()), Some(flow));
         }
-        assert_eq!(Baseline::from_name("wsa"), None);
-        assert_eq!(Baseline::from_name("puffer"), None);
+        assert_eq!(Flow::from_name("wsa"), None);
+        assert_eq!(Flow::from_name("puffer"), Some(Flow::Puffer));
     }
 }

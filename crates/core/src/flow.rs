@@ -1,8 +1,10 @@
-//! The full PUFFER flow (paper Fig. 2): global placement with interleaved
-//! routability optimization, then white-space-assisted legalization.
+//! The flow body of every [`Flow`]: global placement with interleaved
+//! routability analysis — PUFFER's optimizer (paper Fig. 2) or a
+//! baseline's — then (white-space-assisted) legalization.
 
+use crate::baselines;
 use crate::checkpoint::{CheckpointPolicy, FlowCheckpoint, FlowStage};
-use crate::job::Job;
+use crate::job::{Flow, Job};
 use crate::scale::ScaleClass;
 use crate::PufferError;
 use puffer_budget::clock::Stopwatch;
@@ -78,7 +80,8 @@ pub struct StageReport<'a> {
     pub design: &'a Design,
     /// The placement at this boundary (global until `Legalized`).
     pub placement: &'a Placement,
-    /// The routability optimizer's padding history.
+    /// The routability optimizer's padding history (a baseline's is empty:
+    /// legalization never inherits its inflation).
     pub padding: &'a PaddingState,
     /// The active padding strategy (for utilization-cap checks).
     pub strategy: &'a PaddingStrategy,
@@ -135,7 +138,8 @@ pub struct FlowResult {
     pub hpwl: f64,
     /// Global-placement iterations executed.
     pub gp_iterations: usize,
-    /// Routability-optimizer rounds executed.
+    /// Analysis rounds executed: routability-optimizer rounds, or a
+    /// baseline's router calls, bulk inflations or allocation passes.
     pub pad_rounds: usize,
     /// Final density overflow at the end of global placement.
     pub final_overflow: f64,
@@ -152,7 +156,7 @@ pub struct FlowResult {
 }
 
 impl Job {
-    /// The flow body behind [`Job::run`], [`Job::run_from`] and
+    /// Every flow's body behind [`Job::run`], [`Job::run_from`] and
     /// [`Job::run_or_resume`]: fresh when `from` is `None`, warm-started
     /// from the checkpoint otherwise; journals per the attached policy.
     pub(crate) fn execute(
@@ -161,38 +165,53 @@ impl Job {
         from: Option<FlowCheckpoint>,
     ) -> Result<FlowResult, PufferError> {
         let policy = self.checkpoints.as_ref();
+        // A baseline's analysis state is not part of the journal.
+        if self.flow != Flow::Puffer && (policy.is_some() || from.is_some()) {
+            let name = self.flow.name();
+            let message = format!("the {name} flow keeps no journal: only PUFFER's is journaled");
+            return Err(PufferError::Journal(message));
+        }
         let start = Stopwatch::start();
         let trace = &self.trace;
         let budget = &self.budget;
         let init_span = trace.span("init");
-        let mut optimizer = RoutabilityOptimizer::new(
-            design,
-            self.config.estimator.clone(),
-            self.config.strategy.clone(),
-        )
-        .with_feature_config(self.config.features.clone());
-        optimizer.set_trace(trace.clone());
-        optimizer.set_budget(budget.clone());
-
-        // Size-aware strategy ladder, classified by cell count. Coarsening
-        // happens here, before the first congestion round, so every round
-        // of the run — and the audit's histogram-conservation check — sees
-        // one consistent baseline grid.
-        let scale_class = ScaleClass::classify(design.netlist().num_cells());
-        if let Some(factor) = scale_class.congestion_coarsen_factor() {
-            optimizer.coarsen_estimator(design, factor);
-        }
+        let cells = design.netlist().num_cells();
+        let scale_class = ScaleClass::classify(cells);
+        // Size-aware strategy ladder, classified by cell count: PUFFER's
+        // estimator is coarsened here, before the first congestion round,
+        // so every round of the run — and the audit's
+        // histogram-conservation check — sees one consistent baseline grid.
+        let mut coarsen = None;
+        let mut analysis = match self.flow {
+            Flow::Puffer => {
+                let mut optimizer = RoutabilityOptimizer::new(
+                    design,
+                    self.config.estimator.clone(),
+                    self.config.strategy.clone(),
+                )
+                .with_feature_config(self.config.features.clone());
+                optimizer.set_trace(trace.clone());
+                optimizer.set_budget(budget.clone());
+                coarsen = scale_class.congestion_coarsen_factor();
+                if let Some(factor) = coarsen {
+                    optimizer.coarsen_estimator(design, factor);
+                }
+                Analysis::Puffer(optimizer)
+            }
+            Flow::Baseline(baseline) => Analysis::Baseline(
+                baselines::Analysis::new(baseline, design, self),
+                PaddingState::new(cells),
+            ),
+        };
         // The lanes every GP kernel is given: the placer sizes its
         // workspaces by the same rule.
         let lanes = GpLanes::for_design(design, self.config.placer.threads);
         trace
             .record("flow.init")
+            .str("flow", self.flow.name())
             .str("scale_class", scale_class.as_str())
-            .int("cells", design.netlist().num_cells() as i64)
-            .num(
-                "congest_coarsen",
-                scale_class.congestion_coarsen_factor().unwrap_or(1.0),
-            )
+            .int("cells", cells as i64)
+            .num("congest_coarsen", coarsen.unwrap_or(1.0))
             .int("lanes_wa", lanes.wa as i64)
             .int("lanes_scatter", lanes.scatter as i64)
             .int("lanes_transform", lanes.transform as i64)
@@ -255,17 +274,20 @@ impl Job {
                     .map_err(|e| PufferError::Resume(e.to_string()))?;
                 placer.set_trace(trace.clone());
                 let resume_skip_round = !checkpoint.pending_round;
-                optimizer
-                    .set_state(checkpoint.pad)
-                    .map_err(PufferError::Resume)?;
-                // Re-apply the journaled rungs so the resumed run keeps the
-                // fidelity of the run that wrote the journal. Freezing and
-                // early exit follow from the ladder state itself.
-                if checkpoint
-                    .degradation
-                    .contains(&DegradeStep::CoarseCongestion)
-                {
-                    optimizer.coarsen_estimator(design, 2.0);
+                // Only a PUFFER job has a journal.
+                if let Analysis::Puffer(optimizer) = &mut analysis {
+                    optimizer
+                        .set_state(checkpoint.pad)
+                        .map_err(PufferError::Resume)?;
+                    // Re-apply the journaled rungs so the resumed run keeps
+                    // the fidelity of the run that wrote the journal (the
+                    // ladder state itself freezes and exits early).
+                    if checkpoint
+                        .degradation
+                        .contains(&DegradeStep::CoarseCongestion)
+                    {
+                        optimizer.coarsen_estimator(design, 2.0);
+                    }
                 }
                 ladder = LadderState::resumed(&checkpoint.degradation);
                 (placer, last, resume_skip_round, done)
@@ -276,12 +298,12 @@ impl Job {
             StagePoint::Init,
             design,
             placer.placement(),
-            &optimizer,
+            analysis.state(),
             last.overflow,
             last.iter,
         )?;
 
-        // --- global placement with interleaved routability optimization ---
+        // --- global placement with interleaved routability analysis ---
         if !resumed_done {
             let _gp_span = trace.span("gp");
             loop {
@@ -291,7 +313,10 @@ impl Job {
                 // traced. `cap-trials` is SMBO's rung; the flow records it
                 // so the journal reflects the ladder position.
                 for step in ladder.poll(budget) {
-                    if step == DegradeStep::CoarseCongestion {
+                    // Only PUFFER's estimator is coarsened.
+                    if let (DegradeStep::CoarseCongestion, Analysis::Puffer(optimizer)) =
+                        (step, &mut analysis)
+                    {
                         optimizer.coarsen_estimator(design, 2.0);
                     }
                     trace
@@ -302,8 +327,7 @@ impl Job {
                         .write();
                 }
                 if !skip_round {
-                    if !ladder.is_engaged(DegradeStep::FreezePadding)
-                        && optimizer.should_trigger(last.overflow)
+                    if !ladder.is_engaged(DegradeStep::FreezePadding) && analysis.due(last.overflow)
                     {
                         // An exhausted budget skips the (expensive) pad
                         // round: the loop is about to break to legalization.
@@ -315,15 +339,12 @@ impl Job {
                         } else {
                             let _pad_span = trace.span("pad");
                             let snapshot = placer.placement().clone();
-                            optimizer
-                                .optimize(design, &snapshot)
-                                .map_err(|e| PufferError::Congest(e.to_string()))?;
-                            placer.set_padding(optimizer.padding().to_vec());
+                            analysis.run(design, &mut placer, &snapshot)?;
                             self.observe(
                                 StagePoint::PadRound,
                                 design,
                                 placer.placement(),
-                                &optimizer,
+                                analysis.state(),
                                 last.overflow,
                                 last.iter,
                             )?;
@@ -336,12 +357,8 @@ impl Job {
                                 policy,
                                 FlowStage::GlobalPlace,
                                 &placer,
-                                &optimizer,
-                                &BoundedRun {
-                                    degradation: ladder.engaged(),
-                                    pending_round,
-                                    scale_class,
-                                },
+                                analysis.state(),
+                                (ladder.engaged(), pending_round, scale_class),
                             )?;
                         }
                     }
@@ -394,12 +411,8 @@ impl Job {
                 policy,
                 stage,
                 &placer,
-                &optimizer,
-                &BoundedRun {
-                    degradation: ladder.engaged(),
-                    pending_round,
-                    scale_class,
-                },
+                analysis.state(),
+                (ladder.engaged(), pending_round, scale_class),
             )?;
         }
         let global_placement = placer.placement().clone();
@@ -407,26 +420,27 @@ impl Job {
             StagePoint::GlobalDone,
             design,
             &global_placement,
-            &optimizer,
+            analysis.state(),
             placer.overflow(),
             placer.iterations(),
         )?;
 
         // --- white-space-assisted legalization (§III-D) --------------------
         let legal_span = trace.span("legal");
+        let zeros = vec![0u32; cells];
         let discrete = if self.config.inherit_padding {
-            let continuous = optimizer.padding().to_vec();
-            let mut d = discretize_padding(&continuous, self.config.strategy.theta);
+            let continuous = &analysis.state().pad;
+            let mut d = discretize_padding(continuous, self.config.strategy.theta);
             enforce_budget(
                 design.netlist(),
-                &continuous,
+                continuous,
                 &mut d,
                 design.tech().site_width,
                 self.config.strategy.legal_budget,
             );
             d
         } else {
-            vec![0u32; design.netlist().num_cells()]
+            zeros.clone()
         };
         // The final legalization is never budget-bounded: an expired
         // deadline must still end in a legal placement.
@@ -437,21 +451,19 @@ impl Job {
                 // Padding made the design unfittable; retry without padding
                 // rather than failing the flow (the budget cap normally
                 // prevents this).
-                let zeros = vec![0u32; design.netlist().num_cells()];
                 legalize_bounded(design, &global_placement, &zeros, &unbounded)
                     .map_err(|e| PufferError::Legalize(e.to_string()))?
             }
             Err(e) => return Err(PufferError::Legalize(e.to_string())),
         };
         // The *physical* placement must always be legal (padding aside).
-        let zeros = vec![0u32; design.netlist().num_cells()];
         check_legal(design, &outcome.placement, &zeros)
             .map_err(|e| PufferError::Legalize(e.to_string()))?;
         self.observe(
             StagePoint::Legalized,
             design,
             &outcome.placement,
-            &optimizer,
+            analysis.state(),
             placer.overflow(),
             placer.iterations(),
         )?;
@@ -462,7 +474,10 @@ impl Job {
             placement: outcome.placement,
             global_placement,
             gp_iterations: placer.iterations(),
-            pad_rounds: optimizer.state().round,
+            pad_rounds: match &analysis {
+                Analysis::Puffer(optimizer) => optimizer.state().round,
+                Analysis::Baseline(analysis, _) => analysis.analyses,
+            },
             final_overflow: placer.overflow(),
             runtime_s: start.elapsed_secs(),
             avg_displacement: outcome.avg_displacement,
@@ -488,7 +503,7 @@ impl Job {
         point: StagePoint,
         design: &Design,
         placement: &Placement,
-        optimizer: &RoutabilityOptimizer,
+        padding: &PaddingState,
         overflow: f64,
         iter: usize,
     ) -> Result<(), PufferError> {
@@ -499,7 +514,7 @@ impl Job {
             point,
             design,
             placement,
-            padding: optimizer.state(),
+            padding,
             strategy: &self.config.strategy,
             overflow,
             iter,
@@ -515,28 +530,64 @@ impl Job {
         policy: &CheckpointPolicy,
         stage: FlowStage,
         placer: &GlobalPlacer<'_>,
-        optimizer: &RoutabilityOptimizer,
-        bounded: &BoundedRun<'_>,
+        padding: &PaddingState,
+        (degradation, pending_round, scale_class): (&[DegradeStep], bool, ScaleClass),
     ) -> Result<(), PufferError> {
         // `gp/journal` inside the loop, `journal` for the final write.
         let _journal_span = self.trace.span("journal");
         let path = policy.file_for(stage, placer.iterations());
-        let checkpoint =
-            FlowCheckpoint::capture(design, stage, placer.snapshot(), optimizer.state().clone())
-                .with_degradation(bounded.degradation.to_vec())
-                .with_pending_round(bounded.pending_round)
-                .with_scale_class(Some(bounded.scale_class));
+        let checkpoint = FlowCheckpoint::capture(design, stage, placer.snapshot(), padding.clone())
+            .with_degradation(degradation.to_vec())
+            .with_pending_round(pending_round)
+            .with_scale_class(Some(scale_class));
         checkpoint
             .save(&path)
             .map_err(|e| PufferError::Journal(e.to_string()))
     }
 }
 
-/// Per-run bounded-execution state a checkpoint write must record.
-struct BoundedRun<'a> {
-    degradation: &'a [DegradeStep],
-    pending_round: bool,
-    scale_class: ScaleClass,
+/// The GP loop's analysis slot: PUFFER's optimizer, or a baseline's
+/// analysis and its (empty) padding history.
+enum Analysis {
+    Puffer(RoutabilityOptimizer),
+    Baseline(baselines::Analysis, PaddingState),
+}
+
+impl Analysis {
+    /// Whether the analysis runs in this GP loop pass.
+    fn due(&mut self, overflow: f64) -> bool {
+        match self {
+            Analysis::Puffer(optimizer) => optimizer.should_trigger(overflow),
+            Analysis::Baseline(analysis, _) => analysis.due(overflow),
+        }
+    }
+
+    /// Analyzes `snapshot` and steers the placer by the result.
+    fn run(
+        &mut self,
+        design: &Design,
+        placer: &mut GlobalPlacer<'_>,
+        snapshot: &Placement,
+    ) -> Result<(), PufferError> {
+        match self {
+            Analysis::Puffer(optimizer) => {
+                optimizer
+                    .optimize(design, snapshot)
+                    .map_err(|e| PufferError::Congest(e.to_string()))?;
+                placer.set_padding(optimizer.padding().to_vec());
+                Ok(())
+            }
+            Analysis::Baseline(analysis, _) => analysis.run(design, placer, snapshot),
+        }
+    }
+
+    /// The padding history.
+    fn state(&self) -> &PaddingState {
+        match self {
+            Analysis::Puffer(optimizer) => optimizer.state(),
+            Analysis::Baseline(_, empty) => empty,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -554,6 +605,8 @@ mod tests {
         c.strategy.max_rounds = 3;
         c
     }
+
+    use crate::Baseline;
 
     fn design() -> Design {
         generate(&GeneratorConfig {
@@ -770,34 +823,110 @@ mod tests {
     fn expired_deadline_yields_cancelled_best_so_far() {
         use std::time::Duration;
         let d = design();
-        let r = Job::new(quick_config())
-            .with_budget(puffer_budget::Budget::with_deadline(Duration::ZERO))
-            .run(&d)
-            .unwrap();
-        assert!(r.cancelled, "expired budget must report cancellation");
-        assert!(
-            r.gp_iterations <= 2,
-            "expired budget must break within one iteration's slack, ran {}",
-            r.gp_iterations
-        );
-        // The best-so-far snapshot is still legalized.
-        let zeros = vec![0u32; d.netlist().num_cells()];
-        puffer_legal::check_legal(&d, &r.placement, &zeros).unwrap();
-        assert!(r.hpwl.is_finite());
+        for job in every_flow() {
+            let name = job.flow.name();
+            let r = job
+                .with_budget(puffer_budget::Budget::with_deadline(Duration::ZERO))
+                .run(&d)
+                .unwrap();
+            assert!(
+                r.cancelled,
+                "{name}: expired budget must report cancellation"
+            );
+            assert!(
+                r.gp_iterations <= 2,
+                "{name}: expired budget must break within one iteration's slack, ran {}",
+                r.gp_iterations
+            );
+            // Every flow records the whole ladder.
+            assert_eq!(
+                r.degradation,
+                puffer_budget::DegradeStep::ALL.to_vec(),
+                "{name}"
+            );
+            // The best-so-far snapshot is still legalized.
+            let zeros = vec![0u32; d.netlist().num_cells()];
+            puffer_legal::check_legal(&d, &r.placement, &zeros).unwrap();
+            assert!(r.hpwl.is_finite());
+        }
+    }
+
+    /// Every flow, at a 160-iteration cap: PUFFER's quick run and each
+    /// baseline.
+    fn every_flow() -> Vec<Job> {
+        let baselines = [Baseline::Reference, Baseline::Replace, Baseline::Wsa]
+            .map(|b| Flow::Baseline(b).job(Some(160), None));
+        std::iter::once(Job::new(quick_config()))
+            .chain(baselines)
+            .collect()
     }
 
     #[test]
     fn cancel_token_stops_the_flow_cleanly() {
         let d = design();
-        let token = puffer_budget::CancelToken::new();
-        token.cancel();
-        let r = Job::new(quick_config())
-            .with_budget(puffer_budget::Budget::unbounded().with_token(token))
+        for job in every_flow() {
+            let name = job.flow.name();
+            let token = puffer_budget::CancelToken::new();
+            token.cancel();
+            let r = job
+                .with_budget(puffer_budget::Budget::unbounded().with_token(token))
+                .run(&d)
+                .unwrap();
+            assert!(r.cancelled, "{name}");
+            let zeros = vec![0u32; d.netlist().num_cells()];
+            puffer_legal::check_legal(&d, &r.placement, &zeros).unwrap();
+        }
+    }
+
+    #[test]
+    fn baselines_run_in_the_one_gp_loop() {
+        let d = design();
+        for flow in [Baseline::Reference, Baseline::Replace, Baseline::Wsa].map(Flow::Baseline) {
+            let name = flow.name();
+            let path = tmp_dir("baseline-trace").join(format!("{name}.jsonl"));
+            let trace = Trace::with_sink(&path).unwrap();
+            let r = flow
+                .job(None, None)
+                .with_trace(trace.clone())
+                .run(&d)
+                .unwrap();
+            trace.flush().unwrap();
+            assert!(r.pad_rounds >= 1, "{name}: analyses should fire");
+            // One `gp/pad` span per analysis, the stage spans around them.
+            let spans = trace.span_stats();
+            let count = |label: &str| spans.iter().find(|(l, _)| l == label).map(|s| s.1.count);
+            assert_eq!(count("gp/pad"), Some(r.pad_rounds as u64), "{name}");
+            for stage in ["init", "gp", "legal"] {
+                assert_eq!(count(stage), Some(1), "{name}: {stage}");
+            }
+            let records = puffer_trace::read_jsonl(&path).unwrap();
+            let init = records.iter().find(|r| r.kind() == Some("flow.init"));
+            assert_eq!(init.and_then(|r| r.str_field("flow")), Some(name));
+            // Trace must not perturb the flow itself.
+            assert_eq!(flow.job(None, None).run(&d).unwrap().placement, r.placement);
+        }
+    }
+
+    #[test]
+    fn baselines_refuse_journals() {
+        let d = design();
+        let job = Flow::Baseline(Baseline::Reference).job(Some(20), None);
+        let policy = CheckpointPolicy::new(tmp_dir("baseline-journal").join("run.pj"));
+        let _ = std::fs::remove_file(&policy.path);
+        let err = job
+            .clone()
+            .with_checkpoints(policy.clone())
+            .run(&d)
+            .unwrap_err();
+        assert!(matches!(err, PufferError::Journal(_)), "{err}");
+        assert!(!policy.path.exists());
+        Job::new(quick_config())
+            .with_checkpoints(policy.clone())
             .run(&d)
             .unwrap();
-        assert!(r.cancelled);
-        let zeros = vec![0u32; d.netlist().num_cells()];
-        puffer_legal::check_legal(&d, &r.placement, &zeros).unwrap();
+        let checkpoint = FlowCheckpoint::load(&policy.path).unwrap();
+        let err = job.run_from(&d, checkpoint).unwrap_err();
+        assert!(matches!(err, PufferError::Journal(_)), "{err}");
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! A [`Job`]: one self-contained, `Send`-able unit of placement work, and
-//! the only way to run the PUFFER flow (paper Fig. 2).
+//! the only way to run any flow — PUFFER (paper Fig. 2) or a comparison
+//! flow ([`Flow`]).
 //!
 //! A `Job` bundles configuration + budget + trace + observer + checkpoint
 //! policy into a value that can be built on one thread, shipped to a
 //! worker, and run there — the one-shot CLI (`puffer place`), the `puffer
-//! serve` worker pool and every library caller share this single path. The
-//! flow body itself lives in [`crate::flow`].
+//! serve` worker pool, the Table II harness and every library caller share
+//! this single path. The flow body itself lives in [`crate::flow`].
 //!
 //! A job owns:
 //!
-//! * its [`PufferConfig`] (placer/estimator/strategy/features),
+//! * its [`Flow`] and [`PufferConfig`] (placer/estimator/strategy/features),
 //! * its [`Budget`] — the deadline clock starts when the budget is built,
 //!   and cancelling the budget's [`puffer_budget::CancelToken`] stops a
 //!   running job from another thread; a bounded budget also arms the
@@ -19,14 +20,81 @@
 //! * an optional [`CheckpointPolicy`]; with one attached,
 //!   [`Job::run_or_resume`] is crash recovery in a single call: resume from
 //!   the journal when one exists (tolerating a torn tail), start fresh
-//!   otherwise.
+//!   otherwise (PUFFER only: a baseline's analysis state is not journaled).
 
+use crate::baselines::Baseline;
 use crate::checkpoint::{CheckpointPolicy, FlowCheckpoint};
 use crate::flow::{FlowResult, PufferConfig, StageObserver};
 use crate::PufferError;
 use puffer_budget::{Budget, ChaosPlan};
 use puffer_db::design::Design;
 use puffer_trace::Trace;
+
+/// A placement flow: PUFFER itself or a comparison flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// The PUFFER flow.
+    Puffer,
+    /// A comparison flow (see [`crate::baselines`]).
+    Baseline(Baseline),
+}
+
+impl Flow {
+    /// The Table II flows in the paper's column order: PUFFER is last, the
+    /// flow the others' WL and RT are normalized against.
+    pub const TABLE2: [Flow; 3] = [
+        Flow::Baseline(Baseline::Reference),
+        Flow::Baseline(Baseline::Replace),
+        Flow::Puffer,
+    ];
+
+    /// The flow's name on the command line (`puffer place --flow <name>`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Flow::Puffer => "puffer",
+            Flow::Baseline(Baseline::Reference) => "reference",
+            Flow::Baseline(Baseline::Replace) => "replace",
+            Flow::Baseline(Baseline::Wsa) => "wsa",
+        }
+    }
+
+    /// The flow's column in Table II (`wsa`'s in the ablation).
+    pub fn label(self) -> &'static str {
+        match self {
+            Flow::Puffer => "PUFFER",
+            Flow::Baseline(Baseline::Reference) => "Commercial_Ref",
+            Flow::Baseline(Baseline::Replace) => "RePlAce-like",
+            Flow::Baseline(Baseline::Wsa) => "wsa",
+        }
+    }
+
+    /// The Table II flow `puffer place --flow` calls `name`.
+    pub fn from_name(name: &str) -> Option<Flow> {
+        Flow::TABLE2.into_iter().find(|f| f.name() == name)
+    }
+
+    /// A job running this flow at its defaults and at most `max_iters` GP
+    /// iterations (its own cap when `None`). `threads` bounds the lanes of
+    /// the placer and of the estimator (or a baseline's router) alike; when
+    /// `None`, the placer runs on one and the analysis on
+    /// [`puffer_budget::default_threads`]. No output bit depends on either.
+    pub fn job(self, max_iters: Option<usize>, threads: Option<usize>) -> Job {
+        let mut config = PufferConfig::default();
+        if let Flow::Baseline(baseline) = self {
+            config.placer = baseline.placer();
+            config.inherit_padding = false;
+        }
+        config.placer.max_iters = max_iters.unwrap_or(config.placer.max_iters);
+        if let Some(n) = threads {
+            config.placer.threads = n;
+            config.estimator.threads = n;
+        }
+        Job {
+            flow: self,
+            ..Job::new(config)
+        }
+    }
+}
 
 /// A reusable, `Send`-able placement job (see the module docs).
 ///
@@ -47,25 +115,32 @@ use puffer_trace::Trace;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Job {
+    pub(crate) flow: Flow,
     pub(crate) config: PufferConfig,
     pub(crate) budget: Budget,
     pub(crate) trace: Trace,
     pub(crate) observer: Option<StageObserver>,
     pub(crate) checkpoints: Option<CheckpointPolicy>,
     pub(crate) chaos: Option<ChaosPlan>,
+    /// Test hook: a baseline's analysis schedule in place of its own.
+    #[cfg(test)]
+    pub(crate) schedule: Option<crate::baselines::Schedule>,
 }
 
 impl Job {
-    /// A job with the given flow configuration, an unbounded budget, no
-    /// telemetry, and no checkpointing.
+    /// A PUFFER job with the given flow configuration, an unbounded budget,
+    /// no telemetry, and no checkpointing.
     pub fn new(config: PufferConfig) -> Self {
         Job {
+            flow: Flow::Puffer,
             config,
             budget: Budget::unbounded(),
             trace: Trace::disabled(),
             observer: None,
             checkpoints: None,
             chaos: None,
+            #[cfg(test)]
+            schedule: None,
         }
     }
 
@@ -106,7 +181,8 @@ impl Job {
 
     /// Attaches a checkpoint policy, returning `self` for chaining. All run
     /// entry points then journal per the policy, and
-    /// [`Job::run_or_resume`] resumes from its journal when one exists.
+    /// [`Job::run_or_resume`] resumes from its journal when one exists. A
+    /// baseline job refuses to run with one.
     pub fn with_checkpoints(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoints = Some(policy);
         self
@@ -127,7 +203,8 @@ impl Job {
     /// [`PufferError`] if global placement cannot start (no movable cells /
     /// unplaced macros), a congestion round fails, legalization runs out of
     /// capacity, an observer rejects a stage, or a checkpoint cannot be
-    /// written.
+    /// written; [`PufferError::Journal`] when a baseline job carries a
+    /// checkpoint policy or is resumed.
     pub fn run(&self, design: &Design) -> Result<FlowResult, PufferError> {
         self.execute(design, None)
     }

@@ -23,9 +23,11 @@
 //!
 //! This crate ties them together:
 //!
-//! * [`Job`] — the full PUFFER flow, the one way to run it;
-//! * [`Baseline`] — the comparison flows, the one way to run them: the two
-//!   Table II baselines (commercial-style router-in-the-loop inflation, and
+//! * [`Job`] — the one way to run a flow, PUFFER's or a comparison flow's;
+//! * [`Flow`] — which flow a job runs, and [`Flow::job`], the one place the
+//!   command line's iteration cap and thread count become a job;
+//! * [`Baseline`] — the comparison flows' analyses: the two Table II
+//!   baselines (commercial-style router-in-the-loop inflation, and
 //!   RePlAce-style bulk inflation) and the ablation's white-space
 //!   allocation;
 //! * [`evaluate_bounded`]/[`ComparisonTable`] — routing-based evaluation
@@ -71,7 +73,7 @@ pub mod scale;
 pub use baselines::Baseline;
 pub use checkpoint::{CheckpointPolicy, FlowCheckpoint, FlowStage, JournalError};
 pub use flow::{FlowResult, PufferConfig, StageObserver, StagePoint, StageReport};
-pub use job::Job;
+pub use job::{Flow, Job};
 pub use report::{ComparisonTable, EvalRow, FlowSummary};
 pub use scale::ScaleClass;
 

@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use puffer::{Job, PufferConfig};
+use puffer::Flow;
 use puffer_budget::fsx;
 use puffer_budget::{CancelToken, FaultClass};
 use puffer_db::io::{write_design, write_placement};
@@ -116,7 +116,8 @@ impl<'a> Round<'a> {
         write_design(&design, &mut buf).map_err(|e| format!("render design: {e}"))?;
         fsx::atomic_write(&design_path, &buf).map_err(|e| format!("write design: {e}"))?;
 
-        let reference_run = Job::new(flow_config(case.max_iters))
+        let reference_run = Flow::Puffer
+            .job(Some(case.max_iters), Some(1))
             .run(&design)
             .map_err(|e| format!("reference run: {e}"))?;
         let mut reference = Vec::new();
@@ -392,14 +393,6 @@ fn rename_restart(case: &Case) -> Result<String, String> {
     .map_err(|e| e.to_string())??;
     round.check_reference(&out, "restart-after-rename-fault")?;
     Ok("OK: rename fault fired, killed engine restarted and resumed bit-identically".into())
-}
-
-fn flow_config(max_iters: usize) -> PufferConfig {
-    let mut c = PufferConfig::default();
-    c.placer.max_iters = max_iters;
-    c.placer.threads = 1;
-    c.estimator.threads = 1;
-    c
 }
 
 fn wait_terminal(handle: &EngineHandle<'_>, id: u64) -> Result<String, String> {

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
-use puffer::{evaluate_bounded, CheckpointPolicy, FlowResult, Job, PufferConfig, PufferError};
+use puffer::{evaluate_bounded, CheckpointPolicy, Flow, FlowResult, PufferError};
 use puffer_budget::fsx;
 use puffer_budget::{Budget, CancelToken, FaultClass};
 use puffer_db::design::Design;
@@ -735,15 +735,8 @@ fn execute(
 
     match spec.kind {
         JobKind::Place => {
-            let mut config = PufferConfig::default();
-            if let Some(n) = spec.max_iters {
-                config.placer.max_iters = n;
-            }
-            if let Some(n) = spec.threads {
-                config.placer.threads = n;
-                config.estimator.threads = n;
-            }
-            let job = Job::new(config)
+            let job = Flow::Puffer
+                .job(spec.max_iters, spec.threads)
                 .with_budget(budget)
                 .with_trace(trace.clone())
                 .with_checkpoints(CheckpointPolicy {
@@ -1043,6 +1036,7 @@ impl EngineHandle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use puffer::{Job, PufferConfig};
     use puffer_db::io::write_design;
     use puffer_gen::{generate, GeneratorConfig};
 

@@ -10,7 +10,7 @@
 //! ~12K cells for MEDIA_SUBSYS; the full Table II harness lives in
 //! `cargo run -p puffer-bench --bin table2`).
 
-use puffer::{evaluate_bounded, Baseline, ComparisonTable, EvalRow, Job, PufferConfig};
+use puffer::{evaluate_bounded, ComparisonTable, EvalRow, Flow};
 use puffer_budget::Budget;
 use puffer_gen::{generate, presets};
 use puffer_route::RouterConfig;
@@ -54,11 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Ok(())
         };
 
-    for baseline in Baseline::TABLE2 {
-        add(baseline.label(), baseline.place(&design, None, None)?)?;
+    for flow in Flow::TABLE2 {
+        add(flow.label(), flow.job(None, None).run(&design)?)?;
     }
-    add("PUFFER", Job::new(PufferConfig::default()).run(&design)?)?;
 
-    println!("\n{}", table.render("PUFFER"));
+    println!("\n{}", table.render(Flow::Puffer.label()));
     Ok(())
 }

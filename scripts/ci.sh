@@ -92,19 +92,32 @@ cmp "$SMOKE_DIR/refine-a.pl" "$SMOKE_DIR/refine-b.pl"
 "$PUFFER" eval "$SMOKE_DIR/smoke.pd" "$SMOKE_DIR/refine-a.pl"
 "$PUFFER" eval "$SMOKE_DIR/smoke.pd" "$SMOKE_DIR/refine-guard.pl"
 
-# Baseline smoke: the CLI's comparison-flow arm (`Baseline::place`). Each
-# Table II baseline places the smoke design at --threads 1 and 2, which
-# bound the placer's lanes and the in-the-loop router's or estimator's:
-# the two placements must be byte-identical, and the evaluator must accept
-# them.
-echo "==> baseline smoke (place --flow reference|replace --threads 1 vs 2, eval)"
+# Baseline smoke: the comparison flows run in the same GP loop as PUFFER
+# (`Flow::job`). Each Table II baseline places the smoke design at
+# --threads 1 and 2, which bound the placer's lanes and the in-the-loop
+# router's or estimator's: the two placements must be byte-identical, and
+# the evaluator must accept them. A traced run must pass `puffer trace
+# --check` and place the same bytes (the trace does not perturb the flow).
+# A baseline also runs under --validate, and under an expired deadline that
+# engages the whole degradation ladder.
+echo "==> baseline smoke (place --flow reference|replace --threads 1 vs 2, --metrics, eval)"
 for flow in reference replace; do
   for t in 1 2; do
     "$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/$flow-t$t.pl" --flow "$flow" --threads "$t"
   done
   cmp "$SMOKE_DIR/$flow-t1.pl" "$SMOKE_DIR/$flow-t2.pl"
+  "$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/$flow-traced.pl" --flow "$flow" \
+    --threads 1 --metrics "$SMOKE_DIR/$flow.jsonl"
+  "$PUFFER" trace "$SMOKE_DIR/$flow.jsonl" --check
+  cmp "$SMOKE_DIR/$flow-t1.pl" "$SMOKE_DIR/$flow-traced.pl"
   "$PUFFER" eval "$SMOKE_DIR/smoke.pd" "$SMOKE_DIR/$flow-t1.pl"
 done
+"$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/reference-val.pl" --flow reference --validate
+"$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/reference-deadline.pl" --flow reference \
+  --deadline 0.001 > "$SMOKE_DIR/reference-deadline.out"
+cat "$SMOKE_DIR/reference-deadline.out"
+grep -q 'degradation: coarse-congestion,freeze-padding,cap-trials,early-exit-gp' \
+  "$SMOKE_DIR/reference-deadline.out"
 
 # Deterministic-parallelism smoke: --threads must not change results. The
 # checkpoint journals and placements of a 1-thread and a 4-thread run are

@@ -4,7 +4,9 @@
 
 mod oracle;
 
-use puffer::{evaluate_bounded, Baseline, CheckpointPolicy, FlowCheckpoint, Job, PufferConfig};
+use puffer::{
+    evaluate_bounded, Baseline, CheckpointPolicy, Flow, FlowCheckpoint, Job, PufferConfig,
+};
 use puffer_budget::{Budget, DegradeStep};
 use puffer_congest::CongestionEstimator;
 use puffer_db::geom::Point;
@@ -115,9 +117,9 @@ fn padding_area_respects_legal_budget() {
     assert!(result.hpwl > 0.0);
 }
 
-/// The comparison flows behind the one `baselines::run_flow` driver, as
-/// `puffer place --flow reference|replace --max-iters N` runs them, plus
-/// the white-space-allocation ablation that shares the driver.
+/// The comparison flows in the one GP loop of `Job`, as `puffer place
+/// --flow reference|replace --max-iters N` runs them through `Flow::job`,
+/// plus the white-space-allocation ablation that shares the loop.
 #[test]
 fn comparison_flows_pass_the_independent_oracles() {
     let design = generate(&GeneratorConfig {
@@ -130,10 +132,11 @@ fn comparison_flows_pass_the_independent_oracles() {
     })
     .expect("generate");
     const MAX_ITERS: usize = 120;
-    for flow in [Baseline::Reference, Baseline::Replace, Baseline::Wsa] {
+    for flow in [Baseline::Reference, Baseline::Replace, Baseline::Wsa].map(Flow::Baseline) {
         let name = flow.name();
         let result = flow
-            .place(&design, Some(MAX_ITERS), None)
+            .job(Some(MAX_ITERS), None)
+            .run(&design)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         oracle::assert_flow_result(&design, &result);
         // The router that judges the flows (and that `reference` runs
