@@ -12,8 +12,6 @@
 
 #![forbid(unsafe_code)]
 
-mod chaos;
-
 use puffer::{
     evaluate_bounded, CheckpointPolicy, Flow, FlowCheckpoint, Job, PufferConfig, ScaleClass,
 };
@@ -295,20 +293,6 @@ const COMMANDS: &[Command] = &[
         flag("checkpoint-every", "<n>", "GP iterations per checkpoint")
             .or("10")
             .rule(Rule::Count),
-    ]),
-    command(
-        "chaos",
-        &[],
-        chaos::cmd_chaos,
-        "deterministic fault-injection harness",
-    )
-    .flags(&[
-        flag("seeds", "<n>", "seeds, one scenario each")
-            .or("8")
-            .rule(Rule::Count),
-        flag("cells", "<n>", "cells of each generated design").or("250"),
-        flag("max-iters", "<n>", "GP iterations per flow, at least 10").or("60"),
-        flag("classes", "<group>", "all, flow, fs or serve").or("all"),
     ]),
     command(
         "lint",
@@ -627,11 +611,13 @@ fn deadline_budget(flags: &Flags) -> Result<Budget, CliError> {
     }
 }
 
-/// One summary line for a run that stopped early under a budget.
-fn degradation_note(out: &mut String, result: &puffer::FlowResult) {
+/// One summary line for a run that stopped early: the cause is the
+/// deadline when one was given, else an interrupt (SIGINT/SIGTERM).
+fn degradation_note(out: &mut String, result: &puffer::FlowResult, deadline: bool) {
     if !result.cancelled {
         return;
     }
+    let cause = if deadline { "deadline" } else { "interrupted" };
     let steps: Vec<&str> = result.degradation.iter().map(|s| s.as_str()).collect();
     let steps = if steps.is_empty() {
         "none".to_string()
@@ -640,7 +626,7 @@ fn degradation_note(out: &mut String, result: &puffer::FlowResult) {
     };
     let _ = writeln!(
         out,
-        "deadline: stopped early at iteration {} (degradation: {steps}); \
+        "{cause}: stopped early at iteration {} (degradation: {steps}); \
          placement is the legalized best-so-far",
         result.gp_iterations
     );
@@ -697,7 +683,7 @@ fn cmd_place(flags: &Flags, out: &mut String) -> Result<(), CliError> {
         "wrote {} (HPWL {:.0}, {} GP iterations, {} padding rounds, {:.1}s)",
         output, result.hpwl, result.gp_iterations, result.pad_rounds, result.runtime_s
     );
-    degradation_note(out, &result);
+    degradation_note(out, &result, flags.has("deadline"));
     Ok(())
 }
 
@@ -1151,8 +1137,12 @@ mod tests {
         let mut out = String::new();
         run(&strs(&["help"]), &mut out).unwrap();
         assert!(out.contains("usage:"));
-        let err = run(&strs(&["bogus"]), &mut String::new()).unwrap_err();
-        assert_eq!(err.code, 2);
+        // `chaos` is a test target (`tests/chaos.rs`), not a command.
+        for name in ["bogus", "chaos"] {
+            let err = run(&strs(&[name]), &mut String::new()).unwrap_err();
+            assert_eq!(err.code, 2);
+            assert!(err.message.contains("unknown command"), "{}", err.message);
+        }
         let err = run(&[], &mut String::new()).unwrap_err();
         assert_eq!(err.code, 2);
     }
@@ -1963,12 +1953,37 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        assert!(out.contains("stopped early"), "{out}");
+        assert!(out.contains("deadline: stopped early"), "{out}");
         assert!(
             out.contains("degradation: coarse-congestion,freeze-padding,cap-trials,early-exit-gp"),
             "{out}"
         );
         assert!(std::path::Path::new(&placed_path).exists());
+    }
+
+    #[test]
+    fn interrupted_run_does_not_blame_a_deadline() {
+        // A cancelled token and no --deadline: what SIGINT leaves behind.
+        let design = generate(&GeneratorConfig {
+            num_cells: 200,
+            num_nets: 220,
+            ..GeneratorConfig::default()
+        })
+        .unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let result = Flow::Puffer
+            .job(Some(20), Some(1))
+            .with_budget(Budget::unbounded().with_token(token))
+            .run(&design)
+            .unwrap();
+        let mut out = String::new();
+        degradation_note(&mut out, &result, false);
+        assert!(
+            out.starts_with("interrupted: stopped early") && !out.contains("deadline:"),
+            "{out}"
+        );
+        assert!(out.contains("(degradation: none)"), "{out}");
     }
 
     #[test]
@@ -2088,8 +2103,8 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code, 2);
         assert!(err.message.contains("exactly one"), "{}", err.message);
-        // The fault-injection harness lives under `puffer chaos` only, and
-        // the retry schedule is ServeConfig's default, not a flag.
+        // Fault injection is a test target, not a flag, and the retry
+        // schedule is ServeConfig's default.
         for gone in [
             &["--chaos"][..],
             &["--seeds", "3"][..],

@@ -256,7 +256,7 @@ pub fn run_isolated<T>(f: impl FnOnce() -> T) -> Result<T, WorkerPanic> {
 ///   swallowed at the pool boundary (per-job isolation inside the loop is
 ///   the caller's responsibility via [`run_isolated`]). Callers that care
 ///   about pool integrity should count live workers and compare against
-///   `workers` — the serve chaos harness does exactly this.
+///   `workers` — the serve rows of the chaos test target do exactly this.
 ///
 /// `workers` is clamped to `1..=`[`MAX_WORKER_THREADS`].
 ///

@@ -17,7 +17,9 @@
 //! * [`server`] — the transports: TCP (`puffer serve --listen`) and any
 //!   `BufRead`/`Write` pair (`puffer serve --stdin`).
 //!
-//! [`chaos`] holds the serve rows of the `puffer chaos` scenario table:
+//! The engine's fault hook is the spec's `chaos` tag, which only an
+//! in-process [`EngineHandle::submit`] may carry. The serve rows of the
+//! workspace's fault-injection test target (`tests/chaos.rs`) drive it:
 //! seeded worker panics, filesystem write faults, client disconnects, and
 //! kill/restart cycles against a live engine, each verified against the
 //! three-legal-end-states contract (completed result / resumable
@@ -30,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod engine;
 pub mod proto;
 pub mod queue;

@@ -38,7 +38,7 @@
 //! | `flow.done` | `puffer` (core) | `runtime_s`, `gp_iterations`, `pad_rounds`, `hpwl`, `overflow` |
 //! | `route.done` | `puffer` (core) | `hof_pct`, `vof_pct`, `wirelength`, `overflow_gcells`, `rounds`, `segments`, `reroutes`, `reroutes_kept`, `reroutes_reused`, `maze_pops`, `maze_pushes` |
 //! | `flow.degrade` | `puffer` (core) | `step`, `fraction_remaining`, `iter` |
-//! | `chaos.inject` | `puffer` (core, `nan-burst` under the `chaos` feature) | `class`, `at`, `magnitude` |
+//! | `chaos.inject` | `puffer` (core, the `nan-burst` hook of `Job::with_chaos`) | `class`, `at`, `magnitude` |
 //! | `span` | [`Trace::write_summary`] | `label`, `count`, `total_s`, `mean_s`, `min_s`, `max_s` |
 //! | `counter` | [`Trace::write_summary`] | `name`, `value` |
 //!

@@ -228,30 +228,24 @@ done
 
 # Bounded-execution smoke: an expired deadline must still exit 0 with a
 # legal best-so-far placement, having engaged all four rungs of the
-# degradation ladder (a deadline alone arms it), and the flow rows of the
-# chaos harness (worker-panic, nan-burst) must each survive two seeded
-# injections. The nan-burst rows must report the burst's recovery as
-# non-finite, the verdict the sentinel reaches by checking the iterate's
-# coordinates.
-echo "==> bounded execution smoke (place --deadline + puffer chaos --classes flow)"
+# degradation ladder (a deadline alone arms it).
+echo "==> bounded execution smoke (place --deadline)"
 "$PUFFER" place "$SMOKE_DIR/smoke.pd" -o "$SMOKE_DIR/deadline.pl" \
   --deadline 0.001 > "$SMOKE_DIR/deadline.out"
 cat "$SMOKE_DIR/deadline.out"
 grep -q 'degradation: coarse-congestion,freeze-padding,cap-trials,early-exit-gp' \
   "$SMOKE_DIR/deadline.out"
-"$PUFFER" chaos --classes flow --seeds 4 > "$SMOKE_DIR/chaos-flow.out"
-cat "$SMOKE_DIR/chaos-flow.out"
-test "$(grep -c 'nan-burst .*(non-finite objective)' "$SMOKE_DIR/chaos-flow.out")" -eq 2
 
-# Durable I/O gates: the fsx unit suite with the fault hooks compiled in,
-# then 24 seeded filesystem-fault injections (disk-full, torn-write,
-# fsync-fail, rename-fail, short-read) through the fs rows of the chaos
-# harness. Every injection must end in a legal end state: a valid result,
-# a resumable checkpoint that replays bit-identically, or a structured
-# error.
-echo "==> fsx chaos smoke (unit suite + puffer chaos --classes fs --seeds 24)"
+# Fault-injection gates: the fsx unit suite, then the seeded sweep of the
+# chaos harness (tests/chaos.rs): 4 flow seeds (worker-panic, nan-burst),
+# 24 fs seeds (disk-full, torn-write, fsync-fail, rename-fail, short-read)
+# and 24 serve seeds (worker panic, torn and ENOSPC writes, client
+# disconnect, kill+restart, kill+restart after a rename failure). Every
+# injection must end in a legal end state: a valid result, a resumable
+# checkpoint that replays bit-identically, or a structured error.
+echo "==> chaos sweep (fsx unit suite + cargo test --release --test chaos -- --ignored)"
 cargo test -q -p puffer-budget fsx
-"$PUFFER" chaos --classes fs --seeds 24
+cargo test --release --test chaos -- --ignored
 
 # Serve smoke: the daemon's stdin transport runs a submitted job to
 # completion on EOF-drain, journaling under --journal-dir, and refuses a
@@ -269,16 +263,6 @@ printf '%s\n' \
 grep -q '"t":"serve.result"' "$SMOKE_DIR/serve-smoke.out"
 grep -q '"t":"serve.rejected"' "$SMOKE_DIR/serve-smoke.out"
 test -f "$SMOKE_DIR/serve.pl"
-
-# Serve chaos smoke: 24 seeded injections across the six serve rows of the
-# chaos harness (worker panic, torn checkpoint/journal write, client
-# disconnect, kill+restart, injected ENOSPC, and kill+restart after an
-# injected rename failure); every job must land in a legal end state with
-# the worker pool intact. Together with the 24 fs-row injections above,
-# this puts >= 32 seeded filesystem faults through the durable I/O layer
-# per run.
-echo "==> serve chaos smoke (puffer chaos --classes serve --seeds 24)"
-"$PUFFER" chaos --classes serve --seeds 24 --cells 160 --max-iters 60
 
 # Nightly-style scale regressions, opt-in via PUFFER_NIGHTLY=1 (cargo
 # feature `expensive`), each in its own test binary because peak RSS is a
