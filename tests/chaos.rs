@@ -622,8 +622,7 @@ fn fs_fault(case: &Case, class: FaultClass) -> Result<String, String> {
             .map_err(|r| format!("submit: {}", r.detail))?;
         let record = wait_terminal(h, id)?;
         expect_state(h, id, JobState::Done, &record)?;
-        if fsx::fault::armed() {
-            fsx::fault::disarm();
+        if !disarm_fired() {
             return Err(format!("{class} fault at write {skip} never fired"));
         }
         verify_pool(h)?;
