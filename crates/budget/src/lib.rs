@@ -14,8 +14,8 @@
 //!   20 %, early-exit global placement at 8 %), tracked by [`LadderState`];
 //! * [`FaultClass`]/[`ChaosPlan`] — the deterministic fault-injection
 //!   vocabulary consumed by the [`fsx`] fault hook, the core flow's
-//!   [`ChaosPlan`] hook and the workspace's chaos test target
-//!   (`tests/chaos.rs`).
+//!   [`ChaosPlan`] hook and the workspace's chaos test harness
+//!   (`tests/chaos/harness.rs`).
 //!
 //! The crate sits at layer 0 of the workspace (no dependencies), so every
 //! stage crate can consume it without violating the downward-only layering

@@ -983,6 +983,27 @@ mod tests {
         assert!(!r.cancelled);
     }
 
+    mod chaos {
+        use super::*;
+        use puffer_budget::{ChaosPlan, FaultClass};
+
+        #[test]
+        fn nan_burst_is_recovered_by_the_sentinel() {
+            let d = design();
+            let r = Job::new(quick_config())
+                .with_chaos(ChaosPlan {
+                    class: FaultClass::NanBurst,
+                    at: 3,
+                    magnitude: 25,
+                })
+                .run(&d)
+                .unwrap();
+            assert!(r.hpwl.is_finite());
+            let zeros = vec![0u32; d.netlist().num_cells()];
+            puffer_legal::check_legal(&d, &r.placement, &zeros).unwrap();
+        }
+    }
+
     #[test]
     fn resume_from_missing_or_corrupt_journal_is_a_journal_error() {
         let d = design();

@@ -1157,6 +1157,37 @@ mod tests {
     }
 
     #[test]
+    fn worker_panic_is_isolated_and_retry_succeeds() {
+        let dir = tmp_dir("panic");
+        let (design, _) = small_design_file(&dir);
+        Engine::run(cfg(&dir), |h| {
+            let mut spec = quick_spec(&design, None);
+            spec.chaos = Some("panic-once".into());
+            let (id, _) = h.submit(spec).unwrap();
+            let record = h.wait(id, Some(Duration::from_secs(60))).unwrap();
+            let rec = parse_record(&record).unwrap();
+            assert_eq!(
+                rec.kind(),
+                Some("serve.result"),
+                "retry after panic: {record}"
+            );
+            assert_eq!(h.live_workers(), h.workers(), "panic cost a worker");
+
+            let mut spec = quick_spec(&design, None);
+            spec.chaos = Some("panic".into());
+            let (id, _) = h.submit(spec).unwrap();
+            let record = h.wait(id, Some(Duration::from_secs(60))).unwrap();
+            let rec = parse_record(&record).unwrap();
+            assert_eq!(rec.kind(), Some("serve.error"));
+            assert_eq!(rec.str_field("class"), Some("panic"));
+            assert_eq!(rec.num("attempts"), Some(3.0));
+            assert_eq!(h.live_workers(), h.workers());
+            h.drain();
+        })
+        .unwrap();
+    }
+
+    #[test]
     fn cancel_queued_job_persists_across_restart() {
         let dir = tmp_dir("cancel");
         let (design, _) = small_design_file(&dir);

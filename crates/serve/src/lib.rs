@@ -19,7 +19,7 @@
 //!
 //! The engine's fault hook is the spec's `chaos` tag, which only an
 //! in-process [`EngineHandle::submit`] may carry. The serve rows of the
-//! workspace's fault-injection test target (`tests/chaos.rs`) drive it:
+//! workspace's fault-injection harness (`tests/chaos/harness.rs`) drive it:
 //! seeded worker panics, filesystem write faults, client disconnects, and
 //! kill/restart cycles against a live engine, each verified against the
 //! three-legal-end-states contract (completed result / resumable

@@ -6,3 +6,6 @@
 //! directly.
 
 #![forbid(unsafe_code)]
+
+#[cfg(test)]
+mod chaos;
