@@ -1,32 +1,28 @@
-//! Static analysis and invariant verification for the PUFFER workspace.
+//! Invariant verification for the PUFFER placement flow.
 //!
 //! The placement flow's quality claims only hold when the substrate is
 //! silently correct: a NaN that leaks out of a Nesterov step, a net with a
 //! dangling pin from the generator, or a congestion map whose demand no
 //! longer matches its histogram all corrupt results without failing any
-//! test. This crate makes both classes of defect loud:
+//! test. [`validate`] makes such defects loud: the [`Validate`] trait plus
+//! deep invariant checkers for designs/netlists, placements, congestion
+//! maps, padding state, checkpoint journals, and metrics JSONL files,
+//! including cross-file consistency between a journal and the telemetry of
+//! the run that wrote it. Exposed as `puffer audit <design|journal|run>`,
+//! `puffer trace` and as the `--validate` flow hook via [`flow_validator`].
 //!
-//! * [`lint`] — the structural rules of the source policy that no compiler
-//!   lint expresses: crate layering from the manifests and
-//!   `#![forbid(unsafe_code)]` in every crate root. Exposed as
-//!   `puffer lint`. (The rules the toolchain can express are `clippy.toml`
-//!   plus `scripts/policy.sh`.)
-//! * [`validate`] — the [`Validate`] trait plus deep invariant checkers
-//!   for designs/netlists, placements, congestion maps, padding state,
-//!   checkpoint journals, and metrics JSONL files, including cross-file
-//!   consistency between a journal and the telemetry of the run that
-//!   wrote it. Exposed as `puffer audit <design|journal|metrics|run>` and
-//!   as the `--validate` flow hook via [`flow_validator`].
+//! The workspace's own source policy is not a library concern: its
+//! structural rules (crate layering, `#![forbid(unsafe_code)]` in every
+//! crate root) are the test `tests/lint_fixtures.rs`, and the rest is
+//! `clippy.toml` plus `scripts/policy.sh`.
 
 #![forbid(unsafe_code)]
 
-pub mod lint;
 pub mod validate;
 
-pub use lint::{lint_workspace, LintConfig, LintError, LintFinding, LintReport};
 pub use validate::{
-    audit_metrics, audit_run, flow_validator, MetricsSummary, PadAudit, PlacementAudit,
-    PlacementStage,
+    audit_metrics, audit_metrics_records, audit_run, flow_validator, MetricsSummary, PadAudit,
+    PlacementAudit, PlacementStage,
 };
 
 use std::fmt;

@@ -657,6 +657,18 @@ fn hist_sum(
 ///
 /// [`crate::AuditReport`] listing each violated invariant.
 pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> {
+    audit_metrics_records(path).map(|(summary, _)| summary)
+}
+
+/// [`audit_metrics`], handing back the records it parsed as well, so a
+/// caller that reports on them reads the file once.
+///
+/// # Errors
+///
+/// [`crate::AuditReport`] listing each violated invariant.
+pub fn audit_metrics_records(
+    path: &Path,
+) -> Result<(MetricsSummary, Vec<ParsedRecord>), crate::AuditReport> {
     let mut out = Vec::new();
     let mut summary = MetricsSummary::default();
     let records = match puffer_trace::read_jsonl(path) {
@@ -961,7 +973,7 @@ pub fn audit_metrics(path: &Path) -> Result<MetricsSummary, crate::AuditReport> 
         }
     }
     if out.is_empty() {
-        Ok(summary)
+        Ok((summary, records))
     } else {
         Err(crate::AuditReport {
             subject: format!("metrics file {}", path.display()),

@@ -1,14 +1,243 @@
-//! Fixtures for both halves of the source policy. `puffer lint`'s two
-//! structural rules each trip on a minimal throwaway workspace and stay
-//! quiet on the clean variant. `scripts/policy.sh` — the toolchain half —
-//! must pass the real workspace and fail the committed negative fixture
-//! (`fixtures/policy_violations`, one violation per lint and per
-//! `clippy.toml` entry) naming every one of them.
+//! Both halves of the source policy, as tests.
+//!
+//! The structural half is [`lint`] below: the two rules no compiler lint
+//! expresses, checked from the manifests and the crate roots.
+//!
+//! * `layering` — crate dependencies parsed from the workspace manifests
+//!   must respect the architecture layers ([`LAYERS`]: e.g. `db` depends on
+//!   nothing, only the assembly layers may depend on `core`), so erosion
+//!   fails `cargo test` instead of waiting for a review comment.
+//! * `forbid-unsafe` — every crate root (`src/lib.rs`, `src/main.rs`,
+//!   `src/bin/*.rs`) must declare `#![forbid(unsafe_code)]`; the one root
+//!   that hosts sanctioned `unsafe` ([`DENY_UNSAFE_ROOTS`]) declares `deny`.
+//!
+//! Each rule trips on a minimal throwaway workspace and stays quiet on the
+//! clean variant, and the real workspace passes both. The toolchain half,
+//! `scripts/policy.sh`, must pass the real workspace and fail the committed
+//! negative fixture (`fixtures/policy_violations`, one violation per lint
+//! and per `clippy.toml` entry) naming every one of them.
 
-use puffer_audit::{lint_workspace, LintConfig, LintError, LintReport};
-use std::path::PathBuf;
+use std::fmt;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
+
+/// Architecture layers, bottom-up. A crate may only depend on workspace
+/// crates with a strictly lower layer; a workspace crate missing from this
+/// table is itself a finding, so the table can never silently rot.
+const LAYERS: &[(&str, u8)] = &[
+    // Substrate: no workspace dependencies at all.
+    ("puffer-budget", 0),
+    ("puffer-rng", 0),
+    ("puffer-db", 0),
+    // Telemetry sits one layer up: its mutexes are locked through the
+    // budget crate's `lock_leaf`.
+    ("puffer-trace", 1),
+    // Deterministic fork-join over the budget substrate.
+    ("puffer-par", 1),
+    // Numerics over the fork-join layer.
+    ("puffer-fft", 2),
+    // Geometry / generation / legalization over the database.
+    ("puffer-flute", 2),
+    ("puffer-gen", 2),
+    ("puffer-legal", 2),
+    // Analysis engines.
+    ("puffer-congest", 3),
+    ("puffer-place", 3),
+    ("puffer-explore", 3),
+    // Optimizers composing the engines.
+    ("puffer-pad", 4),
+    ("puffer-route", 4),
+    ("puffer-dp", 4),
+    // The assembled flow.
+    ("puffer", 5),
+    // Verification over the assembled flow.
+    ("puffer-audit", 6),
+    // The job daemon: supervision (queueing, retry, recovery) over the
+    // assembled flow — every lint gate applies to it like any other crate.
+    ("puffer-serve", 7),
+    // Tooling over the whole stack.
+    ("puffer-cli", 8),
+    ("puffer-bench", 8),
+    ("puffer-suite", 9),
+];
+
+/// Crate roots that declare `#![deny(unsafe_code)]` instead of `forbid`:
+/// puffer-budget's `signal` module binds `signal(2)` under the workspace's
+/// single `#[expect(unsafe_code)]`, which `forbid` would not let it state.
+const DENY_UNSAFE_ROOTS: &[&str] = &["crates/budget/src/lib.rs"];
+
+/// One policy violation.
+#[derive(Debug)]
+struct Finding {
+    /// Which rule tripped (`layering` or `forbid-unsafe`).
+    rule: &'static str,
+    /// Path relative to the workspace root, with forward slashes.
+    path: String,
+    /// What was found.
+    message: String,
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: [{}] {}", self.path, self.rule, self.message)
+    }
+}
+
+/// The packages under `root`: every `crates/*` with a manifest, then the
+/// workspace root package (the umbrella crate).
+fn packages(root: &Path) -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = read_dir_sorted(&root.join("crates"))
+        .into_iter()
+        .filter(|p| p.join("Cargo.toml").is_file())
+        .collect();
+    if root.join("Cargo.toml").is_file() && root.join("src").is_dir() {
+        dirs.push(root.to_path_buf());
+    }
+    dirs
+}
+
+/// Checks both structural rules over [`packages`]`(root)`; the findings
+/// come back sorted by path.
+fn lint(root: &Path) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for dir in packages(root) {
+        let manifest_path = dir.join("Cargo.toml");
+        let rel_manifest = rel_path(root, &manifest_path);
+        let (package, deps) = parse_manifest(&std::fs::read_to_string(&manifest_path).unwrap());
+        let Some(package) = package else {
+            findings.push(Finding {
+                rule: "layering",
+                path: rel_manifest,
+                message: "manifest has no [package] name".to_string(),
+            });
+            continue;
+        };
+        check_layering(&package, &deps, &rel_manifest, &mut findings);
+
+        let src = dir.join("src");
+        let mut roots = vec![src.join("lib.rs"), src.join("main.rs")];
+        let bin = src.join("bin");
+        if bin.is_dir() {
+            roots.extend(
+                read_dir_sorted(&bin)
+                    .into_iter()
+                    .filter(|p| p.extension().is_some_and(|e| e == "rs")),
+            );
+        }
+        for file in roots.into_iter().filter(|p| p.is_file()) {
+            let rel = rel_path(root, &file);
+            let text = std::fs::read_to_string(&file).unwrap();
+            let declared = text.contains("#![forbid(unsafe_code)]")
+                || (DENY_UNSAFE_ROOTS.contains(&rel.as_str())
+                    && text.contains("#![deny(unsafe_code)]"));
+            if !declared {
+                findings.push(Finding {
+                    rule: "forbid-unsafe",
+                    path: rel,
+                    message: "crate root lacks #![forbid(unsafe_code)]".to_string(),
+                });
+            }
+        }
+    }
+    findings.sort_by(|a, b| a.path.cmp(&b.path));
+    findings
+}
+
+/// Extracts the package name and the `[dependencies]` keys from a
+/// manifest. Hand-rolled for the subset of TOML the workspace uses:
+/// section headers and `key = ...` / `key.workspace = true` lines.
+/// Dev-dependencies are deliberately ignored — tests may cross layers.
+fn parse_manifest(text: &str) -> (Option<String>, Vec<String>) {
+    let mut section = String::new();
+    let mut package = None;
+    let mut deps = Vec::new();
+    for line in text.lines() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        if let Some(h) = line.strip_prefix('[') {
+            section = h.trim_end_matches(']').trim().to_string();
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
+        };
+        let key = key.trim().trim_matches('"');
+        if section == "package" && key == "name" {
+            package = Some(value.trim().trim_matches('"').to_string());
+        }
+        if section == "dependencies" {
+            // `puffer-db.workspace = true` parses as key "puffer-db.workspace".
+            let name = key.split('.').next().unwrap_or(key);
+            deps.push(name.to_string());
+        }
+    }
+    (package, deps)
+}
+
+fn layer_of(package: &str) -> Option<u8> {
+    LAYERS
+        .iter()
+        .find(|(name, _)| *name == package)
+        .map(|&(_, l)| l)
+}
+
+fn check_layering(package: &str, deps: &[String], rel_manifest: &str, findings: &mut Vec<Finding>) {
+    let Some(layer) = layer_of(package) else {
+        findings.push(Finding {
+            rule: "layering",
+            path: rel_manifest.to_string(),
+            message: format!(
+                "crate '{package}' is not in the architecture layer table; add it to \
+                 LAYERS in puffer-audit"
+            ),
+        });
+        return;
+    };
+    for dep in deps {
+        if !dep.starts_with("puffer") {
+            continue; // external deps are policed by the offline-build rule, not layering
+        }
+        match layer_of(dep) {
+            None => findings.push(Finding {
+                rule: "layering",
+                path: rel_manifest.to_string(),
+                message: format!("dependency '{dep}' is not in the architecture layer table"),
+            }),
+            Some(dep_layer) if dep_layer >= layer => findings.push(Finding {
+                rule: "layering",
+                path: rel_manifest.to_string(),
+                message: format!(
+                    "'{package}' (layer {layer}) may not depend on '{dep}' (layer \
+                     {dep_layer}); dependencies must point strictly downward"
+                ),
+            }),
+            Some(_) => {}
+        }
+    }
+}
+
+fn read_dir_sorted(dir: &Path) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    out.sort();
+    out
+}
+
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+// ---------------------------------------------------------------------------
+// The structural half on fixtures and on the real workspace
+// ---------------------------------------------------------------------------
 
 const FORBID: &str = "#![forbid(unsafe_code)]\n";
 
@@ -38,16 +267,63 @@ impl Fixture {
         std::fs::write(c.join("src/lib.rs"), lib).unwrap();
         self
     }
-
-    fn lint(&self) -> Result<LintReport, LintError> {
-        lint_workspace(&LintConfig {
-            root: self.root.clone(),
-        })
-    }
 }
 
-fn rules_of(report: &LintReport) -> Vec<&str> {
-    report.findings.iter().map(|f| f.rule).collect()
+fn rules_of(findings: &[Finding]) -> Vec<&str> {
+    findings.iter().map(|f| f.rule).collect()
+}
+
+#[test]
+fn manifest_parser_reads_name_and_dependencies_only() {
+    let toml = "
+[package]
+name = \"puffer-db\"
+version.workspace = true
+
+[dependencies]
+puffer-rng.workspace = true
+libm = \"0.2\"
+
+[dev-dependencies]
+puffer-gen.workspace = true
+";
+    let (name, deps) = parse_manifest(toml);
+    assert_eq!(name.as_deref(), Some("puffer-db"));
+    assert_eq!(deps, vec!["puffer-rng".to_string(), "libm".to_string()]);
+}
+
+#[test]
+fn layering_rejects_upward_and_unknown_dependencies() {
+    let mut findings = Vec::new();
+    check_layering(
+        "puffer-db",
+        &["puffer-place".to_string()],
+        "crates/db/Cargo.toml",
+        &mut findings,
+    );
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0].message.contains("strictly downward"));
+
+    findings.clear();
+    check_layering(
+        "puffer-cli",
+        &["puffer-mystery".to_string()],
+        "crates/cli/Cargo.toml",
+        &mut findings,
+    );
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0]
+        .message
+        .contains("not in the architecture layer table"));
+
+    findings.clear();
+    check_layering(
+        "puffer-pad",
+        &["puffer-congest".to_string(), "puffer-db".to_string()],
+        "crates/pad/Cargo.toml",
+        &mut findings,
+    );
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
@@ -59,34 +335,32 @@ fn clean_crate_produces_no_findings() {
         &[],
         &format!("{FORBID}pub fn ok() -> Option<u8> {{ None }}\n"),
     );
-    let report = fx.lint().unwrap();
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-    assert_eq!(report.crates_scanned, 1);
-    assert_eq!(report.files_scanned, 1);
+    let findings = lint(&fx.root);
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
 fn missing_forbid_unsafe_is_a_finding() {
     let fx = Fixture::new("forbid");
     fx.add_crate("db", "puffer-db", &[], "pub fn ok() {}\n");
-    let report = fx.lint().unwrap();
-    assert_eq!(rules_of(&report), vec!["forbid-unsafe"]);
-    assert_eq!(report.findings[0].path, "crates/db/src/lib.rs");
+    let findings = lint(&fx.root);
+    assert_eq!(rules_of(&findings), vec!["forbid-unsafe"]);
+    assert_eq!(findings[0].path, "crates/db/src/lib.rs");
 }
 
 #[test]
 fn upward_dependency_is_a_layering_finding() {
     let fx = Fixture::new("layering-up");
-    // puffer-db (layer 0) depending on puffer (layer 4) points upward.
+    // puffer-db (layer 0) depending on puffer (layer 5) points upward.
     fx.add_crate(
         "db",
         "puffer-db",
         &["puffer"],
         &format!("{FORBID}pub fn ok() {{}}\n"),
     );
-    let report = fx.lint().unwrap();
-    assert_eq!(rules_of(&report), vec!["layering"]);
-    assert!(report.findings[0].message.contains("strictly downward"));
+    let findings = lint(&fx.root);
+    assert_eq!(rules_of(&findings), vec!["layering"]);
+    assert!(findings[0].message.contains("strictly downward"));
 }
 
 #[test]
@@ -98,20 +372,9 @@ fn unknown_crate_is_a_layering_finding() {
         &[],
         &format!("{FORBID}pub fn ok() {{}}\n"),
     );
-    let report = fx.lint().unwrap();
-    assert_eq!(rules_of(&report), vec!["layering"]);
-    assert!(report.findings[0].message.contains("layer table"));
-}
-
-#[test]
-fn missing_crates_dir_is_a_bad_root() {
-    let root = std::env::temp_dir()
-        .join("puffer-lint-fixtures")
-        .join("not-a-workspace");
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
-    let err = lint_workspace(&LintConfig { root }).unwrap_err();
-    assert!(matches!(err, LintError::BadRoot(_)), "{err}");
+    let findings = lint(&fx.root);
+    assert_eq!(rules_of(&findings), vec!["layering"]);
+    assert!(findings[0].message.contains("layer table"));
 }
 
 /// CARGO_MANIFEST_DIR is crates/audit; the workspace root is two up.
@@ -125,51 +388,23 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn the_real_workspace_passes_its_own_lint() {
-    let report = lint_workspace(&LintConfig {
-        root: workspace_root(),
-    })
-    .unwrap();
+    let root = workspace_root();
+    let findings = lint(&root);
     assert!(
-        report.findings.is_empty(),
+        findings.is_empty(),
         "the repository must lint clean:\n{}",
-        report
-            .findings
+        findings
             .iter()
             .map(|f| f.to_string())
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-#[test]
-fn json_lines_emits_one_flat_object_per_finding() {
-    let fx = Fixture::new("json");
-    fx.add_crate(
-        "db",
-        "puffer-db",
-        &[],
-        "pub fn missing_the_forbid_attribute() {}\n",
-    );
-    let report = fx.lint().unwrap();
-    let json = report.json_lines();
-    let lines: Vec<&str> = json.lines().collect();
-    assert_eq!(lines.len(), 1);
-    assert!(
-        lines[0].starts_with("{\"rule\":\"forbid-unsafe\""),
-        "{json}"
-    );
-    assert!(
-        lines[0].contains("\"path\":\"crates/db/src/lib.rs\""),
-        "{json}"
-    );
-    // The schema is {"rule","path","message"}: findings are whole-file.
-    assert!(!lines[0].contains("\"line\""), "{json}");
-    assert!(lines[0].contains("\"message\":\""), "{json}");
-    assert!(lines[0].ends_with('}'), "{json}");
-    assert!(
-        json.ends_with('\n'),
-        "json_lines output must be newline-terminated"
-    );
+    // A root without the workspace would pass with zero findings: what was
+    // checked must be every entry of crates/ plus the root package.
+    let checked = packages(&root);
+    let crates = std::fs::read_dir(root.join("crates")).unwrap().count();
+    assert_eq!(checked.len(), crates + 1, "{checked:?}");
+    assert!(checked.contains(&root), "{checked:?}");
 }
 
 // ---------------------------------------------------------------------------

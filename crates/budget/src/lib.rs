@@ -19,13 +19,15 @@
 //!
 //! The crate sits at layer 0 of the workspace (no dependencies), so every
 //! stage crate can consume it without violating the downward-only layering
-//! that `puffer lint` enforces. It also hosts the worker-thread sizing
-//! helpers shared by the router and the congestion estimator, and the one
-//! sanctioned `unsafe` block in the workspace: the [`signal`] module's
-//! binding to `signal(2)` behind [`CancelToken::cancel_on_signal`].
+//! that `crates/audit/tests/lint_fixtures.rs` enforces. It also hosts the
+//! worker-thread sizing helpers shared by the router and the congestion
+//! estimator, and the one sanctioned `unsafe` block in the workspace: the
+//! [`signal`] module's binding to `signal(2)` behind
+//! [`CancelToken::cancel_on_signal`].
 
 // `deny` rather than `forbid`: the `signal` module below carries the single
-// `#[expect(unsafe_code)]` in the workspace (`puffer lint` names this root).
+// `#[expect(unsafe_code)]` in the workspace (`DENY_UNSAFE_ROOTS` in
+// `crates/audit/tests/lint_fixtures.rs` names this root).
 #![deny(unsafe_code)]
 
 pub mod clock;

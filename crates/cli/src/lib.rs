@@ -15,9 +15,7 @@
 use puffer::{
     evaluate_bounded, CheckpointPolicy, Flow, FlowCheckpoint, Job, PufferConfig, ScaleClass,
 };
-use puffer_audit::{
-    audit_metrics, audit_run, flow_validator, lint_workspace, LintConfig, Validate,
-};
+use puffer_audit::{audit_metrics_records, audit_run, flow_validator, Validate};
 use puffer_budget::fsx;
 use puffer_budget::{Budget, CancelToken};
 use puffer_db::io::{read_design, read_placement, write_design, write_placement};
@@ -295,16 +293,6 @@ const COMMANDS: &[Command] = &[
             .rule(Rule::Count),
     ]),
     command(
-        "lint",
-        &[],
-        cmd_lint,
-        "crate layering + forbid(unsafe_code)",
-    )
-    .flags(&[
-        flag("root", "<dir>", "workspace root").or("."),
-        switch("json", "findings as JSONL, no summary line"),
-    ]),
-    command(
         "audit",
         &["design|journal|run", "<file>", "[<file>]"],
         cmd_audit,
@@ -533,8 +521,9 @@ fn cmd_gen(flags: &Flags, out: &mut String) -> Result<(), CliError> {
 fn cmd_convert(flags: &Flags, out: &mut String) -> Result<(), CliError> {
     let aux_path = &flags.positional[0];
     let output: String = flags.value("o")?;
-    // Stream the Bookshelf files through the fsx read hook, so chaos runs
-    // exercise the same ingestion path the CLI uses in production.
+    // Stream the Bookshelf files through the fsx read hook, so fault tests
+    // exercise the ingestion path the CLI uses in production
+    // (`tests/fsx_fault.rs::short_read_at_every_guarded_read_fails_convert_cleanly`).
     let design = puffer_db::bookshelf::read_aux_with(aux_path, &mut |p: &Path| {
         Ok(Box::new(fsx::open_read(p)?) as Box<dyn std::io::BufRead>)
     })
@@ -769,15 +758,14 @@ fn cmd_eval(flags: &Flags, out: &mut String) -> Result<(), CliError> {
 const STAGE_SPANS: [&str; 6] = ["init", "gp", "legal", "gp/pad", "gp/journal", "journal"];
 
 /// `puffer trace <run.jsonl>` — audits a telemetry file
-/// ([`audit_metrics`]) and prints the record inventory. With `--check` it
-/// additionally requires the stage spans and per-iteration records a
-/// complete `place --metrics` run emits, and no span outside
+/// ([`audit_metrics_records`]) and prints the record inventory. With
+/// `--check` it additionally requires the stage spans and per-iteration
+/// records a complete `place --metrics` run emits, and no span outside
 /// [`STAGE_SPANS`] (this is what the CI metrics smoke step calls).
 fn cmd_trace(flags: &Flags, out: &mut String) -> Result<(), CliError> {
     let path = &flags.positional[0];
-    audit_metrics(Path::new(path)).map_err(|report| CliError::run(format!("invalid {report}")))?;
-    let records = puffer_trace::read_jsonl(Path::new(path))
-        .map_err(|e| CliError::run(format!("invalid metrics file {path}: {e}")))?;
+    let (_, records) = audit_metrics_records(Path::new(path))
+        .map_err(|report| CliError::run(format!("invalid {report}")))?;
     if records.is_empty() {
         return Err(CliError::run(format!("{path}: no telemetry records")));
     }
@@ -1030,40 +1018,6 @@ fn cmd_serve(flags: &Flags, out: &mut String) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `puffer lint [--root <dir>] [--json]` — runs the structural policy
-/// check (see [`puffer_audit::lint`]) and exits non-zero on any finding.
-/// This is the CI gate beside `scripts/policy.sh`. With `--json` the
-/// findings come out as JSONL (one flat object per line) and the human
-/// summary line is suppressed, for tooling that consumes the gate.
-fn cmd_lint(flags: &Flags, out: &mut String) -> Result<(), CliError> {
-    let report = lint_workspace(&LintConfig {
-        root: flags.value::<String>("root")?.into(),
-    })
-    .map_err(|e| CliError::run(format!("lint failed: {e}")))?;
-    if flags.has("json") {
-        out.push_str(&report.json_lines());
-    } else {
-        for finding in &report.findings {
-            let _ = writeln!(out, "{finding}");
-        }
-        let _ = writeln!(
-            out,
-            "lint: {} crate roots in {} crates, {} finding(s)",
-            report.files_scanned,
-            report.crates_scanned,
-            report.findings.len()
-        );
-    }
-    if report.findings.is_empty() {
-        Ok(())
-    } else {
-        Err(CliError::run(format!(
-            "{} lint finding(s)",
-            report.findings.len()
-        )))
-    }
-}
-
 /// `puffer audit <design|journal|run> <files..>` — deep invariant
 /// verification of on-disk artifacts (see [`puffer_audit::validate`]).
 fn cmd_audit(flags: &Flags, out: &mut String) -> Result<(), CliError> {
@@ -1137,8 +1091,9 @@ mod tests {
         let mut out = String::new();
         run(&strs(&["help"]), &mut out).unwrap();
         assert!(out.contains("usage:"));
-        // `chaos` is a test target (`tests/chaos.rs`), not a command.
-        for name in ["bogus", "chaos"] {
+        // `chaos` and `lint` are test targets (`tests/chaos.rs`,
+        // `crates/audit/tests/lint_fixtures.rs`), not commands.
+        for name in ["bogus", "chaos", "lint"] {
             let err = run(&strs(&[name]), &mut String::new()).unwrap_err();
             assert_eq!(err.code, 2);
             assert!(err.message.contains("unknown command"), "{}", err.message);
@@ -1878,54 +1833,6 @@ mod tests {
 
         let err = run(&strs(&["audit", "bogus"]), &mut String::new()).unwrap_err();
         assert_eq!(err.code, 2);
-    }
-
-    #[test]
-    fn lint_rejects_a_non_workspace_root() {
-        let dir = std::env::temp_dir()
-            .join("puffer-cli-tests")
-            .join("empty-root");
-        std::fs::create_dir_all(&dir).unwrap();
-        let err = run(
-            &strs(&["lint", "--root", dir.to_str().unwrap()]),
-            &mut String::new(),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 1);
-        assert!(err.message.contains("lint failed"), "{}", err.message);
-    }
-
-    #[test]
-    fn lint_json_emits_jsonl_findings_without_the_summary_line() {
-        // A minimal one-crate workspace whose root lacks forbid(unsafe_code).
-        let root = std::env::temp_dir()
-            .join("puffer-cli-tests")
-            .join("lint-json");
-        let _ = std::fs::remove_dir_all(&root);
-        let src = root.join("crates").join("db").join("src");
-        std::fs::create_dir_all(&src).unwrap();
-        std::fs::write(
-            root.join("crates").join("db").join("Cargo.toml"),
-            "[package]\nname = \"puffer-db\"\n",
-        )
-        .unwrap();
-        std::fs::write(src.join("lib.rs"), "pub fn ok() {}\n").unwrap();
-
-        let mut out = String::new();
-        let err = run(
-            &strs(&["lint", "--root", root.to_str().unwrap(), "--json"]),
-            &mut out,
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 1);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 1, "{out}");
-        assert!(lines[0].starts_with("{\"rule\":\"forbid-unsafe\""), "{out}");
-        assert!(!lines[0].contains("\"line\""), "{out}");
-        assert!(
-            !out.contains("lint:"),
-            "summary line must be suppressed: {out}"
-        );
     }
 
     #[test]

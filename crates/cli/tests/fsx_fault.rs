@@ -1,14 +1,15 @@
 //! Filesystem fault-injection tests over the real flow (satellite of the
 //! durable I/O work): an injected ENOSPC mid-checkpoint-save must leave
 //! the previously committed checkpoint untouched and resumable to a
-//! bit-identical result, and an injected fsync failure on the metrics
-//! sink must surface as a structured `TraceError` instead of silently
-//! dropping telemetry.
+//! bit-identical result, an injected fsync failure on the metrics sink
+//! must surface as a structured `TraceError` instead of silently dropping
+//! telemetry, and a short read anywhere in `puffer convert`'s Bookshelf
+//! ingestion must fail the command cleanly without writing its output.
 //!
 //! The fault hook (`puffer_budget::fsx::fault`) is process-global, so the
 //! tests in this binary serialize on one mutex.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use puffer::{CheckpointPolicy, FlowCheckpoint, Job, PufferConfig, PufferError};
@@ -168,4 +169,87 @@ fn fsync_failure_on_metrics_sink_surfaces_structured_trace_error() {
         !records.is_empty(),
         "metrics lost despite per-record writes"
     );
+}
+
+/// A two-cell Bookshelf design: `d.aux` and the four files it names.
+fn write_bookshelf(dir: &Path) {
+    std::fs::write(dir.join("d.nodes"), "UCLA nodes 1.0\na 2 1\nb 2 1\n").unwrap();
+    std::fs::write(
+        dir.join("d.nets"),
+        "UCLA nets 1.0\nNetDegree : 2 n0\n a I : 0 0\n b O : 0 0\n",
+    )
+    .unwrap();
+    std::fs::write(dir.join("d.pl"), "UCLA pl 1.0\na 0 0 : N\nb 4 0 : N\n").unwrap();
+    let scl: String = (0..10)
+        .map(|i| {
+            format!(
+                "CoreRow Horizontal\n Coordinate : {i}\n Height : 1\n Sitewidth : 1\n \
+                 SubrowOrigin : 0 NumSites : 20\nEnd\n"
+            )
+        })
+        .collect();
+    std::fs::write(dir.join("d.scl"), scl).unwrap();
+    std::fs::write(
+        dir.join("d.aux"),
+        "RowBasedPlacement : d.nodes d.nets d.pl d.scl\n",
+    )
+    .unwrap();
+}
+
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn short_read_at_every_guarded_read_fails_convert_cleanly() {
+    let _gate = gate();
+    let dir = tmp_dir("convert");
+    write_bookshelf(&dir);
+    let inputs = file_names(&dir);
+    let aux = dir.join("d.aux").to_str().unwrap().to_string();
+    let pd = dir.join("d.pd");
+    let args: Vec<String> = ["convert", &aux, "-o", pd.to_str().unwrap()]
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+
+    // Arm the k-th guarded read until the fault no longer fires: every
+    // read of the five files has then been cut short once.
+    let mut k = 0;
+    loop {
+        fsx::fault::arm(FaultClass::ShortRead, k);
+        let outcome = puffer_cli::run(&args, &mut String::new());
+        let fired = !fsx::fault::armed();
+        fsx::fault::disarm();
+        if !fired {
+            outcome.expect("convert with no fault left to fire must succeed");
+            break;
+        }
+        let err = outcome.expect_err("a short read must fail convert");
+        assert_eq!(
+            err.code, 1,
+            "short read at guarded read {k}: {}",
+            err.message
+        );
+        assert!(
+            err.message.contains(&aux),
+            "short read at guarded read {k} does not name the .aux: {}",
+            err.message
+        );
+        // No d.pd and no tmp sibling: only the inputs are left.
+        assert_eq!(
+            file_names(&dir),
+            inputs,
+            "short read at guarded read {k} left output behind"
+        );
+        k += 1;
+        assert!(k < 1000, "the short read never stops firing");
+    }
+    // The .aux and each file it names go through the hook.
+    assert!(k >= 5, "only {k} guarded reads");
 }

@@ -529,12 +529,6 @@ impl<'a> GlobalPlacer<'a> {
         self.last_divergence
     }
 
-    /// Whether the recovery budget is exhausted and the placer now holds
-    /// the last healthy solution (further steps are no-ops).
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Captures the full mutable state for rollback or on-disk
     /// checkpointing; see [`PlacerSnapshot`].
     pub fn snapshot(&self) -> PlacerSnapshot {
@@ -1298,10 +1292,7 @@ mod tests {
             poison(&mut placer);
             freezing = placer.step();
         }
-        assert!(
-            placer.is_frozen(),
-            "one divergence past the budget must freeze"
-        );
+        assert!(placer.frozen, "one divergence past the budget must freeze");
         assert_eq!(freezing.iter, MAX_RECOVERIES + 1);
         let frozen_at = placer.placement().clone();
         for expect in MAX_RECOVERIES + 2..=MAX_RECOVERIES + 4 {

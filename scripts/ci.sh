@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full CI gate: rustfmt, offline build, the whole test suite, clippy -D
-# warnings, the source policy (scripts/policy.sh + puffer lint), then the
-# end-to-end smokes. Needs cargo fmt and cargo clippy.
+# Full CI gate: rustfmt, offline build, the whole test suite (which holds
+# the structural half of the source policy), clippy -D warnings,
+# scripts/policy.sh, then the end-to-end smokes. Needs cargo fmt and cargo
+# clippy.
 #
 # Usage: scripts/ci.sh            (from the repo root)
 set -euo pipefail
@@ -37,14 +38,12 @@ cargo clippy --workspace --all-targets -- -D warnings \
 # writes only through fsx, mutexes only through lock_leaf (whose
 # debug-build assertion — no thread holds two locks — is armed in every
 # test of the suite above), no bare `as` in the hot crates; exemptions are
-# in-source #[expect]s with a reason. puffer lint: the two structural
-# rules no compiler lint expresses — downward-only crate layering and
-# #![forbid(unsafe_code)] in every crate root (--json emits the findings
-# as JSONL for tooling).
+# in-source #[expect]s with a reason. The structural half — the two rules
+# no compiler lint expresses, downward-only crate layering and
+# #![forbid(unsafe_code)] in every crate root — ran in `cargo test` above
+# (crates/audit/tests/lint_fixtures.rs).
 echo "==> scripts/policy.sh"
 scripts/policy.sh
-echo "==> puffer lint"
-target/release/puffer lint
 
 # Metrics smoke: a tiny traced run must produce a JSONL file the
 # validator accepts with the complete stage set.
