@@ -56,6 +56,20 @@ PUFFER=target/release/puffer
   --metrics "$SMOKE_DIR/smoke.jsonl" --trace-summary
 "$PUFFER" trace "$SMOKE_DIR/smoke.jsonl" --check
 
+# Table II ledger: BENCH_table2.json is the committed output of the
+# command it names. Re-run it and require every row's HOF, VOF and WL (and
+# its GP iterations and padding rounds) bit for bit: they are
+# deterministic, so a change that moves one must re-render the file. RT is
+# recorded in the ledger but not compared.
+echo "==> Table II ledger (table2 --scale 0.003 --json vs BENCH_table2.json)"
+target/release/table2 --scale 0.003 --out "$SMOKE_DIR/paper" \
+  --json "$SMOKE_DIR/table2.json" > /dev/null
+ledger_rows() { grep '"design":' "$1" | sed -E 's/,"rt_s":[^,}]*//'; }
+if ! diff <(ledger_rows BENCH_table2.json) <(ledger_rows "$SMOKE_DIR/table2.json"); then
+  echo "Table II ledger: a quality bit moved; re-render BENCH_table2.json with the command it names"
+  exit 1
+fi
+
 # Exploration smoke: `puffer explore` scores each SMBO trial with a short
 # PUFFER flow. The metrics file must pass `puffer trace` and hold exactly
 # one explore.trial record per trial, and the search must write nothing
