@@ -127,6 +127,8 @@ impl Client {
                 Ok(0) => panic!("daemon closed the connection; got: {response}"),
                 Ok(_) if byte[0] == b'\n' => return response,
                 Ok(_) => response.push(byte[0] as char),
+                // A signal landing mid-read is not the daemon's answer.
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => panic!("read failed: {e}; got: {response}"),
             }
         }
