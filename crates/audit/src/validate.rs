@@ -587,6 +587,14 @@ impl Validate for FlowCheckpoint {
                 });
             }
         }
+        if let Some(gamma) = self.placer.opt_gamma {
+            if !(gamma > 0.0 && gamma.is_finite()) {
+                out.push(Violation {
+                    check: "optimizer-state",
+                    message: format!("carried gamma = {gamma} (must be finite > 0)"),
+                });
+            }
+        }
     }
 }
 

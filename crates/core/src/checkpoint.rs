@@ -3,7 +3,7 @@
 //!
 //! The journal captures everything the flow mutates: the placer snapshot
 //! ([`puffer_place::PlacerSnapshot`] — placement, padding, λ, iteration
-//! counter, Nesterov solver vectors) plus the routability optimizer's
+//! counter, Nesterov solver vectors and carried γ) plus the routability optimizer's
 //! [`puffer_pad::PaddingState`]. Every `f64` is written as the 16 lowercase
 //! hex digits of its bits (`f64::to_bits`), so a resumed flow continues the
 //! original trajectory bit-for-bit; kill-then-resume reproduces the same
@@ -24,6 +24,9 @@
 //! opt_scalars <a> <alpha>        (present only when the solver was live)
 //! opt_u <f> <f> ...              (solver vectors u, v, vp, gp, one line
 //!                                 each, 2n floats)
+//! opt_gamma <f>                  (the γ the next opening WA gradient takes;
+//!                                 written with the solver, absent in
+//!                                 journals from earlier builds)
 //! degradation <step,step,...>    (present only when the ladder engaged)
 //! pending_round 1                (present only when a cancellation
 //!                                 suppressed this pass's padding round)
@@ -328,6 +331,9 @@ impl FlowCheckpoint {
                 }
                 w.eol();
             }
+            if let Some(gamma) = self.placer.opt_gamma {
+                w.tag("opt_gamma").float(gamma).eol();
+            }
         }
         if !self.degradation.is_empty() {
             let list: Vec<&str> = self.degradation.iter().map(|s| s.as_str()).collect();
@@ -431,6 +437,7 @@ impl FlowCheckpoint {
             counts.push(p.parse_field::<u32>(fields[5])?);
         }
 
+        let mut opt_gamma = None;
         let opt = if p.peek_tag() == Some("opt_scalars") {
             let fields = p.line_fields("opt_scalars")?;
             if fields.len() != 2 {
@@ -444,6 +451,9 @@ impl FlowCheckpoint {
             let g_prev = p.line_f64_vec("opt_gp")?;
             if u.len() != v.len() || v.len() != v_prev.len() || v_prev.len() != g_prev.len() {
                 return Err(p.err("optimizer vectors differ in length".into()));
+            }
+            if p.peek_tag() == Some("opt_gamma") {
+                opt_gamma = Some(p.line_f64("opt_gamma")?);
             }
             Some(NesterovState {
                 u,
@@ -524,6 +534,7 @@ impl FlowCheckpoint {
                 step_scale,
                 recoveries,
                 opt,
+                opt_gamma,
             },
             pad: PaddingState {
                 pad: hpad,
@@ -826,6 +837,7 @@ mod tests {
         let text = ckpt.render();
         for tag in [
             "opt_scalars ",
+            "opt_gamma ",
             "degradation ",
             "pending_round 1",
             "scale_class ",
@@ -844,7 +856,13 @@ mod tests {
         let d = design();
         let text = checkpoint_after(&d, 3).render();
         let lines: Vec<&str> = text.lines().collect();
-        for tag in ["lambda ", "cell 4 ", "opt_scalars ", "opt_gp "] {
+        for tag in [
+            "lambda ",
+            "cell 4 ",
+            "opt_scalars ",
+            "opt_gp ",
+            "opt_gamma ",
+        ] {
             let at = lines.iter().position(|l| l.starts_with(tag)).unwrap();
             let line = lines[at];
             // The line's first float field (a cell line's x).
@@ -906,6 +924,34 @@ mod tests {
                 .collect()
         };
         assert_eq!(shape(v1), shape(&v2));
+    }
+
+    /// The carried γ is written with the solver, read back bit for bit,
+    /// and optional: a journal from a build that did not write it parses,
+    /// with none, and renders back without it.
+    #[test]
+    fn opt_gamma_roundtrips_and_may_be_absent() {
+        let d = design();
+        let ckpt = checkpoint_after(&d, 4);
+        let gamma = ckpt
+            .placer
+            .opt_gamma
+            .expect("a live solver carries a gamma");
+        let text = ckpt.render();
+        let line = format!("opt_gamma {:016x}\n", gamma.to_bits());
+        assert!(text.contains(&format!("\n{line}")), "{text}");
+        assert_eq!(FlowCheckpoint::parse(&text).unwrap(), ckpt);
+
+        let earlier = text.replacen(&line, "", 1);
+        let parsed = FlowCheckpoint::parse(&earlier).unwrap();
+        assert_eq!(parsed.placer.opt_gamma, None);
+        assert_eq!(parsed.placer.opt, ckpt.placer.opt);
+        assert_eq!(parsed.render(), earlier);
+
+        // No solver, no line.
+        let cold = checkpoint_after(&d, 0);
+        assert!(cold.placer.opt.is_none());
+        assert!(!cold.render().contains("opt_gamma"));
     }
 
     #[test]

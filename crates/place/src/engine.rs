@@ -160,15 +160,15 @@ pub struct GlobalPlacer<'a> {
     density: DensityModel,
     /// The density pipeline's buffers and the memo of its last gradient.
     dens: DensityState,
-    /// The WA kernel's buffers and its last gradient.
-    wa: WaWorkspace,
+    /// The WA kernel's buffers and the memo of its last gradient.
+    wa: WaState,
     placement: Placement,
     /// Physical width + padding per cell (the density system's view).
     eff_width: Vec<f64>,
     /// Current padding per cell (effective − physical width).
     padding: Vec<f64>,
     movable: Vec<CellId>,
-    opt: Option<NesterovOptimizer>,
+    opt: Option<Solver>,
     lambda: f64,
     iter: usize,
     last_overflow: f64,
@@ -192,6 +192,48 @@ pub struct GlobalPlacer<'a> {
     trace: Trace,
 }
 
+/// The key of a one-entry gradient memo: the flat position vector at
+/// which the gradient was computed, and the bits of one more input (γ for
+/// the WA gradient, none for the density gradient). Both are compared bit
+/// for bit, so `−0.0`/`+0.0` or two NaN payloads never alias.
+#[derive(Debug, Default)]
+struct MemoKey {
+    /// Empty when the memo holds nothing.
+    flat: Vec<f64>,
+    bits: u64,
+    /// Test hook: behave as if the memo were forgotten before every
+    /// evaluation.
+    #[cfg(test)]
+    disabled: bool,
+}
+
+impl MemoKey {
+    fn forget(&mut self) {
+        self.flat.clear();
+    }
+
+    fn holds(&self, flat: &[f64], bits: u64) -> bool {
+        #[cfg(test)]
+        if self.disabled {
+            return false;
+        }
+        // There is at least one movable cell, so `flat` is never empty.
+        self.bits == bits
+            && self.flat.len() == flat.len()
+            && self
+                .flat
+                .iter()
+                .zip(flat)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    fn set(&mut self, flat: &[f64], bits: u64) {
+        self.flat.clear();
+        self.flat.extend_from_slice(flat);
+        self.bits = bits;
+    }
+}
+
 /// Everything a density evaluation writes, kept apart from the placer's
 /// read-only [`Inputs`] so that `step` can lend it to the gradient oracle
 /// while the projector borrows the rest.
@@ -201,41 +243,45 @@ struct DensityState {
     /// The positions under evaluation; fixed cells sit where `placement`
     /// has them.
     scratch: Placement,
-    /// One-entry memo of the density gradient: unless empty, `memo_key` is
-    /// the flat position vector (compared bit for bit) at which
-    /// `ws.last_gradient()` was computed. The density gradient is a
-    /// function of the positions, the effective widths and the static
-    /// charge only — not of λ or γ — so it survives from the last
-    /// backtracking round of one step to the opening gradient of the next,
-    /// which asks for the same point. Whatever changes the other two inputs
-    /// (`set_padding`, `set_extra_charge`, `restore`) must call
-    /// [`DensityState::forget`]. The WA gradient has no such memo: γ is
-    /// re-annealed from the overflow after every step.
-    memo_key: Vec<f64>,
-    /// Test hook: behave as if the memo were forgotten before every
-    /// evaluation.
-    #[cfg(test)]
-    memo_disabled: bool,
+    /// One-entry memo of `ws.last_gradient()`, keyed on the positions. The
+    /// density gradient is a function of the positions, the effective
+    /// widths and the static charge only — not of λ or γ — so it survives
+    /// from the last backtracking round of one step to the opening
+    /// gradient of the next, which asks for the same point. Whatever
+    /// changes the other two inputs (`set_padding`, `set_extra_charge`,
+    /// `restore`) must forget it.
+    memo: MemoKey,
 }
 
-impl DensityState {
-    fn forget(&mut self) {
-        self.memo_key.clear();
-    }
+/// The WA kernel's buffers and the memo of its last gradient.
+#[derive(Debug)]
+struct WaState {
+    ws: WaWorkspace,
+    /// One-entry memo of the gradient in `ws`, keyed on the positions and
+    /// γ. The opening gradient of a step takes γ where the last
+    /// backtracking round of the previous step took it (see
+    /// [`Solver::gamma`]), so it asks for the point and γ of that round.
+    /// The gradient also reads the fixed cells, which only `restore` moves:
+    /// it forgets the memo.
+    memo: MemoKey,
+}
 
-    fn remembers(&self, flat: &[f64]) -> bool {
-        #[cfg(test)]
-        if self.memo_disabled {
-            return false;
-        }
-        // There is at least one movable cell, so `flat` is never empty.
-        self.memo_key.len() == flat.len()
-            && self
-                .memo_key
-                .iter()
-                .zip(flat)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
+/// The live Nesterov solver and the γ at which the WA half of the gradient
+/// at its reference point `v_k` was last taken.
+///
+/// A step's opening gradient `∇f(v_k)` takes its WA half at this γ (its
+/// density half depends on no γ, and λ is applied fresh), so that the
+/// gradient the previous step's accepted backtracking round computed at
+/// `v_k` serves it from the memo; the rounds then take the freshly
+/// annealed γ. This is state, not a cache: it steers the trajectory, so a
+/// snapshot carries it.
+#[derive(Debug)]
+struct Solver {
+    nesterov: NesterovOptimizer,
+    /// `None` only after restoring a snapshot that carries none (a journal
+    /// written by an earlier build): the next opening gradient then takes
+    /// the current γ.
+    gamma: Option<f64>,
 }
 
 /// The read-only half of a gradient evaluation; see [`DensityState`].
@@ -267,7 +313,7 @@ impl Inputs<'_> {
     /// `st.scratch`) in `st.ws`: from the memo when `flat` is bit-for-bit
     /// the point it was last computed at.
     fn density_grad(&self, st: &mut DensityState, flat: &[f64]) {
-        if st.remembers(flat) {
+        if st.memo.holds(flat, 0) {
             self.trace.add("place.density_memo_hits", 1);
             return;
         }
@@ -278,8 +324,7 @@ impl Inputs<'_> {
             self.eff_width,
         );
         self.count_evaluation(st);
-        st.memo_key.clear();
-        st.memo_key.extend_from_slice(flat);
+        st.memo.set(flat, 0);
     }
 
     /// The density overflow of `placement`; leaves the gradient memo alone.
@@ -295,36 +340,44 @@ impl Inputs<'_> {
         overflow
     }
 
-    /// Leaves the WA gradient of `placement` in `wa`, and counts the
-    /// evaluation and its exponentials (Eq. (2)'s terms, and the `exp`
-    /// calls made for them).
-    fn wa_grad(&self, wa: &mut WaWorkspace, placement: &Placement, gamma: f64) {
-        wa.gradient(self.design.netlist(), placement, gamma);
-        let counts = wa.take_counts();
+    /// Leaves the WA gradient at `flat` (already scattered into
+    /// `placement`) and `gamma` in `wa.ws`: from the memo when both are
+    /// bit-for-bit those it was last computed at. Counts an evaluation and
+    /// its exponentials (Eq. (2)'s terms, and the `exp` calls made for
+    /// them), or a memo hit.
+    fn wa_grad(&self, wa: &mut WaState, flat: &[f64], placement: &Placement, gamma: f64) {
+        if wa.memo.holds(flat, gamma.to_bits()) {
+            self.trace.add("place.wa_memo_hits", 1);
+            return;
+        }
+        wa.ws.gradient(self.design.netlist(), placement, gamma);
+        let counts = wa.ws.take_counts();
         self.trace.add("place.wa_grad_evals", counts.grad_evals);
         self.trace.add("place.wa_exp_calls", counts.exp_calls);
         self.trace.add("place.wa_exp_terms", counts.exp_terms);
+        wa.memo.set(flat, gamma.to_bits());
     }
 
     /// Combined gradient `∇W + λ·∇D` at `flat`.
     fn combined_grad(
         &self,
         st: &mut DensityState,
-        wa: &mut WaWorkspace,
+        wa: &mut WaState,
         flat: &[f64],
         lambda: f64,
         gamma: f64,
     ) -> Vec<f64> {
         self.scatter(flat, &mut st.scratch);
-        self.wa_grad(wa, &st.scratch, gamma);
+        self.wa_grad(wa, flat, &st.scratch, gamma);
         self.density_grad(st, flat);
         let de = st.ws.last_gradient();
+        let (wx, wy) = (wa.ws.grad_x(), wa.ws.grad_y());
         let n = self.movable.len();
         let mut g = vec![0.0; 2 * n];
         for (i, &id) in self.movable.iter().enumerate() {
             let c = id.index();
-            g[i] = wa.grad_x()[c] + lambda * de[c].0;
-            g[n + i] = wa.grad_y()[c] + lambda * de[c].1;
+            g[i] = wx[c] + lambda * de[c].0;
+            g[n + i] = wy[c] + lambda * de[c].1;
         }
         g
     }
@@ -376,6 +429,11 @@ pub struct PlacerSnapshot {
     pub recoveries: usize,
     /// Nesterov solver state, if the optimizer was live.
     pub opt: Option<NesterovState>,
+    /// The γ at which the WA gradient at the solver's reference point was
+    /// last taken, which the next step's opening gradient takes again.
+    /// `None` without a live solver, and in a snapshot from a build that
+    /// did not carry it: the opening gradient then takes the current γ.
+    pub opt_gamma: Option<f64>,
 }
 
 impl<'a> GlobalPlacer<'a> {
@@ -448,14 +506,15 @@ impl<'a> GlobalPlacer<'a> {
         let dens = DensityState {
             ws: DensityWorkspace::with_lanes(&density, design.netlist().num_cells(), lanes),
             scratch: placement.clone(),
-            memo_key: Vec::new(),
-            #[cfg(test)]
-            memo_disabled: false,
+            memo: MemoKey::default(),
         };
         let eff_width: Vec<f64> = design.netlist().cells().iter().map(|c| c.width).collect();
         let padding = vec![0.0; eff_width.len()];
         let sentinel = DivergenceSentinel::new(DIVERGENCE_WINDOW);
-        let wa = WaWorkspace::new(lanes.wa);
+        let wa = WaState {
+            ws: WaWorkspace::new(lanes.wa),
+            memo: MemoKey::default(),
+        };
         Ok(GlobalPlacer {
             design,
             config,
@@ -540,7 +599,8 @@ impl<'a> GlobalPlacer<'a> {
             last_overflow: self.last_overflow,
             step_scale: self.step_scale,
             recoveries: self.recoveries,
-            opt: self.opt.as_ref().map(NesterovOptimizer::state),
+            opt: self.opt.as_ref().map(|s| s.nesterov.state()),
+            opt_gamma: self.opt.as_ref().and_then(|s| s.gamma),
         }
     }
 
@@ -552,7 +612,8 @@ impl<'a> GlobalPlacer<'a> {
     ///
     /// Returns [`PlaceError::BadSnapshot`] when the snapshot's shapes do
     /// not match the design (placement/padding length, optimizer vector
-    /// length) or contain non-finite padding.
+    /// length), or it holds non-finite padding or a carried γ that is not
+    /// positive and finite.
     pub fn restore(&mut self, snap: PlacerSnapshot) -> Result<(), PlaceError> {
         if snap.placement.len() != self.placement.len() {
             return Err(PlaceError::BadSnapshot(format!(
@@ -596,19 +657,30 @@ impl<'a> GlobalPlacer<'a> {
                 ));
             }
         }
+        if let Some(gamma) = snap.opt_gamma {
+            if !(gamma > 0.0 && gamma.is_finite()) {
+                return Err(PlaceError::BadSnapshot(format!(
+                    "carried gamma {gamma} is not positive and finite"
+                )));
+            }
+        }
         for (i, cell) in self.design.netlist().cells().iter().enumerate() {
             self.eff_width[i] = cell.width + snap.padding[i];
         }
         self.placement = snap.placement;
         self.dens.scratch = self.placement.clone();
-        self.dens.forget(); // the widths changed under the memo
+        self.dens.memo.forget(); // the widths changed under the memo
+        self.wa.memo.forget(); // and so may have the fixed cells
         self.padding = snap.padding;
         self.lambda = snap.lambda;
         self.iter = snap.iter;
         self.last_overflow = snap.last_overflow;
         self.step_scale = snap.step_scale.clamp(1e-9, 1.0);
         self.recoveries = snap.recoveries;
-        self.opt = snap.opt.map(NesterovOptimizer::from_state);
+        self.opt = snap.opt.map(|state| Solver {
+            nesterov: NesterovOptimizer::from_state(state),
+            gamma: snap.opt_gamma,
+        });
         self.frozen = false;
         self.last_good = None;
         self.last_divergence = None;
@@ -638,7 +710,7 @@ impl<'a> GlobalPlacer<'a> {
             self.eff_width[i] = cell.width + padding[i];
         }
         self.padding = padding;
-        self.dens.forget(); // the widths changed under the memo
+        self.dens.memo.forget(); // the widths changed under the memo
         self.opt = None; // momentum reset; next step re-seeds the optimizer
     }
 
@@ -657,7 +729,7 @@ impl<'a> GlobalPlacer<'a> {
             "extra charge must be finite"
         );
         self.density.set_extra_charge(extra);
-        self.dens.forget(); // the static charge changed under the memo
+        self.dens.memo.forget(); // the static charge changed under the memo
         self.opt = None;
     }
 
@@ -687,7 +759,7 @@ impl<'a> GlobalPlacer<'a> {
     /// The placer as a gradient evaluation sees it: read-only inputs and the
     /// current placement on one side, the density pipeline's state and the
     /// WA workspace on the other.
-    fn split(&mut self) -> (Inputs<'_>, &mut DensityState, &mut WaWorkspace, &Placement) {
+    fn split(&mut self) -> (Inputs<'_>, &mut DensityState, &mut WaState, &Placement) {
         let inputs = Inputs {
             design: self.design,
             density: &self.density,
@@ -713,13 +785,14 @@ impl<'a> GlobalPlacer<'a> {
         inputs.projector()(&mut flat);
         if lambda == 0.0 {
             inputs.scatter(&flat, &mut dens.scratch);
-            inputs.wa_grad(wa, &dens.scratch, gamma);
+            inputs.wa_grad(wa, &flat, &dens.scratch, gamma);
             inputs.density_grad(dens, &flat);
             let de = dens.ws.last_gradient();
+            let (wx, wy) = (wa.ws.grad_x(), wa.ws.grad_y());
             let sw: f64 = inputs
                 .movable
                 .iter()
-                .map(|&id| wa.grad_x()[id.index()].abs() + wa.grad_y()[id.index()].abs())
+                .map(|&id| wx[id.index()].abs() + wy[id.index()].abs())
                 .sum();
             let sd: f64 = inputs
                 .movable
@@ -739,7 +812,10 @@ impl<'a> GlobalPlacer<'a> {
         };
         // Divergence recoveries shrink the bootstrap step via `step_scale`.
         let alpha0 = (alpha0 * self.step_scale).max(1e-9);
-        self.opt = Some(NesterovOptimizer::new(flat, g, alpha0));
+        self.opt = Some(Solver {
+            nesterov: NesterovOptimizer::new(flat, g, alpha0),
+            gamma: Some(gamma),
+        });
     }
 
     /// Performs one Nesterov iteration and returns the updated statistics.
@@ -763,7 +839,11 @@ impl<'a> GlobalPlacer<'a> {
         self.ensure_optimizer();
         let gamma = self.gamma();
         let lambda = self.lambda;
-        let Some(mut opt) = self.opt.take() else {
+        let Some(Solver {
+            nesterov: mut opt,
+            gamma: carried,
+        }) = self.opt.take()
+        else {
             // `ensure_optimizer` always fills the slot; behave like the
             // frozen path rather than asserting if it somehow did not.
             self.iter += 1;
@@ -773,8 +853,15 @@ impl<'a> GlobalPlacer<'a> {
             return stats;
         };
         let (inputs, dens, wa, placement) = self.split();
+        // The opening gradient at the carried γ, every backtracking round at
+        // the fresh one.
+        let mut round_gamma = carried.unwrap_or(gamma);
         opt.step(
-            |flat: &[f64]| inputs.combined_grad(dens, wa, flat, lambda, gamma),
+            |flat: &[f64]| {
+                let g = inputs.combined_grad(dens, wa, flat, lambda, round_gamma);
+                round_gamma = gamma;
+                g
+            },
             inputs.projector(),
         );
         let mut new_placement = placement.clone();
@@ -791,7 +878,12 @@ impl<'a> GlobalPlacer<'a> {
             lambda: new_lambda,
         };
         let verdict = self.sentinel.check(&stats, opt.solution());
-        self.opt = Some(opt);
+        // Every round ends on a gradient at its `v_new`, and the last
+        // round's `v_new` is the new reference point.
+        self.opt = Some(Solver {
+            nesterov: opt,
+            gamma: Some(gamma),
+        });
 
         if let Some(reason) = verdict {
             let stats = self.recover(reason, prev_placement);
@@ -826,7 +918,7 @@ impl<'a> GlobalPlacer<'a> {
             .num("lambda", stats.lambda)
             .num(
                 "alpha",
-                self.opt.as_ref().map_or(0.0, NesterovOptimizer::step_size),
+                self.opt.as_ref().map_or(0.0, |s| s.nesterov.step_size()),
             )
             .int("recoveries", cast::idx_i64(self.recoveries))
             .write();
@@ -1454,7 +1546,7 @@ mod tests {
     }
 
     #[test]
-    fn a_step_runs_two_wa_gradients_when_the_first_round_is_accepted() {
+    fn a_step_runs_one_wa_gradient_when_the_first_round_is_accepted() {
         let d = small_design();
         let mut placer = GlobalPlacer::new(&d, PlacerConfig::default()).unwrap();
         let trace = Trace::enabled();
@@ -1463,6 +1555,7 @@ mod tests {
         let read = || {
             [
                 "place.wa_grad_evals",
+                "place.wa_memo_hits",
                 "place.wa_exp_calls",
                 "place.wa_exp_terms",
                 "place.density_evals",
@@ -1470,10 +1563,11 @@ mod tests {
             .map(|name| counter(&trace, name))
         };
         let mut before = read();
-        // WA keeps no memo, so the first step evaluates its start point
-        // three times — to balance λ, for α₀ inside `combined_grad`, as the
-        // opening gradient — before its backtracking rounds.
-        assert!(before[0] >= 4, "{} gradients in the first step", before[0]);
+        // The first step evaluates its start point once, to balance λ; α₀
+        // inside `combined_grad` and the opening gradient read the memo.
+        // Then one gradient per backtracking round.
+        assert_eq!(before[1], 2, "the bootstrap gradient serves twice");
+        assert!(before[0] >= 2, "{} gradients in the first step", before[0]);
         let nl = d.netlist();
         let active_pins: u64 = nl
             .iter_nets()
@@ -1484,24 +1578,56 @@ mod tests {
         for _ in 0..20 {
             placer.step();
             let after = read();
-            let [grads, calls, terms, density] = [0, 1, 2, 3].map(|k| after[k] - before[k]);
-            // The opening gradient (no memo: γ moved) and one per
-            // backtracking round; the statistics evaluate no WA. The density
-            // pipeline runs the same rounds, its opening gradient from the
-            // memo, and the statistics.
+            let [grads, hits, calls, terms, density] =
+                [0, 1, 2, 3, 4].map(|k| after[k] - before[k]);
+            // The opening gradient from the memo (the carried γ is the one
+            // the last round took), one per backtracking round; the
+            // statistics evaluate no WA. The density pipeline runs the same
+            // rounds, and the statistics.
+            assert_eq!(hits, 1, "the opening gradient comes from the memo");
             assert_eq!(
-                grads, density,
+                grads + 1,
+                density,
                 "{grads} WA gradients, {density} density evaluations"
             );
             assert_eq!(terms, 4 * active_pins * grads);
             assert!(calls < terms, "{calls} exp calls for {terms} terms");
-            first_round += u32::from(grads == 2);
+            first_round += u32::from(grads == 1);
             before = after;
         }
         assert!(
             first_round >= 10,
             "only {first_round}/20 steps accepted their first round"
         );
+    }
+
+    #[test]
+    fn the_carried_gamma_is_the_last_round_gamma_and_restore_checks_it() {
+        let d = small_design();
+        let mut placer = GlobalPlacer::new(&d, PlacerConfig::default()).unwrap();
+        assert_eq!(placer.snapshot().opt_gamma, None, "no solver yet");
+        for _ in 0..3 {
+            let gamma = placer.gamma();
+            placer.step();
+            assert_eq!(placer.snapshot().opt_gamma, Some(gamma));
+        }
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let mut snap = placer.snapshot();
+            snap.opt_gamma = Some(bad);
+            let Err(PlaceError::BadSnapshot(msg)) = placer.restore(snap) else {
+                panic!("restore accepted a carried gamma of {bad}");
+            };
+            assert!(msg.contains("gamma"), "{msg}");
+        }
+        // A snapshot without one (an earlier build's journal) still steps:
+        // its opening gradient takes the current γ.
+        let mut snap = placer.snapshot();
+        snap.opt_gamma = None;
+        let mut old = GlobalPlacer::new(&d, PlacerConfig::default()).unwrap();
+        old.restore(snap).unwrap();
+        let gamma = old.gamma();
+        assert!(old.step().hpwl.is_finite());
+        assert_eq!(old.snapshot().opt_gamma, Some(gamma));
     }
 
     /// One move of the memo property test's scripts.
@@ -1590,11 +1716,16 @@ mod tests {
                     _ => Op::Steps(r.gen_range(1..5usize)),
                 });
                 // Whatever was drawn, every invalidation site and a
-                // recovery are crossed with a live memo at least once.
+                // recovery are crossed with a live memo at least once. The
+                // first step of a solver leaves its reference point on the
+                // placement, so the bootstrap after the charge asks the WA
+                // memo for that point at another γ.
                 script.extend([
                     Op::Steps(3),
                     Op::Save,
                     Op::Pad(rng.next_u64()),
+                    Op::Steps(1),
+                    Op::Charge(rng.next_u64()),
                     Op::Steps(2),
                     Op::Charge(rng.next_u64()),
                     Op::Steps(2),
@@ -1608,7 +1739,8 @@ mod tests {
             |script| {
                 let mut memoised = GlobalPlacer::new(&d, cfg.clone()).unwrap();
                 let mut forgetful = GlobalPlacer::new(&d, cfg.clone()).unwrap();
-                forgetful.dens.memo_disabled = true;
+                forgetful.dens.memo.disabled = true;
+                forgetful.wa.memo.disabled = true;
                 let trace = Trace::enabled();
                 memoised.set_trace(trace.clone());
                 let (mut saved_m, mut saved_f) = (None, None);
@@ -1621,19 +1753,22 @@ mod tests {
                     );
                 }
                 puffer_rng::prop_check!(memoised.recoveries() >= 1, "no recovery happened");
-                let hits = counter(&trace, "place.density_memo_hits");
-                puffer_rng::prop_check!(hits >= 10, "memo hit only {hits} times");
+                for memo in ["place.density_memo_hits", "place.wa_memo_hits"] {
+                    let hits = counter(&trace, memo);
+                    puffer_rng::prop_check!(hits >= 10, "{memo}: only {hits}");
+                }
                 Ok(())
             },
         );
     }
 
-    /// Each of the three invalidation sites, crossed with a memo that a
-    /// stale hit would certainly use: the placer bootstraps at its start
-    /// point (the memo now holds that point), the site changes what the
-    /// density gradient depends on while leaving the point alone, and the
-    /// re-bootstrap must match a placer that never held a memo. Deleting
-    /// the `forget()` call of any one site fails its case.
+    /// Each invalidation site, crossed with memos that a stale hit would
+    /// certainly use: the placer bootstraps at its start point (both memos
+    /// now hold that point), the site changes what a gradient depends on
+    /// while leaving the point alone, and the re-bootstrap must match a
+    /// placer that never held a memo. Deleting the `forget()` call of any
+    /// one site fails its case: the density memo's three, and the WA
+    /// memo's in `restore` (a moved macro).
     #[test]
     fn every_invalidation_site_forgets_the_memo() {
         let d = small_design();
@@ -1654,7 +1789,7 @@ mod tests {
             extra
         };
         type Site<'s> = (&'s str, &'s dyn Fn(&mut GlobalPlacer<'_>));
-        let sites: [Site<'_>; 3] = [
+        let sites: [Site<'_>; 4] = [
             ("set_padding", &|p| p.set_padding(pad.clone())),
             ("set_extra_charge", &|p| {
                 let extra = charge(p);
@@ -1666,19 +1801,29 @@ mod tests {
                 snap.opt = None;
                 p.restore(snap).unwrap();
             }),
+            ("restore, a macro moved", &|p| {
+                let mut snap = p.snapshot();
+                let block = p.design.netlist().fixed_macros().next().unwrap();
+                let at = snap.placement.pos(block);
+                let moved = puffer_db::geom::Point::new(at.x - 5.0, at.y - 5.0);
+                snap.placement.set(block, moved);
+                snap.opt = None;
+                p.restore(snap).unwrap();
+            }),
         ];
         for (name, site) in sites {
             let mut warm = GlobalPlacer::new(&d, cfg.clone()).unwrap();
             warm.ensure_optimizer();
             assert!(
-                !warm.dens.memo_key.is_empty(),
-                "{name}: the bootstrap fills the memo"
+                !warm.dens.memo.flat.is_empty() && !warm.wa.memo.flat.is_empty(),
+                "{name}: the bootstrap fills the memos"
             );
             site(&mut warm);
             warm.ensure_optimizer();
 
             let mut cold = GlobalPlacer::new(&d, cfg.clone()).unwrap();
-            cold.dens.memo_disabled = true;
+            cold.dens.memo.disabled = true;
+            cold.wa.memo.disabled = true;
             cold.ensure_optimizer();
             site(&mut cold);
             cold.ensure_optimizer();

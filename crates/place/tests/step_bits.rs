@@ -1,9 +1,12 @@
-//! Bit-level pin of the Nesterov loop: `fixtures/step_bits.txt` was
+//! Bit-level pin of the Nesterov loop: `fixtures/step_bits.txt` was first
 //! rendered by the placer this crate shipped while every step still
-//! evaluated the WA wirelength's value for its statistics, and every
-//! placer since must reproduce it **bit for bit**: the step's statistics
-//! steer λ, γ, the stop test and the padding rounds, and the placement is
-//! what the flow writes.
+//! evaluated the WA wirelength's value for its statistics, and re-rendered
+//! once since, by the first placer whose steps carry γ across the step
+//! boundary (a step's opening gradient takes its WA half at the γ of the
+//! previous step's last backtracking round, from the memo). Every placer
+//! since must reproduce it **bit for bit**: the step's statistics steer λ,
+//! γ, the stop test and the padding rounds, and the placement is what the
+//! flow writes.
 //!
 //! A `step` line holds the hex bits of the step's HPWL, overflow, λ and
 //! Nesterov step size, and the FNV-1a digest of the `f64` bits of every

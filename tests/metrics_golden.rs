@@ -129,10 +129,12 @@ fn metrics_run_is_schema_valid_and_consistent() {
     // is 3 transforms: the one new gradient's (its opening gradient comes
     // from the memo; the statistics pass reads the overflow off the charge
     // map and transforms nothing), so every evaluation that is not one of
-    // the 200 statistics passes is a gradient. The pinned values make any
+    // the 203 statistics passes is a gradient. The pinned values make any
     // change to that shape visible; the bound keeps the old ones — three
     // full evaluations, 12 transforms a step, or a Poisson solve for the
-    // statistics, 5 — from coming back.
+    // statistics, 5 — from coming back. (The loop ran 200 iterations, 439
+    // evaluations and 201 memo hits until steps carried γ: that moved the
+    // trajectory, not the shape.)
     let counter = |name: &str| -> usize {
         let r = of_kind("counter")
             .into_iter()
@@ -140,34 +142,36 @@ fn metrics_run_is_schema_valid_and_consistent() {
             .unwrap_or_else(|| panic!("no {name} counter"));
         r.num("value").unwrap() as usize
     };
-    assert_eq!(gp_iterations, 200);
-    assert_eq!(counter("place.density_evals"), 439);
-    assert_eq!(counter("place.density_memo_hits"), 201);
+    assert_eq!(gp_iterations, 203);
+    assert_eq!(counter("place.density_evals"), 440);
+    assert_eq!(counter("place.density_memo_hits"), 204);
     assert_eq!(
         counter("fft.transforms2d"),
         3 * (counter("place.density_evals") - gp_iterations)
     );
-    assert_eq!(counter("fft.transforms2d"), 717);
+    assert_eq!(counter("fft.transforms2d"), 711);
     assert!(counter("fft.transforms2d") < 4 * gp_iterations);
 
     // The WA kernel's exact counters. Every density gradient request — from
-    // the memo or not — has a WA gradient beside it, and the statistics
-    // pass evaluates no WA. `terms` is what Eq. (2) names, 4 exponentials
-    // per pin of a contributing net per evaluation; `calls` is what the
-    // kernel ran. Both were pinned when every step also made one value-only
-    // evaluation, at 440 + 200 evaluations: 5_506_560 terms (4 × 2151 pins
-    // each) and 3_240_960 calls. Terms per evaluation are constant, and so
-    // are calls on this design (5_064 each), so both scale by 440 / 640:
-    // 3_785_760 and 2_228_160. The pinned values make any change to the
-    // elision or the evaluation count visible; the bound keeps un-elided
-    // evaluation (calls = terms) from coming back.
-    assert_eq!(counter("place.wa_grad_evals"), 440);
+    // the memo or not — has a WA gradient request beside it, and the
+    // statistics pass evaluates no WA. A step's opening gradient takes γ
+    // where the previous step's last backtracking round took it, so the
+    // WA memo serves it as the density memo does: 237 evaluations and 204
+    // hits, where the parent placer, which re-annealed γ before the opening
+    // gradient, ran 440 evaluations on its own trajectory. `terms` is what
+    // Eq. (2) names, 4 exponentials per pin of a contributing net per
+    // evaluation: 8_604 (4 × 2151 pins) each; `calls` is what the kernel
+    // ran, 5_064 per evaluation on this design. The pinned values make any
+    // change to the elision or the evaluation count visible; the bound
+    // keeps un-elided evaluation (calls = terms) from coming back.
+    assert_eq!(counter("place.wa_grad_evals"), 237);
+    assert_eq!(counter("place.wa_memo_hits"), 204);
     assert_eq!(
-        counter("place.wa_grad_evals"),
+        counter("place.wa_grad_evals") + counter("place.wa_memo_hits"),
         counter("place.density_evals") - gp_iterations + counter("place.density_memo_hits")
     );
-    assert_eq!(counter("place.wa_exp_terms"), 3_785_760);
-    assert_eq!(counter("place.wa_exp_calls"), 2_228_160);
+    assert_eq!(counter("place.wa_exp_terms"), 2_039_148);
+    assert_eq!(counter("place.wa_exp_calls"), 1_200_168);
     assert!(10 * counter("place.wa_exp_calls") <= 6 * counter("place.wa_exp_terms"));
 
     // The CLI check (the metrics audit plus the span/record rules) accepts it.
