@@ -7,11 +7,16 @@
 //!     [--json BENCH_table2.json]
 //! ```
 //!
+//! A row whose GP loop stopped at the flow's iteration cap is not a
+//! converged result: a `capped:` line under the table names it, and the
+//! ledger marks it `"capped":true`.
+//!
 //! `--json` also writes the rows as a ledger ([`puffer_bench::table2_json`]).
 //! The repository commits the one of `--scale 0.003` as `BENCH_table2.json`,
 //! and `scripts/ci.sh` re-runs it and requires the same HOF, VOF and WL
-//! (RT is recorded, not compared): a change that moves a Table II quality
-//! bit re-renders the file, so its diff is the change's Table II movement.
+//! (RT is recorded, not compared), and no capped PUFFER row: a change that
+//! moves a Table II quality bit re-renders the file, so its diff is the
+//! change's Table II movement.
 //!
 //! Every flow is judged by the same global router (the Innovus-GR
 //! substitute). WL and RT averages are ratios normalized against PUFFER,
@@ -48,6 +53,7 @@ fn main() {
                 row: row.clone(),
                 gp_iterations: result.gp_iterations,
                 pad_rounds: result.pad_rounds,
+                capped: result.gp_iterations >= flow.max_iters(),
             });
             table.push(row);
         }
@@ -58,6 +64,12 @@ fn main() {
         args.scale
     );
     println!("{}", table.render(Flow::Puffer.label()));
+    for r in ledger.iter().filter(|r| r.capped) {
+        println!(
+            "capped: {} / {} stopped at its {}-iteration GP cap, not at its stop overflow",
+            r.row.benchmark, r.row.flow, r.gp_iterations
+        );
+    }
 
     let csv_path = out_dir.join("table2.csv");
     puffer_budget::fsx::atomic_write(&csv_path, table.to_csv().as_bytes())

@@ -197,8 +197,8 @@ pub fn evaluate(design: &Design, flow: &str, result: &FlowResult) -> (EvalRow, R
     (row, report)
 }
 
-/// One row of the Table II ledger: the four columns and the GP loop's two
-/// counters.
+/// One row of the Table II ledger: the four columns, the GP loop's two
+/// counters and whether the loop stopped at its cap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerRow {
     /// The Table II columns (HOF, VOF, WL, RT).
@@ -207,6 +207,9 @@ pub struct LedgerRow {
     pub gp_iterations: usize,
     /// Padding rounds, or a baseline's analysis rounds.
     pub pad_rounds: usize,
+    /// `gp_iterations` reached the flow's cap ([`puffer::Flow::max_iters`]):
+    /// the row is wherever the cap cut the run off, not a converged result.
+    pub capped: bool,
 }
 
 /// The Table II ledger (`BENCH_table2.json`): the command that wrote it,
@@ -237,12 +240,13 @@ pub fn table2_json(command: &str, scale: f64, rows: &[LedgerRow]) -> String {
         out.push_str(",\"flow\":");
         string(&mut out, &r.row.flow);
         out.push_str(&format!(
-            ",\"hof_pct\":{},\"vof_pct\":{},\"wl\":{},\"gp_iterations\":{},\"pad_rounds\":{},\"rt_s\":{}}}",
+            ",\"hof_pct\":{},\"vof_pct\":{},\"wl\":{},\"gp_iterations\":{},\"pad_rounds\":{},\"capped\":{},\"rt_s\":{}}}",
             num(r.row.hof_pct),
             num(r.row.vof_pct),
             num(r.row.wirelength),
             r.gp_iterations,
             r.pad_rounds,
+            r.capped,
             num(r.row.runtime_s)
         ));
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
@@ -321,7 +325,7 @@ mod tests {
 
     #[test]
     fn the_ledger_is_one_line_per_row_with_the_runtime_last() {
-        let row = |flow: &str, hof_pct: f64| LedgerRow {
+        let row = |flow: &str, hof_pct: f64, capped: bool| LedgerRow {
             row: EvalRow {
                 benchmark: "OR1200".into(),
                 flow: flow.into(),
@@ -332,19 +336,23 @@ mod tests {
             },
             gp_iterations: 300,
             pad_rounds: 2,
+            capped,
         };
         let text = table2_json(
             "table2 --json \"x\"",
             0.003,
-            &[row("PUFFER", 0.1 + 0.2), row("RePlAce-like", f64::NAN)],
+            &[
+                row("PUFFER", 0.1 + 0.2, false),
+                row("RePlAce-like", f64::NAN, true),
+            ],
         );
         assert_eq!(
             text,
             "{\n  \"command\": \"table2 --json \\\"x\\\"\",\n  \"scale\": 0.003,\n  \"rows\": [\n    \
              {\"design\":\"OR1200\",\"flow\":\"PUFFER\",\"hof_pct\":0.30000000000000004,\"vof_pct\":0,\
-             \"wl\":1234.5,\"gp_iterations\":300,\"pad_rounds\":2,\"rt_s\":0.25},\n    \
+             \"wl\":1234.5,\"gp_iterations\":300,\"pad_rounds\":2,\"capped\":false,\"rt_s\":0.25},\n    \
              {\"design\":\"OR1200\",\"flow\":\"RePlAce-like\",\"hof_pct\":null,\"vof_pct\":0,\
-             \"wl\":1234.5,\"gp_iterations\":300,\"pad_rounds\":2,\"rt_s\":0.25}\n  ]\n}\n"
+             \"wl\":1234.5,\"gp_iterations\":300,\"pad_rounds\":2,\"capped\":true,\"rt_s\":0.25}\n  ]\n}\n"
         );
     }
 }

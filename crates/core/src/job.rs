@@ -73,6 +73,13 @@ impl Flow {
         Flow::TABLE2.into_iter().find(|f| f.name() == name)
     }
 
+    /// The GP iteration cap of this flow's [`Flow::job`] at its defaults. A
+    /// run whose `gp_iterations` reaches it stopped at the cap, not at its
+    /// stop overflow.
+    pub fn max_iters(self) -> usize {
+        self.job(None, None).config.placer.max_iters
+    }
+
     /// A job running this flow at its defaults and at most `max_iters` GP
     /// iterations (its own cap when `None`). `threads` bounds the lanes of
     /// the placer and of the estimator (or a baseline's router) alike; when

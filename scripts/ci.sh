@@ -60,13 +60,19 @@ PUFFER=target/release/puffer
 # command it names. Re-run it and require every row's HOF, VOF and WL (and
 # its GP iterations and padding rounds) bit for bit: they are
 # deterministic, so a change that moves one must re-render the file. RT is
-# recorded in the ledger but not compared.
+# recorded in the ledger but not compared. No PUFFER row may be capped.
 echo "==> Table II ledger (table2 --scale 0.003 --json vs BENCH_table2.json)"
 target/release/table2 --scale 0.003 --out "$SMOKE_DIR/paper" \
   --json "$SMOKE_DIR/table2.json" > /dev/null
 ledger_rows() { grep '"design":' "$1" | sed -E 's/,"rt_s":[^,}]*//'; }
 if ! diff <(ledger_rows BENCH_table2.json) <(ledger_rows "$SMOKE_DIR/table2.json"); then
   echo "Table II ledger: a quality bit moved; re-render BENCH_table2.json with the command it names"
+  exit 1
+fi
+# A row capped at its flow's GP iteration cap is wherever the cap cut the
+# run off; PUFFER's rows must all be converged results.
+if grep '"flow":"PUFFER"' "$SMOKE_DIR/table2.json" | grep -q '"capped":true'; then
+  echo "Table II ledger: a PUFFER row stopped at its GP iteration cap"
   exit 1
 fi
 
