@@ -346,8 +346,9 @@ mod tests {
     /// The short-schedule lines of `tests/fixtures/baseline_bits.txt` were
     /// first rendered by the three hand-written loops this module shipped
     /// before the shared driver, and re-rendered when the placer began to
-    /// carry γ across the step boundary; the GP loop of `Job` must
-    /// reproduce them bit for bit at every thread count.
+    /// carry γ across the step boundary and again when it began to commit
+    /// the reference point `v_{k+1}`; the GP loop of `Job` must reproduce
+    /// them bit for bit at every thread count.
     #[test]
     fn comparison_flows_reproduce_the_pinned_bits() {
         let d = design();

@@ -17,6 +17,14 @@
 //! The step size is the inverse of a local Lipschitz estimate,
 //! `α_k = ‖v_k − v_{k−1}‖ / ‖∇f(v_k) − ∇f(v_{k−1})‖`, refined by a short
 //! backtracking loop exactly as in ePlace.
+//!
+//! Each backtracking round ends with a gradient at its candidate `v_{k+1}`,
+//! so a step's last gradient is always taken at the reference point it
+//! leaves behind ([`NesterovOptimizer::reference`]), while `u_{k+1}`
+//! ([`NesterovOptimizer::solution`]) is never evaluated. The placement
+//! engine therefore commits `v_{k+1}` as its iterate, as the
+//! DREAMPlace-lineage placers do, and reads its statistics off that last
+//! evaluation.
 
 /// The full serializable state of a [`NesterovOptimizer`], exposed so the
 /// placement engine can snapshot and restore the solver exactly (divergence
@@ -80,12 +88,13 @@ impl NesterovOptimizer {
         }
     }
 
-    /// Current reference solution (evaluate the next gradient here).
+    /// Current reference solution: where the last gradient of a step was
+    /// taken and the next step's opening gradient is.
     pub fn reference(&self) -> &[f64] {
         &self.v
     }
 
-    /// Current major solution (the actual placement estimate).
+    /// Current major solution `u_k`; no gradient is ever taken here.
     pub fn solution(&self) -> &[f64] {
         &self.u
     }

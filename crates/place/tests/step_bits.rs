@@ -1,10 +1,12 @@
 //! Bit-level pin of the Nesterov loop: `fixtures/step_bits.txt` was first
 //! rendered by the placer this crate shipped while every step still
 //! evaluated the WA wirelength's value for its statistics, and re-rendered
-//! once since, by the first placer whose steps carry γ across the step
+//! twice since: by the first placer whose steps carry γ across the step
 //! boundary (a step's opening gradient takes its WA half at the γ of the
-//! previous step's last backtracking round, from the memo). Every placer
-//! since must reproduce it **bit for bit**: the step's statistics steer λ,
+//! previous step's last backtracking round, from the memo), and by the
+//! first that commits the reference point `v_{k+1}` and reads the step's
+//! statistics off its gradient evaluation there. Every placer since must
+//! reproduce it **bit for bit**: the step's statistics steer λ,
 //! γ, the stop test and the padding rounds, and the placement is what the
 //! flow writes.
 //!
