@@ -208,8 +208,19 @@ fn render_with(case: &Case, slot: &mut Option<DensityWorkspace>, lanes: GpLanes)
         TARGET_DENSITY,
     );
     out.push_str(&overflow_line(case, overflow));
-    let grad = ws.gradient(&model, netlist, &case.placement, &case.eff_width);
+    let grad = ws.gradient(
+        &model,
+        netlist,
+        &case.placement,
+        &case.eff_width,
+        TARGET_DENSITY,
+    );
     out.push_str(&gradient_lines(case, grad));
+    assert_eq!(
+        ws.last_overflow().to_bits(),
+        overflow.to_bits(),
+        "the gradient reads the statistics' overflow"
+    );
     out
 }
 
@@ -293,7 +304,13 @@ fn the_only_zoo_cells_without_a_walk_are_poisoned_and_the_macro() {
     let netlist = case.design.netlist();
     let model = DensityModel::new(&case.design, case.bins, case.bins);
     let mut ws = DensityWorkspace::new(&model, netlist.num_cells(), 1);
-    let grad = ws.gradient(&model, netlist, &case.placement, &case.eff_width);
+    let grad = ws.gradient(
+        &model,
+        netlist,
+        &case.placement,
+        &case.eff_width,
+        TARGET_DENSITY,
+    );
     for (&(name, ..), &(gx, gy)) in ZOO.iter().zip(grad) {
         let walked = gx.is_finite() && gy.is_finite();
         assert_eq!(walked, name != "poisoned", "{name}: ({gx}, {gy})");

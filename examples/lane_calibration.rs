@@ -173,7 +173,7 @@ impl<'a> Bench<'a> {
                 );
             }
             3 => {
-                self.grads[k].gradient(m, nl, p, w);
+                self.grads[k].gradient(m, nl, p, w, 1.0);
             }
             4 => {
                 try_build_demand(self.design, p, &self.gcells, PIN_PENALTY, lanes).ok();
