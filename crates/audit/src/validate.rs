@@ -938,8 +938,10 @@ pub fn audit_metrics_records(
             });
         }
     }
-    // A density evaluation is a gradient (3 transforms) or a statistics
-    // pass (none): transforms come in threes, at most three an evaluation.
+    // Every density evaluation is a gradient of 3 transforms. A file from a
+    // build that also counted a statistics pass (no transform) as an
+    // evaluation has fewer, so the check asks for threes, at most three an
+    // evaluation.
     if let (Some(evals), Some(transforms)) = (density_evals, transforms2d) {
         if transforms % 3.0 != 0.0 || transforms > 3.0 * evals {
             out.push(Violation {

@@ -11,7 +11,9 @@
 //! converged result: a `capped:` line under the table names it, and the
 //! ledger marks it `"capped":true`.
 //!
-//! `--json` also writes the rows as a ledger ([`puffer_bench::table2_json`]).
+//! `--json` also writes the rows as a ledger ([`puffer_bench::table2_json`])
+//! whose `command` names the flags that shape the rows and the ledger's
+//! file name alone ([`puffer_bench::HarnessArgs::ledger_command`]).
 //! The repository commits the one of `--scale 0.003` as `BENCH_table2.json`,
 //! and `scripts/ci.sh` re-runs it and requires the same HOF, VOF and WL
 //! (RT is recorded, not compared), and no capped PUFFER row: a change that
@@ -76,12 +78,7 @@ fn main() {
         .expect("write table2.csv");
     eprintln!("wrote {}", csv_path.display());
     if let Some(json_path) = &args.json {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let command = format!(
-            "cargo run -p puffer-bench --release --bin table2 -- {}",
-            argv.join(" ")
-        );
-        let text = table2_json(&command, args.scale, &ledger);
+        let text = table2_json(&args.ledger_command(), args.scale, &ledger);
         puffer_budget::fsx::atomic_write(json_path, text.as_bytes()).expect("write the ledger");
         eprintln!("wrote {}", json_path.display());
     }

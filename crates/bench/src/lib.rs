@@ -54,7 +54,7 @@ impl HarnessArgs {
     ///
     /// Panics with a usage message on malformed arguments.
     pub fn parse(default_scale: f64) -> Self {
-        Self::parse_args(default_scale, false)
+        Self::parse_from(std::env::args().skip(1), default_scale, false)
     }
 
     /// [`HarnessArgs::parse`] plus `--json <path>`, for a binary that writes
@@ -64,17 +64,21 @@ impl HarnessArgs {
     ///
     /// Panics with a usage message on malformed arguments.
     pub fn parse_ledger(default_scale: f64) -> Self {
-        Self::parse_args(default_scale, true)
+        Self::parse_from(std::env::args().skip(1), default_scale, true)
     }
 
-    fn parse_args(default_scale: f64, ledger: bool) -> Self {
+    fn parse_from(
+        argv: impl IntoIterator<Item = String>,
+        default_scale: f64,
+        ledger: bool,
+    ) -> Self {
         let mut args = HarnessArgs {
             scale: default_scale,
             designs: None,
             out_dir: PathBuf::from("target/paper"),
             json: None,
         };
-        let mut it = std::env::args().skip(1);
+        let mut it = argv.into_iter();
         while let Some(flag) = it.next() {
             match flag.as_str() {
                 "--scale" => {
@@ -117,6 +121,25 @@ impl HarnessArgs {
         }
         assert!(args.scale > 0.0, "--scale must be positive");
         args
+    }
+
+    /// The `table2` invocation a ledger records as its `command`: the flags
+    /// that shape its rows (`--scale`, and `--designs` when given) and
+    /// `--json` with the ledger's file name alone. `--out` and the ledger's
+    /// directory shape no row, so a render into another directory records
+    /// the same command as the committed ledger.
+    pub fn ledger_command(&self) -> String {
+        let mut command = format!(
+            "cargo run -p puffer-bench --release --bin table2 -- --scale {}",
+            self.scale
+        );
+        if let Some(designs) = &self.designs {
+            command.push_str(&format!(" --designs {}", designs.join(",")));
+        }
+        if let Some(name) = self.json.as_deref().and_then(std::path::Path::file_name) {
+            command.push_str(&format!(" --json {}", name.to_string_lossy()));
+        }
+        command
     }
 
     /// The selected generator configs at the requested scale.
@@ -303,6 +326,39 @@ mod tests {
         assert_eq!(cfgs.len(), 2);
         assert_eq!(cfgs[0].name, "OR1200");
         assert_eq!(cfgs[1].name, "CT_TOP");
+    }
+
+    #[test]
+    fn the_ledger_command_names_only_what_shapes_the_rows() {
+        let command = |argv: &[&str]| {
+            HarnessArgs::parse_from(argv.iter().map(|a| a.to_string()), 0.01, true).ledger_command()
+        };
+        let committed = "cargo run -p puffer-bench --release --bin table2 -- \
+                         --scale 0.003 --json BENCH_table2.json";
+        assert!(
+            include_str!("../../../BENCH_table2.json")
+                .contains(&format!("\"command\": \"{committed}\",")),
+            "the committed ledger names another command"
+        );
+        for argv in [
+            &["--scale", "0.003", "--json", "BENCH_table2.json"][..],
+            &[
+                "--scale",
+                "0.003",
+                "--out",
+                "smoke/paper",
+                "--json",
+                "BENCH_table2.json",
+            ],
+            &["--json", "smoke/BENCH_table2.json", "--scale", "0.003"],
+        ] {
+            assert_eq!(command(argv), committed, "{argv:?}");
+        }
+        assert_eq!(
+            command(&["--designs", "or1200,ct_top", "--json", "out/ledger.json"]),
+            "cargo run -p puffer-bench --release --bin table2 -- \
+             --scale 0.01 --designs or1200,ct_top --json ledger.json"
+        );
     }
 
     #[test]

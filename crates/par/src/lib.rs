@@ -147,9 +147,10 @@ where
 /// # Panics
 ///
 /// If `block_len` is zero or does not divide `data.len()`, or `lanes` is
-/// empty. A panicking `work` is re-raised on the calling thread, like
-/// [`map_chunks`], under the same join-everything-first contract as
-/// [`try_map_chunks`]; `data` is then partially written.
+/// empty. A panicking `work` is re-raised on the calling thread (the GP
+/// kernels' callers cannot act on a [`WorkerPanic`]), under the same
+/// join-everything-first contract as [`try_map_chunks`]; `data` is then
+/// partially written.
 pub fn for_each_block<T, S, F>(data: &mut [T], block_len: usize, lanes: &mut [S], work: F)
 where
     T: Send,
@@ -184,23 +185,6 @@ where
     }
     if let Err(WorkerPanic(msg)) = fork_join(jobs, |(first, mine, lane)| work(first, mine, lane)) {
         std::panic::resume_unwind(Box::new(msg));
-    }
-}
-
-/// Infallible [`try_map_chunks`]: re-raises a worker panic on the calling
-/// thread instead of returning it.
-///
-/// Use this from code whose callers cannot act on a [`WorkerPanic`] (the
-/// GP kernels, the transforms); the panic propagates exactly as if the
-/// loop had run serially.
-pub fn map_chunks<T, F>(n: usize, threads: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    match try_map_chunks(n, threads, work) {
-        Ok(v) => v,
-        Err(WorkerPanic(msg)) => std::panic::resume_unwind(Box::new(msg)),
     }
 }
 
@@ -376,7 +360,7 @@ mod tests {
     fn results_arrive_in_chunk_order_for_every_thread_count() {
         let expected = chunk_ranges(1000);
         for t in [1usize, 2, 3, 7, 8, 32, 64] {
-            let got = map_chunks(1000, t, |r| r.clone());
+            let got = try_map_chunks(1000, t, |r| r.clone()).unwrap();
             assert_eq!(got, expected, "threads={t}");
         }
     }
@@ -389,7 +373,7 @@ mod tests {
             .collect();
         let n_bins = 17;
         let run = |threads: usize| -> (Vec<u64>, u64) {
-            let partials = map_chunks(data.len(), threads, |r| {
+            let partials = try_map_chunks(data.len(), threads, |r| {
                 let mut bins = vec![0.0f64; n_bins];
                 let mut total = 0.0f64;
                 for i in r {
@@ -397,7 +381,8 @@ mod tests {
                     total += data[i];
                 }
                 (bins, total)
-            });
+            })
+            .unwrap();
             let mut bins = vec![0.0f64; n_bins];
             for (p, _) in &partials {
                 merge_add(&mut bins, p);
@@ -444,7 +429,7 @@ mod tests {
     #[test]
     fn first_span_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        let ran_on = map_chunks(64, 2, |r| (r.start, std::thread::current().id()));
+        let ran_on = try_map_chunks(64, 2, |r| (r.start, std::thread::current().id())).unwrap();
         assert_eq!(
             ran_on[0],
             (0, caller),
@@ -458,7 +443,7 @@ mod tests {
     fn a_job_gets_one_lane_per_lanes_worth_of_items() {
         let caller = std::thread::current().id();
         let ran_on = |n: usize, lanes: usize| -> Vec<std::thread::ThreadId> {
-            let mut ids = map_chunks(n, lanes, |_| std::thread::current().id());
+            let mut ids = try_map_chunks(n, lanes, |_| std::thread::current().id()).unwrap();
             ids.dedup();
             ids
         };
@@ -532,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_joins_everything_before_reporting_any_panic() {
+    fn try_map_chunks_joins_everything_before_reporting_any_panic() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         for who in WHO {
             // 64 items = 32 two-item chunks; at 4 threads the caller owns
@@ -607,18 +592,18 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "re-raised")]
-    fn map_chunks_re_raises_worker_panics() {
-        let _ = map_chunks(8, 2, |r| {
-            if r.start == 0 {
+    fn for_each_block_re_raises_worker_panics() {
+        let mut data = [0u8; 8];
+        for_each_block(&mut data, 1, &mut [(); 2], |first, _, ()| {
+            if first != 0 {
                 panic!("re-raised");
             }
-            r.len()
         });
     }
 
     #[test]
     fn zero_items_yield_no_chunks() {
-        let got: Vec<usize> = map_chunks(0, 8, |r| r.len());
+        let got: Vec<usize> = try_map_chunks(0, 8, |r| r.len()).unwrap();
         assert!(got.is_empty());
         assert!(chunk_ranges(0).is_empty());
     }
@@ -678,7 +663,7 @@ mod tests {
     #[test]
     fn thread_count_is_clamped_not_trusted() {
         // usize::MAX threads must not try to spawn unboundedly.
-        let got = map_chunks(100, usize::MAX, |r| r.len());
+        let got = try_map_chunks(100, usize::MAX, |r| r.len()).unwrap();
         assert_eq!(got.iter().sum::<usize>(), 100);
     }
 }

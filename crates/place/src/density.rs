@@ -194,7 +194,8 @@ impl DensityModel {
             placement,
             eff_width,
         };
-        let mut ws = DensityWorkspace::new(self, netlist.num_cells(), threads);
+        let mut ws =
+            DensityWorkspace::with_lanes(self, netlist.num_cells(), GpLanes::uniform(threads));
         ws.charge(self, &cells);
         let overflow = ws.overflow(self, target_density);
         ws.solve(self);
@@ -221,7 +222,7 @@ impl DensityModel {
         placement: &Placement,
         eff_width: &[f64],
     ) -> Grid<f64> {
-        let mut ws = DensityWorkspace::new(self, netlist.num_cells(), 1);
+        let mut ws = DensityWorkspace::with_lanes(self, netlist.num_cells(), GpLanes::uniform(1));
         ws.charge(
             self,
             &Cells {
@@ -321,11 +322,9 @@ struct ScatterLane<'a> {
 /// 56 bytes for a cell over 2 × 2 bins, with no cap on the span — and the
 /// operand lists keep their capacity from one evaluation to the next.
 ///
-/// A `GlobalPlacer` keeps one for its lifetime and asks it only for what a
-/// call site consumes — [`DensityWorkspace::gradient`] at every point a
-/// step evaluates (three 2-D transforms; the overflow is read off the
-/// charge map), [`DensityWorkspace::statistics`] (none) for a
-/// placement it did not evaluate — where a one-shot
+/// A `GlobalPlacer` keeps one for its lifetime and asks it only for
+/// [`DensityWorkspace::gradient`] — three 2-D transforms, the overflow read
+/// off the charge map — where a one-shot
 /// [`DensityModel::evaluate_threaded`] runs all four phases and the energy
 /// over fresh grids.
 /// Grids are shared between phases by lifetime: ψ and then E_x live in
@@ -361,17 +360,11 @@ pub struct DensityWorkspace {
 }
 
 impl DensityWorkspace {
-    /// Allocates the buffers for `model`'s bin grid, a netlist of
-    /// `num_cells` cells and `threads` lanes for every phase (clamped to
-    /// `1..=32`).
-    pub fn new(model: &DensityModel, num_cells: usize, threads: usize) -> Self {
-        Self::with_lanes(model, num_cells, GpLanes::uniform(threads))
-    }
-
-    /// [`DensityWorkspace::new`] with each phase on its own lane count:
-    /// `lanes.scatter`, `lanes.transform` and `lanes.gather` (each clamped
-    /// to `1..=32`; `lanes.wa` is not read). Scratch is allocated only for
-    /// the lanes that run.
+    /// Allocates the buffers for `model`'s bin grid and a netlist of
+    /// `num_cells` cells, each phase on its own lane count: `lanes.scatter`,
+    /// `lanes.transform` and `lanes.gather` (each clamped to `1..=32`;
+    /// `lanes.wa` is not read; [`GpLanes::uniform`] puts every phase on the
+    /// same count). Scratch is allocated only for the lanes that run.
     pub fn with_lanes(model: &DensityModel, num_cells: usize, lanes: GpLanes) -> Self {
         let (mx, my) = (model.mx, model.my);
         let grid = || Grid::new(model.region, mx, my);
@@ -417,7 +410,10 @@ impl DensityWorkspace {
     /// two field syntheses — no potential. On the way it reads the density
     /// overflow at `target_density` off the charge map, before E_y
     /// overwrites it, into [`DensityWorkspace::last_overflow`]: bit for bit
-    /// what [`DensityWorkspace::statistics`] returns for the placement.
+    /// the overflow [`DensityModel::evaluate_threaded`] reports for the
+    /// placement. Non-finite exactly when the charge map or a cell's charge
+    /// is (see [`Self::overflow`]), which is how the divergence sentinel
+    /// sees a poisoned map.
     ///
     /// # Panics
     ///
@@ -443,41 +439,14 @@ impl DensityWorkspace {
         &self.grad
     }
 
-    /// The gradient as of the last [`DensityWorkspace::gradient`] call;
-    /// [`DensityWorkspace::statistics`] leaves it untouched.
+    /// The gradient as of the last [`DensityWorkspace::gradient`] call.
     pub fn last_gradient(&self) -> &[(f64, f64)] {
         &self.grad
     }
 
-    /// The overflow as of the last [`DensityWorkspace::gradient`] call;
-    /// [`DensityWorkspace::statistics`] leaves it untouched.
+    /// The overflow as of the last [`DensityWorkspace::gradient`] call.
     pub fn last_overflow(&self) -> f64 {
         self.last_overflow
-    }
-
-    /// The density overflow of a placement alone: charge scatter and one
-    /// sum over the bins, no transform. Non-finite exactly when the charge
-    /// map or a cell's charge is (see [`Self::overflow`]), which is how the
-    /// divergence sentinel sees a poisoned map.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`DensityWorkspace::gradient`].
-    pub fn statistics(
-        &mut self,
-        model: &DensityModel,
-        netlist: &Netlist,
-        placement: &Placement,
-        eff_width: &[f64],
-        target_density: f64,
-    ) -> f64 {
-        let cells = Cells {
-            netlist,
-            placement,
-            eff_width,
-        };
-        self.charge(model, &cells);
-        self.overflow(model, target_density)
     }
 
     /// The number of 2-D transforms run since the last call.
@@ -967,12 +936,24 @@ mod tests {
         p.set(CellId(0), Point::new(10.0, 10.0));
         p.set(CellId(1), Point::new(20.0, 20.0));
         let w = widths(&d);
-        let mut ws = DensityWorkspace::new(&m, 2, 1);
-        let healthy = ws.statistics(&m, d.netlist(), &p, &w, 0.4);
+        let mut ws = DensityWorkspace::with_lanes(&m, 2, GpLanes::uniform(1));
+        let overflow = |ws: &mut DensityWorkspace, w: &[f64]| {
+            ws.gradient(&m, d.netlist(), &p, w, 0.4);
+            ws.last_overflow()
+        };
+        let healthy = overflow(&mut ws, &w);
         assert!(healthy.is_finite() && healthy > 0.0);
         // NaN stays NaN, and `+∞` is the only infinity a sum of non-negative
         // addends can reach.
         let poisoned = |of: f64, poison: f64| of.is_nan() == poison.is_nan() && !of.is_finite();
+        ws.charge(
+            &m,
+            &Cells {
+                netlist: d.netlist(),
+                placement: &p,
+                eff_width: &w,
+            },
+        );
         for bin in [0, 500, 1023] {
             for poison in [f64::NAN, f64::INFINITY] {
                 let was = std::mem::replace(&mut ws.movable.as_mut_slice()[bin], poison);
@@ -985,13 +966,11 @@ mod tests {
         // The same through the front door: a cell whose charge is NaN or
         // infinite sits at a finite position, so it is splatted, not lost.
         for width in [f64::NAN, f64::INFINITY] {
-            let of = ws.statistics(&m, d.netlist(), &p, &[width, 2.0], 0.4);
+            let of = overflow(&mut ws, &[width, 2.0]);
             assert!(poisoned(of, width), "width {width}: overflow {of}");
-            assert_eq!(ws.take_transforms(), 0);
         }
         // And the workspace comes back clean: the NaN bins were drained.
-        let again = ws.statistics(&m, d.netlist(), &p, &w, 0.4);
-        assert_eq!(again.to_bits(), healthy.to_bits());
+        assert_eq!(overflow(&mut ws, &w).to_bits(), healthy.to_bits());
     }
 
     /// The sparse-list merge of the multi-worker scatter, the direct merge
@@ -1044,7 +1023,8 @@ mod tests {
             |g: &Grid<f64>| -> Vec<u64> { g.as_slice().iter().map(|v| v.to_bits()).collect() };
         assert_eq!(bits(&m.movable_density(nl, &p, &w)), bits(&expect));
         for threads in [1, 2, 3, 8] {
-            let mut ws = DensityWorkspace::new(&m, nl.num_cells(), threads);
+            let mut ws =
+                DensityWorkspace::with_lanes(&m, nl.num_cells(), GpLanes::uniform(threads));
             for round in 0..2 {
                 ws.charge(&m, &cells);
                 assert_eq!(
@@ -1073,7 +1053,7 @@ mod tests {
         let coords = finite
             .into_iter()
             .chain([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
-        let mut ws = DensityWorkspace::new(&m, 2, 1);
+        let mut ws = DensityWorkspace::with_lanes(&m, 2, GpLanes::uniform(1));
         let mut p = Placement::zeroed(2);
         p.set(CellId(1), Point::new(8.0, 8.0));
         let mut placed_cases = 0;
@@ -1114,32 +1094,25 @@ mod tests {
         p.set(CellId(0), Point::new(14.0, 15.0));
         p.set(CellId(1), Point::new(15.5, 17.0));
         let full = m.evaluate_threaded(d.netlist(), &p, &w, 0.7, 1);
-        let mut ws = DensityWorkspace::new(&m, 2, 2);
-        // In either order, and repeatedly: no phase leaves state behind
-        // that another depends on.
+        let mut ws = DensityWorkspace::with_lanes(&m, 2, GpLanes::uniform(2));
+        // Repeatedly: no evaluation leaves state behind that the next
+        // depends on.
+        let bits = |g: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            g.iter().map(|v| (v.0.to_bits(), v.1.to_bits())).collect()
+        };
         for _ in 0..2 {
-            let overflow = ws.statistics(&m, d.netlist(), &p, &w, 0.7);
-            assert_eq!(overflow.to_bits(), full.overflow.to_bits());
-            assert_eq!(ws.take_transforms(), 0);
-            let grad = ws.gradient(&m, d.netlist(), &p, &w, 0.7).to_vec();
-            for (i, g) in grad.iter().enumerate() {
-                assert_eq!(g.0.to_bits(), full.grad_x[i].to_bits());
-                assert_eq!(g.1.to_bits(), full.grad_y[i].to_bits());
-            }
+            let grad = bits(ws.gradient(&m, d.netlist(), &p, &w, 0.7));
+            assert_eq!(grad, bits(&grad_of(&full)));
+            assert_eq!(bits(ws.last_gradient()), grad);
             assert_eq!(ws.last_overflow().to_bits(), full.overflow.to_bits());
             assert_eq!(ws.take_transforms(), 3);
         }
-        ws.statistics(&m, d.netlist(), &p, &w, 0.9);
-        assert_eq!(
-            ws.last_gradient(),
-            &grad_of(&full)[..],
-            "statistics leave the gradient alone"
-        );
-        assert_eq!(
-            ws.last_overflow().to_bits(),
-            full.overflow.to_bits(),
-            "and the overflow"
-        );
+        // The target density moves the overflow alone.
+        let sparse = m.evaluate_threaded(d.netlist(), &p, &w, 0.9, 1);
+        ws.gradient(&m, d.netlist(), &p, &w, 0.9);
+        assert_eq!(ws.last_gradient(), &grad_of(&full)[..]);
+        assert_ne!(sparse.overflow, full.overflow);
+        assert_eq!(ws.last_overflow().to_bits(), sparse.overflow.to_bits());
     }
 
     fn grad_of(e: &DensityEval) -> Vec<(f64, f64)> {

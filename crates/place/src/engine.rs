@@ -17,7 +17,6 @@ use crate::wirelength::{WaWorkspace, WA_PINS_PER_LANE};
 use crate::PlaceError;
 use puffer_db::cast;
 use puffer_db::design::{Design, Placement};
-use puffer_db::hpwl::total_hpwl;
 use puffer_db::netlist::CellId;
 use puffer_trace::Trace;
 
@@ -158,10 +157,10 @@ pub struct GlobalPlacer<'a> {
     design: &'a Design,
     config: PlacerConfig,
     density: DensityModel,
-    /// The density pipeline's buffers and the memo of its last gradient.
+    /// The density pipeline's buffers.
     dens: DensityState,
-    /// The WA kernel's buffers and the memo of its last gradient.
-    wa: WaState,
+    /// The WA kernel's buffers.
+    wa: WaWorkspace,
     placement: Placement,
     /// Physical width + padding per cell (the density system's view).
     eff_width: Vec<f64>,
@@ -192,48 +191,6 @@ pub struct GlobalPlacer<'a> {
     trace: Trace,
 }
 
-/// The key of a one-entry gradient memo: the flat position vector at
-/// which the gradient was computed, and the bits of one more input (γ for
-/// the WA gradient, none for the density gradient). Both are compared bit
-/// for bit, so `−0.0`/`+0.0` or two NaN payloads never alias.
-#[derive(Debug, Default)]
-struct MemoKey {
-    /// Empty when the memo holds nothing.
-    flat: Vec<f64>,
-    bits: u64,
-    /// Test hook: behave as if the memo were forgotten before every
-    /// evaluation.
-    #[cfg(test)]
-    disabled: bool,
-}
-
-impl MemoKey {
-    fn forget(&mut self) {
-        self.flat.clear();
-    }
-
-    fn holds(&self, flat: &[f64], bits: u64) -> bool {
-        #[cfg(test)]
-        if self.disabled {
-            return false;
-        }
-        // There is at least one movable cell, so `flat` is never empty.
-        self.bits == bits
-            && self.flat.len() == flat.len()
-            && self
-                .flat
-                .iter()
-                .zip(flat)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-
-    fn set(&mut self, flat: &[f64], bits: u64) {
-        self.flat.clear();
-        self.flat.extend_from_slice(flat);
-        self.bits = bits;
-    }
-}
-
 /// Everything a density evaluation writes, kept apart from the placer's
 /// read-only [`Inputs`] so that `step` can lend it to the gradient oracle
 /// while the projector borrows the rest.
@@ -243,38 +200,17 @@ struct DensityState {
     /// The positions under evaluation; fixed cells sit where `placement`
     /// has them.
     scratch: Placement,
-    /// One-entry memo of `ws.last_gradient()` and `ws.last_overflow()`,
-    /// keyed on the positions. The density gradient is a function of the
-    /// positions, the effective widths and the static charge only — not of
-    /// λ or γ — so it survives from the last backtracking round of one step
-    /// to the opening gradient of the next, which asks for the same point.
-    /// Whatever changes the other two inputs (`set_padding`,
-    /// `set_extra_charge`, `restore`) must forget it.
-    memo: MemoKey,
 }
 
-/// The WA kernel's buffers and the memo of its last gradient.
-#[derive(Debug)]
-struct WaState {
-    ws: WaWorkspace,
-    /// One-entry memo of the gradient and the HPWL in `ws`, keyed on the
-    /// positions and γ. The opening gradient of a step takes γ where the
-    /// last backtracking round of the previous step took it (see
-    /// [`Solver::gamma`]), so it asks for the point and γ of that round.
-    /// The gradient also reads the fixed cells, which only `restore` moves:
-    /// it forgets the memo.
-    memo: MemoKey,
-}
-
-/// The live Nesterov solver and the γ at which the WA half of the gradient
-/// at its reference point `v_k` was last taken.
+/// The live Nesterov solver, the γ at which the WA half of the gradient
+/// at its reference point `v_k` was taken, and whether the workspaces
+/// still hold that gradient.
 ///
 /// A step's opening gradient `∇f(v_k)` takes its WA half at this γ (its
-/// density half depends on no γ, and λ is applied fresh), so that the
-/// gradient the previous step's accepted backtracking round computed at
-/// `v_k` serves it from the memo; the rounds then take the freshly
-/// annealed γ. This is state, not a cache: it steers the trajectory, so a
-/// snapshot carries it.
+/// density half depends on no γ, and λ is applied fresh), so that it is
+/// the gradient the previous step's accepted backtracking round computed
+/// at `v_k`; the rounds then take the freshly annealed γ. This is state,
+/// not a cache: it steers the trajectory, so a snapshot carries it.
 #[derive(Debug)]
 struct Solver {
     nesterov: NesterovOptimizer,
@@ -282,6 +218,13 @@ struct Solver {
     /// written by an earlier build): the next opening gradient then takes
     /// the current γ.
     gamma: Option<f64>,
+    /// The WA and density workspaces hold both halves of `∇f(v_k)`, the WA
+    /// half at `gamma`: the solver's last evaluation was at `v_k`, as
+    /// `ensure_optimizer` and `step` leave it. A warm step composes its
+    /// opening gradient from them; a cold one — a solver restored from a
+    /// snapshot — evaluates it. Whatever else changes what a gradient reads
+    /// (`set_padding`, `set_extra_charge`) drops the solver.
+    warm: bool,
 }
 
 /// The read-only half of a gradient evaluation; see [`DensityState`].
@@ -303,71 +246,40 @@ impl Inputs<'_> {
         }
     }
 
-    /// Leaves the density gradient and overflow at `flat` (already
-    /// scattered into `st.scratch`) in `st.ws`: from the memo when `flat`
-    /// is bit-for-bit the point they were last computed at. Counts an
-    /// evaluation and its 2-D transforms, or a memo hit.
-    fn density_grad(&self, st: &mut DensityState, flat: &[f64]) {
-        if st.memo.holds(flat, 0) {
-            self.trace.add("place.density_memo_hits", 1);
-            return;
-        }
-        st.ws.gradient(
+    /// Evaluates both halves of the gradient at `placement`: the WA one at
+    /// `gamma`, with the placement's HPWL, into `wa`, and the density one,
+    /// with its overflow, into `dens`. Counts the evaluations, their 2-D
+    /// transforms and their exponentials (Eq. (2)'s terms, and the `exp`
+    /// calls made for them).
+    fn evaluate(
+        &self,
+        dens: &mut DensityWorkspace,
+        wa: &mut WaWorkspace,
+        placement: &Placement,
+        gamma: f64,
+    ) {
+        let netlist = self.design.netlist();
+        wa.gradient(netlist, placement, gamma);
+        let counts = wa.take_counts();
+        self.trace.add("place.wa_grad_evals", counts.grad_evals);
+        self.trace.add("place.wa_exp_calls", counts.exp_calls);
+        self.trace.add("place.wa_exp_terms", counts.exp_terms);
+        dens.gradient(
             self.density,
-            self.design.netlist(),
-            &st.scratch,
+            netlist,
+            placement,
             self.eff_width,
             self.config.target_density,
         );
         self.trace.add("place.density_evals", 1);
-        self.trace.add("fft.transforms2d", st.ws.take_transforms());
-        st.memo.set(flat, 0);
+        self.trace.add("fft.transforms2d", dens.take_transforms());
     }
 
-    /// The density overflow of `placement`, a point no gradient was taken
-    /// at; leaves the gradient memo alone and counts nothing.
-    fn density_overflow(&self, st: &mut DensityState, placement: &Placement) -> f64 {
-        st.ws.statistics(
-            self.density,
-            self.design.netlist(),
-            placement,
-            self.eff_width,
-            self.config.target_density,
-        )
-    }
-
-    /// Leaves the WA gradient at `flat` (already scattered into
-    /// `placement`) and `gamma`, and the HPWL of `placement`, in `wa.ws`:
-    /// from the memo when both are bit-for-bit those it was last computed
-    /// at. Counts an evaluation and its exponentials (Eq. (2)'s terms, and
-    /// the `exp` calls made for them), or a memo hit.
-    fn wa_grad(&self, wa: &mut WaState, flat: &[f64], placement: &Placement, gamma: f64) {
-        if wa.memo.holds(flat, gamma.to_bits()) {
-            self.trace.add("place.wa_memo_hits", 1);
-            return;
-        }
-        wa.ws.gradient(self.design.netlist(), placement, gamma);
-        let counts = wa.ws.take_counts();
-        self.trace.add("place.wa_grad_evals", counts.grad_evals);
-        self.trace.add("place.wa_exp_calls", counts.exp_calls);
-        self.trace.add("place.wa_exp_terms", counts.exp_terms);
-        wa.memo.set(flat, gamma.to_bits());
-    }
-
-    /// Combined gradient `∇W + λ·∇D` at `flat`.
-    fn combined_grad(
-        &self,
-        st: &mut DensityState,
-        wa: &mut WaState,
-        flat: &[f64],
-        lambda: f64,
-        gamma: f64,
-    ) -> Vec<f64> {
-        self.scatter(flat, &mut st.scratch);
-        self.wa_grad(wa, flat, &st.scratch, gamma);
-        self.density_grad(st, flat);
-        let de = st.ws.last_gradient();
-        let (wx, wy) = (wa.ws.grad_x(), wa.ws.grad_y());
+    /// `∇W + λ·∇D` over the movable cells, from the gradients the
+    /// workspaces hold.
+    fn compose(&self, dens: &DensityWorkspace, wa: &WaWorkspace, lambda: f64) -> Vec<f64> {
+        let de = dens.last_gradient();
+        let (wx, wy) = (wa.grad_x(), wa.grad_y());
         let n = self.movable.len();
         let mut g = vec![0.0; 2 * n];
         for (i, &id) in self.movable.iter().enumerate() {
@@ -376,6 +288,20 @@ impl Inputs<'_> {
             g[n + i] = wy[c] + lambda * de[c].1;
         }
         g
+    }
+
+    /// Combined gradient `∇W + λ·∇D` at `flat`.
+    fn combined_grad(
+        &self,
+        st: &mut DensityState,
+        wa: &mut WaWorkspace,
+        flat: &[f64],
+        lambda: f64,
+        gamma: f64,
+    ) -> Vec<f64> {
+        self.scatter(flat, &mut st.scratch);
+        self.evaluate(&mut st.ws, wa, &st.scratch, gamma);
+        self.compose(&st.ws, wa, lambda)
     }
 
     fn projector(&self) -> impl Fn(&mut [f64]) + '_ {
@@ -502,21 +428,16 @@ impl<'a> GlobalPlacer<'a> {
         let dens = DensityState {
             ws: DensityWorkspace::with_lanes(&density, design.netlist().num_cells(), lanes),
             scratch: placement.clone(),
-            memo: MemoKey::default(),
         };
         let eff_width: Vec<f64> = design.netlist().cells().iter().map(|c| c.width).collect();
         let padding = vec![0.0; eff_width.len()];
         let sentinel = DivergenceSentinel::new(DIVERGENCE_WINDOW);
-        let wa = WaState {
-            ws: WaWorkspace::new(lanes.wa),
-            memo: MemoKey::default(),
-        };
         Ok(GlobalPlacer {
             design,
             config,
             density,
             dens,
-            wa,
+            wa: WaWorkspace::new(lanes.wa),
             placement,
             eff_width,
             padding,
@@ -666,17 +587,17 @@ impl<'a> GlobalPlacer<'a> {
         }
         self.placement = snap.placement;
         self.dens.scratch = self.placement.clone();
-        self.dens.memo.forget(); // the widths changed under the memo
-        self.wa.memo.forget(); // and so may have the fixed cells
         self.padding = snap.padding;
         self.lambda = snap.lambda;
         self.iter = snap.iter;
         self.last_overflow = snap.last_overflow;
         self.step_scale = snap.step_scale.clamp(1e-9, 1.0);
         self.recoveries = snap.recoveries;
+        // Cold: the workspaces hold no gradient at the restored `v_k`.
         self.opt = snap.opt.map(|state| Solver {
             nesterov: NesterovOptimizer::from_state(state),
             gamma: snap.opt_gamma,
+            warm: false,
         });
         self.frozen = false;
         self.last_good = None;
@@ -707,7 +628,6 @@ impl<'a> GlobalPlacer<'a> {
             self.eff_width[i] = cell.width + padding[i];
         }
         self.padding = padding;
-        self.dens.memo.forget(); // the widths changed under the memo
         self.opt = None; // momentum reset; next step re-seeds the optimizer
     }
 
@@ -726,7 +646,6 @@ impl<'a> GlobalPlacer<'a> {
             "extra charge must be finite"
         );
         self.density.set_extra_charge(extra);
-        self.dens.memo.forget(); // the static charge changed under the memo
         self.opt = None;
     }
 
@@ -756,7 +675,7 @@ impl<'a> GlobalPlacer<'a> {
     /// The placer as a gradient evaluation sees it: read-only inputs and the
     /// current placement on one side, the density pipeline's state and the
     /// WA workspace on the other.
-    fn split(&mut self) -> (Inputs<'_>, &mut DensityState, &mut WaState, &Placement) {
+    fn split(&mut self) -> (Inputs<'_>, &mut DensityState, &mut WaWorkspace, &Placement) {
         let inputs = Inputs {
             design: self.design,
             density: &self.density,
@@ -768,24 +687,26 @@ impl<'a> GlobalPlacer<'a> {
         (inputs, &mut self.dens, &mut self.wa, &self.placement)
     }
 
-    /// Bootstraps λ (wirelength/density gradient balance) and the Nesterov
-    /// state; called lazily by the first [`GlobalPlacer::step`] and after
-    /// every [`GlobalPlacer::set_padding`].
-    fn ensure_optimizer(&mut self) {
-        if self.opt.is_some() {
-            return;
+    /// Takes the live solver, or bootstraps one: evaluates the gradient at
+    /// the projected placement once, balances λ (wirelength/density
+    /// gradient balance) on it when λ is unset, and seeds a warm Nesterov
+    /// state with its combination. Called by every non-frozen
+    /// [`GlobalPlacer::step`], which so bootstraps a solver before its
+    /// first iteration and after every event that drops one.
+    fn ensure_optimizer(&mut self) -> Solver {
+        if let Some(solver) = self.opt.take() {
+            return solver;
         }
         let gamma = self.gamma();
         let mut lambda = self.lambda;
         let mut flat = self.flat_state();
         let (inputs, dens, wa, _) = self.split();
         inputs.projector()(&mut flat);
+        inputs.scatter(&flat, &mut dens.scratch);
+        inputs.evaluate(&mut dens.ws, wa, &dens.scratch, gamma);
         if lambda == 0.0 {
-            inputs.scatter(&flat, &mut dens.scratch);
-            inputs.wa_grad(wa, &flat, &dens.scratch, gamma);
-            inputs.density_grad(dens, &flat);
             let de = dens.ws.last_gradient();
-            let (wx, wy) = (wa.ws.grad_x(), wa.ws.grad_y());
+            let (wx, wy) = (wa.grad_x(), wa.grad_y());
             let sw: f64 = inputs
                 .movable
                 .iter()
@@ -798,7 +719,7 @@ impl<'a> GlobalPlacer<'a> {
                 .sum();
             lambda = if sd > 1e-12 { sw / sd } else { 1.0 };
         }
-        let g = inputs.combined_grad(dens, wa, &flat, lambda, gamma);
+        let g = inputs.compose(&dens.ws, wa, lambda);
         self.lambda = lambda;
         let gmax = g.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         let bin = self.density.bin_w().min(self.density.bin_h());
@@ -809,10 +730,11 @@ impl<'a> GlobalPlacer<'a> {
         };
         // Divergence recoveries shrink the bootstrap step via `step_scale`.
         let alpha0 = (alpha0 * self.step_scale).max(1e-9);
-        self.opt = Some(Solver {
+        Solver {
             nesterov: NesterovOptimizer::new(flat, g, alpha0),
             gamma: Some(gamma),
-        });
+            warm: true,
+        }
     }
 
     /// Performs one Nesterov iteration and returns the updated statistics.
@@ -822,7 +744,8 @@ impl<'a> GlobalPlacer<'a> {
     /// backtracking round has just taken the gradient there, and the
     /// statistics are by-products of that evaluation — the overflow read
     /// off its charge map, the HPWL off the WA kernel's per-net extremes —
-    /// so a step evaluates no point its gradients did not.
+    /// so a step evaluates no point its gradients did not. That gradient
+    /// stays in the workspaces, and the next step opens with it.
     ///
     /// A divergence sentinel watches every iterate for non-finite
     /// coordinates or statistics, exploding wirelength, and overflow limit
@@ -840,41 +763,34 @@ impl<'a> GlobalPlacer<'a> {
             self.emit_iter(&stats);
             return stats;
         }
-        self.ensure_optimizer();
-        let gamma = self.gamma();
-        let lambda = self.lambda;
-        let Some(Solver {
+        let Solver {
             nesterov: mut opt,
             gamma: carried,
-        }) = self.opt.take()
-        else {
-            // `ensure_optimizer` always fills the slot; behave like the
-            // frozen path rather than asserting if it somehow did not.
-            self.iter += 1;
-            let mut stats = self.healthy_stats();
-            stats.iter = self.iter;
-            self.emit_iter(&stats);
-            return stats;
-        };
+            warm,
+        } = self.ensure_optimizer();
+        let gamma = self.gamma();
+        let lambda = self.lambda;
         let (inputs, dens, wa, placement) = self.split();
-        // The opening gradient at the carried γ, every backtracking round at
-        // the fresh one.
-        let mut round_gamma = carried.unwrap_or(gamma);
+        // The opening gradient `∇f(v_k)`: from the workspaces when they
+        // hold it, else evaluated at the carried γ. Every backtracking round
+        // takes the fresh one.
+        let opening = if warm {
+            inputs.compose(&dens.ws, wa, lambda)
+        } else {
+            inputs.combined_grad(dens, wa, opt.reference(), lambda, carried.unwrap_or(gamma))
+        };
         opt.step(
-            |flat: &[f64]| {
-                let g = inputs.combined_grad(dens, wa, flat, lambda, round_gamma);
-                round_gamma = gamma;
-                g
-            },
+            opening,
+            |flat: &[f64]| inputs.combined_grad(dens, wa, flat, lambda, gamma),
             inputs.projector(),
         );
         // Every round ends on a gradient at its `v_new`, and the last
         // round's `v_new` is the new reference point `v_{k+1}`. The placer
         // commits it: both workspaces hold its evaluation, overflow and
-        // HPWL included.
+        // HPWL included, which leaves the solver warm.
         let mut new_placement = placement.clone();
         inputs.scatter(opt.reference(), &mut new_placement);
-        let (overflow, hpwl) = (dens.ws.last_overflow(), wa.ws.hpwl());
+        let (overflow, hpwl) = (dens.ws.last_overflow(), wa.hpwl());
         let prev_placement = std::mem::replace(&mut self.placement, new_placement);
         self.iter += 1;
         let new_lambda = self.lambda * self.config.lambda_growth;
@@ -888,6 +804,7 @@ impl<'a> GlobalPlacer<'a> {
         self.opt = Some(Solver {
             nesterov: opt,
             gamma: Some(gamma),
+            warm: true,
         });
 
         if let Some(reason) = verdict {
@@ -931,24 +848,23 @@ impl<'a> GlobalPlacer<'a> {
 
     /// Statistics of the solution currently held (used by the frozen path
     /// and after a rollback, where the diverged iterate's numbers would be
-    /// meaningless or non-finite).
+    /// meaningless or non-finite): the rollback target's, or else the
+    /// overflow and HPWL of one gradient evaluation of the placement. Both
+    /// paths run without a solver, so the evaluation clobbers no warm one.
     fn healthy_stats(&mut self) -> IterationStats {
         if let Some(lg) = &self.last_good {
             return lg.stats;
         }
-        let overflow = self.density_overflow();
+        let gamma = self.gamma();
+        let (inputs, dens, wa, placement) = self.split();
+        inputs.evaluate(&mut dens.ws, wa, placement, gamma);
+        let (overflow, hpwl) = (dens.ws.last_overflow(), wa.hpwl());
         IterationStats {
             iter: self.iter,
             overflow,
-            hpwl: total_hpwl(self.design.netlist(), &self.placement),
+            hpwl,
             lambda: self.lambda,
         }
-    }
-
-    /// The density overflow of the current placement.
-    fn density_overflow(&mut self) -> f64 {
-        let (inputs, dens, _, placement) = self.split();
-        inputs.density_overflow(dens, placement)
     }
 
     /// Discards the diverged iterate: rolls back to the last healthy
@@ -1050,6 +966,7 @@ impl<'a> GlobalPlacer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use puffer_db::hpwl::total_hpwl;
     use puffer_gen::{generate, GeneratorConfig};
 
     fn small_design() -> Design {
@@ -1060,6 +977,22 @@ mod tests {
             ..GeneratorConfig::default()
         })
         .unwrap()
+    }
+
+    /// The density overflow of the held placement, by the one-shot
+    /// evaluation: the reference for the overflow a step reads off its
+    /// gradient.
+    fn overflow_of(placer: &GlobalPlacer<'_>) -> f64 {
+        placer
+            .density
+            .evaluate_threaded(
+                placer.design.netlist(),
+                placer.placement(),
+                &placer.eff_width,
+                placer.config.target_density,
+                1,
+            )
+            .overflow
     }
 
     #[test]
@@ -1259,7 +1192,7 @@ mod tests {
             // Behind `set_padding`'s back, which rejects such a width.
             let cell = placer.movable[3].index();
             placer.eff_width[cell] = poison;
-            assert!(!placer.density_overflow().is_finite());
+            assert!(!overflow_of(&placer).is_finite());
             assert!(total_hpwl(d.netlist(), placer.placement()).is_finite());
 
             let stats = placer.step();
@@ -1312,7 +1245,7 @@ mod tests {
         placer.placement.set(victim, Point::new(f64::NAN, y));
         placer.opt = None; // the next step starts from the poisoned point
         assert!(total_hpwl(d.netlist(), placer.placement()).is_finite());
-        assert!(placer.density_overflow().is_finite());
+        assert!(overflow_of(&placer).is_finite());
 
         let stats = placer.step();
         assert_eq!(placer.last_divergence(), Some(Divergence::NonFinite));
@@ -1508,35 +1441,35 @@ mod tests {
             .map_or(0, |(_, v)| *v)
     }
 
+    /// Bootstraps `placer`'s solver without stepping, as a step would.
+    fn bootstrap(placer: &mut GlobalPlacer<'_>) {
+        let solver = placer.ensure_optimizer();
+        placer.opt = Some(solver);
+    }
+
     #[test]
     fn a_step_runs_three_transforms_when_the_first_round_is_accepted() {
         let d = small_design();
         let mut placer = GlobalPlacer::new(&d, PlacerConfig::default()).unwrap();
         let trace = Trace::enabled();
         placer.set_trace(trace.clone());
-        placer.step(); // bootstrap: one gradient for λ and α₀, reused twice
-        let read = || {
-            [
-                "place.density_evals",
-                "place.density_memo_hits",
-                "fft.transforms2d",
-            ]
-            .map(|name| counter(&trace, name))
-        };
+        let read = || ["place.density_evals", "fft.transforms2d"].map(|name| counter(&trace, name));
+        bootstrap(&mut placer);
+        // One gradient balances λ, sizes α₀ and opens the first step.
         let mut before = read();
         assert_eq!(
-            before[1], 2,
-            "the bootstrap gradient serves combined_grad and grad(v₀)"
+            before,
+            [1, 3],
+            "the bootstrap evaluates its start point once"
         );
         let mut three = 0;
         for _ in 0..20 {
             placer.step();
             let after = read();
-            let [evals, hits, transforms] = [0, 1, 2].map(|k| after[k] - before[k]);
-            // Opening gradient from the memo; then one gradient (3
-            // transforms) per backtracking round, and nothing else: the
-            // statistics come with the last round's gradient.
-            assert_eq!(hits, 1);
+            let [evals, transforms] = [0, 1].map(|k| after[k] - before[k]);
+            // The opening gradient is the one the workspaces hold; then one
+            // gradient (3 transforms) per backtracking round, and nothing
+            // else: the statistics come with the last round's gradient.
             assert!((1..=4).contains(&evals), "{evals} evaluations in one step");
             assert_eq!(transforms, 3 * evals);
             three += u32::from(transforms == 3);
@@ -1554,23 +1487,22 @@ mod tests {
         let mut placer = GlobalPlacer::new(&d, PlacerConfig::default()).unwrap();
         let trace = Trace::enabled();
         placer.set_trace(trace.clone());
-        placer.step();
         let read = || {
             [
                 "place.wa_grad_evals",
-                "place.wa_memo_hits",
                 "place.wa_exp_calls",
                 "place.wa_exp_terms",
                 "place.density_evals",
             ]
             .map(|name| counter(&trace, name))
         };
+        bootstrap(&mut placer);
         let mut before = read();
-        // The first step evaluates its start point once, to balance λ; α₀
-        // inside `combined_grad` and the opening gradient read the memo.
-        // Then one gradient per backtracking round.
-        assert_eq!(before[1], 2, "the bootstrap gradient serves twice");
-        assert!(before[0] >= 2, "{} gradients in the first step", before[0]);
+        assert_eq!(
+            [before[0], before[3]],
+            [1, 1],
+            "the bootstrap is one evaluation of each kind"
+        );
         let nl = d.netlist();
         let active_pins: u64 = nl
             .iter_nets()
@@ -1581,13 +1513,11 @@ mod tests {
         for _ in 0..20 {
             placer.step();
             let after = read();
-            let [grads, hits, calls, terms, density] =
-                [0, 1, 2, 3, 4].map(|k| after[k] - before[k]);
-            // The opening gradient from the memo (the carried γ is the one
-            // the last round took), one per backtracking round. The density
+            let [grads, calls, terms, density] = [0, 1, 2, 3].map(|k| after[k] - before[k]);
+            // One per backtracking round: the opening gradient (at the
+            // carried γ) is the one the last round left. The density
             // pipeline runs the same rounds; neither half runs a statistics
             // pass.
-            assert_eq!(hits, 1, "the opening gradient comes from the memo");
             assert_eq!(
                 grads, density,
                 "{grads} WA gradients, {density} density evaluations"
@@ -1605,7 +1535,8 @@ mod tests {
 
     /// The statistics a step returns are by-products of its last gradient
     /// evaluation; they must still describe the placement it commits, bit
-    /// for bit, across a padding change, a restore and a recovery.
+    /// for bit, across a padding change, a restore and two recoveries: one
+    /// with a rollback target, and one right after a restore, without.
     #[test]
     fn step_statistics_describe_the_committed_placement() {
         let d = small_design();
@@ -1621,15 +1552,23 @@ mod tests {
             match k {
                 8 => placer.set_padding(pad.clone()),
                 12 => saved = Some(placer.snapshot()),
-                18 => placer.restore(saved.take().unwrap()).unwrap(),
+                18 => placer.restore(saved.clone().unwrap()).unwrap(),
                 24 => poison(&mut placer),
+                27 => {
+                    placer.restore(saved.clone().unwrap()).unwrap();
+                    poison(&mut placer);
+                }
                 _ => {}
             }
             let recoveries = placer.recoveries();
             let stats = placer.step();
-            assert_eq!(placer.recoveries() - recoveries, usize::from(k == 24));
+            let recovered = placer.recoveries() - recoveries;
+            assert_eq!(recovered, usize::from(k == 24 || k == 27), "step {k}");
+            if k == 27 {
+                assert!(placer.last_good.is_none(), "no rollback target");
+            }
             let hpwl = total_hpwl(d.netlist(), placer.placement());
-            let overflow = placer.density_overflow();
+            let overflow = overflow_of(&placer);
             assert_eq!(stats.iter, placer.iterations(), "step {k}");
             assert_eq!(stats.hpwl.to_bits(), hpwl.to_bits(), "step {k}: hpwl");
             assert_eq!(
@@ -1669,7 +1608,7 @@ mod tests {
         assert_eq!(old.snapshot().opt_gamma, Some(gamma));
     }
 
-    /// One move of the memo property test's scripts.
+    /// One move of the warm-solver property test's scripts.
     #[derive(Debug, Clone)]
     enum Op {
         Steps(usize),
@@ -1684,12 +1623,28 @@ mod tests {
         PoisonAndStep,
     }
 
-    fn apply(placer: &mut GlobalPlacer<'_>, op: &Op, saved: &mut Option<PlacerSnapshot>) {
+    /// Steps `placer`; with `cold`, first makes its solver cold, so the
+    /// step evaluates its opening gradient as after a restore.
+    fn step_as(placer: &mut GlobalPlacer<'_>, cold: bool) {
+        if cold && !placer.frozen {
+            let mut solver = placer.ensure_optimizer();
+            solver.warm = false;
+            placer.opt = Some(solver);
+        }
+        placer.step();
+    }
+
+    fn apply(
+        placer: &mut GlobalPlacer<'_>,
+        op: &Op,
+        saved: &mut Option<PlacerSnapshot>,
+        cold: bool,
+    ) {
         use puffer_rng::StdRng;
         match op {
             Op::Steps(n) => {
                 for _ in 0..*n {
-                    placer.step();
+                    step_as(placer, cold);
                 }
             }
             Op::Pad(seed) => {
@@ -1732,13 +1687,19 @@ mod tests {
                         .set(id, puffer_db::geom::Point::new(f64::NAN, f64::NAN));
                 }
                 placer.opt = None;
-                placer.step();
+                step_as(placer, cold);
             }
         }
     }
 
+    /// A warm step composes its opening gradient from the workspaces; a
+    /// cold one evaluates it. Through random scripts of steps, padding
+    /// changes, extra charge, snapshot/restore and NaN recoveries, a normal
+    /// placer and one whose solver is made cold before every step must hold
+    /// equal snapshots throughout, the cold one evaluating one opening
+    /// gradient more per warm step.
     #[test]
-    fn memo_never_changes_a_trajectory() {
+    fn a_warm_solver_never_changes_a_trajectory() {
         use puffer_rng::check::{run_cases, vec_of};
         let d = small_design();
         let cfg = PlacerConfig::default();
@@ -1754,11 +1715,8 @@ mod tests {
                     4 => Op::PoisonAndStep,
                     _ => Op::Steps(r.gen_range(1..5usize)),
                 });
-                // Whatever was drawn, every invalidation site and a
-                // recovery are crossed with a live memo at least once. The
-                // first step of a solver leaves its reference point on the
-                // placement, so the bootstrap after the charge asks the WA
-                // memo for that point at another γ.
+                // Whatever was drawn, every event that drops or chills the
+                // solver, and a recovery, is crossed at least once.
                 script.extend([
                     Op::Steps(3),
                     Op::Save,
@@ -1776,40 +1734,37 @@ mod tests {
                 script
             },
             |script| {
-                let mut memoised = GlobalPlacer::new(&d, cfg.clone()).unwrap();
-                let mut forgetful = GlobalPlacer::new(&d, cfg.clone()).unwrap();
-                forgetful.dens.memo.disabled = true;
-                forgetful.wa.memo.disabled = true;
-                let trace = Trace::enabled();
-                memoised.set_trace(trace.clone());
-                let (mut saved_m, mut saved_f) = (None, None);
+                let mut warm = GlobalPlacer::new(&d, cfg.clone()).unwrap();
+                let mut cold = GlobalPlacer::new(&d, cfg.clone()).unwrap();
+                let (warm_trace, cold_trace) = (Trace::enabled(), Trace::enabled());
+                warm.set_trace(warm_trace.clone());
+                cold.set_trace(cold_trace.clone());
+                let (mut saved_w, mut saved_c) = (None, None);
                 for (k, op) in script.iter().enumerate() {
-                    apply(&mut memoised, op, &mut saved_m);
-                    apply(&mut forgetful, op, &mut saved_f);
+                    apply(&mut warm, op, &mut saved_w, false);
+                    apply(&mut cold, op, &mut saved_c, true);
                     puffer_rng::prop_check!(
-                        memoised.snapshot() == forgetful.snapshot(),
+                        warm.snapshot() == cold.snapshot(),
                         "snapshots differ after op {k} ({op:?})"
                     );
                 }
-                puffer_rng::prop_check!(memoised.recoveries() >= 1, "no recovery happened");
-                for memo in ["place.density_memo_hits", "place.wa_memo_hits"] {
-                    let hits = counter(&trace, memo);
-                    puffer_rng::prop_check!(hits >= 10, "{memo}: only {hits}");
+                puffer_rng::prop_check!(warm.recoveries() >= 1, "no recovery happened");
+                for evals in ["place.density_evals", "place.wa_grad_evals"] {
+                    let (w, c) = (counter(&warm_trace, evals), counter(&cold_trace, evals));
+                    puffer_rng::prop_check!(c >= w + 10, "{evals}: {w} warm, {c} cold");
                 }
                 Ok(())
             },
         );
     }
 
-    /// Each invalidation site, crossed with memos that a stale hit would
-    /// certainly use: the placer bootstraps at its start point (both memos
-    /// now hold that point), the site changes what a gradient depends on
-    /// while leaving the point alone, and the re-bootstrap must match a
-    /// placer that never held a memo. Deleting the `forget()` call of any
-    /// one site fails its case: the density memo's three, and the WA
-    /// memo's in `restore` (a moved macro).
+    /// Each event that changes what a gradient reads while leaving the
+    /// placement alone must leave no warm solver behind: `set_padding` and
+    /// `set_extra_charge` drop it, and `restore` installs the snapshot's
+    /// solver cold — also when only a fixed macro moved, which only the WA
+    /// half reads. The next step then matches a placer that is always cold.
     #[test]
-    fn every_invalidation_site_forgets_the_memo() {
+    fn every_invalidation_site_leaves_the_solver_cold() {
         let d = small_design();
         let cfg = PlacerConfig::default();
         let pad: Vec<f64> = d
@@ -1837,7 +1792,6 @@ mod tests {
             ("restore", &|p| {
                 let mut snap = p.snapshot();
                 snap.padding = pad.clone();
-                snap.opt = None;
                 p.restore(snap).unwrap();
             }),
             ("restore, a macro moved", &|p| {
@@ -1846,32 +1800,29 @@ mod tests {
                 let at = snap.placement.pos(block);
                 let moved = puffer_db::geom::Point::new(at.x - 5.0, at.y - 5.0);
                 snap.placement.set(block, moved);
-                snap.opt = None;
                 p.restore(snap).unwrap();
             }),
         ];
         for (name, site) in sites {
-            let mut warm = GlobalPlacer::new(&d, cfg.clone()).unwrap();
-            warm.ensure_optimizer();
-            assert!(
-                !warm.dens.memo.flat.is_empty() && !warm.wa.memo.flat.is_empty(),
-                "{name}: the bootstrap fills the memos"
-            );
-            site(&mut warm);
-            warm.ensure_optimizer();
-
+            let mut placer = GlobalPlacer::new(&d, cfg.clone()).unwrap();
             let mut cold = GlobalPlacer::new(&d, cfg.clone()).unwrap();
-            cold.dens.memo.disabled = true;
-            cold.wa.memo.disabled = true;
-            cold.ensure_optimizer();
-            site(&mut cold);
-            cold.ensure_optimizer();
-
-            assert_eq!(
-                warm.snapshot(),
-                cold.snapshot(),
-                "{name} left a stale memo behind"
+            for _ in 0..3 {
+                step_as(&mut placer, false);
+                step_as(&mut cold, true);
+            }
+            assert!(
+                placer.opt.as_ref().is_some_and(|s| s.warm),
+                "{name}: a step leaves the solver warm"
             );
+            site(&mut placer);
+            site(&mut cold);
+            assert!(
+                !placer.opt.as_ref().is_some_and(|s| s.warm),
+                "{name} left a warm solver behind"
+            );
+            step_as(&mut placer, false);
+            step_as(&mut cold, true);
+            assert_eq!(placer.snapshot(), cold.snapshot(), "{name}");
         }
     }
 

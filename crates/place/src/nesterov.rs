@@ -21,10 +21,12 @@
 //! Each backtracking round ends with a gradient at its candidate `v_{k+1}`,
 //! so a step's last gradient is always taken at the reference point it
 //! leaves behind ([`NesterovOptimizer::reference`]), while `u_{k+1}`
-//! ([`NesterovOptimizer::solution`]) is never evaluated. The placement
-//! engine therefore commits `v_{k+1}` as its iterate, as the
-//! DREAMPlace-lineage placers do, and reads its statistics off that last
-//! evaluation.
+//! ([`NesterovOptimizer::solution`]) is never evaluated. The caller hands
+//! each step `∇f(v_k)` rather than the optimizer asking for it, so it can
+//! keep that last gradient instead of taking it again. The placement
+//! engine commits `v_{k+1}` as its iterate, as the DREAMPlace-lineage
+//! placers do, reads its statistics off that last evaluation, and opens
+//! the next step with its gradient.
 
 /// The full serializable state of a [`NesterovOptimizer`], exposed so the
 /// placement engine can snapshot and restore the solver exactly (divergence
@@ -145,17 +147,24 @@ impl NesterovOptimizer {
         }
     }
 
-    /// Performs one accelerated step.
+    /// Performs one accelerated step from `g = ∇f(v_k)`, the gradient at
+    /// the current [`NesterovOptimizer::reference`].
     ///
     /// `grad` must return `∇f` at the queried point; it is called once per
-    /// backtracking round (at most `1 + max_backtracks` times). `project`
+    /// backtracking round (at most `1 + max_backtracks` times), and its last
+    /// call is at the reference point the step leaves behind. `project`
     /// clamps a candidate point into the feasible box after each move.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` differs in length from the state.
     pub fn step(
         &mut self,
+        g: Vec<f64>,
         mut grad: impl FnMut(&[f64]) -> Vec<f64>,
         mut project: impl FnMut(&mut [f64]),
     ) {
-        let g = grad(&self.v);
+        assert_eq!(g.len(), self.v.len(), "state and gradient lengths differ");
         // Lipschitz estimate from the last two reference points.
         let num = l2_diff(&self.v, &self.v_prev);
         let den = l2_diff(&g, &self.g_prev);
@@ -171,9 +180,10 @@ impl NesterovOptimizer {
         let a_next = (1.0 + (4.0 * self.a * self.a + 1.0).sqrt()) / 2.0;
         let coef = (self.a - 1.0) / a_next;
 
-        let mut accepted = false;
         let mut u_new = vec![0.0; self.u.len()];
         let mut v_new = vec![0.0; self.u.len()];
+        // After `max_backtracks` rejections the last round is accepted
+        // regardless.
         for _ in 0..=self.max_backtracks {
             for i in 0..self.u.len() {
                 u_new[i] = self.v[i] - alpha * g[i];
@@ -194,12 +204,10 @@ impl NesterovOptimizer {
                 alpha
             };
             if alpha_hat >= 0.95 * alpha || !alpha_hat.is_finite() || alpha_hat <= 0.0 {
-                accepted = true;
                 break;
             }
             alpha = alpha_hat;
         }
-        let _ = accepted; // after max_backtracks rounds we accept regardless
 
         self.v_prev = std::mem::replace(&mut self.v, v_new);
         self.g_prev = g;
@@ -239,7 +247,7 @@ mod tests {
         let x0 = vec![0.0, 0.0, 0.0];
         let mut opt = NesterovOptimizer::new(x0.clone(), g(&x0), 0.1);
         for _ in 0..200 {
-            opt.step(&g, |_| {});
+            opt.step(g(opt.reference()), &g, |_| {});
         }
         for (xi, ti) in opt.solution().iter().zip(&t) {
             assert!((xi - ti).abs() < 1e-3, "{xi} vs {ti}");
@@ -256,7 +264,7 @@ mod tests {
 
         let mut opt = NesterovOptimizer::new(x0.clone(), g(&x0), 1.0 / 200.0);
         for _ in 0..100 {
-            opt.step(&g, |_| {});
+            opt.step(g(opt.reference()), &g, |_| {});
         }
         let nesterov_err: f64 = opt
             .solution()
@@ -288,7 +296,7 @@ mod tests {
         let x0 = vec![0.0];
         let mut opt = NesterovOptimizer::new(x0.clone(), g(&x0), 0.2);
         for _ in 0..50 {
-            opt.step(&g, |x| {
+            opt.step(g(opt.reference()), &g, |x| {
                 for v in x.iter_mut() {
                     *v = v.clamp(0.0, 5.0);
                 }
@@ -303,7 +311,7 @@ mod tests {
         let g = |_: &[f64]| vec![0.0, 0.0];
         let mut opt = NesterovOptimizer::new(vec![1.0, 2.0], vec![0.0, 0.0], 0.5);
         for _ in 0..10 {
-            opt.step(g, |_| {});
+            opt.step(g(opt.reference()), g, |_| {});
         }
         assert_eq!(opt.solution(), &[1.0, 2.0]);
     }
@@ -322,12 +330,12 @@ mod tests {
         let x0 = vec![0.0, 0.0, 0.0];
         let mut opt = NesterovOptimizer::new(x0.clone(), g(&x0), 0.1);
         for _ in 0..20 {
-            opt.step(&g, |_| {});
+            opt.step(g(opt.reference()), &g, |_| {});
         }
         let mut restored = NesterovOptimizer::from_state(opt.state());
         for _ in 0..20 {
-            opt.step(&g, |_| {});
-            restored.step(&g, |_| {});
+            opt.step(g(opt.reference()), &g, |_| {});
+            restored.step(g(restored.reference()), &g, |_| {});
         }
         assert_eq!(opt.solution(), restored.solution());
         assert_eq!(opt.step_size(), restored.step_size());
@@ -342,7 +350,7 @@ mod tests {
         // Deliberately huge initial step; backtracking must shrink it.
         let mut opt = NesterovOptimizer::new(x0.clone(), g(&x0), 10.0);
         for _ in 0..30 {
-            opt.step(&g, |_| {});
+            opt.step(g(opt.reference()), &g, |_| {});
         }
         assert!(opt.step_size() < 1.0);
         assert!(opt.solution()[0].abs() < 1.0);

@@ -200,14 +200,6 @@ fn render_with(case: &Case, slot: &mut Option<DensityWorkspace>, lanes: GpLanes)
     let ws = slot
         .get_or_insert_with(|| DensityWorkspace::with_lanes(&model, netlist.num_cells(), lanes));
     let mut out = density_line(case, &model);
-    let overflow = ws.statistics(
-        &model,
-        netlist,
-        &case.placement,
-        &case.eff_width,
-        TARGET_DENSITY,
-    );
-    out.push_str(&overflow_line(case, overflow));
     let grad = ws.gradient(
         &model,
         netlist,
@@ -215,12 +207,9 @@ fn render_with(case: &Case, slot: &mut Option<DensityWorkspace>, lanes: GpLanes)
         &case.eff_width,
         TARGET_DENSITY,
     );
-    out.push_str(&gradient_lines(case, grad));
-    assert_eq!(
-        ws.last_overflow().to_bits(),
-        overflow.to_bits(),
-        "the gradient reads the statistics' overflow"
-    );
+    let grad = gradient_lines(case, grad);
+    out.push_str(&overflow_line(case, ws.last_overflow()));
+    out.push_str(&grad);
     out
 }
 
@@ -303,7 +292,7 @@ fn the_only_zoo_cells_without_a_walk_are_poisoned_and_the_macro() {
     let case = zoo();
     let netlist = case.design.netlist();
     let model = DensityModel::new(&case.design, case.bins, case.bins);
-    let mut ws = DensityWorkspace::new(&model, netlist.num_cells(), 1);
+    let mut ws = DensityWorkspace::with_lanes(&model, netlist.num_cells(), GpLanes::uniform(1));
     let grad = ws.gradient(
         &model,
         netlist,

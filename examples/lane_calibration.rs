@@ -8,15 +8,15 @@
 //! "win" column reads at least 10 %: the time two lanes save, over the
 //! kernel's own one-lane time ("own"). Kernels without a public entry of
 //! their own are timed inside the smallest public call that holds them,
-//! with only their own lanes varied. The gather's own time is its
-//! gradient's less the scatter's and three transforms' (the serial
-//! syntheses stay in it, so its win is understated); the scatter's
-//! includes one serial overflow sum:
+//! with only their own lanes varied. The scatter and the gather share one:
+//! the density gradient, whose own time for either is its one-lane time
+//! less three transforms' (the other of the two, the overflow sum and the
+//! serial syntheses stay in it, so both wins are understated):
 //!
 //! | kernel | call timed | sized by |
 //! |---|---|---|
 //! | `wa` | `WaWorkspace::gradient` | pins |
-//! | `scatter` | `DensityWorkspace::statistics` (scatter + overflow sum) | cells |
+//! | `scatter` | `DensityWorkspace::gradient`, scatter lanes only | cells |
 //! | `transform` | one `transform2d_planned` (DCT-II both axes) | bins |
 //! | `gather` | `DensityWorkspace::gradient`, gather lanes only | cells |
 //! | `demand` | `try_build_demand` | nets |
@@ -77,8 +77,10 @@ struct Bench<'a> {
     rho: Vec<f64>,
     plane: Vec<f64>,
     wa: [WaWorkspace; 2],
-    stats: [DensityWorkspace; 2],
-    grads: [DensityWorkspace; 2],
+    /// One- and two-lane density workspaces, varying the scatter's lanes.
+    scatters: [DensityWorkspace; 2],
+    /// The same, varying the gather's.
+    gathers: [DensityWorkspace; 2],
     fft: [Vec<Vec<Complex>>; 2],
 }
 
@@ -103,6 +105,10 @@ impl<'a> Bench<'a> {
         let cells = nl.num_cells();
         let dim = DensityModel::auto_dim(cells);
         let model = DensityModel::new(design, dim, dim);
+        let scatter = |s| GpLanes {
+            scatter: s,
+            ..GpLanes::uniform(1)
+        };
         let gather = |g| GpLanes {
             gather: g,
             ..GpLanes::uniform(1)
@@ -117,11 +123,11 @@ impl<'a> Bench<'a> {
             rho: vec![0.0; dim * dim],
             plane: vec![0.0; dim * dim],
             wa: [WaWorkspace::new(1), WaWorkspace::new(2)],
-            stats: [
-                DensityWorkspace::new(&model, cells, 1),
-                DensityWorkspace::new(&model, cells, 2),
+            scatters: [
+                DensityWorkspace::with_lanes(&model, cells, scatter(1)),
+                DensityWorkspace::with_lanes(&model, cells, scatter(2)),
             ],
-            grads: [
+            gathers: [
                 DensityWorkspace::with_lanes(&model, cells, gather(1)),
                 DensityWorkspace::with_lanes(&model, cells, gather(2)),
             ],
@@ -159,7 +165,7 @@ impl<'a> Bench<'a> {
                 self.wa[k].gradient(nl, p, self.gamma);
             }
             1 => {
-                self.stats[k].statistics(m, nl, p, w, 1.0);
+                self.scatters[k].gradient(m, nl, p, w, 1.0);
             }
             2 => {
                 let dim = m.mx();
@@ -173,7 +179,7 @@ impl<'a> Bench<'a> {
                 );
             }
             3 => {
-                self.grads[k].gradient(m, nl, p, w, 1.0);
+                self.gathers[k].gradient(m, nl, p, w, 1.0);
             }
             4 => {
                 try_build_demand(self.design, p, &self.gcells, PIN_PENALTY, lanes).ok();
@@ -251,10 +257,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let medians: Vec<[[f64; 3]; 2]> = (0..KERNELS.len()).map(|k| bench.time(k)).collect();
         for (kernel, (name, unit)) in KERNELS.iter().enumerate() {
             let [one, two] = medians[kernel];
-            // The gather's own one-lane time: its gradient's, less the
-            // scatter's and the three transforms'.
+            // The scatter's and the gather's own one-lane time: their
+            // gradient's, less the three transforms'.
             let own = match kernel {
-                3 => one[1] - medians[1][0][1] - 3.0 * medians[2][0][1],
+                1 | 3 => one[1] - 3.0 * medians[2][0][1],
                 _ => one[1],
             };
             let fmt = |q: [f64; 3]| format!("{:>7.3} / {:>7.3} / {:>7.3}", q[0], q[1], q[2]);

@@ -57,21 +57,23 @@ PUFFER=target/release/puffer
 "$PUFFER" trace "$SMOKE_DIR/smoke.jsonl" --check
 
 # Table II ledger: BENCH_table2.json is the committed output of the
-# command it names. Re-run it and require every row's HOF, VOF and WL (and
-# its GP iterations and padding rounds) bit for bit: they are
-# deterministic, so a change that moves one must re-render the file. RT is
+# command it names. Re-run it into the smoke directory and require the same
+# command and scale lines, and every row's HOF, VOF and WL (and its GP
+# iterations and padding rounds) bit for bit: they are deterministic, so a
+# change that moves one must re-render the file. The command names the
+# ledger's file name alone, not the directory it was written to. RT is
 # recorded in the ledger but not compared. No PUFFER row may be capped.
 echo "==> Table II ledger (table2 --scale 0.003 --json vs BENCH_table2.json)"
 target/release/table2 --scale 0.003 --out "$SMOKE_DIR/paper" \
-  --json "$SMOKE_DIR/table2.json" > /dev/null
-ledger_rows() { grep '"design":' "$1" | sed -E 's/,"rt_s":[^,}]*//'; }
-if ! diff <(ledger_rows BENCH_table2.json) <(ledger_rows "$SMOKE_DIR/table2.json"); then
-  echo "Table II ledger: a quality bit moved; re-render BENCH_table2.json with the command it names"
+  --json "$SMOKE_DIR/BENCH_table2.json" > /dev/null
+ledger_rows() { grep -E '"(command|scale|design)":' "$1" | sed -E 's/,"rt_s":[^,}]*//'; }
+if ! diff <(ledger_rows BENCH_table2.json) <(ledger_rows "$SMOKE_DIR/BENCH_table2.json"); then
+  echo "Table II ledger: the command or a quality bit moved; re-render BENCH_table2.json with the command it names"
   exit 1
 fi
 # A row capped at its flow's GP iteration cap is wherever the cap cut the
 # run off; PUFFER's rows must all be converged results.
-if grep '"flow":"PUFFER"' "$SMOKE_DIR/table2.json" | grep -q '"capped":true'; then
+if grep '"flow":"PUFFER"' "$SMOKE_DIR/BENCH_table2.json" | grep -q '"capped":true'; then
   echo "Table II ledger: a PUFFER row stopped at its GP iteration cap"
   exit 1
 fi

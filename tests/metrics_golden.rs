@@ -126,12 +126,13 @@ fn metrics_run_is_schema_valid_and_consistent() {
     assert_eq!(count("journal"), 1);
 
     // The density pipeline's exact counters. A first-round-accepted step
-    // is 3 transforms: the one new gradient's (its opening gradient comes
-    // from the memo, and the step's overflow is read off that gradient's
-    // charge map), so every evaluation is a gradient and no statistics pass
-    // runs. The pinned values make any change to that shape visible; the
-    // bound keeps a step below 4 transforms, which three full evaluations
-    // (12) or a Poisson solve for the statistics would break.
+    // is 3 transforms: the one new gradient's (its opening gradient is the
+    // one the previous step's last round left in the workspace, and the
+    // step's overflow is read off that gradient's charge map), so every
+    // evaluation is a gradient and no statistics pass runs. The pinned
+    // values make any change to that shape visible; the bound keeps a step
+    // below 4 transforms, which three full evaluations (12) or a Poisson
+    // solve for the statistics would break.
     let counter = |name: &str| -> usize {
         let r = of_kind("counter")
             .into_iter()
@@ -141,7 +142,6 @@ fn metrics_run_is_schema_valid_and_consistent() {
     };
     assert_eq!(gp_iterations, 203);
     assert_eq!(counter("place.density_evals"), 247);
-    assert_eq!(counter("place.density_memo_hits"), 204);
     assert_eq!(
         counter("fft.transforms2d"),
         3 * counter("place.density_evals")
@@ -149,11 +149,11 @@ fn metrics_run_is_schema_valid_and_consistent() {
     assert_eq!(counter("fft.transforms2d"), 741);
     assert!(counter("fft.transforms2d") < 4 * gp_iterations);
 
-    // The WA kernel's exact counters. Every density gradient request — from
-    // the memo or not — has a WA gradient request beside it, and a step's
-    // HPWL is read off its last WA evaluation. A step's opening gradient
-    // takes γ where the previous step's last backtracking round took it,
-    // so the WA memo serves it as the density memo does, once a step.
+    // The WA kernel's exact counters. Every density evaluation has a WA
+    // evaluation beside it, and a step's HPWL is read off its last WA
+    // evaluation. A step's opening gradient takes γ where the previous
+    // step's last backtracking round took it, so that round's WA gradient
+    // serves it as its density gradient does.
     // `terms` is what Eq. (2) names, 4 exponentials per pin of a
     // contributing net per evaluation: 8_604 (4 × 2151 pins) each; `calls`
     // is what the kernel ran, 5_064 per evaluation on this design. The
@@ -161,10 +161,9 @@ fn metrics_run_is_schema_valid_and_consistent() {
     // visible; the bound keeps un-elided evaluation (calls = terms) from
     // coming back.
     assert_eq!(counter("place.wa_grad_evals"), 247);
-    assert_eq!(counter("place.wa_memo_hits"), 204);
     assert_eq!(
-        counter("place.wa_grad_evals") + counter("place.wa_memo_hits"),
-        counter("place.density_evals") + counter("place.density_memo_hits")
+        counter("place.wa_grad_evals"),
+        counter("place.density_evals")
     );
     assert_eq!(counter("place.wa_exp_terms"), 2_125_188);
     assert_eq!(counter("place.wa_exp_calls"), 1_250_808);

@@ -145,8 +145,8 @@ fn placer_steps_on_a_128_bin_grid_are_bit_identical_across_thread_counts() {
         let mut placer = GlobalPlacer::new(&d, config).unwrap();
         assert_eq!(placer.density_dims(), (128, 128));
         let stats: Vec<_> = (0..4).map(|_| placer.step()).collect();
-        // A padding change mid-run re-seeds the optimizer (and must drop
-        // the density-gradient memo) identically everywhere.
+        // A padding change mid-run drops the solver, and the next step
+        // re-seeds it, identically everywhere.
         let pad = d.netlist().cells().iter().map(|c| 0.25 * c.width).collect();
         placer.set_padding(pad);
         let last = placer.step();

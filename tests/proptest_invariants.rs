@@ -469,7 +469,7 @@ fn density_histogram_is_conserved_under_partial_grid_merge() {
             let (mx, my) = (32usize, 32usize);
             let (dx, dy) = (region.width() / mx as f64, region.height() / my as f64);
             let scatter = |t: usize| -> Grid<f64> {
-                let parts = puffer_par::map_chunks(cells.len(), t, |range| {
+                let parts = puffer_par::try_map_chunks(cells.len(), t, |range| {
                     let mut g: Grid<f64> = Grid::new(region, mx, my);
                     for i in range {
                         let (x, y, w) = cells[i];
@@ -482,7 +482,8 @@ fn density_histogram_is_conserved_under_partial_grid_merge() {
                         g.splat(&r, w); // height 1.0 → charge = w
                     }
                     g
-                });
+                })
+                .unwrap();
                 let mut merged: Grid<f64> = Grid::new(region, mx, my);
                 for p in &parts {
                     puffer_par::merge_add(merged.as_mut_slice(), p.as_slice());
