@@ -20,10 +20,9 @@
 //!   over `puffer-par`, bit-identical for any worker count;
 //!   [`transform2d_threaded`]/[`transform2d_mixed_threaded`] run it with
 //!   allocating transforms;
-//! * [`transform2d_planned`] — the pass the density solver runs: planned
-//!   rows in place, then each column plan run across whole rows at once,
-//!   with no transpose, bit-identical to [`transform2d_in_place`] over the
-//!   same planned transforms.
+//! * [`dct2_2d`]/[`synthesis_2d`] — the density solver's passes, each
+//!   complex FFT carrying two real lines (DESIGN.md, "Electrostatic
+//!   solver"); bit-identical for any lane count.
 //!
 //! # Example
 //!
@@ -41,7 +40,7 @@
 #![forbid(unsafe_code)]
 
 use std::f64::consts::PI;
-use std::ops::{Add, Mul, Neg, Sub};
+use std::ops::{Add, Mul, Neg, Range, Sub};
 use std::sync::OnceLock;
 
 /// A complex number with `f64` components.
@@ -168,9 +167,8 @@ pub struct Plan {
     n: usize,
     /// Index pairs `(i, j)`, `i < j`, exchanged by the bit-reversal.
     swaps: Vec<(usize, usize)>,
-    /// Where the DCT-II input element at each FFT position comes from:
-    /// the even/odd reordering followed by the bit-reversal.
-    dct2_source: Vec<usize>,
+    /// The bit-reversal as a table: `bitrev[k]` is where element `k` goes.
+    bitrev: Vec<usize>,
     /// `e^{∓2πi·k/len}` for `k < len/2`, stages `len = 2, 4, …, N`
     /// back-to-back (the stage with half-length `h` starts at `h − 1`).
     forward: Vec<Complex>,
@@ -206,16 +204,6 @@ impl Plan {
         for &(i, j) in &swaps {
             reversed.swap(i, j);
         }
-        let dct2_source = reversed
-            .into_iter()
-            .map(|q| {
-                if q < n.div_ceil(2) {
-                    2 * q
-                } else {
-                    2 * (n - 1 - q) + 1
-                }
-            })
-            .collect();
         let stage_twiddles = |sign: f64| {
             let mut table = Vec::with_capacity(n - 1);
             let mut len = 2;
@@ -238,7 +226,7 @@ impl Plan {
         Plan {
             n,
             swaps,
-            dct2_source,
+            bitrev: reversed,
             forward: stage_twiddles(-1.0),
             inverse: stage_twiddles(1.0),
             dct2_post: dct_twiddles(-1.0),
@@ -356,146 +344,6 @@ impl Plan {
             x[2 * i + 1] = v[n - 1 - i].re;
         }
     }
-
-    /// [`Plan::apply`] down every column of a band of rows at once: `x`
-    /// holds the plan's `N` rows of the band (row `k` is element `k` of
-    /// every column), `other` `N` rows of scratch of the same width.
-    ///
-    /// Each step of the 1-D transform — reordering, butterfly, twiddle —
-    /// becomes the same step on whole rows, element by element, so every
-    /// column sees exactly the operations [`Plan::apply`] would perform on
-    /// it, in the same order, and gets the same bits. The complex working
-    /// array is split over the two planes: real parts in one, imaginary
-    /// parts in the other.
-    fn apply_rows(&self, kind: Kind, x: &mut [&mut [f64]], other: &mut [&mut [f64]]) {
-        assert_eq!(x.len(), self.n, "row count differs from the plan's");
-        assert_eq!(
-            other.len(),
-            self.n,
-            "scratch row count differs from the plan's"
-        );
-        match kind {
-            Kind::Dct2 => self.dct2_rows(x, other),
-            Kind::Dct3 => self.dct3_rows(x, other, false),
-            Kind::Dst3Shifted => self.dct3_rows(x, other, true),
-        }
-    }
-
-    /// [`Plan::dct2`] on rows: the reordered, bit-reversed input goes to
-    /// `re`, `x` becomes the (zero) imaginary plane, and the output is
-    /// written back into `x`.
-    fn dct2_rows(&self, x: &mut [&mut [f64]], re: &mut [&mut [f64]]) {
-        for (row, &src) in re.iter_mut().zip(&self.dct2_source) {
-            row.copy_from_slice(x[src]);
-        }
-        for row in x.iter_mut() {
-            row.fill(0.0);
-        }
-        self.butterfly_rows(re, x, &self.forward);
-        for ((out, re), &w) in x.iter_mut().zip(re.iter()).zip(&self.dct2_post) {
-            for (o, &r) in out.iter_mut().zip(re.iter()) {
-                *o = (Complex::new(r, *o) * w).re;
-            }
-        }
-    }
-
-    /// [`Plan::dct3`] on rows — or, with `sine`, the [`Kind::Dst3Shifted`]
-    /// arm of [`Plan::apply`], whose zeroed and reversed input is read in
-    /// place and whose odd outputs are negated as they are written. The
-    /// pre-twiddled input goes to `re` (real parts) and `x` (imaginary
-    /// parts); the output is read from `re` back into `x`.
-    fn dct3_rows(&self, x: &mut [&mut [f64]], re: &mut [&mut [f64]], sine: bool) {
-        let n = self.n;
-        if n == 1 {
-            let scale = |v: &mut f64| *v = if sine { 0.0 } else { *v / 2.0 };
-            x[0].iter_mut().for_each(scale);
-            return;
-        }
-        // V[0] = (x[0]/2, 0), with the sine transform's x[0] zeroed.
-        for (r, i) in re[0].iter_mut().zip(x[0].iter_mut()) {
-            let x0 = if sine { 0.0 } else { *i };
-            (*r, *i) = (x0 / 2.0, 0.0);
-        }
-        // V[k] and V[N−k] read the same two inputs x[k] and x[N−k] (the
-        // sine transform reads them swapped: its input is reversed).
-        for k in 1..=n / 2 {
-            let (pk, pn) = (self.dct3_pre[k], self.dct3_pre[n - k]);
-            if 2 * k == n {
-                for (r, i) in re[k].iter_mut().zip(x[k].iter_mut()) {
-                    let v = pk * Complex::new(*i / 2.0, -*i / 2.0);
-                    (*r, *i) = (v.re, v.im);
-                }
-                continue;
-            }
-            let (xk, xn) = pair(x, k, n - k);
-            let (rk, rn) = pair(re, k, n - k);
-            let rows = xk
-                .iter_mut()
-                .zip(xn.iter_mut())
-                .zip(rk.iter_mut().zip(rn.iter_mut()));
-            for ((ik, in_), (rk, rn)) in rows {
-                let (a, b) = if sine { (*in_, *ik) } else { (*ik, *in_) };
-                let vk = pk * Complex::new(a / 2.0, -b / 2.0);
-                let vn = pn * Complex::new(b / 2.0, -a / 2.0);
-                (*rk, *ik, *rn, *in_) = (vk.re, vk.im, vn.re, vn.im);
-            }
-        }
-        // The bit-reversal moves rows, not values: swap the row handles of
-        // both planes, and swap the imaginary ones back afterwards so that
-        // `x` addresses its own rows again for the output.
-        for &(i, j) in &self.swaps {
-            re.swap(i, j);
-            x.swap(i, j);
-        }
-        self.butterfly_rows(re, x, &self.inverse);
-        for &(i, j) in &self.swaps {
-            x.swap(i, j);
-        }
-        for (k, out) in x.iter_mut().enumerate() {
-            let (src, negate) = if k % 2 == 0 {
-                (k / 2, false)
-            } else {
-                (n - 1 - k / 2, sine)
-            };
-            for (o, &r) in out.iter_mut().zip(re[src].iter()) {
-                *o = if negate { -r } else { r };
-            }
-        }
-    }
-
-    /// The butterfly stages of [`Plan::butterflies`], without its swaps, on
-    /// rows: element `e` of every row of `re` and `im` is one column's
-    /// complex working array.
-    fn butterfly_rows(&self, re: &mut [&mut [f64]], im: &mut [&mut [f64]], twiddles: &[Complex]) {
-        let mut half = 1;
-        while half < self.n {
-            let stage = &twiddles[half - 1..2 * half - 1];
-            for block in (0..self.n).step_by(2 * half) {
-                for (j, &w) in stage.iter().enumerate() {
-                    let (a, b) = (block + j, block + j + half);
-                    let (ar, br) = pair(re, a, b);
-                    let (ai, bi) = pair(im, a, b);
-                    let rows = ar
-                        .iter_mut()
-                        .zip(ai.iter_mut())
-                        .zip(br.iter_mut().zip(bi.iter_mut()));
-                    for ((ar, ai), (br, bi)) in rows {
-                        let u = Complex::new(*ar, *ai);
-                        let v = Complex::new(*br, *bi) * w;
-                        let (sum, diff) = (u + v, u - v);
-                        (*ar, *ai, *br, *bi) = (sum.re, sum.im, diff.re, diff.im);
-                    }
-                }
-            }
-            half <<= 1;
-        }
-    }
-}
-
-/// Rows `i < j` of `rows`, both writable.
-fn pair<'a>(rows: &'a mut [&mut [f64]], i: usize, j: usize) -> (&'a mut [f64], &'a mut [f64]) {
-    let (lo, hi) = rows.split_at_mut(j);
-    (&mut *lo[i], &mut *hi[0])
 }
 
 /// The process-wide plan for length `n`, built on first use and shared by
@@ -610,64 +458,321 @@ pub fn transform2d_in_place<S, FX, FY>(
     transpose(transposed, ny, data);
 }
 
-/// The planned 2-D pass: the transform `kx` along every row, then `ky`
-/// along every column, of the dense row-major `nx × ny` matrix `data`, in
-/// place — the bits of [`transform2d_in_place`] with the same 1-D
-/// transforms.
-///
-/// Rows are transformed where they lie, one [`Plan::apply`] each, on up to
-/// `lanes.len()` workers (each lane is one worker's complex scratch). The
-/// columns are not transposed: the column plan runs across whole rows, each
-/// of its steps an element-wise operation on contiguous rows, with `other`
-/// as the second plane of its complex working array. The lanes split the
-/// columns into bands, one band each; a column's values depend on that
-/// column alone, so the output is bit-identical for any lane count.
+/// One worker's scratch for [`dct2_2d`] and [`synthesis_2d`]: the complex
+/// working array of its band of complex columns, in two planes.
+#[derive(Debug, Clone, Default)]
+pub struct Lane {
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+/// A pass's complex columns in `count` bands of `width`, a power of two of them.
+#[derive(Clone, Copy)]
+struct Bands {
+    count: usize,
+    width: usize,
+}
+
+impl Bands {
+    fn new(total: usize, lanes: usize) -> Self {
+        let count = 1 << puffer_par::clamp_threads(lanes).min(total).ilog2();
+        let width = total / count;
+        Bands { count, width }
+    }
+
+    fn span(self, band: usize) -> Range<usize> {
+        band * self.width..(band + 1) * self.width
+    }
+
+    /// Phase 1: `work(columns, re, im)` on each band's lane, `n` rows deep.
+    fn run(
+        self,
+        lanes: &mut [Lane],
+        n: usize,
+        work: impl Fn(Range<usize>, &mut [f64], &mut [f64]) + Sync,
+    ) {
+        let mut workers = vec![(); self.count];
+        let lanes = &mut lanes[..self.count];
+        puffer_par::for_each_block(lanes, 1, &mut workers, |band, lane, ()| {
+            let Lane { re, im } = &mut lane[0];
+            let span = self.span(band);
+            // Grown, never shrunk: a regrown tail would be zeroed again.
+            let len = n * span.len();
+            if re.len() < len {
+                re.resize(len, 0.0);
+                im.resize(len, 0.0);
+            }
+            work(span, &mut re[..len], &mut im[..len]);
+        });
+    }
+
+    /// Phase 2: the real (`im`: imaginary) planes become lines `at..` of
+    /// `dst`, the columns (`transposed`: rows) of a row-major matrix; a
+    /// line's element `k` is plane row `row(k).0`, negated when `row(k).1`.
+    #[expect(clippy::too_many_arguments, reason = "one pass's write-back")]
+    fn write(
+        self,
+        lanes: &[Lane],
+        im: bool,
+        dst: &mut [f64],
+        at: usize,
+        n: usize,
+        transposed: bool,
+        row: impl Fn(usize) -> (usize, bool) + Sync,
+    ) {
+        let plane = |band: usize| if im { &lanes[band].im } else { &lanes[band].re };
+        let value = |v: f64, negate: bool| if negate { -v } else { v };
+        let mut workers = vec![(); self.count];
+        if transposed {
+            let dst = &mut dst[at * n..(at + self.count * self.width) * n];
+            puffer_par::for_each_block(dst, n, &mut workers, |first, lines, ()| {
+                for (c, out) in (first..).zip(lines.chunks_exact_mut(n)) {
+                    let (from, off) = (plane(c / self.width), c % self.width);
+                    for (k, o) in out.iter_mut().enumerate() {
+                        let (src, negate) = row(k);
+                        *o = value(from[src * self.width + off], negate);
+                    }
+                }
+            });
+            return;
+        }
+        let lines = dst.len() / n;
+        puffer_par::for_each_block(dst, lines, &mut workers, |first, rows, ()| {
+            for (k, out) in (first..).zip(rows.chunks_exact_mut(lines)) {
+                let (src, negate) = row(k);
+                for band in 0..self.count {
+                    let span = self.span(band);
+                    let from = &plane(band)[src * self.width..][..self.width];
+                    let to = &mut out[at + span.start..at + span.end];
+                    for (o, &v) in to.iter_mut().zip(from) {
+                        *o = value(v, negate);
+                    }
+                }
+            }
+        });
+    }
+}
+
+impl Plan {
+    /// [`Plan::butterflies`] without the swaps, across whole rows of planes
+    /// `width` wide; a stage's first twiddle is 1 and is not multiplied in.
+    fn butterfly_planes(&self, re: &mut [f64], im: &mut [f64], width: usize, twiddles: &[Complex]) {
+        let mut half = 1;
+        while half < self.n {
+            let stage = &twiddles[half - 1..2 * half - 1];
+            let blocks = re
+                .chunks_exact_mut(2 * half * width)
+                .zip(im.chunks_exact_mut(2 * half * width));
+            for (re, im) in blocks {
+                let ((re_lo, re_hi), (im_lo, im_hi)) =
+                    (re.split_at_mut(half * width), im.split_at_mut(half * width));
+                let lo = re_lo
+                    .chunks_exact_mut(width)
+                    .zip(im_lo.chunks_exact_mut(width));
+                let hi = re_hi
+                    .chunks_exact_mut(width)
+                    .zip(im_hi.chunks_exact_mut(width));
+                for (j, ((ar, ai), (br, bi))) in lo.zip(hi).enumerate() {
+                    let w = stage[j];
+                    let rows = ar.iter_mut().zip(ai).zip(br.iter_mut().zip(bi));
+                    for ((ar, ai), (br, bi)) in rows {
+                        let (vr, vi) = if j == 0 {
+                            (*br, *bi)
+                        } else {
+                            (*br * w.re - *bi * w.im, *br * w.im + *bi * w.re)
+                        };
+                        (*ar, *ai, *br, *bi) = (*ar + vr, *ai + vi, *ar - vr, *ai - vi);
+                    }
+                }
+            }
+            half <<= 1;
+        }
+    }
+
+    /// The DCT-IIs of `a` and `b` from the FFT `Z` of `a + i·b` (reordered
+    /// as in [`Plan::dct2`]): `A[k] = (Z[k] + conj Z[N−k])/2` and
+    /// `B[k] = (Z[k] − conj Z[N−k])/2i`, then the post-twiddle, in place.
+    fn separate(&self, re: &mut [f64], im: &mut [f64], width: usize) {
+        let n = self.n;
+        for k in 0..=n / 2 {
+            let j = (n - k) % n;
+            let (wk, wj) = (self.dct2_post[k].scale(0.5), self.dct2_post[j].scale(0.5));
+            let parts = |(pr, pi): (f64, f64), (qr, qi): (f64, f64)| {
+                let (sr, si, dr, di) = (pr + qr, pi + qi, qr - pr, pi - qi);
+                let a_k = sr * wk.re - di * wk.im;
+                let b_k = si * wk.re - dr * wk.im;
+                [a_k, b_k, sr * wj.re + di * wj.im, si * wj.re + dr * wj.im]
+            };
+            if j == k {
+                let row = k * width..(k + 1) * width;
+                for (r, i) in re[row.clone()].iter_mut().zip(&mut im[row]) {
+                    [*r, *i, _, _] = parts((*r, *i), (*r, *i));
+                }
+                continue;
+            }
+            let ((re_k, re_j), (im_k, im_j)) =
+                (re.split_at_mut(j * width), im.split_at_mut(j * width));
+            let row_k = re_k[k * width..][..width]
+                .iter_mut()
+                .zip(&mut im_k[k * width..][..width]);
+            for ((rk, ik), (rj, ij)) in row_k.zip(re_j.iter_mut().zip(im_j.iter_mut())) {
+                [*rk, *ik, *rj, *ij] = parts((*rk, *ik), (*rj, *ij));
+            }
+        }
+    }
+
+    /// `V = V_0 + i·V_1` in bit-reversed rows, `V_l` the DCT-III input of line `l`
+    /// pre-twiddled as in [`Plan::dct3`] (a `sine` line reversed first, as in
+    /// [`Plan::apply`]); each `V_l` is Hermitian, so the inverse FFT is `v_0 + i·v_1`.
+    fn pre_twiddle<'s>(
+        &self,
+        line: impl Fn(usize, usize) -> &'s [f64],
+        sine: [bool; 2],
+        re: &mut [f64],
+        im: &mut [f64],
+    ) {
+        let n = self.n;
+        let width = re.len() / n;
+        // V_l[0] = x[0]/2, and 0 for a sine line, whose reversed x[0] is 0.
+        for (l, v) in [&mut *re, &mut *im].into_iter().enumerate() {
+            for (v, &x) in v[..width].iter_mut().zip(line(l, 0)) {
+                *v = if sine[l] { 0.0 } else { 0.5 * x };
+            }
+        }
+        for k in 1..=n / 2 {
+            let j = n - k;
+            // Rows k and N − k; a reversed line reads them swapped.
+            let rows = |l: usize| match sine[l] {
+                true => (line(l, j), line(l, k)),
+                false => (line(l, k), line(l, j)),
+            };
+            let ((ak, aj), (bk, bj)) = (rows(0), rows(1));
+            let h = self.dct3_pre[k].scale(0.5);
+            let (to_k, to_j) = (self.bitrev[k] * width, self.bitrev[j] * width);
+            // At k = N/2 the second write lands on the first.
+            for e in 0..width {
+                let va = h * Complex::new(ak[e], -aj[e]);
+                let vb = h * Complex::new(bk[e], -bj[e]);
+                (re[to_k + e], im[to_k + e]) = (va.re - vb.im, va.im + vb.re);
+                (re[to_j + e], im[to_j + e]) = (va.re + vb.im, vb.re - va.im);
+            }
+        }
+    }
+}
+
+/// DCT-II down the columns of `data` (`n` rows); `c` and `c + width/2` share a complex FFT.
+fn dct2_columns(data: &mut [f64], n: usize, transposed: bool, lanes: &mut [Lane]) {
+    let lines = data.len() / n;
+    let half = lines / 2;
+    let bands = Bands::new(half.max(1), lanes.len());
+    let p = plan(n);
+    let src: &[f64] = data;
+    bands.run(lanes, n, |span, re, im| {
+        let w = span.len();
+        let rows = re.chunks_exact_mut(w).zip(im.chunks_exact_mut(w));
+        for ((re, im), &q) in rows.zip(&p.bitrev) {
+            // Row `q` of the FFT input, as `Plan::dct2` reorders it.
+            let s = if q < n.div_ceil(2) {
+                2 * q
+            } else {
+                2 * (n - 1 - q) + 1
+            };
+            let row = &src[s * lines..][..lines];
+            re.copy_from_slice(&row[span.clone()]);
+            match half {
+                0 => im.fill(0.0),
+                _ => im.copy_from_slice(&row[half + span.start..half + span.end]),
+            }
+        }
+        p.butterfly_planes(re, im, w, &p.forward);
+        p.separate(re, im, w);
+    });
+    bands.write(lanes, false, data, 0, n, transposed, |k| (k, false));
+    if half > 0 {
+        bands.write(lanes, true, data, half, n, transposed, |k| (k, false));
+    }
+}
+
+/// DCT-III or shifted DST-III (`sine`) down the columns of `a` and `b`
+/// (`n` rows), column `c` of both in one complex FFT.
+fn synthesis_columns(
+    [a, b]: [&mut [f64]; 2],
+    n: usize,
+    sine: [bool; 2],
+    transposed: bool,
+    lanes: &mut [Lane],
+) {
+    let lines = a.len() / n;
+    let bands = Bands::new(lines, lanes.len());
+    let p = plan(n);
+    let src: [&[f64]; 2] = [a, b];
+    bands.run(lanes, n, |span, re, im| {
+        let line = |l: usize, k: usize| &src[l][k * lines..][span.clone()];
+        p.pre_twiddle(line, sine, re, im);
+        p.butterfly_planes(re, im, span.len(), &p.inverse);
+    });
+    // Undo the even/odd reordering, y[2i] = v[i] and y[2i+1] = v[N−1−i];
+    // a sine line's odd outputs change sign.
+    let order = |sine: bool| {
+        move |k: usize| match k % 2 {
+            0 => (k / 2, false),
+            _ => (n - 1 - k / 2, sine),
+        }
+    };
+    bands.write(lanes, false, a, 0, n, transposed, order(sine[0]));
+    bands.write(lanes, true, b, 0, n, transposed, order(sine[1]));
+}
+
+/// The density solver's DCT-II along `y`, then `x`, of the row-major
+/// `nx × ny` matrix `data` (row length `nx`), in place, every complex FFT
+/// carrying two real columns; the spectrum is left **transposed**, `(u, v)`
+/// at `data[u * ny + v]`. Lanes split the complex columns into bands, so
+/// the bits ignore the lane count; they differ from [`dct2`]'s in rounding.
 ///
 /// # Panics
 ///
-/// Panics if `data` or `other` is not `nx * ny` long, `lanes` is empty, or
-/// `nx` or `ny` is not a power of two.
-pub fn transform2d_planned(
-    data: &mut [f64],
-    nx: usize,
-    ny: usize,
-    (kx, ky): (Kind, Kind),
-    other: &mut [f64],
-    lanes: &mut [Vec<Complex>],
-) {
+/// Panics if `data` is not `nx * ny` long, `lanes` is empty, or `nx` or
+/// `ny` is not a power of two.
+pub fn dct2_2d(data: &mut [f64], nx: usize, ny: usize, lanes: &mut [Lane]) {
     assert_eq!(data.len(), nx * ny, "matrix shape mismatch");
-    assert_eq!(other.len(), nx * ny, "second plane shape mismatch");
     if nx == 0 || ny == 0 {
         return;
     }
-    let (px, py) = (plan(nx), plan(ny));
-    puffer_par::for_each_block(data, nx, lanes, |_, rows, scratch| {
-        for row in rows.chunks_exact_mut(nx) {
-            px.apply(kx, row, scratch);
-        }
-    });
-    let width = nx.div_ceil(puffer_par::clamp_threads(lanes.len()).min(nx));
-    let mut bands: Vec<Band<'_>> = (0..nx.div_ceil(width)).map(|_| Band::default()).collect();
-    for (row, other_row) in data.chunks_exact_mut(nx).zip(other.chunks_exact_mut(nx)) {
-        let segments = row.chunks_mut(width).zip(other_row.chunks_mut(width));
-        for (band, (x, o)) in bands.iter_mut().zip(segments) {
-            band.x.push(x);
-            band.other.push(o);
-        }
-    }
-    puffer_par::for_each_block(&mut bands, 1, lanes, |_, bands, _| {
-        for band in bands {
-            py.apply_rows(ky, &mut band.x, &mut band.other);
-        }
-    });
+    dct2_columns(data, ny, true, lanes);
+    dct2_columns(data, nx, false, lanes);
 }
 
-/// One lane's columns of the planned pass: the same span of every row, of
-/// the data and of the second plane.
-#[derive(Default)]
-struct Band<'a> {
-    x: Vec<&'a mut [f64]>,
-    other: Vec<&'a mut [f64]>,
+/// The density solver's syntheses, in place: each of two planes of
+/// coefficients, laid out as [`dct2_2d`] leaves a spectrum, through its
+/// transforms along `x` and `y` ([`Kind::Dct3`] or [`Kind::Dst3Shifted`]),
+/// ending row-major. Plane 0 rides in the real and plane 1 in the
+/// imaginary part of every complex FFT; bits as in [`dct2_2d`].
+///
+/// # Panics
+///
+/// Panics if a plane is not `nx * ny` long, a kind is [`Kind::Dct2`],
+/// `lanes` is empty, or `nx` or `ny` is not a power of two.
+pub fn synthesis_2d(
+    nx: usize,
+    ny: usize,
+    [(a, ka), (b, kb)]: [(&mut [f64], (Kind, Kind)); 2],
+    lanes: &mut [Lane],
+) {
+    assert!(
+        a.len() == nx * ny && b.len() == nx * ny,
+        "matrix shape mismatch"
+    );
+    let sine = |kinds: [Kind; 2]| {
+        kinds.map(|kind| {
+            assert_ne!(kind, Kind::Dct2, "a synthesis is a DCT-III or a DST-III");
+            kind == Kind::Dst3Shifted
+        })
+    };
+    let [x, y] = [[ka.0, kb.0], [ka.1, kb.1]].map(sine);
+    if nx > 0 && ny > 0 {
+        synthesis_columns([&mut *a, &mut *b], nx, x, true, lanes);
+        synthesis_columns([a, b], ny, y, false, lanes);
+    }
 }
 
 /// Writes the transpose of the row-major `src` (row length `width`) into
@@ -974,35 +1079,43 @@ mod tests {
         }
     }
 
-    /// The planned pass against the transposing one over the same 1-D
-    /// transforms, bit for bit, down to one-element and two-element lines
-    /// and more lanes than columns.
+    /// The paired passes against the transposing pass over the 1-D
+    /// transforms, down to one-element and two-element lines and more
+    /// lanes than complex columns.
     #[test]
-    fn planned_pass_matches_the_transposing_pass_on_small_shapes() {
+    fn paired_passes_match_the_transposing_pass_on_small_shapes() {
         type Free = fn(&[f64]) -> Vec<f64>;
-        let kinds: [(Kind, Free); 3] = [
-            (Kind::Dct2, dct2),
-            (Kind::Dct3, dct3),
-            (Kind::Dst3Shifted, dst3_shifted),
-        ];
+        let syntheses: [(Kind, Free); 2] = [(Kind::Dct3, dct3), (Kind::Dst3Shifted, dst3_shifted)];
         for (nx, ny) in [(1, 1), (1, 8), (8, 1), (2, 4), (4, 2), (16, 2), (2, 16)] {
             let data: Vec<f64> = (0..nx * ny)
                 .map(|i| (i as f64 * 0.61).sin() - 0.3)
                 .collect();
-            for (kx, fx) in kinds {
-                for (ky, fy) in kinds {
-                    let expect = transform2d_mixed_threaded(&data, nx, ny, fx, fy, 1);
-                    for lanes in [1, 2, 5] {
-                        let mut got = data.clone();
-                        let mut other = vec![0.0; got.len()];
-                        let mut scratch = vec![Vec::new(); lanes];
-                        transform2d_planned(&mut got, nx, ny, (kx, ky), &mut other, &mut scratch);
-                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(
-                            bits(&got),
-                            bits(&expect),
-                            "{nx}x{ny} {kx:?}*{ky:?} lanes {lanes}"
-                        );
+            // The passes' layouts: the spectrum and the coefficients are
+            // transposed (`(u, v)` at `u * ny + v`).
+            let transposed: Vec<f64> = (0..nx * ny).map(|i| data[(i % ny) * nx + i / ny]).collect();
+            let close = |got: &[f64], expect: &[f64], what: &str| {
+                for (g, e) in got.iter().zip(expect) {
+                    assert!((g - e).abs() < 1e-12, "{nx}x{ny} {what}: {g} vs {e}");
+                }
+            };
+            for lanes in [1, 2, 5] {
+                let mut lanes = vec![Lane::default(); lanes];
+                let mut got = data.clone();
+                dct2_2d(&mut got, nx, ny, &mut lanes);
+                let expect = transform2d_mixed_threaded(&data, nx, ny, dct2, dct2, 1);
+                let expect: Vec<f64> = (0..nx * ny)
+                    .map(|i| expect[(i % ny) * nx + i / ny])
+                    .collect();
+                close(&got, &expect, "dct2");
+                for (kx, fx) in syntheses {
+                    for (ky, fy) in syntheses {
+                        let expect = transform2d_mixed_threaded(&data, nx, ny, fx, fy, 1);
+                        let (mut a, mut b) = (transposed.clone(), transposed.clone());
+                        let planes = [(&mut a[..], (kx, ky)), (&mut b[..], (ky, kx))];
+                        synthesis_2d(nx, ny, planes, &mut lanes);
+                        close(&a, &expect, &format!("{kx:?}*{ky:?}"));
+                        let expect = transform2d_mixed_threaded(&data, nx, ny, fy, fx, 1);
+                        close(&b, &expect, &format!("{ky:?}*{kx:?} partner"));
                     }
                 }
             }

@@ -9,16 +9,24 @@
 //! 512×512, the largest bin grid the placer picks) record an FNV-1a digest
 //! of the output bits, which pins the same thing in a line per case instead
 //! of the whole matrix. The last two shapes were rendered by the transposing
-//! column pass, before the planned pass ran its columns across whole rows.
+//! column pass.
+//!
+//! The `dct2_2d` and `synthesis_2d` lines pin the density solver's paired
+//! passes at the same four shapes (the forward transform; the field pair
+//! E_x/E_y, one digest per plane; the potential with a zero partner). They
+//! round differently from the 1-D transforms and were rendered by the
+//! passes' first implementation.
 
-use puffer_fft::{dct2, dct3, dst3_shifted, transform2d_mixed_threaded, transform2d_planned, Kind};
+use puffer_fft::{
+    dct2, dct2_2d, dct3, dst3_shifted, synthesis_2d, transform2d_mixed_threaded, Kind, Lane,
+};
 
 const FIXTURE: &str = include_str!("fixtures/transform_bits.txt");
 type Free = fn(&[f64]) -> Vec<f64>;
-const KINDS: [(&str, Free, Kind); 3] = [
-    ("dct2", dct2, Kind::Dct2),
-    ("dct3", dct3, Kind::Dct3),
-    ("dst3_shifted", dst3_shifted, Kind::Dst3Shifted),
+const KINDS: [(&str, Free); 3] = [
+    ("dct2", dct2),
+    ("dct3", dct3),
+    ("dst3_shifted", dst3_shifted),
 ];
 const LENGTHS: [usize; 4] = [1, 2, 8, 128];
 const SHAPES: [(usize, usize); 4] = [(32, 16), (128, 128), (256, 64), (512, 512)];
@@ -49,12 +57,11 @@ fn digest(values: &[f64]) -> u64 {
     h
 }
 
-/// The fixture text as the code under test computes it, the 2-D cases on
-/// `threads` workers: through the closure-taking free functions, or
-/// (`planned`) through the in-place planned pass the density solver runs.
-fn render(threads: usize, planned: bool) -> String {
+/// The fixture text as the code under test computes it, every 2-D case on
+/// `threads` workers.
+fn render(threads: usize) -> String {
     let mut out = String::new();
-    for (name, f, _) in KINDS {
+    for (name, f) in KINDS {
         for n in LENGTHS {
             out.push_str(&format!("{name} {n}"));
             for v in f(&samples(n, n as u64)) {
@@ -65,23 +72,48 @@ fn render(threads: usize, planned: bool) -> String {
     }
     for (nx, ny) in SHAPES {
         let data = samples(nx * ny, (nx * ny) as u64);
-        for (x_name, fx, kx) in KINDS {
-            for (y_name, fy, ky) in KINDS {
-                let got = if planned {
-                    let mut got = data.clone();
-                    let mut transposed = vec![0.0; got.len()];
-                    let mut lanes = vec![Vec::new(); threads];
-                    transform2d_planned(&mut got, nx, ny, (kx, ky), &mut transposed, &mut lanes);
-                    got
-                } else {
-                    transform2d_mixed_threaded(&data, nx, ny, fx, fy, threads)
-                };
+        for (x_name, fx) in KINDS {
+            for (y_name, fy) in KINDS {
+                let got = transform2d_mixed_threaded(&data, nx, ny, fx, fy, threads);
                 out.push_str(&format!(
                     "{x_name}*{y_name} {nx}x{ny} {:016x}\n",
                     digest(&got)
                 ));
             }
         }
+    }
+    for (nx, ny) in SHAPES {
+        let mut lanes = vec![Lane::default(); threads];
+        let mut a = samples(nx * ny, (nx * ny) as u64);
+        dct2_2d(&mut a, nx, ny, &mut lanes);
+        out.push_str(&format!("dct2_2d {nx}x{ny} {:016x}\n", digest(&a)));
+        let mut b = samples(nx * ny, (nx * ny + 1) as u64);
+        synthesis_2d(
+            nx,
+            ny,
+            [
+                (&mut a, (Kind::Dst3Shifted, Kind::Dct3)),
+                (&mut b, (Kind::Dct3, Kind::Dst3Shifted)),
+            ],
+            &mut lanes,
+        );
+        out.push_str(&format!(
+            "synthesis_2d dst3_shifted*dct3+dct3*dst3_shifted {nx}x{ny} {:016x} {:016x}\n",
+            digest(&a),
+            digest(&b)
+        ));
+        let (mut psi, mut zero) = (samples(nx * ny, (nx * ny + 2) as u64), vec![0.0; nx * ny]);
+        let cosine = (Kind::Dct3, Kind::Dct3);
+        synthesis_2d(
+            nx,
+            ny,
+            [(&mut psi, cosine), (&mut zero, cosine)],
+            &mut lanes,
+        );
+        out.push_str(&format!(
+            "synthesis_2d dct3*dct3 {nx}x{ny} {:016x}\n",
+            digest(&psi)
+        ));
     }
     out
 }
@@ -100,9 +132,6 @@ fn assert_matches_fixture(what: &str, got: &str) {
 #[test]
 fn every_path_reproduces_the_fixture_at_every_thread_count() {
     for threads in [1, 2, 3] {
-        for planned in [false, true] {
-            let what = format!("threads {threads}, planned {planned}");
-            assert_matches_fixture(&what, &render(threads, planned));
-        }
+        assert_matches_fixture(&format!("threads {threads}"), &render(threads));
     }
 }

@@ -35,7 +35,7 @@ use puffer_db::design::{Design, Placement};
 use puffer_db::geom::Rect;
 use puffer_db::grid::{Grid, Walk};
 use puffer_db::netlist::{CellId, Netlist};
-use puffer_fft::{transform2d_planned, Complex, Kind};
+use puffer_fft::{dct2_2d, synthesis_2d, Kind, Lane};
 use std::f64::consts::PI;
 use std::ops::Range;
 
@@ -45,10 +45,11 @@ use std::ops::Range;
 /// cells up, −2 to +17 % at 12.7 K; the second lane starts at 18 K.
 pub(crate) const SCATTER_CELLS_PER_LANE: usize = 9_000;
 
-/// Bins one lane of a 2-D transform must have to pay for its spawn. Same
-/// calibration: two lanes lost 28–83 % at 128² bins; at 256² they won
-/// 17–25 % in five runs and 9.7 % in a sixth, so the second lane starts at
-/// 512².
+/// Bins one lane of the 2-D transforms must have to pay for its spawn.
+/// Same calibration, timing one evaluation's paired passes (0.38–0.46 ms
+/// at 128² on one lane): two lanes lost 124–144 % at 128² bins, and at
+/// 256² lost 39 % in one run and won 13 % in another, so the second lane
+/// still starts at 512².
 pub(crate) const TRANSFORM_BINS_PER_LANE: usize = 65_536;
 
 /// Cells one lane of the field gather must have to pay for its spawn. Same
@@ -315,16 +316,17 @@ struct ScatterLane<'a> {
 }
 
 /// Every buffer the per-iteration density pipeline needs, allocated once
-/// and reused: four bin grids, one scatter scratch per scatter lane and one
-/// FFT scratch per transform lane, the per-chunk charge lists, the
-/// per-cell walk records and the per-cell gradient. A walk record is a
+/// and reused: three bin grids, one scatter scratch per scatter lane, one
+/// [`Lane`] per transform lane (two bin grids' worth between them), the
+/// per-chunk charge lists, the per-cell walk records and the per-cell
+/// gradient. A walk record is a
 /// 24-byte header plus one `f64` per column and per row the cell covers —
 /// 56 bytes for a cell over 2 × 2 bins, with no cap on the span — and the
 /// operand lists keep their capacity from one evaluation to the next.
 ///
 /// A `GlobalPlacer` keeps one for its lifetime and asks it only for
-/// [`DensityWorkspace::gradient`] — three 2-D transforms, the overflow read
-/// off the charge map — where a one-shot
+/// [`DensityWorkspace::gradient`] — three 2-D transforms in two paired
+/// passes, the overflow read off the charge map — where a one-shot
 /// [`DensityModel::evaluate_threaded`] runs all four phases and the energy
 /// over fresh grids.
 /// Grids are shared between phases by lifetime: ψ and then E_x live in
@@ -335,13 +337,12 @@ pub struct DensityWorkspace {
     /// Movable charge per bin after [`Self::charge`]; E_y after
     /// [`Self::field_gradient`].
     movable: Grid<f64>,
-    /// Total charge ρ, then its cosine spectrum `a_{u,v}`.
+    /// Total charge ρ, then its cosine spectrum `a_{u,v}`, transposed as
+    /// [`dct2_2d`] leaves it (`a_{u,v}` at `u · M_y + v`).
     spectrum: Vec<f64>,
     /// ψ after [`Self::potential_energy`]; E_x after [`Self::field_gradient`].
     field: Grid<f64>,
-    /// The planned transforms' second plane.
-    plane: Vec<f64>,
-    fft_lanes: Vec<Vec<Complex>>,
+    fft_lanes: Vec<Lane>,
     scatter_lanes: Vec<ScatterScratch>,
     gather_lanes: usize,
     /// The fixed chunks of the cell index space and what each deposited.
@@ -379,8 +380,7 @@ impl DensityWorkspace {
             movable: grid(),
             spectrum: vec![0.0; mx * my],
             field: grid(),
-            plane: vec![0.0; mx * my],
-            fft_lanes: vec![Vec::new(); clamp(lanes.transform)],
+            fft_lanes: vec![Lane::default(); clamp(lanes.transform)],
             scatter_lanes: (0..clamp(lanes.scatter))
                 .map(|_| ScatterScratch {
                     dense: grid(),
@@ -601,48 +601,8 @@ impl DensityWorkspace {
             *rho = fixed + (extra + movable);
         }
         let (mx, my) = (self.wu.len(), self.wv.len());
-        transform2d_planned(
-            &mut self.spectrum,
-            mx,
-            my,
-            (Kind::Dct2, Kind::Dct2),
-            &mut self.plane,
-            &mut self.fft_lanes,
-        );
+        dct2_2d(&mut self.spectrum, mx, my, &mut self.fft_lanes);
         self.transforms += 1;
-    }
-
-    /// Synthesises `scale · Σ_{u,v} weight(a_{u,v}/(ω_u²+ω_v²), ω_u, ω_v)·basis`
-    /// into `out`, the basis given by `kinds`.
-    fn synthesise(
-        &mut self,
-        out: Output,
-        kinds: (Kind, Kind),
-        scale: f64,
-        weight: impl Fn(f64, f64, f64) -> f64,
-    ) {
-        let (mx, my) = (self.wu.len(), self.wv.len());
-        let out = match out {
-            Output::Field => self.field.as_mut_slice(),
-            Output::Movable => self.movable.as_mut_slice(),
-        };
-        for (v, (row, a_row)) in out
-            .chunks_exact_mut(mx)
-            .zip(self.spectrum.chunks_exact(mx))
-            .enumerate()
-        {
-            let wv = self.wv[v];
-            for (u, (o, a)) in row.iter_mut().zip(a_row).enumerate() {
-                let wu = self.wu[u];
-                *o = weight(a / (wu * wu + wv * wv), wu, wv);
-            }
-        }
-        out[0] = 0.0; // the DC term: ω = 0, and ψ is defined up to a constant
-        transform2d_planned(out, mx, my, kinds, &mut self.plane, &mut self.fft_lanes);
-        self.transforms += 1;
-        for o in out.iter_mut() {
-            *o *= scale;
-        }
     }
 
     /// Orthogonal reconstruction: (2/Mx)(2/My) · DCT-III in each axis.
@@ -656,12 +616,15 @@ impl DensityWorkspace {
     /// from its three parts (the same expression [`Self::solve`] rounded),
     /// which is what lets the spectrum overwrite it.
     fn potential_energy(&mut self, model: &DensityModel) -> f64 {
-        self.synthesise(
-            Output::Field,
-            (Kind::Dct3, Kind::Dct3),
-            self.norm(),
-            |c, _, _| c,
-        );
+        let norm = self.norm();
+        let (mx, my) = (self.wu.len(), self.wv.len());
+        let psi = self.field.as_mut_slice();
+        coefficients(&self.spectrum, &self.wu, &self.wv, |bin, c, _, _| {
+            psi[bin] = c * norm;
+        });
+        let (cosine, zero) = ((Kind::Dct3, Kind::Dct3), &mut vec![0.0; psi.len()][..]);
+        synthesis_2d(mx, my, [(psi, cosine), (zero, cosine)], &mut self.fft_lanes);
+        self.transforms += 1;
         0.5 * model
             .fixed_rho
             .as_slice()
@@ -677,24 +640,27 @@ impl DensityWorkspace {
     ///
     /// E = −∇ψ: differentiating the cosine basis gives the sine basis with
     /// an extra −ω factor; folding signs, E uses +ω·sin synthesis, per DBU.
-    /// E_x replaces ψ in `field` and E_y replaces the movable charge, both
-    /// dead by now. The gather then averages the field over each cell's
-    /// smoothed rectangle; every cell writes its own slot of `grad` and
-    /// nothing is accumulated across cells, so chunking cannot change bits.
+    /// Both coefficient grids come from one loop, one `a/(ω_u²+ω_v²)` per
+    /// bin, and go through one paired synthesis. E_x replaces ψ in `field`
+    /// and E_y replaces the movable charge, both dead by now. The gather
+    /// then averages the field over each cell's smoothed rectangle; every
+    /// cell writes its own slot of `grad` and nothing is accumulated across
+    /// cells, so chunking cannot change bits.
     ///
     /// Each placed cell replays the walk [`Self::charge`] recorded for it
     /// (from these same `cells`): the bins, overlap areas and total its
     /// charge was spread by. Only fixed and poisoned cells have no walk.
     fn field_gradient(&mut self, model: &DensityModel, cells: &Cells<'_>) {
-        let norm = self.norm();
-        let sine_x = (Kind::Dst3Shifted, Kind::Dct3);
-        let sine_y = (Kind::Dct3, Kind::Dst3Shifted);
-        self.synthesise(Output::Field, sine_x, norm / model.bin_w(), |c, wu, _| {
-            c * wu
+        let (mx, my) = (self.wu.len(), self.wv.len());
+        let (sx, sy) = (self.norm() / model.bin_w(), self.norm() / model.bin_h());
+        let (ex, ey) = (self.field.as_mut_slice(), self.movable.as_mut_slice());
+        coefficients(&self.spectrum, &self.wu, &self.wv, |bin, c, wu, wv| {
+            (ex[bin], ey[bin]) = (c * wu * sx, c * wv * sy);
         });
-        self.synthesise(Output::Movable, sine_y, norm / model.bin_h(), |c, _, wv| {
-            c * wv
-        });
+        let sine_x = (ex, (Kind::Dst3Shifted, Kind::Dct3));
+        let sine_y = (ey, (Kind::Dct3, Kind::Dst3Shifted));
+        synthesis_2d(mx, my, [sine_x, sine_y], &mut self.fft_lanes);
+        self.transforms += 2;
         let nx = self.field.nx();
         let (ex, ey) = (self.field.as_slice(), self.movable.as_slice());
         let (chunks, parts) = (&self.chunks, &self.chunk_charge);
@@ -755,11 +721,21 @@ fn walks_from<'a>(
         })
 }
 
-/// Which grid a synthesis writes.
-#[derive(Clone, Copy)]
-enum Output {
-    Field,
-    Movable,
+/// `write(bin, a/(ω_u²+ω_v²), ω_u, ω_v)` for every bin of the transposed
+/// `spectrum`, then `write(0, 0, 0, 0)`: at ω = 0, ψ is only up to a constant.
+fn coefficients(
+    spectrum: &[f64],
+    wu: &[f64],
+    wv: &[f64],
+    mut write: impl FnMut(usize, f64, f64, f64),
+) {
+    let my = wv.len();
+    for (u, (a_row, &wu)) in spectrum.chunks_exact(my).zip(wu).enumerate() {
+        for (v, (&a, &wv)) in a_row.iter().zip(wv).enumerate() {
+            write(u * my + v, a / (wu * wu + wv * wv), wu, wv);
+        }
+    }
+    write(0, 0.0, 0.0, 0.0);
 }
 
 #[cfg(test)]

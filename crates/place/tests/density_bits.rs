@@ -1,8 +1,12 @@
 //! Bit-level pin of the density pipeline: `fixtures/density_bits.txt` was
 //! rendered by the pipeline this crate shipped before the charge drain
 //! walked touched lists and the gather shared `Grid`'s overlap walk — a
-//! window scan per chunk, a `Rect` per bin in the gather — and every path
-//! since must reproduce it **bit for bit**: the density gradient steers
+//! window scan per chunk, a `Rect` per bin in the gather — and re-rendered
+//! once, when the solver's transforms became the paired passes of
+//! `puffer_fft::{dct2_2d, synthesis_2d}` (which round differently from the
+//! one-line-per-FFT transforms: the gradient lines moved in their last
+//! bits; the charge map and overflow lines did not). Every path since must
+//! reproduce it **bit for bit**: the density gradient steers
 //! every placement, journal and golden metric, and the movable-charge map
 //! feeds the padding features.
 //!

@@ -5,7 +5,9 @@
 //! boundary (a step's opening gradient takes its WA half at the γ of the
 //! previous step's last backtracking round, from the memo), and by the
 //! first that commits the reference point `v_{k+1}` and reads the step's
-//! statistics off its gradient evaluation there. Every placer since must
+//! statistics off its gradient evaluation there; and once more when the
+//! density solve's transforms became paired passes, whose rounding moves
+//! the gradient's last bits. Every placer since must
 //! reproduce it **bit for bit**: the step's statistics steer λ,
 //! γ, the stop test and the padding rounds, and the placement is what the
 //! flow writes.

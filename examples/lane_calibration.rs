@@ -10,14 +10,15 @@
 //! their own are timed inside the smallest public call that holds them,
 //! with only their own lanes varied. The scatter and the gather share one:
 //! the density gradient, whose own time for either is its one-lane time
-//! less three transforms' (the other of the two, the overflow sum and the
-//! serial syntheses stay in it, so both wins are understated):
+//! less one evaluation's transforms (the other of the two, the overflow
+//! sum and the coefficient loops stay in it, so both wins are
+//! understated):
 //!
 //! | kernel | call timed | sized by |
 //! |---|---|---|
 //! | `wa` | `WaWorkspace::gradient` | pins |
 //! | `scatter` | `DensityWorkspace::gradient`, scatter lanes only | cells |
-//! | `transform` | one `transform2d_planned` (DCT-II both axes) | bins |
+//! | `transform` | one evaluation's transforms: `dct2_2d`, then the paired `synthesis_2d` of E_x and E_y | bins |
 //! | `gather` | `DensityWorkspace::gradient`, gather lanes only | cells |
 //! | `demand` | `try_build_demand` | nets |
 //! | `decompose` | `puffer_route::decompose` | nets |
@@ -41,7 +42,7 @@ use puffer_db::design::{Design, Placement};
 use puffer_db::geom::Point;
 use puffer_db::grid::Grid;
 use puffer_db::netlist::CellId;
-use puffer_fft::{transform2d_planned, Complex, Kind};
+use puffer_fft::{dct2_2d, synthesis_2d, Kind, Lane};
 use puffer_gen::{generate, presets};
 use puffer_place::{
     DensityModel, DensityWorkspace, GlobalPlacer, GpLanes, PlacerConfig, WaWorkspace,
@@ -81,7 +82,7 @@ struct Bench<'a> {
     scatters: [DensityWorkspace; 2],
     /// The same, varying the gather's.
     gathers: [DensityWorkspace; 2],
-    fft: [Vec<Vec<Complex>>; 2],
+    fft: [Vec<Lane>; 2],
 }
 
 impl<'a> Bench<'a> {
@@ -131,7 +132,7 @@ impl<'a> Bench<'a> {
                 DensityWorkspace::with_lanes(&model, cells, gather(1)),
                 DensityWorkspace::with_lanes(&model, cells, gather(2)),
             ],
-            fft: [vec![Vec::new(); 1], vec![Vec::new(); 2]],
+            fft: [vec![Lane::default(); 1], vec![Lane::default(); 2]],
             model,
         })
     }
@@ -169,12 +170,15 @@ impl<'a> Bench<'a> {
             }
             2 => {
                 let dim = m.mx();
-                transform2d_planned(
-                    &mut self.rho,
+                dct2_2d(&mut self.rho, dim, dim, &mut self.fft[k]);
+                self.plane.copy_from_slice(&self.rho);
+                synthesis_2d(
                     dim,
                     dim,
-                    (Kind::Dct2, Kind::Dct2),
-                    &mut self.plane,
+                    [
+                        (&mut self.rho, (Kind::Dst3Shifted, Kind::Dct3)),
+                        (&mut self.plane, (Kind::Dct3, Kind::Dst3Shifted)),
+                    ],
                     &mut self.fft[k],
                 );
             }
@@ -258,9 +262,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (kernel, (name, unit)) in KERNELS.iter().enumerate() {
             let [one, two] = medians[kernel];
             // The scatter's and the gather's own one-lane time: their
-            // gradient's, less the three transforms'.
+            // gradient's, less one evaluation's transforms.
             let own = match kernel {
-                1 | 3 => one[1] - 3.0 * medians[2][0][1],
+                1 | 3 => one[1] - medians[2][0][1],
                 _ => one[1],
             };
             let fmt = |q: [f64; 3]| format!("{:>7.3} / {:>7.3} / {:>7.3}", q[0], q[1], q[2]);
