@@ -821,23 +821,25 @@ pub fn audit_metrics_records(
                 congest_index += 1;
             }
             "flow.init" => {
-                // The lanes each GP kernel was given: a worker count, so a
-                // whole number in 1..=MAX_WORKER_THREADS. Files written
-                // before the fields existed carry none and pass.
-                for field in [
-                    "lanes_wa",
-                    "lanes_scatter",
-                    "lanes_transform",
-                    "lanes_gather",
+                // The gradient halves that ran at once (1 or 2) and the lanes
+                // each GP kernel was given: worker counts, so whole numbers
+                // in 1..=2 and 1..=MAX_WORKER_THREADS. Files written before
+                // the fields existed carry none and pass.
+                let lanes = puffer_par::MAX_WORKER_THREADS as f64;
+                for (field, max) in [
+                    ("gp_halves", 2.0),
+                    ("lanes_wa", lanes),
+                    ("lanes_scatter", lanes),
+                    ("lanes_transform", lanes),
+                    ("lanes_gather", lanes),
                 ] {
-                    if let Some(lanes) = r.num(field) {
-                        let max = puffer_par::MAX_WORKER_THREADS as f64;
-                        if !(1.0..=max).contains(&lanes) || lanes.fract() != 0.0 {
+                    if let Some(count) = r.num(field) {
+                        if !(1.0..=max).contains(&count) || count.fract() != 0.0 {
                             out.push(Violation {
                                 check: "flow-init",
                                 message: format!(
-                                    "flow.init record {i}: {field} = {lanes} is not a \
-                                     lane count in 1..={max}"
+                                    "flow.init record {i}: {field} = {count} is not a \
+                                     worker count in 1..={max}"
                                 ),
                             });
                         }

@@ -203,8 +203,8 @@ impl Job {
                 PaddingState::new(cells),
             ),
         };
-        // The lanes every GP kernel is given: the placer sizes its
-        // workspaces by the same rule.
+        // The halves and lanes the GP kernels are given: the placer sizes
+        // its workspaces by the same rule.
         let lanes = GpLanes::for_design(design, self.config.placer.threads);
         trace
             .record("flow.init")
@@ -212,6 +212,7 @@ impl Job {
             .str("scale_class", scale_class.as_str())
             .int("cells", cells as i64)
             .num("congest_coarsen", coarsen.unwrap_or(1.0))
+            .int("gp_halves", lanes.halves as i64)
             .int("lanes_wa", lanes.wa as i64)
             .int("lanes_scatter", lanes.scatter as i64)
             .int("lanes_transform", lanes.transform as i64)

@@ -36,7 +36,10 @@
 //! below two lanes' worth runs on the calling thread and spawns nothing.
 //! Since chunk boundaries ignore the lane count, the rule moves no bit.
 //!
-//! Both primitives run their first span on the calling thread and spawn
+//! Two jobs that share nothing (the placer's wirelength and density
+//! gradients) run side by side through [`join`], one fork.
+//!
+//! Every primitive runs its first span on the calling thread and spawns
 //! only the remaining workers. Worker panics never unwind through
 //! `thread::scope` (which would abort the process if a second worker also
 //! panicked): every handle is joined first and the first panic message is
@@ -186,6 +189,36 @@ where
     if let Err(WorkerPanic(msg)) = fork_join(jobs, |(first, mine, lane)| work(first, mine, lane)) {
         std::panic::resume_unwind(Box::new(msg));
     }
+}
+
+/// Runs two jobs that share nothing at once — `a` on the calling thread,
+/// `b` on one scoped worker — and returns both results: those of `(a(),
+/// b())` in sequence, whatever the interleaving. It always forks; a caller
+/// that does not want the spawn calls the two in turn.
+///
+/// # Panics
+///
+/// A panic on either side is re-raised on the calling thread once both
+/// sides have finished (the caller's own first, when both panic), under
+/// the same join-everything-first contract as [`try_map_chunks`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "puffer-par is the fork-join layer: its scoped threads are the workspace's only spawns"
+)]
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(b);
+        let mine = catch_unwind(AssertUnwindSafe(a));
+        match (mine, worker.join()) {
+            (Ok(ra), Ok(rb)) => (ra, rb),
+            (Err(payload), _) | (_, Err(payload)) => std::panic::resume_unwind(payload),
+        }
+    })
 }
 
 /// Adds `partial` into `out` element-wise.
@@ -599,6 +632,46 @@ mod tests {
                 panic!("re-raised");
             }
         });
+    }
+
+    #[test]
+    fn join_returns_both_results_with_b_on_a_worker() {
+        let caller = std::thread::current().id();
+        let (a, b) = join(
+            || (41 + 1, std::thread::current().id()),
+            || ("other", std::thread::current().id()),
+        );
+        assert_eq!(a, (42, caller), "a runs on the calling thread");
+        assert_eq!(b.0, "other");
+        assert_ne!(b.1, caller, "b runs on a spawned worker");
+    }
+
+    #[test]
+    fn join_finishes_both_sides_before_reporting_any_panic() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        for who in WHO {
+            // A panicking side panics at once and a surviving one sleeps
+            // first, so a join that reported early would find it unfinished.
+            let finished = [AtomicBool::new(false), AtomicBool::new(false)];
+            let side = |caller: bool| {
+                explode(who, caller);
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                finished[usize::from(caller)].store(true, Ordering::SeqCst);
+            };
+            let err = run_isolated(|| join(|| side(true), || side(false))).unwrap_err();
+            let expect = match who {
+                Exploding::CallerOnly | Exploding::Both => "caller span exploded",
+                Exploding::WorkerOnly => "worker span exploded",
+            };
+            assert!(err.0.contains(expect), "{who:?}: {err}");
+            let survived = match who {
+                Exploding::CallerOnly => [true, false],
+                Exploding::WorkerOnly => [false, true],
+                Exploding::Both => [false, false],
+            };
+            let got = finished.each_ref().map(|f| f.load(Ordering::SeqCst));
+            assert_eq!(got, survived, "{who:?}: [worker, caller] finished");
+        }
     }
 
     #[test]

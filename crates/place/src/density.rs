@@ -55,7 +55,11 @@ pub(crate) const TRANSFORM_BINS_PER_LANE: usize = 65_536;
 /// Cells one lane of the field gather must have to pay for its spawn. Same
 /// calibration, against the gather's own time: two lanes won 21–62 % from
 /// 12.7 K cells up but −5 to +6 % at 4.3 K; the second lane starts at
-/// 7.4 K.
+/// 7.4 K. Unconfirmed since the gather replays the scatter's walks: three
+/// later runs per size (EXPERIMENTS.md, "Concurrent halves") read −35 to
+/// +7 % up to 63 K cells and −2 to +29 % at 127 K and 254 K, no size 10 %
+/// in every run. Kept while `scripts/ci.sh`'s multi-lane smoke asserts a
+/// two-lane gather: past 254 K cells it would take 95 s a run.
 pub(crate) const GATHER_CELLS_PER_LANE: usize = 3_700;
 
 /// Result of one density evaluation.

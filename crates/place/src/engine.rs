@@ -52,12 +52,12 @@ pub struct PlacerConfig {
     pub max_iters: usize,
     /// Overflow threshold at which [`GlobalPlacer::run`] stops.
     pub stop_overflow: f64,
-    /// Upper bound on the worker threads of the wirelength/density/transform
-    /// kernels (clamped to `1..=32`): each kernel runs on
-    /// [`GpLanes::for_design`] of it, so a design too small to pay for a
-    /// second lane runs on one. Results are bit-identical for every value —
-    /// the deterministic fork-join contract of `puffer-par` — so this only
-    /// trades wall-clock time, never reproducibility.
+    /// Upper bound on the global-placement threads running at once
+    /// (clamped to `1..=32`), shared out by [`GpLanes::for_design`], so a
+    /// design too small to pay for a second thread runs on one. Results are
+    /// bit-identical for every value — the deterministic fork-join contract
+    /// of `puffer-par` — so this only trades wall-clock time, never
+    /// reproducibility.
     pub threads: usize,
 }
 
@@ -74,13 +74,26 @@ impl Default for PlacerConfig {
     }
 }
 
-/// The lanes each global-placement kernel runs on.
+/// Cells per half of a gradient evaluation: [`GpLanes::for_design`] runs
+/// the WA and density halves side by side from two halves' worth, at
+/// `threads ≥ 2`. `examples/lane_calibration.rs`' `halves` row, three runs
+/// (EXPERIMENTS.md, "Concurrent halves"): the fork won 11–45 % from 4.3 K
+/// cells up, 8–27 % at 1.3 K and lost at 636 cells and below; the second
+/// half starts between 1.3 K and 4.3 K, at 2.4 K.
+pub(crate) const CELLS_PER_HALF: usize = 1_200;
+
+/// The lanes each global-placement kernel runs on, and whether the two
+/// halves of a gradient evaluation run at once.
 ///
 /// A [`GlobalPlacer`] asks [`GpLanes::for_design`] once, at construction;
 /// the kernel workspaces then run on exactly these lanes. `puffer-par`
-/// chunk boundaries ignore the lane count, so no output bit depends on it.
+/// chunk boundaries ignore the lane count, and each half writes only its
+/// own workspace, so no output bit depends on either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GpLanes {
+    /// 2 when the WA gradient runs on a worker while the density gradient
+    /// runs on the calling thread, 1 when they run one after the other.
+    pub halves: usize,
     /// The WA gradient, sized by pins.
     pub wa: usize,
     /// The density charge scatter, sized by cells.
@@ -93,10 +106,11 @@ pub struct GpLanes {
 
 impl GpLanes {
     /// Every kernel on `threads` lanes (clamped to `1..=32`), whatever the
-    /// design's size.
+    /// design's size, one half at a time.
     pub fn uniform(threads: usize) -> Self {
         let t = puffer_par::clamp_threads(threads);
         GpLanes {
+            halves: 1,
             wa: t,
             scatter: t,
             transform: t,
@@ -104,19 +118,30 @@ impl GpLanes {
         }
     }
 
-    /// [`puffer_par::lanes`] of `threads` for each kernel of `design`, on
-    /// the [`DensityModel::auto_dim`] bin grid the placer builds: what a
-    /// [`GlobalPlacer`] at [`PlacerConfig::threads`] `= threads` runs on.
+    /// What a [`GlobalPlacer`] at [`PlacerConfig::threads`] `= threads`
+    /// runs on, on the [`DensityModel::auto_dim`] bin grid it builds: at
+    /// most two halves, by [`puffer_par::lanes`] of the cells. Two halves
+    /// split the budget (WA ⌊t/2⌋ threads, density the rest), and each
+    /// kernel takes [`puffer_par::lanes`] of its half's.
     pub fn for_design(design: &Design, threads: usize) -> Self {
         let netlist = design.netlist();
         let cells = netlist.num_cells();
         let dim = DensityModel::auto_dim(cells);
-        let lanes = |items, per_lane| puffer_par::lanes(threads, items, per_lane);
+        let threads = puffer_par::clamp_threads(threads);
+        let halves = puffer_par::lanes(threads, cells, CELLS_PER_HALF).min(2);
+        let (wa_threads, density_threads) = if halves == 2 {
+            (threads / 2, threads - threads / 2)
+        } else {
+            (threads, threads)
+        };
+        let wa = |items, per_lane| puffer_par::lanes(wa_threads, items, per_lane);
+        let density = |items, per_lane| puffer_par::lanes(density_threads, items, per_lane);
         GpLanes {
-            wa: lanes(netlist.num_pins(), WA_PINS_PER_LANE),
-            scatter: lanes(cells, SCATTER_CELLS_PER_LANE),
-            transform: lanes(dim * dim, TRANSFORM_BINS_PER_LANE),
-            gather: lanes(cells, GATHER_CELLS_PER_LANE),
+            halves,
+            wa: wa(netlist.num_pins(), WA_PINS_PER_LANE),
+            scatter: density(cells, SCATTER_CELLS_PER_LANE),
+            transform: density(dim * dim, TRANSFORM_BINS_PER_LANE),
+            gather: density(cells, GATHER_CELLS_PER_LANE),
         }
     }
 }
@@ -161,6 +186,8 @@ pub struct GlobalPlacer<'a> {
     dens: DensityState,
     /// The WA kernel's buffers.
     wa: WaWorkspace,
+    /// [`GpLanes::halves`] of the design at the configured threads.
+    halves: usize,
     placement: Placement,
     /// Physical width + padding per cell (the density system's view).
     eff_width: Vec<f64>,
@@ -239,6 +266,7 @@ struct Inputs<'b> {
     movable: &'b [CellId],
     config: &'b PlacerConfig,
     trace: &'b Trace,
+    halves: usize,
 }
 
 impl Inputs<'_> {
@@ -252,9 +280,10 @@ impl Inputs<'_> {
 
     /// Evaluates both halves of the gradient at `placement`: the WA one at
     /// `gamma`, with the placement's HPWL, into `wa`, and the density one,
-    /// with its overflow, into `dens`. Counts the evaluations, their 2-D
-    /// transforms and their exponentials (Eq. (2)'s terms, and the `exp`
-    /// calls made for them).
+    /// with its overflow, into `dens` — with two [`GpLanes::halves`], the WA
+    /// one on a worker while the density one, the longer, runs here. Then
+    /// counts the evaluations, their 2-D transforms and their exponentials
+    /// (Eq. (2)'s terms, and the `exp` calls made for them).
     fn evaluate(
         &self,
         dens: &mut DensityWorkspace,
@@ -263,18 +292,26 @@ impl Inputs<'_> {
         gamma: f64,
     ) {
         let netlist = self.design.netlist();
-        wa.gradient(netlist, placement, gamma);
+        let mut wa_half = || wa.gradient(netlist, placement, gamma);
+        let mut density_half = || {
+            dens.gradient(
+                self.density,
+                netlist,
+                placement,
+                self.eff_width,
+                self.config.target_density,
+            );
+        };
+        if self.halves == 2 {
+            puffer_par::join(density_half, wa_half);
+        } else {
+            wa_half();
+            density_half();
+        }
         let counts = wa.take_counts();
         self.trace.add("place.wa_grad_evals", counts.grad_evals);
         self.trace.add("place.wa_exp_calls", counts.exp_calls);
         self.trace.add("place.wa_exp_terms", counts.exp_terms);
-        dens.gradient(
-            self.density,
-            netlist,
-            placement,
-            self.eff_width,
-            self.config.target_density,
-        );
         self.trace.add("place.density_evals", 1);
         self.trace.add("fft.transforms2d", dens.take_transforms());
     }
@@ -442,6 +479,7 @@ impl<'a> GlobalPlacer<'a> {
             density,
             dens,
             wa: WaWorkspace::new(lanes.wa),
+            halves: lanes.halves,
             placement,
             eff_width,
             padding,
@@ -691,6 +729,7 @@ impl<'a> GlobalPlacer<'a> {
             movable: &self.movable,
             config: &self.config,
             trace: &self.trace,
+            halves: self.halves,
         };
         (inputs, &mut self.dens, &mut self.wa, &self.placement)
     }

@@ -34,7 +34,7 @@
 //! | `congest.round` | `puffer-congest` | `overflow_h`, `overflow_v`, `demand`, `capacity`, `congested`, `h_hist`, `v_hist` |
 //! | `pad.round` | `puffer-pad` | `round`, `utilization`, `target_utilization`, `padded_cells`, `recycled_cells`, `scale` |
 //! | `explore.trial` | `puffer-explore` | `trial`, `status`, `objective`, `params` |
-//! | `flow.init` | `puffer` (core) | `scale_class`, `cells`, `congest_coarsen`, `lanes_wa`, `lanes_scatter`, `lanes_transform`, `lanes_gather` |
+//! | `flow.init` | `puffer` (core) | `scale_class`, `cells`, `congest_coarsen`, `gp_halves`, `lanes_wa`, `lanes_scatter`, `lanes_transform`, `lanes_gather` |
 //! | `flow.done` | `puffer` (core) | `runtime_s`, `gp_iterations`, `pad_rounds`, `hpwl`, `overflow` |
 //! | `route.done` | `puffer` (core) | `hof_pct`, `vof_pct`, `wirelength`, `overflow_gcells`, `rounds`, `segments`, `reroutes`, `reroutes_kept`, `reroutes_reused`, `maze_pops`, `maze_pushes` |
 //! | `flow.degrade` | `puffer` (core) | `step`, `fraction_remaining`, `iter` |

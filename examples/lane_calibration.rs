@@ -22,13 +22,19 @@
 //! | `gather` | `DensityWorkspace::gradient`, gather lanes only | cells |
 //! | `demand` | `try_build_demand` | nets |
 //! | `decompose` | `puffer_route::decompose` | nets |
+//! | `halves` | one evaluation, `WaWorkspace::gradient` then `DensityWorkspace::gradient`, against the two through `puffer_par::join` | cells |
+//!
+//! The `halves` row's "2 lanes" column is the two halves of one gradient
+//! evaluation run side by side (every kernel inside them on one lane), as
+//! `GpLanes::halves` 2 runs them; its one-lane column runs them in turn.
 //!
 //! Every design is first placed for a fixed number of global-placement
 //! steps, so cells are spread as they are mid-flow. A kernel is then timed
 //! where a flow runs it: each repetition moves every cell on the calling
-//! thread (as a Nesterov update does) and runs all six kernels in turn,
+//! thread (as a Nesterov update does) and runs the six kernels in turn,
 //! the one under test on one or two lanes (alternating) and the others on
-//! one. Timed back to back instead, a kernel finds its data still in the
+//! one; the `halves` evaluation runs only when it is under test, after
+//! the six. Timed back to back instead, a kernel finds its data still in the
 //! second core's cache and that core awake, and two lanes win at sizes
 //! where they lose in a flow.
 //!
@@ -55,14 +61,18 @@ const PLACE_STEPS: usize = 80;
 const BUDGET_S: f64 = 3.0;
 
 /// Each kernel's name and what it is sized by.
-const KERNELS: [(&str, &str); 6] = [
+const KERNELS: [(&str, &str); 7] = [
     ("wa", "pins"),
     ("scatter", "cells"),
     ("transform", "bins"),
     ("gather", "cells"),
     ("demand", "nets"),
     ("decompose", "nets"),
+    ("halves", "cells"),
 ];
+
+/// The index of the `halves` row in [`KERNELS`].
+const HALVES: usize = 6;
 
 /// One placed design and a one- and a two-lane instance of every kernel's
 /// state.
@@ -141,7 +151,7 @@ impl<'a> Bench<'a> {
         let nl = self.design.netlist();
         match kernel {
             0 => nl.num_pins(),
-            1 | 3 => nl.num_cells(),
+            1 | 3 | HALVES => nl.num_cells(),
             2 => self.rho.len(),
             _ => nl.num_nets(),
         }
@@ -188,8 +198,22 @@ impl<'a> Bench<'a> {
             4 => {
                 try_build_demand(self.design, p, &self.gcells, PIN_PENALTY, lanes).ok();
             }
-            _ => {
+            5 => {
                 puffer_route::decompose(nl, p, &self.gcells, lanes).ok();
+            }
+            _ => {
+                // Both halves on one-lane workspaces.
+                let (wa, dens) = (&mut self.wa[0], &mut self.scatters[0]);
+                let mut wa_half = || wa.gradient(nl, p, self.gamma);
+                let mut density_half = || {
+                    dens.gradient(m, nl, p, w, 1.0);
+                };
+                if lanes == 2 {
+                    puffer_par::join(density_half, wa_half);
+                } else {
+                    wa_half();
+                    density_half();
+                }
             }
         }
     }
@@ -200,6 +224,9 @@ impl<'a> Bench<'a> {
         self.move_cells(rep);
         let mut took = 0.0;
         for k in 0..KERNELS.len() {
+            if k == HALVES && kernel != HALVES {
+                continue;
+            }
             if k == 2 {
                 // ρ is rebuilt on the calling thread before a transform, as
                 // the Poisson solve does; the transform alone is timed.
@@ -279,8 +306,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let gp = GpLanes::for_design(&design, 2);
         println!(
-            "{scale:>7} GP lanes at --threads 2: wa {} scatter {} transform {} gather {}",
-            gp.wa, gp.scatter, gp.transform, gp.gather
+            "{scale:>7} GP at --threads 2: halves {} lanes wa {} scatter {} transform {} gather {}",
+            gp.halves, gp.wa, gp.scatter, gp.transform, gp.gather
         );
     }
     Ok(())

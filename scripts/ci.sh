@@ -175,6 +175,9 @@ for t in 1 2 4; do
 done
 "$PUFFER" trace "$SMOKE_DIR/grid-t1.jsonl"
 for t in 2 4; do
+  # From two threads on, this design runs the WA and density halves of
+  # every evaluation side by side: the comparisons below cover that path.
+  grep '"t":"flow.init"' "$SMOKE_DIR/grid-t$t.jsonl" | grep -qE '"gp_halves":2[,}]'
   cmp "$SMOKE_DIR/grid-t1.pj" "$SMOKE_DIR/grid-t$t.pj"
   cmp "$SMOKE_DIR/grid-t1.pl" "$SMOKE_DIR/grid-t$t.pl"
   cmp <(iter_records "$SMOKE_DIR/grid-t1.jsonl") <(iter_records "$SMOKE_DIR/grid-t$t.jsonl")
@@ -183,28 +186,32 @@ for t in 2 4; do
 done
 
 # The GP kernels of the smokes above run below two lanes' worth of work:
-# --threads is an upper bound, so their 2- and 4-thread placements never
-# leave the calling thread. This one places a CT_TOP scale at which the
-# WA gradient, the charge scatter and the field gather all get two lanes
-# (19 K cells; flow.init states the lanes each kernel was given), so the
-# walks the scatter lanes record are read by gather lanes that split the
-# cells another way. It is capped at 30 iterations and compared with a
-# 1-thread run. The grep fails if a per-lane constant ever drifts above
+# --threads is an upper bound, so each of their kernels runs on one lane
+# (on the 128x128-bin design at 2 and 4 threads, the WA half on a worker
+# while the density half stays on the calling thread). This one places a
+# CT_TOP scale at which, at 4 threads, the halves split the budget two
+# and two and the charge scatter and the field gather each get two lanes
+# of the density half's (19 K cells; flow.init states the halves and the
+# lanes each kernel was given), so the walks the scatter lanes record are
+# read by gather lanes that split the cells another way, while the WA
+# half runs beside them. It is capped at 30 iterations and compared with
+# a 1-thread run. The grep fails if a per-lane constant ever drifts above
 # this design.
-echo "==> multi-lane smoke (ct_top --scale 0.015, place --threads 1 vs 2)"
+echo "==> multi-lane smoke (ct_top --scale 0.015, place --threads 1 vs 4)"
 "$PUFFER" gen --preset ct_top --scale 0.015 -o "$SMOKE_DIR/lanes.pd"
-for t in 1 2; do
+for t in 1 4; do
   "$PUFFER" place "$SMOKE_DIR/lanes.pd" -o "$SMOKE_DIR/lanes-t$t.pl" --max-iters 30 \
     --threads "$t" --journal "$SMOKE_DIR/lanes-t$t.pj" --metrics "$SMOKE_DIR/lanes-t$t.jsonl"
 done
-lanes_init=$(grep '"t":"flow.init"' "$SMOKE_DIR/lanes-t2.jsonl")
+lanes_init=$(grep '"t":"flow.init"' "$SMOKE_DIR/lanes-t4.jsonl")
+grep -qE '"gp_halves":2[,}]' <<< "$lanes_init"
 grep -qE '"lanes_scatter":2[,}]' <<< "$lanes_init"
 grep -qE '"lanes_gather":2[,}]' <<< "$lanes_init"
-cmp "$SMOKE_DIR/lanes-t1.pj" "$SMOKE_DIR/lanes-t2.pj"
-cmp "$SMOKE_DIR/lanes-t1.pl" "$SMOKE_DIR/lanes-t2.pl"
-cmp <(iter_records "$SMOKE_DIR/lanes-t1.jsonl") <(iter_records "$SMOKE_DIR/lanes-t2.jsonl")
-cmp <(counter_records "$SMOKE_DIR/lanes-t1.jsonl") <(counter_records "$SMOKE_DIR/lanes-t2.jsonl")
-"$PUFFER" trace "$SMOKE_DIR/lanes-t2.jsonl"
+cmp "$SMOKE_DIR/lanes-t1.pj" "$SMOKE_DIR/lanes-t4.pj"
+cmp "$SMOKE_DIR/lanes-t1.pl" "$SMOKE_DIR/lanes-t4.pl"
+cmp <(iter_records "$SMOKE_DIR/lanes-t1.jsonl") <(iter_records "$SMOKE_DIR/lanes-t4.jsonl")
+cmp <(counter_records "$SMOKE_DIR/lanes-t1.jsonl") <(counter_records "$SMOKE_DIR/lanes-t4.jsonl")
+"$PUFFER" trace "$SMOKE_DIR/lanes-t4.jsonl"
 
 # Resume smoke: a checkpoint journal is exactly one record (every save is
 # an atomic whole-file replace). Two records back to back are a file no

@@ -573,21 +573,22 @@ fn impossible_route_counters_are_detected() {
 #[test]
 fn impossible_lane_counts_are_detected() {
     let dir = tmp_dir("lane-counts");
-    let audit = |name: &str, wa: &str| {
+    let audit = |name: &str, halves: &str, wa: &str| {
         let line = format!(
-            r#"{{"t":"flow.init","elapsed_s":0.01,"scale_class":"small","cells":12703,"congest_coarsen":1,"lanes_wa":{wa},"lanes_scatter":1,"lanes_transform":1,"lanes_gather":2}}"#
+            r#"{{"t":"flow.init","elapsed_s":0.01,"scale_class":"small","cells":12703,"congest_coarsen":1,"gp_halves":{halves},"lanes_wa":{wa},"lanes_scatter":1,"lanes_transform":1,"lanes_gather":2}}"#
         );
         let path = dir.join(name);
         write_lines(&path, &[&line]);
         audit_metrics(&path)
     };
-    audit("good.jsonl", "2").expect("a real run passes");
-    for (name, bad) in [
-        ("zero.jsonl", "0"),
-        ("half.jsonl", "1.5"),
-        ("many.jsonl", "33"),
+    audit("good.jsonl", "2", "2").expect("a real run passes");
+    for (name, halves, wa) in [
+        ("zero.jsonl", "1", "0"),
+        ("half.jsonl", "1", "1.5"),
+        ("many.jsonl", "1", "33"),
+        ("three-halves.jsonl", "3", "1"),
     ] {
-        let report = audit(name, bad).expect_err("an impossible lane count must be caught");
+        let report = audit(name, halves, wa).expect_err("an impossible lane count must be caught");
         assert!(
             report.violations.iter().any(|v| v.check == "flow-init"),
             "{name}: {report}"

@@ -133,7 +133,8 @@ fn density_evaluation_is_bit_identical_across_thread_counts() {
 /// Past the 4096-cell step of `DensityModel::auto_dim`: 128² bins, where a
 /// grid no longer fits a worker's cache, every chunk of the scatter spans
 /// the whole die and the transposes cross many tiles — the regime the
-/// 32²-bin cases above never reach.
+/// 32²-bin cases above never reach. From two threads on, the WA and density
+/// halves of every evaluation run at once on this design.
 #[test]
 fn placer_steps_on_a_128_bin_grid_are_bit_identical_across_thread_counts() {
     let d = test_design(4200, 4400, 5);
@@ -149,12 +150,23 @@ fn placer_steps_on_a_128_bin_grid_are_bit_identical_across_thread_counts() {
         // re-seeds it, identically everywhere.
         let pad = d.netlist().cells().iter().map(|c| 0.25 * c.width).collect();
         placer.set_padding(pad);
+        let padded = placer.step();
+        // A NaN burst: the sentinel rolls back and the next step
+        // re-bootstraps from the healthy solution.
+        placer.chaos_poison_nan(40);
+        let recovered: Vec<_> = (0..2).map(|_| placer.step()).collect();
+        assert_eq!(placer.recoveries(), 1, "threads {threads}");
+        // A restored snapshot is cold: its first step evaluates the opening
+        // gradient afresh.
+        let mid = placer.snapshot();
+        placer.step();
+        placer.restore(mid).unwrap();
         let last = placer.step();
         let snapshot = placer.snapshot();
         // `{:?}` of an f64 is its shortest round-trip form: equal text is
         // equal bits (and it tells −0.0 from 0.0, which `==` does not).
         (
-            format!("{stats:?} {last:?} {snapshot:?}"),
+            format!("{stats:?} {padded:?} {recovered:?} {last:?} {snapshot:?}"),
             snapshot.placement,
         )
     };
@@ -164,6 +176,7 @@ fn placer_steps_on_a_128_bin_grid_are_bit_identical_across_thread_counts() {
     let model = DensityModel::new(&d, 128, 128);
     let eval_base = model.evaluate_threaded(nl, &base.1, &widths, 1.0, 1);
     for t in [2usize, 3, 8] {
+        assert_eq!(GpLanes::for_design(&d, t).halves, 2, "threads {t}");
         assert!(run(t) == base, "threads {t}: placer trajectory differs");
         let eval = model.evaluate_threaded(nl, &base.1, &widths, 1.0, t);
         assert_eq!(
@@ -234,6 +247,7 @@ fn full_place_run_writes_byte_identical_journal_for_1_and_4_threads() {
             .find(|r| r.kind() == Some("flow.init"))
             .expect("a flow.init record");
         [
+            "gp_halves",
             "lanes_wa",
             "lanes_scatter",
             "lanes_transform",
@@ -262,8 +276,9 @@ fn full_place_run_writes_byte_identical_journal_for_1_and_4_threads() {
             .with_trace(trace)
             .run(&d)
             .unwrap();
-        // 300 cells are below every kernel's one lane's worth: `--threads`
-        // is an upper bound, and this run never leaves the calling thread.
+        // 300 cells are below every kernel's one lane's worth and below
+        // two halves' worth: `--threads` is an upper bound, and this run
+        // never leaves the calling thread.
         let lanes = GpLanes::for_design(&d, threads);
         assert_eq!(lanes, GpLanes::uniform(1), "threads {threads}");
         for (field, got) in lanes_of(&metrics) {
