@@ -563,7 +563,7 @@ impl Validate for FlowCheckpoint {
                 });
             }
         }
-        if let Some(opt) = &self.placer.opt {
+        if let Some((opt, gamma)) = &self.placer.opt {
             let n = opt.u.len();
             if opt.v.len() != n || opt.v_prev.len() != n || opt.g_prev.len() != n {
                 out.push(Violation {
@@ -586,9 +586,7 @@ impl Validate for FlowCheckpoint {
                     ),
                 });
             }
-        }
-        if let Some(gamma) = self.placer.opt_gamma {
-            if !(gamma > 0.0 && gamma.is_finite()) {
+            if !(*gamma > 0.0 && gamma.is_finite()) {
                 out.push(Violation {
                     check: "optimizer-state",
                     message: format!("carried gamma = {gamma} (must be finite > 0)"),
@@ -698,8 +696,6 @@ pub fn audit_metrics_records(
     let mut density_evals = None;
     let mut transforms2d = None;
     let mut wa_grad_evals = None;
-    // Written only by placers that still evaluated a value-only WA form.
-    let mut wa_value_evals = None;
     let mut wa_exp_calls = None;
     let mut wa_exp_terms = None;
     for (i, r) in records.iter().enumerate() {
@@ -766,7 +762,6 @@ pub fn audit_metrics_records(
                 Some("place.density_evals") => density_evals = r.num("value"),
                 Some("fft.transforms2d") => transforms2d = r.num("value"),
                 Some("place.wa_grad_evals") => wa_grad_evals = r.num("value"),
-                Some("place.wa_value_evals") => wa_value_evals = r.num("value"),
                 Some("place.wa_exp_calls") => wa_exp_calls = r.num("value"),
                 Some("place.wa_exp_terms") => wa_exp_terms = r.num("value"),
                 _ => {}
@@ -823,8 +818,7 @@ pub fn audit_metrics_records(
             "flow.init" => {
                 // The gradient halves that ran at once (1 or 2) and the lanes
                 // each GP kernel was given: worker counts, so whole numbers
-                // in 1..=2 and 1..=MAX_WORKER_THREADS. Files written before
-                // the fields existed carry none and pass.
+                // in 1..=2 and 1..=MAX_WORKER_THREADS.
                 let lanes = puffer_par::MAX_WORKER_THREADS as f64;
                 for (field, max) in [
                     ("gp_halves", 2.0),
@@ -833,16 +827,16 @@ pub fn audit_metrics_records(
                     ("lanes_transform", lanes),
                     ("lanes_gather", lanes),
                 ] {
-                    if let Some(count) = r.num(field) {
-                        if !(1.0..=max).contains(&count) || count.fract() != 0.0 {
-                            out.push(Violation {
-                                check: "flow-init",
-                                message: format!(
-                                    "flow.init record {i}: {field} = {count} is not a \
-                                     worker count in 1..={max}"
-                                ),
-                            });
-                        }
+                    let count = r.num(field);
+                    if !count.is_some_and(|c| (1.0..=max).contains(&c) && c.fract() == 0.0) {
+                        out.push(Violation {
+                            check: "flow-init",
+                            message: format!(
+                                "flow.init record {i}: {field} = {} is not a worker \
+                                 count in 1..={max}",
+                                count.map_or("(missing)".into(), |c| c.to_string())
+                            ),
+                        });
                     }
                 }
             }
@@ -851,52 +845,43 @@ pub fn audit_metrics_records(
                 // most once per round, only a reroute can keep its old
                 // path, only a kept reroute can skip its search, and a
                 // search pops only what it (or its source push) put on the
-                // heap. Files written before the counters existed carry
-                // none and pass.
-                if let (Some(reroutes), Some(segments), Some(rounds)) =
-                    (r.num("reroutes"), r.num("segments"), r.num("rounds"))
-                {
-                    if reroutes > segments * rounds {
-                        out.push(Violation {
-                            check: "route-counters",
-                            message: format!(
-                                "route.done record {i}: reroutes = {reroutes} exceeds \
-                                 segments = {segments} x rounds = {rounds}"
-                            ),
-                        });
-                    }
+                // heap.
+                const COUNTERS: [&str; 7] = [
+                    "segments",
+                    "rounds",
+                    "reroutes",
+                    "reroutes_kept",
+                    "reroutes_reused",
+                    "maze_pops",
+                    "maze_pushes",
+                ];
+                let counts = COUNTERS.map(|field| r.num(field));
+                let missing: Vec<&str> = COUNTERS
+                    .iter()
+                    .zip(counts)
+                    .filter_map(|(field, count)| count.is_none().then_some(*field))
+                    .collect();
+                if !missing.is_empty() {
+                    out.push(Violation {
+                        check: "route-counters",
+                        message: format!("route.done record {i} lacks {}", missing.join(", ")),
+                    });
+                    continue;
                 }
-                if let (Some(kept), Some(reroutes)) = (r.num("reroutes_kept"), r.num("reroutes")) {
-                    if kept > reroutes {
+                let [segments, rounds, reroutes, kept, reused, pops, pushes] =
+                    counts.map(Option::unwrap_or_default);
+                for (field, count, bound_name, bound) in [
+                    ("reroutes", reroutes, "segments x rounds", segments * rounds),
+                    ("reroutes_kept", kept, "reroutes", reroutes),
+                    ("reroutes_reused", reused, "reroutes_kept", kept),
+                    ("maze_pops", pops, "maze_pushes", pushes),
+                ] {
+                    if count > bound {
                         out.push(Violation {
                             check: "route-counters",
                             message: format!(
-                                "route.done record {i}: reroutes_kept = {kept} exceeds \
-                                 reroutes = {reroutes}"
-                            ),
-                        });
-                    }
-                }
-                if let (Some(reused), Some(kept)) =
-                    (r.num("reroutes_reused"), r.num("reroutes_kept"))
-                {
-                    if reused > kept {
-                        out.push(Violation {
-                            check: "route-counters",
-                            message: format!(
-                                "route.done record {i}: reroutes_reused = {reused} exceeds \
-                                 reroutes_kept = {kept}"
-                            ),
-                        });
-                    }
-                }
-                if let (Some(pops), Some(pushes)) = (r.num("maze_pops"), r.num("maze_pushes")) {
-                    if pops > pushes {
-                        out.push(Violation {
-                            check: "route-counters",
-                            message: format!(
-                                "route.done record {i}: maze_pops = {pops} exceeds \
-                                 maze_pushes = {pushes}"
+                                "route.done record {i}: {field} = {count} exceeds \
+                                 {bound_name} = {bound}"
                             ),
                         });
                     }
@@ -940,27 +925,20 @@ pub fn audit_metrics_records(
             });
         }
     }
-    // Every density evaluation is a gradient of 3 transforms. A file from a
-    // build that also counted a statistics pass (no transform) as an
-    // evaluation has fewer, so the check asks for threes, at most three an
-    // evaluation.
+    // Every density evaluation is a gradient of 3 transforms.
     if let (Some(evals), Some(transforms)) = (density_evals, transforms2d) {
-        if transforms % 3.0 != 0.0 || transforms > 3.0 * evals {
+        if transforms != 3.0 * evals {
             out.push(Violation {
                 check: "density-counters",
                 message: format!(
-                    "fft.transforms2d = {transforms} is not a multiple of 3 at most 3x \
-                     place.density_evals = {evals}"
+                    "fft.transforms2d = {transforms} is not 3x place.density_evals = {evals}"
                 ),
             });
         }
     }
     // The WA kernel never calls `exp` more often than Eq. (2) names it, and
-    // every evaluation names the same 4-per-active-pin terms. An older file's
-    // value-only evaluations name them too.
-    if let (Some(grads), Some(calls), Some(terms)) = (wa_grad_evals, wa_exp_calls, wa_exp_terms) {
-        let values = wa_value_evals.unwrap_or(0.0);
-        let evals = grads + values;
+    // every evaluation names the same 4-per-active-pin terms.
+    if let (Some(evals), Some(calls), Some(terms)) = (wa_grad_evals, wa_exp_calls, wa_exp_terms) {
         if calls > terms {
             out.push(Violation {
                 check: "wa-counters",

@@ -14,24 +14,21 @@
 //! one float field, `<n>` a decimal count:
 //!
 //! ```text
-//! puffer_checkpoint 2
+//! puffer_checkpoint 3
 //! design <num_cells> <name>
 //! stage global | global_done
 //! iter <n>
 //! lambda <f>                     (then overflow, step_scale: <f>;
 //! recoveries <n>                  pad_round: <n>; pad_util: <f>)
 //! cell <i> <x> <y> <engine_pad> <history_pad> <pad_rounds>
-//! opt_scalars <a> <alpha>        (present only when the solver was live)
+//! opt_scalars <a> <alpha> <gamma> (present only when the solver was live;
+//!                                 gamma is the γ the next opening WA
+//!                                 gradient takes)
 //! opt_u <f> <f> ...              (solver vectors u, v, vp, gp, one line
 //!                                 each, 2n floats)
-//! opt_gamma <f>                  (the γ the next opening WA gradient takes;
-//!                                 written with the solver, absent in
-//!                                 journals from earlier builds)
 //! degradation <step,step,...>    (present only when the ladder engaged)
 //! pending_round 1                (present only when a cancellation
 //!                                 suppressed this pass's padding round)
-//! scale_class <small|medium|huge> (band the run resolved to; absent in
-//!                                 journals from earlier builds)
 //! end
 //! ```
 //!
@@ -40,9 +37,11 @@
 //! uppercase digits, a sign, a short field, decimal text — is a parse
 //! error naming its line. Each field having a fixed width, [`render`] sizes
 //! its buffer once and encodes the digits by hand; float formatting was
-//! most of a checkpoint write's cost. Version 1 journals, identical but
-//! for Rust's shortest round-trip decimal in every float field (`1.5`,
-//! `inf`), are still read, so a run started by an earlier build resumes.
+//! most of a checkpoint write's cost.
+//!
+//! Only the build that wrote a journal can continue its trajectory bit for
+//! bit (step changes move the bits), so a journal of any other version is
+//! a parse error naming that version, never a resume that drifts.
 //!
 //! A journal file is exactly one record. Writes are atomic (temp file +
 //! fsync + rename), so a crash mid-write — or even right after the rename
@@ -53,16 +52,14 @@
 //!
 //! [`render`]: FlowCheckpoint::render
 
-use crate::scale::ScaleClass;
 use puffer_budget::{fsx, DegradeStep};
 use puffer_db::design::{Design, Placement};
 use puffer_pad::PaddingState;
 use puffer_place::{NesterovState, PlacerSnapshot};
 use std::path::{Path, PathBuf};
 
-/// Journal format version written by this build: 2, floats as the hex
-/// digits of their bits. [`FlowCheckpoint::parse`] also reads version 1.
-pub const JOURNAL_VERSION: u32 = 2;
+/// Journal format version written and read by this build.
+pub const JOURNAL_VERSION: u32 = 3;
 
 /// Why a journal could not be written, read, or applied.
 #[derive(Debug)]
@@ -193,13 +190,7 @@ pub struct FlowCheckpoint {
     /// its way out of the loop). A resumed run must then re-evaluate the
     /// pad trigger at this iteration before stepping, so that resuming an
     /// interrupted run reproduces the uninterrupted trajectory exactly.
-    /// Absent from journals written by earlier builds (defaults to false).
     pub pending_round: bool,
-    /// Size band ([`ScaleClass`]) the run that wrote the journal resolved
-    /// to. A resumed run must resolve to the same band (the coarsened
-    /// congestion grid is part of the recorded trajectory). `None` in
-    /// journals written by earlier builds, which skips the resume check.
-    pub scale_class: Option<ScaleClass>,
 }
 
 impl FlowCheckpoint {
@@ -218,7 +209,6 @@ impl FlowCheckpoint {
             pad,
             degradation: Vec::new(),
             pending_round: false,
-            scale_class: None,
         }
     }
 
@@ -235,15 +225,11 @@ impl FlowCheckpoint {
         self
     }
 
-    /// Records the scale class the run resolved to (see the field docs).
-    pub fn with_scale_class(mut self, class: Option<ScaleClass>) -> Self {
-        self.scale_class = class;
-        self
-    }
-
     /// Checks that the checkpoint belongs to `design` (same cell count;
     /// the name is advisory and only mismatched counts are fatal — deeper
     /// shape validation happens in [`puffer_place::GlobalPlacer::restore`]).
+    /// An equal count also means an equal [`crate::ScaleClass`], which is a
+    /// function of the count alone.
     ///
     /// # Errors
     ///
@@ -280,8 +266,8 @@ impl FlowCheckpoint {
 
     /// The journal text as bytes, written into one buffer sized up front.
     fn render_bytes(&self) -> Vec<u8> {
-        let opt_floats = self.placer.opt.as_ref().map_or(0, |o| {
-            2 + o.u.len() + o.v.len() + o.v_prev.len() + o.g_prev.len()
+        let opt_floats = self.placer.opt.as_ref().map_or(0, |(o, _)| {
+            3 + o.u.len() + o.v.len() + o.v_prev.len() + o.g_prev.len()
         });
         let mut w = Writer(Vec::with_capacity(
             Writer::HEADER_BOUND
@@ -317,8 +303,12 @@ impl FlowCheckpoint {
                 .uint(self.pad.pad_count[i].into())
                 .eol();
         }
-        if let Some(opt) = &self.placer.opt {
-            w.tag("opt_scalars").float(opt.a).float(opt.alpha).eol();
+        if let Some((opt, gamma)) = &self.placer.opt {
+            w.tag("opt_scalars")
+                .float(opt.a)
+                .float(opt.alpha)
+                .float(*gamma)
+                .eol();
             for (tag, v) in [
                 ("opt_u", &opt.u),
                 ("opt_v", &opt.v),
@@ -331,9 +321,6 @@ impl FlowCheckpoint {
                 }
                 w.eol();
             }
-            if let Some(gamma) = self.placer.opt_gamma {
-                w.tag("opt_gamma").float(gamma).eol();
-            }
         }
         if !self.degradation.is_empty() {
             let list: Vec<&str> = self.degradation.iter().map(|s| s.as_str()).collect();
@@ -341,9 +328,6 @@ impl FlowCheckpoint {
         }
         if self.pending_round {
             w.tag("pending_round").uint(1).eol();
-        }
-        if let Some(class) = self.scale_class {
-            w.tag("scale_class").text(class.as_str()).eol();
         }
         w.tag("end").eol();
         w.0
@@ -386,15 +370,11 @@ impl FlowCheckpoint {
         let mut p = Parser::new(text);
 
         let (version,) = p.line1::<u32>("puffer_checkpoint")?;
-        p.hex_floats = match version {
-            1 => false,
-            JOURNAL_VERSION => true,
-            _ => {
-                return Err(p.err(format!(
-                "unsupported journal version {version} (this build reads 1 and {JOURNAL_VERSION})"
-            )))
-            }
-        };
+        if version != JOURNAL_VERSION {
+            return Err(p.err(format!(
+                "unsupported journal version {version} (this build reads {JOURNAL_VERSION})"
+            )));
+        }
         let (num_cells, design_name) = p.line_count_rest("design")?;
         // The count sizes five vectors below: bound it by what the text can
         // hold (a `cell` line is at least 16 bytes) before allocating.
@@ -437,14 +417,14 @@ impl FlowCheckpoint {
             counts.push(p.parse_field::<u32>(fields[5])?);
         }
 
-        let mut opt_gamma = None;
         let opt = if p.peek_tag() == Some("opt_scalars") {
             let fields = p.line_fields("opt_scalars")?;
-            if fields.len() != 2 {
-                return Err(p.err("opt_scalars needs 2 fields".into()));
+            if fields.len() != 3 {
+                return Err(p.err("opt_scalars needs 3 fields".into()));
             }
             let a = p.float(fields[0])?;
             let alpha = p.float(fields[1])?;
+            let gamma = p.float(fields[2])?;
             let u = p.line_f64_vec("opt_u")?;
             let v = p.line_f64_vec("opt_v")?;
             let v_prev = p.line_f64_vec("opt_vp")?;
@@ -452,17 +432,15 @@ impl FlowCheckpoint {
             if u.len() != v.len() || v.len() != v_prev.len() || v_prev.len() != g_prev.len() {
                 return Err(p.err("optimizer vectors differ in length".into()));
             }
-            if p.peek_tag() == Some("opt_gamma") {
-                opt_gamma = Some(p.line_f64("opt_gamma")?);
-            }
-            Some(NesterovState {
+            let state = NesterovState {
                 u,
                 v,
                 v_prev,
                 g_prev,
                 a,
                 alpha,
-            })
+            };
+            Some((state, gamma))
         } else {
             None
         };
@@ -491,17 +469,6 @@ impl FlowCheckpoint {
             }
         } else {
             false
-        };
-
-        let scale_class = if p.peek_tag() == Some("scale_class") {
-            let rest = p.line_rest("scale_class")?;
-            Some(
-                rest.trim()
-                    .parse::<ScaleClass>()
-                    .map_err(|e| p.err(format!("bad scale_class: {e}")))?,
-            )
-        } else {
-            None
         };
 
         let end = p.line_rest("end").map_err(|_| JournalError::Parse {
@@ -534,7 +501,6 @@ impl FlowCheckpoint {
                 step_scale,
                 recoveries,
                 opt,
-                opt_gamma,
             },
             pad: PaddingState {
                 pad: hpad,
@@ -544,7 +510,6 @@ impl FlowCheckpoint {
             },
             degradation,
             pending_round,
-            scale_class,
         })
     }
 }
@@ -611,8 +576,8 @@ impl Writer {
     }
 }
 
-/// Reads one version-2 float field: exactly 16 lowercase hex digits, the
-/// one spelling [`Writer::float`] gives each value.
+/// Reads one float field: exactly 16 lowercase hex digits, the one
+/// spelling [`Writer::float`] gives each value.
 fn hex_float(field: &str) -> Option<f64> {
     if field.len() != 16 {
         return None;
@@ -635,8 +600,6 @@ fn hex_float(field: &str) -> Option<f64> {
 struct Parser<'a> {
     lines: std::str::Lines<'a>,
     line_no: usize,
-    /// Float fields are version 2's hex digits, not version 1's decimal.
-    hex_floats: bool,
 }
 
 impl<'a> Parser<'a> {
@@ -644,7 +607,6 @@ impl<'a> Parser<'a> {
         Parser {
             lines: text.lines(),
             line_no: 0,
-            hex_floats: true,
         }
     }
 
@@ -712,17 +674,13 @@ impl<'a> Parser<'a> {
         fields.into_iter().map(|f| self.float(f)).collect()
     }
 
-    /// One float field in this journal's version.
+    /// One float field.
     fn float(&self, field: &str) -> Result<f64, JournalError> {
-        if self.hex_floats {
-            hex_float(field).ok_or_else(|| {
-                self.err(format!(
-                    "cannot parse '{field}' (a float is 16 lowercase hex digits)"
-                ))
-            })
-        } else {
-            self.parse_field(field)
-        }
+        hex_float(field).ok_or_else(|| {
+            self.err(format!(
+                "cannot parse '{field}' (a float is 16 lowercase hex digits)"
+            ))
+        })
     }
 
     fn parse_field<T: std::str::FromStr>(&self, field: &str) -> Result<T, JournalError> {
@@ -814,7 +772,7 @@ mod tests {
         ckpt.placer.last_overflow = -2.0;
         ckpt.pad.last_utilization = f64::INFINITY;
         let text = ckpt.render();
-        assert!(text.starts_with("puffer_checkpoint 2\n"), "{text}");
+        assert!(text.starts_with("puffer_checkpoint 3\n"), "{text}");
         for line in [
             "lambda 3ff8000000000000",
             "overflow c000000000000000",
@@ -824,24 +782,17 @@ mod tests {
         }
     }
 
-    /// A state has one version-2 text: a journal that parses renders back
-    /// byte for byte, every optional line included.
+    /// A state has one text: a journal that parses renders back byte for
+    /// byte, every optional line included.
     #[test]
     fn render_of_parse_is_the_same_text() {
         let d = design();
         let ckpt = checkpoint_after(&d, 5)
             .with_degradation(vec![DegradeStep::CoarseCongestion, DegradeStep::CapTrials])
-            .with_pending_round(true)
-            .with_scale_class(Some(ScaleClass::Medium));
+            .with_pending_round(true);
         assert!(ckpt.placer.opt.is_some(), "solver should be live");
         let text = ckpt.render();
-        for tag in [
-            "opt_scalars ",
-            "opt_gamma ",
-            "degradation ",
-            "pending_round 1",
-            "scale_class ",
-        ] {
+        for tag in ["opt_scalars ", "degradation ", "pending_round 1"] {
             assert!(text.contains(tag), "no '{tag}' line");
         }
         let parsed = FlowCheckpoint::parse(&text).unwrap();
@@ -849,20 +800,14 @@ mod tests {
         assert_eq!(parsed.render(), text);
     }
 
-    /// A version-2 float field is exactly 16 characters of `[0-9a-f]`;
+    /// A float field is exactly 16 characters of `[0-9a-f]`;
     /// every other spelling of the same value is refused at its line.
     #[test]
     fn a_float_field_with_another_spelling_is_a_parse_error() {
         let d = design();
         let text = checkpoint_after(&d, 3).render();
         let lines: Vec<&str> = text.lines().collect();
-        for tag in [
-            "lambda ",
-            "cell 4 ",
-            "opt_scalars ",
-            "opt_gp ",
-            "opt_gamma ",
-        ] {
+        for tag in ["lambda ", "cell 4 ", "opt_scalars ", "opt_gp "] {
             let at = lines.iter().position(|l| l.starts_with(tag)).unwrap();
             let line = lines[at];
             // The line's first float field (a cell line's x).
@@ -896,62 +841,34 @@ mod tests {
         }
     }
 
-    /// A version-1 journal (floats in shortest round-trip decimal), written
-    /// by the last build that wrote version 1: a 60-cell design with the
-    /// solver live. It still resumes, and is rewritten as version 2.
+    /// The carried γ is the third field of `opt_scalars`, read back bit for
+    /// bit; a live solver's line without it is a parse error naming it.
     #[test]
-    fn a_version_1_journal_parses_and_renders_as_version_2() {
-        let v1 = include_str!("../tests/fixtures/checkpoint_v1.pj");
-        assert!(v1.starts_with("puffer_checkpoint 1\n"));
-        let ckpt = FlowCheckpoint::parse(v1).unwrap();
-        assert_eq!(ckpt.num_cells, 61);
-        assert!(ckpt.placer.opt.is_some(), "solver should be live");
-        assert_eq!(ckpt.pad.last_utilization, f64::INFINITY);
-        let v2 = ckpt.render();
-        assert!(v2.starts_with("puffer_checkpoint 2\n"), "{v2}");
-        assert_eq!(FlowCheckpoint::parse(&v2).unwrap(), ckpt);
-        // The two versions differ in their float fields only: the same
-        // lines, each with the same tag and field count.
-        let shape = |t: &str| -> Vec<(String, usize)> {
-            t.lines()
-                .skip(1)
-                .map(|l| {
-                    (
-                        l.split(' ').next().unwrap_or("").to_string(),
-                        l.split(' ').count(),
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(shape(v1), shape(&v2));
-    }
-
-    /// The carried γ is written with the solver, read back bit for bit,
-    /// and optional: a journal from a build that did not write it parses,
-    /// with none, and renders back without it.
-    #[test]
-    fn opt_gamma_roundtrips_and_may_be_absent() {
+    fn the_carried_gamma_roundtrips_in_opt_scalars() {
         let d = design();
         let ckpt = checkpoint_after(&d, 4);
-        let gamma = ckpt
-            .placer
-            .opt_gamma
-            .expect("a live solver carries a gamma");
+        let (opt, gamma) = ckpt.placer.opt.as_ref().expect("solver should be live");
+        let scalars = format!(
+            "opt_scalars {:016x} {:016x}",
+            opt.a.to_bits(),
+            opt.alpha.to_bits()
+        );
+        let line = format!("{scalars} {:016x}\n", gamma.to_bits());
         let text = ckpt.render();
-        let line = format!("opt_gamma {:016x}\n", gamma.to_bits());
         assert!(text.contains(&format!("\n{line}")), "{text}");
         assert_eq!(FlowCheckpoint::parse(&text).unwrap(), ckpt);
 
-        let earlier = text.replacen(&line, "", 1);
-        let parsed = FlowCheckpoint::parse(&earlier).unwrap();
-        assert_eq!(parsed.placer.opt_gamma, None);
-        assert_eq!(parsed.placer.opt, ckpt.placer.opt);
-        assert_eq!(parsed.render(), earlier);
+        let without = text.replacen(&line, &format!("{scalars}\n"), 1);
+        let err = FlowCheckpoint::parse(&without).unwrap_err();
+        assert!(
+            err.to_string().contains("opt_scalars needs 3 fields"),
+            "{err}"
+        );
 
         // No solver, no line.
         let cold = checkpoint_after(&d, 0);
         assert!(cold.placer.opt.is_none());
-        assert!(!cold.render().contains("opt_gamma"));
+        assert!(!cold.render().contains("opt_scalars"));
     }
 
     #[test]
@@ -1030,11 +947,18 @@ mod tests {
         let d = design();
         let text = checkpoint_after(&d, 1).render();
         let current = format!("puffer_checkpoint {JOURNAL_VERSION}\n");
-        for version in [0, JOURNAL_VERSION + 1, 99] {
+        // Version 1 (decimal floats) and version 2 (γ on a line of its own)
+        // are refused like any other.
+        for version in [0, 1, 2, JOURNAL_VERSION + 1, 99] {
             let bumped = text.replacen(&current, &format!("puffer_checkpoint {version}\n"), 1);
             assert_ne!(bumped, text);
             let err = FlowCheckpoint::parse(&bumped).unwrap_err();
-            assert!(err.to_string().contains("version"), "{err}");
+            assert!(matches!(err, JournalError::Parse { line: 1, .. }), "{err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported journal version {version} ")),
+                "{err}"
+            );
         }
     }
 

@@ -244,19 +244,6 @@ impl Job {
                 checkpoint
                     .matches(design)
                     .map_err(|e| PufferError::Resume(e.to_string()))?;
-                // A journal written under one strategy band must not be
-                // continued under another: the coarsened grid and window
-                // hints would silently diverge from the recorded run.
-                // Journals from earlier builds carry no class and skip the
-                // check.
-                if let Some(recorded) = checkpoint.scale_class {
-                    if recorded != scale_class {
-                        return Err(PufferError::Resume(format!(
-                            "checkpoint was written under scale class '{recorded}' \
-                             but this design classifies as '{scale_class}'"
-                        )));
-                    }
-                }
                 let done = checkpoint.stage == FlowStage::GlobalDone;
                 let mut placer = GlobalPlacer::with_placement(
                     design,
@@ -359,7 +346,7 @@ impl Job {
                                 FlowStage::GlobalPlace,
                                 &placer,
                                 analysis.state(),
-                                (ladder.engaged(), pending_round, scale_class),
+                                (ladder.engaged(), pending_round),
                             )?;
                         }
                     }
@@ -413,7 +400,7 @@ impl Job {
                 stage,
                 &placer,
                 analysis.state(),
-                (ladder.engaged(), pending_round, scale_class),
+                (ladder.engaged(), pending_round),
             )?;
         }
         let global_placement = placer.placement().clone();
@@ -532,15 +519,14 @@ impl Job {
         stage: FlowStage,
         placer: &GlobalPlacer<'_>,
         padding: &PaddingState,
-        (degradation, pending_round, scale_class): (&[DegradeStep], bool, ScaleClass),
+        (degradation, pending_round): (&[DegradeStep], bool),
     ) -> Result<(), PufferError> {
         // `gp/journal` inside the loop, `journal` for the final write.
         let _journal_span = self.trace.span("journal");
         let path = policy.file_for(stage, placer.iterations());
         let checkpoint = FlowCheckpoint::capture(design, stage, placer.snapshot(), padding.clone())
             .with_degradation(degradation.to_vec())
-            .with_pending_round(pending_round)
-            .with_scale_class(Some(scale_class));
+            .with_pending_round(pending_round);
         checkpoint
             .save(&path)
             .map_err(|e| PufferError::Journal(e.to_string()))
@@ -801,29 +787,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_rejects_a_mismatched_scale_class() {
-        // The journal records the band the writing run classified into; a
-        // journal claiming another band would continue the trajectory under
-        // a differently-coarsened congestion grid, so it is refused.
-        let d = design();
-        let dir = tmp_dir("scale-mismatch");
-        let policy = CheckpointPolicy::new(dir.join("run.pj"));
-        Job::new(quick_config())
-            .with_checkpoints(policy.clone())
-            .run(&d)
-            .unwrap();
-        let text = std::fs::read_to_string(&policy.path).unwrap();
-        assert!(text.contains("scale_class small"), "{text}");
-        let rewritten = text.replace("scale_class small", "scale_class huge");
-        let checkpoint = FlowCheckpoint::parse(&rewritten).unwrap();
-        let err = Job::new(quick_config())
-            .run_from(&d, checkpoint)
-            .unwrap_err();
-        assert!(matches!(err, PufferError::Resume(_)), "{err}");
-        assert!(err.to_string().contains("scale class"), "{err}");
-    }
-
-    #[test]
     fn expired_deadline_yields_cancelled_best_so_far() {
         use std::time::Duration;
         let d = design();
@@ -1013,7 +976,7 @@ mod tests {
         // fresh there instead of asking).
         assert!(FlowCheckpoint::load(&dir.join("nope.pj")).is_err());
         let garbled = dir.join("garbled.pj");
-        std::fs::write(&garbled, "puffer_checkpoint 1\ndesign oops\n").unwrap();
+        std::fs::write(&garbled, "puffer_checkpoint 3\ndesign oops\n").unwrap();
         let err = resume(quick_config(), &d, &garbled).unwrap_err();
         assert!(matches!(err, PufferError::Journal(_)), "{err}");
     }

@@ -245,10 +245,7 @@ struct DensityState {
 #[derive(Debug)]
 struct Solver {
     nesterov: NesterovOptimizer,
-    /// `None` only after restoring a snapshot that carries none (a journal
-    /// written by an earlier build): the next opening gradient then takes
-    /// the current γ.
-    gamma: Option<f64>,
+    gamma: f64,
     /// The WA and density workspaces hold both halves of `∇f(v_k)`, the WA
     /// half at `gamma`: the solver's last evaluation was at `v_k`, as
     /// `ensure_optimizer` and `step` leave it. A warm step composes its
@@ -390,13 +387,10 @@ pub struct PlacerSnapshot {
     pub step_scale: f64,
     /// Divergence recoveries performed.
     pub recoveries: usize,
-    /// Nesterov solver state, if the optimizer was live.
-    pub opt: Option<NesterovState>,
-    /// The γ at which the WA gradient at the solver's reference point was
-    /// last taken, which the next step's opening gradient takes again.
-    /// `None` without a live solver, and in a snapshot from a build that
-    /// did not carry it: the opening gradient then takes the current γ.
-    pub opt_gamma: Option<f64>,
+    /// Nesterov solver state, if the optimizer was live, and the γ at which
+    /// the WA gradient at its reference point was last taken, which the
+    /// next step's opening gradient takes again.
+    pub opt: Option<(NesterovState, f64)>,
 }
 
 impl<'a> GlobalPlacer<'a> {
@@ -560,8 +554,7 @@ impl<'a> GlobalPlacer<'a> {
             last_overflow: self.last_overflow,
             step_scale: self.step_scale,
             recoveries: self.recoveries,
-            opt: self.opt.as_ref().map(|s| s.nesterov.state()),
-            opt_gamma: self.opt.as_ref().and_then(|s| s.gamma),
+            opt: self.opt.as_ref().map(|s| (s.nesterov.state(), s.gamma)),
         }
     }
 
@@ -573,7 +566,8 @@ impl<'a> GlobalPlacer<'a> {
     ///
     /// Returns [`PlaceError::BadSnapshot`] when the snapshot's shapes do
     /// not match the design (placement/padding length, optimizer vector
-    /// length), or it holds non-finite padding or a carried γ that is not
+    /// length), or it holds non-finite padding, λ, overflow or Nesterov
+    /// scalars, a `step_scale` outside `(0, 1]`, or a carried γ that is not
     /// positive and finite.
     pub fn restore(&mut self, snap: PlacerSnapshot) -> Result<(), PlaceError> {
         if snap.placement.len() != self.placement.len() {
@@ -600,7 +594,13 @@ impl<'a> GlobalPlacer<'a> {
                 "lambda/overflow must be finite".into(),
             ));
         }
-        if let Some(opt) = &snap.opt {
+        if !(snap.step_scale > 0.0 && snap.step_scale <= 1.0) {
+            return Err(PlaceError::BadSnapshot(format!(
+                "step_scale {} is not in (0, 1]",
+                snap.step_scale
+            )));
+        }
+        if let Some((opt, gamma)) = &snap.opt {
             let expect = 2 * self.movable.len();
             if opt.u.len() != expect
                 || opt.v.len() != expect
@@ -612,14 +612,13 @@ impl<'a> GlobalPlacer<'a> {
                     opt.u.len()
                 )));
             }
-            if !(opt.alpha > 0.0 && opt.alpha.is_finite()) {
-                return Err(PlaceError::BadSnapshot(
-                    "optimizer step size must be positive".into(),
-                ));
+            if !(opt.alpha > 0.0 && opt.alpha.is_finite() && opt.a.is_finite()) {
+                return Err(PlaceError::BadSnapshot(format!(
+                    "optimizer scalars a = {}, alpha = {} (alpha must be positive, both finite)",
+                    opt.a, opt.alpha
+                )));
             }
-        }
-        if let Some(gamma) = snap.opt_gamma {
-            if !(gamma > 0.0 && gamma.is_finite()) {
+            if !(*gamma > 0.0 && gamma.is_finite()) {
                 return Err(PlaceError::BadSnapshot(format!(
                     "carried gamma {gamma} is not positive and finite"
                 )));
@@ -634,12 +633,12 @@ impl<'a> GlobalPlacer<'a> {
         self.lambda = snap.lambda;
         self.iter = snap.iter;
         self.last_overflow = snap.last_overflow;
-        self.step_scale = snap.step_scale.clamp(1e-9, 1.0);
+        self.step_scale = snap.step_scale.max(1e-9);
         self.recoveries = snap.recoveries;
         // Cold: the workspaces hold no gradient at the restored `v_k`.
-        self.opt = snap.opt.map(|state| Solver {
+        self.opt = snap.opt.map(|(state, gamma)| Solver {
             nesterov: NesterovOptimizer::from_state(state),
-            gamma: snap.opt_gamma,
+            gamma,
             warm: false,
         });
         self.held = None;
@@ -784,7 +783,7 @@ impl<'a> GlobalPlacer<'a> {
         let alpha0 = (alpha0 * self.step_scale).max(1e-9);
         Solver {
             nesterov: NesterovOptimizer::new(flat, g, alpha0),
-            gamma: Some(gamma),
+            gamma,
             warm: true,
         }
     }
@@ -829,7 +828,7 @@ impl<'a> GlobalPlacer<'a> {
         let opening = if warm {
             inputs.compose(&dens.ws, wa, lambda)
         } else {
-            inputs.combined_grad(dens, wa, opt.reference(), lambda, carried.unwrap_or(gamma))
+            inputs.combined_grad(dens, wa, opt.reference(), lambda, carried)
         };
         opt.step(
             opening,
@@ -855,7 +854,7 @@ impl<'a> GlobalPlacer<'a> {
         let verdict = self.sentinel.check(&stats, opt.reference());
         self.opt = Some(Solver {
             nesterov: opt,
-            gamma: Some(gamma),
+            gamma,
             warm: true,
         });
 
@@ -1464,6 +1463,24 @@ mod tests {
             placer.restore(snap2),
             Err(PlaceError::BadSnapshot(_))
         ));
+        // `f64::clamp` keeps a NaN: the step backoff is checked, not clamped.
+        for bad in [f64::NAN, 0.0, 2.0] {
+            let mut snap = placer.snapshot();
+            snap.step_scale = bad;
+            let Err(PlaceError::BadSnapshot(msg)) = placer.restore(snap) else {
+                panic!("restore accepted a step_scale of {bad}");
+            };
+            assert!(msg.contains("step_scale"), "{msg}");
+        }
+        placer.step();
+        let mut snap = placer.snapshot();
+        if let Some((opt, _)) = &mut snap.opt {
+            opt.a = f64::NAN;
+        }
+        let Err(PlaceError::BadSnapshot(msg)) = placer.restore(snap) else {
+            panic!("restore accepted a NaN Nesterov a");
+        };
+        assert!(msg.contains("a = NaN"), "{msg}");
     }
 
     #[test]
@@ -1668,29 +1685,22 @@ mod tests {
     fn the_carried_gamma_is_the_last_round_gamma_and_restore_checks_it() {
         let d = small_design();
         let mut placer = GlobalPlacer::new(&d, PlacerConfig::default()).unwrap();
-        assert_eq!(placer.snapshot().opt_gamma, None, "no solver yet");
+        assert_eq!(placer.snapshot().opt, None, "no solver yet");
         for _ in 0..3 {
             let gamma = placer.gamma();
             placer.step();
-            assert_eq!(placer.snapshot().opt_gamma, Some(gamma));
+            assert_eq!(placer.snapshot().opt.map(|(_, g)| g), Some(gamma));
         }
         for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
             let mut snap = placer.snapshot();
-            snap.opt_gamma = Some(bad);
+            if let Some((_, gamma)) = &mut snap.opt {
+                *gamma = bad;
+            }
             let Err(PlaceError::BadSnapshot(msg)) = placer.restore(snap) else {
                 panic!("restore accepted a carried gamma of {bad}");
             };
             assert!(msg.contains("gamma"), "{msg}");
         }
-        // A snapshot without one (an earlier build's journal) still steps:
-        // its opening gradient takes the current γ.
-        let mut snap = placer.snapshot();
-        snap.opt_gamma = None;
-        let mut old = GlobalPlacer::new(&d, PlacerConfig::default()).unwrap();
-        old.restore(snap).unwrap();
-        let gamma = old.gamma();
-        assert!(old.step().hpwl.is_finite());
-        assert_eq!(old.snapshot().opt_gamma, Some(gamma));
     }
 
     /// One move of the warm-solver property test's scripts.

@@ -73,7 +73,7 @@ fn step_line(placer: &mut GlobalPlacer<'_>) -> String {
         lambda,
         ..
     } = placer.step();
-    let alpha = placer.snapshot().opt.map_or(0.0, |opt| opt.alpha);
+    let alpha = placer.snapshot().opt.map_or(0.0, |(opt, _)| opt.alpha);
     format!(
         "step {iter} hpwl {} overflow {} lambda {} alpha {} place {:016x}\n",
         hex(hpwl),

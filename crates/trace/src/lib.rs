@@ -42,6 +42,11 @@
 //! | `span` | [`Trace::write_summary`] | `label`, `count`, `total_s`, `mean_s`, `min_s`, `max_s` |
 //! | `counter` | [`Trace::write_summary`] | `name`, `value` |
 //!
+//! Every field listed is written with its record. The metrics audit
+//! (`puffer trace`) requires the worker counts of `flow.init` (`gp_halves`
+//! and the four `lanes_*`) and the seven search counters of `route.done`
+//! (`segments` through `maze_pushes`) wherever those records appear.
+//!
 //! ## Schema versions
 //!
 //! The flow-telemetry records above predate explicit versioning and carry

@@ -214,20 +214,27 @@ cmp <(counter_records "$SMOKE_DIR/lanes-t1.jsonl") <(counter_records "$SMOKE_DIR
 "$PUFFER" trace "$SMOKE_DIR/lanes-t4.jsonl"
 
 # Resume smoke: a checkpoint journal is exactly one record (every save is
-# an atomic whole-file replace). Two records back to back are a file no
-# writer produces, and `place --resume` must refuse it with exit 1, naming
-# the first line after `end`.
-echo "==> resume smoke (a two-record journal is refused)"
+# an atomic whole-file replace), of the one version this build writes. Two
+# records back to back are a file no writer produces, and a journal of
+# another version cannot continue this build's trajectory: `place
+# --resume` must refuse each with exit 1, naming the first line after
+# `end` and the foreign version.
+echo "==> resume smoke (a two-record journal and a version-2 journal are refused)"
 cat "$SMOKE_DIR/grid-t1.pj" "$SMOKE_DIR/grid-t1.pj" > "$SMOKE_DIR/twice.pj"
 after_end=$(( $(wc -l < "$SMOKE_DIR/grid-t1.pj") + 1 ))
-status=0
-"$PUFFER" place "$SMOKE_DIR/grid.pd" -o "$SMOKE_DIR/twice.pl" \
-  --resume "$SMOKE_DIR/twice.pj" 2> "$SMOKE_DIR/twice.err" || status=$?
-if [ "$status" -ne 1 ] || ! grep -q "line $after_end: 'puffer_checkpoint' after 'end'" "$SMOKE_DIR/twice.err"; then
-  echo "resume smoke: wanted exit 1 naming line $after_end, got exit $status:"
-  cat "$SMOKE_DIR/twice.err"
-  exit 1
-fi
+sed '1s/^puffer_checkpoint .*/puffer_checkpoint 2/' "$SMOKE_DIR/grid-t1.pj" > "$SMOKE_DIR/v2.pj"
+for refused in "twice:line $after_end: 'puffer_checkpoint' after 'end'" \
+  "v2:line 1: unsupported journal version 2 "; do
+  name=${refused%%:*} want=${refused#*:}
+  status=0
+  "$PUFFER" place "$SMOKE_DIR/grid.pd" -o "$SMOKE_DIR/$name.pl" \
+    --resume "$SMOKE_DIR/$name.pj" 2> "$SMOKE_DIR/$name.err" || status=$?
+  if [ "$status" -ne 1 ] || ! grep -qF "$want" "$SMOKE_DIR/$name.err"; then
+    echo "resume smoke: $name.pj wanted exit 1 with '$want', got exit $status:"
+    cat "$SMOKE_DIR/$name.err"
+    exit 1
+  fi
+done
 
 # The same for the evaluator: `eval` decomposes nets on --threads workers
 # and then routes on one, so its report, its congestion maps and the

@@ -440,9 +440,11 @@ fn transform_count_outside_the_density_evaluations_is_detected() {
             ),
         ]
     };
-    // Only gradients transform, three times each: 700 is no whole number
-    // of gradients, and 1353 is more gradients than the 450 evaluations.
-    for transforms in [700, 1353] {
+    // Every evaluation is a gradient of three transforms: 700 is no whole
+    // number of gradients, 1353 more gradients than the 450 evaluations,
+    // and 699 fewer (233 gradients beside 217 statistics passes, which no
+    // evaluation runs any more).
+    for transforms in [700, 1353, 699] {
         let path = dir.join(format!("bad-{transforms}.jsonl"));
         let lines = counters(450, transforms);
         write_lines(&path, &[&lines[0], &lines[1]]);
@@ -456,9 +458,9 @@ fn transform_count_outside_the_density_evaluations_is_detected() {
         );
     }
     let good = dir.join("good.jsonl");
-    let lines = counters(450, 699);
+    let lines = counters(450, 1350);
     write_lines(&good, &[&lines[0], &lines[1]]);
-    audit_metrics(&good).expect("233 gradients + 217 statistics = 699 transforms pass");
+    audit_metrics(&good).expect("450 gradients of 3 transforms pass");
 }
 
 #[test]
@@ -485,15 +487,19 @@ fn impossible_wa_counters_are_detected() {
     // 440 gradients of 2151 pins, 41 % elided.
     let terms = 4 * 2151 * 440;
     audit("good.jsonl", &shape(440, 2_228_160, terms)).expect("the golden run's shape passes");
-    // A file from when every step added a value-only evaluation: 200 more
-    // evaluations name their terms too.
+    // Terms named by 200 value-only evaluations beside the gradients: no
+    // counter accounts for them, with or without a `value_evals` line.
     let old_terms = 4 * 2151 * 640;
     let old = [
         &shape(440, 3_240_960, old_terms)[..],
         &[("value_evals", 200)],
     ]
     .concat();
-    audit("old.jsonl", &old).expect("a file with value-only evaluations passes");
+    let report = audit("old.jsonl", &old).expect_err("value-only evaluations name no terms");
+    assert!(
+        report.violations.iter().any(|v| v.check == "wa-counters"),
+        "old.jsonl: {report}"
+    );
     for (name, bad) in [
         // More calls than Eq. (2) has exponentials.
         ("calls.jsonl", shape(440, terms + 1, terms)),
@@ -559,7 +565,7 @@ fn impossible_route_counters_are_detected() {
             "{name}: {report}"
         );
     }
-    // A file from before the counters existed carries none and passes.
+    // A record without the search counters is one no router writes.
     let old = dir.join("old.jsonl");
     write_lines(
         &old,
@@ -567,7 +573,13 @@ fn impossible_route_counters_are_detected() {
             r#"{"t":"route.done","elapsed_s":0.4,"hof_pct":1.85,"vof_pct":0.84,"wirelength":302912.9,"overflow_gcells":163,"rounds":12}"#,
         ],
     );
-    audit_metrics(&old).expect("pre-counter route.done records pass");
+    let report = audit_metrics(&old).expect_err("a route.done without its counters");
+    assert!(
+        report.violations.iter().any(|v| v.check == "route-counters"
+            && v.message
+                .contains("lacks segments, reroutes, reroutes_kept")),
+        "{report}"
+    );
 }
 
 #[test]
@@ -594,6 +606,22 @@ fn impossible_lane_counts_are_detected() {
             "{name}: {report}"
         );
     }
+    // Every flow writes its halves and lanes: a record without them is
+    // flagged once per missing field.
+    let bare = dir.join("bare.jsonl");
+    write_lines(
+        &bare,
+        &[
+            r#"{"t":"flow.init","elapsed_s":0.01,"scale_class":"small","cells":12703,"congest_coarsen":1}"#,
+        ],
+    );
+    let report = audit_metrics(&bare).expect_err("a flow.init without lane fields");
+    let missing = report
+        .violations
+        .iter()
+        .filter(|v| v.check == "flow-init" && v.message.contains("(missing)"))
+        .count();
+    assert_eq!(missing, 5, "{report}");
 }
 
 // ---------------------------------------------------------------------------

@@ -321,16 +321,20 @@ fn checkpoint_journal() {
     // float as the hex digits of its bits, so these reach `set_state`;
     // their decimal spellings stop at the parser.
     // The same for the carried γ, which the placer's `restore` checks:
-    // NaN, +inf, 0 and -1.
+    // NaN, +inf, 0 and -1. And a NaN step backoff or Nesterov `a`, which
+    // `restore` once let through (`f64::clamp` keeps a NaN; `a` went
+    // unchecked).
     let past_the_parser = vec![
         scribble(&input, "cell 0 ", 5, "7ff8000000000000"),
         scribble(&input, "cell 0 ", 5, "7ff0000000000000"),
         scribble(&input, "cell 0 ", 5, "bff0000000000000"),
         scribble(&input, "pad_util ", 1, "7ff8000000000000"),
-        scribble(&input, "opt_gamma ", 1, "7ff8000000000000"),
-        scribble(&input, "opt_gamma ", 1, "7ff0000000000000"),
-        scribble(&input, "opt_gamma ", 1, "0000000000000000"),
-        scribble(&input, "opt_gamma ", 1, "bff0000000000000"),
+        scribble(&input, "opt_scalars ", 3, "7ff8000000000000"),
+        scribble(&input, "opt_scalars ", 3, "7ff0000000000000"),
+        scribble(&input, "opt_scalars ", 3, "0000000000000000"),
+        scribble(&input, "opt_scalars ", 3, "bff0000000000000"),
+        scribble(&input, "step_scale ", 1, "7ff8000000000000"),
+        scribble(&input, "opt_scalars ", 1, "7ff8000000000000"),
     ];
     let decimal = vec![
         scribble(&input, "cell 0 ", 5, "NaN"),
@@ -349,21 +353,6 @@ fn checkpoint_journal() {
         let err = FlowCheckpoint::parse(std::str::from_utf8(bytes).unwrap()).unwrap_err();
         assert!(matches!(err, JournalError::Parse { .. }), "{err}");
     }
-    // A journal from a build that did not carry γ has no `opt_gamma` line:
-    // it resumes, taking its first opening gradient at the current γ.
-    let text = std::str::from_utf8(&input).unwrap();
-    let earlier: String = text
-        .lines()
-        .filter(|line| !line.starts_with("opt_gamma "))
-        .map(|line| format!("{line}\n"))
-        .collect();
-    assert_eq!(earlier.lines().count() + 1, text.lines().count());
-    let checkpoint = FlowCheckpoint::parse(&earlier).unwrap();
-    let resumed = Job::new(tiny_config(40))
-        .run_from(&design, checkpoint)
-        .unwrap();
-    let zeros = vec![0u32; design.netlist().num_cells()];
-    puffer_legal::check_legal(&design, &resumed.placement, &zeros).unwrap();
     let mut fixtures = past_the_parser;
     fixtures.extend(decimal);
     // Found by this harness: a cell count that sized 32 GiB of vectors.
